@@ -5,7 +5,7 @@
 //! fine-grained expert. Under expert parallelism each rank owns a contiguous
 //! block of `E / W` experts ([`ExpertShard`]).
 
-use xmoe_tensor::{gemm_grouped, matmul, silu, Tensor, Workspace};
+use xmoe_tensor::{gemm_grouped, matmul, silu, silu_slice, Tensor, Workspace};
 
 /// One expert FFN: `y = silu(x @ w1) @ w2`.
 #[derive(Clone, Debug)]
@@ -170,14 +170,6 @@ impl ExpertShard {
             hidden,
             out.as_mut_slice(),
         );
-    }
-}
-
-/// SiLU on a raw slice — the same elementwise map [`silu`] applies to a
-/// tensor, usable on a sub-range of a pooled buffer.
-fn silu_slice(xs: &mut [f32]) {
-    for v in xs {
-        *v *= 1.0 / (1.0 + (-*v).exp());
     }
 }
 

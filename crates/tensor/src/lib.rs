@@ -39,7 +39,7 @@ pub use alloc::{
 pub use ops::{
     add_assign, add_assign_slice, axpy_slice, dot_and_scale, gelu, matmul, matmul_into,
     matmul_slices, matmul_transpose_b, matmul_transpose_b_into, matmul_transpose_b_slices, relu,
-    scale_assign, scaled_extend, silu, softmax_rows, topk_rows, topk_rows_into,
+    scale_assign, scaled_extend, silu, silu_slice, softmax_rows, topk_rows, topk_rows_into,
 };
 pub use par::{
     gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_b, pool_size, run_tasks, Task,

@@ -305,7 +305,12 @@ pub fn topk_rows_into(
 /// SiLU (x * sigmoid(x)) applied in place — the expert activation used by
 /// DeepSeek-style FFNs.
 pub fn silu(t: &mut Tensor) {
-    for v in t.as_mut_slice() {
+    silu_slice(t.as_mut_slice());
+}
+
+/// [`silu`] on a raw slice, usable on a sub-range of a pooled buffer.
+pub fn silu_slice(xs: &mut [f32]) {
+    for v in xs {
         *v *= 1.0 / (1.0 + (-*v).exp());
     }
 }

@@ -50,7 +50,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
 
 use crate::alloc::mark_thread_untracked;
 use crate::ops::{gemm_rows_offset, gemm_ta_rows, gemm_tb_rows};
@@ -131,8 +131,9 @@ pub fn pool_size() -> usize {
     worker_threads()
 }
 
-fn worker_loop(shared: Arc<Shared>) {
+fn worker_loop(shared: Arc<Shared>, ready: Arc<Barrier>) {
     mark_thread_untracked();
+    ready.wait();
     let mut seen = 0u64;
     loop {
         // Capture the current batch (or sleep until one is published).
@@ -198,13 +199,18 @@ impl Pool {
             done: Condvar::new(),
             next: AtomicUsize::new(0),
         });
+        // Startup is synchronous: return only once every worker has marked
+        // itself untracked, so the runtime's own thread-start allocations
+        // never land inside a caller's counted steady-state window.
+        let ready = Arc::new(Barrier::new(workers + 1));
         for w in 0..workers {
-            let sh = Arc::clone(&shared);
+            let (sh, ready) = (Arc::clone(&shared), Arc::clone(&ready));
             std::thread::Builder::new()
                 .name(format!("xmoe-pool-{w}"))
-                .spawn(move || worker_loop(sh))
+                .spawn(move || worker_loop(sh, ready))
                 .expect("spawning pool worker");
         }
+        ready.wait();
         Self {
             shared,
             workers,

@@ -176,8 +176,10 @@ impl Checkpoint {
         out
     }
 
-    /// Serialize to the legacy v1 format (no CRCs). Kept so read-compat
-    /// with pre-CRC streams stays an executable contract, not a promise.
+    /// Serialize to the legacy v1 format (no CRCs). Test-only: it feeds the
+    /// v1-decoder tests, so read-compat with pre-CRC streams stays an
+    /// executable contract, not a promise.
+    #[cfg(test)]
     pub fn encode_v1(&self) -> Vec<u8> {
         let payload: usize = self
             .entries

@@ -18,13 +18,12 @@
 //! global because every rank's tokens were dispatched to them.
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
-use xmoe_core::gating::{DropPolicy, GatingOutput};
+use xmoe_core::gating::{DropPolicy, RouterGuard};
 use xmoe_core::pft::Pft;
 use xmoe_core::pipeline::padding_free::EpRoute;
 use xmoe_core::pipeline::MoeLayerSpec;
 use xmoe_tensor::{
-    add_assign, gather_rows, matmul, matmul_transpose_b, scale_assign, scatter_rows_scaled,
-    scatter_rows_unit, softmax_rows, topk_rows, Tensor,
+    gather_rows, scale_assign, scatter_rows_scaled, scatter_rows_unit, Tensor, Workspace,
 };
 
 use crate::adam::Adam;
@@ -33,15 +32,10 @@ use crate::checkpoint::Checkpoint;
 use crate::elastic::{ElasticRoute, ExpertAssignment};
 use crate::layers::{DenseMlp, Embedding, Head};
 use crate::moe_layer::TrainableMoe;
-
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-fn silu_grad(x: f32) -> f32 {
-    let s = sigmoid(x);
-    s * (1.0 + x * (1.0 - s))
-}
+use crate::moe_math::{
+    self, combine_backward, expert_ffn_backward, expert_ffn_forward, router_backward, BwdScratch,
+    RouteScratch, RouterParams, RouterSave,
+};
 
 /// A trainable MoE layer whose experts are sharded across an EP group.
 #[derive(Clone, Debug)]
@@ -71,59 +65,34 @@ pub struct DistMoe {
     pub policy: DropPolicy,
 }
 
-/// The route a forward pass traveled: the specialized uniform-contiguous
-/// [`EpRoute`] (overlap path) or the general [`ElasticRoute`]. Both
-/// regroup rows expert-major in (local expert, source rank, source PFT
-/// order), so the backward pass is agnostic to which one carried the
-/// tokens.
+/// The route a forward pass traveled, which is also the schedule its
+/// backward mirrors: the general [`ElasticRoute`] with one serial
+/// all-to-all on either side of the expert FFN, or the specialized
+/// uniform-contiguous [`EpRoute`] pipelined in that many expert-major
+/// chunks. Both regroup rows expert-major in (local expert, source rank,
+/// source PFT order), so the saved expert-side buffers are identical.
 pub enum RouteKind {
-    Ep(EpRoute),
+    Ep(EpRoute, usize),
     Elastic(ElasticRoute),
 }
 
 impl RouteKind {
     fn pft(&self) -> &Pft {
         match self {
-            RouteKind::Ep(r) => &r.pft,
+            RouteKind::Ep(r, _) => &r.pft,
             RouteKind::Elastic(r) => &r.pft,
-        }
-    }
-
-    fn to_experts(
-        &self,
-        rows: &Tensor,
-        ep: &Communicator,
-        clock: &mut SimClock,
-    ) -> Result<Tensor, CommError> {
-        match self {
-            RouteKind::Ep(r) => r.to_experts(rows, ep, clock),
-            RouteKind::Elastic(r) => r.to_experts(rows, ep, clock),
-        }
-    }
-
-    fn to_source(
-        &self,
-        rows: &Tensor,
-        ep: &Communicator,
-        clock: &mut SimClock,
-    ) -> Result<Tensor, CommError> {
-        match self {
-            RouteKind::Ep(r) => r.to_source(rows, ep, clock),
-            RouteKind::Elastic(r) => r.to_source(rows, ep, clock),
         }
     }
 }
 
 /// Saved forward state of one distributed MoE layer.
 pub struct DistMoeCtx {
-    x: Tensor,
-    scores: Tensor,
+    router: RouterSave,
     route: RouteKind,
     /// Expert-major saves on the *expert* side.
     expert_input: Tensor,
     h_pre: Tensor,
     h_act: Tensor,
-    seg_offsets: Vec<usize>,
     /// Expert outputs returned to the *source* side, in PFT order.
     combine_in: Tensor,
 }
@@ -133,6 +102,16 @@ impl DistMoeCtx {
     pub fn pft(&self) -> &Pft {
         self.route.pft()
     }
+}
+
+/// Row offset of every expert segment (exclusive prefix sum of `counts`,
+/// plus the total).
+fn seg_offsets(counts: &[usize]) -> Vec<usize> {
+    let mut offsets = vec![0usize; counts.len() + 1];
+    for (e, &cnt) in counts.iter().enumerate() {
+        offsets[e + 1] = offsets[e] + cnt;
+    }
+    offsets
 }
 
 impl DistMoe {
@@ -162,6 +141,16 @@ impl DistMoe {
             "assignment expert count mismatch"
         );
         assert!(rank < assignment.n_ranks(), "rank outside the assignment");
+        // The distributed router runs with inert aux/guard values; sharding
+        // a layer that has them on would silently train a different model.
+        assert!(
+            full.aux_alpha == 0.0,
+            "DistMoe does not implement the auxiliary loss: aux_alpha must be 0"
+        );
+        assert!(
+            full.router_guard.logit_clamp <= 0.0 && full.router_guard.z_loss_coef == 0.0,
+            "DistMoe does not implement router guards: router_guard must be inert"
+        );
         let local_experts = assignment.experts_on(rank);
         let shard: Vec<(Tensor, Tensor)> = local_experts
             .iter()
@@ -198,6 +187,17 @@ impl DistMoe {
         MoeLayerSpec::new(self.num_experts, self.capacity).with_policy(self.policy)
     }
 
+    fn router_params(&self) -> RouterParams {
+        RouterParams {
+            num_experts: self.num_experts,
+            top_k: self.top_k,
+            capacity: self.capacity,
+            policy: self.policy,
+            aux_alpha: 0.0,
+            guard: RouterGuard::default(),
+        }
+    }
+
     /// Distributed forward: `out = x + combine(experts(dispatch(x)))`.
     pub fn forward(
         &self,
@@ -205,83 +205,7 @@ impl DistMoe {
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<(Tensor, DistMoeCtx), CommError> {
-        let hidden = x.cols();
-        let logits = matmul(x, &self.gate);
-        let mut scores = logits.clone();
-        softmax_rows(&mut scores);
-        let (top_experts, combine_weights) = topk_rows(&scores, self.top_k);
-        let top_logits = top_experts
-            .iter()
-            .enumerate()
-            .map(|(i, &e)| logits.get(i / self.top_k, e))
-            .collect();
-        let gating = GatingOutput {
-            top_experts,
-            combine_weights,
-            top_logits,
-            k: self.top_k,
-            scores: scores.clone(),
-        };
-        let pft = Pft::construct(&gating, self.num_experts, self.capacity, self.policy);
-
-        let dispatch_in = gather_rows(x, &pft.token_ids);
-        // The general route serves any assignment; on the uniform layout it
-        // is bitwise- and price-identical to the specialized `EpRoute`.
-        let route = ElasticRoute::build(pft, &self.assignment, ep, clock)?;
-        clock.commit("dispatch_a2a_meta");
-        let expert_input = route.to_experts(&dispatch_in, ep, clock)?;
-        clock.commit("dispatch_a2a");
-
-        // Per-expert FFN over expert-major segments, saving intermediates.
-        let f = self.ffn;
-        let total = expert_input.rows();
-        let mut h_pre = Tensor::zeros(total, f);
-        let mut h_act = Tensor::zeros(total, f);
-        let mut y = Tensor::zeros(total, hidden);
-        let mut seg_offsets = Vec::with_capacity(self.shard.len() + 1);
-        seg_offsets.push(0);
-        let mut row = 0usize;
-        for (e, &cnt) in route.tokens_per_local_expert.iter().enumerate() {
-            if cnt > 0 {
-                let seg = expert_input.slice_rows(row, row + cnt);
-                let pre = matmul(&seg, &self.shard[e].0);
-                let mut act = pre.clone();
-                for v in act.as_mut_slice() {
-                    *v *= sigmoid(*v);
-                }
-                let out = matmul(&act, &self.shard[e].1);
-                h_pre.as_mut_slice()[row * f..(row + cnt) * f].copy_from_slice(pre.as_slice());
-                h_act.as_mut_slice()[row * f..(row + cnt) * f].copy_from_slice(act.as_slice());
-                y.as_mut_slice()[row * hidden..(row + cnt) * hidden]
-                    .copy_from_slice(out.as_slice());
-            }
-            row += cnt;
-            seg_offsets.push(row);
-        }
-
-        let combine_in = route.to_source(&y, ep, clock)?;
-        clock.commit("combine_a2a");
-
-        let mut out = x.clone();
-        scatter_rows_scaled(
-            &combine_in,
-            &route.pft.token_ids,
-            &route.pft.combine_weights,
-            &mut out,
-        );
-        Ok((
-            out,
-            DistMoeCtx {
-                x: x.clone(),
-                scores,
-                route: RouteKind::Elastic(route),
-                expert_input,
-                h_pre,
-                h_act,
-                seg_offsets,
-                combine_in,
-            },
-        ))
+        self.forward_with(x, None, ep, clock)
     }
 
     /// Chunked-overlap distributed forward: bitwise-identical numerics to
@@ -291,6 +215,7 @@ impl DistMoe {
     /// charges no simulated compute for expert GEMMs (matching the serial
     /// forward), so the schedule — not the clock — is what changes here;
     /// the priced overlap win is measured in `xmoe-core`/`bench overlap`.
+    /// [`backward`](Self::backward) mirrors the chunked schedule.
     pub fn forward_overlap(
         &self,
         x: &Tensor,
@@ -303,106 +228,119 @@ impl DistMoe {
             "the chunked-overlap path specializes the uniform contiguous \
              expert layout; elastic assignments take the serial path"
         );
-        let hidden = x.cols();
-        let logits = matmul(x, &self.gate);
-        let mut scores = logits.clone();
-        softmax_rows(&mut scores);
-        let (top_experts, combine_weights) = topk_rows(&scores, self.top_k);
-        let top_logits = top_experts
-            .iter()
-            .enumerate()
-            .map(|(i, &e)| logits.get(i / self.top_k, e))
-            .collect();
-        let gating = GatingOutput {
-            top_experts,
-            combine_weights,
-            top_logits,
-            k: self.top_k,
-            scores: scores.clone(),
-        };
-        let pft = Pft::construct(&gating, self.num_experts, self.capacity, self.policy);
+        self.forward_with(x, Some(chunks), ep, clock)
+    }
 
+    /// Both forwards: route, then the expert FFN between the two
+    /// all-to-alls — serial over the whole shard (`chunks == None`) or
+    /// per chunk expert range inside the overlapped exchange.
+    fn forward_with(
+        &self,
+        x: &Tensor,
+        chunks: Option<usize>,
+        ep: &Communicator,
+        clock: &mut SimClock,
+    ) -> Result<(Tensor, DistMoeCtx), CommError> {
+        let dims = (self.hidden, self.ffn);
+        let (h, f) = dims;
+        let mut router = RouterSave::default();
+        let mut pft = Pft::default();
+        moe_math::route(
+            &self.router_params(),
+            &self.gate,
+            x,
+            &mut RouteScratch::default(),
+            &mut router,
+            &mut pft,
+        );
         let dispatch_in = gather_rows(x, &pft.token_ids);
-        let route = EpRoute::build(pft, &self.spec(), ep, clock)?;
-        clock.commit("dispatch_a2a_meta");
 
-        let f = self.ffn;
-        let counts = route.tokens_per_local_expert.clone();
-        let mut seg_offsets = Vec::with_capacity(self.shard.len() + 1);
-        seg_offsets.push(0usize);
-        for &cnt in &counts {
-            seg_offsets.push(seg_offsets.last().unwrap() + cnt);
-        }
-        let total = *seg_offsets.last().unwrap();
-        let mut expert_input = Tensor::zeros(total, hidden);
-        let mut h_pre = Tensor::zeros(total, f);
-        let mut h_act = Tensor::zeros(total, f);
-
-        let combine_in = route.exchange_overlap(
-            &dispatch_in,
-            chunks,
-            ("dispatch_a2a", "expert", "combine_a2a"),
-            ep,
-            clock,
-            |_c, plan, chunk_in, _clock| {
-                // Chunk c covers local experts [e0, e1); its rows are the
-                // expert-major slice [seg_offsets[e0], seg_offsets[e1]) of
-                // the full buffer, so saving them in place reproduces the
-                // serial `expert_input`/`h_pre`/`h_act` exactly.
-                let (e0, e1) = plan.experts;
-                let row0 = seg_offsets[e0];
-                expert_input.as_mut_slice()[row0 * hidden..(row0 + chunk_in.rows()) * hidden]
-                    .copy_from_slice(chunk_in.as_slice());
-                let mut y_chunk = Tensor::zeros(chunk_in.rows(), hidden);
-                let mut row = 0usize;
-                for e in e0..e1 {
-                    let cnt = counts[e];
-                    if cnt > 0 {
-                        let seg = chunk_in.slice_rows(row, row + cnt);
-                        let pre = matmul(&seg, &self.shard[e].0);
-                        let mut act = pre.clone();
-                        for v in act.as_mut_slice() {
-                            *v *= sigmoid(*v);
-                        }
-                        let out = matmul(&act, &self.shard[e].1);
-                        let g0 = row0 + row;
-                        h_pre.as_mut_slice()[g0 * f..(g0 + cnt) * f]
-                            .copy_from_slice(pre.as_slice());
-                        h_act.as_mut_slice()[g0 * f..(g0 + cnt) * f]
-                            .copy_from_slice(act.as_slice());
-                        y_chunk.as_mut_slice()[row * hidden..(row + cnt) * hidden]
-                            .copy_from_slice(out.as_slice());
-                    }
-                    row += cnt;
-                }
-                y_chunk
-            },
-        )?;
+        let (route, expert_input, h_pre, h_act, combine_in) = match chunks {
+            None => {
+                // The general route serves any assignment; on the uniform
+                // layout it is bitwise- and price-identical to `EpRoute`.
+                let route = ElasticRoute::build(pft, &self.assignment, ep, clock)?;
+                clock.commit("dispatch_a2a_meta");
+                let expert_input = route.to_experts(&dispatch_in, ep, clock)?;
+                clock.commit("dispatch_a2a");
+                let total = expert_input.rows();
+                let mut h_pre = Tensor::zeros(total, f);
+                let mut h_act = Tensor::zeros(total, f);
+                let mut y = Tensor::zeros(total, h);
+                expert_ffn_forward(
+                    &self.shard,
+                    &route.tokens_per_local_expert,
+                    dims,
+                    expert_input.as_slice(),
+                    h_pre.as_mut_slice(),
+                    h_act.as_mut_slice(),
+                    y.as_mut_slice(),
+                );
+                let combine_in = route.to_source(&y, ep, clock)?;
+                clock.commit("combine_a2a");
+                let route = RouteKind::Elastic(route);
+                (route, expert_input, h_pre, h_act, combine_in)
+            }
+            Some(chunks) => {
+                let route = EpRoute::build(pft, &self.spec(), ep, clock)?;
+                clock.commit("dispatch_a2a_meta");
+                let counts = &route.tokens_per_local_expert;
+                let offsets = seg_offsets(counts);
+                let total = offsets[counts.len()];
+                let mut expert_input = Tensor::zeros(total, h);
+                let mut h_pre = Tensor::zeros(total, f);
+                let mut h_act = Tensor::zeros(total, f);
+                let combine_in = route.exchange_overlap(
+                    &dispatch_in,
+                    chunks,
+                    ("dispatch_a2a", "expert", "combine_a2a"),
+                    ep,
+                    clock,
+                    |_c, plan, chunk_in, _clock| {
+                        // Chunk c covers local experts [e0, e1): rows
+                        // [offsets[e0], offsets[e1]) of the full
+                        // expert-major buffers, saved in place.
+                        let (e0, e1) = plan.experts;
+                        let (r0, r1) = (offsets[e0], offsets[e1]);
+                        expert_input.as_mut_slice()[r0 * h..r1 * h]
+                            .copy_from_slice(chunk_in.as_slice());
+                        let mut y_chunk = Tensor::zeros(r1 - r0, h);
+                        expert_ffn_forward(
+                            &self.shard[e0..e1],
+                            &counts[e0..e1],
+                            dims,
+                            chunk_in.as_slice(),
+                            &mut h_pre.as_mut_slice()[r0 * f..r1 * f],
+                            &mut h_act.as_mut_slice()[r0 * f..r1 * f],
+                            y_chunk.as_mut_slice(),
+                        );
+                        y_chunk
+                    },
+                )?;
+                let route = RouteKind::Ep(route, chunks);
+                (route, expert_input, h_pre, h_act, combine_in)
+            }
+        };
 
         let mut out = x.clone();
-        scatter_rows_scaled(
-            &combine_in,
-            &route.pft.token_ids,
-            &route.pft.combine_weights,
-            &mut out,
-        );
-        Ok((
-            out,
-            DistMoeCtx {
-                x: x.clone(),
-                scores,
-                route: RouteKind::Ep(route),
-                expert_input,
-                h_pre,
-                h_act,
-                seg_offsets,
-                combine_in,
-            },
-        ))
+        let pft = route.pft();
+        scatter_rows_scaled(&combine_in, &pft.token_ids, &pft.combine_weights, &mut out);
+        let ctx = DistMoeCtx {
+            router,
+            route,
+            expert_input,
+            h_pre,
+            h_act,
+            combine_in,
+        };
+        Ok((out, ctx))
     }
 
     /// Distributed backward: accumulates local grads, returns `d_x`.
-    /// Mirrors the forward route with two more all-to-alls.
+    /// Mirrors the schedule the forward that produced `ctx` ran — two more
+    /// serial all-to-alls, or the same chunked pipeline through
+    /// [`EpRoute::exchange_overlap`] (the backward chain has the forward's
+    /// shape: dispatch-direction a2a, expert GEMMs, combine-direction a2a).
     pub fn backward(
         &mut self,
         ctx: &DistMoeCtx,
@@ -410,174 +348,78 @@ impl DistMoe {
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<Tensor, CommError> {
-        let hidden = ctx.x.cols();
+        let dims = (self.hidden, self.ffn);
+        let (h, f) = dims;
         let pft = ctx.route.pft();
-        let b = pft.len();
+        let (mut ws, mut bwd) = (Workspace::default(), BwdScratch::default());
         let mut d_x = d_out.clone(); // residual
 
         // Source side: d_combine rows (PFT order) and combine-weight grads.
-        let mut d_combine = gather_rows(d_out, &pft.token_ids);
-        let mut d_w = vec![0.0f32; b];
-        for i in 0..b {
-            let w = ctx.route.pft().combine_weights[i];
-            let y_row = ctx.combine_in.row(i);
-            let dc = d_combine.row_mut(i);
-            d_w[i] = xmoe_tensor::dot_and_scale(dc, y_row, w);
-        }
-
-        // Backward all-to-all #1: gradients to the expert side.
-        let d_y = ctx.route.to_experts(&d_combine, ep, clock)?;
-        clock.commit("bwd_combine_a2a");
-
-        // Expert FFN backward over segments; expert grads stay local.
-        let mut d_expert_in = Tensor::zeros(ctx.expert_input.rows(), hidden);
-        for e in 0..self.shard.len() {
-            let (start, end) = (ctx.seg_offsets[e], ctx.seg_offsets[e + 1]);
-            if start == end {
-                continue;
+        let d_combine = combine_backward(pft, &ctx.combine_in, d_out, &mut bwd, &mut ws);
+        let (shard, g_shard) = (&self.shard, &mut self.g_shard);
+        let d_dispatch = match &ctx.route {
+            RouteKind::Elastic(route) => {
+                // Backward all-to-all #1: gradients to the expert side.
+                let d_y = route.to_experts(&d_combine, ep, clock)?;
+                clock.commit("bwd_combine_a2a");
+                // Expert grads stay local.
+                let d_expert_in = expert_ffn_backward(
+                    shard,
+                    g_shard,
+                    &route.tokens_per_local_expert,
+                    dims,
+                    ctx.expert_input.as_slice(),
+                    ctx.h_pre.as_slice(),
+                    ctx.h_act.as_slice(),
+                    d_y.as_slice(),
+                    &mut ws,
+                );
+                // Backward all-to-all #2: dispatch gradients to sources.
+                let d_dispatch = route.to_source(&d_expert_in, ep, clock)?;
+                clock.commit("bwd_dispatch_a2a");
+                d_dispatch
             }
-            let seg_x = ctx.expert_input.slice_rows(start, end);
-            let seg_pre = ctx.h_pre.slice_rows(start, end);
-            let seg_act = ctx.h_act.slice_rows(start, end);
-            let seg_dy = d_y.slice_rows(start, end);
-            let dw2 = matmul(&seg_act.transpose(), &seg_dy);
-            add_assign(&mut self.g_shard[e].1, &dw2);
-            let mut d_h = matmul_transpose_b(&seg_dy, &self.shard[e].1);
-            for (d, &pre) in d_h.as_mut_slice().iter_mut().zip(seg_pre.as_slice()) {
-                *d *= silu_grad(pre);
+            RouteKind::Ep(route, chunks) => {
+                let counts = &route.tokens_per_local_expert;
+                let offsets = seg_offsets(counts);
+                route.exchange_overlap(
+                    &d_combine,
+                    *chunks,
+                    ("bwd_combine_a2a", "bwd_expert", "bwd_dispatch_a2a"),
+                    ep,
+                    clock,
+                    |_c, plan, chunk_dy, _clock| {
+                        let (e0, e1) = plan.experts;
+                        let (r0, r1) = (offsets[e0], offsets[e1]);
+                        expert_ffn_backward(
+                            &shard[e0..e1],
+                            &mut g_shard[e0..e1],
+                            &counts[e0..e1],
+                            dims,
+                            &ctx.expert_input.as_slice()[r0 * h..r1 * h],
+                            &ctx.h_pre.as_slice()[r0 * f..r1 * f],
+                            &ctx.h_act.as_slice()[r0 * f..r1 * f],
+                            chunk_dy.as_slice(),
+                            &mut ws,
+                        )
+                    },
+                )?
             }
-            let dw1 = matmul(&seg_x.transpose(), &d_h);
-            add_assign(&mut self.g_shard[e].0, &dw1);
-            let d_seg = matmul_transpose_b(&d_h, &self.shard[e].0);
-            d_expert_in.as_mut_slice()[start * hidden..end * hidden]
-                .copy_from_slice(d_seg.as_slice());
-        }
-
-        // Backward all-to-all #2: dispatch gradients back to sources.
-        let d_dispatch = ctx.route.to_source(&d_expert_in, ep, clock)?;
-        clock.commit("bwd_dispatch_a2a");
-        let pft = ctx.route.pft();
+        };
         scatter_rows_unit(&d_dispatch, &pft.token_ids, &mut d_x);
 
         // Router backward (local; router is replicated).
-        let e_count = self.num_experts;
-        let mut d_scores = Tensor::zeros(ctx.x.rows(), e_count);
-        for i in 0..b {
-            let t = pft.token_ids[i];
-            let e = pft.expert_ids[i];
-            let v = d_scores.get(t, e);
-            d_scores.set(t, e, v + d_w[i]);
-        }
-        let mut d_logits = Tensor::zeros(ctx.x.rows(), e_count);
-        for t in 0..ctx.x.rows() {
-            let s_row = ctx.scores.row(t);
-            let ds_row = d_scores.row(t);
-            let inner: f32 = s_row.iter().zip(ds_row).map(|(s, d)| s * d).sum();
-            let dl = d_logits.row_mut(t);
-            for j in 0..e_count {
-                dl[j] = s_row[j] * (ds_row[j] - inner);
-            }
-        }
-        let dg = matmul(&ctx.x.transpose(), &d_logits);
-        add_assign(&mut self.g_gate, &dg);
-        let d_x_gate = matmul_transpose_b(&d_logits, &self.gate);
-        add_assign(&mut d_x, &d_x_gate);
-        Ok(d_x)
-    }
-
-    /// Chunked-overlap distributed backward: bitwise-identical gradients to
-    /// [`backward`](Self::backward). The backward chain has the same shape
-    /// as the forward one — a dispatch-direction all-to-all (`d_combine` to
-    /// the expert side), per-expert GEMMs, and a combine-direction
-    /// all-to-all (`d_expert_in` back to sources) — so it pipelines through
-    /// the same [`EpRoute::exchange_overlap`] primitive.
-    pub fn backward_overlap(
-        &mut self,
-        ctx: &DistMoeCtx,
-        d_out: &Tensor,
-        chunks: usize,
-        ep: &Communicator,
-        clock: &mut SimClock,
-    ) -> Result<Tensor, CommError> {
-        let RouteKind::Ep(route) = &ctx.route else {
-            panic!("backward_overlap requires a forward_overlap context (EpRoute)");
-        };
-        let hidden = ctx.x.cols();
-        let b = route.pft.len();
-        let mut d_x = d_out.clone(); // residual
-
-        let mut d_combine = gather_rows(d_out, &route.pft.token_ids);
-        let mut d_w = vec![0.0f32; b];
-        for i in 0..b {
-            let w = route.pft.combine_weights[i];
-            let y_row = ctx.combine_in.row(i);
-            let dc = d_combine.row_mut(i);
-            d_w[i] = xmoe_tensor::dot_and_scale(dc, y_row, w);
-        }
-
-        let shard = &self.shard;
-        let g_shard = &mut self.g_shard;
-        let d_dispatch = route.exchange_overlap(
-            &d_combine,
-            chunks,
-            ("bwd_combine_a2a", "bwd_expert", "bwd_dispatch_a2a"),
-            ep,
-            clock,
-            |_c, plan, chunk_dy, _clock| {
-                let (e0, e1) = plan.experts;
-                let mut d_chunk = Tensor::zeros(chunk_dy.rows(), hidden);
-                let mut row = 0usize;
-                for e in e0..e1 {
-                    let (start, end) = (ctx.seg_offsets[e], ctx.seg_offsets[e + 1]);
-                    let cnt = end - start;
-                    if cnt > 0 {
-                        let seg_x = ctx.expert_input.slice_rows(start, end);
-                        let seg_pre = ctx.h_pre.slice_rows(start, end);
-                        let seg_act = ctx.h_act.slice_rows(start, end);
-                        let seg_dy = chunk_dy.slice_rows(row, row + cnt);
-                        let dw2 = matmul(&seg_act.transpose(), &seg_dy);
-                        add_assign(&mut g_shard[e].1, &dw2);
-                        let mut d_h = matmul_transpose_b(&seg_dy, &shard[e].1);
-                        for (d, &pre) in d_h.as_mut_slice().iter_mut().zip(seg_pre.as_slice()) {
-                            *d *= silu_grad(pre);
-                        }
-                        let dw1 = matmul(&seg_x.transpose(), &d_h);
-                        add_assign(&mut g_shard[e].0, &dw1);
-                        let d_seg = matmul_transpose_b(&d_h, &shard[e].0);
-                        d_chunk.as_mut_slice()[row * hidden..(row + cnt) * hidden]
-                            .copy_from_slice(d_seg.as_slice());
-                    }
-                    row += cnt;
-                }
-                d_chunk
-            },
-        )?;
-        scatter_rows_unit(&d_dispatch, &route.pft.token_ids, &mut d_x);
-
-        // Router backward (local; router is replicated) — identical to the
-        // serial path.
-        let e_count = self.num_experts;
-        let mut d_scores = Tensor::zeros(ctx.x.rows(), e_count);
-        for i in 0..b {
-            let t = route.pft.token_ids[i];
-            let e = route.pft.expert_ids[i];
-            let v = d_scores.get(t, e);
-            d_scores.set(t, e, v + d_w[i]);
-        }
-        let mut d_logits = Tensor::zeros(ctx.x.rows(), e_count);
-        for t in 0..ctx.x.rows() {
-            let s_row = ctx.scores.row(t);
-            let ds_row = d_scores.row(t);
-            let inner: f32 = s_row.iter().zip(ds_row).map(|(s, d)| s * d).sum();
-            let dl = d_logits.row_mut(t);
-            for j in 0..e_count {
-                dl[j] = s_row[j] * (ds_row[j] - inner);
-            }
-        }
-        let dg = matmul(&ctx.x.transpose(), &d_logits);
-        add_assign(&mut self.g_gate, &dg);
-        let d_x_gate = matmul_transpose_b(&d_logits, &self.gate);
-        add_assign(&mut d_x, &d_x_gate);
+        router_backward(
+            &self.router_params(),
+            &self.gate,
+            &mut self.g_gate,
+            &ctx.router,
+            pft,
+            1.0,
+            &mut bwd,
+            &mut ws,
+            &mut d_x,
+        );
         Ok(d_x)
     }
 
@@ -1300,11 +1142,37 @@ impl DistMoeLm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmoe_collectives::SimCluster;
+    use xmoe_collectives::{RankCtx, SimCluster};
+    use xmoe_tensor::add_assign;
 
     fn tiny_full(seed: u64) -> TrainableMoe {
         // 8 experts over H=8, F=6, top-2, ample capacity.
         TrainableMoe::new(8, 6, 8, 2, 100_000, DropPolicy::CapacityOnly, seed)
+    }
+
+    /// Forward+backward of one rank's layer on that rank's seeded batch,
+    /// serial (`chunks == None`) or chunked; both go through the one
+    /// `backward`, which mirrors whichever schedule the forward ran.
+    fn fwd_bwd(layer: &mut DistMoe, chunks: Option<usize>, ctx: &mut RankCtx) -> (Tensor, Tensor) {
+        let x = Tensor::rand_uniform(12, 8, 1.0, 810 + ctx.rank as u64);
+        let d_out = Tensor::rand_uniform(12, 8, 1.0, 910 + ctx.rank as u64);
+        let (out, c) = match chunks {
+            None => layer.forward(&x, &ctx.world, &mut ctx.clock),
+            Some(n) => layer.forward_overlap(&x, n, &ctx.world, &mut ctx.clock),
+        }
+        .unwrap();
+        let d_x = layer
+            .backward(&c, &d_out, &ctx.world, &mut ctx.clock)
+            .unwrap();
+        (out, d_x)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn shard_bits(g: &[(Tensor, Tensor)]) -> Vec<(Vec<u32>, Vec<u32>)> {
+        g.iter().map(|(a, b)| (bits(a), bits(b))).collect()
     }
 
     #[test]
@@ -1313,32 +1181,15 @@ mod tests {
         let world = 4;
         for chunks in [1usize, 2] {
             let results = SimCluster::frontier(world).run(|ctx| {
-                let x = Tensor::rand_uniform(12, 8, 1.0, 810 + ctx.rank as u64);
-                let d_out = Tensor::rand_uniform(12, 8, 1.0, 910 + ctx.rank as u64);
-
                 let mut serial = DistMoe::from_trainable(&full, ctx.rank, world);
-                let (out_s, ctx_s) = serial.forward(&x, &ctx.world, &mut ctx.clock).unwrap();
-                let dx_s = serial
-                    .backward(&ctx_s, &d_out, &ctx.world, &mut ctx.clock)
-                    .unwrap();
-
+                let (out_s, dx_s) = fwd_bwd(&mut serial, None, ctx);
                 let mut over = DistMoe::from_trainable(&full, ctx.rank, world);
-                let (out_o, ctx_o) = over
-                    .forward_overlap(&x, chunks, &ctx.world, &mut ctx.clock)
-                    .unwrap();
-                let dx_o = over
-                    .backward_overlap(&ctx_o, &d_out, chunks, &ctx.world, &mut ctx.clock)
-                    .unwrap();
-
-                let grads_equal = serial
-                    .g_shard
-                    .iter()
-                    .zip(&over.g_shard)
-                    .all(|((a1, a2), (b1, b2))| a1.allclose(b1, 0.0) && a2.allclose(b2, 0.0))
-                    && serial.g_gate.allclose(&over.g_gate, 0.0);
+                let (out_o, dx_o) = fwd_bwd(&mut over, Some(chunks), ctx);
+                let grads_equal = shard_bits(&serial.g_shard) == shard_bits(&over.g_shard)
+                    && bits(&serial.g_gate) == bits(&over.g_gate);
                 (
-                    out_s.allclose(&out_o, 0.0),
-                    dx_s.allclose(&dx_o, 0.0),
+                    bits(&out_s) == bits(&out_o),
+                    bits(&dx_s) == bits(&dx_o),
                     grads_equal,
                 )
             });
@@ -1351,6 +1202,51 @@ mod tests {
                 assert!(grads_eq, "chunks {chunks} rank {rank}: weight grads differ");
             }
         }
+    }
+
+    #[test]
+    fn world_one_is_bitwise_identical_to_trainable_moe() {
+        // One rank holds every expert, so the exchanges are identities and
+        // the layer must reproduce `TrainableMoe` bit for bit on every
+        // schedule: serial, and chunked at 1, 2 and 3 chunks.
+        let full = tiny_full(55);
+        let x = Tensor::rand_uniform(12, 8, 1.0, 810);
+        let d_out = Tensor::rand_uniform(12, 8, 1.0, 910);
+        let mut want = full.clone();
+        let (out_w, c) = want.forward(&x);
+        let dx_w = want.backward(&c, &d_out);
+        for chunks in [None, Some(1usize), Some(2), Some(3)] {
+            let got = SimCluster::frontier(1).run(|ctx| {
+                let mut layer = DistMoe::from_trainable(&full, 0, 1);
+                let (out, d_x) = fwd_bwd(&mut layer, chunks, ctx);
+                (out, d_x, layer.g_gate, layer.g_shard)
+            });
+            let (out, d_x, g_gate, g_shard) = &got[0];
+            assert_eq!(bits(out), bits(&out_w), "{chunks:?}: forward differs");
+            assert_eq!(bits(d_x), bits(&dx_w), "{chunks:?}: d_x differs");
+            assert_eq!(bits(g_gate), bits(&want.g_gate), "{chunks:?}: g_gate");
+            assert_eq!(
+                shard_bits(g_shard),
+                shard_bits(&want.g_experts),
+                "{chunks:?}: g_shard differs"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "aux_alpha must be 0")]
+    fn sharding_a_layer_with_aux_loss_is_rejected() {
+        let _ = DistMoe::from_trainable(&tiny_full(3).with_aux(0.5), 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "router_guard must be inert")]
+    fn sharding_a_layer_with_router_guards_is_rejected() {
+        let guard = RouterGuard {
+            logit_clamp: 1.0,
+            z_loss_coef: 0.0,
+        };
+        let _ = DistMoe::from_trainable(&tiny_full(3).with_router_guard(guard), 0, 1);
     }
 
     #[test]

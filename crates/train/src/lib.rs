@@ -41,6 +41,7 @@ pub mod guard;
 pub mod layers;
 pub mod model;
 pub mod moe_layer;
+mod moe_math;
 pub mod ssmb_train;
 pub mod stages;
 

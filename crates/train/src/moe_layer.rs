@@ -7,16 +7,13 @@
 //! `d_w_i = <d_out[t], y_i>` back into the gating softmax, which is the
 //! standard top-k MoE router gradient (dropped assignments receive none).
 
-use xmoe_core::gating::{
-    clamp_logits, row_logsumexp, row_logsumexp_into, z_loss_value, DropPolicy, GatingOutput,
-    RouterGuard,
-};
-use xmoe_core::pft::{Pft, PftScratch};
-use xmoe_tensor::{
-    add_assign, add_assign_slice, gather_rows, gather_rows_into, gemm_grouped,
-    gemm_grouped_transpose_a, gemm_grouped_transpose_b, matmul, matmul_into, matmul_slices,
-    matmul_transpose_b, matmul_transpose_b_slices, scatter_rows_unit, softmax_rows, topk_rows,
-    topk_rows_into, Tensor, Workspace,
+use xmoe_core::gating::{z_loss_value, DropPolicy, RouterGuard};
+use xmoe_core::pft::Pft;
+use xmoe_tensor::{gather_rows_into, scatter_rows_scaled, scatter_rows_unit, Tensor, Workspace};
+
+use crate::moe_math::{
+    combine_backward, expert_ffn_backward, expert_ffn_forward, load_fractions, route,
+    router_backward, BwdScratch, RouteScratch, RouterParams, RouterSave,
 };
 
 /// A trainable MoE layer (all experts local — the loss-validation
@@ -48,20 +45,12 @@ pub struct TrainableMoe {
 /// Saved forward state.
 #[derive(Default)]
 pub struct MoeCtx {
-    x: Tensor,
-    scores: Tensor,
+    router: RouterSave,
     pft: Pft,
     dispatch_in: Tensor,
     h_pre: Tensor,
     h_act: Tensor,
     y: Tensor,
-    /// Row ranges per expert within the dispatch buffers.
-    seg_offsets: Vec<usize>,
-    /// Per-token router z = logsumexp(logits); populated only when the
-    /// z-loss guard is active.
-    lse: Vec<f32>,
-    /// How many logits the clamp guard limited this forward.
-    logits_clamped: usize,
 }
 
 impl MoeCtx {
@@ -83,7 +72,7 @@ impl MoeCtx {
     /// Logits limited by the clamp guard during this forward (0 when the
     /// guard is off or nothing was out of range) — a router-health signal.
     pub fn logits_clamped(&self) -> usize {
-        self.logits_clamped
+        self.router.logits_clamped
     }
 }
 
@@ -100,22 +89,8 @@ pub struct MoeTrainScratch {
     pub ws: Workspace,
     /// Saved forward state, rebuilt in place each step.
     pub ctx: MoeCtx,
-    logits: Tensor,
-    order: Vec<usize>,
-    gating: GatingOutput,
-    pft_scratch: PftScratch,
-    d_w: Vec<f32>,
-    aux_f: Vec<f32>,
-    xt: Tensor,
-}
-
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-fn silu_grad(x: f32) -> f32 {
-    let s = sigmoid(x);
-    s * (1.0 + x * (1.0 - s))
+    route: RouteScratch,
+    bwd: BwdScratch,
 }
 
 impl TrainableMoe {
@@ -171,30 +146,21 @@ impl TrainableMoe {
         self
     }
 
-    /// Per-expert assignment fractions `f_e` of the last forward.
-    fn load_fractions(ctx: &MoeCtx) -> Vec<f32> {
-        let total: usize = ctx.pft.tokens_per_expert.iter().sum();
-        let denom = total.max(1) as f32;
-        ctx.pft
-            .tokens_per_expert
-            .iter()
-            .map(|&c| c as f32 / denom)
-            .collect()
-    }
-
     /// Value of the auxiliary loss for a saved forward context.
     pub fn aux_loss(&self, ctx: &MoeCtx) -> f64 {
         if self.aux_alpha == 0.0 {
             return 0.0;
         }
         let e_count = self.num_experts();
-        let s = ctx.x.rows().max(1);
-        let f = Self::load_fractions(ctx);
+        let (x, scores) = (&ctx.router.x, &ctx.router.scores);
+        let s = x.rows().max(1);
+        let mut f = Vec::new();
+        load_fractions(&ctx.pft, &mut f);
         let mut acc = 0.0f64;
         for e in 0..e_count {
             let mut p_mean = 0.0f64;
-            for t in 0..ctx.x.rows() {
-                p_mean += ctx.scores.get(t, e) as f64;
+            for t in 0..x.rows() {
+                p_mean += scores.get(t, e) as f64;
             }
             p_mean /= s as f64;
             acc += f[e] as f64 * p_mean;
@@ -208,7 +174,7 @@ impl TrainableMoe {
         if self.router_guard.z_loss_coef == 0.0 {
             return 0.0;
         }
-        self.router_guard.z_loss_coef as f64 * z_loss_value(&ctx.lse)
+        self.router_guard.z_loss_coef as f64 * z_loss_value(&ctx.router.lse)
     }
 
     pub fn num_experts(&self) -> usize {
@@ -218,95 +184,36 @@ impl TrainableMoe {
     /// Fraction of routed assignments dropped in the most recent forward —
     /// the quantity §5.6 attributes the loss gap to.
     pub fn last_drop_fraction(ctx: &MoeCtx, top_k: usize) -> f64 {
-        let total = ctx.x.rows() * top_k;
+        let total = ctx.router.x.rows() * top_k;
         if total == 0 {
             return 0.0;
         }
         ctx.pft.dropped as f64 / total as f64
     }
 
-    /// Forward: `out = x + combine(experts(dispatch(x)))`.
+    fn router_params(&self) -> RouterParams {
+        RouterParams {
+            num_experts: self.num_experts(),
+            top_k: self.top_k,
+            capacity: self.capacity,
+            policy: self.policy,
+            aux_alpha: self.aux_alpha,
+            guard: self.router_guard,
+        }
+    }
+
+    /// `(hidden, ffn)` of the expert blocks.
+    fn dims(&self) -> (usize, usize) {
+        self.experts[0].0.shape()
+    }
+
+    /// Forward: `out = x + combine(experts(dispatch(x)))`. The pooled
+    /// forward against a throwaway scratch, so the two are equal by
+    /// construction.
     pub fn forward(&self, x: &Tensor) -> (Tensor, MoeCtx) {
-        let mut logits = matmul(x, &self.gate);
-        let logits_clamped = clamp_logits(&mut logits, self.router_guard.logit_clamp);
-        let lse = if self.router_guard.z_loss_coef != 0.0 {
-            row_logsumexp(&logits)
-        } else {
-            Vec::new()
-        };
-        let mut scores = logits.clone();
-        softmax_rows(&mut scores);
-        let (top_experts, combine_weights) = topk_rows(&scores, self.top_k);
-        let top_logits = top_experts
-            .iter()
-            .enumerate()
-            .map(|(i, &e)| logits.get(i / self.top_k, e))
-            .collect();
-        let gating = GatingOutput {
-            top_experts,
-            combine_weights,
-            top_logits,
-            k: self.top_k,
-            scores: scores.clone(),
-        };
-        let pft = Pft::construct(&gating, self.num_experts(), self.capacity, self.policy);
-
-        let dispatch_in = gather_rows(x, &pft.token_ids);
-        let b = pft.len();
-        let f = self.experts[0].0.cols();
-        let h = x.cols();
-        let mut h_pre = Tensor::zeros(b, f);
-        let mut h_act = Tensor::zeros(b, f);
-        let mut y = Tensor::zeros(b, h);
-        // Grouped expert FFN: all segments in two pooled GEMM batches
-        // (bitwise identical to the former per-expert matmul loop — see
-        // xmoe_tensor::par). Every dispatch row belongs to exactly one
-        // segment, so whole-buffer elementwise passes equal per-segment ones.
-        gemm_grouped(
-            dispatch_in.as_slice(),
-            &pft.tokens_per_expert,
-            h,
-            |e| self.experts[e].0.as_slice(),
-            f,
-            h_pre.as_mut_slice(),
-        );
-        h_act.as_mut_slice().copy_from_slice(h_pre.as_slice());
-        for v in h_act.as_mut_slice() {
-            *v *= sigmoid(*v);
-        }
-        gemm_grouped(
-            h_act.as_slice(),
-            &pft.tokens_per_expert,
-            f,
-            |e| self.experts[e].1.as_slice(),
-            h,
-            y.as_mut_slice(),
-        );
-        let mut seg_offsets = Vec::with_capacity(self.num_experts() + 1);
-        seg_offsets.push(0);
-        let mut row = 0usize;
-        for &cnt in &pft.tokens_per_expert {
-            row += cnt;
-            seg_offsets.push(row);
-        }
-
-        let mut out = x.clone();
-        xmoe_tensor::scatter_rows_scaled(&y, &pft.token_ids, &pft.combine_weights, &mut out);
-        (
-            out,
-            MoeCtx {
-                x: x.clone(),
-                scores,
-                pft,
-                dispatch_in,
-                h_pre,
-                h_act,
-                y,
-                seg_offsets,
-                lse,
-                logits_clamped,
-            },
-        )
+        let mut st = MoeTrainScratch::default();
+        let out = self.forward_pooled(x, &mut st);
+        (out, st.ctx)
     }
 
     /// Backward: accumulates `g_gate` / `g_experts`, returns `d_x`.
@@ -321,246 +228,44 @@ impl TrainableMoe {
     /// scale, and unscaling restores the exact unscaled mix. Power-of-two
     /// scales keep this bitwise-invertible.
     pub fn backward_scaled(&mut self, ctx: &MoeCtx, d_out: &Tensor, loss_scale: f32) -> Tensor {
-        let h = ctx.x.cols();
-        let b = ctx.pft.len();
-        let mut d_x = d_out.clone(); // residual path
-
-        // d_y[i] = w_i * d_out[t_i]; d_w_i = <d_out[t_i], y[i]>.
-        let mut d_y = gather_rows(d_out, &ctx.pft.token_ids);
-        let mut d_w = vec![0.0f32; b];
-        for i in 0..b {
-            let w = ctx.pft.combine_weights[i];
-            let y_row = ctx.y.row(i);
-            let dy_row = d_y.row_mut(i);
-            d_w[i] = xmoe_tensor::dot_and_scale(dy_row, y_row, w);
-        }
-
-        // Grouped FFN backward over all expert segments at once: three
-        // grouped GEMM batches plus the SiLU elementwise pass, bitwise
-        // identical to the former sequential per-expert loop (the
-        // transpose-A kernel reproduces `matmul(seg.transpose(), dy)`'s
-        // accumulation order without materialising the transpose). Weight
-        // gradients stage into per-expert blocks of `dw*_all`, then
-        // accumulate into `g_experts` expert by expert — `add_assign_slice`
-        // is bitwise identical to the scalar add the old loop used.
-        let counts = &ctx.pft.tokens_per_expert;
-        let f = self.experts[0].0.cols();
-        let e_count = self.num_experts();
-        // dW2_e = act_e^T dy_e.
-        let mut dw2_all = Tensor::zeros(e_count * f, h);
-        gemm_grouped_transpose_a(
-            ctx.h_act.as_slice(),
-            counts,
-            f,
-            d_y.as_slice(),
-            h,
-            dw2_all.as_mut_slice(),
-        );
-        // d_act = dy W2^T; through SiLU.
-        let mut d_h = Tensor::zeros(b, f);
-        gemm_grouped_transpose_b(
-            d_y.as_slice(),
-            counts,
-            h,
-            |e| self.experts[e].1.as_slice(),
-            f,
-            d_h.as_mut_slice(),
-        );
-        for (d, &pre) in d_h.as_mut_slice().iter_mut().zip(ctx.h_pre.as_slice()) {
-            *d *= silu_grad(pre);
-        }
-        // dW1_e = x_e^T d_h_e.
-        let mut dw1_all = Tensor::zeros(e_count * h, f);
-        gemm_grouped_transpose_a(
-            ctx.dispatch_in.as_slice(),
-            counts,
-            h,
-            d_h.as_slice(),
-            f,
-            dw1_all.as_mut_slice(),
-        );
-        // d_seg = d_h W1^T.
-        let mut d_dispatch = Tensor::zeros(b, h);
-        gemm_grouped_transpose_b(
-            d_h.as_slice(),
-            counts,
-            f,
-            |e| self.experts[e].0.as_slice(),
-            h,
-            d_dispatch.as_mut_slice(),
-        );
-        for (e, &cnt) in counts.iter().enumerate() {
-            if cnt == 0 {
-                continue;
-            }
-            add_assign_slice(
-                self.g_experts[e].1.as_mut_slice(),
-                &dw2_all.as_slice()[e * f * h..(e + 1) * f * h],
-            );
-            add_assign_slice(
-                self.g_experts[e].0.as_mut_slice(),
-                &dw1_all.as_slice()[e * h * f..(e + 1) * h * f],
-            );
-        }
-        // Scatter dispatch grads back to token positions (gather transpose).
-        scatter_rows_unit(&d_dispatch, &ctx.pft.token_ids, &mut d_x);
-
-        // Router backward: d_scores at retained (t, e) entries, then softmax.
-        let e_count = self.num_experts();
-        let mut d_scores = Tensor::zeros(ctx.x.rows(), e_count);
-        for i in 0..b {
-            let t = ctx.pft.token_ids[i];
-            let e = ctx.pft.expert_ids[i];
-            let v = d_scores.get(t, e);
-            d_scores.set(t, e, v + d_w[i]);
-        }
-        // Auxiliary load-balancing loss: dL/dscores[t, e] = alpha*E*f_e/S,
-        // multiplied by the loss scale so it matches the main-loss term.
-        if self.aux_alpha != 0.0 {
-            let f = Self::load_fractions(ctx);
-            let s_inv = 1.0 / ctx.x.rows().max(1) as f32;
-            let coef = self.aux_alpha * e_count as f32 * s_inv * loss_scale;
-            for t in 0..ctx.x.rows() {
-                let row = d_scores.row_mut(t);
-                for e in 0..e_count {
-                    row[e] += coef * f[e];
-                }
-            }
-        }
-        let mut d_logits = Tensor::zeros(ctx.x.rows(), e_count);
-        for t in 0..ctx.x.rows() {
-            let s_row = ctx.scores.row(t);
-            let ds_row = d_scores.row(t);
-            let inner: f32 = s_row.iter().zip(ds_row).map(|(s, d)| s * d).sum();
-            let dl_row = d_logits.row_mut(t);
-            for j in 0..e_count {
-                dl_row[j] = s_row[j] * (ds_row[j] - inner);
-            }
-        }
-        // z-loss gradient goes straight onto the logits (z is a direct
-        // function of them): dL_z/dl[t,j] = coef * (2/S) * z_t * scores[t,j],
-        // again carrying the loss scale of the main term.
-        if self.router_guard.z_loss_coef != 0.0 {
-            let coef =
-                self.router_guard.z_loss_coef * 2.0 * loss_scale / ctx.x.rows().max(1) as f32;
-            for t in 0..ctx.x.rows() {
-                let z = ctx.lse[t];
-                let s_row = ctx.scores.row(t);
-                let dl_row = d_logits.row_mut(t);
-                for j in 0..e_count {
-                    dl_row[j] += coef * z * s_row[j];
-                }
-            }
-        }
-        let dg = matmul(&ctx.x.transpose(), &d_logits);
-        add_assign(&mut self.g_gate, &dg);
-        let d_x_gate = matmul_transpose_b(&d_logits, &self.gate);
-        add_assign(&mut d_x, &d_x_gate);
-        d_x
+        let (mut ws, mut bwd) = (Workspace::default(), BwdScratch::default());
+        self.backward_with(ctx, &mut ws, &mut bwd, d_out, loss_scale)
     }
 
     /// [`Self::forward`] with every step-lifetime buffer reused from `st`.
-    /// Bitwise identical to the owned path (same kernels over the same
-    /// slices, zero-filled lease targets). The saved forward state lands in
-    /// `st.ctx`; the returned output is leased from `st.ws` — recycle it
-    /// once consumed.
+    /// The saved forward state lands in `st.ctx`; the returned output is
+    /// leased from `st.ws` — recycle it once consumed.
     pub fn forward_pooled(&self, x: &Tensor, st: &mut MoeTrainScratch) -> Tensor {
-        let e_count = self.num_experts();
-        let h = x.cols();
-        st.logits.resize(x.rows(), e_count);
-        matmul_into(x, &self.gate, &mut st.logits);
-        st.ctx.logits_clamped = clamp_logits(&mut st.logits, self.router_guard.logit_clamp);
-        if self.router_guard.z_loss_coef != 0.0 {
-            row_logsumexp_into(&st.logits, &mut st.ctx.lse);
-        } else {
-            st.ctx.lse.clear();
-        }
-        st.ctx.scores.resize(x.rows(), e_count);
-        st.ctx
-            .scores
-            .as_mut_slice()
-            .copy_from_slice(st.logits.as_slice());
-        softmax_rows(&mut st.ctx.scores);
-        topk_rows_into(
-            &st.ctx.scores,
-            self.top_k,
-            &mut st.gating.top_experts,
-            &mut st.gating.combine_weights,
-            &mut st.order,
+        let (h, f) = self.dims();
+        let ctx = &mut st.ctx;
+        route(
+            &self.router_params(),
+            &self.gate,
+            x,
+            &mut st.route,
+            &mut ctx.router,
+            &mut ctx.pft,
         );
-        let logits = &st.logits;
-        let k = self.top_k;
-        st.gating.top_logits.clear();
-        st.gating.top_logits.extend(
-            st.gating
-                .top_experts
-                .iter()
-                .enumerate()
-                .map(|(i, &e)| logits.get(i / k, e)),
+        gather_rows_into(x, &ctx.pft.token_ids, &mut ctx.dispatch_in);
+        let b = ctx.pft.len();
+        ctx.h_pre.resize(b, f);
+        ctx.h_act.resize(b, f);
+        ctx.y.resize(b, h);
+        expert_ffn_forward(
+            &self.experts,
+            &ctx.pft.tokens_per_expert,
+            (h, f),
+            ctx.dispatch_in.as_slice(),
+            ctx.h_pre.as_mut_slice(),
+            ctx.h_act.as_mut_slice(),
+            ctx.y.as_mut_slice(),
         );
-        st.gating.k = k;
-        st.gating.scores.resize(x.rows(), e_count);
-        st.gating
-            .scores
-            .as_mut_slice()
-            .copy_from_slice(st.ctx.scores.as_slice());
-        Pft::construct_into(
-            &st.gating,
-            e_count,
-            self.capacity,
-            self.policy,
-            &mut st.pft_scratch,
-            &mut st.ctx.pft,
-        );
-
-        gather_rows_into(x, &st.ctx.pft.token_ids, &mut st.ctx.dispatch_in);
-        let b = st.ctx.pft.len();
-        let f = self.experts[0].0.cols();
-        st.ctx.h_pre.resize(b, f);
-        st.ctx.h_act.resize(b, f);
-        st.ctx.y.resize(b, h);
-        // Grouped expert FFN on the resized (zero-filled) staging buffers —
-        // the accumulating grouped GEMM equals the owned path's fresh
-        // matmuls bitwise.
-        gemm_grouped(
-            st.ctx.dispatch_in.as_slice(),
-            &st.ctx.pft.tokens_per_expert,
-            h,
-            |e| self.experts[e].0.as_slice(),
-            f,
-            st.ctx.h_pre.as_mut_slice(),
-        );
-        st.ctx
-            .h_act
-            .as_mut_slice()
-            .copy_from_slice(st.ctx.h_pre.as_slice());
-        for v in st.ctx.h_act.as_mut_slice() {
-            *v *= sigmoid(*v);
-        }
-        gemm_grouped(
-            st.ctx.h_act.as_slice(),
-            &st.ctx.pft.tokens_per_expert,
-            f,
-            |e| self.experts[e].1.as_slice(),
-            h,
-            st.ctx.y.as_mut_slice(),
-        );
-        st.ctx.seg_offsets.clear();
-        st.ctx.seg_offsets.push(0);
-        let mut row = 0usize;
-        for &cnt in &st.ctx.pft.tokens_per_expert {
-            row += cnt;
-            st.ctx.seg_offsets.push(row);
-        }
-
-        st.ctx.x.resize(x.rows(), h);
-        st.ctx.x.as_mut_slice().copy_from_slice(x.as_slice());
         let mut out = st.ws.take(x.rows(), h);
         out.as_mut_slice().copy_from_slice(x.as_slice());
-        xmoe_tensor::scatter_rows_scaled(
-            &st.ctx.y,
-            &st.ctx.pft.token_ids,
-            &st.ctx.pft.combine_weights,
+        scatter_rows_scaled(
+            &ctx.y,
+            &ctx.pft.token_ids,
+            &ctx.pft.combine_weights,
             &mut out,
         );
         out
@@ -572,186 +277,55 @@ impl TrainableMoe {
         self.backward_scaled_pooled(st, d_out, 1.0)
     }
 
-    /// Pooled [`Self::backward_scaled`], bitwise identical to it. Gradient
-    /// accumulation stages every GEMM into a zero-filled leased temp and
-    /// `add_assign`s it (accumulating directly into `g_*` would reassociate
-    /// the float sums). The returned input gradient is leased from `st.ws`.
+    /// Pooled [`Self::backward_scaled`]. The returned input gradient is
+    /// leased from `st.ws`.
     pub fn backward_scaled_pooled(
         &mut self,
         st: &mut MoeTrainScratch,
         d_out: &Tensor,
         loss_scale: f32,
     ) -> Tensor {
-        let h = st.ctx.x.cols();
-        let b = st.ctx.pft.len();
-        let mut d_x = st.ws.take(d_out.rows(), d_out.cols());
+        self.backward_with(&st.ctx, &mut st.ws, &mut st.bwd, d_out, loss_scale)
+    }
+
+    fn backward_with(
+        &mut self,
+        ctx: &MoeCtx,
+        ws: &mut Workspace,
+        bwd: &mut BwdScratch,
+        d_out: &Tensor,
+        loss_scale: f32,
+    ) -> Tensor {
+        let dims = self.dims();
+        let mut d_x = ws.take(d_out.rows(), d_out.cols());
         d_x.as_mut_slice().copy_from_slice(d_out.as_slice()); // residual path
-
-        // d_y[i] = w_i * d_out[t_i]; d_w_i = <d_out[t_i], y[i]>.
-        let mut d_y = st.ws.take(0, 0);
-        gather_rows_into(d_out, &st.ctx.pft.token_ids, &mut d_y);
-        st.d_w.clear();
-        st.d_w.resize(b, 0.0);
-        for i in 0..b {
-            let w = st.ctx.pft.combine_weights[i];
-            let y_row = st.ctx.y.row(i);
-            let dy_row = d_y.row_mut(i);
-            st.d_w[i] = xmoe_tensor::dot_and_scale(dy_row, y_row, w);
-        }
-
-        // Grouped FFN backward — the pooled twin of the owned path, with the
-        // staging buffers leased from the workspace arena. No transpose is
-        // ever materialised (the grouped transpose-A kernel reads A
-        // column-wise in the exact accumulation order of the old
-        // transpose-then-matmul), which also retires the former `t_seg`
-        // per-segment transpose scratch.
-        let f = self.experts[0].0.cols();
-        let e_count = self.num_experts();
-        // Disjoint field borrows: segment table from the saved context,
-        // leases from the arena.
-        let (ws, ctx) = (&mut st.ws, &st.ctx);
-        let counts = &ctx.pft.tokens_per_expert;
-        // dW2_e = act_e^T dy_e.
-        let mut dw2_all = ws.take(e_count * f, h);
-        gemm_grouped_transpose_a(
-            ctx.h_act.as_slice(),
-            counts,
-            f,
-            d_y.as_slice(),
-            h,
-            dw2_all.as_mut_slice(),
-        );
-        // d_act = dy W2^T; through SiLU.
-        let mut d_h = ws.take(b, f);
-        gemm_grouped_transpose_b(
-            d_y.as_slice(),
-            counts,
-            h,
-            |e| self.experts[e].1.as_slice(),
-            f,
-            d_h.as_mut_slice(),
-        );
-        for (d, &pre) in d_h.as_mut_slice().iter_mut().zip(ctx.h_pre.as_slice()) {
-            *d *= silu_grad(pre);
-        }
-        // dW1_e = x_e^T d_h_e.
-        let mut dw1_all = ws.take(e_count * h, f);
-        gemm_grouped_transpose_a(
+        let d_y = combine_backward(&ctx.pft, &ctx.y, d_out, bwd, ws);
+        let d_dispatch = expert_ffn_backward(
+            &self.experts,
+            &mut self.g_experts,
+            &ctx.pft.tokens_per_expert,
+            dims,
             ctx.dispatch_in.as_slice(),
-            counts,
-            h,
-            d_h.as_slice(),
-            f,
-            dw1_all.as_mut_slice(),
+            ctx.h_pre.as_slice(),
+            ctx.h_act.as_slice(),
+            d_y.as_slice(),
+            ws,
         );
-        // d_seg = d_h W1^T, written straight into the dispatch-grad buffer
-        // (the kernel overwrites, so this equals the owned path).
-        let mut d_dispatch = ws.take(b, h);
-        gemm_grouped_transpose_b(
-            d_h.as_slice(),
-            counts,
-            f,
-            |e| self.experts[e].0.as_slice(),
-            h,
-            d_dispatch.as_mut_slice(),
-        );
-        ws.recycle(d_h);
-        for (e, &cnt) in counts.iter().enumerate() {
-            if cnt == 0 {
-                continue;
-            }
-            add_assign_slice(
-                self.g_experts[e].1.as_mut_slice(),
-                &dw2_all.as_slice()[e * f * h..(e + 1) * f * h],
-            );
-            add_assign_slice(
-                self.g_experts[e].0.as_mut_slice(),
-                &dw1_all.as_slice()[e * h * f..(e + 1) * h * f],
-            );
-        }
-        ws.recycle(dw2_all);
-        ws.recycle(dw1_all);
         ws.recycle(d_y);
         // Scatter dispatch grads back to token positions (gather transpose).
-        scatter_rows_unit(&d_dispatch, &st.ctx.pft.token_ids, &mut d_x);
-        st.ws.recycle(d_dispatch);
-
-        // Router backward: d_scores at retained (t, e) entries, then softmax.
-        let e_count = self.num_experts();
-        let s_rows = st.ctx.x.rows();
-        let mut d_scores = st.ws.take(s_rows, e_count);
-        for i in 0..b {
-            let t = st.ctx.pft.token_ids[i];
-            let e = st.ctx.pft.expert_ids[i];
-            let v = d_scores.get(t, e);
-            d_scores.set(t, e, v + st.d_w[i]);
-        }
-        if self.aux_alpha != 0.0 {
-            let total: usize = st.ctx.pft.tokens_per_expert.iter().sum();
-            let denom = total.max(1) as f32;
-            st.aux_f.clear();
-            st.aux_f.extend(
-                st.ctx
-                    .pft
-                    .tokens_per_expert
-                    .iter()
-                    .map(|&c| c as f32 / denom),
-            );
-            let s_inv = 1.0 / s_rows.max(1) as f32;
-            let coef = self.aux_alpha * e_count as f32 * s_inv * loss_scale;
-            for t in 0..s_rows {
-                let row = d_scores.row_mut(t);
-                for e in 0..e_count {
-                    row[e] += coef * st.aux_f[e];
-                }
-            }
-        }
-        let mut d_logits = st.ws.take(s_rows, e_count);
-        for t in 0..s_rows {
-            let s_row = st.ctx.scores.row(t);
-            let ds_row = d_scores.row(t);
-            let inner: f32 = s_row.iter().zip(ds_row).map(|(s, d)| s * d).sum();
-            let dl_row = d_logits.row_mut(t);
-            for j in 0..e_count {
-                dl_row[j] = s_row[j] * (ds_row[j] - inner);
-            }
-        }
-        if self.router_guard.z_loss_coef != 0.0 {
-            let coef = self.router_guard.z_loss_coef * 2.0 * loss_scale / s_rows.max(1) as f32;
-            for t in 0..s_rows {
-                let z = st.ctx.lse[t];
-                let s_row = st.ctx.scores.row(t);
-                let dl_row = d_logits.row_mut(t);
-                for j in 0..e_count {
-                    dl_row[j] += coef * z * s_row[j];
-                }
-            }
-        }
-        st.ws.recycle(d_scores);
-        st.ctx.x.transpose_into(&mut st.xt);
-        let mut dg = st.ws.take(h, e_count);
-        matmul_slices(
-            st.xt.as_slice(),
-            h,
-            s_rows,
-            d_logits.as_slice(),
-            e_count,
-            dg.as_mut_slice(),
+        scatter_rows_unit(&d_dispatch, &ctx.pft.token_ids, &mut d_x);
+        ws.recycle(d_dispatch);
+        router_backward(
+            &self.router_params(),
+            &self.gate,
+            &mut self.g_gate,
+            &ctx.router,
+            &ctx.pft,
+            loss_scale,
+            bwd,
+            ws,
+            &mut d_x,
         );
-        add_assign(&mut self.g_gate, &dg);
-        st.ws.recycle(dg);
-        let mut d_x_gate = st.ws.take(s_rows, h);
-        matmul_transpose_b_slices(
-            d_logits.as_slice(),
-            s_rows,
-            e_count,
-            self.gate.as_slice(),
-            h,
-            d_x_gate.as_mut_slice(),
-        );
-        add_assign(&mut d_x, &d_x_gate);
-        st.ws.recycle(d_x_gate);
-        st.ws.recycle(d_logits);
         d_x
     }
 
@@ -988,11 +562,12 @@ mod tests {
         assert!(out.as_slice().iter().all(|v| v.is_finite()));
         // With all logits in [-1, 1] no softmax score can exceed
         // e^2 / (E - 1 + e^2) < 1; the router can no longer saturate.
-        let e = ctx.scores.cols() as f32;
+        let scores = &ctx.router.scores;
+        let e = scores.cols() as f32;
         let cap = (2.0f32).exp() / (e - 1.0 + (2.0f32).exp());
-        for t in 0..ctx.scores.rows() {
-            for j in 0..ctx.scores.cols() {
-                assert!(ctx.scores.get(t, j) <= cap + 1e-6);
+        for t in 0..scores.rows() {
+            for j in 0..scores.cols() {
+                assert!(scores.get(t, j) <= cap + 1e-6);
             }
         }
     }
