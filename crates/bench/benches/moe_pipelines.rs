@@ -9,9 +9,16 @@ use xmoe_collectives::SimCluster;
 use xmoe_core::expert::ExpertShard;
 use xmoe_core::gating::{DropPolicy, Router};
 use xmoe_core::pft::Pft;
-use xmoe_core::pipeline::{self, DenseDropOrder, MoeLayerSpec};
-use xmoe_core::rbd::{self, RbdComms};
+use xmoe_core::pipeline::{
+    DenseDropOrder, DensePipeline, ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline,
+    RbdPipeline,
+};
+use xmoe_core::rbd::{PilotPolicy, RbdComms};
 use xmoe_tensor::{DetRng, Tensor};
+
+const DENSE: DensePipeline = DensePipeline {
+    order: DenseDropOrder::TokenOrder,
+};
 
 fn bench(name: &str, mut f: impl FnMut()) {
     f(); // warmup
@@ -46,18 +53,18 @@ fn bench_single_rank_pipelines() {
     let cap = (s * k * 5 / 4) / e;
     let spec = MoeLayerSpec::new(e, cap);
     bench("single_rank_forward/padding_free", || {
-        std::hint::black_box(pipeline::padding_free::forward_single(
-            &tokens, &router, &experts, &spec,
-        ));
+        std::hint::black_box(
+            PaddingFreePipeline
+                .forward(&tokens, &router, &experts, &spec, &mut ExecCtx::single())
+                .unwrap(),
+        );
     });
     bench("single_rank_forward/dense_padded", || {
-        std::hint::black_box(pipeline::dense::forward_single_dense(
-            &tokens,
-            &router,
-            &experts,
-            &spec,
-            DenseDropOrder::TokenOrder,
-        ));
+        std::hint::black_box(
+            DENSE
+                .forward(&tokens, &router, &experts, &spec, &mut ExecCtx::single())
+                .unwrap(),
+        );
     });
 }
 
@@ -73,16 +80,11 @@ fn bench_distributed_pipelines() {
         let norms = SimCluster::frontier(world).run(move |ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 7);
             let tokens = Tensor::rand_uniform(s, h, 1.0, 8 + ctx.rank as u64);
-            pipeline::padding_free::forward_ep(
-                &tokens,
-                router,
-                &shard,
-                spec,
-                &ctx.world,
-                &mut ctx.clock,
-            )
-            .unwrap()
-            .norm()
+            let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+            PaddingFreePipeline
+                .forward(&tokens, router, &shard, spec, &mut ex)
+                .unwrap()
+                .norm()
         });
         std::hint::black_box(norms);
     });
@@ -92,17 +94,11 @@ fn bench_distributed_pipelines() {
         let norms = SimCluster::frontier(world).run(move |ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 7);
             let tokens = Tensor::rand_uniform(s, h, 1.0, 8 + ctx.rank as u64);
-            pipeline::dense::forward_ep_dense(
-                &tokens,
-                router,
-                &shard,
-                spec,
-                DenseDropOrder::TokenOrder,
-                &ctx.world,
-                &mut ctx.clock,
-            )
-            .unwrap()
-            .norm()
+            let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+            DENSE
+                .forward(&tokens, router, &shard, spec, &mut ex)
+                .unwrap()
+                .norm()
         });
         std::hint::black_box(norms);
     });
@@ -114,15 +110,11 @@ fn bench_distributed_pipelines() {
             let tokens = Tensor::rand_uniform(s, h, 1.0, 8 + ctx.rank as u64);
             let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
             let mut rng = DetRng::new(9 + ctx.rank as u64);
-            rbd::forward_ep_rbd(
-                &tokens,
-                router,
-                &shard,
-                spec,
-                &comms,
-                &mut rng,
-                &mut ctx.clock,
-            )
+            let mut ex = ExecCtx::hier(&comms, &mut ctx.clock).with_rng(&mut rng);
+            RbdPipeline {
+                policy: PilotPolicy::Random,
+            }
+            .forward(&tokens, router, &shard, spec, &mut ex)
             .unwrap()
             .norm()
         });

@@ -14,8 +14,8 @@ use xmoe_bench::{fmt_time, print_table, shape_check};
 use xmoe_collectives::SimCluster;
 use xmoe_core::expert::ExpertShard;
 use xmoe_core::gating::Router;
-use xmoe_core::pipeline::MoeLayerSpec;
-use xmoe_core::rbd::{forward_ep_rbd_with_policy, PilotPolicy, RbdComms};
+use xmoe_core::pipeline::{ExecCtx, MoeLayerSpec, Pipeline, RbdPipeline};
+use xmoe_core::rbd::{PilotPolicy, RbdComms};
 use xmoe_tensor::{DetRng, Tensor};
 
 fn main() {
@@ -32,16 +32,10 @@ fn main() {
             let tokens = Tensor::rand_uniform(s, h, 1.0, 3100 + ctx.rank as u64);
             let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
             let mut rng = DetRng::new(3200 + ctx.rank as u64);
-            let _ = forward_ep_rbd_with_policy(
-                &tokens,
-                router,
-                &shard,
-                spec,
-                &comms,
-                &mut rng,
-                &mut ctx.clock,
-                policy,
-            );
+            let mut ex = ExecCtx::hier(&comms, &mut ctx.clock).with_rng(&mut rng);
+            RbdPipeline { policy }
+                .forward(&tokens, router, &shard, spec, &mut ex)
+                .expect("rbd forward");
             (
                 ctx.clock.bucket("dispatch_a2a_inter"),
                 ctx.clock.bucket("dispatch_a2a_intra"),

@@ -16,7 +16,9 @@ use xmoe_core::expert::ExpertShard;
 use xmoe_core::gating::Router;
 use xmoe_core::memory::MoeSystem;
 use xmoe_core::perf::{PerfModel, PerfOpts, StageTimes};
-use xmoe_core::pipeline::{self, MoeLayerSpec};
+use xmoe_core::pipeline::{
+    DenseDropOrder, DensePipeline, ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline,
+};
 use xmoe_tensor::Tensor;
 
 fn print_breakdown(title: &str, ds: &StageTimes, x: &StageTimes) {
@@ -124,26 +126,16 @@ fn main() {
         let traces = SimCluster::frontier(8).run(move |ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, 8, e, h, f, 778);
             let tokens = Tensor::rand_uniform(s, h, 1.0, 900 + ctx.rank as u64);
-            if dense {
-                let _ = pipeline::dense::forward_ep_dense(
-                    &tokens,
-                    router,
-                    &shard,
-                    spec,
-                    pipeline::DenseDropOrder::TokenOrder,
-                    &ctx.world,
-                    &mut ctx.clock,
-                );
+            let pipe: &dyn Pipeline = if dense {
+                &DensePipeline {
+                    order: DenseDropOrder::TokenOrder,
+                }
             } else {
-                let _ = pipeline::padding_free::forward_ep(
-                    &tokens,
-                    router,
-                    &shard,
-                    spec,
-                    &ctx.world,
-                    &mut ctx.clock,
-                );
-            }
+                &PaddingFreePipeline
+            };
+            let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+            pipe.forward(&tokens, router, &shard, spec, &mut ex)
+                .expect("live forward");
             RankTrace::capture(ctx.rank, &mut ctx.clock, ctx.world.traffic())
         });
         StepReport::from_ranks(&traces)

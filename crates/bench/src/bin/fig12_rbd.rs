@@ -12,8 +12,8 @@ use xmoe_core::expert::ExpertShard;
 use xmoe_core::gating::Router;
 use xmoe_core::memory::MoeSystem;
 use xmoe_core::perf::{PerfModel, PerfOpts};
-use xmoe_core::pipeline::{self, MoeLayerSpec};
-use xmoe_core::rbd::{self, expected_redundancy_uniform, RbdComms};
+use xmoe_core::pipeline::{ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline, RbdPipeline};
+use xmoe_core::rbd::{expected_redundancy_uniform, PilotPolicy, RbdComms};
 use xmoe_tensor::{DetRng, Tensor};
 
 fn main() {
@@ -81,14 +81,10 @@ fn main() {
         let traces = SimCluster::frontier(32).run(move |ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, 32, e, h, f, 122);
             let tokens = Tensor::rand_uniform(s, h, 1.0, 1000 + ctx.rank as u64);
-            let _ = pipeline::padding_free::forward_ep(
-                &tokens,
-                router,
-                &shard,
-                spec,
-                &ctx.world,
-                &mut ctx.clock,
-            );
+            let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+            PaddingFreePipeline
+                .forward(&tokens, router, &shard, spec, &mut ex)
+                .expect("flat EP forward");
             RankTrace::capture(ctx.rank, &mut ctx.clock, ctx.world.traffic())
         });
         StepReport::from_ranks(&traces)
@@ -101,15 +97,12 @@ fn main() {
             let tokens = Tensor::rand_uniform(s, h, 1.0, 1000 + ctx.rank as u64);
             let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
             let mut rng = DetRng::new(123 + ctx.rank as u64);
-            let _ = rbd::forward_ep_rbd(
-                &tokens,
-                router,
-                &shard,
-                spec,
-                &comms,
-                &mut rng,
-                &mut ctx.clock,
-            );
+            let mut ex = ExecCtx::hier(&comms, &mut ctx.clock).with_rng(&mut rng);
+            RbdPipeline {
+                policy: PilotPolicy::Random,
+            }
+            .forward(&tokens, router, &shard, spec, &mut ex)
+            .expect("rbd forward");
             RankTrace::capture(ctx.rank, &mut ctx.clock, ctx.world.traffic())
         });
         StepReport::from_ranks(&traces)

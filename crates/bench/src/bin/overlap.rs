@@ -1,7 +1,7 @@
 //! `bench overlap` — serial vs chunked dispatch–compute overlap.
 //!
 //! Runs the padding-free EP forward twice per configuration — once with the
-//! serial `forward_ep` and once with `forward_ep_overlap` — across a sweep of
+//! serial context and once with `ExecCtx::with_overlap` — across a sweep of
 //! top-k and routing skew, and reports the simulated step times side by side.
 //! The sweep demonstrates where the K-way chunked pipeline pays off: the
 //! overlap hides expert compute under the dispatch/combine all-to-alls, so the
@@ -38,7 +38,7 @@ use xmoe_bench::{fmt_time, print_table, shape_check};
 use xmoe_collectives::SimCluster;
 use xmoe_core::expert::ExpertShard;
 use xmoe_core::gating::Router;
-use xmoe_core::pipeline::{padding_free, MoeLayerSpec};
+use xmoe_core::pipeline::{ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline};
 use xmoe_tensor::Tensor;
 use xmoe_topology::{ClusterTopology, CongestionModel, CostModel, MachineSpec};
 
@@ -109,27 +109,11 @@ fn run_config(top_k: usize, skew: f32) -> Record {
             let shard = ExpertShard::for_rank(ctx.rank, WORLD, EXPERTS, HIDDEN, FFN, 0x0E12);
             let tokens =
                 Tensor::rand_uniform(TOKENS_PER_RANK, HIDDEN, 1.0, 0x0E13 + ctx.rank as u64);
-            let out = if overlap {
-                padding_free::forward_ep_overlap(
-                    &tokens,
-                    &router,
-                    &shard,
-                    &spec,
-                    CHUNKS,
-                    &ctx.world,
-                    &mut ctx.clock,
-                )
-            } else {
-                padding_free::forward_ep(
-                    &tokens,
-                    &router,
-                    &shard,
-                    &spec,
-                    &ctx.world,
-                    &mut ctx.clock,
-                )
-            }
-            .expect("pft forward");
+            let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+            ex.overlap_chunks = overlap.then_some(CHUNKS);
+            let out = PaddingFreePipeline
+                .forward(&tokens, &router, &shard, &spec, &mut ex)
+                .expect("pft forward");
             (ctx.clock.now(), out)
         })
     };

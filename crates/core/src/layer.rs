@@ -2,27 +2,28 @@
 //! spec behind one constructor — the entry point a downstream user reaches
 //! for first.
 
-use xmoe_collectives::{CommError, Communicator, SimClock};
-use xmoe_tensor::{DetRng, Tensor};
+use xmoe_tensor::Tensor;
 
 use crate::config::MoeModelConfig;
 use crate::expert::ExpertShard;
 use crate::gating::{DropPolicy, Router};
-use crate::pipeline::{self, MoeLayerSpec};
-use crate::rbd::{self, RbdComms};
+use crate::pipeline::{self, ExecCtx, MoeLayerSpec, PaddingFreePipeline};
 
 /// One MoE layer instantiated from a [`MoeModelConfig`].
 ///
 /// ```
 /// use xmoe_core::config::MoeModelConfig;
 /// use xmoe_core::layer::MoeLayer;
+/// use xmoe_core::pipeline::{ExecCtx, PaddingFreePipeline};
 /// use xmoe_tensor::Tensor;
 ///
 /// // A scaled-down DeepSeek-style layer: 16 experts, top-4.
 /// let cfg = MoeModelConfig::custom("demo", 64, 32, 16, 16, 4, 1);
 /// let layer = MoeLayer::single_rank(&cfg, 42);
 /// let tokens = Tensor::rand_uniform(64, 32, 1.0, 7);
-/// let out = layer.forward(&tokens);
+/// let out = layer
+///     .forward_with(&tokens, &PaddingFreePipeline, &mut ExecCtx::single())
+///     .unwrap();
 /// assert_eq!(out.shape(), (64, 32));
 /// ```
 pub struct MoeLayer {
@@ -71,29 +72,17 @@ impl MoeLayer {
         self
     }
 
-    /// Single-rank forward (requires the full expert set).
+    /// Single-rank padding-free forward, the convenience form of
+    /// [`forward_with`](Self::forward_with). Panics unless this layer holds
+    /// the full expert set ([`single_rank`](Self::single_rank)).
     pub fn forward(&self, tokens: &Tensor) -> Tensor {
-        pipeline::padding_free::forward_single(tokens, &self.router, &self.experts, &self.spec)
+        self.forward_with(tokens, &PaddingFreePipeline, &mut ExecCtx::single())
+            .expect("MoeLayer::forward is the single-rank form")
     }
 
     /// Forward through any [`pipeline::Pipeline`] under an explicit
     /// execution context — pooling, transport and overlap are properties
-    /// of the `ctx`, not of the entry point:
-    ///
-    /// ```
-    /// use xmoe_core::config::MoeModelConfig;
-    /// use xmoe_core::layer::MoeLayer;
-    /// use xmoe_core::pipeline::{ExecCtx, PaddingFreePipeline};
-    /// use xmoe_tensor::Tensor;
-    ///
-    /// let cfg = MoeModelConfig::custom("demo", 64, 32, 16, 16, 4, 1);
-    /// let layer = MoeLayer::single_rank(&cfg, 42);
-    /// let tokens = Tensor::rand_uniform(64, 32, 1.0, 7);
-    /// let out = layer
-    ///     .forward_with(&tokens, &PaddingFreePipeline, &mut ExecCtx::single())
-    ///     .unwrap();
-    /// assert_eq!(out.shape(), (64, 32));
-    /// ```
+    /// of the `ctx`, not of the entry point (example on [`MoeLayer`]).
     pub fn forward_with(
         &self,
         tokens: &Tensor,
@@ -102,48 +91,15 @@ impl MoeLayer {
     ) -> Result<Tensor, pipeline::PipelineError> {
         pipeline.forward(tokens, &self.router, &self.experts, &self.spec, ctx)
     }
-
-    /// Expert-parallel forward over `ep` with the plain uneven all-to-all.
-    pub fn forward_ep(
-        &self,
-        tokens: &Tensor,
-        ep: &Communicator,
-        clock: &mut SimClock,
-    ) -> Result<Tensor, CommError> {
-        pipeline::padding_free::forward_ep(
-            tokens,
-            &self.router,
-            &self.experts,
-            &self.spec,
-            ep,
-            clock,
-        )
-    }
-
-    /// Expert-parallel forward with Redundancy-Bypassing Dispatch.
-    pub fn forward_ep_rbd(
-        &self,
-        tokens: &Tensor,
-        comms: &RbdComms,
-        rng: &mut DetRng,
-        clock: &mut SimClock,
-    ) -> Result<Tensor, pipeline::PipelineError> {
-        rbd::forward_ep_rbd(
-            tokens,
-            &self.router,
-            &self.experts,
-            &self.spec,
-            comms,
-            rng,
-            clock,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::RbdPipeline;
+    use crate::rbd::{PilotPolicy, RbdComms};
     use xmoe_collectives::SimCluster;
+    use xmoe_tensor::DetRng;
 
     fn demo_cfg() -> MoeModelConfig {
         MoeModelConfig::custom("demo", 32, 16, 8, 8, 3, 1)
@@ -168,8 +124,9 @@ mod tests {
             let tokens = &tokens;
             SimCluster::frontier(4).run(move |ctx| {
                 let layer = MoeLayer::for_rank(cfg, ctx.rank, 4, 3).with_capacity(10_000);
+                let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
                 layer
-                    .forward_ep(tokens, &ctx.world, &mut ctx.clock)
+                    .forward_with(tokens, &PaddingFreePipeline, &mut ex)
                     .unwrap()
             })
         };
@@ -187,14 +144,17 @@ mod tests {
             let tokens = &tokens;
             SimCluster::frontier(8).run(move |ctx| {
                 let layer = MoeLayer::for_rank(cfg, ctx.rank, 8, 5).with_capacity(10_000);
+                let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
                 let plain = layer
-                    .forward_ep(tokens, &ctx.world, &mut ctx.clock)
+                    .forward_with(tokens, &PaddingFreePipeline, &mut ex)
                     .unwrap();
                 let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
                 let mut rng = DetRng::new(60 + ctx.rank as u64);
-                let with_rbd = layer
-                    .forward_ep_rbd(tokens, &comms, &mut rng, &mut ctx.clock)
-                    .unwrap();
+                let rbd = RbdPipeline {
+                    policy: PilotPolicy::Random,
+                };
+                let mut ex = ExecCtx::hier(&comms, &mut ctx.clock).with_rng(&mut rng);
+                let with_rbd = layer.forward_with(tokens, &rbd, &mut ex).unwrap();
                 plain.allclose(&with_rbd, 1e-4)
             })
         };

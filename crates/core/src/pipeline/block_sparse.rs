@@ -12,14 +12,10 @@
 //! equivalent — zero rows contribute nothing) plus the padding-waste
 //! accounting the `ablation_blocksparse` bench sweeps.
 
-use xmoe_collectives::{CommError, Communicator, SimClock};
-use xmoe_tensor::{gather_rows, gather_rows_into, scatter_rows_scaled, Tensor};
+use xmoe_tensor::{Tensor, Workspace};
 
 use crate::expert::ExpertShard;
-use crate::gating::Router;
-use crate::pft::Pft;
-use crate::pipeline::padding_free::{EpRoute, PooledSingleState};
-use crate::pipeline::MoeLayerSpec;
+use crate::pipeline::padding_free::{charge, copy_time, expert_flops, Meter};
 
 /// Round `n` up to a multiple of `block`.
 pub fn round_up(n: usize, block: usize) -> usize {
@@ -46,83 +42,46 @@ pub fn expected_block_waste(tokens: usize, k: usize, num_experts: usize, block: 
     1.0 - per_expert / padded
 }
 
-/// Single-rank block-sparse forward: the PFT pipeline with each expert's
-/// segment zero-padded to a tile multiple before the GEMM.
-///
-/// One engine, two callers: this owned entry point runs the pooled
-/// implementation against a throwaway state, so the two paths cannot
-/// drift apart (the pooled variant is pinned bitwise identical).
-pub fn forward_single_block_sparse(
-    tokens: &Tensor,
-    router: &Router,
+/// The block-padded expert kernel: pad each expert segment of `input` to a
+/// multiple of `block` rows, run the segment GEMMs over the padded tiles,
+/// strip the padding again. Functionally equal to the plain kernel (zero
+/// rows contribute nothing), but the pad/strip copies and the padded rows'
+/// FLOPs are charged — the waste the paper measures. Every buffer is leased
+/// from `ws`; the caller recycles the returned `[input.rows(), H]` tensor.
+pub(crate) fn forward_block_padded(
     experts: &ExpertShard,
-    spec: &MoeLayerSpec,
+    input: &Tensor,
+    counts: &[usize],
     block: usize,
+    ws: &mut Workspace,
+    mut meter: Meter,
 ) -> Tensor {
-    let mut state = PooledSingleState::default();
-    forward_single_block_sparse_pooled(tokens, router, experts, spec, block, &mut state)
-}
-
-/// [`forward_single_block_sparse`] on a [`PooledSingleState`]: pooled
-/// gating, PFT construction, padded staging and segment GEMMs. Bitwise
-/// identical to the unpooled variant (padding rows are zero either way);
-/// allocation-free at steady state. The returned output is leased from
-/// `state.ws` — recycle it there when done.
-pub fn forward_single_block_sparse_pooled(
-    tokens: &Tensor,
-    router: &Router,
-    experts: &ExpertShard,
-    spec: &MoeLayerSpec,
-    block: usize,
-    state: &mut PooledSingleState,
-) -> Tensor {
-    assert_eq!(experts.len(), spec.num_experts);
-    router.gate_into(tokens, &mut state.gate_scratch, &mut state.gating);
-    Pft::construct_into(
-        &state.gating,
-        spec.num_experts,
-        spec.capacity,
-        spec.policy,
-        &mut state.pft_scratch,
-        &mut state.pft,
-    );
-    gather_rows_into(tokens, &state.pft.token_ids, &mut state.dispatch_in);
-    let hidden = tokens.cols();
-
-    let mut padded_counts = state.ws.take_idx(spec.num_experts);
-    for (p, &c) in padded_counts.iter_mut().zip(&state.pft.tokens_per_expert) {
+    let hidden = input.cols();
+    let mut padded_counts = ws.take_idx(counts.len());
+    for (p, &c) in padded_counts.iter_mut().zip(counts) {
         *p = round_up(c, block);
     }
     let padded_total: usize = padded_counts.iter().sum();
     // take() zero-fills, so the pad rows are zero even on a reused buffer.
-    let mut padded_buf = state.ws.take(padded_total, hidden);
-    copy_segments(
-        &state.dispatch_in,
-        &state.pft.tokens_per_expert,
-        &mut padded_buf,
-        &padded_counts,
-    );
+    let mut padded_buf = ws.take(padded_total, hidden);
+    copy_segments(input, counts, &mut padded_buf, &padded_counts);
+    charge(&mut meter, "buffer_dispatch", |cost| {
+        copy_time(cost, padded_total, hidden)
+    });
 
-    let out_padded = experts.forward_segments_pooled(&padded_buf, &padded_counts, &mut state.ws);
+    let out_padded = experts.forward_segments_pooled(&padded_buf, &padded_counts, ws);
+    charge(&mut meter, "expert", |cost| {
+        cost.compute_time(expert_flops(experts, padded_total, hidden))
+    });
 
-    let mut mlp_out = state.ws.take(state.pft.len(), hidden);
-    copy_segments(
-        &out_padded,
-        &padded_counts,
-        &mut mlp_out,
-        &state.pft.tokens_per_expert,
-    );
-    let mut out = state.ws.take(tokens.rows(), hidden);
-    scatter_rows_scaled(
-        &mlp_out,
-        &state.pft.token_ids,
-        &state.pft.combine_weights,
-        &mut out,
-    );
-    state.ws.recycle(mlp_out);
-    state.ws.recycle(out_padded);
-    state.ws.recycle(padded_buf);
-    state.ws.recycle_idx(padded_counts);
+    let mut out = ws.take(input.rows(), hidden);
+    copy_segments(&out_padded, &padded_counts, &mut out, counts);
+    charge(&mut meter, "buffer_combine", |cost| {
+        copy_time(cost, input.rows(), hidden)
+    });
+    ws.recycle(out_padded);
+    ws.recycle(padded_buf);
+    ws.recycle_idx(padded_counts);
     out
 }
 
@@ -144,95 +103,14 @@ fn copy_segments(src: &Tensor, src_counts: &[usize], dst: &mut Tensor, dst_count
     }
 }
 
-/// Distributed block-sparse MoE layer over an expert-parallel group: the
-/// same uneven dispatch/combine as [`crate::pipeline::padding_free::forward_ep`],
-/// but each local expert's segment is zero-padded to a multiple of the tile
-/// size before the GEMM (and the padded rows' FLOPs are charged — the waste
-/// the paper measures). Charges the six Fig 11 stage labels.
-pub fn forward_ep_block_sparse(
-    tokens: &Tensor,
-    router: &Router,
-    shard: &ExpertShard,
-    spec: &MoeLayerSpec,
-    block: usize,
-    ep: &Communicator,
-    clock: &mut SimClock,
-) -> Result<Tensor, CommError> {
-    let cost = ep.cost();
-    let hidden = tokens.cols();
-
-    // --- Gating + PFT construction -------------------------------------
-    let gating = router.gate(tokens);
-    let pft = Pft::construct(&gating, spec.num_experts, spec.capacity, spec.policy);
-    let gate_flops = 2.0 * tokens.rows() as f64 * hidden as f64 * spec.num_experts as f64;
-    let pft_bytes = (tokens.rows() * gating.k()) as f64 * 32.0;
-    clock.charge(
-        "gating",
-        cost.compute_time(gate_flops) + cost.mem_bound_time(pft_bytes),
-    );
-
-    // --- Buffer dispatch ------------------------------------------------
-    let dispatch_in = gather_rows(tokens, &pft.token_ids);
-    clock.charge(
-        "buffer_dispatch",
-        cost.mem_bound_time(2.0 * (pft.len() * hidden * 4) as f64),
-    );
-
-    // --- Dispatch all-to-all (uneven) -----------------------------------
-    let route = EpRoute::build(pft, spec, ep, clock)?;
-    clock.commit("dispatch_a2a_meta");
-    let expert_input = route.to_experts(&dispatch_in, ep, clock)?;
-    clock.commit("dispatch_a2a");
-
-    // --- Block-pad each local expert segment to the tile boundary -------
-    let counts = &route.tokens_per_local_expert;
-    let padded_counts: Vec<usize> = counts.iter().map(|&c| round_up(c, block)).collect();
-    let padded_total: usize = padded_counts.iter().sum();
-    let mut padded_buf = Tensor::zeros(padded_total, hidden);
-    copy_segments(&expert_input, counts, &mut padded_buf, &padded_counts);
-    clock.charge(
-        "buffer_dispatch",
-        cost.mem_bound_time(2.0 * (padded_total * hidden * 4) as f64),
-    );
-
-    // --- Expert computation over the padded tiles -----------------------
-    let out_padded = shard.forward_segments(&padded_buf, &padded_counts);
-    let ffn = shard.experts.first().map_or(0, |e| e.w1.cols());
-    let expert_flops = 4.0 * padded_total as f64 * hidden as f64 * ffn as f64;
-    clock.charge("expert", cost.compute_time(expert_flops));
-
-    // --- Strip the padding ----------------------------------------------
-    let mut mlp_out = Tensor::zeros(route.recv_total(), hidden);
-    copy_segments(&out_padded, &padded_counts, &mut mlp_out, counts);
-    clock.charge(
-        "buffer_combine",
-        cost.mem_bound_time(2.0 * (route.recv_total() * hidden * 4) as f64),
-    );
-
-    // --- Combine all-to-all (reverse route) -----------------------------
-    let combine_in = route.to_source(&mlp_out, ep, clock)?;
-    clock.commit("combine_a2a");
-
-    // --- Buffer combine -------------------------------------------------
-    let mut out = Tensor::zeros(tokens.rows(), hidden);
-    scatter_rows_scaled(
-        &combine_in,
-        &route.pft.token_ids,
-        &route.pft.combine_weights,
-        &mut out,
-    );
-    clock.charge(
-        "buffer_combine",
-        cost.mem_bound_time(2.0 * (route.pft.len() * hidden * 4) as f64),
-    );
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gating::DropPolicy;
-    use crate::pipeline::padding_free;
+    use crate::gating::{DropPolicy, Router};
+    use crate::pipeline::{
+        BlockSparsePipeline, ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline,
+        PooledSingleState,
+    };
     use xmoe_collectives::SimCluster;
 
     #[test]
@@ -250,9 +128,13 @@ mod tests {
         let experts = ExpertShard::full(e, h, f, 202);
         let tokens = Tensor::rand_uniform(s, h, 1.0, 203);
         let spec = MoeLayerSpec::new(e, 10_000);
-        let reference = padding_free::forward_single(&tokens, &router, &experts, &spec);
+        let reference = PaddingFreePipeline
+            .forward(&tokens, &router, &experts, &spec, &mut ExecCtx::single())
+            .unwrap();
         for block in [1usize, 4, 16, 128] {
-            let out = forward_single_block_sparse(&tokens, &router, &experts, &spec, block);
+            let out = BlockSparsePipeline { block }
+                .forward(&tokens, &router, &experts, &spec, &mut ExecCtx::single())
+                .unwrap();
             assert!(
                 out.allclose(&reference, 1e-4),
                 "block {block}: max diff {}",
@@ -271,11 +153,19 @@ mod tests {
         for block in [1usize, 4, 16] {
             for step in 0..2 {
                 let tokens = Tensor::rand_uniform(s, h, 1.0, 220 + step);
-                let expected =
-                    forward_single_block_sparse(&tokens, &router, &experts, &spec, block);
-                let out = forward_single_block_sparse_pooled(
-                    &tokens, &router, &experts, &spec, block, &mut state,
-                );
+                let pipe = BlockSparsePipeline { block };
+                let expected = pipe
+                    .forward(&tokens, &router, &experts, &spec, &mut ExecCtx::single())
+                    .unwrap();
+                let out = pipe
+                    .forward(
+                        &tokens,
+                        &router,
+                        &experts,
+                        &spec,
+                        &mut ExecCtx::pooled(&mut state),
+                    )
+                    .unwrap();
                 assert!(
                     out.allclose(&expected, 0.0),
                     "block {block} step {step} diverged"
@@ -308,23 +198,29 @@ mod tests {
         let reference = SimCluster::frontier(world).run(|ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 302);
             let tokens = Tensor::rand_uniform(s, h, 1.0, 303 + ctx.rank as u64);
-            padding_free::forward_ep(&tokens, &router, &shard, &sp, &ctx.world, &mut ctx.clock)
+            PaddingFreePipeline
+                .forward(
+                    &tokens,
+                    &router,
+                    &shard,
+                    &sp,
+                    &mut ExecCtx::ep(&ctx.world, &mut ctx.clock),
+                )
                 .unwrap()
         });
         for block in [1usize, 4, 64] {
             let outs = SimCluster::frontier(world).run(|ctx| {
                 let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 302);
                 let tokens = Tensor::rand_uniform(s, h, 1.0, 303 + ctx.rank as u64);
-                forward_ep_block_sparse(
-                    &tokens,
-                    &router,
-                    &shard,
-                    &sp,
-                    block,
-                    &ctx.world,
-                    &mut ctx.clock,
-                )
-                .unwrap()
+                BlockSparsePipeline { block }
+                    .forward(
+                        &tokens,
+                        &router,
+                        &shard,
+                        &sp,
+                        &mut ExecCtx::ep(&ctx.world, &mut ctx.clock),
+                    )
+                    .unwrap()
             });
             for (r, (a, b)) in reference.iter().zip(&outs).enumerate() {
                 assert!(
@@ -347,16 +243,15 @@ mod tests {
             SimCluster::frontier(4).run(move |ctx| {
                 let shard = ExpertShard::for_rank(ctx.rank, 4, e, h, f, 312);
                 let tokens = Tensor::rand_uniform(s, h, 1.0, 313);
-                let _ = forward_ep_block_sparse(
-                    &tokens,
-                    router,
-                    &shard,
-                    sp,
-                    block,
-                    &ctx.world,
-                    &mut ctx.clock,
-                )
-                .unwrap();
+                let _ = BlockSparsePipeline { block }
+                    .forward(
+                        &tokens,
+                        router,
+                        &shard,
+                        sp,
+                        &mut ExecCtx::ep(&ctx.world, &mut ctx.clock),
+                    )
+                    .unwrap();
                 (ctx.clock.bucket("expert"), ctx.clock.buckets().to_vec())
             })
         };

@@ -97,7 +97,7 @@ pub fn build_dense_dispatch(
 }
 
 /// Single-rank dense baseline: all experts local.
-pub fn forward_single_dense(
+pub(crate) fn forward_single_dense(
     tokens: &Tensor,
     router: &Router,
     experts: &ExpertShard,
@@ -135,9 +135,9 @@ fn combine_dense(
 /// Distributed dense baseline over an expert-parallel group: even
 /// all-to-alls exchanging full padded slabs (padding included).
 ///
-/// Stage labels match [`crate::pipeline::padding_free::forward_ep`] so the
-/// Fig 11 breakdown can compare the two directly.
-pub fn forward_ep_dense(
+/// Stage labels match the padding-free forward's so the Fig 11 breakdown
+/// can compare the two directly.
+pub(crate) fn forward_ep_dense(
     tokens: &Tensor,
     router: &Router,
     shard: &ExpertShard,
@@ -235,8 +235,21 @@ pub fn forward_ep_dense(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::padding_free;
+    use crate::pipeline::{ExecCtx, PaddingFreePipeline, Pipeline};
     use xmoe_collectives::SimCluster;
+
+    /// The padding-free pipeline under `ctx`, the thing dense is compared to.
+    fn pf(
+        tokens: &Tensor,
+        router: &Router,
+        experts: &ExpertShard,
+        sp: &MoeLayerSpec,
+        mut ctx: ExecCtx,
+    ) -> Tensor {
+        PaddingFreePipeline
+            .forward(tokens, router, experts, sp, &mut ctx)
+            .unwrap()
+    }
 
     fn spec(e: usize, cap: usize) -> MoeLayerSpec {
         MoeLayerSpec::new(e, cap)
@@ -310,7 +323,7 @@ mod tests {
         let sp = spec(e, 1000);
         let dense =
             forward_single_dense(&tokens, &router, &experts, &sp, DenseDropOrder::TokenOrder);
-        let pf = padding_free::forward_single(&tokens, &router, &experts, &sp);
+        let pf = pf(&tokens, &router, &experts, &sp, ExecCtx::single());
         assert!(
             dense.allclose(&pf, 1e-4),
             "max diff {}",
@@ -332,7 +345,7 @@ mod tests {
             &sp,
             DenseDropOrder::WeightRanked,
         );
-        let pf = padding_free::forward_single(&tokens, &router, &experts, &sp);
+        let pf = pf(&tokens, &router, &experts, &sp, ExecCtx::single());
         assert!(
             dense.allclose(&pf, 1e-4),
             "max diff {}",
@@ -400,9 +413,8 @@ mod tests {
         });
         let pf_t = SimCluster::frontier(4).run(|ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, 4, e, h, f, 38);
-            let _ =
-                padding_free::forward_ep(&tokens, &router, &shard, &sp, &ctx.world, &mut ctx.clock)
-                    .unwrap();
+            let ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+            let _ = pf(&tokens, &router, &shard, &sp, ex);
             ctx.clock.bucket("dispatch_a2a")
         });
         assert!(

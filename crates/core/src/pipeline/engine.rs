@@ -1,27 +1,27 @@
 //! One execution engine for every MoE pipeline.
 //!
-//! The repo grew four forward families (dense, padding-free, block-sparse,
-//! RBD), each hand-cloning its own `forward_*` / `forward_*_pooled` /
-//! `forward_*_overlap` entry points. This module collapses the variants
-//! behind a single [`Pipeline`] trait: *which algorithm* runs is the trait
-//! impl, while *how* it runs — pooled or owned, single-rank or distributed,
-//! serial or dispatch–compute overlapped — is a property of the execution
-//! context ([`ExecCtx`]) it runs under.
+//! *Which algorithm* runs is the [`Pipeline`] impl; *how* it runs — pooled or
+//! owned, single-rank or distributed, serial or dispatch–compute overlapped
+//! — is a property of the execution context ([`ExecCtx`]) it runs under.
+//! There are no per-variant entry points: this trait method is the one door.
 //!
-//! * `ctx.state = Some(..)` leases every staging buffer from the shared
-//!   [`PooledSingleState`] arena (zero transient allocations at steady
-//!   state); `None` runs the owned baseline (internally the same code
-//!   against a throwaway state, so the two are bitwise identical).
+//! * `ctx.state = Some(..)` leases every staging buffer the forward controls
+//!   from the shared [`PooledSingleState`] arena, on every transport;
+//!   `None` runs the owned baseline — the same code against a throwaway
+//!   state, so the two are bitwise identical by construction. Single-rank
+//!   and RBD forwards are allocation-free at steady state; under flat EP
+//!   the gate/PFT/dispatch scratch, the expert GEMM buffers and the output
+//!   are leased while the wire buffers of the all-to-alls stay owned.
 //! * `ctx.comm` selects single-rank (`None`), expert-parallel
 //!   ([`CommCtx::Ep`]) or hierarchical RBD ([`CommCtx::Hier`]) transport.
 //! * `ctx.overlap_chunks = Some(k)` pipelines dispatch against compute for
 //!   the pipelines that support it (padding-free and RBD); the others
 //!   report [`PipelineError::Unsupported`] instead of silently ignoring it.
 //!
-//! Every path reachable through the trait is the *same code* as the named
-//! entry points (`forward_single_pooled`, `forward_ep_rbd`, ...), so the
-//! equivalence and trajectory tests pinning those functions pin the trait
-//! surface too.
+//! The padding-free and block-sparse pipelines are two argument mappings
+//! onto one skeleton, `padding_free::forward` (transport × expert kernel);
+//! RBD is its own transport but shares that skeleton's
+//! `gate_and_gather` prefix.
 
 use std::fmt;
 
@@ -31,7 +31,8 @@ use xmoe_tensor::{DetRng, Tensor};
 use crate::expert::ExpertShard;
 use crate::gating::Router;
 use crate::pipeline::dense::DenseDropOrder;
-use crate::pipeline::{block_sparse, dense, padding_free, MoeLayerSpec, PooledSingleState};
+use crate::pipeline::padding_free::{ExpertKernel, Transport};
+use crate::pipeline::{dense, padding_free, MoeLayerSpec, PooledSingleState};
 use crate::rbd::{self, PilotPolicy, RbdComms};
 
 /// Everything that can go wrong inside a pipeline forward.
@@ -238,6 +239,54 @@ impl Pipeline for DensePipeline {
     }
 }
 
+/// Run `f` against the context's pooled state, or against a throwaway one:
+/// "owned" is the pooled code on a state nobody keeps.
+fn with_state<R>(
+    state: &mut Option<&mut PooledSingleState>,
+    f: impl FnOnce(&mut PooledSingleState) -> R,
+) -> R {
+    match state.as_deref_mut() {
+        Some(state) => f(state),
+        None => f(&mut PooledSingleState::default()),
+    }
+}
+
+/// Map an [`ExecCtx`] onto the one PFT-family forward
+/// ([`padding_free::forward`]): `comm` picks the transport, `state` the
+/// arena, `kernel` is the caller's.
+fn forward_pft_family(
+    tokens: &Tensor,
+    router: &Router,
+    experts: &ExpertShard,
+    spec: &MoeLayerSpec,
+    kernel: ExpertKernel,
+    ctx: &mut ExecCtx,
+) -> Result<Tensor, PipelineError> {
+    let ExecCtx {
+        state,
+        comm,
+        clock,
+        overlap_chunks,
+        ..
+    } = ctx;
+    let transport = match comm {
+        None if overlap_chunks.is_some() => {
+            return Err(PipelineError::Unsupported(
+                "single-rank forward has no dispatch-compute overlap",
+            ))
+        }
+        None => Transport::Local,
+        Some(comm) => Transport::Ep {
+            comm: comm.ep(),
+            clock: require_clock(clock)?,
+            overlap_chunks: *overlap_chunks,
+        },
+    };
+    with_state(state, |state| {
+        padding_free::forward(tokens, router, experts, spec, transport, kernel, state)
+    })
+}
+
 /// X-MoE's padding-free pipeline (§4.1).
 #[derive(Default)]
 pub struct PaddingFreePipeline;
@@ -255,45 +304,7 @@ impl Pipeline for PaddingFreePipeline {
         spec: &MoeLayerSpec,
         ctx: &mut ExecCtx,
     ) -> Result<Tensor, PipelineError> {
-        let ExecCtx {
-            state,
-            comm,
-            clock,
-            overlap_chunks,
-            ..
-        } = ctx;
-        match comm {
-            None => {
-                if overlap_chunks.is_some() {
-                    return Err(PipelineError::Unsupported(
-                        "single-rank forward has no dispatch-compute overlap",
-                    ));
-                }
-                Ok(match state.as_deref_mut() {
-                    Some(state) => {
-                        padding_free::forward_single_pooled(tokens, router, experts, spec, state)
-                    }
-                    None => padding_free::forward_single(tokens, router, experts, spec),
-                })
-            }
-            Some(comm) => {
-                let clock = require_clock(clock)?;
-                Ok(match overlap_chunks {
-                    None => {
-                        padding_free::forward_ep(tokens, router, experts, spec, comm.ep(), clock)?
-                    }
-                    Some(chunks) => padding_free::forward_ep_overlap(
-                        tokens,
-                        router,
-                        experts,
-                        spec,
-                        *chunks,
-                        comm.ep(),
-                        clock,
-                    )?,
-                })
-            }
-        }
+        forward_pft_family(tokens, router, experts, spec, ExpertKernel::Plain, ctx)
     }
 }
 
@@ -321,31 +332,8 @@ impl Pipeline for BlockSparsePipeline {
                 "block-sparse pipeline has no dispatch-compute overlap",
             ));
         }
-        let ExecCtx {
-            state, comm, clock, ..
-        } = ctx;
-        match comm {
-            None => Ok(match state.as_deref_mut() {
-                Some(state) => block_sparse::forward_single_block_sparse_pooled(
-                    tokens, router, experts, spec, self.block, state,
-                ),
-                None => block_sparse::forward_single_block_sparse(
-                    tokens, router, experts, spec, self.block,
-                ),
-            }),
-            Some(comm) => {
-                let clock = require_clock(clock)?;
-                Ok(block_sparse::forward_ep_block_sparse(
-                    tokens,
-                    router,
-                    experts,
-                    spec,
-                    self.block,
-                    comm.ep(),
-                    clock,
-                )?)
-            }
-        }
+        let kernel = ExpertKernel::BlockPadded(self.block);
+        forward_pft_family(tokens, router, experts, spec, kernel, ctx)
     }
 }
 
@@ -369,7 +357,14 @@ impl Pipeline for RbdPipeline {
         spec: &MoeLayerSpec,
         ctx: &mut ExecCtx,
     ) -> Result<Tensor, PipelineError> {
-        let comms = match &ctx.comm {
+        let ExecCtx {
+            state,
+            comm,
+            clock,
+            rng,
+            overlap_chunks,
+        } = ctx;
+        let comms = match comm {
             Some(CommCtx::Hier(h)) => *h,
             Some(CommCtx::Ep(_)) => {
                 return Err(PipelineError::MissingCtx(
@@ -382,42 +377,15 @@ impl Pipeline for RbdPipeline {
                 ))
             }
         };
-        let overlap = ctx.overlap_chunks;
-        let ExecCtx {
-            state, clock, rng, ..
-        } = ctx;
         let clock = require_clock(clock)?;
         let rng = rng
             .as_deref_mut()
             .ok_or(PipelineError::MissingCtx("rbd needs a pilot rng"))?;
-        match state.as_deref_mut() {
-            Some(state) => rbd::forward_ep_rbd_impl(
-                tokens,
-                router,
-                experts,
-                spec,
-                comms,
-                rng,
-                clock,
-                self.policy,
-                overlap,
-                state,
-            ),
-            None => {
-                let mut fresh = PooledSingleState::default();
-                rbd::forward_ep_rbd_impl(
-                    tokens,
-                    router,
-                    experts,
-                    spec,
-                    comms,
-                    rng,
-                    clock,
-                    self.policy,
-                    overlap,
-                    &mut fresh,
-                )
-            }
-        }
+        let (policy, overlap) = (self.policy, *overlap_chunks);
+        with_state(state, |state| {
+            rbd::forward_ep_rbd_impl(
+                tokens, router, experts, spec, comms, rng, clock, policy, overlap, state,
+            )
+        })
     }
 }

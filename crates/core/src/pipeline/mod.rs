@@ -23,15 +23,13 @@ pub mod engine;
 pub mod padding_free;
 pub mod schedule;
 
-pub use block_sparse::{
-    block_padding_waste, forward_single_block_sparse, forward_single_block_sparse_pooled,
-};
+pub use block_sparse::block_padding_waste;
 pub use dense::{build_dense_dispatch, DenseDispatch, DenseDropOrder};
 pub use engine::{
     BlockSparsePipeline, CommCtx, DensePipeline, ExecCtx, PaddingFreePipeline, Pipeline,
     PipelineError, RbdPipeline,
 };
-pub use padding_free::{forward_ep, forward_single, forward_single_pooled, PooledSingleState};
+pub use padding_free::PooledSingleState;
 pub use schedule::{
     bubble_fraction, rank_work, reference_forward, run_1f1b, MoeStageChunk, PipeOp, ScheduleSpec,
     StageChunk, BWD_COMPUTE_FACTOR,

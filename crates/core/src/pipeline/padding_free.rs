@@ -10,30 +10,23 @@
 //! combine direction ([`EpRoute::to_source`]). The training backward pass
 //! reuses the same route in reverse — gradients travel the exact same two
 //! all-to-alls mirrored (the paper's 4 all-to-alls per layer per step).
+//!
+//! There is one forward (`forward`, reached through
+//! [`crate::pipeline::Pipeline`]) for the whole PFT family. Its two
+//! orthogonal arguments are the `Transport` (single-rank, flat EP, flat EP
+//! with dispatch–compute overlap) and the `ExpertKernel` (plain segments or
+//! Megablocks-style block padding); the prefix (`gate_and_gather`) is shared
+//! with the RBD transport in [`crate::rbd`].
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
 use xmoe_tensor::{gather_rows, gather_rows_into, scatter_rows_scaled, Tensor, Workspace};
+use xmoe_topology::CostModel;
 
 use crate::expert::ExpertShard;
 use crate::gating::{GateScratch, GatingOutput, Router};
 use crate::pft::{Pft, PftScratch};
-use crate::pipeline::{rows_to_vec, vecs_to_tensor, MoeLayerSpec};
-
-/// Single-rank reference: all experts local, no communication.
-///
-/// `call` in Listing 1 minus the all-to-alls (a 1-rank EP group).
-pub fn forward_single(
-    tokens: &Tensor,
-    router: &Router,
-    experts: &ExpertShard,
-    spec: &MoeLayerSpec,
-) -> Tensor {
-    // One engine, two callers: the owned variant is the pooled variant run
-    // against a throwaway state (pooled gating and construction are
-    // bitwise identical to their owned counterparts, pinned by tests).
-    let mut state = PooledSingleState::default();
-    forward_single_pooled(tokens, router, experts, spec, &mut state)
-}
+use crate::pipeline::block_sparse::forward_block_padded;
+use crate::pipeline::{rows_to_vec, vecs_to_tensor, MoeLayerSpec, PipelineError};
 
 /// Persistent state for every pooled pipeline: the workspace arena plus
 /// every buffer the pipelines reuse across steps. One instance per rank,
@@ -53,24 +46,68 @@ pub struct PooledSingleState {
     pub(crate) rbd: crate::rbd::RbdScratch,
 }
 
-/// [`forward_single`] with every intermediate buffer served from a
-/// [`PooledSingleState`]: pooled gating, pooled PFT construction, pooled
-/// dispatch staging and pooled segment GEMMs. Bitwise identical to the
-/// unpooled variant; after the first (warm-up) call, steady-state calls
-/// perform zero transient heap allocations. The returned output is leased
-/// from `state.ws` — recycle it there when done.
-pub fn forward_single_pooled(
+/// How dispatched rows reach their experts and come back.
+pub(crate) enum Transport<'a> {
+    /// All experts local: `call` in Listing 1 minus the all-to-alls. No
+    /// communication, no clock, no copy.
+    Local,
+    /// Uneven all-to-alls over a flat EP group ([`EpRoute`]); with
+    /// `overlap_chunks` the exchanges are pipelined against the expert GEMMs
+    /// per chunk expert range ([`EpRoute::exchange_overlap`]) — bitwise the
+    /// same output, a shorter simulated timeline.
+    Ep {
+        comm: &'a Communicator,
+        clock: &'a mut SimClock,
+        overlap_chunks: Option<usize>,
+    },
+}
+
+impl Transport<'_> {
+    fn meter(&mut self) -> Meter<'_> {
+        match self {
+            Transport::Local => None,
+            Transport::Ep { comm, clock, .. } => Some((comm.cost(), clock)),
+        }
+    }
+}
+
+/// What runs on the expert-major buffer.
+#[derive(Clone, Copy)]
+pub(crate) enum ExpertKernel {
+    /// Sequential GEMM over the exact per-expert segments (§4.1).
+    Plain,
+    /// Each segment zero-padded to a multiple of the tile size first
+    /// ([`crate::pipeline::block_sparse`]).
+    BlockPadded(usize),
+}
+
+/// Where a stage's simulated cost lands: a priced clock on distributed
+/// transports, nowhere on the clockless single-rank path.
+pub(crate) type Meter<'a> = Option<(&'a CostModel, &'a mut SimClock)>;
+
+pub(crate) fn charge(meter: &mut Meter, label: &str, secs: impl FnOnce(&CostModel) -> f64) {
+    if let Some((cost, clock)) = meter {
+        clock.charge(label, secs(cost));
+    }
+}
+
+/// Memory-bound time to read and write `rows` f32 rows of width `hidden`.
+pub(crate) fn copy_time(cost: &CostModel, rows: usize, hidden: usize) -> f64 {
+    cost.mem_bound_time(2.0 * (rows * hidden * 4) as f64)
+}
+
+/// The prefix every PFT-family forward shares, flat EP and RBD alike:
+/// gate → PFT construction → gather into the dispatch matrix, all in
+/// `state`'s grow-once buffers, charging `gating` (router GEMM plus PFT
+/// construction) and `buffer_dispatch` once.
+pub(crate) fn gate_and_gather(
     tokens: &Tensor,
     router: &Router,
-    experts: &ExpertShard,
     spec: &MoeLayerSpec,
     state: &mut PooledSingleState,
-) -> Tensor {
-    assert_eq!(
-        experts.len(),
-        spec.num_experts,
-        "single-rank forward needs the full expert set"
-    );
+    mut meter: Meter,
+) {
+    let hidden = tokens.cols();
     router.gate_into(tokens, &mut state.gate_scratch, &mut state.gating);
     Pft::construct_into(
         &state.gating,
@@ -80,21 +117,152 @@ pub fn forward_single_pooled(
         &mut state.pft_scratch,
         &mut state.pft,
     );
+    charge(&mut meter, "gating", |cost| {
+        let gate_flops = 2.0 * tokens.rows() as f64 * hidden as f64 * spec.num_experts as f64;
+        let pft_bytes = (tokens.rows() * state.gating.k()) as f64 * 32.0;
+        cost.compute_time(gate_flops) + cost.mem_bound_time(pft_bytes)
+    });
     gather_rows_into(tokens, &state.pft.token_ids, &mut state.dispatch_in);
-    let mlp_out = experts.forward_segments_pooled(
-        &state.dispatch_in,
-        &state.pft.tokens_per_expert,
-        &mut state.ws,
-    );
-    let mut out = state.ws.take(tokens.rows(), tokens.cols());
-    scatter_rows_scaled(
-        &mlp_out,
-        &state.pft.token_ids,
-        &state.pft.combine_weights,
-        &mut out,
-    );
-    state.ws.recycle(mlp_out);
-    out
+    charge(&mut meter, "buffer_dispatch", |cost| {
+        copy_time(cost, state.pft.len(), hidden)
+    });
+}
+
+/// Run `kernel` over an expert-major `[rows, H]` buffer split by `counts`;
+/// the output is leased from `ws`. Charges `expert` (and the block kernel's
+/// pad/strip copies).
+fn run_experts(
+    experts: &ExpertShard,
+    input: &Tensor,
+    counts: &[usize],
+    kernel: ExpertKernel,
+    ws: &mut Workspace,
+    mut meter: Meter,
+) -> Tensor {
+    match kernel {
+        ExpertKernel::Plain => {
+            let out = experts.forward_segments_pooled(input, counts, ws);
+            charge(&mut meter, "expert", |cost| {
+                cost.compute_time(expert_flops(experts, input.rows(), input.cols()))
+            });
+            out
+        }
+        ExpertKernel::BlockPadded(block) => {
+            forward_block_padded(experts, input, counts, block, ws, meter)
+        }
+    }
+}
+
+/// FLOPs of the two-matrix FFN over `rows` rows.
+pub(crate) fn expert_flops(experts: &ExpertShard, rows: usize, hidden: usize) -> f64 {
+    let ffn = experts.experts.first().map_or(0, |e| e.w1.cols());
+    4.0 * rows as f64 * hidden as f64 * ffn as f64
+}
+
+/// The padding-free MoE forward (paper §4.1, Listing 1), written once:
+/// [`gate_and_gather`] → `transport` out → `kernel` → `transport` back →
+/// weighted scatter. Every buffer it can lease comes from `state` (callers
+/// wanting the owned baseline pass a throwaway one), and the returned
+/// `[S, H]` output is itself leased from `state.ws` — recycle it there when
+/// done. After warm-up the `Local` transport performs zero transient heap
+/// allocations; the EP transports still own their wire buffers.
+pub(crate) fn forward(
+    tokens: &Tensor,
+    router: &Router,
+    experts: &ExpertShard,
+    spec: &MoeLayerSpec,
+    mut transport: Transport,
+    kernel: ExpertKernel,
+    state: &mut PooledSingleState,
+) -> Result<Tensor, PipelineError> {
+    if matches!(transport, Transport::Local) && experts.len() != spec.num_experts {
+        return Err(PipelineError::MissingCtx(
+            "single-rank forward needs the full expert set; provide a communicator",
+        ));
+    }
+    let hidden = tokens.cols();
+    gate_and_gather(tokens, router, spec, state, transport.meter());
+    let PooledSingleState {
+        ws,
+        pft,
+        dispatch_in,
+        ..
+    } = state;
+
+    // PFT-ordered rows in, PFT-ordered expert outputs back; `leased` says
+    // whether the result came out of `ws` (wire buffers are owned).
+    let (combine_in, leased) = match &mut transport {
+        Transport::Local => {
+            let out = run_experts(
+                experts,
+                dispatch_in,
+                &pft.tokens_per_expert,
+                kernel,
+                ws,
+                None,
+            );
+            (out, true)
+        }
+        Transport::Ep {
+            comm,
+            clock,
+            overlap_chunks,
+        } => {
+            let cost = comm.cost();
+            // The route owns the PFT while it lives (a failed collective
+            // drops both; the next forward rebuilds the PFT anyway). The
+            // count-exchange metadata all-to-all is charged separately from
+            // the token payload so payload comparisons across pipelines stay
+            // apples to apples.
+            let route = EpRoute::build(std::mem::take(pft), spec, comm, clock)?;
+            clock.commit("dispatch_a2a_meta");
+            let counts = &route.tokens_per_local_expert;
+            let combine_in = match *overlap_chunks {
+                None => {
+                    let expert_input = route.to_experts(dispatch_in, comm, clock)?;
+                    clock.commit("dispatch_a2a");
+                    let meter = Some((cost, &mut **clock));
+                    let mlp_out = run_experts(experts, &expert_input, counts, kernel, ws, meter);
+                    let combine_in = route.to_source(&mlp_out, comm, clock)?;
+                    clock.commit("combine_a2a");
+                    ws.recycle(mlp_out);
+                    combine_in
+                }
+                Some(chunks) => route.exchange_overlap(
+                    dispatch_in,
+                    chunks,
+                    ("dispatch_a2a", "expert", "combine_a2a"),
+                    comm,
+                    clock,
+                    |_c, plan, chunk_in, clock| {
+                        // A full-length count vector zeroed outside the
+                        // chunk walks exactly the serial schedule's row
+                        // slices for experts [e0, e1).
+                        let (e0, e1) = plan.experts;
+                        let mut chunk_counts = ws.take_idx(counts.len());
+                        chunk_counts[e0..e1].copy_from_slice(&counts[e0..e1]);
+                        let meter = Some((cost, clock));
+                        let out = run_experts(experts, chunk_in, &chunk_counts, kernel, ws, meter);
+                        ws.recycle_idx(chunk_counts);
+                        out
+                    },
+                )?,
+            };
+            *pft = route.pft;
+            (combine_in, false)
+        }
+    };
+
+    // Buffer combine: weighted scatter back to sequence order.
+    let mut out = ws.take(tokens.rows(), hidden);
+    scatter_rows_scaled(&combine_in, &pft.token_ids, &pft.combine_weights, &mut out);
+    charge(&mut transport.meter(), "buffer_combine", |cost| {
+        copy_time(cost, pft.len(), hidden)
+    });
+    if leased {
+        ws.recycle(combine_in);
+    }
+    Ok(out)
 }
 
 /// The routing plan of one uneven EP exchange, reusable for forward
@@ -148,6 +316,37 @@ impl ChunkPlan {
     }
 }
 
+/// The wire→expert-major regroup for local experts `[e0, e1)` of a count
+/// exchange `tpe_recv[src][e]`: wire order is (src, local_expert), the
+/// sequential GEMM needs (local_expert, src). Returns the rows received per
+/// source, `perm` (`perm[i]` = wire position of expert-major position `i`)
+/// and its inverse.
+fn regroup(tpe_recv: &[Vec<u64>], e0: usize, e1: usize) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+    let recv_per_src: Vec<usize> = tpe_recv
+        .iter()
+        .map(|r| r[e0..e1].iter().sum::<u64>() as usize)
+        .collect();
+    let mut src_base = vec![0usize; tpe_recv.len()];
+    for s in 1..tpe_recv.len() {
+        src_base[s] = src_base[s - 1] + recv_per_src[s - 1];
+    }
+    let total: usize = recv_per_src.iter().sum();
+    let mut perm = Vec::with_capacity(total);
+    for e in e0..e1 {
+        for (src, counts) in tpe_recv.iter().enumerate() {
+            let before: usize = counts[e0..e].iter().map(|&c| c as usize).sum();
+            let cnt = counts[e] as usize;
+            let start = src_base[src] + before;
+            perm.extend(start..start + cnt);
+        }
+    }
+    let mut inv_perm = vec![0usize; total];
+    for (expert_major, &wire) in perm.iter().enumerate() {
+        inv_perm[wire] = expert_major;
+    }
+    (recv_per_src, perm, inv_perm)
+}
+
 impl EpRoute {
     /// Collectively build the route: exchanges `tokens_per_expert` so every
     /// destination knows its inbound segment sizes (Listing 1 line 44).
@@ -171,36 +370,13 @@ impl EpRoute {
         let tpe_recv = ep.all_to_all_v(tpe_send, clock)?;
 
         let send_per_dst = pft.counts_per_shard(w);
-        let recv_per_src: Vec<usize> = tpe_recv
-            .iter()
-            .map(|r| r.iter().sum::<u64>() as usize)
-            .collect();
-        let mut src_base = vec![0usize; w];
-        for s in 1..w {
-            src_base[s] = src_base[s - 1] + recv_per_src[s - 1];
-        }
         let mut tokens_per_local_expert = vec![0usize; e_local];
         for r in &tpe_recv {
             for (e, &c) in r.iter().enumerate() {
                 tokens_per_local_expert[e] += c as usize;
             }
         }
-        let total: usize = tokens_per_local_expert.iter().sum();
-        // Wire order is (src, local_expert); the sequential GEMM needs
-        // (local_expert, src).
-        let mut perm = Vec::with_capacity(total);
-        for e in 0..e_local {
-            for (src, counts) in tpe_recv.iter().enumerate() {
-                let before: usize = counts[..e].iter().map(|&c| c as usize).sum();
-                let cnt = counts[e] as usize;
-                let start = src_base[src] + before;
-                perm.extend(start..start + cnt);
-            }
-        }
-        let mut inv_perm = vec![0usize; total];
-        for (expert_major, &wire) in perm.iter().enumerate() {
-            inv_perm[wire] = expert_major;
-        }
+        let (recv_per_src, perm, inv_perm) = regroup(&tpe_recv, 0, e_local);
         Ok(EpRoute {
             pft,
             send_per_dst,
@@ -237,32 +413,7 @@ impl EpRoute {
             let send_ranges: Vec<(usize, usize)> = (0..w)
                 .map(|d| (gpre[d * e_local + e0], gpre[d * e_local + e1]))
                 .collect();
-            let recv_per_src: Vec<usize> = self
-                .tpe_recv
-                .iter()
-                .map(|r| r[e0..e1].iter().sum::<u64>() as usize)
-                .collect();
-            let mut src_base = vec![0usize; w];
-            for s in 1..w {
-                src_base[s] = src_base[s - 1] + recv_per_src[s - 1];
-            }
-            let total: usize = recv_per_src.iter().sum();
-            // Chunk wire order is (src, local_expert) like the full route;
-            // regroup (local_expert, src) so chunk buffers concatenate into
-            // the full expert-major order.
-            let mut perm = Vec::with_capacity(total);
-            for e in e0..e1 {
-                for (src, counts) in self.tpe_recv.iter().enumerate() {
-                    let before: usize = counts[e0..e].iter().map(|&c| c as usize).sum();
-                    let cnt = counts[e] as usize;
-                    let start = src_base[src] + before;
-                    perm.extend(start..start + cnt);
-                }
-            }
-            let mut inv_perm = vec![0usize; total];
-            for (expert_major, &wire) in perm.iter().enumerate() {
-                inv_perm[wire] = expert_major;
-            }
+            let (recv_per_src, perm, inv_perm) = regroup(&self.tpe_recv, e0, e1);
             plans.push(ChunkPlan {
                 experts: (e0, e1),
                 send_ranges,
@@ -449,150 +600,34 @@ impl EpRoute {
     }
 }
 
-/// Distributed padding-free MoE layer over an expert-parallel group.
-///
-/// Every rank passes its local `[S, H]` token batch; experts are sharded
-/// blockwise over the EP group (`shard`). Returns the local `[S, H]` output.
-pub fn forward_ep(
-    tokens: &Tensor,
-    router: &Router,
-    shard: &ExpertShard,
-    spec: &MoeLayerSpec,
-    ep: &Communicator,
-    clock: &mut SimClock,
-) -> Result<Tensor, CommError> {
-    let cost = ep.cost();
-    let hidden = tokens.cols();
-
-    // --- Gating + PFT construction -------------------------------------
-    let gating = router.gate(tokens);
-    let pft = Pft::construct(&gating, spec.num_experts, spec.capacity, spec.policy);
-    let gate_flops = 2.0 * tokens.rows() as f64 * hidden as f64 * spec.num_experts as f64;
-    let pft_bytes = (tokens.rows() * gating.k()) as f64 * 32.0;
-    clock.charge(
-        "gating",
-        cost.compute_time(gate_flops) + cost.mem_bound_time(pft_bytes),
-    );
-
-    // --- Buffer dispatch: local gather into the dispatch matrix --------
-    let dispatch_in = gather_rows(tokens, &pft.token_ids);
-    clock.charge(
-        "buffer_dispatch",
-        cost.mem_bound_time(2.0 * (pft.len() * hidden * 4) as f64),
-    );
-
-    // --- Dispatch all-to-all (uneven, no padding) -----------------------
-    // The count-exchange metadata all-to-all is charged separately from the
-    // token payload so payload comparisons across pipelines stay apples to
-    // apples.
-    let route = EpRoute::build(pft, spec, ep, clock)?;
-    clock.commit("dispatch_a2a_meta");
-    let expert_input = route.to_experts(&dispatch_in, ep, clock)?;
-    clock.commit("dispatch_a2a");
-
-    // --- Expert computation: sequential GEMM ---------------------------
-    let mlp_out = shard.forward_segments(&expert_input, &route.tokens_per_local_expert);
-    let ffn = shard.experts.first().map_or(0, |e| e.w1.cols());
-    let expert_flops = 4.0 * expert_input.rows() as f64 * hidden as f64 * ffn as f64;
-    clock.charge("expert", cost.compute_time(expert_flops));
-
-    // --- Combine all-to-all (reverse route) -----------------------------
-    let combine_in = route.to_source(&mlp_out, ep, clock)?;
-    clock.commit("combine_a2a");
-
-    // --- Buffer combine: weighted scatter back to sequence order -------
-    let mut out = Tensor::zeros(tokens.rows(), hidden);
-    scatter_rows_scaled(
-        &combine_in,
-        &route.pft.token_ids,
-        &route.pft.combine_weights,
-        &mut out,
-    );
-    clock.charge(
-        "buffer_combine",
-        cost.mem_bound_time(2.0 * (route.pft.len() * hidden * 4) as f64),
-    );
-    Ok(out)
-}
-
-/// [`forward_ep`] with the dispatch/combine exchanges split into `chunks`
-/// expert-contiguous pieces and pipelined against the expert GEMMs via
-/// [`EpRoute::exchange_overlap`]. The output is bitwise identical to
-/// [`forward_ep`]; only the simulated timeline differs — the `comm` and
-/// `compute` tracks of the overlap region advance concurrently, so the
-/// step's wall clock hides whichever side is shorter.
-pub fn forward_ep_overlap(
-    tokens: &Tensor,
-    router: &Router,
-    shard: &ExpertShard,
-    spec: &MoeLayerSpec,
-    chunks: usize,
-    ep: &Communicator,
-    clock: &mut SimClock,
-) -> Result<Tensor, CommError> {
-    let cost = ep.cost();
-    let hidden = tokens.cols();
-
-    // Serial prefix identical to `forward_ep`.
-    let gating = router.gate(tokens);
-    let pft = Pft::construct(&gating, spec.num_experts, spec.capacity, spec.policy);
-    let gate_flops = 2.0 * tokens.rows() as f64 * hidden as f64 * spec.num_experts as f64;
-    let pft_bytes = (tokens.rows() * gating.k()) as f64 * 32.0;
-    clock.charge(
-        "gating",
-        cost.compute_time(gate_flops) + cost.mem_bound_time(pft_bytes),
-    );
-
-    let dispatch_in = gather_rows(tokens, &pft.token_ids);
-    clock.charge(
-        "buffer_dispatch",
-        cost.mem_bound_time(2.0 * (pft.len() * hidden * 4) as f64),
-    );
-
-    let route = EpRoute::build(pft, spec, ep, clock)?;
-    clock.commit("dispatch_a2a_meta");
-
-    let ffn = shard.experts.first().map_or(0, |e| e.w1.cols());
-    let e_local = route.tokens_per_local_expert.len();
-    let combine_in = route.exchange_overlap(
-        &dispatch_in,
-        chunks,
-        ("dispatch_a2a", "expert", "combine_a2a"),
-        ep,
-        clock,
-        |_c, plan, chunk_in, clock| {
-            // Per-expert forwards over [e0, e1): a full-length count vector
-            // zeroed outside the chunk makes `forward_segments` walk exactly
-            // the serial schedule's row slices for these experts.
-            let (e0, e1) = plan.experts;
-            let mut counts = vec![0usize; e_local];
-            counts[e0..e1].copy_from_slice(&route.tokens_per_local_expert[e0..e1]);
-            let chunk_out = shard.forward_segments(chunk_in, &counts);
-            let flops = 4.0 * chunk_in.rows() as f64 * hidden as f64 * ffn as f64;
-            clock.charge("expert", cost.compute_time(flops));
-            chunk_out
-        },
-    )?;
-
-    let mut out = Tensor::zeros(tokens.rows(), hidden);
-    scatter_rows_scaled(
-        &combine_in,
-        &route.pft.token_ids,
-        &route.pft.combine_weights,
-        &mut out,
-    );
-    clock.charge(
-        "buffer_combine",
-        cost.mem_bound_time(2.0 * (route.pft.len() * hidden * 4) as f64),
-    );
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gating::DropPolicy;
-    use xmoe_collectives::{SimCluster, Span};
+    use crate::pipeline::{ExecCtx, PaddingFreePipeline, Pipeline};
+    use xmoe_collectives::{RankCtx, SimCluster, Span};
+
+    fn single(t: &Tensor, router: &Router, experts: &ExpertShard, sp: &MoeLayerSpec) -> Tensor {
+        PaddingFreePipeline
+            .forward(t, router, experts, sp, &mut ExecCtx::single())
+            .unwrap()
+    }
+
+    /// Flat-EP forward on this rank, serial or overlapped.
+    fn ep(
+        t: &Tensor,
+        router: &Router,
+        shard: &ExpertShard,
+        sp: &MoeLayerSpec,
+        overlap: Option<usize>,
+        ctx: &mut RankCtx,
+    ) -> Tensor {
+        let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+        ex.overlap_chunks = overlap;
+        PaddingFreePipeline
+            .forward(t, router, shard, sp, &mut ex)
+            .unwrap()
+    }
 
     fn spec(e: usize, cap: usize) -> MoeLayerSpec {
         MoeLayerSpec::new(e, cap).with_policy(DropPolicy::CapacityOnly)
@@ -604,7 +639,7 @@ mod tests {
         let router = Router::new(8, 2, 1, 3);
         let experts = ExpertShard::full(2, 8, 16, 4);
         let tokens = Tensor::rand_uniform(1, 8, 1.0, 5);
-        let out = forward_single(&tokens, &router, &experts, &spec(2, 100));
+        let out = single(&tokens, &router, &experts, &spec(2, 100));
         let g = router.gate(&tokens);
         let e = g.top_experts[0];
         let w = g.combine_weights[0];
@@ -622,8 +657,16 @@ mod tests {
         let mut state = PooledSingleState::default();
         for step in 0..4 {
             let tokens = Tensor::rand_uniform(s, h, 1.0, 100 + step);
-            let expected = forward_single(&tokens, &router, &experts, &sp);
-            let out = forward_single_pooled(&tokens, &router, &experts, &sp, &mut state);
+            let expected = single(&tokens, &router, &experts, &sp);
+            let out = PaddingFreePipeline
+                .forward(
+                    &tokens,
+                    &router,
+                    &experts,
+                    &sp,
+                    &mut ExecCtx::pooled(&mut state),
+                )
+                .unwrap();
             assert!(out.allclose(&expected, 0.0), "step {step} diverged");
             state.ws.recycle(out);
         }
@@ -644,7 +687,7 @@ mod tests {
                 SimCluster::frontier(world).run(|ctx| {
                     // Every rank gets a *different* local batch.
                     let tokens = Tensor::rand_uniform(s, h, 1.0, 100 + ctx.rank as u64);
-                    forward_single(&tokens, &router, &experts, &sp)
+                    single(&tokens, &router, &experts, &sp)
                 })
             };
             let distributed = {
@@ -653,7 +696,7 @@ mod tests {
                 SimCluster::frontier(world).run(|ctx| {
                     let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, seed + 1);
                     let tokens = Tensor::rand_uniform(s, h, 1.0, 100 + ctx.rank as u64);
-                    forward_ep(&tokens, &router, &shard, &sp, &ctx.world, &mut ctx.clock).unwrap()
+                    ep(&tokens, &router, &shard, &sp, None, ctx)
                 })
             };
             for (r, (a, b)) in reference.iter().zip(&distributed).enumerate() {
@@ -674,7 +717,7 @@ mod tests {
         let buckets = SimCluster::frontier(4).run(|ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, 4, e, h, f, 22);
             let tokens = Tensor::rand_uniform(s, h, 1.0, 23);
-            let _ = forward_ep(&tokens, &router, &shard, &sp, &ctx.world, &mut ctx.clock).unwrap();
+            let _ = ep(&tokens, &router, &shard, &sp, None, ctx);
             ctx.clock.buckets().to_vec()
         });
         for labels in &buckets {
@@ -701,10 +744,10 @@ mod tests {
         let experts_full = ExpertShard::full(e, h, f, 32);
         let sp = spec(e, 5); // tight
         let tokens = Tensor::rand_uniform(s, h, 1.0, 33);
-        let reference = forward_single(&tokens, &router, &experts_full, &sp);
+        let reference = single(&tokens, &router, &experts_full, &sp);
         let distributed = SimCluster::frontier(4).run(|ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, 4, e, h, f, 32);
-            forward_ep(&tokens, &router, &shard, &sp, &ctx.world, &mut ctx.clock).unwrap()
+            ep(&tokens, &router, &shard, &sp, None, ctx)
         });
         for d in &distributed {
             assert!(
@@ -747,7 +790,7 @@ mod tests {
                 SimCluster::frontier(world).run(|ctx| {
                     let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 62);
                     let tokens = Tensor::rand_uniform(s, h, 1.0, 500 + ctx.rank as u64);
-                    forward_ep(&tokens, &router, &shard, &sp, &ctx.world, &mut ctx.clock).unwrap()
+                    ep(&tokens, &router, &shard, &sp, None, ctx)
                 })
             };
             for chunks in [1usize, 2, 4, 9] {
@@ -756,16 +799,7 @@ mod tests {
                 let overlapped = SimCluster::frontier(world).run(|ctx| {
                     let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 62);
                     let tokens = Tensor::rand_uniform(s, h, 1.0, 500 + ctx.rank as u64);
-                    forward_ep_overlap(
-                        &tokens,
-                        &router,
-                        &shard,
-                        &sp,
-                        chunks,
-                        &ctx.world,
-                        &mut ctx.clock,
-                    )
-                    .unwrap()
+                    ep(&tokens, &router, &shard, &sp, Some(chunks), ctx)
                 });
                 for (r, (a, b)) in serial.iter().zip(&overlapped).enumerate() {
                     assert!(
@@ -790,9 +824,7 @@ mod tests {
         let reports = SimCluster::frontier(world).run(|ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 72);
             let tokens = Tensor::rand_uniform(s, h, 1.0, 600 + ctx.rank as u64);
-            let _ =
-                forward_ep_overlap(&tokens, &router, &shard, &sp, 4, &ctx.world, &mut ctx.clock)
-                    .unwrap();
+            let _ = ep(&tokens, &router, &shard, &sp, Some(4), ctx);
             ctx.clock.flush();
             let wall = ctx.clock.now();
             let work: f64 = ctx.clock.buckets().iter().map(|(_, t)| t).sum();

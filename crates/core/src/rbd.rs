@@ -31,8 +31,8 @@
 //! from the state's [`Workspace`](xmoe_tensor::Workspace) flat-buffer API,
 //! and the collectives reuse persistent send/recv shells via the `*_into`
 //! variants. At steady state (recurring batch shapes) a pooled step
-//! performs zero transient heap allocations; the owned entry points run the
-//! same code against a throwaway state, so they are bitwise identical by
+//! performs zero transient heap allocations; an owned run (`ctx.state = None`)
+//! is the same code against a throwaway state, so it is bitwise identical by
 //! construction. The overlap schedule keeps per-chunk owned wire buffers
 //! (issuing a chunk moves its payload) and is exempt from the zero-alloc
 //! gate. The replica-merge and combine accumulations use the 8-lane
@@ -45,6 +45,7 @@ use xmoe_tensor::{add_assign_slice, axpy_slice, gather_rows_into, scaled_extend,
 use crate::expert::ExpertShard;
 use crate::gating::Router;
 use crate::pft::Pft;
+use crate::pipeline::padding_free::{copy_time, expert_flops, gate_and_gather};
 use crate::pipeline::{MoeLayerSpec, PipelineError, PooledSingleState};
 
 /// The two communicators RBD needs: the EP group and its node-local
@@ -245,122 +246,24 @@ fn select_pilot(
     })
 }
 
-/// Distributed padding-free MoE layer with RBD dispatch and combine.
+/// Distributed padding-free MoE layer with RBD dispatch and combine: the
+/// forward [`crate::pipeline::RbdPipeline`] runs.
 ///
-/// Functionally identical to
-/// [`crate::pipeline::padding_free::forward_ep`] (same gating, same PFT,
-/// same experts); only the transport differs. `rng` drives pilot selection
-/// under [`PilotPolicy::Random`]. Owned baseline: runs the unified pooled
-/// implementation against a throwaway state (bitwise identical to
-/// [`forward_ep_rbd_pooled`] under the same `rng` stream).
-pub fn forward_ep_rbd(
-    tokens: &Tensor,
-    router: &Router,
-    shard: &ExpertShard,
-    spec: &MoeLayerSpec,
-    comms: &RbdComms,
-    rng: &mut DetRng,
-    clock: &mut SimClock,
-) -> Result<Tensor, PipelineError> {
-    let mut state = PooledSingleState::default();
-    forward_ep_rbd_impl(
-        tokens,
-        router,
-        shard,
-        spec,
-        comms,
-        rng,
-        clock,
-        PilotPolicy::Random,
-        None,
-        &mut state,
-    )
-}
-
-/// [`forward_ep_rbd`] with the S1 inter-node pilot exchange split into
-/// `chunks` contiguous source-rank groups and pipelined against replica
+/// Functionally identical to the flat-EP padding-free forward (same
+/// [`gate_and_gather`] prefix, same experts); only the transport differs.
+/// `rng` drives pilot selection under [`PilotPolicy::Random`]. With
+/// `overlap_chunks` the S1 inter-node pilot exchange is split into that many
+/// contiguous source-rank groups and pipelined against replica
 /// reconstruction: while group `c+1`'s pilot rows are in flight on the
 /// `comm` track, group `c`'s replicas are reconstructed on the `compute`
 /// track. Source groups are processed in ascending rank order, so the
 /// staging buffer and entry list are built in exactly the serial order and
-/// the output stays bitwise identical to [`forward_ep_rbd`].
-#[allow(clippy::too_many_arguments)]
-pub fn forward_ep_rbd_overlap(
-    tokens: &Tensor,
-    router: &Router,
-    shard: &ExpertShard,
-    spec: &MoeLayerSpec,
-    comms: &RbdComms,
-    rng: &mut DetRng,
-    clock: &mut SimClock,
-    chunks: usize,
-) -> Result<Tensor, PipelineError> {
-    let mut state = PooledSingleState::default();
-    forward_ep_rbd_impl(
-        tokens,
-        router,
-        shard,
-        spec,
-        comms,
-        rng,
-        clock,
-        PilotPolicy::Random,
-        Some(chunks),
-        &mut state,
-    )
-}
-
-/// [`forward_ep_rbd`] with every staging buffer — dispatch rows, pilot and
-/// replica wire payloads, metadata streams, merged expert input, MLP
-/// scratch, combine accumulator and the output — leased from the per-rank
-/// [`PooledSingleState`]. Bitwise identical to [`forward_ep_rbd`] under the
-/// same `rng` stream; allocation-free at steady state. The returned output
-/// tensor is itself leased: recycle it back into `state.ws` once consumed.
-#[allow(clippy::too_many_arguments)]
-pub fn forward_ep_rbd_pooled(
-    tokens: &Tensor,
-    router: &Router,
-    shard: &ExpertShard,
-    spec: &MoeLayerSpec,
-    comms: &RbdComms,
-    rng: &mut DetRng,
-    clock: &mut SimClock,
-    state: &mut PooledSingleState,
-) -> Result<Tensor, PipelineError> {
-    forward_ep_rbd_impl(
-        tokens,
-        router,
-        shard,
-        spec,
-        comms,
-        rng,
-        clock,
-        PilotPolicy::Random,
-        None,
-        state,
-    )
-}
-
-/// [`forward_ep_rbd`] with an explicit pilot-selection policy (ablation).
-#[allow(clippy::too_many_arguments)]
-pub fn forward_ep_rbd_with_policy(
-    tokens: &Tensor,
-    router: &Router,
-    shard: &ExpertShard,
-    spec: &MoeLayerSpec,
-    comms: &RbdComms,
-    rng: &mut DetRng,
-    clock: &mut SimClock,
-    policy: PilotPolicy,
-) -> Result<Tensor, PipelineError> {
-    let mut state = PooledSingleState::default();
-    forward_ep_rbd_impl(
-        tokens, router, shard, spec, comms, rng, clock, policy, None, &mut state,
-    )
-}
-
-/// The single RBD implementation every public entry point funnels into
-/// (and the [`crate::pipeline::engine::RbdPipeline`] trait impl calls).
+/// the output stays bitwise identical to the serial schedule.
+///
+/// Every staging buffer — dispatch rows, pilot and replica wire payloads,
+/// metadata streams, merged expert input, MLP scratch, combine accumulator
+/// and the output — is leased from `state`; the returned output tensor is
+/// itself leased: recycle it back into `state.ws` once consumed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_ep_rbd_impl(
     tokens: &Tensor,
@@ -384,14 +287,15 @@ pub(crate) fn forward_ep_rbd_impl(
     let owner_of = |e: usize| e / e_local;
     let first_expert = shard.first_expert;
 
+    // --- Gating + PFT + dispatch gather (shared with flat EP) --------------
+    gate_and_gather(tokens, router, spec, state, Some((cost, &mut *clock)));
+
     let PooledSingleState {
         ws,
-        gate_scratch,
-        gating,
-        pft_scratch,
         pft,
         dispatch_in,
         rbd: sc,
+        ..
     } = state;
     let RbdScratch {
         keyed,
@@ -416,25 +320,6 @@ pub(crate) fn forward_ep_rbd_impl(
         back_send,
         back_recv,
     } = sc;
-
-    // --- Gating + PFT ---------------------------------------------------
-    router.gate_into(tokens, gate_scratch, gating);
-    Pft::construct_into(
-        gating,
-        spec.num_experts,
-        spec.capacity,
-        spec.policy,
-        pft_scratch,
-        pft,
-    );
-    let gate_flops = 2.0 * tokens.rows() as f64 * hidden as f64 * spec.num_experts as f64;
-    clock.charge("gating", cost.compute_time(gate_flops));
-
-    gather_rows_into(tokens, &pft.token_ids, dispatch_in);
-    clock.charge(
-        "buffer_dispatch",
-        cost.mem_bound_time(2.0 * (pft.len() * hidden * 4) as f64),
-    );
 
     // --- S0: pilot selection --------------------------------------------
     // Group this rank's routed entries by (token, destination node); pick a
@@ -712,10 +597,9 @@ pub(crate) fn forward_ep_rbd_impl(
     gather_rows_into(&staging, &order, &mut expert_input);
     ws.recycle(staging);
     let mlp_out = shard.forward_segments_pooled(&expert_input, &counts, ws);
-    let ffn = shard.experts.first().map_or(0, |e| e.w1.cols());
     clock.charge(
         "expert",
-        cost.compute_time(4.0 * expert_input.rows() as f64 * hidden as f64 * ffn as f64),
+        cost.compute_time(expert_flops(shard, expert_input.rows(), hidden)),
     );
     ws.recycle(expert_input);
 
@@ -799,10 +683,7 @@ pub(crate) fn forward_ep_rbd_impl(
     for v in back_recv.iter_mut() {
         ws.recycle_f32(std::mem::take(v));
     }
-    clock.charge(
-        "buffer_combine",
-        cost.mem_bound_time(2.0 * (pft.len() * hidden * 4) as f64),
-    );
+    clock.charge("buffer_combine", copy_time(cost, pft.len(), hidden));
     ws.recycle_idx(order);
     ws.recycle_idx(cursor);
     ws.recycle_idx(counts);
@@ -813,8 +694,47 @@ pub(crate) fn forward_ep_rbd_impl(
 mod tests {
     use super::*;
     use crate::gating::DropPolicy;
-    use crate::pipeline::padding_free;
-    use xmoe_collectives::SimCluster;
+    use crate::pipeline::{ExecCtx, PaddingFreePipeline, Pipeline, RbdPipeline};
+    use xmoe_collectives::{RankCtx, SimCluster};
+
+    /// One owned RBD forward on this rank, through the trait.
+    #[allow(clippy::too_many_arguments)]
+    fn rbd_forward(
+        tokens: &Tensor,
+        router: &Router,
+        shard: &ExpertShard,
+        spec: &MoeLayerSpec,
+        policy: PilotPolicy,
+        overlap: Option<usize>,
+        rng_seed: u64,
+        ctx: &mut RankCtx,
+    ) -> Tensor {
+        let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
+        let mut rng = DetRng::new(rng_seed);
+        let mut ex = ExecCtx::hier(&comms, &mut ctx.clock).with_rng(&mut rng);
+        ex.overlap_chunks = overlap;
+        RbdPipeline { policy }
+            .forward(tokens, router, shard, spec, &mut ex)
+            .unwrap()
+    }
+
+    fn plain_forward(
+        tokens: &Tensor,
+        router: &Router,
+        shard: &ExpertShard,
+        spec: &MoeLayerSpec,
+        ctx: &mut RankCtx,
+    ) -> Tensor {
+        PaddingFreePipeline
+            .forward(
+                tokens,
+                router,
+                shard,
+                spec,
+                &mut ExecCtx::ep(&ctx.world, &mut ctx.clock),
+            )
+            .unwrap()
+    }
 
     #[test]
     fn expected_redundancy_matches_paper_points() {
@@ -886,19 +806,8 @@ mod tests {
             let outs = SimCluster::frontier(world).run(|ctx| {
                 let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 98);
                 let tokens = Tensor::rand_uniform(s, h, 1.0, 900 + ctx.rank as u64);
-                let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
-                let mut rng = DetRng::new(97 + ctx.rank as u64);
-                forward_ep_rbd_with_policy(
-                    &tokens,
-                    &router,
-                    &shard,
-                    &spec,
-                    &comms,
-                    &mut rng,
-                    &mut ctx.clock,
-                    policy,
-                )
-                .unwrap()
+                let seed = 97 + ctx.rank as u64;
+                rbd_forward(&tokens, &router, &shard, &spec, policy, None, seed, ctx)
             });
             for (r, o) in outs.iter().enumerate() {
                 assert_eq!(o.shape(), (s, h), "rank {r}");
@@ -917,24 +826,14 @@ mod tests {
         let plain = SimCluster::frontier(world).run(|ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, seed + 1);
             let tokens = Tensor::rand_uniform(s, h, 1.0, 200 + ctx.rank as u64);
-            padding_free::forward_ep(&tokens, &router, &shard, &spec, &ctx.world, &mut ctx.clock)
-                .unwrap()
+            plain_forward(&tokens, &router, &shard, &spec, ctx)
         });
         let rbd = SimCluster::frontier(world).run(|ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, seed + 1);
             let tokens = Tensor::rand_uniform(s, h, 1.0, 200 + ctx.rank as u64);
-            let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
-            let mut rng = DetRng::new(seed + ctx.rank as u64);
-            forward_ep_rbd(
-                &tokens,
-                &router,
-                &shard,
-                &spec,
-                &comms,
-                &mut rng,
-                &mut ctx.clock,
-            )
-            .unwrap()
+            let rng_seed = seed + ctx.rank as u64;
+            let policy = PilotPolicy::Random;
+            rbd_forward(&tokens, &router, &shard, &spec, policy, None, rng_seed, ctx)
         });
         for (r, (a, b)) in plain.iter().zip(&rbd).enumerate() {
             assert!(
@@ -969,36 +868,26 @@ mod tests {
         let serial = SimCluster::frontier(world).run(|ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 92);
             let tokens = Tensor::rand_uniform(s, h, 1.0, 400 + ctx.rank as u64);
-            let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
-            let mut rng = DetRng::new(93 + ctx.rank as u64);
-            forward_ep_rbd(
-                &tokens,
-                &router,
-                &shard,
-                &spec,
-                &comms,
-                &mut rng,
-                &mut ctx.clock,
-            )
-            .unwrap()
+            let seed = 93 + ctx.rank as u64;
+            let policy = PilotPolicy::Random;
+            rbd_forward(&tokens, &router, &shard, &spec, policy, None, seed, ctx)
         });
         for chunks in [1usize, 2, 4, 16] {
             let overlapped = SimCluster::frontier(world).run(|ctx| {
                 let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 92);
                 let tokens = Tensor::rand_uniform(s, h, 1.0, 400 + ctx.rank as u64);
-                let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
-                let mut rng = DetRng::new(93 + ctx.rank as u64);
-                forward_ep_rbd_overlap(
+                let seed = 93 + ctx.rank as u64;
+                let policy = PilotPolicy::Random;
+                rbd_forward(
                     &tokens,
                     &router,
                     &shard,
                     &spec,
-                    &comms,
-                    &mut rng,
-                    &mut ctx.clock,
-                    chunks,
+                    policy,
+                    Some(chunks),
+                    seed,
+                    ctx,
                 )
-                .unwrap()
             });
             for (r, (a, b)) in serial.iter().zip(&overlapped).enumerate() {
                 assert!(
@@ -1019,18 +908,9 @@ mod tests {
         let baseline = SimCluster::frontier(world).run(|ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 72);
             let tokens = Tensor::rand_uniform(s, h, 1.0, 500 + ctx.rank as u64);
-            let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
-            let mut rng = DetRng::new(73 + ctx.rank as u64);
-            forward_ep_rbd(
-                &tokens,
-                &router,
-                &shard,
-                &spec,
-                &comms,
-                &mut rng,
-                &mut ctx.clock,
-            )
-            .unwrap()
+            let seed = 73 + ctx.rank as u64;
+            let policy = PilotPolicy::Random;
+            rbd_forward(&tokens, &router, &shard, &spec, policy, None, seed, ctx)
         });
         let pooled = SimCluster::frontier(world).run(|ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 72);
@@ -1043,15 +923,17 @@ mod tests {
                 // Fresh rng per step: identical pilot draws, so every step
                 // must reproduce the baseline bitwise.
                 let mut rng = DetRng::new(73 + ctx.rank as u64);
-                let out = forward_ep_rbd_pooled(
+                let out = RbdPipeline {
+                    policy: PilotPolicy::Random,
+                }
+                .forward(
                     &tokens,
                     &router,
                     &shard,
                     &spec,
-                    &comms,
-                    &mut rng,
-                    &mut ctx.clock,
-                    &mut state,
+                    &mut ExecCtx::hier(&comms, &mut ctx.clock)
+                        .with_rng(&mut rng)
+                        .with_state(&mut state),
                 )
                 .unwrap();
                 state.ws.recycle(std::mem::replace(&mut last, out));
@@ -1089,32 +971,15 @@ mod tests {
         let plain_t = SimCluster::frontier(world).run(|ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 52);
             let tokens = Tensor::rand_uniform(s, h, 1.0, 300 + ctx.rank as u64);
-            let _ = padding_free::forward_ep(
-                &tokens,
-                &router,
-                &shard,
-                &spec,
-                &ctx.world,
-                &mut ctx.clock,
-            )
-            .unwrap();
+            let _ = plain_forward(&tokens, &router, &shard, &spec, ctx);
             ctx.clock.bucket("dispatch_a2a") + ctx.clock.bucket("combine_a2a")
         });
         let rbd_t = SimCluster::frontier(world).run(|ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 52);
             let tokens = Tensor::rand_uniform(s, h, 1.0, 300 + ctx.rank as u64);
-            let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
-            let mut rng = DetRng::new(53 + ctx.rank as u64);
-            let _ = forward_ep_rbd(
-                &tokens,
-                &router,
-                &shard,
-                &spec,
-                &comms,
-                &mut rng,
-                &mut ctx.clock,
-            )
-            .unwrap();
+            let seed = 53 + ctx.rank as u64;
+            let policy = PilotPolicy::Random;
+            let _ = rbd_forward(&tokens, &router, &shard, &spec, policy, None, seed, ctx);
             ctx.clock.bucket("dispatch_a2a_inter") + ctx.clock.bucket("combine_a2a_inter")
         });
         assert!(

@@ -12,42 +12,12 @@
 //! TP degree; the only extra communication is one all-gather of `[S, H]`
 //! per layer (and one in backward).
 
-use xmoe_collectives::{CommError, Communicator, SimClock};
+use xmoe_collectives::Communicator;
 use xmoe_tensor::Tensor;
 
 use crate::expert::ExpertShard;
 use crate::gating::Router;
-use crate::pipeline::{padding_free, MoeLayerSpec};
-
-/// The communicators of one SSMB-parallel worker.
-pub struct SsmbComms {
-    /// The EP group the MoE block runs over (all TP x DP workers).
-    pub ep: Communicator,
-    /// The TP group whose ranks hold replicas of the same sequence; the
-    /// sequence is sharded across it and re-gathered at block exit.
-    pub tp: Communicator,
-}
-
-impl SsmbComms {
-    /// Collectively build from a world communicator: TP groups are
-    /// consecutive ranks of size `tp`, the EP group is the whole world.
-    pub fn create(
-        world: &Communicator,
-        tp: usize,
-        clock: &mut SimClock,
-    ) -> Result<Self, CommError> {
-        assert!(
-            tp >= 1 && world.size().is_multiple_of(tp),
-            "TP must divide world size"
-        );
-        let tp_color = world.rank() / tp;
-        let tp_comm = world.split(tp_color, clock)?;
-        Ok(Self {
-            ep: world.clone(),
-            tp: tp_comm,
-        })
-    }
-}
+use crate::pipeline::{vecs_to_tensor, ExecCtx, MoeLayerSpec, Pipeline, PipelineError};
 
 /// The `S / TP` slice of the replicated sequence this TP rank keeps inside
 /// the MoE block (step ① of Fig 8: "drop a fraction of the tokens").
@@ -57,102 +27,79 @@ pub fn shard_range(seq_len: usize, tp_size: usize, tp_rank: usize) -> (usize, us
     (tp_rank * per, (tp_rank + 1) * per)
 }
 
-/// Forward one MoE block under SSMB.
+/// Forward one MoE block under SSMB, around any [`Pipeline`].
 ///
-/// `tokens` is the full replicated `[S, H]` sequence every TP rank holds
-/// coming out of the dense block. Each rank keeps its shard, runs the
-/// padding-free MoE pipeline as an EP rank over `comms.ep`, then all-gathers
-/// the shard outputs over `comms.tp` to restore the full `[S, H]` sequence.
+/// `tokens` is the full replicated `[S, H]` sequence every rank of the TP
+/// group `tp` holds coming out of the dense block. Each rank keeps its
+/// shard, runs `pipeline` over it under `ctx` (this worker is an EP rank of
+/// `ctx.comm`; transport, overlap and pooling are the context's, so SSMB
+/// composes with flat EP, overlap and RBD alike), then all-gathers the
+/// shard outputs over `tp` to restore the full `[S, H]` sequence. The
+/// all-gather stays serial (it is a layout restore, not part of the
+/// dispatch–compute critical path) and is charged as `ssmb_allgather`.
 ///
 /// `capacity` inside `spec` applies per shard: the per-expert retention
 /// budget scales with the local token count, consistent with how each DP
 /// rank already applies capacity to its own local batch.
 pub fn forward_ssmb(
+    pipeline: &dyn Pipeline,
     tokens: &Tensor,
     router: &Router,
     shard: &ExpertShard,
     spec: &MoeLayerSpec,
-    comms: &SsmbComms,
-    clock: &mut SimClock,
-) -> Result<Tensor, CommError> {
-    let (start, end) = shard_range(tokens.rows(), comms.tp.size(), comms.tp.rank());
+    tp: &Communicator,
+    ctx: &mut ExecCtx,
+) -> Result<Tensor, PipelineError> {
+    let (start, end) = shard_range(tokens.rows(), tp.size(), tp.rank());
     // ① drop the other TP ranks' token slices.
     let my_slice = tokens.slice_rows(start, end);
-    // ② run the MoE block over the shard, with this worker as an EP rank.
-    let local_out = padding_free::forward_ep(&my_slice, router, shard, spec, &comms.ep, clock)?;
+    // ② run the MoE block over the shard.
+    let local_out = pipeline.forward(&my_slice, router, shard, spec, ctx)?;
     // ③ all-gather the shard outputs to restore the replicated sequence.
-    let gathered = comms.tp.all_gather(local_out.into_vec(), clock)?;
+    let clock = ctx
+        .clock
+        .as_deref_mut()
+        .ok_or(PipelineError::MissingCtx("ssmb all-gather needs a clock"))?;
+    let gathered = tp.all_gather(local_out.into_vec(), clock)?;
     clock.commit("ssmb_allgather");
-    let hidden = tokens.cols();
-    Ok(crate::pipeline::vecs_to_tensor(gathered, hidden))
-}
-
-/// [`forward_ssmb`] with the MoE block's dispatch/combine exchanges
-/// pipelined against the expert GEMMs in `chunks` expert-contiguous pieces
-/// (see [`padding_free::forward_ep_overlap`]). Bitwise identical output;
-/// the trailing all-gather stays serial (it is a layout restore, not part
-/// of the dispatch–compute critical path).
-#[allow(clippy::too_many_arguments)]
-pub fn forward_ssmb_overlap(
-    tokens: &Tensor,
-    router: &Router,
-    shard: &ExpertShard,
-    spec: &MoeLayerSpec,
-    comms: &SsmbComms,
-    chunks: usize,
-    clock: &mut SimClock,
-) -> Result<Tensor, CommError> {
-    let (start, end) = shard_range(tokens.rows(), comms.tp.size(), comms.tp.rank());
-    let my_slice = tokens.slice_rows(start, end);
-    let local_out =
-        padding_free::forward_ep_overlap(&my_slice, router, shard, spec, chunks, &comms.ep, clock)?;
-    let gathered = comms.tp.all_gather(local_out.into_vec(), clock)?;
-    clock.commit("ssmb_allgather");
-    let hidden = tokens.cols();
-    Ok(crate::pipeline::vecs_to_tensor(gathered, hidden))
-}
-
-/// The complete X-MoE data path: SSMB sequence sharding composed with
-/// Redundancy-Bypassing Dispatch — each TP rank keeps its `S/TP` shard,
-/// dispatches it with pilot/replica routing over the hierarchical network,
-/// and the trailing all-gather restores the replicated layout.
-#[allow(clippy::too_many_arguments)]
-pub fn forward_ssmb_rbd(
-    tokens: &Tensor,
-    router: &Router,
-    shard: &ExpertShard,
-    spec: &MoeLayerSpec,
-    comms: &SsmbComms,
-    rbd: &crate::rbd::RbdComms,
-    rng: &mut xmoe_tensor::DetRng,
-    clock: &mut SimClock,
-) -> Result<Tensor, crate::pipeline::PipelineError> {
-    let (start, end) = shard_range(tokens.rows(), comms.tp.size(), comms.tp.rank());
-    let my_slice = tokens.slice_rows(start, end);
-    let local_out = crate::rbd::forward_ep_rbd(&my_slice, router, shard, spec, rbd, rng, clock)?;
-    let gathered = comms.tp.all_gather(local_out.into_vec(), clock)?;
-    clock.commit("ssmb_allgather");
-    let hidden = tokens.cols();
-    Ok(crate::pipeline::vecs_to_tensor(gathered, hidden))
-}
-
-/// Reference without sequence sharding (the "TED-style" MoE entry): every
-/// TP rank redundantly processes the full replicated sequence.
-pub fn forward_unsharded(
-    tokens: &Tensor,
-    router: &Router,
-    shard: &ExpertShard,
-    spec: &MoeLayerSpec,
-    comms: &SsmbComms,
-    clock: &mut SimClock,
-) -> Result<Tensor, CommError> {
-    padding_free::forward_ep(tokens, router, shard, spec, &comms.ep, clock)
+    Ok(vecs_to_tensor(gathered, tokens.cols()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmoe_collectives::SimCluster;
+    use crate::pipeline::{PaddingFreePipeline, RbdPipeline};
+    use crate::rbd::{PilotPolicy, RbdComms};
+    use xmoe_collectives::{RankCtx, SimCluster};
+    use xmoe_tensor::DetRng;
+
+    /// The TP group of consecutive ranks this rank belongs to.
+    fn tp_group(ctx: &mut RankCtx, tp: usize) -> Communicator {
+        ctx.world.split(ctx.rank / tp, &mut ctx.clock).unwrap()
+    }
+
+    /// Padding-free SSMB forward over the whole world as the EP group.
+    fn pft_ssmb(
+        tokens: &Tensor,
+        router: &Router,
+        shard: &ExpertShard,
+        spec: &MoeLayerSpec,
+        tp: usize,
+        ctx: &mut RankCtx,
+    ) -> Tensor {
+        let tp = tp_group(ctx, tp);
+        let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+        forward_ssmb(
+            &PaddingFreePipeline,
+            tokens,
+            router,
+            shard,
+            spec,
+            &tp,
+            &mut ex,
+        )
+        .unwrap()
+    }
 
     #[test]
     fn shard_ranges_partition_the_sequence() {
@@ -168,40 +115,61 @@ mod tests {
     }
 
     #[test]
-    fn ssmb_matches_unsharded_output() {
+    fn ssmb_wraps_any_pipeline_and_matches_its_unsharded_run() {
         // 4 ranks: TP=2, DP=2; every rank holds the same replicated
         // sequence per DP group. With ample capacity, sharding the sequence
-        // must not change the MoE block output (token-wise ops).
+        // must not change the MoE block output (token-wise ops) — whatever
+        // pipeline and execution mode the block runs.
         let (s, h, f, e, k) = (16, 12, 8, 8, 3);
+        let (world, tp) = (4, 2);
         let router = Router::new(h, e, k, 61);
         let spec = MoeLayerSpec::new(e, 10_000);
-        let world = 4;
-        let tp = 2;
-        let run = |use_ssmb: bool| {
-            let router = &router;
-            let spec = &spec;
+        let rbd = RbdPipeline {
+            policy: PilotPolicy::Random,
+        };
+        let run = |pipeline: &(dyn Pipeline + Sync), overlap: Option<usize>, sharded: bool| {
+            let (router, spec) = (&router, &spec);
             SimCluster::frontier(world).run(move |ctx| {
                 let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 62);
                 // DP group = rank / tp; same sequence within a TP group.
-                let dp_group = ctx.rank / tp;
-                let tokens = Tensor::rand_uniform(s, h, 1.0, 400 + dp_group as u64);
-                let comms = SsmbComms::create(&ctx.world, tp, &mut ctx.clock).unwrap();
-                if use_ssmb {
-                    forward_ssmb(&tokens, router, &shard, spec, &comms, &mut ctx.clock).unwrap()
+                let tokens = Tensor::rand_uniform(s, h, 1.0, 400 + (ctx.rank / tp) as u64);
+                let tp_comm = tp_group(ctx, tp);
+                let hier = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
+                let mut rng = DetRng::new(63 + ctx.rank as u64);
+                let mut ex = ExecCtx::hier(&hier, &mut ctx.clock).with_rng(&mut rng);
+                ex.overlap_chunks = overlap;
+                if sharded {
+                    forward_ssmb(pipeline, &tokens, router, &shard, spec, &tp_comm, &mut ex)
                 } else {
-                    forward_unsharded(&tokens, router, &shard, spec, &comms, &mut ctx.clock)
-                        .unwrap()
+                    pipeline.forward(&tokens, router, &shard, spec, &mut ex)
                 }
+                .unwrap()
             })
         };
-        let ssmb = run(true);
-        let unsharded = run(false);
-        for (r, (a, b)) in ssmb.iter().zip(&unsharded).enumerate() {
-            assert!(
-                a.allclose(b, 1e-4),
-                "rank {r}: SSMB output diverges, max diff {}",
-                a.max_abs_diff(b)
-            );
+        let pft_serial = run(&PaddingFreePipeline, None, true);
+        let cases: [(&str, &(dyn Pipeline + Sync), Option<usize>); 3] = [
+            ("pft", &PaddingFreePipeline, None),
+            ("pft overlap", &PaddingFreePipeline, Some(2)),
+            ("rbd", &rbd, None),
+        ];
+        for (name, pipeline, overlap) in cases {
+            let ssmb = run(pipeline, overlap, true);
+            let unsharded = run(pipeline, overlap, false);
+            for (r, (a, b)) in ssmb.iter().zip(&unsharded).enumerate() {
+                assert!(
+                    a.allclose(b, 1e-4),
+                    "{name} rank {r}: SSMB output diverges, max diff {}",
+                    a.max_abs_diff(b)
+                );
+            }
+            if overlap.is_some() {
+                for (r, (a, b)) in ssmb.iter().zip(&pft_serial).enumerate() {
+                    assert!(
+                        a.allclose(b, 0.0),
+                        "{name} rank {r}: SSMB overlap not bitwise identical to serial"
+                    );
+                }
+            }
         }
     }
 
@@ -214,54 +182,10 @@ mod tests {
             let shard = ExpertShard::for_rank(ctx.rank, 4, e, h, f, 72);
             let dp_group = ctx.rank / 2;
             let tokens = Tensor::rand_uniform(s, h, 1.0, 500 + dp_group as u64);
-            let comms = SsmbComms::create(&ctx.world, 2, &mut ctx.clock).unwrap();
-            forward_ssmb(&tokens, &router, &shard, &spec, &comms, &mut ctx.clock).unwrap()
+            pft_ssmb(&tokens, &router, &shard, &spec, 2, ctx)
         });
         assert!(out[0].allclose(&out[1], 1e-6), "TP group 0 replicas differ");
         assert!(out[2].allclose(&out[3], 1e-6), "TP group 1 replicas differ");
-    }
-
-    #[test]
-    fn ssmb_overlap_is_bitwise_identical() {
-        let (s, h, f, e, k) = (16, 12, 8, 8, 3);
-        let router = Router::new(h, e, k, 61);
-        let spec = MoeLayerSpec::new(e, 10_000);
-        let world = 4;
-        let tp = 2;
-        let run = |chunks: Option<usize>| {
-            let router = &router;
-            let spec = &spec;
-            SimCluster::frontier(world).run(move |ctx| {
-                let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 62);
-                let dp_group = ctx.rank / tp;
-                let tokens = Tensor::rand_uniform(s, h, 1.0, 400 + dp_group as u64);
-                let comms = SsmbComms::create(&ctx.world, tp, &mut ctx.clock).unwrap();
-                match chunks {
-                    Some(c) => forward_ssmb_overlap(
-                        &tokens,
-                        router,
-                        &shard,
-                        spec,
-                        &comms,
-                        c,
-                        &mut ctx.clock,
-                    )
-                    .unwrap(),
-                    None => {
-                        forward_ssmb(&tokens, router, &shard, spec, &comms, &mut ctx.clock).unwrap()
-                    }
-                }
-            })
-        };
-        let serial = run(None);
-        let overlapped = run(Some(2));
-        for (r, (a, b)) in serial.iter().zip(&overlapped).enumerate() {
-            assert!(
-                a.allclose(b, 0.0),
-                "rank {r}: SSMB overlap not bitwise identical, max diff {}",
-                a.max_abs_diff(b)
-            );
-        }
     }
 
     #[test]
@@ -272,8 +196,7 @@ mod tests {
         let buckets = SimCluster::frontier(4).run(|ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, 4, e, h, f, 82);
             let tokens = Tensor::rand_uniform(s, h, 1.0, 83);
-            let comms = SsmbComms::create(&ctx.world, 2, &mut ctx.clock).unwrap();
-            let _ = forward_ssmb(&tokens, &router, &shard, &spec, &comms, &mut ctx.clock).unwrap();
+            let _ = pft_ssmb(&tokens, &router, &shard, &spec, 2, ctx);
             ctx.clock.bucket("ssmb_allgather")
         });
         assert!(
@@ -283,49 +206,25 @@ mod tests {
     }
 
     #[test]
-    fn full_xmoe_path_ssmb_plus_rbd_matches_reference() {
-        // The paper's complete system: 16 ranks (2 simulated nodes),
-        // TP = 2 sequence sharding, RBD transport — output must equal the
-        // plain SSMB forward (and hence the single-rank reference).
-        let (s, h, f, e, k) = (16, 12, 8, 16, 5);
-        let router = Router::new(h, e, k, 131);
-        let spec = MoeLayerSpec::new(e, 10_000);
-        let run = |use_rbd: bool| {
-            let router = &router;
-            let spec = &spec;
-            SimCluster::frontier(16).run(move |ctx| {
-                let shard = ExpertShard::for_rank(ctx.rank, 16, e, h, f, 132);
-                let dp_group = ctx.rank / 2;
-                let tokens = Tensor::rand_uniform(s, h, 1.0, 700 + dp_group as u64);
-                let comms = SsmbComms::create(&ctx.world, 2, &mut ctx.clock).unwrap();
-                if use_rbd {
-                    let rbd = crate::rbd::RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
-                    let mut rng = xmoe_tensor::DetRng::new(133 + ctx.rank as u64);
-                    forward_ssmb_rbd(
-                        &tokens,
-                        router,
-                        &shard,
-                        spec,
-                        &comms,
-                        &rbd,
-                        &mut rng,
-                        &mut ctx.clock,
-                    )
-                    .unwrap()
-                } else {
-                    forward_ssmb(&tokens, router, &shard, spec, &comms, &mut ctx.clock).unwrap()
-                }
-            })
-        };
-        let with_rbd = run(true);
-        let plain = run(false);
-        for (r, (a, b)) in with_rbd.iter().zip(&plain).enumerate() {
-            assert!(
-                a.allclose(b, 1e-4),
-                "rank {r}: SSMB+RBD diverges from SSMB, max diff {}",
-                a.max_abs_diff(b)
-            );
-        }
+    fn ssmb_without_a_clock_is_a_typed_error() {
+        let router = Router::new(8, 4, 2, 85);
+        let spec = MoeLayerSpec::new(4, 10_000);
+        let experts = ExpertShard::full(4, 8, 4, 86);
+        let tokens = Tensor::rand_uniform(8, 8, 1.0, 87);
+        let errs = SimCluster::frontier(1).run(|ctx| {
+            let tp = tp_group(ctx, 1);
+            forward_ssmb(
+                &PaddingFreePipeline,
+                &tokens,
+                &router,
+                &experts,
+                &spec,
+                &tp,
+                &mut ExecCtx::single(),
+            )
+            .unwrap_err()
+        });
+        assert!(matches!(errs[0], PipelineError::MissingCtx(_)));
     }
 
     #[test]
@@ -336,18 +235,16 @@ mod tests {
         let out = SimCluster::frontier(2).run(|ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, 2, e, h, f, 92);
             let tokens = Tensor::rand_uniform(s, h, 1.0, 93 + ctx.rank as u64);
-            let comms = SsmbComms::create(&ctx.world, 1, &mut ctx.clock).unwrap();
-            let ssmb =
-                forward_ssmb(&tokens, &router, &shard, &spec, &comms, &mut ctx.clock).unwrap();
-            let plain = padding_free::forward_ep(
-                &tokens,
-                &router,
-                &shard,
-                &spec,
-                &ctx.world,
-                &mut ctx.clock,
-            )
-            .unwrap();
+            let ssmb = pft_ssmb(&tokens, &router, &shard, &spec, 1, ctx);
+            let plain = PaddingFreePipeline
+                .forward(
+                    &tokens,
+                    &router,
+                    &shard,
+                    &spec,
+                    &mut ExecCtx::ep(&ctx.world, &mut ctx.clock),
+                )
+                .unwrap();
             ssmb.allclose(&plain, 1e-6)
         });
         assert!(out.iter().all(|&ok| ok));

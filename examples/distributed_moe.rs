@@ -14,8 +14,8 @@ use xmoe::collectives::SimCluster;
 use xmoe::core::expert::ExpertShard;
 use xmoe::core::gating::{DropPolicy, Router};
 use xmoe::core::pft::Pft;
-use xmoe::core::pipeline::{self, MoeLayerSpec};
-use xmoe::core::rbd::{self, expected_redundancy_uniform, redundancy_rate, RbdComms};
+use xmoe::core::pipeline::{ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline, RbdPipeline};
+use xmoe::core::rbd::{expected_redundancy_uniform, redundancy_rate, PilotPolicy, RbdComms};
 use xmoe::tensor::{DetRng, Tensor};
 
 fn main() {
@@ -42,15 +42,10 @@ fn main() {
         SimCluster::frontier(world).run(move |ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, world, experts, hidden, ffn, 13);
             let tokens = Tensor::rand_uniform(seq, hidden, 1.0, 100 + ctx.rank as u64);
-            let out = pipeline::padding_free::forward_ep(
-                &tokens,
-                router,
-                &shard,
-                spec,
-                &ctx.world,
-                &mut ctx.clock,
-            )
-            .unwrap();
+            let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+            let out = PaddingFreePipeline
+                .forward(&tokens, router, &shard, spec, &mut ex)
+                .unwrap();
             (out.norm(), ctx.clock.buckets().to_vec())
         })
     };
@@ -64,15 +59,11 @@ fn main() {
             let tokens = Tensor::rand_uniform(seq, hidden, 1.0, 100 + ctx.rank as u64);
             let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
             let mut rng = DetRng::new(14 + ctx.rank as u64);
-            let out = rbd::forward_ep_rbd(
-                &tokens,
-                router,
-                &shard,
-                spec,
-                &comms,
-                &mut rng,
-                &mut ctx.clock,
-            )
+            let mut ex = ExecCtx::hier(&comms, &mut ctx.clock).with_rng(&mut rng);
+            let out = RbdPipeline {
+                policy: PilotPolicy::Random,
+            }
+            .forward(&tokens, router, &shard, spec, &mut ex)
             .unwrap();
             (out.norm(), ctx.clock.buckets().to_vec())
         })

@@ -12,7 +12,9 @@
 use xmoe::core::expert::ExpertShard;
 use xmoe::core::gating::Router;
 use xmoe::core::pft::Pft;
-use xmoe::core::pipeline::{self, DenseDropOrder, MoeLayerSpec};
+use xmoe::core::pipeline::{
+    DenseDropOrder, DensePipeline, ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline,
+};
 use xmoe::tensor::Tensor;
 
 fn main() {
@@ -42,8 +44,11 @@ fn main() {
     let min_load = pft.tokens_per_expert.iter().min().unwrap();
     println!("expert load    : min {min_load}, max {max_load} tokens");
 
-    // Padding-free forward.
-    let out_pf = pipeline::padding_free::forward_single(&tokens, &router, &shard, &spec);
+    // Padding-free forward: the algorithm is the `Pipeline`, how it runs
+    // (here: one rank, owned buffers) is the `ExecCtx`.
+    let out_pf = PaddingFreePipeline
+        .forward(&tokens, &router, &shard, &spec, &mut ExecCtx::single())
+        .expect("single-rank forward");
     println!(
         "\npadding-free output: {:?}, norm {:.4}",
         out_pf.shape(),
@@ -51,13 +56,11 @@ fn main() {
     );
 
     // Dense zero-padded baseline forward (same drop decisions).
-    let out_dense = pipeline::dense::forward_single_dense(
-        &tokens,
-        &router,
-        &shard,
-        &spec,
-        DenseDropOrder::WeightRanked,
-    );
+    let out_dense = DensePipeline {
+        order: DenseDropOrder::WeightRanked,
+    }
+    .forward(&tokens, &router, &shard, &spec, &mut ExecCtx::single())
+    .expect("single-rank forward");
     let diff = out_pf.max_abs_diff(&out_dense);
     println!(
         "dense baseline output norm {:.4}; max |diff| vs padding-free = {diff:.2e}",

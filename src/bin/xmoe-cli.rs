@@ -25,7 +25,9 @@
 //!     (min/mean/max/straggler per stage, sync-wait split out).
 //!     `--overlap` (pft and rbd) pipelines the dispatch all-to-all against
 //!     the expert compute in `chunks` pieces (default 4); the Chrome trace
-//!     then shows separate comm/compute tracks per rank.
+//!     then shows separate comm/compute tracks per rank; on dense and
+//!     blocksparse it exits 1 with the pipeline's "unsupported execution
+//!     mode" error instead of running serial under an overlap header.
 //!     `--trace` writes a Chrome trace-event JSON (open in Perfetto);
 //!     `--csv` writes the raw per-rank spans.
 //!
@@ -120,7 +122,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use xmoe::bench::report;
-use xmoe::collectives::{trace, RankTrace, SimCluster, StepReport};
+use xmoe::collectives::{trace, RankTrace, SimClock, SimCluster, StepReport};
 use xmoe::core::analysis::{distinct_combinations, routing_report};
 use xmoe::core::config::{DType, MoeModelConfig};
 use xmoe::core::expert::ExpertShard;
@@ -132,11 +134,12 @@ use xmoe::core::memory::{
 use xmoe::core::perf::PerfModel;
 use xmoe::core::pft::Pft;
 use xmoe::core::pipeline::{
-    self, bubble_fraction, rank_work, reference_forward, run_1f1b, DenseDropOrder, MoeLayerSpec,
-    PooledSingleState, StageChunk,
+    bubble_fraction, rank_work, reference_forward, run_1f1b, BlockSparsePipeline, DenseDropOrder,
+    DensePipeline, ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline, PipelineError,
+    PooledSingleState, RbdPipeline, StageChunk,
 };
 use xmoe::core::plan::{plan_mappings, price_mapping, MappingPlan};
-use xmoe::core::rbd::{self, expected_redundancy_uniform, RbdComms};
+use xmoe::core::rbd::{expected_redundancy_uniform, PilotPolicy, RbdComms};
 use xmoe::tensor::{CountingAlloc, DetRng, Tensor, Workspace};
 use xmoe::topology::{
     AttnFold, ClusterTopology, CongestionModel, CostModel, FaultPlan, MachineSpec, MoeFold,
@@ -173,7 +176,7 @@ fn usage() -> ! {
          xmoe-cli alltoall <gpus> <mbytes-per-rank>\n  \
          xmoe-cli analyze <experts> <topk> [tokens]\n  \
          xmoe-cli step <dense|pft|blocksparse|rbd> [ranks] [--overlap [chunks]] [--trace <path>] [--csv <path>]\n  \
-         \u{20}   (--overlap applies to pft and rbd; dense and blocksparse run serial-only)\n  \
+         \u{20}   (--overlap applies to pft and rbd; dense and blocksparse reject it)\n  \
          xmoe-cli step --pp <stages> [--vpp <chunks>] [--microbatches <m>]\n  \
          xmoe-cli chaos [ranks] [--faults <spec>] [--ckpt-every N] [--steps N] [--seed S] [--guard] [--max-grad-norm X] [--rebalance <threshold>]\n  \
          xmoe-cli serve [ranks] [--placement naive|optimized] [--arrival steady|bursty|diurnal] [--requests N] [--rate R] [--skew S] [--drift T] [--seed S]\n  \
@@ -575,86 +578,47 @@ fn cmd_step(args: &[String]) {
     let router = Router::new(h, e, k, 0x57E9);
     let spec = MoeLayerSpec::new(e, 10_000);
     let name = pipeline_name.to_ascii_lowercase();
-    let traces: Vec<RankTrace> = {
-        let router = &router;
-        let spec = &spec;
-        let name = name.as_str();
+    let pipe: Box<dyn Pipeline + Sync> = match name.as_str() {
+        "dense" => Box::new(DensePipeline {
+            order: DenseDropOrder::TokenOrder,
+        }),
+        "pft" | "padding_free" => Box::new(PaddingFreePipeline),
+        "blocksparse" | "block_sparse" => Box::new(BlockSparsePipeline { block: 128 }),
+        "rbd" => Box::new(RbdPipeline {
+            policy: PilotPolicy::Random,
+        }),
+        _ => usage(),
+    };
+    let per_rank: Vec<Result<RankTrace, PipelineError>> = {
+        let (router, spec, pipe) = (&router, &spec, pipe.as_ref());
         SimCluster::frontier(ranks).run(move |ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, ranks, e, h, f, 0x57EA);
             let tokens = Tensor::rand_uniform(s, h, 1.0, 0x57EB + ctx.rank as u64);
-            match name {
-                "dense" => {
-                    let _ = pipeline::dense::forward_ep_dense(
-                        &tokens,
-                        router,
-                        &shard,
-                        spec,
-                        DenseDropOrder::TokenOrder,
-                        &ctx.world,
-                        &mut ctx.clock,
-                    );
-                }
-                "pft" | "padding_free" => {
-                    let _ = match overlap {
-                        Some(chunks) => pipeline::padding_free::forward_ep_overlap(
-                            &tokens,
-                            router,
-                            &shard,
-                            spec,
-                            chunks,
-                            &ctx.world,
-                            &mut ctx.clock,
-                        ),
-                        None => pipeline::padding_free::forward_ep(
-                            &tokens,
-                            router,
-                            &shard,
-                            spec,
-                            &ctx.world,
-                            &mut ctx.clock,
-                        ),
-                    };
-                }
-                "blocksparse" | "block_sparse" => {
-                    let _ = pipeline::block_sparse::forward_ep_block_sparse(
-                        &tokens,
-                        router,
-                        &shard,
-                        spec,
-                        128,
-                        &ctx.world,
-                        &mut ctx.clock,
-                    );
-                }
-                "rbd" => {
-                    let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
-                    let mut rng = DetRng::new(0x57EC + ctx.rank as u64);
-                    let _ = match overlap {
-                        Some(chunks) => rbd::forward_ep_rbd_overlap(
-                            &tokens,
-                            router,
-                            &shard,
-                            spec,
-                            &comms,
-                            &mut rng,
-                            &mut ctx.clock,
-                            chunks,
-                        ),
-                        None => rbd::forward_ep_rbd(
-                            &tokens,
-                            router,
-                            &shard,
-                            spec,
-                            &comms,
-                            &mut rng,
-                            &mut ctx.clock,
-                        ),
-                    };
-                }
-                _ => usage(),
-            }
-            RankTrace::capture(ctx.rank, &mut ctx.clock, ctx.world.traffic())
+            // Only RBD pays for (and traces) the node-local split.
+            let hier = match pipe.name() {
+                "rbd" => Some(RbdComms::create(&ctx.world, &mut ctx.clock)?),
+                _ => None,
+            };
+            let mut rng = DetRng::new(0x57EC + ctx.rank as u64);
+            let mut ex = match &hier {
+                Some(hier) => ExecCtx::hier(hier, &mut ctx.clock).with_rng(&mut rng),
+                None => ExecCtx::ep(&ctx.world, &mut ctx.clock),
+            };
+            ex.overlap_chunks = overlap;
+            pipe.forward(&tokens, router, &shard, spec, &mut ex)?;
+            Ok(RankTrace::capture(
+                ctx.rank,
+                &mut ctx.clock,
+                ctx.world.traffic(),
+            ))
         })
+    };
+    let traces: Vec<RankTrace> = match per_rank.into_iter().collect() {
+        Ok(traces) => traces,
+        Err(e) => {
+            eprintln!("step {name}: {e}");
+            std::process::exit(1);
+        }
     };
     let report = StepReport::from_ranks(&traces);
     let mode = match overlap {
@@ -1187,14 +1151,12 @@ fn bench_hot_dense(smoke: bool, _all_ok: &mut bool) -> HotRecord {
     let spec = MoeLayerSpec::new(HOT_E, capacity);
     let experts = ExpertShard::for_rank(0, 1, HOT_E, HOT_H, HOT_F, 0xDE54);
     let inputs = hot_inputs(4, 0xDE55);
+    let dense = DensePipeline {
+        order: DenseDropOrder::TokenOrder,
+    };
     let step = |i: usize| {
-        let _ = pipeline::dense::forward_single_dense(
-            &inputs[i % inputs.len()],
-            &router,
-            &experts,
-            &spec,
-            DenseDropOrder::TokenOrder,
-        );
+        let x = &inputs[i % inputs.len()];
+        let _ = dense.forward(x, &router, &experts, &spec, &mut ExecCtx::single());
     };
 
     let live0 = ALLOC.stats().live_bytes;
@@ -1249,15 +1211,12 @@ fn bench_hot_blocksparse(smoke: bool, all_ok: &mut bool) -> HotRecord {
 
     let live0 = ALLOC.stats().live_bytes;
     let mut state = PooledSingleState::default();
+    let pipe = BlockSparsePipeline { block };
     let step = |state: &mut PooledSingleState, i: usize| {
-        let out = pipeline::block_sparse::forward_single_block_sparse_pooled(
-            &inputs[i % inputs.len()],
-            &router,
-            &experts,
-            &spec,
-            block,
-            state,
-        );
+        let x = &inputs[i % inputs.len()];
+        let out = pipe
+            .forward(x, &router, &experts, &spec, &mut ExecCtx::pooled(state))
+            .expect("single-rank blocksparse forward");
         state.ws.recycle(out);
     };
     for i in 0..warm {
@@ -1282,13 +1241,8 @@ fn bench_hot_blocksparse(smoke: bool, all_ok: &mut bool) -> HotRecord {
         t_pool = t_pool.min(t0.elapsed().as_secs_f64());
         let t0 = Instant::now();
         for i in 0..time_steps {
-            let _ = pipeline::block_sparse::forward_single_block_sparse(
-                &inputs[i % inputs.len()],
-                &router,
-                &experts,
-                &spec,
-                block,
-            );
+            let x = &inputs[i % inputs.len()];
+            let _ = pipe.forward(x, &router, &experts, &spec, &mut ExecCtx::single());
         }
         t_own = t_own.min(t0.elapsed().as_secs_f64());
     }
@@ -1344,37 +1298,27 @@ fn bench_hot_rbd(smoke: bool, all_ok: &mut bool) -> HotRecord {
             let comms = RbdComms::create(&ctx.world, &mut ctx.clock).map_err(|e| e.to_string())?;
             let tokens = Tensor::rand_uniform(HOT_S, HOT_H, 1.0, 0x4BD2 + ctx.rank as u64);
             let mut state = PooledSingleState::default();
-            let seed_of = |step: usize| 0x4BD3 + ((step % 4) * ranks + ctx.rank) as u64;
+            let rank = ctx.rank;
+            let pipe = RbdPipeline {
+                policy: PilotPolicy::Random,
+            };
+            // One forward; `state = None` is the owned baseline.
+            let forward =
+                |step: usize, clock: &mut SimClock, state: Option<&mut PooledSingleState>| {
+                    let mut rng = DetRng::new(0x4BD3 + ((step % 4) * ranks + rank) as u64);
+                    let mut ex = ExecCtx::hier(&comms, clock).with_rng(&mut rng);
+                    ex.state = state;
+                    pipe.forward(&tokens, router, &shard, spec, &mut ex)
+                        .map_err(|e| e.to_string())
+                };
             for step in 0..warm {
-                let mut rng = DetRng::new(seed_of(step));
-                let out = rbd::forward_ep_rbd_pooled(
-                    &tokens,
-                    router,
-                    &shard,
-                    spec,
-                    &comms,
-                    &mut rng,
-                    &mut ctx.clock,
-                    &mut state,
-                )
-                .map_err(|e| e.to_string())?;
+                let out = forward(step, &mut ctx.clock, Some(&mut state))?;
                 state.ws.recycle(out);
             }
             // Per-rank allocation window: this thread's tracked allocs only.
             let a0 = xmoe::tensor::thread_tracked_allocs();
             for step in 0..count_steps {
-                let mut rng = DetRng::new(seed_of(step));
-                let out = rbd::forward_ep_rbd_pooled(
-                    &tokens,
-                    router,
-                    &shard,
-                    spec,
-                    &comms,
-                    &mut rng,
-                    &mut ctx.clock,
-                    &mut state,
-                )
-                .map_err(|e| e.to_string())?;
+                let out = forward(step, &mut ctx.clock, Some(&mut state))?;
                 state.ws.recycle(out);
             }
             let counted = xmoe::tensor::thread_tracked_allocs() - a0;
@@ -1386,18 +1330,7 @@ fn bench_hot_rbd(smoke: bool, all_ok: &mut bool) -> HotRecord {
                     .map_err(|e| e.to_string())?;
                 let t0 = Instant::now();
                 for step in 0..time_steps {
-                    let mut rng = DetRng::new(seed_of(step));
-                    let out = rbd::forward_ep_rbd_pooled(
-                        &tokens,
-                        router,
-                        &shard,
-                        spec,
-                        &comms,
-                        &mut rng,
-                        &mut ctx.clock,
-                        &mut state,
-                    )
-                    .map_err(|e| e.to_string())?;
+                    let out = forward(step, &mut ctx.clock, Some(&mut state))?;
                     state.ws.recycle(out);
                 }
                 ctx.world
@@ -1406,17 +1339,7 @@ fn bench_hot_rbd(smoke: bool, all_ok: &mut bool) -> HotRecord {
                 t_pool = t_pool.min(t0.elapsed().as_secs_f64());
                 let t0 = Instant::now();
                 for step in 0..time_steps {
-                    let mut rng = DetRng::new(seed_of(step));
-                    let _ = rbd::forward_ep_rbd(
-                        &tokens,
-                        router,
-                        &shard,
-                        spec,
-                        &comms,
-                        &mut rng,
-                        &mut ctx.clock,
-                    )
-                    .map_err(|e| e.to_string())?;
+                    let _ = forward(step, &mut ctx.clock, None)?;
                 }
                 ctx.world
                     .barrier(&mut ctx.clock)

@@ -287,3 +287,33 @@ fn bench_elastic_smoke_writes_and_gates_its_report() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `xmoe-cli step` runs what its header says or fails: `--overlap` on a
+/// pipeline without an overlap schedule is the typed `PipelineError`, not a
+/// silently serial run under an "(overlap, N chunks)" header.
+#[test]
+fn step_rejects_overlap_where_unsupported_and_runs_it_where_supported() {
+    let bin = env!("CARGO_BIN_EXE_xmoe-cli");
+    let dense = std::process::Command::new(bin)
+        .args(["step", "dense", "2", "--overlap"])
+        .output()
+        .expect("step runs");
+    assert!(!dense.status.success(), "step dense --overlap must fail");
+    let stderr = String::from_utf8_lossy(&dense.stderr);
+    assert!(
+        stderr.contains("unsupported execution mode"),
+        "stderr names the PipelineError: {stderr}"
+    );
+
+    let pft = std::process::Command::new(bin)
+        .args(["step", "pft", "2", "--overlap", "2"])
+        .output()
+        .expect("step runs");
+    assert!(
+        pft.status.success(),
+        "step pft --overlap 2 exited nonzero:\n{}",
+        String::from_utf8_lossy(&pft.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&pft.stdout);
+    assert!(stdout.contains("pft pipeline (overlap, 2 chunks)"));
+}

@@ -10,8 +10,8 @@ use xmoe::core::pipeline::{
     self, BlockSparsePipeline, DenseDropOrder, DensePipeline, ExecCtx, MoeLayerSpec,
     PaddingFreePipeline, Pipeline, PooledSingleState, RbdPipeline,
 };
-use xmoe::core::rbd::{self, PilotPolicy, RbdComms};
-use xmoe::core::ssmb::{self, SsmbComms};
+use xmoe::core::rbd::{PilotPolicy, RbdComms};
+use xmoe::core::ssmb;
 use xmoe::tensor::{DetRng, Tensor};
 
 struct Case {
@@ -30,7 +30,14 @@ fn reference(case: &Case, rank: usize) -> Tensor {
     let experts = ExpertShard::full(case.experts, case.hidden, case.ffn, case.seed + 1);
     let spec = MoeLayerSpec::new(case.experts, case.capacity);
     let tokens = Tensor::rand_uniform(case.seq, case.hidden, 1.0, 5000 + rank as u64);
-    pipeline::padding_free::forward_single(&tokens, &router, &experts, &spec)
+    single(&tokens, &router, &experts, &spec)
+}
+
+/// The single-rank padding-free reference (owned buffers).
+fn single(tokens: &Tensor, router: &Router, experts: &ExpertShard, spec: &MoeLayerSpec) -> Tensor {
+    PaddingFreePipeline
+        .forward(tokens, router, experts, spec, &mut ExecCtx::single())
+        .unwrap()
 }
 
 fn check(case: &Case, outputs: &[Tensor], what: &str) {
@@ -45,67 +52,26 @@ fn check(case: &Case, outputs: &[Tensor], what: &str) {
     }
 }
 
+/// Every distributed pipeline, on `case`, against the single-rank reference:
+/// padding-free EP, the dense padded baseline (weight-ranked drops to match
+/// PFT retention) and RBD — one trait call, three contexts.
 fn run_case(case: &Case) {
     let router = Router::new(case.hidden, case.experts, case.top_k, case.seed);
     let spec = MoeLayerSpec::new(case.experts, case.capacity);
-
-    // Padding-free distributed.
-    let pf = {
-        let (router, spec) = (&router, &spec);
-        SimCluster::frontier(case.world).run(move |ctx| {
-            let shard = ExpertShard::for_rank(
-                ctx.rank,
-                case.world,
-                case.experts,
-                case.hidden,
-                case.ffn,
-                case.seed + 1,
-            );
-            let tokens = Tensor::rand_uniform(case.seq, case.hidden, 1.0, 5000 + ctx.rank as u64);
-            pipeline::padding_free::forward_ep(
-                &tokens,
-                router,
-                &shard,
-                spec,
-                &ctx.world,
-                &mut ctx.clock,
-            )
-            .unwrap()
-        })
+    let dense = DensePipeline {
+        order: DenseDropOrder::WeightRanked,
     };
-    check(case, &pf, "padding-free EP");
-
-    // Dense padded distributed (weight-ranked drops to match PFT retention).
-    let dense = {
-        let (router, spec) = (&router, &spec);
-        SimCluster::frontier(case.world).run(move |ctx| {
-            let shard = ExpertShard::for_rank(
-                ctx.rank,
-                case.world,
-                case.experts,
-                case.hidden,
-                case.ffn,
-                case.seed + 1,
-            );
-            let tokens = Tensor::rand_uniform(case.seq, case.hidden, 1.0, 5000 + ctx.rank as u64);
-            pipeline::dense::forward_ep_dense(
-                &tokens,
-                router,
-                &shard,
-                spec,
-                DenseDropOrder::WeightRanked,
-                &ctx.world,
-                &mut ctx.clock,
-            )
-            .unwrap()
-        })
+    let rbd = RbdPipeline {
+        policy: PilotPolicy::Random,
     };
-    check(case, &dense, "dense padded EP");
-
-    // RBD distributed.
-    let rbd_out = {
+    let pipelines: [(&str, &(dyn Pipeline + Sync)); 3] = [
+        ("padding-free EP", &PaddingFreePipeline),
+        ("dense padded EP", &dense),
+        ("RBD EP", &rbd),
+    ];
+    for (what, pipeline) in pipelines {
         let (router, spec) = (&router, &spec);
-        SimCluster::frontier(case.world).run(move |ctx| {
+        let outs = SimCluster::frontier(case.world).run(move |ctx| {
             let shard = ExpertShard::for_rank(
                 ctx.rank,
                 case.world,
@@ -117,27 +83,20 @@ fn run_case(case: &Case) {
             let tokens = Tensor::rand_uniform(case.seq, case.hidden, 1.0, 5000 + ctx.rank as u64);
             let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
             let mut rng = DetRng::new(case.seed + 77 + ctx.rank as u64);
-            rbd::forward_ep_rbd(
-                &tokens,
-                router,
-                &shard,
-                spec,
-                &comms,
-                &mut rng,
-                &mut ctx.clock,
-            )
-            .unwrap()
-        })
-    };
-    check(case, &rbd_out, "RBD EP");
+            let mut ex = ExecCtx::hier(&comms, &mut ctx.clock).with_rng(&mut rng);
+            pipeline
+                .forward(&tokens, router, &shard, spec, &mut ex)
+                .unwrap()
+        });
+        check(case, &outs, what);
+    }
 }
 
 /// The unified engine surface: one config pushed through all four
 /// [`Pipeline`] impls in EP mode (dense via the weight-ranked drop order so
 /// its retention matches PFT), each against the single-rank reference. Also
-/// exercises the context axes the named entry points cannot: a pooled EP
-/// padding-free run through the trait, and the typed errors for missing or
-/// unsupported context.
+/// exercises the context axes: a pooled + overlapped EP padding-free run,
+/// and the typed errors for missing or unsupported context.
 #[test]
 fn pipeline_trait_runs_all_four_impls_equivalently() {
     let case = Case {
@@ -260,7 +219,7 @@ fn pipeline_trait_runs_all_four_impls_equivalently() {
     check(&case, &bs, "trait blocksparse EP");
     check(&case, &rbd_out, "trait rbd EP");
     // The pooled/overlapped run must be bitwise the serial owned run, not
-    // merely close — same guarantee the named entry points are pinned to.
+    // merely close.
     for (rank, (a, b)) in pft.iter().zip(&pft_po).enumerate() {
         assert!(
             a.allclose(b, 0.0),
@@ -388,25 +347,24 @@ fn overlapped_padding_free_is_bitwise_identical_across_skews() {
                     let shard =
                         ExpertShard::for_rank(ctx.rank, world, experts, hidden, ffn, seed + 1);
                     let tokens = Tensor::rand_uniform(seq, hidden, 1.0, 7000 + ctx.rank as u64);
-                    let serial = pipeline::padding_free::forward_ep(
-                        &tokens,
-                        router,
-                        &shard,
-                        spec,
-                        &ctx.world,
-                        &mut ctx.clock,
-                    )
-                    .unwrap();
-                    let overlapped = pipeline::padding_free::forward_ep_overlap(
-                        &tokens,
-                        router,
-                        &shard,
-                        spec,
-                        chunks,
-                        &ctx.world,
-                        &mut ctx.clock,
-                    )
-                    .unwrap();
+                    let serial = PaddingFreePipeline
+                        .forward(
+                            &tokens,
+                            router,
+                            &shard,
+                            spec,
+                            &mut ExecCtx::ep(&ctx.world, &mut ctx.clock),
+                        )
+                        .unwrap();
+                    let overlapped = PaddingFreePipeline
+                        .forward(
+                            &tokens,
+                            router,
+                            &shard,
+                            spec,
+                            &mut ExecCtx::ep(&ctx.world, &mut ctx.clock).with_overlap(chunks),
+                        )
+                        .unwrap();
                     (serial, overlapped)
                 })
             };
@@ -437,15 +395,25 @@ fn ssmb_matches_reference_over_tp_dp_grid() {
             let shard = ExpertShard::for_rank(ctx.rank, 4, experts, hidden, ffn, seed + 1);
             let dp_group = ctx.rank / 2;
             let tokens = Tensor::rand_uniform(seq, hidden, 1.0, 9000 + dp_group as u64);
-            let comms = SsmbComms::create(&ctx.world, 2, &mut ctx.clock).unwrap();
-            ssmb::forward_ssmb(&tokens, router, &shard, spec, &comms, &mut ctx.clock).unwrap()
+            let tp = ctx.world.split(dp_group, &mut ctx.clock).unwrap();
+            let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+            ssmb::forward_ssmb(
+                &PaddingFreePipeline,
+                &tokens,
+                router,
+                &shard,
+                spec,
+                &tp,
+                &mut ex,
+            )
+            .unwrap()
         })
     };
     let full_experts = ExpertShard::full(experts, hidden, ffn, seed + 1);
     for (rank, got) in out.iter().enumerate() {
         let dp_group = rank / 2;
         let tokens = Tensor::rand_uniform(seq, hidden, 1.0, 9000 + dp_group as u64);
-        let want = pipeline::padding_free::forward_single(&tokens, &router, &full_experts, &spec);
+        let want = single(&tokens, &router, &full_experts, &spec);
         assert!(
             got.allclose(&want, 2e-4),
             "SSMB rank {rank} diverges, max diff {}",
@@ -481,10 +449,8 @@ fn drop_policies_differ_only_in_retention() {
             let spec_x = MoeLayerSpec::new(experts, 10_000).with_policy(DropPolicy::CapacityOnly);
             let spec_d = MoeLayerSpec::new(experts, 10_000)
                 .with_policy(DropPolicy::CapacityAndNegativeLogit);
-            let out_x =
-                pipeline::padding_free::forward_single(&tokens, &router, &experts_full, &spec_x);
-            let out_d =
-                pipeline::padding_free::forward_single(&tokens, &router, &experts_full, &spec_d);
+            let out_x = single(&tokens, &router, &experts_full, &spec_x);
+            let out_d = single(&tokens, &router, &experts_full, &spec_d);
             assert!(
                 out_x.allclose(&out_d, 1e-6),
                 "policies must coincide with no negatives"
@@ -494,4 +460,30 @@ fn drop_policies_differ_only_in_retention() {
     // If the random direction did not give all-positive logits, the
     // property is vacuous for this seed; the unit tests cover the
     // differing-retention side.
+}
+
+/// A single-rank forward handed one rank's shard is a context error (it
+/// needs a communicator to reach the other experts), not a panic.
+#[test]
+fn single_rank_forward_with_a_partial_shard_is_a_typed_error() {
+    let (hidden, ffn, experts, top_k) = (12usize, 8usize, 8usize, 3usize);
+    let router = Router::new(hidden, experts, top_k, 811);
+    let spec = MoeLayerSpec::new(experts, 10_000);
+    let partial = ExpertShard::for_rank(1, 4, experts, hidden, ffn, 812);
+    let tokens = Tensor::rand_uniform(16, hidden, 1.0, 813);
+    let pipelines: [&dyn Pipeline; 2] = [&PaddingFreePipeline, &BlockSparsePipeline { block: 4 }];
+    for pipeline in pipelines {
+        let mut state = PooledSingleState::default();
+        for ctx in [ExecCtx::single(), ExecCtx::pooled(&mut state)] {
+            let mut ctx = ctx;
+            let err = pipeline
+                .forward(&tokens, &router, &partial, &spec, &mut ctx)
+                .unwrap_err();
+            assert!(
+                matches!(err, pipeline::PipelineError::MissingCtx(what) if what.contains("full expert set")),
+                "{}: {err}",
+                pipeline.name()
+            );
+        }
+    }
 }

@@ -8,9 +8,11 @@
 //! * dense — pooled gating (`Router::gate_into` with reused scratch) vs
 //!   owned gating feeding the padded dispatch slab (dense has no pooled
 //!   forward of its own; gating is its pooled surface);
-//! * pft (single-rank) — `forward_single_pooled` vs `forward_single`;
-//! * blocksparse — `forward_single_block_sparse_pooled` vs owned;
-//! * rbd (distributed) — `forward_ep_rbd_pooled` vs `forward_ep_rbd` on the
+//! * pft, blocksparse (single-rank) — `ExecCtx::pooled` vs `ExecCtx::single`;
+//! * pft (serial and overlapped), blocksparse under flat EP at world 2 and
+//!   4 — `ExecCtx::ep(..).with_state(..)` vs `ExecCtx::ep(..)`, plus the
+//!   arena counters proving the state is really leased from;
+//! * rbd (distributed) — `ExecCtx::hier(..).with_state(..)` vs owned on the
 //!   threads-as-ranks runtime;
 //! * pft (training) — full pooled train steps (forward + backward + SGD
 //!   update) vs the owned baseline: the *loss trajectory* and the evolved
@@ -19,8 +21,11 @@
 use xmoe::collectives::SimCluster;
 use xmoe::core::expert::ExpertShard;
 use xmoe::core::gating::{DropPolicy, GateScratch, GatingOutput, Router, RouterGuard};
-use xmoe::core::pipeline::{self, DenseDropOrder, MoeLayerSpec, PooledSingleState};
-use xmoe::core::rbd::{self, RbdComms};
+use xmoe::core::pipeline::{
+    self, BlockSparsePipeline, DenseDropOrder, DensePipeline, ExecCtx, MoeLayerSpec,
+    PaddingFreePipeline, Pipeline, PooledSingleState, RbdPipeline,
+};
+use xmoe::core::rbd::{PilotPolicy, RbdComms};
 use xmoe::tensor::{DetRng, Tensor};
 use xmoe::train::{MoeTrainScratch, TrainableMoe};
 
@@ -48,9 +53,18 @@ fn pft_single_forward_trajectory_is_bitwise_identical() {
     let mut state = PooledSingleState::default();
     let mut x = Tensor::rand_uniform(s, h, 1.0, 0x7A12);
     for step in 0..5 {
-        let owned = pipeline::padding_free::forward_single(&x, &router, &experts, &spec);
-        let pooled =
-            pipeline::padding_free::forward_single_pooled(&x, &router, &experts, &spec, &mut state);
+        let owned = PaddingFreePipeline
+            .forward(&x, &router, &experts, &spec, &mut ExecCtx::single())
+            .unwrap();
+        let pooled = PaddingFreePipeline
+            .forward(
+                &x,
+                &router,
+                &experts,
+                &spec,
+                &mut ExecCtx::pooled(&mut state),
+            )
+            .unwrap();
         assert_eq!(bits(&owned), bits(&pooled), "pft diverges at step {step}");
         x = chain(&pooled, &x);
         state.ws.recycle(pooled);
@@ -66,12 +80,19 @@ fn blocksparse_forward_trajectory_is_bitwise_identical() {
     let mut state = PooledSingleState::default();
     let mut x = Tensor::rand_uniform(s, h, 1.0, 0x7B12);
     for step in 0..5 {
-        let owned = pipeline::block_sparse::forward_single_block_sparse(
-            &x, &router, &experts, &spec, block,
-        );
-        let pooled = pipeline::block_sparse::forward_single_block_sparse_pooled(
-            &x, &router, &experts, &spec, block, &mut state,
-        );
+        let pipe = BlockSparsePipeline { block };
+        let owned = pipe
+            .forward(&x, &router, &experts, &spec, &mut ExecCtx::single())
+            .unwrap();
+        let pooled = pipe
+            .forward(
+                &x,
+                &router,
+                &experts,
+                &spec,
+                &mut ExecCtx::pooled(&mut state),
+            )
+            .unwrap();
         assert_eq!(
             bits(&owned),
             bits(&pooled),
@@ -79,6 +100,64 @@ fn blocksparse_forward_trajectory_is_bitwise_identical() {
         );
         x = chain(&pooled, &x);
         state.ws.recycle(pooled);
+    }
+}
+
+/// `ctx.state` means the same thing on every transport: under flat EP the
+/// pooled run is bitwise the owned run over a compounding trajectory, and
+/// the arena is really leased from (it serves hits once warm) — a state
+/// that is accepted but ignored would pass the bitwise half alone.
+#[test]
+fn ep_forward_trajectories_are_bitwise_identical_and_lease_from_the_state() {
+    let (s, h, f, e, k) = (20, 12, 10, 8, 3);
+    let router = Router::new(h, e, k, 0x7E10);
+    // Tight capacity so the drop path is exercised on every step.
+    let spec = MoeLayerSpec::new(e, 9);
+    let blocksparse = BlockSparsePipeline { block: 3 };
+    let cases: [(&str, &(dyn Pipeline + Sync), Option<usize>); 3] = [
+        ("pft", &PaddingFreePipeline, None),
+        ("pft overlap", &PaddingFreePipeline, Some(2)),
+        ("blocksparse", &blocksparse, None),
+    ];
+    for world in [2usize, 4] {
+        for (name, pipe, overlap) in cases {
+            let (router, spec) = (&router, &spec);
+            SimCluster::frontier(world).run(move |ctx| {
+                let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 0x7E11);
+                let mut state = PooledSingleState::default();
+                let mut x = Tensor::rand_uniform(s, h, 1.0, 0x7E12 + ctx.rank as u64);
+                let mut warm = state.ws.stats();
+                for step in 0..4 {
+                    let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+                    ex.overlap_chunks = overlap;
+                    let owned = pipe.forward(&x, router, &shard, spec, &mut ex).unwrap();
+                    let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock).with_state(&mut state);
+                    ex.overlap_chunks = overlap;
+                    let pooled = pipe.forward(&x, router, &shard, spec, &mut ex).unwrap();
+                    assert_eq!(
+                        bits(&owned),
+                        bits(&pooled),
+                        "{name} world {world} rank {} diverges at step {step}",
+                        ctx.rank
+                    );
+                    x = chain(&pooled, &x);
+                    state.ws.recycle(pooled);
+                    if step == 0 {
+                        warm = state.ws.stats();
+                    }
+                }
+                let end = state.ws.stats();
+                let (takes, misses) = (
+                    end.takes - warm.takes,
+                    end.pool_misses - warm.pool_misses,
+                );
+                assert!(warm.takes > 0, "{name}: the state was never leased from");
+                assert!(
+                    misses < takes,
+                    "{name} world {world}: no pool hits after warm-up ({misses} misses / {takes} takes)"
+                );
+            });
+        }
     }
 }
 
@@ -127,13 +206,11 @@ fn dense_dispatch_trajectory_with_pooled_gating_is_bitwise_identical() {
             "dense slab diverges at step {step}"
         );
         assert_eq!(d_owned.entries, d_pooled.entries, "step {step}");
-        let out = pipeline::dense::forward_single_dense(
-            &x,
-            &router,
-            &experts,
-            &spec,
-            DenseDropOrder::TokenOrder,
-        );
+        let out = DensePipeline {
+            order: DenseDropOrder::TokenOrder,
+        }
+        .forward(&x, &router, &experts, &spec, &mut ExecCtx::single())
+        .unwrap();
         x = chain(&out, &x);
     }
 }
@@ -156,20 +233,29 @@ fn rbd_forward_trajectory_is_bitwise_identical() {
             let seed = 0x7D20 + (step * world + ctx.rank) as u64;
             let mut rng_a = DetRng::new(seed);
             let mut rng_b = DetRng::new(seed);
-            let owned =
-                rbd::forward_ep_rbd(&x, router, &shard, spec, &comms, &mut rng_a, &mut ctx.clock)
-                    .expect("owned step");
-            let pooled = rbd::forward_ep_rbd_pooled(
-                &x,
-                router,
-                &shard,
-                spec,
-                &comms,
-                &mut rng_b,
-                &mut ctx.clock,
-                &mut state,
-            )
-            .expect("pooled step");
+            let pipe = RbdPipeline {
+                policy: PilotPolicy::Random,
+            };
+            let owned = pipe
+                .forward(
+                    &x,
+                    router,
+                    &shard,
+                    spec,
+                    &mut ExecCtx::hier(&comms, &mut ctx.clock).with_rng(&mut rng_a),
+                )
+                .expect("owned step");
+            let pooled = pipe
+                .forward(
+                    &x,
+                    router,
+                    &shard,
+                    spec,
+                    &mut ExecCtx::hier(&comms, &mut ctx.clock)
+                        .with_rng(&mut rng_b)
+                        .with_state(&mut state),
+                )
+                .expect("pooled step");
             assert_eq!(
                 bits(&owned),
                 bits(&pooled),

@@ -10,8 +10,11 @@
 use xmoe::collectives::{trace, RankTrace, SimCluster};
 use xmoe::core::expert::ExpertShard;
 use xmoe::core::gating::Router;
-use xmoe::core::pipeline::{self, DenseDropOrder, MoeLayerSpec};
-use xmoe::core::rbd::{self, RbdComms};
+use xmoe::core::pipeline::{
+    BlockSparsePipeline, DenseDropOrder, DensePipeline, ExecCtx, MoeLayerSpec, PaddingFreePipeline,
+    Pipeline, RbdPipeline,
+};
+use xmoe::core::rbd::{PilotPolicy, RbdComms};
 use xmoe::tensor::{DetRng, Tensor};
 
 const WORLD: usize = 8;
@@ -29,54 +32,26 @@ fn run_pipeline(which: &'static str) -> Vec<RankTrace> {
     SimCluster::frontier(WORLD).run(move |ctx| {
         let shard = ExpertShard::for_rank(ctx.rank, WORLD, E, H, F, 0xBEF);
         let tokens = Tensor::rand_uniform(S, H, 1.0, 0xBF0 + ctx.rank as u64);
-        match which {
-            "dense" => {
-                let _ = pipeline::dense::forward_ep_dense(
-                    &tokens,
-                    router,
-                    &shard,
-                    spec,
-                    DenseDropOrder::TokenOrder,
-                    &ctx.world,
-                    &mut ctx.clock,
-                );
-            }
-            "padding_free" => {
-                let _ = pipeline::padding_free::forward_ep(
-                    &tokens,
-                    router,
-                    &shard,
-                    spec,
-                    &ctx.world,
-                    &mut ctx.clock,
-                );
-            }
-            "block_sparse" => {
-                let _ = pipeline::block_sparse::forward_ep_block_sparse(
-                    &tokens,
-                    router,
-                    &shard,
-                    spec,
-                    64,
-                    &ctx.world,
-                    &mut ctx.clock,
-                );
-            }
-            "rbd" => {
-                let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
-                let mut rng = DetRng::new(0xBF1 + ctx.rank as u64);
-                let _ = rbd::forward_ep_rbd(
-                    &tokens,
-                    router,
-                    &shard,
-                    spec,
-                    &comms,
-                    &mut rng,
-                    &mut ctx.clock,
-                );
-            }
+        let pipe: Box<dyn Pipeline> = match which {
+            "dense" => Box::new(DensePipeline {
+                order: DenseDropOrder::TokenOrder,
+            }),
+            "padding_free" => Box::new(PaddingFreePipeline),
+            "block_sparse" => Box::new(BlockSparsePipeline { block: 64 }),
+            "rbd" => Box::new(RbdPipeline {
+                policy: PilotPolicy::Random,
+            }),
             other => panic!("unknown pipeline {other}"),
-        }
+        };
+        // Only RBD pays for (and traces) the node-local split.
+        let hier = (which == "rbd").then(|| RbdComms::create(&ctx.world, &mut ctx.clock).unwrap());
+        let mut rng = DetRng::new(0xBF1 + ctx.rank as u64);
+        let mut ex = match &hier {
+            Some(hier) => ExecCtx::hier(hier, &mut ctx.clock).with_rng(&mut rng),
+            None => ExecCtx::ep(&ctx.world, &mut ctx.clock),
+        };
+        pipe.forward(&tokens, router, &shard, spec, &mut ex)
+            .unwrap();
         RankTrace::capture(ctx.rank, &mut ctx.clock, ctx.world.traffic())
     })
 }
@@ -222,15 +197,10 @@ fn overlap_region_per_track_spans_sum_exactly_and_wall_is_max() {
     let traces = SimCluster::frontier(WORLD).run(move |ctx| {
         let shard = ExpertShard::for_rank(ctx.rank, WORLD, E, H, F, 0xBEF);
         let tokens = Tensor::rand_uniform(S, H, 1.0, 0xBF0 + ctx.rank as u64);
-        let _ = pipeline::padding_free::forward_ep_overlap(
-            &tokens,
-            router,
-            &shard,
-            spec,
-            2,
-            &ctx.world,
-            &mut ctx.clock,
-        );
+        let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock).with_overlap(2);
+        PaddingFreePipeline
+            .forward(&tokens, router, &shard, spec, &mut ex)
+            .unwrap();
         RankTrace::capture(ctx.rank, &mut ctx.clock, ctx.world.traffic())
     });
 

@@ -6,8 +6,11 @@ use xmoe::collectives::SimCluster;
 use xmoe::core::expert::ExpertShard;
 use xmoe::core::gating::{DropPolicy, Router};
 use xmoe::core::pft::Pft;
-use xmoe::core::pipeline::{self, DenseDropOrder, MoeLayerSpec};
-use xmoe::core::rbd::{self, redundancy_rate, RbdComms};
+use xmoe::core::pipeline::{
+    DenseDropOrder, DensePipeline, ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline,
+    RbdPipeline,
+};
+use xmoe::core::rbd::{redundancy_rate, PilotPolicy, RbdComms};
 use xmoe::tensor::{DetRng, Tensor};
 
 const WORLD: usize = 16; // 2 simulated Frontier nodes
@@ -42,14 +45,10 @@ fn rbd_off_node_bytes_shrink_by_the_redundancy_factor() {
             .run(move |ctx| {
                 let shard = ExpertShard::for_rank(ctx.rank, WORLD, E, H, F, 1302);
                 let tokens = Tensor::rand_uniform(S, H, 1.0, 1400 + ctx.rank as u64);
-                let _ = pipeline::padding_free::forward_ep(
-                    &tokens,
-                    router,
-                    &shard,
-                    spec,
-                    &ctx.world,
-                    &mut ctx.clock,
-                );
+                let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+                PaddingFreePipeline
+                    .forward(&tokens, router, &shard, spec, &mut ex)
+                    .unwrap();
                 ctx.world.traffic().off_node()
             })
             .iter()
@@ -63,15 +62,12 @@ fn rbd_off_node_bytes_shrink_by_the_redundancy_factor() {
                 let tokens = Tensor::rand_uniform(S, H, 1.0, 1400 + ctx.rank as u64);
                 let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
                 let mut rng = DetRng::new(1500 + ctx.rank as u64);
-                let _ = rbd::forward_ep_rbd(
-                    &tokens,
-                    router,
-                    &shard,
-                    spec,
-                    &comms,
-                    &mut rng,
-                    &mut ctx.clock,
-                );
+                let mut ex = ExecCtx::hier(&comms, &mut ctx.clock).with_rng(&mut rng);
+                RbdPipeline {
+                    policy: PilotPolicy::Random,
+                }
+                .forward(&tokens, router, &shard, spec, &mut ex)
+                .unwrap();
                 // All inter-node bytes flow through the EP (world) comm;
                 // the node sub-communicator is intra-node by construction.
                 let node_off = comms.node.traffic().off_node();
@@ -108,26 +104,16 @@ fn padded_baseline_moves_more_bytes_than_padding_free() {
             .run(move |ctx| {
                 let shard = ExpertShard::for_rank(ctx.rank, WORLD, E, H, F, 1602);
                 let tokens = Tensor::rand_uniform(S, H, 1.0, 1700 + ctx.rank as u64);
-                if dense {
-                    let _ = pipeline::dense::forward_ep_dense(
-                        &tokens,
-                        router,
-                        &shard,
-                        spec,
-                        DenseDropOrder::TokenOrder,
-                        &ctx.world,
-                        &mut ctx.clock,
-                    );
+                let pipe: &dyn Pipeline = if dense {
+                    &DensePipeline {
+                        order: DenseDropOrder::TokenOrder,
+                    }
                 } else {
-                    let _ = pipeline::padding_free::forward_ep(
-                        &tokens,
-                        router,
-                        &shard,
-                        spec,
-                        &ctx.world,
-                        &mut ctx.clock,
-                    );
-                }
+                    &PaddingFreePipeline
+                };
+                let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+                pipe.forward(&tokens, router, &shard, spec, &mut ex)
+                    .unwrap();
                 ctx.world.traffic().total()
             })
             .iter()

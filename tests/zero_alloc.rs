@@ -16,8 +16,11 @@
 use xmoe::collectives::SimCluster;
 use xmoe::core::expert::ExpertShard;
 use xmoe::core::gating::{DropPolicy, Router};
-use xmoe::core::pipeline::{self, MoeLayerSpec, PooledSingleState};
-use xmoe::core::rbd::{self, RbdComms};
+use xmoe::core::pipeline::{
+    BlockSparsePipeline, ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline, PooledSingleState,
+    RbdPipeline,
+};
+use xmoe::core::rbd::{PilotPolicy, RbdComms};
 use xmoe::tensor::{gemm_grouped, CountingAlloc, DetRng, Tensor, Workspace};
 use xmoe::train::{MoeTrainScratch, TrainableMoe};
 
@@ -68,22 +71,14 @@ fn steady_state_pooled_hot_path_allocates_nothing() {
     let spec = MoeLayerSpec::new(e, 10_000);
     let mut state = PooledSingleState::default();
     let fwd_step = |state: &mut PooledSingleState, i: usize| {
-        let a = pipeline::padding_free::forward_single_pooled(
-            &inputs[i % inputs.len()],
-            &router,
-            &experts,
-            &spec,
-            state,
-        );
+        let x = &inputs[i % inputs.len()];
+        let a = PaddingFreePipeline
+            .forward(x, &router, &experts, &spec, &mut ExecCtx::pooled(state))
+            .expect("pft step");
         state.ws.recycle(a);
-        let b = pipeline::block_sparse::forward_single_block_sparse_pooled(
-            &inputs[i % inputs.len()],
-            &router,
-            &experts,
-            &spec,
-            4,
-            state,
-        );
+        let b = BlockSparsePipeline { block: 4 }
+            .forward(x, &router, &experts, &spec, &mut ExecCtx::pooled(state))
+            .expect("blocksparse step");
         state.ws.recycle(b);
     };
     for i in 0..12 {
@@ -130,9 +125,13 @@ fn steady_state_pooled_hot_path_allocates_nothing() {
                             clock: &mut xmoe::collectives::SimClock,
                             step: usize| {
                 let mut rng = DetRng::new(seed_of(step));
-                let out = rbd::forward_ep_rbd_pooled(
-                    &tokens, router, &shard, spec, &comms, &mut rng, clock, state,
-                )
+                let mut ex = ExecCtx::hier(&comms, clock)
+                    .with_rng(&mut rng)
+                    .with_state(state);
+                let out = RbdPipeline {
+                    policy: PilotPolicy::Random,
+                }
+                .forward(&tokens, router, &shard, spec, &mut ex)
                 .expect("rbd step");
                 state.ws.recycle(out);
             };
