@@ -8,143 +8,15 @@
 //! (who wins, by roughly what factor, where crossovers fall), not absolute
 //! hardware numbers.
 
-/// Shared scaffolding for the self-validated `BENCH_*.json` reports the
-/// bench binaries and `xmoe-cli bench` emit: assert-don't-escape string
-/// embedding, brace-depth record splitting, scalar extraction, and the
-/// write-then-revalidate driver. Every report goes through
-/// [`report::write_validated`], so a file that cannot pass its own schema
-/// gate never lands on disk with a success exit code.
-pub mod report {
-    /// Assert-don't-escape: the JSON writers emit these verbatim inside
-    /// quotes, so anything that would need escaping is a bug at the
-    /// call site, not something to paper over.
-    pub fn json_safe(s: &str) -> &str {
-        assert!(
-            s.is_ascii() && !s.contains('"') && !s.contains('\\'),
-            "string needs JSON escaping: {s}"
-        );
-        s
-    }
+pub mod flags;
+pub mod spine;
 
-    /// Split a top-level JSON array into its record objects by brace
-    /// depth. Valid because the writers assert (via [`json_safe`]) that no
-    /// emitted string contains braces; nested objects (e.g. a `config`
-    /// sub-object) stay inside their record. Errors on a non-array top
-    /// level, unbalanced braces, or an empty array.
-    pub fn split_records(text: &str) -> Result<Vec<&str>, String> {
-        let t = text.trim();
-        if !t.starts_with('[') || !t.ends_with(']') {
-            return Err("top-level value must be a JSON array".into());
-        }
-        let mut objs: Vec<&str> = Vec::new();
-        let mut depth = 0usize;
-        let mut start = 0usize;
-        for (i, c) in t.char_indices() {
-            match c {
-                '{' => {
-                    if depth == 0 {
-                        start = i;
-                    }
-                    depth += 1;
-                }
-                '}' => {
-                    depth = depth.checked_sub(1).ok_or("unbalanced braces")?;
-                    if depth == 0 {
-                        objs.push(&t[start..=i]);
-                    }
-                }
-                _ => {}
-            }
-        }
-        if depth != 0 {
-            return Err("unbalanced braces".into());
-        }
-        if objs.is_empty() {
-            return Err("no records".into());
-        }
-        Ok(objs)
-    }
-
-    /// Extract the numeric value of `key` from one record object.
-    pub fn scalar(obj: &str, key: &str) -> Result<f64, String> {
-        let tag = format!("\"{key}\":");
-        let at = obj.find(&tag).ok_or_else(|| format!("missing key {key}"))?;
-        let rest = obj[at + tag.len()..].trim_start();
-        let end = rest
-            .find([',', '}', '\n'])
-            .ok_or_else(|| format!("unterminated value for {key}"))?;
-        rest[..end]
-            .trim()
-            .parse::<f64>()
-            .map_err(|e| format!("bad number for {key}: {e}"))
-    }
-
-    /// Like [`scalar`] but enforcing a finite, strictly positive value.
-    pub fn positive_scalar(obj: &str, key: &str) -> Result<f64, String> {
-        let v = scalar(obj, key)?;
-        if !v.is_finite() || v <= 0.0 {
-            return Err(format!("{key} = {v} is not a positive finite scalar"));
-        }
-        Ok(v)
-    }
-
-    /// Write `json` to `path`, then re-read it from disk and run
-    /// `validate` over the round-tripped text — the self-validation step
-    /// every `BENCH_*.json` goes through before the binary may exit 0.
-    /// Returns the validated record count.
-    pub fn write_validated(
-        path: &str,
-        json: &str,
-        validate: impl Fn(&str) -> Result<usize, String>,
-    ) -> Result<usize, String> {
-        std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
-        let text = std::fs::read_to_string(path).map_err(|e| format!("read back {path}: {e}"))?;
-        validate(&text)
-    }
-
-    /// The worker-pool fields every `BENCH_*.json` config block stamps:
-    /// `"worker_threads": N` (the resolved size of the persistent pool the
-    /// numbers were measured under) plus `"xmoe_threads": M` when the
-    /// `XMOE_THREADS` override is set and valid — so a report with an odd
-    /// number can be traced to an odd thread count. The fragment carries no
-    /// leading or trailing comma; embed it like any other config field.
-    pub fn worker_fields() -> String {
-        let n = xmoe_tensor::worker_threads();
-        let base = format!("\"worker_threads\": {n}");
-        match std::env::var("XMOE_THREADS") {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(m) if m >= 1 => format!("{base}, \"xmoe_threads\": {}", m.min(64)),
-                _ => base,
-            },
-            Err(_) => base,
-        }
-    }
-
-    /// Drive a `--validate <path>` invocation: read, validate, report.
-    /// Returns the process exit code the binary should end with.
-    pub fn validate_file_cli(
-        path: &str,
-        validate: impl Fn(&str) -> Result<usize, String>,
-    ) -> std::process::ExitCode {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{path}: INVALID — read failed: {e}");
-                return std::process::ExitCode::FAILURE;
-            }
-        };
-        match validate(&text) {
-            Ok(n) => {
-                println!("{path}: OK ({n} records)");
-                std::process::ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{path}: INVALID — {e}");
-                std::process::ExitCode::FAILURE
-            }
-        }
-    }
-}
+pub mod elastic;
+pub mod hotpath;
+pub mod mapping;
+pub mod overlap;
+pub mod serving;
+pub mod stability;
 
 /// Render a text table with a header row.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
@@ -231,59 +103,5 @@ mod tests {
     #[test]
     fn fmt_gib_formats() {
         assert_eq!(fmt_gib(1024 * 1024 * 1024), "1.00 GiB");
-    }
-
-    #[test]
-    fn split_records_handles_nested_config_objects() {
-        let text = "[\n  {\"config\": {\"a\": 1}, \"x\": 2.5},\n  {\"x\": 3}\n]\n";
-        let objs = report::split_records(text).unwrap();
-        assert_eq!(objs.len(), 2);
-        assert!(objs[0].contains("\"config\""));
-        assert_eq!(report::scalar(objs[0], "x").unwrap(), 2.5);
-        assert_eq!(report::scalar(objs[1], "x").unwrap(), 3.0);
-    }
-
-    #[test]
-    fn split_records_rejects_malformed_reports() {
-        assert!(report::split_records("{\"x\": 1}").is_err());
-        assert!(report::split_records("[{\"x\": 1]").is_err());
-        assert!(report::split_records("[]").is_err());
-    }
-
-    #[test]
-    fn scalar_extraction_is_picky() {
-        let obj = "{\"good\": 1.5, \"bad\": \"nope\", \"last\": 3}";
-        assert_eq!(report::scalar(obj, "good").unwrap(), 1.5);
-        assert!(report::scalar(obj, "bad").is_err());
-        assert!(report::scalar(obj, "missing").is_err());
-        assert_eq!(report::scalar(obj, "last").unwrap(), 3.0);
-        assert!(report::positive_scalar(obj, "good").is_ok());
-        assert!(report::positive_scalar("{\"z\": -2}", "z").is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "needs JSON escaping")]
-    fn json_safe_rejects_quotes() {
-        report::json_safe("he\"llo");
-    }
-
-    #[test]
-    fn worker_fields_stamp_a_valid_pool_size() {
-        let f = report::worker_fields();
-        let rest = f
-            .strip_prefix("\"worker_threads\": ")
-            .expect("fragment must lead with worker_threads");
-        let n: usize = rest
-            .split(',')
-            .next()
-            .unwrap()
-            .trim()
-            .parse()
-            .expect("worker_threads must be an integer");
-        assert!((1..=64).contains(&n), "pool size {n} out of range");
-        // The fragment embeds into a config object verbatim: no braces, no
-        // stray commas at either end.
-        assert!(!f.contains('{') && !f.contains('}'));
-        assert!(!f.ends_with(','));
     }
 }

@@ -10,7 +10,7 @@
 //!    whose hot experts migrate mid-run continues exactly as a fresh run
 //!    launched in the post-migration configuration from the same image.
 //! 3. **`bench elastic` self-gates**: the smoke bench exits 0, writes a
-//!    `BENCH_elastic.json` whose validator enforces rebalanced step time
+//!    `BENCH_elastic.json` whose gate list enforces rebalanced step time
 //!    strictly below the skewed baseline, and a tampered report fails.
 
 use xmoe::collectives::{FaultPlan, SimCluster};
@@ -281,10 +281,48 @@ fn bench_elastic_smoke_writes_and_gates_its_report() {
         .arg(&out)
         .output()
         .unwrap();
-    assert!(
-        !invalid.status.success(),
+    assert_eq!(
+        invalid.status.code(),
+        Some(1),
         "a rebalance slower than the skewed baseline must fail validation"
     );
+    let stderr = String::from_utf8_lossy(&invalid.stderr);
+    let named = format!(
+        "{}: INVALID — claim violated: rebalanced step",
+        out.display()
+    );
+    assert!(stderr.contains(&named), "stderr names the gate: {stderr}");
+
+    // Every bench goes through the one driver: a missing, truncated or
+    // gate-failing file is `<path>: INVALID — <reason>` and exit 1; a
+    // malformed command line is the subcommand's usage and exit 2.
+    let bench = |args: &[&str]| {
+        let o = std::process::Command::new(bin)
+            .arg("bench")
+            .args(args)
+            .output()
+            .unwrap();
+        (
+            o.status.code(),
+            String::from_utf8_lossy(&o.stderr).into_owned(),
+        )
+    };
+    let path = out.to_str().unwrap();
+    std::fs::write(&out, &text[..text.len() / 2]).unwrap();
+    let (code, stderr) = bench(&["elastic", "--validate", path]);
+    assert_eq!(code, Some(1), "truncated file: {stderr}");
+    assert!(stderr.contains(": INVALID — record "), "{stderr}");
+    std::fs::remove_file(&out).unwrap();
+    for name in ["elastic", "overlap", "serving", "stability"] {
+        let (code, stderr) = bench(&[name, "--validate", path]);
+        assert_eq!(code, Some(1), "{name}, missing file: {stderr}");
+        assert!(stderr.contains(": INVALID — read failed"), "{stderr}");
+        for bad in [&["--out"][..], &["--validate"], &["--bogus"]] {
+            let (code, stderr) = bench(&[&[name], bad].concat());
+            assert_eq!(code, Some(2), "{name} {bad:?}: {stderr}");
+            assert!(stderr.contains("usage: xmoe-cli bench <"), "{stderr}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
