@@ -375,8 +375,8 @@ fn rbd(alloc: &CountingAlloc, smoke: bool) -> Record {
 /// two grouped GEMM batches on the persistent pool) against the
 /// back-to-back per-expert loop on the same weights and segments. Many
 /// small experts at fine-grained-FFN widths — the shape the pool's
-/// expert-level scheduling targets; both batches sit well above the 64^3
-/// parallel cutoff (~496 rows x 64 -> 128).
+/// expert-level scheduling targets; both batches sit above the 128^3
+/// parallel cutoff (~512 rows x 64 -> 128 = 4.2 M MACs each).
 fn grouped(alloc: &CountingAlloc, smoke: bool) -> Record {
     let (experts, hidden, ffn, rows_per_expert) = (32usize, 64usize, 128usize, 16usize);
     let w = Window {

@@ -4,7 +4,8 @@
 //! the CPU analogues used by every other crate in the workspace:
 //!
 //! * [`Tensor`] — a row-major 2-D `f32` matrix with shape checking.
-//! * [`matmul`] / [`matmul_into`] — blocked, multi-threaded GEMM.
+//! * [`matmul`] / [`matmul_into`] — register-tiled, multi-threaded GEMM on the
+//!   widest ISA tier the CPU has ([`gemm_tier`]).
 //! * Row-wise ops used by MoE gating: [`softmax_rows`], [`topk_rows`].
 //! * Routing kernels mirroring the paper's Triton gather/scatter (§4.1.2):
 //!   [`gather_rows`], [`scatter_rows_scaled`].
@@ -24,7 +25,9 @@
 //! by construction and bitwise identical to their serial schedules. The
 //! `unsafe` in the crate is confined to the `GlobalAlloc` impl in [`alloc`]
 //! (which delegates every operation to `std::alloc::System` and adds relaxed
-//! atomic counters) and the task/pointer plumbing in [`par`].
+//! atomic counters), the task/pointer plumbing in [`par`], and the four
+//! `#[target_feature]` call sites in [`ops`] that enter the AVX2 / AVX-512
+//! instantiations of the (safe-Rust) GEMM microkernels behind CPU detection.
 
 pub mod alloc;
 pub mod ops;
@@ -37,9 +40,10 @@ pub use alloc::{
     mark_thread_untracked, thread_tracked_allocs, untracked, AllocStats, CountingAlloc,
 };
 pub use ops::{
-    add_assign, add_assign_slice, axpy_slice, dot_and_scale, gelu, matmul, matmul_into,
+    add_assign, add_assign_slice, axpy_slice, dot_and_scale, gelu, gemm_tier, matmul, matmul_into,
     matmul_slices, matmul_transpose_b, matmul_transpose_b_into, matmul_transpose_b_slices, relu,
-    scale_assign, scaled_extend, silu, silu_slice, softmax_rows, topk_rows, topk_rows_into,
+    scale_assign, scaled_extend, silu, silu_grad_slice, silu_into, silu_slice, softmax_rows,
+    topk_rows, topk_rows_into,
 };
 pub use par::{
     gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_b, pool_size, run_tasks, Task,

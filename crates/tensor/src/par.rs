@@ -25,8 +25,8 @@
 //!
 //! Tasks own disjoint output slices (enforced through [`DisjointMut`]) and
 //! every output row is computed by exactly one task with the same fixed
-//! intra-row accumulation order as the serial kernels (`gemm_rows_offset`'s
-//! ascending blocked k-loop; `gemm_tb_rows`' position-determined lanes).
+//! intra-row accumulation order as the serial kernels (the register tiles'
+//! single ascending k-walk; `gemm_tb_rows`' position-determined lanes).
 //! Which thread runs a task, and in which order tasks retire, affects neither
 //! the values nor their rounding — results are bitwise identical to the
 //! serial schedule for any worker count, including 1.
@@ -53,18 +53,33 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
 
 use crate::alloc::mark_thread_untracked;
-use crate::ops::{gemm_rows_offset, gemm_ta_rows, gemm_tb_rows};
+use crate::ops::{gemm_rows_offset, gemm_ta_rows, gemm_tb_rows, MAX_TILE_ROWS};
 use crate::worker_threads;
 
 /// Below this `m*n*k` volume a GEMM (grouped: by *total* volume) runs
 /// serially on the caller: the work is too small to amortize even a
 /// persistent-pool barrier. Shared by `matmul_slices`,
 /// `matmul_transpose_b_slices` and the grouped entry points.
-pub(crate) const PAR_CUTOFF: usize = 64 * 64 * 64;
+///
+/// Measured with the register-tiled kernels (2-core Xeon @ 2.10 GHz, avx512
+/// tier, 2 lanes, `[rows, 64] @ [64, 128]` segments): a batch costs 10-15 us
+/// more pooled than inline (worker wake + barrier), pooled loses or ties up
+/// to `4 * 64^3` (0.5-0.95x of serial) and wins from `8 * 64^3` on
+/// (1.2-1.5x), i.e. once the serial call is worth ~60 us. The scalar kernels
+/// this was first sized for (`64^3`) were 4-5x slower per MAC.
+pub(crate) const PAR_CUTOFF: usize = 128 * 128 * 128;
 
-/// Minimum rows per grouped-GEMM panel; splitting finer than this costs more
-/// in task dispatch than the panel's arithmetic.
-const MIN_PANEL_ROWS: usize = 16;
+/// Below this many elements an elementwise pass ([`par_elementwise`]) runs
+/// inline: the same ~60 us of serial work as [`PAR_CUTOFF`], at the ~3 ns a
+/// scalar `exp` element costs on the same machine.
+const ELEMWISE_CUTOFF: usize = 16 * 1024;
+
+/// Minimum rows per grouped-GEMM panel: two row groups of the tallest tile.
+/// Measured on the same machine by forcing the panel height of a 1024-row
+/// segment from 8 to 512 rows: no difference beyond run-to-run noise (a task
+/// claim is ~0.1 us against >= 2 us of tile work in an 8-row panel), so the
+/// floor only keeps full `MR`-row tiles dominant over single-row edges.
+const MIN_PANEL_ROWS: usize = 2 * MAX_TILE_ROWS;
 
 // ---------------------------------------------------------------------------
 // The pool
@@ -433,9 +448,9 @@ fn slab_task(s: &SlabCtx<'_>, i: usize) {
 
 /// Row-chunked parallel GEMM over the pool; the replacement for the
 /// per-call `std::thread::scope` spawns `matmul_slices` and
-/// `matmul_transpose_b_slices` used to pay. Row chunking matches the old
-/// scoped-spawn split exactly; each row is computed by one task with the
-/// serial kernel, so results are bitwise identical to the serial call.
+/// `matmul_transpose_b_slices` used to pay. Each row is computed by one task
+/// with the serial kernel, so results are bitwise identical to the serial
+/// call however the rows are chunked.
 pub(crate) fn par_gemm_rows(
     a: &[f32],
     m: usize,
@@ -447,7 +462,8 @@ pub(crate) fn par_gemm_rows(
 ) {
     let p = pool();
     let threads = p.size().min(m.max(1));
-    let chunk = m.div_ceil(threads);
+    // Whole row groups per chunk, so only the last chunk ends in a ragged tile.
+    let chunk = m.div_ceil(threads).next_multiple_of(MAX_TILE_ROWS);
     let tasks = m.div_ceil(chunk);
     let ctx = SlabCtx {
         a,
@@ -460,6 +476,51 @@ pub(crate) fn par_gemm_rows(
         transpose_b,
     };
     p.for_each(&ctx, tasks, slab_task);
+}
+
+// ---------------------------------------------------------------------------
+// Chunked elementwise passes (SiLU forward / backward)
+// ---------------------------------------------------------------------------
+
+struct ElemCtx<'a> {
+    dst: DisjointMut<'a>,
+    src: &'a [f32],
+    chunk: usize,
+    op: fn(&mut [f32], &[f32]),
+}
+
+fn elem_task(c: &ElemCtx<'_>, i: usize) {
+    let lo = i * c.chunk;
+    let n = c.chunk.min(c.dst.len - lo);
+    // SAFETY: chunks tile 0..len disjointly; one task per chunk.
+    let dst = unsafe { c.dst.slice(lo, n) };
+    (c.op)(dst, c.src.get(lo..lo + n).unwrap_or(&[]));
+}
+
+/// Apply `op(dst_chunk, src_chunk)` over matching chunks of `dst` and `src`
+/// on the pool (inline below [`ELEMWISE_CUTOFF`]). `src` is either as long as
+/// `dst` or empty (an in-place pass; every `src_chunk` is then empty). `op`
+/// must treat elements independently, which makes any chunking — and so any
+/// lane count — bitwise identical to one serial call.
+pub(crate) fn par_elementwise(dst: &mut [f32], src: &[f32], op: fn(&mut [f32], &[f32])) {
+    assert!(
+        src.is_empty() || src.len() == dst.len(),
+        "par_elementwise: length mismatch"
+    );
+    let p = pool();
+    let len = dst.len();
+    if !p.is_parallel() || len < ELEMWISE_CUTOFF {
+        op(dst, src);
+        return;
+    }
+    let chunk = len.div_ceil(p.size() * 4);
+    let ctx = ElemCtx {
+        dst: DisjointMut::new(dst),
+        src,
+        chunk,
+        op,
+    };
+    p.for_each(&ctx, len.div_ceil(chunk), elem_task);
 }
 
 // ---------------------------------------------------------------------------
@@ -551,8 +612,11 @@ fn fill_panels_rowwise(
 ) -> usize {
     let total: usize = counts.iter().sum();
     // Aim for ~4 panels per lane so uneven segments still balance, but never
-    // split below MIN_PANEL_ROWS.
-    let panel_rows = MIN_PANEL_ROWS.max(total.div_ceil(lanes.max(1) * 4));
+    // split below MIN_PANEL_ROWS, and in whole row groups so that only a
+    // segment's last panel ends in a ragged tile.
+    let panel_rows = MIN_PANEL_ROWS
+        .max(total.div_ceil(lanes.max(1) * 4))
+        .next_multiple_of(MAX_TILE_ROWS);
     panels.clear();
     let mut row = 0usize;
     for (e, &cnt) in counts.iter().enumerate() {
@@ -901,8 +965,8 @@ mod tests {
 
     #[test]
     fn gemm_grouped_matches_per_segment_matmul_bitwise() {
-        // Both below and above the parallel cutoff.
-        for (e, rows, k, n) in [(4usize, 3usize, 5usize, 6usize), (8, 40, 64, 48)] {
+        // Both below and above the parallel cutoff (328 x 100 x 72 > 128^3).
+        for (e, rows, k, n) in [(4usize, 3usize, 5usize, 6usize), (8, 40, 100, 72)] {
             let (a, counts, ws) = grouped_fixture(e, rows, k, n);
             let total: usize = counts.iter().sum();
             let mut c = vec![0.0f32; total * n];
@@ -923,7 +987,7 @@ mod tests {
 
     #[test]
     fn gemm_grouped_transpose_b_matches_per_segment_bitwise() {
-        for (e, rows, k, n) in [(4usize, 3usize, 6usize, 5usize), (8, 40, 48, 64)] {
+        for (e, rows, k, n) in [(4usize, 3usize, 6usize, 5usize), (8, 40, 100, 72)] {
             let counts: Vec<usize> = (0..e).map(|i| rows + (i % 2)).collect();
             let total: usize = counts.iter().sum();
             let a = Tensor::rand_uniform(total, k, 1.0, 7171);
@@ -945,7 +1009,7 @@ mod tests {
 
     #[test]
     fn gemm_grouped_transpose_a_matches_transpose_then_matmul_bitwise() {
-        for (e, rows, ac, n) in [(4usize, 3usize, 5usize, 6usize), (6, 50, 32, 40)] {
+        for (e, rows, ac, n) in [(4usize, 3usize, 5usize, 6usize), (6, 50, 100, 72)] {
             let counts: Vec<usize> = (0..e).map(|i| rows + (i % 3)).collect();
             let total: usize = counts.iter().sum();
             let a = Tensor::rand_uniform(total, ac, 1.0, 7272);

@@ -14,7 +14,8 @@ use xmoe_core::pft::{Pft, PftScratch};
 use xmoe_tensor::{
     add_assign, add_assign_slice, dot_and_scale, gather_rows_into, gemm_grouped,
     gemm_grouped_transpose_a, gemm_grouped_transpose_b, matmul_into, matmul_slices,
-    matmul_transpose_b_slices, silu_slice, softmax_rows, topk_rows_into, Tensor, Workspace,
+    matmul_transpose_b_slices, silu_grad_slice, silu_into, softmax_rows, topk_rows_into, Tensor,
+    Workspace,
 };
 
 /// One layer's `(w1 [H,F], w2 [F,H])` expert blocks, or their gradients.
@@ -59,11 +60,6 @@ pub(crate) struct BwdScratch {
     d_w: Vec<f32>,
     aux_f: Vec<f32>,
     xt: Tensor,
-}
-
-fn silu_grad(x: f32) -> f32 {
-    let s = 1.0 / (1.0 + (-x).exp());
-    s * (1.0 + x * (1.0 - s))
 }
 
 /// Route: gate GEMM → clamp → logsumexp → softmax → top-k → PFT.
@@ -130,8 +126,7 @@ pub(crate) fn expert_ffn_forward(
     y: &mut [f32],
 ) {
     gemm_grouped(input, counts, h, |e| experts[e].0.as_slice(), f, h_pre);
-    h_act.copy_from_slice(h_pre);
-    silu_slice(h_act);
+    silu_into(h_pre, h_act);
     gemm_grouped(h_act, counts, f, |e| experts[e].1.as_slice(), h, y);
 }
 
@@ -161,9 +156,7 @@ pub(crate) fn expert_ffn_backward(
     let mut d_h = ws.take(rows, f);
     let w2 = |e: usize| experts[e].1.as_slice();
     gemm_grouped_transpose_b(d_y, counts, h, w2, f, d_h.as_mut_slice());
-    for (d, &pre) in d_h.as_mut_slice().iter_mut().zip(h_pre) {
-        *d *= silu_grad(pre);
-    }
+    silu_grad_slice(d_h.as_mut_slice(), h_pre);
     let mut dw1 = ws.take(n * h, f);
     gemm_grouped_transpose_a(input, counts, h, d_h.as_slice(), f, dw1.as_mut_slice());
     let mut d_input = ws.take(rows, h);
