@@ -131,8 +131,9 @@ impl ExpertShard {
         assert_eq!(total, input.rows(), "segment sum != input rows");
         let hidden = self.experts.first().map_or(0, |e| e.w1.rows());
         let ffn = self.experts.first().map_or(0, |e| e.w1.cols());
-        let mut h = ws.take(total, ffn);
-        let mut out = ws.take(total, hidden);
+        // For-overwrite: each is one grouped GEMM's whole output.
+        let mut h = ws.take_for_overwrite(total, ffn);
+        let mut out = ws.take_for_overwrite(total, hidden);
         self.forward_segments_into(input, tokens_per_local_expert, &mut h, &mut out);
         ws.recycle(h);
         out
@@ -140,8 +141,8 @@ impl ExpertShard {
 
     /// Shared body of the owned/pooled segment forwards: two grouped GEMM
     /// batches with a SiLU between. `h` (`[total, ffn]`) and `out`
-    /// (`[total, hidden]`) must arrive zero-filled ([`gemm_grouped`]
-    /// accumulates).
+    /// (`[total, hidden]`) are overwritten whole: every row belongs to
+    /// exactly one segment, and [`gemm_grouped`] never reads its output.
     fn forward_segments_into(
         &self,
         input: &Tensor,

@@ -152,10 +152,13 @@ impl Router {
             self.weight.rows(),
             "token hidden dim mismatch"
         );
+        // For-overwrite: the GEMM's Overwrite store fills `logits`, the copy
+        // fills `scores`.
         let logits = &mut scratch.logits;
-        logits.resize(tokens.rows(), self.weight.cols());
+        logits.resize_for_overwrite(tokens.rows(), self.weight.cols());
         matmul_into(tokens, &self.weight, logits);
-        out.scores.resize(tokens.rows(), self.weight.cols());
+        out.scores
+            .resize_for_overwrite(tokens.rows(), self.weight.cols());
         out.scores.as_mut_slice().copy_from_slice(logits.as_slice());
         softmax_rows(&mut out.scores);
         let k = self.top_k;

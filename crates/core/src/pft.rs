@@ -13,29 +13,32 @@
 //! * `combine_weights[i]` — the gating score the combine stage scales
 //!   entry `i`'s expert output by.
 //!
-//! Construction follows Listing 1: flatten the `[S, k]` assignments, rank
-//! all entries by combine weight, keep at most `capacity` per expert
-//! (dropping the lowest-scored overflow), then emit expert-sorted
-//! ERI-arrays. The [`DropPolicy`] pre-filter reproduces DeepSpeed-MoE's
-//! negative-logit dropping for the §5.6 comparison.
+//! Construction follows Listing 1: flatten the `[S, k]` assignments, keep
+//! each expert's `capacity` highest-weighted entries (dropping the
+//! lowest-scored overflow), then emit expert-sorted ERI-arrays. The
+//! [`DropPolicy`] pre-filter reproduces DeepSpeed-MoE's negative-logit
+//! dropping for the §5.6 comparison.
 
 use crate::gating::{DropPolicy, GatingOutput};
-use xmoe_tensor::argsort_desc_into;
+use xmoe_tensor::select_top_desc;
 
 /// Reusable scratch for [`Pft::construct_into`]: the flattened assignment
-/// arrays, ranking order and counting-sort tables. All buffers are grow-only,
-/// so a scratch reused across steps makes PFT construction allocation-free
+/// arrays, the counting-sort tables that bucket them by expert and the
+/// selection order of one overflowing bucket. All buffers are grow-only, so
+/// a scratch reused across steps makes PFT construction allocation-free
 /// after warm-up.
 #[derive(Debug, Default)]
 pub struct PftScratch {
     flat_tokens: Vec<usize>,
     flat_experts: Vec<usize>,
     flat_weights: Vec<f32>,
-    order: Vec<usize>,
-    rank_in_expert: Vec<usize>,
-    retained: Vec<bool>,
+    /// Flat indices grouped by expert, ascending within each bucket.
+    buckets: Vec<usize>,
+    /// `[E + 1]` bucket boundaries in `buckets`.
     offsets: Vec<usize>,
     cursor: Vec<usize>,
+    /// One overflowing bucket while its top `capacity` is selected.
+    order: Vec<usize>,
 }
 
 /// The ERI-arrays of one local batch (the token buffer `x` travels
@@ -67,10 +70,11 @@ impl Pft {
     /// Construct the PFT from gating output (Listing 1,
     /// `PFT_construction`).
     ///
-    /// `capacity` is `max_token_count`, the per-expert retention limit;
-    /// entries are ranked globally by combine weight so overflow drops the
-    /// lowest-confidence assignments. `policy` optionally applies
-    /// DeepSpeed-MoE's negative-logit pre-drop.
+    /// `capacity` is `max_token_count`, the per-expert retention limit: an
+    /// expert over it keeps its `capacity` highest combine weights (ties to
+    /// the earlier assignment), so overflow drops the lowest-confidence
+    /// assignments. `policy` optionally applies DeepSpeed-MoE's
+    /// negative-logit pre-drop.
     ///
     /// ```
     /// use xmoe_core::gating::{DropPolicy, Router};
@@ -148,70 +152,61 @@ impl Pft {
             }
         }
 
-        // Step 2: rank by combine weight and keep the top `capacity` per
-        // expert (lines 24-33). The descending argsort's index tie-break
-        // makes the retained set deterministic under ties.
-        argsort_desc_into(flat_weights, &mut scratch.order);
-        let rank_in_expert = &mut scratch.rank_in_expert;
-        rank_in_expert.clear();
-        rank_in_expert.resize(num_experts, 0);
-        let retained = &mut scratch.retained;
-        retained.clear();
-        retained.resize(flat_tokens.len(), false);
-        let mut dropped = prefiltered;
-        for &i in &scratch.order {
-            let e = flat_experts[i];
-            assert!(e < num_experts, "expert id {e} out of range {num_experts}");
-            if rank_in_expert[e] < capacity {
-                rank_in_expert[e] += 1;
-                retained[i] = true;
-            } else {
-                dropped += 1;
-            }
-        }
-
-        // Step 3: emit ERI-arrays grouped by expert, preserving token order
-        // within each expert segment (lines 34-40). Grouping by expert makes
-        // each EP destination's slice of the dispatch buffer contiguous.
-        let b: usize = rank_in_expert.iter().sum();
-        // Bucket by expert with a counting pass (O(B + E), no comparison sort).
+        // Step 2: bucket the flat indices by expert with a counting pass
+        // (O(B + E), no comparison sort); flat order — token order — is kept
+        // within each bucket.
         let offsets = &mut scratch.offsets;
         offsets.clear();
         offsets.resize(num_experts + 1, 0);
-        for (i, &keep) in retained.iter().enumerate() {
-            if keep {
-                offsets[flat_experts[i] + 1] += 1;
-            }
+        for &e in flat_experts.iter() {
+            assert!(e < num_experts, "expert id {e} out of range {num_experts}");
+            offsets[e + 1] += 1;
         }
         for e in 0..num_experts {
             offsets[e + 1] += offsets[e];
         }
-        let token_ids = &mut out.token_ids;
-        let expert_ids = &mut out.expert_ids;
-        let combine_weights = &mut out.combine_weights;
-        token_ids.clear();
-        token_ids.resize(b, 0);
-        expert_ids.clear();
-        expert_ids.resize(b, 0);
-        combine_weights.clear();
-        combine_weights.resize(b, 0.0);
         let cursor = &mut scratch.cursor;
         cursor.clear();
-        cursor.extend_from_slice(offsets);
-        for i in 0..flat_tokens.len() {
-            if !retained[i] {
-                continue;
-            }
-            let e = flat_experts[i];
-            let pos = cursor[e];
+        cursor.extend_from_slice(&offsets[..num_experts]);
+        let buckets = &mut scratch.buckets;
+        buckets.clear();
+        buckets.resize(flat_experts.len(), 0);
+        for (i, &e) in flat_experts.iter().enumerate() {
+            buckets[cursor[e]] = i;
             cursor[e] += 1;
-            token_ids[pos] = flat_tokens[i];
-            expert_ids[pos] = e;
-            combine_weights[pos] = flat_weights[i];
         }
+
+        // Step 3: keep the top `capacity` of each expert (lines 24-33) and
+        // emit the ERI-arrays expert by expert, token order preserved within
+        // each segment (lines 34-40), which makes each EP destination's
+        // slice of the dispatch buffer contiguous. The global weight ranking
+        // of Listing 1 restricted to one expert is that expert's own ranking
+        // (weight descending, flat index ascending, so ties are
+        // deterministic), so only an overflowing bucket is ranked at all —
+        // by an O(len) selection, then its survivors go back to flat order.
+        out.token_ids.clear();
+        out.expert_ids.clear();
+        out.combine_weights.clear();
         out.tokens_per_expert.clear();
-        out.tokens_per_expert
-            .extend((0..num_experts).map(|e| offsets[e + 1] - offsets[e]));
+        let mut dropped = prefiltered;
+        for e in 0..num_experts {
+            let mut kept = &buckets[offsets[e]..offsets[e + 1]];
+            if kept.len() > capacity {
+                dropped += kept.len() - capacity;
+                let order = &mut scratch.order;
+                order.clear();
+                order.extend_from_slice(kept);
+                select_top_desc(flat_weights, order, capacity);
+                order.truncate(capacity);
+                order.sort_unstable();
+                kept = order;
+            }
+            out.token_ids.extend(kept.iter().map(|&i| flat_tokens[i]));
+            out.expert_ids.extend(kept.iter().map(|_| e));
+            out.combine_weights
+                .extend(kept.iter().map(|&i| flat_weights[i]));
+            out.tokens_per_expert.push(kept.len());
+        }
         out.dropped = dropped;
     }
 
@@ -270,6 +265,96 @@ mod tests {
         let router = Router::new(h, e, k, seed);
         let tokens = Tensor::rand_uniform(s, h, 1.0, seed + 1000);
         router.gate(&tokens)
+    }
+
+    /// Listing 1 as written — and as [`Pft::construct_into`] did it before the
+    /// per-expert selection: one global descending argsort of every
+    /// assignment's weight, a greedy walk keeping the first `capacity` per
+    /// expert, then the expert-major emission. The oracle of the test below.
+    fn construct_by_global_argsort(
+        g: &GatingOutput,
+        num_experts: usize,
+        capacity: usize,
+        policy: DropPolicy,
+    ) -> Pft {
+        let k = g.k();
+        let (mut tokens, mut experts, mut weights) = (Vec::new(), Vec::new(), Vec::new());
+        let mut dropped = 0usize;
+        for i in 0..g.tokens() * k {
+            if policy == DropPolicy::CapacityAndNegativeLogit && g.top_logits[i] < 0.0 {
+                dropped += 1;
+                continue;
+            }
+            tokens.push(i / k);
+            experts.push(g.top_experts[i]);
+            weights.push(g.combine_weights[i]);
+        }
+        let mut taken = vec![0usize; num_experts];
+        let mut retained = vec![false; tokens.len()];
+        for i in xmoe_tensor::argsort_desc_by(&weights) {
+            if taken[experts[i]] < capacity {
+                taken[experts[i]] += 1;
+                retained[i] = true;
+            } else {
+                dropped += 1;
+            }
+        }
+        let mut out = Pft {
+            tokens_per_expert: taken,
+            dropped,
+            ..Pft::default()
+        };
+        for e in 0..num_experts {
+            for i in (0..tokens.len()).filter(|&i| retained[i] && experts[i] == e) {
+                out.token_ids.push(tokens[i]);
+                out.expert_ids.push(e);
+                out.combine_weights.push(weights[i]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn per_expert_selection_equals_the_global_argsort_construction() {
+        let (s, e, k) = (96usize, 8usize, 3usize);
+        let mean = s * k / e;
+        let mut scratch = PftScratch::default();
+        let mut got = Pft::default();
+        for seed in 0..6u64 {
+            let mut g = gate(s, 16, e, k, 40 + seed);
+            if seed % 2 == 1 {
+                // Heavy ties: a handful of distinct weights, so the index
+                // tie-break decides most overflow drops.
+                for w in &mut g.combine_weights {
+                    *w = (*w * 6.0).round() / 6.0;
+                }
+            }
+            if seed == 5 {
+                g.combine_weights[7] = f32::NAN; // ranks last, never panics
+            }
+            for capacity in [0, 1, mean / 2, mean, 2 * mean] {
+                for policy in [
+                    DropPolicy::CapacityOnly,
+                    DropPolicy::CapacityAndNegativeLogit,
+                ] {
+                    Pft::construct_into(&g, e, capacity, policy, &mut scratch, &mut got);
+                    let want = construct_by_global_argsort(&g, e, capacity, policy);
+                    // Bits, not `==`: the NaN weight must land in the same slot.
+                    let bits = |p: &Pft| -> Vec<u32> {
+                        p.combine_weights.iter().map(|w| w.to_bits()).collect()
+                    };
+                    assert_eq!(got.token_ids, want.token_ids, "seed {seed} cap {capacity}");
+                    assert_eq!(
+                        got.expert_ids, want.expert_ids,
+                        "seed {seed} cap {capacity}"
+                    );
+                    assert_eq!(bits(&got), bits(&want), "seed {seed} cap {capacity}");
+                    assert_eq!(got.tokens_per_expert, want.tokens_per_expert);
+                    assert_eq!(got.dropped, want.dropped, "seed {seed} cap {capacity}");
+                    got.validate(s);
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,19 +40,23 @@ pub use alloc::{
     mark_thread_untracked, thread_tracked_allocs, untracked, AllocStats, CountingAlloc,
 };
 pub use ops::{
-    add_assign, add_assign_slice, axpy_slice, dot_and_scale, gelu, gemm_tier, matmul, matmul_into,
-    matmul_slices, matmul_transpose_b, matmul_transpose_b_into, matmul_transpose_b_slices, relu,
-    scale_assign, scaled_extend, silu, silu_grad_slice, silu_into, silu_slice, softmax_rows,
-    topk_rows, topk_rows_into,
+    add_assign, add_assign_slice, axpy_slice, gelu, gemm_tier, matmul, matmul_into, matmul_slices,
+    matmul_transpose_b, matmul_transpose_b_into, matmul_transpose_b_slices, relu, scale_assign,
+    scaled_extend, silu, silu_grad_slice, silu_into, silu_slice, softmax_rows, topk_rows,
+    topk_rows_into,
 };
+#[doc(hidden)]
+pub use ops::{nt_pack_probe, NT_PACK_MIN_ROWS};
 pub use par::{
-    gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_b, pool_size, run_tasks, Task,
+    gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_a_blocks,
+    gemm_grouped_transpose_b, pool_size, run_tasks, Task,
 };
 pub use pool::{Workspace, WorkspaceStats};
 pub use rng::DetRng;
 pub use routing::{
-    argsort_desc_by, argsort_desc_into, cumsum, gather_rows, gather_rows_into, histogram,
-    scatter_rows_scaled, scatter_rows_unit, sequential_gemm,
+    argsort_desc_by, argsort_desc_into, combine_backward_rows, cumsum, gather_rows,
+    gather_rows_into, histogram, scatter_rows_scaled, scatter_rows_unit, select_top_desc,
+    sequential_gemm,
 };
 
 /// Number of worker threads used by parallel kernels (the size of the
@@ -231,6 +235,21 @@ impl Tensor {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// [`Tensor::resize`] for a caller whose next operation writes every
+    /// element: reshape in place (grow-only capacity) **without** the
+    /// zero-fill, so the contents are unspecified — whatever the buffer held
+    /// before, zeros where it grew. Under `debug_assertions` the whole buffer
+    /// is NaN-poisoned instead, so a read-before-write fails the bitwise
+    /// suites rather than silently reading last step's data.
+    pub fn resize_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+        if cfg!(debug_assertions) {
+            self.data.fill(f32::NAN);
+        }
+    }
+
     /// Borrow row `r`.
     pub fn row(&self, r: usize) -> &[f32] {
         debug_assert!(
@@ -290,7 +309,8 @@ impl Tensor {
 
     /// Transpose into a caller-owned tensor, resized to `cols x rows`.
     pub fn transpose_into(&self, out: &mut Tensor) {
-        out.resize(self.cols, self.rows);
+        // For-overwrite: the blocked loops below write every element.
+        out.resize_for_overwrite(self.cols, self.rows);
         // Blocked transpose for cache friendliness.
         const B: usize = 32;
         for rb in (0..self.rows).step_by(B) {
@@ -310,7 +330,8 @@ impl Tensor {
     pub fn transpose_rows_into(&self, start: usize, end: usize, out: &mut Tensor) {
         assert!(start <= end && end <= self.rows, "row range out of bounds");
         let seg = end - start;
-        out.resize(self.cols, seg);
+        // For-overwrite: the blocked loops below write every element.
+        out.resize_for_overwrite(self.cols, seg);
         const B: usize = 32;
         for rb in (0..seg).step_by(B) {
             for cb in (0..self.cols).step_by(B) {
@@ -418,6 +439,20 @@ mod tests {
         t.resize(4, 4);
         assert_eq!(t.data.capacity(), cap_before, "grow-only capacity");
         assert!(t.as_slice().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn resize_for_overwrite_keeps_capacity_and_poisons_debug_builds() {
+        let mut t = Tensor::from_fn(4, 4, |r, c| (r * 4 + c) as f32 + 1.0);
+        t.resize_for_overwrite(2, 3);
+        let cap = t.data.capacity();
+        assert_eq!((t.shape(), t.len()), ((2, 3), 6));
+        t.resize_for_overwrite(4, 4);
+        assert_eq!((t.shape(), t.len()), ((4, 4), 16));
+        assert_eq!(t.data.capacity(), cap, "grow-only capacity");
+        if cfg!(debug_assertions) {
+            assert!(t.as_slice().iter().all(|v| v.is_nan()), "poisoned");
+        }
     }
 
     #[test]

@@ -21,11 +21,11 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     c
 }
 
-/// `C += A @ B` accumulating into an existing output buffer.
+/// `C = A @ B` written into an existing output buffer.
 ///
-/// `C` must already have shape `[a.rows, b.cols]`. Accumulation (rather than
-/// overwrite) is what the training backward passes need; callers wanting a
-/// fresh product should pass a zeroed `C` (as [`matmul`] does).
+/// `C` must already have shape `[a.rows, b.cols]`; its previous contents are
+/// never read (the kernel's *Overwrite* store), so a recycled or
+/// for-overwrite buffer needs no zero-fill first.
 pub fn matmul_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
     let (m, k) = a.shape();
     let (kb, n) = b.shape();
@@ -38,13 +38,13 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
     matmul_slices(a.as_slice(), m, k, b.as_slice(), n, c.as_mut_slice());
 }
 
-/// Slice-level [`matmul_into`]: `C += A @ B` where `a` is `m*k` row-major,
-/// `b` is `k*n` and `c` is `m*n`. Taking raw slices lets pooled pipelines run
-/// segment GEMMs directly on sub-ranges of persistent workspace buffers —
-/// e.g. one expert's rows of a dispatch buffer into the matching rows of an
-/// activation buffer — without materializing per-segment tensors. Each output
-/// row is computed independently in the same k-order as [`matmul_into`], so
-/// results are bitwise identical to the tensor-level call.
+/// Slice-level [`matmul_into`]: `C = A @ B` where `a` is `m*k` row-major,
+/// `b` is `k*n` and `c` is `m*n` (overwritten). Taking raw slices lets pooled
+/// pipelines run segment GEMMs directly on sub-ranges of persistent workspace
+/// buffers — e.g. one expert's rows of a dispatch buffer into the matching
+/// rows of an activation buffer — without materializing per-segment tensors.
+/// Each output row is computed independently in the same k-order as
+/// [`matmul_into`], so results are bitwise identical to the tensor-level call.
 pub fn matmul_slices(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut [f32]) {
     assert_eq!(a.len(), m * k, "matmul_slices: A length mismatch");
     assert_eq!(b.len(), k * n, "matmul_slices: B length mismatch");
@@ -109,6 +109,17 @@ impl Tier {
         *TIER.get_or_init(|| Tier::supported()[0])
     }
 
+    /// Columns of a full packed NT panel: one vector register per lane set.
+    const fn nt_width(self) -> usize {
+        match self {
+            Tier::Base => 4,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => 8,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx512 => 16,
+        }
+    }
+
     fn name(self) -> &'static str {
         match self {
             Tier::Base => "base",
@@ -131,16 +142,30 @@ pub fn gemm_tier() -> &'static str {
 /// [`crate::par`] round panel heights up to it so panels end on a tile edge.
 pub(crate) const MAX_TILE_ROWS: usize = 8;
 
-/// One `MR x NR` tile of `C += A·B` held in registers over a single ascending
-/// walk of the `steps` reduction steps: per step one `NR`-wide row of `b` and
-/// `MR` scalars of `a`. `TA` selects how `a` is read — `false`: row `i`,
-/// step `s` at `a[i * lda + s]` (NN); `true`: at `a[s * lda + i]` (the
-/// transposed read of TN). The per-row indexed load keeps each row's update
-/// in its own basic block, which is what makes the vectorizer pick the `NR`
-/// direction.
+/// How a finished tile meets `C` — the const store mode of [`acc_tile`]
+/// (stable Rust has no enum const parameters, hence the named `bool`s). There
+/// is deliberately no accumulate-through mode (`C` as the initial
+/// accumulator): every caller of the old "pass a zeroed C" convention wanted
+/// one of these two.
+type StoreMode = bool;
+/// `C = sum`: `C` is never read, so it may hold anything (a recycled or
+/// NaN-poisoned for-overwrite lease). The bits of accumulating onto zeros.
+const OVERWRITE: StoreMode = false;
+/// `C = C + sum` with the sum formed from `0.0` first: the bits of staging the
+/// product into a zeroed block and then `add_assign_slice`-ing it onto `C`,
+/// without the block.
+const ADD_FRESH: StoreMode = true;
+
+/// One `MR x NR` tile of `A·B` held in registers over a single ascending
+/// walk of the `steps` reduction steps, then stored per `ST`: per step one
+/// `NR`-wide row of `b` and `MR` scalars of `a`. `TA` selects how `a` is read
+/// — `false`: row `i`, step `s` at `a[i * lda + s]` (NN); `true`: at
+/// `a[s * lda + i]` (the transposed read of TN). The per-row indexed load
+/// keeps each row's update in its own basic block, which is what makes the
+/// vectorizer pick the `NR` direction.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn acc_tile<const TA: bool, const MR: usize, const NR: usize>(
+fn acc_tile<const TA: bool, const ST: StoreMode, const MR: usize, const NR: usize>(
     a: &[f32],
     lda: usize,
     b: &[f32],
@@ -150,9 +175,6 @@ fn acc_tile<const TA: bool, const MR: usize, const NR: usize>(
     n: usize,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
-    for r in 0..MR {
-        acc[r].copy_from_slice(&c[(i0 + r) * n + j0..][..NR]);
-    }
     for s in 0..steps {
         let bv: [f32; NR] = b[s * n + j0..][..NR]
             .try_into()
@@ -169,14 +191,21 @@ fn acc_tile<const TA: bool, const MR: usize, const NR: usize>(
         }
     }
     for r in 0..MR {
-        c[(i0 + r) * n + j0..][..NR].copy_from_slice(&acc[r]);
+        let c_row = &mut c[(i0 + r) * n + j0..][..NR];
+        if ST == ADD_FRESH {
+            for j in 0..NR {
+                c_row[j] += acc[r][j];
+            }
+        } else {
+            c_row.copy_from_slice(&acc[r]);
+        }
     }
 }
 
 /// All column tiles of one `MR`-row group: full `NR` tiles, then the
 /// narrower ladder 16 / 8 / 4 / 1 for the ragged right edge.
 #[inline(always)]
-fn acc_row_group<const TA: bool, const MR: usize, const NR: usize>(
+fn acc_row_group<const TA: bool, const ST: StoreMode, const MR: usize, const NR: usize>(
     a: &[f32],
     lda: usize,
     b: &[f32],
@@ -187,40 +216,40 @@ fn acc_row_group<const TA: bool, const MR: usize, const NR: usize>(
 ) {
     let mut j0 = 0;
     while j0 + NR <= n {
-        acc_tile::<TA, MR, NR>(a, lda, b, c, (i0, j0), steps, n);
+        acc_tile::<TA, ST, MR, NR>(a, lda, b, c, (i0, j0), steps, n);
         j0 += NR;
     }
     if NR > 16 && j0 + 16 <= n {
-        acc_tile::<TA, MR, 16>(a, lda, b, c, (i0, j0), steps, n);
+        acc_tile::<TA, ST, MR, 16>(a, lda, b, c, (i0, j0), steps, n);
         j0 += 16;
     }
     if NR > 8 && j0 + 8 <= n {
-        acc_tile::<TA, MR, 8>(a, lda, b, c, (i0, j0), steps, n);
+        acc_tile::<TA, ST, MR, 8>(a, lda, b, c, (i0, j0), steps, n);
         j0 += 8;
     }
     if j0 + 4 <= n {
-        acc_tile::<TA, MR, 4>(a, lda, b, c, (i0, j0), steps, n);
+        acc_tile::<TA, ST, MR, 4>(a, lda, b, c, (i0, j0), steps, n);
         j0 += 4;
     }
     while j0 < n {
-        acc_tile::<TA, MR, 1>(a, lda, b, c, (i0, j0), steps, n);
+        acc_tile::<TA, ST, MR, 1>(a, lda, b, c, (i0, j0), steps, n);
         j0 += 1;
     }
 }
 
-/// `C[m, n] += A·B` over `steps` reduction steps, tile by tile: `MR`-row
+/// `C[m, n]` from `A·B` over `steps` reduction steps, tile by tile: `MR`-row
 /// groups, then single register rows for the ragged bottom edge.
 ///
-/// NN skips a row group whose `A` rows are entirely zero (the pad rows of the
-/// dense and block-sparse pipelines; measured in `bench gemm`). The scalar
-/// loops this replaced skipped every `a == 0.0` term; skipping or adding a
-/// `±0.0` product gives the same bits **except** when the `C` element already
-/// holds `-0.0` (adding `+0.0` turns it into `+0.0`) or the `B` element is
-/// non-finite (`0 * inf` is NaN) — no buffer in this workspace is either.
-/// TN has no skip: its row group is a strided column strip of `A`, and no
+/// NN skips the product of a row group whose `A` rows are entirely zero (the
+/// pad rows of the dense and block-sparse pipelines; measured in `bench
+/// gemm`) and stores the zeros it would have computed. The scalar loops this
+/// replaced skipped every `a == 0.0` term; a sum of `±0.0` products formed
+/// from `0.0` is `+0.0`, so skipping gives the same bits **except** when a
+/// `B` element is non-finite (`0 * inf` is NaN) — no weight in this workspace
+/// is. TN has no skip: its row group is a strided column strip of `A`, and no
 /// caller passes padded segments.
 #[inline(always)]
-fn acc_gemm<const TA: bool, const MR: usize, const NR: usize>(
+fn acc_gemm<const TA: bool, const ST: StoreMode, const MR: usize, const NR: usize>(
     a: &[f32],
     lda: usize,
     b: &[f32],
@@ -229,17 +258,26 @@ fn acc_gemm<const TA: bool, const MR: usize, const NR: usize>(
     steps: usize,
     n: usize,
 ) {
-    let skip = |i0: usize, rows: usize| !TA && all_zero(&a[i0 * lda..(i0 + rows) * lda]);
+    // Only the Overwrite store skips: a skipped group's sums are all `+0.0`,
+    // which it stores without computing them (AddFresh would still have to
+    // add them: `-0.0 + 0.0` is `+0.0`).
+    let skip = |i0: usize, rows: usize, c: &mut [f32]| {
+        let zero = !TA && ST == OVERWRITE && all_zero(&a[i0 * lda..(i0 + rows) * lda]);
+        if zero {
+            c[i0 * n..(i0 + rows) * n].fill(0.0);
+        }
+        zero
+    };
     let mut i0 = 0;
     while i0 + MR <= m {
-        if !skip(i0, MR) {
-            acc_row_group::<TA, MR, NR>(a, lda, b, c, i0, steps, n);
+        if !skip(i0, MR, c) {
+            acc_row_group::<TA, ST, MR, NR>(a, lda, b, c, i0, steps, n);
         }
         i0 += MR;
     }
     while i0 < m {
-        if !skip(i0, 1) {
-            acc_row_group::<TA, 1, NR>(a, lda, b, c, i0, steps, n);
+        if !skip(i0, 1, c) {
+            acc_row_group::<TA, ST, 1, NR>(a, lda, b, c, i0, steps, n);
         }
         i0 += 1;
     }
@@ -257,7 +295,7 @@ fn all_zero(xs: &[f32]) -> bool {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-fn acc_gemm_avx2<const TA: bool>(
+fn acc_gemm_avx2<const TA: bool, const ST: StoreMode>(
     a: &[f32],
     lda: usize,
     b: &[f32],
@@ -266,13 +304,13 @@ fn acc_gemm_avx2<const TA: bool>(
     steps: usize,
     n: usize,
 ) {
-    acc_gemm::<TA, 4, 16>(a, lda, b, c, m, steps, n)
+    acc_gemm::<TA, ST, 4, 16>(a, lda, b, c, m, steps, n)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl")]
 #[allow(clippy::too_many_arguments)]
-fn acc_gemm_avx512<const TA: bool>(
+fn acc_gemm_avx512<const TA: bool, const ST: StoreMode>(
     a: &[f32],
     lda: usize,
     b: &[f32],
@@ -281,12 +319,12 @@ fn acc_gemm_avx512<const TA: bool>(
     steps: usize,
     n: usize,
 ) {
-    acc_gemm::<TA, 8, 32>(a, lda, b, c, m, steps, n)
+    acc_gemm::<TA, ST, 8, 32>(a, lda, b, c, m, steps, n)
 }
 
 /// [`acc_gemm`] on an explicit tier (tests call every supported one).
 #[allow(clippy::too_many_arguments)]
-fn acc_gemm_on<const TA: bool>(
+fn acc_gemm_on<const TA: bool, const ST: StoreMode>(
     tier: Tier,
     a: &[f32],
     lda: usize,
@@ -297,21 +335,21 @@ fn acc_gemm_on<const TA: bool>(
     n: usize,
 ) {
     match tier {
-        Tier::Base => acc_gemm::<TA, 4, 8>(a, lda, b, c, m, steps, n),
+        Tier::Base => acc_gemm::<TA, ST, 4, 8>(a, lda, b, c, m, steps, n),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Tier::Avx2` only comes out of `Tier::supported`, which
         // lists it after `is_x86_feature_detected!("avx2")`.
-        Tier::Avx2 => unsafe { acc_gemm_avx2::<TA>(a, lda, b, c, m, steps, n) },
+        Tier::Avx2 => unsafe { acc_gemm_avx2::<TA, ST>(a, lda, b, c, m, steps, n) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Tier::Avx512` only comes out of `Tier::supported`, which
         // lists it after detecting both `avx512f` and `avx512vl`.
-        Tier::Avx512 => unsafe { acc_gemm_avx512::<TA>(a, lda, b, c, m, steps, n) },
+        Tier::Avx512 => unsafe { acc_gemm_avx512::<TA, ST>(a, lda, b, c, m, steps, n) },
     }
 }
 
-/// NN microkernel entry: accumulate `rows_here` rows of `C += A @ B` starting
-/// at global row `r0` of `a`, where `c_chunk` is the slice for exactly those
-/// rows.
+/// NN microkernel entry: `rows_here` rows of `C = A @ B` starting at global
+/// row `r0` of `a`, where `c_chunk` is the slice for exactly those rows
+/// (overwritten, never read).
 pub(crate) fn gemm_rows_offset(
     a: &[f32],
     b: &[f32],
@@ -322,7 +360,7 @@ pub(crate) fn gemm_rows_offset(
     n: usize,
 ) {
     let a = &a[r0 * k..(r0 + rows_here) * k];
-    acc_gemm_on::<false>(Tier::dispatched(), a, k, b, c_chunk, rows_here, k, n);
+    acc_gemm_on::<false, OVERWRITE>(Tier::dispatched(), a, k, b, c_chunk, rows_here, k, n);
 }
 
 fn gemm_rows(a: &[f32], b: &[f32], c: &mut [f32], r0: usize, rows: usize, k: usize, n: usize) {
@@ -332,12 +370,14 @@ fn gemm_rows(a: &[f32], b: &[f32], c: &mut [f32], r0: usize, rows: usize, k: usi
 /// `C = A @ B^T` where `A` is `[m, k]` and `B` is `[n, k]`.
 ///
 /// Used by backward passes (`dX = dY @ W^T`). Because both operands are
-/// row-major, `C[i][j]` is a dot product of two *contiguous* rows — no
-/// transpose is ever needed. The kernel partitions C's rows across the
-/// persistent worker pool (like [`matmul_into`]) and computes a small tile of
-/// dot products at once so their add chains overlap; this replaced an
-/// implementation that materialised a fresh `B^T` allocation on every
-/// backward GEMM of every step (see the `bench gemm` table in DESIGN.md).
+/// row-major, `C[i][j]` is a dot product of two *contiguous* rows, summed in
+/// 8 position-determined lanes. The kernel partitions C's rows across the
+/// persistent worker pool (like [`matmul_into`]); each task packs `B^T` into
+/// thread-local grow-once scratch and streams it at the tier's full width
+/// (from 16 rows up; shorter calls take dot products straight off `B`). It
+/// replaced an implementation that materialised a fresh `B^T` allocation on
+/// every backward GEMM of every step (see the `bench gemm` table in
+/// DESIGN.md).
 pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Tensor {
     let mut c = Tensor::zeros(a.rows(), b.rows());
     matmul_transpose_b_into(a, b, &mut c);
@@ -402,13 +442,25 @@ pub fn matmul_transpose_b_slices(
 /// numeric contract, not a tuning knob.
 const NT_LANES: usize = 8;
 
-/// One `MR x NR` tile of `C = A·Bᵀ`: `MR * NR` independent dot products, each
-/// the scalar sum of the `k % 8` tail elements first, then its 8 lanes added
-/// in lane order — exactly the single-dot-product loop this replaced, with
-/// enough independent add chains in flight to hide their latency.
+/// Below this many rows of `A` an NT call runs [`nt_dot_gemm`] on the
+/// unpacked `B` instead of packing it: a pack moves `n * k` elements (0.25 ns
+/// each) whatever the row count, the packed tile then saves ~0.015 ns per
+/// multiply-add. Measured single-lane GFLOP/s, packed incl. packing vs dot
+/// tile (2-core Xeon @ 2.10 GHz, avx512 tier; `bench gemm` carries a row on
+/// each side): `k x n = 256x64` — 33 vs 51 at 8 rows, 47 vs 51 at 16, 60 vs
+/// 52 at 32, 76 vs 52 at 128; `64x256` — 31 vs 37 at 8, 45 vs 37 at 16, 72
+/// vs 37 at 128; at 1 row 6 vs 30-36. Both sides produce the same bits, so
+/// how a caller chunks its rows cannot show in the result.
+#[doc(hidden)] // `bench gemm` labels its NT rows with the kernel they ran
+pub const NT_PACK_MIN_ROWS: usize = 16;
+
+/// One `MR x NR` tile of `C = A·Bᵀ` straight off row-major `a` and `b`:
+/// `MR * NR` independent dot products, each the scalar sum of the `k % 8` tail
+/// elements first, then its 8 lanes (one SIMD register across `k`) added in
+/// lane order. The short-segment kernel — see [`NT_PACK_MIN_ROWS`].
 #[inline(always)]
 #[allow(clippy::needless_range_loop)] // (r, j, l) index three arrays in lockstep
-fn nt_tile<const MR: usize, const NR: usize>(
+fn nt_dot_tile<const MR: usize, const NR: usize>(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
@@ -457,9 +509,9 @@ fn nt_tile<const MR: usize, const NR: usize>(
     }
 }
 
-/// `C[m, n] = A·Bᵀ` tile by tile; ragged edges fall to `1`-wide tiles.
+/// `C[m, n] = A·Bᵀ` by [`nt_dot_tile`]; ragged edges fall to `1`-wide tiles.
 #[inline(always)]
-fn nt_gemm<const MR: usize, const NR: usize>(
+fn nt_dot_gemm<const MR: usize, const NR: usize>(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
@@ -478,11 +530,11 @@ fn nt_gemm<const MR: usize, const NR: usize>(
     ) {
         let mut j0 = 0;
         while j0 + NR <= n {
-            nt_tile::<MR, NR>(a, b, c, (i0, j0), k, n);
+            nt_dot_tile::<MR, NR>(a, b, c, (i0, j0), k, n);
             j0 += NR;
         }
         while j0 < n {
-            nt_tile::<MR, 1>(a, b, c, (i0, j0), k, n);
+            nt_dot_tile::<MR, 1>(a, b, c, (i0, j0), k, n);
             j0 += 1;
         }
     }
@@ -497,16 +549,263 @@ fn nt_gemm<const MR: usize, const NR: usize>(
     }
 }
 
+/// The column blocks `(j0, width)` of an `n`-column NT output packed `nr`
+/// wide (4, 8 or 16: [`Tier::nt_width`]): full `nr` blocks, then the narrower
+/// ladder 8 / 4 / 1 for the ragged right edge (the widths [`nt_gemm`] has
+/// tiles for).
+fn nt_blocks(n: usize, nr: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut j0 = 0;
+    std::iter::from_fn(move || {
+        let left = n - j0;
+        let w = match left {
+            0 => return None,
+            _ if left >= nr => nr,
+            _ if nr > 8 && left >= 8 => 8,
+            _ if left >= 4 => 4,
+            _ => 1,
+        };
+        j0 += w;
+        Some((j0 - w, w))
+    })
+}
+
+/// The first `len` elements of a grow-only scratch, contents unspecified.
+fn grown(scratch: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if scratch.len() < len {
+        scratch.resize(len, 0.0);
+    }
+    &mut scratch[..len]
+}
+
+/// Transpose `b` (`[n, k]` row-major) into the front of `packed` (grow-only,
+/// for-overwrite: every element returned is written) as per-block panels:
+/// block `(j0, w)` of [`nt_blocks`] becomes the contiguous `k x w` panel
+/// `[j0 * k..][..k * w]` with element `(kk, j)` at `kk * w + j` — for the
+/// full blocks, `btp[(jb * k + kk) * nr + j]`. Moves 4x4 sub-blocks (the
+/// transpose the compiler turns into shuffles, on any tier): 0.25 ns per
+/// element against 0.5-0.65 for one-element-at-a-time loops, same machine as
+/// the kernel table.
+fn nt_pack<'p>(b: &[f32], k: usize, n: usize, nr: usize, packed: &'p mut Vec<f32>) -> &'p [f32] {
+    const T: usize = 4;
+    let packed = grown(packed, n * k);
+    let main = k - k % T;
+    for (j0, w) in nt_blocks(n, nr) {
+        let panel = &mut packed[j0 * k..][..k * w];
+        if w == 1 {
+            panel.copy_from_slice(&b[j0 * k..][..k]);
+            continue;
+        }
+        for jb in (0..w).step_by(T) {
+            let b_rows: [&[f32]; T] = std::array::from_fn(|j| &b[(j0 + jb + j) * k..][..k]);
+            for kk0 in (0..main).step_by(T) {
+                let tile: [[f32; T]; T] =
+                    std::array::from_fn(|j| b_rows[j][kk0..][..T].try_into().expect("T elements"));
+                for t in 0..T {
+                    let out = &mut panel[(kk0 + t) * w + jb..][..T];
+                    for j in 0..T {
+                        out[j] = tile[j][t];
+                    }
+                }
+            }
+            for kk in main..k {
+                for j in 0..T {
+                    panel[kk * w + jb + j] = b_rows[j][kk];
+                }
+            }
+        }
+    }
+    packed
+}
+
+/// One `MR x NR` tile of `C = A·Bᵀ` over a packed `k x NR` panel of `Bᵀ`:
+/// `MR * NR` dot products, each the scalar sum of its `k % 8` tail products
+/// first, then its 8 position-determined lanes added in lane order — exactly
+/// the single-dot-product loop this replaced. Lane `l` of all `NR` columns is
+/// one `NR`-wide register (`lanes[l][r]`), updated at the `k`-positions
+/// congruent to `l` with the NN tile's broadcast-multiply-add, so there is no
+/// horizontal reduction: the finish is eight vector adds.
+///
+/// Two codegen facts (measured on the avx512 tier): the eight lane updates
+/// are spelled out with constant lane indices because indexing `lanes` with a
+/// loop variable keeps the whole array in memory (1.5x *slower* than the tile
+/// this replaced); and the panel is packed and walked with `chunks_exact`
+/// because addressing an unpacked `Bᵀ` as `bt[(k0 + l) * n + j0..]` costs a
+/// bounds check and an address spill per lane.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // (r, j) index two arrays in lockstep
+fn nt_tile<const MR: usize, const NR: usize>(
+    a: &[f32],
+    panel: &[f32],
+    c: &mut [f32],
+    (i0, j0): (usize, usize),
+    k: usize,
+    n: usize,
+) {
+    const L: usize = NT_LANES;
+    /// `acc[r][..] += a8[r][l] * panel_row[..]` for the `MR` rows.
+    #[inline(always)]
+    fn step<const MR: usize, const NR: usize>(
+        acc: &mut [[f32; NR]; MR],
+        a8: &[[f32; L]; MR],
+        l: usize,
+        panel_rows: &[f32],
+    ) {
+        let bv: [f32; NR] = panel_rows[l * NR..][..NR]
+            .try_into()
+            .expect("slice of length NR");
+        for r in 0..MR {
+            let av = a8[r][l];
+            for j in 0..NR {
+                acc[r][j] += av * bv[j];
+            }
+        }
+    }
+    let main = k - k % L;
+    let a_rows: [&[f32]; MR] = std::array::from_fn(|r| &a[(i0 + r) * k..][..k]);
+    let mut lanes = [[[0.0f32; NR]; MR]; L];
+    for (kc, rows8) in panel[..main * NR].chunks_exact(L * NR).enumerate() {
+        let a8: [[f32; L]; MR] =
+            std::array::from_fn(|r| a_rows[r][kc * L..][..L].try_into().expect("L elements"));
+        step(&mut lanes[0], &a8, 0, rows8);
+        step(&mut lanes[1], &a8, 1, rows8);
+        step(&mut lanes[2], &a8, 2, rows8);
+        step(&mut lanes[3], &a8, 3, rows8);
+        step(&mut lanes[4], &a8, 4, rows8);
+        step(&mut lanes[5], &a8, 5, rows8);
+        step(&mut lanes[6], &a8, 6, rows8);
+        step(&mut lanes[7], &a8, 7, rows8);
+    }
+    let mut acc = [[0.0f32; NR]; MR];
+    for (kk, bv) in (main..k).zip(panel[main * NR..].chunks_exact(NR)) {
+        for r in 0..MR {
+            let av = a_rows[r][kk];
+            for j in 0..NR {
+                acc[r][j] += av * bv[j];
+            }
+        }
+    }
+    for r in 0..MR {
+        for lane in &lanes {
+            for j in 0..NR {
+                acc[r][j] += lane[r][j];
+            }
+        }
+        c[(i0 + r) * n + j0..][..NR].copy_from_slice(&acc[r]);
+    }
+}
+
+/// `C[m, n] = A·Bᵀ` over the panels [`nt_pack`] made of `b`, `NR` wide:
+/// column block by column block (its panel stays cache-resident) over
+/// `MR`-row groups and single rows for the ragged bottom edge. Without panels
+/// (a call below [`NT_PACK_MIN_ROWS`]) the `2 x DNR` dot tile runs on `b`
+/// itself.
+#[inline(always)]
+fn nt_gemm<const MR: usize, const NR: usize, const DNR: usize>(
+    a: &[f32],
+    b: &[f32],
+    panels: Option<&[f32]>,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    #[inline(always)]
+    fn block<const MR: usize, const W: usize>(
+        a: &[f32],
+        panel: &[f32],
+        c: &mut [f32],
+        j0: usize,
+        (m, k, n): (usize, usize, usize),
+    ) {
+        let mut i0 = 0;
+        while i0 + MR <= m {
+            nt_tile::<MR, W>(a, panel, c, (i0, j0), k, n);
+            i0 += MR;
+        }
+        while i0 < m {
+            nt_tile::<1, W>(a, panel, c, (i0, j0), k, n);
+            i0 += 1;
+        }
+    }
+    let Some(panels) = panels else {
+        return nt_dot_gemm::<2, DNR>(a, b, c, m, k, n);
+    };
+    for (j0, w) in nt_blocks(n, NR) {
+        let panel = &panels[j0 * k..][..k * w];
+        if w == NR {
+            block::<MR, NR>(a, panel, c, j0, (m, k, n));
+        } else if NR > 8 && w == 8 {
+            block::<MR, 8>(a, panel, c, j0, (m, k, n));
+        } else if NR > 4 && w == 4 {
+            block::<MR, 4>(a, panel, c, j0, (m, k, n));
+        } else {
+            block::<MR, 1>(a, panel, c, j0, (m, k, n));
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn nt_gemm_avx2(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    nt_gemm::<2, 4>(a, b, c, m, k, n)
+#[allow(clippy::too_many_arguments)]
+fn nt_gemm_avx2(
+    a: &[f32],
+    b: &[f32],
+    panels: Option<&[f32]>,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    nt_gemm::<1, { Tier::Avx2.nt_width() }, 4>(a, b, panels, c, m, k, n)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl")]
-fn nt_gemm_avx512(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    nt_gemm::<2, 4>(a, b, c, m, k, n)
+#[allow(clippy::too_many_arguments)]
+fn nt_gemm_avx512(
+    a: &[f32],
+    b: &[f32],
+    panels: Option<&[f32]>,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    nt_gemm::<2, { Tier::Avx512.nt_width() }, 4>(a, b, panels, c, m, k, n)
+}
+
+std::thread_local! {
+    /// This thread's packed `Bᵀ` panels: grow-once (`n * k` of the largest NT
+    /// operand seen), so after warm-up packing allocates nothing. Per thread
+    /// because every pool task packs the `B` of its own expert.
+    static NT_PACKED: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Grow the calling thread's pack scratch to `len` elements now. The pooled
+/// NT entry points call this before submitting: which lane runs which task
+/// varies from call to call, so without it the submitting thread — the only
+/// allocation-tracked one — could meet its largest `B` for the first time
+/// long after warm-up.
+pub(crate) fn nt_pack_reserve(len: usize) {
+    NT_PACKED.with(|cell| {
+        grown(&mut cell.borrow_mut(), len);
+    });
+}
+
+/// Pack `b` (`[n, k]`) exactly as an NT call on this thread does and stop —
+/// `bench gemm` times it for the kernel table's pack column.
+#[doc(hidden)]
+pub fn nt_pack_probe(b: &[f32], k: usize, n: usize) {
+    assert_eq!(b.len(), n * k, "nt_pack_probe: B length mismatch");
+    NT_PACKED.with(|cell| {
+        nt_pack(
+            b,
+            k,
+            n,
+            Tier::dispatched().nt_width(),
+            &mut cell.borrow_mut(),
+        );
+    });
 }
 
 /// NT microkernel entry: `c_chunk` holds rows `r0..r0+rows_here` of
@@ -523,21 +822,36 @@ pub(crate) fn gemm_tb_rows(
     n: usize,
 ) {
     let a = &a[r0 * k..(r0 + rows_here) * k];
-    nt_gemm_on(Tier::dispatched(), a, b, c_chunk, rows_here, k, n);
+    NT_PACKED.with(|cell| {
+        let packed = &mut cell.borrow_mut();
+        nt_gemm_on(Tier::dispatched(), a, b, packed, c_chunk, rows_here, k, n);
+    });
 }
 
-/// [`nt_gemm`] on an explicit tier (tests call every supported one).
-fn nt_gemm_on(tier: Tier, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+/// [`nt_gemm`] on an explicit tier (tests call every supported one): packs
+/// `b` into `packed` first unless the call is below [`NT_PACK_MIN_ROWS`].
+#[allow(clippy::too_many_arguments)]
+fn nt_gemm_on(
+    tier: Tier,
+    a: &[f32],
+    b: &[f32],
+    packed: &mut Vec<f32>,
+    c: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let panels = (m >= NT_PACK_MIN_ROWS).then(|| nt_pack(b, k, n, tier.nt_width(), packed));
     match tier {
-        Tier::Base => nt_gemm::<2, 2>(a, b, c, m, k, n),
+        Tier::Base => nt_gemm::<1, { Tier::Base.nt_width() }, 2>(a, b, panels, c, m, k, n),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Tier::Avx2` only comes out of `Tier::supported`, which
         // lists it after `is_x86_feature_detected!("avx2")`.
-        Tier::Avx2 => unsafe { nt_gemm_avx2(a, b, c, m, k, n) },
+        Tier::Avx2 => unsafe { nt_gemm_avx2(a, b, panels, c, m, k, n) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Tier::Avx512` only comes out of `Tier::supported`, which
         // lists it after detecting both `avx512f` and `avx512vl`.
-        Tier::Avx512 => unsafe { nt_gemm_avx512(a, b, c, m, k, n) },
+        Tier::Avx512 => unsafe { nt_gemm_avx512(a, b, panels, c, m, k, n) },
     }
 }
 
@@ -553,7 +867,7 @@ fn nt_gemm_on(tier: Tier, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usiz
 /// transpose-then-matmul schedule. Unlike NN there is no zero skip (see
 /// [`acc_gemm`]).
 pub(crate) fn gemm_ta_rows(a: &[f32], d: &[f32], c: &mut [f32], cnt: usize, ac: usize, n: usize) {
-    acc_gemm_on::<true>(Tier::dispatched(), a, ac, d, c, ac, cnt, n);
+    acc_gemm_on::<true, ADD_FRESH>(Tier::dispatched(), a, ac, d, c, ac, cnt, n);
 }
 
 /// Numerically stable row-wise softmax, in place.
@@ -590,13 +904,23 @@ pub fn topk_rows(t: &Tensor, k: usize) -> (Vec<usize>, Vec<f32>) {
     (idx_out, val_out)
 }
 
+/// Widest row [`topk_rows_into`] selects from a stack copy; wider rows (no
+/// model in this workspace has more than 256 experts) take the comparator.
+const TOPK_STACK: usize = 256;
+
 /// [`topk_rows`] writing into caller-owned buffers (cleared first); `order`
-/// is selection scratch. With warm buffers the call is allocation-free.
+/// is scratch of the comparator path. With warm buffers the call is
+/// allocation-free.
 ///
-/// The selection comparator totally orders candidate indices (value
-/// descending, then index ascending — no two candidates compare equal), so
-/// the in-place unstable sort used here is deterministic and agrees bitwise
-/// with a stable sort under the same comparator.
+/// The order is [`crate::routing::rank_desc`]'s: value descending, index
+/// ascending, NaN after every number — total, so no score can panic the
+/// selection. Rows go through [`topk_by_max_rounds`]; one it declines (it
+/// holds `-inf` or too many NaNs among its top `k`, or is wider than
+/// [`TOPK_STACK`]) is ranked with the comparator instead. Measured against
+/// the comparator alone (2-core Xeon @ 2.10 GHz): 1024x64 top-8 1.1-1.4 ->
+/// 0.50-0.62 ms, 4096x256 top-8 16.6 -> 4.7-5.0 ms; 64x32 top-6 13 us
+/// against 8-15 us when a timing loop repeats one matrix (the comparator's
+/// branches get memorised) and 37-45 us over a ring of 64 matrices.
 pub fn topk_rows_into(
     t: &Tensor,
     k: usize,
@@ -604,22 +928,85 @@ pub fn topk_rows_into(
     val_out: &mut Vec<f32>,
     order: &mut Vec<usize>,
 ) {
-    assert!(k <= t.cols(), "top-{} of only {} columns", k, t.cols());
+    let cols = t.cols();
+    assert!(k <= cols, "top-{} of only {} columns", k, cols);
     idx_out.clear();
     val_out.clear();
+    if k == 0 {
+        return;
+    }
+    let mut stack = [f32::NEG_INFINITY; TOPK_STACK];
     for r in 0..t.rows() {
         let row = t.row(r);
+        if cols <= TOPK_STACK && topk_by_max_rounds(row, k, &mut stack, idx_out, val_out) {
+            continue;
+        }
+        idx_out.truncate(r * k);
+        val_out.truncate(r * k);
         order.clear();
-        order.extend(0..t.cols());
+        order.extend(0..cols);
         // Partial selection: k is small (<= 16 in every paper config).
-        order.select_nth_unstable_by(k.saturating_sub(1).min(t.cols() - 1), |&a, &b| {
-            row[b].partial_cmp(&row[a]).unwrap().then(a.cmp(&b))
-        });
+        crate::routing::select_top_desc(row, order, k);
         let top = &mut order[..k];
-        top.sort_unstable_by(|&a, &b| row[b].partial_cmp(&row[a]).unwrap().then(a.cmp(&b)));
+        top.sort_unstable_by(crate::routing::rank_desc(row));
         idx_out.extend_from_slice(top);
         val_out.extend(top.iter().map(|&i| row[i]));
     }
+}
+
+/// Append `row`'s top `k` to `idx_out` / `val_out` by `k` rounds of (lane-wise
+/// vector max over a copy of the row in `stack`, first position equal to it,
+/// mark it taken with `-inf`). That is exactly the ranking order as long as
+/// every round's maximum is a number above `-inf` — a NaN loses every `>`, so
+/// it is never a maximum; returns `false`, having appended fewer than `k`,
+/// at the first round where it is not. `stack` must hold `-inf` beyond
+/// `row.len()` on entry and does on return.
+fn topk_by_max_rounds(
+    row: &[f32],
+    k: usize,
+    stack: &mut [f32; TOPK_STACK],
+    idx_out: &mut Vec<usize>,
+    val_out: &mut Vec<f32>,
+) -> bool {
+    const LANES: usize = 16;
+    stack[..row.len()].copy_from_slice(row);
+    let left = &mut stack[..row.len().next_multiple_of(LANES)];
+    for _ in 0..k {
+        let mut lane_max = [f32::NEG_INFINITY; LANES];
+        for chunk in left.chunks_exact(LANES) {
+            for l in 0..LANES {
+                // Not `f32::max`: a NaN must lose to every number.
+                if chunk[l] > lane_max[l] {
+                    lane_max[l] = chunk[l];
+                }
+            }
+        }
+        // Halving tree, not a 16-deep chain: the fold is most of a round's
+        // latency on a 32-wide row.
+        let mut half = LANES;
+        while half > 1 {
+            half /= 2;
+            for l in 0..half {
+                if lane_max[l + half] > lane_max[l] {
+                    lane_max[l] = lane_max[l + half];
+                }
+            }
+        }
+        let max = lane_max[0];
+        if max == f32::NEG_INFINITY {
+            return false;
+        }
+        // `==` finds the first of a tie, `±0.0` included; the value is the
+        // row's own (a `-0.0` stays `-0.0`).
+        let pos = left
+            .iter()
+            .position(|&v| v == max)
+            .expect("the maximum is an element");
+        idx_out.push(pos);
+        val_out.push(row[pos]);
+        left[pos] = f32::NEG_INFINITY;
+    }
+    true
 }
 
 /// SiLU (x * sigmoid(x)) applied in place — the expert activation used by
@@ -763,23 +1150,6 @@ pub fn scaled_extend(dst: &mut Vec<f32>, w: f32, src: &[f32]) {
     }
 }
 
-/// The combine-weight backward kernel shared by the training paths:
-/// returns `<dy, y>` and scales `dy *= w` in one pass.
-///
-/// Deliberately a *scalar sequential* loop: the dot product is a cross-lane
-/// reduction, and the bitwise-pinned training trajectories forbid
-/// reassociating it. Only the elementwise half would vectorise, which is not
-/// worth splitting the fused pass for.
-pub fn dot_and_scale(dy: &mut [f32], y: &[f32], w: f32) -> f32 {
-    debug_assert_eq!(dy.len(), y.len(), "dot_and_scale length mismatch");
-    let mut dot = 0.0f32;
-    for (dv, yv) in dy.iter_mut().zip(y) {
-        dot += *dv * yv;
-        *dv *= w;
-    }
-    dot
-}
-
 /// The three scalar loops the register-tiled kernels replaced, kept verbatim
 /// as the bit-for-bit reference of the sweep below.
 #[cfg(test)]
@@ -903,50 +1273,76 @@ mod tests {
         let tiers = Tier::supported();
         assert_eq!(*tiers.last().unwrap(), Tier::Base);
         assert_eq!(Tier::dispatched(), tiers[0]);
+        let mut packed = Vec::new();
         for &m in &DIMS {
             for &k in &DIMS {
                 for &n in &DIMS {
                     let seed = (m * 1_000_003 + k * 1009 + n) as u64;
                     let a = operand(m, k, seed);
-                    // Accumulate onto a non-zero C (NN, TN); NT overwrites it.
-                    let c0 = Tensor::rand_uniform(m, n, 1.0, seed ^ 0xC0)
-                        .as_slice()
-                        .to_vec();
+                    // NN and NT overwrite: C arrives poisoned.
+                    let dirty = vec![f32::NAN; m * n];
 
-                    // NN: B is [k, n].
+                    // NN: B is [k, n]; Overwrite == accumulate onto zeros.
                     let b = operand(k, n, seed ^ 0xB0);
-                    let mut want = c0.clone();
+                    let mut want = vec![0.0f32; m * n];
                     oracle::nn(&a, &b, &mut want, 0, m, k, n);
                     for &t in &tiers {
-                        let mut got = c0.clone();
-                        acc_gemm_on::<false>(t, &a, k, &b, &mut got, m, k, n);
+                        let mut got = dirty.clone();
+                        acc_gemm_on::<false, OVERWRITE>(t, &a, k, &b, &mut got, m, k, n);
                         assert_eq!(bits(&got), bits(&want), "NN {t:?} {m}x{k}x{n}");
                     }
 
-                    // NT: B is [n, k].
+                    // NT: B is [n, k], packed by the kernel.
                     let bt = operand(n, k, seed ^ 0xB1);
-                    let mut want = c0.clone();
+                    let mut want = dirty.clone();
                     oracle::nt(&a, &bt, &mut want, 0, m, k, n);
                     for &t in &tiers {
-                        let mut got = c0.clone();
-                        nt_gemm_on(t, &a, &bt, &mut got, m, k, n);
+                        let mut got = dirty.clone();
+                        nt_gemm_on(t, &a, &bt, &mut packed, &mut got, m, k, n);
                         assert_eq!(bits(&got), bits(&want), "NT {t:?} {m}x{k}x{n}");
                     }
 
-                    // TN: A is [cnt = m, ac = k], D is [m, n], C is [k, n].
+                    // TN: A is [cnt = m, ac = k], D is [m, n], C is [k, n];
+                    // AddFresh onto a non-zero C == stage into zeros, then add.
                     let d = operand(m, n, seed ^ 0xD0);
                     let c0 = Tensor::rand_uniform(k, n, 1.0, seed ^ 0xC1)
                         .as_slice()
                         .to_vec();
+                    let mut staged = vec![0.0f32; k * n];
+                    oracle::tn(&a, &d, &mut staged, m, k, n);
                     let mut want = c0.clone();
-                    oracle::tn(&a, &d, &mut want, m, k, n);
+                    add_assign_slice(&mut want, &staged);
                     for &t in &tiers {
                         let mut got = c0.clone();
-                        acc_gemm_on::<true>(t, &a, k, &d, &mut got, k, m, n);
+                        acc_gemm_on::<true, ADD_FRESH>(t, &a, k, &d, &mut got, k, m, n);
                         assert_eq!(bits(&got), bits(&want), "TN {t:?} {m}x{k}x{n}");
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn store_modes_hold_on_whole_zero_row_groups_and_negative_zero() {
+        // Rows 8..32 of A are zero: three skipped 8-row groups on the widest
+        // tier, six 4-row groups on the others. Overwrite must store zeros
+        // over the poison; AddFresh (NN has no library caller for it, the
+        // generic still has to be right) must not skip the `-0.0 + 0.0` add.
+        let (m, k, n) = (37usize, 19usize, 21usize);
+        let mut a = Tensor::rand_uniform(m, k, 1.0, 5).as_slice().to_vec();
+        a[8 * k..32 * k].fill(0.0);
+        let b = operand(k, n, 6);
+        let mut fresh = vec![0.0f32; m * n];
+        oracle::nn(&a, &b, &mut fresh, 0, m, k, n);
+        let mut added = vec![-0.0f32; m * n];
+        add_assign_slice(&mut added, &fresh);
+        for &t in &Tier::supported() {
+            let mut got = vec![f32::NAN; m * n];
+            acc_gemm_on::<false, OVERWRITE>(t, &a, k, &b, &mut got, m, k, n);
+            assert_eq!(bits(&got), bits(&fresh), "Overwrite {t:?}");
+            let mut got = vec![-0.0f32; m * n];
+            acc_gemm_on::<false, ADD_FRESH>(t, &a, k, &b, &mut got, m, k, n);
+            assert_eq!(bits(&got), bits(&added), "AddFresh {t:?}");
         }
     }
 
@@ -957,12 +1353,11 @@ mod tests {
         let a = operand(m, k, 1);
         let b = operand(k, n, 2);
         let bt = operand(n, k, 3);
-        let c0 = Tensor::rand_uniform(rows, n, 1.0, 4).as_slice().to_vec();
-        let (mut want, mut got) = (c0.clone(), c0.clone());
+        let (mut want, mut got) = (vec![0.0f32; rows * n], vec![f32::NAN; rows * n]);
         oracle::nn(&a, &b, &mut want, r0, rows, k, n);
         gemm_rows_offset(&a, &b, &mut got, r0, rows, k, n);
         assert_eq!(bits(&got), bits(&want));
-        let (mut want, mut got) = (c0.clone(), c0);
+        let mut got = vec![f32::NAN; rows * n];
         oracle::nt(&a, &bt, &mut want, r0, rows, k, n);
         gemm_tb_rows(&a, &bt, &mut got, r0, rows, k, n);
         assert_eq!(bits(&got), bits(&want));
@@ -1027,12 +1422,12 @@ mod tests {
     }
 
     #[test]
-    fn matmul_into_accumulates() {
+    fn matmul_into_overwrites() {
         let a = Tensor::full(2, 2, 1.0);
         let b = Tensor::full(2, 2, 1.0);
-        let mut c = Tensor::full(2, 2, 10.0);
+        let mut c = Tensor::full(2, 2, f32::NAN);
         matmul_into(&a, &b, &mut c);
-        assert!(c.allclose(&Tensor::full(2, 2, 12.0), 1e-6));
+        assert!(c.allclose(&Tensor::full(2, 2, 2.0), 0.0));
     }
 
     #[test]
@@ -1119,6 +1514,72 @@ mod tests {
         // Second call with dirty buffers must clear, not append.
         topk_rows_into(&t, 3, &mut i2, &mut v2, &mut scratch);
         assert_eq!(idx, i2);
+    }
+
+    /// Top-k of every row by the definition: the first `k` of the full
+    /// ranking.
+    fn topk_by_full_sort(t: &Tensor, k: usize) -> (Vec<usize>, Vec<u32>) {
+        let (mut idx, mut vals) = (Vec::new(), Vec::new());
+        for r in 0..t.rows() {
+            let order = crate::argsort_desc_by(t.row(r));
+            idx.extend_from_slice(&order[..k]);
+            vals.extend(order[..k].iter().map(|&i| t.row(r)[i].to_bits()));
+        }
+        (idx, vals)
+    }
+
+    #[test]
+    fn topk_orders_every_float_like_the_full_ranking() {
+        const NAN: f32 = f32::NAN;
+        const INF: f32 = f32::INFINITY;
+        let rows: Vec<Vec<f32>> = vec![
+            vec![0.3, NAN, 0.9, 0.1, NAN, 0.5],     // NaN never beats a number
+            vec![NAN, NAN, NAN, NAN, NAN, NAN],     // all NaN: index order
+            vec![-INF, 0.2, -INF, INF, 0.2, INF],   // infinities, ties
+            vec![-0.0, 0.0, -0.0, -1.0, 0.0, -2.0], // signed zeros tie by index
+            vec![0.5; 6],                           // all equal
+            vec![-INF; 6],                          // nothing above the mark value
+            vec![NAN, -INF, 1.0, NAN, -INF, 1.0],
+        ];
+        for row in &rows {
+            let t = Tensor::from_vec(1, row.len(), row.clone());
+            for k in 0..=row.len() {
+                let (idx, vals) = topk_rows(&t, k);
+                let (want_idx, want_vals) = topk_by_full_sort(&t, k);
+                assert_eq!(idx, want_idx, "{row:?} top-{k}");
+                assert_eq!(bits(&vals), want_vals, "{row:?} top-{k}");
+            }
+        }
+        // Ranked NaNs come after every number, in index order.
+        let t = Tensor::from_vec(1, 6, rows[0].clone());
+        assert_eq!(topk_rows(&t, 6).0, vec![2, 5, 0, 3, 1, 4]);
+    }
+
+    #[test]
+    fn topk_matches_the_full_ranking_on_random_rows_with_ties() {
+        // Widths around the 16-lane chunk and the 256-wide stack copy (300
+        // takes the comparator); values quantised so ties are common.
+        for (cols, seed) in [
+            (1usize, 1u64),
+            (15, 2),
+            (16, 3),
+            (33, 4),
+            (64, 5),
+            (256, 6),
+            (300, 7),
+        ] {
+            let mut t = Tensor::rand_uniform(9, cols, 1.0, seed);
+            for v in t.as_mut_slice() {
+                *v = (*v * 8.0).round() / 8.0;
+            }
+            t.row_mut(4)[cols / 2] = f32::NAN;
+            for k in [1, cols.min(8), cols] {
+                let (idx, vals) = topk_rows(&t, k);
+                let (want_idx, want_vals) = topk_by_full_sort(&t, k);
+                assert_eq!(idx, want_idx, "cols {cols} top-{k}");
+                assert_eq!(bits(&vals), want_vals, "cols {cols} top-{k}");
+            }
+        }
     }
 
     #[test]

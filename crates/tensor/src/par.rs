@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
 
 use crate::alloc::mark_thread_untracked;
-use crate::ops::{gemm_rows_offset, gemm_ta_rows, gemm_tb_rows, MAX_TILE_ROWS};
+use crate::ops::{gemm_rows_offset, gemm_ta_rows, gemm_tb_rows, nt_pack_reserve, MAX_TILE_ROWS};
 use crate::worker_threads;
 
 /// Below this `m*n*k` volume a GEMM (grouped: by *total* volume) runs
@@ -461,6 +461,9 @@ pub(crate) fn par_gemm_rows(
     transpose_b: bool,
 ) {
     let p = pool();
+    if transpose_b {
+        nt_pack_reserve(n * k);
+    }
     let threads = p.size().min(m.max(1));
     // Whole row groups per chunk, so only the last chunk ends in a ragged tile.
     let chunk = m.div_ceil(threads).next_multiple_of(MAX_TILE_ROWS);
@@ -534,15 +537,18 @@ struct Panel {
     row0: usize,
     /// Rows in the panel.
     rows: usize,
-    /// Output offset in elements (row-major C for NN/NT; the expert's weight
-    /// gradient block for TN).
+    /// Output offset in elements of the row-major C (NN/NT; unused for TN).
     c_off: usize,
     /// Per-expert weight pointer (NN/NT); null for TN.
     b: *const f32,
+    /// The expert's own gradient block (TN); null for NN/NT.
+    block: *mut f32,
 }
 
-// SAFETY: the weight pointer is read-only shared data kept alive by the
-// grouped entry point's borrow for the whole batch.
+// SAFETY: `b` is read-only shared data kept alive by the grouped entry
+// point's borrow for the whole batch; `block` comes from a `&mut [f32]` the
+// entry point holds for the whole batch, and exactly one task (one panel per
+// expert) dereferences it.
 unsafe impl Send for Panel {}
 unsafe impl Sync for Panel {}
 
@@ -554,11 +560,11 @@ std::thread_local! {
 
 #[derive(Clone, Copy)]
 enum GroupKind {
-    /// `C[seg] += A[seg] @ B_e` (k = inner dim, n = out cols).
+    /// `C[seg] = A[seg] @ B_e` (k = inner dim, n = out cols, overwrite).
     Nn,
     /// `C[seg] = A[seg] @ B_e^T` (B_e is `n x k`, overwrite).
     Nt,
-    /// `C_e += A[seg]^T @ D[seg]` (A cols = k = C rows, D cols = n).
+    /// `C_e = C_e + A[seg]^T @ D[seg]` (A cols = k = C rows, D cols = n).
     Ta,
 }
 
@@ -566,6 +572,8 @@ struct GroupedCtx<'a> {
     a: &'a [f32],
     /// Second operand of the TN kind (`d` rows align with `a` rows).
     d: &'a [f32],
+    /// The row-major output of the NN/NT kinds (empty for TN, whose outputs
+    /// are the panels' own `block`s).
     c: DisjointMut<'a>,
     panels: &'a [Panel],
     /// Row stride of `a` (NN/NT: inner dim; TN: A's column count = C rows).
@@ -594,8 +602,10 @@ fn grouped_task(g: &GroupedCtx<'_>, i: usize) {
         }
         GroupKind::Ta => {
             let d_seg = &g.d[p.row0 * g.n..(p.row0 + p.rows) * g.n];
-            // SAFETY: one whole-expert task per gradient block; disjoint.
-            let c_seg = unsafe { g.c.slice(p.c_off, g.k * g.n) };
+            // SAFETY: `block` was taken from a distinct `&mut [f32]` of
+            // length `k * n` per expert (checked by the entry point), alive
+            // for the batch, and this is the expert's only task.
+            let c_seg = unsafe { std::slice::from_raw_parts_mut(p.block, g.k * g.n) };
             gemm_ta_rows(a_seg, d_seg, c_seg, p.rows, g.k, g.n);
         }
     }
@@ -632,6 +642,7 @@ fn fill_panels_rowwise(
                 rows,
                 c_off: (row + off) * n,
                 b,
+                block: std::ptr::null_mut(),
             });
             off += rows;
         }
@@ -640,12 +651,13 @@ fn fill_panels_rowwise(
     total
 }
 
-/// Grouped expert GEMM: for each expert `e`, `C[seg_e] += A[seg_e] @ B_e`.
+/// Grouped expert GEMM: for each expert `e`, `C[seg_e] = A[seg_e] @ B_e`.
 ///
 /// `a` is `[sum(counts), k]` row-major with rows grouped by local expert in
 /// segment order (the padding-free dispatch layout); `weight(e)` is expert
-/// `e`'s `k x n` matrix; `c` is `[sum(counts), n]`, accumulated into (pass a
-/// zeroed buffer for a fresh product). Equivalent to calling
+/// `e`'s `k x n` matrix; `c` is `[sum(counts), n]`, overwritten — every row
+/// belongs to exactly one segment, and its previous contents are never read
+/// (a for-overwrite lease needs no zero-fill). Equivalent to calling
 /// [`crate::matmul_slices`] once per segment, and bitwise identical to that
 /// serial schedule at any worker count: each output row is one task's
 /// ascending-k accumulation regardless of how segments are panelled.
@@ -762,6 +774,7 @@ pub fn gemm_grouped_transpose_b<'b>(
         }
         return;
     }
+    nt_pack_reserve(n * k);
     PANELS.with(|cell| {
         let mut panels = cell.borrow_mut();
         fill_panels_rowwise(&mut panels, counts, n, p.size(), |e| {
@@ -782,17 +795,11 @@ pub fn gemm_grouped_transpose_b<'b>(
     });
 }
 
-/// Grouped `C_e += A[seg_e]^T @ D[seg_e]` — the weight-gradient kernel
+/// Grouped `C_e = C_e + A[seg_e]^T @ D[seg_e]` — the weight-gradient kernel
 /// (`dW = X^T @ dY` per expert) computed *without materialising any
-/// transpose*. `a` is `[sum(counts), ac]`, `d` is `[sum(counts), n]` with the
-/// same segment layout, and `c` is `[counts.len() * ac, n]`: expert `e`'s
-/// gradient block occupies rows `[e*ac, (e+1)*ac)`, accumulated into.
-///
-/// Per output element the reduction runs over segment rows in ascending
-/// order — exactly the k-order of `matmul(A_seg.transpose(), D_seg)` — so
-/// results are bitwise identical to the transpose-then-matmul schedule the
-/// training backward used previously, at any worker count. One task per
-/// expert (gradient blocks are disjoint by construction).
+/// transpose* — over one contiguous `c` of `[counts.len() * ac, n]`: expert
+/// `e`'s gradient block occupies rows `[e*ac, (e+1)*ac)`. A wrapper over
+/// [`gemm_grouped_transpose_a_blocks`], which see.
 pub fn gemm_grouped_transpose_a(
     a: &[f32],
     counts: &[usize],
@@ -800,6 +807,40 @@ pub fn gemm_grouped_transpose_a(
     d: &[f32],
     n: usize,
     c: &mut [f32],
+) {
+    assert_eq!(
+        c.len(),
+        counts.len() * ac * n,
+        "gemm_grouped_transpose_a: C length mismatch"
+    );
+    // A zero-sized block has nothing to receive (and no chunk size).
+    if ac * n > 0 {
+        gemm_grouped_transpose_a_blocks(a, counts, ac, d, n, c.chunks_exact_mut(ac * n));
+    }
+}
+
+/// Grouped `C_e = C_e + A[seg_e]^T @ D[seg_e]` where every expert's gradient
+/// block is its own `&mut [f32]`: `blocks` yields one `[ac, n]` block per
+/// entry of `counts`, in expert order — e.g. the experts' own gradient
+/// tensors, which is what lets the training backward add straight into them
+/// with no staging buffer. `a` is `[sum(counts), ac]`, `d` is
+/// `[sum(counts), n]` with the same segment layout. Distinct `&mut` borrows
+/// cannot overlap, so the blocks' disjointness is the caller's borrow check,
+/// not a promise.
+///
+/// The product is summed from `0.0` over segment rows in ascending order —
+/// exactly the k-order of `matmul(A_seg.transpose(), D_seg)` — and then added
+/// to the block (the kernel's *AddFresh* store): the bits of staging every
+/// expert's product into a zeroed block and `add_assign_slice`-ing it on, at
+/// any worker count. An expert with no rows leaves its block untouched. One
+/// task per expert.
+pub fn gemm_grouped_transpose_a_blocks<'c>(
+    a: &[f32],
+    counts: &[usize],
+    ac: usize,
+    d: &[f32],
+    n: usize,
+    blocks: impl Iterator<Item = &'c mut [f32]>,
 ) {
     let total: usize = counts.iter().sum();
     assert_eq!(
@@ -812,52 +853,48 @@ pub fn gemm_grouped_transpose_a(
         total * n,
         "gemm_grouped_transpose_a: D length mismatch"
     );
-    assert_eq!(
-        c.len(),
-        counts.len() * ac * n,
-        "gemm_grouped_transpose_a: C length mismatch"
-    );
-    if total == 0 || n == 0 || ac == 0 {
-        return;
-    }
     let p = pool();
-    if !p.is_parallel() || total * n * ac < PAR_CUTOFF {
-        let mut row = 0usize;
-        for (e, &cnt) in counts.iter().enumerate() {
-            if cnt == 0 {
-                continue;
-            }
-            gemm_ta_rows(
-                &a[row * ac..(row + cnt) * ac],
-                &d[row * n..(row + cnt) * n],
-                &mut c[e * ac * n..(e + 1) * ac * n],
-                cnt,
-                ac,
-                n,
-            );
-            row += cnt;
-        }
-        return;
-    }
+    let serial = !p.is_parallel() || total * n * ac < PAR_CUTOFF;
     PANELS.with(|cell| {
         let mut panels = cell.borrow_mut();
         panels.clear();
-        let mut row = 0usize;
-        for (e, &cnt) in counts.iter().enumerate() {
-            if cnt > 0 {
+        let (mut row, mut experts) = (0usize, 0usize);
+        for (&cnt, block) in counts.iter().zip(blocks) {
+            assert_eq!(
+                block.len(),
+                ac * n,
+                "gemm_grouped_transpose_a: gradient block {experts} shape"
+            );
+            experts += 1;
+            if cnt > 0 && serial {
+                gemm_ta_rows(
+                    &a[row * ac..(row + cnt) * ac],
+                    &d[row * n..(row + cnt) * n],
+                    block,
+                    cnt,
+                    ac,
+                    n,
+                );
+            } else if cnt > 0 {
                 panels.push(Panel {
                     row0: row,
                     rows: cnt,
-                    c_off: e * ac * n,
+                    c_off: 0,
                     b: std::ptr::null(),
+                    block: block.as_mut_ptr(),
                 });
             }
             row += cnt;
         }
+        assert_eq!(
+            experts,
+            counts.len(),
+            "gemm_grouped_transpose_a: one gradient block per expert"
+        );
         let ctx = GroupedCtx {
             a,
             d,
-            c: DisjointMut::new(c),
+            c: DisjointMut::new(&mut []),
             panels: &panels,
             k: ac,
             n,
@@ -969,7 +1006,7 @@ mod tests {
         for (e, rows, k, n) in [(4usize, 3usize, 5usize, 6usize), (8, 40, 100, 72)] {
             let (a, counts, ws) = grouped_fixture(e, rows, k, n);
             let total: usize = counts.iter().sum();
-            let mut c = vec![0.0f32; total * n];
+            let mut c = vec![f32::NAN; total * n]; // overwritten, never read
             gemm_grouped(a.as_slice(), &counts, k, |i| ws[i].as_slice(), n, &mut c);
             let mut row = 0usize;
             for (i, &cnt) in counts.iter().enumerate() {
@@ -994,7 +1031,7 @@ mod tests {
             let ws: Vec<Tensor> = (0..e)
                 .map(|i| Tensor::rand_uniform(n, k, 1.0, 200 + i as u64))
                 .collect();
-            let mut c = vec![0.0f32; total * n];
+            let mut c = vec![f32::NAN; total * n]; // overwritten, never read
             gemm_grouped_transpose_b(a.as_slice(), &counts, k, |i| ws[i].as_slice(), n, &mut c);
             let mut row = 0usize;
             for (i, &cnt) in counts.iter().enumerate() {
@@ -1026,6 +1063,80 @@ mod tests {
                 row += cnt;
             }
         }
+    }
+
+    #[test]
+    fn grouped_transpose_a_blocks_match_stage_then_add_bitwise() {
+        // The schedule the per-expert-block entry point replaced: every
+        // expert's product staged into a zeroed block, then added onto its
+        // gradient expert by expert, idle experts skipped. Count vectors with
+        // idle experts and with all but one chunk of experts zeroed (what a
+        // chunked caller sees), below and above the parallel cutoff.
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (counts, ac, n) in [
+            (vec![3usize, 0, 4, 0, 0, 2], 5usize, 6usize),
+            (vec![0, 0, 61, 58, 0, 0, 0, 0], 100, 72),
+            (vec![50, 0, 53, 51, 0, 49], 100, 72),
+        ] {
+            let total: usize = counts.iter().sum();
+            let a = Tensor::rand_uniform(total, ac, 1.0, 7474);
+            let d = Tensor::rand_uniform(total, n, 1.0, 7575);
+            let grads: Vec<Tensor> = (0..counts.len())
+                .map(|e| Tensor::rand_uniform(ac, n, 1.0, 300 + e as u64))
+                .collect();
+            let mut want = grads.clone();
+            let mut row = 0usize;
+            for (e, &cnt) in counts.iter().enumerate() {
+                if cnt > 0 {
+                    let staged = matmul(
+                        &a.slice_rows(row, row + cnt).transpose(),
+                        &d.slice_rows(row, row + cnt),
+                    );
+                    crate::add_assign_slice(want[e].as_mut_slice(), staged.as_slice());
+                }
+                row += cnt;
+            }
+            let mut got = grads.clone();
+            gemm_grouped_transpose_a_blocks(
+                a.as_slice(),
+                &counts,
+                ac,
+                d.as_slice(),
+                n,
+                got.iter_mut().map(Tensor::as_mut_slice),
+            );
+            // The contiguous-C wrapper is the same call over `chunks_exact_mut`.
+            let mut flat: Vec<f32> = grads.iter().flat_map(|g| g.as_slice().to_vec()).collect();
+            gemm_grouped_transpose_a(a.as_slice(), &counts, ac, d.as_slice(), n, &mut flat);
+            for e in 0..counts.len() {
+                assert_eq!(
+                    bits(got[e].as_slice()),
+                    bits(want[e].as_slice()),
+                    "expert {e}"
+                );
+                assert_eq!(
+                    bits(&flat[e * ac * n..(e + 1) * ac * n]),
+                    bits(want[e].as_slice()),
+                    "expert {e} (contiguous)"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one gradient block per expert")]
+    fn grouped_transpose_a_blocks_rejects_a_missing_block() {
+        let a = Tensor::rand_uniform(4, 3, 1.0, 1);
+        let d = Tensor::rand_uniform(4, 2, 1.0, 2);
+        let mut only = vec![0.0f32; 6];
+        gemm_grouped_transpose_a_blocks(
+            a.as_slice(),
+            &[2, 2],
+            3,
+            d.as_slice(),
+            2,
+            std::iter::once(only.as_mut_slice()),
+        );
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! # Discipline
 //!
 //! * [`Workspace::take`] returns a zero-filled `rows x cols` [`Tensor`]; when
-//!   done, hand it back with [`Workspace::recycle`]. Index buffers use
-//!   [`Workspace::take_idx`] / [`Workspace::recycle_idx`].
+//!   done, hand it back with [`Workspace::recycle`]. A lease whose next
+//!   operation writes every element (a GEMM output, a gather, a copy) uses
+//!   [`Workspace::take_for_overwrite`] instead and skips the zero-fill pass.
+//!   Index buffers use [`Workspace::take_idx`] / [`Workspace::recycle_idx`].
 //! * Free lists are LIFO. A pipeline that takes and recycles in the same
 //!   order every step keeps each logical buffer bound to the same backing
 //!   allocation, so capacities converge to the running maximum per slot.
@@ -78,19 +80,35 @@ impl Workspace {
     /// grown past `rows * cols` in a previous step, the lease performs no
     /// heap allocation.
     pub fn take(&mut self, rows: usize, cols: usize) -> Tensor {
+        self.lease(rows, cols, true)
+    }
+
+    /// [`Workspace::take`] without the zero-fill, for a lease whose next
+    /// operation writes every element: contents are unspecified — see
+    /// [`Tensor::resize_for_overwrite`], including the NaN poison of debug
+    /// builds. Same free list, same counters.
+    pub fn take_for_overwrite(&mut self, rows: usize, cols: usize) -> Tensor {
+        self.lease(rows, cols, false)
+    }
+
+    fn lease(&mut self, rows: usize, cols: usize, zeroed: bool) -> Tensor {
         self.takes += 1;
-        let mut buf = match self.free_f32.pop() {
+        let buf = match self.free_f32.pop() {
             Some(b) => b,
             None => {
                 self.pool_misses += 1;
                 Vec::new()
             }
         };
-        buf.clear();
-        buf.resize(rows * cols, 0.0);
-        self.leased_f32 += buf.capacity();
+        let mut t = Tensor::from_vec(buf.len(), 1, buf);
+        if zeroed {
+            t.resize(rows, cols);
+        } else {
+            t.resize_for_overwrite(rows, cols);
+        }
+        self.leased_f32 += t.data.capacity();
         self.peak_leased_f32 = self.peak_leased_f32.max(self.leased_f32);
-        Tensor::from_vec(rows, cols, buf)
+        t
     }
 
     /// Return a leased tensor's backing buffer to the free list.
@@ -208,6 +226,26 @@ mod tests {
         let t2 = ws.take(3, 2);
         assert_eq!(t2.shape(), (3, 2));
         assert!(t2.as_slice().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn for_overwrite_lease_shares_the_free_list_and_skips_only_the_fill() {
+        let mut ws = Workspace::new();
+        let mut t = ws.take(4, 4);
+        t.as_mut_slice().fill(7.5);
+        ws.recycle(t);
+        let t2 = ws.take_for_overwrite(3, 2);
+        assert_eq!((t2.shape(), t2.len()), ((3, 2), 6));
+        if cfg!(debug_assertions) {
+            assert!(t2.as_slice().iter().all(|v| v.is_nan()), "poisoned");
+        }
+        ws.recycle(t2);
+        // The zeroing lease of the same buffer is still zeroed.
+        let t3 = ws.take(4, 4);
+        assert!(t3.as_slice().iter().all(|&v| v == 0.0));
+        let s = ws.stats();
+        assert_eq!((s.takes, s.pool_misses), (3, 1), "one backing buffer");
+        assert!(s.peak_leased_f32 >= 16);
     }
 
     #[test]

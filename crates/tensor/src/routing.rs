@@ -17,6 +17,10 @@ pub fn gather_rows(src: &Tensor, token_ids: &[usize]) -> Tensor {
     out
 }
 
+/// Below this many output elements the row kernels here ([`gather_rows_into`],
+/// [`combine_backward_rows`]) run inline instead of chunking over the pool.
+const ROWS_PAR_CUTOFF: usize = 1 << 14;
+
 /// [`gather_rows`] into a caller-owned destination, resized (grow-only
 /// capacity) to `[token_ids.len(), src.cols()]`. With a warm workspace tensor
 /// the call is allocation-free; large gathers run on the persistent worker
@@ -24,9 +28,10 @@ pub fn gather_rows(src: &Tensor, token_ids: &[usize]) -> Tensor {
 /// trivially bitwise identical to the serial copy.
 pub fn gather_rows_into(src: &Tensor, token_ids: &[usize], out: &mut Tensor) {
     let cols = src.cols();
-    out.resize(token_ids.len(), cols);
+    // For-overwrite: every output row is copied below.
+    out.resize_for_overwrite(token_ids.len(), cols);
     let pool = crate::par::pool();
-    if !pool.is_parallel() || token_ids.len() * cols < 1 << 14 {
+    if !pool.is_parallel() || token_ids.len() * cols < ROWS_PAR_CUTOFF {
         for (i, &t) in token_ids.iter().enumerate() {
             out.row_mut(i).copy_from_slice(src.row(t));
         }
@@ -60,6 +65,113 @@ pub fn gather_rows_into(src: &Tensor, token_ids: &[usize], out: &mut Tensor) {
         chunk,
     };
     pool.for_each(&ctx, tasks, gather_task);
+}
+
+/// Backward of the combine stage in one pass: for every routed entry `i`,
+/// `d_y[i, :] = weights[i] * d_out[token_ids[i], :]` (the gradient of expert
+/// output row `i`) and `d_w[i] = <d_out[token_ids[i], :], y[i, :]>` (the
+/// gradient of its combine weight). `d_y` is resized to `y`'s shape and `d_w`
+/// to its row count; `d_out[t]` and `y[i]` are each read once, nothing is
+/// staged.
+///
+/// Each dot product is one scalar add chain in ascending column order from
+/// `0.0` — the bitwise-pinned training trajectories forbid reassociating it —
+/// but rows are independent: four rows' chains are interleaved to hide the
+/// add latency, and row chunks run on the worker pool above the gather's
+/// cutoff. Any chunking gives the same bits.
+pub fn combine_backward_rows(
+    d_out: &Tensor,
+    token_ids: &[usize],
+    y: &Tensor,
+    weights: &[f32],
+    d_y: &mut Tensor,
+    d_w: &mut Vec<f32>,
+) {
+    let (rows, cols) = y.shape();
+    assert_eq!(rows, token_ids.len(), "combine backward: y rows != ids");
+    assert_eq!(rows, weights.len(), "combine backward: y rows != weights");
+    assert_eq!(cols, d_out.cols(), "combine backward: hidden-dim mismatch");
+    // For-overwrite: `combine_backward_chunk` writes every row of its chunk.
+    d_y.resize_for_overwrite(rows, cols);
+    d_w.clear();
+    d_w.resize(rows, 0.0);
+
+    let pool = crate::par::pool();
+    if !pool.is_parallel() || rows * cols < ROWS_PAR_CUTOFF {
+        let d_y = d_y.as_mut_slice();
+        return combine_backward_chunk::<4>(d_out, token_ids, y, weights, 0, d_y, d_w);
+    }
+    struct Ctx<'a> {
+        d_out: &'a Tensor,
+        ids: &'a [usize],
+        y: &'a Tensor,
+        weights: &'a [f32],
+        d_y: crate::par::DisjointMut<'a>,
+        d_w: crate::par::DisjointMut<'a>,
+        chunk: usize,
+    }
+    fn task(g: &Ctx<'_>, c: usize) {
+        let cols = g.y.cols();
+        let i0 = c * g.chunk;
+        let n = g.chunk.min(g.ids.len() - i0);
+        // SAFETY: chunks tile the rows disjointly, one task each; `d_y` is
+        // carved by row range and `d_w` by the same range of elements.
+        let (d_y, d_w) = unsafe { (g.d_y.slice(i0 * cols, n * cols), g.d_w.slice(i0, n)) };
+        combine_backward_chunk::<4>(g.d_out, g.ids, g.y, g.weights, i0, d_y, d_w);
+    }
+    let chunk = rows.div_ceil(pool.size()).next_multiple_of(4);
+    let ctx = Ctx {
+        d_out,
+        ids: token_ids,
+        y,
+        weights,
+        d_y: crate::par::DisjointMut::new(d_y.as_mut_slice()),
+        d_w: crate::par::DisjointMut::new(d_w),
+        chunk,
+    };
+    pool.for_each(&ctx, rows.div_ceil(chunk), task);
+}
+
+/// Rows `i0..i0 + d_w.len()` of [`combine_backward_rows`], `R` rows at a time
+/// (their `R` dot-product chains advance in lockstep), then one at a time.
+fn combine_backward_chunk<const R: usize>(
+    d_out: &Tensor,
+    ids: &[usize],
+    y: &Tensor,
+    weights: &[f32],
+    i0: usize,
+    d_y: &mut [f32],
+    d_w: &mut [f32],
+) {
+    let cols = y.cols();
+    let full = d_w.len() - d_w.len() % R;
+    if R > 1 && full < d_w.len() {
+        let (head, tail) = d_y.split_at_mut(full * cols);
+        let (w_head, w_tail) = d_w.split_at_mut(full);
+        combine_backward_chunk::<R>(d_out, ids, y, weights, i0, head, w_head);
+        return combine_backward_chunk::<1>(d_out, ids, y, weights, i0 + full, tail, w_tail);
+    }
+    for (g, (d_y, d_w)) in d_y
+        .chunks_exact_mut(R * cols)
+        .zip(d_w.chunks_exact_mut(R))
+        .enumerate()
+    {
+        let i = i0 + g * R;
+        let grad: [&[f32]; R] = std::array::from_fn(|r| d_out.row(ids[i + r]));
+        let out: [&[f32]; R] = std::array::from_fn(|r| y.row(i + r));
+        for (r, d_y) in d_y.chunks_exact_mut(cols).enumerate() {
+            for (d, &gv) in d_y.iter_mut().zip(grad[r]) {
+                *d = weights[i + r] * gv;
+            }
+        }
+        let mut dot = [0.0f32; R];
+        for c in 0..cols {
+            for r in 0..R {
+                dot[r] += grad[r][c] * out[r][c];
+            }
+        }
+        d_w.copy_from_slice(&dot);
+    }
 }
 
 /// Scatter-accumulate kernel (paper §4.1.2):
@@ -149,6 +261,21 @@ pub fn sequential_gemm(input: &Tensor, tokens_per_expert: &[usize], weights: &[T
     out
 }
 
+/// The ranking order of this crate — [`argsort_desc_into`],
+/// [`select_top_desc`] and [`crate::topk_rows_into`]: does index `a` of `keys`
+/// rank before index `b`? Value descending, then index ascending; a NaN ranks
+/// after every number, NaNs among themselves by index. A total order for any
+/// input (a diverged router's NaN score cannot panic a sort) that equals
+/// `partial_cmp` on numbers.
+pub(crate) fn rank_desc(keys: &[f32]) -> impl Fn(&usize, &usize) -> std::cmp::Ordering + '_ {
+    |&a, &b| {
+        let (x, y) = (keys[a], keys[b]);
+        y.partial_cmp(&x)
+            .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
+            .then(a.cmp(&b))
+    }
+}
+
 /// Indices that would sort `keys` in descending order (stable: ties keep
 /// their original relative order, making token dropping deterministic).
 pub fn argsort_desc_by(keys: &[f32]) -> Vec<usize> {
@@ -161,11 +288,21 @@ pub fn argsort_desc_by(keys: &[f32]) -> Vec<usize> {
 ///
 /// Uses an in-place unstable sort: the comparator breaks key ties by index,
 /// so no two elements compare equal and the result is identical to the
-/// stable sort — without the stable sort's temporary allocation.
+/// stable sort — without the stable sort's temporary allocation. NaN keys
+/// sort last, in index order.
 pub fn argsort_desc_into(keys: &[f32], idx: &mut Vec<usize>) {
     idx.clear();
     idx.extend(0..keys.len());
-    idx.sort_unstable_by(|&a, &b| keys[b].partial_cmp(&keys[a]).unwrap().then(a.cmp(&b)));
+    idx.sort_unstable_by(rank_desc(keys));
+}
+
+/// Reorder `idx` (distinct indices into `keys`) so that its first `keep`
+/// entries are the `keep` that [`argsort_desc_into`] would rank first among
+/// them, in unspecified order — an O(len) selection instead of the sort.
+pub fn select_top_desc(keys: &[f32], idx: &mut [usize], keep: usize) {
+    if keep > 0 && keep < idx.len() {
+        idx.select_nth_unstable_by(keep - 1, rank_desc(keys));
+    }
 }
 
 /// Inclusive prefix sum.
@@ -270,6 +407,75 @@ mod tests {
     fn argsort_desc_stable_on_ties() {
         let keys = [0.5f32, 0.9, 0.5, 0.1];
         assert_eq!(argsort_desc_by(&keys), vec![1, 0, 2, 3]);
+    }
+
+    #[test]
+    fn argsort_ranks_nan_last_instead_of_panicking() {
+        let keys = [
+            0.5f32,
+            f32::NAN,
+            0.9,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -0.0,
+            0.0,
+        ];
+        assert_eq!(argsort_desc_by(&keys), vec![2, 0, 5, 6, 3, 1, 4]);
+        assert_eq!(argsort_desc_by(&[f32::NAN; 3]), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn select_top_desc_puts_the_argsort_prefix_first() {
+        let mut keys: Vec<f32> = (0..97).map(|i| ((i * 31) % 17) as f32 * 0.25).collect();
+        keys[40] = f32::NAN;
+        let ranked = argsort_desc_by(&keys);
+        for keep in [0usize, 1, 16, 96, 97, 200] {
+            let mut idx: Vec<usize> = (0..keys.len()).collect();
+            select_top_desc(&keys, &mut idx, keep);
+            let keep = keep.min(keys.len());
+            let mut head = idx[..keep].to_vec();
+            head.sort_unstable_by(rank_desc(&keys));
+            assert_eq!(head, ranked[..keep], "keep {keep}");
+        }
+    }
+
+    #[test]
+    fn combine_backward_rows_matches_gather_then_serial_dot_bitwise() {
+        // The two-pass schedule this kernel replaced: gather `d_out` rows,
+        // then per row one ascending scalar dot and an in-place scale. Row
+        // counts on both sides of the pool cutoff and off the 4-row grid.
+        for (rows, cols, tokens) in [
+            (0usize, 8usize, 3usize),
+            (7, 5, 3),
+            (64, 33, 10),
+            (1027, 64, 200),
+        ] {
+            let d_out = Tensor::rand_uniform(tokens, cols, 1.0, 41);
+            let y = Tensor::rand_uniform(rows, cols, 1.0, 42);
+            let ids: Vec<usize> = (0..rows).map(|i| (i * 7 + 3) % tokens).collect();
+            let w = Tensor::rand_uniform(1, rows, 1.0, 43).into_vec();
+            let mut want_dy = gather_rows(&d_out, &ids);
+            let want_dw: Vec<f32> = (0..rows)
+                .map(|i| {
+                    let mut dot = 0.0f32;
+                    for (dv, yv) in want_dy.row_mut(i).iter_mut().zip(y.row(i)) {
+                        dot += *dv * yv;
+                        *dv *= w[i];
+                    }
+                    dot
+                })
+                .collect();
+            let (mut d_y, mut d_w) = (Tensor::full(3, 3, 9.0), vec![9.0f32; 5]);
+            combine_backward_rows(&d_out, &ids, &y, &w, &mut d_y, &mut d_w);
+            let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(d_y.shape(), (rows, cols));
+            assert_eq!(
+                bits(d_y.as_slice()),
+                bits(want_dy.as_slice()),
+                "d_y {rows}x{cols}"
+            );
+            assert_eq!(bits(&d_w), bits(&want_dw), "d_w {rows}x{cols}");
+        }
     }
 
     #[test]

@@ -248,9 +248,10 @@ impl TrainableMoe {
         );
         gather_rows_into(x, &ctx.pft.token_ids, &mut ctx.dispatch_in);
         let b = ctx.pft.len();
-        ctx.h_pre.resize(b, f);
-        ctx.h_act.resize(b, f);
-        ctx.y.resize(b, h);
+        // For-overwrite: `expert_ffn_forward` writes all three whole.
+        ctx.h_pre.resize_for_overwrite(b, f);
+        ctx.h_act.resize_for_overwrite(b, f);
+        ctx.y.resize_for_overwrite(b, h);
         expert_ffn_forward(
             &self.experts,
             &ctx.pft.tokens_per_expert,
@@ -260,7 +261,8 @@ impl TrainableMoe {
             ctx.h_act.as_mut_slice(),
             ctx.y.as_mut_slice(),
         );
-        let mut out = st.ws.take(x.rows(), h);
+        // For-overwrite: the residual copy fills it.
+        let mut out = st.ws.take_for_overwrite(x.rows(), h);
         out.as_mut_slice().copy_from_slice(x.as_slice());
         scatter_rows_scaled(
             &ctx.y,
@@ -297,8 +299,9 @@ impl TrainableMoe {
         loss_scale: f32,
     ) -> Tensor {
         let dims = self.dims();
-        let mut d_x = ws.take(d_out.rows(), d_out.cols());
-        d_x.as_mut_slice().copy_from_slice(d_out.as_slice()); // residual path
+        // For-overwrite: the residual-path copy fills it.
+        let mut d_x = ws.take_for_overwrite(d_out.rows(), d_out.cols());
+        d_x.as_mut_slice().copy_from_slice(d_out.as_slice());
         let d_y = combine_backward(&ctx.pft, &ctx.y, d_out, bwd, ws);
         let d_dispatch = expert_ffn_backward(
             &self.experts,

@@ -12,10 +12,9 @@
 use xmoe_core::gating::{clamp_logits, row_logsumexp_into, DropPolicy, GatingOutput, RouterGuard};
 use xmoe_core::pft::{Pft, PftScratch};
 use xmoe_tensor::{
-    add_assign, add_assign_slice, dot_and_scale, gather_rows_into, gemm_grouped,
-    gemm_grouped_transpose_a, gemm_grouped_transpose_b, matmul_into, matmul_slices,
-    matmul_transpose_b_slices, silu_grad_slice, silu_into, softmax_rows, topk_rows_into, Tensor,
-    Workspace,
+    add_assign, combine_backward_rows, gemm_grouped, gemm_grouped_transpose_a_blocks,
+    gemm_grouped_transpose_b, matmul_into, matmul_slices, matmul_transpose_b_slices,
+    silu_grad_slice, silu_into, softmax_rows, topk_rows_into, Tensor, Workspace,
 };
 
 /// One layer's `(w1 [H,F], w2 [F,H])` expert blocks, or their gradients.
@@ -72,7 +71,9 @@ pub(crate) fn route(
     pft: &mut Pft,
 ) {
     let (s, e) = (x.rows(), p.num_experts);
-    sc.logits.resize(s, e);
+    // For-overwrite leases below: each is filled whole by the next call
+    // (`matmul_into`'s Overwrite store, or a `copy_from_slice`).
+    sc.logits.resize_for_overwrite(s, e);
     matmul_into(x, gate, &mut sc.logits);
     save.logits_clamped = clamp_logits(&mut sc.logits, p.guard.logit_clamp);
     if p.guard.z_loss_coef != 0.0 {
@@ -80,7 +81,7 @@ pub(crate) fn route(
     } else {
         save.lse.clear();
     }
-    save.scores.resize(s, e);
+    save.scores.resize_for_overwrite(s, e);
     save.scores
         .as_mut_slice()
         .copy_from_slice(sc.logits.as_slice());
@@ -102,20 +103,21 @@ pub(crate) fn route(
             .map(|(i, &ex)| logits.get(i / p.top_k, ex)),
     );
     g.k = p.top_k;
-    g.scores.resize(s, e);
+    g.scores.resize_for_overwrite(s, e);
     g.scores
         .as_mut_slice()
         .copy_from_slice(save.scores.as_slice());
     Pft::construct_into(g, e, p.capacity, p.policy, &mut sc.pft, pft);
-    save.x.resize(s, x.cols());
+    save.x.resize_for_overwrite(s, x.cols());
     save.x.as_mut_slice().copy_from_slice(x.as_slice());
 }
 
 /// Expert FFN over the expert-major segments `counts` of `input`:
 /// `h_pre = input·W1`, `h_act = silu(h_pre)`, `y = h_act·W2`. `experts`
-/// is the matching expert range; `h_pre` and `y` must arrive zeroed (the
-/// grouped GEMM accumulates). Every row belongs to exactly one segment, so
-/// the whole-buffer SiLU equals the per-segment one.
+/// is the matching expert range. All three outputs are overwritten whole
+/// (every row belongs to exactly one segment — which is also why the
+/// whole-buffer SiLU equals the per-segment one), so they may arrive as
+/// for-overwrite leases.
 pub(crate) fn expert_ffn_forward(
     experts: &ExpertWeights,
     counts: &[usize],
@@ -130,13 +132,14 @@ pub(crate) fn expert_ffn_forward(
     gemm_grouped(h_act, counts, f, |e| experts[e].1.as_slice(), h, y);
 }
 
-/// Backward of [`expert_ffn_forward`] over the same segments: accumulates
-/// `dW2_e = act_e^T·dy_e` and `dW1_e = x_e^T·d_h_e` into `grads` and returns
-/// `d_input` (leased from `ws`). Weight gradients stage into zeroed
-/// per-expert blocks and are then added expert by expert — accumulating
-/// straight into `grads` would reassociate the float sums — and no
-/// transpose is materialised (the transpose-A kernel keeps the
-/// accumulation order of transpose-then-matmul).
+/// Backward of [`expert_ffn_forward`] over the same segments: adds
+/// `dW2_e = act_e^T·dy_e` and `dW1_e = x_e^T·d_h_e` onto `grads` and returns
+/// `d_input` (leased from `ws`). Each expert's product is summed on its own
+/// and then added to its gradient tensor in one step (the TN kernel's
+/// AddFresh store) — accumulating the terms straight into `grads` would
+/// reassociate the float sums — with no staging block and no transpose
+/// materialised (the transpose-A kernel keeps the accumulation order of
+/// transpose-then-matmul).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn expert_ffn_backward(
     experts: &ExpertWeights,
@@ -149,31 +152,21 @@ pub(crate) fn expert_ffn_backward(
     d_y: &[f32],
     ws: &mut Workspace,
 ) -> Tensor {
-    let (n, rows) = (counts.len(), counts.iter().sum::<usize>());
-    let mut dw2 = ws.take(n * f, h);
-    gemm_grouped_transpose_a(h_act, counts, f, d_y, h, dw2.as_mut_slice());
-    // d_act = dy·W2^T, then through SiLU.
-    let mut d_h = ws.take(rows, f);
+    let rows = counts.iter().sum::<usize>();
+    let dw2 = grads.iter_mut().map(|g| g.1.as_mut_slice());
+    gemm_grouped_transpose_a_blocks(h_act, counts, f, d_y, h, dw2);
+    // d_act = dy·W2^T, then through SiLU. For-overwrite: the grouped NT
+    // writes every row of `d_h` (and of `d_input` below).
+    let mut d_h = ws.take_for_overwrite(rows, f);
     let w2 = |e: usize| experts[e].1.as_slice();
     gemm_grouped_transpose_b(d_y, counts, h, w2, f, d_h.as_mut_slice());
     silu_grad_slice(d_h.as_mut_slice(), h_pre);
-    let mut dw1 = ws.take(n * h, f);
-    gemm_grouped_transpose_a(input, counts, h, d_h.as_slice(), f, dw1.as_mut_slice());
-    let mut d_input = ws.take(rows, h);
+    let dw1 = grads.iter_mut().map(|g| g.0.as_mut_slice());
+    gemm_grouped_transpose_a_blocks(input, counts, h, d_h.as_slice(), f, dw1);
+    let mut d_input = ws.take_for_overwrite(rows, h);
     let w1 = |e: usize| experts[e].0.as_slice();
     gemm_grouped_transpose_b(d_h.as_slice(), counts, f, w1, h, d_input.as_mut_slice());
     ws.recycle(d_h);
-    let block = h * f;
-    for (e, &cnt) in counts.iter().enumerate() {
-        if cnt == 0 {
-            continue;
-        }
-        let span = e * block..(e + 1) * block;
-        add_assign_slice(grads[e].1.as_mut_slice(), &dw2.as_slice()[span.clone()]);
-        add_assign_slice(grads[e].0.as_mut_slice(), &dw1.as_slice()[span]);
-    }
-    ws.recycle(dw2);
-    ws.recycle(dw1);
     d_input
 }
 
@@ -187,11 +180,15 @@ pub(crate) fn combine_backward(
     sc: &mut BwdScratch,
     ws: &mut Workspace,
 ) -> Tensor {
-    let mut d_y = ws.take(0, 0);
-    gather_rows_into(d_out, &pft.token_ids, &mut d_y);
-    sc.d_w.clear();
-    sc.d_w.extend(
-        (0..pft.len()).map(|i| dot_and_scale(d_y.row_mut(i), y.row(i), pft.combine_weights[i])),
+    // For-overwrite: `combine_backward_rows` sizes and fills it whole.
+    let mut d_y = ws.take_for_overwrite(0, 0);
+    combine_backward_rows(
+        d_out,
+        &pft.token_ids,
+        y,
+        &pft.combine_weights,
+        &mut d_y,
+        &mut sc.d_w,
     );
     d_y
 }
@@ -255,7 +252,8 @@ pub(crate) fn router_backward(
     }
     ws.recycle(d_scores);
     save.x.transpose_into(&mut sc.xt);
-    let mut dg = ws.take(h, e_count);
+    // For-overwrite: `dg` and `d_x_gate` are each one GEMM's whole output.
+    let mut dg = ws.take_for_overwrite(h, e_count);
     matmul_slices(
         sc.xt.as_slice(),
         h,
@@ -266,7 +264,7 @@ pub(crate) fn router_backward(
     );
     add_assign(g_gate, &dg);
     ws.recycle(dg);
-    let mut d_x_gate = ws.take(s, h);
+    let mut d_x_gate = ws.take_for_overwrite(s, h);
     matmul_transpose_b_slices(
         d_logits.as_slice(),
         s,
