@@ -1,15 +1,22 @@
 //! The simulated communicator: MPI/RCCL-style collectives over per-(src,dst)
-//! channels, with cost-model time accounting piggybacked on every message.
+//! mailboxes (`mailbox.rs`), with cost-model time accounting piggybacked on
+//! every message.
 //!
 //! **SPMD discipline**: like MPI, every rank of a communicator must call the
-//! same sequence of collectives on it. Channels are FIFO per (src, dst)
-//! pair, so matching is by program order and no tags are needed.
+//! same sequence of collectives on it. Mailboxes are FIFO per (src, dst)
+//! pair, so matching is by program order and no tags are needed. A rank that
+//! leaves that order is caught where its message is opened:
+//! [`CommError::Diverged`] names the collective and the peer.
 //!
 //! **Failure awareness**: collectives return `Result<_, CommError>`. A rank
 //! that a [`FaultPlan`] declares dead is detected *before* any payload moves
 //! (every survivor errs at the same collective, keeping SPMD order intact —
-//! with threads-as-ranks a dead peer's channel endpoints live on in the
-//! shared link matrix, so rendezvous-by-recv would deadlock, not error).
+//! a simulated death is a live thread that stops sending, so
+//! rendezvous-by-recv would wait forever, not error). A rank thread that
+//! *panics* is a different failure: its [`RankCtx`](crate::RankCtx) marks the
+//! world aborted as it unwinds, and every receive that would have waited for
+//! it — on the world communicator or anything split or grown off it — returns
+//! [`CommError::Aborted`] instead of sleeping.
 //! Transient link flaps retry with exponential backoff, charged to the clock
 //! as retry spans; link degradation stretches the priced collective time.
 
@@ -17,12 +24,12 @@ use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use xmoe_tensor::untracked;
 use xmoe_topology::{CostModel, FaultPlan, LinkClass};
 
+use crate::mailbox::{Mailbox, Packet, World};
 use crate::SimClock;
 
 /// Why a collective could not complete.
@@ -33,11 +40,17 @@ pub enum CommError {
     /// caller is expected to re-form a communicator over the survivors via
     /// [`Communicator::split`] and recover from a checkpoint.
     DeadPeer { global_rank: usize, step: u64 },
-    /// A channel endpoint was dropped mid-collective (a peer's communicator
-    /// was destroyed — only possible through a driver bug, since the link
-    /// matrix is shared).
-    ChannelClosed { op: &'static str },
-    /// A link mutex was poisoned by a panicking peer.
+    /// The rank thread of `global_rank` panicked. Every receive that would
+    /// have waited — on any communicator derived from that rank's world —
+    /// returns this instead; [`SimCluster::run`](crate::SimCluster::run)
+    /// re-raises the original panic once all ranks have returned.
+    Aborted { global_rank: usize },
+    /// The message `op` took from global rank `rank` is not the type `op`
+    /// puts on the wire: the two ranks have left SPMD program order (a
+    /// collective skipped or reordered on one of them, or called with a
+    /// different element type).
+    Diverged { op: &'static str, rank: usize },
+    /// A mailbox mutex was poisoned by a panicking peer.
     LockPoisoned { op: &'static str },
 }
 
@@ -47,8 +60,15 @@ impl fmt::Display for CommError {
             CommError::DeadPeer { global_rank, step } => {
                 write!(f, "rank {global_rank} is dead at step {step}")
             }
-            CommError::ChannelClosed { op } => write!(f, "channel closed during {op}"),
-            CommError::LockPoisoned { op } => write!(f, "link mutex poisoned during {op}"),
+            CommError::Aborted { global_rank } => {
+                write!(f, "rank {global_rank} panicked; the world is aborted")
+            }
+            CommError::Diverged { op, rank } => write!(
+                f,
+                "{op}: message from rank {rank} has another collective's type \
+                 (ranks diverged from SPMD order)"
+            ),
+            CommError::LockPoisoned { op } => write!(f, "mailbox mutex poisoned during {op}"),
         }
     }
 }
@@ -83,60 +103,55 @@ struct TrafficCounters {
     cross_rack: AtomicU64,
 }
 
-/// One message between two ranks: the sender's simulated clock plus an
-/// arbitrary payload (collectives downcast to the concrete type they sent).
-struct Packet {
-    clock: f64,
-    payload: Box<dyn Any + Send>,
-}
-
-struct Link {
-    tx: Sender<Packet>,
-    /// `std::sync::mpsc::Receiver` is `!Sync`; the mutex makes the link
-    /// matrix shareable. Only the destination rank ever locks it, so the
-    /// lock is always uncontended.
-    rx: Mutex<Receiver<Packet>>,
-}
-
 /// Shared state of one communicator: the member ranks (global ids), the
-/// full channel matrix, and the fault plan (if chaos is enabled).
+/// full mailbox matrix, and what it inherits from its root world (the fault
+/// plan if chaos is enabled, the wait strategy and the abort flag).
 struct CommState {
     /// Global rank of each local position, ascending.
     ranks: Vec<usize>,
-    /// `links[src_local][dst_local]`.
-    links: Vec<Vec<Link>>,
+    /// Row-major `[src_local][dst_local]`.
+    links: Vec<Mailbox>,
     cost: Arc<CostModel>,
     /// Per-local-rank sent-bytes counters.
     traffic: Vec<TrafficCounters>,
     /// The deterministic fault schedule; `None` runs the fault-free fast
     /// path. Inherited by communicators created via `split`.
     fault: Option<Arc<FaultPlan>>,
+    /// Shared with the root world and every sibling derived from it.
+    world: Arc<World>,
 }
 
 impl CommState {
-    fn new(ranks: Vec<usize>, cost: Arc<CostModel>, fault: Option<Arc<FaultPlan>>) -> Self {
+    fn new(
+        ranks: Vec<usize>,
+        cost: Arc<CostModel>,
+        fault: Option<Arc<FaultPlan>>,
+        world: Arc<World>,
+    ) -> Self {
         let n = ranks.len();
-        let links = (0..n)
-            .map(|_| {
-                (0..n)
-                    .map(|_| {
-                        let (tx, rx) = channel();
-                        Link {
-                            tx,
-                            rx: Mutex::new(rx),
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let traffic = (0..n).map(|_| TrafficCounters::default()).collect();
         Self {
+            links: (0..n * n).map(|_| Mailbox::new()).collect(),
+            traffic: (0..n).map(|_| TrafficCounters::default()).collect(),
             ranks,
-            links,
             cost,
-            traffic,
             fault,
+            world,
         }
+    }
+
+    /// A child communicator over `ranks`, inheriting cost model, fault plan
+    /// and world state.
+    fn child(&self, ranks: Vec<usize>) -> Self {
+        Self::new(
+            ranks,
+            self.cost.clone(),
+            self.fault.clone(),
+            self.world.clone(),
+        )
+    }
+
+    fn link(&self, src: usize, dst: usize) -> &Mailbox {
+        &self.links[src * self.ranks.len() + dst]
     }
 }
 
@@ -169,7 +184,8 @@ impl Communicator {
         fault: Option<Arc<FaultPlan>>,
     ) -> Vec<Communicator> {
         let n = cost.topology().n_ranks();
-        let state = Arc::new(CommState::new((0..n).collect(), cost, fault));
+        let world = Arc::new(World::new(n));
+        let state = Arc::new(CommState::new((0..n).collect(), cost, fault, world));
         (0..n)
             .map(|me| Communicator {
                 state: state.clone(),
@@ -266,19 +282,45 @@ impl Communicator {
         clock: f64,
         payload: Box<dyn Any + Send>,
     ) -> Result<(), CommError> {
-        self.state.links[self.me][dst]
-            .tx
-            .send(Packet { clock, payload })
-            .map_err(|_| CommError::ChannelClosed { op: "send" })
+        self.state.link(self.me, dst).send(
+            Packet { clock, payload },
+            &self.state.world,
+            self.state.ranks[dst],
+        )
     }
 
     fn recv_from(&self, src: usize) -> Result<Packet, CommError> {
-        self.state.links[src][self.me]
-            .rx
-            .lock()
-            .map_err(|_| CommError::LockPoisoned { op: "recv" })?
-            .recv()
-            .map_err(|_| CommError::ChannelClosed { op: "recv" })
+        self.state
+            .link(src, self.me)
+            .recv(&self.state.world, self.global_rank())
+    }
+
+    /// Open a payload `op` took from local rank `src` as the type `op` puts
+    /// on the wire.
+    fn open<P: 'static>(
+        &self,
+        payload: Box<dyn Any + Send>,
+        op: &'static str,
+        src: usize,
+    ) -> Result<P, CommError> {
+        match payload.downcast::<P>() {
+            Ok(p) => Ok(*p),
+            Err(_) => Err(CommError::Diverged {
+                op,
+                rank: self.state.ranks[src],
+            }),
+        }
+    }
+
+    /// Mark this communicator's world aborted by this rank and wake every
+    /// parked peer (see [`CommError::Aborted`]).
+    pub(crate) fn abort(&self) {
+        self.state.world.abort(self.global_rank());
+    }
+
+    /// The global rank whose panic aborted this communicator's world.
+    pub(crate) fn aborted_by(&self) -> Option<usize> {
+        self.state.world.aborted_by()
     }
 
     /// Is the member at local position `pos` dead at this handle's step?
@@ -291,7 +333,7 @@ impl Communicator {
 
     /// Fail fast (and deterministically) if any group member is dead:
     /// called before any payload is sent, so every survivor errs at the
-    /// same collective with no partial messages left in the channels. The
+    /// same collective with no partial messages left in the mailboxes. The
     /// detection timeout is charged to the clock.
     fn check_dead(&self, clock: &mut SimClock) -> Result<(), CommError> {
         let Some(plan) = &self.state.fault else {
@@ -377,7 +419,7 @@ impl Communicator {
     /// `max(own clock, peer issue stamps)` and charges the priced transfer.
     ///
     /// SPMD discipline still applies: every rank must issue and wait its
-    /// collectives in the same program order (channels are FIFO per
+    /// collectives in the same program order (mailboxes are FIFO per
     /// (src, dst) pair, so interleaved chunked exchanges match up as long as
     /// the issue order is uniform across ranks).
     pub fn issue_all_to_all_v<T: Clone + Send + 'static>(
@@ -393,10 +435,11 @@ impl Communicator {
     /// onto the wire (each slot is left as an empty `Vec`), the outer `Vec`
     /// stays with the caller for the next step.
     ///
-    /// The wire mechanics here — the size-row `Arc`, the boxed channel
-    /// payloads, the mpsc nodes — are simulation plumbing with no `malloc`
-    /// analog on real hardware (a NIC doorbell does not heap-allocate), so
-    /// they are recorded under the allocator's untracked counter.
+    /// The wire mechanics here — the size-row `Arc`, the boxed payloads, a
+    /// mailbox queue growing under a sender that runs ahead — are simulation
+    /// plumbing with no `malloc` analog on real hardware (a NIC doorbell does
+    /// not heap-allocate), so they are recorded under the allocator's
+    /// untracked counter.
     pub fn issue_all_to_all_v_into<T: Clone + Send + 'static>(
         &self,
         send: &mut [Vec<T>],
@@ -476,10 +519,7 @@ impl Communicator {
                 }
                 let pkt = self.recv_from(src)?;
                 start = start.max(pkt.clock);
-                let (data, bytes) = *pkt
-                    .payload
-                    .downcast::<(Vec<T>, u64)>()
-                    .expect("collective type mismatch: ranks diverged from SPMD order");
+                let (data, bytes) = self.open::<(Vec<T>, u64)>(pkt.payload, "all_gather", src)?;
                 *slot = data;
                 bytes_per_rank[src] = bytes;
             }
@@ -618,7 +658,11 @@ impl Communicator {
         self.check_dead(clock)?;
         let n = self.size();
         if self.me == root {
-            let v = value.expect("root must supply the broadcast value");
+            // A root without a value believes somebody else is the root.
+            let v = value.ok_or(CommError::Diverged {
+                op: "broadcast",
+                rank: self.global_rank(),
+            })?;
             let bytes = v.len() as u64 * std::mem::size_of::<T>() as u64;
             for dst in 0..n {
                 if dst == root {
@@ -633,10 +677,7 @@ impl Communicator {
             Ok(v)
         } else {
             let pkt = self.recv_from(root)?;
-            let v = *pkt
-                .payload
-                .downcast::<Vec<T>>()
-                .expect("collective type mismatch in broadcast");
+            let v = self.open::<Vec<T>>(pkt.payload, "broadcast", root)?;
             let bytes = v.len() as u64 * std::mem::size_of::<T>() as u64;
             let t = self.state.cost.allgather_time(&self.state.ranks, bytes);
             clock.advance_to_op("broadcast", pkt.clock);
@@ -689,11 +730,7 @@ impl Communicator {
             }
             let pkt = self.recv_from(src)?;
             start = start.max(pkt.clock);
-            let c = *pkt
-                .payload
-                .downcast::<u64>()
-                .expect("collective type mismatch in split");
-            colors.push((src, c));
+            colors.push((src, self.open::<u64>(pkt.payload, "split", src)?));
         }
         colors.sort_unstable_by_key(|&(i, _)| i);
         let alive_globals: Vec<usize> = alive.iter().map(|&i| self.state.ranks[i]).collect();
@@ -706,38 +743,36 @@ impl Communicator {
             .filter(|&&(_, c)| c == color as u64)
             .map(|&(i, _)| i)
             .collect();
+        let globals: Vec<usize> = members.iter().map(|&m| self.state.ranks[m]).collect();
+        self.form_child("split", &members, globals, clock)
+    }
+
+    /// Last step of `split` / `grow`: the lowest member builds the child's
+    /// shared state and hands it to the others; `members` are ascending local
+    /// positions in this communicator and include the caller.
+    fn form_child(
+        &self,
+        op: &'static str,
+        members: &[usize],
+        globals: Vec<usize>,
+        clock: &mut SimClock,
+    ) -> Result<Communicator, CommError> {
         let leader = members[0];
-        let my_pos = members
-            .iter()
-            .position(|&m| m == self.me)
-            .expect("split: caller not in its own color group");
-        if self.me == leader {
-            let globals: Vec<usize> = members.iter().map(|&m| self.state.ranks[m]).collect();
-            let child = Arc::new(CommState::new(
-                globals,
-                self.state.cost.clone(),
-                self.state.fault.clone(),
-            ));
+        let state = if self.me == leader {
+            let child = Arc::new(self.state.child(globals));
             for &m in &members[1..] {
                 self.send_to(m, clock.now(), Box::new(child.clone()))?;
             }
-            Ok(Communicator {
-                state: child,
-                me: 0,
-                step: Cell::new(step),
-            })
+            child
         } else {
             let pkt = self.recv_from(leader)?;
-            let child = *pkt
-                .payload
-                .downcast::<Arc<CommState>>()
-                .expect("collective type mismatch in split");
-            Ok(Communicator {
-                state: child,
-                me: my_pos,
-                step: Cell::new(step),
-            })
-        }
+            self.open::<Arc<CommState>>(pkt.payload, op, leader)?
+        };
+        Ok(Communicator {
+            state,
+            me: members.partition_point(|&m| m < self.me),
+            step: Cell::new(self.step.get()),
+        })
     }
 
     /// Split into node-local communicators (color = node index).
@@ -758,7 +793,6 @@ impl Communicator {
     /// the members' clocks, priced like the 8-byte all-gather `split` pays.
     /// Like `split`, `grow` ignores dead or absent non-members entirely.
     pub fn grow(&self, members: &[usize], clock: &mut SimClock) -> Result<Communicator, CommError> {
-        let step = self.step.get();
         let mut members: Vec<usize> = members.to_vec();
         members.sort_unstable();
         members.dedup();
@@ -783,47 +817,14 @@ impl Communicator {
             }
             let pkt = self.recv_from(src)?;
             start = start.max(pkt.clock);
-            let _ = *pkt
-                .payload
-                .downcast::<u64>()
-                .expect("collective type mismatch in grow");
+            self.open::<u64>(pkt.payload, "grow", src)?;
         }
         let member_globals: Vec<usize> = members.iter().map(|&i| self.state.ranks[i]).collect();
         let t = self.state.cost.allgather_time(&member_globals, 8);
         clock.advance_to_op("grow", start);
         clock.advance_op("grow", t);
 
-        let leader = members[0];
-        let my_pos = members
-            .iter()
-            .position(|&m| m == self.me)
-            .expect("grow: caller not in the member list");
-        if self.me == leader {
-            let child = Arc::new(CommState::new(
-                member_globals,
-                self.state.cost.clone(),
-                self.state.fault.clone(),
-            ));
-            for &m in &members[1..] {
-                self.send_to(m, clock.now(), Box::new(child.clone()))?;
-            }
-            Ok(Communicator {
-                state: child,
-                me: 0,
-                step: Cell::new(step),
-            })
-        } else {
-            let pkt = self.recv_from(leader)?;
-            let child = *pkt
-                .payload
-                .downcast::<Arc<CommState>>()
-                .expect("collective type mismatch in grow");
-            Ok(Communicator {
-                state: child,
-                me: my_pos,
-                step: Cell::new(step),
-            })
-        }
+        self.form_child("grow", &members, member_globals, clock)
     }
 
     /// Fail fast if either endpoint of a point-to-point transfer is dead.
@@ -858,7 +859,7 @@ impl Communicator {
     ///
     /// Unlike the collectives, p2p messages are tag-matched at the receiver
     /// (via a [`P2pStash`]), so interleaved pipeline schedules may issue
-    /// sends on one channel in any causally consistent order.
+    /// sends on one link in any causally consistent order.
     pub fn send_p2p<T: Clone + Send + 'static>(
         &self,
         dst: usize,
@@ -909,17 +910,12 @@ impl Communicator {
         {
             let (_, _, stamp, payload) = stash.held.swap_remove(pos);
             clock.advance_to_op("p2p", stamp);
-            let (_, data) = *payload
-                .downcast::<(u64, Vec<T>)>()
-                .expect("p2p type mismatch: ranks diverged from the schedule");
+            let (_, data) = self.open::<(u64, Vec<T>)>(payload, "p2p", src)?;
             return Ok(data);
         }
         loop {
             let pkt = self.recv_from(src)?;
-            let (t, data) = *pkt
-                .payload
-                .downcast::<(u64, Vec<T>)>()
-                .expect("p2p type mismatch: ranks diverged from the schedule");
+            let (t, data) = self.open::<(u64, Vec<T>)>(pkt.payload, "p2p", src)?;
             if t == tag {
                 clock.advance_to_op("p2p", pkt.clock);
                 return Ok(data);
@@ -956,9 +952,9 @@ impl P2pStash {
 
 /// An in-flight nonblocking all-to-all issued by
 /// [`Communicator::issue_all_to_all_v`]. The sends are already in the
-/// channels; [`wait`](PendingOp::wait) completes the receives and charges
+/// mailboxes; [`wait`](PendingOp::wait) completes the receives and charges
 /// the priced collective time. Dropping a `PendingOp` without waiting
-/// leaves unmatched messages in the peers' channels and desynchronizes the
+/// leaves unmatched messages in the peers' mailboxes and desynchronizes the
 /// SPMD program order — always wait, even on error paths.
 #[must_use = "an issued collective must be waited on or SPMD order breaks"]
 pub struct PendingOp<T> {
@@ -1005,10 +1001,8 @@ impl<T: Clone + Send + 'static> PendingOp<T> {
                 }
                 let pkt = comm.recv_from(src)?;
                 start = start.max(pkt.clock);
-                let (data, sizes) = *pkt
-                    .payload
-                    .downcast::<(Vec<T>, Arc<Vec<u64>>)>()
-                    .expect("collective type mismatch: ranks diverged from SPMD order");
+                let (data, sizes) =
+                    comm.open::<(Vec<T>, Arc<Vec<u64>>)>(pkt.payload, "all_to_all", src)?;
                 recv[src] = data;
                 size_rows[src] = sizes;
             }

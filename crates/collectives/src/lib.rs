@@ -2,9 +2,10 @@
 //!
 //! The paper runs on RCCL over Slingshot/Infinity Fabric; this crate supplies
 //! the same collective API over OS threads. Each simulated GPU rank is one
-//! thread; ranks exchange *real* data through per-(src, dst) channels, so all
-//! routing, dropping, RBD and SSMB logic executes with genuine message
-//! passing and is validated end to end.
+//! thread; ranks exchange *real* data through per-(src, dst) mailboxes
+//! (`mailbox.rs`: a queue, a spin-then-park receiver and a world-wide abort
+//! flag), so all routing, dropping, RBD and SSMB logic executes with genuine
+//! message passing and is validated end to end.
 //!
 //! Superimposed on the real execution is a **simulated clock**: every
 //! collective prices itself with the [`xmoe_topology::CostModel`] using the
@@ -19,7 +20,12 @@
 
 pub mod clock;
 pub mod comm;
+/// The hang guard the integration suites use, for unit tests that spawn ranks.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
 pub mod hierarchical;
+mod mailbox;
 pub mod runtime;
 pub mod trace;
 

@@ -75,6 +75,17 @@ impl RankCtx {
     }
 }
 
+/// A rank thread that unwinds takes its world down with it: peers parked in
+/// (or later entering) a receive get [`CommError::Aborted`](crate::CommError)
+/// instead of waiting for messages this rank will never send.
+impl Drop for RankCtx {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.world.abort();
+        }
+    }
+}
+
 /// Spawns and joins the rank threads.
 pub struct SimCluster {
     cost: Arc<CostModel>,
@@ -119,20 +130,22 @@ impl SimCluster {
     }
 
     /// Run `f` on every rank concurrently; returns per-rank results indexed
-    /// by rank. Panics in any rank propagate (after all threads joined).
+    /// by rank. A panic in any rank aborts the world (no peer is left waiting
+    /// for it) and propagates after all threads joined: the panic re-raised
+    /// is the one that aborted the world, not a peer's secondary failure on
+    /// the resulting `CommError::Aborted`.
     pub fn run<R, F>(&self, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(&mut RankCtx) -> R + Sync,
     {
         let comms = Communicator::world_set_with_faults(self.cost.clone(), self.fault.clone());
+        let world = comms.first().cloned();
         let f = &f;
-        let mut results: Vec<Option<R>> = Vec::new();
-        for _ in 0..self.n_ranks() {
-            results.push(None);
-        }
+        let mut results = Vec::with_capacity(comms.len());
+        let mut panics = Vec::new();
         std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(self.n_ranks());
+            let mut handles = Vec::with_capacity(comms.len());
             for (rank, world) in comms.into_iter().enumerate() {
                 let cost = self.cost.clone();
                 let fault = self.fault.clone();
@@ -150,15 +163,17 @@ impl SimCluster {
             }
             for (rank, h) in handles.into_iter().enumerate() {
                 match h.join() {
-                    Ok(r) => results[rank] = Some(r),
-                    Err(p) => std::panic::resume_unwind(p),
+                    Ok(r) => results.push(r),
+                    Err(p) => panics.push((rank, p)),
                 }
             }
         });
+        if !panics.is_empty() {
+            let first = world.and_then(|w| w.aborted_by());
+            let at = panics.iter().position(|(rank, _)| Some(*rank) == first);
+            std::panic::resume_unwind(panics.swap_remove(at.unwrap_or(0)).1);
+        }
         results
-            .into_iter()
-            .map(|r| r.expect("rank produced no result"))
-            .collect()
     }
 }
 

@@ -471,7 +471,7 @@ impl EpRoute {
         clock.begin_overlap("dispatch_compute");
         clock.set_track("comm");
         // Issue every dispatch chunk before waiting on any: the sends sit in
-        // the FIFO per-(src,dst) channels like a NIC send queue, and the comm
+        // the FIFO per-(src,dst) mailboxes like a NIC send queue, and the comm
         // track serializes their priced transfer times as the waits drain.
         // Issuing never blocks, so the interleaved schedule cannot deadlock.
         let mut dispatch_pending = Vec::with_capacity(plans.len());

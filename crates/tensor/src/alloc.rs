@@ -53,7 +53,7 @@ pub fn thread_tracked_allocs() -> u64 {
 /// symmetric with deallocation, which cannot know the scope of its alloc).
 ///
 /// This exists for *simulation mechanics* that have no analog on real
-/// hardware: the simulated wire (boxed channel payloads, mpsc nodes, size
+/// hardware: the simulated wire (boxed mailbox payloads, queue growth, size
 /// metadata) and the trace clock's span labels. A real NIC DMA or a CUPTI
 /// span does not call `malloc` on the training hot path, so charging those
 /// against the zero-allocation gate would make the gate unreachable for any

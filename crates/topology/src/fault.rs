@@ -13,9 +13,9 @@
 //! * the communicator prices collectives with
 //!   [`CostModel::fault_link_multiplier`](crate::CostModel::fault_link_multiplier)
 //!   and retries transient flaps with [`FaultPlan::backoff`];
-//! * dead ranks are detected *by plan*, not by channel teardown: in the
-//!   threads-as-ranks runtime a failed rank's senders live in the shared link
-//!   matrix forever, so a real `recv` on it would deadlock. Survivors instead
+//! * dead ranks are detected *by plan*, not by a link going down: in the
+//!   threads-as-ranks runtime a simulated death is a live thread that stops
+//!   sending, so a real `recv` on it would wait forever. Survivors instead
 //!   agree on who is dead from the plan and the current step, which keeps the
 //!   SPMD program order intact.
 

@@ -181,7 +181,7 @@ impl Attention {
                     let inner: f32 = (0..=i).map(|j| prow[j] * dprow[j]).sum();
                     // d_q[i] += sum_j d_s[i][j] * scale * k[j];
                     // d_k[j] += d_s[i][j] * scale * q[i].
-                    let qi: Vec<f32> = ctx.q.row(base + i)[col0..col0 + hd].to_vec();
+                    let qi = &ctx.q.row(base + i)[col0..col0 + hd];
                     let dq = &mut d_q.row_mut(base + i)[col0..col0 + hd];
                     for j in 0..=i {
                         let ds = prow[j] * (dprow[j] - inner) * scale;
@@ -193,7 +193,7 @@ impl Attention {
                             *d += ds * kv;
                         }
                         let dk = &mut d_k.row_mut(base + j)[col0..col0 + hd];
-                        for (d, qv) in dk.iter_mut().zip(&qi) {
+                        for (d, qv) in dk.iter_mut().zip(qi) {
                             *d += ds * qv;
                         }
                     }

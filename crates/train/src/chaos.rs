@@ -479,8 +479,8 @@ fn restore_source(
 }
 
 /// Per-rank chaos-run body. Returns `Err` only for faults the harness does
-/// not model (poisoned locks, closed channels); planned rank deaths and
-/// recoveries are part of the `Ok` report.
+/// not model (a poisoned lock, a peer's panic, SPMD divergence); planned rank
+/// deaths and recoveries are part of the `Ok` report.
 pub fn run_chaos_rank(
     cfg: &TrainConfig,
     chaos: &ChaosConfig,
