@@ -15,6 +15,8 @@
 //!   zero-padded GShard/DeepSpeed-MoE baseline (Appendix B.1), both in
 //!   single-rank and distributed (expert-parallel) forms.
 //! * [`rbd`] — hierarchical Redundancy-Bypassing Dispatch (§4.2).
+//! * [`route`] — the uneven expert exchange of §4.1 for any expert→rank
+//!   map, serial or chunk-pipelined, forward and backward.
 //! * [`ssmb`] — hybrid parallelism with sequence-sharded MoE blocks (§4.3).
 //! * [`layer`] — the ergonomic [`MoeLayer`] bundle (router + experts +
 //!   spec) most callers start from.
@@ -39,6 +41,7 @@ pub mod pft;
 pub mod pipeline;
 pub mod plan;
 pub mod rbd;
+pub mod route;
 pub mod ssmb;
 
 pub use config::{DType, MoeModelConfig, ParallelConfig};

@@ -210,23 +210,6 @@ impl Pft {
         out.dropped = dropped;
     }
 
-    /// Entries destined for each of `n_parts` equal expert shards
-    /// (`E % n_parts == 0`): returns per-shard counts, i.e. the all-to-all-v
-    /// send counts of the dispatch stage.
-    pub fn counts_per_shard(&self, n_parts: usize) -> Vec<usize> {
-        let e = self.tokens_per_expert.len();
-        assert_eq!(
-            e % n_parts,
-            0,
-            "experts {e} not divisible into {n_parts} shards"
-        );
-        let per = e / n_parts;
-        self.tokens_per_expert
-            .chunks(per)
-            .map(|c| c.iter().sum())
-            .collect()
-    }
-
     /// Internal consistency checks (used by tests and debug assertions).
     pub fn validate(&self, num_tokens: usize) {
         assert_eq!(self.token_ids.len(), self.expert_ids.len());
@@ -420,20 +403,6 @@ mod tests {
         assert_eq!(dsmoe.dropped, 2);
         // X-MoE retains strictly more tokens (the §5.6 observation).
         assert!(xmoe.len() > dsmoe.len());
-    }
-
-    #[test]
-    fn counts_per_shard_partition_totals() {
-        let g = gate(50, 16, 8, 2, 5);
-        let pft = Pft::construct(&g, 8, 1_000, DropPolicy::CapacityOnly);
-        let counts = pft.counts_per_shard(4);
-        assert_eq!(counts.len(), 4);
-        assert_eq!(counts.iter().sum::<usize>(), pft.len());
-        // Shard 0 covers experts 0..2.
-        assert_eq!(
-            counts[0],
-            pft.tokens_per_expert[0] + pft.tokens_per_expert[1]
-        );
     }
 
     #[test]

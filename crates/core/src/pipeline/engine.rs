@@ -14,13 +14,14 @@
 //!   are leased while the wire buffers of the all-to-alls stay owned.
 //! * `ctx.comm` selects single-rank (`None`), expert-parallel
 //!   ([`CommCtx::Ep`]) or hierarchical RBD ([`CommCtx::Hier`]) transport.
-//! * `ctx.overlap_chunks = Some(k)` pipelines dispatch against compute for
-//!   the pipelines that support it (padding-free and RBD); the others
+//! * `ctx.overlap_chunks = Some(k)` pipelines dispatch against compute on
+//!   every distributed transport of the PFT family (padding-free,
+//!   block-sparse, RBD); the dense baseline and the single-rank reference
 //!   report [`PipelineError::Unsupported`] instead of silently ignoring it.
 //!
 //! The padding-free and block-sparse pipelines are two argument mappings
-//! onto one skeleton, `padding_free::forward` (transport × expert kernel);
-//! RBD is its own transport but shares that skeleton's
+//! onto one skeleton, `padding_free::forward` (transport × expert kernel,
+//! every pair runs); RBD is its own transport but shares that skeleton's
 //! `gate_and_gather` prefix.
 
 use std::fmt;
@@ -327,11 +328,6 @@ impl Pipeline for BlockSparsePipeline {
         spec: &MoeLayerSpec,
         ctx: &mut ExecCtx,
     ) -> Result<Tensor, PipelineError> {
-        if ctx.overlap_chunks.is_some() {
-            return Err(PipelineError::Unsupported(
-                "block-sparse pipeline has no dispatch-compute overlap",
-            ));
-        }
         let kernel = ExpertKernel::BlockPadded(self.block);
         forward_pft_family(tokens, router, experts, spec, kernel, ctx)
     }

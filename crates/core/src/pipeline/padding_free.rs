@@ -4,29 +4,25 @@
 //! `gating`, `buffer_dispatch`, `dispatch_a2a`, `expert`, `combine_a2a`,
 //! `buffer_combine`.
 //!
-//! The uneven exchange is factored into a reusable [`EpRoute`]: built once
-//! per batch from the PFT's per-expert counts, it can push any row payload
-//! along the dispatch direction ([`EpRoute::to_experts`]) or back along the
-//! combine direction ([`EpRoute::to_source`]). The training backward pass
-//! reuses the same route in reverse — gradients travel the exact same two
-//! all-to-alls mirrored (the paper's 4 all-to-alls per layer per step).
-//!
 //! There is one forward (`forward`, reached through
 //! [`crate::pipeline::Pipeline`]) for the whole PFT family. Its two
-//! orthogonal arguments are the `Transport` (single-rank, flat EP, flat EP
-//! with dispatch–compute overlap) and the `ExpertKernel` (plain segments or
-//! Megablocks-style block padding); the prefix (`gate_and_gather`) is shared
+//! orthogonal arguments are the `Transport` (single-rank, or the uneven
+//! exchange of a flat EP group — [`crate::route::EpRoute`], which alone
+//! decides between the serial and the chunk-pipelined schedule) and the
+//! `ExpertKernel` (plain segments or Megablocks-style block padding); every
+//! transport × kernel pair runs. The prefix (`gate_and_gather`) is shared
 //! with the RBD transport in [`crate::rbd`].
 
-use xmoe_collectives::{CommError, Communicator, SimClock};
-use xmoe_tensor::{gather_rows, gather_rows_into, scatter_rows_scaled, Tensor, Workspace};
-use xmoe_topology::CostModel;
+use xmoe_collectives::{Communicator, SimClock};
+use xmoe_tensor::{gather_rows_into, scatter_rows_scaled, Tensor, Workspace};
+use xmoe_topology::{CostModel, ExpertAssignment};
 
 use crate::expert::ExpertShard;
 use crate::gating::{GateScratch, GatingOutput, Router};
 use crate::pft::{Pft, PftScratch};
 use crate::pipeline::block_sparse::forward_block_padded;
-use crate::pipeline::{rows_to_vec, vecs_to_tensor, MoeLayerSpec, PipelineError};
+use crate::pipeline::{MoeLayerSpec, PipelineError};
+use crate::route::EpRoute;
 
 /// Persistent state for every pooled pipeline: the workspace arena plus
 /// every buffer the pipelines reuse across steps. One instance per rank,
@@ -42,6 +38,9 @@ pub struct PooledSingleState {
     pub(crate) pft_scratch: PftScratch,
     pub(crate) pft: Pft,
     pub(crate) dispatch_in: Tensor,
+    /// The contiguous `(E, W)` layout the flat-EP transport routes by,
+    /// rebuilt only when the shape changes.
+    assignment: Option<ExpertAssignment>,
     /// RBD-specific plan/staging scratch (see [`crate::rbd`]).
     pub(crate) rbd: crate::rbd::RbdScratch,
 }
@@ -51,10 +50,10 @@ pub(crate) enum Transport<'a> {
     /// All experts local: `call` in Listing 1 minus the all-to-alls. No
     /// communication, no clock, no copy.
     Local,
-    /// Uneven all-to-alls over a flat EP group ([`EpRoute`]); with
+    /// Uneven all-to-alls over a flat EP group ([`EpRoute::exchange`]); with
     /// `overlap_chunks` the exchanges are pipelined against the expert GEMMs
-    /// per chunk expert range ([`EpRoute::exchange_overlap`]) — bitwise the
-    /// same output, a shorter simulated timeline.
+    /// per chunk expert range — bitwise the same output, a shorter simulated
+    /// timeline.
     Ep {
         comm: &'a Communicator,
         clock: &'a mut SimClock,
@@ -186,6 +185,7 @@ pub(crate) fn forward(
         ws,
         pft,
         dispatch_in,
+        assignment,
         ..
     } = state;
 
@@ -209,45 +209,41 @@ pub(crate) fn forward(
             overlap_chunks,
         } => {
             let cost = comm.cost();
+            let shape = (spec.num_experts, comm.size());
+            let assignment = match assignment {
+                Some(a) if (a.n_experts(), a.n_ranks()) == shape => a,
+                stale => stale.insert(ExpertAssignment::contiguous(shape.0, shape.1)),
+            };
             // The route owns the PFT while it lives (a failed collective
             // drops both; the next forward rebuilds the PFT anyway). The
             // count-exchange metadata all-to-all is charged separately from
             // the token payload so payload comparisons across pipelines stay
             // apples to apples.
-            let route = EpRoute::build(std::mem::take(pft), spec, comm, clock)?;
+            let route = EpRoute::build(std::mem::take(pft), assignment, comm, clock)?;
             clock.commit("dispatch_a2a_meta");
             let counts = &route.tokens_per_local_expert;
-            let combine_in = match *overlap_chunks {
-                None => {
-                    let expert_input = route.to_experts(dispatch_in, comm, clock)?;
-                    clock.commit("dispatch_a2a");
-                    let meter = Some((cost, &mut **clock));
-                    let mlp_out = run_experts(experts, &expert_input, counts, kernel, ws, meter);
-                    let combine_in = route.to_source(&mlp_out, comm, clock)?;
-                    clock.commit("combine_a2a");
-                    ws.recycle(mlp_out);
-                    combine_in
-                }
-                Some(chunks) => route.exchange_overlap(
-                    dispatch_in,
-                    chunks,
-                    ("dispatch_a2a", "expert", "combine_a2a"),
-                    comm,
-                    clock,
-                    |_c, plan, chunk_in, clock| {
-                        // A full-length count vector zeroed outside the
-                        // chunk walks exactly the serial schedule's row
-                        // slices for experts [e0, e1).
-                        let (e0, e1) = plan.experts;
-                        let mut chunk_counts = ws.take_idx(counts.len());
-                        chunk_counts[e0..e1].copy_from_slice(&counts[e0..e1]);
-                        let meter = Some((cost, clock));
-                        let out = run_experts(experts, chunk_in, &chunk_counts, kernel, ws, meter);
-                        ws.recycle_idx(chunk_counts);
-                        out
-                    },
-                )?,
-            };
+            let combine_in = route.exchange(
+                dispatch_in,
+                *overlap_chunks,
+                ("dispatch_a2a", "expert", "combine_a2a"),
+                comm,
+                clock,
+                |plan, chunk_in, clock| {
+                    // A full-length count vector zeroed outside the chunk
+                    // walks exactly the whole shard's row slices for
+                    // experts [e0, e1).
+                    let (e0, e1) = plan.experts;
+                    let mut chunk_counts = ws.take_idx(counts.len());
+                    chunk_counts[e0..e1].copy_from_slice(&counts[e0..e1]);
+                    let meter = Some((cost, clock));
+                    let out = run_experts(experts, &chunk_in, &chunk_counts, kernel, ws, meter);
+                    ws.recycle_idx(chunk_counts);
+                    // The route keeps `out`; its input takes that lease's
+                    // place in the arena.
+                    ws.recycle(chunk_in);
+                    out
+                },
+            )?;
             *pft = route.pft;
             (combine_in, false)
         }
@@ -263,341 +259,6 @@ pub(crate) fn forward(
         ws.recycle(combine_in);
     }
     Ok(out)
-}
-
-/// The routing plan of one uneven EP exchange, reusable for forward
-/// activations and backward gradients.
-///
-/// Wire layout: rows travel grouped by destination rank (the PFT is
-/// expert-sorted, so per-destination slices are contiguous); on arrival
-/// they are regrouped expert-major for the sequential GEMM via `perm`.
-pub struct EpRoute {
-    /// The PFT this route was built from (source-side ERI arrays).
-    pub pft: Pft,
-    /// Per-destination-rank entry counts on the send side.
-    pub send_per_dst: Vec<usize>,
-    /// Entry counts received from each source rank.
-    pub recv_per_src: Vec<usize>,
-    /// Entry counts per local expert after the expert-major regroup.
-    pub tokens_per_local_expert: Vec<usize>,
-    /// `perm[i]` = wire position of expert-major position `i`.
-    perm: Vec<usize>,
-    /// Inverse of `perm`.
-    inv_perm: Vec<usize>,
-    /// `tpe_recv[src][e]` = rows inbound from `src` for local expert `e`
-    /// (the raw count exchange), kept to derive per-chunk sub-routes.
-    tpe_recv: Vec<Vec<u64>>,
-}
-
-/// One chunk of an [`EpRoute`]: the sub-route covering a contiguous range of
-/// local experts, used to pipeline the uneven exchange against the expert
-/// GEMMs. Concatenating the chunks' expert-major buffers in order
-/// reconstructs the full route's expert-major buffer exactly.
-pub struct ChunkPlan {
-    /// Local-expert range `[e0, e1)` this chunk covers (on every rank —
-    /// chunking is by expert index, which is uniform across ranks).
-    pub experts: (usize, usize),
-    /// Send rows `[start, end)` in PFT order, per destination rank (the
-    /// PFT is expert-sorted, so each destination's chunk slice is
-    /// contiguous).
-    pub send_ranges: Vec<(usize, usize)>,
-    /// Rows received from each source rank in this chunk.
-    pub recv_per_src: Vec<usize>,
-    /// Chunk-local wire→expert-major permutation.
-    perm: Vec<usize>,
-    /// Inverse of `perm`.
-    inv_perm: Vec<usize>,
-}
-
-impl ChunkPlan {
-    /// Rows on the expert side of this chunk.
-    pub fn recv_total(&self) -> usize {
-        self.perm.len()
-    }
-}
-
-/// The wire→expert-major regroup for local experts `[e0, e1)` of a count
-/// exchange `tpe_recv[src][e]`: wire order is (src, local_expert), the
-/// sequential GEMM needs (local_expert, src). Returns the rows received per
-/// source, `perm` (`perm[i]` = wire position of expert-major position `i`)
-/// and its inverse.
-fn regroup(tpe_recv: &[Vec<u64>], e0: usize, e1: usize) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
-    let recv_per_src: Vec<usize> = tpe_recv
-        .iter()
-        .map(|r| r[e0..e1].iter().sum::<u64>() as usize)
-        .collect();
-    let mut src_base = vec![0usize; tpe_recv.len()];
-    for s in 1..tpe_recv.len() {
-        src_base[s] = src_base[s - 1] + recv_per_src[s - 1];
-    }
-    let total: usize = recv_per_src.iter().sum();
-    let mut perm = Vec::with_capacity(total);
-    for e in e0..e1 {
-        for (src, counts) in tpe_recv.iter().enumerate() {
-            let before: usize = counts[e0..e].iter().map(|&c| c as usize).sum();
-            let cnt = counts[e] as usize;
-            let start = src_base[src] + before;
-            perm.extend(start..start + cnt);
-        }
-    }
-    let mut inv_perm = vec![0usize; total];
-    for (expert_major, &wire) in perm.iter().enumerate() {
-        inv_perm[wire] = expert_major;
-    }
-    (recv_per_src, perm, inv_perm)
-}
-
-impl EpRoute {
-    /// Collectively build the route: exchanges `tokens_per_expert` so every
-    /// destination knows its inbound segment sizes (Listing 1 line 44).
-    pub fn build(
-        pft: Pft,
-        spec: &MoeLayerSpec,
-        ep: &Communicator,
-        clock: &mut SimClock,
-    ) -> Result<EpRoute, CommError> {
-        let w = ep.size();
-        assert_eq!(spec.num_experts % w, 0, "experts must divide EP size");
-        let e_local = spec.num_experts / w;
-        let tpe_send: Vec<Vec<u64>> = (0..w)
-            .map(|dst| {
-                pft.tokens_per_expert[dst * e_local..(dst + 1) * e_local]
-                    .iter()
-                    .map(|&c| c as u64)
-                    .collect()
-            })
-            .collect();
-        let tpe_recv = ep.all_to_all_v(tpe_send, clock)?;
-
-        let send_per_dst = pft.counts_per_shard(w);
-        let mut tokens_per_local_expert = vec![0usize; e_local];
-        for r in &tpe_recv {
-            for (e, &c) in r.iter().enumerate() {
-                tokens_per_local_expert[e] += c as usize;
-            }
-        }
-        let (recv_per_src, perm, inv_perm) = regroup(&tpe_recv, 0, e_local);
-        Ok(EpRoute {
-            pft,
-            send_per_dst,
-            recv_per_src,
-            tokens_per_local_expert,
-            perm,
-            inv_perm,
-            tpe_recv,
-        })
-    }
-
-    /// Split the route into (up to) `chunks` sub-routes over contiguous
-    /// local-expert ranges, for the pipelined dispatch–compute overlap.
-    ///
-    /// The chunk boundaries are pure functions of uniform quantities
-    /// (`chunks`, the local expert count), so every rank derives the same
-    /// plan and the chunked collectives stay in SPMD order.
-    pub fn chunk_plans(&self, chunks: usize) -> Vec<ChunkPlan> {
-        let e_local = self.tokens_per_local_expert.len();
-        let w = self.send_per_dst.len();
-        let k = chunks.clamp(1, e_local.max(1));
-        // Global prefix over the PFT's per-expert counts: the PFT is sorted
-        // by global expert id, so rows destined for dst `d`'s local experts
-        // [e0, e1) are exactly PFT rows [gpre[d*e_local+e0], gpre[d*e_local+e1]).
-        let n_exp = self.pft.tokens_per_expert.len();
-        let mut gpre = vec![0usize; n_exp + 1];
-        for (e, &c) in self.pft.tokens_per_expert.iter().enumerate() {
-            gpre[e + 1] = gpre[e] + c;
-        }
-        let mut plans = Vec::with_capacity(k);
-        for c in 0..k {
-            let e0 = c * e_local / k;
-            let e1 = (c + 1) * e_local / k;
-            let send_ranges: Vec<(usize, usize)> = (0..w)
-                .map(|d| (gpre[d * e_local + e0], gpre[d * e_local + e1]))
-                .collect();
-            let (recv_per_src, perm, inv_perm) = regroup(&self.tpe_recv, e0, e1);
-            plans.push(ChunkPlan {
-                experts: (e0, e1),
-                send_ranges,
-                recv_per_src,
-                perm,
-                inv_perm,
-            });
-        }
-        plans
-    }
-
-    /// Rows received on this rank (the expert-side buffer length).
-    pub fn recv_total(&self) -> usize {
-        self.perm.len()
-    }
-
-    /// Pipelined `to_experts → compute → to_source`: the route is split into
-    /// `chunks` expert-contiguous sub-routes, every dispatch chunk is issued
-    /// up front (a NIC send queue), and chunk `i`'s expert compute runs on
-    /// the `compute` overlap track while chunk `i+1`'s payload is still in
-    /// flight on the `comm` track (paper §4.1's dispatch–compute overlap).
-    ///
-    /// Three tracks model a full-duplex NIC: dispatch chunks drain
-    /// back-to-back on `comm` (inbound), expert GEMMs run on `compute`, and
-    /// combine chunks drain on `comm_out` (outbound) — a combine transfer
-    /// cannot start before its own GEMM finished (enforced per chunk via
-    /// `advance_to_op`) but does not block dispatch chunks still in flight
-    /// the other way.
-    ///
-    /// `labels = (dispatch, compute, combine)` name the stage buckets.
-    /// `compute(c, plan, chunk_in, clock)` gets chunk `c`'s expert-major
-    /// `[rows_c, H]` buffer, must return the same-shaped output, and charges
-    /// its own compute time (any leftover pending time is committed under the
-    /// compute label). Concatenating the chunk buffers in order reproduces
-    /// the full route's expert-major buffer exactly, so the overlapped result
-    /// is bitwise identical to the serial schedule — only the simulated
-    /// timeline differs.
-    pub fn exchange_overlap<F>(
-        &self,
-        rows: &Tensor,
-        chunks: usize,
-        labels: (&str, &str, &str),
-        ep: &Communicator,
-        clock: &mut SimClock,
-        mut compute: F,
-    ) -> Result<Tensor, CommError>
-    where
-        F: FnMut(usize, &ChunkPlan, &Tensor, &mut SimClock) -> Tensor,
-    {
-        let (dispatch_label, compute_label, combine_label) = labels;
-        let hidden = rows.cols();
-        debug_assert_eq!(rows.rows(), self.pft.len(), "payload must be in PFT order");
-        let plans = self.chunk_plans(chunks);
-
-        clock.begin_overlap("dispatch_compute");
-        clock.set_track("comm");
-        // Issue every dispatch chunk before waiting on any: the sends sit in
-        // the FIFO per-(src,dst) mailboxes like a NIC send queue, and the comm
-        // track serializes their priced transfer times as the waits drain.
-        // Issuing never blocks, so the interleaved schedule cannot deadlock.
-        let mut dispatch_pending = Vec::with_capacity(plans.len());
-        for plan in &plans {
-            let send: Vec<Vec<f32>> = plan
-                .send_ranges
-                .iter()
-                .map(|&(s0, s1)| rows_to_vec(rows, s0, s1))
-                .collect();
-            dispatch_pending.push(ep.issue_all_to_all_v(send, clock)?);
-        }
-
-        let mut out = Tensor::zeros(self.pft.len(), hidden);
-        let mut combine_pending = Vec::with_capacity(plans.len());
-        let mut gemm_done_at = Vec::with_capacity(plans.len());
-        for (c, (plan, pending)) in plans.iter().zip(dispatch_pending).enumerate() {
-            clock.set_track("comm");
-            let recv = pending.wait(clock)?;
-            clock.commit(dispatch_label);
-            let arrived = clock.track_time("comm").expect("comm track exists");
-
-            let wire = vecs_to_tensor(recv, hidden);
-            debug_assert_eq!(wire.rows(), plan.recv_total());
-            let chunk_in = gather_rows(&wire, &plan.perm);
-
-            clock.set_track("compute");
-            // Honest cross-track dependency: the GEMM cannot start before
-            // its chunk has arrived.
-            clock.advance_to_op(compute_label, arrived);
-            let chunk_out = compute(c, plan, &chunk_in, clock);
-            clock.commit(compute_label);
-            assert_eq!(
-                chunk_out.rows(),
-                plan.recv_total(),
-                "compute must map chunk rows 1:1"
-            );
-            let gemm_done = clock.track_time("compute").expect("compute track exists");
-            gemm_done_at.push(gemm_done);
-
-            // Issue the combine send from the compute track: injection is
-            // free, and the message carries the `gemm_done` stamp so peers
-            // cannot see chunk c's rows earlier than its GEMM finished.
-            // Transfer time is priced on the outbound track in the drain
-            // loop below.
-            let wire_order = gather_rows(&chunk_out, &plan.inv_perm);
-            let mut send = Vec::with_capacity(plan.recv_per_src.len());
-            let mut offset = 0usize;
-            for &cnt in &plan.recv_per_src {
-                send.push(rows_to_vec(&wire_order, offset, offset + cnt));
-                offset += cnt;
-            }
-            combine_pending.push(ep.issue_all_to_all_v(send, clock)?);
-        }
-
-        // Drain the combine exchanges in issue order on the outbound track;
-        // each chunk's rows return to the PFT positions they were dispatched
-        // from. The per-chunk `advance_to_op` pins the transfer start at the
-        // chunk's own GEMM completion; `wait` then maxes in the peers'
-        // injection stamps.
-        clock.set_track("comm_out");
-        for ((plan, pending), gemm_done) in plans.iter().zip(combine_pending).zip(gemm_done_at) {
-            clock.advance_to_op(combine_label, gemm_done);
-            let recv = pending.wait(clock)?;
-            clock.commit(combine_label);
-            for (src, data) in recv.into_iter().enumerate() {
-                let (s0, s1) = plan.send_ranges[src];
-                debug_assert_eq!(data.len(), (s1 - s0) * hidden);
-                out.as_mut_slice()[s0 * hidden..s1 * hidden].copy_from_slice(&data);
-            }
-        }
-        clock.end_overlap();
-        Ok(out)
-    }
-
-    /// Push `rows` (PFT order, `[B, H]`) along the dispatch direction;
-    /// returns the expert-major `[B_exp, H]` buffer on the receiving side.
-    pub fn to_experts(
-        &self,
-        rows: &Tensor,
-        ep: &Communicator,
-        clock: &mut SimClock,
-    ) -> Result<Tensor, CommError> {
-        let hidden = rows.cols();
-        debug_assert_eq!(rows.rows(), self.pft.len(), "payload must be in PFT order");
-        let mut offset = 0usize;
-        let send: Vec<Vec<f32>> = self
-            .send_per_dst
-            .iter()
-            .map(|&cnt| {
-                let v = rows_to_vec(rows, offset, offset + cnt);
-                offset += cnt;
-                v
-            })
-            .collect();
-        let recv = ep.all_to_all_v(send, clock)?;
-        let wire = vecs_to_tensor(recv, hidden);
-        debug_assert_eq!(wire.rows(), self.recv_total());
-        Ok(gather_rows(&wire, &self.perm))
-    }
-
-    /// Push `rows` (expert-major, `[B_exp, H]`) back to their source
-    /// ranks; returns `[B, H]` in the sender's original PFT order.
-    pub fn to_source(
-        &self,
-        rows: &Tensor,
-        ep: &Communicator,
-        clock: &mut SimClock,
-    ) -> Result<Tensor, CommError> {
-        let hidden = rows.cols();
-        debug_assert_eq!(
-            rows.rows(),
-            self.recv_total(),
-            "payload must be expert-major"
-        );
-        let wire_order = gather_rows(rows, &self.inv_perm);
-        let mut send: Vec<Vec<f32>> = Vec::with_capacity(self.recv_per_src.len());
-        let mut offset = 0usize;
-        for &cnt in &self.recv_per_src {
-            send.push(rows_to_vec(&wire_order, offset, offset + cnt));
-            offset += cnt;
-        }
-        let recv = ep.all_to_all_v(send, clock)?;
-        // Chunks arrive per destination in the order dispatch rows were
-        // sent, so plain concatenation restores PFT order.
-        Ok(vecs_to_tensor(recv, hidden))
-    }
 }
 
 #[cfg(test)]
@@ -631,6 +292,44 @@ mod tests {
 
     fn spec(e: usize, cap: usize) -> MoeLayerSpec {
         MoeLayerSpec::new(e, cap).with_policy(DropPolicy::CapacityOnly)
+    }
+
+    /// Call `run(name, assignment, per-rank PFTs)` for the four world-4
+    /// layouts every route property must hold on: uniform; one expert
+    /// migrated (at E = 4 its old rank is left holding nothing); the hottest
+    /// expert replicated onto the next rank; ragged (E = 10). Each rank's
+    /// PFT comes from its own seeded `[s, h]` batch, top-`k`.
+    fn for_each_layout(
+        seed: u64,
+        (s, h, k): (usize, usize, usize),
+        run: impl Fn(&str, &ExpertAssignment, &[Pft]),
+    ) {
+        for (name, e) in [
+            ("uniform", 8),
+            ("migrated", 4),
+            ("replicated", 8),
+            ("ragged", 10),
+        ] {
+            let router = Router::new(h, e, k, seed);
+            let pfts: Vec<Pft> = (0..4)
+                .map(|r| {
+                    let tokens = Tensor::rand_uniform(s, h, 1.0, seed + 100 + r);
+                    Pft::construct(&router.gate(&tokens), e, 1000, DropPolicy::CapacityOnly)
+                })
+                .collect();
+            let mut asg = ExpertAssignment::contiguous(e, 4);
+            match name {
+                "migrated" => asg.migrate(3, 0),
+                "replicated" => {
+                    let load =
+                        |g: usize| pfts.iter().map(|p| p.tokens_per_expert[g]).sum::<usize>();
+                    let hot = (0..e).max_by_key(|&g| load(g)).unwrap();
+                    asg.replicate(hot, (asg.primary(hot) + 1) % 4);
+                }
+                _ => {}
+            }
+            run(name, &asg, &pfts);
+        }
     }
 
     #[test]
@@ -733,6 +432,16 @@ mod tests {
                 assert!(names.contains(&want), "missing stage {want}: {names:?}");
             }
             assert!(labels.iter().all(|(_, t)| *t >= 0.0));
+            // On the uniform layout the route charges, to the bit, what the
+            // uniform-only `EpRoute` it replaced charged for this seeded case
+            // (pinned at that commit; every rank sees the same byte matrix).
+            let bits = |want: &str| {
+                let (_, t) = labels.iter().find(|(l, _)| l == want).unwrap();
+                t.to_bits()
+            };
+            assert_eq!(bits("dispatch_a2a_meta"), 0x3ef0c6ffdfc5e21b);
+            assert_eq!(bits("dispatch_a2a"), 0x3ef0c8417b3423aa);
+            assert_eq!(bits("combine_a2a"), 0x3ef0c8417b3423aa);
         }
     }
 
@@ -760,24 +469,54 @@ mod tests {
 
     #[test]
     fn route_roundtrip_restores_pft_order() {
-        // to_experts followed by to_source must return every row to its
-        // original position (the property backward relies on).
-        let (s, h, e, k) = (20usize, 6usize, 8usize, 3usize);
-        let router = Router::new(h, e, k, 41);
-        let sp = spec(e, 1000);
-        let ok = SimCluster::frontier(4).run(|ctx| {
-            let tokens = Tensor::rand_uniform(s, h, 1.0, 200 + ctx.rank as u64);
-            let gating = router.gate(&tokens);
-            let pft = Pft::construct(&gating, e, sp.capacity, sp.policy);
-            let payload = Tensor::rand_uniform(pft.len(), h, 1.0, 300 + ctx.rank as u64);
-            let route = EpRoute::build(pft, &sp, &ctx.world, &mut ctx.clock).unwrap();
-            let there = route
-                .to_experts(&payload, &ctx.world, &mut ctx.clock)
-                .unwrap();
-            let back = route.to_source(&there, &ctx.world, &mut ctx.clock).unwrap();
-            back.allclose(&payload, 0.0)
+        // Out and back must return every row to its original position (the
+        // property backward relies on), on every layout and schedule, and in
+        // between the rows must sit expert-major: local expert ascending,
+        // then source rank, then source PFT order.
+        let h = 6usize;
+        for_each_layout(41, (20, h, 3), |name, asg, pfts| {
+            SimCluster::frontier(4).run(|ctx| {
+                let pft = pfts[ctx.rank].clone();
+                // Each row names its expert, its source and its PFT index.
+                let payload = Tensor::from_fn(pft.len(), h, |i, c| match c {
+                    0 => pft.expert_ids[i] as f32,
+                    1 => ctx.rank as f32,
+                    2 => i as f32,
+                    _ => (c * 1000 + i) as f32,
+                });
+                let route = EpRoute::build(pft, asg, &ctx.world, &mut ctx.clock).unwrap();
+                let locals = asg.experts_on(ctx.rank);
+                for chunks in [None, Some(1usize), Some(2), Some(3)] {
+                    let back = route
+                        .exchange(
+                            &payload,
+                            chunks,
+                            ("out", "check", "back"),
+                            &ctx.world,
+                            &mut ctx.clock,
+                            |plan, chunk, _| {
+                                let (e0, e1) = plan.experts;
+                                let counts = &route.tokens_per_local_expert[e0..e1];
+                                let mut row = 0;
+                                for (&g, &n) in locals[e0..e1].iter().zip(counts) {
+                                    let mut last = (-1.0f32, -1.0f32);
+                                    for _ in 0..n {
+                                        let r = chunk.row(row);
+                                        assert_eq!(r[0], g as f32, "{name}: expert");
+                                        assert!((r[1], r[2]) > last, "{name}: source order");
+                                        last = (r[1], r[2]);
+                                        row += 1;
+                                    }
+                                }
+                                assert_eq!(row, chunk.rows(), "{name}: chunk rows");
+                                chunk
+                            },
+                        )
+                        .unwrap();
+                    assert!(back.allclose(&payload, 0.0), "{name} {chunks:?}");
+                }
+            });
         });
-        assert!(ok.iter().all(|&b| b), "route roundtrip failed: {ok:?}");
     }
 
     #[test]
@@ -855,68 +594,71 @@ mod tests {
 
     #[test]
     fn chunk_plans_partition_the_route() {
-        let (s, h, e, k) = (32usize, 6usize, 8usize, 3usize);
-        let router = Router::new(h, e, k, 81);
-        let sp = spec(e, 1000);
-        let world = 4;
-        let ok = SimCluster::frontier(world).run(|ctx| {
-            let tokens = Tensor::rand_uniform(s, h, 1.0, 700 + ctx.rank as u64);
-            let gating = router.gate(&tokens);
-            let pft = Pft::construct(&gating, e, sp.capacity, sp.policy);
-            let route = EpRoute::build(pft, &sp, &ctx.world, &mut ctx.clock).unwrap();
-            for chunks in [1usize, 2, 3, 100] {
-                let plans = route.chunk_plans(chunks);
-                // Expert ranges tile [0, e_local).
-                let e_local = route.tokens_per_local_expert.len();
-                assert_eq!(plans[0].experts.0, 0);
-                assert_eq!(plans.last().unwrap().experts.1, e_local);
-                for w in plans.windows(2) {
-                    assert_eq!(w[0].experts.1, w[1].experts.0);
-                }
-                // Per-destination send ranges tile each destination's PFT
-                // slice, and recv counts sum to the full route's.
-                for d in 0..world {
+        for_each_layout(81, (32, 6, 3), |name, asg, pfts| {
+            let max_local = (0..4).map(|r| asg.experts_on(r).len()).max().unwrap();
+            SimCluster::frontier(4).run(|ctx| {
+                let pft = pfts[ctx.rank].clone();
+                let route = &EpRoute::build(pft, asg, &ctx.world, &mut ctx.clock).unwrap();
+                let whole = route.chunk_plans(1)[0];
+                for chunks in [1usize, 2, 3, 100] {
+                    let plans = route.chunk_plans(chunks);
+                    // The same count on every rank, whatever it holds.
+                    assert_eq!(plans.len(), chunks.clamp(1, max_local), "{name}");
+                    // Expert and row ranges tile the local shard's buffer.
+                    assert_eq!((plans[0].experts.0, plans[0].rows.0), (0, 0));
+                    let last = plans.last().unwrap();
+                    assert_eq!(last.experts.1, asg.experts_on(ctx.rank).len());
+                    assert_eq!(last.rows.1, route.recv_total());
                     for w in plans.windows(2) {
-                        assert_eq!(w[0].send_ranges[d].1, w[1].send_ranges[d].0);
+                        assert_eq!(w[0].experts.1, w[1].experts.0);
+                        assert_eq!(w[0].rows.1, w[1].rows.0);
+                    }
+                    // The chunks' sent segments tile the PFT, and what they
+                    // receive from each source sums to the whole route's.
+                    let mut sent: Vec<(usize, usize)> = plans
+                        .iter()
+                        .flat_map(|&p| (0..4).flat_map(move |d| route.source_blocks(p, d)))
+                        .filter(|&(_, n)| n > 0)
+                        .collect();
+                    sent.sort_unstable();
+                    let mut row = 0;
+                    for (start, n) in sent {
+                        assert_eq!(start, row, "{name}: a PFT row sent twice or never");
+                        row += n;
+                    }
+                    assert_eq!(row, route.pft.len());
+                    for src in 0..4 {
+                        let rows = |p| route.expert_blocks(p, src).map(|(_, n)| n).sum::<usize>();
+                        let chunked: usize = plans.iter().map(|&p| rows(p)).sum();
+                        assert_eq!(chunked, rows(whole), "{name} chunks {chunks} src {src}");
                     }
                 }
-                let sent: usize = plans
-                    .iter()
-                    .flat_map(|p| p.send_ranges.iter().map(|&(a, b)| b - a))
-                    .sum();
-                assert_eq!(sent, route.pft.len());
-                for src in 0..world {
-                    let recv: usize = plans.iter().map(|p| p.recv_per_src[src]).sum();
-                    assert_eq!(recv, route.recv_per_src[src]);
-                }
-            }
-            true
+            });
         });
-        assert!(ok.iter().all(|&b| b));
     }
 
     #[test]
     fn route_counts_are_consistent() {
-        let (s, h, e, k) = (16usize, 6usize, 4usize, 2usize);
-        let router = Router::new(h, e, k, 51);
-        let sp = spec(e, 1000);
-        let checks = SimCluster::frontier(4).run(|ctx| {
-            let tokens = Tensor::rand_uniform(s, h, 1.0, 400 + ctx.rank as u64);
-            let gating = router.gate(&tokens);
-            let pft = Pft::construct(&gating, e, sp.capacity, sp.policy);
-            let b = pft.len();
-            let route = EpRoute::build(pft, &sp, &ctx.world, &mut ctx.clock).unwrap();
-            let send_total: usize = route.send_per_dst.iter().sum();
-            let recv_total: usize = route.recv_per_src.iter().sum();
-            let expert_total: usize = route.tokens_per_local_expert.iter().sum();
-            (
-                send_total == b,
-                recv_total == route.recv_total(),
-                expert_total == route.recv_total(),
-            )
+        for_each_layout(51, (16, 6, 2), |name, asg, pfts| {
+            let per_rank = SimCluster::frontier(4).run(|ctx| {
+                let pft = pfts[ctx.rank].clone();
+                let route = EpRoute::build(pft, asg, &ctx.world, &mut ctx.clock).unwrap();
+                let whole = route.chunk_plans(1)[0];
+                let rows = |blocks: &dyn Fn(usize) -> usize| (0..4).map(blocks).collect::<Vec<_>>();
+                let sent = rows(&|d| route.source_blocks(whole, d).map(|(_, n)| n).sum());
+                let recv = rows(&|s| route.expert_blocks(whole, s).map(|(_, n)| n).sum());
+                assert_eq!(sent.iter().sum::<usize>(), route.pft.len(), "{name}");
+                assert_eq!(recv.iter().sum::<usize>(), route.recv_total(), "{name}");
+                let expert_total: usize = route.tokens_per_local_expert.iter().sum();
+                assert_eq!(expert_total, route.recv_total(), "{name}");
+                (sent, recv)
+            });
+            // What `s` sends `d` is what `d` receives from `s`.
+            for (s, (sent, _)) in per_rank.iter().enumerate() {
+                for (d, (_, recv)) in per_rank.iter().enumerate() {
+                    assert_eq!(sent[d], recv[s], "{name}: {s} -> {d}");
+                }
+            }
         });
-        for (a, b, c) in checks {
-            assert!(a && b && c);
-        }
     }
 }

@@ -37,9 +37,9 @@ pub use mapping::{
     ParallelMapping,
 };
 pub use placement::{
-    build_grid, build_grid_excluding, build_grid_including, build_grid_tp, optimize_placement,
-    placement_cost, ExpertPlacement, PlacementCost, PlacementPolicy, ProcessGrid, RouteSample,
-    RoutingHistogram,
+    assignment_cost, build_grid, build_grid_excluding, build_grid_including, build_grid_tp,
+    optimize_placement, placement_cost, ExpertAssignment, ExpertPlacement, PlacementCost,
+    PlacementPolicy, ProcessGrid, RouteSample, RoutingHistogram,
 };
 
 /// Gigabyte (10^9 bytes), the unit vendors quote link bandwidth in.

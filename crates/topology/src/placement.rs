@@ -279,6 +279,140 @@ impl ExpertPlacement {
     }
 }
 
+/// Which EP ranks hold which global expert: `holders[e]` is the ascending,
+/// non-empty set of ranks carrying a full copy of expert `e`'s weights and
+/// optimizer moments. [`ExpertPlacement`] with replicas: the classic layout
+/// (contiguous, one holder each) is one point in the space; migration
+/// rewrites a holder, replication adds one.
+///
+/// A source rank `s` routes expert `e`'s tokens to
+/// `holders[e][s % holders[e].len()]` — a static stripe that splits a
+/// replicated expert's traffic (and its expert GEMM) across the holders
+/// without any per-token coordination.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ExpertAssignment {
+    holders: Vec<Vec<usize>>,
+    /// `locals[r]`: the experts rank `r` holds, ascending — `holders`
+    /// inverted, kept so a route build never scans the holder sets.
+    locals: Vec<Vec<usize>>,
+}
+
+/// `holders` inverted: the ascending expert list of each of `n_ranks` ranks.
+fn local_lists(holders: &[Vec<usize>], n_ranks: usize) -> Vec<Vec<usize>> {
+    let mut locals = vec![Vec::new(); n_ranks];
+    for (e, ranks) in holders.iter().enumerate() {
+        for &r in ranks {
+            locals[r].push(e);
+        }
+    }
+    locals
+}
+
+impl ExpertAssignment {
+    /// Balanced contiguous split: rank `r` holds experts
+    /// `r·E/W .. (r+1)·E/W` (integer bounds). Divisible shapes reproduce
+    /// the classic `E/W`-per-rank layout exactly; ragged shapes give every
+    /// rank `⌊E/W⌋` or `⌈E/W⌉` experts with no empty tail (the PR 8
+    /// `div_ceil` budget, spread instead of front-loaded).
+    pub fn contiguous(n_experts: usize, n_ranks: usize) -> Self {
+        assert!(n_ranks >= 1, "assignment needs at least one rank");
+        assert!(
+            n_experts >= n_ranks,
+            "cannot shard {n_experts} experts over {n_ranks} ranks: \
+             every EP rank must host at least one expert"
+        );
+        // Consecutive ranges tiling 0..E, so extending in rank order is
+        // indexing by expert.
+        let mut holders = Vec::with_capacity(n_experts);
+        for r in 0..n_ranks {
+            let held = (r * n_experts / n_ranks)..((r + 1) * n_experts / n_ranks);
+            holders.extend(held.map(|_| vec![r]));
+        }
+        let locals = local_lists(&holders, n_ranks);
+        Self { holders, locals }
+    }
+
+    /// Adopt a solved placement (each expert on exactly one rank).
+    pub fn from_placement(p: &ExpertPlacement) -> Self {
+        let holders: Vec<Vec<usize>> = p.expert_to_rank.iter().map(|&r| vec![r]).collect();
+        let locals = local_lists(&holders, p.n_ranks);
+        Self { holders, locals }
+    }
+
+    /// Primary-holder view of this assignment (drops replicas), for
+    /// interop with the single-holder placement APIs.
+    pub fn to_placement(&self) -> ExpertPlacement {
+        ExpertPlacement {
+            expert_to_rank: self.holders.iter().map(|h| h[0]).collect(),
+            n_ranks: self.n_ranks(),
+        }
+    }
+
+    pub fn n_experts(&self) -> usize {
+        self.holders.len()
+    }
+
+    pub fn n_ranks(&self) -> usize {
+        self.locals.len()
+    }
+
+    /// Ranks holding expert `e`, ascending.
+    pub fn holders(&self, e: usize) -> &[usize] {
+        &self.holders[e]
+    }
+
+    /// Canonical owner of expert `e` (lowest-ranked holder) — the copy
+    /// checkpoints and scatters read.
+    pub fn primary(&self, e: usize) -> usize {
+        self.holders[e][0]
+    }
+
+    /// The rank source `src` sends expert `e`'s tokens to.
+    pub fn serving_rank(&self, e: usize, src: usize) -> usize {
+        let h = &self.holders[e];
+        h[src % h.len()]
+    }
+
+    /// Global experts hosted on `rank`, ascending — the order of the
+    /// rank's local shard.
+    pub fn experts_on(&self, rank: usize) -> &[usize] {
+        &self.locals[rank]
+    }
+
+    /// Experts with more than one holder, ascending.
+    pub fn replicated_experts(&self) -> Vec<usize> {
+        (0..self.holders.len())
+            .filter(|&e| self.holders[e].len() > 1)
+            .collect()
+    }
+
+    /// Move expert `e` to be held by `to` alone.
+    pub fn migrate(&mut self, e: usize, to: usize) {
+        assert!(to < self.n_ranks(), "migration target out of range");
+        self.holders[e] = vec![to];
+        self.locals = local_lists(&self.holders, self.n_ranks());
+    }
+
+    /// Add `rank` as a holder of expert `e` (no-op if already holding).
+    pub fn replicate(&mut self, e: usize, rank: usize) {
+        assert!(rank < self.n_ranks(), "replica target out of range");
+        if !self.holders[e].contains(&rank) {
+            self.holders[e].push(rank);
+            self.holders[e].sort_unstable();
+            self.locals = local_lists(&self.holders, self.n_ranks());
+        }
+    }
+
+    /// Experts whose holder set differs from `other`'s — each one's
+    /// weights + moments must move (or copy) to apply `other`.
+    pub fn changed_experts(&self, other: &ExpertAssignment) -> Vec<usize> {
+        assert_eq!(self.n_experts(), other.n_experts());
+        (0..self.holders.len())
+            .filter(|&e| self.holders[e] != other.holders[e])
+            .collect()
+    }
+}
+
 /// One observed token route: the source rank it was served on and the
 /// expert set its top-k gating selected.
 #[derive(Clone, Debug)]
@@ -417,7 +551,9 @@ pub struct PlacementCost {
     pub max_rank_load: u64,
 }
 
-/// Price a placement against a histogram on the cost model's topology.
+/// Off-node bytes and priced dispatch time of one window when source `src`
+/// sends expert `e`'s tokens to rank `serving_rank(e, src)` — the body
+/// [`placement_cost`] and [`assignment_cost`] share.
 ///
 /// Dispatch follows the repo's RBD discipline: a token reaches each
 /// destination node once, landing on that node's mirror of the source's
@@ -427,14 +563,14 @@ pub struct PlacementCost {
 /// copies. Time prices via [`CostModel::sparse_exchange_time`]: the
 /// startup term is per-peer injection overhead, so fewer destination
 /// nodes means fewer messages, not just fewer bytes.
-pub fn placement_cost(
-    placement: &ExpertPlacement,
+fn dispatch_cost(
+    n: usize,
     hist: &RoutingHistogram,
     cost: &CostModel,
     bytes_per_token: u64,
-) -> PlacementCost {
+    serving_rank: impl Fn(usize, usize) -> usize,
+) -> (u64, f64) {
     let topo = cost.topology();
-    let n = placement.n_ranks;
     assert!(
         n <= topo.n_ranks(),
         "placement spans {n} ranks but topology has {}",
@@ -449,7 +585,7 @@ pub fn placement_cost(
         let src = r.src_rank as usize;
         nodes.clear();
         for &e in &r.experts {
-            let node = topo.node_of(placement.rank_of(e as usize));
+            let node = topo.node_of(serving_rank(e as usize, src));
             if !nodes.contains(&node) {
                 nodes.push(node);
             }
@@ -474,14 +610,61 @@ pub fn placement_cost(
     let dispatch_time = cost.sparse_exchange_time(&group, &|i, j| {
         (copies[i * n + j] as f64 * scale) as u64 * bytes_per_token
     });
+    ((off_node as f64 * scale) as u64, dispatch_time)
+}
+
+/// Price a placement against a histogram on the cost model's topology
+/// (see [`dispatch_cost`]); the compute straggler is the most loaded
+/// rank's share of the window's full per-expert loads.
+pub fn placement_cost(
+    placement: &ExpertPlacement,
+    hist: &RoutingHistogram,
+    cost: &CostModel,
+    bytes_per_token: u64,
+) -> PlacementCost {
+    let n = placement.n_ranks;
+    let (off_node_bytes, dispatch_time) =
+        dispatch_cost(n, hist, cost, bytes_per_token, |e, _| placement.rank_of(e));
     let mut rank_load = vec![0u64; n];
     for (e, &l) in hist.expert_load.iter().enumerate() {
         rank_load[placement.rank_of(e)] += l;
     }
     PlacementCost {
-        off_node_bytes: (off_node as f64 * scale) as u64,
+        off_node_bytes,
         dispatch_time,
         max_rank_load: rank_load.into_iter().max().unwrap_or(0),
+    }
+}
+
+/// [`placement_cost`] generalized to multi-holder experts: per-rank expert
+/// load follows the serving stripe over the sampled routes, so replicating
+/// a hot expert visibly splits both its receive traffic and its GEMM load.
+pub fn assignment_cost(
+    asg: &ExpertAssignment,
+    hist: &RoutingHistogram,
+    cost: &CostModel,
+    bytes_per_token: u64,
+) -> PlacementCost {
+    let n = asg.n_ranks();
+    let (off_node_bytes, dispatch_time) =
+        dispatch_cost(n, hist, cost, bytes_per_token, |e, src| {
+            asg.serving_rank(e, src)
+        });
+    let mut rank_pairs = vec![0u64; n];
+    for r in &hist.routes {
+        for &e in &r.experts {
+            rank_pairs[asg.serving_rank(e as usize, r.src_rank as usize)] += 1;
+        }
+    }
+    let scale = hist.sample_scale();
+    PlacementCost {
+        off_node_bytes,
+        dispatch_time,
+        max_rank_load: rank_pairs
+            .into_iter()
+            .map(|p| (p as f64 * scale) as u64)
+            .max()
+            .unwrap_or(0),
     }
 }
 

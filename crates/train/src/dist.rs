@@ -3,25 +3,31 @@
 //! paper's communication pattern — two uneven all-to-alls forward and two
 //! mirrored ones backward (4 per layer per step, §4.3).
 //!
-//! The gradient transport reuses [`EpRoute`]: `to_experts`/`to_source`
-//! form an adjoint pair (each is a bijective row relocation), so
-//! activation gradients travel the forward route in reverse:
+//! Activations and gradients both travel the one expert route
+//! ([`EpRoute`]), built per forward from the layer's [`ExpertAssignment`]
+//! — contiguous, ragged, migrated or replicated alike. Dispatch and combine
+//! are adjoint row relocations, so the backward pushes its gradients
+//! through the route the forward saved:
 //!
 //! ```text
-//! forward:  dispatch_in --to_experts--> expert_input -> y --to_source--> combine_in
-//! backward: d_combine   --to_experts--> d_y -> d_expert_in --to_source--> d_dispatch
+//! forward:  dispatch_in --> expert_input -> y           --> combine_in
+//! backward: d_combine   --> d_y          -> d_expert_in --> d_dispatch
 //! ```
 //!
+//! Whether a step runs serially or chunk-pipelined is the route's business
+//! ([`EpRoute::exchange`]); this module hands it the per-chunk expert FFN
+//! and remembers the chunk count so the backward mirrors the forward.
+//!
 //! Dense/router/embedding parameters are replicated across ranks and
-//! synchronized by averaging gradients (ZeRO-0-style DP); expert weights
-//! live on exactly one rank (EP = world) and their gradients are already
-//! global because every rank's tokens were dispatched to them.
+//! synchronized by averaging gradients (ZeRO-0-style DP); an expert's
+//! weights live on its holders only (one rank unless replicated) and their
+//! gradients are already global because every rank's tokens were
+//! dispatched to them.
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
 use xmoe_core::gating::{DropPolicy, RouterGuard};
 use xmoe_core::pft::Pft;
-use xmoe_core::pipeline::padding_free::EpRoute;
-use xmoe_core::pipeline::MoeLayerSpec;
+use xmoe_core::route::EpRoute;
 use xmoe_tensor::{
     gather_rows, scale_assign, scatter_rows_scaled, scatter_rows_unit, Tensor, Workspace,
 };
@@ -29,7 +35,7 @@ use xmoe_tensor::{
 use crate::adam::Adam;
 use crate::attention::Attention;
 use crate::checkpoint::Checkpoint;
-use crate::elastic::{ElasticRoute, ExpertAssignment};
+use crate::elastic::ExpertAssignment;
 use crate::layers::{DenseMlp, Embedding, Head};
 use crate::moe_layer::TrainableMoe;
 use crate::moe_math::{
@@ -65,30 +71,13 @@ pub struct DistMoe {
     pub policy: DropPolicy,
 }
 
-/// The route a forward pass traveled, which is also the schedule its
-/// backward mirrors: the general [`ElasticRoute`] with one serial
-/// all-to-all on either side of the expert FFN, or the specialized
-/// uniform-contiguous [`EpRoute`] pipelined in that many expert-major
-/// chunks. Both regroup rows expert-major in (local expert, source rank,
-/// source PFT order), so the saved expert-side buffers are identical.
-pub enum RouteKind {
-    Ep(EpRoute, usize),
-    Elastic(ElasticRoute),
-}
-
-impl RouteKind {
-    fn pft(&self) -> &Pft {
-        match self {
-            RouteKind::Ep(r, _) => &r.pft,
-            RouteKind::Elastic(r) => &r.pft,
-        }
-    }
-}
-
 /// Saved forward state of one distributed MoE layer.
 pub struct DistMoeCtx {
     router: RouterSave,
-    route: RouteKind,
+    route: EpRoute,
+    /// The schedule the forward ran and the backward mirrors (`None` =
+    /// serial, `Some(k)` = `k` pipelined chunks).
+    chunks: Option<usize>,
     /// Expert-major saves on the *expert* side.
     expert_input: Tensor,
     h_pre: Tensor,
@@ -100,18 +89,8 @@ pub struct DistMoeCtx {
 impl DistMoeCtx {
     /// PFT of this layer's forward (global expert ids, source order).
     pub fn pft(&self) -> &Pft {
-        self.route.pft()
+        &self.route.pft
     }
-}
-
-/// Row offset of every expert segment (exclusive prefix sum of `counts`,
-/// plus the total).
-fn seg_offsets(counts: &[usize]) -> Vec<usize> {
-    let mut offsets = vec![0usize; counts.len() + 1];
-    for (e, &cnt) in counts.iter().enumerate() {
-        offsets[e + 1] = offsets[e] + cnt;
-    }
-    offsets
 }
 
 impl DistMoe {
@@ -151,7 +130,7 @@ impl DistMoe {
             full.router_guard.logit_clamp <= 0.0 && full.router_guard.z_loss_coef == 0.0,
             "DistMoe does not implement router guards: router_guard must be inert"
         );
-        let local_experts = assignment.experts_on(rank);
+        let local_experts = assignment.experts_on(rank).to_vec();
         let shard: Vec<(Tensor, Tensor)> = local_experts
             .iter()
             .map(|&g| full.experts[g].clone())
@@ -183,10 +162,6 @@ impl DistMoe {
         }
     }
 
-    fn spec(&self) -> MoeLayerSpec {
-        MoeLayerSpec::new(self.num_experts, self.capacity).with_policy(self.policy)
-    }
-
     fn router_params(&self) -> RouterParams {
         RouterParams {
             num_experts: self.num_experts,
@@ -209,12 +184,12 @@ impl DistMoe {
     }
 
     /// Chunked-overlap distributed forward: bitwise-identical numerics to
-    /// [`forward`](Self::forward), with the dispatch and combine all-to-alls
-    /// split into `chunks` expert-major chunks pipelined against the
-    /// per-expert FFNs via [`EpRoute::exchange_overlap`]. The train path
-    /// charges no simulated compute for expert GEMMs (matching the serial
-    /// forward), so the schedule — not the clock — is what changes here;
-    /// the priced overlap win is measured in `xmoe-core`/`bench overlap`.
+    /// [`forward`](Self::forward) on any assignment, with the dispatch and
+    /// combine all-to-alls split into `chunks` expert-major chunks pipelined
+    /// against the per-expert FFNs. The train path charges no simulated
+    /// compute for expert GEMMs (matching the serial forward), so the
+    /// schedule — not the clock — is what changes here; the priced overlap
+    /// win is measured in `xmoe-core`/`bench overlap`.
     /// [`backward`](Self::backward) mirrors the chunked schedule.
     pub fn forward_overlap(
         &self,
@@ -223,17 +198,11 @@ impl DistMoe {
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<(Tensor, DistMoeCtx), CommError> {
-        assert!(
-            self.assignment.is_uniform_contiguous(),
-            "the chunked-overlap path specializes the uniform contiguous \
-             expert layout; elastic assignments take the serial path"
-        );
         self.forward_with(x, Some(chunks), ep, clock)
     }
 
     /// Both forwards: route, then the expert FFN between the two
-    /// all-to-alls — serial over the whole shard (`chunks == None`) or
-    /// per chunk expert range inside the overlapped exchange.
+    /// all-to-alls, once per chunk of the route's schedule.
     fn forward_with(
         &self,
         x: &Tensor,
@@ -255,79 +224,45 @@ impl DistMoe {
         );
         let dispatch_in = gather_rows(x, &pft.token_ids);
 
-        let (route, expert_input, h_pre, h_act, combine_in) = match chunks {
-            None => {
-                // The general route serves any assignment; on the uniform
-                // layout it is bitwise- and price-identical to `EpRoute`.
-                let route = ElasticRoute::build(pft, &self.assignment, ep, clock)?;
-                clock.commit("dispatch_a2a_meta");
-                let expert_input = route.to_experts(&dispatch_in, ep, clock)?;
-                clock.commit("dispatch_a2a");
-                let total = expert_input.rows();
-                let mut h_pre = Tensor::zeros(total, f);
-                let mut h_act = Tensor::zeros(total, f);
-                let mut y = Tensor::zeros(total, h);
+        let route = EpRoute::build(pft, &self.assignment, ep, clock)?;
+        clock.commit("dispatch_a2a_meta");
+        let counts = &route.tokens_per_local_expert;
+        let total = route.recv_total();
+        let mut expert_input = Tensor::zeros(total, h);
+        let mut h_pre = Tensor::zeros(total, f);
+        let mut h_act = Tensor::zeros(total, f);
+        let combine_in = route.exchange(
+            &dispatch_in,
+            chunks,
+            ("dispatch_a2a", "expert", "combine_a2a"),
+            ep,
+            clock,
+            |plan, chunk_in, _clock| {
+                // The chunk is local experts [e0, e1): rows [r0, r1) of the
+                // full expert-major buffers, saved in place.
+                let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
+                expert_input.as_mut_slice()[r0 * h..r1 * h].copy_from_slice(chunk_in.as_slice());
+                let mut y_chunk = Tensor::zeros(r1 - r0, h);
                 expert_ffn_forward(
-                    &self.shard,
-                    &route.tokens_per_local_expert,
+                    &self.shard[e0..e1],
+                    &counts[e0..e1],
                     dims,
-                    expert_input.as_slice(),
-                    h_pre.as_mut_slice(),
-                    h_act.as_mut_slice(),
-                    y.as_mut_slice(),
+                    chunk_in.as_slice(),
+                    &mut h_pre.as_mut_slice()[r0 * f..r1 * f],
+                    &mut h_act.as_mut_slice()[r0 * f..r1 * f],
+                    y_chunk.as_mut_slice(),
                 );
-                let combine_in = route.to_source(&y, ep, clock)?;
-                clock.commit("combine_a2a");
-                let route = RouteKind::Elastic(route);
-                (route, expert_input, h_pre, h_act, combine_in)
-            }
-            Some(chunks) => {
-                let route = EpRoute::build(pft, &self.spec(), ep, clock)?;
-                clock.commit("dispatch_a2a_meta");
-                let counts = &route.tokens_per_local_expert;
-                let offsets = seg_offsets(counts);
-                let total = offsets[counts.len()];
-                let mut expert_input = Tensor::zeros(total, h);
-                let mut h_pre = Tensor::zeros(total, f);
-                let mut h_act = Tensor::zeros(total, f);
-                let combine_in = route.exchange_overlap(
-                    &dispatch_in,
-                    chunks,
-                    ("dispatch_a2a", "expert", "combine_a2a"),
-                    ep,
-                    clock,
-                    |_c, plan, chunk_in, _clock| {
-                        // Chunk c covers local experts [e0, e1): rows
-                        // [offsets[e0], offsets[e1]) of the full
-                        // expert-major buffers, saved in place.
-                        let (e0, e1) = plan.experts;
-                        let (r0, r1) = (offsets[e0], offsets[e1]);
-                        expert_input.as_mut_slice()[r0 * h..r1 * h]
-                            .copy_from_slice(chunk_in.as_slice());
-                        let mut y_chunk = Tensor::zeros(r1 - r0, h);
-                        expert_ffn_forward(
-                            &self.shard[e0..e1],
-                            &counts[e0..e1],
-                            dims,
-                            chunk_in.as_slice(),
-                            &mut h_pre.as_mut_slice()[r0 * f..r1 * f],
-                            &mut h_act.as_mut_slice()[r0 * f..r1 * f],
-                            y_chunk.as_mut_slice(),
-                        );
-                        y_chunk
-                    },
-                )?;
-                let route = RouteKind::Ep(route, chunks);
-                (route, expert_input, h_pre, h_act, combine_in)
-            }
-        };
+                y_chunk
+            },
+        )?;
 
         let mut out = x.clone();
-        let pft = route.pft();
+        let pft = &route.pft;
         scatter_rows_scaled(&combine_in, &pft.token_ids, &pft.combine_weights, &mut out);
         let ctx = DistMoeCtx {
             router,
             route,
+            chunks,
             expert_input,
             h_pre,
             h_act,
@@ -336,11 +271,10 @@ impl DistMoe {
         Ok((out, ctx))
     }
 
-    /// Distributed backward: accumulates local grads, returns `d_x`.
-    /// Mirrors the schedule the forward that produced `ctx` ran — two more
-    /// serial all-to-alls, or the same chunked pipeline through
-    /// [`EpRoute::exchange_overlap`] (the backward chain has the forward's
-    /// shape: dispatch-direction a2a, expert GEMMs, combine-direction a2a).
+    /// Distributed backward: accumulates local grads, returns `d_x`. The
+    /// backward chain has the forward's shape — dispatch-direction
+    /// all-to-all, expert GEMMs, combine-direction all-to-all — so it runs
+    /// through the saved route on the schedule the forward ran.
     pub fn backward(
         &mut self,
         ctx: &DistMoeCtx,
@@ -350,62 +284,37 @@ impl DistMoe {
     ) -> Result<Tensor, CommError> {
         let dims = (self.hidden, self.ffn);
         let (h, f) = dims;
-        let pft = ctx.route.pft();
+        let pft = ctx.pft();
         let (mut ws, mut bwd) = (Workspace::default(), BwdScratch::default());
         let mut d_x = d_out.clone(); // residual
 
         // Source side: d_combine rows (PFT order) and combine-weight grads.
         let d_combine = combine_backward(pft, &ctx.combine_in, d_out, &mut bwd, &mut ws);
         let (shard, g_shard) = (&self.shard, &mut self.g_shard);
-        let d_dispatch = match &ctx.route {
-            RouteKind::Elastic(route) => {
-                // Backward all-to-all #1: gradients to the expert side.
-                let d_y = route.to_experts(&d_combine, ep, clock)?;
-                clock.commit("bwd_combine_a2a");
-                // Expert grads stay local.
-                let d_expert_in = expert_ffn_backward(
-                    shard,
-                    g_shard,
-                    &route.tokens_per_local_expert,
+        let counts = &ctx.route.tokens_per_local_expert;
+        // Gradients out to the expert side, expert grads accumulated
+        // locally, dispatch gradients back to their sources.
+        let d_dispatch = ctx.route.exchange(
+            &d_combine,
+            ctx.chunks,
+            ("bwd_combine_a2a", "bwd_expert", "bwd_dispatch_a2a"),
+            ep,
+            clock,
+            |plan, chunk_dy, _clock| {
+                let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
+                expert_ffn_backward(
+                    &shard[e0..e1],
+                    &mut g_shard[e0..e1],
+                    &counts[e0..e1],
                     dims,
-                    ctx.expert_input.as_slice(),
-                    ctx.h_pre.as_slice(),
-                    ctx.h_act.as_slice(),
-                    d_y.as_slice(),
+                    &ctx.expert_input.as_slice()[r0 * h..r1 * h],
+                    &ctx.h_pre.as_slice()[r0 * f..r1 * f],
+                    &ctx.h_act.as_slice()[r0 * f..r1 * f],
+                    chunk_dy.as_slice(),
                     &mut ws,
-                );
-                // Backward all-to-all #2: dispatch gradients to sources.
-                let d_dispatch = route.to_source(&d_expert_in, ep, clock)?;
-                clock.commit("bwd_dispatch_a2a");
-                d_dispatch
-            }
-            RouteKind::Ep(route, chunks) => {
-                let counts = &route.tokens_per_local_expert;
-                let offsets = seg_offsets(counts);
-                route.exchange_overlap(
-                    &d_combine,
-                    *chunks,
-                    ("bwd_combine_a2a", "bwd_expert", "bwd_dispatch_a2a"),
-                    ep,
-                    clock,
-                    |_c, plan, chunk_dy, _clock| {
-                        let (e0, e1) = plan.experts;
-                        let (r0, r1) = (offsets[e0], offsets[e1]);
-                        expert_ffn_backward(
-                            &shard[e0..e1],
-                            &mut g_shard[e0..e1],
-                            &counts[e0..e1],
-                            dims,
-                            &ctx.expert_input.as_slice()[r0 * h..r1 * h],
-                            &ctx.h_pre.as_slice()[r0 * f..r1 * f],
-                            &ctx.h_act.as_slice()[r0 * f..r1 * f],
-                            chunk_dy.as_slice(),
-                            &mut ws,
-                        )
-                    },
-                )?
-            }
-        };
+                )
+            },
+        )?;
         scatter_rows_unit(&d_dispatch, &pft.token_ids, &mut d_x);
 
         // Router backward (local; router is replicated).
@@ -1175,33 +1084,57 @@ mod tests {
         g.iter().map(|(a, b)| (bits(a), bits(b))).collect()
     }
 
+    /// Serial ≡ chunked on one layout: outputs, `d_x`, `g_gate`, `g_shard`
+    /// bitwise, and the same bytes on the wire per rank.
+    fn assert_overlap_matches_serial(name: &str, full: &TrainableMoe, asg: &ExpertAssignment) {
+        for chunks in [1usize, 2, 3] {
+            SimCluster::frontier(asg.n_ranks()).run(|ctx| {
+                let mut run = |chunks: Option<usize>| {
+                    let mut layer =
+                        DistMoe::from_trainable_with_assignment(full, ctx.rank, asg.clone());
+                    ctx.world.reset_traffic();
+                    let (out, d_x) = fwd_bwd(&mut layer, chunks, ctx);
+                    let grads = (bits(&layer.g_gate), shard_bits(&layer.g_shard));
+                    (bits(&out), bits(&d_x), grads, ctx.world.traffic().total())
+                };
+                let (serial, over) = (run(None), run(Some(chunks)));
+                let at = format!("{name} chunks {chunks} rank {}", ctx.rank);
+                assert!(serial.0 == over.0, "{at}: forward outputs differ");
+                assert!(serial.1 == over.1, "{at}: input grads differ");
+                assert!(serial.2 == over.2, "{at}: weight grads differ");
+                assert_eq!(serial.3, over.3, "{at}: bytes sent differ");
+            });
+        }
+    }
+
     #[test]
     fn overlapped_forward_backward_is_bitwise_identical_to_serial() {
-        let full = tiny_full(77);
         let world = 4;
-        for chunks in [1usize, 2] {
-            let results = SimCluster::frontier(world).run(|ctx| {
-                let mut serial = DistMoe::from_trainable(&full, ctx.rank, world);
-                let (out_s, dx_s) = fwd_bwd(&mut serial, None, ctx);
-                let mut over = DistMoe::from_trainable(&full, ctx.rank, world);
-                let (out_o, dx_o) = fwd_bwd(&mut over, Some(chunks), ctx);
-                let grads_equal = shard_bits(&serial.g_shard) == shard_bits(&over.g_shard)
-                    && bits(&serial.g_gate) == bits(&over.g_gate);
-                (
-                    bits(&out_s) == bits(&out_o),
-                    bits(&dx_s) == bits(&dx_o),
-                    grads_equal,
-                )
-            });
-            for (rank, (out_eq, dx_eq, grads_eq)) in results.iter().enumerate() {
-                assert!(
-                    out_eq,
-                    "chunks {chunks} rank {rank}: forward outputs differ"
-                );
-                assert!(dx_eq, "chunks {chunks} rank {rank}: input grads differ");
-                assert!(grads_eq, "chunks {chunks} rank {rank}: weight grads differ");
+        let full = tiny_full(77);
+        let uniform = ExpertAssignment::contiguous(8, world);
+        assert_overlap_matches_serial("uniform", &full, &uniform);
+
+        let mut migrated = uniform.clone();
+        migrated.migrate(1, 2);
+        assert_overlap_matches_serial("migrated", &full, &migrated);
+
+        // The expert the four seeded batches route the most tokens to.
+        let mut load = [0usize; 8];
+        for rank in 0..world {
+            let x = Tensor::rand_uniform(12, 8, 1.0, 810 + rank as u64);
+            let (_, c) = full.forward(&x);
+            for (l, n) in load.iter_mut().zip(c.tokens_per_expert()) {
+                *l += n;
             }
         }
+        let hot = (0..8).max_by_key(|&e| load[e]).unwrap();
+        let mut replicated = uniform.clone();
+        replicated.replicate(hot, (uniform.primary(hot) + 1) % world);
+        assert_overlap_matches_serial("replicated", &full, &replicated);
+
+        let ragged_full = TrainableMoe::new(8, 6, 10, 2, 100_000, DropPolicy::CapacityOnly, 77);
+        let ragged = ExpertAssignment::contiguous(10, world);
+        assert_overlap_matches_serial("ragged", &ragged_full, &ragged);
     }
 
     #[test]

@@ -1,28 +1,24 @@
-//! Elastic training: replicated/migrated expert assignments, the dispatch
-//! route that serves them, and the histogram-driven rebalance policy
-//! (ROADMAP item 4; the training-side twin of the PR 7 placement solver).
+//! Elastic training: the histogram-driven rebalance policy over replicated
+//! and migrated expert assignments (the training-side twin of the PR 7
+//! placement solver).
 //!
-//! Three pieces:
-//!
-//! * [`ExpertAssignment`] — which EP ranks hold which global expert. The
-//!   classic layout (contiguous, one holder each) is one point in the
-//!   space; migration rewrites a holder, replication adds one, and ragged
-//!   worlds (expert count not divisible by world size) get a balanced
-//!   contiguous split with per-rank counts in `{⌊E/W⌋, ⌈E/W⌉}`.
-//! * [`ElasticRoute`] — the all-to-all dispatch/combine pair for an
-//!   arbitrary assignment, generalizing `EpRoute`'s uniform-contiguous
-//!   layout. Receivers regroup rows expert-major in (local expert
-//!   ascending, source rank ascending, source PFT order) — exactly
-//!   `EpRoute`'s order — so on a uniform assignment the route is
-//!   bitwise-identical to the specialized path, and on any assignment the
-//!   expert GEMM order is independent of which rank serves which copy.
+//! * [`ExpertAssignment`] (defined beside `ExpertPlacement` in
+//!   `xmoe-topology`, re-exported here) — which EP ranks hold which global
+//!   expert. The classic layout (contiguous, one holder each) is one point
+//!   in the space; migration rewrites a holder, replication adds one, and
+//!   ragged worlds (expert count not divisible by world size) get a
+//!   balanced contiguous split with per-rank counts in `{⌊E/W⌋, ⌈E/W⌉}`.
+//!   The one expert route (`xmoe_core::route::EpRoute`) dispatches over any
+//!   of them, serial or chunk-pipelined, so nothing here knows about the
+//!   exchange.
 //! * [`RebalancePolicy`] — feeds per-window routing skew to a reused
 //!   [`SpikeDetector`], and when it trips (or the skew threshold is
 //!   crossed) prices *migrate* (the PR 7 [`optimize_placement`] solve)
-//!   against *replicate-the-hottest-expert* with
-//!   [`CostModel::sparse_exchange_time`], committing the winner only if it
-//!   is strictly cheaper than the current assignment — the same
-//!   never-worse contract `optimize_placement` gives against naive.
+//!   against *replicate-the-hottest-expert* with [`assignment_cost`]
+//!   ([`CostModel::sparse_exchange_time`] under the serving stripe),
+//!   committing the winner only if it is strictly cheaper than the current
+//!   assignment — the same never-worse contract `optimize_placement` gives
+//!   against naive.
 //!
 //! Determinism: every decision input (merged histogram, current
 //! assignment, cost model) is identical on all ranks, so all ranks pick
@@ -31,402 +27,10 @@
 //! the post-migration model is bitwise what a fresh run launched in the
 //! new layout would hold.
 
-use xmoe_collectives::{CommError, Communicator, SimClock};
-use xmoe_core::Pft;
-use xmoe_tensor::{gather_rows, Tensor};
-use xmoe_topology::{
-    optimize_placement, CostModel, ExpertPlacement, PlacementCost, RoutingHistogram,
-};
+pub use xmoe_topology::{assignment_cost, ExpertAssignment};
+use xmoe_topology::{optimize_placement, CostModel, PlacementCost, RoutingHistogram};
 
 use crate::guard::{SpikeDetector, Verdict};
-
-/// Which EP ranks hold which global expert: `holders[e]` is the ascending,
-/// non-empty set of ranks carrying a full copy of expert `e`'s weights and
-/// optimizer moments.
-///
-/// A source rank `s` routes expert `e`'s tokens to
-/// `holders[e][s % holders[e].len()]` — a static stripe that splits a
-/// replicated expert's traffic (and its expert GEMM) across the holders
-/// without any per-token coordination.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExpertAssignment {
-    holders: Vec<Vec<usize>>,
-    n_ranks: usize,
-}
-
-impl ExpertAssignment {
-    /// Balanced contiguous split: rank `r` holds experts
-    /// `r·E/W .. (r+1)·E/W` (integer bounds). Divisible shapes reproduce
-    /// the classic `E/W`-per-rank layout exactly; ragged shapes give every
-    /// rank `⌊E/W⌋` or `⌈E/W⌉` experts with no empty tail (the PR 8
-    /// `div_ceil` budget, spread instead of front-loaded).
-    pub fn contiguous(n_experts: usize, n_ranks: usize) -> Self {
-        assert!(n_ranks >= 1, "assignment needs at least one rank");
-        assert!(
-            n_experts >= n_ranks,
-            "cannot shard {n_experts} experts over {n_ranks} ranks: \
-             every EP rank must host at least one expert"
-        );
-        let mut holders = vec![Vec::new(); n_experts];
-        for r in 0..n_ranks {
-            for e in (r * n_experts / n_ranks)..((r + 1) * n_experts / n_ranks) {
-                holders[e].push(r);
-            }
-        }
-        Self { holders, n_ranks }
-    }
-
-    /// Adopt a solved placement (each expert on exactly one rank).
-    pub fn from_placement(p: &ExpertPlacement) -> Self {
-        Self {
-            holders: p.expert_to_rank.iter().map(|&r| vec![r]).collect(),
-            n_ranks: p.n_ranks,
-        }
-    }
-
-    /// Primary-holder view of this assignment (drops replicas), for
-    /// interop with the single-holder placement APIs.
-    pub fn to_placement(&self) -> ExpertPlacement {
-        ExpertPlacement {
-            expert_to_rank: self.holders.iter().map(|h| h[0]).collect(),
-            n_ranks: self.n_ranks,
-        }
-    }
-
-    pub fn n_experts(&self) -> usize {
-        self.holders.len()
-    }
-
-    pub fn n_ranks(&self) -> usize {
-        self.n_ranks
-    }
-
-    /// Ranks holding expert `e`, ascending.
-    pub fn holders(&self, e: usize) -> &[usize] {
-        &self.holders[e]
-    }
-
-    /// Canonical owner of expert `e` (lowest-ranked holder) — the copy
-    /// checkpoints and scatters read.
-    pub fn primary(&self, e: usize) -> usize {
-        self.holders[e][0]
-    }
-
-    /// The rank source `src` sends expert `e`'s tokens to.
-    pub fn serving_rank(&self, e: usize, src: usize) -> usize {
-        let h = &self.holders[e];
-        h[src % h.len()]
-    }
-
-    /// Global experts hosted on `rank`, ascending — the order of the
-    /// rank's local shard.
-    pub fn experts_on(&self, rank: usize) -> Vec<usize> {
-        (0..self.holders.len())
-            .filter(|&e| self.holders[e].contains(&rank))
-            .collect()
-    }
-
-    /// Experts with more than one holder, ascending.
-    pub fn replicated_experts(&self) -> Vec<usize> {
-        (0..self.holders.len())
-            .filter(|&e| self.holders[e].len() > 1)
-            .collect()
-    }
-
-    /// True for the classic layout `EpRoute` specializes: divisible shape,
-    /// single holder, expert `e` on rank `e / (E/W)`.
-    pub fn is_uniform_contiguous(&self) -> bool {
-        let e = self.n_experts();
-        if !e.is_multiple_of(self.n_ranks) {
-            return false;
-        }
-        let per = e / self.n_ranks;
-        self.holders
-            .iter()
-            .enumerate()
-            .all(|(g, h)| h.len() == 1 && h[0] == g / per)
-    }
-
-    /// Move expert `e` to be held by `to` alone.
-    pub fn migrate(&mut self, e: usize, to: usize) {
-        assert!(to < self.n_ranks, "migration target out of range");
-        self.holders[e] = vec![to];
-    }
-
-    /// Add `rank` as a holder of expert `e` (no-op if already holding).
-    pub fn replicate(&mut self, e: usize, rank: usize) {
-        assert!(rank < self.n_ranks, "replica target out of range");
-        if !self.holders[e].contains(&rank) {
-            self.holders[e].push(rank);
-            self.holders[e].sort_unstable();
-        }
-    }
-
-    /// Experts whose holder set differs from `other`'s — each one's
-    /// weights + moments must move (or copy) to apply `other`.
-    pub fn changed_experts(&self, other: &ExpertAssignment) -> Vec<usize> {
-        assert_eq!(self.n_experts(), other.n_experts());
-        (0..self.holders.len())
-            .filter(|&e| self.holders[e] != other.holders[e])
-            .collect()
-    }
-}
-
-/// Copy rows `[start, end)` of a row-major tensor into a flat buffer.
-fn rows_to_vec(t: &Tensor, start: usize, end: usize) -> Vec<f32> {
-    let mut v = Vec::with_capacity((end - start) * t.cols());
-    for r in start..end {
-        v.extend_from_slice(t.row(r));
-    }
-    v
-}
-
-/// Concatenate per-peer row buffers into one tensor.
-fn vecs_to_tensor(parts: Vec<Vec<f32>>, cols: usize) -> Tensor {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut data = Vec::with_capacity(total);
-    for p in parts {
-        data.extend_from_slice(&p);
-    }
-    Tensor::from_vec(total / cols.max(1), cols, data)
-}
-
-/// Dispatch/combine route for an arbitrary [`ExpertAssignment`]: the
-/// general form of `EpRoute`, paying the same one metadata all-to-all at
-/// build and one payload all-to-all per direction.
-///
-/// Senders emit each expert's PFT segment to that expert's serving rank,
-/// segments ordered by ascending global expert id within each
-/// destination; receivers permute the concatenated-by-source wire buffer
-/// into expert-major order (local expert ascending, source ascending,
-/// source PFT order). On a uniform-contiguous assignment both permutations
-/// are identities and the route is bitwise-identical to `EpRoute`.
-pub struct ElasticRoute {
-    pub pft: Pft,
-    /// PFT row → position in the send buffer (rows grouped by destination,
-    /// ascending expert id within each group).
-    send_perm: Vec<usize>,
-    inv_send_perm: Vec<usize>,
-    send_per_dst: Vec<usize>,
-    recv_per_src: Vec<usize>,
-    /// Rows landing on this rank per local expert (ascending global id).
-    pub tokens_per_local_expert: Vec<usize>,
-    /// Expert-major position → wire (concat-by-source) position.
-    perm: Vec<usize>,
-    inv_perm: Vec<usize>,
-}
-
-impl ElasticRoute {
-    /// Exchange per-(destination, expert) counts and precompute both
-    /// permutations. One `u64` all-to-all, priced like `EpRoute`'s
-    /// metadata exchange (claim it with `clock.commit("dispatch_a2a_meta")`).
-    pub fn build(
-        pft: Pft,
-        assignment: &ExpertAssignment,
-        ep: &Communicator,
-        clock: &mut SimClock,
-    ) -> Result<Self, CommError> {
-        let w = ep.size();
-        let me = ep.rank();
-        let e = assignment.n_experts();
-        assert_eq!(assignment.n_ranks(), w, "assignment world != communicator");
-        assert_eq!(pft.tokens_per_expert.len(), e, "PFT expert count mismatch");
-        let locals: Vec<Vec<usize>> = (0..w).map(|r| assignment.experts_on(r)).collect();
-        let mut pre = vec![0usize; e + 1];
-        for (g, &c) in pft.tokens_per_expert.iter().enumerate() {
-            pre[g + 1] = pre[g] + c;
-        }
-        // counts[d][j]: my tokens for d's j-th local expert that *I* route
-        // to d (0 when my stripe of a replicated expert lands elsewhere).
-        let tpe_send: Vec<Vec<u64>> = locals
-            .iter()
-            .enumerate()
-            .map(|(d, local)| {
-                local
-                    .iter()
-                    .map(|&g| {
-                        if assignment.serving_rank(g, me) == d {
-                            pft.tokens_per_expert[g] as u64
-                        } else {
-                            0
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let tpe_recv = ep.all_to_all_v(tpe_send, clock)?;
-
-        let mut send_perm = Vec::with_capacity(pft.len());
-        let mut send_per_dst = vec![0usize; w];
-        for (d, local) in locals.iter().enumerate() {
-            let mark = send_perm.len();
-            for &g in local {
-                if assignment.serving_rank(g, me) == d {
-                    send_perm.extend(pre[g]..pre[g + 1]);
-                }
-            }
-            send_per_dst[d] = send_perm.len() - mark;
-        }
-        debug_assert_eq!(send_perm.len(), pft.len(), "every PFT row routes once");
-        let mut inv_send_perm = vec![0usize; send_perm.len()];
-        for (k, &p) in send_perm.iter().enumerate() {
-            inv_send_perm[p] = k;
-        }
-
-        let e_local = locals[me].len();
-        let recv_per_src: Vec<usize> = tpe_recv
-            .iter()
-            .map(|r| r.iter().map(|&c| c as usize).sum())
-            .collect();
-        let mut src_base = vec![0usize; w];
-        for s in 1..w {
-            src_base[s] = src_base[s - 1] + recv_per_src[s - 1];
-        }
-        let total: usize = recv_per_src.iter().sum();
-        let mut tokens_per_local_expert = vec![0usize; e_local];
-        for r in &tpe_recv {
-            for (j, &c) in r.iter().enumerate() {
-                tokens_per_local_expert[j] += c as usize;
-            }
-        }
-        let mut perm = Vec::with_capacity(total);
-        for j in 0..e_local {
-            for (src, counts) in tpe_recv.iter().enumerate() {
-                let before: usize = counts[..j].iter().map(|&c| c as usize).sum();
-                let start = src_base[src] + before;
-                perm.extend(start..start + counts[j] as usize);
-            }
-        }
-        let mut inv_perm = vec![0usize; perm.len()];
-        for (k, &p) in perm.iter().enumerate() {
-            inv_perm[p] = k;
-        }
-        Ok(Self {
-            pft,
-            send_perm,
-            inv_send_perm,
-            send_per_dst,
-            recv_per_src,
-            tokens_per_local_expert,
-            perm,
-            inv_perm,
-        })
-    }
-
-    /// Rows this rank's experts process after dispatch.
-    pub fn recv_rows(&self) -> usize {
-        self.perm.len()
-    }
-
-    /// Dispatch: PFT-ordered rows → expert-major rows on the serving
-    /// ranks. Claim the pending collective with
-    /// `clock.commit("dispatch_a2a")`.
-    pub fn to_experts(
-        &self,
-        rows: &Tensor,
-        ep: &Communicator,
-        clock: &mut SimClock,
-    ) -> Result<Tensor, CommError> {
-        assert_eq!(rows.rows(), self.pft.len(), "dispatch row count mismatch");
-        let cols = rows.cols();
-        let send_major = gather_rows(rows, &self.send_perm);
-        let mut send = Vec::with_capacity(self.send_per_dst.len());
-        let mut off = 0;
-        for &cnt in &self.send_per_dst {
-            send.push(rows_to_vec(&send_major, off, off + cnt));
-            off += cnt;
-        }
-        let recv = ep.all_to_all_v(send, clock)?;
-        let wire = vecs_to_tensor(recv, cols);
-        Ok(gather_rows(&wire, &self.perm))
-    }
-
-    /// Combine: expert-major rows → PFT-ordered rows back on the source
-    /// ranks. Claim with `clock.commit("combine_a2a")`.
-    pub fn to_source(
-        &self,
-        rows: &Tensor,
-        ep: &Communicator,
-        clock: &mut SimClock,
-    ) -> Result<Tensor, CommError> {
-        assert_eq!(rows.rows(), self.perm.len(), "combine row count mismatch");
-        let cols = rows.cols();
-        let wire = gather_rows(rows, &self.inv_perm);
-        let mut send = Vec::with_capacity(self.recv_per_src.len());
-        let mut off = 0;
-        for &cnt in &self.recv_per_src {
-            send.push(rows_to_vec(&wire, off, off + cnt));
-            off += cnt;
-        }
-        let recv = ep.all_to_all_v(send, clock)?;
-        let send_order = vecs_to_tensor(recv, cols);
-        Ok(gather_rows(&send_order, &self.inv_send_perm))
-    }
-}
-
-/// Price an assignment (replicas included) against a routing histogram —
-/// [`xmoe_topology::placement_cost`] generalized to multi-holder experts.
-/// Dispatch keeps the node-dedup discipline (one copy per destination
-/// node, striped pilot slot); per-rank expert load follows the serving
-/// stripe, so replicating a hot expert visibly splits both its receive
-/// traffic and its GEMM load.
-pub fn assignment_cost(
-    asg: &ExpertAssignment,
-    hist: &RoutingHistogram,
-    cost: &CostModel,
-    bytes_per_token: u64,
-) -> PlacementCost {
-    let topo = cost.topology();
-    let n = asg.n_ranks();
-    assert!(n <= topo.n_ranks(), "assignment exceeds topology");
-    let scale = if hist.sampled_routed == 0 {
-        0.0
-    } else {
-        hist.total_routed as f64 / hist.sampled_routed as f64
-    };
-    let gpn = topo.spec().gpus_per_node;
-    let mut copies = vec![0u64; n * n];
-    let mut rank_pairs = vec![0u64; n];
-    let mut nodes: Vec<usize> = Vec::with_capacity(8);
-    for r in &hist.routes {
-        let src = r.src_rank as usize;
-        nodes.clear();
-        for &e in &r.experts {
-            let dst_rank = asg.serving_rank(e as usize, src);
-            rank_pairs[dst_rank] += 1;
-            let node = topo.node_of(dst_rank);
-            if !nodes.contains(&node) {
-                nodes.push(node);
-            }
-        }
-        for &node in &nodes {
-            let base = node * gpn;
-            let dst = base + (src % gpn).min(n - 1 - base);
-            copies[src * n + dst] += 1;
-        }
-    }
-    let mut off_node = 0u64;
-    for src in 0..n {
-        for dst in 0..n {
-            if copies[src * n + dst] > 0 && !topo.same_node(src, dst) {
-                off_node += copies[src * n + dst] * bytes_per_token;
-            }
-        }
-    }
-    let group: Vec<usize> = (0..n).collect();
-    let dispatch_time = cost.sparse_exchange_time(&group, &|i, j| {
-        (copies[i * n + j] as f64 * scale) as u64 * bytes_per_token
-    });
-    PlacementCost {
-        off_node_bytes: (off_node as f64 * scale) as u64,
-        dispatch_time,
-        max_rank_load: rank_pairs
-            .into_iter()
-            .map(|p| (p as f64 * scale) as u64)
-            .max()
-            .unwrap_or(0),
-    }
-}
 
 /// Knobs of the live-rebalance policy.
 #[derive(Clone, Copy, Debug)]
@@ -607,7 +211,6 @@ mod tests {
     #[test]
     fn contiguous_matches_classic_layout_when_divisible() {
         let a = ExpertAssignment::contiguous(8, 4);
-        assert!(a.is_uniform_contiguous());
         for e in 0..8 {
             assert_eq!(a.holders(e), &[e / 2]);
             assert_eq!(a.serving_rank(e, 3), e / 2);
@@ -618,7 +221,6 @@ mod tests {
     #[test]
     fn contiguous_ragged_split_is_balanced_with_no_empty_rank() {
         let a = ExpertAssignment::contiguous(8, 3);
-        assert!(!a.is_uniform_contiguous());
         let sizes: Vec<usize> = (0..3).map(|r| a.experts_on(r).len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 8);
         assert!(sizes.iter().all(|&s| s == 2 || s == 3), "{sizes:?}");
@@ -649,7 +251,8 @@ mod tests {
         let mut a = ExpertAssignment::contiguous(4, 2);
         a.migrate(3, 0);
         assert_eq!(a.holders(3), &[0]);
-        assert!(!a.is_uniform_contiguous());
+        assert_eq!(a.experts_on(0), vec![0, 1, 3]);
+        assert_eq!(a.experts_on(1), vec![2]);
         assert_eq!(a.to_placement().rank_of(3), 0);
     }
 }

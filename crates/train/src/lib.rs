@@ -52,8 +52,7 @@ pub use checkpoint::{Checkpoint, CkptError};
 pub use data::{HigherOrderCorpus, MarkovCorpus};
 pub use dist::{DistMoe, DistMoeLm};
 pub use elastic::{
-    assignment_cost, ElasticRoute, ExpertAssignment, RebalanceConfig, RebalanceDecision,
-    RebalancePolicy,
+    assignment_cost, ExpertAssignment, RebalanceConfig, RebalanceDecision, RebalancePolicy,
 };
 pub use guard::{
     Divergence, GuardConfig, GuardEvent, LossScale, LossScaleCfg, PolicyAction, PolicyCfg,

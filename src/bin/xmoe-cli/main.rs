@@ -21,11 +21,10 @@
 //! **step** — run one live forward step of the chosen pipeline on the
 //! threads-as-ranks runtime and print the cross-rank stage report
 //! (min/mean/max/straggler per stage, sync-wait split out). `--overlap`
-//! (pft and rbd) pipelines the dispatch all-to-all against the expert
-//! compute; the Chrome trace then shows separate comm/compute tracks per
-//! rank; on dense and blocksparse it exits 1 with the pipeline's
-//! "unsupported execution mode" error instead of running serial under an
-//! overlap header.
+//! (pft, blocksparse and rbd) pipelines the dispatch all-to-all against the
+//! expert compute; the Chrome trace then shows separate comm/compute tracks
+//! per rank; on dense it exits 1 with the pipeline's "unsupported execution
+//! mode" error instead of running serial under an overlap header.
 //!
 //! **step --pp** — run the (interleaved) 1F1B pipeline schedule live: one
 //! MoE layer per virtual stage on `<stages>` simulated ranks with uniform

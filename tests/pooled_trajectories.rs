@@ -9,9 +9,10 @@
 //!   owned gating feeding the padded dispatch slab (dense has no pooled
 //!   forward of its own; gating is its pooled surface);
 //! * pft, blocksparse (single-rank) — `ExecCtx::pooled` vs `ExecCtx::single`;
-//! * pft (serial and overlapped), blocksparse under flat EP at world 2 and
-//!   4 — `ExecCtx::ep(..).with_state(..)` vs `ExecCtx::ep(..)`, plus the
-//!   arena counters proving the state is really leased from;
+//! * pft and blocksparse, each serial and overlapped (overlap ≡ serial),
+//!   under flat EP at world 2 and 4 — `ExecCtx::ep(..).with_state(..)` vs
+//!   `ExecCtx::ep(..)`, plus the arena counters proving the state is really
+//!   leased from;
 //! * rbd (distributed) — `ExecCtx::hier(..).with_state(..)` vs owned on the
 //!   threads-as-ranks runtime;
 //! * pft (training) — full pooled train steps (forward + backward + SGD
@@ -114,15 +115,20 @@ fn ep_forward_trajectories_are_bitwise_identical_and_lease_from_the_state() {
     // Tight capacity so the drop path is exercised on every step.
     let spec = MoeLayerSpec::new(e, 9);
     let blocksparse = BlockSparsePipeline { block: 3 };
-    let cases: [(&str, &(dyn Pipeline + Sync), Option<usize>); 3] = [
+    let cases: [(&str, &(dyn Pipeline + Sync), Option<usize>); 4] = [
         ("pft", &PaddingFreePipeline, None),
         ("pft overlap", &PaddingFreePipeline, Some(2)),
         ("blocksparse", &blocksparse, None),
+        ("blocksparse overlap", &blocksparse, Some(2)),
     ];
     for world in [2usize, 4] {
+        // Per pipeline, the serial run's per-rank trajectory: the overlapped
+        // case that follows it must reproduce it bit for bit.
+        let mut serial: Vec<Vec<Vec<u32>>> = Vec::new();
         for (name, pipe, overlap) in cases {
             let (router, spec) = (&router, &spec);
-            SimCluster::frontier(world).run(move |ctx| {
+            let trajectories = SimCluster::frontier(world).run(move |ctx| {
+                let mut trajectory = Vec::new();
                 let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 0x7E11);
                 let mut state = PooledSingleState::default();
                 let mut x = Tensor::rand_uniform(s, h, 1.0, 0x7E12 + ctx.rank as u64);
@@ -140,6 +146,7 @@ fn ep_forward_trajectories_are_bitwise_identical_and_lease_from_the_state() {
                         "{name} world {world} rank {} diverges at step {step}",
                         ctx.rank
                     );
+                    trajectory.push(bits(&pooled));
                     x = chain(&pooled, &x);
                     state.ws.recycle(pooled);
                     if step == 0 {
@@ -156,7 +163,15 @@ fn ep_forward_trajectories_are_bitwise_identical_and_lease_from_the_state() {
                     misses < takes,
                     "{name} world {world}: no pool hits after warm-up ({misses} misses / {takes} takes)"
                 );
+                trajectory
             });
+            match overlap {
+                None => serial = trajectories,
+                Some(_) => assert!(
+                    serial == trajectories,
+                    "{name} world {world}: overlap diverges from serial"
+                ),
+            }
         }
     }
 }
