@@ -35,11 +35,17 @@
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
-use xmoe_bench::{fmt_time, print_table, shape_check};
+use xmoe_bench::spine::Check;
+use xmoe_bench::{fmt_time, print_table};
 use xmoe_tensor::{
     gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_b, gemm_tier, matmul,
     matmul_slices, matmul_transpose_b, nt_pack_probe, pool_size, Tensor, NT_PACK_MIN_ROWS,
 };
+
+/// Print one claim as the spine formats it.
+fn shape_check(claim: &str, ok: bool, detail: &str) {
+    println!("{}", Check::new(claim, ok, detail.to_string()));
+}
 
 /// The old implementation: materialize `B^T`, then run the plain kernel.
 fn via_materialized_transpose(a: &Tensor, b: &Tensor) -> Tensor {

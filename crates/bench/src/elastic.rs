@@ -23,13 +23,9 @@ use xmoe_train::{
     RebalanceConfig, RebalancePolicy, TrainConfig,
 };
 
-use crate::spine::{int, tag, Bench, Check, Env, Record, Val};
+use crate::spine::{bench, int, tag, Check, Env, Record, Val};
 
-pub const BENCH: Bench = Bench {
-    name: "elastic",
-    run,
-    gates,
-};
+bench!(elastic, "join MTTR + skewed-vs-rebalanced live migration");
 
 /// 8 experts over 4 ranks, two per rank.
 const WORLD: usize = 4;

@@ -28,13 +28,9 @@ use xmoe_core::rbd::{PilotPolicy, RbdComms};
 use xmoe_tensor::{thread_tracked_allocs, CountingAlloc, DetRng, Tensor, Workspace};
 use xmoe_train::{MoeTrainScratch, TrainableMoe};
 
-use crate::spine::{each, int, print_records, tag, Bench, Check, Env, Record, Val};
+use crate::spine::{bench, each, int, print_records, tag, Check, Env, Record, Val};
 
-pub const BENCH: Bench = Bench {
-    name: "hotpath",
-    run,
-    gates,
-};
+bench!(hotpath, "zero-allocation steady state + memory telemetry");
 
 /// Hot-path config: small enough that every kernel stays below its
 /// parallelism cutoff (the serial schedule — the persistent worker pool in

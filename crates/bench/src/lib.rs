@@ -1,14 +1,16 @@
-//! Experiment harness support: table formatting and paper-vs-measured
-//! shape checks shared by the per-figure binaries.
+//! Experiment harness: the bench [`spine`] (record format, registry, gate
+//! driver), the six system benches, and the paper's evaluation ([`paper`]).
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md's per-experiment index); `reproduce_all` runs the
-//! full set. Binaries print the same rows/series the paper reports plus a
-//! `[shape]` line per headline claim: the reproduction targets *shape*
+//! Each module under `paper/` regenerates one table or figure of the paper
+//! (see DESIGN.md's per-experiment index) as a [`spine::Bench`]: `xmoe-cli
+//! bench <name>` runs one, `xmoe-cli bench paper` the full set. An entry
+//! returns the rows/series the paper reports as records and states one
+//! `[shape]` claim per headline result: the reproduction targets *shape*
 //! (who wins, by roughly what factor, where crossovers fall), not absolute
 //! hardware numbers.
 
 pub mod flags;
+pub mod paper;
 pub mod spine;
 
 pub mod elastic;
@@ -18,7 +20,8 @@ pub mod overlap;
 pub mod serving;
 pub mod stability;
 
-/// Render a text table with a header row.
+/// Render a text table with a header row. Public for the `gemm` bin only;
+/// benches print through [`spine::print_records`].
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -46,13 +49,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Report a shape check: a claim from the paper and whether the model
-/// reproduces it.
-pub fn shape_check(claim: &str, ok: bool, detail: &str) {
-    let status = if ok { "PASS" } else { "DEVIATION" };
-    println!("[shape] {status}: {claim} ({detail})");
-}
-
 /// Format seconds as engineering-readable.
 pub fn fmt_time(s: f64) -> String {
     if s >= 1.0 {
@@ -65,12 +61,12 @@ pub fn fmt_time(s: f64) -> String {
 }
 
 /// Format bytes as GiB with two decimals.
-pub fn fmt_gib(bytes: u64) -> String {
+pub(crate) fn fmt_gib(bytes: u64) -> String {
     format!("{:.2} GiB", bytes as f64 / (1024.0 * 1024.0 * 1024.0))
 }
 
 /// A crude ASCII sparkline for printed "figures".
-pub fn sparkline(values: &[f64]) -> String {
+pub(crate) fn sparkline(values: &[f64]) -> String {
     const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
     let (min, max) = values
         .iter()

@@ -16,13 +16,12 @@ use xmoe_core::memory::GIB;
 use xmoe_core::perf::PerfModel;
 use xmoe_core::plan::plan_mappings;
 
-use crate::spine::{each, int, tag, Bench, Check, Env, Record, Val};
+use crate::spine::{bench, each, int, tag, Check, Env, Record, Val};
 
-pub const BENCH: Bench = Bench {
-    name: "mapping",
-    run,
-    gates,
-};
+bench!(
+    mapping,
+    "the auto-mapping planner over every legal 4D folding"
+);
 
 /// Search shape: a 32-expert / 8-layer model over 16 clean-frontier GCDs
 /// yields a rich legal frontier — pipelined, interleaved and flat foldings

@@ -35,13 +35,9 @@ use xmoe_tensor::Tensor;
 use xmoe_topology::{ClusterTopology, CongestionModel, CostModel, MachineSpec};
 
 use crate::fmt_time;
-use crate::spine::{each, int, print_records, tag, Bench, Check, Env, Record, Val};
+use crate::spine::{bench, each, int, print_records, tag, Check, Env, Record, Val};
 
-pub const BENCH: Bench = Bench {
-    name: "overlap",
-    run,
-    gates,
-};
+bench!(overlap, "serial vs chunked dispatch-compute overlap");
 
 const WORLD: usize = 8;
 const TOKENS_PER_RANK: usize = 256;

@@ -22,13 +22,12 @@
 use xmoe_core::config::MoeModelConfig;
 use xmoe_serve::{serve, ArrivalProcess, PlacementMode, ServeConfig, ServeReport, TrafficConfig};
 
-use crate::spine::{each, int, print_records, tag, Bench, Check, Env, Record, Val};
+use crate::spine::{bench, each, int, print_records, tag, Check, Env, Record, Val};
 
-pub const BENCH: Bench = Bench {
-    name: "serving",
-    run,
-    gates,
-};
+bench!(
+    serving,
+    "continuous batching under naive vs optimized expert placement"
+);
 
 const WORLD: usize = 32;
 const SEED: u64 = 42;

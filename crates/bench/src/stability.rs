@@ -26,13 +26,9 @@ use xmoe_core::gating::DropPolicy;
 use xmoe_topology::FaultPlan;
 use xmoe_train::{run_chaos_rank, ChaosConfig, ChaosReport, GuardConfig, TrainConfig};
 
-use crate::spine::{each, int, print_records, tag, Bench, Check, Env, Record, Val};
+use crate::spine::{bench, each, int, print_records, tag, Check, Env, Record, Val};
 
-pub const BENCH: Bench = Bench {
-    name: "stability",
-    run,
-    gates,
-};
+bench!(stability, "SDC detection rate x guard overhead");
 
 const WORLD: usize = 2;
 const STEPS: u64 = 8;

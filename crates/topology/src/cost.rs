@@ -135,15 +135,19 @@ impl CostModel {
         self.alltoallv_time_with_multiplier(group, bytes, self.congestion.mean_multiplier())
     }
 
-    /// Sampled time of an uneven all-to-all: cross-rack traffic draws a
-    /// congestion multiplier from the outlier distribution.
-    pub fn alltoallv_time_sampled(
+    /// `n` sampled times of one uneven all-to-all: each draws a cross-rack
+    /// congestion multiplier from the outlier distribution, in order. The
+    /// split table depends on the byte matrix alone, so it is built once.
+    pub fn alltoallv_time_samples(
         &self,
         group: &[usize],
         bytes: &dyn Fn(usize, usize) -> u64,
+        n: usize,
         rng: &mut DetRng,
-    ) -> f64 {
-        self.alltoallv_time_with_multiplier(group, bytes, self.congestion.sample_multiplier(rng))
+    ) -> Vec<f64> {
+        let splits = xmoe_tensor::untracked(|| self.traffic_splits(group, bytes));
+        let draws = (0..n).map(|_| self.congestion.sample_multiplier(rng));
+        draws.map(|mult| self.splits_time(&splits, mult)).collect()
     }
 
     fn alltoallv_time_with_multiplier(
@@ -160,8 +164,13 @@ impl CostModel {
         // state), so its scratch Vec lives under the untracked counter —
         // same policy as the simulated wire in the collectives crate.
         let splits = xmoe_tensor::untracked(|| self.traffic_splits(group, bytes));
-        let (worst, any_intra, any_inter) = self.worst_drain(&splits, cross_rack_mult);
-        worst + self.startup(group.len(), any_intra, any_inter)
+        self.splits_time(&splits, cross_rack_mult)
+    }
+
+    /// Drain of the busiest rank plus the collective's startup.
+    fn splits_time(&self, splits: &[TrafficSplit], cross_rack_mult: f64) -> f64 {
+        let (worst, any_intra, any_inter) = self.worst_drain(splits, cross_rack_mult);
+        worst + self.startup(splits.len(), any_intra, any_inter)
     }
 
     /// Busiest-rank drain time over per-rank splits, plus which link
@@ -548,5 +557,32 @@ mod tests {
             t_cong > t_clean,
             "congestion must add time: {t_clean} vs {t_cong}"
         );
+    }
+
+    /// The batched sampler is the per-sample pricing (splits rebuilt for
+    /// every draw, as `alltoallv_time_sampled` did) bit for bit, draws in
+    /// the same RNG order — across a rack boundary, where draws matter, and
+    /// for a group of one, which must still consume its draws.
+    #[test]
+    fn batched_samples_equal_per_sample_pricing() {
+        for n in [1usize, 16, 512] {
+            let m = frontier_model(n);
+            let group: Vec<usize> = (0..n).collect();
+            let bytes = |i: usize, j: usize| ((i * 31 + j * 7) % 5) as u64 * 100_000;
+            let (mut a, mut b) = (DetRng::new(n as u64), DetRng::new(n as u64));
+            let batched = m.alltoallv_time_samples(&group, &bytes, 50, &mut a);
+            let single: Vec<f64> = (0..50)
+                .map(|_| {
+                    let mult = m.congestion.sample_multiplier(&mut b);
+                    m.alltoallv_time_with_multiplier(&group, &bytes, mult)
+                })
+                .collect();
+            assert_eq!(
+                batched.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+                single.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+                "{n} ranks"
+            );
+            assert_eq!(a.next_u64(), b.next_u64(), "{n} ranks: same draws consumed");
+        }
     }
 }

@@ -62,15 +62,19 @@
 //! `--rate 0`, rank counts that do not divide the expert count) are config
 //! errors: a one-line diagnostic and exit 1, never a panic or a hang.
 //!
-//! **bench** — the single door to the six self-gating benchmarks (hotpath,
-//! mapping, elastic, overlap, stability, serving): each writes
-//! `BENCH_<name>.json`, reads it back and gates it; `--validate` re-gates
-//! an existing file with the same gate list and is what CI runs after
-//! `--smoke`. What each measures and gates is documented on its module in
-//! `xmoe::bench`; the shared driver is `xmoe::bench::spine` (DESIGN.md,
-//! "Bench spine"). The hotpath pft record is gated at zero allocs/step
-//! after warm-up and >= 1.2x over the owned-allocation baseline measured
-//! in the same run.
+//! **bench** — the single door to every bench in `xmoe::bench::spine::ALL`:
+//! the six self-gating system benchmarks (hotpath, mapping, elastic,
+//! overlap, stability, serving), the paper's 19 tables and figures
+//! (`fig03_memory` .. `ablation_blocksparse`; `bench paper` runs them all in
+//! paper order and exits 1 naming any invalid one) and `recovery`. Each
+//! writes `BENCH_<name>.json`, reads it back and gates it; `--validate`
+//! re-gates an existing file with the same gate list — what CI runs after
+//! `--smoke` for the system benches and over the committed
+//! `bench/paper/*.json` pins for the paper. What each measures and gates is
+//! documented on its module in `xmoe::bench`; the shared driver is
+//! `xmoe::bench::spine` (DESIGN.md, "Bench spine"). The hotpath pft record
+//! is gated at zero allocs/step after warm-up and >= 1.2x over the
+//! owned-allocation baseline measured in the same run.
 
 mod chaos;
 mod plan;
