@@ -38,8 +38,8 @@ use std::time::Instant;
 use xmoe_bench::spine::Check;
 use xmoe_bench::{fmt_time, print_table};
 use xmoe_tensor::{
-    gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_b, gemm_tier, matmul,
-    matmul_slices, matmul_transpose_b, nt_pack_probe, pool_size, Tensor, NT_PACK_MIN_ROWS,
+    gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_b, gemm_tier, gemm_view, matmul,
+    matmul_slices, matmul_transpose_b, nt_pack_probe, pool_size, Causal, Tensor, NT_PACK_MIN_ROWS,
 };
 
 /// Print one claim as the spine formats it.
@@ -287,6 +287,7 @@ fn kernel_table(smoke: bool) -> bool {
         &rows,
     );
     println!("every cell above equals the scalar loop it replaced bit for bit (asserted)");
+    println!("{}", causal_view_line());
     // Held on the avx2 / avx512 tiers only: the hazard is a wide tile falling
     // out of its registers (the base tier reads ~1.0x too).
     if gemm_tier() == "base" {
@@ -303,6 +304,66 @@ fn kernel_table(smoke: bool) -> bool {
         ),
     );
     gate
+}
+
+/// The two strided causal NN products of `train_fine_ep2`'s attention (4
+/// sequences x 4 heads of `seq 64, hd 16`, read in place at `ld = hidden`):
+/// GFLOP/s of the causal half on the calling thread — `gemm_view` is serial,
+/// so this is per lane at any pool size. A baseline for the next kernel PR;
+/// `xmoe-train`'s attention tests hold the bits.
+fn causal_view_line() -> String {
+    const SEQ: usize = 64;
+    const HD: usize = 16;
+    const HEADS: usize = 4;
+    const BATCH: usize = 4;
+    let (n, hidden) = (BATCH * SEQ, HEADS * HD);
+    let q = Tensor::rand_uniform(n, hidden, 1.0, 0x6E50);
+    let kt = Tensor::rand_uniform(hidden, n, 1.0, 0x6E51);
+    let mut p = Tensor::zeros(n * HEADS, SEQ);
+    let mut o = Tensor::zeros(n, hidden);
+    // (sequence, head) -> its rows in `q`/`o`, its panel in `kt`, its block of `p`.
+    let head = |i: usize| {
+        let (b, h) = (i / HEADS, i % HEADS);
+        (
+            b * SEQ * hidden + h * HD,
+            h * HD * n + b * SEQ,
+            i * SEQ * SEQ,
+        )
+    };
+    let t_s = secs_per_call(|| {
+        for (rows, panel, block) in (0..BATCH * HEADS).map(head) {
+            gemm_view(
+                false,
+                (&q.as_slice()[rows..], hidden),
+                (&kt.as_slice()[panel..], n),
+                (&mut p.as_mut_slice()[block..], SEQ),
+                (SEQ, HD, SEQ),
+                Causal::LowerC,
+            );
+        }
+    });
+    let t_o = secs_per_call(|| {
+        for (rows, _, block) in (0..BATCH * HEADS).map(head) {
+            gemm_view(
+                false,
+                (&p.as_slice()[block..], SEQ),
+                (&q.as_slice()[rows..], hidden),
+                (&mut o.as_mut_slice()[rows..], hidden),
+                (SEQ, SEQ, HD),
+                Causal::LowerA,
+            );
+        }
+    });
+    let gflop = 2.0 * (BATCH * HEADS * HD * SEQ * (SEQ + 1) / 2) as f64 / 1e9;
+    format!(
+        "strided causal NN, tier {}, 1 lane, {} heads at ld {hidden}: [64, 16] x [16, 64] \
+         (S = Q·Kᵀ, columns <= row) {:.1} GFLOP/s | [64, 64] x [64, 16] (O = P·V, steps <= row) \
+         {:.1} GFLOP/s (of the causal half)",
+        gemm_tier(),
+        BATCH * HEADS,
+        gflop / t_s,
+        gflop / t_o
+    )
 }
 
 /// Section 1: this process's lane count, then a child pinned to one lane

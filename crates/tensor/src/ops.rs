@@ -57,7 +57,7 @@ pub fn matmul_slices(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, c: &mut
         gemm_rows(a, b, c, 0, m, k, n);
         return;
     }
-    crate::par::par_gemm_rows(a, m, k, b, n, c, false);
+    crate::par::par_gemm_rows(crate::par::Slab::Nn, a, m, k, b, n, c);
 }
 
 // ---------------------------------------------------------------------------
@@ -156,27 +156,80 @@ const OVERWRITE: StoreMode = false;
 /// without the block.
 const ADD_FRESH: StoreMode = true;
 
+/// A row-major operand read in place: element `(r, c)` is `data[r * ld + c]`.
+/// `ld` may exceed the columns a product touches — one head's `hd` columns of
+/// a `[rows, hidden]` activation are the view `(&t[col0..], hidden)`, one
+/// sequence's columns of a transposed `[hidden, rows]` panel likewise — so a
+/// kernel never needs a gathered copy of a sub-matrix.
+pub type View<'a> = (&'a [f32], usize);
+/// The output counterpart of [`View`]: only the product's `m x n` elements
+/// are written, whatever else the slice spans.
+pub type ViewMut<'a> = (&'a mut [f32], usize);
+
+/// Which part of a product a causal (lower-triangular) operand makes
+/// necessary. Bounds are taken per `MR`-row group of `C`, not per row: a
+/// group covering rows `i0..i1` uses the widest range any of its rows needs,
+/// so a row may see up to `MR - 1` extra terms or columns next to the
+/// diagonal. Each variant says what the caller must make of those.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Causal {
+    /// Every reduction step, every column.
+    Full,
+    /// NN where only `C[i][j]`, `j <= i`, is wanted (`S = Q·Kᵀ`): the group
+    /// computes columns `0..i1`. Columns `i + 1..i1` of row `i` receive
+    /// ordinary (unwanted) products, columns from `i1` on are left untouched —
+    /// the caller masks or ignores both.
+    LowerC,
+    /// NN whose `A` is lower triangular, `A[i][s] == 0.0` for `s > i`
+    /// (`O = P·V`): the group walks steps `0..i1`. Row `i` then adds
+    /// `0.0 * B[s][j]` for `s` in `i + 1..i1` — `±0.0` while `B` is finite,
+    /// which cannot change a sum that started at `+0.0`.
+    LowerA,
+    /// TN whose `A` is lower triangular, `A[s][i] == 0.0` for `s < i`
+    /// (`dV = Pᵀ·dO`; `C` row `i` is `A` column `i`): the group walks steps
+    /// `i0..`. Row `i` then *starts* with the `±0.0` terms of steps `i0..i`.
+    LowerAt,
+}
+
+impl Causal {
+    /// The reduction steps and the column count of the `C` row group
+    /// `i0..i0 + rows` of a product with `steps` steps and `n` columns.
+    #[inline(always)]
+    fn group(
+        self,
+        i0: usize,
+        rows: usize,
+        steps: usize,
+        n: usize,
+    ) -> (std::ops::Range<usize>, usize) {
+        match self {
+            Causal::Full => (0..steps, n),
+            Causal::LowerC => (0..steps, n.min(i0 + rows)),
+            Causal::LowerA => (0..steps.min(i0 + rows), n),
+            Causal::LowerAt => (i0.min(steps)..steps, n),
+        }
+    }
+}
+
 /// One `MR x NR` tile of `A·B` held in registers over a single ascending
-/// walk of the `steps` reduction steps, then stored per `ST`: per step one
+/// walk of the reduction `steps`, then stored per `ST`: per step one
 /// `NR`-wide row of `b` and `MR` scalars of `a`. `TA` selects how `a` is read
 /// — `false`: row `i`, step `s` at `a[i * lda + s]` (NN); `true`: at
-/// `a[s * lda + i]` (the transposed read of TN). The per-row indexed load
-/// keeps each row's update in its own basic block, which is what makes the
-/// vectorizer pick the `NR` direction.
+/// `a[s * lda + i]` (the transposed read of TN). `b` and `c` are [`View`]s
+/// with leading dimensions of their own. The per-row indexed load keeps each
+/// row's update in its own basic block, which is what makes the vectorizer
+/// pick the `NR` direction.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 fn acc_tile<const TA: bool, const ST: StoreMode, const MR: usize, const NR: usize>(
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    c: &mut [f32],
+    (a, lda): View<'_>,
+    (b, ldb): View<'_>,
+    (c, ldc): ViewMut<'_>,
     (i0, j0): (usize, usize),
-    steps: usize,
-    n: usize,
+    steps: std::ops::Range<usize>,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
-    for s in 0..steps {
-        let bv: [f32; NR] = b[s * n + j0..][..NR]
+    for s in steps {
+        let bv: [f32; NR] = b[s * ldb + j0..][..NR]
             .try_into()
             .expect("slice of length NR");
         for r in 0..MR {
@@ -191,54 +244,60 @@ fn acc_tile<const TA: bool, const ST: StoreMode, const MR: usize, const NR: usiz
         }
     }
     for r in 0..MR {
-        let c_row = &mut c[(i0 + r) * n + j0..][..NR];
+        let c_row = &mut c[(i0 + r) * ldc + j0..][..NR];
         if ST == ADD_FRESH {
+            // Added by value, like `bv`: with `c_row[j] += ..` in place the
+            // row loop can stay rolled, which indexes `acc` dynamically and
+            // so keeps the whole tile in memory (TN at a third of its speed).
+            let mut cv: [f32; NR] = (&*c_row).try_into().expect("slice of length NR");
             for j in 0..NR {
-                c_row[j] += acc[r][j];
+                cv[j] += acc[r][j];
             }
+            c_row.copy_from_slice(&cv);
         } else {
             c_row.copy_from_slice(&acc[r]);
         }
     }
 }
 
-/// All column tiles of one `MR`-row group: full `NR` tiles, then the
-/// narrower ladder 16 / 8 / 4 / 1 for the ragged right edge.
+/// The first `n` columns of one `MR`-row group over `steps`: full `NR`
+/// tiles, then the narrower ladder 16 / 8 / 4 / 1 for the ragged right edge.
 #[inline(always)]
 fn acc_row_group<const TA: bool, const ST: StoreMode, const MR: usize, const NR: usize>(
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    c: &mut [f32],
+    a: View<'_>,
+    b: View<'_>,
+    (c, ldc): ViewMut<'_>,
     i0: usize,
-    steps: usize,
+    steps: std::ops::Range<usize>,
     n: usize,
 ) {
     let mut j0 = 0;
     while j0 + NR <= n {
-        acc_tile::<TA, ST, MR, NR>(a, lda, b, c, (i0, j0), steps, n);
+        acc_tile::<TA, ST, MR, NR>(a, b, (c, ldc), (i0, j0), steps.clone());
         j0 += NR;
     }
     if NR > 16 && j0 + 16 <= n {
-        acc_tile::<TA, ST, MR, 16>(a, lda, b, c, (i0, j0), steps, n);
+        acc_tile::<TA, ST, MR, 16>(a, b, (c, ldc), (i0, j0), steps.clone());
         j0 += 16;
     }
     if NR > 8 && j0 + 8 <= n {
-        acc_tile::<TA, ST, MR, 8>(a, lda, b, c, (i0, j0), steps, n);
+        acc_tile::<TA, ST, MR, 8>(a, b, (c, ldc), (i0, j0), steps.clone());
         j0 += 8;
     }
     if j0 + 4 <= n {
-        acc_tile::<TA, ST, MR, 4>(a, lda, b, c, (i0, j0), steps, n);
+        acc_tile::<TA, ST, MR, 4>(a, b, (c, ldc), (i0, j0), steps.clone());
         j0 += 4;
     }
     while j0 < n {
-        acc_tile::<TA, ST, MR, 1>(a, lda, b, c, (i0, j0), steps, n);
+        acc_tile::<TA, ST, MR, 1>(a, b, (c, ldc), (i0, j0), steps.clone());
         j0 += 1;
     }
 }
 
 /// `C[m, n]` from `A·B` over `steps` reduction steps, tile by tile: `MR`-row
-/// groups, then single register rows for the ragged bottom edge.
+/// groups, then single register rows for the ragged bottom edge, each group
+/// over the steps and columns `bound` leaves it ([`Causal::group`]; the
+/// single rows of the bottom edge are bounded exactly).
 ///
 /// NN skips the product of a row group whose `A` rows are entirely zero (the
 /// pad rows of the dense and block-sparse pipelines; measured in `bench
@@ -250,35 +309,42 @@ fn acc_row_group<const TA: bool, const ST: StoreMode, const MR: usize, const NR:
 /// caller passes padded segments.
 #[inline(always)]
 fn acc_gemm<const TA: bool, const ST: StoreMode, const MR: usize, const NR: usize>(
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    steps: usize,
-    n: usize,
+    (a, lda): View<'_>,
+    b: View<'_>,
+    (c, ldc): ViewMut<'_>,
+    (m, steps, n): (usize, usize, usize),
+    bound: Causal,
 ) {
-    // Only the Overwrite store skips: a skipped group's sums are all `+0.0`,
-    // which it stores without computing them (AddFresh would still have to
-    // add them: `-0.0 + 0.0` is `+0.0`).
-    let skip = |i0: usize, rows: usize, c: &mut [f32]| {
-        let zero = !TA && ST == OVERWRITE && all_zero(&a[i0 * lda..(i0 + rows) * lda]);
-        if zero {
-            c[i0 * n..(i0 + rows) * n].fill(0.0);
+    #[inline(always)]
+    fn skip_or_tiles<const TA: bool, const ST: StoreMode, const MR: usize, const NR: usize>(
+        (a, lda): View<'_>,
+        b: View<'_>,
+        (c, ldc): ViewMut<'_>,
+        i0: usize,
+        (steps, n): (std::ops::Range<usize>, usize),
+    ) {
+        // Only the Overwrite store skips: a skipped group's sums are all
+        // `+0.0`, which it stores without computing them (AddFresh would
+        // still have to add them: `-0.0 + 0.0` is `+0.0`). The test reads the
+        // group's rows as one run, so a view with `lda` beyond its step
+        // count only skips when what lies between its rows is zero too.
+        if !TA && ST == OVERWRITE && all_zero(&a[i0 * lda..][..(MR - 1) * lda + steps.end]) {
+            for r in i0..i0 + MR {
+                c[r * ldc..][..n].fill(0.0);
+            }
+        } else {
+            acc_row_group::<TA, ST, MR, NR>((a, lda), b, (c, ldc), i0, steps, n);
         }
-        zero
-    };
+    }
     let mut i0 = 0;
     while i0 + MR <= m {
-        if !skip(i0, MR, c) {
-            acc_row_group::<TA, ST, MR, NR>(a, lda, b, c, i0, steps, n);
-        }
+        let of = bound.group(i0, MR, steps, n);
+        skip_or_tiles::<TA, ST, MR, NR>((a, lda), b, (c, ldc), i0, of);
         i0 += MR;
     }
     while i0 < m {
-        if !skip(i0, 1, c) {
-            acc_row_group::<TA, ST, 1, NR>(a, lda, b, c, i0, steps, n);
-        }
+        let of = bound.group(i0, 1, steps, n);
+        skip_or_tiles::<TA, ST, 1, NR>((a, lda), b, (c, ldc), i0, of);
         i0 += 1;
     }
 }
@@ -294,56 +360,107 @@ fn all_zero(xs: &[f32]) -> bool {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
 fn acc_gemm_avx2<const TA: bool, const ST: StoreMode>(
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    steps: usize,
-    n: usize,
+    a: View<'_>,
+    b: View<'_>,
+    c: ViewMut<'_>,
+    dims: (usize, usize, usize),
+    bound: Causal,
 ) {
-    acc_gemm::<TA, ST, 4, 16>(a, lda, b, c, m, steps, n)
+    acc_gemm::<TA, ST, 4, 16>(a, b, c, dims, bound)
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl")]
-#[allow(clippy::too_many_arguments)]
 fn acc_gemm_avx512<const TA: bool, const ST: StoreMode>(
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    steps: usize,
-    n: usize,
+    a: View<'_>,
+    b: View<'_>,
+    c: ViewMut<'_>,
+    dims: (usize, usize, usize),
+    bound: Causal,
 ) {
-    acc_gemm::<TA, ST, 8, 32>(a, lda, b, c, m, steps, n)
+    acc_gemm::<TA, ST, 8, 32>(a, b, c, dims, bound)
 }
 
-/// [`acc_gemm`] on an explicit tier (tests call every supported one).
-#[allow(clippy::too_many_arguments)]
+/// [`acc_gemm`] on an explicit tier (tests call every supported one); `dims`
+/// is `(m, steps, n)`.
 fn acc_gemm_on<const TA: bool, const ST: StoreMode>(
     tier: Tier,
-    a: &[f32],
-    lda: usize,
-    b: &[f32],
-    c: &mut [f32],
-    m: usize,
-    steps: usize,
-    n: usize,
+    a: View<'_>,
+    b: View<'_>,
+    c: ViewMut<'_>,
+    dims: (usize, usize, usize),
+    bound: Causal,
 ) {
     match tier {
-        Tier::Base => acc_gemm::<TA, ST, 4, 8>(a, lda, b, c, m, steps, n),
+        Tier::Base => acc_gemm::<TA, ST, 4, 8>(a, b, c, dims, bound),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Tier::Avx2` only comes out of `Tier::supported`, which
         // lists it after `is_x86_feature_detected!("avx2")`.
-        Tier::Avx2 => unsafe { acc_gemm_avx2::<TA, ST>(a, lda, b, c, m, steps, n) },
+        Tier::Avx2 => unsafe { acc_gemm_avx2::<TA, ST>(a, b, c, dims, bound) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Tier::Avx512` only comes out of `Tier::supported`, which
         // lists it after detecting both `avx512f` and `avx512vl`.
-        Tier::Avx512 => unsafe { acc_gemm_avx512::<TA, ST>(a, lda, b, c, m, steps, n) },
+        Tier::Avx512 => unsafe { acc_gemm_avx512::<TA, ST>(a, b, c, dims, bound) },
+    }
+}
+
+/// `C = A·B` (`trans_a`: `C = Aᵀ·B`) over operands read and written in place
+/// through strided [`View`]s, `C` overwritten and nothing outside its
+/// `m x n` elements touched: `dims` is `(m, steps, n)`, `A` is `m x steps`
+/// (`steps x m` when transposed), `B` is `steps x n`. Serial, on the calling
+/// thread — this is the per-(sequence, head) product of attention, far below
+/// [`crate::par`]'s cutoff.
+///
+/// Every `C` element is the sum, from `+0.0`, of its products in ascending
+/// step order, exactly as in [`matmul_into`] — the same tile body, so the
+/// same bits in every tier. `bound` prunes what a triangular operand makes
+/// unnecessary; see [`Causal`] for the extra `±0.0` terms a pruned row group
+/// still forms and why they need a finite `B`.
+pub fn gemm_view(
+    trans_a: bool,
+    a: View<'_>,
+    b: View<'_>,
+    c: ViewMut<'_>,
+    dims: (usize, usize, usize),
+    bound: Causal,
+) {
+    gemm_view_on(Tier::dispatched(), trans_a, a, b, c, dims, bound);
+}
+
+/// [`gemm_view`] on an explicit tier (tests call every supported one).
+fn gemm_view_on(
+    tier: Tier,
+    trans_a: bool,
+    a: View<'_>,
+    b: View<'_>,
+    c: ViewMut<'_>,
+    dims: (usize, usize, usize),
+    bound: Causal,
+) {
+    let (m, steps, n) = dims;
+    if m == 0 || n == 0 {
+        return;
+    }
+    // Elements from a view's first to its last, `ld` apart per row.
+    let span = |(rows, cols): (usize, usize), ld: usize| match rows {
+        0 => 0,
+        _ => (rows - 1) * ld + cols,
+    };
+    let a_dims = if trans_a { (steps, m) } else { (m, steps) };
+    assert!(
+        a.1 >= a_dims.1 && b.1 >= n && c.1 >= n,
+        "gemm_view: a leading dimension is shorter than its row"
+    );
+    assert!(a.0.len() >= span(a_dims, a.1), "gemm_view: A too short");
+    assert!(b.0.len() >= span((steps, n), b.1), "gemm_view: B too short");
+    assert!(c.0.len() >= span((m, n), c.1), "gemm_view: C too short");
+    match (trans_a, bound) {
+        (false, Causal::LowerAt) | (true, Causal::LowerC | Causal::LowerA) => {
+            panic!("gemm_view: {bound:?} does not bound a product with trans_a = {trans_a}")
+        }
+        (false, _) => acc_gemm_on::<false, OVERWRITE>(tier, a, b, c, dims, bound),
+        (true, _) => acc_gemm_on::<true, OVERWRITE>(tier, a, b, c, dims, bound),
     }
 }
 
@@ -360,7 +477,15 @@ pub(crate) fn gemm_rows_offset(
     n: usize,
 ) {
     let a = &a[r0 * k..(r0 + rows_here) * k];
-    acc_gemm_on::<false, OVERWRITE>(Tier::dispatched(), a, k, b, c_chunk, rows_here, k, n);
+    let dims = (rows_here, k, n);
+    acc_gemm_on::<false, OVERWRITE>(
+        Tier::dispatched(),
+        (a, k),
+        (b, n),
+        (c_chunk, n),
+        dims,
+        Causal::Full,
+    );
 }
 
 fn gemm_rows(a: &[f32], b: &[f32], c: &mut [f32], r0: usize, rows: usize, k: usize, n: usize) {
@@ -434,7 +559,7 @@ pub fn matmul_transpose_b_slices(
         gemm_tb_rows(a, b, c, 0, m, k, n);
         return;
     }
-    crate::par::par_gemm_rows(a, m, k, b, n, c, true);
+    crate::par::par_gemm_rows(crate::par::Slab::Nt, a, m, k, b, n, c);
 }
 
 /// Partial-sum lanes of every NT dot product. Position-determined: lane `l`
@@ -856,18 +981,65 @@ fn nt_gemm_on(
 }
 
 /// TN microkernel entry: `C += A^T @ D` without materialising the transpose.
-/// `a` is `[cnt, ac]`, `d` is `[cnt, n]`, `c` is `[ac, n]`, accumulated into.
-/// This is the per-expert weight-gradient shape (`dW = X^T @ dY`), which the
-/// training backward used to compute as `matmul(&seg.transpose(), &dy)` —
-/// paying a full transpose copy per expert per step.
+/// `a` is `[cnt, ac]`, `d` is `[cnt, n]`, `C` is `[ac, n]`, accumulated into;
+/// `c_chunk` holds its rows `r0..r0 + rows_here` (columns `r0..` of `a`, read
+/// in place as a [`View`]), so a large `C` splits into row panels like NN's.
+/// This is the weight-gradient shape (`dW = X^T @ dY`), which the training
+/// backward used to compute as `matmul(&seg.transpose(), &dy)` — paying a
+/// full transpose copy per expert per step.
 ///
 /// The same register tile as NN with `A` read transposed: every `C` element
 /// accumulates over segment rows in ascending order (the transposed call's
 /// k dimension), so results are bitwise identical to the old
 /// transpose-then-matmul schedule. Unlike NN there is no zero skip (see
 /// [`acc_gemm`]).
-pub(crate) fn gemm_ta_rows(a: &[f32], d: &[f32], c: &mut [f32], cnt: usize, ac: usize, n: usize) {
-    acc_gemm_on::<true, ADD_FRESH>(Tier::dispatched(), a, ac, d, c, ac, cnt, n);
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_ta_rows(
+    a: &[f32],
+    d: &[f32],
+    c_chunk: &mut [f32],
+    r0: usize,
+    rows_here: usize,
+    cnt: usize,
+    ac: usize,
+    n: usize,
+) {
+    let a = &a[r0..];
+    let dims = (rows_here, cnt, n);
+    acc_gemm_on::<true, ADD_FRESH>(
+        Tier::dispatched(),
+        (a, ac),
+        (d, n),
+        (c_chunk, n),
+        dims,
+        Causal::Full,
+    );
+}
+
+/// `C += A^T @ D` where `A` is `[k, m]`, `D` is `[k, n]` and `C` is `[m, n]`
+/// — the dense weight gradient `dW += X^T dY`, with no transpose, product
+/// tensor or add pass: the sibling of [`matmul_into`] and
+/// [`matmul_transpose_b_into`] for the third product of a linear layer's
+/// backward. Each `C` element receives its products summed from `0.0` in
+/// ascending row order and then added to it (the kernel's *AddFresh* store) —
+/// the bits of `add_assign(c, &matmul(&a.transpose(), d))`, whose NN zero
+/// skip only ever dropped `±0.0` terms. Rows of `C` are partitioned across
+/// the worker pool above the same cutoff as the other two.
+pub fn matmul_transpose_a_add(a: &Tensor, d: &Tensor, c: &mut Tensor) {
+    let (k, m) = a.shape();
+    let (kd, n) = d.shape();
+    assert_eq!(k, kd, "matmul_transpose_a_add row-count mismatch");
+    assert_eq!(
+        c.shape(),
+        (m, n),
+        "matmul_transpose_a_add output shape mismatch"
+    );
+    let (a, d, c) = (a.as_slice(), d.as_slice(), c.as_mut_slice());
+    if !crate::par::pool().is_parallel() || m * n * k < crate::par::PAR_CUTOFF {
+        gemm_ta_rows(a, d, c, 0, m, k, m, n);
+        return;
+    }
+    crate::par::par_gemm_rows(crate::par::Slab::Ta, a, m, k, d, n, c);
 }
 
 /// Numerically stable row-wise softmax, in place.
@@ -1268,6 +1440,17 @@ mod tests {
         xs.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Dense NN on tier `t`: `c[m, n]` from `a[m, k] · b[k, n]`.
+    fn nn_on<const ST: StoreMode>(
+        t: Tier,
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        (m, k, n): (usize, usize, usize),
+    ) {
+        acc_gemm_on::<false, ST>(t, (a, k), (b, n), (c, n), (m, k, n), Causal::Full);
+    }
+
     #[test]
     fn every_tier_matches_the_scalar_oracles_bitwise() {
         let tiers = Tier::supported();
@@ -1288,7 +1471,7 @@ mod tests {
                     oracle::nn(&a, &b, &mut want, 0, m, k, n);
                     for &t in &tiers {
                         let mut got = dirty.clone();
-                        acc_gemm_on::<false, OVERWRITE>(t, &a, k, &b, &mut got, m, k, n);
+                        nn_on::<OVERWRITE>(t, &a, &b, &mut got, (m, k, n));
                         assert_eq!(bits(&got), bits(&want), "NN {t:?} {m}x{k}x{n}");
                     }
 
@@ -1314,11 +1497,155 @@ mod tests {
                     add_assign_slice(&mut want, &staged);
                     for &t in &tiers {
                         let mut got = c0.clone();
-                        acc_gemm_on::<true, ADD_FRESH>(t, &a, k, &d, &mut got, k, m, n);
+                        let dims = (k, m, n);
+                        acc_gemm_on::<true, ADD_FRESH>(
+                            t,
+                            (&a, k),
+                            (&d, n),
+                            (&mut got, n),
+                            dims,
+                            Causal::Full,
+                        );
                         assert_eq!(bits(&got), bits(&want), "TN {t:?} {m}x{k}x{n}");
                     }
                 }
             }
+        }
+    }
+
+    /// `data` (`rows x cols`, dense) as a strided view: column offset `off`
+    /// into a buffer of row stride `ld`, `pad` everywhere else, ending at the
+    /// view's last element. The view is `(&buf[off..], ld)`.
+    fn embed(
+        data: &[f32],
+        (rows, cols): (usize, usize),
+        ld: usize,
+        off: usize,
+        pad: f32,
+    ) -> Vec<f32> {
+        let mut buf =
+            vec![pad; off + rows.saturating_sub(1) * ld + if rows > 0 { cols } else { 0 }];
+        for r in 0..rows {
+            buf[off + r * ld..][..cols].copy_from_slice(&data[r * cols..][..cols]);
+        }
+        buf
+    }
+
+    #[test]
+    fn views_and_causal_bounds_match_the_dense_products_bitwise() {
+        // The same 16^3 sweep, every operand strided (ld > cols, non-zero
+        // column offset, NaN between the rows of A and B so a stray read
+        // shows) and C arriving as NaN inside a frame of `KEEP`.
+        const KEEP: f32 = 7.5;
+        let tiers = Tier::supported();
+        let zeros_where = |x: &[f32], cols: usize, zero: fn(usize, usize) -> bool| -> Vec<f32> {
+            let masked = x.iter().enumerate();
+            masked
+                .map(|(at, &v)| if zero(at / cols, at % cols) { 0.0 } else { v })
+                .collect()
+        };
+        for &m in &DIMS {
+            for &k in &DIMS {
+                for &n in &DIMS {
+                    let seed = (m * 1_000_003 + k * 1009 + n) as u64;
+                    let run = |t: Tier,
+                               trans_a: bool,
+                               (a, a_dims): (&[f32], (usize, usize)),
+                               (b, steps): (&[f32], usize),
+                               rows: usize,
+                               bound: Causal| {
+                        let a = embed(a, a_dims, a_dims.1 + 3, 2, f32::NAN);
+                        let b = embed(b, (steps, n), n + 5, 1, f32::NAN);
+                        let mut c = embed(&vec![f32::NAN; rows * n], (rows, n), n + 4, 3, KEEP);
+                        gemm_view_on(
+                            t,
+                            trans_a,
+                            (&a[2..], a_dims.1 + 3),
+                            (&b[1..], n + 5),
+                            (&mut c[3..], n + 4),
+                            (rows, steps, n),
+                            bound,
+                        );
+                        c
+                    };
+                    let framed =
+                        |want: &[f32], rows: usize| bits(&embed(want, (rows, n), n + 4, 3, KEEP));
+
+                    // NN, `A` is [m, k]: full, lower-triangular A, and the
+                    // lower triangle of C only.
+                    let a = operand(m, k, seed);
+                    let b = operand(k, n, seed ^ 0xB0);
+                    let a_low = zeros_where(&a, k.max(1), |i, s| s > i);
+                    let (mut want, mut want_low) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+                    oracle::nn(&a, &b, &mut want, 0, m, k, n);
+                    oracle::nn(&a_low, &b, &mut want_low, 0, m, k, n);
+                    for &t in &tiers {
+                        let tag = format!("{t:?} {m}x{k}x{n}");
+                        let got = run(t, false, (&a, (m, k)), (&b, k), m, Causal::Full);
+                        assert_eq!(bits(&got), framed(&want, m), "NN view {tag}");
+                        let got = run(t, false, (&a_low, (m, k)), (&b, k), m, Causal::LowerA);
+                        assert_eq!(bits(&got), framed(&want_low, m), "NN LowerA {tag}");
+                        let got = run(t, false, (&a, (m, k)), (&b, k), m, Causal::LowerC);
+                        // Row i: columns <= i are the product, columns from the
+                        // end of its (at most 8-row, 8-aligned) group on keep
+                        // the NaN they arrived with, the frame is untouched.
+                        let mut expect = embed(&vec![f32::NAN; m * n], (m, n), n + 4, 3, KEEP);
+                        for (i, j) in (0..m).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                            let at = 3 + i * (n + 4) + j;
+                            if j <= i {
+                                expect[at] = want[i * n + j];
+                            } else if j < (i / MAX_TILE_ROWS + 1) * MAX_TILE_ROWS {
+                                expect[at] = got[at]; // inside the group: unspecified
+                            }
+                        }
+                        assert_eq!(bits(&got), bits(&expect), "NN LowerC {tag}");
+                    }
+
+                    // TN, `A` is [m, k] read transposed, C is [k, n]: full and
+                    // with `A[s][i] == 0` for `s < i`.
+                    let d = operand(m, n, seed ^ 0xD0);
+                    let a_low = zeros_where(&a, k.max(1), |s, i| s < i);
+                    let (mut want, mut want_low) = (vec![0.0f32; k * n], vec![0.0f32; k * n]);
+                    oracle::tn(&a, &d, &mut want, m, k, n);
+                    oracle::tn(&a_low, &d, &mut want_low, m, k, n);
+                    for &t in &tiers {
+                        let tag = format!("{t:?} {m}x{k}x{n}");
+                        let got = run(t, true, (&a, (m, k)), (&d, m), k, Causal::Full);
+                        assert_eq!(bits(&got), framed(&want, k), "TN view {tag}");
+                        let got = run(t, true, (&a_low, (m, k)), (&d, m), k, Causal::LowerAt);
+                        assert_eq!(bits(&got), framed(&want_low, k), "TN LowerAt {tag}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not bound")]
+    fn gemm_view_rejects_a_bound_of_the_other_product() {
+        let (a, b, mut c) = ([0.0f32; 4], [0.0f32; 4], [0.0f32; 4]);
+        gemm_view(
+            true,
+            (&a, 2),
+            (&b, 2),
+            (&mut c, 2),
+            (2, 2, 2),
+            Causal::LowerA,
+        );
+    }
+
+    #[test]
+    fn matmul_transpose_a_add_is_transpose_matmul_add_on_both_sides_of_the_pool_cutoff() {
+        // 40 rows stay serial; 300 rows of 96 x 80 are row panels on the pool.
+        for rows in [0usize, 40, 300] {
+            let a = Tensor::from_vec(rows, 96, operand(rows, 96, 41));
+            let d = Tensor::from_vec(rows, 80, operand(rows, 80, 42));
+            let c0 = Tensor::rand_uniform(96, 80, 1.0, 43);
+            let mut want = c0.clone();
+            add_assign(&mut want, &matmul(&a.transpose(), &d));
+            let mut got = c0;
+            matmul_transpose_a_add(&a, &d, &mut got);
+            assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "{rows} rows");
         }
     }
 
@@ -1338,10 +1665,10 @@ mod tests {
         add_assign_slice(&mut added, &fresh);
         for &t in &Tier::supported() {
             let mut got = vec![f32::NAN; m * n];
-            acc_gemm_on::<false, OVERWRITE>(t, &a, k, &b, &mut got, m, k, n);
+            nn_on::<OVERWRITE>(t, &a, &b, &mut got, (m, k, n));
             assert_eq!(bits(&got), bits(&fresh), "Overwrite {t:?}");
             let mut got = vec![-0.0f32; m * n];
-            acc_gemm_on::<false, ADD_FRESH>(t, &a, k, &b, &mut got, m, k, n);
+            nn_on::<ADD_FRESH>(t, &a, &b, &mut got, (m, k, n));
             assert_eq!(bits(&got), bits(&added), "AddFresh {t:?}");
         }
     }

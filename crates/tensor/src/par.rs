@@ -423,7 +423,19 @@ impl<'a> DisjointMut<'a> {
 // Row-chunked single GEMMs (the matmul_slices parallel path)
 // ---------------------------------------------------------------------------
 
+/// Which single GEMM [`par_gemm_rows`] chunks by rows of `C`.
+#[derive(Clone, Copy)]
+pub(crate) enum Slab {
+    /// `C = A @ B`: `a` is `[m, k]`, `b` is `[k, n]`.
+    Nn,
+    /// `C = A @ B^T`: `a` is `[m, k]`, `b` is `[n, k]`.
+    Nt,
+    /// `C += A^T @ D`: `a` is `[k, m]`, `b` (`D`) is `[k, n]`.
+    Ta,
+}
+
 struct SlabCtx<'a> {
+    kind: Slab,
     a: &'a [f32],
     b: &'a [f32],
     c: DisjointMut<'a>,
@@ -431,7 +443,6 @@ struct SlabCtx<'a> {
     k: usize,
     n: usize,
     chunk: usize,
-    transpose_b: bool,
 }
 
 fn slab_task(s: &SlabCtx<'_>, i: usize) {
@@ -439,29 +450,30 @@ fn slab_task(s: &SlabCtx<'_>, i: usize) {
     let rows = s.chunk.min(s.m - row0);
     // SAFETY: chunks tile 0..m disjointly; one task per chunk.
     let c_seg = unsafe { s.c.slice(row0 * s.n, rows * s.n) };
-    if s.transpose_b {
-        gemm_tb_rows(s.a, s.b, c_seg, row0, rows, s.k, s.n);
-    } else {
-        gemm_rows_offset(s.a, s.b, c_seg, row0, rows, s.k, s.n);
+    match s.kind {
+        Slab::Nn => gemm_rows_offset(s.a, s.b, c_seg, row0, rows, s.k, s.n),
+        Slab::Nt => gemm_tb_rows(s.a, s.b, c_seg, row0, rows, s.k, s.n),
+        Slab::Ta => gemm_ta_rows(s.a, s.b, c_seg, row0, rows, s.k, s.m, s.n),
     }
 }
 
-/// Row-chunked parallel GEMM over the pool; the replacement for the
+/// Row-chunked parallel GEMM over the pool (`C` is `[m, n]`, `k` the
+/// reduction length; operand shapes per [`Slab`]); the replacement for the
 /// per-call `std::thread::scope` spawns `matmul_slices` and
 /// `matmul_transpose_b_slices` used to pay. Each row is computed by one task
 /// with the serial kernel, so results are bitwise identical to the serial
 /// call however the rows are chunked.
 pub(crate) fn par_gemm_rows(
+    kind: Slab,
     a: &[f32],
     m: usize,
     k: usize,
     b: &[f32],
     n: usize,
     c: &mut [f32],
-    transpose_b: bool,
 ) {
     let p = pool();
-    if transpose_b {
+    if let Slab::Nt = kind {
         nt_pack_reserve(n * k);
     }
     let threads = p.size().min(m.max(1));
@@ -469,6 +481,7 @@ pub(crate) fn par_gemm_rows(
     let chunk = m.div_ceil(threads).next_multiple_of(MAX_TILE_ROWS);
     let tasks = m.div_ceil(chunk);
     let ctx = SlabCtx {
+        kind,
         a,
         b,
         c: DisjointMut::new(c),
@@ -476,7 +489,6 @@ pub(crate) fn par_gemm_rows(
         k,
         n,
         chunk,
-        transpose_b,
     };
     p.for_each(&ctx, tasks, slab_task);
 }
@@ -606,7 +618,7 @@ fn grouped_task(g: &GroupedCtx<'_>, i: usize) {
             // length `k * n` per expert (checked by the entry point), alive
             // for the batch, and this is the expert's only task.
             let c_seg = unsafe { std::slice::from_raw_parts_mut(p.block, g.k * g.n) };
-            gemm_ta_rows(a_seg, d_seg, c_seg, p.rows, g.k, g.n);
+            gemm_ta_rows(a_seg, d_seg, c_seg, 0, g.k, p.rows, g.k, g.n);
         }
     }
 }
@@ -871,6 +883,8 @@ pub fn gemm_grouped_transpose_a_blocks<'c>(
                     &a[row * ac..(row + cnt) * ac],
                     &d[row * n..(row + cnt) * n],
                     block,
+                    0,
+                    ac,
                     cnt,
                     ac,
                     n,

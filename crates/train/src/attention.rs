@@ -5,8 +5,54 @@
 //! a batch of independent sequences packed row-wise (`batch * seq_len`
 //! rows): attention is block-diagonal over sequences with a causal mask
 //! inside each.
+//!
+//! # Six products on the tile family, same bits as the scalar loops
+//!
+//! Per (sequence, head) the forward is `S = Q·Kᵀ`, a row softmax and
+//! `O = P·V`; the backward is `dP = dO·Vᵀ`, `dV = Pᵀ·dO`, the softmax
+//! backward and `dQ = dS·K`, `dK = dSᵀ·Q`. All six products run on
+//! [`xmoe_tensor::gemm_view`] — the register tiles of every other GEMM in
+//! the workspace, reading each head's `hd` columns in place from the
+//! `[n, hidden]` activations (`ld = hidden`) and pruned by a
+//! [`Causal`] bound; the softmax rows, `inner` and `dS` stay scalar. They
+//! replaced per-head scalar loops (kept verbatim as this module's test
+//! oracle) without moving a bit of any output. The argument, once:
+//!
+//! * **Order.** A tile sums each `C` element's products in ascending
+//!   reduction order from a `+0.0` accumulator. That is the order of the old
+//!   loops: `O`/`dQ` walked `j = 0..=i`, `dV`/`dK` received row `i`'s
+//!   contribution for `i = j, j + 1, ..` in turn, all into zeroed tensors;
+//!   `S`/`dP` were `Iterator::sum` dot products over `d = 0..hd`. `S` and
+//!   `dP` use the NN tile over a transposed `[hidden, n]` copy of `K` / `V`
+//!   (one per call; a head's panel is a strided view of it) and *not* the NT
+//!   kernel, whose eight position-determined lanes are a different sum.
+//! * **Extra terms are `±0.0`.** Bounds are per row group, and the old
+//!   backward skipped `dS == 0.0` terms, so next to the diagonal a tile adds
+//!   terms the loops did not: `0.0 * v` for masked `P`/`dS` entries (both
+//!   are written as `0.0` above the diagonal) and `±0.0 * k`. A sum that
+//!   starts at `+0.0` is never `-0.0` (`x + -x` is `+0.0`), and adding
+//!   `±0.0` to anything but `-0.0` returns it unchanged — as long as the
+//!   other factor is finite; see below.
+//! * **Sign of an exact zero inside `S`/`dP`.** `Iterator::sum` starts at
+//!   `-0.0`, the tile at `+0.0`, so a dot product that is exactly zero may
+//!   differ in sign. No output bit can: `S` only meets `s - max` and `exp`
+//!   (`exp(±0.0)` is `1`, `x - ±0.0` is `x`), `dP` only `p * dP` inside
+//!   `inner` and `dP - inner`, whose zero sign reaches `dS` as a zero sign
+//!   and then the rule above.
+//!
+//! **Non-finite activations.** With a NaN/Inf in row `j` of `Q`/`K`/`V`/`dO`
+//! the masked `0.0 * x` terms are NaN, so up to [`Causal`]'s `MR - 1` rows
+//! above `j` in the same row group — same sequence, same head — can turn
+//! non-finite where the loops stopped exactly at the diagonal. Row `j` and
+//! every later row of that sequence are poisoned either way, no other
+//! sequence ever is, and the step's loss is non-finite in both: what the
+//! guard detects and the chaos engine rolls back is unchanged (pinned by
+//! `non_finite_row_poisons_its_own_sequence_only`).
 
-use xmoe_tensor::{add_assign, matmul, matmul_transpose_b, Tensor};
+use xmoe_tensor::{
+    add_assign, gemm_view, matmul, matmul_transpose_a_add, matmul_transpose_b, Causal, Tensor,
+    View, ViewMut,
+};
 
 use crate::layers::{LayerNorm, LayerNormCtx};
 
@@ -33,8 +79,10 @@ pub struct AttentionCtx {
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    /// Per (sequence, head): the post-softmax probability matrix.
-    probs: Vec<Tensor>,
+    /// The post-softmax probability matrices, stacked: (sequence `b`, head
+    /// `h`) is rows `(b * n_heads + h) * seq_len..` of a
+    /// `[batch * n_heads * seq_len, seq_len]` tensor, `0.0` above the diagonal.
+    probs: Tensor,
     /// Concatenated head outputs before the output projection.
     attn_out: Tensor,
     seq_len: usize,
@@ -65,7 +113,6 @@ impl Attention {
     pub fn forward(&self, x: &Tensor, seq_len: usize) -> (Tensor, AttentionCtx) {
         let (n, hidden) = x.shape();
         assert_eq!(n % seq_len, 0, "rows must be a whole number of sequences");
-        let batch = n / seq_len;
         let hd = hidden / self.n_heads;
         let scale = 1.0 / (hd as f32).sqrt();
 
@@ -74,11 +121,225 @@ impl Attention {
         let k = matmul(&x_norm, &self.wk);
         let v = matmul(&x_norm, &self.wv);
 
+        let kt = transposed(&k);
         let mut attn_out = Tensor::zeros(n, hidden);
-        let mut probs = Vec::with_capacity(batch * self.n_heads);
+        let mut probs = Tensor::zeros(n * self.n_heads, seq_len);
+        for head in heads(self.n_heads, seq_len, n, hidden) {
+            let p = &mut probs.as_mut_slice()[head.block.clone()];
+            // scores[i][j] = <q_i, k_j> for j <= i; scaled in the softmax pass.
+            let dims = (seq_len, hd, seq_len);
+            gemm_view(
+                false,
+                head.rows(&q),
+                head.panel(&kt),
+                (p, seq_len),
+                dims,
+                Causal::LowerC,
+            );
+            for (i, row) in p.chunks_exact_mut(seq_len).enumerate() {
+                let (row, masked) = row.split_at_mut(i + 1);
+                let mut max = f32::NEG_INFINITY;
+                for s in row.iter_mut() {
+                    *s *= scale;
+                    max = max.max(*s);
+                }
+                // Causal softmax over j <= i.
+                let mut sum = 0.0;
+                for s in row.iter_mut() {
+                    *s = (*s - max).exp();
+                    sum += *s;
+                }
+                let inv = 1.0 / sum;
+                for s in row.iter_mut() {
+                    *s *= inv;
+                }
+                masked.fill(0.0);
+            }
+            // attn_out rows = P @ V_head.
+            let dims = (seq_len, seq_len, hd);
+            gemm_view(
+                false,
+                (p, seq_len),
+                head.rows(&v),
+                head.rows_mut(&mut attn_out),
+                dims,
+                Causal::LowerA,
+            );
+        }
+        let mut y = matmul(&attn_out, &self.wo);
+        add_assign(&mut y, x); // residual
+        (
+            y,
+            AttentionCtx {
+                ln,
+                x_norm,
+                q,
+                k,
+                v,
+                probs,
+                attn_out,
+                seq_len,
+            },
+        )
+    }
+
+    /// Backward: accumulates all projection grads, returns `d_x`.
+    pub fn backward(&mut self, ctx: &AttentionCtx, d_y: &Tensor) -> Tensor {
+        let (n, hidden) = d_y.shape();
+        let seq_len = ctx.seq_len;
+        let hd = hidden / self.n_heads;
+        let scale = 1.0 / (hd as f32).sqrt();
+
+        // Output projection.
+        matmul_transpose_a_add(&ctx.attn_out, d_y, &mut self.go);
+        let d_attn = matmul_transpose_b(d_y, &self.wo);
+
+        let vt = transposed(&ctx.v);
+        let mut d_q = Tensor::zeros(n, hidden);
+        let mut d_k = Tensor::zeros(n, hidden);
+        let mut d_v = Tensor::zeros(n, hidden);
+        // One head's d_p, turned into d_s in place.
+        let mut d_s = Tensor::zeros(seq_len, seq_len);
+        let d_s = d_s.as_mut_slice();
+        // (rows, reduction steps, columns) of the [seq, seq] and [seq, hd] products.
+        let (to_seq, to_hd) = ((seq_len, hd, seq_len), (seq_len, seq_len, hd));
+        for head in heads(self.n_heads, seq_len, n, hidden) {
+            let p: View<'_> = (&ctx.probs.as_slice()[head.block.clone()], seq_len);
+            let d_o = head.rows(&d_attn);
+            // d_p[i][j] = <d_attn[i], v[j]>; d_v[j] = sum_i p[i][j] * d_attn[i].
+            let d_p: ViewMut<'_> = (d_s, seq_len);
+            gemm_view(false, d_o, head.panel(&vt), d_p, to_seq, Causal::LowerC);
+            let d_v = head.rows_mut(&mut d_v);
+            gemm_view(true, p, d_o, d_v, to_hd, Causal::LowerAt);
+            // Softmax backward per row: d_s = p * (d_p - sum(d_p * p)) * scale.
+            for (i, (ds_row, p_row)) in d_s
+                .chunks_exact_mut(seq_len)
+                .zip(p.0.chunks_exact(seq_len))
+                .enumerate()
+            {
+                let (ds_row, masked) = ds_row.split_at_mut(i + 1);
+                let inner: f32 = (0..=i).map(|j| p_row[j] * ds_row[j]).sum();
+                for (ds, pv) in ds_row.iter_mut().zip(p_row) {
+                    *ds = pv * (*ds - inner) * scale;
+                }
+                masked.fill(0.0);
+            }
+            // d_q[i] = sum_j d_s[i][j] * k[j]; d_k[j] = sum_i d_s[i][j] * q[i].
+            let d_s: View<'_> = (d_s, seq_len);
+            let d_q = head.rows_mut(&mut d_q);
+            gemm_view(false, d_s, head.rows(&ctx.k), d_q, to_hd, Causal::LowerA);
+            let d_k = head.rows_mut(&mut d_k);
+            gemm_view(true, d_s, head.rows(&ctx.q), d_k, to_hd, Causal::LowerAt);
+        }
+
+        // Projection weight grads and the gradient into the norm.
+        matmul_transpose_a_add(&ctx.x_norm, &d_q, &mut self.gq);
+        matmul_transpose_a_add(&ctx.x_norm, &d_k, &mut self.gk);
+        matmul_transpose_a_add(&ctx.x_norm, &d_v, &mut self.gv);
+        let mut d_norm = matmul_transpose_b(&d_q, &self.wq);
+        add_assign(&mut d_norm, &matmul_transpose_b(&d_k, &self.wk));
+        add_assign(&mut d_norm, &matmul_transpose_b(&d_v, &self.wv));
+        let mut d_x = self.norm.backward(&ctx.ln, &d_norm);
+        add_assign(&mut d_x, d_y); // residual
+        d_x
+    }
+
+    pub fn zero_grads(&mut self) {
+        for t in [&mut self.gq, &mut self.gk, &mut self.gv, &mut self.go] {
+            t.as_mut_slice().fill(0.0);
+        }
+        self.norm.zero_grads();
+    }
+}
+
+/// `t` transposed into a fresh tensor.
+fn transposed(t: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(0, 0);
+    t.transpose_into(&mut out);
+    out
+}
+
+/// Where one (sequence, head) lives in the tensors of a call: each accessor
+/// is the [`View`] a [`gemm_view`] product reads or writes in place.
+struct Head {
+    /// Its first element in a row-major `[n, hidden]` activation.
+    rows_at: usize,
+    hidden: usize,
+    /// Its first element in a transposed `[hidden, n]` panel.
+    panel_at: usize,
+    n: usize,
+    /// Its `[seq_len, seq_len]` block of the stacked probabilities.
+    block: std::ops::Range<usize>,
+}
+
+/// Every (sequence, head) of `n` packed rows, sequence-major.
+fn heads(n_heads: usize, seq_len: usize, n: usize, hidden: usize) -> impl Iterator<Item = Head> {
+    let (hd, block) = (hidden / n_heads, seq_len * seq_len);
+    (0..n / seq_len * n_heads).map(move |i| {
+        let (b, h) = (i / n_heads, i % n_heads);
+        Head {
+            rows_at: b * seq_len * hidden + h * hd,
+            hidden,
+            panel_at: h * hd * n + b * seq_len,
+            n,
+            block: i * block..(i + 1) * block,
+        }
+    })
+}
+
+impl Head {
+    /// The head's `[seq_len, hd]` rows of an `[n, hidden]` activation.
+    fn rows<'a>(&self, t: &'a Tensor) -> View<'a> {
+        (&t.as_slice()[self.rows_at..], self.hidden)
+    }
+
+    fn rows_mut<'a>(&self, t: &'a mut Tensor) -> ViewMut<'a> {
+        (&mut t.as_mut_slice()[self.rows_at..], self.hidden)
+    }
+
+    /// The head's `[hd, seq_len]` panel of a transposed `[hidden, n]` tensor.
+    fn panel<'a>(&self, t: &'a Tensor) -> View<'a> {
+        (&t.as_slice()[self.panel_at..], self.n)
+    }
+}
+
+/// The forward and backward the tile products replaced — scalar per-head
+/// loops, transpose + matmul + add weight gradients — kept verbatim as the
+/// bit-for-bit reference.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use xmoe_tensor::matmul;
+
+    pub struct Ctx {
+        pub ln: LayerNormCtx,
+        pub x_norm: Tensor,
+        pub q: Tensor,
+        pub k: Tensor,
+        pub v: Tensor,
+        pub probs: Vec<Tensor>,
+        pub attn_out: Tensor,
+        pub seq_len: usize,
+    }
+
+    /// Forward over `x` = `batch * seq_len` packed rows.
+    pub fn forward(attn: &Attention, x: &Tensor, seq_len: usize) -> (Tensor, Ctx) {
+        let (n, hidden) = x.shape();
+        assert_eq!(n % seq_len, 0, "rows must be a whole number of sequences");
+        let batch = n / seq_len;
+        let hd = hidden / attn.n_heads;
+        let scale = 1.0 / (hd as f32).sqrt();
+
+        let (x_norm, ln) = attn.norm.forward(x);
+        let q = matmul(&x_norm, &attn.wq);
+        let k = matmul(&x_norm, &attn.wk);
+        let v = matmul(&x_norm, &attn.wv);
+
+        let mut attn_out = Tensor::zeros(n, hidden);
+        let mut probs = Vec::with_capacity(batch * attn.n_heads);
         for b in 0..batch {
             let base = b * seq_len;
-            for h in 0..self.n_heads {
+            for h in 0..attn.n_heads {
                 let col0 = h * hd;
                 // scores[i][j] = <q_i, k_j> * scale for j <= i.
                 let mut p = Tensor::zeros(seq_len, seq_len);
@@ -118,11 +379,11 @@ impl Attention {
                 probs.push(p);
             }
         }
-        let mut y = matmul(&attn_out, &self.wo);
+        let mut y = matmul(&attn_out, &attn.wo);
         add_assign(&mut y, x); // residual
         (
             y,
-            AttentionCtx {
+            Ctx {
                 ln,
                 x_norm,
                 q,
@@ -136,26 +397,26 @@ impl Attention {
     }
 
     /// Backward: accumulates all projection grads, returns `d_x`.
-    pub fn backward(&mut self, ctx: &AttentionCtx, d_y: &Tensor) -> Tensor {
+    pub fn backward(attn: &mut Attention, ctx: &Ctx, d_y: &Tensor) -> Tensor {
         let (n, hidden) = d_y.shape();
         let seq_len = ctx.seq_len;
         let batch = n / seq_len;
-        let hd = hidden / self.n_heads;
+        let hd = hidden / attn.n_heads;
         let scale = 1.0 / (hd as f32).sqrt();
 
         // Output projection.
         let dwo = matmul(&ctx.attn_out.transpose(), d_y);
-        add_assign(&mut self.go, &dwo);
-        let d_attn = matmul_transpose_b(d_y, &self.wo);
+        add_assign(&mut attn.go, &dwo);
+        let d_attn = matmul_transpose_b(d_y, &attn.wo);
 
         let mut d_q = Tensor::zeros(n, hidden);
         let mut d_k = Tensor::zeros(n, hidden);
         let mut d_v = Tensor::zeros(n, hidden);
         for b in 0..batch {
             let base = b * seq_len;
-            for h in 0..self.n_heads {
+            for h in 0..attn.n_heads {
                 let col0 = h * hd;
-                let p = &ctx.probs[b * self.n_heads + h];
+                let p = &ctx.probs[b * attn.n_heads + h];
                 // d_v[j] += sum_i p[i][j] * d_attn[i]; d_p[i][j] = <d_attn[i], v[j]>.
                 let mut d_p = Tensor::zeros(seq_len, seq_len);
                 for i in 0..seq_len {
@@ -203,29 +464,15 @@ impl Attention {
 
         // Projection weight grads and the gradient into the norm.
         let xn_t = ctx.x_norm.transpose();
-        add_assign(&mut self.gq, &matmul(&xn_t, &d_q));
-        add_assign(&mut self.gk, &matmul(&xn_t, &d_k));
-        add_assign(&mut self.gv, &matmul(&xn_t, &d_v));
-        let mut d_norm = matmul_transpose_b(&d_q, &self.wq);
-        add_assign(&mut d_norm, &matmul_transpose_b(&d_k, &self.wk));
-        add_assign(&mut d_norm, &matmul_transpose_b(&d_v, &self.wv));
-        let mut d_x = self.norm.backward(&ctx.ln, &d_norm);
+        add_assign(&mut attn.gq, &matmul(&xn_t, &d_q));
+        add_assign(&mut attn.gk, &matmul(&xn_t, &d_k));
+        add_assign(&mut attn.gv, &matmul(&xn_t, &d_v));
+        let mut d_norm = matmul_transpose_b(&d_q, &attn.wq);
+        add_assign(&mut d_norm, &matmul_transpose_b(&d_k, &attn.wk));
+        add_assign(&mut d_norm, &matmul_transpose_b(&d_v, &attn.wv));
+        let mut d_x = attn.norm.backward(&ctx.ln, &d_norm);
         add_assign(&mut d_x, d_y); // residual
         d_x
-    }
-
-    pub fn zero_grads(&mut self) {
-        for t in [&mut self.gq, &mut self.gk, &mut self.gv, &mut self.go] {
-            for v in t.as_mut_slice() {
-                *v = 0.0;
-            }
-        }
-        for v in self.norm.g_gamma.as_mut_slice() {
-            *v = 0.0;
-        }
-        for v in self.norm.g_beta.as_mut_slice() {
-            *v = 0.0;
-        }
     }
 }
 
@@ -352,5 +599,145 @@ mod tests {
             attn.gq.norm() + attn.gk.norm() + attn.gv.norm() + attn.go.norm(),
             0.0
         );
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Forward + backward through the tile products and through the oracle,
+    /// on one input; `(y, d_x)` of each plus the two trained copies.
+    struct Both {
+        attn: Attention,
+        ctx: AttentionCtx,
+        y: Tensor,
+        d_x: Tensor,
+        want: Attention,
+        want_ctx: oracle::Ctx,
+        want_y: Tensor,
+        want_d_x: Tensor,
+    }
+
+    fn run_both(base: &Attention, x: &Tensor, d_y: &Tensor, seq_len: usize) -> Both {
+        let (mut attn, mut want) = (base.clone(), base.clone());
+        let (y, ctx) = attn.forward(x, seq_len);
+        let d_x = attn.backward(&ctx, d_y);
+        let (want_y, want_ctx) = oracle::forward(&want, x, seq_len);
+        let want_d_x = oracle::backward(&mut want, &want_ctx, d_y);
+        Both {
+            attn,
+            ctx,
+            y,
+            d_x,
+            want,
+            want_ctx,
+            want_y,
+            want_d_x,
+        }
+    }
+
+    #[test]
+    fn tile_products_match_the_scalar_loops_bitwise() {
+        // Sequence lengths around every row-group height (4, 8), head widths
+        // around every tile width down to the 1-wide edge.
+        for seq_len in [1usize, 7, 8, 9, 33, 64] {
+            for hd in [1usize, 4, 8, 16, 24] {
+                for heads in [1usize, 4] {
+                    for batch in [1usize, 3] {
+                        let (n, hidden) = (batch * seq_len, heads * hd);
+                        let tag = format!("seq {seq_len} hd {hd} heads {heads} batch {batch}");
+                        let seed = (seq_len * 1009 + hd * 31 + heads * 7 + batch) as u64;
+                        let mut base = Attention::new(hidden, heads, seed);
+                        // Non-zero gradients going in: the weight gradients
+                        // accumulate, they do not overwrite.
+                        base.gq = Tensor::rand_uniform(hidden, hidden, 1.0, seed ^ 0x61);
+                        base.go = Tensor::rand_uniform(hidden, hidden, 1.0, seed ^ 0x62);
+                        let mut x = Tensor::rand_uniform(n, hidden, 1.0, seed ^ 0x63);
+                        // An all-zero token: LN maps it to `beta`, i.e. zero
+                        // rows of Q/K/V and exact-zero scores.
+                        x.row_mut(n / 2).fill(0.0);
+                        let d_y = Tensor::rand_uniform(n, hidden, 1.0, seed ^ 0x64);
+                        let r = run_both(&base, &x, &d_y, seq_len);
+
+                        assert_eq!(bits(r.y.as_slice()), bits(r.want_y.as_slice()), "y, {tag}");
+                        assert_eq!(
+                            bits(r.ctx.attn_out.as_slice()),
+                            bits(r.want_ctx.attn_out.as_slice()),
+                            "attn_out, {tag}"
+                        );
+                        // The saved probabilities: equal on the lower triangle
+                        // (all the backward reads), zero above it.
+                        for (blk, want) in r.want_ctx.probs.iter().enumerate() {
+                            for i in 0..seq_len {
+                                let got = r.ctx.probs.row(blk * seq_len + i);
+                                assert_eq!(
+                                    bits(&got[..=i]),
+                                    bits(&want.row(i)[..=i]),
+                                    "probs block {blk} row {i}, {tag}"
+                                );
+                                assert!(got[i + 1..].iter().all(|p| p.to_bits() == 0));
+                            }
+                        }
+                        assert_eq!(
+                            bits(r.d_x.as_slice()),
+                            bits(r.want_d_x.as_slice()),
+                            "d_x, {tag}"
+                        );
+                        for (name, got, want) in [
+                            ("gq", &r.attn.gq, &r.want.gq),
+                            ("gk", &r.attn.gk, &r.want.gk),
+                            ("gv", &r.attn.gv, &r.want.gv),
+                            ("go", &r.attn.go, &r.want.go),
+                            ("g_gamma", &r.attn.norm.g_gamma, &r.want.norm.g_gamma),
+                            ("g_beta", &r.attn.norm.g_beta, &r.want.norm.g_beta),
+                        ] {
+                            assert_eq!(
+                                bits(got.as_slice()),
+                                bits(want.as_slice()),
+                                "{name}, {tag}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_row_poisons_its_own_sequence_only() {
+        // Three sequences of 20; token 13 of the middle one is NaN. Row groups
+        // are at most 8 rows and start at multiples of their height, so the
+        // tile products may spread the NaN to rows 8..13 of that sequence
+        // (masked `0.0 * NaN` terms) where the scalar loops stop at row 13.
+        let (seq_len, hidden, heads) = (20usize, 16usize, 2usize);
+        let (bad_seq, bad_row) = (1usize, 13usize);
+        let base = Attention::new(hidden, heads, 21);
+        let clean = Tensor::rand_uniform(3 * seq_len, hidden, 1.0, 22);
+        let d_y = Tensor::rand_uniform(3 * seq_len, hidden, 1.0, 23);
+        let mut x = clean.clone();
+        x.row_mut(bad_seq * seq_len + bad_row).fill(f32::NAN);
+        let r = run_both(&base, &x, &d_y, seq_len);
+        let ok = run_both(&base, &clean, &d_y, seq_len);
+
+        let finite = |t: &Tensor, row: usize| t.row(row).iter().all(|v| v.is_finite());
+        for (what, y, d_x) in [("tiles", &r.y, &r.d_x), ("oracle", &r.want_y, &r.want_d_x)] {
+            for row in 0..3 * seq_len {
+                let (seq, i) = (row / seq_len, row % seq_len);
+                if seq != bad_seq {
+                    // Another sequence: the clean run's bits.
+                    assert_eq!(y.row(row), ok.y.row(row), "{what}: y row {row}");
+                    assert_eq!(d_x.row(row), ok.d_x.row(row), "{what}: d_x row {row}");
+                } else if i >= bad_row {
+                    // The forward poisons the row and everything after it.
+                    assert!(!finite(y, row), "{what}: y row {row} stayed finite");
+                } else if i < bad_row - bad_row % 8 {
+                    // Before the NaN's row group: untouched in the forward.
+                    assert_eq!(y.row(row), ok.y.row(row), "{what}: y row {row}");
+                }
+            }
+            // What the guard sees: a loss over the outputs is non-finite.
+            let loss: f32 = y.as_slice().iter().sum();
+            assert!(!loss.is_finite(), "{what}: loss {loss}");
+        }
     }
 }

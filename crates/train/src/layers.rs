@@ -1,7 +1,7 @@
 //! Dense layers with hand-written backward passes: embedding, a GELU MLP
 //! block, and the fused softmax-cross-entropy head.
 
-use xmoe_tensor::{add_assign, matmul, matmul_transpose_b, Tensor};
+use xmoe_tensor::{add_assign, matmul, matmul_transpose_a_add, matmul_transpose_b, Tensor};
 
 /// Token embedding table `[V, H]`.
 #[derive(Clone, Debug)]
@@ -89,6 +89,11 @@ impl LayerNorm {
             }
         }
         (out, LayerNormCtx { x_hat, inv_std })
+    }
+
+    pub fn zero_grads(&mut self) {
+        self.g_gamma.as_mut_slice().fill(0.0);
+        self.g_beta.as_mut_slice().fill(0.0);
     }
 
     /// Backward: accumulates `g_gamma`/`g_beta`, returns `d_x`.
@@ -195,9 +200,7 @@ impl DenseMlp {
     /// Backward: returns `d_x`; accumulates weight grads.
     pub fn backward(&mut self, ctx: &DenseMlpCtx, d_y: &Tensor) -> Tensor {
         // dW2 += h_act^T d_y
-        let h_act_t = ctx.h_act.transpose();
-        let dw2 = matmul(&h_act_t, d_y);
-        add_assign(&mut self.g2, &dw2);
+        matmul_transpose_a_add(&ctx.h_act, d_y, &mut self.g2);
         // d_h_act = d_y W2^T
         let mut d_h = matmul_transpose_b(d_y, &self.w2);
         // Through GELU.
@@ -205,9 +208,7 @@ impl DenseMlp {
             *d *= g;
         }
         // dW1 += x_norm^T d_h
-        let xn_t = ctx.x_norm.transpose();
-        let dw1 = matmul(&xn_t, &d_h);
-        add_assign(&mut self.g1, &dw1);
+        matmul_transpose_a_add(&ctx.x_norm, &d_h, &mut self.g1);
         // Through the layer norm, then add the residual path.
         let d_norm_in = matmul_transpose_b(&d_h, &self.w1);
         let mut d_x = self.norm.backward(&ctx.ln, &d_norm_in);
@@ -217,18 +218,9 @@ impl DenseMlp {
 
     /// Zero the weight and norm gradients.
     pub fn zero_grads(&mut self) {
-        for v in self.g1.as_mut_slice() {
-            *v = 0.0;
-        }
-        for v in self.g2.as_mut_slice() {
-            *v = 0.0;
-        }
-        for v in self.norm.g_gamma.as_mut_slice() {
-            *v = 0.0;
-        }
-        for v in self.norm.g_beta.as_mut_slice() {
-            *v = 0.0;
-        }
+        self.g1.as_mut_slice().fill(0.0);
+        self.g2.as_mut_slice().fill(0.0);
+        self.norm.zero_grads();
     }
 }
 
@@ -281,9 +273,7 @@ impl Head {
         }
         xmoe_tensor::scale_assign(&mut d_logits, (1.0 / n as f32) * loss_scale);
         // dW += x^T d_logits
-        let x_t = x.transpose();
-        let dw = matmul(&x_t, &d_logits);
-        add_assign(&mut self.grad, &dw);
+        matmul_transpose_a_add(x, &d_logits, &mut self.grad);
         let d_x = matmul_transpose_b(&d_logits, &self.weight);
         (loss / n as f64, d_x)
     }
