@@ -21,7 +21,7 @@
 //! as retry spans; link degradation stretches the priced collective time.
 
 use std::any::Any;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -153,6 +153,23 @@ impl CommState {
     fn link(&self, src: usize, dst: usize) -> &Mailbox {
         &self.links[src * self.ranks.len() + dst]
     }
+}
+
+/// Grow-once staging of [`Communicator::all_reduce_sum_f32`]: the chunk
+/// offsets, both wire shells of its all-to-all and the reduced chunk.
+#[derive(Default)]
+struct ReduceStaging {
+    offs: Vec<usize>,
+    send: Vec<Vec<f32>>,
+    parts: Vec<Vec<f32>>,
+    reduced: Vec<f32>,
+}
+
+thread_local! {
+    /// One per rank thread: an all-reduce has no arena argument (its callers
+    /// hand it a gradient slice, nothing else), and a rank runs its
+    /// collectives one at a time.
+    static REDUCE_STAGING: RefCell<ReduceStaging> = RefCell::default();
 }
 
 /// A handle to a communicator, bound to one member rank.
@@ -563,35 +580,50 @@ impl Communicator {
         let n = self.size();
         let len = buf.len();
         let mark = clock.mark();
-        // Near-equal chunking: first `len % n` chunks get one extra element.
-        let base = len / n;
-        let rem = len % n;
-        let mut offs = Vec::with_capacity(n + 1);
-        offs.push(0usize);
-        for c in 0..n {
-            offs.push(offs[c] + base + usize::from(c < rem));
-        }
-        let send: Vec<Vec<f32>> = (0..n).map(|c| buf[offs[c]..offs[c + 1]].to_vec()).collect();
-        let parts = self.all_to_all_v(send, clock)?;
-        let my_len = offs[self.me + 1] - offs[self.me];
-        for part in &parts {
-            assert_eq!(part.len(), my_len, "all_reduce buffer length mismatch");
-        }
-        // Reduce this rank's chunk in canonical group-index order
-        // (parts[0] first, then +=) so every rank computes the bitwise-same
-        // float sum for any given element.
-        let mut reduced = vec![0.0f32; my_len];
-        for (j, r) in reduced.iter_mut().enumerate() {
-            let mut acc = parts[0][j];
-            for part in &parts[1..] {
-                acc += part[j];
+        REDUCE_STAGING.with_borrow_mut(|sc| -> Result<(), CommError> {
+            // The chunks received last time are this call's send buffers, so
+            // at steady state the staging circulates between the ranks
+            // instead of being allocated and freed per call.
+            std::mem::swap(&mut sc.send, &mut sc.parts);
+            sc.send.resize_with(n, Vec::new);
+            sc.parts.resize_with(n, Vec::new);
+            // Near-equal chunking: first `len % n` chunks get one extra element.
+            let (base, rem) = (len / n, len % n);
+            let offs = &mut sc.offs;
+            offs.clear();
+            offs.push(0usize);
+            for c in 0..n {
+                offs.push(offs[c] + base + usize::from(c < rem));
             }
-            *r = acc;
-        }
-        let gathered = self.all_gather(reduced, clock)?;
-        for (c, chunk) in gathered.iter().enumerate() {
-            buf[offs[c]..offs[c + 1]].copy_from_slice(chunk);
-        }
+            for (c, chunk) in sc.send.iter_mut().enumerate() {
+                chunk.clear();
+                chunk.extend_from_slice(&buf[offs[c]..offs[c + 1]]);
+            }
+            self.all_to_all_v_into(&mut sc.send, &mut sc.parts, clock)?;
+            let parts = &sc.parts;
+            let my_len = offs[self.me + 1] - offs[self.me];
+            for part in parts {
+                assert_eq!(part.len(), my_len, "all_reduce buffer length mismatch");
+            }
+            // Reduce this rank's chunk in canonical group-index order
+            // (parts[0] first, then +=) so every rank computes the bitwise-same
+            // float sum for any given element.
+            let mut reduced = std::mem::take(&mut sc.reduced);
+            reduced.clear();
+            reduced.extend((0..my_len).map(|j| {
+                let mut acc = parts[0][j];
+                for part in &parts[1..] {
+                    acc += part[j];
+                }
+                acc
+            }));
+            let mut gathered = self.all_gather(reduced, clock)?;
+            for (c, chunk) in gathered.iter().enumerate() {
+                buf[offs[c]..offs[c + 1]].copy_from_slice(chunk);
+            }
+            sc.reduced = std::mem::take(&mut gathered[self.me]);
+            Ok(())
+        })?;
         // Price as a ring all-reduce: top up the inner collectives' work
         // time (measured, not guessed from the last advance) to the
         // all-reduce cost, and claim the whole thing under one op label.

@@ -41,6 +41,8 @@ pub struct PooledSingleState {
     /// The contiguous `(E, W)` layout the flat-EP transport routes by,
     /// rebuilt only when the shape changes.
     assignment: Option<ExpertAssignment>,
+    /// The flat-EP transport's route, re-planned in place every forward.
+    route: EpRoute,
     /// RBD-specific plan/staging scratch (see [`crate::rbd`]).
     pub(crate) rbd: crate::rbd::RbdScratch,
 }
@@ -163,8 +165,9 @@ pub(crate) fn expert_flops(experts: &ExpertShard, rows: usize, hidden: usize) ->
 /// weighted scatter. Every buffer it can lease comes from `state` (callers
 /// wanting the owned baseline pass a throwaway one), and the returned
 /// `[S, H]` output is itself leased from `state.ws` — recycle it there when
-/// done. After warm-up the `Local` transport performs zero transient heap
-/// allocations; the EP transports still own their wire buffers.
+/// done. After warm-up neither transport performs a transient heap
+/// allocation on the serial schedule: the EP route leases its wire buffers
+/// from `state.ws` too.
 pub(crate) fn forward(
     tokens: &Tensor,
     router: &Router,
@@ -186,23 +189,20 @@ pub(crate) fn forward(
         pft,
         dispatch_in,
         assignment,
+        route,
         ..
     } = state;
 
-    // PFT-ordered rows in, PFT-ordered expert outputs back; `leased` says
-    // whether the result came out of `ws` (wire buffers are owned).
-    let (combine_in, leased) = match &mut transport {
-        Transport::Local => {
-            let out = run_experts(
-                experts,
-                dispatch_in,
-                &pft.tokens_per_expert,
-                kernel,
-                ws,
-                None,
-            );
-            (out, true)
-        }
+    // PFT-ordered rows in, PFT-ordered expert outputs back, leased from `ws`.
+    let combine_in = match &mut transport {
+        Transport::Local => run_experts(
+            experts,
+            dispatch_in,
+            &pft.tokens_per_expert,
+            kernel,
+            ws,
+            None,
+        ),
         Transport::Ep {
             comm,
             clock,
@@ -219,16 +219,18 @@ pub(crate) fn forward(
             // count-exchange metadata all-to-all is charged separately from
             // the token payload so payload comparisons across pipelines stay
             // apples to apples.
-            let route = EpRoute::build(std::mem::take(pft), assignment, comm, clock)?;
+            route.pft = std::mem::take(pft);
+            route.rebuild(assignment, comm, clock)?;
             clock.commit("dispatch_a2a_meta");
             let counts = &route.tokens_per_local_expert;
             let combine_in = route.exchange(
-                dispatch_in,
+                std::mem::take(dispatch_in),
                 *overlap_chunks,
                 ("dispatch_a2a", "expert", "combine_a2a"),
                 comm,
                 clock,
-                |plan, chunk_in, clock| {
+                ws,
+                |plan, chunk_in, clock, ws| {
                     // A full-length count vector zeroed outside the chunk
                     // walks exactly the whole shard's row slices for
                     // experts [e0, e1).
@@ -238,14 +240,12 @@ pub(crate) fn forward(
                     let meter = Some((cost, clock));
                     let out = run_experts(experts, &chunk_in, &chunk_counts, kernel, ws, meter);
                     ws.recycle_idx(chunk_counts);
-                    // The route keeps `out`; its input takes that lease's
-                    // place in the arena.
                     ws.recycle(chunk_in);
                     out
                 },
             )?;
-            *pft = route.pft;
-            (combine_in, false)
+            *pft = std::mem::take(&mut route.pft);
+            combine_in
         }
     };
 
@@ -255,8 +255,12 @@ pub(crate) fn forward(
     charge(&mut transport.meter(), "buffer_combine", |cost| {
         copy_time(cost, pft.len(), hidden)
     });
-    if leased {
+    if matches!(transport, Transport::Local) {
         ws.recycle(combine_in);
+    } else {
+        // The route recycled the dispatch matrix it was handed; the rows it
+        // returned, the same shape, take its place in `state`.
+        *dispatch_in = combine_in;
     }
     Ok(out)
 }
@@ -486,15 +490,25 @@ mod tests {
                 });
                 let route = EpRoute::build(pft, asg, &ctx.world, &mut ctx.clock).unwrap();
                 let locals = asg.experts_on(ctx.rank);
-                for chunks in [None, Some(1usize), Some(2), Some(3)] {
+                // One arena for every schedule, twice over: each rank sends
+                // and receives one buffer per peer per direction, so after
+                // the first pass nothing is allocated.
+                let mut ws = Workspace::new();
+                let mut first_pass = 0;
+                let schedules = [None, Some(1usize), Some(2), Some(3)];
+                for (i, chunks) in schedules.into_iter().chain(schedules).enumerate() {
+                    if i == schedules.len() {
+                        first_pass = ws.stats().pool_misses;
+                    }
                     let back = route
                         .exchange(
-                            &payload,
+                            payload.clone(),
                             chunks,
                             ("out", "check", "back"),
                             &ctx.world,
                             &mut ctx.clock,
-                            |plan, chunk, _| {
+                            &mut ws,
+                            |plan, chunk, _, _| {
                                 let (e0, e1) = plan.experts;
                                 let counts = &route.tokens_per_local_expert[e0..e1];
                                 let mut row = 0;
@@ -514,7 +528,9 @@ mod tests {
                         )
                         .unwrap();
                     assert!(back.allclose(&payload, 0.0), "{name} {chunks:?}");
+                    ws.recycle(back);
                 }
+                assert_eq!(ws.stats().pool_misses, first_pass, "{name}: arena");
             });
         });
     }

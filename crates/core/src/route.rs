@@ -32,6 +32,15 @@
 //! chunks on three overlapping clock tracks). The output is bitwise the same
 //! either way; only the simulated timeline differs.
 //!
+//! **Buffers.** A route is rebuilt in place every step
+//! ([`EpRoute::rebuild`]): its index arrays and the shells of its count
+//! exchange keep their capacity. [`EpRoute::exchange`] leases every buffer it
+//! touches — the per-peer wire buffers, both wire shells, the expert-major
+//! chunk and the returned rows — from the caller's [`Workspace`], and
+//! recycles what arrives over the wire into it: every rank sends and receives
+//! one buffer per peer per direction, so the buffers circulate between the
+//! ranks' arenas and none is allocated or freed at steady state.
+//!
 //! **Chunking rule.** Every rank cuts *its own* local-expert list into the
 //! same number of chunks `k = chunks.clamp(1, max local experts of any
 //! rank)` at `c·L/k` — a pure function of the assignment, so all ranks
@@ -42,13 +51,14 @@
 //! `chunks.clamp(1, E/W)` over contiguous PFT slices.
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
-use xmoe_tensor::{cumsum, Tensor};
+use xmoe_tensor::{Tensor, Workspace};
 use xmoe_topology::ExpertAssignment;
 
 use crate::pft::Pft;
 
 /// The routing plan of one uneven expert exchange, reusable for forward
 /// activations and backward gradients. See the module docs.
+#[derive(Default)]
 pub struct EpRoute {
     /// The PFT this route was built from (source-side ERI arrays).
     pub pft: Pft,
@@ -66,6 +76,12 @@ pub struct EpRoute {
     block_start: Vec<usize>,
     /// Largest local-expert count of any rank: the chunk-count cap.
     max_local: usize,
+    /// `seg_end[g]`: where global expert `g`'s rows end in the PFT.
+    seg_end: Vec<usize>,
+    /// Wire shells of the count exchange; what one build receives the next
+    /// one sends.
+    counts_send: Vec<Vec<u64>>,
+    counts_recv: Vec<Vec<u64>>,
 }
 
 /// One chunk of an [`EpRoute`]: a contiguous range of this rank's local
@@ -87,116 +103,137 @@ fn cut(len: usize, (c, k): (usize, usize)) -> (usize, usize) {
     (c * len / k, (c + 1) * len / k)
 }
 
-/// A `[rows, cols]` tensor whose every row the caller writes next
-/// (NaN-poisoned in debug builds, like the workspace's for-overwrite leases).
-fn for_overwrite(rows: usize, cols: usize) -> Tensor {
-    let mut t = Tensor::default();
-    t.resize_for_overwrite(rows, cols);
-    t
-}
-
-/// Gather one wire buffer per peer out of `local`: `blocks(peer)` lists the
-/// `(first row, rows)` runs bound for that peer, in wire order.
+/// Gather one wire buffer per peer out of `local` into the (emptied) shell
+/// `wire`, each leased from `ws`: `blocks(peer)` lists the `(first row, rows)`
+/// runs bound for that peer, in wire order.
 fn pack<I: Iterator<Item = (usize, usize)>>(
     local: &Tensor,
-    peers: usize,
+    wire: &mut [Vec<f32>],
+    ws: &mut Workspace,
     blocks: impl Fn(usize) -> I,
-) -> Vec<Vec<f32>> {
+) {
     let (h, data) = (local.cols(), local.as_slice());
-    (0..peers)
-        .map(|peer| {
-            let rows: usize = blocks(peer).map(|(_, n)| n).sum();
-            let mut wire = Vec::with_capacity(rows * h);
-            for (r, n) in blocks(peer) {
-                wire.extend_from_slice(&data[r * h..(r + n) * h]);
-            }
-            wire
-        })
-        .collect()
+    for (peer, slot) in wire.iter_mut().enumerate() {
+        let rows: usize = blocks(peer).map(|(_, n)| n).sum();
+        // A peer that gets no rows still gets a buffer: each rank recycles as
+        // many as it leases, whatever the routing.
+        let mut buf = ws.take_f32(rows * h);
+        for (r, n) in blocks(peer) {
+            buf.extend_from_slice(&data[r * h..(r + n) * h]);
+        }
+        *slot = buf;
+    }
 }
 
 /// Inverse of [`pack`]: scatter each peer's wire buffer to its runs of
-/// `local`.
+/// `local` and recycle it into `ws`, leaving the shell empty.
 fn unpack<I: Iterator<Item = (usize, usize)>>(
-    wire: Vec<Vec<f32>>,
+    wire: &mut [Vec<f32>],
     local: &mut Tensor,
+    ws: &mut Workspace,
     blocks: impl Fn(usize) -> I,
 ) {
     let h = local.cols();
     let data = local.as_mut_slice();
-    for (peer, buf) in wire.into_iter().enumerate() {
+    for (peer, slot) in wire.iter_mut().enumerate() {
+        let buf = std::mem::take(slot);
         let mut at = 0;
         for (r, n) in blocks(peer) {
             data[r * h..(r + n) * h].copy_from_slice(&buf[at..at + n * h]);
             at += n * h;
         }
         assert_eq!(at, buf.len(), "peer {peer} sent a payload off the route");
+        ws.recycle_f32(buf);
     }
 }
 
 impl EpRoute {
-    /// Collectively build the route: exchanges per-(destination, expert)
-    /// counts so every destination knows its inbound segment sizes (Listing
-    /// 1 line 44). One `u64` all-to-all — claim it with
-    /// `clock.commit("dispatch_a2a_meta")`; the rest is O(E + local·W).
+    /// Collectively build the route of `pft` from scratch; see
+    /// [`EpRoute::rebuild`].
     pub fn build(
         pft: Pft,
         assignment: &ExpertAssignment,
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<EpRoute, CommError> {
+        let mut route = EpRoute {
+            pft,
+            ..EpRoute::default()
+        };
+        route.rebuild(assignment, ep, clock)?;
+        Ok(route)
+    }
+
+    /// Collectively re-plan the route for the PFT now in `self.pft`, in
+    /// place: exchanges per-(destination, expert) counts so every
+    /// destination knows its inbound segment sizes (Listing 1 line 44). One
+    /// `u64` all-to-all — claim it with `clock.commit("dispatch_a2a_meta")`;
+    /// the rest is O(E + local·W). After an `Err` the route is unusable until
+    /// the next successful rebuild.
+    pub fn rebuild(
+        &mut self,
+        assignment: &ExpertAssignment,
+        ep: &Communicator,
+        clock: &mut SimClock,
+    ) -> Result<(), CommError> {
         let (w, me) = (ep.size(), ep.rank());
+        let tpe = &self.pft.tokens_per_expert;
         assert_eq!(assignment.n_ranks(), w, "assignment world != communicator");
         assert_eq!(
-            pft.tokens_per_expert.len(),
+            tpe.len(),
             assignment.n_experts(),
             "PFT expert count mismatch"
         );
         // The PFT is sorted by global expert id: expert g's rows end at
         // `seg_end[g]`.
-        let seg_end = cumsum(&pft.tokens_per_expert);
-        let mut send_segs = Vec::new();
-        let mut dst_base = Vec::with_capacity(w + 1);
-        let mut tpe_send: Vec<Vec<u64>> = Vec::with_capacity(w);
-        for d in 0..w {
-            dst_base.push(send_segs.len());
-            send_segs.extend(assignment.experts_on(d).iter().map(|&g| {
-                let start = seg_end[g] - pft.tokens_per_expert[g];
-                let routed_here = assignment.serving_rank(g, me) == d;
-                (start, if routed_here { seg_end[g] } else { start })
-            }));
-            let counts = send_segs[dst_base[d]..].iter();
-            tpe_send.push(counts.map(|&(a, b)| (b - a) as u64).collect());
+        let mut end = 0;
+        self.seg_end.clear();
+        self.seg_end.extend(tpe.iter().map(|&n| {
+            end += n;
+            end
+        }));
+        let seg_end = &self.seg_end;
+        std::mem::swap(&mut self.counts_send, &mut self.counts_recv);
+        self.counts_send.resize_with(w, Vec::new);
+        self.counts_recv.resize_with(w, Vec::new);
+        self.send_segs.clear();
+        self.dst_base.clear();
+        for (d, counts) in self.counts_send.iter_mut().enumerate() {
+            self.dst_base.push(self.send_segs.len());
+            self.send_segs
+                .extend(assignment.experts_on(d).iter().map(|&g| {
+                    let start = seg_end[g] - tpe[g];
+                    let routed_here = assignment.serving_rank(g, me) == d;
+                    (start, if routed_here { seg_end[g] } else { start })
+                }));
+            counts.clear();
+            let segs = self.send_segs[self.dst_base[d]..].iter();
+            counts.extend(segs.map(|&(a, b)| (b - a) as u64));
         }
-        dst_base.push(send_segs.len());
+        self.dst_base.push(self.send_segs.len());
         debug_assert_eq!(
-            send_segs.iter().map(|&(a, b)| b - a).sum::<usize>(),
-            pft.len(),
+            self.send_segs.iter().map(|&(a, b)| b - a).sum::<usize>(),
+            self.pft.len(),
             "every PFT row routes once"
         );
-        let tpe_recv = ep.all_to_all_v(tpe_send, clock)?;
+        ep.all_to_all_v_into(&mut self.counts_send, &mut self.counts_recv, clock)?;
 
         let e_local = assignment.experts_on(me).len();
-        let mut block_start = Vec::with_capacity(e_local * w + 1);
-        let mut tokens_per_local_expert = Vec::with_capacity(e_local);
+        self.block_start.clear();
+        self.tokens_per_local_expert.clear();
         let mut at = 0usize;
         for j in 0..e_local {
-            for counts in &tpe_recv {
-                block_start.push(at);
+            for counts in &self.counts_recv {
+                self.block_start.push(at);
                 at += counts[j] as usize;
             }
-            tokens_per_local_expert.push(at - block_start[j * w]);
+            self.tokens_per_local_expert
+                .push(at - self.block_start[j * w]);
         }
-        block_start.push(at);
+        self.block_start.push(at);
         let max_local = (0..w).map(|r| assignment.experts_on(r).len()).max();
-        Ok(EpRoute {
-            pft,
-            tokens_per_local_expert,
-            send_segs,
-            dst_base,
-            block_start,
-            max_local: max_local.unwrap_or(0),
-        })
+        self.max_local = max_local.unwrap_or(0);
+        Ok(())
     }
 
     fn world(&self) -> usize {
@@ -259,15 +296,16 @@ impl EpRoute {
     }
 
     /// `rows` (PFT order, `[B, H]`) → experts → `compute` → back: returns the
-    /// `[B, H]` result in the sender's PFT order.
+    /// `[B, H]` result in the sender's PFT order. `rows` is a lease of `ws`,
+    /// taken by value and recycled as soon as it is on the wire.
     ///
-    /// `compute(plan, chunk_in, clock)` runs once per chunk. It is handed
-    /// the chunk's expert-major `[r1 - r0, H]` input **by value** and returns
-    /// the same-shaped output, which the route consumes — a swap, so a
-    /// caller leasing the output from an arena recycles the input there and
-    /// stays balanced. `plan` says which local experts and which rows of the
-    /// full expert-major buffer the chunk is. The closure charges its own
-    /// compute time.
+    /// `compute(plan, chunk_in, clock, ws)` runs once per chunk. It is handed
+    /// the chunk's expert-major `[r1 - r0, H]` input **by value**, leased from
+    /// `ws` — its to recycle there, or to keep as a saved activation — and
+    /// returns the same-shaped output, which the route sends back and
+    /// recycles into `ws`. `plan` says which local experts and which rows of
+    /// the full expert-major buffer the chunk is. The closure charges its own
+    /// compute time. The returned rows are a lease from `ws` too.
     ///
     /// `labels = (dispatch, compute, combine)` name the stage buckets.
     ///
@@ -284,50 +322,60 @@ impl EpRoute {
     ///   — a combine transfer cannot start before its own compute finished
     ///   (`advance_to_op` per chunk) but does not block dispatch chunks
     ///   still in flight the other way.
+    #[allow(clippy::too_many_arguments)]
     pub fn exchange<F>(
         &self,
-        rows: &Tensor,
+        rows: Tensor,
         chunks: Option<usize>,
         labels: (&str, &str, &str),
         ep: &Communicator,
         clock: &mut SimClock,
+        ws: &mut Workspace,
         mut compute: F,
     ) -> Result<Tensor, CommError>
     where
-        F: FnMut(&ChunkPlan, Tensor, &mut SimClock) -> Tensor,
+        F: FnMut(&ChunkPlan, Tensor, &mut SimClock, &mut Workspace) -> Tensor,
     {
         let (dispatch_label, compute_label, combine_label) = labels;
         let (hidden, w) = (rows.cols(), self.world());
         assert_eq!(rows.rows(), self.pft.len(), "payload must be in PFT order");
-        let to_experts = |plan: ChunkPlan| pack(rows, w, |dst| self.source_blocks(plan, dst));
-        let at_experts = |plan: ChunkPlan, wire: Vec<Vec<f32>>| {
-            let mut chunk_in = for_overwrite(plan.rows.1 - plan.rows.0, hidden);
-            unpack(wire, &mut chunk_in, |src| self.expert_blocks(plan, src));
+        // One send and one receive shell serve every collective of the call:
+        // issuing drains the first, unpacking drains the second.
+        let (mut send, mut recv) = (ws.take_shell(w), ws.take_shell(w));
+        let at_experts = |plan: ChunkPlan, wire: &mut [Vec<f32>], ws: &mut Workspace| {
+            // For-overwrite: the arriving blocks tile the chunk.
+            let mut chunk_in = ws.take_for_overwrite(plan.rows.1 - plan.rows.0, hidden);
+            unpack(wire, &mut chunk_in, ws, |src| self.expert_blocks(plan, src));
             chunk_in
         };
-        let to_source = |plan: ChunkPlan, chunk_out: Tensor| {
-            assert_eq!(
-                chunk_out.shape(),
-                (plan.rows.1 - plan.rows.0, hidden),
-                "compute must map chunk rows 1:1"
-            );
-            pack(&chunk_out, w, |src| self.expert_blocks(plan, src))
-        };
-        // Every PFT row belongs to exactly one sent segment, so the returning
-        // chunks write each row of `out` exactly once.
-        let mut out = for_overwrite(self.pft.len(), hidden);
-        let mut at_source = |plan: ChunkPlan, wire: Vec<Vec<f32>>| {
-            unpack(wire, &mut out, |dst| self.source_blocks(plan, dst));
-        };
+        let to_source =
+            |plan: ChunkPlan, chunk_out: Tensor, wire: &mut [Vec<f32>], ws: &mut Workspace| {
+                assert_eq!(
+                    chunk_out.shape(),
+                    (plan.rows.1 - plan.rows.0, hidden),
+                    "compute must map chunk rows 1:1"
+                );
+                pack(&chunk_out, wire, ws, |src| self.expert_blocks(plan, src));
+                ws.recycle(chunk_out);
+            };
 
         let Some(chunks) = chunks else {
             let plan = self.chunk_plan(0, 1);
-            let wire = ep.all_to_all_v(to_experts(plan), clock)?;
+            pack(&rows, &mut send, ws, |dst| self.source_blocks(plan, dst));
+            ws.recycle(rows);
+            ep.all_to_all_v_into(&mut send, &mut recv, clock)?;
             clock.commit(dispatch_label);
-            let chunk_out = compute(&plan, at_experts(plan, wire), clock);
-            let wire = ep.all_to_all_v(to_source(plan, chunk_out), clock)?;
+            let chunk_in = at_experts(plan, &mut recv, ws);
+            let chunk_out = compute(&plan, chunk_in, clock, ws);
+            to_source(plan, chunk_out, &mut send, ws);
+            ep.all_to_all_v_into(&mut send, &mut recv, clock)?;
             clock.commit(combine_label);
-            at_source(plan, wire);
+            // For-overwrite: every PFT row belongs to exactly one sent
+            // segment, so the returning rows write each row of `out` once.
+            let mut out = ws.take_for_overwrite(self.pft.len(), hidden);
+            unpack(&mut recv, &mut out, ws, |dst| self.source_blocks(plan, dst));
+            ws.recycle_shell(send);
+            ws.recycle_shell(recv);
             return Ok(out);
         };
 
@@ -340,13 +388,15 @@ impl EpRoute {
         // Issuing never blocks, so the interleaved schedule cannot deadlock.
         let mut dispatch_pending = Vec::with_capacity(plans.len());
         for &plan in &plans {
-            dispatch_pending.push(ep.issue_all_to_all_v(to_experts(plan), clock)?);
+            pack(&rows, &mut send, ws, |dst| self.source_blocks(plan, dst));
+            dispatch_pending.push(ep.issue_all_to_all_v_into(&mut send, clock)?);
         }
+        ws.recycle(rows);
 
         let mut combine_pending = Vec::with_capacity(plans.len());
         for (&plan, pending) in plans.iter().zip(dispatch_pending) {
             clock.set_track("comm");
-            let wire = pending.wait(clock)?;
+            pending.wait_into(&mut recv, clock)?;
             clock.commit(dispatch_label);
             let arrived = clock.track_time("comm").expect("comm track exists");
 
@@ -354,7 +404,8 @@ impl EpRoute {
             // Honest cross-track dependency: the GEMM cannot start before
             // its chunk has arrived.
             clock.advance_to_op(compute_label, arrived);
-            let chunk_out = compute(&plan, at_experts(plan, wire), clock);
+            let chunk_in = at_experts(plan, &mut recv, ws);
+            let chunk_out = compute(&plan, chunk_in, clock, ws);
             clock.commit(compute_label);
             let gemm_done = clock.track_time("compute").expect("compute track exists");
 
@@ -363,23 +414,29 @@ impl EpRoute {
             // cannot see this chunk's rows earlier than its GEMM finished.
             // Transfer time is priced on the outbound track in the drain
             // loop below.
-            let pending = ep.issue_all_to_all_v(to_source(plan, chunk_out), clock)?;
+            to_source(plan, chunk_out, &mut send, ws);
+            let pending = ep.issue_all_to_all_v_into(&mut send, clock)?;
             combine_pending.push((pending, gemm_done));
         }
 
         // Drain the combine exchanges in issue order on the outbound track;
         // each chunk's rows return to the PFT positions they were dispatched
-        // from. The per-chunk `advance_to_op` pins the transfer start at the
-        // chunk's own GEMM completion; `wait` then maxes in the peers'
-        // injection stamps.
+        // from (every PFT row belongs to exactly one sent segment, so the
+        // chunks write each row of the for-overwrite `out` exactly once). The
+        // per-chunk `advance_to_op` pins the transfer start at the chunk's
+        // own GEMM completion; `wait_into` then maxes in the peers' injection
+        // stamps.
+        let mut out = ws.take_for_overwrite(self.pft.len(), hidden);
         clock.set_track("comm_out");
         for (&plan, (pending, gemm_done)) in plans.iter().zip(combine_pending) {
             clock.advance_to_op(combine_label, gemm_done);
-            let wire = pending.wait(clock)?;
+            pending.wait_into(&mut recv, clock)?;
             clock.commit(combine_label);
-            at_source(plan, wire);
+            unpack(&mut recv, &mut out, ws, |dst| self.source_blocks(plan, dst));
         }
         clock.end_overlap();
+        ws.recycle_shell(send);
+        ws.recycle_shell(recv);
         Ok(out)
     }
 }

@@ -21,9 +21,22 @@
 //!   operation writes every element (a GEMM output, a gather, a copy) uses
 //!   [`Workspace::take_for_overwrite`] instead and skips the zero-fill pass.
 //!   Index buffers use [`Workspace::take_idx`] / [`Workspace::recycle_idx`].
-//! * Free lists are LIFO. A pipeline that takes and recycles in the same
-//!   order every step keeps each logical buffer bound to the same backing
-//!   allocation, so capacities converge to the running maximum per slot.
+//! * The `f32` free list is searched **best-fit**: a lease gets the smallest
+//!   recycled buffer that holds it (the most recently recycled among equals);
+//!   when none does, the largest one is re-allocated at the requested size
+//!   plus a [`GROW_SLACK`]th; only an empty list allocates a new buffer — a
+//!   pool miss. So the arena is *closed*: it never holds more buffers than
+//!   were once leased at the same time, whatever sizes arrive over the wire
+//!   from another rank's arena. A lease of *unknown* size (`take_f32(0)`,
+//!   filled by `extend`) gets the most recently recycled buffer. A pipeline
+//!   that takes and recycles in the same order every step keeps each logical
+//!   buffer bound to the same backing allocation once capacities have
+//!   converged. The index and metadata lists hold a handful of same-sized
+//!   buffers and stay LIFO.
+//! * An arena under a whole train step — a hundred leases of a dozen sizes,
+//!   many held from the forward to the backward pass, all drifting as the
+//!   router trains — is [`Workspace::trim`]med by its owner between steps,
+//!   and from then on leases by **size class**: see there.
 //! * Leaked leases are not an error — the tensor is simply dropped — but the
 //!   arena loses the reuse benefit, and [`WorkspaceStats::pool_misses`] will
 //!   keep climbing. Tests gate on that counter.
@@ -33,10 +46,33 @@
 
 use crate::Tensor;
 
+/// Headroom of a re-grown buffer, as a divisor of the requested length: a
+/// buffer sized by the *routed* token count is asked for a slightly different
+/// length every step, and growing to exactly the running maximum would
+/// re-allocate on every new record. A buffer that is allocated fresh gets
+/// exactly what was asked, so fixed-size leases carry no slack at all.
+const GROW_SLACK: usize = 16;
+
+/// Give `buf` capacity for `need` elements: kept as it is (contents and all)
+/// when it already fits, otherwise freed and re-allocated empty — nothing a
+/// lease hands out is read before it is written, so there is nothing to copy.
+fn fit(buf: &mut Vec<f32>, need: usize) {
+    if buf.capacity() < need {
+        let grown = if buf.capacity() == 0 {
+            need
+        } else {
+            need + need / GROW_SLACK
+        };
+        *buf = Vec::new();
+        buf.reserve_exact(grown);
+    }
+}
+
 /// Counters describing arena behaviour since construction.
 ///
 /// `takes` counts every lease; `pool_misses` counts leases that had to
-/// allocate a fresh backing buffer because the free list was empty. At steady
+/// allocate a fresh backing buffer because the free list held none of their
+/// size class (none at all, for the index and metadata lists). At steady
 /// state `pool_misses` stops advancing. `retained_f32` / `retained_idx` are
 /// the element capacities currently parked in the free lists; together with
 /// outstanding leases they bound the arena's heap footprint.
@@ -44,7 +80,8 @@ use crate::Tensor;
 pub struct WorkspaceStats {
     /// Total number of tensor + index leases served.
     pub takes: u64,
-    /// Leases that allocated because no recycled buffer was available.
+    /// Leases that allocated because no recycled buffer of their size class
+    /// was available.
     pub pool_misses: u64,
     /// `f32` capacity currently held in the tensor free list.
     pub retained_f32: usize,
@@ -54,6 +91,9 @@ pub struct WorkspaceStats {
     pub retained_u64: usize,
     /// High-water mark of `f32` capacity ever handed out simultaneously.
     pub peak_leased_f32: usize,
+    /// [`Workspace::trim`] calls: the steps run on an arena whose owner trims
+    /// it once a step.
+    pub trims: u64,
 }
 
 /// Per-rank arena of reusable scratch buffers. See the module docs.
@@ -62,6 +102,13 @@ pub struct Workspace {
     free_f32: Vec<Vec<f32>>,
     free_idx: Vec<Vec<usize>>,
     free_u64: Vec<Vec<u64>>,
+    free_shells: Vec<Vec<Vec<f32>>>,
+    /// How many buffers at the front of `free_f32` no lease has popped since
+    /// the last [`Workspace::trim`].
+    idle: usize,
+    /// [`Workspace::trim`] calls so far; an arena with any is leased by size
+    /// class.
+    trims: u64,
     takes: u64,
     pool_misses: u64,
     leased_f32: usize,
@@ -75,10 +122,10 @@ impl Workspace {
 
     /// Lease a zero-filled `rows x cols` tensor.
     ///
-    /// Pops the most recently recycled buffer (LIFO), clears it and
-    /// zero-resizes it to the requested shape. Once the buffer's capacity has
-    /// grown past `rows * cols` in a previous step, the lease performs no
-    /// heap allocation.
+    /// Pops the best-fitting recycled buffer (see the module docs), clears it
+    /// and zero-resizes it to the requested shape. Once a buffer of at least
+    /// `rows * cols` has been recycled in a previous step, the lease performs
+    /// no heap allocation.
     pub fn take(&mut self, rows: usize, cols: usize) -> Tensor {
         self.lease(rows, cols, true)
     }
@@ -91,15 +138,49 @@ impl Workspace {
         self.lease(rows, cols, false)
     }
 
-    fn lease(&mut self, rows: usize, cols: usize, zeroed: bool) -> Tensor {
+    /// The free `f32` buffer a lease of `need` elements gets, with capacity
+    /// for them (see the module docs for the choice).
+    fn pop_f32(&mut self, need: usize) -> Vec<f32> {
         self.takes += 1;
-        let buf = match self.free_f32.pop() {
-            Some(b) => b,
+        // (index, capacity) of the smallest free buffer that holds `need` and
+        // of the largest that does not.
+        let mut fits: Option<(usize, usize)> = None;
+        let mut below: Option<(usize, usize)> = None;
+        for (i, b) in self.free_f32.iter().enumerate().rev() {
+            let cap = b.capacity();
+            if need == 0 {
+                fits = Some((i, cap));
+                break;
+            }
+            if cap >= need {
+                if fits.is_none_or(|(_, best)| cap < best) {
+                    fits = Some((i, cap));
+                }
+            } else if below.is_none_or(|(_, best)| cap > best) {
+                below = Some((i, cap));
+            }
+        }
+        if self.trims > 0 && need > 0 {
+            // Only a buffer of the lease's size class will do.
+            fits = fits.filter(|&(_, cap)| 2 * cap <= 3 * need);
+            below = below.filter(|&(_, cap)| 3 * cap >= 2 * need);
+        }
+        let mut buf = match fits.or(below) {
+            Some((i, _)) => {
+                self.idle -= usize::from(i < self.idle);
+                self.free_f32.remove(i)
+            }
             None => {
                 self.pool_misses += 1;
                 Vec::new()
             }
         };
+        fit(&mut buf, need);
+        buf
+    }
+
+    fn lease(&mut self, rows: usize, cols: usize, zeroed: bool) -> Tensor {
+        let buf = self.pop_f32(rows * cols);
         let mut t = Tensor::from_vec(buf.len(), 1, buf);
         if zeroed {
             t.resize(rows, cols);
@@ -148,16 +229,8 @@ impl Workspace {
     /// population closed (every rank recycles as many inner buffers as it
     /// leases per step).
     pub fn take_f32(&mut self, cap: usize) -> Vec<f32> {
-        self.takes += 1;
-        let mut buf = match self.free_f32.pop() {
-            Some(b) => b,
-            None => {
-                self.pool_misses += 1;
-                Vec::new()
-            }
-        };
+        let mut buf = self.pop_f32(cap);
         buf.clear();
-        buf.reserve(cap);
         self.leased_f32 += buf.capacity();
         self.peak_leased_f32 = self.peak_leased_f32.max(self.leased_f32);
         buf
@@ -191,6 +264,62 @@ impl Workspace {
         self.free_u64.push(buf);
     }
 
+    /// Release what the arena no longer uses; call it between steps, when the
+    /// step's leases are back. The free buffers that no lease has touched
+    /// since the last call are dropped: they sit, in their old order, at the
+    /// front of the free list, because a recycled buffer goes to its end.
+    ///
+    /// An arena that is trimmed leases by size class: a lease only takes a
+    /// buffer that is at most half again as large as it, or re-grows one that
+    /// is too small by less than a third, and otherwise allocates its own.
+    /// Best-fit alone lets an `[n, hidden]` activation saved for the backward
+    /// pass sit in the only free `[routed, hidden]` buffer; the dispatch
+    /// matrix that needs it next grows another, and the arena ends up a third
+    /// larger than what the step has live at its peak. Allocating instead is
+    /// only sound because the buffers this leaves unused — and the ones a
+    /// drifting routed token count has outgrown — are released here; an arena
+    /// that is never trimmed stays closed.
+    pub fn trim(&mut self) {
+        self.trims += 1;
+        self.free_f32.drain(..self.idle);
+        self.idle = self.free_f32.len();
+    }
+
+    /// Lease a wire shell: `peers` empty `f32` buffers, the outer spine of one
+    /// all-to-all's send or receive side (the inner buffers are
+    /// [`Workspace::take_f32`] leases, or arrive over the wire).
+    pub fn take_shell(&mut self, peers: usize) -> Vec<Vec<f32>> {
+        self.takes += 1;
+        let mut shell = self.free_shells.pop().unwrap_or_else(|| {
+            self.pool_misses += 1;
+            Vec::new()
+        });
+        shell.resize_with(peers, Vec::new);
+        shell
+    }
+
+    /// Return a wire shell whose inner buffers have been moved out (sent, or
+    /// recycled with [`Workspace::recycle_f32`]).
+    pub fn recycle_shell(&mut self, shell: Vec<Vec<f32>>) {
+        debug_assert!(
+            shell.iter().all(|b| b.capacity() == 0),
+            "a shell is recycled without its inner buffers"
+        );
+        self.free_shells.push(shell);
+    }
+
+    /// Test support: fill every free `f32` buffer with NaN to its full
+    /// capacity, so whatever a later for-overwrite lease reads before writing
+    /// it shows up in the results — in release builds too, where such a lease
+    /// otherwise hands out the previous step's data.
+    #[doc(hidden)]
+    pub fn poison(&mut self) {
+        for buf in &mut self.free_f32 {
+            buf.clear();
+            buf.resize(buf.capacity(), f32::NAN);
+        }
+    }
+
     /// Snapshot the arena counters.
     pub fn stats(&self) -> WorkspaceStats {
         WorkspaceStats {
@@ -200,6 +329,7 @@ impl Workspace {
             retained_idx: self.free_idx.iter().map(Vec::capacity).sum(),
             retained_u64: self.free_u64.iter().map(Vec::capacity).sum(),
             peak_leased_f32: self.peak_leased_f32,
+            trims: self.trims,
         }
     }
 
@@ -207,8 +337,10 @@ impl Workspace {
     /// (empty) state. Counters are preserved.
     pub fn reset(&mut self) {
         self.free_f32.clear();
+        self.idle = 0;
         self.free_idx.clear();
         self.free_u64.clear();
+        self.free_shells.clear();
     }
 }
 
@@ -319,6 +451,84 @@ mod tests {
         assert!(m2.capacity() >= 6, "u64 lease reuses the recycled buffer");
         ws.recycle_u64(m2);
         assert!(ws.stats().retained_u64 >= 6);
+    }
+
+    #[test]
+    fn a_closed_arena_never_allocates_while_a_buffer_is_free() {
+        let mut ws = Workspace::new();
+        let (small, big) = (ws.take(8, 8), ws.take(64, 8));
+        let p_big = big.as_slice().as_ptr();
+        ws.recycle(big);
+        ws.recycle(small);
+        // Best fit, however loose: 16 elements in the 64-element buffer.
+        let a = ws.take_for_overwrite(2, 8);
+        // 100 elements: the 512 holds them.
+        let b = ws.take_for_overwrite(10, 10);
+        assert_eq!(b.as_slice().as_ptr(), p_big);
+        ws.recycle(b);
+        ws.recycle(a);
+        // 600 elements: nothing holds them, the largest is re-grown.
+        let c = ws.take_for_overwrite(60, 10);
+        assert_eq!((c.len(), ws.stats().pool_misses), (600, 2));
+    }
+
+    #[test]
+    fn a_trimmed_arena_leases_by_size_class() {
+        let mut ws = Workspace::new();
+        ws.trim();
+        let (small, mid, big) = (ws.take(8, 8), ws.take(10, 8), ws.take(64, 8));
+        let (p_mid, p_big) = (mid.as_slice().as_ptr(), big.as_slice().as_ptr());
+        for t in [big, small, mid] {
+            ws.recycle(t);
+        }
+        // 72 elements: the 80-element buffer, not the 64 (too small) nor the
+        // 512 that was recycled before it.
+        let t = ws.take_for_overwrite(9, 8);
+        assert_eq!(t.as_slice().as_ptr(), p_mid);
+        // 400 elements: only the 512 is within half again.
+        let u = ws.take_for_overwrite(50, 8);
+        assert_eq!(u.as_slice().as_ptr(), p_big);
+        assert_eq!(ws.stats().pool_misses, 3);
+        // 16 elements fit the free 64-element buffer four times over: the
+        // lease allocates its own instead of squatting in it.
+        let v = ws.take_for_overwrite(2, 8);
+        assert_eq!((v.len(), ws.stats().pool_misses), (16, 4));
+        // 90 elements: nothing fits, the 80-element buffer is close below and
+        // is re-grown with headroom — not a miss.
+        ws.recycle(t);
+        let w = ws.take_for_overwrite(9, 10);
+        assert_eq!((w.len(), ws.stats().pool_misses), (90, 4));
+        ws.recycle(w);
+        assert!(ws.stats().retained_f32 >= 64 + 90 + 90 / GROW_SLACK);
+        // An unsized lease gets the most recently recycled buffer.
+        assert!(ws.take_f32(0).capacity() >= 90);
+    }
+
+    #[test]
+    fn trim_releases_what_no_lease_touched() {
+        let mut ws = Workspace::new();
+        let (a, b) = (ws.take(8, 8), ws.take(100, 8));
+        ws.recycle(a);
+        ws.recycle(b);
+        // Both were leased since the arena was made: the first call keeps
+        // them.
+        ws.trim();
+        assert_eq!(ws.stats().retained_f32, 864);
+        // A step that only leases the small buffer: the large one goes.
+        let a = ws.take(8, 8);
+        ws.recycle(a);
+        ws.trim();
+        let s = ws.stats();
+        assert_eq!((s.retained_f32, s.pool_misses), (64, 2));
+        // The survivor keeps being used: nothing else is ever released.
+        for _ in 0..4 {
+            let a = ws.take(8, 8);
+            ws.recycle(a);
+            ws.trim();
+        }
+        let end = ws.stats();
+        assert_eq!((end.takes, end.trims), (s.takes + 4, s.trims + 4));
+        assert_eq!((end.retained_f32, end.pool_misses), (64, 2));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Adam optimizer with global-norm gradient clipping.
 //!
-//! The model exposes its parameters through a visitor
-//! ([`crate::model::MoeLm::visit_params`]); [`Adam`] keeps first/second
-//! moment buffers indexed by visitation order, which is stable because the
-//! model's structure is fixed after construction.
+//! The model exposes its parameters through a visitor (a closure that calls
+//! back once per `(param, grad)` pair — no list of borrows is built per
+//! step); [`Adam`] keeps first/second moment buffers indexed by visitation
+//! order, which is stable because the model's structure is fixed after
+//! construction.
 
 use xmoe_tensor::Tensor;
 
@@ -55,21 +56,22 @@ impl Adam {
         self.v = v;
     }
 
-    /// Apply one update over `(param, grad)` pairs delivered by a visitor.
-    ///
-    /// The caller must deliver the same parameters in the same order every
-    /// step. Gradients are scaled by the global-norm clip factor first.
-    pub fn step<'a>(&mut self, params: Vec<(&'a mut Tensor, &'a Tensor)>) {
+    /// Apply one update over the `(param, grad)` pairs `visit` delivers: it
+    /// is run twice — once for the global gradient norm, once for the update
+    /// — and must call back with the same parameters in the same order both
+    /// times and every step. Gradients are scaled by the global-norm clip
+    /// factor first.
+    pub fn step(&mut self, mut visit: impl FnMut(&mut dyn FnMut(&mut Tensor, &Tensor))) {
         self.step += 1;
         // Global grad norm across all tensors.
         let mut sq = 0.0f64;
-        for (_, g) in &params {
+        visit(&mut |_, g| {
             sq += g
                 .as_slice()
                 .iter()
                 .map(|&x| (x as f64) * (x as f64))
                 .sum::<f64>();
-        }
+        });
         let norm = sq.sqrt() as f32;
         let scale = if self.clip > 0.0 && norm > self.clip {
             self.clip / norm
@@ -77,15 +79,14 @@ impl Adam {
             1.0
         };
 
-        if self.m.len() < params.len() {
-            for (p, _) in params.iter().skip(self.m.len()) {
+        let bc1 = 1.0 - self.beta1.powi(self.step as i32);
+        let bc2 = 1.0 - self.beta2.powi(self.step as i32);
+        let mut idx = 0;
+        visit(&mut |p, g| {
+            if idx == self.m.len() {
                 self.m.push(vec![0.0; p.len()]);
                 self.v.push(vec![0.0; p.len()]);
             }
-        }
-        let bc1 = 1.0 - self.beta1.powi(self.step as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.step as i32);
-        for (idx, (p, g)) in params.into_iter().enumerate() {
             let m = &mut self.m[idx];
             let v = &mut self.v[idx];
             assert_eq!(
@@ -106,7 +107,8 @@ impl Adam {
                 let vhat = *vv / bc2;
                 *pv -= self.lr * mhat / (vhat.sqrt() + self.eps);
             }
-        }
+            idx += 1;
+        });
     }
 }
 
@@ -131,7 +133,7 @@ mod tests {
                     .map(|(&wv, &t)| wv - t)
                     .collect(),
             );
-            opt.step(vec![(&mut w, &g)]);
+            opt.step(|f| f(&mut w, &g));
         }
         for (wv, t) in w.as_slice().iter().zip(&target) {
             assert!((wv - t).abs() < 1e-2, "w {wv} target {t}");
@@ -144,7 +146,7 @@ mod tests {
         let g = Tensor::from_vec(1, 2, vec![1e6, 1e6]);
         let mut opt = Adam::new(0.1);
         opt.clip = 1.0;
-        opt.step(vec![(&mut w, &g)]);
+        opt.step(|f| f(&mut w, &g));
         // First Adam step magnitude is bounded by lr regardless of grad.
         assert!(
             w.as_slice().iter().all(|&v| v.abs() <= 0.11),
@@ -162,7 +164,10 @@ mod tests {
         for _ in 0..500 {
             let ga = Tensor::from_vec(1, 1, vec![a.get(0, 0) - 1.0]);
             let gb = Tensor::from_vec(1, 1, vec![b.get(0, 0) + 1.0]);
-            opt.step(vec![(&mut a, &ga), (&mut b, &gb)]);
+            opt.step(|f| {
+                f(&mut a, &ga);
+                f(&mut b, &gb);
+            });
         }
         assert!((a.get(0, 0) - 1.0).abs() < 0.05);
         assert!((b.get(0, 0) + 1.0).abs() < 0.05);

@@ -50,11 +50,10 @@
 //! `non_finite_row_poisons_its_own_sequence_only`).
 
 use xmoe_tensor::{
-    add_assign, gemm_view, matmul, matmul_transpose_a_add, matmul_transpose_b, Causal, Tensor,
-    View, ViewMut,
+    add_assign, gemm_view, matmul_transpose_a_add, Causal, Tensor, View, ViewMut, Workspace,
 };
 
-use crate::layers::{LayerNorm, LayerNormCtx};
+use crate::layers::{project, project_t, LayerNorm, LayerNormCtx};
 
 /// Pre-norm residual multi-head causal attention:
 /// `y = x + Attn(LN(x)) Wo`.
@@ -72,7 +71,8 @@ pub struct Attention {
     pub n_heads: usize,
 }
 
-/// Saved forward state.
+/// Saved forward state: leases from the forward's [`Workspace`], recycled by
+/// [`Attention::backward`].
 pub struct AttentionCtx {
     ln: LayerNormCtx,
     x_norm: Tensor,
@@ -86,6 +86,13 @@ pub struct AttentionCtx {
     /// Concatenated head outputs before the output projection.
     attn_out: Tensor,
     seq_len: usize,
+}
+
+/// `t` transposed into a for-overwrite lease.
+fn transposed(t: &Tensor, ws: &mut Workspace) -> Tensor {
+    let mut out = ws.take_for_overwrite(t.cols(), t.rows());
+    t.transpose_into(&mut out);
+    out
 }
 
 impl Attention {
@@ -109,21 +116,32 @@ impl Attention {
         }
     }
 
-    /// Forward over `x` = `batch * seq_len` packed rows.
-    pub fn forward(&self, x: &Tensor, seq_len: usize) -> (Tensor, AttentionCtx) {
+    /// Forward over `x` = `batch * seq_len` packed rows. Every tensor it
+    /// makes is a lease from `ws`; the context's are recycled by
+    /// [`Self::backward`], the returned output by the caller.
+    pub fn forward(
+        &self,
+        x: &Tensor,
+        seq_len: usize,
+        ws: &mut Workspace,
+    ) -> (Tensor, AttentionCtx) {
         let (n, hidden) = x.shape();
         assert_eq!(n % seq_len, 0, "rows must be a whole number of sequences");
         let hd = hidden / self.n_heads;
         let scale = 1.0 / (hd as f32).sqrt();
 
-        let (x_norm, ln) = self.norm.forward(x);
-        let q = matmul(&x_norm, &self.wq);
-        let k = matmul(&x_norm, &self.wk);
-        let v = matmul(&x_norm, &self.wv);
+        let (x_norm, ln) = self.norm.forward(x, ws);
+        let q = project(&x_norm, &self.wq, ws);
+        let k = project(&x_norm, &self.wk, ws);
+        let v = project(&x_norm, &self.wv, ws);
 
-        let kt = transposed(&k);
-        let mut attn_out = Tensor::zeros(n, hidden);
-        let mut probs = Tensor::zeros(n * self.n_heads, seq_len);
+        let kt = transposed(&k, ws);
+        // For-overwrite: the head loop tiles both — each head's `[seq, hd]`
+        // block of `attn_out` is one product's whole output; each row of a
+        // `probs` block is the score product up to the diagonal (softmaxed
+        // in place) and the `0.0` fill above it.
+        let mut attn_out = ws.take_for_overwrite(n, hidden);
+        let mut probs = ws.take_for_overwrite(n * self.n_heads, seq_len);
         for head in heads(self.n_heads, seq_len, n, hidden) {
             let p = &mut probs.as_mut_slice()[head.block.clone()];
             // scores[i][j] = <q_i, k_j> for j <= i; scaled in the softmax pass.
@@ -166,7 +184,8 @@ impl Attention {
                 Causal::LowerA,
             );
         }
-        let mut y = matmul(&attn_out, &self.wo);
+        ws.recycle(kt);
+        let mut y = project(&attn_out, &self.wo, ws);
         add_assign(&mut y, x); // residual
         (
             y,
@@ -183,8 +202,8 @@ impl Attention {
         )
     }
 
-    /// Backward: accumulates all projection grads, returns `d_x`.
-    pub fn backward(&mut self, ctx: &AttentionCtx, d_y: &Tensor) -> Tensor {
+    /// Backward: accumulates all projection grads, returns `d_x` (a lease).
+    pub fn backward(&mut self, ctx: AttentionCtx, d_y: &Tensor, ws: &mut Workspace) -> Tensor {
         let (n, hidden) = d_y.shape();
         let seq_len = ctx.seq_len;
         let hd = hidden / self.n_heads;
@@ -192,18 +211,22 @@ impl Attention {
 
         // Output projection.
         matmul_transpose_a_add(&ctx.attn_out, d_y, &mut self.go);
-        let d_attn = matmul_transpose_b(d_y, &self.wo);
+        ws.recycle(ctx.attn_out);
+        let d_attn = project_t(d_y, &self.wo, ws);
 
-        let vt = transposed(&ctx.v);
-        let mut d_q = Tensor::zeros(n, hidden);
-        let mut d_k = Tensor::zeros(n, hidden);
-        let mut d_v = Tensor::zeros(n, hidden);
-        // One head's d_p, turned into d_s in place.
-        let mut d_s = Tensor::zeros(seq_len, seq_len);
-        let d_s = d_s.as_mut_slice();
+        let vt = transposed(&ctx.v, ws);
+        // For-overwrite: each head's `[seq, hd]` block of the three is one
+        // product's whole output.
+        let mut d_q = ws.take_for_overwrite(n, hidden);
+        let mut d_k = ws.take_for_overwrite(n, hidden);
+        let mut d_v = ws.take_for_overwrite(n, hidden);
+        // One head's d_p, turned into d_s in place; written whole per head
+        // like a `probs` block.
+        let mut d_s = ws.take_for_overwrite(seq_len, seq_len);
         // (rows, reduction steps, columns) of the [seq, seq] and [seq, hd] products.
         let (to_seq, to_hd) = ((seq_len, hd, seq_len), (seq_len, seq_len, hd));
         for head in heads(self.n_heads, seq_len, n, hidden) {
+            let d_s = d_s.as_mut_slice();
             let p: View<'_> = (&ctx.probs.as_slice()[head.block.clone()], seq_len);
             let d_o = head.rows(&d_attn);
             // d_p[i][j] = <d_attn[i], v[j]>; d_v[j] = sum_i p[i][j] * d_attn[i].
@@ -231,17 +254,38 @@ impl Attention {
             let d_k = head.rows_mut(&mut d_k);
             gemm_view(true, d_s, head.rows(&ctx.q), d_k, to_hd, Causal::LowerAt);
         }
+        for t in [d_s, vt, d_attn, ctx.probs, ctx.q, ctx.k, ctx.v] {
+            ws.recycle(t);
+        }
 
         // Projection weight grads and the gradient into the norm.
         matmul_transpose_a_add(&ctx.x_norm, &d_q, &mut self.gq);
         matmul_transpose_a_add(&ctx.x_norm, &d_k, &mut self.gk);
         matmul_transpose_a_add(&ctx.x_norm, &d_v, &mut self.gv);
-        let mut d_norm = matmul_transpose_b(&d_q, &self.wq);
-        add_assign(&mut d_norm, &matmul_transpose_b(&d_k, &self.wk));
-        add_assign(&mut d_norm, &matmul_transpose_b(&d_v, &self.wv));
-        let mut d_x = self.norm.backward(&ctx.ln, &d_norm);
+        ws.recycle(ctx.x_norm);
+        let mut d_norm = project_t(&d_q, &self.wq, ws);
+        for (d, w) in [(d_k, &self.wk), (d_v, &self.wv)] {
+            let part = project_t(&d, w, ws);
+            add_assign(&mut d_norm, &part);
+            ws.recycle(part);
+            ws.recycle(d);
+        }
+        ws.recycle(d_q);
+        let mut d_x = self.norm.backward(ctx.ln, &d_norm, ws);
+        ws.recycle(d_norm);
         add_assign(&mut d_x, d_y); // residual
         d_x
+    }
+
+    /// Every `(param, grad)` pair, in the order the optimizer and the
+    /// checkpoint know them by.
+    pub(crate) fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
+        f(&mut self.wq, &self.gq);
+        f(&mut self.wk, &self.gk);
+        f(&mut self.wv, &self.gv);
+        f(&mut self.wo, &self.go);
+        f(&mut self.norm.gamma, &self.norm.g_gamma);
+        f(&mut self.norm.beta, &self.norm.g_beta);
     }
 
     pub fn zero_grads(&mut self) {
@@ -250,13 +294,6 @@ impl Attention {
         }
         self.norm.zero_grads();
     }
-}
-
-/// `t` transposed into a fresh tensor.
-fn transposed(t: &Tensor) -> Tensor {
-    let mut out = Tensor::zeros(0, 0);
-    t.transpose_into(&mut out);
-    out
 }
 
 /// Where one (sequence, head) lives in the tensors of a call: each accessor
@@ -309,7 +346,7 @@ impl Head {
 #[cfg(test)]
 mod oracle {
     use super::*;
-    use xmoe_tensor::matmul;
+    use xmoe_tensor::{matmul, matmul_transpose_b};
 
     pub struct Ctx {
         pub ln: LayerNormCtx,
@@ -330,7 +367,7 @@ mod oracle {
         let hd = hidden / attn.n_heads;
         let scale = 1.0 / (hd as f32).sqrt();
 
-        let (x_norm, ln) = attn.norm.forward(x);
+        let (x_norm, ln) = attn.norm.forward(x, &mut Workspace::new());
         let q = matmul(&x_norm, &attn.wq);
         let k = matmul(&x_norm, &attn.wk);
         let v = matmul(&x_norm, &attn.wv);
@@ -397,7 +434,7 @@ mod oracle {
     }
 
     /// Backward: accumulates all projection grads, returns `d_x`.
-    pub fn backward(attn: &mut Attention, ctx: &Ctx, d_y: &Tensor) -> Tensor {
+    pub fn backward(attn: &mut Attention, ctx: Ctx, d_y: &Tensor) -> Tensor {
         let (n, hidden) = d_y.shape();
         let seq_len = ctx.seq_len;
         let batch = n / seq_len;
@@ -470,7 +507,7 @@ mod oracle {
         let mut d_norm = matmul_transpose_b(&d_q, &attn.wq);
         add_assign(&mut d_norm, &matmul_transpose_b(&d_k, &attn.wk));
         add_assign(&mut d_norm, &matmul_transpose_b(&d_v, &attn.wv));
-        let mut d_x = attn.norm.backward(&ctx.ln, &d_norm);
+        let mut d_x = attn.norm.backward(ctx.ln, &d_norm, &mut Workspace::new());
         add_assign(&mut d_x, d_y); // residual
         d_x
     }
@@ -484,7 +521,7 @@ mod tests {
     fn forward_shapes_and_residual_path() {
         let attn = Attention::new(8, 2, 1);
         let x = Tensor::rand_uniform(12, 8, 1.0, 2); // 2 sequences of 6
-        let (y, _) = attn.forward(&x, 6);
+        let (y, _) = attn.forward(&x, 6, &mut Workspace::new());
         assert_eq!(y.shape(), (12, 8));
         assert!(!y.allclose(&x, 1e-6), "attention must contribute");
     }
@@ -498,8 +535,8 @@ mod tests {
         for c in 0..8 {
             x2.set(5, c, -x1.get(5, c)); // perturb the last token
         }
-        let (y1, _) = attn.forward(&x1, 6);
-        let (y2, _) = attn.forward(&x2, 6);
+        let (y1, _) = attn.forward(&x1, 6, &mut Workspace::new());
+        let (y2, _) = attn.forward(&x2, 6, &mut Workspace::new());
         for t in 0..5 {
             for c in 0..8 {
                 assert!(
@@ -524,8 +561,8 @@ mod tests {
                 x2.set(t, c, 0.5 - x1.get(t, c));
             }
         }
-        let (y1, _) = attn.forward(&x1, 4);
-        let (y2, _) = attn.forward(&x2, 4);
+        let (y1, _) = attn.forward(&x1, 4, &mut Workspace::new());
+        let (y2, _) = attn.forward(&x2, 4, &mut Workspace::new());
         assert!(y1.slice_rows(0, 4).allclose(&y2.slice_rows(0, 4), 1e-6));
         assert!(!y1.slice_rows(4, 8).allclose(&y2.slice_rows(4, 8), 1e-4));
     }
@@ -537,7 +574,7 @@ mod tests {
         let probe = Tensor::rand_uniform(s, hidden, 1.0, 8);
         let base = Attention::new(hidden, heads, 9);
         let loss_of = |a: &Attention, x: &Tensor| -> f64 {
-            let (y, _) = a.forward(x, s);
+            let (y, _) = a.forward(x, s, &mut Workspace::new());
             y.as_slice()
                 .iter()
                 .zip(probe.as_slice())
@@ -545,8 +582,9 @@ mod tests {
                 .sum()
         };
         let mut attn = base.clone();
-        let (_, ctx) = attn.forward(&x, s);
-        let d_x = attn.backward(&ctx, &probe);
+        let ws = &mut Workspace::new();
+        let (_, ctx) = attn.forward(&x, s, ws);
+        let d_x = attn.backward(ctx, &probe, ws);
 
         let eps = 1e-3f32;
         let rel_ok = |fd: f64, an: f64| (fd - an).abs() < 2e-2 * (1.0 + an.abs().max(fd.abs()));
@@ -591,8 +629,9 @@ mod tests {
     fn zero_grads_clears() {
         let mut attn = Attention::new(8, 2, 11);
         let x = Tensor::rand_uniform(4, 8, 1.0, 12);
-        let (y, ctx) = attn.forward(&x, 4);
-        let _ = attn.backward(&ctx, &y);
+        let ws = &mut Workspace::new();
+        let (y, ctx) = attn.forward(&x, 4, ws);
+        let _ = attn.backward(ctx, &y, ws);
         assert!(attn.gq.norm() > 0.0);
         attn.zero_grads();
         assert_eq!(
@@ -606,31 +645,40 @@ mod tests {
     }
 
     /// Forward + backward through the tile products and through the oracle,
-    /// on one input; `(y, d_x)` of each plus the two trained copies.
+    /// on one input; `(y, d_x)` of each, the two trained copies, and the
+    /// saved head outputs and probabilities the backwards consumed.
     struct Both {
         attn: Attention,
-        ctx: AttentionCtx,
+        attn_out: Tensor,
+        probs: Tensor,
         y: Tensor,
         d_x: Tensor,
         want: Attention,
-        want_ctx: oracle::Ctx,
+        want_attn_out: Tensor,
+        want_probs: Vec<Tensor>,
         want_y: Tensor,
         want_d_x: Tensor,
     }
 
     fn run_both(base: &Attention, x: &Tensor, d_y: &Tensor, seq_len: usize) -> Both {
         let (mut attn, mut want) = (base.clone(), base.clone());
-        let (y, ctx) = attn.forward(x, seq_len);
-        let d_x = attn.backward(&ctx, d_y);
+        // One arena for the pair, so the backward runs on recycled buffers.
+        let ws = &mut Workspace::new();
+        let (y, ctx) = attn.forward(x, seq_len, ws);
+        let (attn_out, probs) = (ctx.attn_out.clone(), ctx.probs.clone());
+        let d_x = attn.backward(ctx, d_y, ws);
         let (want_y, want_ctx) = oracle::forward(&want, x, seq_len);
-        let want_d_x = oracle::backward(&mut want, &want_ctx, d_y);
+        let (want_attn_out, want_probs) = (want_ctx.attn_out.clone(), want_ctx.probs.clone());
+        let want_d_x = oracle::backward(&mut want, want_ctx, d_y);
         Both {
             attn,
-            ctx,
+            attn_out,
+            probs,
             y,
             d_x,
             want,
-            want_ctx,
+            want_attn_out,
+            want_probs,
             want_y,
             want_d_x,
         }
@@ -661,15 +709,15 @@ mod tests {
 
                         assert_eq!(bits(r.y.as_slice()), bits(r.want_y.as_slice()), "y, {tag}");
                         assert_eq!(
-                            bits(r.ctx.attn_out.as_slice()),
-                            bits(r.want_ctx.attn_out.as_slice()),
+                            bits(r.attn_out.as_slice()),
+                            bits(r.want_attn_out.as_slice()),
                             "attn_out, {tag}"
                         );
                         // The saved probabilities: equal on the lower triangle
                         // (all the backward reads), zero above it.
-                        for (blk, want) in r.want_ctx.probs.iter().enumerate() {
+                        for (blk, want) in r.want_probs.iter().enumerate() {
                             for i in 0..seq_len {
-                                let got = r.ctx.probs.row(blk * seq_len + i);
+                                let got = r.probs.row(blk * seq_len + i);
                                 assert_eq!(
                                     bits(&got[..=i]),
                                     bits(&want.row(i)[..=i]),

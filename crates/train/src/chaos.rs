@@ -47,7 +47,7 @@ use std::collections::BTreeSet;
 
 use xmoe_collectives::{CommError, Communicator, RankCtx, RecoveryStats, SimClock};
 use xmoe_core::memory::expert_replica_bytes;
-use xmoe_tensor::DetRng;
+use xmoe_tensor::{DetRng, WorkspaceStats};
 use xmoe_topology::{build_grid_excluding, FaultPlan, PlacementPolicy, RoutingHistogram, SdcSite};
 
 use crate::checkpoint::Checkpoint;
@@ -184,6 +184,9 @@ pub struct ChaosReport {
     /// launch a fresh run in the post-migration configuration and demand
     /// bitwise agreement.
     pub rebalance_ckpt: Option<Vec<u8>>,
+    /// Counters of the final model's step arena (every restore, join and
+    /// rebalance starts a fresh one).
+    pub arena: WorkspaceStats,
 }
 
 /// The batch rank `dense_rank` trains on at the step identified by
@@ -537,6 +540,7 @@ pub fn run_chaos_rank(
         rebalances: Vec::new(),
         final_assignment: model.assignment().clone(),
         rebalance_ckpt: None,
+        arena: WorkspaceStats::default(),
     };
     let mut prev_ckpt: Option<Vec<u8>> = None;
     // Join steps whose rendezvous already ran: a rollback replay that
@@ -637,6 +641,7 @@ pub fn run_chaos_rank(
                 report.final_world = comm.size();
                 report.final_loss_scale = gs.loss_scale.scale();
                 report.final_assignment = model.assignment().clone();
+                report.arena = model.arena_stats();
                 return Ok(report);
             }
         }
@@ -1017,5 +1022,6 @@ pub fn run_chaos_rank(
     report.final_world = comm.size();
     report.final_loss_scale = gs.loss_scale.scale();
     report.final_assignment = model.assignment().clone();
+    report.arena = model.arena_stats();
     Ok(report)
 }

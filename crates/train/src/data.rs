@@ -14,6 +14,9 @@ pub struct MarkovCorpus {
     vocab: usize,
     /// `transitions[s]` — (successor, probability) pairs for state `s`.
     transitions: Vec<Vec<(usize, f64)>>,
+    /// `weights[s]` — the probabilities of `transitions[s]`, as the slice
+    /// the sampler takes (a token draw allocates nothing).
+    weights: Vec<Vec<f64>>,
     rng: DetRng,
     state: usize,
 }
@@ -24,7 +27,7 @@ impl MarkovCorpus {
     pub fn new(vocab: usize, branching: usize, seed: u64) -> Self {
         assert!(vocab >= 2 && branching >= 1 && branching <= vocab);
         let mut rng = DetRng::new(seed);
-        let transitions = (0..vocab)
+        let transitions: Vec<Vec<(usize, f64)>> = (0..vocab)
             .map(|_| {
                 // Sample distinct successors.
                 let mut succ: Vec<usize> = (0..vocab).collect();
@@ -41,6 +44,10 @@ impl MarkovCorpus {
         let state = rng.next_below(vocab);
         Self {
             vocab,
+            weights: transitions
+                .iter()
+                .map(|options| options.iter().map(|&(_, p)| p).collect())
+                .collect(),
             transitions,
             rng,
             state,
@@ -53,10 +60,8 @@ impl MarkovCorpus {
 
     /// Next token in the stream.
     pub fn next_token(&mut self) -> usize {
-        let options = &self.transitions[self.state];
-        let weights: Vec<f64> = options.iter().map(|&(_, p)| p).collect();
-        let choice = self.rng.sample_weighted(&weights);
-        self.state = options[choice].0;
+        let choice = self.rng.sample_weighted(&self.weights[self.state]);
+        self.state = self.transitions[self.state][choice].0;
         self.state
     }
 

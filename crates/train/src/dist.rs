@@ -18,6 +18,15 @@
 //! ([`EpRoute::exchange`]); this module hands it the per-chunk expert FFN
 //! and remembers the chunk count so the backward mirrors the forward.
 //!
+//! **Memory.** Every activation, saved tensor, temporary and wire buffer
+//! of a step is a lease from one [`Workspace`] per rank (held by
+//! [`DistMoeLm`]; a bare [`DistMoe`] takes the caller's), and each layer's
+//! routing state is rebuilt in place in its [`DistMoeScratch`], so a step
+//! hands the allocator nothing back but the buffers [`Workspace::trim`]
+//! finds it no longer uses. The arena holds buffers, never values a later
+//! step reads: every model constructor — checkpoint restore, join and
+//! rebalance included — starts with an empty one.
+//!
 //! Dense/router/embedding parameters are replicated across ranks and
 //! synchronized by averaging gradients (ZeRO-0-style DP); an expert's
 //! weights live on its holders only (one rank unless replicated) and their
@@ -29,14 +38,15 @@ use xmoe_core::gating::{DropPolicy, RouterGuard};
 use xmoe_core::pft::Pft;
 use xmoe_core::route::EpRoute;
 use xmoe_tensor::{
-    gather_rows, scale_assign, scatter_rows_scaled, scatter_rows_unit, Tensor, Workspace,
+    gather_rows_into, scale_assign, scatter_rows_scaled, scatter_rows_unit, Tensor, Workspace,
+    WorkspaceStats,
 };
 
 use crate::adam::Adam;
-use crate::attention::Attention;
+use crate::attention::{Attention, AttentionCtx};
 use crate::checkpoint::Checkpoint;
 use crate::elastic::ExpertAssignment;
-use crate::layers::{DenseMlp, Embedding, Head};
+use crate::layers::{DenseMlp, DenseMlpCtx, Embedding, Head};
 use crate::moe_layer::TrainableMoe;
 use crate::moe_math::{
     self, combine_backward, expert_ffn_backward, expert_ffn_forward, router_backward, BwdScratch,
@@ -71,8 +81,14 @@ pub struct DistMoe {
     pub policy: DropPolicy,
 }
 
-/// Saved forward state of one distributed MoE layer.
-pub struct DistMoeCtx {
+/// Per-layer persistent state of a [`DistMoe`] step: the router's and the
+/// backward's grow-once scratch, the route and router saves rebuilt in place
+/// by every forward, and the forward's activation saves — leases of the
+/// step's arena that the backward recycles. One per layer per rank.
+#[derive(Default)]
+pub struct DistMoeScratch {
+    route_sc: RouteScratch,
+    bwd: BwdScratch,
     router: RouterSave,
     route: EpRoute,
     /// The schedule the forward ran and the backward mirrors (`None` =
@@ -86,10 +102,22 @@ pub struct DistMoeCtx {
     combine_in: Tensor,
 }
 
-impl DistMoeCtx {
-    /// PFT of this layer's forward (global expert ids, source order).
+impl DistMoeScratch {
+    /// PFT of this layer's last forward (global expert ids, source order).
     pub fn pft(&self) -> &Pft {
         &self.route.pft
+    }
+
+    /// Rows of the input this layer's last forward saw.
+    pub fn tokens(&self) -> usize {
+        self.router.x.rows()
+    }
+
+    /// Hand the expert-side saves back to the arena they were leased from.
+    fn release_expert_saves(&mut self, ws: &mut Workspace) {
+        for t in [&mut self.expert_input, &mut self.h_pre, &mut self.h_act] {
+            ws.recycle(std::mem::take(t));
+        }
     }
 }
 
@@ -173,14 +201,19 @@ impl DistMoe {
         }
     }
 
-    /// Distributed forward: `out = x + combine(experts(dispatch(x)))`.
+    /// Distributed forward: `out = x + combine(experts(dispatch(x)))`. The
+    /// forward state is saved in `st`; the output, like every buffer of the
+    /// call, is a lease from `ws` (a caller without an arena passes a
+    /// throwaway one).
     pub fn forward(
         &self,
         x: &Tensor,
+        st: &mut DistMoeScratch,
+        ws: &mut Workspace,
         ep: &Communicator,
         clock: &mut SimClock,
-    ) -> Result<(Tensor, DistMoeCtx), CommError> {
-        self.forward_with(x, None, ep, clock)
+    ) -> Result<Tensor, CommError> {
+        self.forward_with(x, None, st, ws, ep, clock)
     }
 
     /// Chunked-overlap distributed forward: bitwise-identical numerics to
@@ -195,10 +228,12 @@ impl DistMoe {
         &self,
         x: &Tensor,
         chunks: usize,
+        st: &mut DistMoeScratch,
+        ws: &mut Workspace,
         ep: &Communicator,
         clock: &mut SimClock,
-    ) -> Result<(Tensor, DistMoeCtx), CommError> {
-        self.forward_with(x, Some(chunks), ep, clock)
+    ) -> Result<Tensor, CommError> {
+        self.forward_with(x, Some(chunks), st, ws, ep, clock)
     }
 
     /// Both forwards: route, then the expert FFN between the two
@@ -207,42 +242,56 @@ impl DistMoe {
         &self,
         x: &Tensor,
         chunks: Option<usize>,
+        st: &mut DistMoeScratch,
+        ws: &mut Workspace,
         ep: &Communicator,
         clock: &mut SimClock,
-    ) -> Result<(Tensor, DistMoeCtx), CommError> {
+    ) -> Result<Tensor, CommError> {
         let dims = (self.hidden, self.ffn);
         let (h, f) = dims;
-        let mut router = RouterSave::default();
-        let mut pft = Pft::default();
+        let DistMoeScratch {
+            route_sc,
+            router,
+            route,
+            expert_input,
+            h_pre,
+            h_act,
+            ..
+        } = st;
         moe_math::route(
             &self.router_params(),
             &self.gate,
             x,
-            &mut RouteScratch::default(),
-            &mut router,
-            &mut pft,
+            route_sc,
+            router,
+            &mut route.pft,
         );
-        let dispatch_in = gather_rows(x, &pft.token_ids);
+        // For-overwrite: the gather fills it.
+        let mut dispatch_in = ws.take_for_overwrite(route.pft.len(), h);
+        gather_rows_into(x, &route.pft.token_ids, &mut dispatch_in);
 
-        let route = EpRoute::build(pft, &self.assignment, ep, clock)?;
+        route.rebuild(&self.assignment, ep, clock)?;
         clock.commit("dispatch_a2a_meta");
         let counts = &route.tokens_per_local_expert;
         let total = route.recv_total();
-        let mut expert_input = Tensor::zeros(total, h);
-        let mut h_pre = Tensor::zeros(total, f);
-        let mut h_act = Tensor::zeros(total, f);
+        // For-overwrite: the chunks tile all three (every row belongs to
+        // exactly one chunk, and `expert_ffn_forward` writes its rows whole).
+        *expert_input = ws.take_for_overwrite(total, h);
+        *h_pre = ws.take_for_overwrite(total, f);
+        *h_act = ws.take_for_overwrite(total, f);
         let combine_in = route.exchange(
-            &dispatch_in,
+            dispatch_in,
             chunks,
             ("dispatch_a2a", "expert", "combine_a2a"),
             ep,
             clock,
-            |plan, chunk_in, _clock| {
+            ws,
+            |plan, chunk_in, _clock, ws| {
                 // The chunk is local experts [e0, e1): rows [r0, r1) of the
                 // full expert-major buffers, saved in place.
                 let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
                 expert_input.as_mut_slice()[r0 * h..r1 * h].copy_from_slice(chunk_in.as_slice());
-                let mut y_chunk = Tensor::zeros(r1 - r0, h);
+                let mut y_chunk = ws.take_for_overwrite(r1 - r0, h);
                 expert_ffn_forward(
                     &self.shard[e0..e1],
                     &counts[e0..e1],
@@ -252,97 +301,97 @@ impl DistMoe {
                     &mut h_act.as_mut_slice()[r0 * f..r1 * f],
                     y_chunk.as_mut_slice(),
                 );
+                ws.recycle(chunk_in);
                 y_chunk
             },
         )?;
 
-        let mut out = x.clone();
+        // For-overwrite: the residual copy fills it.
+        let mut out = ws.take_for_overwrite(x.rows(), h);
+        out.as_mut_slice().copy_from_slice(x.as_slice());
         let pft = &route.pft;
         scatter_rows_scaled(&combine_in, &pft.token_ids, &pft.combine_weights, &mut out);
-        let ctx = DistMoeCtx {
-            router,
-            route,
-            chunks,
-            expert_input,
-            h_pre,
-            h_act,
-            combine_in,
-        };
-        Ok((out, ctx))
+        st.combine_in = combine_in;
+        st.chunks = chunks;
+        Ok(out)
     }
 
-    /// Distributed backward: accumulates local grads, returns `d_x`. The
+    /// Distributed backward: accumulates local grads, returns `d_x` (a lease
+    /// from `ws`) and recycles the saves the forward left in `st`. The
     /// backward chain has the forward's shape — dispatch-direction
     /// all-to-all, expert GEMMs, combine-direction all-to-all — so it runs
     /// through the saved route on the schedule the forward ran.
     pub fn backward(
         &mut self,
-        ctx: &DistMoeCtx,
+        st: &mut DistMoeScratch,
         d_out: &Tensor,
+        ws: &mut Workspace,
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<Tensor, CommError> {
         let dims = (self.hidden, self.ffn);
         let (h, f) = dims;
-        let pft = ctx.pft();
-        let (mut ws, mut bwd) = (Workspace::default(), BwdScratch::default());
-        let mut d_x = d_out.clone(); // residual
+        let pft = &st.route.pft;
+        // For-overwrite: the residual-path copy fills it.
+        let mut d_x = ws.take_for_overwrite(d_out.rows(), d_out.cols());
+        d_x.as_mut_slice().copy_from_slice(d_out.as_slice());
 
         // Source side: d_combine rows (PFT order) and combine-weight grads.
-        let d_combine = combine_backward(pft, &ctx.combine_in, d_out, &mut bwd, &mut ws);
+        let combine_in = std::mem::take(&mut st.combine_in);
+        let d_combine = combine_backward(pft, &combine_in, d_out, &mut st.bwd, ws);
+        ws.recycle(combine_in);
         let (shard, g_shard) = (&self.shard, &mut self.g_shard);
-        let counts = &ctx.route.tokens_per_local_expert;
+        let (expert_input, h_pre, h_act) = (&st.expert_input, &st.h_pre, &st.h_act);
+        let counts = &st.route.tokens_per_local_expert;
         // Gradients out to the expert side, expert grads accumulated
         // locally, dispatch gradients back to their sources.
-        let d_dispatch = ctx.route.exchange(
-            &d_combine,
-            ctx.chunks,
+        let d_dispatch = st.route.exchange(
+            d_combine,
+            st.chunks,
             ("bwd_combine_a2a", "bwd_expert", "bwd_dispatch_a2a"),
             ep,
             clock,
-            |plan, chunk_dy, _clock| {
+            ws,
+            |plan, chunk_dy, _clock, ws| {
                 let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
                 expert_ffn_backward(
                     &shard[e0..e1],
                     &mut g_shard[e0..e1],
                     &counts[e0..e1],
                     dims,
-                    &ctx.expert_input.as_slice()[r0 * h..r1 * h],
-                    &ctx.h_pre.as_slice()[r0 * f..r1 * f],
-                    &ctx.h_act.as_slice()[r0 * f..r1 * f],
-                    chunk_dy.as_slice(),
-                    &mut ws,
+                    &expert_input.as_slice()[r0 * h..r1 * h],
+                    &h_pre.as_slice()[r0 * f..r1 * f],
+                    &h_act.as_slice()[r0 * f..r1 * f],
+                    chunk_dy,
+                    ws,
                 )
             },
         )?;
+        st.release_expert_saves(ws);
+        let pft = &st.route.pft;
         scatter_rows_unit(&d_dispatch, &pft.token_ids, &mut d_x);
+        ws.recycle(d_dispatch);
 
         // Router backward (local; router is replicated).
         router_backward(
             &self.router_params(),
             &self.gate,
             &mut self.g_gate,
-            &ctx.router,
+            &st.router,
             pft,
             1.0,
-            &mut bwd,
-            &mut ws,
+            &mut st.bwd,
+            ws,
             &mut d_x,
         );
         Ok(d_x)
     }
 
     pub fn zero_grads(&mut self) {
-        for v in self.g_gate.as_mut_slice() {
-            *v = 0.0;
-        }
+        self.g_gate.as_mut_slice().fill(0.0);
         for (a, b) in &mut self.g_shard {
-            for v in a.as_mut_slice() {
-                *v = 0.0;
-            }
-            for v in b.as_mut_slice() {
-                *v = 0.0;
-            }
+            a.as_mut_slice().fill(0.0);
+            b.as_mut_slice().fill(0.0);
         }
     }
 
@@ -353,11 +402,15 @@ impl DistMoe {
     pub fn forward_ckpt(
         &self,
         x: &Tensor,
+        st: &mut DistMoeScratch,
+        ws: &mut Workspace,
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<(Tensor, Tensor), CommError> {
-        let (out, _ctx) = self.forward(x, ep, clock)?;
+        let out = self.forward(x, st, ws, ep, clock)?;
         // Discard the context; keep only the input.
+        ws.recycle(std::mem::take(&mut st.combine_in));
+        st.release_expert_saves(ws);
         Ok((out, x.clone()))
     }
 
@@ -367,12 +420,15 @@ impl DistMoe {
     pub fn backward_ckpt(
         &mut self,
         saved_input: &Tensor,
+        st: &mut DistMoeScratch,
         d_out: &Tensor,
+        ws: &mut Workspace,
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<Tensor, CommError> {
-        let (_, ctx) = self.forward(saved_input, ep, clock)?;
-        self.backward(&ctx, d_out, ep, clock)
+        let out = self.forward(saved_input, st, ws, ep, clock)?;
+        ws.recycle(out);
+        self.backward(st, d_out, ws, ep, clock)
     }
 }
 
@@ -401,6 +457,16 @@ pub struct DistMoeLm {
     /// index + the chosen global experts) — the rebalance histogram feed.
     track_routes: bool,
     route_samples: Vec<(u32, Vec<u16>)>,
+    /// The step arena: every buffer of a step is leased from it and recycled
+    /// into it (see the module docs).
+    ws: Workspace,
+    /// One per block.
+    moe_st: Vec<DistMoeScratch>,
+    /// The dense blocks' saves of the step in flight: pushed by the forward,
+    /// popped by the backward.
+    ctxs: Vec<(Option<AttentionCtx>, DenseMlpCtx)>,
+    inputs: Vec<usize>,
+    targets: Vec<usize>,
 }
 
 impl DistMoeLm {
@@ -427,7 +493,7 @@ impl DistMoeLm {
         assignment: ExpertAssignment,
     ) -> Self {
         let world = assignment.n_ranks();
-        let blocks = full_layers
+        let blocks: Vec<DistBlock> = full_layers
             .iter()
             .enumerate()
             .map(|(l, full)| {
@@ -444,13 +510,30 @@ impl DistMoeLm {
         Self {
             embed: Embedding::new(cfg.vocab, cfg.hidden, cfg.seed),
             head: Head::new(cfg.hidden, cfg.vocab, cfg.seed ^ 0x4EAD),
+            moe_st: blocks.iter().map(|_| DistMoeScratch::default()).collect(),
             blocks,
             opt: Adam::new(cfg.lr),
             world_size: world,
             seq_len: cfg.seq_len,
             track_routes: false,
             route_samples: Vec::new(),
+            ws: Workspace::new(),
+            ctxs: Vec::new(),
+            inputs: Vec::new(),
+            targets: Vec::new(),
         }
+    }
+
+    /// Test support: [`Workspace::poison`] on the step arena.
+    #[doc(hidden)]
+    pub fn poison_arena(&mut self) {
+        self.ws.poison();
+    }
+
+    /// Counters of the step arena: leases served, leases that had to
+    /// allocate, and the capacity it retains between steps.
+    pub fn arena_stats(&self) -> WorkspaceStats {
+        self.ws.stats()
     }
 
     /// The expert assignment every block routes by.
@@ -531,34 +614,48 @@ impl DistMoeLm {
         world: &Communicator,
         clock: &mut SimClock,
     ) -> Result<f64, CommError> {
-        let mut inputs = Vec::new();
-        let mut targets = Vec::new();
+        let Self {
+            embed,
+            blocks,
+            head,
+            ws,
+            moe_st,
+            ctxs,
+            inputs,
+            targets,
+            ..
+        } = self;
+        inputs.clear();
+        targets.clear();
         for seq in batch {
             for w in seq.windows(2) {
                 inputs.push(w[0]);
                 targets.push(w[1]);
             }
         }
-        let mut x = self.embed.forward(&inputs);
-        let mut ctxs = Vec::new();
-        for block in &self.blocks {
+        // Each layer's input goes back to the arena as soon as its output
+        // exists; what the backward needs is in the contexts.
+        let mut x = embed.forward(inputs, ws);
+        ctxs.clear();
+        for (block, st) in blocks.iter().zip(moe_st.iter_mut()) {
             let attn_ctx = block.attn.as_ref().map(|a| {
-                let (x1, c) = a.forward(&x, self.seq_len);
-                x = x1;
+                let (x1, c) = a.forward(&x, self.seq_len, ws);
+                ws.recycle(std::mem::replace(&mut x, x1));
                 c
             });
-            let (x1, c1) = block.mlp.forward(&x);
-            let (x2, c2) = block.moe.forward(&x1, world, clock)?;
-            ctxs.push((attn_ctx, c1, c2));
-            x = x2;
+            let (x1, c1) = block.mlp.forward(&x, ws);
+            ws.recycle(x);
+            x = block.moe.forward(&x1, st, ws, world, clock)?;
+            ws.recycle(x1);
+            ctxs.push((attn_ctx, c1));
         }
         if self.track_routes {
             // Regroup each block's expert-major PFT back into per-token
             // routes (expert ids come out ascending per token —
             // deterministic), tagged with this rank's dense index.
             let me = world.rank() as u32;
-            for (_, _, c2) in &ctxs {
-                let pft = c2.pft();
+            for st in moe_st.iter() {
+                let pft = st.pft();
                 let mut per_tok: Vec<Vec<u16>> = vec![Vec::new(); inputs.len()];
                 for (i, &t) in pft.token_ids.iter().enumerate() {
                     per_tok[t].push(pft.expert_ids[i] as u16);
@@ -577,15 +674,22 @@ impl DistMoeLm {
         // head's own weight gradient carries it like every other gradient
         // (scaling the returned `d_x` here would leave `head.grad`
         // unscaled and the later exact unscale would shrink it).
-        let (local_loss, mut d_x) = self.head.loss_and_backward_scaled(&x, &targets, loss_scale);
-        for (block, (ca, c1, c2)) in self.blocks.iter_mut().zip(&ctxs).rev() {
-            d_x = block.moe.backward(c2, &d_x, world, clock)?;
-            d_x = block.mlp.backward(c1, &d_x);
-            if let (Some(a), Some(c)) = (block.attn.as_mut(), ca.as_ref()) {
-                d_x = a.backward(c, &d_x);
+        let (local_loss, mut d_x) = head.loss_and_backward_scaled(&x, targets, loss_scale, ws);
+        ws.recycle(x);
+        for (block, st) in blocks.iter_mut().zip(moe_st.iter_mut()).rev() {
+            let (ca, c1) = ctxs.pop().expect("one saved context per block");
+            let d = block.moe.backward(st, &d_x, ws, world, clock)?;
+            ws.recycle(std::mem::replace(&mut d_x, d));
+            let d = block.mlp.backward(c1, &d_x, ws);
+            ws.recycle(std::mem::replace(&mut d_x, d));
+            if let (Some(a), Some(c)) = (block.attn.as_mut(), ca) {
+                let d = a.backward(c, &d_x, ws);
+                ws.recycle(std::mem::replace(&mut d_x, d));
             }
         }
-        self.embed.backward(&inputs, &d_x);
+        embed.backward(inputs, &d_x);
+        ws.recycle(d_x);
+        ws.trim();
         Ok(local_loss)
     }
 
@@ -653,8 +757,9 @@ impl DistMoeLm {
                             world.all_reduce_sum_f32(t.as_mut_slice(), clock)?;
                         }
                         None => {
-                            let mut zeros = vec![0.0f32; rows * cols];
-                            world.all_reduce_sum_f32(&mut zeros, clock)?;
+                            let mut zeros = self.ws.take(rows, cols);
+                            world.all_reduce_sum_f32(zeros.as_mut_slice(), clock)?;
+                            self.ws.recycle(zeros);
                         }
                     }
                 }
@@ -671,43 +776,37 @@ impl DistMoeLm {
     /// Phase 3: local Adam update over the canonical parameter order, then
     /// zero every gradient for the next step.
     pub fn apply_update(&mut self) {
-        let mut pairs: Vec<(&mut Tensor, &Tensor)> = Vec::new();
-        pairs.push((&mut self.embed.weight, &self.embed.grad));
-        for block in &mut self.blocks {
-            if let Some(a) = block.attn.as_mut() {
-                pairs.push((&mut a.wq, &a.gq));
-                pairs.push((&mut a.wk, &a.gk));
-                pairs.push((&mut a.wv, &a.gv));
-                pairs.push((&mut a.wo, &a.go));
-                pairs.push((&mut a.norm.gamma, &a.norm.g_gamma));
-                pairs.push((&mut a.norm.beta, &a.norm.g_beta));
+        let Self {
+            embed,
+            blocks,
+            head,
+            opt,
+            ..
+        } = self;
+        opt.step(|f| {
+            f(&mut embed.weight, &embed.grad);
+            for block in blocks.iter_mut() {
+                if let Some(a) = block.attn.as_mut() {
+                    a.visit_params(f);
+                }
+                block.mlp.visit_params(f);
+                let moe = &mut block.moe;
+                f(&mut moe.gate, &moe.g_gate);
+                for ((w1, w2), (g1, g2)) in moe.shard.iter_mut().zip(moe.g_shard.iter()) {
+                    f(w1, g1);
+                    f(w2, g2);
+                }
             }
-            let mlp = &mut block.mlp;
-            pairs.push((&mut mlp.w1, &mlp.g1));
-            pairs.push((&mut mlp.w2, &mlp.g2));
-            pairs.push((&mut mlp.norm.gamma, &mlp.norm.g_gamma));
-            pairs.push((&mut mlp.norm.beta, &mlp.norm.g_beta));
-            let moe = &mut block.moe;
-            pairs.push((&mut moe.gate, &moe.g_gate));
-            for ((w1, w2), (g1, g2)) in moe.shard.iter_mut().zip(moe.g_shard.iter()) {
-                pairs.push((w1, g1));
-                pairs.push((w2, g2));
-            }
-        }
-        pairs.push((&mut self.head.weight, &self.head.grad));
-        self.opt.step(pairs);
+            f(&mut head.weight, &head.grad);
+        });
         self.zero_all_grads();
     }
 
     /// Zero every gradient buffer — also the whole of a skipped step's
     /// cleanup (discarding a poisoned gradient without touching params).
     pub fn zero_all_grads(&mut self) {
-        for v in self.embed.grad.as_mut_slice() {
-            *v = 0.0;
-        }
-        for v in self.head.grad.as_mut_slice() {
-            *v = 0.0;
-        }
+        self.embed.grad.as_mut_slice().fill(0.0);
+        self.head.grad.as_mut_slice().fill(0.0);
         for block in &mut self.blocks {
             if let Some(a) = block.attn.as_mut() {
                 a.zero_grads();
@@ -724,7 +823,7 @@ impl DistMoeLm {
         world: &Communicator,
         clock: &mut SimClock,
     ) -> Result<f64, CommError> {
-        let mut l = vec![local_loss as f32];
+        let mut l = [local_loss as f32];
         world.all_reduce_sum_f32(&mut l, clock)?;
         clock.commit("loss_allreduce");
         Ok((l[0] / self.world_size as f32) as f64)
@@ -1065,13 +1164,14 @@ mod tests {
     fn fwd_bwd(layer: &mut DistMoe, chunks: Option<usize>, ctx: &mut RankCtx) -> (Tensor, Tensor) {
         let x = Tensor::rand_uniform(12, 8, 1.0, 810 + ctx.rank as u64);
         let d_out = Tensor::rand_uniform(12, 8, 1.0, 910 + ctx.rank as u64);
-        let (out, c) = match chunks {
-            None => layer.forward(&x, &ctx.world, &mut ctx.clock),
-            Some(n) => layer.forward_overlap(&x, n, &ctx.world, &mut ctx.clock),
+        let (st, ws) = (&mut DistMoeScratch::default(), &mut Workspace::new());
+        let out = match chunks {
+            None => layer.forward(&x, st, ws, &ctx.world, &mut ctx.clock),
+            Some(n) => layer.forward_overlap(&x, n, st, ws, &ctx.world, &mut ctx.clock),
         }
         .unwrap();
         let d_x = layer
-            .backward(&c, &d_out, &ctx.world, &mut ctx.clock)
+            .backward(st, &d_out, ws, &ctx.world, &mut ctx.clock)
             .unwrap();
         (out, d_x)
     }
@@ -1189,8 +1289,10 @@ mod tests {
         let outs = SimCluster::frontier(world).run(|ctx| {
             let layer = DistMoe::from_trainable(&full, ctx.rank, world);
             let x = Tensor::rand_uniform(10, 8, 1.0, 700 + ctx.rank as u64);
-            let (out, _) = layer.forward(&x, &ctx.world, &mut ctx.clock).unwrap();
-            out
+            let (st, ws) = (&mut DistMoeScratch::default(), &mut Workspace::new());
+            layer
+                .forward(&x, st, ws, &ctx.world, &mut ctx.clock)
+                .unwrap()
         });
         for rank in 0..world {
             let x = Tensor::rand_uniform(10, 8, 1.0, 700 + rank as u64);
@@ -1214,9 +1316,12 @@ mod tests {
             let mut layer = DistMoe::from_trainable(&full, ctx.rank, world);
             let x = Tensor::rand_uniform(12, 8, 1.0, 800 + ctx.rank as u64);
             let d_out = Tensor::rand_uniform(12, 8, 1.0, 900 + ctx.rank as u64);
-            let (_, ctx_f) = layer.forward(&x, &ctx.world, &mut ctx.clock).unwrap();
+            let (st, ws) = (&mut DistMoeScratch::default(), &mut Workspace::new());
+            let _ = layer
+                .forward(&x, st, ws, &ctx.world, &mut ctx.clock)
+                .unwrap();
             let d_x = layer
-                .backward(&ctx_f, &d_out, &ctx.world, &mut ctx.clock)
+                .backward(st, &d_out, ws, &ctx.world, &mut ctx.clock)
                 .unwrap();
             (layer.g_shard.clone(), layer.g_gate.clone(), d_x)
         });
@@ -1282,9 +1387,12 @@ mod tests {
             let d_out = Tensor::rand_uniform(6, 8, 1.0, 980 + ctx.rank as u64);
             // Plain path.
             let mut plain = DistMoe::from_trainable(&full, ctx.rank, world);
-            let (out_a, c) = plain.forward(&x, &ctx.world, &mut ctx.clock).unwrap();
+            let (st, ws) = (&mut DistMoeScratch::default(), &mut Workspace::new());
+            let out_a = plain
+                .forward(&x, st, ws, &ctx.world, &mut ctx.clock)
+                .unwrap();
             let dx_a = plain
-                .backward(&c, &d_out, &ctx.world, &mut ctx.clock)
+                .backward(st, &d_out, ws, &ctx.world, &mut ctx.clock)
                 .unwrap();
             let plain_a2a = ctx.clock.bucket("dispatch_a2a")
                 + ctx.clock.bucket("combine_a2a")
@@ -1293,9 +1401,11 @@ mod tests {
             ctx.clock.reset_buckets();
             // Checkpointed path.
             let mut ckpt = DistMoe::from_trainable(&full, ctx.rank, world);
-            let (out_b, saved) = ckpt.forward_ckpt(&x, &ctx.world, &mut ctx.clock).unwrap();
+            let (out_b, saved) = ckpt
+                .forward_ckpt(&x, st, ws, &ctx.world, &mut ctx.clock)
+                .unwrap();
             let dx_b = ckpt
-                .backward_ckpt(&saved, &d_out, &ctx.world, &mut ctx.clock)
+                .backward_ckpt(&saved, st, &d_out, ws, &ctx.world, &mut ctx.clock)
                 .unwrap();
             let ckpt_a2a = ctx.clock.bucket("dispatch_a2a")
                 + ctx.clock.bucket("combine_a2a")
@@ -1332,9 +1442,12 @@ mod tests {
         let buckets = SimCluster::frontier(world).run(|ctx| {
             let mut layer = DistMoe::from_trainable(&full, ctx.rank, world);
             let x = Tensor::rand_uniform(6, 8, 1.0, 810 + ctx.rank as u64);
-            let (out, c) = layer.forward(&x, &ctx.world, &mut ctx.clock).unwrap();
+            let (st, ws) = (&mut DistMoeScratch::default(), &mut Workspace::new());
+            let out = layer
+                .forward(&x, st, ws, &ctx.world, &mut ctx.clock)
+                .unwrap();
             let _ = layer
-                .backward(&c, &out, &ctx.world, &mut ctx.clock)
+                .backward(st, &out, ws, &ctx.world, &mut ctx.clock)
                 .unwrap();
             ctx.clock.buckets().to_vec()
         });

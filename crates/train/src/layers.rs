@@ -1,7 +1,31 @@
 //! Dense layers with hand-written backward passes: embedding, a GELU MLP
 //! block, and the fused softmax-cross-entropy head.
+//!
+//! Every activation, saved-context tensor and temporary is a lease from the
+//! caller's [`Workspace`] — for-overwrite wherever the next call writes it
+//! whole. A `forward` returns its saves in a context, the matching `backward`
+//! takes that context **by value** and recycles each tensor right after its
+//! last read, so the backward's temporaries reuse the forward's saves. The
+//! tensors a layer *returns* are leases too: recycle them once consumed. A
+//! caller without an arena passes a throwaway `Workspace`.
 
-use xmoe_tensor::{add_assign, matmul, matmul_transpose_a_add, matmul_transpose_b, Tensor};
+use xmoe_tensor::{
+    add_assign, matmul_into, matmul_transpose_a_add, matmul_transpose_b_into, Tensor, Workspace,
+};
+
+/// `a @ b` into a for-overwrite lease (the GEMM's Overwrite store fills it).
+pub(crate) fn project(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
+    let mut c = ws.take_for_overwrite(a.rows(), b.cols());
+    matmul_into(a, b, &mut c);
+    c
+}
+
+/// `a @ b^T` into a for-overwrite lease.
+pub(crate) fn project_t(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
+    let mut c = ws.take_for_overwrite(a.rows(), b.rows());
+    matmul_transpose_b_into(a, b, &mut c);
+    c
+}
 
 /// Token embedding table `[V, H]`.
 #[derive(Clone, Debug)]
@@ -19,8 +43,9 @@ impl Embedding {
     }
 
     /// Look up `tokens`, producing `[n, H]`.
-    pub fn forward(&self, tokens: &[usize]) -> Tensor {
-        let mut out = Tensor::zeros(tokens.len(), self.weight.cols());
+    pub fn forward(&self, tokens: &[usize], ws: &mut Workspace) -> Tensor {
+        // For-overwrite: one row copy per token fills it.
+        let mut out = ws.take_for_overwrite(tokens.len(), self.weight.cols());
         for (i, &t) in tokens.iter().enumerate() {
             out.row_mut(i).copy_from_slice(self.weight.row(t));
         }
@@ -53,8 +78,8 @@ pub struct LayerNorm {
 pub struct LayerNormCtx {
     /// Normalized activations `x_hat`.
     x_hat: Tensor,
-    /// Per-row `1 / sqrt(var + eps)`.
-    inv_std: Vec<f32>,
+    /// Per-row `1 / sqrt(var + eps)`, `[n, 1]`.
+    inv_std: Tensor,
 }
 
 impl LayerNorm {
@@ -68,11 +93,12 @@ impl LayerNorm {
         }
     }
 
-    pub fn forward(&self, x: &Tensor) -> (Tensor, LayerNormCtx) {
+    pub fn forward(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, LayerNormCtx) {
         let (n, h) = x.shape();
-        let mut x_hat = Tensor::zeros(n, h);
-        let mut out = Tensor::zeros(n, h);
-        let mut inv_std = Vec::with_capacity(n);
+        // For-overwrite: the row loop writes every element of all three.
+        let mut x_hat = ws.take_for_overwrite(n, h);
+        let mut out = ws.take_for_overwrite(n, h);
+        let mut inv_std = ws.take_for_overwrite(n, 1);
         let g = self.gamma.row(0);
         let b = self.beta.row(0);
         for r in 0..n {
@@ -80,7 +106,7 @@ impl LayerNorm {
             let mean = row.iter().sum::<f32>() / h as f32;
             let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / h as f32;
             let is = 1.0 / (var + self.eps).sqrt();
-            inv_std.push(is);
+            inv_std.as_mut_slice()[r] = is;
             let xh = x_hat.row_mut(r);
             let o = out.row_mut(r);
             for c in 0..h {
@@ -97,10 +123,12 @@ impl LayerNorm {
     }
 
     /// Backward: accumulates `g_gamma`/`g_beta`, returns `d_x`.
-    pub fn backward(&mut self, ctx: &LayerNormCtx, d_y: &Tensor) -> Tensor {
+    pub fn backward(&mut self, ctx: LayerNormCtx, d_y: &Tensor, ws: &mut Workspace) -> Tensor {
         let (n, h) = d_y.shape();
-        let mut d_x = Tensor::zeros(n, h);
+        // For-overwrite: the row loop writes every element.
+        let mut d_x = ws.take_for_overwrite(n, h);
         let g = self.gamma.row(0);
+        let inv_std = ctx.inv_std.as_slice();
         for r in 0..n {
             let dy = d_y.row(r);
             let xh = ctx.x_hat.row(r);
@@ -125,9 +153,11 @@ impl LayerNorm {
             let dx = d_x.row_mut(r);
             for c in 0..h {
                 let dxh = dy[c] * g[c];
-                dx[c] = ctx.inv_std[r] * (dxh - inv_h * sum_dxh - xh[c] * inv_h * sum_dxh_xh);
+                dx[c] = inv_std[r] * (dxh - inv_h * sum_dxh - xh[c] * inv_h * sum_dxh_xh);
             }
         }
+        ws.recycle(ctx.x_hat);
+        ws.recycle(ctx.inv_std);
         d_x
     }
 }
@@ -177,14 +207,15 @@ impl DenseMlp {
         }
     }
 
-    pub fn forward(&self, x: &Tensor) -> (Tensor, DenseMlpCtx) {
-        let (x_norm, ln) = self.norm.forward(x);
-        let mut h_grad = matmul(&x_norm, &self.w1);
-        let mut h_act = h_grad.clone();
+    pub fn forward(&self, x: &Tensor, ws: &mut Workspace) -> (Tensor, DenseMlpCtx) {
+        let (x_norm, ln) = self.norm.forward(x, ws);
+        let mut h_grad = project(&x_norm, &self.w1, ws);
+        // For-overwrite: the GELU pass writes every element.
+        let mut h_act = ws.take_for_overwrite(h_grad.rows(), h_grad.cols());
         for (g, v) in h_grad.as_mut_slice().iter_mut().zip(h_act.as_mut_slice()) {
-            (*v, *g) = gelu_val_grad(*v);
+            (*v, *g) = gelu_val_grad(*g);
         }
-        let mut y = matmul(&h_act, &self.w2);
+        let mut y = project(&h_act, &self.w2, ws);
         add_assign(&mut y, x); // residual
         (
             y,
@@ -198,22 +229,36 @@ impl DenseMlp {
     }
 
     /// Backward: returns `d_x`; accumulates weight grads.
-    pub fn backward(&mut self, ctx: &DenseMlpCtx, d_y: &Tensor) -> Tensor {
+    pub fn backward(&mut self, ctx: DenseMlpCtx, d_y: &Tensor, ws: &mut Workspace) -> Tensor {
         // dW2 += h_act^T d_y
         matmul_transpose_a_add(&ctx.h_act, d_y, &mut self.g2);
+        ws.recycle(ctx.h_act);
         // d_h_act = d_y W2^T
-        let mut d_h = matmul_transpose_b(d_y, &self.w2);
+        let mut d_h = project_t(d_y, &self.w2, ws);
         // Through GELU.
         for (d, &g) in d_h.as_mut_slice().iter_mut().zip(ctx.h_grad.as_slice()) {
             *d *= g;
         }
+        ws.recycle(ctx.h_grad);
         // dW1 += x_norm^T d_h
         matmul_transpose_a_add(&ctx.x_norm, &d_h, &mut self.g1);
+        ws.recycle(ctx.x_norm);
         // Through the layer norm, then add the residual path.
-        let d_norm_in = matmul_transpose_b(&d_h, &self.w1);
-        let mut d_x = self.norm.backward(&ctx.ln, &d_norm_in);
+        let d_norm_in = project_t(&d_h, &self.w1, ws);
+        ws.recycle(d_h);
+        let mut d_x = self.norm.backward(ctx.ln, &d_norm_in, ws);
+        ws.recycle(d_norm_in);
         add_assign(&mut d_x, d_y);
         d_x
+    }
+
+    /// Every `(param, grad)` pair, in the order the optimizer and the
+    /// checkpoint know them by.
+    pub(crate) fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
+        f(&mut self.w1, &self.g1);
+        f(&mut self.w2, &self.g2);
+        f(&mut self.norm.gamma, &self.norm.g_gamma);
+        f(&mut self.norm.beta, &self.norm.g_beta);
     }
 
     /// Zero the weight and norm gradients.
@@ -242,8 +287,13 @@ impl Head {
 
     /// Mean cross-entropy of `targets` under `softmax(x W)`, plus `d_x`.
     /// Weight gradient accumulates into `self.grad`.
-    pub fn loss_and_backward(&mut self, x: &Tensor, targets: &[usize]) -> (f64, Tensor) {
-        self.loss_and_backward_scaled(x, targets, 1.0)
+    pub fn loss_and_backward(
+        &mut self,
+        x: &Tensor,
+        targets: &[usize],
+        ws: &mut Workspace,
+    ) -> (f64, Tensor) {
+        self.loss_and_backward_scaled(x, targets, 1.0, ws)
     }
 
     /// [`Self::loss_and_backward`] with the loss multiplied by
@@ -257,24 +307,25 @@ impl Head {
         x: &Tensor,
         targets: &[usize],
         loss_scale: f32,
+        ws: &mut Workspace,
     ) -> (f64, Tensor) {
         assert_eq!(x.rows(), targets.len());
         let n = targets.len().max(1);
-        let logits = matmul(x, &self.weight);
-        let mut probs = logits;
-        xmoe_tensor::softmax_rows(&mut probs);
+        // Logits, then probabilities, then `d_logits`, in place: each row's
+        // target entry is read for the loss and only then turned into `p - 1`.
+        let mut d_logits = project(x, &self.weight, ws);
+        xmoe_tensor::softmax_rows(&mut d_logits);
         let mut loss = 0.0f64;
-        let mut d_logits = probs.clone();
         for (i, &t) in targets.iter().enumerate() {
-            let p = probs.get(i, t).max(1e-12);
-            loss -= (p as f64).ln();
-            let v = d_logits.get(i, t);
-            d_logits.set(i, t, v - 1.0);
+            let p = d_logits.get(i, t);
+            loss -= (p.max(1e-12) as f64).ln();
+            d_logits.set(i, t, p - 1.0);
         }
         xmoe_tensor::scale_assign(&mut d_logits, (1.0 / n as f32) * loss_scale);
         // dW += x^T d_logits
         matmul_transpose_a_add(x, &d_logits, &mut self.grad);
-        let d_x = matmul_transpose_b(&d_logits, &self.weight);
+        let d_x = project_t(&d_logits, &self.weight, ws);
+        ws.recycle(d_logits);
         (loss / n as f64, d_x)
     }
 }
@@ -292,11 +343,12 @@ pub(crate) fn central_diff(mut loss_fn: impl FnMut(f32) -> f64, base: f32, eps: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xmoe_tensor::matmul;
 
     #[test]
     fn embedding_forward_and_grad() {
         let mut e = Embedding::new(4, 3, 1);
-        let out = e.forward(&[2, 0, 2]);
+        let out = e.forward(&[2, 0, 2], &mut Workspace::new());
         assert_eq!(out.row(0), e.weight.row(2));
         let d = Tensor::full(3, 3, 1.0);
         e.backward(&[2, 0, 2], &d);
@@ -310,7 +362,7 @@ mod tests {
     fn head_loss_matches_manual_ce() {
         let mut h = Head::new(2, 3, 2);
         let x = Tensor::from_vec(1, 2, vec![0.5, -0.25]);
-        let (loss, _) = h.loss_and_backward(&x, &[1]);
+        let (loss, _) = h.loss_and_backward(&x, &[1], &mut Workspace::new());
         // Manual computation.
         let logits = matmul(&x, &h.weight);
         let mut p = logits.clone();
@@ -327,7 +379,7 @@ mod tests {
         let targets = [1usize, 3];
         let base = Head::new(hidden, vocab, 4);
         let mut h = base.clone();
-        let (_, d_x) = h.loss_and_backward(&x, &targets);
+        let (_, d_x) = h.loss_and_backward(&x, &targets, &mut Workspace::new());
         let eps = 1e-3;
         // Check a few weight entries.
         for &(r, c) in &[(0usize, 0usize), (1, 2), (2, 3)] {
@@ -336,7 +388,7 @@ mod tests {
                 |v| {
                     let mut hh = base.clone();
                     hh.weight.set(r, c, v);
-                    hh.loss_and_backward(&x, &targets).0
+                    hh.loss_and_backward(&x, &targets, &mut Workspace::new()).0
                 },
                 w0,
                 eps,
@@ -349,7 +401,9 @@ mod tests {
             |v| {
                 let mut xx = x.clone();
                 xx.set(0, 1, v);
-                base.clone().loss_and_backward(&xx, &targets).0
+                base.clone()
+                    .loss_and_backward(&xx, &targets, &mut Workspace::new())
+                    .0
             },
             x.get(0, 1),
             eps,
@@ -361,7 +415,7 @@ mod tests {
     fn layernorm_normalizes_rows() {
         let ln = LayerNorm::new(4);
         let x = Tensor::from_vec(2, 4, vec![1.0, 2.0, 3.0, 4.0, -1.0, 0.0, 1.0, 10.0]);
-        let (y, _) = ln.forward(&x);
+        let (y, _) = ln.forward(&x, &mut Workspace::new());
         for r in 0..2 {
             let mean: f32 = y.row(r).iter().sum::<f32>() / 4.0;
             let var: f32 = y
@@ -381,7 +435,7 @@ mod tests {
         ln.gamma = Tensor::from_vec(1, 3, vec![2.0, 2.0, 2.0]);
         ln.beta = Tensor::from_vec(1, 3, vec![1.0, 1.0, 1.0]);
         let x = Tensor::from_vec(1, 3, vec![0.0, 1.0, 2.0]);
-        let (y, _) = ln.forward(&x);
+        let (y, _) = ln.forward(&x, &mut Workspace::new());
         // Normalized row is symmetric around 0; gamma/beta shift it.
         let mean: f32 = y.row(0).iter().sum::<f32>() / 3.0;
         assert!((mean - 1.0).abs() < 1e-5);
@@ -400,7 +454,7 @@ mod tests {
         base.beta = Tensor::rand_uniform(1, h, 0.5, 74);
 
         let loss_of = |ln: &LayerNorm, x: &Tensor| -> f64 {
-            let (y, _) = ln.forward(x);
+            let (y, _) = ln.forward(x, &mut Workspace::new());
             y.as_slice()
                 .iter()
                 .zip(probe.as_slice())
@@ -409,8 +463,8 @@ mod tests {
         };
 
         let mut ln = base.clone();
-        let (_, ctx) = ln.forward(&x);
-        let d_x = ln.backward(&ctx, &probe);
+        let (_, ctx) = ln.forward(&x, &mut Workspace::new());
+        let d_x = ln.backward(ctx, &probe, &mut Workspace::new());
         let eps = 1e-3f32;
         let rel_ok = |fd: f64, an: f64| (fd - an).abs() < 2e-2 * (1.0 + an.abs().max(fd.abs()));
 
@@ -458,13 +512,13 @@ mod tests {
         let base = DenseMlp::new(h, inner, 6);
         // Scalar loss: sum of outputs.
         let loss_of = |mlp: &DenseMlp, x: &Tensor| -> f64 {
-            let (y, _) = mlp.forward(x);
+            let (y, _) = mlp.forward(x, &mut Workspace::new());
             y.as_slice().iter().map(|&v| v as f64).sum()
         };
         let mut mlp = base.clone();
-        let (y, ctx) = mlp.forward(&x);
+        let (y, ctx) = mlp.forward(&x, &mut Workspace::new());
         let d_y = Tensor::full(y.rows(), y.cols(), 1.0);
-        let d_x = mlp.backward(&ctx, &d_y);
+        let d_x = mlp.backward(ctx, &d_y, &mut Workspace::new());
         let eps = 1e-3;
         for &(r, c) in &[(0usize, 0usize), (2, 3)] {
             let w0 = base.w1.get(r, c);

@@ -50,7 +50,7 @@ pub use attention::Attention;
 pub use chaos::{run_chaos_rank, step_batch, ChaosConfig, ChaosReport, JoinStats};
 pub use checkpoint::{Checkpoint, CkptError};
 pub use data::{HigherOrderCorpus, MarkovCorpus};
-pub use dist::{DistMoe, DistMoeLm};
+pub use dist::{DistMoe, DistMoeLm, DistMoeScratch};
 pub use elastic::{
     assignment_cost, ExpertAssignment, RebalanceConfig, RebalanceDecision, RebalancePolicy,
 };

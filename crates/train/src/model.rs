@@ -10,13 +10,13 @@
 //! ([`crate::data::HigherOrderCorpus`]).
 
 use xmoe_core::gating::DropPolicy;
-use xmoe_tensor::Tensor;
+use xmoe_tensor::Workspace;
 
 use crate::adam::Adam;
-use crate::attention::Attention;
+use crate::attention::{Attention, AttentionCtx};
 use crate::data::MarkovCorpus;
-use crate::layers::{DenseMlp, Embedding, Head};
-use crate::moe_layer::TrainableMoe;
+use crate::layers::{DenseMlp, DenseMlpCtx, Embedding, Head};
+use crate::moe_layer::{MoeTrainScratch, TrainableMoe};
 
 /// Model + training hyperparameters.
 #[derive(Clone, Debug)]
@@ -105,6 +105,18 @@ pub struct MoeLm {
     pub blocks: Vec<Block>,
     pub head: Head,
     opt: Adam,
+    /// The step arena: every buffer of a step is leased from it and recycled
+    /// into it, as in [`crate::dist::DistMoeLm`]. It holds buffers, never
+    /// values a later step reads.
+    ws: Workspace,
+    /// One per block; only the saved context and the grow-once scratch are
+    /// used, the layers lease from `ws`.
+    moe_st: Vec<MoeTrainScratch>,
+    /// The dense blocks' saves of the step in flight: pushed by the forward,
+    /// popped by the backward.
+    ctxs: Vec<(Option<AttentionCtx>, DenseMlpCtx)>,
+    inputs: Vec<usize>,
+    targets: Vec<usize>,
 }
 
 /// Build the per-layer MoE stacks for `cfg` — shared between the
@@ -131,7 +143,7 @@ pub fn build_moe_layers(cfg: &TrainConfig) -> Vec<TrainableMoe> {
 impl MoeLm {
     pub fn new(cfg: TrainConfig) -> Self {
         let moes = build_moe_layers(&cfg);
-        let blocks = moes
+        let blocks: Vec<Block> = moes
             .into_iter()
             .enumerate()
             .map(|(l, moe)| {
@@ -148,10 +160,21 @@ impl MoeLm {
         Self {
             embed: Embedding::new(cfg.vocab, cfg.hidden, cfg.seed),
             head: Head::new(cfg.hidden, cfg.vocab, cfg.seed ^ 0x4EAD),
+            moe_st: blocks.iter().map(|_| MoeTrainScratch::default()).collect(),
             blocks,
             opt: Adam::new(cfg.lr),
             cfg,
+            ws: Workspace::new(),
+            ctxs: Vec::new(),
+            inputs: Vec::new(),
+            targets: Vec::new(),
         }
+    }
+
+    /// Test support: [`Workspace::poison`] on the step arena.
+    #[doc(hidden)]
+    pub fn poison_arena(&mut self) {
+        self.ws.poison();
     }
 
     /// Forward + backward + update over one batch of sequences (each
@@ -170,9 +193,21 @@ impl MoeLm {
     }
 
     fn forward_backward(&mut self, batch: &[Vec<usize>], _train: bool) -> (TrainStats, ()) {
+        let Self {
+            cfg,
+            embed,
+            blocks,
+            head,
+            ws,
+            moe_st,
+            ctxs,
+            inputs,
+            targets,
+            ..
+        } = self;
         // Flatten the batch into one token stream of (input, target) pairs.
-        let mut inputs = Vec::new();
-        let mut targets = Vec::new();
+        inputs.clear();
+        targets.clear();
         for seq in batch {
             assert!(seq.len() >= 2, "sequences need at least two tokens");
             for w in seq.windows(2) {
@@ -181,32 +216,42 @@ impl MoeLm {
             }
         }
 
-        let mut x = self.embed.forward(&inputs);
-        let mut ctxs = Vec::with_capacity(self.blocks.len());
+        // Each layer's input goes back to the arena as soon as its output
+        // exists; what the backward needs is in the contexts.
+        let mut x = embed.forward(inputs, ws);
+        ctxs.clear();
         let mut dropped = 0usize;
         let mut routed_total = 0usize;
-        for block in &self.blocks {
+        for (block, st) in blocks.iter().zip(moe_st.iter_mut()) {
             let attn_ctx = block.attn.as_ref().map(|a| {
-                let (x1, c) = a.forward(&x, self.cfg.seq_len);
-                x = x1;
+                let (x1, c) = a.forward(&x, cfg.seq_len, ws);
+                ws.recycle(std::mem::replace(&mut x, x1));
                 c
             });
-            let (x1, mlp_ctx) = block.mlp.forward(&x);
-            let (x2, moe_ctx) = block.moe.forward(&x1);
-            dropped += moe_ctx_dropped(&moe_ctx);
-            routed_total += inputs.len() * self.cfg.top_k;
-            ctxs.push((attn_ctx, mlp_ctx, moe_ctx));
-            x = x2;
+            let (x1, mlp_ctx) = block.mlp.forward(&x, ws);
+            ws.recycle(x);
+            x = block.moe.forward_in(&x1, ws, &mut st.ctx, &mut st.route);
+            ws.recycle(x1);
+            dropped += st.ctx.dropped();
+            routed_total += inputs.len() * cfg.top_k;
+            ctxs.push((attn_ctx, mlp_ctx));
         }
-        let (loss, mut d_x) = self.head.loss_and_backward(&x, &targets);
-        for (block, (attn_ctx, mlp_ctx, moe_ctx)) in self.blocks.iter_mut().zip(ctxs.iter()).rev() {
-            d_x = block.moe.backward(moe_ctx, &d_x);
-            d_x = block.mlp.backward(mlp_ctx, &d_x);
-            if let (Some(a), Some(c)) = (block.attn.as_mut(), attn_ctx.as_ref()) {
-                d_x = a.backward(c, &d_x);
+        let (loss, mut d_x) = head.loss_and_backward(&x, targets, ws);
+        ws.recycle(x);
+        for (block, st) in blocks.iter_mut().zip(moe_st.iter_mut()).rev() {
+            let (attn_ctx, mlp_ctx) = ctxs.pop().expect("one saved context per block");
+            let d = block.moe.backward_with(&st.ctx, ws, &mut st.bwd, &d_x, 1.0);
+            ws.recycle(std::mem::replace(&mut d_x, d));
+            let d = block.mlp.backward(mlp_ctx, &d_x, ws);
+            ws.recycle(std::mem::replace(&mut d_x, d));
+            if let (Some(a), Some(c)) = (block.attn.as_mut(), attn_ctx) {
+                let d = a.backward(c, &d_x, ws);
+                ws.recycle(std::mem::replace(&mut d_x, d));
             }
         }
-        self.embed.backward(&inputs, &d_x);
+        embed.backward(inputs, &d_x);
+        ws.recycle(d_x);
+        ws.trim();
 
         let drop_fraction = if routed_total == 0 {
             0.0
@@ -223,42 +268,36 @@ impl MoeLm {
     }
 
     fn apply_update(&mut self) {
-        // Collect (param, grad) pairs in a stable order for Adam.
-        let mut pairs: Vec<(&mut Tensor, &Tensor)> = Vec::new();
-        pairs.push((&mut self.embed.weight, &self.embed.grad));
-        for block in &mut self.blocks {
-            if let Some(a) = block.attn.as_mut() {
-                pairs.push((&mut a.wq, &a.gq));
-                pairs.push((&mut a.wk, &a.gk));
-                pairs.push((&mut a.wv, &a.gv));
-                pairs.push((&mut a.wo, &a.go));
-                pairs.push((&mut a.norm.gamma, &a.norm.g_gamma));
-                pairs.push((&mut a.norm.beta, &a.norm.g_beta));
+        let Self {
+            embed,
+            blocks,
+            head,
+            opt,
+            ..
+        } = self;
+        // (param, grad) pairs in a stable order for Adam.
+        opt.step(|f| {
+            f(&mut embed.weight, &embed.grad);
+            for block in blocks.iter_mut() {
+                if let Some(a) = block.attn.as_mut() {
+                    a.visit_params(f);
+                }
+                block.mlp.visit_params(f);
+                let moe = &mut block.moe;
+                f(&mut moe.gate, &moe.g_gate);
+                for ((w1, w2), (g1, g2)) in moe.experts.iter_mut().zip(moe.g_experts.iter()) {
+                    f(w1, g1);
+                    f(w2, g2);
+                }
             }
-            let mlp = &mut block.mlp;
-            pairs.push((&mut mlp.w1, &mlp.g1));
-            pairs.push((&mut mlp.w2, &mlp.g2));
-            pairs.push((&mut mlp.norm.gamma, &mlp.norm.g_gamma));
-            pairs.push((&mut mlp.norm.beta, &mlp.norm.g_beta));
-            let moe = &mut block.moe;
-            pairs.push((&mut moe.gate, &moe.g_gate));
-            for ((w1, w2), (g1, g2)) in moe.experts.iter_mut().zip(moe.g_experts.iter()) {
-                pairs.push((w1, g1));
-                pairs.push((w2, g2));
-            }
-        }
-        pairs.push((&mut self.head.weight, &self.head.grad));
-        self.opt.step(pairs);
+            f(&mut head.weight, &head.grad);
+        });
         self.zero_grads();
     }
 
     fn zero_grads(&mut self) {
-        for v in self.embed.grad.as_mut_slice() {
-            *v = 0.0;
-        }
-        for v in self.head.grad.as_mut_slice() {
-            *v = 0.0;
-        }
+        self.embed.grad.as_mut_slice().fill(0.0);
+        self.head.grad.as_mut_slice().fill(0.0);
         for block in &mut self.blocks {
             if let Some(a) = block.attn.as_mut() {
                 a.zero_grads();
@@ -267,10 +306,6 @@ impl MoeLm {
             block.moe.zero_grads();
         }
     }
-}
-
-fn moe_ctx_dropped(ctx: &crate::moe_layer::MoeCtx) -> usize {
-    ctx.dropped()
 }
 
 /// Train both drop policies on identical data streams (same corpus seed)

@@ -89,8 +89,8 @@ pub struct MoeTrainScratch {
     pub ws: Workspace,
     /// Saved forward state, rebuilt in place each step.
     pub ctx: MoeCtx,
-    route: RouteScratch,
-    bwd: BwdScratch,
+    pub(crate) route: RouteScratch,
+    pub(crate) bwd: BwdScratch,
 }
 
 impl TrainableMoe {
@@ -236,13 +236,24 @@ impl TrainableMoe {
     /// The saved forward state lands in `st.ctx`; the returned output is
     /// leased from `st.ws` — recycle it once consumed.
     pub fn forward_pooled(&self, x: &Tensor, st: &mut MoeTrainScratch) -> Tensor {
+        self.forward_in(x, &mut st.ws, &mut st.ctx, &mut st.route)
+    }
+
+    /// The forward over a caller-chosen arena: [`crate::model::MoeLm`] runs
+    /// every layer of its step on one.
+    pub(crate) fn forward_in(
+        &self,
+        x: &Tensor,
+        ws: &mut Workspace,
+        ctx: &mut MoeCtx,
+        sc: &mut RouteScratch,
+    ) -> Tensor {
         let (h, f) = self.dims();
-        let ctx = &mut st.ctx;
         route(
             &self.router_params(),
             &self.gate,
             x,
-            &mut st.route,
+            sc,
             &mut ctx.router,
             &mut ctx.pft,
         );
@@ -262,7 +273,7 @@ impl TrainableMoe {
             ctx.y.as_mut_slice(),
         );
         // For-overwrite: the residual copy fills it.
-        let mut out = st.ws.take_for_overwrite(x.rows(), h);
+        let mut out = ws.take_for_overwrite(x.rows(), h);
         out.as_mut_slice().copy_from_slice(x.as_slice());
         scatter_rows_scaled(
             &ctx.y,
@@ -290,7 +301,7 @@ impl TrainableMoe {
         self.backward_with(&st.ctx, &mut st.ws, &mut st.bwd, d_out, loss_scale)
     }
 
-    fn backward_with(
+    pub(crate) fn backward_with(
         &mut self,
         ctx: &MoeCtx,
         ws: &mut Workspace,
@@ -311,10 +322,9 @@ impl TrainableMoe {
             ctx.dispatch_in.as_slice(),
             ctx.h_pre.as_slice(),
             ctx.h_act.as_slice(),
-            d_y.as_slice(),
+            d_y,
             ws,
         );
-        ws.recycle(d_y);
         // Scatter dispatch grads back to token positions (gather transpose).
         scatter_rows_unit(&d_dispatch, &ctx.pft.token_ids, &mut d_x);
         ws.recycle(d_dispatch);
@@ -334,16 +344,10 @@ impl TrainableMoe {
 
     /// Zero all gradients.
     pub fn zero_grads(&mut self) {
-        for v in self.g_gate.as_mut_slice() {
-            *v = 0.0;
-        }
+        self.g_gate.as_mut_slice().fill(0.0);
         for (g1, g2) in &mut self.g_experts {
-            for v in g1.as_mut_slice() {
-                *v = 0.0;
-            }
-            for v in g2.as_mut_slice() {
-                *v = 0.0;
-            }
+            g1.as_mut_slice().fill(0.0);
+            g2.as_mut_slice().fill(0.0);
         }
     }
 }

@@ -13,7 +13,7 @@ use xmoe_core::gating::{clamp_logits, row_logsumexp_into, DropPolicy, GatingOutp
 use xmoe_core::pft::{Pft, PftScratch};
 use xmoe_tensor::{
     add_assign, combine_backward_rows, gemm_grouped, gemm_grouped_transpose_a_blocks,
-    gemm_grouped_transpose_b, matmul_into, matmul_slices, matmul_transpose_b_slices,
+    gemm_grouped_transpose_b, matmul_into, matmul_transpose_a_add, matmul_transpose_b_slices,
     silu_grad_slice, silu_into, softmax_rows, topk_rows_into, Tensor, Workspace,
 };
 
@@ -58,7 +58,6 @@ pub(crate) struct RouteScratch {
 pub(crate) struct BwdScratch {
     d_w: Vec<f32>,
     aux_f: Vec<f32>,
-    xt: Tensor,
 }
 
 /// Route: gate GEMM → clamp → logsumexp → softmax → top-k → PFT.
@@ -134,7 +133,8 @@ pub(crate) fn expert_ffn_forward(
 
 /// Backward of [`expert_ffn_forward`] over the same segments: adds
 /// `dW2_e = act_e^T·dy_e` and `dW1_e = x_e^T·d_h_e` onto `grads` and returns
-/// `d_input` (leased from `ws`). Each expert's product is summed on its own
+/// `d_input` (leased from `ws`). `d_y` is a lease of `ws` too, taken by value
+/// and recycled after its last read, so `d_input` can have its buffer. Each expert's product is summed on its own
 /// and then added to its gradient tensor in one step (the TN kernel's
 /// AddFresh store) — accumulating the terms straight into `grads` would
 /// reassociate the float sums — with no staging block and no transpose
@@ -149,17 +149,18 @@ pub(crate) fn expert_ffn_backward(
     input: &[f32],
     h_pre: &[f32],
     h_act: &[f32],
-    d_y: &[f32],
+    d_y: Tensor,
     ws: &mut Workspace,
 ) -> Tensor {
     let rows = counts.iter().sum::<usize>();
     let dw2 = grads.iter_mut().map(|g| g.1.as_mut_slice());
-    gemm_grouped_transpose_a_blocks(h_act, counts, f, d_y, h, dw2);
+    gemm_grouped_transpose_a_blocks(h_act, counts, f, d_y.as_slice(), h, dw2);
     // d_act = dy·W2^T, then through SiLU. For-overwrite: the grouped NT
     // writes every row of `d_h` (and of `d_input` below).
     let mut d_h = ws.take_for_overwrite(rows, f);
     let w2 = |e: usize| experts[e].1.as_slice();
-    gemm_grouped_transpose_b(d_y, counts, h, w2, f, d_h.as_mut_slice());
+    gemm_grouped_transpose_b(d_y.as_slice(), counts, h, w2, f, d_h.as_mut_slice());
+    ws.recycle(d_y);
     silu_grad_slice(d_h.as_mut_slice(), h_pre);
     let dw1 = grads.iter_mut().map(|g| g.0.as_mut_slice());
     gemm_grouped_transpose_a_blocks(input, counts, h, d_h.as_slice(), f, dw1);
@@ -180,8 +181,8 @@ pub(crate) fn combine_backward(
     sc: &mut BwdScratch,
     ws: &mut Workspace,
 ) -> Tensor {
-    // For-overwrite: `combine_backward_rows` sizes and fills it whole.
-    let mut d_y = ws.take_for_overwrite(0, 0);
+    // For-overwrite: `combine_backward_rows` fills it whole.
+    let mut d_y = ws.take_for_overwrite(y.rows(), y.cols());
     combine_backward_rows(
         d_out,
         &pft.token_ids,
@@ -228,7 +229,8 @@ pub(crate) fn router_backward(
             }
         }
     }
-    let mut d_logits = ws.take(s, e_count);
+    // For-overwrite: the row loop writes every element.
+    let mut d_logits = ws.take_for_overwrite(s, e_count);
     for t in 0..s {
         let s_row = save.scores.row(t);
         let ds_row = d_scores.row(t);
@@ -251,19 +253,11 @@ pub(crate) fn router_backward(
         }
     }
     ws.recycle(d_scores);
-    save.x.transpose_into(&mut sc.xt);
-    // For-overwrite: `dg` and `d_x_gate` are each one GEMM's whole output.
-    let mut dg = ws.take_for_overwrite(h, e_count);
-    matmul_slices(
-        sc.xt.as_slice(),
-        h,
-        s,
-        d_logits.as_slice(),
-        e_count,
-        dg.as_mut_slice(),
-    );
-    add_assign(g_gate, &dg);
-    ws.recycle(dg);
+    // g_gate += x^T·d_logits: the bits of transpose + matmul + add, with no
+    // transpose, product tensor or add pass (row-panelled on the pool above
+    // `PAR_CUTOFF`).
+    matmul_transpose_a_add(&save.x, &d_logits, g_gate);
+    // For-overwrite: `d_x_gate` is one GEMM's whole output.
     let mut d_x_gate = ws.take_for_overwrite(s, h);
     matmul_transpose_b_slices(
         d_logits.as_slice(),

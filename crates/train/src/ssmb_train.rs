@@ -11,21 +11,13 @@
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
 use xmoe_core::ssmb::shard_range;
-use xmoe_tensor::Tensor;
+use xmoe_tensor::{Tensor, Workspace};
 
-use crate::dist::{DistMoe, DistMoeCtx};
+use crate::dist::{DistMoe, DistMoeScratch};
 
 /// A sequence-sharded trainable MoE block bound to a TP group.
 pub struct SsmbMoe {
     pub inner: DistMoe,
-}
-
-/// Saved forward state: the inner layer's context plus the shard bounds.
-pub struct SsmbCtx {
-    inner: DistMoeCtx,
-    start: usize,
-    end: usize,
-    seq_len: usize,
 }
 
 impl SsmbMoe {
@@ -35,33 +27,22 @@ impl SsmbMoe {
 
     /// Forward: keep this TP rank's `S/TP` slice (①), run the MoE block as
     /// an EP rank over it (②), all-gather the slices back to the full
-    /// replicated sequence (③).
+    /// replicated sequence (③). `st` and `ws` are the inner layer's.
     pub fn forward(
         &self,
         tokens: &Tensor,
+        st: &mut DistMoeScratch,
+        ws: &mut Workspace,
         ep: &Communicator,
         tp: &Communicator,
         clock: &mut SimClock,
-    ) -> Result<(Tensor, SsmbCtx), CommError> {
+    ) -> Result<Tensor, CommError> {
         let (start, end) = shard_range(tokens.rows(), tp.size(), tp.rank());
         let my_slice = tokens.slice_rows(start, end);
-        let (local_out, inner) = self.inner.forward(&my_slice, ep, clock)?;
-        let gathered = tp.all_gather(local_out.into_vec(), clock)?;
+        let local_out = self.inner.forward(&my_slice, st, ws, ep, clock)?;
+        let full = gather_shards(local_out, tokens.rows(), ws, tp, clock)?;
         clock.commit("ssmb_allgather");
-        let hidden = tokens.cols();
-        let mut data = Vec::with_capacity(tokens.rows() * hidden);
-        for chunk in gathered {
-            data.extend_from_slice(&chunk);
-        }
-        Ok((
-            Tensor::from_vec(tokens.rows(), hidden, data),
-            SsmbCtx {
-                inner,
-                start,
-                end,
-                seq_len: tokens.rows(),
-            },
-        ))
+        Ok(full)
     }
 
     /// Backward: drop the other shards' gradient rows, mirror the MoE
@@ -73,31 +54,48 @@ impl SsmbMoe {
     /// adjoint of the replication boundary.
     pub fn backward(
         &mut self,
-        ctx: &SsmbCtx,
+        st: &mut DistMoeScratch,
         d_out: &Tensor,
+        ws: &mut Workspace,
         ep: &Communicator,
         tp: &Communicator,
         clock: &mut SimClock,
     ) -> Result<Tensor, CommError> {
+        // ① drop gradients outside this rank's shard.
+        let (start, end) = shard_range(d_out.rows(), tp.size(), tp.rank());
         assert_eq!(
-            d_out.rows(),
-            ctx.seq_len,
+            end - start,
+            st.tokens(),
             "gradient must cover the full sequence"
         );
-        // ① drop gradients outside this rank's shard.
-        let d_slice = d_out.slice_rows(ctx.start, ctx.end);
+        let d_slice = d_out.slice_rows(start, end);
         // ② expert-specific gradient computation + mirrored all-to-alls.
-        let d_local = self.inner.backward(&ctx.inner, &d_slice, ep, clock)?;
+        let d_local = self.inner.backward(st, &d_slice, ws, ep, clock)?;
         // ③ all-gather the full input gradient across TP ranks.
-        let gathered = tp.all_gather(d_local.into_vec(), clock)?;
+        let full = gather_shards(d_local, d_out.rows(), ws, tp, clock)?;
         clock.commit("ssmb_bwd_allgather");
-        let hidden = d_out.cols();
-        let mut data = Vec::with_capacity(ctx.seq_len * hidden);
-        for chunk in gathered {
-            data.extend_from_slice(&chunk);
-        }
-        Ok(Tensor::from_vec(ctx.seq_len, hidden, data))
+        Ok(full)
     }
+}
+
+/// All-gather every TP rank's `local` rows into the full `[rows, hidden]`
+/// sequence. `local` is a lease of `ws` and comes back to it: the gather
+/// returns this rank's own contribution in its slot.
+fn gather_shards(
+    local: Tensor,
+    rows: usize,
+    ws: &mut Workspace,
+    tp: &Communicator,
+    clock: &mut SimClock,
+) -> Result<Tensor, CommError> {
+    let hidden = local.cols();
+    let mut gathered = tp.all_gather(local.into_vec(), clock)?;
+    let mut data = Vec::with_capacity(rows * hidden);
+    for chunk in &gathered {
+        data.extend_from_slice(chunk);
+    }
+    ws.recycle_f32(std::mem::take(&mut gathered[tp.rank()]));
+    Ok(Tensor::from_vec(rows, hidden, data))
 }
 
 #[cfg(test)]
@@ -122,10 +120,10 @@ mod tests {
             let layer = SsmbMoe::new(DistMoe::from_trainable(&full, ctx.rank, world));
             let tp = ctx.world.split(0, &mut ctx.clock).unwrap(); // whole world is one TP group
             let tokens = Tensor::rand_uniform(12, 8, 1.0, 910);
-            let (out, _) = layer
-                .forward(&tokens, &ctx.world, &tp, &mut ctx.clock)
-                .unwrap();
-            out
+            let (st, ws) = (&mut DistMoeScratch::default(), &mut Workspace::new());
+            layer
+                .forward(&tokens, st, ws, &ctx.world, &tp, &mut ctx.clock)
+                .unwrap()
         });
         // Reference: single-rank full layer on the full sequence.
         let tokens = Tensor::rand_uniform(12, 8, 1.0, 910);
@@ -150,11 +148,12 @@ mod tests {
             SimCluster::frontier(world).run(move |ctx| {
                 let mut layer = SsmbMoe::new(DistMoe::from_trainable(full, ctx.rank, world));
                 let tp = ctx.world.split(0, &mut ctx.clock).unwrap();
-                let (_, c) = layer
-                    .forward(tokens, &ctx.world, &tp, &mut ctx.clock)
+                let (st, ws) = (&mut DistMoeScratch::default(), &mut Workspace::new());
+                let _ = layer
+                    .forward(tokens, st, ws, &ctx.world, &tp, &mut ctx.clock)
                     .unwrap();
                 let d_x = layer
-                    .backward(&c, d_out, &ctx.world, &tp, &mut ctx.clock)
+                    .backward(st, d_out, ws, &ctx.world, &tp, &mut ctx.clock)
                     .unwrap();
                 (d_x, layer.inner.g_shard.clone(), layer.inner.g_gate.clone())
             })
@@ -203,11 +202,12 @@ mod tests {
             let mut layer = SsmbMoe::new(DistMoe::from_trainable(&full, ctx.rank, world));
             let tp = ctx.world.split(0, &mut ctx.clock).unwrap();
             let tokens = Tensor::rand_uniform(8, 8, 1.0, 950);
-            let (out, c) = layer
-                .forward(&tokens, &ctx.world, &tp, &mut ctx.clock)
+            let (st, ws) = (&mut DistMoeScratch::default(), &mut Workspace::new());
+            let out = layer
+                .forward(&tokens, st, ws, &ctx.world, &tp, &mut ctx.clock)
                 .unwrap();
             let _ = layer
-                .backward(&c, &out, &ctx.world, &tp, &mut ctx.clock)
+                .backward(st, &out, ws, &ctx.world, &tp, &mut ctx.clock)
                 .unwrap();
             (
                 ctx.clock.bucket("ssmb_allgather"),

@@ -188,6 +188,7 @@ pub fn run(args: &[String]) -> Result<(), UsageError> {
             d.migration_bytes
         );
     }
+    println!("{}", crate::arena_line(&survivor.arena));
     println!(
         "final world {} of {ranks} | last checkpoint {} bytes | simulated time {:.2}ms",
         survivor.final_world,

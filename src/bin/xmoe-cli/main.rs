@@ -96,6 +96,17 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 type Run = fn(&[String]) -> Result<(), UsageError>;
 
+/// Where a run's memory is: the `arena:` line of the `step` and `chaos`
+/// summaries (a step = one forward, or one trimmed train step).
+fn arena_line(s: &xmoe::tensor::WorkspaceStats) -> String {
+    format!(
+        "arena: {} takes/step, {} misses, {:.2} MB retained",
+        s.takes / s.trims.max(1),
+        s.pool_misses,
+        (s.retained_f32 * 4 + s.retained_idx * 8 + s.retained_u64 * 8) as f64 / 1e6
+    )
+}
+
 /// Every subcommand but `bench` (which `spine::drive` owns): the
 /// declarations usage is printed from, and the function each name runs.
 /// `step` has two command lines behind one entry point (`step --pp` is

@@ -13,11 +13,11 @@ use xmoe::core::perf::PerfModel;
 use xmoe::core::pipeline::{
     bubble_fraction, rank_work, reference_forward, run_1f1b, BlockSparsePipeline, DenseDropOrder,
     DensePipeline, ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline, PipelineError,
-    RbdPipeline, StageChunk,
+    PooledSingleState, RbdPipeline, StageChunk,
 };
 use xmoe::core::plan::price_mapping;
 use xmoe::core::rbd::{PilotPolicy, RbdComms};
-use xmoe::tensor::{DetRng, Tensor};
+use xmoe::tensor::{DetRng, Tensor, WorkspaceStats};
 use xmoe::topology::{
     AttnFold, ClusterTopology, CongestionModel, CostModel, MachineSpec, MoeFold, ParallelMapping,
 };
@@ -100,7 +100,7 @@ pub fn run(args: &[String]) -> Result<(), UsageError> {
         }),
         other => return Err(CMD.error(format!("unknown pipeline '{other}'"))),
     };
-    let per_rank: Vec<Result<RankTrace, PipelineError>> = {
+    let per_rank: Vec<Result<(RankTrace, WorkspaceStats), PipelineError>> = {
         let (router, spec, pipe) = (&router, &spec, pipe.as_ref());
         SimCluster::frontier(ranks).run(move |ctx| {
             let shard = ExpertShard::for_rank(ctx.rank, ranks, e, h, f, 0x57EA);
@@ -111,26 +111,28 @@ pub fn run(args: &[String]) -> Result<(), UsageError> {
                 _ => None,
             };
             let mut rng = DetRng::new(0x57EC + ctx.rank as u64);
+            let mut state = PooledSingleState::default();
             let mut ex = match &hier {
                 Some(hier) => ExecCtx::hier(hier, &mut ctx.clock).with_rng(&mut rng),
                 None => ExecCtx::ep(&ctx.world, &mut ctx.clock),
-            };
+            }
+            .with_state(&mut state);
             ex.overlap_chunks = overlap;
-            pipe.forward(&tokens, router, &shard, spec, &mut ex)?;
-            Ok(RankTrace::capture(
-                ctx.rank,
-                &mut ctx.clock,
-                ctx.world.traffic(),
-            ))
+            let out = pipe.forward(&tokens, router, &shard, spec, &mut ex)?;
+            state.ws.recycle(out);
+            let trace = RankTrace::capture(ctx.rank, &mut ctx.clock, ctx.world.traffic());
+            Ok((trace, state.ws.stats()))
         })
     };
-    let traces: Vec<RankTrace> = match per_rank.into_iter().collect() {
-        Ok(traces) => traces,
+    let per_rank: Vec<(RankTrace, WorkspaceStats)> = match per_rank.into_iter().collect() {
+        Ok(per_rank) => per_rank,
         Err(e) => {
             eprintln!("step {name}: {e}");
             std::process::exit(1);
         }
     };
+    let arena = per_rank[0].1;
+    let traces: Vec<RankTrace> = per_rank.into_iter().map(|(t, _)| t).collect();
     let report = StepReport::from_ranks(&traces);
     let mode = match overlap {
         Some(c) => format!(" (overlap, {c} chunks)"),
@@ -165,6 +167,7 @@ pub fn run(args: &[String]) -> Result<(), UsageError> {
         tr.inter_node,
         tr.cross_rack
     );
+    println!("{} (rank 0)", crate::arena_line(&arena));
     if let Some(p) = trace_path {
         trace::write_chrome_trace(Path::new(&p), &traces).expect("write trace file");
         println!("wrote Chrome trace to {p} (open at https://ui.perfetto.dev)");
