@@ -11,10 +11,11 @@
 //! Reported: drop rate and buffer utilisation at each c (live routing), plus
 //! the training-loss impact of aggressive capacity on the Fig 15 model.
 
+use xmoe_collectives::SimCluster;
 use xmoe_core::gating::{DropPolicy, Router};
 use xmoe_core::pft::Pft;
 use xmoe_tensor::Tensor;
-use xmoe_train::{MarkovCorpus, MoeLm, TrainConfig};
+use xmoe_train::{build_moe_layers, DistMoeLm, MarkovCorpus, TrainConfig};
 
 use crate::spine::{
     bench, column, int, print_records, row, table, Check, Env, Outcome, Record, Val,
@@ -63,18 +64,26 @@ fn run(_smoke: bool, _env: &Env) -> Outcome {
     let training = [0.25f64, 1.25].map(|c| {
         let mut cfg = TrainConfig::fig15(DropPolicy::CapacityOnly);
         cfg.capacity_factor = c;
-        let mut corpus = MarkovCorpus::new(cfg.vocab, 4, 42);
-        let mut model = MoeLm::new(cfg.clone());
-        let mut last = None;
-        for _ in 0..120 {
-            let batch = corpus.batch(cfg.batch, cfg.seq_len);
-            last = Some(model.train_step(&batch));
-        }
-        let stats = last.expect("120 steps");
+        let full_layers = build_moe_layers(&cfg);
+        // The single-process model: one rank, its local loss unrounded.
+        let last = SimCluster::frontier(1).run(|ctx| {
+            let (world, clock) = (&ctx.world, &mut ctx.clock);
+            let mut corpus = MarkovCorpus::new(cfg.vocab, 4, 42);
+            let mut model = DistMoeLm::new(&cfg, &full_layers, 0, 1);
+            let mut loss = 0.0;
+            for _ in 0..120 {
+                let batch = corpus.batch(cfg.batch, cfg.seq_len);
+                loss = model.forward_backward(&batch, world, clock).unwrap();
+                model.sync_grads(world, clock).unwrap();
+                model.apply_update();
+            }
+            (loss, model.drop_fraction())
+        });
+        let (loss, drop_rate) = last[0];
         row("training")
             .cfg("c", Val::Fixed(c, 2))
-            .metric("final_loss", Val::Fixed(stats.loss, 6))
-            .metric("final_drop_rate", Val::Fixed(stats.drop_fraction, 8))
+            .metric("final_loss", Val::Fixed(loss, 6))
+            .metric("final_drop_rate", Val::Fixed(drop_rate, 8))
     });
     print_records(
         "the Fig 15 model after 120 steps at different capacity factors",

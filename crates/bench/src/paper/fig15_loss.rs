@@ -6,9 +6,10 @@
 //! (see `xmoe-train`); the paper's observation is that the curves track
 //! closely with X-MoE slightly lower because it retains more tokens.
 
+use xmoe_collectives::SimCluster;
 use xmoe_core::gating::DropPolicy;
 use xmoe_train::model::loss_validation_curves;
-use xmoe_train::{MarkovCorpus, MoeLm, TrainConfig};
+use xmoe_train::{build_moe_layers, DistMoeLm, MarkovCorpus, TrainConfig};
 
 use crate::sparkline;
 use crate::spine::{
@@ -41,10 +42,15 @@ fn run(_smoke: bool, _env: &Env) -> Outcome {
     // Drop-rate evidence for the §5.6 explanation.
     let drop_rate = |policy| {
         let cfg = TrainConfig::fig15(policy);
-        let mut corpus = MarkovCorpus::new(cfg.vocab, 4, 999);
-        let mut m = MoeLm::new(cfg.clone());
-        let batch = corpus.batch(cfg.batch, cfg.seq_len);
-        Val::Fixed(m.eval_step(&batch).drop_fraction, 8)
+        let batch = MarkovCorpus::new(cfg.vocab, 4, 999).batch(cfg.batch, cfg.seq_len);
+        let full_layers = build_moe_layers(&cfg);
+        let drops = SimCluster::frontier(1).run(|ctx| {
+            let mut m = DistMoeLm::new(&cfg, &full_layers, 0, 1);
+            let fwd = m.forward_backward(&batch, &ctx.world, &mut ctx.clock);
+            fwd.expect("a one-rank world has no peer to fail");
+            m.drop_fraction()
+        });
+        Val::Fixed(drops[0], 8)
     };
     let drops = row("initial drop rate")
         .metric("xmoe", drop_rate(DropPolicy::CapacityOnly))

@@ -4,7 +4,9 @@
 //! back once per `(param, grad)` pair — no list of borrows is built per
 //! step); [`Adam`] keeps first/second moment buffers indexed by visitation
 //! order, which is stable because the model's structure is fixed after
-//! construction.
+//! construction. The clip norm is the caller's: under data + expert
+//! parallelism only the whole model's norm, agreed on by every rank, keeps
+//! replicas identical (see `DistMoeLm::sync_grads`).
 
 use xmoe_tensor::Tensor;
 
@@ -56,23 +58,12 @@ impl Adam {
         self.v = v;
     }
 
-    /// Apply one update over the `(param, grad)` pairs `visit` delivers: it
-    /// is run twice — once for the global gradient norm, once for the update
-    /// — and must call back with the same parameters in the same order both
-    /// times and every step. Gradients are scaled by the global-norm clip
-    /// factor first.
-    pub fn step(&mut self, mut visit: impl FnMut(&mut dyn FnMut(&mut Tensor, &Tensor))) {
+    /// Apply one update over the `(param, grad)` pairs `visit` delivers, in
+    /// the same order every step. `sq_norm` is the squared global gradient
+    /// norm; gradients are scaled by its clip factor first.
+    pub fn step(&mut self, sq_norm: f64, visit: impl FnOnce(&mut dyn FnMut(&mut Tensor, &Tensor))) {
         self.step += 1;
-        // Global grad norm across all tensors.
-        let mut sq = 0.0f64;
-        visit(&mut |_, g| {
-            sq += g
-                .as_slice()
-                .iter()
-                .map(|&x| (x as f64) * (x as f64))
-                .sum::<f64>();
-        });
-        let norm = sq.sqrt() as f32;
+        let norm = sq_norm.sqrt() as f32;
         let scale = if self.clip > 0.0 && norm > self.clip {
             self.clip / norm
         } else {
@@ -115,6 +106,7 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guard::sq_norm;
 
     #[test]
     fn adam_minimizes_a_quadratic() {
@@ -133,7 +125,7 @@ mod tests {
                     .map(|(&wv, &t)| wv - t)
                     .collect(),
             );
-            opt.step(|f| f(&mut w, &g));
+            opt.step(sq_norm(g.as_slice()), |f| f(&mut w, &g));
         }
         for (wv, t) in w.as_slice().iter().zip(&target) {
             assert!((wv - t).abs() < 1e-2, "w {wv} target {t}");
@@ -146,7 +138,7 @@ mod tests {
         let g = Tensor::from_vec(1, 2, vec![1e6, 1e6]);
         let mut opt = Adam::new(0.1);
         opt.clip = 1.0;
-        opt.step(|f| f(&mut w, &g));
+        opt.step(sq_norm(g.as_slice()), |f| f(&mut w, &g));
         // First Adam step magnitude is bounded by lr regardless of grad.
         assert!(
             w.as_slice().iter().all(|&v| v.abs() <= 0.11),
@@ -164,7 +156,8 @@ mod tests {
         for _ in 0..500 {
             let ga = Tensor::from_vec(1, 1, vec![a.get(0, 0) - 1.0]);
             let gb = Tensor::from_vec(1, 1, vec![b.get(0, 0) + 1.0]);
-            opt.step(|f| {
+            let sq = sq_norm(ga.as_slice()) + sq_norm(gb.as_slice());
+            opt.step(sq, |f| {
                 f(&mut a, &ga);
                 f(&mut b, &gb);
             });

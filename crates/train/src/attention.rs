@@ -53,7 +53,7 @@ use xmoe_tensor::{
     add_assign, gemm_view, matmul_transpose_a_add, Causal, Tensor, View, ViewMut, Workspace,
 };
 
-use crate::layers::{project, project_t, LayerNorm, LayerNormCtx};
+use crate::layers::{project, project_t, LayerNorm, LayerNormCtx, ParamVisitor};
 
 /// Pre-norm residual multi-head causal attention:
 /// `y = x + Attn(LN(x)) Wo`.
@@ -277,22 +277,15 @@ impl Attention {
         d_x
     }
 
-    /// Every `(param, grad)` pair, in the order the optimizer and the
-    /// checkpoint know them by.
-    pub(crate) fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
-        f(&mut self.wq, &self.gq);
-        f(&mut self.wk, &self.gk);
-        f(&mut self.wv, &self.gv);
-        f(&mut self.wo, &self.go);
-        f(&mut self.norm.gamma, &self.norm.g_gamma);
-        f(&mut self.norm.beta, &self.norm.g_beta);
-    }
-
-    pub fn zero_grads(&mut self) {
-        for t in [&mut self.gq, &mut self.gk, &mut self.gv, &mut self.go] {
-            t.as_mut_slice().fill(0.0);
-        }
-        self.norm.zero_grads();
+    /// This mixer's part of the model's parameter walk (see
+    /// `DenseMlp::visit_params`).
+    pub(crate) fn visit_params(&mut self, f: ParamVisitor<'_>) {
+        f("attn.wq", &mut self.wq, &mut self.gq);
+        f("attn.wk", &mut self.wk, &mut self.gk);
+        f("attn.wv", &mut self.wv, &mut self.gv);
+        f("attn.wo", &mut self.wo, &mut self.go);
+        f("attn.gamma", &mut self.norm.gamma, &mut self.norm.g_gamma);
+        f("attn.beta", &mut self.norm.beta, &mut self.norm.g_beta);
     }
 }
 
@@ -627,17 +620,17 @@ mod tests {
 
     #[test]
     fn zero_grads_clears() {
+        // Zeroing through the walk reaches every gradient the backward wrote.
         let mut attn = Attention::new(8, 2, 11);
         let x = Tensor::rand_uniform(4, 8, 1.0, 12);
         let ws = &mut Workspace::new();
         let (y, ctx) = attn.forward(&x, 4, ws);
         let _ = attn.backward(ctx, &y, ws);
         assert!(attn.gq.norm() > 0.0);
-        attn.zero_grads();
-        assert_eq!(
-            attn.gq.norm() + attn.gk.norm() + attn.gv.norm() + attn.go.norm(),
-            0.0
-        );
+        attn.visit_params(&mut |_, _, g| g.as_mut_slice().fill(0.0));
+        let grads = [&attn.gq, &attn.gk, &attn.gv, &attn.go];
+        let norms = [&attn.norm.g_gamma, &attn.norm.g_beta];
+        assert!(grads.iter().chain(&norms).all(|g| g.norm() == 0.0));
     }
 
     fn bits(xs: &[f32]) -> Vec<u32> {

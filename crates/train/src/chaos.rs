@@ -199,10 +199,11 @@ pub fn step_batch(cfg: &TrainConfig, step_seed: u64, dense_rank: usize) -> Vec<V
 }
 
 /// Flip one bit of the `target`-th gradient element (global index across
-/// the canonical grad visitation order).
+/// the parameter walk).
 fn inject_grad_flip(model: &mut DistMoeLm, target: usize, bit: u32) {
     let mut seen = 0usize;
-    model.visit_grads_mut(&mut |_, xs| {
+    model.visit_params(&mut |_, _, g| {
+        let xs = g.as_mut_slice();
         if target >= seen && target < seen + xs.len() {
             guard::flip_bit_f32(xs, target - seen, bit);
         }
@@ -308,7 +309,8 @@ fn guarded_step(
             let mut fired = false;
             let flips = p.bitflips(my_global, step, SdcSite::Grad);
             if !flips.is_empty() {
-                let total = model.grad_elem_count();
+                let mut total = 0;
+                model.visit_params(&mut |_, _, g| total += g.len());
                 for fl in &flips {
                     inject_grad_flip(model, fl.element(total), fl.bit);
                 }
@@ -318,8 +320,9 @@ fn guarded_step(
             if amp > 0.0 {
                 let base = p.sdc_stream_seed(my_global, step, SdcSite::Grad);
                 let mut i = 0u64;
-                model.visit_grads_mut(&mut |_, xs| {
-                    guard::apply_noise(xs, base.wrapping_add(i.wrapping_mul(0x9E37)), amp);
+                model.visit_params(&mut |_, _, g| {
+                    let seed = base.wrapping_add(i.wrapping_mul(0x9E37));
+                    guard::apply_noise(g.as_mut_slice(), seed, amp);
                     i += 1;
                 });
                 fired = true;
@@ -341,11 +344,12 @@ fn guarded_step(
     let mut rep_sq = 0.0f64;
     let mut shard_sq = 0.0f64;
     let mut total_elems = 0usize;
-    model.visit_grads(&mut |name, xs| {
+    model.visit_params(&mut |id, _, g| {
+        let xs = g.as_slice();
         total_elems += xs.len();
         let nf = guard::count_non_finite(xs);
         let sq = guard::sq_norm(xs);
-        if DistMoeLm::is_replicated_grad(name) {
+        if id.is_replicated() {
             rep_nonfin += nf;
             rep_sq += sq;
         } else {
@@ -357,7 +361,7 @@ fn guarded_step(
         // Simulated-bf16 device gradients over f32 master weights: the
         // synced (still loss-scaled) gradient is what low-precision
         // hardware would hand the optimizer.
-        model.visit_grads_mut(&mut |_, xs| guard::bf16_round_slice(xs));
+        model.visit_params(&mut |_, _, g| guard::bf16_round_slice(g.as_mut_slice()));
         clock.charge(
             "guard:bf16",
             comm.cost().mem_bound_time(4.0 * total_elems as f64),
@@ -368,16 +372,13 @@ fn guarded_step(
     // out *before* the optimizer ever sees them — Adam must always consume
     // gradients at their true magnitude, or its m/v buffers would mix
     // scales across growth/backoff transitions. Exact: scales are powers
-    // of two. (The scan statistics above were taken pre-unscale; the
-    // detector's norm applies `inv_scale` to them below, so both views
-    // agree.)
+    // of two, so the clip norm `sync_grads` derived rescales exactly too.
+    // (The scan statistics above were taken pre-unscale; the detector's
+    // norm applies `inv_scale` to them below, so both views agree. The
+    // bf16 rounding does not move the clip norm: it is the synced one.)
     let unscale = gs.loss_scale.inv_scale();
     if unscale != 1.0 {
-        model.visit_grads_mut(&mut |_, xs| {
-            for v in xs {
-                *v *= unscale;
-            }
-        });
+        model.scale_grads(unscale);
         clock.charge(
             "guard:unscale",
             comm.cost().mem_bound_time(4.0 * total_elems as f64),
@@ -432,11 +433,7 @@ fn guarded_step(
     if anomaly.is_none() && g.max_grad_norm > 0.0 {
         let factor = guard::clip_factor(grad_norm, g.max_grad_norm);
         if factor != 1.0 {
-            model.visit_grads_mut(&mut |_, xs| {
-                for v in xs {
-                    *v *= factor;
-                }
-            });
+            model.scale_grads(factor);
             clock.charge(
                 "guard:clip",
                 comm.cost().mem_bound_time(4.0 * total_elems as f64),

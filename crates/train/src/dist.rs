@@ -46,6 +46,7 @@ use crate::adam::Adam;
 use crate::attention::{Attention, AttentionCtx};
 use crate::checkpoint::Checkpoint;
 use crate::elastic::ExpertAssignment;
+use crate::guard::sq_norm;
 use crate::layers::{DenseMlp, DenseMlpCtx, Embedding, Head};
 use crate::moe_layer::TrainableMoe;
 use crate::moe_math::{
@@ -387,14 +388,6 @@ impl DistMoe {
         Ok(d_x)
     }
 
-    pub fn zero_grads(&mut self) {
-        self.g_gate.as_mut_slice().fill(0.0);
-        for (a, b) in &mut self.g_shard {
-            a.as_mut_slice().fill(0.0);
-            b.as_mut_slice().fill(0.0);
-        }
-    }
-
     /// Checkpointed forward: compute the output but save only the layer
     /// input. The §4.3 trade-off made executable — the backward pass must
     /// recompute the forward, *including its two all-to-alls*, so a
@@ -436,9 +429,6 @@ impl DistMoe {
 /// injection point in [`DistMoeLm::forward_backward_hooked`].
 pub type ActHook<'a> = &'a mut dyn FnMut(&mut [f32]);
 
-/// A data+expert-parallel MoE language model: one rank's replica of the
-/// dense stack plus its expert shards, with gradient synchronization over
-/// the world communicator.
 /// One distributed transformer block.
 pub struct DistBlock {
     pub attn: Option<Attention>,
@@ -446,11 +436,87 @@ pub struct DistBlock {
     pub moe: DistMoe,
 }
 
+/// The site of a block's router in [`ParamId::Dense`].
+const GATE: &str = "moe.gate";
+
+/// Which parameter of a [`DistMoeLm`] the walk is at: the one identity that
+/// gradient sync, Adam's moment slots, the guard and the checkpoint share.
+/// [`Display`](std::fmt::Display) is the parameter's checkpoint name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ParamId {
+    /// `embed.weight`.
+    Embed,
+    /// A replicated tensor of block `block`; `site` names it within the
+    /// block (`attn.wq`, `mlp.gamma`, `moe.gate`, ...).
+    Dense { block: usize, site: &'static str },
+    /// Matrix `w1` (`w == 1`) or `w2` of global expert `expert` in block
+    /// `block`, held by this rank.
+    Expert { block: usize, expert: usize, w: u8 },
+    /// `head.weight`.
+    Head,
+}
+
+impl ParamId {
+    /// Replicated on every rank and all-reduced by
+    /// [`DistMoeLm::sync_grads`], rather than an expert held by a few.
+    pub fn is_replicated(self) -> bool {
+        !matches!(self, ParamId::Expert { .. })
+    }
+}
+
+impl std::fmt::Display for ParamId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ParamId::Embed => f.write_str("embed.weight"),
+            ParamId::Dense { block, site } => write!(f, "block{block}.{site}"),
+            ParamId::Expert { block, expert, w } => {
+                write!(f, "block{block}.moe.expert{expert}.w{w}")
+            }
+            ParamId::Head => f.write_str("head.weight"),
+        }
+    }
+}
+
+/// The parameter walk: every `(id, weight, grad)` of one rank's replica, in
+/// the one order — `embed`, then per block attention, MLP, router and the
+/// rank's experts ascending (`w1`, `w2` each), then `head`.
+fn walk(
+    embed: &mut Embedding,
+    blocks: &mut [DistBlock],
+    head: &mut Head,
+    f: &mut dyn FnMut(ParamId, &mut Tensor, &mut Tensor),
+) {
+    f(ParamId::Embed, &mut embed.weight, &mut embed.grad);
+    for (block, b) in blocks.iter_mut().enumerate() {
+        let mut dense =
+            |site, w: &mut Tensor, g: &mut Tensor| f(ParamId::Dense { block, site }, w, g);
+        if let Some(a) = b.attn.as_mut() {
+            a.visit_params(&mut dense);
+        }
+        b.mlp.visit_params(&mut dense);
+        let moe = &mut b.moe;
+        dense(GATE, &mut moe.gate, &mut moe.g_gate);
+        let shard = moe.shard.iter_mut().zip(&mut moe.g_shard);
+        for (&expert, ((w1, w2), (g1, g2))) in moe.local_experts.iter().zip(shard) {
+            let id = |w| ParamId::Expert { block, expert, w };
+            f(id(1), w1, g1);
+            f(id(2), w2, g2);
+        }
+    }
+    f(ParamId::Head, &mut head.weight, &mut head.grad);
+}
+
+/// A data+expert-parallel MoE language model: one rank's replica of the
+/// dense stack plus its expert shards, with gradient synchronization over
+/// the world communicator. On a one-rank world it is the single-process
+/// model.
 pub struct DistMoeLm {
     pub embed: Embedding,
     pub blocks: Vec<DistBlock>,
     pub head: Head,
     opt: Adam,
+    /// The expert assignment every block routes by.
+    assignment: ExpertAssignment,
     world_size: usize,
     seq_len: usize,
     /// When set, every step appends each token's route (this rank's dense
@@ -467,13 +533,19 @@ pub struct DistMoeLm {
     ctxs: Vec<(Option<AttentionCtx>, DenseMlpCtx)>,
     inputs: Vec<usize>,
     targets: Vec<usize>,
+    /// Squared global norm of the synced gradients, the same on every rank:
+    /// the clip norm of the next [`Self::apply_update`].
+    grad_sq: f64,
+    /// Send and receive shells of the norm exchange, kept so that it
+    /// allocates nothing at steady state.
+    norm_wire: [Vec<Vec<f64>>; 2],
 }
 
 impl DistMoeLm {
-    /// Shard a single-rank reference model (see
-    /// [`crate::model::MoeLm`]-equivalent construction in tests) across
-    /// `world` ranks under the balanced contiguous expert assignment. All
-    /// replicated parameters start identical.
+    /// Shard a single-rank reference model (the [`TrainableMoe`] stacks of
+    /// [`crate::model::build_moe_layers`]) across `world` ranks under the
+    /// balanced contiguous expert assignment. All replicated parameters
+    /// start identical; `world == 1` is the single-process model.
     pub fn new(
         cfg: &crate::model::TrainConfig,
         full_layers: &[TrainableMoe],
@@ -492,7 +564,6 @@ impl DistMoeLm {
         rank: usize,
         assignment: ExpertAssignment,
     ) -> Self {
-        let world = assignment.n_ranks();
         let blocks: Vec<DistBlock> = full_layers
             .iter()
             .enumerate()
@@ -513,7 +584,8 @@ impl DistMoeLm {
             moe_st: blocks.iter().map(|_| DistMoeScratch::default()).collect(),
             blocks,
             opt: Adam::new(cfg.lr),
-            world_size: world,
+            world_size: assignment.n_ranks(),
+            assignment,
             seq_len: cfg.seq_len,
             track_routes: false,
             route_samples: Vec::new(),
@@ -521,6 +593,8 @@ impl DistMoeLm {
             ctxs: Vec::new(),
             inputs: Vec::new(),
             targets: Vec::new(),
+            grad_sq: 0.0,
+            norm_wire: Default::default(),
         }
     }
 
@@ -538,7 +612,7 @@ impl DistMoeLm {
 
     /// The expert assignment every block routes by.
     pub fn assignment(&self) -> &ExpertAssignment {
-        &self.blocks[0].moe.assignment
+        &self.assignment
     }
 
     /// Enable/disable per-step route collection for the rebalance
@@ -570,15 +644,40 @@ impl DistMoeLm {
         }
     }
 
+    /// Fraction of this rank's routed (token, expert) assignments the last
+    /// forward dropped, over every block — the quantity §5.6 attributes the
+    /// Fig 15 loss gap to.
+    pub fn drop_fraction(&self) -> f64 {
+        let (mut dropped, mut routed) = (0, 0);
+        for (block, st) in self.blocks.iter().zip(&self.moe_st) {
+            dropped += st.pft().dropped;
+            routed += st.tokens() * block.moe.top_k;
+        }
+        if routed == 0 {
+            0.0
+        } else {
+            dropped as f64 / routed as f64
+        }
+    }
+
+    /// The parameter walk: `f` is called with every `(id, weight, grad)` of
+    /// this rank's replica, in the one order Adam's moment slots and the
+    /// checkpoint layout are indexed by — `embed`, the blocks, `head`.
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(ParamId, &mut Tensor, &mut Tensor)) {
+        walk(&mut self.embed, &mut self.blocks, &mut self.head, f);
+    }
+
     /// One training step over this rank's local batch, with gradient
     /// averaging across the world and a local Adam update (replicated
     /// parameters stay bitwise-identical across ranks because they see
-    /// identical averaged gradients).
+    /// identical averaged gradients and one global clip norm).
     ///
     /// Composed from the phase methods below in the canonical order; the
     /// guarded chaos step composes the same phases with detection and
     /// injection hooks in between, so both paths share one set of float
-    /// operations and the unguarded trajectory is bitwise-unchanged.
+    /// operations and the unguarded trajectory is bitwise-unchanged. A
+    /// one-rank caller that wants the loss unrounded runs the first three
+    /// phases and keeps [`Self::forward_backward`]'s.
     pub fn train_step(
         &mut self,
         batch: &[Vec<usize>],
@@ -628,6 +727,7 @@ impl DistMoeLm {
         inputs.clear();
         targets.clear();
         for seq in batch {
+            assert!(seq.len() >= 2, "sequences need at least two tokens");
             for w in seq.windows(2) {
                 inputs.push(w[0]);
                 targets.push(w[1]);
@@ -693,127 +793,128 @@ impl DistMoeLm {
         Ok(local_loss)
     }
 
-    /// Phase 2: gradient synchronization.
+    /// Phase 2: gradient synchronization, then the global gradient norm.
     ///
     /// Global loss is the average of per-rank means (equal token counts),
     /// so every gradient carries a 1/W factor; replicated parameters
     /// additionally all-reduce. Expert grads are already global (every
     /// rank's tokens were dispatched there); they only need the scaling.
+    ///
+    /// The clip norm is the *whole model's*: each rank sums, over the walk
+    /// and in `f64`, the squares of the tensors it is canonical for — the
+    /// replicated ones on dense rank 0, each expert on its primary holder —
+    /// and one bit-exact exchange of those partials, summed in rank order,
+    /// gives every rank the same norm and hence the same clip scale for
+    /// the same replicated tensor. On one rank it is exactly the sum over
+    /// the whole walk.
     pub fn sync_grads(
         &mut self,
         world: &Communicator,
         clock: &mut SimClock,
     ) -> Result<(), CommError> {
         let inv = 1.0 / self.world_size as f32;
-        fn reduce_avg(
-            t: &mut Tensor,
-            inv: f32,
-            world: &Communicator,
-            clock: &mut SimClock,
-        ) -> Result<(), CommError> {
-            scale_assign(t, inv);
-            world.all_reduce_sum_f32(t.as_mut_slice(), clock)
-        }
-        reduce_avg(&mut self.embed.grad, inv, world, clock)?;
-        reduce_avg(&mut self.head.grad, inv, world, clock)?;
-        for block in &mut self.blocks {
-            if let Some(a) = block.attn.as_mut() {
-                reduce_avg(&mut a.gq, inv, world, clock)?;
-                reduce_avg(&mut a.gk, inv, world, clock)?;
-                reduce_avg(&mut a.gv, inv, world, clock)?;
-                reduce_avg(&mut a.go, inv, world, clock)?;
-                reduce_avg(&mut a.norm.g_gamma, inv, world, clock)?;
-                reduce_avg(&mut a.norm.g_beta, inv, world, clock)?;
-            }
-            let mlp = &mut block.mlp;
-            reduce_avg(&mut mlp.g1, inv, world, clock)?;
-            reduce_avg(&mut mlp.g2, inv, world, clock)?;
-            reduce_avg(&mut mlp.norm.g_gamma, inv, world, clock)?;
-            reduce_avg(&mut mlp.norm.g_beta, inv, world, clock)?;
-            let moe = &mut block.moe;
-            reduce_avg(&mut moe.g_gate, inv, world, clock)?;
-            // Replicated experts: each holder accumulated only its stripe
-            // of the expert's tokens, so the partials must merge. Every
-            // rank joins the reduce for every replicated expert (w1 then
-            // w2, experts ascending — canonical group-index order;
-            // non-holders contribute zeros), so all holders end with the
-            // bitwise-identical merged gradient, identical Adam updates,
-            // and replicas that never drift apart.
+        let Self {
+            embed,
+            blocks,
+            head,
+            assignment,
+            ws,
+            grad_sq,
+            norm_wire: [send, recv],
+            ..
+        } = self;
+        // Replicated experts: each holder accumulated only its stripe of
+        // the expert's tokens, so the partials must merge. Every rank joins
+        // the reduce for every replicated expert (w1 then w2, experts
+        // ascending — canonical group-index order; non-holders contribute
+        // zeros), so all holders end with the bitwise-identical merged
+        // gradient, identical Adam updates, and replicas that never drift
+        // apart.
+        for moe in blocks.iter_mut().map(|b| &mut b.moe) {
             for g in moe.assignment.replicated_experts() {
-                let local = moe.local_experts.iter().position(|&x| x == g);
-                for which in 0..2 {
-                    let (rows, cols) = if which == 0 {
-                        (moe.hidden, moe.ffn)
-                    } else {
-                        (moe.ffn, moe.hidden)
-                    };
-                    match local {
-                        Some(i) => {
-                            let t = if which == 0 {
-                                &mut moe.g_shard[i].0
-                            } else {
-                                &mut moe.g_shard[i].1
-                            };
+                match moe.local_experts.iter().position(|&x| x == g) {
+                    Some(i) => {
+                        let (g1, g2) = &mut moe.g_shard[i];
+                        for t in [g1, g2] {
                             world.all_reduce_sum_f32(t.as_mut_slice(), clock)?;
                         }
-                        None => {
-                            let mut zeros = self.ws.take(rows, cols);
+                    }
+                    None => {
+                        for _ in 0..2 {
+                            let mut zeros = ws.take(moe.hidden, moe.ffn);
                             world.all_reduce_sum_f32(zeros.as_mut_slice(), clock)?;
-                            self.ws.recycle(zeros);
+                            ws.recycle(zeros);
                         }
                     }
                 }
             }
-            for (g1, g2) in &mut moe.g_shard {
-                scale_assign(g1, inv);
-                scale_assign(g2, inv);
-            }
         }
+        let me = world.rank();
+        let (mut sq, mut res) = (0.0f64, Ok(()));
+        walk(embed, blocks, head, &mut |id, _, g| {
+            if res.is_err() {
+                return;
+            }
+            scale_assign(g, inv);
+            if id.is_replicated() {
+                res = world.all_reduce_sum_f32(g.as_mut_slice(), clock);
+            }
+            let canonical = match id {
+                ParamId::Expert { expert, .. } => assignment.primary(expert) == me,
+                _ => me == 0,
+            };
+            if canonical {
+                sq += sq_norm(g.as_slice());
+            }
+        });
+        res?;
+        // The partials travel as `f64` (an `f32` all-reduce would round
+        // them); last exchange's receives are this one's send buffers.
+        std::mem::swap(send, recv);
+        for wire in [&mut *send, &mut *recv] {
+            wire.resize_with(world.size(), Vec::new);
+        }
+        for v in send.iter_mut() {
+            v.clear();
+            v.push(sq);
+        }
+        world.all_to_all_v_into(send, recv, clock)?;
+        *grad_sq = recv.iter().fold(0.0, |acc, v| acc + v[0]);
         clock.commit("grad_allreduce");
         Ok(())
     }
 
-    /// Phase 3: local Adam update over the canonical parameter order, then
-    /// zero every gradient for the next step.
+    /// Multiply every gradient by `k` — the guard's unscale and clip —
+    /// rescaling the global norm [`Self::sync_grads`] derived to match.
+    pub fn scale_grads(&mut self, k: f32) {
+        self.visit_params(&mut |_, _, g| scale_assign(g, k));
+        self.grad_sq *= f64::from(k) * f64::from(k);
+    }
+
+    /// Phase 3: local Adam update over the walk, clipped by the global norm
+    /// of the last [`Self::sync_grads`], zeroing each gradient as Adam
+    /// consumes it.
     pub fn apply_update(&mut self) {
         let Self {
             embed,
             blocks,
             head,
             opt,
+            grad_sq,
             ..
         } = self;
-        opt.step(|f| {
-            f(&mut embed.weight, &embed.grad);
-            for block in blocks.iter_mut() {
-                if let Some(a) = block.attn.as_mut() {
-                    a.visit_params(f);
-                }
-                block.mlp.visit_params(f);
-                let moe = &mut block.moe;
-                f(&mut moe.gate, &moe.g_gate);
-                for ((w1, w2), (g1, g2)) in moe.shard.iter_mut().zip(moe.g_shard.iter()) {
-                    f(w1, g1);
-                    f(w2, g2);
-                }
-            }
-            f(&mut head.weight, &head.grad);
+        opt.step(*grad_sq, |f| {
+            walk(embed, blocks, head, &mut |_, w, g| {
+                f(w, g);
+                g.as_mut_slice().fill(0.0);
+            })
         });
-        self.zero_all_grads();
     }
 
     /// Zero every gradient buffer — also the whole of a skipped step's
     /// cleanup (discarding a poisoned gradient without touching params).
     pub fn zero_all_grads(&mut self) {
-        self.embed.grad.as_mut_slice().fill(0.0);
-        self.head.grad.as_mut_slice().fill(0.0);
-        for block in &mut self.blocks {
-            if let Some(a) = block.attn.as_mut() {
-                a.zero_grads();
-            }
-            block.mlp.zero_grads();
-            block.moe.zero_grads();
-        }
+        self.visit_params(&mut |_, _, g| g.as_mut_slice().fill(0.0));
     }
 
     /// Average the local loss across ranks for the global curve.
@@ -829,93 +930,6 @@ impl DistMoeLm {
         Ok((l[0] / self.world_size as f32) as f64)
     }
 
-    /// Visit every gradient buffer under its canonical name, in the same
-    /// replicated-first order `sync_grads` uses. Shard gradients are named
-    /// by global expert id. Read-only — the guard's scan path.
-    pub fn visit_grads(&self, f: &mut dyn FnMut(&str, &[f32])) {
-        f("embed.weight", self.embed.grad.as_slice());
-        f("head.weight", self.head.grad.as_slice());
-        for (l, block) in self.blocks.iter().enumerate() {
-            if let Some(a) = &block.attn {
-                f(&format!("block{l}.attn.wq"), a.gq.as_slice());
-                f(&format!("block{l}.attn.wk"), a.gk.as_slice());
-                f(&format!("block{l}.attn.wv"), a.gv.as_slice());
-                f(&format!("block{l}.attn.wo"), a.go.as_slice());
-                f(&format!("block{l}.attn.gamma"), a.norm.g_gamma.as_slice());
-                f(&format!("block{l}.attn.beta"), a.norm.g_beta.as_slice());
-            }
-            f(&format!("block{l}.mlp.w1"), block.mlp.g1.as_slice());
-            f(&format!("block{l}.mlp.w2"), block.mlp.g2.as_slice());
-            f(
-                &format!("block{l}.mlp.gamma"),
-                block.mlp.norm.g_gamma.as_slice(),
-            );
-            f(
-                &format!("block{l}.mlp.beta"),
-                block.mlp.norm.g_beta.as_slice(),
-            );
-            f(&format!("block{l}.moe.gate"), block.moe.g_gate.as_slice());
-            for (i, (g1, g2)) in block.moe.g_shard.iter().enumerate() {
-                let g = block.moe.local_experts[i];
-                f(&format!("block{l}.moe.expert{g}.w1"), g1.as_slice());
-                f(&format!("block{l}.moe.expert{g}.w2"), g2.as_slice());
-            }
-        }
-    }
-
-    /// Mutable variant of [`Self::visit_grads`] — the guard's injection
-    /// and unscale path.
-    pub fn visit_grads_mut(&mut self, f: &mut dyn FnMut(&str, &mut [f32])) {
-        f("embed.weight", self.embed.grad.as_mut_slice());
-        f("head.weight", self.head.grad.as_mut_slice());
-        for (l, block) in self.blocks.iter_mut().enumerate() {
-            if let Some(a) = block.attn.as_mut() {
-                f(&format!("block{l}.attn.wq"), a.gq.as_mut_slice());
-                f(&format!("block{l}.attn.wk"), a.gk.as_mut_slice());
-                f(&format!("block{l}.attn.wv"), a.gv.as_mut_slice());
-                f(&format!("block{l}.attn.wo"), a.go.as_mut_slice());
-                f(
-                    &format!("block{l}.attn.gamma"),
-                    a.norm.g_gamma.as_mut_slice(),
-                );
-                f(&format!("block{l}.attn.beta"), a.norm.g_beta.as_mut_slice());
-            }
-            let mlp = &mut block.mlp;
-            f(&format!("block{l}.mlp.w1"), mlp.g1.as_mut_slice());
-            f(&format!("block{l}.mlp.w2"), mlp.g2.as_mut_slice());
-            f(
-                &format!("block{l}.mlp.gamma"),
-                mlp.norm.g_gamma.as_mut_slice(),
-            );
-            f(
-                &format!("block{l}.mlp.beta"),
-                mlp.norm.g_beta.as_mut_slice(),
-            );
-            let moe = &mut block.moe;
-            f(&format!("block{l}.moe.gate"), moe.g_gate.as_mut_slice());
-            let locals = moe.local_experts.clone();
-            for (i, (g1, g2)) in moe.g_shard.iter_mut().enumerate() {
-                let g = locals[i];
-                f(&format!("block{l}.moe.expert{g}.w1"), g1.as_mut_slice());
-                f(&format!("block{l}.moe.expert{g}.w2"), g2.as_mut_slice());
-            }
-        }
-    }
-
-    /// Total f32 elements across every gradient buffer (replicated +
-    /// local shard) — what the SDC injector reduces its element hash by.
-    pub fn grad_elem_count(&self) -> usize {
-        let mut n = 0usize;
-        self.visit_grads(&mut |_, xs| n += xs.len());
-        n
-    }
-
-    /// Is this gradient buffer replicated across ranks (all-reduced by
-    /// `sync_grads`) rather than a local expert shard?
-    pub fn is_replicated_grad(name: &str) -> bool {
-        !name.contains(".moe.expert")
-    }
-
     /// Snapshot the *canonical full model* into a [`Checkpoint`]: replicated
     /// parameters are taken locally (they are bitwise-identical on every
     /// rank), expert shards and their Adam moments are all-gathered so every
@@ -929,13 +943,21 @@ impl DistMoeLm {
     /// the data-stream RNG state at that point (see
     /// [`crate::chaos`]). Collective time is charged under `checkpoint`.
     pub fn capture_checkpoint(
-        &self,
+        &mut self,
         step: u64,
         rng_state: u64,
         world: &Communicator,
         clock: &mut SimClock,
     ) -> Result<Checkpoint, CommError> {
-        let (mm, vv) = self.opt.moments();
+        let Self {
+            embed,
+            blocks,
+            head,
+            opt,
+            assignment,
+            ..
+        } = self;
+        let (mm, vv) = opt.moments();
         let moment = |idx: usize, t: &Tensor, bufs: &[Vec<f32>]| -> Tensor {
             match bufs.get(idx) {
                 Some(b) => Tensor::from_vec(t.rows(), t.cols(), b.clone()),
@@ -944,111 +966,58 @@ impl DistMoeLm {
                 None => Tensor::zeros(t.rows(), t.cols()),
             }
         };
-        let mut ckpt = Checkpoint::new(step, rng_state, self.opt.step_count());
-        // Walk the exact Adam visitation order of `train_step`, tracking the
-        // moment index; replicated params go straight in, expert slots are
-        // filled from the gathered blobs below.
+        // The walk is Adam's slot order: each replicated tensor becomes its
+        // `[m, v, weight]` entries, each block's experts one flat blob of
+        // `w1 | m | v | w2 | m | v` per local expert for the all-gather.
+        let mut replicated: Vec<(ParamId, [Tensor; 3])> = Vec::new();
+        let mut blobs = vec![Vec::new(); blocks.len()];
         let mut idx = 0usize;
-        let push = |ckpt: &mut Checkpoint, idx: &mut usize, name: String, t: &Tensor| {
-            ckpt.push(format!("adam.m.{name}"), moment(*idx, t, mm));
-            ckpt.push(format!("adam.v.{name}"), moment(*idx, t, vv));
-            ckpt.push(name, t.clone());
-            *idx += 1;
+        walk(embed, blocks, head, &mut |id, w, _| {
+            let (m, v) = (moment(idx, w, mm), moment(idx, w, vv));
+            idx += 1;
+            match id {
+                ParamId::Expert { block, .. } => {
+                    for t in [&*w, &m, &v] {
+                        blobs[block].extend_from_slice(t.as_slice());
+                    }
+                }
+                _ => replicated.push((id, [m, v, w.clone()])),
+            }
+        });
+        let mut ckpt = Checkpoint::new(step, rng_state, opt.step_count());
+        let push = |ckpt: &mut Checkpoint, id: ParamId, [m, v, w]: [Tensor; 3]| {
+            ckpt.push(format!("adam.m.{id}"), m);
+            ckpt.push(format!("adam.v.{id}"), v);
+            ckpt.push(id.to_string(), w);
         };
-        push(
-            &mut ckpt,
-            &mut idx,
-            "embed.weight".into(),
-            &self.embed.weight,
-        );
-        for (l, block) in self.blocks.iter().enumerate() {
-            if let Some(a) = &block.attn {
-                push(&mut ckpt, &mut idx, format!("block{l}.attn.wq"), &a.wq);
-                push(&mut ckpt, &mut idx, format!("block{l}.attn.wk"), &a.wk);
-                push(&mut ckpt, &mut idx, format!("block{l}.attn.wv"), &a.wv);
-                push(&mut ckpt, &mut idx, format!("block{l}.attn.wo"), &a.wo);
-                push(
-                    &mut ckpt,
-                    &mut idx,
-                    format!("block{l}.attn.gamma"),
-                    &a.norm.gamma,
-                );
-                push(
-                    &mut ckpt,
-                    &mut idx,
-                    format!("block{l}.attn.beta"),
-                    &a.norm.beta,
-                );
-            }
-            let mlp = &block.mlp;
-            push(&mut ckpt, &mut idx, format!("block{l}.mlp.w1"), &mlp.w1);
-            push(&mut ckpt, &mut idx, format!("block{l}.mlp.w2"), &mlp.w2);
-            push(
-                &mut ckpt,
-                &mut idx,
-                format!("block{l}.mlp.gamma"),
-                &mlp.norm.gamma,
-            );
-            push(
-                &mut ckpt,
-                &mut idx,
-                format!("block{l}.mlp.beta"),
-                &mlp.norm.beta,
-            );
-            let moe = &block.moe;
-            push(&mut ckpt, &mut idx, format!("block{l}.moe.gate"), &moe.gate);
-
-            // Expert shards: each rank contributes, per local expert,
-            // `w1 | m(w1) | v(w1) | w2 | m(w2) | v(w2)` as one flat blob.
-            // The all-gather gives every rank the full expert set; global
-            // expert g is read from its *primary* holder's blob (replicas
-            // are bitwise-identical, so the primary copy is canonical),
-            // at g's position in that holder's ascending local order.
-            let per = moe.shard.len();
-            let (h, f) = (moe.hidden, moe.ffn);
-            let slot = 6 * h * f;
-            let mut blob = Vec::with_capacity(per * slot);
-            for (i, (w1, w2)) in moe.shard.iter().enumerate() {
-                for t in [
-                    w1.clone(),
-                    moment(idx + 2 * i, w1, mm),
-                    moment(idx + 2 * i, w1, vv),
-                ] {
-                    blob.extend_from_slice(t.as_slice());
-                }
-                for t in [
-                    w2.clone(),
-                    moment(idx + 2 * i + 1, w2, mm),
-                    moment(idx + 2 * i + 1, w2, vv),
-                ] {
-                    blob.extend_from_slice(t.as_slice());
-                }
-            }
-            idx += 2 * per;
-            let blobs = world.all_gather(blob, clock)?;
-            for g in 0..moe.num_experts {
-                let owner = moe.assignment.primary(g);
-                let s = moe
-                    .assignment
+        for (id, entry) in replicated {
+            push(&mut ckpt, id, entry);
+            let ParamId::Dense { block, site: GATE } = id else {
+                continue;
+            };
+            // Every global expert of the block follows its router, read
+            // from its *primary* holder's blob (replicas are bitwise-
+            // identical, so the primary copy is canonical) at its position
+            // in that holder's ascending local order.
+            let (h, f) = (blocks[block].moe.hidden, blocks[block].moe.ffn);
+            let gathered = world.all_gather(std::mem::take(&mut blobs[block]), clock)?;
+            for expert in 0..assignment.n_experts() {
+                let owner = assignment.primary(expert);
+                let s = assignment
                     .experts_on(owner)
                     .iter()
-                    .position(|&x| x == g)
+                    .position(|&x| x == expert)
                     .expect("primary holder does not list its own expert");
-                let base = s * slot;
-                let chunk = |k: usize, rows: usize, cols: usize| -> Tensor {
-                    let start = base + k * h * f;
-                    Tensor::from_vec(rows, cols, blobs[owner][start..start + h * f].to_vec())
+                let part = |k: usize, rows: usize, cols: usize| {
+                    let start = (6 * s + k) * h * f;
+                    Tensor::from_vec(rows, cols, gathered[owner][start..start + h * f].to_vec())
                 };
-                let name = format!("block{l}.moe.expert{g}");
-                ckpt.push(format!("adam.m.{name}.w1"), chunk(1, h, f));
-                ckpt.push(format!("adam.v.{name}.w1"), chunk(2, h, f));
-                ckpt.push(format!("{name}.w1"), chunk(0, h, f));
-                ckpt.push(format!("adam.m.{name}.w2"), chunk(4, f, h));
-                ckpt.push(format!("adam.v.{name}.w2"), chunk(5, f, h));
-                ckpt.push(format!("{name}.w2"), chunk(3, f, h));
+                let id = |w| ParamId::Expert { block, expert, w };
+                // Each triple is `[m, v, weight]`, the replicated order.
+                push(&mut ckpt, id(1), [1, 2, 0].map(|k| part(k, h, f)));
+                push(&mut ckpt, id(2), [4, 5, 3].map(|k| part(k, f, h)));
             }
         }
-        push(&mut ckpt, &mut idx, "head.weight".into(), &self.head.weight);
 
         // Charge the serialization as a bandwidth-bound write and claim the
         // gathers under one stage label.
@@ -1095,53 +1064,26 @@ impl DistMoeLm {
     ) -> Self {
         let full_layers = crate::model::build_moe_layers(cfg);
         let mut model = Self::new_with_assignment(cfg, &full_layers, rank, assignment);
-        let mut m: Vec<Vec<f32>> = Vec::new();
-        let mut v: Vec<Vec<f32>> = Vec::new();
-        {
-            let mut load = |name: String, dst: &mut Tensor| {
-                let src = ckpt
-                    .tensor(&name)
-                    .unwrap_or_else(|| panic!("checkpoint missing entry {name}"));
-                assert_eq!(
-                    src.shape(),
-                    dst.shape(),
-                    "checkpoint entry {name} has the wrong shape"
-                );
-                dst.as_mut_slice().copy_from_slice(src.as_slice());
-                let grab = |prefix: &str| -> Vec<f32> {
-                    ckpt.tensor(&format!("{prefix}.{name}"))
-                        .map(|t| t.as_slice().to_vec())
-                        .unwrap_or_else(|| vec![0.0; src.len()])
-                };
-                m.push(grab("adam.m"));
-                v.push(grab("adam.v"));
+        let (mut m, mut v) = (Vec::new(), Vec::new());
+        model.visit_params(&mut |id, w, _| {
+            let name = id.to_string();
+            let src = ckpt
+                .tensor(&name)
+                .unwrap_or_else(|| panic!("checkpoint missing entry {name}"));
+            assert_eq!(
+                src.shape(),
+                w.shape(),
+                "checkpoint entry {name} has the wrong shape"
+            );
+            w.as_mut_slice().copy_from_slice(src.as_slice());
+            let grab = |prefix: &str| -> Vec<f32> {
+                ckpt.tensor(&format!("{prefix}.{name}"))
+                    .map(|t| t.as_slice().to_vec())
+                    .unwrap_or_else(|| vec![0.0; src.len()])
             };
-            load("embed.weight".into(), &mut model.embed.weight);
-            for (l, block) in model.blocks.iter_mut().enumerate() {
-                if let Some(a) = block.attn.as_mut() {
-                    load(format!("block{l}.attn.wq"), &mut a.wq);
-                    load(format!("block{l}.attn.wk"), &mut a.wk);
-                    load(format!("block{l}.attn.wv"), &mut a.wv);
-                    load(format!("block{l}.attn.wo"), &mut a.wo);
-                    load(format!("block{l}.attn.gamma"), &mut a.norm.gamma);
-                    load(format!("block{l}.attn.beta"), &mut a.norm.beta);
-                }
-                let mlp = &mut block.mlp;
-                load(format!("block{l}.mlp.w1"), &mut mlp.w1);
-                load(format!("block{l}.mlp.w2"), &mut mlp.w2);
-                load(format!("block{l}.mlp.gamma"), &mut mlp.norm.gamma);
-                load(format!("block{l}.mlp.beta"), &mut mlp.norm.beta);
-                let moe = &mut block.moe;
-                load(format!("block{l}.moe.gate"), &mut moe.gate);
-                let locals = moe.local_experts.clone();
-                for (i, (w1, w2)) in moe.shard.iter_mut().enumerate() {
-                    let g = locals[i];
-                    load(format!("block{l}.moe.expert{g}.w1"), w1);
-                    load(format!("block{l}.moe.expert{g}.w2"), w2);
-                }
-            }
-            load("head.weight".into(), &mut model.head.weight);
-        }
+            m.push(grab("adam.m"));
+            v.push(grab("adam.v"));
+        });
         model.opt.restore(ckpt.adam_step, m, v);
         model
     }

@@ -13,6 +13,10 @@ use xmoe_tensor::{
     add_assign, matmul_into, matmul_transpose_a_add, matmul_transpose_b_into, Tensor, Workspace,
 };
 
+/// A layer's part of the parameter walk: called once per `(site, param,
+/// grad)`, `site` naming the tensor within its block (`"mlp.w1"`).
+pub(crate) type ParamVisitor<'a> = &'a mut dyn FnMut(&'static str, &mut Tensor, &mut Tensor);
+
 /// `a @ b` into a for-overwrite lease (the GEMM's Overwrite store fills it).
 pub(crate) fn project(a: &Tensor, b: &Tensor, ws: &mut Workspace) -> Tensor {
     let mut c = ws.take_for_overwrite(a.rows(), b.cols());
@@ -115,11 +119,6 @@ impl LayerNorm {
             }
         }
         (out, LayerNormCtx { x_hat, inv_std })
-    }
-
-    pub fn zero_grads(&mut self) {
-        self.g_gamma.as_mut_slice().fill(0.0);
-        self.g_beta.as_mut_slice().fill(0.0);
     }
 
     /// Backward: accumulates `g_gamma`/`g_beta`, returns `d_x`.
@@ -252,20 +251,14 @@ impl DenseMlp {
         d_x
     }
 
-    /// Every `(param, grad)` pair, in the order the optimizer and the
-    /// checkpoint know them by.
-    pub(crate) fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &Tensor)) {
-        f(&mut self.w1, &self.g1);
-        f(&mut self.w2, &self.g2);
-        f(&mut self.norm.gamma, &self.norm.g_gamma);
-        f(&mut self.norm.beta, &self.norm.g_beta);
-    }
-
-    /// Zero the weight and norm gradients.
-    pub fn zero_grads(&mut self) {
-        self.g1.as_mut_slice().fill(0.0);
-        self.g2.as_mut_slice().fill(0.0);
-        self.norm.zero_grads();
+    /// This block's part of the model's parameter walk: every `(site,
+    /// param, grad)`, in the order the optimizer and the checkpoint know
+    /// them by.
+    pub(crate) fn visit_params(&mut self, f: ParamVisitor<'_>) {
+        f("mlp.w1", &mut self.w1, &mut self.g1);
+        f("mlp.w2", &mut self.w2, &mut self.g2);
+        f("mlp.gamma", &mut self.norm.gamma, &mut self.norm.g_gamma);
+        f("mlp.beta", &mut self.norm.beta, &mut self.norm.g_beta);
     }
 }
 

@@ -20,8 +20,10 @@
 //!   scatter/combine, and exact gradients for every weight including the
 //!   router (via the combine-weight path);
 //! * [`adam::Adam`] — Adam with global-norm gradient clipping;
-//! * [`model::MoeLm`] — the assembled language model and its training
-//!   loop.
+//! * [`dist::DistMoeLm`] — the assembled language model, data + expert
+//!   parallel over any world (one rank is the single-process model), with
+//!   its one parameter walk ([`dist::ParamId`]); [`model`] holds its
+//!   configuration and the Fig 15 training loop.
 //!
 //! Gradient correctness is enforced by finite-difference tests on every
 //! parameter group.
@@ -50,7 +52,7 @@ pub use attention::Attention;
 pub use chaos::{run_chaos_rank, step_batch, ChaosConfig, ChaosReport, JoinStats};
 pub use checkpoint::{Checkpoint, CkptError};
 pub use data::{HigherOrderCorpus, MarkovCorpus};
-pub use dist::{DistMoe, DistMoeLm, DistMoeScratch};
+pub use dist::{DistMoe, DistMoeLm, DistMoeScratch, ParamId};
 pub use elastic::{
     assignment_cost, ExpertAssignment, RebalanceConfig, RebalanceDecision, RebalancePolicy,
 };
@@ -58,7 +60,7 @@ pub use guard::{
     Divergence, GuardConfig, GuardEvent, LossScale, LossScaleCfg, PolicyAction, PolicyCfg,
     PolicyEngine, SpikeDetector, Verdict,
 };
-pub use model::{build_moe_layers, MoeLm, TrainConfig, TrainStats};
+pub use model::{build_moe_layers, TrainConfig};
 pub use moe_layer::{MoeCtx, MoeTrainScratch, TrainableMoe};
 pub use ssmb_train::SsmbMoe;
 pub use stages::StagePartition;

@@ -1,4 +1,6 @@
-//! The assembled MoE language model and training loop.
+//! The model configuration, its initial MoE stacks, and the Fig 15 training
+//! loop. The model itself is [`DistMoeLm`]; on a one-rank world
+//! (`SimCluster::frontier(1)`) it is the single-process model.
 //!
 //! Architecture per block: optional causal self-attention, residual
 //! pre-norm dense MLP, residual MoE layer. The Fig 15 run disables
@@ -9,14 +11,12 @@
 //! attention for sequence-structured corpora
 //! ([`crate::data::HigherOrderCorpus`]).
 
+use xmoe_collectives::{RankCtx, SimCluster};
 use xmoe_core::gating::DropPolicy;
-use xmoe_tensor::Workspace;
 
-use crate::adam::Adam;
-use crate::attention::{Attention, AttentionCtx};
 use crate::data::MarkovCorpus;
-use crate::layers::{DenseMlp, DenseMlpCtx, Embedding, Head};
-use crate::moe_layer::{MoeTrainScratch, TrainableMoe};
+use crate::dist::DistMoeLm;
+use crate::moe_layer::TrainableMoe;
 
 /// Model + training hyperparameters.
 #[derive(Clone, Debug)]
@@ -82,46 +82,9 @@ impl TrainConfig {
     }
 }
 
-/// Per-step training statistics.
-#[derive(Clone, Copy, Debug)]
-pub struct TrainStats {
-    pub loss: f64,
-    /// Fraction of routed (token, expert) assignments dropped.
-    pub drop_fraction: f64,
-}
-
-/// One transformer block: optional attention mixer, dense MLP, MoE layer
-/// (all residual, pre-norm where applicable).
-pub struct Block {
-    pub attn: Option<Attention>,
-    pub mlp: DenseMlp,
-    pub moe: TrainableMoe,
-}
-
-/// The MoE language model.
-pub struct MoeLm {
-    pub cfg: TrainConfig,
-    pub embed: Embedding,
-    pub blocks: Vec<Block>,
-    pub head: Head,
-    opt: Adam,
-    /// The step arena: every buffer of a step is leased from it and recycled
-    /// into it, as in [`crate::dist::DistMoeLm`]. It holds buffers, never
-    /// values a later step reads.
-    ws: Workspace,
-    /// One per block; only the saved context and the grow-once scratch are
-    /// used, the layers lease from `ws`.
-    moe_st: Vec<MoeTrainScratch>,
-    /// The dense blocks' saves of the step in flight: pushed by the forward,
-    /// popped by the backward.
-    ctxs: Vec<(Option<AttentionCtx>, DenseMlpCtx)>,
-    inputs: Vec<usize>,
-    targets: Vec<usize>,
-}
-
-/// Build the per-layer MoE stacks for `cfg` — shared between the
-/// single-rank [`MoeLm`] and the distributed
-/// [`crate::dist::DistMoeLm`], so both start from identical weights.
+/// Build the per-layer MoE stacks for `cfg`: the full expert sets every
+/// [`DistMoeLm`] shards, so models at any world size start from identical
+/// weights.
 pub fn build_moe_layers(cfg: &TrainConfig) -> Vec<TrainableMoe> {
     let cap = cfg.capacity();
     (0..cfg.layers)
@@ -140,187 +103,34 @@ pub fn build_moe_layers(cfg: &TrainConfig) -> Vec<TrainableMoe> {
         .collect()
 }
 
-impl MoeLm {
-    pub fn new(cfg: TrainConfig) -> Self {
-        let moes = build_moe_layers(&cfg);
-        let blocks: Vec<Block> = moes
-            .into_iter()
-            .enumerate()
-            .map(|(l, moe)| {
-                let s = cfg.seed.wrapping_add(l as u64 * 7001);
-                Block {
-                    attn: cfg
-                        .use_attention
-                        .then(|| Attention::new(cfg.hidden, cfg.n_heads, s ^ 0xA77)),
-                    mlp: DenseMlp::new(cfg.hidden, cfg.hidden * 2, s),
-                    moe,
-                }
-            })
-            .collect();
-        Self {
-            embed: Embedding::new(cfg.vocab, cfg.hidden, cfg.seed),
-            head: Head::new(cfg.hidden, cfg.vocab, cfg.seed ^ 0x4EAD),
-            moe_st: blocks.iter().map(|_| MoeTrainScratch::default()).collect(),
-            blocks,
-            opt: Adam::new(cfg.lr),
-            cfg,
-            ws: Workspace::new(),
-            ctxs: Vec::new(),
-            inputs: Vec::new(),
-            targets: Vec::new(),
-        }
-    }
-
-    /// Test support: [`Workspace::poison`] on the step arena.
-    #[doc(hidden)]
-    pub fn poison_arena(&mut self) {
-        self.ws.poison();
-    }
-
-    /// Forward + backward + update over one batch of sequences (each
-    /// `seq_len + 1` tokens). Returns loss and drop statistics.
-    pub fn train_step(&mut self, batch: &[Vec<usize>]) -> TrainStats {
-        let (stats, _) = self.forward_backward(batch, true);
-        self.apply_update();
-        stats
-    }
-
-    /// Evaluate without updating (used for matched-data loss curves).
-    pub fn eval_step(&mut self, batch: &[Vec<usize>]) -> TrainStats {
-        let (stats, _) = self.forward_backward(batch, false);
-        self.zero_grads();
-        stats
-    }
-
-    fn forward_backward(&mut self, batch: &[Vec<usize>], _train: bool) -> (TrainStats, ()) {
-        let Self {
-            cfg,
-            embed,
-            blocks,
-            head,
-            ws,
-            moe_st,
-            ctxs,
-            inputs,
-            targets,
-            ..
-        } = self;
-        // Flatten the batch into one token stream of (input, target) pairs.
-        inputs.clear();
-        targets.clear();
-        for seq in batch {
-            assert!(seq.len() >= 2, "sequences need at least two tokens");
-            for w in seq.windows(2) {
-                inputs.push(w[0]);
-                targets.push(w[1]);
-            }
-        }
-
-        // Each layer's input goes back to the arena as soon as its output
-        // exists; what the backward needs is in the contexts.
-        let mut x = embed.forward(inputs, ws);
-        ctxs.clear();
-        let mut dropped = 0usize;
-        let mut routed_total = 0usize;
-        for (block, st) in blocks.iter().zip(moe_st.iter_mut()) {
-            let attn_ctx = block.attn.as_ref().map(|a| {
-                let (x1, c) = a.forward(&x, cfg.seq_len, ws);
-                ws.recycle(std::mem::replace(&mut x, x1));
-                c
-            });
-            let (x1, mlp_ctx) = block.mlp.forward(&x, ws);
-            ws.recycle(x);
-            x = block.moe.forward_in(&x1, ws, &mut st.ctx, &mut st.route);
-            ws.recycle(x1);
-            dropped += st.ctx.dropped();
-            routed_total += inputs.len() * cfg.top_k;
-            ctxs.push((attn_ctx, mlp_ctx));
-        }
-        let (loss, mut d_x) = head.loss_and_backward(&x, targets, ws);
-        ws.recycle(x);
-        for (block, st) in blocks.iter_mut().zip(moe_st.iter_mut()).rev() {
-            let (attn_ctx, mlp_ctx) = ctxs.pop().expect("one saved context per block");
-            let d = block.moe.backward_with(&st.ctx, ws, &mut st.bwd, &d_x, 1.0);
-            ws.recycle(std::mem::replace(&mut d_x, d));
-            let d = block.mlp.backward(mlp_ctx, &d_x, ws);
-            ws.recycle(std::mem::replace(&mut d_x, d));
-            if let (Some(a), Some(c)) = (block.attn.as_mut(), attn_ctx) {
-                let d = a.backward(c, &d_x, ws);
-                ws.recycle(std::mem::replace(&mut d_x, d));
-            }
-        }
-        embed.backward(inputs, &d_x);
-        ws.recycle(d_x);
-        ws.trim();
-
-        let drop_fraction = if routed_total == 0 {
-            0.0
-        } else {
-            dropped as f64 / routed_total as f64
-        };
-        (
-            TrainStats {
-                loss,
-                drop_fraction,
-            },
-            (),
-        )
-    }
-
-    fn apply_update(&mut self) {
-        let Self {
-            embed,
-            blocks,
-            head,
-            opt,
-            ..
-        } = self;
-        // (param, grad) pairs in a stable order for Adam.
-        opt.step(|f| {
-            f(&mut embed.weight, &embed.grad);
-            for block in blocks.iter_mut() {
-                if let Some(a) = block.attn.as_mut() {
-                    a.visit_params(f);
-                }
-                block.mlp.visit_params(f);
-                let moe = &mut block.moe;
-                f(&mut moe.gate, &moe.g_gate);
-                for ((w1, w2), (g1, g2)) in moe.experts.iter_mut().zip(moe.g_experts.iter()) {
-                    f(w1, g1);
-                    f(w2, g2);
-                }
-            }
-            f(&mut head.weight, &head.grad);
-        });
-        self.zero_grads();
-    }
-
-    fn zero_grads(&mut self) {
-        self.embed.grad.as_mut_slice().fill(0.0);
-        self.head.grad.as_mut_slice().fill(0.0);
-        for block in &mut self.blocks {
-            if let Some(a) = block.attn.as_mut() {
-                a.zero_grads();
-            }
-            block.mlp.zero_grads();
-            block.moe.zero_grads();
-        }
-    }
+/// One step of a one-rank model: the local loss, unrounded (a world of one
+/// needs no [`DistMoeLm::reduce_loss`]).
+fn solo_step(model: &mut DistMoeLm, batch: &[Vec<usize>], ctx: &mut RankCtx) -> f64 {
+    const NO_PEER: &str = "a one-rank world has no peer to fail";
+    let loss = model
+        .forward_backward(batch, &ctx.world, &mut ctx.clock)
+        .expect(NO_PEER);
+    model.sync_grads(&ctx.world, &mut ctx.clock).expect(NO_PEER);
+    model.apply_update();
+    loss
 }
 
 /// Train both drop policies on identical data streams (same corpus seed)
-/// and return their loss curves — the Fig 15 experiment.
+/// and return their loss curves — the Fig 15 experiment, on the
+/// single-process model: a [`DistMoeLm`] on a one-rank world.
 pub fn loss_validation_curves(steps: usize, smooth: usize) -> (Vec<f64>, Vec<f64>) {
     let run = |policy: DropPolicy| -> Vec<f64> {
         let cfg = TrainConfig::fig15(policy);
-        let mut corpus = MarkovCorpus::new(cfg.vocab, 4, 999);
-        let mut model = MoeLm::new(cfg.clone());
-        let mut losses = Vec::with_capacity(steps);
-        for _ in 0..steps {
-            let batch = corpus.batch(cfg.batch, cfg.seq_len);
-            let stats = model.train_step(&batch);
-            losses.push(stats.loss);
-        }
+        let full_layers = build_moe_layers(&cfg);
+        let mut losses = SimCluster::frontier(1)
+            .run(|ctx| {
+                let mut corpus = MarkovCorpus::new(cfg.vocab, 4, 999);
+                let mut model = DistMoeLm::new(&cfg, &full_layers, 0, 1);
+                (0..steps)
+                    .map(|_| solo_step(&mut model, &corpus.batch(cfg.batch, cfg.seq_len), ctx))
+                    .collect::<Vec<f64>>()
+            })
+            .remove(0);
         // Optional moving-average smoothing for plotting.
         if smooth > 1 {
             losses = losses
@@ -340,25 +150,30 @@ pub fn loss_validation_curves(steps: usize, smooth: usize) -> (Vec<f64>, Vec<f64
 mod tests {
     use super::*;
 
+    /// `f` over a fresh one-rank model of `cfg`.
+    fn solo<R: Send>(cfg: &TrainConfig, f: impl Fn(&mut DistMoeLm, &mut RankCtx) -> R + Sync) -> R {
+        let full_layers = build_moe_layers(cfg);
+        SimCluster::frontier(1)
+            .run(|ctx| f(&mut DistMoeLm::new(cfg, &full_layers, 0, 1), ctx))
+            .remove(0)
+    }
+
     #[test]
     fn loss_decreases_on_markov_corpus() {
         let cfg = TrainConfig::fig15(DropPolicy::CapacityOnly);
-        let mut corpus = MarkovCorpus::new(cfg.vocab, 4, 7);
-        let mut model = MoeLm::new(cfg.clone());
-        let mut first = 0.0;
-        let mut last = 0.0;
-        for step in 0..120 {
-            let batch = corpus.batch(cfg.batch, cfg.seq_len);
-            let stats = model.train_step(&batch);
-            if step == 0 {
-                first = stats.loss;
-            }
-            last = stats.loss;
+        let losses = solo(&cfg, |model, ctx| {
+            let mut corpus = MarkovCorpus::new(cfg.vocab, 4, 7);
+            (0..120)
+                .map(|_| solo_step(model, &corpus.batch(cfg.batch, cfg.seq_len), ctx))
+                .collect::<Vec<f64>>()
+        });
+        for (step, &loss) in losses.iter().enumerate() {
             // Divergence flows through the guard's recoverable check (a
             // policy trip in production, a test failure here) instead of
             // an unconditional abort.
-            assert_eq!(crate::guard::check_loss(step as u64, stats.loss), Ok(()));
+            assert_eq!(crate::guard::check_loss(step as u64, loss), Ok(()));
         }
+        let (first, last) = (losses[0], losses[119]);
         assert!(
             last < first - 0.5,
             "loss should drop markedly: {first} -> {last}"
@@ -374,10 +189,13 @@ mod tests {
     fn negative_logit_policy_shows_higher_drop_rate() {
         let mk = |policy| {
             let cfg = TrainConfig::fig15(policy);
-            let mut corpus = MarkovCorpus::new(cfg.vocab, 4, 17);
-            let mut model = MoeLm::new(cfg.clone());
-            let batch = corpus.batch(cfg.batch, cfg.seq_len);
-            model.eval_step(&batch).drop_fraction
+            solo(&cfg, |model, ctx| {
+                let batch = MarkovCorpus::new(cfg.vocab, 4, 17).batch(cfg.batch, cfg.seq_len);
+                model
+                    .forward_backward(&batch, &ctx.world, &mut ctx.clock)
+                    .unwrap();
+                model.drop_fraction()
+            })
         };
         let xmoe = mk(DropPolicy::CapacityOnly);
         let ds = mk(DropPolicy::CapacityAndNegativeLogit);
@@ -410,13 +228,17 @@ mod tests {
     }
 
     #[test]
-    fn eval_step_does_not_change_parameters() {
+    fn forward_backward_does_not_change_parameters() {
         let cfg = TrainConfig::fig15(DropPolicy::CapacityOnly);
-        let mut corpus = MarkovCorpus::new(cfg.vocab, 4, 27);
-        let mut model = MoeLm::new(cfg.clone());
-        let batch = corpus.batch(cfg.batch, cfg.seq_len);
-        let l1 = model.eval_step(&batch).loss;
-        let l2 = model.eval_step(&batch).loss;
-        assert_eq!(l1, l2, "eval must be side-effect free");
+        let (l1, l2) = solo(&cfg, |model, ctx| {
+            let batch = MarkovCorpus::new(cfg.vocab, 4, 27).batch(cfg.batch, cfg.seq_len);
+            let mut eval = || {
+                let loss = model.forward_backward(&batch, &ctx.world, &mut ctx.clock);
+                model.zero_all_grads();
+                loss.unwrap()
+            };
+            (eval(), eval())
+        });
+        assert_eq!(l1, l2, "forward + backward must leave the weights alone");
     }
 }

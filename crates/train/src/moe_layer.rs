@@ -43,7 +43,7 @@ pub struct TrainableMoe {
 }
 
 /// Saved forward state.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct MoeCtx {
     router: RouterSave,
     pft: Pft,
@@ -226,29 +226,24 @@ impl TrainableMoe {
     /// locally-generated aux and z-loss gradients are multiplied by the
     /// same scale here — every term of the router gradient shares one
     /// scale, and unscaling restores the exact unscaled mix. Power-of-two
-    /// scales keep this bitwise-invertible.
+    /// scales keep this bitwise-invertible. The pooled backward over a
+    /// throwaway scratch holding a copy of `ctx`.
     pub fn backward_scaled(&mut self, ctx: &MoeCtx, d_out: &Tensor, loss_scale: f32) -> Tensor {
-        let (mut ws, mut bwd) = (Workspace::default(), BwdScratch::default());
-        self.backward_with(ctx, &mut ws, &mut bwd, d_out, loss_scale)
+        let mut st = MoeTrainScratch {
+            ctx: ctx.clone(),
+            ..MoeTrainScratch::default()
+        };
+        self.backward_scaled_pooled(&mut st, d_out, loss_scale)
     }
 
     /// [`Self::forward`] with every step-lifetime buffer reused from `st`.
     /// The saved forward state lands in `st.ctx`; the returned output is
     /// leased from `st.ws` — recycle it once consumed.
     pub fn forward_pooled(&self, x: &Tensor, st: &mut MoeTrainScratch) -> Tensor {
-        self.forward_in(x, &mut st.ws, &mut st.ctx, &mut st.route)
-    }
-
-    /// The forward over a caller-chosen arena: [`crate::model::MoeLm`] runs
-    /// every layer of its step on one.
-    pub(crate) fn forward_in(
-        &self,
-        x: &Tensor,
-        ws: &mut Workspace,
-        ctx: &mut MoeCtx,
-        sc: &mut RouteScratch,
-    ) -> Tensor {
         let (h, f) = self.dims();
+        let MoeTrainScratch {
+            ws, ctx, route: sc, ..
+        } = st;
         route(
             &self.router_params(),
             &self.gate,
@@ -298,18 +293,8 @@ impl TrainableMoe {
         d_out: &Tensor,
         loss_scale: f32,
     ) -> Tensor {
-        self.backward_with(&st.ctx, &mut st.ws, &mut st.bwd, d_out, loss_scale)
-    }
-
-    pub(crate) fn backward_with(
-        &mut self,
-        ctx: &MoeCtx,
-        ws: &mut Workspace,
-        bwd: &mut BwdScratch,
-        d_out: &Tensor,
-        loss_scale: f32,
-    ) -> Tensor {
         let dims = self.dims();
+        let MoeTrainScratch { ws, ctx, bwd, .. } = st;
         // For-overwrite: the residual-path copy fills it.
         let mut d_x = ws.take_for_overwrite(d_out.rows(), d_out.cols());
         d_x.as_mut_slice().copy_from_slice(d_out.as_slice());

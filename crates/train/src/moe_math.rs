@@ -32,7 +32,7 @@ pub(crate) struct RouterParams {
 }
 
 /// What [`route`] saves for [`router_backward`].
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct RouterSave {
     /// The layer input `[S, H]`.
     pub x: Tensor,

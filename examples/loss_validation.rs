@@ -6,8 +6,9 @@
 //! cargo run --release --example loss_validation
 //! ```
 
+use xmoe::collectives::SimCluster;
 use xmoe::core::gating::DropPolicy;
-use xmoe::train::{MarkovCorpus, MoeLm, TrainConfig};
+use xmoe::train::{build_moe_layers, DistMoeLm, MarkovCorpus, TrainConfig};
 
 fn main() {
     let steps = 150;
@@ -17,34 +18,42 @@ fn main() {
         "step", "X-MoE", "DS-MoE", "dropX%", "dropDS%"
     );
 
-    let run = |policy| {
-        let cfg = TrainConfig::fig15(policy);
-        let corpus = MarkovCorpus::new(cfg.vocab, 4, 999);
-        (MoeLm::new(cfg.clone()), corpus, cfg)
-    };
-    let (mut m_x, mut c_x, cfg) = run(DropPolicy::CapacityOnly);
-    let (mut m_d, mut c_d, _) = run(DropPolicy::CapacityAndNegativeLogit);
-
-    let mut final_x = 0.0;
-    let mut final_d = 0.0;
-    for step in 0..steps {
-        let bx = c_x.batch(cfg.batch, cfg.seq_len);
-        let bd = c_d.batch(cfg.batch, cfg.seq_len);
-        let sx = m_x.train_step(&bx);
-        let sd = m_d.train_step(&bd);
-        final_x = sx.loss;
-        final_d = sd.loss;
-        if step % 10 == 0 || step == steps - 1 {
-            println!(
-                "{:>5}  {:>10.4}  {:>10.4}  {:>8.2}  {:>8.2}",
-                step,
-                sx.loss,
-                sd.loss,
-                100.0 * sx.drop_fraction,
-                100.0 * sd.drop_fraction
-            );
+    // The single-process model is a `DistMoeLm` on a one-rank world; both
+    // share it and report their local losses unrounded.
+    let (final_x, final_d) = SimCluster::frontier(1).run(|ctx| {
+        let (world, clock) = (&ctx.world, &mut ctx.clock);
+        let run = |policy| {
+            let cfg = TrainConfig::fig15(policy);
+            let model = DistMoeLm::new(&cfg, &build_moe_layers(&cfg), 0, 1);
+            (model, MarkovCorpus::new(cfg.vocab, 4, 999), cfg)
+        };
+        let mut x = run(DropPolicy::CapacityOnly);
+        let mut d = run(DropPolicy::CapacityAndNegativeLogit);
+        let mut finals = (0.0, 0.0);
+        for step in 0..steps {
+            let mut train = |(model, corpus, cfg): &mut (DistMoeLm, MarkovCorpus, TrainConfig)| {
+                let batch = corpus.batch(cfg.batch, cfg.seq_len);
+                let loss = model.forward_backward(&batch, world, clock).unwrap();
+                model.sync_grads(world, clock).unwrap();
+                model.apply_update();
+                (loss, model.drop_fraction())
+            };
+            let (lx, dx) = train(&mut x);
+            let (ld, dd) = train(&mut d);
+            finals = (lx, ld);
+            if step % 10 == 0 || step == steps - 1 {
+                println!(
+                    "{:>5}  {:>10.4}  {:>10.4}  {:>8.2}  {:>8.2}",
+                    step,
+                    lx,
+                    ld,
+                    100.0 * dx,
+                    100.0 * dd
+                );
+            }
         }
-    }
+        finals
+    })[0];
     println!(
         "\nfinal: X-MoE {:.4} vs DeepSpeed-MoE {:.4} ({})",
         final_x,
@@ -55,6 +64,7 @@ fn main() {
             "unexpected ordering for this seed"
         }
     );
+    let cfg = TrainConfig::fig15(DropPolicy::CapacityOnly);
     let floor = MarkovCorpus::new(cfg.vocab, 4, 999).entropy_floor();
     println!("corpus entropy floor (perfect model): {floor:.4} nats");
 }

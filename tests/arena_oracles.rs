@@ -9,7 +9,7 @@
 use xmoe::collectives::{RankCtx, SimCluster};
 use xmoe::core::gating::DropPolicy;
 use xmoe::train::model::build_moe_layers;
-use xmoe::train::{DistMoeLm, MarkovCorpus, MoeLm, TrainConfig};
+use xmoe::train::{DistMoeLm, MarkovCorpus, TrainConfig};
 
 fn cfg() -> TrainConfig {
     let mut c = TrainConfig::transformer(DropPolicy::CapacityOnly);
@@ -57,7 +57,7 @@ fn a_warmed_and_poisoned_arena_changes_no_bit_of_a_distributed_step() {
                 .forward_backward(&next, &ctx.world, &mut ctx.clock)
                 .unwrap();
             let mut grads = Vec::new();
-            model.visit_grads(&mut |name, g| grads.push((name.to_string(), bits(g))));
+            model.visit_params(&mut |id, _, g| grads.push((id.to_string(), bits(g.as_slice()))));
             (loss.to_bits(), grads)
         };
         let want = step(&mut DistMoeLm::new(cfg, full_layers, ctx.rank, world), ctx);
@@ -91,38 +91,37 @@ fn a_warmed_and_poisoned_arena_changes_no_bit_of_a_distributed_step() {
 #[test]
 fn a_warmed_and_poisoned_arena_changes_no_bit_of_a_single_rank_step() {
     let cfg = cfg();
+    let full_layers = build_moe_layers(&cfg);
     let (next, warm) = batches(&cfg, 0);
-    // Loss of one train step over `next`, and every weight after it.
-    let step = |model: &mut MoeLm| {
-        let loss = model.train_step(&next).loss;
-        let mut weights = vec![bits(model.embed.weight.as_slice())];
-        for block in &model.blocks {
-            let attn = block.attn.as_ref().expect("transformer config");
-            for t in [&attn.wq, &attn.wk, &attn.wv, &attn.wo] {
-                weights.push(bits(t.as_slice()));
-            }
-            for t in [&attn.norm.gamma, &attn.norm.beta] {
-                weights.push(bits(t.as_slice()));
-            }
-            for t in [&block.mlp.w1, &block.mlp.w2, &block.moe.gate] {
-                weights.push(bits(t.as_slice()));
-            }
-            for (w1, w2) in &block.moe.experts {
-                weights.push(bits(w1.as_slice()));
-                weights.push(bits(w2.as_slice()));
-            }
-        }
-        weights.push(bits(model.head.weight.as_slice()));
-        (loss.to_bits(), weights)
-    };
-    let want = step(&mut MoeLm::new(cfg.clone()));
-    assert!(f64::from_bits(want.0).is_finite());
+    let (cfg, full_layers) = (&cfg, &full_layers);
+    // The single-process model: one rank.
+    SimCluster::frontier(1).run(|ctx| {
+        // Loss of one train step over `next`, and every weight after it.
+        let step = |model: &mut DistMoeLm, ctx: &mut RankCtx| {
+            let loss = model
+                .forward_backward(&next, &ctx.world, &mut ctx.clock)
+                .unwrap();
+            model.sync_grads(&ctx.world, &mut ctx.clock).unwrap();
+            model.apply_update();
+            let mut weights = Vec::new();
+            model.visit_params(&mut |_, w, _| weights.push(bits(w.as_slice())));
+            (loss.to_bits(), weights)
+        };
+        let want = step(&mut DistMoeLm::new(cfg, full_layers, 0, 1), ctx);
+        assert!(f64::from_bits(want.0).is_finite());
 
-    let mut model = MoeLm::new(cfg.clone());
-    for batch in &warm {
-        // Forward + backward without an update.
-        model.eval_step(batch);
-    }
-    model.poison_arena();
-    assert!(step(&mut model) == want, "warmed arena changed the step");
+        let mut model = DistMoeLm::new(cfg, full_layers, 0, 1);
+        for batch in &warm {
+            // Forward + backward without an update.
+            model
+                .forward_backward(batch, &ctx.world, &mut ctx.clock)
+                .unwrap();
+            model.zero_all_grads();
+        }
+        model.poison_arena();
+        assert!(
+            step(&mut model, ctx) == want,
+            "warmed arena changed the step"
+        );
+    });
 }

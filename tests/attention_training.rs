@@ -4,19 +4,37 @@
 //! floor while the transformer (attention + MLP + MoE) can mix positions
 //! and descend further.
 
+use xmoe::collectives::SimCluster;
 use xmoe::core::gating::DropPolicy;
-use xmoe::train::{HigherOrderCorpus, MoeLm, TrainConfig};
+use xmoe::train::{build_moe_layers, DistMoeLm, HigherOrderCorpus, TrainConfig};
+
+/// Per-step `(local loss, drop fraction)` of `steps` steps of the
+/// single-process model (a one-rank `DistMoeLm`).
+fn trajectory(cfg: &TrainConfig, steps: usize, corpus_seed: u64) -> Vec<(f64, f64)> {
+    let full_layers = build_moe_layers(cfg);
+    let mut out = SimCluster::frontier(1).run(|ctx| {
+        let (world, clock) = (&ctx.world, &mut ctx.clock);
+        let mut corpus = HigherOrderCorpus::new(cfg.vocab, 2, 2, corpus_seed);
+        let mut model = DistMoeLm::new(cfg, &full_layers, 0, 1);
+        let mut stats = Vec::new();
+        for _ in 0..steps {
+            let batch = corpus.batch(cfg.batch, cfg.seq_len);
+            let loss = model.forward_backward(&batch, world, clock).unwrap();
+            model.sync_grads(world, clock).unwrap();
+            model.apply_update();
+            stats.push((loss, model.drop_fraction()));
+        }
+        stats
+    });
+    out.remove(0)
+}
 
 fn train(cfg: TrainConfig, steps: usize, corpus_seed: u64) -> f64 {
-    let mut corpus = HigherOrderCorpus::new(cfg.vocab, 2, 2, corpus_seed);
-    let mut model = MoeLm::new(cfg.clone());
     let mut tail = Vec::new();
-    for step in 0..steps {
-        let batch = corpus.batch(cfg.batch, cfg.seq_len);
-        let stats = model.train_step(&batch);
-        assert!(stats.loss.is_finite(), "loss diverged at step {step}");
+    for (step, (loss, _)) in trajectory(&cfg, steps, corpus_seed).into_iter().enumerate() {
+        assert!(loss.is_finite(), "loss diverged at step {step}");
         if step >= steps - 10 {
-            tail.push(stats.loss);
+            tail.push(loss);
         }
     }
     tail.iter().sum::<f64>() / tail.len() as f64
@@ -58,19 +76,11 @@ fn attention_model_trains_stably_with_drops() {
     cfg.num_experts = 8;
     cfg.top_k = 2;
     cfg.capacity_factor = 0.8; // forces drops
-    let mut corpus = HigherOrderCorpus::new(cfg.vocab, 2, 2, 888);
-    let mut model = MoeLm::new(cfg.clone());
-    let mut first = 0.0;
-    let mut last = 0.0;
-    for step in 0..120 {
-        let batch = corpus.batch(cfg.batch, cfg.seq_len);
-        let stats = model.train_step(&batch);
-        if step == 0 {
-            first = stats.loss;
-        }
-        last = stats.loss;
-        assert!(stats.loss.is_finite());
-        assert!(stats.drop_fraction > 0.0, "capacity 0.8 must drop tokens");
+    let stats = trajectory(&cfg, 120, 888);
+    for &(loss, drop_fraction) in &stats {
+        assert!(loss.is_finite());
+        assert!(drop_fraction > 0.0, "capacity 0.8 must drop tokens");
     }
+    let (first, last) = (stats[0].0, stats[119].0);
     assert!(last < first - 0.3, "loss should improve: {first} -> {last}");
 }

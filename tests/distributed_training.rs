@@ -9,10 +9,12 @@
 //! averaging over the world, and Adam — against the hand-written
 //! single-rank reference.
 
+use std::collections::BTreeMap;
+
 use xmoe::collectives::SimCluster;
 use xmoe::core::gating::DropPolicy;
 use xmoe::train::model::build_moe_layers;
-use xmoe::train::{DistMoeLm, MarkovCorpus, MoeLm, TrainConfig};
+use xmoe::train::{DistMoeLm, ExpertAssignment, MarkovCorpus, TrainConfig};
 
 fn cfg() -> TrainConfig {
     let mut c = TrainConfig::fig15(DropPolicy::CapacityOnly);
@@ -51,18 +53,31 @@ fn four_rank_dp_ep_training_matches_single_process() {
     let per_rank = rank_batches(&cfg, world, steps);
 
     // --- Single-process reference on the concatenated batches ----------
-    let mut reference = MoeLm::new(cfg.clone());
-    let mut ref_losses = Vec::new();
-    for step in 0..steps {
-        let mut concat = Vec::new();
-        for rank_batches in per_rank.iter().take(world) {
-            concat.extend(rank_batches[step].clone());
-        }
-        ref_losses.push(reference.train_step(&concat).loss);
-    }
+    // (a one-rank model, reporting its local loss unrounded).
+    let full_layers = build_moe_layers(&cfg);
+    let (ref_losses, reference) = SimCluster::frontier(1)
+        .run(|ctx| {
+            let (world_1, clock) = (&ctx.world, &mut ctx.clock);
+            let mut reference = DistMoeLm::new(&cfg, &full_layers, 0, 1);
+            let mut ref_losses = Vec::new();
+            for step in 0..steps {
+                let mut concat = Vec::new();
+                for rank_batches in per_rank.iter().take(world) {
+                    concat.extend(rank_batches[step].clone());
+                }
+                let loss = reference.forward_backward(&concat, world_1, clock).unwrap();
+                reference.sync_grads(world_1, clock).unwrap();
+                reference.apply_update();
+                ref_losses.push(loss);
+            }
+            let block0 = &reference.blocks[0].moe;
+            let weights = (reference.head.weight.clone(), block0.gate.clone());
+            (ref_losses, (weights, block0.shard.clone()))
+        })
+        .remove(0);
+    let ((ref_head, ref_gate), ref_experts) = reference;
 
     // --- Distributed run ------------------------------------------------
-    let full_layers = build_moe_layers(&cfg);
     let dist_results = {
         let cfg = &cfg;
         let per_rank = &per_rank;
@@ -112,21 +127,21 @@ fn four_rank_dp_ep_training_matches_single_process() {
         );
     }
     assert!(
-        head0.allclose(&reference.head.weight, 5e-3),
+        head0.allclose(&ref_head, 5e-3),
         "head trajectory diverged: max diff {}",
-        head0.max_abs_diff(&reference.head.weight)
+        head0.max_abs_diff(&ref_head)
     );
     assert!(
-        gate0.allclose(&reference.blocks[0].moe.gate, 5e-3),
+        gate0.allclose(&ref_gate, 5e-3),
         "gate trajectory diverged: max diff {}",
-        gate0.max_abs_diff(&reference.blocks[0].moe.gate)
+        gate0.max_abs_diff(&ref_gate)
     );
 
     // Expert shards match the corresponding reference experts.
     for (_, _, _, shard, locals) in &dist_results {
         for (i, (w1, w2)) in shard.iter().enumerate() {
             let global = locals[i];
-            let (ref_w1, ref_w2) = &reference.blocks[0].moe.experts[global];
+            let (ref_w1, ref_w2) = &ref_experts[global];
             assert!(
                 w1.allclose(ref_w1, 5e-3),
                 "expert {global} w1 diverged: {}",
@@ -170,4 +185,61 @@ fn distributed_training_reduces_loss() {
         last < first - 0.4,
         "distributed loss should decrease markedly: {first} -> {last}"
     );
+}
+
+/// Every rank's weights after `steps` train steps under `asg`, by name.
+fn weights_after(
+    cfg: &TrainConfig,
+    asg: &ExpertAssignment,
+    steps: usize,
+) -> Vec<Vec<(String, Vec<u32>)>> {
+    let full_layers = build_moe_layers(cfg);
+    let per_rank = rank_batches(cfg, asg.n_ranks(), steps);
+    SimCluster::frontier(asg.n_ranks()).run(|ctx| {
+        let mut model = DistMoeLm::new_with_assignment(cfg, &full_layers, ctx.rank, asg.clone());
+        for batch in &per_rank[ctx.rank] {
+            model.train_step(batch, &ctx.world, &mut ctx.clock).unwrap();
+        }
+        let mut weights = Vec::new();
+        model.visit_params(&mut |id, w, _| {
+            let bits = w.as_slice().iter().map(|v| v.to_bits()).collect();
+            weights.push((id.to_string(), bits));
+        });
+        weights
+    })
+}
+
+#[test]
+fn replicas_stay_bit_identical_under_clipping() {
+    // Every copy of a tensor — the embedding, attention, MLP, router and
+    // head weights on every rank, a replicated expert on each holder — must
+    // take the same update: Adam's clip scale comes from one global norm.
+    // A rank-local norm (replicated tensors + the rank's own experts) picks
+    // a different scale per rank once the norm passes the clip, and this
+    // config's norm does from the first step.
+    let mut cfg = cfg();
+    cfg.use_attention = true;
+    let mut replicated = ExpertAssignment::contiguous(8, 4);
+    replicated.replicate(0, 2);
+    for (what, asg, copies) in [
+        ("world 2", ExpertAssignment::contiguous(8, 2), 1),
+        ("world 4, expert 0 on ranks 0 and 2", replicated, 2),
+    ] {
+        let ranks = weights_after(&cfg, &asg, 60);
+        let mut first: BTreeMap<&str, (usize, &[u32], usize)> = BTreeMap::new();
+        for (rank, weights) in ranks.iter().enumerate() {
+            for (name, bits) in weights {
+                let seen = first.entry(name).or_insert((rank, bits, 0));
+                assert!(
+                    seen.1 == bits.as_slice(),
+                    "{what}: {name} differs between ranks {} and {rank}",
+                    seen.0
+                );
+                seen.2 += 1;
+            }
+        }
+        assert_eq!(first["head.weight"].2, asg.n_ranks(), "{what}");
+        assert_eq!(first["block1.attn.wq"].2, asg.n_ranks(), "{what}");
+        assert_eq!(first["block0.moe.expert0.w2"].2, copies, "{what}");
+    }
 }

@@ -1,6 +1,6 @@
 //! The absolute numeric anchor: FNV-1a hashes over the f32 bits of two
-//! training trajectories and of the four forward pipelines, pinned as
-//! constants.
+//! training trajectories, of the checkpoint one of them ends in, and of the
+//! four forward pipelines, pinned as constants.
 //!
 //! Every other bitwise oracle in the repo is *relative* (pooled ≡ owned,
 //! lanes ≡ serial, overlap ≡ serial): a kernel change that moved every path
@@ -37,6 +37,10 @@ const GOLD_TRAINABLE_MOE: u64 = 0xad3d_5ad8_9468_6a92;
 /// 3-step 2-rank `DistMoeLm::train_step` trajectory: per-step losses and
 /// every rank's final head, gate and expert-shard weights.
 const GOLD_DIST_MOE_LM: u64 = 0xfebc_3c68_d75d_080b;
+/// The encoded `Checkpoint` every rank captures after that run: pins the
+/// parameter walk's entry order and Adam's slot order (pinned at the parent
+/// of the one-walk change, before the walk landed).
+const GOLD_DIST_MOE_LM_CKPT: u64 = 0xd048_ccc1_41ae_afb5;
 /// Dense, padding-free (owned and pooled), block-sparse and RBD forwards at
 /// world 4: every rank's output. The dense and block-sparse slabs carry
 /// whole-zero pad rows, the case the NN kernel's row-group skip exists for.
@@ -100,7 +104,8 @@ fn trainable_moe_trajectory() -> u64 {
     h
 }
 
-fn dist_moe_lm_trajectory() -> u64 {
+/// The trajectory hash and the checkpoint hash of one 3-step 2-rank run.
+fn dist_moe_lm_trajectory() -> (u64, u64) {
     let mut cfg = TrainConfig::transformer(DropPolicy::CapacityOnly);
     cfg.vocab = 48;
     cfg.hidden = 72;
@@ -134,12 +139,18 @@ fn dist_moe_lm_trajectory() -> u64 {
                     h = fnv1a(h, w2.as_slice());
                 }
             }
-            h
+            let ckpt = model
+                .capture_checkpoint(steps as u64, 0, &ctx.world, &mut ctx.clock)
+                .expect("clean capture");
+            (h, fnv1a_bytes(FNV_OFFSET, &ckpt.encode()))
         })
     };
-    results
-        .iter()
-        .fold(FNV_OFFSET, |h, r| fnv1a_bytes(h, &r.to_le_bytes()))
+    let fold = |pick: fn(&(u64, u64)) -> u64| {
+        results
+            .iter()
+            .fold(FNV_OFFSET, |h, r| fnv1a_bytes(h, &pick(r).to_le_bytes()))
+    };
+    (fold(|r| r.0), fold(|r| r.1))
 }
 
 /// 384 tokens per rank at top-2 over 8 experts: each rank's two experts see
@@ -195,7 +206,9 @@ fn child_golden() {
         return;
     }
     println!("GOLD trainable_moe {:016x}", trainable_moe_trajectory());
-    println!("GOLD dist_moe_lm {:016x}", dist_moe_lm_trajectory());
+    let (dist, ckpt) = dist_moe_lm_trajectory();
+    println!("GOLD dist_moe_lm {dist:016x}");
+    println!("GOLD dist_moe_lm_ckpt {ckpt:016x}");
     println!("GOLD pipelines {:016x}", pipeline_outputs());
 }
 
@@ -208,6 +221,7 @@ fn trajectories_match_the_pinned_hashes_at_every_thread_count() {
     let expected = [
         format!("GOLD trainable_moe {GOLD_TRAINABLE_MOE:016x}"),
         format!("GOLD dist_moe_lm {GOLD_DIST_MOE_LM:016x}"),
+        format!("GOLD dist_moe_lm_ckpt {GOLD_DIST_MOE_LM_CKPT:016x}"),
         format!("GOLD pipelines {GOLD_PIPELINES:016x}"),
     ];
     for threads in ["1", "2", "8"] {
