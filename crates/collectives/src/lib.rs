@@ -24,14 +24,12 @@ pub mod comm;
 #[cfg(test)]
 #[path = "../tests/common/mod.rs"]
 mod common;
-pub mod hierarchical;
 mod mailbox;
 pub mod runtime;
 pub mod trace;
 
 pub use clock::SimClock;
 pub use comm::{CommError, Communicator, P2pStash, PendingOp, TrafficStats};
-pub use hierarchical::HierarchicalComm;
 pub use runtime::{RankCtx, SimCluster};
 pub use trace::{RankTrace, RecoveryStats, Span, StageStat, StepReport};
 // Fault-injection types live in the topology crate (the plan shapes link

@@ -5,7 +5,7 @@
 //! fine-grained expert. Under expert parallelism each rank owns a contiguous
 //! block of `E / W` experts ([`ExpertShard`]).
 
-use xmoe_tensor::{gemm_grouped, matmul, silu, silu_slice, Tensor, Workspace};
+use xmoe_tensor::{gemm_grouped, silu_into, Tensor, Workspace};
 
 /// One expert FFN: `y = silu(x @ w1) @ w2`.
 #[derive(Clone, Debug)]
@@ -24,13 +24,36 @@ impl Expert {
             w2: Tensor::rand_init(ffn, hidden, ffn, seed ^ 0xFFFF_0000),
         }
     }
+}
 
-    /// Forward over a `[n, H]` token segment.
-    pub fn forward(&self, x: &Tensor) -> Tensor {
-        let mut h = matmul(x, &self.w1);
-        silu(&mut h);
-        matmul(&h, &self.w2)
-    }
+/// The expert FFN, written once (paper §B.4's sequential per-expert GEMM):
+/// over the expert-major segments `counts` of `input` (`[Σ counts, H]`),
+/// segment `e` through `experts[e]`, `h_pre = input·W1`,
+/// `h_act = silu(h_pre)` and `y = h_act·W2`. The whole set is two
+/// [`gemm_grouped`] batches on the persistent worker pool, so many small
+/// segments fill the machine instead of running back-to-back, and the bits
+/// are the sequential per-expert loop's at any worker count. All three
+/// outputs are overwritten whole (every row belongs to exactly one segment,
+/// which is also why one SiLU pass equals the per-segment ones), so they may
+/// be for-overwrite leases. The forward-only callers drop `h_pre`/`h_act`;
+/// training saves them for the backward.
+pub fn expert_ffn(
+    experts: &[Expert],
+    counts: &[usize],
+    input: &[f32],
+    h_pre: &mut [f32],
+    h_act: &mut [f32],
+    y: &mut [f32],
+) {
+    assert_eq!(
+        counts.len(),
+        experts.len(),
+        "segment count must equal local expert count"
+    );
+    let (h, f) = experts.first().map_or((0, 0), |e| e.w1.shape());
+    gemm_grouped(input, counts, h, |e| experts[e].w1.as_slice(), f, h_pre);
+    silu_into(h_pre, h_act);
+    gemm_grouped(h_act, counts, f, |e| experts[e].w2.as_slice(), h, y);
 }
 
 /// The contiguous block of experts owned by one EP rank.
@@ -88,95 +111,60 @@ impl ExpertShard {
         e >= self.first_expert && e < self.first_expert + self.experts.len()
     }
 
-    /// Grouped GEMM over per-expert segments (paper §B.4): `input` rows are
+    /// [`expert_ffn`] over the whole shard (paper §B.4): `input` rows are
     /// grouped by local expert with lengths `tokens_per_local_expert`; each
-    /// segment runs through its expert with no padding. The whole shard is
-    /// two [`gemm_grouped`] batches (`x @ w1` for every expert, SiLU, then
-    /// `h @ w2`) on the persistent worker pool, so E small segments fill the
-    /// machine instead of running back-to-back — results stay bitwise
-    /// identical to the sequential per-expert loop at any worker count.
+    /// segment runs through its expert with no padding. The pooled forward
+    /// on a throwaway arena.
     pub fn forward_segments(&self, input: &Tensor, tokens_per_local_expert: &[usize]) -> Tensor {
-        assert_eq!(
-            tokens_per_local_expert.len(),
-            self.experts.len(),
-            "segment count must equal local expert count"
-        );
-        let total: usize = tokens_per_local_expert.iter().sum();
-        assert_eq!(total, input.rows(), "segment sum != input rows");
-        let hidden = self.experts.first().map_or(0, |e| e.w1.rows());
-        let ffn = self.experts.first().map_or(0, |e| e.w1.cols());
-        let mut h = Tensor::zeros(total, ffn);
-        let mut out = Tensor::zeros(total, hidden);
-        self.forward_segments_into(input, tokens_per_local_expert, &mut h, &mut out);
-        out
+        self.forward_segments_pooled(input, tokens_per_local_expert, &mut Workspace::new())
     }
 
-    /// [`Self::forward_segments`] running on workspace leases: the activation
-    /// scratch and the output come from `ws`, and the grouped GEMMs write
-    /// straight into sub-ranges of the leased buffers instead of
-    /// materialising per-segment tensors. Results are bitwise identical to
-    /// the unpooled variant; the caller recycles the returned tensor.
+    /// [`Self::forward_segments`] on workspace leases: one `[total, 2·ffn]`
+    /// strip split into `h_pre | h_act` (one lease, so the arena holds as
+    /// many buffers as with an in-place SiLU) and the output come from `ws`,
+    /// and the grouped GEMMs write straight into them instead of
+    /// materialising per-segment tensors. The caller recycles the returned
+    /// tensor.
     pub fn forward_segments_pooled(
         &self,
         input: &Tensor,
         tokens_per_local_expert: &[usize],
         ws: &mut Workspace,
     ) -> Tensor {
-        assert_eq!(
-            tokens_per_local_expert.len(),
-            self.experts.len(),
-            "segment count must equal local expert count"
-        );
         let total: usize = tokens_per_local_expert.iter().sum();
         assert_eq!(total, input.rows(), "segment sum != input rows");
-        let hidden = self.experts.first().map_or(0, |e| e.w1.rows());
-        let ffn = self.experts.first().map_or(0, |e| e.w1.cols());
-        // For-overwrite: each is one grouped GEMM's whole output.
-        let mut h = ws.take_for_overwrite(total, ffn);
+        let (hidden, ffn) = self.experts.first().map_or((0, 0), |e| e.w1.shape());
+        // For-overwrite: `expert_ffn` writes all of both whole.
+        let mut h = ws.take_for_overwrite(total, 2 * ffn);
         let mut out = ws.take_for_overwrite(total, hidden);
-        self.forward_segments_into(input, tokens_per_local_expert, &mut h, &mut out);
-        ws.recycle(h);
-        out
-    }
-
-    /// Shared body of the owned/pooled segment forwards: two grouped GEMM
-    /// batches with a SiLU between. `h` (`[total, ffn]`) and `out`
-    /// (`[total, hidden]`) are overwritten whole: every row belongs to
-    /// exactly one segment, and [`gemm_grouped`] never reads its output.
-    fn forward_segments_into(
-        &self,
-        input: &Tensor,
-        tokens_per_local_expert: &[usize],
-        h: &mut Tensor,
-        out: &mut Tensor,
-    ) {
-        let hidden = self.experts.first().map_or(0, |e| e.w1.rows());
-        let ffn = self.experts.first().map_or(0, |e| e.w1.cols());
-        gemm_grouped(
+        let (h_pre, h_act) = h.as_mut_slice().split_at_mut(total * ffn);
+        expert_ffn(
+            &self.experts,
+            tokens_per_local_expert,
             input.as_slice(),
-            tokens_per_local_expert,
-            hidden,
-            |e| self.experts[e].w1.as_slice(),
-            ffn,
-            h.as_mut_slice(),
-        );
-        // Every row of `h` belongs to exactly one segment, so one pass over
-        // the whole buffer equals the per-segment application.
-        silu_slice(h.as_mut_slice());
-        gemm_grouped(
-            h.as_slice(),
-            tokens_per_local_expert,
-            ffn,
-            |e| self.experts[e].w2.as_slice(),
-            hidden,
+            h_pre,
+            h_act,
             out.as_mut_slice(),
         );
+        ws.recycle(h);
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xmoe_tensor::{matmul, silu};
+
+    impl Expert {
+        /// The reference the grouped body is checked against: one expert's
+        /// `silu(x @ w1) @ w2` on owned tensors.
+        pub(crate) fn forward(&self, x: &Tensor) -> Tensor {
+            let mut h = matmul(x, &self.w1);
+            silu(&mut h);
+            matmul(&h, &self.w2)
+        }
+    }
 
     #[test]
     fn expert_forward_shapes() {
@@ -218,8 +206,8 @@ mod tests {
         let out = shard.forward_segments(&input, &[2, 0, 4]);
         let y0 = shard.experts[0].forward(&input.slice_rows(0, 2));
         let y2 = shard.experts[2].forward(&input.slice_rows(2, 6));
-        assert!(out.slice_rows(0, 2).allclose(&y0, 1e-6));
-        assert!(out.slice_rows(2, 6).allclose(&y2, 1e-6));
+        assert!(out.slice_rows(0, 2).allclose(&y0, 0.0));
+        assert!(out.slice_rows(2, 6).allclose(&y2, 0.0));
     }
 
     #[test]

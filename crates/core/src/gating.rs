@@ -7,7 +7,7 @@
 //! drops on capacity overflow. [`DropPolicy`] encodes both behaviours so the
 //! loss-validation experiment (Fig 15) can reproduce the gap.
 
-use xmoe_tensor::{matmul, matmul_into, softmax_rows, topk_rows, topk_rows_into, Tensor};
+use xmoe_tensor::{matmul_into, softmax_rows, topk_rows_into, Tensor};
 
 /// When is a routed (token, expert) pair eligible to be dropped before
 /// capacity is even considered?
@@ -76,12 +76,62 @@ impl Default for GatingOutput {
     }
 }
 
-/// Reusable scratch for [`Router::gate_into`]: the logits tensor and the
-/// top-k selection order. Grow-only, like every pooled scratch.
+/// Reusable scratch for [`gate_rows`]: the logits tensor and the top-k
+/// selection order. Grow-only, like every pooled scratch.
 #[derive(Debug, Default)]
 pub struct GateScratch {
     logits: Tensor,
     order: Vec<usize>,
+}
+
+impl GateScratch {
+    /// The `[S, E]` logits of the last [`gate_rows`] call, after its clamp
+    /// (the training z-loss reads them).
+    pub fn logits(&self) -> &Tensor {
+        &self.logits
+    }
+}
+
+/// The one gating body (Listing 1 lines 1–8): `logits = tokens · weight`,
+/// clamped into `[-logit_clamp, logit_clamp]` ([`clamp_logits`]; `0` is a
+/// no-op), their row softmax into `out.scores`, the top-`top_k` experts per
+/// token and their clamped logits. Logits stay in `scratch`; returns how
+/// many the clamp limited. With warm buffers it performs no heap allocation.
+pub fn gate_rows(
+    weight: &Tensor,
+    top_k: usize,
+    logit_clamp: f32,
+    tokens: &Tensor,
+    scratch: &mut GateScratch,
+    out: &mut GatingOutput,
+) -> usize {
+    assert_eq!(tokens.cols(), weight.rows(), "token hidden dim mismatch");
+    let (s, e) = (tokens.rows(), weight.cols());
+    // For-overwrite: the GEMM's Overwrite store fills `logits`, the copy
+    // fills `scores`.
+    let logits = &mut scratch.logits;
+    logits.resize_for_overwrite(s, e);
+    matmul_into(tokens, weight, logits);
+    let clamped = clamp_logits(logits, logit_clamp);
+    out.scores.resize_for_overwrite(s, e);
+    out.scores.as_mut_slice().copy_from_slice(logits.as_slice());
+    softmax_rows(&mut out.scores);
+    topk_rows_into(
+        &out.scores,
+        top_k,
+        &mut out.top_experts,
+        &mut out.combine_weights,
+        &mut scratch.order,
+    );
+    out.top_logits.clear();
+    out.top_logits.extend(
+        out.top_experts
+            .iter()
+            .enumerate()
+            .map(|(i, &ex)| logits.get(i / top_k, ex)),
+    );
+    out.k = top_k;
+    clamped
 }
 
 /// The learned router of one MoE layer: a single `[H, E]` projection.
@@ -116,67 +166,17 @@ impl Router {
     }
 
     /// Run gating over `tokens` (`[S, H]`): compute logits, softmax, select
-    /// top-k experts per token (Listing 1 lines 1–8).
+    /// top-k experts per token — [`Self::gate_into`] on fresh buffers.
     pub fn gate(&self, tokens: &Tensor) -> GatingOutput {
-        assert_eq!(
-            tokens.cols(),
-            self.weight.rows(),
-            "token hidden dim mismatch"
-        );
-        let logits = matmul(tokens, &self.weight);
-        let mut scores = logits.clone();
-        softmax_rows(&mut scores);
-        let k = self.top_k;
-        let (top_experts, combine_weights) = topk_rows(&scores, k);
-        let top_logits = top_experts
-            .iter()
-            .enumerate()
-            .map(|(i, &e)| logits.get(i / k, e))
-            .collect();
-        GatingOutput {
-            top_experts,
-            combine_weights,
-            top_logits,
-            k,
-            scores,
-        }
+        let mut out = GatingOutput::default();
+        self.gate_into(tokens, &mut GateScratch::default(), &mut out);
+        out
     }
 
-    /// [`Router::gate`] on caller-owned buffers: logits land in the scratch
-    /// tensor, scores/top-k arrays in the reused `out`. Results are identical
-    /// to the owned variant; with warm buffers the call performs no heap
-    /// allocation.
+    /// [`gate_rows`] with this router's weight and `top_k`, unclamped: logits
+    /// land in the scratch tensor, scores/top-k arrays in the reused `out`.
     pub fn gate_into(&self, tokens: &Tensor, scratch: &mut GateScratch, out: &mut GatingOutput) {
-        assert_eq!(
-            tokens.cols(),
-            self.weight.rows(),
-            "token hidden dim mismatch"
-        );
-        // For-overwrite: the GEMM's Overwrite store fills `logits`, the copy
-        // fills `scores`.
-        let logits = &mut scratch.logits;
-        logits.resize_for_overwrite(tokens.rows(), self.weight.cols());
-        matmul_into(tokens, &self.weight, logits);
-        out.scores
-            .resize_for_overwrite(tokens.rows(), self.weight.cols());
-        out.scores.as_mut_slice().copy_from_slice(logits.as_slice());
-        softmax_rows(&mut out.scores);
-        let k = self.top_k;
-        topk_rows_into(
-            &out.scores,
-            k,
-            &mut out.top_experts,
-            &mut out.combine_weights,
-            &mut scratch.order,
-        );
-        out.top_logits.clear();
-        out.top_logits.extend(
-            out.top_experts
-                .iter()
-                .enumerate()
-                .map(|(i, &e)| logits.get(i / k, e)),
-        );
-        out.k = k;
+        gate_rows(&self.weight, self.top_k, 0.0, tokens, scratch, out);
     }
 }
 
@@ -267,6 +267,7 @@ pub fn z_loss_value(lse: &[f32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xmoe_tensor::{matmul, topk_rows};
 
     #[test]
     fn gate_selects_k_distinct_experts_per_token() {
@@ -336,19 +337,30 @@ mod tests {
 
     #[test]
     fn gate_into_matches_owned_gate_bitwise() {
+        // The fused body on reused buffers against the unfused owned ops
+        // (GEMM, clamp, softmax on a copy, top-k), with and without a clamp.
         let router = Router::new(16, 8, 3, 42);
         let mut scratch = GateScratch::default();
         let mut pooled = GatingOutput::default();
         // Reuse across differently-sized batches: results must stay equal.
-        for (s, seed) in [(10usize, 7u64), (4, 8), (25, 9)] {
+        for (s, seed, clamp) in [(10usize, 7u64, 0.0f32), (4, 8, 0.5), (25, 9, 0.0)] {
             let tokens = Tensor::rand_uniform(s, 16, 1.0, seed);
-            let owned = router.gate(&tokens);
-            router.gate_into(&tokens, &mut scratch, &mut pooled);
-            assert_eq!(pooled.top_experts, owned.top_experts);
-            assert_eq!(pooled.combine_weights, owned.combine_weights);
-            assert_eq!(pooled.top_logits, owned.top_logits);
-            assert_eq!(pooled.k, owned.k);
-            assert!(pooled.scores.allclose(&owned.scores, 0.0));
+            let mut logits = matmul(&tokens, &router.weight);
+            let want_clamped = clamp_logits(&mut logits, clamp);
+            let mut scores = logits.clone();
+            softmax_rows(&mut scores);
+            let (top_experts, combine_weights) = topk_rows(&scores, 3);
+            let clamped = gate_rows(&router.weight, 3, clamp, &tokens, &mut scratch, &mut pooled);
+            assert_eq!(clamped, want_clamped);
+            assert_eq!(pooled.top_experts, top_experts);
+            assert_eq!(pooled.combine_weights, combine_weights);
+            for (i, &e) in top_experts.iter().enumerate() {
+                assert_eq!(pooled.top_logits[i], logits.get(i / 3, e));
+            }
+            assert_eq!(pooled.k, 3);
+            assert!(pooled.scores.allclose(&scores, 0.0));
+            assert!(scratch.logits().allclose(&logits, 0.0));
+            assert_eq!(clamp > 0.0, clamped > 0, "the clamp case must clamp");
         }
     }
 

@@ -34,9 +34,11 @@
 //! dispatched to them.
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
+use xmoe_core::expert::expert_ffn;
 use xmoe_core::gating::{DropPolicy, RouterGuard};
 use xmoe_core::pft::Pft;
 use xmoe_core::route::EpRoute;
+use xmoe_core::Expert;
 use xmoe_tensor::{
     gather_rows_into, scale_assign, scatter_rows_scaled, scatter_rows_unit, Tensor, Workspace,
     WorkspaceStats,
@@ -50,8 +52,8 @@ use crate::guard::sq_norm;
 use crate::layers::{DenseMlp, DenseMlpCtx, Embedding, Head};
 use crate::moe_layer::TrainableMoe;
 use crate::moe_math::{
-    self, combine_backward, expert_ffn_backward, expert_ffn_forward, router_backward, BwdScratch,
-    RouteScratch, RouterParams, RouterSave,
+    self, combine_backward, expert_ffn_backward, router_backward, zero_grad, MoeScratch,
+    RouterParams, RouterSave,
 };
 
 /// A trainable MoE layer whose experts are sharded across an EP group.
@@ -60,10 +62,10 @@ pub struct DistMoe {
     /// Replicated router `[H, E]`.
     pub gate: Tensor,
     pub g_gate: Tensor,
-    /// This rank's expert blocks `(w1 [H,F], w2 [F,H])`, one per entry of
-    /// `local_experts`.
-    pub shard: Vec<(Tensor, Tensor)>,
-    pub g_shard: Vec<(Tensor, Tensor)>,
+    /// This rank's experts (`w1 [H,F]`, `w2 [F,H]`), one per entry of
+    /// `local_experts`, and their gradients.
+    pub shard: Vec<Expert>,
+    pub g_shard: Vec<Expert>,
     /// Global ids of this rank's local experts, ascending — under the
     /// classic layout a contiguous range, under an elastic assignment any
     /// subset (including replicas of experts other ranks also hold).
@@ -82,14 +84,13 @@ pub struct DistMoe {
     pub policy: DropPolicy,
 }
 
-/// Per-layer persistent state of a [`DistMoe`] step: the router's and the
-/// backward's grow-once scratch, the route and router saves rebuilt in place
-/// by every forward, and the forward's activation saves — leases of the
-/// step's arena that the backward recycles. One per layer per rank.
+/// Per-layer persistent state of a [`DistMoe`] step: the layer math's
+/// grow-once scratch, the route and router saves rebuilt in place by every
+/// forward, and the forward's activation saves — leases of the step's arena
+/// that the backward recycles. One per layer per rank.
 #[derive(Default)]
 pub struct DistMoeScratch {
-    route_sc: RouteScratch,
-    bwd: BwdScratch,
+    sc: MoeScratch,
     router: RouterSave,
     route: EpRoute,
     /// The schedule the forward ran and the backward mirrors (`None` =
@@ -160,20 +161,12 @@ impl DistMoe {
             "DistMoe does not implement router guards: router_guard must be inert"
         );
         let local_experts = assignment.experts_on(rank).to_vec();
-        let shard: Vec<(Tensor, Tensor)> = local_experts
+        let shard: Vec<Expert> = local_experts
             .iter()
             .map(|&g| full.experts[g].clone())
             .collect();
-        let g_shard = shard
-            .iter()
-            .map(|(a, b)| {
-                (
-                    Tensor::zeros(a.rows(), a.cols()),
-                    Tensor::zeros(b.rows(), b.cols()),
-                )
-            })
-            .collect();
-        let (hidden, ffn) = full.experts[0].0.shape();
+        let g_shard = shard.iter().map(zero_grad).collect();
+        let (hidden, ffn) = full.experts[0].w1.shape();
         Self {
             gate: full.gate.clone(),
             g_gate: Tensor::zeros(full.gate.rows(), full.gate.cols()),
@@ -248,10 +241,9 @@ impl DistMoe {
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<Tensor, CommError> {
-        let dims = (self.hidden, self.ffn);
-        let (h, f) = dims;
+        let (h, f) = (self.hidden, self.ffn);
         let DistMoeScratch {
-            route_sc,
+            sc,
             router,
             route,
             expert_input,
@@ -259,14 +251,8 @@ impl DistMoe {
             h_act,
             ..
         } = st;
-        moe_math::route(
-            &self.router_params(),
-            &self.gate,
-            x,
-            route_sc,
-            router,
-            &mut route.pft,
-        );
+        let p = self.router_params();
+        moe_math::route(&p, &self.gate, x, sc, router, &mut route.pft);
         // For-overwrite: the gather fills it.
         let mut dispatch_in = ws.take_for_overwrite(route.pft.len(), h);
         gather_rows_into(x, &route.pft.token_ids, &mut dispatch_in);
@@ -276,7 +262,7 @@ impl DistMoe {
         let counts = &route.tokens_per_local_expert;
         let total = route.recv_total();
         // For-overwrite: the chunks tile all three (every row belongs to
-        // exactly one chunk, and `expert_ffn_forward` writes its rows whole).
+        // exactly one chunk, and `expert_ffn` writes its rows whole).
         *expert_input = ws.take_for_overwrite(total, h);
         *h_pre = ws.take_for_overwrite(total, f);
         *h_act = ws.take_for_overwrite(total, f);
@@ -293,10 +279,9 @@ impl DistMoe {
                 let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
                 expert_input.as_mut_slice()[r0 * h..r1 * h].copy_from_slice(chunk_in.as_slice());
                 let mut y_chunk = ws.take_for_overwrite(r1 - r0, h);
-                expert_ffn_forward(
+                expert_ffn(
                     &self.shard[e0..e1],
                     &counts[e0..e1],
-                    dims,
                     chunk_in.as_slice(),
                     &mut h_pre.as_mut_slice()[r0 * f..r1 * f],
                     &mut h_act.as_mut_slice()[r0 * f..r1 * f],
@@ -339,7 +324,7 @@ impl DistMoe {
 
         // Source side: d_combine rows (PFT order) and combine-weight grads.
         let combine_in = std::mem::take(&mut st.combine_in);
-        let d_combine = combine_backward(pft, &combine_in, d_out, &mut st.bwd, ws);
+        let d_combine = combine_backward(pft, &combine_in, d_out, &mut st.sc, ws);
         ws.recycle(combine_in);
         let (shard, g_shard) = (&self.shard, &mut self.g_shard);
         let (expert_input, h_pre, h_act) = (&st.expert_input, &st.h_pre, &st.h_act);
@@ -381,15 +366,16 @@ impl DistMoe {
             &st.router,
             pft,
             1.0,
-            &mut st.bwd,
+            &mut st.sc,
             ws,
             &mut d_x,
         );
         Ok(d_x)
     }
 
-    /// Checkpointed forward: compute the output but save only the layer
-    /// input. The §4.3 trade-off made executable — the backward pass must
+    /// Checkpointed forward: compute the output and discard the activation
+    /// saves; the layer input, which the caller keeps, is the checkpoint.
+    /// The §4.3 trade-off made executable — the backward pass must
     /// recompute the forward, *including its two all-to-alls*, so a
     /// checkpointed MoE layer costs 6 all-to-alls per step instead of 4.
     pub fn forward_ckpt(
@@ -399,17 +385,17 @@ impl DistMoe {
         ws: &mut Workspace,
         ep: &Communicator,
         clock: &mut SimClock,
-    ) -> Result<(Tensor, Tensor), CommError> {
+    ) -> Result<Tensor, CommError> {
         let out = self.forward(x, st, ws, ep, clock)?;
-        // Discard the context; keep only the input.
         ws.recycle(std::mem::take(&mut st.combine_in));
         st.release_expert_saves(ws);
-        Ok((out, x.clone()))
+        Ok(out)
     }
 
-    /// Backward for a checkpointed layer: recompute forward from the saved
-    /// input (2 extra all-to-alls, labelled `dispatch_a2a`/`combine_a2a`
-    /// again), then run the normal backward (2 more).
+    /// Backward for a checkpointed layer: recompute forward from the layer
+    /// input `forward_ckpt` saw (2 extra all-to-alls, labelled
+    /// `dispatch_a2a`/`combine_a2a` again), then run the normal backward
+    /// (2 more).
     pub fn backward_ckpt(
         &mut self,
         saved_input: &Tensor,
@@ -497,10 +483,10 @@ fn walk(
         let moe = &mut b.moe;
         dense(GATE, &mut moe.gate, &mut moe.g_gate);
         let shard = moe.shard.iter_mut().zip(&mut moe.g_shard);
-        for (&expert, ((w1, w2), (g1, g2))) in moe.local_experts.iter().zip(shard) {
+        for (&expert, (w, g)) in moe.local_experts.iter().zip(shard) {
             let id = |w| ParamId::Expert { block, expert, w };
-            f(id(1), w1, g1);
-            f(id(2), w2, g2);
+            f(id(1), &mut w.w1, &mut g.w1);
+            f(id(2), &mut w.w2, &mut g.w2);
         }
     }
     f(ParamId::Head, &mut head.weight, &mut head.grad);
@@ -834,8 +820,8 @@ impl DistMoeLm {
             for g in moe.assignment.replicated_experts() {
                 match moe.local_experts.iter().position(|&x| x == g) {
                     Some(i) => {
-                        let (g1, g2) = &mut moe.g_shard[i];
-                        for t in [g1, g2] {
+                        let g = &mut moe.g_shard[i];
+                        for t in [&mut g.w1, &mut g.w2] {
                             world.all_reduce_sum_f32(t.as_mut_slice(), clock)?;
                         }
                     }
@@ -1122,8 +1108,8 @@ mod tests {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    fn shard_bits(g: &[(Tensor, Tensor)]) -> Vec<(Vec<u32>, Vec<u32>)> {
-        g.iter().map(|(a, b)| (bits(a), bits(b))).collect()
+    fn shard_bits(g: &[Expert]) -> Vec<(Vec<u32>, Vec<u32>)> {
+        g.iter().map(|e| (bits(&e.w1), bits(&e.w2))).collect()
     }
 
     /// Serial ≡ chunked on one layout: outputs, `d_x`, `g_gate`, `g_shard`
@@ -1282,17 +1268,18 @@ mod tests {
         // global expert r*2 + e_local.
         for rank in 0..world {
             let (g_shard, _, _) = &dist[rank];
-            for (e_local, (g1, g2)) in g_shard.iter().enumerate() {
+            for (e_local, g) in g_shard.iter().enumerate() {
                 let global = rank * 2 + e_local;
+                let want = &reference.g_experts[global];
                 assert!(
-                    g1.allclose(&reference.g_experts[global].0, 1e-3),
+                    g.w1.allclose(&want.w1, 1e-3),
                     "dW1 expert {global}: diff {}",
-                    g1.max_abs_diff(&reference.g_experts[global].0)
+                    g.w1.max_abs_diff(&want.w1)
                 );
                 assert!(
-                    g2.allclose(&reference.g_experts[global].1, 1e-3),
+                    g.w2.allclose(&want.w2, 1e-3),
                     "dW2 expert {global}: diff {}",
-                    g2.max_abs_diff(&reference.g_experts[global].1)
+                    g.w2.max_abs_diff(&want.w2)
                 );
             }
         }
@@ -1343,11 +1330,11 @@ mod tests {
             ctx.clock.reset_buckets();
             // Checkpointed path.
             let mut ckpt = DistMoe::from_trainable(&full, ctx.rank, world);
-            let (out_b, saved) = ckpt
+            let out_b = ckpt
                 .forward_ckpt(&x, st, ws, &ctx.world, &mut ctx.clock)
                 .unwrap();
             let dx_b = ckpt
-                .backward_ckpt(&saved, st, &d_out, ws, &ctx.world, &mut ctx.clock)
+                .backward_ckpt(&x, st, &d_out, ws, &ctx.world, &mut ctx.clock)
                 .unwrap();
             let ckpt_a2a = ctx.clock.bucket("dispatch_a2a")
                 + ctx.clock.bucket("combine_a2a")
@@ -1357,7 +1344,7 @@ mod tests {
                 .g_shard
                 .iter()
                 .zip(&ckpt.g_shard)
-                .all(|((a1, a2), (b1, b2))| a1.allclose(b1, 1e-5) && a2.allclose(b2, 1e-5));
+                .all(|(a, b)| a.w1.allclose(&b.w1, 1e-5) && a.w2.allclose(&b.w2, 1e-5));
             (
                 out_a.allclose(&out_b, 1e-6),
                 dx_a.allclose(&dx_b, 1e-5),

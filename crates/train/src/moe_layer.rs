@@ -7,13 +7,15 @@
 //! `d_w_i = <d_out[t], y_i>` back into the gating softmax, which is the
 //! standard top-k MoE router gradient (dropped assignments receive none).
 
+use xmoe_core::expert::expert_ffn;
 use xmoe_core::gating::{z_loss_value, DropPolicy, RouterGuard};
 use xmoe_core::pft::Pft;
+use xmoe_core::Expert;
 use xmoe_tensor::{gather_rows_into, scatter_rows_scaled, scatter_rows_unit, Tensor, Workspace};
 
 use crate::moe_math::{
-    combine_backward, expert_ffn_backward, expert_ffn_forward, load_fractions, route,
-    router_backward, BwdScratch, RouteScratch, RouterParams, RouterSave,
+    combine_backward, expert_ffn_backward, load_fractions, route, router_backward, zero_grad,
+    MoeScratch, RouterParams, RouterSave,
 };
 
 /// A trainable MoE layer (all experts local — the loss-validation
@@ -24,9 +26,9 @@ pub struct TrainableMoe {
     /// Router projection `[H, E]`.
     pub gate: Tensor,
     pub g_gate: Tensor,
-    /// Expert weights `(w1 [H,F], w2 [F,H])`.
-    pub experts: Vec<(Tensor, Tensor)>,
-    pub g_experts: Vec<(Tensor, Tensor)>,
+    /// Expert weights (`w1 [H,F]`, `w2 [F,H]`) and their gradients.
+    pub experts: Vec<Expert>,
+    pub g_experts: Vec<Expert>,
     pub top_k: usize,
     pub capacity: usize,
     pub policy: DropPolicy,
@@ -89,8 +91,7 @@ pub struct MoeTrainScratch {
     pub ws: Workspace,
     /// Saved forward state, rebuilt in place each step.
     pub ctx: MoeCtx,
-    pub(crate) route: RouteScratch,
-    pub(crate) bwd: BwdScratch,
+    pub(crate) sc: MoeScratch,
 }
 
 impl TrainableMoe {
@@ -103,24 +104,16 @@ impl TrainableMoe {
         policy: DropPolicy,
         seed: u64,
     ) -> Self {
-        let experts: Vec<(Tensor, Tensor)> = (0..num_experts)
+        let experts: Vec<Expert> = (0..num_experts)
             .map(|e| {
                 let s = seed.wrapping_add(e as u64 * 101);
-                (
-                    Tensor::rand_init(hidden, ffn, hidden, s),
-                    Tensor::rand_init(ffn, hidden, ffn, s ^ 0xF0F0),
-                )
+                Expert {
+                    w1: Tensor::rand_init(hidden, ffn, hidden, s),
+                    w2: Tensor::rand_init(ffn, hidden, ffn, s ^ 0xF0F0),
+                }
             })
             .collect();
-        let g_experts = experts
-            .iter()
-            .map(|(a, b)| {
-                (
-                    Tensor::zeros(a.rows(), a.cols()),
-                    Tensor::zeros(b.rows(), b.cols()),
-                )
-            })
-            .collect();
+        let g_experts = experts.iter().map(zero_grad).collect();
         Self {
             gate: Tensor::rand_init(hidden, num_experts, hidden, seed ^ 0x51DE),
             g_gate: Tensor::zeros(hidden, num_experts),
@@ -152,7 +145,7 @@ impl TrainableMoe {
             return 0.0;
         }
         let e_count = self.num_experts();
-        let (x, scores) = (&ctx.router.x, &ctx.router.scores);
+        let (x, scores) = (&ctx.router.x, &ctx.router.gating.scores);
         let s = x.rows().max(1);
         let mut f = Vec::new();
         load_fractions(&ctx.pft, &mut f);
@@ -204,7 +197,7 @@ impl TrainableMoe {
 
     /// `(hidden, ffn)` of the expert blocks.
     fn dims(&self) -> (usize, usize) {
-        self.experts[0].0.shape()
+        self.experts[0].w1.shape()
     }
 
     /// Forward: `out = x + combine(experts(dispatch(x)))`. The pooled
@@ -241,27 +234,18 @@ impl TrainableMoe {
     /// leased from `st.ws` — recycle it once consumed.
     pub fn forward_pooled(&self, x: &Tensor, st: &mut MoeTrainScratch) -> Tensor {
         let (h, f) = self.dims();
-        let MoeTrainScratch {
-            ws, ctx, route: sc, ..
-        } = st;
-        route(
-            &self.router_params(),
-            &self.gate,
-            x,
-            sc,
-            &mut ctx.router,
-            &mut ctx.pft,
-        );
+        let MoeTrainScratch { ws, ctx, sc } = st;
+        let p = self.router_params();
+        route(&p, &self.gate, x, sc, &mut ctx.router, &mut ctx.pft);
         gather_rows_into(x, &ctx.pft.token_ids, &mut ctx.dispatch_in);
         let b = ctx.pft.len();
-        // For-overwrite: `expert_ffn_forward` writes all three whole.
+        // For-overwrite: `expert_ffn` writes all three whole.
         ctx.h_pre.resize_for_overwrite(b, f);
         ctx.h_act.resize_for_overwrite(b, f);
         ctx.y.resize_for_overwrite(b, h);
-        expert_ffn_forward(
+        expert_ffn(
             &self.experts,
             &ctx.pft.tokens_per_expert,
-            (h, f),
             ctx.dispatch_in.as_slice(),
             ctx.h_pre.as_mut_slice(),
             ctx.h_act.as_mut_slice(),
@@ -294,11 +278,11 @@ impl TrainableMoe {
         loss_scale: f32,
     ) -> Tensor {
         let dims = self.dims();
-        let MoeTrainScratch { ws, ctx, bwd, .. } = st;
+        let MoeTrainScratch { ws, ctx, sc } = st;
         // For-overwrite: the residual-path copy fills it.
         let mut d_x = ws.take_for_overwrite(d_out.rows(), d_out.cols());
         d_x.as_mut_slice().copy_from_slice(d_out.as_slice());
-        let d_y = combine_backward(&ctx.pft, &ctx.y, d_out, bwd, ws);
+        let d_y = combine_backward(&ctx.pft, &ctx.y, d_out, sc, ws);
         let d_dispatch = expert_ffn_backward(
             &self.experts,
             &mut self.g_experts,
@@ -320,7 +304,7 @@ impl TrainableMoe {
             &ctx.router,
             &ctx.pft,
             loss_scale,
-            bwd,
+            sc,
             ws,
             &mut d_x,
         );
@@ -330,9 +314,9 @@ impl TrainableMoe {
     /// Zero all gradients.
     pub fn zero_grads(&mut self) {
         self.g_gate.as_mut_slice().fill(0.0);
-        for (g1, g2) in &mut self.g_experts {
-            g1.as_mut_slice().fill(0.0);
-            g2.as_mut_slice().fill(0.0);
+        for g in &mut self.g_experts {
+            g.w1.as_mut_slice().fill(0.0);
+            g.w2.as_mut_slice().fill(0.0);
         }
     }
 }
@@ -381,27 +365,27 @@ mod tests {
         let eps = 1e-2f32;
         let rel_ok = |fd: f64, an: f64| (fd - an).abs() < 3e-2 * (1.0 + an.abs().max(fd.abs()));
         for &(e, r, c) in &[(0usize, 0usize, 0usize), (1, 2, 3), (3, 5, 1)] {
-            let w0 = base.experts[e].0.get(r, c);
+            let w0 = base.experts[e].w1.get(r, c);
             let fd = {
                 let mut up = base.clone();
-                up.experts[e].0.set(r, c, w0 + eps);
+                up.experts[e].w1.set(r, c, w0 + eps);
                 let mut dn = base.clone();
-                dn.experts[e].0.set(r, c, w0 - eps);
+                dn.experts[e].w1.set(r, c, w0 - eps);
                 (probe_loss(&up, &x, &probe) - probe_loss(&dn, &x, &probe)) / (2.0 * eps as f64)
             };
-            let an = layer.g_experts[e].0.get(r, c) as f64;
+            let an = layer.g_experts[e].w1.get(r, c) as f64;
             assert!(rel_ok(fd, an), "dW1[{e}][{r},{c}] fd {fd} an {an}");
         }
         for &(e, r, c) in &[(0usize, 1usize, 2usize), (2, 4, 5)] {
-            let w0 = base.experts[e].1.get(r, c);
+            let w0 = base.experts[e].w2.get(r, c);
             let fd = {
                 let mut up = base.clone();
-                up.experts[e].1.set(r, c, w0 + eps);
+                up.experts[e].w2.set(r, c, w0 + eps);
                 let mut dn = base.clone();
-                dn.experts[e].1.set(r, c, w0 - eps);
+                dn.experts[e].w2.set(r, c, w0 - eps);
                 (probe_loss(&up, &x, &probe) - probe_loss(&dn, &x, &probe)) / (2.0 * eps as f64)
             };
-            let an = layer.g_experts[e].1.get(r, c) as f64;
+            let an = layer.g_experts[e].w2.get(r, c) as f64;
             assert!(rel_ok(fd, an), "dW2[{e}][{r},{c}] fd {fd} an {an}");
         }
     }
@@ -528,8 +512,11 @@ mod tests {
                 .all(|(&p, &s)| (p * scale).to_bits() == s.to_bits())
         };
         assert!(eq(&plain.g_gate, &scaled.g_gate), "router grad not scaled");
-        for (e, ((p1, p2), (s1, s2))) in plain.g_experts.iter().zip(&scaled.g_experts).enumerate() {
-            assert!(eq(p1, s1) && eq(p2, s2), "expert {e} grads not scaled");
+        for (e, (p, s)) in plain.g_experts.iter().zip(&scaled.g_experts).enumerate() {
+            assert!(
+                eq(&p.w1, &s.w1) && eq(&p.w2, &s.w2),
+                "expert {e} grads not scaled"
+            );
         }
         assert!(eq(&d_x, &d_x_s), "input grad not scaled");
     }
@@ -554,7 +541,7 @@ mod tests {
         assert!(out.as_slice().iter().all(|v| v.is_finite()));
         // With all logits in [-1, 1] no softmax score can exceed
         // e^2 / (E - 1 + e^2) < 1; the router can no longer saturate.
-        let scores = &ctx.router.scores;
+        let scores = &ctx.router.gating.scores;
         let e = scores.cols() as f32;
         let cap = (2.0f32).exp() / (e - 1.0 + (2.0f32).exp());
         for t in 0..scores.rows() {
@@ -626,9 +613,9 @@ mod tests {
             owned.g_gate.allclose(&pooled.g_gate, 0.0),
             "g_gate diverged"
         );
-        for (e, ((a1, a2), (b1, b2))) in owned.g_experts.iter().zip(&pooled.g_experts).enumerate() {
+        for (e, (a, b)) in owned.g_experts.iter().zip(&pooled.g_experts).enumerate() {
             assert!(
-                a1.allclose(b1, 0.0) && a2.allclose(b2, 0.0),
+                a.w1.allclose(&b.w1, 0.0) && a.w2.allclose(&b.w2, 0.0),
                 "expert {e} grads diverged"
             );
         }
@@ -659,6 +646,6 @@ mod tests {
         assert!(layer
             .g_experts
             .iter()
-            .all(|(a, b)| a.norm() == 0.0 && b.norm() == 0.0));
+            .all(|g| g.w1.norm() == 0.0 && g.w2.norm() == 0.0));
     }
 }

@@ -1,24 +1,27 @@
-//! The one copy of the padding-free MoE training math (paper §4.1
-//! Listing 1): route, expert-FFN forward, expert-FFN backward and router
-//! backward, written once over slices plus a [`Workspace`].
+//! The padding-free MoE training math (paper §4.1 Listing 1) that only the
+//! training step runs: the route's saves, expert-FFN backward, combine
+//! backward and router backward, written once over slices plus a
+//! [`Workspace`]. The forward halves are `xmoe-core`'s — the gate is
+//! [`gate_rows`] and the expert FFN
+//! [`expert_ffn`](xmoe_core::expert::expert_ffn), the same bodies the
+//! pipelines and serving run.
 //!
 //! [`crate::moe_layer::TrainableMoe`] (owned and pooled) and
 //! [`crate::dist::DistMoe`] (serial and chunked-overlap) differ only in
 //! where the buffers come from and whether an all-to-all sits between the
-//! stages; every float operation of all four paths is in this file, so
-//! they agree bit for bit by construction. A per-stage timer or span needs
-//! exactly these insertion points.
+//! stages; every float operation of all four paths is in this file or in
+//! those two core functions, so they agree bit for bit by construction. A
+//! per-stage timer or span needs exactly these insertion points.
 
-use xmoe_core::gating::{clamp_logits, row_logsumexp_into, DropPolicy, GatingOutput, RouterGuard};
-use xmoe_core::pft::{Pft, PftScratch};
-use xmoe_tensor::{
-    add_assign, combine_backward_rows, gemm_grouped, gemm_grouped_transpose_a_blocks,
-    gemm_grouped_transpose_b, matmul_into, matmul_transpose_a_add, matmul_transpose_b_slices,
-    silu_grad_slice, silu_into, softmax_rows, topk_rows_into, Tensor, Workspace,
+use xmoe_core::gating::{
+    gate_rows, row_logsumexp_into, DropPolicy, GateScratch, GatingOutput, RouterGuard,
 };
-
-/// One layer's `(w1 [H,F], w2 [F,H])` expert blocks, or their gradients.
-pub(crate) type ExpertWeights = [(Tensor, Tensor)];
+use xmoe_core::pft::{Pft, PftScratch};
+use xmoe_core::Expert;
+use xmoe_tensor::{
+    add_assign, combine_backward_rows, gemm_grouped_transpose_a_blocks, gemm_grouped_transpose_b,
+    matmul_transpose_a_add, matmul_transpose_b_slices, silu_grad_slice, Tensor, Workspace,
+};
 
 /// Router hyper-parameters of one layer.
 #[derive(Clone, Copy)]
@@ -36,102 +39,56 @@ pub(crate) struct RouterParams {
 pub(crate) struct RouterSave {
     /// The layer input `[S, H]`.
     pub x: Tensor,
-    /// Full softmax scores `[S, E]`.
-    pub scores: Tensor,
+    /// The gate's output; its full `[S, E]` softmax scores feed the backward.
+    pub gating: GatingOutput,
     /// Per-token `logsumexp(logits)`; empty unless the z-loss is on.
     pub lse: Vec<f32>,
     /// How many logits the clamp guard limited.
     pub logits_clamped: usize,
 }
 
-/// Grow-once scratch of [`route`].
+/// Grow-once scratch of one layer's math: the gate's and the PFT build's,
+/// and the combine-weight gradients and load fractions of the backward.
 #[derive(Default)]
-pub(crate) struct RouteScratch {
-    logits: Tensor,
-    order: Vec<usize>,
-    gating: GatingOutput,
+pub(crate) struct MoeScratch {
+    gate: GateScratch,
     pft: PftScratch,
-}
-
-/// Grow-once scratch of [`combine_backward`] and [`router_backward`].
-#[derive(Default)]
-pub(crate) struct BwdScratch {
     d_w: Vec<f32>,
     aux_f: Vec<f32>,
 }
 
-/// Route: gate GEMM → clamp → logsumexp → softmax → top-k → PFT.
+/// A zero gradient shaped like `e`.
+pub(crate) fn zero_grad(e: &Expert) -> Expert {
+    Expert {
+        w1: Tensor::zeros(e.w1.rows(), e.w1.cols()),
+        w2: Tensor::zeros(e.w2.rows(), e.w2.cols()),
+    }
+}
+
+/// Route: the gate ([`gate_rows`], logit clamp included) → the z-loss's
+/// per-token logsumexp of the clamped logits → PFT, saving the input.
 pub(crate) fn route(
     p: &RouterParams,
     gate: &Tensor,
     x: &Tensor,
-    sc: &mut RouteScratch,
+    sc: &mut MoeScratch,
     save: &mut RouterSave,
     pft: &mut Pft,
 ) {
-    let (s, e) = (x.rows(), p.num_experts);
-    // For-overwrite leases below: each is filled whole by the next call
-    // (`matmul_into`'s Overwrite store, or a `copy_from_slice`).
-    sc.logits.resize_for_overwrite(s, e);
-    matmul_into(x, gate, &mut sc.logits);
-    save.logits_clamped = clamp_logits(&mut sc.logits, p.guard.logit_clamp);
+    let (g, limit) = (&mut save.gating, p.guard.logit_clamp);
+    save.logits_clamped = gate_rows(gate, p.top_k, limit, x, &mut sc.gate, g);
     if p.guard.z_loss_coef != 0.0 {
-        row_logsumexp_into(&sc.logits, &mut save.lse);
+        row_logsumexp_into(sc.gate.logits(), &mut save.lse);
     } else {
         save.lse.clear();
     }
-    save.scores.resize_for_overwrite(s, e);
-    save.scores
-        .as_mut_slice()
-        .copy_from_slice(sc.logits.as_slice());
-    softmax_rows(&mut save.scores);
-    let g = &mut sc.gating;
-    topk_rows_into(
-        &save.scores,
-        p.top_k,
-        &mut g.top_experts,
-        &mut g.combine_weights,
-        &mut sc.order,
-    );
-    let logits = &sc.logits;
-    g.top_logits.clear();
-    g.top_logits.extend(
-        g.top_experts
-            .iter()
-            .enumerate()
-            .map(|(i, &ex)| logits.get(i / p.top_k, ex)),
-    );
-    g.k = p.top_k;
-    g.scores.resize_for_overwrite(s, e);
-    g.scores
-        .as_mut_slice()
-        .copy_from_slice(save.scores.as_slice());
-    Pft::construct_into(g, e, p.capacity, p.policy, &mut sc.pft, pft);
-    save.x.resize_for_overwrite(s, x.cols());
+    Pft::construct_into(g, p.num_experts, p.capacity, p.policy, &mut sc.pft, pft);
+    // For-overwrite: the copy fills it.
+    save.x.resize_for_overwrite(x.rows(), x.cols());
     save.x.as_mut_slice().copy_from_slice(x.as_slice());
 }
 
-/// Expert FFN over the expert-major segments `counts` of `input`:
-/// `h_pre = input·W1`, `h_act = silu(h_pre)`, `y = h_act·W2`. `experts`
-/// is the matching expert range. All three outputs are overwritten whole
-/// (every row belongs to exactly one segment — which is also why the
-/// whole-buffer SiLU equals the per-segment one), so they may arrive as
-/// for-overwrite leases.
-pub(crate) fn expert_ffn_forward(
-    experts: &ExpertWeights,
-    counts: &[usize],
-    (h, f): (usize, usize),
-    input: &[f32],
-    h_pre: &mut [f32],
-    h_act: &mut [f32],
-    y: &mut [f32],
-) {
-    gemm_grouped(input, counts, h, |e| experts[e].0.as_slice(), f, h_pre);
-    silu_into(h_pre, h_act);
-    gemm_grouped(h_act, counts, f, |e| experts[e].1.as_slice(), h, y);
-}
-
-/// Backward of [`expert_ffn_forward`] over the same segments: adds
+/// Backward of [`expert_ffn`](xmoe_core::expert::expert_ffn) over the same segments: adds
 /// `dW2_e = act_e^T·dy_e` and `dW1_e = x_e^T·d_h_e` onto `grads` and returns
 /// `d_input` (leased from `ws`). `d_y` is a lease of `ws` too, taken by value
 /// and recycled after its last read, so `d_input` can have its buffer. Each expert's product is summed on its own
@@ -142,8 +99,8 @@ pub(crate) fn expert_ffn_forward(
 /// transpose-then-matmul).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn expert_ffn_backward(
-    experts: &ExpertWeights,
-    grads: &mut ExpertWeights,
+    experts: &[Expert],
+    grads: &mut [Expert],
     counts: &[usize],
     (h, f): (usize, usize),
     input: &[f32],
@@ -153,19 +110,19 @@ pub(crate) fn expert_ffn_backward(
     ws: &mut Workspace,
 ) -> Tensor {
     let rows = counts.iter().sum::<usize>();
-    let dw2 = grads.iter_mut().map(|g| g.1.as_mut_slice());
+    let dw2 = grads.iter_mut().map(|g| g.w2.as_mut_slice());
     gemm_grouped_transpose_a_blocks(h_act, counts, f, d_y.as_slice(), h, dw2);
     // d_act = dy·W2^T, then through SiLU. For-overwrite: the grouped NT
     // writes every row of `d_h` (and of `d_input` below).
     let mut d_h = ws.take_for_overwrite(rows, f);
-    let w2 = |e: usize| experts[e].1.as_slice();
+    let w2 = |e: usize| experts[e].w2.as_slice();
     gemm_grouped_transpose_b(d_y.as_slice(), counts, h, w2, f, d_h.as_mut_slice());
     ws.recycle(d_y);
     silu_grad_slice(d_h.as_mut_slice(), h_pre);
-    let dw1 = grads.iter_mut().map(|g| g.0.as_mut_slice());
+    let dw1 = grads.iter_mut().map(|g| g.w1.as_mut_slice());
     gemm_grouped_transpose_a_blocks(input, counts, h, d_h.as_slice(), f, dw1);
     let mut d_input = ws.take_for_overwrite(rows, h);
-    let w1 = |e: usize| experts[e].0.as_slice();
+    let w1 = |e: usize| experts[e].w1.as_slice();
     gemm_grouped_transpose_b(d_h.as_slice(), counts, f, w1, h, d_input.as_mut_slice());
     ws.recycle(d_h);
     d_input
@@ -178,7 +135,7 @@ pub(crate) fn combine_backward(
     pft: &Pft,
     y: &Tensor,
     d_out: &Tensor,
-    sc: &mut BwdScratch,
+    sc: &mut MoeScratch,
     ws: &mut Workspace,
 ) -> Tensor {
     // For-overwrite: `combine_backward_rows` fills it whole.
@@ -207,7 +164,7 @@ pub(crate) fn router_backward(
     save: &RouterSave,
     pft: &Pft,
     loss_scale: f32,
-    sc: &mut BwdScratch,
+    sc: &mut MoeScratch,
     ws: &mut Workspace,
     d_x: &mut Tensor,
 ) {
@@ -232,7 +189,7 @@ pub(crate) fn router_backward(
     // For-overwrite: the row loop writes every element.
     let mut d_logits = ws.take_for_overwrite(s, e_count);
     for t in 0..s {
-        let s_row = save.scores.row(t);
+        let s_row = save.gating.scores.row(t);
         let ds_row = d_scores.row(t);
         let inner: f32 = s_row.iter().zip(ds_row).map(|(s, d)| s * d).sum();
         let dl_row = d_logits.row_mut(t);
@@ -245,7 +202,7 @@ pub(crate) fn router_backward(
         let coef = p.guard.z_loss_coef * 2.0 * loss_scale / s.max(1) as f32;
         for t in 0..s {
             let z = save.lse[t];
-            let s_row = save.scores.row(t);
+            let s_row = save.gating.scores.row(t);
             let dl_row = d_logits.row_mut(t);
             for j in 0..e_count {
                 dl_row[j] += coef * z * s_row[j];

@@ -170,14 +170,15 @@ mod tests {
                 d_x.max_abs_diff(&ref_dx)
             );
             // Expert grads (each expert's full gradient lives on its rank).
-            for (e_local, (g1, g2)) in g_shard.iter().enumerate() {
+            for (e_local, g) in g_shard.iter().enumerate() {
                 let global = rank * 4 + e_local;
+                let want = &reference.g_experts[global];
                 assert!(
-                    g1.allclose(&reference.g_experts[global].0, 1e-3),
+                    g.w1.allclose(&want.w1, 1e-3),
                     "expert {global} dW1 diff {}",
-                    g1.max_abs_diff(&reference.g_experts[global].0)
+                    g.w1.max_abs_diff(&want.w1)
                 );
-                assert!(g2.allclose(&reference.g_experts[global].1, 1e-3));
+                assert!(g.w2.allclose(&want.w2, 1e-3));
             }
         }
         // Router grads: the sequence is split across ranks, so per-rank

@@ -3,7 +3,7 @@
 use xmoe::bench::flags::{Arity, Cmd, Flag, UsageError};
 use xmoe::collectives::SimCluster;
 use xmoe::core::gating::DropPolicy;
-use xmoe::topology::FaultPlan;
+use xmoe::topology::{FaultEvent, FaultPlan};
 use xmoe::train::{run_chaos_rank, ChaosConfig, GuardConfig, RebalanceConfig, TrainConfig};
 
 pub static CMD: Cmd = Cmd {
@@ -13,7 +13,7 @@ pub static CMD: Cmd = Cmd {
         Flag {
             name: "--faults",
             arity: Arity::Value("<spec>"),
-            doc: "semicolon-separated fault schedule, e.g. slow:rank=2,x=4,from=1,until=3;kill:rank=6,at=4",
+            doc: "semicolon-separated fault schedule, e.g. degrade:tier=inter,x=3,from=1,until=3;kill:rank=6,at=4",
         },
         Flag {
             name: "--ckpt-every",
@@ -65,6 +65,19 @@ pub fn run(args: &[String]) -> Result<(), UsageError> {
         eprintln!("bad --faults spec: {e}");
         std::process::exit(1);
     });
+    // A slowdown only stretches compute the rank charges, and the train step
+    // charges none yet: a `slow:` run would print a clean run's numbers.
+    if plan
+        .events
+        .iter()
+        .any(|e| matches!(e, FaultEvent::Slowdown { .. }))
+    {
+        eprintln!(
+            "--faults: chaos does not support slow: clauses yet — the train step charges no \
+             simulated compute, so a slowdown would change nothing (ROADMAP item 2, the price list)"
+        );
+        std::process::exit(1);
+    }
 
     // Reduced-dimension training config; experts divide the rank count so
     // elastic recovery can re-shard onto survivors.

@@ -139,18 +139,18 @@ fn four_rank_dp_ep_training_matches_single_process() {
 
     // Expert shards match the corresponding reference experts.
     for (_, _, _, shard, locals) in &dist_results {
-        for (i, (w1, w2)) in shard.iter().enumerate() {
+        for (i, w) in shard.iter().enumerate() {
             let global = locals[i];
-            let (ref_w1, ref_w2) = &ref_experts[global];
+            let want = &ref_experts[global];
             assert!(
-                w1.allclose(ref_w1, 5e-3),
+                w.w1.allclose(&want.w1, 5e-3),
                 "expert {global} w1 diverged: {}",
-                w1.max_abs_diff(ref_w1)
+                w.w1.max_abs_diff(&want.w1)
             );
             assert!(
-                w2.allclose(ref_w2, 5e-3),
+                w.w2.allclose(&want.w2, 5e-3),
                 "expert {global} w2 diverged: {}",
-                w2.max_abs_diff(ref_w2)
+                w.w2.max_abs_diff(&want.w2)
             );
         }
     }

@@ -355,3 +355,36 @@ fn step_rejects_overlap_where_unsupported_and_runs_it_where_supported() {
     let stdout = String::from_utf8_lossy(&pft.stdout);
     assert!(stdout.contains("pft pipeline (overlap, 2 chunks)"));
 }
+
+/// `xmoe-cli chaos` runs what its fault plan says or refuses it: a `slow:`
+/// clause would only stretch compute charges the train step never makes, so
+/// it is a config error (exit 1, naming why) instead of a clean run under a
+/// faulted header; a link fault still runs.
+#[test]
+fn chaos_refuses_slow_clauses_and_runs_link_faults() {
+    let bin = env!("CARGO_BIN_EXE_xmoe-cli");
+    let chaos = |faults: &str| {
+        std::process::Command::new(bin)
+            .args(["chaos", "4", "--steps", "2", "--faults", faults])
+            .output()
+            .expect("chaos runs")
+    };
+    let slow = chaos("slow:rank=2,x=8");
+    assert_eq!(slow.status.code(), Some(1), "slow: must be a config error");
+    let stderr = String::from_utf8_lossy(&slow.stderr);
+    assert!(
+        stderr.contains("does not support slow: clauses")
+            && stderr.contains("charges no simulated compute")
+            && stderr.contains("ROADMAP item 2"),
+        "stderr says why: {stderr}"
+    );
+    assert!(slow.stdout.is_empty(), "nothing runs before the refusal");
+
+    let degrade = chaos("degrade:tier=inter,x=3");
+    assert!(
+        degrade.status.success(),
+        "degrade run exited nonzero:\n{}",
+        String::from_utf8_lossy(&degrade.stderr)
+    );
+    assert!(String::from_utf8_lossy(&degrade.stdout).contains("final world 4 of 4"));
+}

@@ -89,15 +89,15 @@ fn trainable_moe_trajectory() -> u64 {
             }
         };
         sgd(&mut layer.gate, &layer.g_gate);
-        for ((w1, w2), (g1, g2)) in layer.experts.iter_mut().zip(&layer.g_experts) {
-            sgd(w1, g1);
-            sgd(w2, g2);
+        for (w, g) in layer.experts.iter_mut().zip(&layer.g_experts) {
+            sgd(&mut w.w1, &g.w1);
+            sgd(&mut w.w2, &g.w2);
         }
     }
     h = fnv1a(h, layer.g_gate.as_slice());
     h = fnv1a(h, layer.gate.as_slice());
-    for ((w1, w2), (g1, g2)) in layer.experts.iter().zip(&layer.g_experts) {
-        for t in [g1, g2, w1, w2] {
+    for (w, g) in layer.experts.iter().zip(&layer.g_experts) {
+        for t in [&g.w1, &g.w2, &w.w1, &w.w2] {
             h = fnv1a(h, t.as_slice());
         }
     }
@@ -134,9 +134,9 @@ fn dist_moe_lm_trajectory() -> (u64, u64) {
             h = fnv1a(h, model.head.weight.as_slice());
             for block in &model.blocks {
                 h = fnv1a(h, block.moe.gate.as_slice());
-                for (w1, w2) in &block.moe.shard {
-                    h = fnv1a(h, w1.as_slice());
-                    h = fnv1a(h, w2.as_slice());
+                for w in &block.moe.shard {
+                    h = fnv1a(h, w.w1.as_slice());
+                    h = fnv1a(h, w.w2.as_slice());
                 }
             }
             let ckpt = model

@@ -164,13 +164,13 @@ fn training_fingerprints(out: &mut Vec<(String, u64)>) {
         }
         for e in 0..EXP {
             let (g1, g2): (Vec<f32>, Vec<f32>) = (
-                layer.g_experts[e].0.as_slice().to_vec(),
-                layer.g_experts[e].1.as_slice().to_vec(),
+                layer.g_experts[e].w1.as_slice().to_vec(),
+                layer.g_experts[e].w2.as_slice().to_vec(),
             );
-            for (w, g) in layer.experts[e].0.as_mut_slice().iter_mut().zip(g1) {
+            for (w, g) in layer.experts[e].w1.as_mut_slice().iter_mut().zip(g1) {
                 *w -= lr * g;
             }
-            for (w, g) in layer.experts[e].1.as_mut_slice().iter_mut().zip(g2) {
+            for (w, g) in layer.experts[e].w2.as_mut_slice().iter_mut().zip(g2) {
                 *w -= lr * g;
             }
         }
@@ -178,13 +178,13 @@ fn training_fingerprints(out: &mut Vec<(String, u64)>) {
     out.push(("train_losses".into(), loss_fp));
     let mut g_fp = checksum(0, layer.g_gate.as_slice());
     let mut w_fp = checksum(0, layer.gate.as_slice());
-    for (w1, w2) in &layer.experts {
-        w_fp = checksum(w_fp, w1.as_slice());
-        w_fp = checksum(w_fp, w2.as_slice());
+    for w in &layer.experts {
+        w_fp = checksum(w_fp, w.w1.as_slice());
+        w_fp = checksum(w_fp, w.w2.as_slice());
     }
-    for (g1, g2) in &layer.g_experts {
-        g_fp = checksum(g_fp, g1.as_slice());
-        g_fp = checksum(g_fp, g2.as_slice());
+    for g in &layer.g_experts {
+        g_fp = checksum(g_fp, g.w1.as_slice());
+        g_fp = checksum(g_fp, g.w2.as_slice());
     }
     out.push(("train_grads".into(), g_fp));
     out.push(("train_weights".into(), w_fp));

@@ -294,11 +294,11 @@ fn sgd(layer: &mut TrainableMoe, lr: f32) {
     {
         *w -= lr * g;
     }
-    for ((w1, w2), (g1, g2)) in layer.experts.iter_mut().zip(layer.g_experts.iter()) {
-        for (w, g) in w1.as_mut_slice().iter_mut().zip(g1.as_slice()) {
+    for (e, ge) in layer.experts.iter_mut().zip(layer.g_experts.iter()) {
+        for (w, g) in e.w1.as_mut_slice().iter_mut().zip(ge.w1.as_slice()) {
             *w -= lr * g;
         }
-        for (w, g) in w2.as_mut_slice().iter_mut().zip(g2.as_slice()) {
+        for (w, g) in e.w2.as_mut_slice().iter_mut().zip(ge.w2.as_slice()) {
             *w -= lr * g;
         }
     }
@@ -358,8 +358,8 @@ fn pft_training_loss_trajectory_is_bitwise_identical() {
         bits(&pooled.gate),
         "gate weights diverge"
     );
-    for (i, ((o1, o2), (p1, p2))) in owned.experts.iter().zip(pooled.experts.iter()).enumerate() {
-        assert_eq!(bits(o1), bits(p1), "expert {i} w1 diverges");
-        assert_eq!(bits(o2), bits(p2), "expert {i} w2 diverges");
+    for (i, (o, p)) in owned.experts.iter().zip(pooled.experts.iter()).enumerate() {
+        assert_eq!(bits(&o.w1), bits(&p.w1), "expert {i} w1 diverges");
+        assert_eq!(bits(&o.w2), bits(&p.w2), "expert {i} w2 diverges");
     }
 }
