@@ -14,10 +14,11 @@ use xmoe_core::config::{MoeModelConfig, ParallelConfig};
 use xmoe_core::expert::ExpertShard;
 use xmoe_core::gating::Router;
 use xmoe_core::memory::MoeSystem;
-use xmoe_core::perf::{PerfModel, PerfOpts, StageTimes};
+use xmoe_core::perf::{PerfModel, PerfOpts};
 use xmoe_core::pipeline::{
     DenseDropOrder, DensePipeline, ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline,
 };
+use xmoe_core::price::StageTimes;
 use xmoe_tensor::Tensor;
 
 use crate::fmt_time;

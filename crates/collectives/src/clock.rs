@@ -171,11 +171,6 @@ impl SimClock {
             .and_then(|o| o.tracks.iter().find(|(n, _)| n == name).map(|(_, t)| *t))
     }
 
-    /// Is an overlap region currently open?
-    pub fn in_overlap(&self) -> bool {
-        self.overlap.is_some()
-    }
-
     /// Close the open region: flush pending track time, jump the wall clock
     /// to the max over tracks, and return the region's wall-clock duration.
     pub fn end_overlap(&mut self) -> f64 {

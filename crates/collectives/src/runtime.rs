@@ -44,34 +44,13 @@ impl RankCtx {
         self.step
     }
 
-    /// Enter training step `step`: compute charges pick up this step's
-    /// slowdown factor and the world communicator evaluates deaths / link
-    /// faults at it. Sub-communicators split off earlier keep their own
-    /// step cells — call [`Communicator::set_step`] on those directly.
+    /// Enter training step `step`: the world communicator evaluates deaths,
+    /// link faults and this rank's slowdown at it. Sub-communicators split
+    /// off earlier keep their own step cells — call
+    /// [`Communicator::set_step`] on those directly.
     pub fn set_step(&mut self, step: u64) {
         self.step = step;
         self.world.set_step(step);
-    }
-
-    /// Slowdown multiplier for this rank at the current step (1.0 without
-    /// faults — a straggler's kernels take proportionally longer).
-    fn slowdown(&self) -> f64 {
-        match &self.fault {
-            Some(plan) => plan.slowdown(self.rank, self.step),
-            None => 1.0,
-        }
-    }
-
-    /// Charge the simulated clock for a dense compute kernel.
-    pub fn charge_compute(&mut self, label: &str, flops: f64) {
-        let t = self.cost.compute_time(flops) * self.slowdown();
-        self.clock.charge(label, t);
-    }
-
-    /// Charge the simulated clock for a bandwidth-bound kernel.
-    pub fn charge_membound(&mut self, label: &str, bytes: f64) {
-        let t = self.cost.mem_bound_time(bytes) * self.slowdown();
-        self.clock.charge(label, t);
     }
 }
 
@@ -416,20 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn slowdown_fault_stretches_compute_charges() {
-        let plan = FaultPlan::new(7).slow(1, 4.0, 0, u64::MAX);
-        let cluster = SimCluster::frontier(2).with_faults(plan);
-        let times = cluster.run(|ctx| {
-            ctx.charge_compute("gemm", 1e12);
-            ctx.clock.now()
-        });
-        assert!(
-            (times[1] / times[0] - 4.0).abs() < 1e-9,
-            "straggler must run 4x slower: {times:?}"
-        );
-    }
-
-    #[test]
     fn link_degradation_stretches_collective_time() {
         let clean = SimCluster::frontier(16);
         let degraded = SimCluster::frontier(16).with_faults(FaultPlan::new(7).degrade(
@@ -560,7 +525,7 @@ mod tests {
             let mut stash = crate::P2pStash::new();
             // Ring: each rank sends to rank+1 and receives from rank-1,
             // with unequal local compute first so waits are non-trivial.
-            ctx.charge_compute("local", (1 + ctx.rank) as f64 * 1e11);
+            ctx.clock.charge("local", (1 + ctx.rank) as f64 * 1e-3);
             let nxt = (ctx.rank + 1) % 4;
             let prv = (ctx.rank + 3) % 4;
             ctx.world

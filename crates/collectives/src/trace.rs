@@ -1,6 +1,6 @@
 //! Observability layer over the simulated cluster: per-rank span traces,
 //! cross-rank step reports, and exporters (Chrome trace-event JSON for
-//! Perfetto, plus CSV).
+//! Perfetto, plus a span CSV).
 //!
 //! The span model guarantees *complete* attribution: [`SimClock`] records
 //! every advance as either a work span or a sync-wait span, so for any rank
@@ -117,8 +117,8 @@ impl StageStat {
     }
 }
 
-/// What an elastic-recovery episode cost, attached to a [`StepReport`] when
-/// the run survived a rank failure.
+/// What an elastic-recovery episode cost, reported by a run that survived a
+/// rank failure.
 #[derive(Clone, Debug, Default)]
 pub struct RecoveryStats {
     /// Global ranks declared dead.
@@ -163,9 +163,6 @@ pub struct StepReport {
     pub step_time: f64,
     /// Per-rank traffic, indexed by position in the input slice.
     pub traffic: Vec<TrafficStats>,
-    /// Elastic-recovery episode stats, when the traced run survived a rank
-    /// failure.
-    pub recovery: Option<RecoveryStats>,
 }
 
 impl StepReport {
@@ -216,14 +213,7 @@ impl StepReport {
             stages,
             step_time: traces.iter().map(|t| t.end).fold(0.0, f64::max),
             traffic: traces.iter().map(|t| t.traffic).collect(),
-            recovery: None,
         }
-    }
-
-    /// Attach an elastic-recovery episode to this report.
-    pub fn with_recovery(mut self, recovery: RecoveryStats) -> Self {
-        self.recovery = Some(recovery);
-        self
     }
 
     pub fn stage(&self, label: &str) -> Option<&StageStat> {
@@ -259,16 +249,6 @@ impl StepReport {
             .sum()
     }
 
-    /// Sum of mean fault-retry times (failed collective attempts and their
-    /// backoffs under transient link faults).
-    pub fn total_mean_retry(&self) -> f64 {
-        self.stages
-            .iter()
-            .filter(|s| s.label.starts_with("fault_retry:"))
-            .map(|s| s.mean)
-            .sum()
-    }
-
     /// Aggregate traffic over all ranks.
     pub fn total_traffic(&self) -> TrafficStats {
         let mut t = TrafficStats::default();
@@ -278,24 +258,6 @@ impl StepReport {
             t.cross_rack += s.cross_rack;
         }
         t
-    }
-
-    /// Summary CSV: `stage,min_s,mean_s,max_s,straggler_rank,imbalance`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("stage,min_s,mean_s,max_s,straggler_rank,imbalance\n");
-        for s in &self.stages {
-            let _ = writeln!(
-                out,
-                "{},{:.9},{:.9},{:.9},{},{:.3}",
-                s.label,
-                s.min,
-                s.mean,
-                s.max,
-                s.straggler,
-                s.imbalance()
-            );
-        }
-        out
     }
 }
 

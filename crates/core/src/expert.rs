@@ -106,6 +106,11 @@ impl ExpertShard {
         self.experts.is_empty()
     }
 
+    /// Expert FFN width (0 for an empty shard).
+    pub fn ffn(&self) -> usize {
+        self.experts.first().map_or(0, |e| e.w1.cols())
+    }
+
     /// Does this shard own global expert `e`?
     pub fn owns(&self, e: usize) -> bool {
         e >= self.first_expert && e < self.first_expert + self.experts.len()

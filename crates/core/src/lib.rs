@@ -24,6 +24,7 @@
 //!   co-activation, realized expert combinations.
 //! * [`memory`] — analytic activation/model-state memory accounting
 //!   (§3.2, Table 2/4, Fig 3/13, Appendix C.2).
+//! * [`price`] — the simulated time of every MoE stage, written once.
 //! * [`perf`] — the analytic performance model behind the throughput and
 //!   scaling experiments (Fig 9/10/11/12/14/20, Table 5).
 //! * [`plan`] — the auto-mapping planner: enumerate legal (PP, TP, EP, DP)
@@ -40,6 +41,7 @@ pub mod perf;
 pub mod pft;
 pub mod pipeline;
 pub mod plan;
+pub mod price;
 pub mod rbd;
 pub mod route;
 pub mod ssmb;

@@ -3,18 +3,10 @@
 //! The live threads-as-ranks runtime validates *correctness* and produces
 //! breakdowns at reduced dimensions; this module prices the paper-scale
 //! configurations (256–1024 GPUs, multi-billion-parameter models) that
-//! cannot be executed numerically on a CPU. Communication is priced by the
-//! same [`CostModel`] the live runtime charges, from the same byte formulas;
-//! compute is priced by FLOP counts divided by effective throughput.
-//!
-//! ## Calibration constants
-//!
-//! The constants below are the model's only free parameters. They are set
-//! once, against the paper's published absolute numbers (Table 5's A100
-//! TFLOP/s, §5.2's 10.44 PFLOPS aggregate) and the quoted stage ratios
-//! (Fig 11), then *everything else* — orderings, crossovers, scaling
-//! shapes — is emergent. EXPERIMENTS.md records paper-vs-model for every
-//! figure.
+//! cannot be executed numerically on a CPU. Every stage is priced by the
+//! same [`price`] functions the live pipelines and the train step charge,
+//! and communication by the same [`CostModel`] the live runtime charges,
+//! from the same byte formulas; only the shapes differ.
 
 use xmoe_topology::{
     build_grid, ClusterTopology, CongestionModel, CostModel, MachineSpec, PlacementPolicy,
@@ -22,72 +14,11 @@ use xmoe_topology::{
 
 use crate::config::{MoeModelConfig, ParallelConfig};
 use crate::memory::MoeSystem;
+use crate::price::{self, StageTimes, FUSED, TUTEL};
 
-/// Fraction of `mem_bw` a fused, coalesced kernel achieves (X-MoE's
-/// Triton-style gather/scatter and gating).
-const EFF_FUSED_MEMBOUND: f64 = 0.65;
-/// Fraction of `mem_bw` an unfused chain of framework ops achieves (the
-/// baselines' mask construction and PyTorch-level dispatch).
-const EFF_UNFUSED_MEMBOUND: f64 = 0.12;
-/// Relative efficiency of the sequential (per-expert, uneven) GEMM versus
-/// the machine's batched-GEMM efficiency — the "extra data transformations"
-/// the paper observes for X-MoE's expert stage (§5.4.1).
-const EFF_SEQ_GEMM: f64 = 0.80;
-/// Efficiency derating for fine-grained expert GEMMs: DeepSeek-style
-/// experts have small inner dimensions that no library runs at full tilt.
-fn gemm_dim_derate(inner_dim: usize) -> f64 {
-    // 0.45 of the spec efficiency at inner dims <= 1024, rising to 1.0 by 8192.
-    let x = (inner_dim as f64 / 8192.0).min(1.0);
-    0.45 + 0.55 * x
-}
-/// Fixed kernel-launch/synchronization overhead charged per layer per pass
-/// (forward or backward); dominated by the many small kernels of an MoE
-/// block.
-pub const LAYER_OVERHEAD_S: f64 = 350e-6;
 /// Dense-block elementwise traffic per token per layer, in units of
 /// `H * dtype` (norms, residuals, activation functions, dropout masks).
 const DENSE_ELEMWISE_FACTOR: f64 = 20.0;
-/// Backward compute is ~2x forward for GEMM-dominated work.
-pub const BWD_COMPUTE_FACTOR: f64 = 2.0;
-
-/// Per-stage forward times of one MoE layer on one rank, in seconds
-/// (labels match Fig 11).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StageTimes {
-    pub gating: f64,
-    pub buffer_dispatch: f64,
-    pub dispatch_a2a: f64,
-    pub expert: f64,
-    pub combine_a2a: f64,
-    pub buffer_combine: f64,
-}
-
-impl StageTimes {
-    pub fn total(&self) -> f64 {
-        self.gating
-            + self.buffer_dispatch
-            + self.dispatch_a2a
-            + self.expert
-            + self.combine_a2a
-            + self.buffer_combine
-    }
-
-    pub fn a2a(&self) -> f64 {
-        self.dispatch_a2a + self.combine_a2a
-    }
-
-    /// (label, seconds) pairs in pipeline order.
-    pub fn entries(&self) -> [(&'static str, f64); 6] {
-        [
-            ("gating", self.gating),
-            ("buffer_dispatch", self.buffer_dispatch),
-            ("dispatch_a2a", self.dispatch_a2a),
-            ("expert", self.expert),
-            ("combine_a2a", self.combine_a2a),
-            ("buffer_combine", self.buffer_combine),
-        ]
-    }
-}
 
 /// Options modulating the modelled execution.
 #[derive(Clone, Copy, Debug)]
@@ -174,18 +105,6 @@ impl PerfModel {
         &self.cost
     }
 
-    fn spec(&self) -> &MachineSpec {
-        self.cost.topology().spec()
-    }
-
-    fn membound(&self, bytes: f64, eff: f64) -> f64 {
-        bytes / (self.spec().mem_bw * eff)
-    }
-
-    fn gemm(&self, flops: f64, inner_dim: usize) -> f64 {
-        flops / (self.spec().peak_flops * self.spec().gemm_efficiency * gemm_dim_derate(inner_dim))
-    }
-
     /// The EP group (global ranks) rank 0 belongs to under the placement.
     fn ep_group(&self, par: &ParallelConfig, placement: PlacementPolicy) -> Vec<usize> {
         let grid = build_grid(par.world / par.tp.max(1), par.ep, placement);
@@ -201,11 +120,11 @@ impl PerfModel {
         par: &ParallelConfig,
         opts: &PerfOpts,
     ) -> StageTimes {
+        let c = &self.cost;
+        let (hidden, ffn, experts) = (cfg.hidden, cfg.ffn_hidden, cfg.num_experts);
         let d = cfg.dtype.bytes() as f64;
-        let h = cfg.hidden as f64;
-        let f = cfg.ffn_hidden as f64;
-        let e = cfg.num_experts as f64;
-        let k = cfg.top_k as f64;
+        let h = hidden as f64;
+        let e = experts as f64;
         let full_tokens = (par.micro_batch * cfg.seq_len) as f64;
         // SSMB shards the MoE-block sequence across TP.
         let tokens = if sys == MoeSystem::XMoe && par.ssmb {
@@ -214,58 +133,49 @@ impl PerfModel {
             full_tokens
         };
         let cap = cfg.expert_capacity((tokens as usize).max(1)) as f64;
-        let routed = k * tokens; // X-MoE padding-free volume
+        let routed = cfg.top_k as f64 * tokens; // X-MoE padding-free volume
         let padded = e * cap; // baseline padded volume (= c k S by construction)
 
         let group = self.ep_group(par, opts.placement);
         let w = group.len() as f64;
+        // The baselines' ROCm fallbacks upcast to fp32 what their CUDA
+        // kernels keep in the training dtype.
+        let d_baseline = if c.topology().spec().vendor_moe_kernels {
+            d
+        } else {
+            4.0
+        };
 
-        let gate_flops = 2.0 * tokens * h * e;
         let mut st = StageTimes::default();
         match sys {
             MoeSystem::XMoe => {
                 // Fused gating + PFT construction (sort + transposed cumsum).
-                let pft_bytes = tokens * e * 4.0 + routed * 24.0 * 3.0;
-                st.gating = self.gemm(gate_flops, cfg.hidden)
-                    + self.membound(pft_bytes, EFF_FUSED_MEMBOUND);
-                // Triton gather: read + write each routed row once.
-                st.buffer_dispatch = self.membound(2.0 * routed * h * d, EFF_FUSED_MEMBOUND);
+                st.gating = price::gating(c, tokens, hidden, experts, cfg.top_k);
+                // Triton gather / scatter: read + write each routed row once.
+                st.buffer_dispatch = price::copy(c, routed, hidden, d, FUSED);
+                st.buffer_combine = st.buffer_dispatch;
                 let per_pair = (routed * h * d / w) as u64;
-                let t_plain = self.cost.alltoallv_time(&group, &|_, _| per_pair);
                 st.dispatch_a2a = if opts.rbd {
                     self.rbd_a2a_time(&group, tokens, cfg.top_k, (h * d) as u64)
                 } else {
-                    t_plain
+                    c.alltoallv_time(&group, &|_, _| per_pair)
                 };
                 st.combine_a2a = st.dispatch_a2a;
-                // Sequential GEMM + input-assembly transforms.
-                let flops = 4.0 * routed * h * f;
-                st.expert = self.gemm(flops, cfg.ffn_hidden) / EFF_SEQ_GEMM
-                    + self.membound(2.0 * routed * h * d, EFF_FUSED_MEMBOUND);
-                st.buffer_combine = self.membound(2.0 * routed * h * d, EFF_FUSED_MEMBOUND);
+                st.expert = price::expert_seq(c, routed, hidden, ffn, d);
             }
             MoeSystem::Tutel => {
                 // Sparse-kernel gating (no giant mask) but framework-level.
-                let gate_aux = tokens * e * 4.0 + routed * 24.0 * 3.0;
-                st.gating = self.gemm(gate_flops, cfg.hidden)
-                    + self.membound(gate_aux, EFF_FUSED_MEMBOUND * 0.8);
-                // Tutel's kernel forces fp32 A_combine on AMD only (§5.4.1);
-                // on CUDA it keeps the training dtype.
-                let combine_bytes = if self.spec().vendor_moe_kernels {
-                    d
-                } else {
-                    4.0
-                };
+                st.gating = price::router(c, tokens, hidden, experts)
+                    + price::pft(c, tokens, experts, cfg.top_k, TUTEL);
                 // Padded buffer fill (fast kernels, but padded volume).
-                st.buffer_dispatch = self.membound(2.0 * padded * h * d, EFF_FUSED_MEMBOUND * 0.8);
+                st.buffer_dispatch = price::copy(c, padded, hidden, d, TUTEL);
                 let per_pair = (padded * h * d / w) as u64;
-                st.dispatch_a2a = self.cost.alltoallv_time(&group, &|_, _| per_pair);
-                let per_pair_combine = (padded * h * combine_bytes / w) as u64;
-                st.combine_a2a = self.cost.alltoallv_time(&group, &|_, _| per_pair_combine);
-                let flops = 4.0 * padded * h * f;
-                st.expert = self.gemm(flops, cfg.ffn_hidden);
-                st.buffer_combine =
-                    self.membound(2.0 * padded * h * combine_bytes, EFF_FUSED_MEMBOUND * 0.8);
+                st.dispatch_a2a = c.alltoallv_time(&group, &|_, _| per_pair);
+                // Tutel's kernel forces fp32 A_combine on AMD only (§5.4.1).
+                let per_pair_combine = (padded * h * d_baseline / w) as u64;
+                st.combine_a2a = c.alltoallv_time(&group, &|_, _| per_pair_combine);
+                st.expert = price::expert_padded(c, padded, hidden, ffn, 1.0);
+                st.buffer_combine = price::copy(c, padded, hidden, d_baseline, TUTEL);
             }
             MoeSystem::DsMoe | MoeSystem::DsTed => {
                 // TED tensor-slices the experts (and the einsums feeding
@@ -275,51 +185,25 @@ impl PerfModel {
                 } else {
                     1.0
                 };
-                // Dense [S, E, C] mask construction: one-hot, cumsum,
-                // dropping. On CUDA these run through DeepSpeed's tuned
-                // kernels; on ROCm they fall back to unfused framework ops
-                // over the full mask volume (§3.1).
-                let mask_bytes = tokens * e * cap * 4.0;
-                let mask_eff = if self.spec().vendor_moe_kernels {
-                    EFF_FUSED_MEMBOUND * 0.6
-                } else {
-                    EFF_UNFUSED_MEMBOUND
-                };
-                st.gating = self.gemm(gate_flops, cfg.hidden) + self.membound(mask_bytes, mask_eff);
-                // Dispatch into expert buffers: einsum("sec,sm->ecm") — a
-                // dense contraction over S on ROCm; CUDA builds ship a
-                // sparse gather kernel that only moves the padded volume.
-                let einsum_flops = 2.0 * tokens * padded * h / etp;
-                st.buffer_dispatch = if self.spec().vendor_moe_kernels {
-                    self.membound(2.0 * padded * h * d, EFF_FUSED_MEMBOUND * 0.6)
-                } else {
-                    self.gemm(einsum_flops, cfg.hidden)
-                };
+                st.gating = price::router(c, tokens, hidden, experts)
+                    + price::dense_mask(c, tokens, experts, cap);
+                // Dispatch into expert buffers and combine out of them.
+                st.buffer_dispatch = price::einsum(c, tokens, padded, hidden, d, etp);
+                st.buffer_combine = st.buffer_dispatch;
                 // On ROCm the fp32 dispatch mask upcasts the einsum output,
                 // so the exchanged buffers travel in fp32 — combined with
                 // the capacity padding this is how the baseline's all-to-all
                 // carries ~2.5x X-MoE's volume (Fig 11: 50.7% reduction).
-                let d_comm = if self.spec().vendor_moe_kernels {
-                    d
-                } else {
-                    4.0
-                };
-                let per_pair = (padded * h * d_comm / w) as u64;
-                st.dispatch_a2a = self.cost.alltoallv_time(&group, &|_, _| per_pair);
+                let per_pair = (padded * h * d_baseline / w) as u64;
+                st.dispatch_a2a = c.alltoallv_time(&group, &|_, _| per_pair);
                 st.combine_a2a = st.dispatch_a2a;
-                let mut expert = self.gemm(4.0 * padded * h * f / etp, cfg.ffn_hidden);
+                st.expert = price::expert_padded(c, padded, hidden, ffn, etp);
                 if sys == MoeSystem::DsTed && par.tp > 1 {
                     // Row-parallel expert FFN: one all-reduce of the padded
                     // expert output per layer within the TP group.
                     let tp_group: Vec<usize> = (0..par.tp).collect();
-                    expert += self.cost.allreduce_time(&tp_group, (padded * h * d) as u64);
+                    st.expert += c.allreduce_time(&tp_group, (padded * h * d) as u64);
                 }
-                st.expert = expert;
-                st.buffer_combine = if self.spec().vendor_moe_kernels {
-                    self.membound(2.0 * padded * h * d, EFF_FUSED_MEMBOUND * 0.6)
-                } else {
-                    self.gemm(einsum_flops, cfg.hidden)
-                };
             }
         }
         st
@@ -368,9 +252,10 @@ impl PerfModel {
         let proj_flops = 8.0 * tokens * h * h / par.tp as f64;
         let attn_flops = 4.0 * tokens * s * h / par.tp as f64;
         let elemwise = DENSE_ELEMWISE_FACTOR * tokens * h * d;
-        let mut t = self.gemm(proj_flops, cfg.hidden / par.tp)
-            + self.gemm(attn_flops, cfg.seq_len)
-            + self.membound(elemwise, EFF_FUSED_MEMBOUND);
+        let c = &self.cost;
+        let mut t = price::gemm(c, proj_flops, cfg.hidden / par.tp)
+            + price::gemm(c, attn_flops, cfg.seq_len)
+            + price::membound(c, elemwise, FUSED);
         if par.tp > 1 {
             // Two all-reduces of the [tokens, H] activation per layer.
             let tp_group: Vec<usize> = (0..par.tp).collect(); // consecutive ranks
@@ -405,21 +290,14 @@ impl PerfModel {
         let dense_dp_group: Vec<usize> = (0..leaders).map(|l| l * par.tp).collect();
 
         // ZeRO >= 1: reduce-scatter grads + (overlapped) all-gather params.
-        let t_exp = self
-            .cost
-            .reduce_scatter_time(&expert_dp_group, (expert_params as f64 * d) as u64)
-            + self.cost.allgather_time(
-                &expert_dp_group,
-                (expert_params as f64 * d) as u64 / expert_dp_group.len().max(1) as u64,
-            );
-        let t_dense = self
-            .cost
-            .reduce_scatter_time(&dense_dp_group, (dense_params as f64 * d) as u64)
-            + self.cost.allgather_time(
-                &dense_dp_group,
-                (dense_params as f64 * d) as u64 / dense_dp_group.len().max(1) as u64,
-            );
-        t_exp + t_dense
+        let zero = |group: &[usize], params: u64| {
+            let bytes = (params as f64 * d) as u64;
+            self.cost.reduce_scatter_time(group, bytes)
+                + self
+                    .cost
+                    .allgather_time(group, bytes / group.len().max(1) as u64)
+        };
+        zero(&expert_dp_group, expert_params) + zero(&dense_dp_group, dense_params)
     }
 
     /// Model one full optimizer step.
@@ -434,16 +312,10 @@ impl PerfModel {
         let dense = self.dense_block_time(cfg, par);
         let l = cfg.num_layers as f64;
 
-        // Forward per micro-batch.
-        let fwd = l * (moe.total() + dense + LAYER_OVERHEAD_S);
-        // Backward: 2x compute, equal communication volume (grad a2a), plus
-        // SSMB's extra all-gather pair is already inside moe for fwd; add
-        // one for bwd implicitly via the a2a() term.
-        let bwd = l
-            * (BWD_COMPUTE_FACTOR
-                * (moe.gating + moe.buffer_dispatch + moe.expert + moe.buffer_combine + dense)
-                + moe.a2a()
-                + LAYER_OVERHEAD_S);
+        // Forward and backward per micro-batch: 2x compute, equal
+        // communication volume (grad a2a).
+        let (fwd, bwd) = moe.layer(dense);
+        let (fwd, bwd) = (l * fwd, l * bwd);
         // Activation checkpointing (Fig 14): recompute forward in backward
         // and pay 2 extra all-to-alls per layer (§4.3).
         let ckpt_extra = if opts.checkpointing {
@@ -459,7 +331,7 @@ impl PerfModel {
         let dp_sync = self.dp_sync_time(cfg, par, sys, opts.placement);
         // Optimizer update: read/write fp32 master + m + v, sharded by DP.
         let opt_params = (cfg.total_params() / par.dp().max(1) as u64) as f64;
-        let opt_time = self.membound(opt_params * 24.0, EFF_FUSED_MEMBOUND);
+        let opt_time = price::optimizer(&self.cost, opt_params);
 
         let step_time = accum * (fwd + bwd + ckpt_extra) + dp_sync + opt_time;
         let tokens_per_step = (par.global_batch * cfg.seq_len) as f64;
@@ -521,7 +393,7 @@ impl PerfModel {
         sys: MoeSystem,
         global_batch: usize,
     ) -> Option<StepReport> {
-        let hbm = self.spec().hbm_bytes;
+        let hbm = self.cost.topology().spec().hbm_bytes;
         let mut best: Option<StepReport> = None;
         let tp_choices: &[usize] = match sys {
             MoeSystem::DsTed => &[1, 2, 4, 8],

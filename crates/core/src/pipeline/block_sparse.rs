@@ -15,7 +15,7 @@
 use xmoe_tensor::{Tensor, Workspace};
 
 use crate::expert::ExpertShard;
-use crate::pipeline::padding_free::{charge, copy_time, expert_flops, Meter};
+use crate::price::{self, Meter};
 
 /// Round `n` up to a multiple of `block`.
 pub fn round_up(n: usize, block: usize) -> usize {
@@ -61,24 +61,20 @@ pub(crate) fn forward_block_padded(
     for (p, &c) in padded_counts.iter_mut().zip(counts) {
         *p = round_up(c, block);
     }
-    let padded_total: usize = padded_counts.iter().sum();
+    let padded: usize = padded_counts.iter().sum();
     // take() zero-fills, so the pad rows are zero even on a reused buffer.
-    let mut padded_buf = ws.take(padded_total, hidden);
+    let mut padded_buf = ws.take(padded, hidden);
     copy_segments(input, counts, &mut padded_buf, &padded_counts);
-    charge(&mut meter, "buffer_dispatch", |cost| {
-        copy_time(cost, padded_total, hidden)
-    });
+    meter.charge("buffer_dispatch", |c| price::gather(c, padded, hidden));
 
     let out_padded = experts.forward_segments_pooled(&padded_buf, &padded_counts, ws);
-    charge(&mut meter, "expert", |cost| {
-        cost.compute_time(expert_flops(experts, padded_total, hidden))
-    });
+    let (rows, f) = (padded as f64, experts.ffn());
+    meter.charge("expert", |c| price::expert_padded(c, rows, hidden, f, 1.0));
 
     let mut out = ws.take(input.rows(), hidden);
     copy_segments(&out_padded, &padded_counts, &mut out, counts);
-    charge(&mut meter, "buffer_combine", |cost| {
-        copy_time(cost, input.rows(), hidden)
-    });
+    let rows = input.rows();
+    meter.charge("buffer_combine", |c| price::gather(c, rows, hidden));
     ws.recycle(out_padded);
     ws.recycle(padded_buf);
     ws.recycle_idx(padded_counts);

@@ -14,6 +14,7 @@ use xmoe_tensor::{argsort_desc_by, Tensor};
 use crate::expert::ExpertShard;
 use crate::gating::{DropPolicy, GatingOutput, Router};
 use crate::pipeline::MoeLayerSpec;
+use crate::price::{self, Meter, F32};
 
 /// Which routed entries win buffer slots when an expert overflows capacity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,24 +152,20 @@ pub(crate) fn forward_ep_dense(
     let e_local = spec.num_experts / w;
     let c = spec.capacity;
     let hidden = tokens.cols();
-    let cost = ep.cost();
+    let (s, e) = (tokens.rows() as f64, spec.num_experts);
+    let padded = (e * c) as f64;
 
     // --- Gating + dense mask construction ------------------------------
+    // The [S, E, C] one-hot mask is materialized (f32).
     let gating = router.gate(tokens);
-    let gate_flops = 2.0 * tokens.rows() as f64 * hidden as f64 * spec.num_experts as f64;
-    // The [S, E, C] one-hot mask is materialized (f32): its construction
-    // and the token-drop masking are memory-bound over S*E*C elements.
-    let mask_bytes = (tokens.rows() * spec.num_experts * c * 4) as f64;
-    clock.charge(
-        "gating",
-        cost.compute_time(gate_flops) + cost.mem_bound_time(2.0 * mask_bytes),
-    );
+    Meter::new(ep, clock).charge("gating", |cost| {
+        price::router(cost, s, hidden, e) + price::dense_mask(cost, s, e, c as f64)
+    });
 
     // --- Buffer dispatch: einsum("sec,sm->ecm") ------------------------
     let d = build_dense_dispatch(tokens, &gating, spec, order);
-    // The einsum contracts over S densely: 2 * S * (E*C) * H flops.
-    let einsum_flops = 2.0 * tokens.rows() as f64 * (spec.num_experts * c) as f64 * hidden as f64;
-    clock.charge("buffer_dispatch", cost.compute_time(einsum_flops));
+    let einsum = price::einsum(ep.cost(), s, padded, hidden, F32, 1.0);
+    Meter::new(ep, clock).charge("buffer_dispatch", |_| einsum);
 
     // --- Even dispatch all-to-all (padding travels too) ----------------
     let send: Vec<Vec<f32>> = (0..w)
@@ -197,9 +194,10 @@ pub(crate) fn forward_ep_dense(
     // --- Expert computation over padded slabs --------------------------
     let per_expert = vec![w * c; e_local];
     let out_buffers = shard.forward_segments(&expert_input, &per_expert);
-    let ffn = shard.experts.first().map_or(0, |e| e.w1.cols());
-    let expert_flops = 4.0 * (w * e_local * c) as f64 * hidden as f64 * ffn as f64;
-    clock.charge("expert", cost.compute_time(expert_flops));
+    let rows = (w * e_local * c) as f64;
+    Meter::new(ep, clock).charge("expert", |cost| {
+        price::expert_padded(cost, rows, hidden, shard.ffn(), 1.0)
+    });
 
     // --- Even combine all-to-all ----------------------------------------
     let send_back: Vec<Vec<f32>> = (0..w)
@@ -227,8 +225,7 @@ pub(crate) fn forward_ep_dense(
 
     // --- Masked combine (einsum over the [S, E, C] weight mask) --------
     let out = combine_dense(tokens.rows(), hidden, &full_out, &d.entries, c);
-    let combine_flops = 2.0 * tokens.rows() as f64 * (spec.num_experts * c) as f64 * hidden as f64;
-    clock.charge("buffer_combine", cost.compute_time(combine_flops));
+    Meter::new(ep, clock).charge("buffer_combine", |_| einsum);
     Ok(out)
 }
 

@@ -15,13 +15,14 @@
 
 use xmoe_collectives::{Communicator, SimClock};
 use xmoe_tensor::{gather_rows_into, scatter_rows_scaled, Tensor, Workspace};
-use xmoe_topology::{CostModel, ExpertAssignment};
+use xmoe_topology::ExpertAssignment;
 
 use crate::expert::ExpertShard;
 use crate::gating::{GateScratch, GatingOutput, Router};
 use crate::pft::{Pft, PftScratch};
 use crate::pipeline::block_sparse::forward_block_padded;
 use crate::pipeline::{MoeLayerSpec, PipelineError};
+use crate::price::{self, Meter, F32};
 use crate::route::EpRoute;
 
 /// Persistent state for every pooled pipeline: the workspace arena plus
@@ -66,8 +67,8 @@ pub(crate) enum Transport<'a> {
 impl Transport<'_> {
     fn meter(&mut self) -> Meter<'_> {
         match self {
-            Transport::Local => None,
-            Transport::Ep { comm, clock, .. } => Some((comm.cost(), clock)),
+            Transport::Local => Meter::default(),
+            Transport::Ep { comm, clock, .. } => Meter::new(comm, clock),
         }
     }
 }
@@ -80,21 +81,6 @@ pub(crate) enum ExpertKernel {
     /// Each segment zero-padded to a multiple of the tile size first
     /// ([`crate::pipeline::block_sparse`]).
     BlockPadded(usize),
-}
-
-/// Where a stage's simulated cost lands: a priced clock on distributed
-/// transports, nowhere on the clockless single-rank path.
-pub(crate) type Meter<'a> = Option<(&'a CostModel, &'a mut SimClock)>;
-
-pub(crate) fn charge(meter: &mut Meter, label: &str, secs: impl FnOnce(&CostModel) -> f64) {
-    if let Some((cost, clock)) = meter {
-        clock.charge(label, secs(cost));
-    }
-}
-
-/// Memory-bound time to read and write `rows` f32 rows of width `hidden`.
-pub(crate) fn copy_time(cost: &CostModel, rows: usize, hidden: usize) -> f64 {
-    cost.mem_bound_time(2.0 * (rows * hidden * 4) as f64)
 }
 
 /// The prefix every PFT-family forward shares, flat EP and RBD alike:
@@ -118,15 +104,11 @@ pub(crate) fn gate_and_gather(
         &mut state.pft_scratch,
         &mut state.pft,
     );
-    charge(&mut meter, "gating", |cost| {
-        let gate_flops = 2.0 * tokens.rows() as f64 * hidden as f64 * spec.num_experts as f64;
-        let pft_bytes = (tokens.rows() * state.gating.k()) as f64 * 32.0;
-        cost.compute_time(gate_flops) + cost.mem_bound_time(pft_bytes)
-    });
+    let (s, e, k) = (tokens.rows() as f64, spec.num_experts, state.gating.k());
+    meter.charge("gating", |c| price::gating(c, s, hidden, e, k));
     gather_rows_into(tokens, &state.pft.token_ids, &mut state.dispatch_in);
-    charge(&mut meter, "buffer_dispatch", |cost| {
-        copy_time(cost, state.pft.len(), hidden)
-    });
+    let rows = state.pft.len();
+    meter.charge("buffer_dispatch", |c| price::gather(c, rows, hidden));
 }
 
 /// Run `kernel` over an expert-major `[rows, H]` buffer split by `counts`;
@@ -143,21 +125,14 @@ fn run_experts(
     match kernel {
         ExpertKernel::Plain => {
             let out = experts.forward_segments_pooled(input, counts, ws);
-            charge(&mut meter, "expert", |cost| {
-                cost.compute_time(expert_flops(experts, input.rows(), input.cols()))
-            });
+            let (rows, h, f) = (input.rows() as f64, input.cols(), experts.ffn());
+            meter.charge("expert", |c| price::expert_seq(c, rows, h, f, F32));
             out
         }
         ExpertKernel::BlockPadded(block) => {
             forward_block_padded(experts, input, counts, block, ws, meter)
         }
     }
-}
-
-/// FLOPs of the two-matrix FFN over `rows` rows.
-pub(crate) fn expert_flops(experts: &ExpertShard, rows: usize, hidden: usize) -> f64 {
-    let ffn = experts.experts.first().map_or(0, |e| e.w1.cols());
-    4.0 * rows as f64 * hidden as f64 * ffn as f64
 }
 
 /// The padding-free MoE forward (paper §4.1, Listing 1), written once:
@@ -201,14 +176,14 @@ pub(crate) fn forward(
             &pft.tokens_per_expert,
             kernel,
             ws,
-            None,
+            Meter::default(),
         ),
         Transport::Ep {
             comm,
             clock,
             overlap_chunks,
         } => {
-            let cost = comm.cost();
+            let comm: &Communicator = comm;
             let shape = (spec.num_experts, comm.size());
             let assignment = match assignment {
                 Some(a) if (a.n_experts(), a.n_ranks()) == shape => a,
@@ -237,7 +212,7 @@ pub(crate) fn forward(
                     let (e0, e1) = plan.experts;
                     let mut chunk_counts = ws.take_idx(counts.len());
                     chunk_counts[e0..e1].copy_from_slice(&counts[e0..e1]);
-                    let meter = Some((cost, clock));
+                    let meter = Meter::new(comm, clock);
                     let out = run_experts(experts, &chunk_in, &chunk_counts, kernel, ws, meter);
                     ws.recycle_idx(chunk_counts);
                     ws.recycle(chunk_in);
@@ -252,9 +227,10 @@ pub(crate) fn forward(
     // Buffer combine: weighted scatter back to sequence order.
     let mut out = ws.take(tokens.rows(), hidden);
     scatter_rows_scaled(&combine_in, &pft.token_ids, &pft.combine_weights, &mut out);
-    charge(&mut transport.meter(), "buffer_combine", |cost| {
-        copy_time(cost, pft.len(), hidden)
-    });
+    let rows = pft.len();
+    transport
+        .meter()
+        .charge("buffer_combine", |c| price::gather(c, rows, hidden));
     if matches!(transport, Transport::Local) {
         ws.recycle(combine_in);
     } else {

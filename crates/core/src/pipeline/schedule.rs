@@ -31,7 +31,7 @@ use crate::pipeline::PipelineError;
 /// Backward costs ~2x forward for the matmul-dominated blocks simulated
 /// here (dgrad + wgrad) — the same constant the analytic perf model uses,
 /// so measured and modelled schedules agree on the F:B ratio.
-pub use crate::perf::BWD_COMPUTE_FACTOR;
+pub use crate::price::BWD_COMPUTE_FACTOR;
 
 /// Shape of a 1F1B run: `p` pipeline ranks, `v` virtual chunks per rank,
 /// `m` microbatches.
@@ -82,11 +82,6 @@ impl ScheduleSpec {
     /// Rank owning virtual stage `g`.
     pub fn stage_rank(&self, g: usize) -> usize {
         g % self.pp
-    }
-
-    /// Local chunk index of virtual stage `g` on its owner.
-    pub fn stage_chunk(&self, g: usize) -> usize {
-        g / self.pp
     }
 
     /// Virtual stage of local `chunk` on `rank`.

@@ -6,11 +6,12 @@
 //! enumerates the legal (PP, TP, EP, DP) foldings
 //! ([`xmoe_topology::enumerate_foldings`]), bounds each with the analytic
 //! memory model ([`crate::memory::folded_per_gpu`]), prices the survivors
-//! with the same [`CostModel`] terms the live runtime charges — dense
-//! blocks under the attention fold, MoE blocks under the expert fold with
-//! the dispatch priced by [`CostModel::sparse_exchange_time`], 1F1B
-//! stage boundaries by [`xmoe_topology::stage_boundary_p2p_time`] — and
-//! marks the (step time, memory) Pareto-optimal points.
+//! with the stage prices, layer composition and optimizer price of
+//! [`crate::price`] that [`PerfModel::step`] charges — dense blocks under
+//! the attention fold, MoE blocks under the expert fold with the dispatch
+//! priced by [`CostModel::sparse_exchange_time`], 1F1B stage boundaries by
+//! [`xmoe_topology::stage_boundary_p2p_time`] — and marks the (step time,
+//! memory) Pareto-optimal points.
 
 use xmoe_topology::{
     enumerate_foldings, stage_boundary_p2p_time, CostModel, FoldSearchSpace, ParallelMapping,
@@ -18,7 +19,8 @@ use xmoe_topology::{
 
 use crate::config::{MoeModelConfig, ParallelConfig};
 use crate::memory::{folded_per_gpu, GpuMemory, MoeSystem};
-use crate::perf::{PerfModel, PerfOpts, StageTimes, BWD_COMPUTE_FACTOR, LAYER_OVERHEAD_S};
+use crate::perf::{PerfModel, PerfOpts};
+use crate::price::{self, StageTimes};
 
 /// One priced candidate folding.
 #[derive(Clone, Debug)]
@@ -100,14 +102,8 @@ pub fn price_mapping(
     // One microbatch through one pipeline rank's layers (all its virtual
     // chunks), forward + backward, including its boundary hops.
     let per_boundary = 2.0 * mapping.virtual_chunks as f64 * p2p;
-    let t_fwd = layers_per_stage * (moe.total() + dense_time + LAYER_OVERHEAD_S) + per_boundary;
-    let t_bwd = layers_per_stage
-        * (BWD_COMPUTE_FACTOR
-            * (moe.gating + moe.buffer_dispatch + moe.expert + moe.buffer_combine + dense_time)
-            + moe.a2a()
-            + LAYER_OVERHEAD_S)
-        + per_boundary;
-    let t_mb = t_fwd + t_bwd;
+    let (fwd, bwd) = moe.layer(dense_time);
+    let t_mb = (layers_per_stage * fwd + per_boundary) + (layers_per_stage * bwd + per_boundary);
 
     // 1F1B makespan: m microbatches plus the (p-1)/v fill/drain ramp.
     let bubble_slots = (mapping.pp as f64 - 1.0) / mapping.virtual_chunks as f64;
@@ -127,7 +123,7 @@ pub fn price_mapping(
         / mapping.pp as u64
         / (mapping.moe.ep * mapping.moe.tp) as u64
         / mapping.moe.dp.max(1) as u64) as f64;
-    let opt_time = cost.mem_bound_time(opt_params * 24.0);
+    let opt_time = price::optimizer(cost, opt_params);
 
     let step_time = pipeline_time + dp_sync + opt_time;
     let tokens_per_step =
@@ -270,6 +266,38 @@ mod tests {
         };
         let plan2 = price_mapping(&perf, &cfg, &ep2, 1);
         assert!(plan.moe_stages.dispatch_a2a > plan2.moe_stages.dispatch_a2a);
+    }
+
+    #[test]
+    fn unfolded_plan_prices_the_step_the_perf_model_prices() {
+        // No pipeline, tensor or expert split: the fold is PerfModel::step's
+        // configuration, so the same layer composition and the same Adam
+        // price must give the same step time.
+        let perf = PerfModel::frontier_clean(16);
+        let cfg = model();
+        let flat = ParallelMapping {
+            pp: 1,
+            virtual_chunks: 1,
+            microbatches: 8,
+            attn: xmoe_topology::AttnFold { tp: 1, dp: 16 },
+            moe: xmoe_topology::MoeFold {
+                ep: 1,
+                tp: 1,
+                dp: 16,
+            },
+        };
+        let plan = price_mapping(&perf, &cfg, &flat, 1);
+        let par = ParallelConfig::new(16, 1)
+            .with_ssmb(true)
+            .with_batch(1, 8 * 16);
+        let step = perf.step(&cfg, &par, MoeSystem::XMoe, &PerfOpts::xmoe());
+        let rel = (plan.step_time - step.step_time).abs() / step.step_time;
+        assert!(
+            rel < 1e-12,
+            "planner {} s vs PerfModel {} s",
+            plan.step_time,
+            step.step_time
+        );
     }
 
     #[test]

@@ -45,8 +45,9 @@ use xmoe_tensor::{add_assign_slice, axpy_slice, gather_rows_into, scaled_extend,
 use crate::expert::ExpertShard;
 use crate::gating::Router;
 use crate::pft::Pft;
-use crate::pipeline::padding_free::{copy_time, expert_flops, gate_and_gather};
+use crate::pipeline::padding_free::gate_and_gather;
 use crate::pipeline::{MoeLayerSpec, PipelineError, PooledSingleState};
+use crate::price::{self, Meter, F32};
 
 /// The two communicators RBD needs: the EP group and its node-local
 /// subgroup, plus the precomputed position maps the hot path would
@@ -283,12 +284,11 @@ pub(crate) fn forward_ep_rbd_impl(
     assert_eq!(spec.num_experts % w, 0, "experts must divide EP size");
     let e_local = spec.num_experts / w;
     let hidden = tokens.cols();
-    let cost = ep.cost();
     let owner_of = |e: usize| e / e_local;
     let first_expert = shard.first_expert;
 
     // --- Gating + PFT + dispatch gather (shared with flat EP) --------------
-    gate_and_gather(tokens, router, spec, state, Some((cost, &mut *clock)));
+    gate_and_gather(tokens, router, spec, state, Meter::new(ep, clock));
 
     let PooledSingleState {
         ws,
@@ -374,7 +374,8 @@ pub(crate) fn forward_ep_rbd_impl(
         run += *off;
         *off = run;
     }
-    clock.charge("rbd_plan", cost.mem_bound_time((pft.len() * 24) as f64));
+    let routed = pft.len() as f64;
+    Meter::new(ep, clock).charge("rbd_plan", |c| price::rbd_plan(c, routed));
 
     // --- S1: inter-node exchange of pilots + metadata -------------------
     // Wire format per pilot: expert, weight bits, n_rep, then (expert,
@@ -417,11 +418,11 @@ pub(crate) fn forward_ep_rbd_impl(
     let mut staging = ws.take_f32(0);
     let npos = &comms.node_pos_of_ep_pos;
     // Parse one source's pilots: append to the staging buffer, queue replica
-    // copies for node peers, return the replica bytes moved. Sources must be
+    // copies for node peers, return the replica rows copied. Sources must be
     // processed in ascending rank order — the staging/entry order (and hence
     // the bitwise result) depends on it.
-    let mut process_src = |src: usize, rows: &[f32], meta: &[u64]| -> f64 {
-        let mut replica_bytes = 0f64;
+    let mut process_src = |src: usize, rows: &[f32], meta: &[u64]| -> usize {
+        let mut replica_rows = 0;
         let mut idx = 0usize; // pilot index within this source's chunk
         let mut i = 0usize;
         while i < meta.len() {
@@ -455,12 +456,12 @@ pub(crate) fn forward_ep_rbd_impl(
                     src as u64,
                     idx as u64,
                 ]);
-                replica_bytes += (hidden * 4) as f64;
+                replica_rows += 1;
             }
             idx += 1;
         }
         pilots_from_src[src] = idx;
-        replica_bytes
+        replica_rows
     };
 
     match overlap_chunks {
@@ -469,14 +470,13 @@ pub(crate) fn forward_ep_rbd_impl(
             clock.commit("dispatch_a2a_inter");
             ep.all_to_all_v_into(meta_send, meta_recv, clock)?;
             clock.commit("dispatch_a2a_meta");
-            let mut replica_bytes = 0f64;
+            let mut replica_rows = 0;
             for src in 0..w {
-                replica_bytes += process_src(src, &rows_recv[src], &meta_recv[src]);
+                replica_rows += process_src(src, &rows_recv[src], &meta_recv[src]);
             }
-            clock.charge(
-                "rbd_replica_reconstruct",
-                cost.mem_bound_time(2.0 * replica_bytes),
-            );
+            Meter::new(ep, clock).charge("rbd_replica_reconstruct", |c| {
+                price::gather(c, replica_rows, hidden)
+            });
             for v in rows_recv.iter_mut() {
                 ws.recycle_f32(std::mem::take(v));
             }
@@ -520,14 +520,13 @@ pub(crate) fn forward_ep_rbd_impl(
                 let arrived = clock.track_time("comm").expect("comm track exists");
                 clock.set_track("compute");
                 clock.advance_to_op("rbd_replica_reconstruct", arrived);
-                let mut replica_bytes = 0f64;
+                let mut replica_rows = 0;
                 for src in s0..s1 {
-                    replica_bytes += process_src(src, &chunk_rows[src], &chunk_meta[src]);
+                    replica_rows += process_src(src, &chunk_rows[src], &chunk_meta[src]);
                 }
-                clock.charge(
-                    "rbd_replica_reconstruct",
-                    cost.mem_bound_time(2.0 * replica_bytes),
-                );
+                Meter::new(ep, clock).charge("rbd_replica_reconstruct", |c| {
+                    price::gather(c, replica_rows, hidden)
+                });
                 for v in chunk_rows {
                     if v.capacity() > 0 {
                         ws.recycle_f32(v);
@@ -597,10 +596,8 @@ pub(crate) fn forward_ep_rbd_impl(
     gather_rows_into(&staging, &order, &mut expert_input);
     ws.recycle(staging);
     let mlp_out = shard.forward_segments_pooled(&expert_input, &counts, ws);
-    clock.charge(
-        "expert",
-        cost.compute_time(expert_flops(shard, expert_input.rows(), hidden)),
-    );
+    let (rows, f) = (expert_input.rows() as f64, shard.ffn());
+    Meter::new(ep, clock).charge("expert", |c| price::expert_seq(c, rows, hidden, f, F32));
     ws.recycle(expert_input);
 
     // --- Combine: reverse route -------------------------------------------
@@ -683,7 +680,8 @@ pub(crate) fn forward_ep_rbd_impl(
     for v in back_recv.iter_mut() {
         ws.recycle_f32(std::mem::take(v));
     }
-    clock.charge("buffer_combine", copy_time(cost, pft.len(), hidden));
+    let rows = pft.len();
+    Meter::new(ep, clock).charge("buffer_combine", |c| price::gather(c, rows, hidden));
     ws.recycle_idx(order);
     ws.recycle_idx(cursor);
     ws.recycle_idx(counts);

@@ -7,9 +7,9 @@
 //! timelines — faults are part of the experiment, not noise.
 //!
 //! The plan is consulted from three places:
-//! * `RankCtx::charge_*` multiplies compute/membound kernel times by
-//!   [`FaultPlan::slowdown`], so a slow rank shows up as a straggler in the
-//!   existing stage breakdowns;
+//! * `xmoe_core::price::Meter` multiplies every stage price a rank charges
+//!   by [`FaultPlan::slowdown`], so a slow rank shows up as a straggler in
+//!   the existing stage breakdowns;
 //! * the communicator prices collectives with
 //!   [`CostModel::fault_link_multiplier`](crate::CostModel::fault_link_multiplier)
 //!   and retries transient flaps with [`FaultPlan::backoff`];

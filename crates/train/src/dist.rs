@@ -37,6 +37,7 @@ use xmoe_collectives::{CommError, Communicator, SimClock};
 use xmoe_core::expert::expert_ffn;
 use xmoe_core::gating::{DropPolicy, RouterGuard};
 use xmoe_core::pft::Pft;
+use xmoe_core::price::{self, Meter, BWD_COMPUTE_FACTOR, F32};
 use xmoe_core::route::EpRoute;
 use xmoe_core::Expert;
 use xmoe_tensor::{
@@ -213,11 +214,9 @@ impl DistMoe {
     /// Chunked-overlap distributed forward: bitwise-identical numerics to
     /// [`forward`](Self::forward) on any assignment, with the dispatch and
     /// combine all-to-alls split into `chunks` expert-major chunks pipelined
-    /// against the per-expert FFNs. The train path charges no simulated
-    /// compute for expert GEMMs (matching the serial forward), so the
-    /// schedule — not the clock — is what changes here; the priced overlap
-    /// win is measured in `xmoe-core`/`bench overlap`.
-    /// [`backward`](Self::backward) mirrors the chunked schedule.
+    /// against the per-expert FFNs, whose priced GEMMs hide behind the
+    /// chunks still in flight. [`backward`](Self::backward) mirrors the
+    /// chunked schedule.
     pub fn forward_overlap(
         &self,
         x: &Tensor,
@@ -231,7 +230,8 @@ impl DistMoe {
     }
 
     /// Both forwards: route, then the expert FFN between the two
-    /// all-to-alls, once per chunk of the route's schedule.
+    /// all-to-alls, once per chunk of the route's schedule, each stage
+    /// charging its [`price`] under its Fig-11 label as the pipelines do.
     fn forward_with(
         &self,
         x: &Tensor,
@@ -253,9 +253,13 @@ impl DistMoe {
         } = st;
         let p = self.router_params();
         moe_math::route(&p, &self.gate, x, sc, router, &mut route.pft);
+        let (e, k) = (self.num_experts, self.top_k);
+        Meter::new(ep, clock).charge("gating", |c| price::gating(c, x.rows() as f64, h, e, k));
         // For-overwrite: the gather fills it.
         let mut dispatch_in = ws.take_for_overwrite(route.pft.len(), h);
         gather_rows_into(x, &route.pft.token_ids, &mut dispatch_in);
+        let copy = price::gather(ep.cost(), route.pft.len(), h);
+        Meter::new(ep, clock).charge("buffer_dispatch", |_| copy);
 
         route.rebuild(&self.assignment, ep, clock)?;
         clock.commit("dispatch_a2a_meta");
@@ -273,7 +277,7 @@ impl DistMoe {
             ep,
             clock,
             ws,
-            |plan, chunk_in, _clock, ws| {
+            |plan, chunk_in, clock, ws| {
                 // The chunk is local experts [e0, e1): rows [r0, r1) of the
                 // full expert-major buffers, saved in place.
                 let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
@@ -287,6 +291,8 @@ impl DistMoe {
                     &mut h_act.as_mut_slice()[r0 * f..r1 * f],
                     y_chunk.as_mut_slice(),
                 );
+                let expert = price::expert_seq(ep.cost(), (r1 - r0) as f64, h, f, F32);
+                Meter::new(ep, clock).charge("expert", |_| expert);
                 ws.recycle(chunk_in);
                 y_chunk
             },
@@ -297,6 +303,7 @@ impl DistMoe {
         out.as_mut_slice().copy_from_slice(x.as_slice());
         let pft = &route.pft;
         scatter_rows_scaled(&combine_in, &pft.token_ids, &pft.combine_weights, &mut out);
+        Meter::new(ep, clock).charge("buffer_combine", |_| copy);
         st.combine_in = combine_in;
         st.chunks = chunks;
         Ok(out)
@@ -306,7 +313,9 @@ impl DistMoe {
     /// from `ws`) and recycles the saves the forward left in `st`. The
     /// backward chain has the forward's shape — dispatch-direction
     /// all-to-all, expert GEMMs, combine-direction all-to-all — so it runs
-    /// through the saved route on the schedule the forward ran.
+    /// through the saved route on the schedule the forward ran. Each compute
+    /// stage charges [`BWD_COMPUTE_FACTOR`]× its forward price under `bwd_*`,
+    /// as [`xmoe_core::perf::PerfModel::step`] prices a backward.
     pub fn backward(
         &mut self,
         st: &mut DistMoeScratch,
@@ -326,6 +335,8 @@ impl DistMoe {
         let combine_in = std::mem::take(&mut st.combine_in);
         let d_combine = combine_backward(pft, &combine_in, d_out, &mut st.sc, ws);
         ws.recycle(combine_in);
+        let copy = BWD_COMPUTE_FACTOR * price::gather(ep.cost(), pft.len(), h);
+        Meter::new(ep, clock).charge("bwd_buffer_combine", |_| copy);
         let (shard, g_shard) = (&self.shard, &mut self.g_shard);
         let (expert_input, h_pre, h_act) = (&st.expert_input, &st.h_pre, &st.h_act);
         let counts = &st.route.tokens_per_local_expert;
@@ -338,8 +349,10 @@ impl DistMoe {
             ep,
             clock,
             ws,
-            |plan, chunk_dy, _clock, ws| {
+            |plan, chunk_dy, clock, ws| {
                 let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
+                let expert = price::expert_seq(ep.cost(), (r1 - r0) as f64, h, f, F32);
+                Meter::new(ep, clock).charge("bwd_expert", |_| BWD_COMPUTE_FACTOR * expert);
                 expert_ffn_backward(
                     &shard[e0..e1],
                     &mut g_shard[e0..e1],
@@ -357,6 +370,7 @@ impl DistMoe {
         let pft = &st.route.pft;
         scatter_rows_unit(&d_dispatch, &pft.token_ids, &mut d_x);
         ws.recycle(d_dispatch);
+        Meter::new(ep, clock).charge("bwd_buffer_dispatch", |_| copy);
 
         // Router backward (local; router is replicated).
         router_backward(
@@ -370,6 +384,9 @@ impl DistMoe {
             ws,
             &mut d_x,
         );
+        let (s, e, k) = (st.tokens() as f64, self.num_experts, self.top_k);
+        let gating = BWD_COMPUTE_FACTOR * price::gating(ep.cost(), s, h, e, k);
+        Meter::new(ep, clock).charge("bwd_gating", |_| gating);
         Ok(d_x)
     }
 
@@ -1086,12 +1103,18 @@ mod tests {
         TrainableMoe::new(8, 6, 8, 2, 100_000, DropPolicy::CapacityOnly, seed)
     }
 
-    /// Forward+backward of one rank's layer on that rank's seeded batch,
-    /// serial (`chunks == None`) or chunked; both go through the one
-    /// `backward`, which mirrors whichever schedule the forward ran.
-    fn fwd_bwd(layer: &mut DistMoe, chunks: Option<usize>, ctx: &mut RankCtx) -> (Tensor, Tensor) {
-        let x = Tensor::rand_uniform(12, 8, 1.0, 810 + ctx.rank as u64);
-        let d_out = Tensor::rand_uniform(12, 8, 1.0, 910 + ctx.rank as u64);
+    /// Forward+backward of one rank's layer on that rank's seeded batch of
+    /// `tokens` rows, serial (`chunks == None`) or chunked; both go through
+    /// the one `backward`, which mirrors whichever schedule the forward ran.
+    fn fwd_bwd_at(
+        layer: &mut DistMoe,
+        tokens: usize,
+        chunks: Option<usize>,
+        ctx: &mut RankCtx,
+    ) -> (Tensor, Tensor) {
+        let h = layer.hidden;
+        let x = Tensor::rand_uniform(tokens, h, 1.0, 810 + ctx.rank as u64);
+        let d_out = Tensor::rand_uniform(tokens, h, 1.0, 910 + ctx.rank as u64);
         let (st, ws) = (&mut DistMoeScratch::default(), &mut Workspace::new());
         let out = match chunks {
             None => layer.forward(&x, st, ws, &ctx.world, &mut ctx.clock),
@@ -1104,6 +1127,11 @@ mod tests {
         (out, d_x)
     }
 
+    /// [`fwd_bwd_at`] on the 12-token batches most tests use.
+    fn fwd_bwd(layer: &mut DistMoe, chunks: Option<usize>, ctx: &mut RankCtx) -> (Tensor, Tensor) {
+        fwd_bwd_at(layer, 12, chunks, ctx)
+    }
+
     fn bits(t: &Tensor) -> Vec<u32> {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
@@ -1112,18 +1140,28 @@ mod tests {
         g.iter().map(|e| (bits(&e.w1), bits(&e.w2))).collect()
     }
 
-    /// Serial ≡ chunked on one layout: outputs, `d_x`, `g_gate`, `g_shard`
-    /// bitwise, and the same bytes on the wire per rank.
-    fn assert_overlap_matches_serial(name: &str, full: &TrainableMoe, asg: &ExpertAssignment) {
+    /// Serial ≡ chunked on one layout over `tokens`-row batches: outputs,
+    /// `d_x`, `g_gate`, `g_shard` bitwise, and the same bytes on the wire
+    /// per rank. Returns each rank's simulated `(serial, chunked)` time of
+    /// the forward + backward at 2 chunks.
+    fn assert_overlap_matches_serial(
+        name: &str,
+        full: &TrainableMoe,
+        asg: &ExpertAssignment,
+        tokens: usize,
+    ) -> Vec<(f64, f64)> {
+        let mut clocks = Vec::new();
         for chunks in [1usize, 2, 3] {
-            SimCluster::frontier(asg.n_ranks()).run(|ctx| {
+            let per_rank = SimCluster::frontier(asg.n_ranks()).run(|ctx| {
                 let mut run = |chunks: Option<usize>| {
                     let mut layer =
                         DistMoe::from_trainable_with_assignment(full, ctx.rank, asg.clone());
                     ctx.world.reset_traffic();
-                    let (out, d_x) = fwd_bwd(&mut layer, chunks, ctx);
+                    ctx.clock = SimClock::new();
+                    let (out, d_x) = fwd_bwd_at(&mut layer, tokens, chunks, ctx);
                     let grads = (bits(&layer.g_gate), shard_bits(&layer.g_shard));
-                    (bits(&out), bits(&d_x), grads, ctx.world.traffic().total())
+                    let sent = ctx.world.traffic().total();
+                    (bits(&out), bits(&d_x), grads, sent, ctx.clock.now())
                 };
                 let (serial, over) = (run(None), run(Some(chunks)));
                 let at = format!("{name} chunks {chunks} rank {}", ctx.rank);
@@ -1131,8 +1169,13 @@ mod tests {
                 assert!(serial.1 == over.1, "{at}: input grads differ");
                 assert!(serial.2 == over.2, "{at}: weight grads differ");
                 assert_eq!(serial.3, over.3, "{at}: bytes sent differ");
+                (serial.4, over.4)
             });
+            if chunks == 2 {
+                clocks = per_rank;
+            }
         }
+        clocks
     }
 
     #[test]
@@ -1140,11 +1183,23 @@ mod tests {
         let world = 4;
         let full = tiny_full(77);
         let uniform = ExpertAssignment::contiguous(8, world);
-        assert_overlap_matches_serial("uniform", &full, &uniform);
+        assert_overlap_matches_serial("uniform", &full, &uniform, 12);
+        // The overlap is priced: where the all-to-alls carry enough bytes to
+        // hide, two chunks finish the forward + backward strictly earlier on
+        // the simulated clock (at 12 tokens a second chunk's startup latency
+        // outweighs all it hides).
+        let wide = TrainableMoe::new(128, 64, 8, 2, 100_000, DropPolicy::CapacityOnly, 77);
+        let clocks = assert_overlap_matches_serial("uniform wide", &wide, &uniform, 4096);
+        for (rank, (serial, chunked)) in clocks.into_iter().enumerate() {
+            assert!(
+                chunked < serial,
+                "rank {rank}: 2 chunks {chunked} s, serial {serial} s"
+            );
+        }
 
         let mut migrated = uniform.clone();
         migrated.migrate(1, 2);
-        assert_overlap_matches_serial("migrated", &full, &migrated);
+        assert_overlap_matches_serial("migrated", &full, &migrated, 12);
 
         // The expert the four seeded batches route the most tokens to.
         let mut load = [0usize; 8];
@@ -1158,11 +1213,11 @@ mod tests {
         let hot = (0..8).max_by_key(|&e| load[e]).unwrap();
         let mut replicated = uniform.clone();
         replicated.replicate(hot, (uniform.primary(hot) + 1) % world);
-        assert_overlap_matches_serial("replicated", &full, &replicated);
+        assert_overlap_matches_serial("replicated", &full, &replicated, 12);
 
         let ragged_full = TrainableMoe::new(8, 6, 10, 2, 100_000, DropPolicy::CapacityOnly, 77);
         let ragged = ExpertAssignment::contiguous(10, world);
-        assert_overlap_matches_serial("ragged", &ragged_full, &ragged);
+        assert_overlap_matches_serial("ragged", &ragged_full, &ragged, 12);
     }
 
     #[test]

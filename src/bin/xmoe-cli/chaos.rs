@@ -3,7 +3,7 @@
 use xmoe::bench::flags::{Arity, Cmd, Flag, UsageError};
 use xmoe::collectives::SimCluster;
 use xmoe::core::gating::DropPolicy;
-use xmoe::topology::{FaultEvent, FaultPlan};
+use xmoe::topology::FaultPlan;
 use xmoe::train::{run_chaos_rank, ChaosConfig, GuardConfig, RebalanceConfig, TrainConfig};
 
 pub static CMD: Cmd = Cmd {
@@ -65,20 +65,6 @@ pub fn run(args: &[String]) -> Result<(), UsageError> {
         eprintln!("bad --faults spec: {e}");
         std::process::exit(1);
     });
-    // A slowdown only stretches compute the rank charges, and the train step
-    // charges none yet: a `slow:` run would print a clean run's numbers.
-    if plan
-        .events
-        .iter()
-        .any(|e| matches!(e, FaultEvent::Slowdown { .. }))
-    {
-        eprintln!(
-            "--faults: chaos does not support slow: clauses yet — the train step charges no \
-             simulated compute, so a slowdown would change nothing (ROADMAP item 2, the price list)"
-        );
-        std::process::exit(1);
-    }
-
     // Reduced-dimension training config; experts divide the rank count so
     // elastic recovery can re-shard onto survivors.
     let mut cfg = TrainConfig::fig15(DropPolicy::CapacityOnly);
@@ -203,7 +189,7 @@ pub fn run(args: &[String]) -> Result<(), UsageError> {
     }
     println!("{}", crate::arena_line(&survivor.arena));
     println!(
-        "final world {} of {ranks} | last checkpoint {} bytes | simulated time {:.2}ms",
+        "final world {} of {ranks} | last checkpoint {} bytes | simulated time {:.4}ms",
         survivor.final_world,
         survivor.last_ckpt.as_ref().map_or(0, Vec::len),
         end_time * 1e3

@@ -6,16 +6,22 @@
 //!    recorder makes this true by construction; these tests pin it.
 //! 2. Golden exporter check: the Chrome trace-event JSON is syntactically
 //!    valid and carries all six Fig-11 stage labels on every rank's track.
+//! 3. One price list: on balanced routing the live Fig-11 stages equal the
+//!    analytic model's, and the train step charges what the pipeline does.
 
-use xmoe::collectives::{trace, RankTrace, SimCluster};
+use xmoe::collectives::{trace, RankTrace, SimClock, SimCluster, StepReport};
+use xmoe::core::config::{DType, MoeModelConfig, ParallelConfig};
 use xmoe::core::expert::ExpertShard;
-use xmoe::core::gating::Router;
+use xmoe::core::gating::{DropPolicy, Router};
+use xmoe::core::memory::MoeSystem;
+use xmoe::core::perf::{PerfModel, PerfOpts};
 use xmoe::core::pipeline::{
     BlockSparsePipeline, DenseDropOrder, DensePipeline, ExecCtx, MoeLayerSpec, PaddingFreePipeline,
     Pipeline, RbdPipeline,
 };
 use xmoe::core::rbd::{PilotPolicy, RbdComms};
-use xmoe::tensor::{DetRng, Tensor};
+use xmoe::tensor::{DetRng, Tensor, Workspace};
+use xmoe::train::{DistMoe, DistMoeScratch, TrainableMoe};
 
 const WORLD: usize = 8;
 const S: usize = 192;
@@ -309,5 +315,84 @@ fn chrome_trace_is_valid_json_with_all_stage_labels_per_rank() {
             let event = format!("\"name\":\"{label}\"");
             assert!(json.contains(&event), "exporter dropped stage {label}");
         }
+    }
+}
+
+/// The price list's oracle. On balanced routing — every expert receives
+/// `S·k/E` rows from every rank, nothing is dropped — a live forward charges
+/// each Fig-11 stage what the analytic model prices for the same shape on
+/// the same cost model: X-MoE through the padding-free pipeline,
+/// DeepSpeed-MoE through the dense one. The train step's `DistMoe` charges
+/// the padding-free pipeline's compute stages to the bit.
+#[test]
+fn live_stages_equal_the_analytic_prices_on_balanced_routing() {
+    let (s, h, f, e, k) = (64usize, 32usize, 16usize, 16usize, 4usize);
+    // Token t scores experts t, t+1, .., t+k-1 (mod e), best first; the
+    // identity gate passes the scores through as logits.
+    let tokens = Tensor::from_fn(s, h, |t, c| {
+        let j = (c + e - t % e) % e;
+        if c < e && j < k {
+            (k - j) as f32
+        } else {
+            0.0
+        }
+    });
+    let gate = Tensor::from_fn(h, e, |r, c| if r == c { 1.0 } else { 0.0 });
+    let router = Router::from_weight(gate.clone(), k);
+    let mut cfg = MoeModelConfig::custom("balanced", s, h, f, e, k, 1);
+    cfg.dtype = DType::F32;
+    let spec = MoeLayerSpec::new(e, cfg.expert_capacity(s));
+    let full = TrainableMoe::new(h, f, e, k, 100_000, DropPolicy::CapacityOnly, 7);
+    for world in [4usize, 8, 16] {
+        let cluster = SimCluster::frontier(world);
+        let perf = PerfModel::new(cluster.cost().clone());
+        let par = ParallelConfig::new(world, world);
+        for sys in [MoeSystem::XMoe, MoeSystem::DsMoe] {
+            let traces = cluster.run(|ctx| {
+                let pipe: Box<dyn Pipeline> = match sys {
+                    MoeSystem::XMoe => Box::new(PaddingFreePipeline),
+                    _ => Box::new(DensePipeline {
+                        order: DenseDropOrder::TokenOrder,
+                    }),
+                };
+                let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 7);
+                let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+                pipe.forward(&tokens, &router, &shard, &spec, &mut ex)
+                    .unwrap();
+                RankTrace::capture(ctx.rank, &mut ctx.clock, ctx.world.traffic())
+            });
+            let live = StepReport::from_ranks(&traces);
+            let priced = perf.moe_stage_times(&cfg, sys, &par, &PerfOpts::default());
+            for (label, want) in priced.entries() {
+                let got = live.mean(label);
+                assert!(
+                    want > 0.0 && (got - want).abs() <= 1e-9 * want,
+                    "{world} ranks, {sys:?} {label}: live {got} s, analytic {want} s"
+                );
+            }
+        }
+        let stages = ["gating", "buffer_dispatch", "expert", "buffer_combine"];
+        cluster.run(|ctx| {
+            let bits = |clock: &SimClock| stages.map(|l| clock.bucket(l).to_bits());
+            let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 7);
+            let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+            PaddingFreePipeline
+                .forward(&tokens, &router, &shard, &spec, &mut ex)
+                .unwrap();
+            let pipeline = bits(&ctx.clock);
+            ctx.clock = SimClock::new();
+            let mut layer = DistMoe::from_trainable(&full, ctx.rank, world);
+            layer.gate = gate.clone();
+            let (st, ws) = (&mut DistMoeScratch::default(), &mut Workspace::new());
+            layer
+                .forward(&tokens, st, ws, &ctx.world, &mut ctx.clock)
+                .unwrap();
+            assert_eq!(
+                bits(&ctx.clock),
+                pipeline,
+                "{world} ranks, rank {}: DistMoe {stages:?}",
+                ctx.rank
+            );
+        });
     }
 }
