@@ -13,14 +13,11 @@
 
 use xmoe_collectives::SimCluster;
 use xmoe_core::gating::DropPolicy;
-use xmoe_core::memory::expert_replica_bytes;
 use xmoe_tensor::DetRng;
-use xmoe_topology::{
-    ClusterTopology, CongestionModel, CostModel, FaultPlan, MachineSpec, RoutingHistogram,
-};
+use xmoe_topology::{ClusterTopology, CongestionModel, CostModel, FaultPlan, MachineSpec};
 use xmoe_train::{
-    assignment_cost, build_moe_layers, run_chaos_rank, step_batch, ChaosConfig, DistMoeLm,
-    RebalanceConfig, RebalancePolicy, TrainConfig,
+    build_moe_layers, run_chaos_rank, step_batch, ChaosConfig, DistMoeLm, RebalanceConfig,
+    RebalancePolicy, TrainConfig,
 };
 
 use crate::spine::{bench, int, tag, Check, Env, Record, Val};
@@ -106,9 +103,10 @@ fn join(smoke: bool) -> Record {
 }
 
 /// Bias two co-located experts hot, profile a skewed phase, commit the
-/// histogram-driven rebalance exactly as the chaos engine does, then run
-/// the same number of steps in the migrated layout. Both phase averages
-/// come off the simulated clock, so the comparison is deterministic.
+/// histogram-driven rebalance through the chaos engine's own commit
+/// ([`RebalancePolicy::close_window`]), then run the same number of steps
+/// in the migrated layout. Both phase averages come off the simulated
+/// clock, so the comparison is deterministic.
 fn rebalance() -> Record {
     let cfg = train_cfg();
     // The skew phase is the same length in smoke mode: the histogram a
@@ -146,53 +144,15 @@ fn rebalance() -> Record {
             }
             let skewed = (ctx.clock.now() - t0) / phase as f64;
 
-            // Close the profiling window the way the chaos engine does.
-            let mine = model.take_route_samples();
-            let gathered = comm
-                .all_gather(mine, &mut ctx.clock)
-                .expect("histogram all-gather");
-            ctx.clock.commit("elastic_histogram");
-            let mut hist = RoutingHistogram::new(cfg.num_experts, WORLD, 4096);
-            for per_src in &gathered {
-                for (src, experts) in per_src {
-                    let experts: Vec<usize> = experts.iter().map(|&e| e as usize).collect();
-                    hist.observe(*src as usize, &experts);
-                }
-            }
-            let rcfg = RebalanceConfig {
+            let mut pol = RebalancePolicy::new(RebalanceConfig {
                 threshold: 1.05,
                 every: phase,
                 ..RebalanceConfig::default()
-            };
-            let mut pol = RebalancePolicy::new(rcfg);
-            let old = model.assignment().clone();
-            let replica = expert_replica_bytes(cfg.hidden, cfg.ffn, cfg.layers);
-            let (new_asg, kind) = pol
-                .observe_window(&hist, &old, comm.cost(), replica)
+            });
+            let (decision, _) = pol
+                .close_window(&mut model, cfg, phase, rng.state(), &comm, &mut ctx.clock)
+                .expect("histogram all-gather and live snapshot")
                 .expect("manufactured skew must trigger a rebalance");
-            let ckpt = model
-                .capture_checkpoint(phase, rng.state(), &comm, &mut ctx.clock)
-                .expect("live snapshot");
-            let moved = old.changed_experts(&new_asg);
-            let grp: Vec<usize> = comm.group_ranks().to_vec();
-            let per_expert = 6 * cfg.hidden as u64 * cfg.ffn as u64 * 4 * cfg.layers as u64;
-            let mut migration_bytes = 0u64;
-            let mut t_mig = 0.0f64;
-            for &g in &moved {
-                let src = grp[old.primary(g)];
-                for &h in new_asg.holders(g) {
-                    if !old.holders(g).contains(&h) {
-                        migration_bytes += per_expert;
-                        t_mig += comm.cost().p2p_time(src, grp[h], per_expert);
-                    }
-                }
-            }
-            ctx.clock.charge("elastic_migrate", t_mig);
-            let before = assignment_cost(&old, &hist, comm.cost(), rcfg.bytes_per_token);
-            let after = assignment_cost(&new_asg, &hist, comm.cost(), rcfg.bytes_per_token);
-            let mut model =
-                DistMoeLm::from_checkpoint_with_assignment(cfg, &ckpt, comm.rank(), new_asg);
-            let mut rng = DetRng::from_state(ckpt.rng_state);
             let t1 = ctx.clock.now();
             for step in phase..2 * phase {
                 ctx.set_step(step);
@@ -203,18 +163,12 @@ fn rebalance() -> Record {
                     .expect("rebalanced phase step");
             }
             let rebalanced = (ctx.clock.now() - t1) / phase as f64;
-            (
-                skewed,
-                rebalanced,
-                kind,
-                moved.len(),
-                migration_bytes,
-                before.dispatch_time,
-                after.dispatch_time,
-            )
+            (skewed, rebalanced, decision)
         })
     };
-    let (skewed, rebalanced, kind, moved, migration_bytes, before, after) = results.remove(0);
+    let (skewed, rebalanced, d) = results.remove(0);
+    let (kind, moved, migration_bytes) = (d.kind, d.moved_experts.len(), d.migration_bytes);
+    let (before, after) = (d.dispatch_before, d.dispatch_after);
     println!(
         "rebalance: {kind} moved {moved} expert(s), {migration_bytes} bytes | \
          step {:.4}ms -> {:.4}ms (-{:.3}%) | priced dispatch {:.1}us -> {:.1}us ({:.2}x)",

@@ -302,11 +302,6 @@ impl CostModel {
         flops / (spec.peak_flops * spec.gemm_efficiency)
     }
 
-    /// Time for a bandwidth-bound kernel touching `bytes` of HBM.
-    pub fn mem_bound_time(&self, bytes: f64) -> f64 {
-        bytes / self.topo.spec().mem_bw
-    }
-
     /// Worst (most expensive) link class present between any pair of ranks
     /// in the group. This is the class a ring collective bottlenecks on, and
     /// the class link-level faults are matched against.

@@ -8,8 +8,15 @@
 //! survivors, reloads the last checkpoint and continues at the reduced
 //! world size.
 //!
+//! The run's mutable state (model, data stream, guard detectors, rebalance
+//! policy, report, fallback image) lives in one `Run`, and one `load`
+//! builds the model: at the start, after a guard rollback or a fail-stop
+//! restore (both through one `Run::restore`) and at a join. A rebalance
+//! commits through [`RebalancePolicy::close_window`], the same call
+//! `bench elastic` makes.
+//!
 //! On top of the fail-stop machinery sits the SDC defense
-//! ([`crate::guard`]): when [`crate::guard::GuardConfig::enabled`] is set,
+//! ([`crate::guard`]): when [`ChaosConfig::guard`] is set,
 //! every step runs scaled by the dynamic loss scale, injected `bitflip:` /
 //! `noise:` events corrupt activations, gradients or checkpoint bytes,
 //! the synced gradients are scanned (non-finite count + global norm, made
@@ -46,16 +53,14 @@
 use std::collections::BTreeSet;
 
 use xmoe_collectives::{CommError, Communicator, RankCtx, RecoveryStats, SimClock};
-use xmoe_core::memory::expert_replica_bytes;
+use xmoe_core::price;
 use xmoe_tensor::{DetRng, WorkspaceStats};
-use xmoe_topology::{build_grid_excluding, FaultPlan, PlacementPolicy, RoutingHistogram, SdcSite};
+use xmoe_topology::{build_grid_excluding, FaultPlan, PlacementPolicy, SdcSite};
 
 use crate::checkpoint::Checkpoint;
 use crate::data::MarkovCorpus;
 use crate::dist::DistMoeLm;
-use crate::elastic::{
-    assignment_cost, ExpertAssignment, RebalanceConfig, RebalanceDecision, RebalancePolicy,
-};
+use crate::elastic::{ExpertAssignment, RebalanceConfig, RebalanceDecision, RebalancePolicy};
 use crate::guard::{
     self, GuardConfig, GuardEvent, LossScale, PolicyAction, PolicyEngine, SpikeDetector, Verdict,
 };
@@ -63,10 +68,6 @@ use crate::model::{build_moe_layers, TrainConfig};
 
 /// Seed tweak separating the data-stream RNG from weight-init streams.
 const DATA_STREAM_SALT: u64 = 0xC4A0_5EED;
-
-/// Cap on retained route samples per rebalance window (loads keep
-/// counting past it; pricing rescales — see [`RoutingHistogram`]).
-const MAX_ROUTE_SAMPLES: usize = 4096;
 
 /// Knobs of one chaos run (the model itself comes from [`TrainConfig`]).
 #[derive(Clone, Copy, Debug)]
@@ -76,9 +77,9 @@ pub struct ChaosConfig {
     /// Capture a checkpoint after every `ckpt_every` completed steps
     /// (0 disables checkpointing — recovery then restarts from scratch).
     pub ckpt_every: u64,
-    /// Silent-fault defense knobs; `guard.enabled = false` reproduces the
-    /// pre-guard step (and its simulated timeline) exactly.
-    pub guard: GuardConfig,
+    /// Silent-fault defense knobs; `None` (the default) runs the plain
+    /// train step and its simulated timeline exactly.
+    pub guard: Option<GuardConfig>,
     /// Live expert-rebalance knobs; `None` (the default) disables route
     /// tracking and reproduces the pre-elastic step exactly.
     pub rebalance: Option<RebalanceConfig>,
@@ -91,15 +92,12 @@ pub struct ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Legacy-equivalent configuration: fail-stop chaos only, no guard.
+    /// Fail-stop chaos only: no guard, no rebalance, no skew.
     pub fn new(steps: u64, ckpt_every: u64) -> Self {
         Self {
             steps,
             ckpt_every,
-            guard: GuardConfig {
-                enabled: false,
-                ..GuardConfig::default()
-            },
+            guard: None,
             rebalance: None,
             hot_bias: None,
         }
@@ -107,7 +105,7 @@ impl ChaosConfig {
 
     /// Enable the silent-fault defense with the given knobs.
     pub fn with_guard(mut self, guard: GuardConfig) -> Self {
-        self.guard = guard;
+        self.guard = Some(guard);
         self
     }
 
@@ -198,20 +196,8 @@ pub fn step_batch(cfg: &TrainConfig, step_seed: u64, dense_rank: usize) -> Vec<V
     MarkovCorpus::new(cfg.vocab, 3, step_seed ^ salt).batch(cfg.batch, cfg.seq_len)
 }
 
-/// Flip one bit of the `target`-th gradient element (global index across
-/// the parameter walk).
-fn inject_grad_flip(model: &mut DistMoeLm, target: usize, bit: u32) {
-    let mut seen = 0usize;
-    model.visit_params(&mut |_, _, g| {
-        let xs = g.as_mut_slice();
-        if target >= seen && target < seen + xs.len() {
-            guard::flip_bit_f32(xs, target - seen, bit);
-        }
-        seen += xs.len();
-    });
-}
-
 /// What the detectors concluded about one guarded step.
+#[derive(Default)]
 struct StepVerdict {
     global_loss: f64,
     /// `(site, detector, value)` of the highest-priority anomaly, if any.
@@ -253,10 +239,10 @@ impl GuardState {
 
 /// One guarded training step: scaled forward/backward with `site=act`
 /// injection, `site=grad` injection, gradient sync, the guard scan +
-/// status all-reduce, loss reduction, and anomaly detection. The optimizer
-/// update is *not* applied here — the caller applies or discards it
-/// according to the policy decision. All guard work is charged under
-/// `guard:*` span labels, so the span-exactness invariant keeps holding.
+/// status all-reduce, loss reduction, and anomaly detection. A clean step
+/// ends with the optimizer update; an anomalous one leaves its gradients
+/// for the policy to discard. All guard work is charged under `guard:*`
+/// span labels, so the span-exactness invariant keeps holding.
 #[allow(clippy::too_many_arguments)]
 fn guarded_step(
     g: &GuardConfig,
@@ -270,24 +256,18 @@ fn guarded_step(
     gs: &mut GuardState,
 ) -> Result<StepVerdict, CommError> {
     // --- site=act injection hook (runs on the pre-head activations) ----
-    let mut act_flips: Vec<(u64, u32)> = Vec::new();
-    let mut act_noise: Option<(u64, f64)> = None;
-    if let Some(p) = plan {
-        if !gs.is_applied(step, SdcSite::Act) {
-            for fl in p.bitflips(my_global, step, SdcSite::Act) {
-                act_flips.push((fl.element_hash, fl.bit));
-            }
-            let amp = p.noise_amp(my_global, step, SdcSite::Act);
-            if amp > 0.0 {
-                act_noise = Some((p.sdc_stream_seed(my_global, step, SdcSite::Act), amp));
-            }
-        }
-    }
+    let act = plan.filter(|_| !gs.is_applied(step, SdcSite::Act));
+    let act_flips = act.map_or(Vec::new(), |p| p.bitflips(my_global, step, SdcSite::Act));
+    let act_noise = act
+        .map(|p| {
+            let seed = p.sdc_stream_seed(my_global, step, SdcSite::Act);
+            (seed, p.noise_amp(my_global, step, SdcSite::Act))
+        })
+        .filter(|&(_, amp)| amp > 0.0);
     let inject_act = !act_flips.is_empty() || act_noise.is_some();
     let mut hook = |xs: &mut [f32]| {
-        for &(h, bit) in &act_flips {
-            let elem = (h % xs.len().max(1) as u64) as usize;
-            guard::flip_bit_f32(xs, elem, bit);
+        for fl in &act_flips {
+            guard::flip_bit_f32(xs, fl.element(xs.len()), fl.bit);
         }
         if let Some((seed, amp)) = act_noise {
             guard::apply_noise(xs, seed, amp);
@@ -304,32 +284,34 @@ fn guarded_step(
 
     // --- site=grad injection (pre-sync, so corruption propagates through
     // the all-reduce exactly like real device-memory SDC) ---------------
-    if let Some(p) = plan {
-        if !gs.is_applied(step, SdcSite::Grad) {
-            let mut fired = false;
-            let flips = p.bitflips(my_global, step, SdcSite::Grad);
-            if !flips.is_empty() {
-                let mut total = 0;
-                model.visit_params(&mut |_, _, g| total += g.len());
+    if let Some(p) = plan.filter(|_| !gs.is_applied(step, SdcSite::Grad)) {
+        let flips = p.bitflips(my_global, step, SdcSite::Grad);
+        if !flips.is_empty() {
+            // Each flip hits one element of the whole parameter walk.
+            let (mut total, mut seen) = (0, 0);
+            model.visit_params(&mut |_, _, g| total += g.len());
+            model.visit_params(&mut |_, _, g| {
                 for fl in &flips {
-                    inject_grad_flip(model, fl.element(total), fl.bit);
+                    let t = fl.element(total);
+                    if (seen..seen + g.len()).contains(&t) {
+                        guard::flip_bit_f32(g.as_mut_slice(), t - seen, fl.bit);
+                    }
                 }
-                fired = true;
-            }
-            let amp = p.noise_amp(my_global, step, SdcSite::Grad);
-            if amp > 0.0 {
-                let base = p.sdc_stream_seed(my_global, step, SdcSite::Grad);
-                let mut i = 0u64;
-                model.visit_params(&mut |_, _, g| {
-                    let seed = base.wrapping_add(i.wrapping_mul(0x9E37));
-                    guard::apply_noise(g.as_mut_slice(), seed, amp);
-                    i += 1;
-                });
-                fired = true;
-            }
-            if fired {
-                gs.mark(step, SdcSite::Grad);
-            }
+                seen += g.len();
+            });
+        }
+        let amp = p.noise_amp(my_global, step, SdcSite::Grad);
+        if amp > 0.0 {
+            let base = p.sdc_stream_seed(my_global, step, SdcSite::Grad);
+            let mut i = 0u64;
+            model.visit_params(&mut |_, _, g| {
+                let seed = base.wrapping_add(i.wrapping_mul(0x9E37));
+                guard::apply_noise(g.as_mut_slice(), seed, amp);
+                i += 1;
+            });
+        }
+        if !flips.is_empty() || amp > 0.0 {
+            gs.mark(step, SdcSite::Grad);
         }
     }
 
@@ -357,15 +339,15 @@ fn guarded_step(
             shard_sq += sq;
         }
     });
+    // One bandwidth-bound pass over every gradient, charged plainly rather
+    // than through a `Meter`: a `slow:` clause stretches compute, not this.
+    let pass = price::membound(comm.cost(), 4.0 * total_elems as f64, 1.0);
     if g.bf16_grads {
         // Simulated-bf16 device gradients over f32 master weights: the
         // synced (still loss-scaled) gradient is what low-precision
         // hardware would hand the optimizer.
         model.visit_params(&mut |_, _, g| guard::bf16_round_slice(g.as_mut_slice()));
-        clock.charge(
-            "guard:bf16",
-            comm.cost().mem_bound_time(4.0 * total_elems as f64),
-        );
+        clock.charge("guard:bf16", pass);
     }
     // Unscale: the whole backward ran multiplied by the loss scale, so the
     // synced (and bf16-rounded) gradients still carry it. Divide it back
@@ -379,15 +361,9 @@ fn guarded_step(
     let unscale = gs.loss_scale.inv_scale();
     if unscale != 1.0 {
         model.scale_grads(unscale);
-        clock.charge(
-            "guard:unscale",
-            comm.cost().mem_bound_time(4.0 * total_elems as f64),
-        );
+        clock.charge("guard:unscale", pass);
     }
-    clock.charge(
-        "guard:scan",
-        comm.cost().mem_bound_time(4.0 * total_elems as f64),
-    );
+    clock.charge("guard:scan", pass);
     // Guard status rides the loss all-reduce: one merged collective
     // carries [loss, shard_nonfinite, shard_sq_norm], so the per-step
     // guard traffic costs only its marginal bytes (charged as
@@ -397,10 +373,8 @@ fn guarded_step(
     let mut status = [local_loss as f32, shard_nonfin as f32, shard_sq as f32];
     comm.all_reduce_sum_f32(&mut status, clock)?;
     clock.commit("loss_allreduce");
-    clock.charge(
-        "guard:reduce",
-        comm.cost().mem_bound_time((status.len() - 1) as f64 * 4.0),
-    );
+    let marginal = (status.len() - 1) as f64 * 4.0;
+    clock.charge("guard:reduce", price::membound(comm.cost(), marginal, 1.0));
     let global_loss = (status[0] / comm.size() as f32) as f64;
     let nonfinite = rep_nonfin as f64 + status[1] as f64;
     // Norm of the *unscaled* gradient: undo the loss scale (exact — the
@@ -434,12 +408,14 @@ fn guarded_step(
         let factor = guard::clip_factor(grad_norm, g.max_grad_norm);
         if factor != 1.0 {
             model.scale_grads(factor);
-            clock.charge(
-                "guard:clip",
-                comm.cost().mem_bound_time(4.0 * total_elems as f64),
-            );
+            clock.charge("guard:clip", pass);
             clipped = true;
         }
+    }
+    if anomaly.is_none() {
+        gs.policy.on_clean();
+        gs.loss_scale.on_clean();
+        model.apply_update();
     }
     Ok(StepVerdict {
         global_loss,
@@ -478,9 +454,205 @@ fn restore_source(
     (fb, true, Some(err))
 }
 
+/// Build this rank's model on `comm` and the data stream that goes with it:
+/// from `image` when there is one, else fresh with the configured skew bias
+/// (which then lives in the gate weights, so every image carries it). Route
+/// tracking is on whenever the run rebalances. The start, every restore and
+/// every join build through here; a rebalance rebuilds inside
+/// [`RebalancePolicy::close_window`].
+fn load(
+    cfg: &TrainConfig,
+    chaos: &ChaosConfig,
+    image: Option<&Checkpoint>,
+    comm: &Communicator,
+) -> (DistMoeLm, DetRng) {
+    let (rank, world) = (comm.rank(), comm.size());
+    let (mut model, rng) = match image {
+        Some(ckpt) => (
+            DistMoeLm::from_checkpoint(cfg, ckpt, rank, world),
+            DetRng::from_state(ckpt.rng_state),
+        ),
+        None => {
+            let mut model = DistMoeLm::new(cfg, &build_moe_layers(cfg), rank, world);
+            if let Some((a, b, delta)) = chaos.hot_bias {
+                model.bias_router(a, delta);
+                model.bias_router(b, delta);
+            }
+            (model, DetRng::new(cfg.seed ^ DATA_STREAM_SALT))
+        }
+    };
+    model.set_route_tracking(chaos.rebalance.is_some());
+    (model, rng)
+}
+
+/// One rank's mutable run state — what a rollback, a fail-stop restore, a
+/// join and a rebalance rebuild — and the report it accumulates.
+struct Run<'a> {
+    cfg: &'a TrainConfig,
+    chaos: &'a ChaosConfig,
+    model: DistMoeLm,
+    /// The data stream; its state is part of every checkpoint.
+    rng: DetRng,
+    gs: GuardState,
+    policy: Option<RebalancePolicy>,
+    report: ChaosReport,
+    /// The image captured before `report.last_ckpt`: the CRC fallback.
+    prev_ckpt: Option<Vec<u8>>,
+    /// `(recovery index, clock at failure)` until the replay catches back up.
+    catch_up: Option<(usize, f64)>,
+}
+
+impl<'a> Run<'a> {
+    fn new(cfg: &'a TrainConfig, chaos: &'a ChaosConfig, comm: &Communicator) -> Self {
+        let (model, rng) = load(cfg, chaos, None, comm);
+        let gs = GuardState::new(&chaos.guard.unwrap_or_default());
+        let report = ChaosReport {
+            global_rank: comm.global_rank(),
+            losses: Vec::new(),
+            exited_at: None,
+            recoveries: Vec::new(),
+            last_ckpt: None,
+            final_world: comm.size(),
+            guard_events: Vec::new(),
+            guard_false_positives: 0,
+            grad_clips: 0,
+            final_loss_scale: gs.loss_scale.scale(),
+            joins: Vec::new(),
+            rebalances: Vec::new(),
+            final_assignment: model.assignment().clone(),
+            rebalance_ckpt: None,
+            arena: WorkspaceStats::default(),
+        };
+        Self {
+            cfg,
+            chaos,
+            model,
+            rng,
+            gs,
+            policy: chaos.rebalance.map(RebalancePolicy::new),
+            report,
+            prev_ckpt: None,
+            catch_up: None,
+        }
+    }
+
+    /// The encoded image of the live state after `step` completed steps.
+    fn capture(
+        &mut self,
+        step: u64,
+        comm: &Communicator,
+        clock: &mut SimClock,
+    ) -> Result<Vec<u8>, CommError> {
+        let ckpt = self
+            .model
+            .capture_checkpoint(step, self.rng.state(), comm, clock)?;
+        Ok(ckpt.encode())
+    }
+
+    /// Log a guard trip; return the step of the last SDC injection at or
+    /// before it. Without one the trip is a false positive. The plan is the
+    /// harness oracle, identical on every rank, so this is rank-consistent
+    /// even though the victim rank is not the detecting rank.
+    fn trip(&mut self, plan: Option<&FaultPlan>, ev: GuardEvent) -> Option<u64> {
+        let injected_at = plan.and_then(|p| p.last_sdc_at_or_before(ev.step));
+        self.report.guard_false_positives += u64::from(injected_at.is_none());
+        self.report.guard_events.push(ev);
+        injected_at
+    }
+
+    /// Walk the policy ladder for one anomalous step and return the step
+    /// to continue at. Every rank saw identical statistics, so every rank
+    /// takes the identical action with no extra coordination.
+    fn on_anomaly(
+        &mut self,
+        (site, detector, value): (&'static str, &'static str, f64),
+        step: u64,
+        plan: Option<&FaultPlan>,
+        comm: &Communicator,
+        clock: &mut SimClock,
+    ) -> u64 {
+        let action = self.gs.policy.decide();
+        let ev = GuardEvent::new(step, site, detector, action.name(), value);
+        let injected_at = self.trip(plan, ev);
+        self.model.zero_all_grads();
+        match action {
+            PolicyAction::SkipStep => step + 1,
+            PolicyAction::BackoffLossScale => {
+                self.gs.loss_scale.on_overflow();
+                step + 1
+            }
+            PolicyAction::RollbackToCheckpoint => {
+                let rec = RecoveryStats {
+                    detect_latency_steps: injected_at.map_or(0, |s| step - s),
+                    ..RecoveryStats::default()
+                };
+                let t_trip = clock.now();
+                self.restore(step, comm, clock, t_trip, rec)
+            }
+        }
+    }
+
+    /// Resume on `comm` from the newest intact checkpoint (a fresh model if
+    /// none), record the recovery and arm its catch-up; returns the step to
+    /// resume at. A guard rollback and a fail-stop restore differ only in
+    /// `rec` (failed ranks, detect time and latency) and `t_fail`.
+    fn restore(
+        &mut self,
+        step: u64,
+        comm: &Communicator,
+        clock: &mut SimClock,
+        t_fail: f64,
+        rec: RecoveryStats,
+    ) -> u64 {
+        // A corrupt `last` falls back to `prev` (both CRC-verified on decode).
+        let (src, fell_back, err) = restore_source(&mut self.report.last_ckpt, &mut self.prev_ckpt);
+        if fell_back {
+            self.report.guard_events.push(GuardEvent {
+                // The section-naming decode error, kept for postmortems.
+                detail: err.unwrap_or_default(),
+                ..GuardEvent::new(step, "ckpt", "crc", "fallback_prev_ckpt", 1.0)
+            });
+        }
+        let image = src.map(|(ckpt, bytes)| {
+            let t_io = price::membound(comm.cost(), bytes as f64, 1.0);
+            clock.charge("ckpt_restore", t_io);
+            ckpt
+        });
+        (self.model, self.rng) = load(self.cfg, self.chaos, image.as_ref(), comm);
+        let resumed = image.map_or(0, |c| c.step);
+        self.report.losses.retain(|&(s, _)| s < resumed);
+        let restore_time = clock.now() - t_fail;
+        let replayed = step - resumed;
+        // A guard rollback is the recovery with no failed rank.
+        let rollback = rec.failed_ranks.is_empty();
+        self.report.recoveries.push(RecoveryStats {
+            failed_at_step: step,
+            resumed_from_step: resumed,
+            steps_replayed: replayed,
+            restore_time,
+            mttr: rec.detect_time + restore_time,
+            false_positives: self.report.guard_false_positives,
+            steps_lost_to_rollback: if rollback { replayed } else { 0 },
+            ..rec
+        });
+        self.catch_up = Some((self.report.recoveries.len() - 1, t_fail));
+        resumed
+    }
+
+    /// Close the report at the rank's last step (or its exit).
+    fn finish(mut self, comm: &Communicator) -> ChaosReport {
+        self.report.final_world = comm.size();
+        self.report.final_loss_scale = self.gs.loss_scale.scale();
+        self.report.final_assignment = self.model.assignment().clone();
+        self.report.arena = self.model.arena_stats();
+        self.report
+    }
+}
+
 /// Per-rank chaos-run body. Returns `Err` only for faults the harness does
-/// not model (a poisoned lock, a peer's panic, SPMD divergence); planned rank
-/// deaths and recoveries are part of the `Ok` report.
+/// not model (a poisoned lock, a peer's panic, SPMD divergence, a dead peer
+/// without a fault plan); planned rank deaths and recoveries are part of
+/// the `Ok` report.
 pub fn run_chaos_rank(
     cfg: &TrainConfig,
     chaos: &ChaosConfig,
@@ -509,43 +681,11 @@ pub fn run_chaos_rank(
             dead_so_far = absent0;
         }
     }
-    let full_layers = build_moe_layers(cfg);
-    let mut model = DistMoeLm::new(cfg, &full_layers, comm.rank(), comm.size());
-    if let Some((a, b, delta)) = chaos.hot_bias {
-        model.bias_router(a, delta);
-        model.bias_router(b, delta);
-    }
-    let mut rng = DetRng::new(cfg.seed ^ DATA_STREAM_SALT);
-    let guard_on = chaos.guard.enabled;
-    let mut gs = GuardState::new(&chaos.guard);
-    let mut policy = chaos.rebalance.map(RebalancePolicy::new);
-    if policy.is_some() {
-        model.set_route_tracking(true);
-    }
-    let mut report = ChaosReport {
-        global_rank: my_global,
-        losses: Vec::new(),
-        exited_at: None,
-        recoveries: Vec::new(),
-        last_ckpt: None,
-        final_world: comm.size(),
-        guard_events: Vec::new(),
-        guard_false_positives: 0,
-        grad_clips: 0,
-        final_loss_scale: gs.loss_scale.scale(),
-        joins: Vec::new(),
-        rebalances: Vec::new(),
-        final_assignment: model.assignment().clone(),
-        rebalance_ckpt: None,
-        arena: WorkspaceStats::default(),
-    };
-    let mut prev_ckpt: Option<Vec<u8>> = None;
+    let mut run = Run::new(cfg, chaos, &comm);
     // Join steps whose rendezvous already ran: a rollback replay that
     // crosses a join step must not re-grow a group that already holds the
     // joined ranks.
     let mut joins_done: BTreeSet<u64> = BTreeSet::new();
-    // `(recovery index, clock at failure)` until the replay catches back up.
-    let mut catch_up: Option<(usize, f64)> = None;
 
     let mut step = 0u64;
     while step < chaos.steps {
@@ -565,13 +705,9 @@ pub fn run_chaos_rank(
                 // Incumbents snapshot the live model collectively before
                 // the group changes; the image is rank-agnostic, so any
                 // single incumbent can scatter it to the grown group.
-                let scatter = if i_join {
-                    None
-                } else {
-                    let ckpt =
-                        model.capture_checkpoint(step, rng.state(), &comm, &mut ctx.clock)?;
-                    Some(ckpt.encode())
-                };
+                let scatter = (!i_join)
+                    .then(|| run.capture(step, &comm, &mut ctx.clock))
+                    .transpose()?;
                 // Rendezvous: every present rank meets in the grown
                 // communicator; clocks align on the slowest member.
                 let new_comm = ctx.world.grow(&members, &mut ctx.clock)?;
@@ -579,43 +715,37 @@ pub fn run_chaos_rank(
                 // Checkpoint-free scatter: the lowest incumbent broadcasts
                 // the in-memory image and every member rebuilds its shard
                 // from the canonical global-expert-id keying.
-                let root_global = *members
+                let root = members
                     .iter()
-                    .find(|r| !joiners.contains(r))
+                    .position(|r| !joiners.contains(r))
                     .expect("a join rendezvous needs at least one incumbent rank");
-                let root = members.iter().position(|&r| r == root_global).unwrap();
                 let bytes = new_comm.broadcast(root, scatter, &mut ctx.clock)?;
                 ctx.clock.commit("elastic_scatter");
-                ctx.clock.charge(
-                    "elastic_scatter",
-                    ctx.cost().mem_bound_time(bytes.len() as f64),
-                );
+                let t_io = price::membound(ctx.cost(), bytes.len() as f64, 1.0);
+                ctx.clock.charge("elastic_scatter", t_io);
                 let ckpt = Checkpoint::decode(&bytes).expect("live scatter image failed its CRC");
-                model = DistMoeLm::from_checkpoint(cfg, &ckpt, new_comm.rank(), new_comm.size());
-                rng = DetRng::from_state(ckpt.rng_state);
+                (run.model, run.rng) = load(cfg, chaos, Some(&ckpt), &new_comm);
                 // The scattered image is the newest group-consistent
                 // checkpoint; adopting it everywhere keeps later restores
                 // rank-consistent (a joiner's stale copy must never win).
-                prev_ckpt = None;
-                report.last_ckpt = Some(bytes);
+                run.prev_ckpt = None;
+                run.report.last_ckpt = Some(bytes);
                 if i_join {
                     // Pre-death entries belong to a trajectory the group
                     // replayed past while this rank was dark.
-                    report.losses.clear();
+                    run.report.losses.clear();
                 }
                 // Detector/policy state restarts rank-consistently: a
                 // joiner has no window history, so everyone drops theirs.
                 // One-shot SDC delivery memory is per-rank and survives.
-                let applied = std::mem::take(&mut gs.applied);
-                gs = GuardState::new(&chaos.guard);
-                gs.applied = applied;
-                policy = chaos.rebalance.map(RebalancePolicy::new);
-                if policy.is_some() {
-                    model.set_route_tracking(true);
-                }
+                run.gs = GuardState {
+                    applied: std::mem::take(&mut run.gs.applied),
+                    ..GuardState::new(&chaos.guard.unwrap_or_default())
+                };
+                run.policy = chaos.rebalance.map(RebalancePolicy::new);
                 dead_so_far = (0..world0).filter(|&r| !p.is_present(r, step)).collect();
                 joins_done.insert(step);
-                report.joins.push(JoinStats {
+                run.report.joins.push(JoinStats {
                     joined_ranks: joiners,
                     at_step: step,
                     mttr: ctx.clock.now() - t0,
@@ -626,8 +756,8 @@ pub fn run_chaos_rank(
         }
         if let Some(p) = &plan {
             if !p.is_present(my_global, step) {
-                if report.exited_at.is_none() && p.is_dead(my_global, step) {
-                    report.exited_at = Some(step);
+                if run.report.exited_at.is_none() && p.is_dead(my_global, step) {
+                    run.report.exited_at = Some(step);
                 }
                 if p.joins_of(my_global).iter().any(|&s| s > step) {
                     // Scheduled to (re)join later: idle without advancing
@@ -635,298 +765,112 @@ pub fn run_chaos_rank(
                     step += 1;
                     continue;
                 }
-                report.final_world = comm.size();
-                report.final_loss_scale = gs.loss_scale.scale();
-                report.final_assignment = model.assignment().clone();
-                report.arena = model.arena_stats();
-                return Ok(report);
+                return Ok(run.finish(&comm));
             }
         }
-        if let Some((i, t_err)) = catch_up {
-            if step >= report.recoveries[i].failed_at_step {
-                let r = &mut report.recoveries[i];
+        if let Some((i, t_err)) = run.catch_up {
+            let r = &mut run.report.recoveries[i];
+            if step >= r.failed_at_step {
                 r.mttr = r.detect_time + (ctx.clock.now() - t_err);
-                catch_up = None;
+                run.catch_up = None;
             }
         }
         ctx.set_step(step);
         comm.set_step(step);
-        let step_seed = rng.next_u64();
+        let step_seed = run.rng.next_u64();
         let batch = step_batch(cfg, step_seed, comm.rank());
 
-        // ---- execute one step (guarded or legacy) ----------------------
-        let outcome: Result<Option<f64>, CommError> = if guard_on {
-            match guarded_step(
-                &chaos.guard,
-                &mut model,
+        // ---- execute one step (guarded or plain) -----------------------
+        let verdict = match &chaos.guard {
+            Some(g) => guarded_step(
+                g,
+                &mut run.model,
                 plan.as_deref(),
                 my_global,
                 step,
                 &batch,
                 &comm,
                 &mut ctx.clock,
-                &mut gs,
-            ) {
-                Ok(v) => {
-                    if let Some((site, detector, value)) = v.anomaly {
-                        // All ranks saw identical statistics, so every rank
-                        // reaches the identical decision here — policies
-                        // fire in lockstep with no extra coordination.
-                        let action = gs.policy.decide();
-                        // A trip is a true positive iff the plan injected
-                        // *anything* at or before this step. The plan is the
-                        // harness oracle, identical on every rank, so the
-                        // classification is rank-consistent even though the
-                        // victim rank is not the detecting rank.
-                        let injected_at =
-                            plan.as_deref().and_then(|p| p.last_sdc_at_or_before(step));
-                        if injected_at.is_none() {
-                            report.guard_false_positives += 1;
-                        }
-                        let latency = injected_at.map_or(0, |s| step - s);
-                        report.guard_events.push(GuardEvent {
-                            step,
-                            site: site.into(),
-                            detector: detector.into(),
-                            action: action.name().into(),
-                            value,
-                            detail: String::new(),
-                        });
-                        match action {
-                            PolicyAction::SkipStep => {
-                                model.zero_all_grads();
-                                step += 1;
-                            }
-                            PolicyAction::BackoffLossScale => {
-                                model.zero_all_grads();
-                                gs.loss_scale.on_overflow();
-                                step += 1;
-                            }
-                            PolicyAction::RollbackToCheckpoint => {
-                                model.zero_all_grads();
-                                let t_trip = ctx.clock.now();
-                                let (src, fell_back, err) =
-                                    restore_source(&mut report.last_ckpt, &mut prev_ckpt);
-                                if fell_back {
-                                    report.guard_events.push(GuardEvent {
-                                        step,
-                                        site: "ckpt".into(),
-                                        detector: "crc".into(),
-                                        action: "fallback_prev_ckpt".into(),
-                                        value: 1.0,
-                                        // The section-naming decode error,
-                                        // kept for postmortems.
-                                        detail: err.unwrap_or_default(),
-                                    });
-                                }
-                                let resumed = if let Some((ckpt, bytes)) = src {
-                                    ctx.clock.charge(
-                                        "ckpt_restore",
-                                        ctx.cost().mem_bound_time(bytes as f64),
-                                    );
-                                    model = DistMoeLm::from_checkpoint(
-                                        cfg,
-                                        &ckpt,
-                                        comm.rank(),
-                                        comm.size(),
-                                    );
-                                    rng = DetRng::from_state(ckpt.rng_state);
-                                    ckpt.step
-                                } else {
-                                    model =
-                                        DistMoeLm::new(cfg, &full_layers, comm.rank(), comm.size());
-                                    if let Some((a, b, delta)) = chaos.hot_bias {
-                                        model.bias_router(a, delta);
-                                        model.bias_router(b, delta);
-                                    }
-                                    rng = DetRng::new(cfg.seed ^ DATA_STREAM_SALT);
-                                    0
-                                };
-                                if policy.is_some() {
-                                    model.set_route_tracking(true);
-                                }
-                                report.losses.retain(|&(s, _)| s < resumed);
-                                let t_done = ctx.clock.now();
-                                report.recoveries.push(RecoveryStats {
-                                    failed_ranks: Vec::new(),
-                                    failed_at_step: step,
-                                    resumed_from_step: resumed,
-                                    steps_replayed: step - resumed,
-                                    detect_time: 0.0,
-                                    restore_time: t_done - t_trip,
-                                    mttr: t_done - t_trip,
-                                    detect_latency_steps: latency,
-                                    false_positives: report.guard_false_positives,
-                                    steps_lost_to_rollback: step - resumed,
-                                });
-                                catch_up = Some((report.recoveries.len() - 1, t_trip));
-                                step = resumed;
-                            }
-                        }
-                        continue;
-                    }
-                    gs.policy.on_clean();
-                    gs.loss_scale.on_clean();
-                    if v.clipped {
-                        report.grad_clips += 1;
-                    }
-                    model.apply_update();
-                    Ok(Some(v.global_loss))
-                }
-                Err(e) => Err(e),
-            }
-        } else {
-            model.train_step(&batch, &comm, &mut ctx.clock).map(Some)
+                &mut run.gs,
+            ),
+            None => run
+                .model
+                .train_step(&batch, &comm, &mut ctx.clock)
+                .map(|global_loss| StepVerdict {
+                    global_loss,
+                    ..StepVerdict::default()
+                }),
         };
 
-        match outcome {
-            Ok(Some(loss)) => {
-                report.losses.push((step, loss));
+        match verdict {
+            Ok(StepVerdict {
+                anomaly: Some(anomaly),
+                ..
+            }) => step = run.on_anomaly(anomaly, step, plan.as_deref(), &comm, &mut ctx.clock),
+            Ok(v) => {
+                run.report.grad_clips += u64::from(v.clipped);
+                run.report.losses.push((step, v.global_loss));
                 if chaos.ckpt_every > 0 && (step + 1).is_multiple_of(chaos.ckpt_every) {
-                    let ckpt =
-                        model.capture_checkpoint(step + 1, rng.state(), &comm, &mut ctx.clock)?;
-                    let mut bytes = ckpt.encode();
-                    if guard_on {
-                        // The per-section CRC pass is guard work.
-                        ctx.clock
-                            .charge("guard:crc", ctx.cost().mem_bound_time(bytes.len() as f64));
-                    }
+                    let mut bytes = run.capture(step + 1, &comm, &mut ctx.clock)?;
                     // site=ckpt injection: corrupt this rank's copy of the
                     // freshly captured image.
-                    if let Some(p) = &plan {
-                        if !gs.is_applied(step, SdcSite::Ckpt) {
-                            let flips = p.bitflips(my_global, step, SdcSite::Ckpt);
-                            if !flips.is_empty() {
-                                let len = bytes.len();
-                                for fl in &flips {
-                                    guard::flip_bit_bytes(&mut bytes, fl.element(len), fl.bit);
-                                }
-                                gs.mark(step, SdcSite::Ckpt);
-                            }
+                    let fresh = plan
+                        .as_deref()
+                        .filter(|_| !run.gs.is_applied(step, SdcSite::Ckpt));
+                    if let Some(p) = fresh {
+                        let flips = p.bitflips(my_global, step, SdcSite::Ckpt);
+                        let len = bytes.len();
+                        for fl in &flips {
+                            guard::flip_bit_bytes(&mut bytes, fl.element(len), fl.bit);
+                        }
+                        if !flips.is_empty() {
+                            run.gs.mark(step, SdcSite::Ckpt);
                         }
                     }
-                    if guard_on {
-                        // Capture-time integrity vote: every rank checks its
-                        // copy's CRCs and the group keeps the capture only if
-                        // *all* copies verify. A corrupt copy on any rank
-                        // discards the capture everywhere, so later restores
-                        // agree on the bytes — rank-consistent by
-                        // construction.
+                    // Capture-time integrity vote (guarded runs): every rank
+                    // checks its copy's CRCs and the group keeps the capture
+                    // only if *all* copies verify. A corrupt copy on any rank
+                    // discards the capture everywhere, so later restores
+                    // agree on the bytes — rank-consistent by construction.
+                    let mut votes = [comm.size() as f32];
+                    if chaos.guard.is_some() {
+                        // The per-section CRC pass is guard work.
+                        let t_crc = price::membound(ctx.cost(), bytes.len() as f64, 1.0);
+                        ctx.clock.charge("guard:crc", t_crc);
                         let ok = Checkpoint::decode(&bytes).is_ok();
-                        let mut flag = [if ok { 1.0f32 } else { 0.0 }];
-                        comm.all_reduce_sum_f32(&mut flag, &mut ctx.clock)?;
+                        votes = [if ok { 1.0 } else { 0.0 }];
+                        comm.all_reduce_sum_f32(&mut votes, &mut ctx.clock)?;
                         ctx.clock.commit("guard:reduce");
-                        if flag[0] as usize == comm.size() {
-                            prev_ckpt = report.last_ckpt.take();
-                            report.last_ckpt = Some(bytes);
-                        } else {
-                            let injected =
-                                plan.as_deref().and_then(|p| p.last_sdc_at_or_before(step));
-                            if injected.is_none() {
-                                report.guard_false_positives += 1;
-                            }
-                            report.guard_events.push(GuardEvent {
-                                step,
-                                site: "ckpt".into(),
-                                detector: "crc".into(),
-                                action: "discard_corrupt_ckpt".into(),
-                                value: comm.size() as f64 - flag[0] as f64,
-                                detail: String::new(),
-                            });
-                        }
+                    }
+                    if votes[0] as usize == comm.size() {
+                        run.prev_ckpt = run.report.last_ckpt.take();
+                        run.report.last_ckpt = Some(bytes);
                     } else {
-                        prev_ckpt = report.last_ckpt.take();
-                        report.last_ckpt = Some(bytes);
+                        let bad = comm.size() as f64 - votes[0] as f64;
+                        let ev = GuardEvent::new(step, "ckpt", "crc", "discard_corrupt_ckpt", bad);
+                        run.trip(plan.as_deref(), ev);
                     }
                 }
                 // ---- live expert rebalance: close a profiling window ---
-                if let Some(pol) = policy.as_mut() {
-                    let rcfg = *pol.config();
-                    if rcfg.every > 0 && (step + 1).is_multiple_of(rcfg.every) {
-                        // Merge the window's routes in dense-rank order:
-                        // every rank sees the identical histogram, so the
-                        // (deterministic) policy reaches the identical
-                        // decision with no extra agreement round.
-                        let mine = model.take_route_samples();
-                        let gathered = comm.all_gather(mine, &mut ctx.clock)?;
-                        ctx.clock.commit("elastic_histogram");
-                        let mut hist =
-                            RoutingHistogram::new(cfg.num_experts, comm.size(), MAX_ROUTE_SAMPLES);
-                        for per_src in &gathered {
-                            for (src, experts) in per_src {
-                                let experts: Vec<usize> =
-                                    experts.iter().map(|&e| e as usize).collect();
-                                hist.observe(*src as usize, &experts);
-                            }
-                        }
-                        let replica_cost = expert_replica_bytes(cfg.hidden, cfg.ffn, cfg.layers);
-                        let old = model.assignment().clone();
-                        if let Some((new_asg, kind)) =
-                            pol.observe_window(&hist, &old, comm.cost(), replica_cost)
-                        {
-                            // Commit: snapshot the live state (weights +
-                            // Adam moments, rank-agnostic keying), price
-                            // the expert transfers, and rebuild every rank
-                            // under the new assignment. Replicas are
-                            // bitwise copies of their primary, so the run
-                            // continues exactly as a fresh run launched in
-                            // this layout from the same image would.
-                            let ckpt = model.capture_checkpoint(
-                                step + 1,
-                                rng.state(),
-                                &comm,
-                                &mut ctx.clock,
-                            )?;
-                            let moved = old.changed_experts(&new_asg);
-                            let grp = comm.group_ranks();
-                            // Per expert per layer: w1|m|v and w2|m|v.
-                            let per_expert =
-                                6 * cfg.hidden as u64 * cfg.ffn as u64 * 4 * cfg.layers as u64;
-                            let mut migration_bytes = 0u64;
-                            let mut t_mig = 0.0f64;
-                            for &g in &moved {
-                                let src = grp[old.primary(g)];
-                                for &h in new_asg.holders(g) {
-                                    if !old.holders(g).contains(&h) {
-                                        migration_bytes += per_expert;
-                                        t_mig += comm.cost().p2p_time(src, grp[h], per_expert);
-                                    }
-                                }
-                            }
-                            ctx.clock.charge("elastic_migrate", t_mig);
-                            let bpt = rcfg.bytes_per_token;
-                            let before = assignment_cost(&old, &hist, comm.cost(), bpt);
-                            let after = assignment_cost(&new_asg, &hist, comm.cost(), bpt);
-                            model = DistMoeLm::from_checkpoint_with_assignment(
-                                cfg,
-                                &ckpt,
-                                comm.rank(),
-                                new_asg,
-                            );
-                            model.set_route_tracking(true);
-                            rng = DetRng::from_state(ckpt.rng_state);
-                            report.rebalance_ckpt = Some(ckpt.encode());
-                            report.rebalances.push(RebalanceDecision {
-                                step: step + 1,
-                                kind,
-                                moved_experts: moved,
-                                dispatch_before: before.dispatch_time,
-                                dispatch_after: after.dispatch_time,
-                                migration_bytes,
-                            });
-                        }
+                if let Some(pol) = run.policy.as_mut() {
+                    let rng_state = run.rng.state();
+                    let (model, clock) = (&mut run.model, &mut ctx.clock);
+                    if let Some((decision, image)) =
+                        pol.close_window(model, cfg, step + 1, rng_state, &comm, clock)?
+                    {
+                        run.report.rebalance_ckpt = Some(image.encode());
+                        run.report.rebalances.push(decision);
                     }
                 }
                 step += 1;
             }
-            Ok(None) => unreachable!("anomaly outcomes continue the loop directly"),
-            Err(CommError::DeadPeer { .. }) => {
+            Err(e @ CommError::DeadPeer { .. }) => {
                 // `check_dead` already charged `fault_detect` before erring,
                 // so `t_err` marks the end of detection.
                 let t_err = ctx.clock.now();
-                let p = plan
-                    .as_ref()
-                    .expect("DeadPeer reported without a fault plan");
+                let Some(p) = plan.as_deref() else {
+                    return Err(e);
+                };
                 let newly_dead: Vec<usize> = comm
                     .group_ranks()
                     .iter()
@@ -941,84 +885,28 @@ pub fn run_chaos_rank(
                 dead_so_far.sort_unstable();
                 dead_so_far.dedup();
                 let survivors = comm.size() - newly_dead.len();
-                assert!(survivors > 0, "no survivors to recover onto");
-                // Ragged re-sharding handles any survivor count up to the
-                // expert count (floor-boundary contiguous split).
-                assert!(
-                    cfg.num_experts >= survivors,
-                    "cannot re-shard {} experts over {survivors} survivors: \
-                     every rank must host at least one expert",
-                    cfg.num_experts
-                );
-
                 // Re-form the group: every survivor joins color 0. The
                 // placement grid rebuilt without the dead ranks must agree
-                // with what the collective layer produced.
-                let new_comm = comm.split(0, &mut ctx.clock)?;
+                // with what the collective layer produced. Restore re-shards
+                // any survivor count raggedly (floor-boundary contiguous
+                // split); this rank survived, so there is at least one.
+                comm = comm.split(0, &mut ctx.clock)?;
                 let grid =
                     build_grid_excluding(world0, &dead_so_far, survivors, PlacementPolicy::EpFirst);
                 assert_eq!(
                     grid.ep_groups[0].as_slice(),
-                    new_comm.group_ranks(),
+                    comm.group_ranks(),
                     "recovered communicator disagrees with the placement grid"
                 );
-
-                // Restore from the newest intact checkpoint; a corrupt
-                // `last` falls back to `prev` (both CRC-verified on decode).
-                let (src, fell_back, err) = restore_source(&mut report.last_ckpt, &mut prev_ckpt);
-                if fell_back {
-                    report.guard_events.push(GuardEvent {
-                        step,
-                        site: "ckpt".into(),
-                        detector: "crc".into(),
-                        action: "fallback_prev_ckpt".into(),
-                        value: 1.0,
-                        detail: err.unwrap_or_default(),
-                    });
-                }
-                let resumed = if let Some((ckpt, bytes)) = src {
-                    let t_io = ctx.cost().mem_bound_time(bytes as f64);
-                    ctx.clock.charge("ckpt_restore", t_io);
-                    model =
-                        DistMoeLm::from_checkpoint(cfg, &ckpt, new_comm.rank(), new_comm.size());
-                    rng = DetRng::from_state(ckpt.rng_state);
-                    ckpt.step
-                } else {
-                    model = DistMoeLm::new(cfg, &full_layers, new_comm.rank(), new_comm.size());
-                    if let Some((a, b, delta)) = chaos.hot_bias {
-                        model.bias_router(a, delta);
-                        model.bias_router(b, delta);
-                    }
-                    rng = DetRng::new(cfg.seed ^ DATA_STREAM_SALT);
-                    0
-                };
-                if policy.is_some() {
-                    model.set_route_tracking(true);
-                }
-                report.losses.retain(|&(s, _)| s < resumed);
-                let t_done = ctx.clock.now();
-                report.recoveries.push(RecoveryStats {
+                let rec = RecoveryStats {
                     failed_ranks: newly_dead,
-                    failed_at_step: step,
-                    resumed_from_step: resumed,
-                    steps_replayed: step - resumed,
                     detect_time: p.detect_timeout,
-                    restore_time: t_done - t_err,
-                    mttr: p.detect_timeout + (t_done - t_err),
-                    detect_latency_steps: 0,
-                    false_positives: report.guard_false_positives,
-                    steps_lost_to_rollback: 0,
-                });
-                catch_up = Some((report.recoveries.len() - 1, t_err));
-                comm = new_comm;
-                step = resumed;
+                    ..RecoveryStats::default()
+                };
+                step = run.restore(step, &comm, &mut ctx.clock, t_err, rec);
             }
             Err(e) => return Err(e),
         }
     }
-    report.final_world = comm.size();
-    report.final_loss_scale = gs.loss_scale.scale();
-    report.final_assignment = model.assignment().clone();
-    report.arena = model.arena_stats();
-    Ok(report)
+    Ok(run.finish(&comm))
 }

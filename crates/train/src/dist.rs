@@ -1029,7 +1029,7 @@ impl DistMoeLm {
             .iter()
             .map(|(n, t)| n.len() + 20 + t.len() * 4)
             .sum();
-        let t_io = world.cost().mem_bound_time(bytes as f64);
+        let t_io = price::membound(world.cost(), bytes as f64, 1.0);
         clock.charge("checkpoint", t_io);
         clock.commit("checkpoint");
         Ok(ckpt)

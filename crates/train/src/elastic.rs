@@ -19,6 +19,9 @@
 //!   committing the winner only if it is strictly cheaper than the current
 //!   assignment — the same never-worse contract `optimize_placement` gives
 //!   against naive.
+//! * [`RebalancePolicy::close_window`] — the one rebalance commit, called by
+//!   the chaos engine and `bench elastic` alike: merge the window's routes,
+//!   decide, snapshot, price the transfer and rebuild the model.
 //!
 //! Determinism: every decision input (merged histogram, current
 //! assignment, cost model) is identical on all ranks, so all ranks pick
@@ -27,10 +30,19 @@
 //! the post-migration model is bitwise what a fresh run launched in the
 //! new layout would hold.
 
+use xmoe_collectives::{CommError, Communicator, SimClock};
+use xmoe_core::memory::expert_replica_bytes;
 pub use xmoe_topology::{assignment_cost, ExpertAssignment};
 use xmoe_topology::{optimize_placement, CostModel, PlacementCost, RoutingHistogram};
 
+use crate::checkpoint::Checkpoint;
+use crate::dist::DistMoeLm;
 use crate::guard::{SpikeDetector, Verdict};
+use crate::model::TrainConfig;
+
+/// Cap on retained route samples per window (loads keep counting past it;
+/// pricing rescales — see [`RoutingHistogram`]).
+const MAX_ROUTE_SAMPLES: usize = 4096;
 
 /// Knobs of the live-rebalance policy.
 #[derive(Clone, Copy, Debug)]
@@ -85,8 +97,8 @@ pub struct RebalanceDecision {
     /// Priced dispatch time under the old / new assignment.
     pub dispatch_before: f64,
     pub dispatch_after: f64,
-    /// Weight + optimizer bytes the transfer moved (filled by the engine
-    /// from the model dimensions).
+    /// Weight + optimizer bytes the transfer moved (from the model
+    /// dimensions).
     pub migration_bytes: u64,
 }
 
@@ -109,17 +121,80 @@ impl RebalancePolicy {
         }
     }
 
-    pub fn config(&self) -> &RebalanceConfig {
-        &self.cfg
+    /// Close the profiling window that ends after `step` completed steps (a
+    /// no-op off the `every` boundary). The window's routes are merged in
+    /// dense-rank order, so every rank sees the identical histogram and
+    /// reaches the identical decision with no extra agreement round. On a
+    /// commit the live state (weights + Adam moments, rank-agnostic keying)
+    /// is snapshotted at `(step, rng_state)`, the expert transfers are
+    /// charged as `elastic_migrate`, and `model` is rebuilt under the new
+    /// assignment with route tracking on. Replicas are bitwise copies of
+    /// their primary, so the run continues exactly as a fresh run launched
+    /// in that layout from the returned snapshot would.
+    pub fn close_window(
+        &mut self,
+        model: &mut DistMoeLm,
+        cfg: &TrainConfig,
+        step: u64,
+        rng_state: u64,
+        comm: &Communicator,
+        clock: &mut SimClock,
+    ) -> Result<Option<(RebalanceDecision, Checkpoint)>, CommError> {
+        if self.cfg.every == 0 || !step.is_multiple_of(self.cfg.every) {
+            return Ok(None);
+        }
+        let gathered = comm.all_gather(model.take_route_samples(), clock)?;
+        clock.commit("elastic_histogram");
+        let mut hist = RoutingHistogram::new(cfg.num_experts, comm.size(), MAX_ROUTE_SAMPLES);
+        for (src, experts) in gathered.iter().flatten() {
+            let experts: Vec<usize> = experts.iter().map(|&e| e as usize).collect();
+            hist.observe(*src as usize, &experts);
+        }
+        let old = model.assignment().clone();
+        let replica = expert_replica_bytes(cfg.hidden, cfg.ffn, cfg.layers);
+        let Some((new_asg, kind)) = self.observe_window(&hist, &old, comm.cost(), replica) else {
+            return Ok(None);
+        };
+        let ckpt = model.capture_checkpoint(step, rng_state, comm, clock)?;
+        let moved = old.changed_experts(&new_asg);
+        let grp = comm.group_ranks();
+        // Per expert per layer: w1|m|v and w2|m|v.
+        let per_expert = 6 * cfg.hidden as u64 * cfg.ffn as u64 * 4 * cfg.layers as u64;
+        let mut migration_bytes = 0u64;
+        let mut t_mig = 0.0f64;
+        for &g in &moved {
+            let src = grp[old.primary(g)];
+            for &h in new_asg.holders(g) {
+                if !old.holders(g).contains(&h) {
+                    migration_bytes += per_expert;
+                    t_mig += comm.cost().p2p_time(src, grp[h], per_expert);
+                }
+            }
+        }
+        clock.charge("elastic_migrate", t_mig);
+        let bpt = self.cfg.bytes_per_token;
+        let before = assignment_cost(&old, &hist, comm.cost(), bpt);
+        let after = assignment_cost(&new_asg, &hist, comm.cost(), bpt);
+        *model = DistMoeLm::from_checkpoint_with_assignment(cfg, &ckpt, comm.rank(), new_asg);
+        model.set_route_tracking(true);
+        let decision = RebalanceDecision {
+            step,
+            kind,
+            moved_experts: moved,
+            dispatch_before: before.dispatch_time,
+            dispatch_after: after.dispatch_time,
+            migration_bytes,
+        };
+        Ok(Some((decision, ckpt)))
     }
 
-    /// Close one profiling window: observe its skew, and if the detector
-    /// trips (or the threshold is crossed) price the candidates and return
-    /// the new assignment when one strictly beats the current one.
+    /// Observe one window's skew, and if the detector trips (or the
+    /// threshold is crossed) price the candidates and return the new
+    /// assignment when one strictly beats the current one.
     ///
     /// Deterministic: given identical inputs every rank returns the
-    /// identical decision, so callers need no extra agreement round.
-    pub fn observe_window(
+    /// identical decision.
+    fn observe_window(
         &mut self,
         hist: &RoutingHistogram,
         current: &ExpertAssignment,

@@ -378,6 +378,18 @@ pub struct GuardEvent {
 }
 
 impl GuardEvent {
+    /// An event with no `detail`.
+    pub fn new(step: u64, site: &str, detector: &str, action: &str, value: f64) -> Self {
+        Self {
+            step,
+            site: site.into(),
+            detector: detector.into(),
+            action: action.into(),
+            value,
+            detail: String::new(),
+        }
+    }
+
     /// One formatted timeline line (the CLI prints these).
     pub fn line(&self) -> String {
         let mut s = format!(
@@ -395,8 +407,6 @@ impl GuardEvent {
 /// Knobs of the guarded training step, consumed by the chaos runner.
 #[derive(Clone, Copy, Debug)]
 pub struct GuardConfig {
-    /// Master switch; `false` reproduces the unguarded step exactly.
-    pub enabled: bool,
     pub loss_scale: LossScaleCfg,
     /// Round synced gradients to bf16 before unscaling — the simulated
     /// low-precision device path.
@@ -418,7 +428,6 @@ pub struct GuardConfig {
 impl Default for GuardConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             loss_scale: LossScaleCfg::default(),
             bf16_grads: false,
             spike_factor: 25.0,

@@ -78,14 +78,12 @@ pub fn run(args: &[String]) -> Result<(), UsageError> {
     cfg.batch = 2;
     cfg.capacity_factor = 1e6;
     cfg.seed = seed ^ 0xC805;
-    let guard_on = force_guard || plan.has_sdc();
     let mut chaos = ChaosConfig::new(steps, ckpt_every);
-    if guard_on {
-        chaos = chaos.with_guard(GuardConfig {
-            max_grad_norm,
-            ..GuardConfig::default()
-        });
-    }
+    chaos.guard = (force_guard || plan.has_sdc()).then_some(GuardConfig {
+        max_grad_norm,
+        ..GuardConfig::default()
+    });
+    let guard_on = chaos.guard.is_some();
     if let Some(threshold) = rebalance_threshold {
         chaos = chaos.with_rebalance(RebalanceConfig {
             threshold,

@@ -9,7 +9,10 @@
 //! 2. **Skew-triggered live migration is bitwise-deterministic**: a run
 //!    whose hot experts migrate mid-run continues exactly as a fresh run
 //!    launched in the post-migration configuration from the same image.
-//! 3. **`bench elastic` self-gates**: the smoke bench exits 0, writes a
+//! 3. **Rebalance × kill × join composes**: an image captured under the
+//!    migrated layout restores onto a ragged survivor set, and a later join
+//!    scatters to the full world, each bitwise equal to a fresh run.
+//! 4. **`bench elastic` self-gates**: the smoke bench exits 0, writes a
 //!    `BENCH_elastic.json` whose gate list enforces rebalanced step time
 //!    strictly below the skewed baseline, and a tampered report fails.
 
@@ -64,9 +67,15 @@ fn chaos_run(world: usize, plan: Option<FaultPlan>, chaos: ChaosConfig) -> Vec<C
 /// Continue training from a checkpoint on a fresh cluster of `world`
 /// ranks under the default contiguous assignment.
 fn resume_reference(world: usize, bytes: &[u8], until: u64) -> Vec<Vec<(u64, f64)>> {
+    resume_and_capture(world, bytes, until).0
+}
+
+/// [`resume_reference`], plus the encoded image the group captures at
+/// `until` — what it would scatter to a rank joining at that step.
+fn resume_and_capture(world: usize, bytes: &[u8], until: u64) -> (Vec<Vec<(u64, f64)>>, Vec<u8>) {
     let cfg = cfg();
     let cfg = &cfg;
-    SimCluster::frontier(world).run(move |ctx| {
+    let out = SimCluster::frontier(world).run(move |ctx| {
         let ckpt = Checkpoint::decode(bytes).unwrap();
         let mut model = DistMoeLm::from_checkpoint(cfg, &ckpt, ctx.rank, world);
         let mut rng = DetRng::from_state(ckpt.rng_state);
@@ -80,8 +89,13 @@ fn resume_reference(world: usize, bytes: &[u8], until: u64) -> Vec<Vec<(u64, f64
             let loss = model.train_step(&batch, &comm, &mut ctx.clock).unwrap();
             losses.push((step, loss));
         }
-        losses
-    })
+        let image = model
+            .capture_checkpoint(until, rng.state(), &comm, &mut ctx.clock)
+            .unwrap();
+        (losses, image.encode())
+    });
+    let image = out[0].1.clone();
+    (out.into_iter().map(|(l, _)| l).collect(), image)
 }
 
 #[test]
@@ -229,6 +243,85 @@ fn skew_triggered_migration_matches_fresh_run_in_migrated_layout() {
              started in the migrated layout"
         );
     }
+}
+
+#[test]
+fn rebalance_then_kill_then_join_matches_fresh_runs_at_every_world() {
+    let world = 4;
+    let steps = 10u64;
+    let cfg = cfg();
+    // The hot pair migrates when the window closes at step 4; rank 1 dies
+    // at step 7, so the survivors restore the step-6 image (captured under
+    // the migrated assignment) onto a ragged 2/3/3 split; rank 1 rejoins
+    // at step 9 from the live scatter.
+    let run = |steps: u64, plan: Option<FaultPlan>| {
+        let chaos = ChaosConfig::new(steps, 2)
+            .with_hot_bias(6, 7, 6.0)
+            .with_rebalance(RebalanceConfig {
+                threshold: 1.2,
+                every: 4,
+                ..RebalanceConfig::default()
+            });
+        let cluster = match plan {
+            Some(p) => two_node_cluster(world).with_faults(p),
+            None => two_node_cluster(world),
+        };
+        let cfg = &cfg;
+        cluster.run(move |ctx| run_chaos_rank(cfg, &chaos, ctx).unwrap())
+    };
+    let plan = FaultPlan::parse(1, "kill:rank=1,at=7;join:rank=1,at=9").unwrap();
+    let reports = run(steps, Some(plan));
+
+    // (a) Every rank agrees on the losses and the final assignment.
+    assert_eq!(reports[1].exited_at, Some(7), "rank 1 died at step 7");
+    for (rank, r) in reports.iter().enumerate() {
+        assert_eq!(r.final_world, world, "rank {rank}");
+        assert_eq!(r.rebalances.len(), 1, "rank {rank}: one migration");
+        assert_eq!(r.rebalances[0].step, 4);
+        assert_eq!(r.final_assignment, reports[0].final_assignment);
+    }
+    assert_eq!(reports[0].losses.len(), steps as usize);
+    for survivor in [2, 3] {
+        assert_eq!(bits(&reports[survivor].losses), bits(&reports[0].losses));
+        assert_eq!(reports[survivor].recoveries.len(), 1);
+        assert_eq!(reports[survivor].recoveries[0].resumed_from_step, 6);
+    }
+    assert_eq!(bits(&reports[1].losses), bits(&reports[0].losses[9..]));
+
+    // (b) The survivors' steps 6-8 continue a fresh three-rank run from the
+    // step-6 image of a kill-free prefix, which had migrated too.
+    let pre = run(7, None);
+    assert_eq!(pre[0].rebalances.len(), 1);
+    assert_ne!(pre[0].final_assignment, reports[0].final_assignment);
+    let image = pre[0].last_ckpt.clone().expect("step-6 image captured");
+    assert_eq!(Checkpoint::decode(&image).unwrap().step, 6);
+    let (shrunk, scatter) = resume_and_capture(3, &image, 9);
+    for (dense, r) in shrunk.iter().enumerate() {
+        let survivor = [0, 2, 3][dense];
+        assert_eq!(
+            bits(&reports[survivor].losses[6..9]),
+            bits(r),
+            "rank {survivor}: restore of a migrated image onto 3 ranks"
+        );
+    }
+
+    // (c) The post-join tail continues a fresh four-rank run from the
+    // scatter image. `last_ckpt` is the step-10 capture by then, so the
+    // scatter image is rebuilt from the three-rank reference and tied to
+    // the run through the step-10 image both sides capture.
+    let (full, last) = resume_and_capture(world, &scatter, steps);
+    for (rank, r) in full.iter().enumerate() {
+        let n = reports[rank].losses.len();
+        assert_eq!(
+            bits(&reports[rank].losses[n - 1..]),
+            bits(r),
+            "rank {rank}: post-join tail"
+        );
+    }
+    assert!(
+        reports[0].last_ckpt.as_deref() == Some(&last[..]),
+        "the run's step-10 image matches the reference's"
+    );
 }
 
 #[test]
