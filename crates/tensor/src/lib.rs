@@ -40,10 +40,11 @@ pub use alloc::{
     mark_thread_untracked, thread_tracked_allocs, untracked, AllocStats, CountingAlloc,
 };
 pub use ops::{
-    add_assign, add_assign_slice, axpy_slice, gelu, gemm_tier, gemm_view, matmul, matmul_into,
-    matmul_slices, matmul_transpose_a_add, matmul_transpose_b, matmul_transpose_b_into,
-    matmul_transpose_b_slices, relu, scale_assign, scaled_extend, silu, silu_grad_slice, silu_into,
-    silu_slice, softmax_rows, topk_rows, topk_rows_into, Causal, View, ViewMut,
+    add_assign, add_assign_slice, axpy_slice, gelu_val_grad, gemm_tier, gemm_view, matmul,
+    matmul_into, matmul_slices, matmul_transpose_a_add, matmul_transpose_b,
+    matmul_transpose_b_into, matmul_transpose_b_slices, relu, scale_assign, scaled_extend, silu,
+    silu_grad_slice, silu_into, silu_slice, softmax_rows, topk_rows, topk_rows_into, Causal, View,
+    ViewMut,
 };
 #[doc(hidden)]
 pub use ops::{nt_pack_probe, NT_PACK_MIN_ROWS};

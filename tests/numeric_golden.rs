@@ -35,12 +35,14 @@ use xmoe::train::{DistMoeLm, MarkovCorpus, MoeTrainScratch, TrainConfig, Trainab
 /// input gradients, final gradients and final weights.
 const GOLD_TRAINABLE_MOE: u64 = 0xad3d_5ad8_9468_6a92;
 /// 3-step 2-rank `DistMoeLm::train_step` trajectory: per-step losses and
-/// every rank's final head, gate and expert-shard weights.
-const GOLD_DIST_MOE_LM: u64 = 0xfebc_3c68_d75d_080b;
+/// every rank's final head, gate and expert-shard weights. Re-pinned with
+/// the next one for one reason: GELU's tanh formula changed from libm's
+/// `tanhf` to `xmoe_tensor::ops::tanh`.
+const GOLD_DIST_MOE_LM: u64 = 0x15e1_697c_6c8f_2fc4;
 /// The encoded `Checkpoint` every rank captures after that run: pins the
-/// parameter walk's entry order and Adam's slot order (pinned at the parent
-/// of the one-walk change, before the walk landed).
-const GOLD_DIST_MOE_LM_CKPT: u64 = 0xd048_ccc1_41ae_afb5;
+/// parameter walk's entry order and Adam's slot order (first pinned at the
+/// parent of the one-walk change, before the walk landed).
+const GOLD_DIST_MOE_LM_CKPT: u64 = 0x8eae_957e_6a8d_0b11;
 /// Dense, padding-free (owned and pooled), block-sparse and RBD forwards at
 /// world 4: every rank's output. The dense and block-sparse slabs carry
 /// whole-zero pad rows, the case the NN kernel's row-group skip exists for.
