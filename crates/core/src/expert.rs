@@ -7,6 +7,9 @@
 
 use xmoe_tensor::{gemm_grouped, silu_into, Tensor, Workspace};
 
+use crate::pipeline::padding_free::{run_experts, ExpertKernel};
+use crate::price::Meter;
+
 /// One expert FFN: `y = silu(x @ w1) @ w2`.
 #[derive(Clone, Debug)]
 pub struct Expert {
@@ -106,16 +109,6 @@ impl ExpertShard {
         self.experts.is_empty()
     }
 
-    /// Expert FFN width (0 for an empty shard).
-    pub fn ffn(&self) -> usize {
-        self.experts.first().map_or(0, |e| e.w1.cols())
-    }
-
-    /// Does this shard own global expert `e`?
-    pub fn owns(&self, e: usize) -> bool {
-        e >= self.first_expert && e < self.first_expert + self.experts.len()
-    }
-
     /// [`expert_ffn`] over the whole shard (paper §B.4): `input` rows are
     /// grouped by local expert with lengths `tokens_per_local_expert`; each
     /// segment runs through its expert with no padding. The pooled forward
@@ -124,36 +117,24 @@ impl ExpertShard {
         self.forward_segments_pooled(input, tokens_per_local_expert, &mut Workspace::new())
     }
 
-    /// [`Self::forward_segments`] on workspace leases: one `[total, 2·ffn]`
-    /// strip split into `h_pre | h_act` (one lease, so the arena holds as
-    /// many buffers as with an in-place SiLU) and the output come from `ws`,
-    /// and the grouped GEMMs write straight into them instead of
-    /// materialising per-segment tensors. The caller recycles the returned
-    /// tensor.
+    /// [`Self::forward_segments`] on workspace leases: the layer pass's
+    /// expert stage ([`run_experts`]) with the plain kernel and no clock. The
+    /// caller recycles the returned tensor.
     pub fn forward_segments_pooled(
         &self,
         input: &Tensor,
         tokens_per_local_expert: &[usize],
         ws: &mut Workspace,
     ) -> Tensor {
-        let total: usize = tokens_per_local_expert.iter().sum();
-        assert_eq!(total, input.rows(), "segment sum != input rows");
-        let (hidden, ffn) = self.experts.first().map_or((0, 0), |e| e.w1.shape());
-        // For-overwrite: `expert_ffn` writes all of both whole.
-        let mut h = ws.take_for_overwrite(total, 2 * ffn);
-        let mut out = ws.take_for_overwrite(total, hidden);
-        let (h_pre, h_act) = h.as_mut_slice().split_at_mut(total * ffn);
-        expert_ffn(
-            &self.experts,
-            tokens_per_local_expert,
-            input.as_slice(),
-            h_pre,
-            h_act,
-            out.as_mut_slice(),
-        );
-        ws.recycle(h);
-        out
+        let (counts, plain) = (tokens_per_local_expert, ExpertKernel::Plain);
+        let quiet = Meter::default();
+        run_experts(&self.experts, counts, input, plain, None, ws, quiet)
     }
+}
+
+/// Expert FFN width of a shard's experts (0 for an empty shard).
+pub(crate) fn ffn_width(experts: &[Expert]) -> usize {
+    experts.first().map_or(0, |e| e.w1.cols())
 }
 
 #[cfg(test)]
@@ -199,7 +180,6 @@ mod tests {
             for (i, ex) in shard.experts.iter().enumerate() {
                 let global = shard.first_expert + i;
                 assert!(ex.w1.allclose(&full.experts[global].w1, 0.0));
-                assert!(shard.owns(global));
             }
         }
     }

@@ -78,7 +78,7 @@ impl Default for GatingOutput {
 
 /// Reusable scratch for [`gate_rows`]: the logits tensor and the top-k
 /// selection order. Grow-only, like every pooled scratch.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct GateScratch {
     logits: Tensor,
     order: Vec<usize>,

@@ -7,24 +7,26 @@ use xmoe_tensor::Tensor;
 use crate::config::MoeModelConfig;
 use crate::expert::ExpertShard;
 use crate::gating::{DropPolicy, Router};
-use crate::pipeline::{self, ExecCtx, MoeLayerSpec, PaddingFreePipeline};
+use crate::pipeline::{ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline};
 
 /// One MoE layer instantiated from a [`MoeModelConfig`].
 ///
 /// ```
 /// use xmoe_core::config::MoeModelConfig;
 /// use xmoe_core::layer::MoeLayer;
-/// use xmoe_core::pipeline::{ExecCtx, PaddingFreePipeline};
+/// use xmoe_core::pipeline::{ExecCtx, PaddingFreePipeline, Pipeline};
 /// use xmoe_tensor::Tensor;
 ///
 /// // A scaled-down DeepSeek-style layer: 16 experts, top-4.
 /// let cfg = MoeModelConfig::custom("demo", 64, 32, 16, 16, 4, 1);
 /// let layer = MoeLayer::single_rank(&cfg, 42);
 /// let tokens = Tensor::rand_uniform(64, 32, 1.0, 7);
-/// let out = layer
-///     .forward_with(&tokens, &PaddingFreePipeline, &mut ExecCtx::single())
-///     .unwrap();
+/// assert_eq!(layer.forward(&tokens).shape(), (64, 32));
+/// // Any pipeline, under any execution context:
+/// let (router, experts, spec) = (&layer.router, &layer.experts, &layer.spec);
+/// let out = PaddingFreePipeline.forward(&tokens, router, experts, spec, &mut ExecCtx::single())?;
 /// assert_eq!(out.shape(), (64, 32));
+/// # Ok::<(), xmoe_core::pipeline::PipelineError>(())
 /// ```
 pub struct MoeLayer {
     pub router: Router,
@@ -72,24 +74,15 @@ impl MoeLayer {
         self
     }
 
-    /// Single-rank padding-free forward, the convenience form of
-    /// [`forward_with`](Self::forward_with). Panics unless this layer holds
-    /// the full expert set ([`single_rank`](Self::single_rank)).
+    /// Single-rank padding-free forward, the convenience form; any other
+    /// pipeline or execution context goes through [`Pipeline::forward`] with
+    /// this layer's fields (example on [`MoeLayer`]). Panics unless this
+    /// layer holds the full expert set ([`single_rank`](Self::single_rank)).
     pub fn forward(&self, tokens: &Tensor) -> Tensor {
-        self.forward_with(tokens, &PaddingFreePipeline, &mut ExecCtx::single())
+        let (router, experts, spec) = (&self.router, &self.experts, &self.spec);
+        PaddingFreePipeline
+            .forward(tokens, router, experts, spec, &mut ExecCtx::single())
             .expect("MoeLayer::forward is the single-rank form")
-    }
-
-    /// Forward through any [`pipeline::Pipeline`] under an explicit
-    /// execution context — pooling, transport and overlap are properties
-    /// of the `ctx`, not of the entry point (example on [`MoeLayer`]).
-    pub fn forward_with(
-        &self,
-        tokens: &Tensor,
-        pipeline: &dyn pipeline::Pipeline,
-        ctx: &mut pipeline::ExecCtx,
-    ) -> Result<Tensor, pipeline::PipelineError> {
-        pipeline.forward(tokens, &self.router, &self.experts, &self.spec, ctx)
     }
 }
 
@@ -125,8 +118,9 @@ mod tests {
             SimCluster::frontier(4).run(move |ctx| {
                 let layer = MoeLayer::for_rank(cfg, ctx.rank, 4, 3).with_capacity(10_000);
                 let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
-                layer
-                    .forward_with(tokens, &PaddingFreePipeline, &mut ex)
+                let (router, experts, spec) = (&layer.router, &layer.experts, &layer.spec);
+                PaddingFreePipeline
+                    .forward(tokens, router, experts, spec, &mut ex)
                     .unwrap()
             })
         };
@@ -145,8 +139,9 @@ mod tests {
             SimCluster::frontier(8).run(move |ctx| {
                 let layer = MoeLayer::for_rank(cfg, ctx.rank, 8, 5).with_capacity(10_000);
                 let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
-                let plain = layer
-                    .forward_with(tokens, &PaddingFreePipeline, &mut ex)
+                let (router, experts, spec) = (&layer.router, &layer.experts, &layer.spec);
+                let plain = PaddingFreePipeline
+                    .forward(tokens, router, experts, spec, &mut ex)
                     .unwrap();
                 let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
                 let mut rng = DetRng::new(60 + ctx.rank as u64);
@@ -154,7 +149,7 @@ mod tests {
                     policy: PilotPolicy::Random,
                 };
                 let mut ex = ExecCtx::hier(&comms, &mut ctx.clock).with_rng(&mut rng);
-                let with_rbd = layer.forward_with(tokens, &rbd, &mut ex).unwrap();
+                let with_rbd = rbd.forward(tokens, router, experts, spec, &mut ex).unwrap();
                 plain.allclose(&with_rbd, 1e-4)
             })
         };

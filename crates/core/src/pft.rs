@@ -27,7 +27,7 @@ use xmoe_tensor::select_top_desc;
 /// selection order of one overflowing bucket. All buffers are grow-only, so
 /// a scratch reused across steps makes PFT construction allocation-free
 /// after warm-up.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct PftScratch {
     flat_tokens: Vec<usize>,
     flat_experts: Vec<usize>,

@@ -14,7 +14,8 @@
 
 use xmoe_tensor::{Tensor, Workspace};
 
-use crate::expert::ExpertShard;
+use crate::expert::{ffn_width, Expert};
+use crate::pipeline::padding_free::{run_experts, ExpertKernel};
 use crate::price::{self, Meter};
 
 /// Round `n` up to a multiple of `block`.
@@ -49,7 +50,7 @@ pub fn expected_block_waste(tokens: usize, k: usize, num_experts: usize, block: 
 /// FLOPs are charged — the waste the paper measures. Every buffer is leased
 /// from `ws`; the caller recycles the returned `[input.rows(), H]` tensor.
 pub(crate) fn forward_block_padded(
-    experts: &ExpertShard,
+    experts: &[Expert],
     input: &Tensor,
     counts: &[usize],
     block: usize,
@@ -67,8 +68,16 @@ pub(crate) fn forward_block_padded(
     copy_segments(input, counts, &mut padded_buf, &padded_counts);
     meter.charge("buffer_dispatch", |c| price::gather(c, padded, hidden));
 
-    let out_padded = experts.forward_segments_pooled(&padded_buf, &padded_counts, ws);
-    let (rows, f) = (padded as f64, experts.ffn());
+    let out_padded = run_experts(
+        experts,
+        &padded_counts,
+        &padded_buf,
+        ExpertKernel::Plain,
+        None,
+        ws,
+        Meter::default(),
+    );
+    let (rows, f) = (padded as f64, ffn_width(experts));
     meter.charge("expert", |c| price::expert_padded(c, rows, hidden, f, 1.0));
 
     let mut out = ws.take(input.rows(), hidden);
@@ -102,6 +111,7 @@ fn copy_segments(src: &Tensor, src_counts: &[usize], dst: &mut Tensor, dst_count
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expert::ExpertShard;
     use crate::gating::{DropPolicy, Router};
     use crate::pipeline::{
         BlockSparsePipeline, ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline,

@@ -11,7 +11,7 @@
 use xmoe_collectives::{CommError, Communicator, SimClock};
 use xmoe_tensor::{argsort_desc_by, Tensor};
 
-use crate::expert::ExpertShard;
+use crate::expert::{ffn_width, ExpertShard};
 use crate::gating::{DropPolicy, GatingOutput, Router};
 use crate::pipeline::MoeLayerSpec;
 use crate::price::{self, Meter, F32};
@@ -196,7 +196,7 @@ pub(crate) fn forward_ep_dense(
     let out_buffers = shard.forward_segments(&expert_input, &per_expert);
     let rows = (w * e_local * c) as f64;
     Meter::new(ep, clock).charge("expert", |cost| {
-        price::expert_padded(cost, rows, hidden, shard.ffn(), 1.0)
+        price::expert_padded(cost, rows, hidden, ffn_width(&shard.experts), 1.0)
     });
 
     // --- Even combine all-to-all ----------------------------------------

@@ -20,14 +20,16 @@
 //!   report [`PipelineError::Unsupported`] instead of silently ignoring it.
 //!
 //! The padding-free and block-sparse pipelines are two argument mappings
-//! onto one skeleton, `padding_free::forward` (transport × expert kernel,
-//! every pair runs); RBD is its own transport but shares that skeleton's
-//! `gate_and_gather` prefix.
+//! onto the one layer pass, `padding_free::forward` (transport × expert
+//! kernel, every pair runs); RBD is its own transport but shares that
+//! pass's `gate_and_gather` prefix and `run_experts` stage. Every transport
+//! first checks its shard against the contiguous layout (`check_shard`).
 
 use std::fmt;
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
 use xmoe_tensor::{DetRng, Tensor};
+use xmoe_topology::ExpertAssignment;
 
 use crate::expert::ExpertShard;
 use crate::gating::Router;
@@ -252,9 +254,38 @@ fn with_state<R>(
     }
 }
 
-/// Map an [`ExecCtx`] onto the one PFT-family forward
-/// ([`padding_free::forward`]): `comm` picks the transport, `state` the
-/// arena, `kernel` is the caller's.
+/// The one shard check at transport entry, single-rank, flat EP and RBD
+/// alike: `experts` must be this rank's block of the contiguous `(E, W)`
+/// layout, `[r·E/W, (r+1)·E/W)` as [`ExpertAssignment::contiguous`] cuts it
+/// (the full set on one rank).
+fn check_shard(
+    experts: &ExpertShard,
+    spec: &MoeLayerSpec,
+    ep: Option<&Communicator>,
+) -> Result<(), PipelineError> {
+    let (w, r) = ep.map_or((1, 0), |c| (c.size(), c.rank()));
+    let e = spec.num_experts;
+    let block = (r * e / w, (r + 1) * e / w);
+    if (experts.first_expert, experts.first_expert + experts.len()) != block {
+        return Err(PipelineError::MissingCtx(
+            "the expert shard is not this rank's contiguous block \
+             (a single-rank forward needs the full expert set)",
+        ));
+    }
+    Ok(())
+}
+
+/// The contiguous `(e, w)` layout flat EP routes by, cached in `slot` and
+/// rebuilt only on a new shape.
+fn contiguous(slot: &mut Option<ExpertAssignment>, e: usize, w: usize) -> &ExpertAssignment {
+    match slot.take() {
+        Some(a) if (a.n_experts(), a.n_ranks()) == (e, w) => slot.insert(a),
+        _ => slot.insert(ExpertAssignment::contiguous(e, w)),
+    }
+}
+
+/// Map an [`ExecCtx`] onto the one layer pass ([`padding_free::forward`]):
+/// `comm` picks the transport, `state` the arena, `kernel` is the caller's.
 fn forward_pft_family(
     tokens: &Tensor,
     router: &Router,
@@ -270,21 +301,37 @@ fn forward_pft_family(
         overlap_chunks,
         ..
     } = ctx;
-    let transport = match comm {
-        None if overlap_chunks.is_some() => {
-            return Err(PipelineError::Unsupported(
-                "single-rank forward has no dispatch-compute overlap",
-            ))
-        }
-        None => Transport::Local,
-        Some(comm) => Transport::Ep {
-            comm: comm.ep(),
-            clock: require_clock(clock)?,
-            overlap_chunks: *overlap_chunks,
-        },
-    };
+    if comm.is_none() && overlap_chunks.is_some() {
+        return Err(PipelineError::Unsupported(
+            "single-rank forward has no dispatch-compute overlap",
+        ));
+    }
+    let ep = comm.as_ref().map(CommCtx::ep);
+    check_shard(experts, spec, ep)?;
     with_state(state, |state| {
-        padding_free::forward(tokens, router, experts, spec, transport, kernel, state)
+        let transport = match ep {
+            None => Transport::Local,
+            Some(comm) => Transport::Ep {
+                comm,
+                clock: require_clock(clock)?,
+                overlap_chunks: *overlap_chunks,
+                assignment: contiguous(&mut state.assignment, spec.num_experts, comm.size()),
+            },
+        };
+        let (s, h) = tokens.shape();
+        let gate = (&router.weight, router.top_k, 0.0);
+        Ok(padding_free::forward(
+            tokens,
+            gate,
+            &experts.experts,
+            spec,
+            transport,
+            kernel,
+            &mut state.layer,
+            &mut state.ws,
+            |ws| ws.take(s, h),
+            None,
+        )?)
     })
 }
 
@@ -378,6 +425,12 @@ impl Pipeline for RbdPipeline {
             .as_deref_mut()
             .ok_or(PipelineError::MissingCtx("rbd needs a pilot rng"))?;
         let (policy, overlap) = (self.policy, *overlap_chunks);
+        check_shard(experts, spec, Some(&comms.ep))?;
+        if !spec.num_experts.is_multiple_of(comms.ep.size()) {
+            return Err(PipelineError::Unsupported(
+                "rbd needs the EP size to divide the expert count",
+            ));
+        }
         with_state(state, |state| {
             rbd::forward_ep_rbd_impl(
                 tokens, router, experts, spec, comms, rng, clock, policy, overlap, state,

@@ -4,26 +4,24 @@
 //! `gating`, `buffer_dispatch`, `dispatch_a2a`, `expert`, `combine_a2a`,
 //! `buffer_combine`.
 //!
-//! There is one forward (`forward`, reached through
-//! [`crate::pipeline::Pipeline`]) for the whole PFT family. Its two
-//! orthogonal arguments are the `Transport` (single-rank, or the uneven
-//! exchange of a flat EP group — [`crate::route::EpRoute`], which alone
-//! decides between the serial and the chunk-pipelined schedule) and the
-//! `ExpertKernel` (plain segments or Megablocks-style block padding); every
-//! transport × kernel pair runs. The prefix (`gate_and_gather`) is shared
-//! with the RBD transport in [`crate::rbd`].
+//! [`forward`] is the one MoE layer pass — the PFT-family pipelines, serving
+//! and both training layers of `xmoe-train` run it — over two orthogonal
+//! arguments: the [`Transport`] (local, or a flat EP group's [`EpRoute`],
+//! serial or chunk-pipelined), which the training backward travels in
+//! reverse, and the [`ExpertKernel`]. Its prefix ([`gate_and_gather`]) and
+//! expert stage ([`run_experts`]) are shared with RBD ([`crate::rbd`]).
 
-use xmoe_collectives::{Communicator, SimClock};
+use xmoe_collectives::{CommError, Communicator, SimClock};
 use xmoe_tensor::{gather_rows_into, scatter_rows_scaled, Tensor, Workspace};
 use xmoe_topology::ExpertAssignment;
 
-use crate::expert::ExpertShard;
-use crate::gating::{GateScratch, GatingOutput, Router};
+use crate::expert::{expert_ffn, ffn_width, Expert};
+use crate::gating::{gate_rows, GateScratch, GatingOutput};
 use crate::pft::{Pft, PftScratch};
 use crate::pipeline::block_sparse::forward_block_padded;
-use crate::pipeline::{MoeLayerSpec, PipelineError};
+use crate::pipeline::MoeLayerSpec;
 use crate::price::{self, Meter, F32};
-use crate::route::EpRoute;
+use crate::route::{ChunkPlan, EpRoute};
 
 /// Persistent state for every pooled pipeline: the workspace arena plus
 /// every buffer the pipelines reuse across steps. One instance per rank,
@@ -34,48 +32,127 @@ use crate::route::EpRoute;
 pub struct PooledSingleState {
     /// The arena backing transient leases (dispatch, MLP scratch, output).
     pub ws: Workspace,
-    pub(crate) gate_scratch: GateScratch,
-    pub(crate) gating: GatingOutput,
-    pub(crate) pft_scratch: PftScratch,
-    pub(crate) pft: Pft,
-    pub(crate) dispatch_in: Tensor,
-    /// The contiguous `(E, W)` layout the flat-EP transport routes by,
-    /// rebuilt only when the shape changes.
-    assignment: Option<ExpertAssignment>,
-    /// The flat-EP transport's route, re-planned in place every forward.
-    route: EpRoute,
+    pub(crate) layer: LayerState,
+    /// The contiguous `(E, W)` layout flat EP routes by, rebuilt only when
+    /// the shape changes.
+    pub(crate) assignment: Option<ExpertAssignment>,
     /// RBD-specific plan/staging scratch (see [`crate::rbd`]).
     pub(crate) rbd: crate::rbd::RbdScratch,
 }
 
-/// How dispatched rows reach their experts and come back.
-pub(crate) enum Transport<'a> {
-    /// All experts local: `call` in Listing 1 minus the all-to-alls. No
-    /// communication, no clock, no copy.
+/// What one MoE layer's [`forward`] keeps, rebuilt in place by every call
+/// (one per layer per rank). `route.pft` is the PFT under either transport.
+#[derive(Clone, Default)]
+pub struct LayerState {
+    /// The gate's scratch (its clamped logits) and output (`[S, E]` scores).
+    pub gate_scratch: GateScratch,
+    pub gating: GatingOutput,
+    /// How many logits the gate's clamp limited.
+    pub logits_clamped: usize,
+    pft_scratch: PftScratch,
+    pub route: EpRoute,
+    /// PFT-order rows: the dispatch rows going out and, after a bare call,
+    /// the expert outputs that came back, which the next call gathers into.
+    pub(crate) rows: Tensor,
+}
+
+/// What a training [`forward`] keeps for its backward, leased from the
+/// call's arena (the backward hands each back): expert-major, each row's
+/// input and the FFN's hidden layer before and after the SiLU; in PFT order,
+/// the expert outputs the combine read.
+#[derive(Clone, Default)]
+pub struct ExpertSaves {
+    pub input: Tensor,
+    pub h_pre: Tensor,
+    pub h_act: Tensor,
+    pub combine_in: Tensor,
+}
+
+/// How dispatched rows reach their experts and come back: the one thing
+/// that varies between MoE layer passes.
+pub enum Transport<'a> {
+    /// All experts local: `call` in Listing 1 minus the all-to-alls. The
+    /// whole PFT is one chunk; no communication, no clock, no copy.
     Local,
-    /// Uneven all-to-alls over a flat EP group ([`EpRoute::exchange`]); with
-    /// `overlap_chunks` the exchanges are pipelined against the expert GEMMs
-    /// per chunk expert range — bitwise the same output, a shorter simulated
-    /// timeline.
+    /// Uneven all-to-alls over a flat EP group ([`EpRoute::exchange`]) under
+    /// `assignment`; with `overlap_chunks` the exchanges are pipelined against
+    /// the expert GEMMs per chunk expert range — bitwise the same output, a
+    /// shorter simulated timeline.
     Ep {
         comm: &'a Communicator,
         clock: &'a mut SimClock,
         overlap_chunks: Option<usize>,
+        assignment: &'a ExpertAssignment,
     },
 }
 
 impl Transport<'_> {
-    fn meter(&mut self) -> Meter<'_> {
+    /// The meter this transport's stages charge: the rank's clock under
+    /// `Ep`, nowhere under `Local`.
+    pub fn meter(&mut self) -> Meter<'_> {
         match self {
             Transport::Local => Meter::default(),
             Transport::Ep { comm, clock, .. } => Meter::new(comm, clock),
         }
     }
+
+    /// Plan `route` for the PFT now in it and return the rows the local
+    /// experts receive: under `Ep` one metadata all-to-all, charged apart
+    /// from the token payload (so payload comparisons across pipelines stay
+    /// apples to apples); under `Local` every PFT row.
+    fn plan(&mut self, route: &mut EpRoute) -> Result<usize, CommError> {
+        let Transport::Ep {
+            comm,
+            clock,
+            assignment,
+            ..
+        } = self
+        else {
+            return Ok(route.pft.len());
+        };
+        route.rebuild(assignment, comm, clock)?;
+        clock.commit("dispatch_a2a_meta");
+        Ok(route.recv_total())
+    }
+
+    /// The one expert exchange, forward activations and backward gradients
+    /// alike: PFT-order `rows` out to the experts, `compute` per chunk, back
+    /// in PFT order (see [`EpRoute::exchange`] for the closure's contract).
+    /// `Local` is `compute` over the whole PFT; `Ep` is the route's exchange,
+    /// serial or chunked, under `labels = (dispatch, compute, combine)`.
+    pub fn exchange<F>(
+        &mut self,
+        route: &EpRoute,
+        rows: Tensor,
+        labels: (&str, &str, &str),
+        ws: &mut Workspace,
+        mut compute: F,
+    ) -> Result<Tensor, CommError>
+    where
+        F: FnMut(&ChunkPlan, &[usize], Tensor, Meter, &mut Workspace) -> Tensor,
+    {
+        let Transport::Ep {
+            comm,
+            clock,
+            overlap_chunks,
+            ..
+        } = self
+        else {
+            let counts = &route.pft.tokens_per_expert;
+            let whole = ChunkPlan {
+                experts: (0, counts.len()),
+                rows: (0, rows.rows()),
+                chunk: (0, 1),
+            };
+            return Ok(compute(&whole, counts, rows, Meter::default(), ws));
+        };
+        route.exchange(rows, *overlap_chunks, labels, comm, clock, ws, compute)
+    }
 }
 
 /// What runs on the expert-major buffer.
 #[derive(Clone, Copy)]
-pub(crate) enum ExpertKernel {
+pub enum ExpertKernel {
     /// Sequential GEMM over the exact per-expert segments (§4.1).
     Plain,
     /// Each segment zero-padded to a multiple of the tile size first
@@ -83,160 +160,143 @@ pub(crate) enum ExpertKernel {
     BlockPadded(usize),
 }
 
-/// The prefix every PFT-family forward shares, flat EP and RBD alike:
-/// gate → PFT construction → gather into the dispatch matrix, all in
-/// `state`'s grow-once buffers, charging `gating` (router GEMM plus PFT
-/// construction) and `buffer_dispatch` once.
+/// The prefix every PFT-family forward shares, flat EP and RBD alike: the
+/// gate ([`gate_rows`] with `gate = (weight, top_k, logit_clamp)`; clamp 0
+/// is none) → PFT construction into `state.route` → gather into
+/// `state.rows` (leased from `lease` first, if given), all in `state`'s
+/// grow-once buffers, charging `gating` (router GEMM plus PFT construction)
+/// and `buffer_dispatch` once.
 pub(crate) fn gate_and_gather(
     tokens: &Tensor,
-    router: &Router,
+    (gate, top_k, clamp): (&Tensor, usize, f32),
     spec: &MoeLayerSpec,
-    state: &mut PooledSingleState,
+    state: &mut LayerState,
+    lease: Option<&mut Workspace>,
     mut meter: Meter,
 ) {
     let hidden = tokens.cols();
-    router.gate_into(tokens, &mut state.gate_scratch, &mut state.gating);
-    Pft::construct_into(
-        &state.gating,
-        spec.num_experts,
-        spec.capacity,
-        spec.policy,
-        &mut state.pft_scratch,
-        &mut state.pft,
-    );
-    let (s, e, k) = (tokens.rows() as f64, spec.num_experts, state.gating.k());
-    meter.charge("gating", |c| price::gating(c, s, hidden, e, k));
-    gather_rows_into(tokens, &state.pft.token_ids, &mut state.dispatch_in);
-    let rows = state.pft.len();
-    meter.charge("buffer_dispatch", |c| price::gather(c, rows, hidden));
+    let LayerState {
+        gate_scratch,
+        gating,
+        logits_clamped,
+        pft_scratch,
+        route,
+        rows,
+    } = state;
+    *logits_clamped = gate_rows(gate, top_k, clamp, tokens, gate_scratch, gating);
+    let (e, cap, policy) = (spec.num_experts, spec.capacity, spec.policy);
+    Pft::construct_into(gating, e, cap, policy, pft_scratch, &mut route.pft);
+    let s = tokens.rows() as f64;
+    meter.charge("gating", |c| price::gating(c, s, hidden, e, top_k));
+    let n = route.pft.len();
+    if let Some(ws) = lease {
+        // For-overwrite: the gather fills it.
+        *rows = ws.take_for_overwrite(n, hidden);
+    }
+    gather_rows_into(tokens, &route.pft.token_ids, rows);
+    meter.charge("buffer_dispatch", |c| price::gather(c, n, hidden));
 }
 
-/// Run `kernel` over an expert-major `[rows, H]` buffer split by `counts`;
-/// the output is leased from `ws`. Charges `expert` (and the block kernel's
-/// pad/strip copies).
-fn run_experts(
-    experts: &ExpertShard,
-    input: &Tensor,
+/// The expert stage, written once: `kernel` over an expert-major `[rows, H]`
+/// buffer split by `counts`, segment `e` through `experts[e]`, into a lease
+/// of `ws`. The FFN's hidden layer goes to `saves` (training keeps it) or to
+/// one leased `[rows, 2·ffn]` strip, so the arena holds as many buffers as
+/// with an in-place SiLU. Charges `expert` (and the block kernel's copies).
+pub(crate) fn run_experts(
+    experts: &[Expert],
     counts: &[usize],
+    input: &Tensor,
     kernel: ExpertKernel,
+    saves: Option<(&mut [f32], &mut [f32])>,
     ws: &mut Workspace,
     mut meter: Meter,
 ) -> Tensor {
-    match kernel {
-        ExpertKernel::Plain => {
-            let out = experts.forward_segments_pooled(input, counts, ws);
-            let (rows, h, f) = (input.rows() as f64, input.cols(), experts.ffn());
-            meter.charge("expert", |c| price::expert_seq(c, rows, h, f, F32));
-            out
-        }
-        ExpertKernel::BlockPadded(block) => {
-            forward_block_padded(experts, input, counts, block, ws, meter)
-        }
+    if let ExpertKernel::BlockPadded(block) = kernel {
+        return forward_block_padded(experts, input, counts, block, ws, meter);
     }
+    let (rows, hidden, ffn) = (input.rows(), input.cols(), ffn_width(experts));
+    // For-overwrite: `expert_ffn` writes all three whole.
+    let mut strip = None;
+    let (h_pre, h_act) = match saves {
+        Some(saves) => saves,
+        None => strip
+            .insert(ws.take_for_overwrite(rows, 2 * ffn))
+            .as_mut_slice()
+            .split_at_mut(rows * ffn),
+    };
+    let mut y = ws.take_for_overwrite(rows, hidden);
+    let (x, out) = (input.as_slice(), y.as_mut_slice());
+    expert_ffn(experts, counts, x, h_pre, h_act, out);
+    if let Some(strip) = strip {
+        ws.recycle(strip);
+    }
+    let n = rows as f64;
+    meter.charge("expert", |c| price::expert_seq(c, n, hidden, ffn, F32));
+    y
 }
 
-/// The padding-free MoE forward (paper §4.1, Listing 1), written once:
+/// The MoE layer pass (paper §4.1, Listing 1), written once:
 /// [`gate_and_gather`] → `transport` out → `kernel` → `transport` back →
-/// weighted scatter. Every buffer it can lease comes from `state` (callers
-/// wanting the owned baseline pass a throwaway one), and the returned
-/// `[S, H]` output is itself leased from `state.ws` — recycle it there when
-/// done. After warm-up neither transport performs a transient heap
-/// allocation on the serial schedule: the EP route leases its wire buffers
-/// from `state.ws` too.
-pub(crate) fn forward(
+/// weighted scatter into the `[S, H]` tensor `out` leases (zeroed, or a copy
+/// of the input for a residual layer; leased after the exchange, so it can
+/// reuse the expert scratch), which it returns.
+///
+/// Every buffer comes from `state` or `ws`; after warm-up neither transport
+/// allocates on the serial schedule. The dispatch rows go out into `ws`, and
+/// the expert outputs come back into `state.rows` — or, with `saves`
+/// (training, plain kernel), into `saves` beside the expert-side
+/// activations, the dispatch rows then being a lease of `ws` too.
+#[allow(clippy::too_many_arguments)]
+pub fn forward(
     tokens: &Tensor,
-    router: &Router,
-    experts: &ExpertShard,
+    gate: (&Tensor, usize, f32),
+    experts: &[Expert],
     spec: &MoeLayerSpec,
     mut transport: Transport,
     kernel: ExpertKernel,
-    state: &mut PooledSingleState,
-) -> Result<Tensor, PipelineError> {
-    if matches!(transport, Transport::Local) && experts.len() != spec.num_experts {
-        return Err(PipelineError::MissingCtx(
-            "single-rank forward needs the full expert set; provide a communicator",
-        ));
+    state: &mut LayerState,
+    ws: &mut Workspace,
+    out: impl FnOnce(&mut Workspace) -> Tensor,
+    mut saves: Option<&mut ExpertSaves>,
+) -> Result<Tensor, CommError> {
+    let (hidden, lease) = (tokens.cols(), saves.is_some().then_some(&mut *ws));
+    gate_and_gather(tokens, gate, spec, state, lease, transport.meter());
+    let LayerState { route, rows, .. } = state;
+    let (total, ffn) = (transport.plan(route)?, ffn_width(experts));
+    if let Some(saves) = saves.as_deref_mut() {
+        // For-overwrite: the chunks tile all three.
+        saves.input = ws.take_for_overwrite(total, hidden);
+        saves.h_pre = ws.take_for_overwrite(total, ffn);
+        saves.h_act = ws.take_for_overwrite(total, ffn);
     }
-    let hidden = tokens.cols();
-    gate_and_gather(tokens, router, spec, state, transport.meter());
-    let PooledSingleState {
-        ws,
-        pft,
-        dispatch_in,
-        assignment,
+    let labels = ("dispatch_a2a", "expert", "combine_a2a");
+    let combine_in = transport.exchange(
         route,
-        ..
-    } = state;
-
-    // PFT-ordered rows in, PFT-ordered expert outputs back, leased from `ws`.
-    let combine_in = match &mut transport {
-        Transport::Local => run_experts(
-            experts,
-            dispatch_in,
-            &pft.tokens_per_expert,
-            kernel,
-            ws,
-            Meter::default(),
-        ),
-        Transport::Ep {
-            comm,
-            clock,
-            overlap_chunks,
-        } => {
-            let comm: &Communicator = comm;
-            let shape = (spec.num_experts, comm.size());
-            let assignment = match assignment {
-                Some(a) if (a.n_experts(), a.n_ranks()) == shape => a,
-                stale => stale.insert(ExpertAssignment::contiguous(shape.0, shape.1)),
-            };
-            // The route owns the PFT while it lives (a failed collective
-            // drops both; the next forward rebuilds the PFT anyway). The
-            // count-exchange metadata all-to-all is charged separately from
-            // the token payload so payload comparisons across pipelines stay
-            // apples to apples.
-            route.pft = std::mem::take(pft);
-            route.rebuild(assignment, comm, clock)?;
-            clock.commit("dispatch_a2a_meta");
-            let counts = &route.tokens_per_local_expert;
-            let combine_in = route.exchange(
-                std::mem::take(dispatch_in),
-                *overlap_chunks,
-                ("dispatch_a2a", "expert", "combine_a2a"),
-                comm,
-                clock,
-                ws,
-                |plan, chunk_in, clock, ws| {
-                    // A full-length count vector zeroed outside the chunk
-                    // walks exactly the whole shard's row slices for
-                    // experts [e0, e1).
-                    let (e0, e1) = plan.experts;
-                    let mut chunk_counts = ws.take_idx(counts.len());
-                    chunk_counts[e0..e1].copy_from_slice(&counts[e0..e1]);
-                    let meter = Meter::new(comm, clock);
-                    let out = run_experts(experts, &chunk_in, &chunk_counts, kernel, ws, meter);
-                    ws.recycle_idx(chunk_counts);
-                    ws.recycle(chunk_in);
-                    out
-                },
-            )?;
-            *pft = std::mem::take(&mut route.pft);
-            combine_in
-        }
-    };
+        std::mem::take(rows),
+        labels,
+        ws,
+        |plan, counts, chunk, meter, ws| {
+            // Local experts [e0, e1): rows [r0, r1) of the saved buffers.
+            let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
+            let act = saves.as_deref_mut().map(|s| {
+                s.input.as_mut_slice()[r0 * hidden..r1 * hidden].copy_from_slice(chunk.as_slice());
+                let h_pre = &mut s.h_pre.as_mut_slice()[r0 * ffn..r1 * ffn];
+                (h_pre, &mut s.h_act.as_mut_slice()[r0 * ffn..r1 * ffn])
+            });
+            let y = run_experts(&experts[e0..e1], counts, &chunk, kernel, act, ws, meter);
+            ws.recycle(chunk);
+            y
+        },
+    )?;
 
     // Buffer combine: weighted scatter back to sequence order.
-    let mut out = ws.take(tokens.rows(), hidden);
+    let (mut out, pft) = (out(ws), &route.pft);
     scatter_rows_scaled(&combine_in, &pft.token_ids, &pft.combine_weights, &mut out);
-    let rows = pft.len();
-    transport
-        .meter()
-        .charge("buffer_combine", |c| price::gather(c, rows, hidden));
-    if matches!(transport, Transport::Local) {
-        ws.recycle(combine_in);
-    } else {
-        // The route recycled the dispatch matrix it was handed; the rows it
-        // returned, the same shape, take its place in `state`.
-        *dispatch_in = combine_in;
+    let (n, mut meter) = (pft.len(), transport.meter());
+    meter.charge("buffer_combine", |c| price::gather(c, n, hidden));
+    match saves {
+        Some(saves) => saves.combine_in = combine_in,
+        None => *rows = combine_in,
     }
     Ok(out)
 }
@@ -244,7 +304,8 @@ pub(crate) fn forward(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gating::DropPolicy;
+    use crate::expert::ExpertShard;
+    use crate::gating::{DropPolicy, Router};
     use crate::pipeline::{ExecCtx, PaddingFreePipeline, Pipeline};
     use xmoe_collectives::{RankCtx, SimCluster, Span};
 
@@ -484,9 +545,8 @@ mod tests {
                             &ctx.world,
                             &mut ctx.clock,
                             &mut ws,
-                            |plan, chunk, _, _| {
+                            |plan, counts, chunk, _, _| {
                                 let (e0, e1) = plan.experts;
-                                let counts = &route.tokens_per_local_expert[e0..e1];
                                 let mut row = 0;
                                 for (&g, &n) in locals[e0..e1].iter().zip(counts) {
                                     let mut last = (-1.0f32, -1.0f32);

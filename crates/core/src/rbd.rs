@@ -45,9 +45,9 @@ use xmoe_tensor::{add_assign_slice, axpy_slice, gather_rows_into, scaled_extend,
 use crate::expert::ExpertShard;
 use crate::gating::Router;
 use crate::pft::Pft;
-use crate::pipeline::padding_free::gate_and_gather;
+use crate::pipeline::padding_free::{gate_and_gather, run_experts, ExpertKernel};
 use crate::pipeline::{MoeLayerSpec, PipelineError, PooledSingleState};
-use crate::price::{self, Meter, F32};
+use crate::price::{self, Meter};
 
 /// The two communicators RBD needs: the EP group and its node-local
 /// subgroup, plus the precomputed position maps the hot path would
@@ -281,22 +281,20 @@ pub(crate) fn forward_ep_rbd_impl(
     let ep = &comms.ep;
     let node = &comms.node;
     let w = ep.size();
-    assert_eq!(spec.num_experts % w, 0, "experts must divide EP size");
+    // The caller checked that `shard` is this rank's block and W divides E.
     let e_local = spec.num_experts / w;
     let hidden = tokens.cols();
     let owner_of = |e: usize| e / e_local;
     let first_expert = shard.first_expert;
 
     // --- Gating + PFT + dispatch gather (shared with flat EP) --------------
-    gate_and_gather(tokens, router, spec, state, Meter::new(ep, clock));
+    let (gate, meter) = ((&router.weight, router.top_k, 0.0), Meter::new(ep, clock));
+    gate_and_gather(tokens, gate, spec, &mut state.layer, None, meter);
 
     let PooledSingleState {
-        ws,
-        pft,
-        dispatch_in,
-        rbd: sc,
-        ..
+        ws, layer, rbd: sc, ..
     } = state;
+    let (pft, dispatch_in) = (&layer.route.pft, &layer.rows);
     let RbdScratch {
         keyed,
         pilots,
@@ -431,10 +429,6 @@ pub(crate) fn forward_ep_rbd_impl(
             let n_rep = meta[i + 2] as usize;
             i += 3;
             let row_data = &rows[idx * hidden..(idx + 1) * hidden];
-            assert!(
-                expert >= first_expert && expert < first_expert + e_local,
-                "pilot arrived at the wrong rank"
-            );
             staging.extend_from_slice(row_data);
             entries.push(EntryRec {
                 local_expert: expert - first_expert,
@@ -595,9 +589,8 @@ pub(crate) fn forward_ep_rbd_impl(
     let mut expert_input = ws.take(0, 0);
     gather_rows_into(&staging, &order, &mut expert_input);
     ws.recycle(staging);
-    let mlp_out = shard.forward_segments_pooled(&expert_input, &counts, ws);
-    let (rows, f) = (expert_input.rows() as f64, shard.ffn());
-    Meter::new(ep, clock).charge("expert", |c| price::expert_seq(c, rows, hidden, f, F32));
+    let (experts, plain, meter) = (&shard.experts, ExpertKernel::Plain, Meter::new(ep, clock));
+    let mlp_out = run_experts(experts, &counts, &expert_input, plain, None, ws, meter);
     ws.recycle(expert_input);
 
     // --- Combine: reverse route -------------------------------------------

@@ -55,10 +55,11 @@ use xmoe_tensor::{Tensor, Workspace};
 use xmoe_topology::ExpertAssignment;
 
 use crate::pft::Pft;
+use crate::price::Meter;
 
 /// The routing plan of one uneven expert exchange, reusable for forward
 /// activations and backward gradients. See the module docs.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct EpRoute {
     /// The PFT this route was built from (source-side ERI arrays).
     pub pft: Pft,
@@ -95,7 +96,7 @@ pub struct ChunkPlan {
     /// Their rows `[r0, r1)` in the route's full expert-major buffer.
     pub rows: (usize, usize),
     /// Chunk `c` of `k`.
-    chunk: (usize, usize),
+    pub(crate) chunk: (usize, usize),
 }
 
 /// Chunk `c` of `k` over a list of `len` entries.
@@ -299,13 +300,14 @@ impl EpRoute {
     /// `[B, H]` result in the sender's PFT order. `rows` is a lease of `ws`,
     /// taken by value and recycled as soon as it is on the wire.
     ///
-    /// `compute(plan, chunk_in, clock, ws)` runs once per chunk. It is handed
-    /// the chunk's expert-major `[r1 - r0, H]` input **by value**, leased from
-    /// `ws` — its to recycle there, or to keep as a saved activation — and
-    /// returns the same-shaped output, which the route sends back and
-    /// recycles into `ws`. `plan` says which local experts and which rows of
-    /// the full expert-major buffer the chunk is. The closure charges its own
-    /// compute time. The returned rows are a lease from `ws` too.
+    /// `compute(plan, counts, chunk_in, meter, ws)` runs once per chunk. It is
+    /// handed the chunk's expert-major `[r1 - r0, H]` input **by value**,
+    /// leased from `ws` — its to recycle there — and returns the same-shaped
+    /// output, which the route sends back and recycles into `ws`. `plan` says
+    /// which local experts and which rows of the full expert-major buffer the
+    /// chunk is, `counts` the chunk's rows per local expert. The closure
+    /// charges its own compute time to `meter`. The returned rows are a lease
+    /// from `ws` too.
     ///
     /// `labels = (dispatch, compute, combine)` name the stage buckets.
     ///
@@ -334,9 +336,10 @@ impl EpRoute {
         mut compute: F,
     ) -> Result<Tensor, CommError>
     where
-        F: FnMut(&ChunkPlan, Tensor, &mut SimClock, &mut Workspace) -> Tensor,
+        F: FnMut(&ChunkPlan, &[usize], Tensor, Meter, &mut Workspace) -> Tensor,
     {
         let (dispatch_label, compute_label, combine_label) = labels;
+        let counts = |p: ChunkPlan| &self.tokens_per_local_expert[p.experts.0..p.experts.1];
         let (hidden, w) = (rows.cols(), self.world());
         assert_eq!(rows.rows(), self.pft.len(), "payload must be in PFT order");
         // One send and one receive shell serve every collective of the call:
@@ -366,7 +369,7 @@ impl EpRoute {
             ep.all_to_all_v_into(&mut send, &mut recv, clock)?;
             clock.commit(dispatch_label);
             let chunk_in = at_experts(plan, &mut recv, ws);
-            let chunk_out = compute(&plan, chunk_in, clock, ws);
+            let chunk_out = compute(&plan, counts(plan), chunk_in, Meter::new(ep, clock), ws);
             to_source(plan, chunk_out, &mut send, ws);
             ep.all_to_all_v_into(&mut send, &mut recv, clock)?;
             clock.commit(combine_label);
@@ -405,7 +408,7 @@ impl EpRoute {
             // its chunk has arrived.
             clock.advance_to_op(compute_label, arrived);
             let chunk_in = at_experts(plan, &mut recv, ws);
-            let chunk_out = compute(&plan, chunk_in, clock, ws);
+            let chunk_out = compute(&plan, counts(plan), chunk_in, Meter::new(ep, clock), ws);
             clock.commit(compute_label);
             let gemm_done = clock.track_time("compute").expect("compute track exists");
 

@@ -3,11 +3,13 @@
 //! paper's communication pattern — two uneven all-to-alls forward and two
 //! mirrored ones backward (4 per layer per step, §4.3).
 //!
-//! Activations and gradients both travel the one expert route
-//! ([`EpRoute`]), built per forward from the layer's [`ExpertAssignment`]
-//! — contiguous, ragged, migrated or replicated alike. Dispatch and combine
-//! are adjoint row relocations, so the backward pushes its gradients
-//! through the route the forward saved:
+//! The layer runs the one MoE layer pass and the one backward
+//! (`moe_math`) over [`Transport::Ep`]: activations and gradients both
+//! travel the one expert route ([`xmoe_core::route::EpRoute`]), built per
+//! forward from the layer's [`ExpertAssignment`] — contiguous, ragged,
+//! migrated or replicated alike. Dispatch and combine are adjoint row
+//! relocations, so the backward pushes its gradients through the route the
+//! forward saved:
 //!
 //! ```text
 //! forward:  dispatch_in --> expert_input -> y           --> combine_in
@@ -15,8 +17,8 @@
 //! ```
 //!
 //! Whether a step runs serially or chunk-pipelined is the route's business
-//! ([`EpRoute::exchange`]); this module hands it the per-chunk expert FFN
-//! and remembers the chunk count so the backward mirrors the forward.
+//! ([`xmoe_core::route::EpRoute::exchange`]); this module remembers the
+//! chunk count so the backward mirrors the forward.
 //!
 //! **Memory.** Every activation, saved tensor, temporary and wire buffer
 //! of a step is a lease from one [`Workspace`] per rank (held by
@@ -34,16 +36,12 @@
 //! dispatched to them.
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
-use xmoe_core::expert::expert_ffn;
 use xmoe_core::gating::{DropPolicy, RouterGuard};
-use xmoe_core::pft::Pft;
-use xmoe_core::price::{self, Meter, BWD_COMPUTE_FACTOR, F32};
-use xmoe_core::route::EpRoute;
+use xmoe_core::pipeline::padding_free::Transport;
+use xmoe_core::pipeline::MoeLayerSpec;
+use xmoe_core::price;
 use xmoe_core::Expert;
-use xmoe_tensor::{
-    gather_rows_into, scale_assign, scatter_rows_scaled, scatter_rows_unit, Tensor, Workspace,
-    WorkspaceStats,
-};
+use xmoe_tensor::{scale_assign, Tensor, Workspace, WorkspaceStats};
 
 use crate::adam::Adam;
 use crate::attention::{Attention, AttentionCtx};
@@ -51,11 +49,8 @@ use crate::checkpoint::Checkpoint;
 use crate::elastic::ExpertAssignment;
 use crate::guard::sq_norm;
 use crate::layers::{DenseMlp, DenseMlpCtx, Embedding, Head};
-use crate::moe_layer::TrainableMoe;
-use crate::moe_math::{
-    self, combine_backward, expert_ffn_backward, router_backward, zero_grad, MoeScratch,
-    RouterParams, RouterSave,
-};
+use crate::moe_layer::{MoeCtx, TrainableMoe};
+use crate::moe_math::{self, zero_grad, RouterParams};
 
 /// A trainable MoE layer whose experts are sharded across an EP group.
 #[derive(Clone, Debug)]
@@ -85,44 +80,10 @@ pub struct DistMoe {
     pub policy: DropPolicy,
 }
 
-/// Per-layer persistent state of a [`DistMoe`] step: the layer math's
-/// grow-once scratch, the route and router saves rebuilt in place by every
-/// forward, and the forward's activation saves — leases of the step's arena
-/// that the backward recycles. One per layer per rank.
-#[derive(Default)]
-pub struct DistMoeScratch {
-    sc: MoeScratch,
-    router: RouterSave,
-    route: EpRoute,
-    /// The schedule the forward ran and the backward mirrors (`None` =
-    /// serial, `Some(k)` = `k` pipelined chunks).
-    chunks: Option<usize>,
-    /// Expert-major saves on the *expert* side.
-    expert_input: Tensor,
-    h_pre: Tensor,
-    h_act: Tensor,
-    /// Expert outputs returned to the *source* side, in PFT order.
-    combine_in: Tensor,
-}
-
-impl DistMoeScratch {
-    /// PFT of this layer's last forward (global expert ids, source order).
-    pub fn pft(&self) -> &Pft {
-        &self.route.pft
-    }
-
-    /// Rows of the input this layer's last forward saw.
-    pub fn tokens(&self) -> usize {
-        self.router.x.rows()
-    }
-
-    /// Hand the expert-side saves back to the arena they were leased from.
-    fn release_expert_saves(&mut self, ws: &mut Workspace) {
-        for t in [&mut self.expert_input, &mut self.h_pre, &mut self.h_act] {
-            ws.recycle(std::mem::take(t));
-        }
-    }
-}
+/// Per-layer persistent state of a [`DistMoe`] step: the one training
+/// layer state, whose expert saves are leases of the step's arena that the
+/// backward recycles.
+pub type DistMoeScratch = MoeCtx;
 
 impl DistMoe {
     /// Shard a single-rank [`TrainableMoe`] across `world` ranks under the
@@ -187,10 +148,8 @@ impl DistMoe {
 
     fn router_params(&self) -> RouterParams {
         RouterParams {
-            num_experts: self.num_experts,
+            spec: MoeLayerSpec::new(self.num_experts, self.capacity).with_policy(self.policy),
             top_k: self.top_k,
-            capacity: self.capacity,
-            policy: self.policy,
             aux_alpha: 0.0,
             guard: RouterGuard::default(),
         }
@@ -229,9 +188,9 @@ impl DistMoe {
         self.forward_with(x, Some(chunks), st, ws, ep, clock)
     }
 
-    /// Both forwards: route, then the expert FFN between the two
-    /// all-to-alls, once per chunk of the route's schedule, each stage
-    /// charging its [`price`] under its Fig-11 label as the pipelines do.
+    /// Both forwards: the one layer pass over this layer's route, serial or
+    /// in `chunks`, each stage charging its [`xmoe_core::price`] under its
+    /// Fig-11 label as the pipelines do.
     fn forward_with(
         &self,
         x: &Tensor,
@@ -241,81 +200,23 @@ impl DistMoe {
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<Tensor, CommError> {
-        let (h, f) = (self.hidden, self.ffn);
-        let DistMoeScratch {
-            sc,
-            router,
-            route,
-            expert_input,
-            h_pre,
-            h_act,
-            ..
-        } = st;
-        let p = self.router_params();
-        moe_math::route(&p, &self.gate, x, sc, router, &mut route.pft);
-        let (e, k) = (self.num_experts, self.top_k);
-        Meter::new(ep, clock).charge("gating", |c| price::gating(c, x.rows() as f64, h, e, k));
-        // For-overwrite: the gather fills it.
-        let mut dispatch_in = ws.take_for_overwrite(route.pft.len(), h);
-        gather_rows_into(x, &route.pft.token_ids, &mut dispatch_in);
-        let copy = price::gather(ep.cost(), route.pft.len(), h);
-        Meter::new(ep, clock).charge("buffer_dispatch", |_| copy);
-
-        route.rebuild(&self.assignment, ep, clock)?;
-        clock.commit("dispatch_a2a_meta");
-        let counts = &route.tokens_per_local_expert;
-        let total = route.recv_total();
-        // For-overwrite: the chunks tile all three (every row belongs to
-        // exactly one chunk, and `expert_ffn` writes its rows whole).
-        *expert_input = ws.take_for_overwrite(total, h);
-        *h_pre = ws.take_for_overwrite(total, f);
-        *h_act = ws.take_for_overwrite(total, f);
-        let combine_in = route.exchange(
-            dispatch_in,
-            chunks,
-            ("dispatch_a2a", "expert", "combine_a2a"),
-            ep,
+        let transport = Transport::Ep {
+            comm: ep,
             clock,
-            ws,
-            |plan, chunk_in, clock, ws| {
-                // The chunk is local experts [e0, e1): rows [r0, r1) of the
-                // full expert-major buffers, saved in place.
-                let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
-                expert_input.as_mut_slice()[r0 * h..r1 * h].copy_from_slice(chunk_in.as_slice());
-                let mut y_chunk = ws.take_for_overwrite(r1 - r0, h);
-                expert_ffn(
-                    &self.shard[e0..e1],
-                    &counts[e0..e1],
-                    chunk_in.as_slice(),
-                    &mut h_pre.as_mut_slice()[r0 * f..r1 * f],
-                    &mut h_act.as_mut_slice()[r0 * f..r1 * f],
-                    y_chunk.as_mut_slice(),
-                );
-                let expert = price::expert_seq(ep.cost(), (r1 - r0) as f64, h, f, F32);
-                Meter::new(ep, clock).charge("expert", |_| expert);
-                ws.recycle(chunk_in);
-                y_chunk
-            },
-        )?;
-
-        // For-overwrite: the residual copy fills it.
-        let mut out = ws.take_for_overwrite(x.rows(), h);
-        out.as_mut_slice().copy_from_slice(x.as_slice());
-        let pft = &route.pft;
-        scatter_rows_scaled(&combine_in, &pft.token_ids, &pft.combine_weights, &mut out);
-        Meter::new(ep, clock).charge("buffer_combine", |_| copy);
-        st.combine_in = combine_in;
+            overlap_chunks: chunks,
+            assignment: &self.assignment,
+        };
+        let p = self.router_params();
+        let out = moe_math::forward(&p, &self.gate, &self.shard, x, transport, st, ws)?;
         st.chunks = chunks;
         Ok(out)
     }
 
-    /// Distributed backward: accumulates local grads, returns `d_x` (a lease
-    /// from `ws`) and recycles the saves the forward left in `st`. The
-    /// backward chain has the forward's shape — dispatch-direction
-    /// all-to-all, expert GEMMs, combine-direction all-to-all — so it runs
-    /// through the saved route on the schedule the forward ran. Each compute
-    /// stage charges [`BWD_COMPUTE_FACTOR`]× its forward price under `bwd_*`,
-    /// as [`xmoe_core::perf::PerfModel::step`] prices a backward.
+    /// Distributed backward: the one layer backward over the route and
+    /// schedule the forward ran; accumulates local grads, returns `d_x` (a
+    /// lease from `ws`) and recycles the saves the forward left in `st`.
+    /// The chain has the forward's shape — dispatch-direction all-to-all,
+    /// expert GEMMs, combine-direction all-to-all.
     pub fn backward(
         &mut self,
         st: &mut DistMoeScratch,
@@ -324,70 +225,23 @@ impl DistMoe {
         ep: &Communicator,
         clock: &mut SimClock,
     ) -> Result<Tensor, CommError> {
-        let dims = (self.hidden, self.ffn);
-        let (h, f) = dims;
-        let pft = &st.route.pft;
-        // For-overwrite: the residual-path copy fills it.
-        let mut d_x = ws.take_for_overwrite(d_out.rows(), d_out.cols());
-        d_x.as_mut_slice().copy_from_slice(d_out.as_slice());
-
-        // Source side: d_combine rows (PFT order) and combine-weight grads.
-        let combine_in = std::mem::take(&mut st.combine_in);
-        let d_combine = combine_backward(pft, &combine_in, d_out, &mut st.sc, ws);
-        ws.recycle(combine_in);
-        let copy = BWD_COMPUTE_FACTOR * price::gather(ep.cost(), pft.len(), h);
-        Meter::new(ep, clock).charge("bwd_buffer_combine", |_| copy);
-        let (shard, g_shard) = (&self.shard, &mut self.g_shard);
-        let (expert_input, h_pre, h_act) = (&st.expert_input, &st.h_pre, &st.h_act);
-        let counts = &st.route.tokens_per_local_expert;
-        // Gradients out to the expert side, expert grads accumulated
-        // locally, dispatch gradients back to their sources.
-        let d_dispatch = st.route.exchange(
-            d_combine,
-            st.chunks,
-            ("bwd_combine_a2a", "bwd_expert", "bwd_dispatch_a2a"),
-            ep,
+        let p = self.router_params();
+        let transport = Transport::Ep {
+            comm: ep,
             clock,
-            ws,
-            |plan, chunk_dy, clock, ws| {
-                let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
-                let expert = price::expert_seq(ep.cost(), (r1 - r0) as f64, h, f, F32);
-                Meter::new(ep, clock).charge("bwd_expert", |_| BWD_COMPUTE_FACTOR * expert);
-                expert_ffn_backward(
-                    &shard[e0..e1],
-                    &mut g_shard[e0..e1],
-                    &counts[e0..e1],
-                    dims,
-                    &expert_input.as_slice()[r0 * h..r1 * h],
-                    &h_pre.as_slice()[r0 * f..r1 * f],
-                    &h_act.as_slice()[r0 * f..r1 * f],
-                    chunk_dy,
-                    ws,
-                )
-            },
-        )?;
-        st.release_expert_saves(ws);
-        let pft = &st.route.pft;
-        scatter_rows_unit(&d_dispatch, &pft.token_ids, &mut d_x);
-        ws.recycle(d_dispatch);
-        Meter::new(ep, clock).charge("bwd_buffer_dispatch", |_| copy);
-
-        // Router backward (local; router is replicated).
-        router_backward(
-            &self.router_params(),
-            &self.gate,
-            &mut self.g_gate,
-            &st.router,
-            pft,
+            overlap_chunks: st.chunks,
+            assignment: &self.assignment,
+        };
+        moe_math::backward(
+            &p,
+            (&self.gate, &mut self.g_gate),
+            (&self.shard, &mut self.g_shard),
+            st,
+            transport,
             1.0,
-            &mut st.sc,
             ws,
-            &mut d_x,
-        );
-        let (s, e, k) = (st.tokens() as f64, self.num_experts, self.top_k);
-        let gating = BWD_COMPUTE_FACTOR * price::gating(ep.cost(), s, h, e, k);
-        Meter::new(ep, clock).charge("bwd_gating", |_| gating);
-        Ok(d_x)
+            d_out,
+        )
     }
 
     /// Checkpointed forward: compute the output and discard the activation
@@ -404,7 +258,7 @@ impl DistMoe {
         clock: &mut SimClock,
     ) -> Result<Tensor, CommError> {
         let out = self.forward(x, st, ws, ep, clock)?;
-        ws.recycle(std::mem::take(&mut st.combine_in));
+        ws.recycle(std::mem::take(&mut st.experts.combine_in));
         st.release_expert_saves(ws);
         Ok(out)
     }
@@ -779,8 +633,9 @@ impl DistMoeLm {
         // unscaled and the later exact unscale would shrink it).
         let (local_loss, mut d_x) = head.loss_and_backward_scaled(&x, targets, loss_scale, ws);
         ws.recycle(x);
-        for (block, st) in blocks.iter_mut().zip(moe_st.iter_mut()).rev() {
-            let (ca, c1) = ctxs.pop().expect("one saved context per block");
+        // The forward pushed one saved context per block.
+        let saved = ctxs.drain(..).rev();
+        for ((block, st), (ca, c1)) in blocks.iter_mut().zip(moe_st.iter_mut()).rev().zip(saved) {
             let d = block.moe.backward(st, &d_x, ws, world, clock)?;
             ws.recycle(std::mem::replace(&mut d_x, d));
             let d = block.mlp.backward(c1, &d_x, ws);
@@ -1096,6 +951,10 @@ impl DistMoeLm {
 mod tests {
     use super::*;
     use xmoe_collectives::{RankCtx, SimCluster};
+    use xmoe_core::gating::Router;
+    use xmoe_core::pft::Pft;
+    use xmoe_core::pipeline::{BlockSparsePipeline, ExecCtx, PaddingFreePipeline, Pipeline};
+    use xmoe_core::ExpertShard;
     use xmoe_tensor::add_assign;
 
     fn tiny_full(seed: u64) -> TrainableMoe {
@@ -1246,6 +1105,41 @@ mod tests {
                 shard_bits(&want.g_experts),
                 "{chunks:?}: g_shard differs"
             );
+        }
+    }
+
+    #[test]
+    fn local_transport_is_a_one_rank_route_bitwise() {
+        // `Transport::Local`'s arm of the one exchange is the identity route:
+        // the single-rank pipelines must equal the same pipelines over a
+        // one-rank EP group bit for bit, serial and at 1, 2 and 3 chunks,
+        // with capacity drops.
+        let (s, h, f, e, k, cap) = (24, 8, 6, 8, 3, 6);
+        let pipelines: [&(dyn Pipeline + Sync); 2] =
+            [&PaddingFreePipeline, &BlockSparsePipeline { block: 4 }];
+        for seed in [5u64, 6] {
+            let router = Router::new(h, e, k, seed);
+            let experts = ExpertShard::full(e, h, f, seed + 1);
+            let spec = MoeLayerSpec::new(e, cap);
+            let tokens = Tensor::rand_uniform(s, h, 1.0, seed + 2);
+            let pft = Pft::construct(&router.gate(&tokens), e, cap, spec.policy);
+            assert!(pft.dropped > 0, "seed {seed}: no capacity drops");
+            for pipeline in pipelines {
+                let local = pipeline
+                    .forward(&tokens, &router, &experts, &spec, &mut ExecCtx::single())
+                    .unwrap();
+                for chunks in [None, Some(1usize), Some(2), Some(3)] {
+                    let routed = SimCluster::frontier(1).run(|ctx| {
+                        let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+                        ex.overlap_chunks = chunks;
+                        pipeline
+                            .forward(&tokens, &router, &experts, &spec, &mut ex)
+                            .unwrap()
+                    });
+                    let at = format!("seed {seed} {} {chunks:?}", pipeline.name());
+                    assert_eq!(bits(&routed[0]), bits(&local), "{at}: outputs differ");
+                }
+            }
         }
     }
 

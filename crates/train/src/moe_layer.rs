@@ -1,22 +1,22 @@
 //! The trainable MoE layer: forward and exact hand-written backward.
 //!
-//! Forward is the padding-free pipeline of `xmoe-core` (gating → PFT →
-//! gather → per-expert FFN → weighted scatter) with a residual connection.
-//! Backward propagates through every path, including the router: the
-//! combine weight `w_i = scores[t, e_i]` carries gradient
-//! `d_w_i = <d_out[t], y_i>` back into the gating softmax, which is the
+//! Both are thin callers: forward is `xmoe-core`'s one padding-free layer
+//! pass (gating → PFT → gather → per-expert FFN → weighted scatter) over the
+//! local transport, with a residual connection, and backward is the one
+//! layer backward of `moe_math`. It propagates through every path,
+//! including the router: the combine weight `w_i = scores[t, e_i]` carries
+//! gradient `d_w_i = <d_out[t], y_i>` back into the gating softmax, the
 //! standard top-k MoE router gradient (dropped assignments receive none).
 
-use xmoe_core::expert::expert_ffn;
-use xmoe_core::gating::{z_loss_value, DropPolicy, RouterGuard};
-use xmoe_core::pft::Pft;
+use xmoe_collectives::CommError;
+use xmoe_core::gating::{row_logsumexp, z_loss_value, DropPolicy, RouterGuard};
+use xmoe_core::pipeline::padding_free::Transport;
+use xmoe_core::pipeline::MoeLayerSpec;
 use xmoe_core::Expert;
-use xmoe_tensor::{gather_rows_into, scatter_rows_scaled, scatter_rows_unit, Tensor, Workspace};
+use xmoe_tensor::{Tensor, Workspace};
 
-use crate::moe_math::{
-    combine_backward, expert_ffn_backward, load_fractions, route, router_backward, zero_grad,
-    MoeScratch, RouterParams, RouterSave,
-};
+pub use crate::moe_math::MoeCtx;
+use crate::moe_math::{self, load_fractions, zero_grad, RouterParams};
 
 /// A trainable MoE layer (all experts local — the loss-validation
 /// experiment runs single-process, mirroring the paper's 16-GPU run whose
@@ -44,40 +44,6 @@ pub struct TrainableMoe {
     pub router_guard: RouterGuard,
 }
 
-/// Saved forward state.
-#[derive(Clone, Default)]
-pub struct MoeCtx {
-    router: RouterSave,
-    pft: Pft,
-    dispatch_in: Tensor,
-    h_pre: Tensor,
-    h_act: Tensor,
-    y: Tensor,
-}
-
-impl MoeCtx {
-    /// Routed assignments dropped during this forward.
-    pub fn dropped(&self) -> usize {
-        self.pft.dropped
-    }
-
-    /// Retained routed assignments.
-    pub fn routed(&self) -> usize {
-        self.pft.len()
-    }
-
-    /// Per-expert retained token counts of this forward.
-    pub fn tokens_per_expert(&self) -> &[usize] {
-        &self.pft.tokens_per_expert
-    }
-
-    /// Logits limited by the clamp guard during this forward (0 when the
-    /// guard is off or nothing was out of range) — a router-health signal.
-    pub fn logits_clamped(&self) -> usize {
-        self.router.logits_clamped
-    }
-}
-
 /// Reusable scratch for the pooled training step: the workspace arena plus
 /// every persistent staging buffer [`TrainableMoe::forward_pooled`] and
 /// [`TrainableMoe::backward_scaled_pooled`] need. One instance per layer
@@ -91,7 +57,6 @@ pub struct MoeTrainScratch {
     pub ws: Workspace,
     /// Saved forward state, rebuilt in place each step.
     pub ctx: MoeCtx,
-    pub(crate) sc: MoeScratch,
 }
 
 impl TrainableMoe {
@@ -145,10 +110,10 @@ impl TrainableMoe {
             return 0.0;
         }
         let e_count = self.num_experts();
-        let (x, scores) = (&ctx.router.x, &ctx.router.gating.scores);
+        let (x, scores) = (&ctx.x, &ctx.layer.gating.scores);
         let s = x.rows().max(1);
         let mut f = Vec::new();
-        load_fractions(&ctx.pft, &mut f);
+        load_fractions(ctx.pft(), &mut f);
         let mut acc = 0.0f64;
         for e in 0..e_count {
             let mut p_mean = 0.0f64;
@@ -167,7 +132,8 @@ impl TrainableMoe {
         if self.router_guard.z_loss_coef == 0.0 {
             return 0.0;
         }
-        self.router_guard.z_loss_coef as f64 * z_loss_value(&ctx.router.lse)
+        let lse = row_logsumexp(ctx.layer.gate_scratch.logits());
+        self.router_guard.z_loss_coef as f64 * z_loss_value(&lse)
     }
 
     pub fn num_experts(&self) -> usize {
@@ -177,27 +143,20 @@ impl TrainableMoe {
     /// Fraction of routed assignments dropped in the most recent forward —
     /// the quantity §5.6 attributes the loss gap to.
     pub fn last_drop_fraction(ctx: &MoeCtx, top_k: usize) -> f64 {
-        let total = ctx.router.x.rows() * top_k;
+        let total = ctx.x.rows() * top_k;
         if total == 0 {
             return 0.0;
         }
-        ctx.pft.dropped as f64 / total as f64
+        ctx.dropped() as f64 / total as f64
     }
 
     fn router_params(&self) -> RouterParams {
         RouterParams {
-            num_experts: self.num_experts(),
+            spec: MoeLayerSpec::new(self.num_experts(), self.capacity).with_policy(self.policy),
             top_k: self.top_k,
-            capacity: self.capacity,
-            policy: self.policy,
             aux_alpha: self.aux_alpha,
             guard: self.router_guard,
         }
-    }
-
-    /// `(hidden, ffn)` of the expert blocks.
-    fn dims(&self) -> (usize, usize) {
-        self.experts[0].w1.shape()
     }
 
     /// Forward: `out = x + combine(experts(dispatch(x)))`. The pooled
@@ -233,34 +192,17 @@ impl TrainableMoe {
     /// The saved forward state lands in `st.ctx`; the returned output is
     /// leased from `st.ws` — recycle it once consumed.
     pub fn forward_pooled(&self, x: &Tensor, st: &mut MoeTrainScratch) -> Tensor {
-        let (h, f) = self.dims();
-        let MoeTrainScratch { ws, ctx, sc } = st;
+        let MoeTrainScratch { ws, ctx } = st;
         let p = self.router_params();
-        route(&p, &self.gate, x, sc, &mut ctx.router, &mut ctx.pft);
-        gather_rows_into(x, &ctx.pft.token_ids, &mut ctx.dispatch_in);
-        let b = ctx.pft.len();
-        // For-overwrite: `expert_ffn` writes all three whole.
-        ctx.h_pre.resize_for_overwrite(b, f);
-        ctx.h_act.resize_for_overwrite(b, f);
-        ctx.y.resize_for_overwrite(b, h);
-        expert_ffn(
+        local(moe_math::forward(
+            &p,
+            &self.gate,
             &self.experts,
-            &ctx.pft.tokens_per_expert,
-            ctx.dispatch_in.as_slice(),
-            ctx.h_pre.as_mut_slice(),
-            ctx.h_act.as_mut_slice(),
-            ctx.y.as_mut_slice(),
-        );
-        // For-overwrite: the residual copy fills it.
-        let mut out = ws.take_for_overwrite(x.rows(), h);
-        out.as_mut_slice().copy_from_slice(x.as_slice());
-        scatter_rows_scaled(
-            &ctx.y,
-            &ctx.pft.token_ids,
-            &ctx.pft.combine_weights,
-            &mut out,
-        );
-        out
+            x,
+            Transport::Local,
+            ctx,
+            ws,
+        ))
     }
 
     /// Pooled [`Self::backward`]: consumes the forward state saved in
@@ -270,45 +212,25 @@ impl TrainableMoe {
     }
 
     /// Pooled [`Self::backward_scaled`]. The returned input gradient is
-    /// leased from `st.ws`.
+    /// leased from `st.ws`, and the expert saves go back there.
     pub fn backward_scaled_pooled(
         &mut self,
         st: &mut MoeTrainScratch,
         d_out: &Tensor,
         loss_scale: f32,
     ) -> Tensor {
-        let dims = self.dims();
-        let MoeTrainScratch { ws, ctx, sc } = st;
-        // For-overwrite: the residual-path copy fills it.
-        let mut d_x = ws.take_for_overwrite(d_out.rows(), d_out.cols());
-        d_x.as_mut_slice().copy_from_slice(d_out.as_slice());
-        let d_y = combine_backward(&ctx.pft, &ctx.y, d_out, sc, ws);
-        let d_dispatch = expert_ffn_backward(
-            &self.experts,
-            &mut self.g_experts,
-            &ctx.pft.tokens_per_expert,
-            dims,
-            ctx.dispatch_in.as_slice(),
-            ctx.h_pre.as_slice(),
-            ctx.h_act.as_slice(),
-            d_y,
-            ws,
-        );
-        // Scatter dispatch grads back to token positions (gather transpose).
-        scatter_rows_unit(&d_dispatch, &ctx.pft.token_ids, &mut d_x);
-        ws.recycle(d_dispatch);
-        router_backward(
-            &self.router_params(),
-            &self.gate,
-            &mut self.g_gate,
-            &ctx.router,
-            &ctx.pft,
+        let p = self.router_params();
+        let MoeTrainScratch { ws, ctx } = st;
+        local(moe_math::backward(
+            &p,
+            (&self.gate, &mut self.g_gate),
+            (&self.experts, &mut self.g_experts),
+            ctx,
+            Transport::Local,
             loss_scale,
-            sc,
             ws,
-            &mut d_x,
-        );
-        d_x
+            d_out,
+        ))
     }
 
     /// Zero all gradients.
@@ -319,6 +241,11 @@ impl TrainableMoe {
             g.w2.as_mut_slice().fill(0.0);
         }
     }
+}
+
+/// A pass over [`Transport::Local`] has no collective, so it cannot fail.
+fn local(pass: Result<Tensor, CommError>) -> Tensor {
+    pass.unwrap_or_else(|e| unreachable!("a local MoE pass has no collective: {e}"))
 }
 
 #[cfg(test)]
@@ -345,7 +272,7 @@ mod tests {
         let x = Tensor::rand_uniform(7, 6, 1.0, 2);
         let (out, ctx) = layer.forward(&x);
         assert_eq!(out.shape(), (7, 6));
-        assert_eq!(ctx.pft.len(), 7 * 2);
+        assert_eq!(ctx.routed(), 7 * 2);
         // With zeroed expert w2, output would equal x; with real weights it
         // must differ (the MoE contributes).
         assert!(!out.allclose(&x, 1e-6));
@@ -541,7 +468,7 @@ mod tests {
         assert!(out.as_slice().iter().all(|v| v.is_finite()));
         // With all logits in [-1, 1] no softmax score can exceed
         // e^2 / (E - 1 + e^2) < 1; the router can no longer saturate.
-        let scores = &ctx.router.gating.scores;
+        let scores = &ctx.layer.gating.scores;
         let e = scores.cols() as f32;
         let cap = (2.0f32).exp() / (e - 1.0 + (2.0f32).exp());
         for t in 0..scores.rows() {
@@ -558,7 +485,7 @@ mod tests {
         let layer = tiny(DropPolicy::CapacityOnly, 1, 21);
         let x = Tensor::rand_uniform(8, 6, 1.0, 22);
         let (out, ctx) = layer.forward(&x);
-        assert!(ctx.pft.dropped > 0);
+        assert!(ctx.dropped() > 0);
         let frac = TrainableMoe::last_drop_fraction(&ctx, 2);
         assert!(frac > 0.0 && frac < 1.0);
         let mut l2 = layer.clone();
@@ -576,8 +503,8 @@ mod tests {
         let cap = 100;
         let (_, ctx_x) = tiny(DropPolicy::CapacityOnly, cap, 30).forward(&x);
         let (_, ctx_d) = tiny(DropPolicy::CapacityAndNegativeLogit, cap, 30).forward(&x);
-        assert!(ctx_d.pft.dropped >= ctx_x.pft.dropped);
-        assert!(ctx_d.pft.len() <= ctx_x.pft.len());
+        assert!(ctx_d.dropped() >= ctx_x.dropped());
+        assert!(ctx_d.routed() <= ctx_x.routed());
     }
 
     #[test]

@@ -1,60 +1,91 @@
-//! The padding-free MoE training math (paper §4.1 Listing 1) that only the
-//! training step runs: the route's saves, expert-FFN backward, combine
-//! backward and router backward, written once over slices plus a
-//! [`Workspace`]. The forward halves are `xmoe-core`'s — the gate is
-//! [`gate_rows`] and the expert FFN
-//! [`expert_ffn`](xmoe_core::expert::expert_ffn), the same bodies the
-//! pipelines and serving run.
-//!
-//! [`crate::moe_layer::TrainableMoe`] (owned and pooled) and
-//! [`crate::dist::DistMoe`] (serial and chunked-overlap) differ only in
-//! where the buffers come from and whether an all-to-all sits between the
-//! stages; every float operation of all four paths is in this file or in
-//! those two core functions, so they agree bit for bit by construction. A
-//! per-stage timer or span needs exactly these insertion points.
+//! The padding-free MoE layer's training half (paper §4.1 Listing 1). The
+//! forward is core's one layer pass, [`padding_free::forward`], run by
+//! [`forward`] with the residual and the saves; the backward is written once
+//! here, [`backward`]. [`crate::moe_layer::TrainableMoe`] runs both over
+//! [`Transport::Local`] and [`crate::dist::DistMoe`] over [`Transport::Ep`];
+//! nothing else differs, so they agree bit for bit by construction.
 
-use xmoe_core::gating::{
-    gate_rows, row_logsumexp_into, DropPolicy, GateScratch, GatingOutput, RouterGuard,
-};
-use xmoe_core::pft::{Pft, PftScratch};
+use xmoe_collectives::CommError;
+use xmoe_core::gating::{row_logsumexp_into, RouterGuard};
+use xmoe_core::pft::Pft;
+use xmoe_core::pipeline::padding_free::{self, ExpertKernel, ExpertSaves, LayerState, Transport};
+use xmoe_core::pipeline::MoeLayerSpec;
+use xmoe_core::price::{self, BWD_COMPUTE_FACTOR as BWD, F32};
 use xmoe_core::Expert;
 use xmoe_tensor::{
     add_assign, combine_backward_rows, gemm_grouped_transpose_a_blocks, gemm_grouped_transpose_b,
-    matmul_transpose_a_add, matmul_transpose_b_slices, silu_grad_slice, Tensor, Workspace,
+    matmul_transpose_a_add, matmul_transpose_b_slices, scatter_rows_unit, silu_grad_slice, Tensor,
+    Workspace,
 };
 
 /// Router hyper-parameters of one layer.
 #[derive(Clone, Copy)]
 pub(crate) struct RouterParams {
-    pub num_experts: usize,
+    pub spec: MoeLayerSpec,
     pub top_k: usize,
-    pub capacity: usize,
-    pub policy: DropPolicy,
     pub aux_alpha: f32,
     pub guard: RouterGuard,
 }
 
-/// What [`route`] saves for [`router_backward`].
+/// Everything one MoE layer's training step keeps, rebuilt in place by
+/// every [`forward`]: the layer pass's own state (gate output, route and
+/// PFT), its saves — leases the backward hands back — the router's saves
+/// and the backward's grow-once scratch. One per layer per rank.
 #[derive(Clone, Default)]
-pub(crate) struct RouterSave {
+pub struct MoeCtx {
+    pub(crate) layer: LayerState,
+    pub(crate) experts: ExpertSaves,
     /// The layer input `[S, H]`.
-    pub x: Tensor,
-    /// The gate's output; its full `[S, E]` softmax scores feed the backward.
-    pub gating: GatingOutput,
-    /// Per-token `logsumexp(logits)`; empty unless the z-loss is on.
-    pub lse: Vec<f32>,
-    /// How many logits the clamp guard limited.
-    pub logits_clamped: usize,
-}
-
-/// Grow-once scratch of one layer's math: the gate's and the PFT build's,
-/// and the combine-weight gradients and load fractions of the backward.
-#[derive(Default)]
-pub(crate) struct MoeScratch {
-    gate: GateScratch,
-    pft: PftScratch,
+    pub(crate) x: Tensor,
+    /// Per-token `logsumexp` of the clamped logits: the z-loss backward's.
+    lse: Vec<f32>,
+    /// The schedule an EP forward ran and its backward mirrors (`None` =
+    /// serial, `Some(k)` = `k` pipelined chunks).
+    pub(crate) chunks: Option<usize>,
+    /// The combine-weight gradients and load fractions of the backward.
     d_w: Vec<f32>,
     aux_f: Vec<f32>,
+}
+
+impl MoeCtx {
+    /// PFT of this forward (global expert ids, source order).
+    pub fn pft(&self) -> &Pft {
+        &self.layer.route.pft
+    }
+
+    /// Rows of the input this forward saw.
+    pub fn tokens(&self) -> usize {
+        self.x.rows()
+    }
+
+    /// Routed assignments dropped during this forward.
+    pub fn dropped(&self) -> usize {
+        self.pft().dropped
+    }
+
+    /// Retained routed assignments.
+    pub fn routed(&self) -> usize {
+        self.pft().len()
+    }
+
+    /// Per-expert retained token counts of this forward.
+    pub fn tokens_per_expert(&self) -> &[usize] {
+        &self.pft().tokens_per_expert
+    }
+
+    /// Logits limited by the clamp guard during this forward (0 when the
+    /// guard is off or nothing was out of range) — a router-health signal.
+    pub fn logits_clamped(&self) -> usize {
+        self.layer.logits_clamped
+    }
+
+    /// Hand the expert-side saves back to the arena they were leased from.
+    pub(crate) fn release_expert_saves(&mut self, ws: &mut Workspace) {
+        let s = &mut self.experts;
+        for t in [&mut s.input, &mut s.h_pre, &mut s.h_act] {
+            ws.recycle(std::mem::take(t));
+        }
+    }
 }
 
 /// A zero gradient shaped like `e`.
@@ -65,27 +96,108 @@ pub(crate) fn zero_grad(e: &Expert) -> Expert {
     }
 }
 
-/// Route: the gate ([`gate_rows`], logit clamp included) → the z-loss's
-/// per-token logsumexp of the clamped logits → PFT, saving the input.
-pub(crate) fn route(
+/// The training forward: core's layer pass with the logit clamp, the
+/// residual (`out = x + combine(..)`, leased from `ws`) and the saves, then
+/// the router's: the input (the clamped logits stay in the gate scratch).
+pub(crate) fn forward(
     p: &RouterParams,
     gate: &Tensor,
+    experts: &[Expert],
     x: &Tensor,
-    sc: &mut MoeScratch,
-    save: &mut RouterSave,
-    pft: &mut Pft,
-) {
-    let (g, limit) = (&mut save.gating, p.guard.logit_clamp);
-    save.logits_clamped = gate_rows(gate, p.top_k, limit, x, &mut sc.gate, g);
-    if p.guard.z_loss_coef != 0.0 {
-        row_logsumexp_into(sc.gate.logits(), &mut save.lse);
-    } else {
-        save.lse.clear();
-    }
-    Pft::construct_into(g, p.num_experts, p.capacity, p.policy, &mut sc.pft, pft);
+    transport: Transport,
+    ctx: &mut MoeCtx,
+    ws: &mut Workspace,
+) -> Result<Tensor, CommError> {
+    let residual = |ws: &mut Workspace| {
+        // For-overwrite: the residual copy fills it.
+        let mut out = ws.take_for_overwrite(x.rows(), x.cols());
+        out.as_mut_slice().copy_from_slice(x.as_slice());
+        out
+    };
+    let out = padding_free::forward(
+        x,
+        (gate, p.top_k, p.guard.logit_clamp),
+        experts,
+        &p.spec,
+        transport,
+        ExpertKernel::Plain,
+        &mut ctx.layer,
+        ws,
+        residual,
+        Some(&mut ctx.experts),
+    )?;
     // For-overwrite: the copy fills it.
-    save.x.resize_for_overwrite(x.rows(), x.cols());
-    save.x.as_mut_slice().copy_from_slice(x.as_slice());
+    ctx.x.resize_for_overwrite(x.rows(), x.cols());
+    ctx.x.as_mut_slice().copy_from_slice(x.as_slice());
+    Ok(out)
+}
+
+/// The MoE layer backward, written once, over the transport (and chunking)
+/// the forward ran: combine backward → the exchange of the expert-FFN
+/// backward → dispatch transpose → router backward. Accumulates `g_gate`
+/// and `g_experts`, returns `d_x` (leased from `ws`) and hands the expert
+/// saves back. `d_out` carries `loss_scale`, which the aux and z-loss terms
+/// take on too. Each stage charges `BWD_COMPUTE_FACTOR`× its forward price
+/// under `bwd_*`, as [`xmoe_core::perf::PerfModel::step`] prices a backward.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn backward(
+    p: &RouterParams,
+    (gate, g_gate): (&Tensor, &mut Tensor),
+    (experts, g_experts): (&[Expert], &mut [Expert]),
+    ctx: &mut MoeCtx,
+    mut transport: Transport,
+    loss_scale: f32,
+    ws: &mut Workspace,
+    d_out: &Tensor,
+) -> Result<Tensor, CommError> {
+    let (h, f) = (d_out.cols(), ctx.experts.h_pre.cols());
+    // For-overwrite: the residual-path copy fills it.
+    let mut d_x = ws.take_for_overwrite(d_out.rows(), h);
+    d_x.as_mut_slice().copy_from_slice(d_out.as_slice());
+
+    // Source side: d_combine rows (PFT order) and combine-weight grads.
+    let combine_in = std::mem::take(&mut ctx.experts.combine_in);
+    let d_combine = combine_backward(&ctx.layer.route.pft, &combine_in, d_out, &mut ctx.d_w, ws);
+    ws.recycle(combine_in);
+    let n = ctx.pft().len();
+    let mut meter = transport.meter();
+    meter.charge("bwd_buffer_combine", |c| BWD * price::gather(c, n, h));
+    let saves = &ctx.experts;
+    let labels = ("bwd_combine_a2a", "bwd_expert", "bwd_dispatch_a2a");
+    let d_dispatch = transport.exchange(
+        &ctx.layer.route,
+        d_combine,
+        labels,
+        ws,
+        |plan, counts, chunk_dy, mut meter, ws| {
+            let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
+            let n = (r1 - r0) as f64;
+            meter.charge("bwd_expert", |c| BWD * price::expert_seq(c, n, h, f, F32));
+            expert_ffn_backward(
+                &experts[e0..e1],
+                &mut g_experts[e0..e1],
+                counts,
+                (h, f),
+                &saves.input.as_slice()[r0 * h..r1 * h],
+                &saves.h_pre.as_slice()[r0 * f..r1 * f],
+                &saves.h_act.as_slice()[r0 * f..r1 * f],
+                chunk_dy,
+                ws,
+            )
+        },
+    )?;
+    ctx.release_expert_saves(ws);
+    // Scatter dispatch grads back to token positions (gather transpose).
+    scatter_rows_unit(&d_dispatch, &ctx.pft().token_ids, &mut d_x);
+    ws.recycle(d_dispatch);
+    let mut meter = transport.meter();
+    meter.charge("bwd_buffer_dispatch", |c| BWD * price::gather(c, n, h));
+
+    router_backward(p, gate, g_gate, ctx, loss_scale, ws, &mut d_x);
+    let (s, e, k) = (ctx.x.rows() as f64, p.spec.num_experts, p.top_k);
+    let mut meter = transport.meter();
+    meter.charge("bwd_gating", |c| BWD * price::gating(c, s, h, e, k));
+    Ok(d_x)
 }
 
 /// Backward of [`expert_ffn`](xmoe_core::expert::expert_ffn) over the same segments: adds
@@ -98,7 +210,7 @@ pub(crate) fn route(
 /// materialised (the transpose-A kernel keeps the accumulation order of
 /// transpose-then-matmul).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn expert_ffn_backward(
+fn expert_ffn_backward(
     experts: &[Expert],
     grads: &mut [Expert],
     counts: &[usize],
@@ -130,12 +242,12 @@ pub(crate) fn expert_ffn_backward(
 
 /// Source-side combine backward: returns `d_y[i] = w_i · d_out[t_i]` in PFT
 /// order (leased from `ws`) and records the combine-weight gradients
-/// `d_w_i = <d_out[t_i], y_i>` in `sc` for [`router_backward`].
-pub(crate) fn combine_backward(
+/// `d_w_i = <d_out[t_i], y_i>` in `d_w` for [`router_backward`].
+fn combine_backward(
     pft: &Pft,
     y: &Tensor,
     d_out: &Tensor,
-    sc: &mut MoeScratch,
+    d_w: &mut Vec<f32>,
     ws: &mut Workspace,
 ) -> Tensor {
     // For-overwrite: `combine_backward_rows` fills it whole.
@@ -146,7 +258,7 @@ pub(crate) fn combine_backward(
         y,
         &pft.combine_weights,
         &mut d_y,
-        &mut sc.d_w,
+        d_w,
     );
     d_y
 }
@@ -157,31 +269,38 @@ pub(crate) fn combine_backward(
 /// The locally generated aux and z-loss terms carry `loss_scale` so every
 /// term of the router gradient shares the scale `d_out` already has.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn router_backward(
+fn router_backward(
     p: &RouterParams,
     gate: &Tensor,
     g_gate: &mut Tensor,
-    save: &RouterSave,
-    pft: &Pft,
+    ctx: &mut MoeCtx,
     loss_scale: f32,
-    sc: &mut MoeScratch,
     ws: &mut Workspace,
     d_x: &mut Tensor,
 ) {
-    let (s, h) = save.x.shape();
-    let e_count = p.num_experts;
+    let MoeCtx {
+        layer,
+        x,
+        lse,
+        d_w,
+        aux_f,
+        ..
+    } = ctx;
+    let (pft, scores) = (&layer.route.pft, &layer.gating.scores);
+    let (s, h) = x.shape();
+    let e_count = p.spec.num_experts;
     let mut d_scores = ws.take(s, e_count);
     for i in 0..pft.len() {
         let (t, e) = (pft.token_ids[i], pft.expert_ids[i]);
-        d_scores.set(t, e, d_scores.get(t, e) + sc.d_w[i]);
+        d_scores.set(t, e, d_scores.get(t, e) + d_w[i]);
     }
     // dL_aux/dscores[t, e] = alpha·E·f_e/S (gradient flows through P_e
     // only; the load fraction f_e is piecewise constant).
     if p.aux_alpha != 0.0 {
-        load_fractions(pft, &mut sc.aux_f);
+        load_fractions(pft, aux_f);
         let coef = p.aux_alpha * e_count as f32 * (1.0 / s.max(1) as f32) * loss_scale;
         for t in 0..s {
-            for (d, &f) in d_scores.row_mut(t).iter_mut().zip(&sc.aux_f) {
+            for (d, &f) in d_scores.row_mut(t).iter_mut().zip(aux_f.iter()) {
                 *d += coef * f;
             }
         }
@@ -189,7 +308,7 @@ pub(crate) fn router_backward(
     // For-overwrite: the row loop writes every element.
     let mut d_logits = ws.take_for_overwrite(s, e_count);
     for t in 0..s {
-        let s_row = save.gating.scores.row(t);
+        let s_row = scores.row(t);
         let ds_row = d_scores.row(t);
         let inner: f32 = s_row.iter().zip(ds_row).map(|(s, d)| s * d).sum();
         let dl_row = d_logits.row_mut(t);
@@ -199,10 +318,11 @@ pub(crate) fn router_backward(
     }
     // dL_z/dl[t, j] = coef·(2/S)·z_t·scores[t, j], straight onto the logits.
     if p.guard.z_loss_coef != 0.0 {
+        row_logsumexp_into(layer.gate_scratch.logits(), lse);
         let coef = p.guard.z_loss_coef * 2.0 * loss_scale / s.max(1) as f32;
         for t in 0..s {
-            let z = save.lse[t];
-            let s_row = save.gating.scores.row(t);
+            let z = lse[t];
+            let s_row = scores.row(t);
             let dl_row = d_logits.row_mut(t);
             for j in 0..e_count {
                 dl_row[j] += coef * z * s_row[j];
@@ -213,7 +333,7 @@ pub(crate) fn router_backward(
     // g_gate += x^T·d_logits: the bits of transpose + matmul + add, with no
     // transpose, product tensor or add pass (row-panelled on the pool above
     // `PAR_CUTOFF`).
-    matmul_transpose_a_add(&save.x, &d_logits, g_gate);
+    matmul_transpose_a_add(x, &d_logits, g_gate);
     // For-overwrite: `d_x_gate` is one GEMM's whole output.
     let mut d_x_gate = ws.take_for_overwrite(s, h);
     matmul_transpose_b_slices(

@@ -4,7 +4,7 @@
 //! link class of the simulated Frontier topology.
 
 use xmoe::collectives::SimCluster;
-use xmoe::core::expert::ExpertShard;
+use xmoe::core::expert::{Expert, ExpertShard};
 use xmoe::core::gating::{DropPolicy, Router};
 use xmoe::core::pipeline::{
     self, BlockSparsePipeline, DenseDropOrder, DensePipeline, ExecCtx, MoeLayerSpec,
@@ -462,8 +462,11 @@ fn drop_policies_differ_only_in_retention() {
     // differing-retention side.
 }
 
-/// A single-rank forward handed one rank's shard is a context error (it
-/// needs a communicator to reach the other experts), not a panic.
+/// A forward handed the wrong expert shard is a typed context error at
+/// transport entry, not a panic or silently wrong numbers: single-rank with
+/// one rank's shard (it needs a communicator to reach the other experts),
+/// flat EP and RBD with another rank's shard or the full set. RBD on an
+/// expert count the EP size does not divide is unsupported.
 #[test]
 fn single_rank_forward_with_a_partial_shard_is_a_typed_error() {
     let (hidden, ffn, experts, top_k) = (12usize, 8usize, 8usize, 3usize);
@@ -471,6 +474,7 @@ fn single_rank_forward_with_a_partial_shard_is_a_typed_error() {
     let spec = MoeLayerSpec::new(experts, 10_000);
     let partial = ExpertShard::for_rank(1, 4, experts, hidden, ffn, 812);
     let tokens = Tensor::rand_uniform(16, hidden, 1.0, 813);
+    let wrong_shard = |err: &pipeline::PipelineError| matches!(err, pipeline::PipelineError::MissingCtx(what) if what.contains("full expert set"));
     let pipelines: [&dyn Pipeline; 2] = [&PaddingFreePipeline, &BlockSparsePipeline { block: 4 }];
     for pipeline in pipelines {
         let mut state = PooledSingleState::default();
@@ -479,11 +483,74 @@ fn single_rank_forward_with_a_partial_shard_is_a_typed_error() {
             let err = pipeline
                 .forward(&tokens, &router, &partial, &spec, &mut ctx)
                 .unwrap_err();
-            assert!(
-                matches!(err, pipeline::PipelineError::MissingCtx(what) if what.contains("full expert set")),
-                "{}: {err}",
-                pipeline.name()
-            );
+            assert!(wrong_shard(&err), "{}: {err}", pipeline.name());
         }
+    }
+
+    // Two ranks, each handed the other's shard, then each the full set.
+    let world = 2;
+    let shards = [
+        |rank: usize| ExpertShard::for_rank(1 - rank, 2, 8, 12, 8, 812),
+        |_: usize| ExpertShard::full(8, 12, 8, 812),
+    ];
+    for (case, shard_of) in shards.iter().enumerate() {
+        let errs = SimCluster::frontier(world).run(|ctx| {
+            let shard = shard_of(ctx.rank);
+            let mut errs = Vec::new();
+            let flat: [&dyn Pipeline; 2] =
+                [&PaddingFreePipeline, &BlockSparsePipeline { block: 4 }];
+            for pipeline in flat {
+                for overlap in [None, Some(2)] {
+                    let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+                    ex.overlap_chunks = overlap;
+                    let out = pipeline.forward(&tokens, &router, &shard, &spec, &mut ex);
+                    errs.push((pipeline.name(), out.err()));
+                }
+            }
+            let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
+            let mut rng = DetRng::new(814);
+            let rbd = RbdPipeline {
+                policy: PilotPolicy::Random,
+            };
+            let mut ex = ExecCtx::hier(&comms, &mut ctx.clock).with_rng(&mut rng);
+            let out = rbd.forward(&tokens, &router, &shard, &spec, &mut ex);
+            errs.push((rbd.name(), out.err()));
+            errs
+        });
+        for (rank, errs) in errs.iter().enumerate() {
+            for (name, err) in errs {
+                assert!(
+                    err.as_ref().is_some_and(wrong_shard),
+                    "case {case} rank {rank} {name}: {err:?}"
+                );
+            }
+        }
+    }
+
+    // RBD over a ragged layout (3 experts on 2 ranks): right shards, and
+    // still unsupported — its pilot routing needs equal blocks.
+    let router = Router::new(hidden, 3, 2, 815);
+    let spec = MoeLayerSpec::new(3, 10_000);
+    let errs = SimCluster::frontier(world).run(|ctx| {
+        let (first, len) = [(0, 1), (1, 2)][ctx.rank];
+        let shard = ExpertShard {
+            first_expert: first,
+            experts: (first..first + len)
+                .map(|e| Expert::new(hidden, ffn, 816 + e as u64))
+                .collect(),
+        };
+        let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
+        let mut rng = DetRng::new(817);
+        let mut ex = ExecCtx::hier(&comms, &mut ctx.clock).with_rng(&mut rng);
+        let rbd = RbdPipeline {
+            policy: PilotPolicy::Random,
+        };
+        rbd.forward(&tokens, &router, &shard, &spec, &mut ex).err()
+    });
+    for (rank, err) in errs.iter().enumerate() {
+        assert!(
+            matches!(err, Some(pipeline::PipelineError::Unsupported(_))),
+            "rank {rank}: {err:?}"
+        );
     }
 }
