@@ -12,7 +12,7 @@
 //! expert stage ([`run_experts`]) are shared with RBD ([`crate::rbd`]).
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
-use xmoe_tensor::{gather_rows_into, scatter_rows_scaled, Tensor, Workspace};
+use xmoe_tensor::{gather_rows_into, scatter_rows_scaled, Tensor, Workspace, WorkspaceStats};
 use xmoe_topology::ExpertAssignment;
 
 use crate::expert::{expert_ffn, ffn_width, Expert};
@@ -38,6 +38,19 @@ pub struct PooledSingleState {
     pub(crate) assignment: Option<ExpertAssignment>,
     /// RBD-specific plan/staging scratch (see [`crate::rbd`]).
     pub(crate) rbd: crate::rbd::RbdScratch,
+}
+
+impl PooledSingleState {
+    /// The arena's counters, with the RBD wire buffers this state holds
+    /// between forwards counted as retained: they return to the rank that
+    /// filled them, never to the arena, but they are this rank's memory.
+    pub fn stats(&self) -> WorkspaceStats {
+        let mut s = self.ws.stats();
+        let (f32s, u64s) = self.rbd.wire_capacity();
+        s.retained_f32 += f32s;
+        s.retained_u64 += u64s;
+        s
+    }
 }
 
 /// What one MoE layer's [`forward`] keeps, rebuilt in place by every call

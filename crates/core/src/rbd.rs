@@ -26,14 +26,18 @@
 //! # Allocation discipline
 //!
 //! There is exactly **one** forward implementation, and it always runs
-//! against a [`PooledSingleState`]: the plan arrays live in a grow-once
-//! [`RbdScratch`], every staging row buffer and metadata stream is leased
-//! from the state's [`Workspace`](xmoe_tensor::Workspace) flat-buffer API,
-//! and the collectives reuse persistent send/recv shells via the `*_into`
-//! variants. At steady state (recurring batch shapes) a pooled step
-//! performs zero transient heap allocations; an owned run (`ctx.state = None`)
-//! is the same code against a throwaway state, so it is bitwise identical by
-//! construction. The overlap schedule keeps per-chunk owned wire buffers
+//! against a [`PooledSingleState`]: the plan arrays and every wire buffer
+//! live in a grow-once [`RbdScratch`], the staging rows, merged expert input
+//! and MLP scratch are exact-size leases from the state's
+//! [`Workspace`](xmoe_tensor::Workspace), and the collectives reuse the
+//! persistent send/recv shells via the `*_into` variants. A wire buffer makes
+//! a **round trip**: the combine leg sends each inbound dispatch buffer back
+//! to the rank that filled it (the row counts match), which refills it on
+//! its next forward, so no buffer ever lands in another rank's arena. At
+//! steady state (recurring batch shapes) a pooled step performs zero
+//! transient heap allocations; an owned run (`ctx.state = None`) is the same
+//! code against a throwaway state, so it is bitwise identical by
+//! construction. The overlap schedule keeps per-chunk owned wire shells
 //! (issuing a chunk moves its payload) and is exempt from the zero-alloc
 //! gate. The replica-merge and combine accumulations use the 8-lane
 //! elementwise kernels ([`xmoe_tensor::axpy_slice`] and friends), which are
@@ -164,12 +168,17 @@ struct EntryRec {
     idx: usize,
 }
 
-/// Grow-once plan and shell scratch for the RBD forward. Lives inside
+/// Grow-once plan and wire scratch for the RBD forward. Lives inside
 /// [`PooledSingleState`]; every `Vec` here keeps its capacity across steps,
-/// so after warm-up the planning phase is allocation-free. The inner
-/// buffers of the send/recv shells are leased from (and recycled back to)
-/// the state's workspace each step — the shells only hold the outer
-/// `Vec<Vec<_>>` spines.
+/// so after warm-up the planning phase is allocation-free. The send/recv
+/// shells hold the wire buffers themselves, never the workspace: each one
+/// makes a round trip and comes back to the rank that filled it. An inbound
+/// dispatch buffer is the combine leg's send buffer (`rows_recv[src]` goes
+/// back to `src`, `rep_rows_recv[p]` and `rep_meta_recv[p]` to node peer
+/// `p`), and what comes back is the next forward's send buffer
+/// (`back_recv` → `rows_send`, `crep_*_recv` → `rep_*_send`). The pilot
+/// metadata streams take the other direction's place (`meta_recv` →
+/// `meta_send`).
 #[derive(Default)]
 pub(crate) struct RbdScratch {
     /// `(token, dst_node, pft_idx)` sort keys for pilot grouping.
@@ -180,10 +189,7 @@ pub(crate) struct RbdScratch {
     /// Pilot ranges per destination: dst `d` owns `pilots[dst_off[d]..dst_off[d+1]]`.
     dst_off: Vec<usize>,
     entries: Vec<EntryRec>,
-    pilots_from_src: Vec<usize>,
-    /// Flat-accumulator row offset per source rank (prefix of `pilots_from_src`).
-    acc_off: Vec<usize>,
-    // Persistent wire shells (outer spines only).
+    // Persistent wire shells and the buffers in them.
     rows_send: Vec<Vec<f32>>,
     meta_send: Vec<Vec<u64>>,
     rows_recv: Vec<Vec<f32>>,
@@ -192,12 +198,28 @@ pub(crate) struct RbdScratch {
     rep_meta_send: Vec<Vec<u64>>,
     rep_rows_recv: Vec<Vec<f32>>,
     rep_meta_recv: Vec<Vec<u64>>,
-    crep_rows_send: Vec<Vec<f32>>,
-    crep_meta_send: Vec<Vec<u64>>,
     crep_rows_recv: Vec<Vec<f32>>,
     crep_meta_recv: Vec<Vec<u64>>,
-    back_send: Vec<Vec<f32>>,
     back_recv: Vec<Vec<f32>>,
+}
+
+impl RbdScratch {
+    /// `(f32, u64)` element capacities of the wire buffers parked here
+    /// between forwards.
+    pub(crate) fn wire_capacity(&self) -> (usize, usize) {
+        fn cap<T>(shells: &[&Vec<Vec<T>>]) -> usize {
+            shells
+                .iter()
+                .flat_map(|s| s.iter())
+                .map(Vec::capacity)
+                .sum()
+        }
+        let rows = [&self.rows_send, &self.rows_recv, &self.rep_rows_send];
+        let back = [&self.rep_rows_recv, &self.crep_rows_recv, &self.back_recv];
+        let meta = [&self.meta_send, &self.meta_recv, &self.rep_meta_send];
+        let meta_back = [&self.rep_meta_recv, &self.crep_meta_recv];
+        (cap(&rows) + cap(&back), cap(&meta) + cap(&meta_back))
+    }
 }
 
 /// Size a wire shell's outer spine (inner buffers untouched elsewhere).
@@ -261,10 +283,13 @@ fn select_pilot(
 /// staging buffer and entry list are built in exactly the serial order and
 /// the output stays bitwise identical to the serial schedule.
 ///
-/// Every staging buffer — dispatch rows, pilot and replica wire payloads,
-/// metadata streams, merged expert input, MLP scratch, combine accumulator
-/// and the output — is leased from `state`; the returned output tensor is
-/// itself leased: recycle it back into `state.ws` once consumed.
+/// Every wire payload — pilot and replica rows, metadata streams and the
+/// combine partials — makes a round trip in `state`'s [`RbdScratch`] and
+/// returns to the rank that filled it; the combine accumulates in the
+/// inbound pilot buffers themselves. The dispatch rows live in `state`'s
+/// layer scratch; staging, merged expert input, MLP scratch and the output
+/// are exact-size leases from `state.ws`. The returned output tensor is
+/// leased too: recycle it back into `state.ws` once consumed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn forward_ep_rbd_impl(
     tokens: &Tensor,
@@ -301,8 +326,6 @@ pub(crate) fn forward_ep_rbd_impl(
         replicas,
         dst_off,
         entries,
-        pilots_from_src,
-        acc_off,
         rows_send,
         meta_send,
         rows_recv,
@@ -311,11 +334,8 @@ pub(crate) fn forward_ep_rbd_impl(
         rep_meta_send,
         rep_rows_recv,
         rep_meta_recv,
-        crep_rows_send,
-        crep_meta_send,
         crep_rows_recv,
         crep_meta_recv,
-        back_send,
         back_recv,
     } = sc;
 
@@ -382,11 +402,12 @@ pub(crate) fn forward_ep_rbd_impl(
     ensure_shell(meta_send, w);
     ensure_shell(rows_recv, w);
     ensure_shell(meta_recv, w);
+    ensure_shell(back_recv, w);
     for d in 0..w {
-        let (p0, p1) = (dst_off[d], dst_off[d + 1]);
-        let mut rows = ws.take_f32((p1 - p0) * hidden);
-        let mut meta = ws.take_u64((p1 - p0) * 4);
-        for p in &pilots[p0..p1] {
+        let (rows, meta) = (&mut rows_send[d], &mut meta_send[d]);
+        rows.clear();
+        meta.clear();
+        for p in &pilots[dst_off[d]..dst_off[d + 1]] {
             rows.extend_from_slice(dispatch_in.row(p.idx));
             meta.push(pft.expert_ids[p.idx] as u64);
             meta.push(pft.combine_weights[p.idx].to_bits() as u64);
@@ -396,29 +417,24 @@ pub(crate) fn forward_ep_rbd_impl(
                 meta.push(wbits as u64);
             }
         }
-        rows_send[d] = rows;
-        meta_send[d] = meta;
     }
 
-    // --- S1.5 state: staging buffer + replica queues ---------------------
+    // --- S1.5 state: entry list + replica queues -------------------------
     let node_n = node.size();
     ensure_shell(rep_rows_send, node_n);
     ensure_shell(rep_meta_send, node_n);
     ensure_shell(rep_rows_recv, node_n);
     ensure_shell(rep_meta_recv, node_n);
-    for peer in 0..node_n {
-        rep_rows_send[peer] = ws.take_f32(0);
-        rep_meta_send[peer] = ws.take_u64(0);
-    }
+    ensure_shell(crep_rows_recv, node_n);
+    ensure_shell(crep_meta_recv, node_n);
+    rep_rows_send.iter_mut().for_each(Vec::clear);
+    rep_meta_send.iter_mut().for_each(Vec::clear);
     entries.clear();
-    pilots_from_src.clear();
-    pilots_from_src.resize(w, 0);
-    let mut staging = ws.take_f32(0);
     let npos = &comms.node_pos_of_ep_pos;
-    // Parse one source's pilots: append to the staging buffer, queue replica
-    // copies for node peers, return the replica rows copied. Sources must be
-    // processed in ascending rank order — the staging/entry order (and hence
-    // the bitwise result) depends on it.
+    // Parse one source's pilots: append their entries, queue replica copies
+    // for node peers, return the replica rows copied. Sources must be
+    // processed in ascending rank order — the entry order (and hence the
+    // bitwise result) depends on it.
     let mut process_src = |src: usize, rows: &[f32], meta: &[u64]| -> usize {
         let mut replica_rows = 0;
         let mut idx = 0usize; // pilot index within this source's chunk
@@ -429,7 +445,6 @@ pub(crate) fn forward_ep_rbd_impl(
             let n_rep = meta[i + 2] as usize;
             i += 3;
             let row_data = &rows[idx * hidden..(idx + 1) * hidden];
-            staging.extend_from_slice(row_data);
             entries.push(EntryRec {
                 local_expert: expert - first_expert,
                 weight,
@@ -454,7 +469,6 @@ pub(crate) fn forward_ep_rbd_impl(
             }
             idx += 1;
         }
-        pilots_from_src[src] = idx;
         replica_rows
     };
 
@@ -471,12 +485,6 @@ pub(crate) fn forward_ep_rbd_impl(
             Meter::new(ep, clock).charge("rbd_replica_reconstruct", |c| {
                 price::gather(c, replica_rows, hidden)
             });
-            for v in rows_recv.iter_mut() {
-                ws.recycle_f32(std::mem::take(v));
-            }
-            for v in meta_recv.iter_mut() {
-                ws.recycle_u64(std::mem::take(v));
-            }
         }
         Some(chunks) => {
             // Chunk the S1 exchange by contiguous source-rank groups: chunk
@@ -484,7 +492,7 @@ pub(crate) fn forward_ep_rbd_impl(
             // buffers), so group `c`'s replica reconstruction overlaps with
             // group `c+1`'s transfer. All chunks are issued before any wait
             // (a NIC send queue), which also rules out deadlock. The owned
-            // per-chunk wire buffers keep this arm outside the zero-alloc
+            // per-chunk wire shells keep this arm outside the zero-alloc
             // steady state.
             let k = chunks.clamp(1, w);
             let me = ep.rank();
@@ -507,9 +515,9 @@ pub(crate) fn forward_ep_rbd_impl(
             }
             for ((s0, s1), rows_p, meta_p) in pend {
                 clock.set_track("comm");
-                let chunk_rows = rows_p.wait(clock)?;
+                let mut chunk_rows = rows_p.wait(clock)?;
                 clock.commit("dispatch_a2a_inter");
-                let chunk_meta = meta_p.wait(clock)?;
+                let mut chunk_meta = meta_p.wait(clock)?;
                 clock.commit("dispatch_a2a_meta");
                 let arrived = clock.track_time("comm").expect("comm track exists");
                 clock.set_track("compute");
@@ -517,24 +525,18 @@ pub(crate) fn forward_ep_rbd_impl(
                 let mut replica_rows = 0;
                 for src in s0..s1 {
                     replica_rows += process_src(src, &chunk_rows[src], &chunk_meta[src]);
+                    rows_recv[src] = std::mem::take(&mut chunk_rows[src]);
+                    meta_recv[src] = std::mem::take(&mut chunk_meta[src]);
                 }
                 Meter::new(ep, clock).charge("rbd_replica_reconstruct", |c| {
                     price::gather(c, replica_rows, hidden)
                 });
-                for v in chunk_rows {
-                    if v.capacity() > 0 {
-                        ws.recycle_f32(v);
-                    }
-                }
-                for v in chunk_meta {
-                    if v.capacity() > 0 {
-                        ws.recycle_u64(v);
-                    }
-                }
             }
             clock.end_overlap();
         }
     }
+    // The metadata that came in is the next forward's outbound stream.
+    std::mem::swap(meta_send, meta_recv);
 
     // --- S2: intra-node exchange of replicas ------------------------------
     node.all_to_all_v_into(rep_rows_send, rep_rows_recv, clock)?;
@@ -542,28 +544,22 @@ pub(crate) fn forward_ep_rbd_impl(
     node.all_to_all_v_into(rep_meta_send, rep_meta_recv, clock)?;
     clock.commit("dispatch_a2a_meta_intra");
     for (peer, meta) in rep_meta_recv.iter().enumerate() {
-        for (j, quad) in meta.chunks_exact(4).enumerate() {
-            let rep_expert = quad[0] as usize;
-            let weight = f32::from_bits(quad[1] as u32);
-            let src = quad[2] as usize;
-            let idx = quad[3] as usize;
-            staging.extend_from_slice(&rep_rows_recv[peer][j * hidden..(j + 1) * hidden]);
+        for quad in meta.chunks_exact(4) {
             entries.push(EntryRec {
-                local_expert: rep_expert - first_expert,
-                weight,
+                local_expert: quad[0] as usize - first_expert,
+                weight: f32::from_bits(quad[1] as u32),
                 peer,
-                src,
-                idx,
+                src: quad[2] as usize,
+                idx: quad[3] as usize,
             });
         }
     }
-    for v in rep_rows_recv.iter_mut() {
-        ws.recycle_f32(std::mem::take(v));
-    }
-    for v in rep_meta_recv.iter_mut() {
-        ws.recycle_u64(std::mem::take(v));
-    }
+    // Pilots by source, then replicas by peer: entry row i is staging row i.
     let n_rows = entries.len();
+    let mut staging = ws.take_f32(n_rows * hidden);
+    for rows in rows_recv.iter().chain(rep_rows_recv.iter()) {
+        staging.extend_from_slice(rows);
+    }
     let staging = Tensor::from_vec(n_rows, hidden, staging);
 
     // --- Merge ordered by local expert; run experts padding-free ---------
@@ -586,7 +582,7 @@ pub(crate) fn forward_ep_rbd_impl(
         order[cursor[e.local_expert]] = i;
         cursor[e.local_expert] += 1;
     }
-    let mut expert_input = ws.take(0, 0);
+    let mut expert_input = ws.take_for_overwrite(n_rows, hidden);
     gather_rows_into(&staging, &order, &mut expert_input);
     ws.recycle(staging);
     let (experts, plain, meter) = (&shard.experts, ExpertKernel::Plain, Meter::new(ep, clock));
@@ -594,67 +590,43 @@ pub(crate) fn forward_ep_rbd_impl(
     ws.recycle(expert_input);
 
     // --- Combine: reverse route -------------------------------------------
-    // Scale outputs by their combine weights, then split by provenance.
-    // One flat accumulator holds every source's pilot rows contiguously at
-    // `acc_off[src]` (the old code allocated one tensor per source).
-    acc_off.clear();
-    acc_off.resize(w + 1, 0);
-    let mut total_pilots = 0usize;
-    for src in 0..w {
-        acc_off[src] = total_pilots;
-        total_pilots += pilots_from_src[src];
-    }
-    acc_off[w] = total_pilots;
-    let mut acc = ws.take(total_pilots, hidden);
-    ensure_shell(crep_rows_send, node_n);
-    ensure_shell(crep_meta_send, node_n);
-    ensure_shell(crep_rows_recv, node_n);
-    ensure_shell(crep_meta_recv, node_n);
-    for peer in 0..node_n {
-        crep_rows_send[peer] = ws.take_f32(0);
-        crep_meta_send[peer] = ws.take_u64(0);
-    }
+    // Scale outputs by their combine weights, then split by provenance. The
+    // buffers the rows arrived in carry them back: a source's pilot partials
+    // accumulate in place in its inbound pilot buffer, and replica outputs
+    // return to their node peer in its inbound replica buffers.
+    rows_recv.iter_mut().for_each(|v| v.fill(0.0));
+    rep_rows_recv.iter_mut().for_each(Vec::clear);
+    rep_meta_recv.iter_mut().for_each(Vec::clear);
     for (pos, &ei) in order.iter().enumerate() {
         let e = &entries[ei];
         let out_row = mlp_out.row(pos);
         if e.peer == PILOT {
-            axpy_slice(acc.row_mut(acc_off[e.src] + e.idx), e.weight, out_row);
+            let acc = &mut rows_recv[e.src][e.idx * hidden..(e.idx + 1) * hidden];
+            axpy_slice(acc, e.weight, out_row);
         } else {
-            scaled_extend(&mut crep_rows_send[e.peer], e.weight, out_row);
-            crep_meta_send[e.peer].extend_from_slice(&[e.src as u64, e.idx as u64]);
+            scaled_extend(&mut rep_rows_recv[e.peer], e.weight, out_row);
+            rep_meta_recv[e.peer].extend_from_slice(&[e.src as u64, e.idx as u64]);
         }
     }
     ws.recycle(mlp_out);
-    node.all_to_all_v_into(crep_rows_send, crep_rows_recv, clock)?;
+    node.all_to_all_v_into(rep_rows_recv, crep_rows_recv, clock)?;
     clock.commit("combine_a2a_intra");
-    node.all_to_all_v_into(crep_meta_send, crep_meta_recv, clock)?;
+    node.all_to_all_v_into(rep_meta_recv, crep_meta_recv, clock)?;
     clock.commit("combine_a2a_meta");
     for (peer, meta) in crep_meta_recv.iter().enumerate() {
         for (j, pair) in meta.chunks_exact(2).enumerate() {
             let (src, idx) = (pair[0] as usize, pair[1] as usize);
             let row = &crep_rows_recv[peer][j * hidden..(j + 1) * hidden];
-            add_assign_slice(acc.row_mut(acc_off[src] + idx), row);
+            add_assign_slice(&mut rows_recv[src][idx * hidden..(idx + 1) * hidden], row);
         }
     }
-    for v in crep_rows_recv.iter_mut() {
-        ws.recycle_f32(std::mem::take(v));
-    }
-    for v in crep_meta_recv.iter_mut() {
-        ws.recycle_u64(std::mem::take(v));
-    }
+    // Our replica buffers are back: the next forward's replica queues.
+    std::mem::swap(rep_rows_send, crep_rows_recv);
+    std::mem::swap(rep_meta_send, crep_meta_recv);
 
-    // Inter-node return of per-(token, node) partial sums: each source's
-    // accumulator block is contiguous, so staging is one slice copy.
-    ensure_shell(back_send, w);
-    ensure_shell(back_recv, w);
-    for src in 0..w {
-        let cnt = pilots_from_src[src];
-        let mut v = ws.take_f32(cnt * hidden);
-        v.extend_from_slice(&acc.as_slice()[acc_off[src] * hidden..(acc_off[src] + cnt) * hidden]);
-        back_send[src] = v;
-    }
-    ws.recycle(acc);
-    ep.all_to_all_v_into(back_send, back_recv, clock)?;
+    // Inter-node return of per-(token, node) partial sums, each in the
+    // buffer its pilots came in.
+    ep.all_to_all_v_into(rows_recv, back_recv, clock)?;
     clock.commit("combine_a2a_inter");
 
     // Scatter the partials (weights already applied) by the pilot order we
@@ -670,9 +642,8 @@ pub(crate) fn forward_ep_rbd_impl(
             add_assign_slice(out.row_mut(t), &chunk[j * hidden..(j + 1) * hidden]);
         }
     }
-    for v in back_recv.iter_mut() {
-        ws.recycle_f32(std::mem::take(v));
-    }
+    // Our pilot buffers are back: the next forward's pilot rows.
+    std::mem::swap(rows_send, back_recv);
     let rows = pft.len();
     Meter::new(ep, clock).charge("buffer_combine", |c| price::gather(c, rows, hidden));
     ws.recycle_idx(order);

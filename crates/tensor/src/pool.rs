@@ -27,12 +27,10 @@
 //!   plus a [`GROW_SLACK`]th; only an empty list allocates a new buffer — a
 //!   pool miss. So the arena is *closed*: it never holds more buffers than
 //!   were once leased at the same time, whatever sizes arrive over the wire
-//!   from another rank's arena. A lease of *unknown* size (`take_f32(0)`,
-//!   filled by `extend`) gets the most recently recycled buffer. A pipeline
-//!   that takes and recycles in the same order every step keeps each logical
-//!   buffer bound to the same backing allocation once capacities have
-//!   converged. The index and metadata lists hold a handful of same-sized
-//!   buffers and stay LIFO.
+//!   from another rank's arena. A pipeline that takes and recycles in the
+//!   same order every step keeps each logical buffer bound to the same
+//!   backing allocation once capacities have converged. The index and
+//!   metadata lists hold a handful of same-sized buffers and stay LIFO.
 //! * An arena under a whole train step — a hundred leases of a dozen sizes,
 //!   many held from the forward to the backward pass, all drifting as the
 //!   router trains — is [`Workspace::trim`]med by its owner between steps,
@@ -89,8 +87,6 @@ pub struct WorkspaceStats {
     pub retained_idx: usize,
     /// `u64` capacity currently held in the metadata free list.
     pub retained_u64: usize,
-    /// High-water mark of `f32` capacity ever handed out simultaneously.
-    pub peak_leased_f32: usize,
     /// [`Workspace::trim`] calls: the steps run on an arena whose owner trims
     /// it once a step.
     pub trims: u64,
@@ -111,8 +107,6 @@ pub struct Workspace {
     trims: u64,
     takes: u64,
     pool_misses: u64,
-    leased_f32: usize,
-    peak_leased_f32: usize,
 }
 
 impl Workspace {
@@ -148,10 +142,6 @@ impl Workspace {
         let mut below: Option<(usize, usize)> = None;
         for (i, b) in self.free_f32.iter().enumerate().rev() {
             let cap = b.capacity();
-            if need == 0 {
-                fits = Some((i, cap));
-                break;
-            }
             if cap >= need {
                 if fits.is_none_or(|(_, best)| cap < best) {
                     fits = Some((i, cap));
@@ -187,16 +177,12 @@ impl Workspace {
         } else {
             t.resize_for_overwrite(rows, cols);
         }
-        self.leased_f32 += t.data.capacity();
-        self.peak_leased_f32 = self.peak_leased_f32.max(self.leased_f32);
         t
     }
 
     /// Return a leased tensor's backing buffer to the free list.
     pub fn recycle(&mut self, t: Tensor) {
-        let buf = t.into_vec();
-        self.leased_f32 = self.leased_f32.saturating_sub(buf.capacity());
-        self.free_f32.push(buf);
+        self.free_f32.push(t.into_vec());
     }
 
     /// Lease a zero-filled index buffer of length `len`.
@@ -231,15 +217,12 @@ impl Workspace {
     pub fn take_f32(&mut self, cap: usize) -> Vec<f32> {
         let mut buf = self.pop_f32(cap);
         buf.clear();
-        self.leased_f32 += buf.capacity();
-        self.peak_leased_f32 = self.peak_leased_f32.max(self.leased_f32);
         buf
     }
 
     /// Return a flat `f32` buffer to the free list (same list as recycled
     /// tensors).
     pub fn recycle_f32(&mut self, buf: Vec<f32>) {
-        self.leased_f32 = self.leased_f32.saturating_sub(buf.capacity());
         self.free_f32.push(buf);
     }
 
@@ -328,7 +311,6 @@ impl Workspace {
             retained_f32: self.free_f32.iter().map(Vec::capacity).sum(),
             retained_idx: self.free_idx.iter().map(Vec::capacity).sum(),
             retained_u64: self.free_u64.iter().map(Vec::capacity).sum(),
-            peak_leased_f32: self.peak_leased_f32,
             trims: self.trims,
         }
     }
@@ -377,7 +359,6 @@ mod tests {
         assert!(t3.as_slice().iter().all(|&v| v == 0.0));
         let s = ws.stats();
         assert_eq!((s.takes, s.pool_misses), (3, 1), "one backing buffer");
-        assert!(s.peak_leased_f32 >= 16);
     }
 
     #[test]
@@ -416,10 +397,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_retained_and_peak() {
+    fn stats_track_retained_across_reset() {
         let mut ws = Workspace::new();
         let a = ws.take(10, 10);
-        assert!(ws.stats().peak_leased_f32 >= 100);
         assert_eq!(ws.stats().retained_f32, 0);
         ws.recycle(a);
         assert!(ws.stats().retained_f32 >= 100);
@@ -500,8 +480,6 @@ mod tests {
         assert_eq!((w.len(), ws.stats().pool_misses), (90, 4));
         ws.recycle(w);
         assert!(ws.stats().retained_f32 >= 64 + 90 + 90 / GROW_SLACK);
-        // An unsized lease gets the most recently recycled buffer.
-        assert!(ws.take_f32(0).capacity() >= 90);
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub fn run(args: &[String]) -> Result<(), UsageError> {
             let out = pipe.forward(&tokens, router, &shard, spec, &mut ex)?;
             state.ws.recycle(out);
             let trace = RankTrace::capture(ctx.rank, &mut ctx.clock, ctx.world.traffic());
-            Ok((trace, state.ws.stats()))
+            Ok((trace, state.stats()))
         })
     };
     let per_rank: Vec<(RankTrace, WorkspaceStats)> = match per_rank.into_iter().collect() {
