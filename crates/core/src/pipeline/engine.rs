@@ -8,22 +8,20 @@
 //! * `ctx.state = Some(..)` leases every staging buffer the forward controls
 //!   from the shared [`PooledSingleState`] arena, on every transport;
 //!   `None` runs the owned baseline — the same code against a throwaway
-//!   state, so the two are bitwise identical by construction. Single-rank
-//!   and RBD forwards are allocation-free at steady state; under flat EP
-//!   the gate/PFT/dispatch scratch, the expert GEMM buffers and the output
-//!   are leased while the wire buffers of the all-to-alls stay owned.
+//!   state, so the two are bitwise identical by construction. On the serial
+//!   schedule every transport is allocation-free at steady state.
 //! * `ctx.comm` selects single-rank (`None`), expert-parallel
-//!   ([`CommCtx::Ep`]) or hierarchical RBD ([`CommCtx::Hier`]) transport.
+//!   ([`CommCtx::Ep`]) or the hierarchical comms RBD needs
+//!   ([`CommCtx::Hier`]).
 //! * `ctx.overlap_chunks = Some(k)` pipelines dispatch against compute on
 //!   every distributed transport of the PFT family (padding-free,
 //!   block-sparse, RBD); the dense baseline and the single-rank reference
 //!   report [`PipelineError::Unsupported`] instead of silently ignoring it.
 //!
-//! The padding-free and block-sparse pipelines are two argument mappings
-//! onto the one layer pass, `padding_free::forward` (transport × expert
-//! kernel, every pair runs); RBD is its own transport but shares that
-//! pass's `gate_and_gather` prefix and `run_experts` stage. Every transport
-//! first checks its shard against the contiguous layout (`check_shard`).
+//! The padding-free, block-sparse and RBD pipelines are three argument
+//! mappings onto the one layer pass, `padding_free::forward` (transport ×
+//! expert kernel): RBD is its third transport. Every transport first checks
+//! its shard against the contiguous layout (`check_shard`).
 
 use std::fmt;
 
@@ -36,7 +34,7 @@ use crate::gating::Router;
 use crate::pipeline::dense::DenseDropOrder;
 use crate::pipeline::padding_free::{ExpertKernel, Transport};
 use crate::pipeline::{dense, padding_free, MoeLayerSpec, PooledSingleState};
-use crate::rbd::{self, PilotPolicy, RbdComms};
+use crate::rbd::{PilotPolicy, RbdComms};
 
 /// Everything that can go wrong inside a pipeline forward.
 ///
@@ -47,8 +45,6 @@ use crate::rbd::{self, PilotPolicy, RbdComms};
 pub enum PipelineError {
     /// A collective failed (dead rank, fault injection, ...).
     Comm(CommError),
-    /// RBD pilot selection was handed an empty (token, node) replica group.
-    EmptyPilotGroup,
     /// The execution context is missing a capability the pipeline needs
     /// (e.g. RBD without hierarchical comms or a pilot rng).
     MissingCtx(&'static str),
@@ -67,9 +63,6 @@ impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PipelineError::Comm(e) => write!(f, "communication failure: {e}"),
-            PipelineError::EmptyPilotGroup => {
-                write!(f, "pilot selection over an empty replica group")
-            }
             PipelineError::MissingCtx(what) => write!(f, "missing execution context: {what}"),
             PipelineError::Unsupported(what) => write!(f, "unsupported execution mode: {what}"),
         }
@@ -257,7 +250,7 @@ fn with_state<R>(
 /// The one shard check at transport entry, single-rank, flat EP and RBD
 /// alike: `experts` must be this rank's block of the contiguous `(E, W)`
 /// layout, `[r·E/W, (r+1)·E/W)` as [`ExpertAssignment::contiguous`] cuts it
-/// (the full set on one rank).
+/// (the full set on one rank), and that block may not be empty.
 fn check_shard(
     experts: &ExpertShard,
     spec: &MoeLayerSpec,
@@ -265,6 +258,11 @@ fn check_shard(
 ) -> Result<(), PipelineError> {
     let (w, r) = ep.map_or((1, 0), |c| (c.size(), c.rank()));
     let e = spec.num_experts;
+    if e < w {
+        return Err(PipelineError::Unsupported(
+            "fewer experts than EP ranks: every rank must host one",
+        ));
+    }
     let block = (r * e / w, (r + 1) * e / w);
     if (experts.first_expert, experts.first_expert + experts.len()) != block {
         return Err(PipelineError::MissingCtx(
@@ -285,22 +283,26 @@ fn contiguous(slot: &mut Option<ExpertAssignment>, e: usize, w: usize) -> &Exper
 }
 
 /// Map an [`ExecCtx`] onto the one layer pass ([`padding_free::forward`]):
-/// `comm` picks the transport, `state` the arena, `kernel` is the caller's.
+/// `comm` picks the transport — RBD's when the pipeline brings a pilot
+/// policy, which needs hierarchical comms and a pilot rng — `state` the
+/// arena; `kernel` is the caller's.
 fn forward_pft_family(
     tokens: &Tensor,
     router: &Router,
     experts: &ExpertShard,
     spec: &MoeLayerSpec,
-    kernel: ExpertKernel,
+    (kernel, pilots): (ExpertKernel, Option<PilotPolicy>),
     ctx: &mut ExecCtx,
 ) -> Result<Tensor, PipelineError> {
+    use PipelineError::MissingCtx;
     let ExecCtx {
         state,
         comm,
         clock,
+        rng,
         overlap_chunks,
-        ..
     } = ctx;
+    let overlap_chunks = *overlap_chunks;
     if comm.is_none() && overlap_chunks.is_some() {
         return Err(PipelineError::Unsupported(
             "single-rank forward has no dispatch-compute overlap",
@@ -309,14 +311,26 @@ fn forward_pft_family(
     let ep = comm.as_ref().map(CommCtx::ep);
     check_shard(experts, spec, ep)?;
     with_state(state, |state| {
-        let transport = match ep {
-            None => Transport::Local,
-            Some(comm) => Transport::Ep {
+        let (layout, e) = (&mut state.assignment, spec.num_experts);
+        let transport = match (ep, &*comm, pilots) {
+            (None, _, None) => Transport::Local,
+            (Some(comm), _, None) => Transport::Ep {
                 comm,
                 clock: require_clock(clock)?,
-                overlap_chunks: *overlap_chunks,
-                assignment: contiguous(&mut state.assignment, spec.num_experts, comm.size()),
+                overlap_chunks,
+                assignment: contiguous(layout, e, comm.size()),
             },
+            (Some(ep), Some(CommCtx::Hier(comms)), Some(policy)) => Transport::Rbd {
+                comms,
+                clock: require_clock(clock)?,
+                rng: rng
+                    .as_deref_mut()
+                    .ok_or(MissingCtx("rbd needs a pilot rng"))?,
+                policy,
+                overlap_chunks,
+                assignment: contiguous(layout, e, ep.size()),
+            },
+            _ => return Err(MissingCtx("rbd needs hierarchical comms (CommCtx::Hier)")),
         };
         let (s, h) = tokens.shape();
         let gate = (&router.weight, router.top_k, 0.0);
@@ -352,7 +366,8 @@ impl Pipeline for PaddingFreePipeline {
         spec: &MoeLayerSpec,
         ctx: &mut ExecCtx,
     ) -> Result<Tensor, PipelineError> {
-        forward_pft_family(tokens, router, experts, spec, ExpertKernel::Plain, ctx)
+        let plain = (ExpertKernel::Plain, None);
+        forward_pft_family(tokens, router, experts, spec, plain, ctx)
     }
 }
 
@@ -375,14 +390,14 @@ impl Pipeline for BlockSparsePipeline {
         spec: &MoeLayerSpec,
         ctx: &mut ExecCtx,
     ) -> Result<Tensor, PipelineError> {
-        let kernel = ExpertKernel::BlockPadded(self.block);
+        let kernel = (ExpertKernel::BlockPadded(self.block), None);
         forward_pft_family(tokens, router, experts, spec, kernel, ctx)
     }
 }
 
-/// Hierarchical redundancy-bypassing dispatch (§4.2). Requires
-/// [`CommCtx::Hier`] transport and a pilot rng; pooling and overlap come
-/// from the context like everywhere else.
+/// Hierarchical redundancy-bypassing dispatch (§4.2): the one layer pass
+/// over RBD's transport. Requires [`CommCtx::Hier`] comms and a pilot rng;
+/// pooling and overlap come from the context like everywhere else.
 pub struct RbdPipeline {
     pub policy: PilotPolicy,
 }
@@ -400,41 +415,7 @@ impl Pipeline for RbdPipeline {
         spec: &MoeLayerSpec,
         ctx: &mut ExecCtx,
     ) -> Result<Tensor, PipelineError> {
-        let ExecCtx {
-            state,
-            comm,
-            clock,
-            rng,
-            overlap_chunks,
-        } = ctx;
-        let comms = match comm {
-            Some(CommCtx::Hier(h)) => *h,
-            Some(CommCtx::Ep(_)) => {
-                return Err(PipelineError::MissingCtx(
-                    "rbd needs hierarchical comms (CommCtx::Hier)",
-                ))
-            }
-            None => {
-                return Err(PipelineError::MissingCtx(
-                    "rbd has no single-rank mode; provide CommCtx::Hier",
-                ))
-            }
-        };
-        let clock = require_clock(clock)?;
-        let rng = rng
-            .as_deref_mut()
-            .ok_or(PipelineError::MissingCtx("rbd needs a pilot rng"))?;
-        let (policy, overlap) = (self.policy, *overlap_chunks);
-        check_shard(experts, spec, Some(&comms.ep))?;
-        if !spec.num_experts.is_multiple_of(comms.ep.size()) {
-            return Err(PipelineError::Unsupported(
-                "rbd needs the EP size to divide the expert count",
-            ));
-        }
-        with_state(state, |state| {
-            rbd::forward_ep_rbd_impl(
-                tokens, router, experts, spec, comms, rng, clock, policy, overlap, state,
-            )
-        })
+        let rbd = (ExpertKernel::Plain, Some(self.policy));
+        forward_pft_family(tokens, router, experts, spec, rbd, ctx)
     }
 }

@@ -2,20 +2,20 @@
 //!
 //! [`padding_free`] implements X-MoE's PFT pipeline (§4.1): gather →
 //! uneven all-to-all → sequential GEMM → uneven all-to-all → weighted
-//! scatter, with no zero padding anywhere.
+//! scatter, with no zero padding anywhere. It is the one MoE layer pass, over
+//! a transport: single-rank, flat expert-parallel, or RBD's hierarchical
+//! dispatch and combine (§4.2, [`crate::rbd`]); the [`block_sparse`] kernel
+//! runs inside it too.
 //!
 //! [`dense`] implements the GShard/DeepSpeed-MoE baseline (Appendix B.1):
 //! a `[S, E, C]` dispatch mask, zero-padded `[E, C, H]` expert buffers, and
-//! **even** all-to-alls that carry the padding.
+//! **even** all-to-alls that carry the padding, single-rank or over an
+//! expert-parallel communicator. Cross-pipeline equivalence is enforced by
+//! tests at the workspace level.
 //!
-//! Both run single-rank (reference) and distributed over an expert-parallel
-//! communicator; cross-pipeline equivalence is enforced by tests at the
-//! workspace level.
-//!
-//! [`engine`] unifies all of them (plus [`block_sparse`] and the RBD path in
-//! [`crate::rbd`]) behind one [`Pipeline`] trait: pooling, transport and
-//! dispatch–compute overlap are properties of the [`ExecCtx`] a forward runs
-//! under, not separate hand-cloned entry points.
+//! [`engine`] puts all of them behind one [`Pipeline`] trait: pooling,
+//! transport and dispatch–compute overlap are properties of the [`ExecCtx`] a
+//! forward runs under, not separate hand-cloned entry points.
 
 pub mod block_sparse;
 pub mod dense;

@@ -4,15 +4,17 @@
 //! `gating`, `buffer_dispatch`, `dispatch_a2a`, `expert`, `combine_a2a`,
 //! `buffer_combine`.
 //!
-//! [`forward`] is the one MoE layer pass — the PFT-family pipelines, serving
-//! and both training layers of `xmoe-train` run it — over two orthogonal
-//! arguments: the [`Transport`] (local, or a flat EP group's [`EpRoute`],
-//! serial or chunk-pipelined), which the training backward travels in
-//! reverse, and the [`ExpertKernel`]. Its prefix ([`gate_and_gather`]) and
-//! expert stage ([`run_experts`]) are shared with RBD ([`crate::rbd`]).
+//! [`forward`] is the one MoE layer pass — the PFT-family pipelines (RBD
+//! included), serving and both training layers of `xmoe-train` run it — over
+//! two orthogonal arguments: the [`Transport`] (local, a flat EP group's
+//! [`EpRoute`] serial or chunk-pipelined, or RBD's hierarchical dispatch and
+//! combine, [`crate::rbd`]), which the training backward travels in reverse
+//! over the first two, and the [`ExpertKernel`].
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
-use xmoe_tensor::{gather_rows_into, scatter_rows_scaled, Tensor, Workspace, WorkspaceStats};
+use xmoe_tensor::{
+    gather_rows_into, scatter_rows_scaled, DetRng, Tensor, Workspace, WorkspaceStats,
+};
 use xmoe_topology::ExpertAssignment;
 
 use crate::expert::{expert_ffn, ffn_width, Expert};
@@ -21,23 +23,22 @@ use crate::pft::{Pft, PftScratch};
 use crate::pipeline::block_sparse::forward_block_padded;
 use crate::pipeline::MoeLayerSpec;
 use crate::price::{self, Meter, F32};
+use crate::rbd::{PilotPolicy, RbdComms};
 use crate::route::{ChunkPlan, EpRoute};
 
 /// Persistent state for every pooled pipeline: the workspace arena plus
 /// every buffer the pipelines reuse across steps. One instance per rank,
-/// reused for the lifetime of the layer. The padding-free, block-sparse and
-/// RBD paths all lease from the same state, so a rank running several
-/// pipelines still converges to one arena high-water mark.
+/// reused for the lifetime of the layer. Every transport leases from the
+/// same state, so a rank running several pipelines still converges to one
+/// arena high-water mark.
 #[derive(Default)]
 pub struct PooledSingleState {
     /// The arena backing transient leases (dispatch, MLP scratch, output).
     pub ws: Workspace,
     pub(crate) layer: LayerState,
-    /// The contiguous `(E, W)` layout flat EP routes by, rebuilt only when
-    /// the shape changes.
+    /// The contiguous `(E, W)` layout flat EP and RBD route by, rebuilt only
+    /// when the shape changes.
     pub(crate) assignment: Option<ExpertAssignment>,
-    /// RBD-specific plan/staging scratch (see [`crate::rbd`]).
-    pub(crate) rbd: crate::rbd::RbdScratch,
 }
 
 impl PooledSingleState {
@@ -46,7 +47,7 @@ impl PooledSingleState {
     /// filled them, never to the arena, but they are this rank's memory.
     pub fn stats(&self) -> WorkspaceStats {
         let mut s = self.ws.stats();
-        let (f32s, u64s) = self.rbd.wire_capacity();
+        let (f32s, u64s) = self.layer.route.rbd.wire_capacity();
         s.retained_f32 += f32s;
         s.retained_u64 += u64s;
         s
@@ -54,7 +55,7 @@ impl PooledSingleState {
 }
 
 /// What one MoE layer's [`forward`] keeps, rebuilt in place by every call
-/// (one per layer per rank). `route.pft` is the PFT under either transport.
+/// (one per layer per rank). `route.pft` is the PFT under every transport.
 #[derive(Clone, Default)]
 pub struct LayerState {
     /// The gate's scratch (its clamped logits) and output (`[S, E]` scores).
@@ -97,35 +98,66 @@ pub enum Transport<'a> {
         overlap_chunks: Option<usize>,
         assignment: &'a ExpertAssignment,
     },
+    /// RBD (paper §4.2, [`crate::rbd`]) under the contiguous `assignment`:
+    /// pilots picked by `policy` from `rng` cross nodes, replicas travel
+    /// intra-node, one weighted partial per (token, node) comes back;
+    /// `overlap_chunks` pipelines the pilot exchange. Forward only: sealed to
+    /// this crate (`non_exhaustive`), so a training pass cannot pair it with
+    /// saves.
+    #[non_exhaustive]
+    Rbd {
+        comms: &'a RbdComms,
+        clock: &'a mut SimClock,
+        rng: &'a mut DetRng,
+        policy: PilotPolicy,
+        overlap_chunks: Option<usize>,
+        assignment: &'a ExpertAssignment,
+    },
 }
 
 impl Transport<'_> {
     /// The meter this transport's stages charge: the rank's clock under
-    /// `Ep`, nowhere under `Local`.
+    /// `Ep` and `Rbd`, nowhere under `Local`.
     pub fn meter(&mut self) -> Meter<'_> {
         match self {
             Transport::Local => Meter::default(),
             Transport::Ep { comm, clock, .. } => Meter::new(comm, clock),
+            Transport::Rbd { comms, clock, .. } => Meter::new(&comms.ep, clock),
         }
     }
 
     /// Plan `route` for the PFT now in it and return the rows the local
     /// experts receive: under `Ep` one metadata all-to-all, charged apart
     /// from the token payload (so payload comparisons across pipelines stay
-    /// apples to apples); under `Local` every PFT row.
+    /// apples to apples); under `Local` every PFT row. `Rbd` picks its pilots
+    /// (S0) and returns 0: its rows are known only once they arrive.
     fn plan(&mut self, route: &mut EpRoute) -> Result<usize, CommError> {
-        let Transport::Ep {
-            comm,
-            clock,
-            assignment,
-            ..
-        } = self
-        else {
-            return Ok(route.pft.len());
-        };
-        route.rebuild(assignment, comm, clock)?;
-        clock.commit("dispatch_a2a_meta");
-        Ok(route.recv_total())
+        match self {
+            Transport::Local => Ok(route.pft.len()),
+            Transport::Ep {
+                comm,
+                clock,
+                assignment,
+                ..
+            } => {
+                route.rebuild(assignment, comm, clock)?;
+                clock.commit("dispatch_a2a_meta");
+                Ok(route.recv_total())
+            }
+            Transport::Rbd {
+                comms,
+                clock,
+                rng,
+                policy,
+                assignment,
+                ..
+            } => {
+                let (pft, rbd) = (&route.pft, &mut route.rbd);
+                let meter = Meter::new(&comms.ep, clock);
+                rbd.plan(pft, (comms, assignment), *policy, rng, meter);
+                Ok(0)
+            }
+        }
     }
 
     /// The one expert exchange, forward activations and backward gradients
@@ -133,9 +165,12 @@ impl Transport<'_> {
     /// in PFT order (see [`EpRoute::exchange`] for the closure's contract).
     /// `Local` is `compute` over the whole PFT; `Ep` is the route's exchange,
     /// serial or chunked, under `labels = (dispatch, compute, combine)`.
+    /// `Rbd` runs `compute` once, under its own labels; the per-(token, node)
+    /// partials that come back stay in the route for the combine, and `rows`
+    /// return unchanged.
     pub fn exchange<F>(
         &mut self,
-        route: &EpRoute,
+        route: &mut EpRoute,
         rows: Tensor,
         labels: (&str, &str, &str),
         ws: &mut Workspace,
@@ -144,22 +179,47 @@ impl Transport<'_> {
     where
         F: FnMut(&ChunkPlan, &[usize], Tensor, Meter, &mut Workspace) -> Tensor,
     {
-        let Transport::Ep {
-            comm,
-            clock,
-            overlap_chunks,
-            ..
-        } = self
-        else {
-            let counts = &route.pft.tokens_per_expert;
-            let whole = ChunkPlan {
-                experts: (0, counts.len()),
-                rows: (0, rows.rows()),
-                chunk: (0, 1),
-            };
-            return Ok(compute(&whole, counts, rows, Meter::default(), ws));
-        };
-        route.exchange(rows, *overlap_chunks, labels, comm, clock, ws, compute)
+        match self {
+            Transport::Local => {
+                let counts = &route.pft.tokens_per_expert;
+                let whole = ChunkPlan {
+                    experts: (0, counts.len()),
+                    rows: (0, rows.rows()),
+                    chunk: (0, 1),
+                };
+                Ok(compute(&whole, counts, rows, Meter::default(), ws))
+            }
+            Transport::Ep {
+                comm,
+                clock,
+                overlap_chunks,
+                ..
+            } => route.exchange(rows, *overlap_chunks, labels, comm, clock, ws, compute),
+            Transport::Rbd {
+                comms,
+                clock,
+                overlap_chunks,
+                assignment,
+                ..
+            } => {
+                let (pft, rbd) = (&route.pft, &mut route.rbd);
+                let (layout, chunks) = ((*comms, *assignment), *overlap_chunks);
+                rbd.exchange((pft, &rows), layout, chunks, clock, ws, compute)?;
+                Ok(rows)
+            }
+        }
+    }
+
+    /// The pass's last stage, into `out`: `Local` and `Ep` scatter the
+    /// PFT-order expert outputs `rows`, weighted, to their tokens; `Rbd` adds
+    /// the per-(token, node) partials that came back (weighted at the
+    /// experts).
+    fn combine(&self, route: &mut EpRoute, rows: &Tensor, out: &mut Tensor) {
+        let pft = &route.pft;
+        match self {
+            Transport::Rbd { .. } => route.rbd.combine(pft, out),
+            _ => scatter_rows_scaled(rows, &pft.token_ids, &pft.combine_weights, out),
+        }
     }
 }
 
@@ -173,12 +233,11 @@ pub enum ExpertKernel {
     BlockPadded(usize),
 }
 
-/// The prefix every PFT-family forward shares, flat EP and RBD alike: the
-/// gate ([`gate_rows`] with `gate = (weight, top_k, logit_clamp)`; clamp 0
-/// is none) → PFT construction into `state.route` → gather into
-/// `state.rows` (leased from `lease` first, if given), all in `state`'s
-/// grow-once buffers, charging `gating` (router GEMM plus PFT construction)
-/// and `buffer_dispatch` once.
+/// The pass's prefix: the gate ([`gate_rows`] with `gate = (weight, top_k,
+/// logit_clamp)`; clamp 0 is none) → PFT construction into `state.route` →
+/// gather into `state.rows` (leased from `lease` first, if given), all in
+/// `state`'s grow-once buffers, charging `gating` (router GEMM plus PFT
+/// construction) and `buffer_dispatch` once.
 pub(crate) fn gate_and_gather(
     tokens: &Tensor,
     (gate, top_k, clamp): (&Tensor, usize, f32),
@@ -250,11 +309,11 @@ pub(crate) fn run_experts(
 
 /// The MoE layer pass (paper §4.1, Listing 1), written once:
 /// [`gate_and_gather`] → `transport` out → `kernel` → `transport` back →
-/// weighted scatter into the `[S, H]` tensor `out` leases (zeroed, or a copy
-/// of the input for a residual layer; leased after the exchange, so it can
-/// reuse the expert scratch), which it returns.
+/// the transport's weighted combine into the `[S, H]` tensor `out` leases
+/// (zeroed, or a copy of the input for a residual layer; leased after the
+/// exchange, so it can reuse the expert scratch), which it returns.
 ///
-/// Every buffer comes from `state` or `ws`; after warm-up neither transport
+/// Every buffer comes from `state` or `ws`; after warm-up no transport
 /// allocates on the serial schedule. The dispatch rows go out into `ws`, and
 /// the expert outputs come back into `state.rows` — or, with `saves`
 /// (training, plain kernel), into `saves` beside the expert-side
@@ -302,10 +361,10 @@ pub fn forward(
         },
     )?;
 
-    // Buffer combine: weighted scatter back to sequence order.
-    let (mut out, pft) = (out(ws), &route.pft);
-    scatter_rows_scaled(&combine_in, &pft.token_ids, &pft.combine_weights, &mut out);
-    let (n, mut meter) = (pft.len(), transport.meter());
+    // Buffer combine: weighted, back to sequence order.
+    let mut out = out(ws);
+    transport.combine(route, &combine_in, &mut out);
+    let (n, mut meter) = (route.pft.len(), transport.meter());
     meter.charge("buffer_combine", |c| price::gather(c, n, hidden));
     match saves {
         Some(saves) => saves.combine_in = combine_in,

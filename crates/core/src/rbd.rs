@@ -23,35 +23,32 @@
 //! crosses back inter-node. The final scatter adds per-node partials — the
 //! same value as the plain pipeline's per-entry weighted sum.
 //!
-//! # Allocation discipline
+//! # A transport of the one layer pass
 //!
-//! There is exactly **one** forward implementation, and it always runs
-//! against a [`PooledSingleState`]: the plan arrays and every wire buffer
-//! live in a grow-once [`RbdScratch`], the staging rows, merged expert input
-//! and MLP scratch are exact-size leases from the state's
-//! [`Workspace`](xmoe_tensor::Workspace), and the collectives reuse the
-//! persistent send/recv shells via the `*_into` variants. A wire buffer makes
-//! a **round trip**: the combine leg sends each inbound dispatch buffer back
-//! to the rank that filled it (the row counts match), which refills it on
-//! its next forward, so no buffer ever lands in another rank's arena. At
-//! steady state (recurring batch shapes) a pooled step performs zero
-//! transient heap allocations; an owned run (`ctx.state = None`) is the same
-//! code against a throwaway state, so it is bitwise identical by
-//! construction. The overlap schedule keeps per-chunk owned wire shells
-//! (issuing a chunk moves its payload) and is exempt from the zero-alloc
-//! gate. The replica-merge and combine accumulations use the 8-lane
-//! elementwise kernels ([`xmoe_tensor::axpy_slice`] and friends), which are
-//! bitwise identical to the scalar loops they replace.
+//! RBD is not a MoE layer of its own: the one layer pass,
+//! [`padding_free::forward`](crate::pipeline::padding_free::forward), over
+//! [`Transport::Rbd`](crate::pipeline::padding_free::Transport::Rbd) gates,
+//! builds the PFT, gathers and runs its experts exactly as over flat EP.
+//! Only the dispatch and combine live here, as three steps on
+//! [`RbdScratch`]: S0 ([`RbdScratch::plan`]); S1/S2, the pass's experts and
+//! the return legs ([`RbdScratch::exchange`]); the add of the partials
+//! ([`RbdScratch::combine`]). The plan arrays and every wire buffer stay in
+//! that grow-once scratch and make a round trip (see there); the staging
+//! rows and merged expert input are exact-size leases from the pass's
+//! [`Workspace`], so at steady state a serial step allocates nothing. The
+//! replica-merge and combine accumulations use the 8-lane elementwise
+//! kernels ([`xmoe_tensor::axpy_slice`] and friends), bitwise identical to
+//! the scalar loops they replace.
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
-use xmoe_tensor::{add_assign_slice, axpy_slice, gather_rows_into, scaled_extend, DetRng, Tensor};
+use xmoe_tensor::{
+    add_assign_slice, axpy_slice, gather_rows_into, scaled_extend, DetRng, Tensor, Workspace,
+};
+use xmoe_topology::ExpertAssignment;
 
-use crate::expert::ExpertShard;
-use crate::gating::Router;
 use crate::pft::Pft;
-use crate::pipeline::padding_free::{gate_and_gather, run_experts, ExpertKernel};
-use crate::pipeline::{MoeLayerSpec, PipelineError, PooledSingleState};
 use crate::price::{self, Meter};
+use crate::route::ChunkPlan;
 
 /// The two communicators RBD needs: the EP group and its node-local
 /// subgroup, plus the precomputed position maps the hot path would
@@ -168,9 +165,10 @@ struct EntryRec {
     idx: usize,
 }
 
-/// Grow-once plan and wire scratch for the RBD forward. Lives inside
-/// [`PooledSingleState`]; every `Vec` here keeps its capacity across steps,
-/// so after warm-up the planning phase is allocation-free. The send/recv
+/// Grow-once plan and wire scratch of the RBD transport. Lives in the
+/// layer's [`EpRoute`](crate::route::EpRoute); every `Vec` here keeps its
+/// capacity across steps, so after warm-up the planning phase is
+/// allocation-free. The send/recv
 /// shells hold the wire buffers themselves, never the workspace: each one
 /// makes a round trip and comes back to the rank that filled it. An inbound
 /// dispatch buffer is the combine leg's send buffer (`rows_recv[src]` goes
@@ -179,7 +177,7 @@ struct EntryRec {
 /// (`back_recv` → `rows_send`, `crep_*_recv` → `rep_*_send`). The pilot
 /// metadata streams take the other direction's place (`meta_recv` →
 /// `meta_send`).
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(crate) struct RbdScratch {
     /// `(token, dst_node, pft_idx)` sort keys for pilot grouping.
     keyed: Vec<(usize, usize, usize)>,
@@ -208,11 +206,7 @@ impl RbdScratch {
     /// between forwards.
     pub(crate) fn wire_capacity(&self) -> (usize, usize) {
         fn cap<T>(shells: &[&Vec<Vec<T>>]) -> usize {
-            shells
-                .iter()
-                .flat_map(|s| s.iter())
-                .map(Vec::capacity)
-                .sum()
+            shells.iter().copied().flatten().map(Vec::capacity).sum()
         }
         let rows = [&self.rows_send, &self.rows_recv, &self.rep_rows_send];
         let back = [&self.rep_rows_recv, &self.crep_rows_recv, &self.back_recv];
@@ -222,16 +216,8 @@ impl RbdScratch {
     }
 }
 
-/// Size a wire shell's outer spine (inner buffers untouched elsewhere).
-fn ensure_shell<T>(shell: &mut Vec<Vec<T>>, n: usize) {
-    if shell.len() != n {
-        shell.clear();
-        shell.resize_with(n, Vec::new);
-    }
-}
-
 // ---------------------------------------------------------------------
-// The RBD forward pass
+// The RBD transport
 // ---------------------------------------------------------------------
 
 /// How the pilot is chosen within a (token, destination-node) group.
@@ -250,413 +236,373 @@ pub enum PilotPolicy {
 }
 
 /// Pick the pilot's PFT index from one `(token, node)` group of `keyed`
-/// triples. An empty group is a routing-plan contract violation — reported
-/// as [`PipelineError::EmptyPilotGroup`] instead of the panic the
-/// `min().unwrap()` / `next_below(0)` paths used to hit.
+/// triples; an empty group has none.
 fn select_pilot(
     group: &[(usize, usize, usize)],
     policy: PilotPolicy,
     rng: &mut DetRng,
-) -> Result<usize, PipelineError> {
-    if group.is_empty() {
-        return Err(PipelineError::EmptyPilotGroup);
-    }
-    Ok(match policy {
+) -> Option<usize> {
+    let &(_, _, first) = group.first()?;
+    Some(match policy {
         PilotPolicy::Random => group[rng.next_below(group.len())].2,
         // Entries are expert-sorted within the PFT, so the smallest
         // pft index in the group has the smallest expert id.
-        PilotPolicy::SmallestExpertId => group.iter().map(|&(_, _, i)| i).min().unwrap_or_default(),
+        PilotPolicy::SmallestExpertId => group.iter().fold(first, |m, &(_, _, i)| m.min(i)),
     })
 }
 
-/// Distributed padding-free MoE layer with RBD dispatch and combine: the
-/// forward [`crate::pipeline::RbdPipeline`] runs.
-///
-/// Functionally identical to the flat-EP padding-free forward (same
-/// [`gate_and_gather`] prefix, same experts); only the transport differs.
-/// `rng` drives pilot selection under [`PilotPolicy::Random`]. With
-/// `overlap_chunks` the S1 inter-node pilot exchange is split into that many
-/// contiguous source-rank groups and pipelined against replica
-/// reconstruction: while group `c+1`'s pilot rows are in flight on the
-/// `comm` track, group `c`'s replicas are reconstructed on the `compute`
-/// track. Source groups are processed in ascending rank order, so the
-/// staging buffer and entry list are built in exactly the serial order and
-/// the output stays bitwise identical to the serial schedule.
-///
-/// Every wire payload — pilot and replica rows, metadata streams and the
-/// combine partials — makes a round trip in `state`'s [`RbdScratch`] and
-/// returns to the rank that filled it; the combine accumulates in the
-/// inbound pilot buffers themselves. The dispatch rows live in `state`'s
-/// layer scratch; staging, merged expert input, MLP scratch and the output
-/// are exact-size leases from `state.ws`. The returned output tensor is
-/// leased too: recycle it back into `state.ws` once consumed.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn forward_ep_rbd_impl(
-    tokens: &Tensor,
-    router: &Router,
-    shard: &ExpertShard,
-    spec: &MoeLayerSpec,
-    comms: &RbdComms,
-    rng: &mut DetRng,
-    clock: &mut SimClock,
-    policy: PilotPolicy,
-    overlap_chunks: Option<usize>,
-    state: &mut PooledSingleState,
-) -> Result<Tensor, PipelineError> {
-    let ep = &comms.ep;
-    let node = &comms.node;
-    let w = ep.size();
-    // The caller checked that `shard` is this rank's block and W divides E.
-    let e_local = spec.num_experts / w;
-    let hidden = tokens.cols();
-    let owner_of = |e: usize| e / e_local;
-    let first_expert = shard.first_expert;
-
-    // --- Gating + PFT + dispatch gather (shared with flat EP) --------------
-    let (gate, meter) = ((&router.weight, router.top_k, 0.0), Meter::new(ep, clock));
-    gate_and_gather(tokens, gate, spec, &mut state.layer, None, meter);
-
-    let PooledSingleState {
-        ws, layer, rbd: sc, ..
-    } = state;
-    let (pft, dispatch_in) = (&layer.route.pft, &layer.rows);
-    let RbdScratch {
-        keyed,
-        pilots,
-        replicas,
-        dst_off,
-        entries,
-        rows_send,
-        meta_send,
-        rows_recv,
-        meta_recv,
-        rep_rows_send,
-        rep_meta_send,
-        rep_rows_recv,
-        rep_meta_recv,
-        crep_rows_recv,
-        crep_meta_recv,
-        back_recv,
-    } = sc;
-
-    // --- S0: pilot selection --------------------------------------------
-    // Group this rank's routed entries by (token, destination node); pick a
-    // random pilot per group, attach the rest as replicas (a flat range in
-    // `replicas` instead of a per-pilot Vec).
-    keyed.clear();
-    keyed.extend((0..pft.len()).map(|i| {
-        (
-            pft.token_ids[i],
-            comms.node_of_ep_pos[owner_of(pft.expert_ids[i])],
-            i,
-        )
-    }));
-    keyed.sort_unstable();
-    pilots.clear();
-    replicas.clear();
-    let mut g = 0;
-    while g < keyed.len() {
-        let (t, n, _) = keyed[g];
-        let mut end = g + 1;
-        while end < keyed.len() && keyed[end].0 == t && keyed[end].1 == n {
-            end += 1;
-        }
-        let pilot = select_pilot(&keyed[g..end], policy, rng)?;
-        let dst = owner_of(pft.expert_ids[pilot]);
-        let rep0 = replicas.len();
-        for &(_, _, i) in &keyed[g..end] {
-            if i != pilot {
+/// RBD's three steps of the one layer pass (see the module docs).
+/// `assignment` is the contiguous `(E, W)` layout: an expert's owner is its
+/// primary holder, its local index its offset from the rank's first expert.
+impl RbdScratch {
+    /// S0 — pilot selection, charged as `rbd_plan`: group `pft`'s routed
+    /// entries by (token, destination node), pick a pilot per group by
+    /// `policy` and attach the rest as its replicas (a flat range in
+    /// `replicas`, not a per-pilot Vec).
+    pub(crate) fn plan(
+        &mut self,
+        pft: &Pft,
+        (comms, assignment): (&RbdComms, &ExpertAssignment),
+        policy: PilotPolicy,
+        rng: &mut DetRng,
+        mut meter: Meter,
+    ) {
+        let owner_of = |e: usize| assignment.primary(e);
+        let (keyed, pilots, replicas) = (&mut self.keyed, &mut self.pilots, &mut self.replicas);
+        keyed.clear();
+        keyed.extend((0..pft.len()).map(|i| {
+            let node = comms.node_of_ep_pos[owner_of(pft.expert_ids[i])];
+            (pft.token_ids[i], node, i)
+        }));
+        keyed.sort_unstable();
+        pilots.clear();
+        replicas.clear();
+        for group in keyed.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let Some(pilot) = select_pilot(group, policy, rng) else {
+                continue;
+            };
+            let rep0 = replicas.len();
+            for &(_, _, i) in group.iter().filter(|&&(_, _, i)| i != pilot) {
                 replicas.push((pft.expert_ids[i], pft.combine_weights[i].to_bits()));
             }
-        }
-        pilots.push(PilotEntry {
-            dst,
-            idx: pilot,
-            rep0,
-            rep1: replicas.len(),
-        });
-        g = end;
-    }
-    // Deterministic per-destination order (by expert, then token): one
-    // global in-place sort — the (dst, expert, token) keys are unique, so
-    // every destination's slice comes out exactly as the old per-dst
-    // stable sorts produced it, without per-dst index/reorder scratch.
-    pilots.sort_unstable_by_key(|p| (p.dst, pft.expert_ids[p.idx], pft.token_ids[p.idx]));
-    dst_off.clear();
-    dst_off.resize(w + 1, 0);
-    for p in pilots.iter() {
-        dst_off[p.dst + 1] += 1;
-    }
-    let mut run = 0usize;
-    for off in dst_off.iter_mut() {
-        run += *off;
-        *off = run;
-    }
-    let routed = pft.len() as f64;
-    Meter::new(ep, clock).charge("rbd_plan", |c| price::rbd_plan(c, routed));
-
-    // --- S1: inter-node exchange of pilots + metadata -------------------
-    // Wire format per pilot: expert, weight bits, n_rep, then (expert,
-    // weight bits) per replica — all inline in one u64 stream per dst.
-    ensure_shell(rows_send, w);
-    ensure_shell(meta_send, w);
-    ensure_shell(rows_recv, w);
-    ensure_shell(meta_recv, w);
-    ensure_shell(back_recv, w);
-    for d in 0..w {
-        let (rows, meta) = (&mut rows_send[d], &mut meta_send[d]);
-        rows.clear();
-        meta.clear();
-        for p in &pilots[dst_off[d]..dst_off[d + 1]] {
-            rows.extend_from_slice(dispatch_in.row(p.idx));
-            meta.push(pft.expert_ids[p.idx] as u64);
-            meta.push(pft.combine_weights[p.idx].to_bits() as u64);
-            meta.push((p.rep1 - p.rep0) as u64);
-            for &(e, wbits) in &replicas[p.rep0..p.rep1] {
-                meta.push(e as u64);
-                meta.push(wbits as u64);
-            }
-        }
-    }
-
-    // --- S1.5 state: entry list + replica queues -------------------------
-    let node_n = node.size();
-    ensure_shell(rep_rows_send, node_n);
-    ensure_shell(rep_meta_send, node_n);
-    ensure_shell(rep_rows_recv, node_n);
-    ensure_shell(rep_meta_recv, node_n);
-    ensure_shell(crep_rows_recv, node_n);
-    ensure_shell(crep_meta_recv, node_n);
-    rep_rows_send.iter_mut().for_each(Vec::clear);
-    rep_meta_send.iter_mut().for_each(Vec::clear);
-    entries.clear();
-    let npos = &comms.node_pos_of_ep_pos;
-    // Parse one source's pilots: append their entries, queue replica copies
-    // for node peers, return the replica rows copied. Sources must be
-    // processed in ascending rank order — the entry order (and hence the
-    // bitwise result) depends on it.
-    let mut process_src = |src: usize, rows: &[f32], meta: &[u64]| -> usize {
-        let mut replica_rows = 0;
-        let mut idx = 0usize; // pilot index within this source's chunk
-        let mut i = 0usize;
-        while i < meta.len() {
-            let expert = meta[i] as usize;
-            let weight = f32::from_bits(meta[i + 1] as u32);
-            let n_rep = meta[i + 2] as usize;
-            i += 3;
-            let row_data = &rows[idx * hidden..(idx + 1) * hidden];
-            entries.push(EntryRec {
-                local_expert: expert - first_expert,
-                weight,
-                peer: PILOT,
-                src,
-                idx,
+            pilots.push(PilotEntry {
+                dst: owner_of(pft.expert_ids[pilot]),
+                idx: pilot,
+                rep0,
+                rep1: replicas.len(),
             });
-            for _ in 0..n_rep {
-                let rep_expert = meta[i] as usize;
-                let rep_weight_bits = meta[i + 1];
-                i += 2;
-                let peer =
-                    npos[owner_of(rep_expert)].expect("replica target must be on the pilot's node");
-                rep_rows_send[peer].extend_from_slice(row_data);
-                rep_meta_send[peer].extend_from_slice(&[
-                    rep_expert as u64,
-                    rep_weight_bits,
-                    src as u64,
-                    idx as u64,
-                ]);
-                replica_rows += 1;
-            }
-            idx += 1;
         }
-        replica_rows
-    };
+        // Deterministic per-destination order (by expert, then token): one
+        // global in-place sort — the (dst, expert, token) keys are unique, so
+        // every destination's slice comes out exactly as per-dst stable
+        // sorts would produce it, without per-dst index/reorder scratch.
+        pilots.sort_unstable_by_key(|p| (p.dst, pft.expert_ids[p.idx], pft.token_ids[p.idx]));
+        self.dst_off.clear();
+        let dst_start = |d| pilots.partition_point(|p| p.dst < d);
+        self.dst_off.extend((0..=comms.ep.size()).map(dst_start));
+        let routed = pft.len() as f64;
+        meter.charge("rbd_plan", |c| price::rbd_plan(c, routed));
+    }
 
-    match overlap_chunks {
-        None => {
-            ep.all_to_all_v_into(rows_send, rows_recv, clock)?;
-            clock.commit("dispatch_a2a_inter");
-            ep.all_to_all_v_into(meta_send, meta_recv, clock)?;
-            clock.commit("dispatch_a2a_meta");
+    /// S1 and S2 out, `compute` once over the merged expert-major buffer (one
+    /// whole [`ChunkPlan`]), then the weighted intra-node and inter-node
+    /// return legs. `dispatch_in` holds `pft`'s rows; `overlap_chunks`
+    /// pipelines S1 (see its arm). What comes back are per-(token, node)
+    /// partial sums in pilot order, which stay here for
+    /// [`RbdScratch::combine`].
+    pub(crate) fn exchange<F>(
+        &mut self,
+        (pft, dispatch_in): (&Pft, &Tensor),
+        (comms, assignment): (&RbdComms, &ExpertAssignment),
+        overlap_chunks: Option<usize>,
+        clock: &mut SimClock,
+        ws: &mut Workspace,
+        mut compute: F,
+    ) -> Result<(), CommError>
+    where
+        F: FnMut(&ChunkPlan, &[usize], Tensor, Meter, &mut Workspace) -> Tensor,
+    {
+        let (ep, node) = (&comms.ep, &comms.node);
+        let (w, hidden) = (ep.size(), dispatch_in.cols());
+        let owner_of = |e: usize| assignment.primary(e);
+        let locals = assignment.experts_on(ep.rank());
+        let (first_expert, e_local) = (locals.first().copied().unwrap_or_default(), locals.len());
+        let (pilots, replicas, dst_off) = (&self.pilots, &self.replicas, &self.dst_off);
+        let (entries, back_recv) = (&mut self.entries, &mut self.back_recv);
+        let (rows_send, rows_recv) = (&mut self.rows_send, &mut self.rows_recv);
+        let (meta_send, meta_recv) = (&mut self.meta_send, &mut self.meta_recv);
+        let (rep_rows_send, rep_meta_send) = (&mut self.rep_rows_send, &mut self.rep_meta_send);
+        let (rep_rows_recv, rep_meta_recv) = (&mut self.rep_rows_recv, &mut self.rep_meta_recv);
+        let (crep_rows_recv, crep_meta_recv) = (&mut self.crep_rows_recv, &mut self.crep_meta_recv);
+
+        // --- S1: inter-node exchange of pilots + metadata -------------------
+        // Wire format per pilot: expert, weight bits, n_rep, then (expert,
+        // weight bits) per replica — all inline in one u64 stream per dst.
+        rows_send.resize_with(w, Vec::new);
+        meta_send.resize_with(w, Vec::new);
+        rows_recv.resize_with(w, Vec::new);
+        meta_recv.resize_with(w, Vec::new);
+        back_recv.resize_with(w, Vec::new);
+        for d in 0..w {
+            let (out, meta) = (&mut rows_send[d], &mut meta_send[d]);
+            out.clear();
+            meta.clear();
+            for p in &pilots[dst_off[d]..dst_off[d + 1]] {
+                out.extend_from_slice(dispatch_in.row(p.idx));
+                meta.push(pft.expert_ids[p.idx] as u64);
+                meta.push(pft.combine_weights[p.idx].to_bits() as u64);
+                meta.push((p.rep1 - p.rep0) as u64);
+                for &(e, wbits) in &replicas[p.rep0..p.rep1] {
+                    meta.push(e as u64);
+                    meta.push(wbits as u64);
+                }
+            }
+        }
+
+        // --- S1.5 state: entry list + replica queues -------------------------
+        let node_n = node.size();
+        rep_rows_send.resize_with(node_n, Vec::new);
+        rep_meta_send.resize_with(node_n, Vec::new);
+        rep_rows_recv.resize_with(node_n, Vec::new);
+        rep_meta_recv.resize_with(node_n, Vec::new);
+        crep_rows_recv.resize_with(node_n, Vec::new);
+        crep_meta_recv.resize_with(node_n, Vec::new);
+        rep_rows_send.iter_mut().for_each(Vec::clear);
+        rep_meta_send.iter_mut().for_each(Vec::clear);
+        entries.clear();
+        let npos = &comms.node_pos_of_ep_pos;
+        // Parse one source's pilots: append their entries, queue replica copies
+        // for node peers, return the replica rows copied. Sources must be
+        // processed in ascending rank order — the entry order (and hence the
+        // bitwise result) depends on it.
+        let mut process_src = |src: usize, rows: &[f32], meta: &[u64]| -> usize {
             let mut replica_rows = 0;
-            for src in 0..w {
-                replica_rows += process_src(src, &rows_recv[src], &meta_recv[src]);
+            let mut idx = 0usize; // pilot index within this source's chunk
+            let mut i = 0usize;
+            while i < meta.len() {
+                let expert = meta[i] as usize;
+                let weight = f32::from_bits(meta[i + 1] as u32);
+                let n_rep = meta[i + 2] as usize;
+                i += 3;
+                let row_data = &rows[idx * hidden..(idx + 1) * hidden];
+                entries.push(EntryRec {
+                    local_expert: expert - first_expert,
+                    weight,
+                    peer: PILOT,
+                    src,
+                    idx,
+                });
+                for _ in 0..n_rep {
+                    let rep_expert = meta[i] as usize;
+                    let rep_weight_bits = meta[i + 1];
+                    i += 2;
+                    let peer = npos[owner_of(rep_expert)]
+                        .expect("replica target must be on the pilot's node");
+                    rep_rows_send[peer].extend_from_slice(row_data);
+                    rep_meta_send[peer].extend_from_slice(&[
+                        rep_expert as u64,
+                        rep_weight_bits,
+                        src as u64,
+                        idx as u64,
+                    ]);
+                    replica_rows += 1;
+                }
+                idx += 1;
             }
-            Meter::new(ep, clock).charge("rbd_replica_reconstruct", |c| {
-                price::gather(c, replica_rows, hidden)
-            });
-        }
-        Some(chunks) => {
-            // Chunk the S1 exchange by contiguous source-rank groups: chunk
-            // `c` carries only group `c`'s payload (other ranks send empty
-            // buffers), so group `c`'s replica reconstruction overlaps with
-            // group `c+1`'s transfer. All chunks are issued before any wait
-            // (a NIC send queue), which also rules out deadlock. The owned
-            // per-chunk wire shells keep this arm outside the zero-alloc
-            // steady state.
-            let k = chunks.clamp(1, w);
-            let me = ep.rank();
-            clock.begin_overlap("rbd_dispatch_compute");
-            clock.set_track("comm");
-            let mut pend = Vec::with_capacity(k);
-            for c in 0..k {
-                let (s0, s1) = (c * w / k, (c + 1) * w / k);
-                let (r, m) = if (s0..s1).contains(&me) {
-                    (
-                        rows_send.iter_mut().map(std::mem::take).collect(),
-                        meta_send.iter_mut().map(std::mem::take).collect(),
-                    )
-                } else {
-                    (vec![Vec::new(); w], vec![Vec::new(); w])
-                };
-                let rows_p = ep.issue_all_to_all_v(r, clock)?;
-                let meta_p = ep.issue_all_to_all_v(m, clock)?;
-                pend.push(((s0, s1), rows_p, meta_p));
-            }
-            for ((s0, s1), rows_p, meta_p) in pend {
-                clock.set_track("comm");
-                let mut chunk_rows = rows_p.wait(clock)?;
+            replica_rows
+        };
+
+        match overlap_chunks {
+            None => {
+                ep.all_to_all_v_into(rows_send, rows_recv, clock)?;
                 clock.commit("dispatch_a2a_inter");
-                let mut chunk_meta = meta_p.wait(clock)?;
+                ep.all_to_all_v_into(meta_send, meta_recv, clock)?;
                 clock.commit("dispatch_a2a_meta");
-                let arrived = clock.track_time("comm").expect("comm track exists");
-                clock.set_track("compute");
-                clock.advance_to_op("rbd_replica_reconstruct", arrived);
                 let mut replica_rows = 0;
-                for src in s0..s1 {
-                    replica_rows += process_src(src, &chunk_rows[src], &chunk_meta[src]);
-                    rows_recv[src] = std::mem::take(&mut chunk_rows[src]);
-                    meta_recv[src] = std::mem::take(&mut chunk_meta[src]);
+                for src in 0..w {
+                    replica_rows += process_src(src, &rows_recv[src], &meta_recv[src]);
                 }
                 Meter::new(ep, clock).charge("rbd_replica_reconstruct", |c| {
                     price::gather(c, replica_rows, hidden)
                 });
             }
-            clock.end_overlap();
+            Some(chunks) => {
+                // Chunk the S1 exchange by contiguous source-rank groups: chunk
+                // `c` carries only group `c`'s payload (other ranks send empty
+                // buffers), so group `c`'s replica reconstruction overlaps with
+                // group `c+1`'s transfer. All chunks are issued before any wait
+                // (a NIC send queue), which also rules out deadlock. The owned
+                // per-chunk wire shells keep this arm outside the zero-alloc
+                // steady state.
+                let k = chunks.clamp(1, w);
+                let me = ep.rank();
+                clock.begin_overlap("rbd_dispatch_compute");
+                clock.set_track("comm");
+                let mut pend = Vec::with_capacity(k);
+                for c in 0..k {
+                    let (s0, s1) = (c * w / k, (c + 1) * w / k);
+                    let (r, m) = if (s0..s1).contains(&me) {
+                        (
+                            rows_send.iter_mut().map(std::mem::take).collect(),
+                            meta_send.iter_mut().map(std::mem::take).collect(),
+                        )
+                    } else {
+                        (vec![Vec::new(); w], vec![Vec::new(); w])
+                    };
+                    let rows_p = ep.issue_all_to_all_v(r, clock)?;
+                    let meta_p = ep.issue_all_to_all_v(m, clock)?;
+                    pend.push(((s0, s1), rows_p, meta_p));
+                }
+                for ((s0, s1), rows_p, meta_p) in pend {
+                    clock.set_track("comm");
+                    let mut chunk_rows = rows_p.wait(clock)?;
+                    clock.commit("dispatch_a2a_inter");
+                    let mut chunk_meta = meta_p.wait(clock)?;
+                    clock.commit("dispatch_a2a_meta");
+                    let arrived = clock.track_time("comm").expect("comm track exists");
+                    clock.set_track("compute");
+                    clock.advance_to_op("rbd_replica_reconstruct", arrived);
+                    let mut replica_rows = 0;
+                    for src in s0..s1 {
+                        replica_rows += process_src(src, &chunk_rows[src], &chunk_meta[src]);
+                        rows_recv[src] = std::mem::take(&mut chunk_rows[src]);
+                        meta_recv[src] = std::mem::take(&mut chunk_meta[src]);
+                    }
+                    Meter::new(ep, clock).charge("rbd_replica_reconstruct", |c| {
+                        price::gather(c, replica_rows, hidden)
+                    });
+                }
+                clock.end_overlap();
+            }
         }
-    }
-    // The metadata that came in is the next forward's outbound stream.
-    std::mem::swap(meta_send, meta_recv);
+        // The metadata that came in is the next forward's outbound stream.
+        std::mem::swap(meta_send, meta_recv);
 
-    // --- S2: intra-node exchange of replicas ------------------------------
-    node.all_to_all_v_into(rep_rows_send, rep_rows_recv, clock)?;
-    clock.commit("dispatch_a2a_intra");
-    node.all_to_all_v_into(rep_meta_send, rep_meta_recv, clock)?;
-    clock.commit("dispatch_a2a_meta_intra");
-    for (peer, meta) in rep_meta_recv.iter().enumerate() {
-        for quad in meta.chunks_exact(4) {
-            entries.push(EntryRec {
-                local_expert: quad[0] as usize - first_expert,
-                weight: f32::from_bits(quad[1] as u32),
-                peer,
-                src: quad[2] as usize,
-                idx: quad[3] as usize,
-            });
+        // --- S2: intra-node exchange of replicas ------------------------------
+        node.all_to_all_v_into(rep_rows_send, rep_rows_recv, clock)?;
+        clock.commit("dispatch_a2a_intra");
+        node.all_to_all_v_into(rep_meta_send, rep_meta_recv, clock)?;
+        clock.commit("dispatch_a2a_meta_intra");
+        for (peer, meta) in rep_meta_recv.iter().enumerate() {
+            for quad in meta.chunks_exact(4) {
+                entries.push(EntryRec {
+                    local_expert: quad[0] as usize - first_expert,
+                    weight: f32::from_bits(quad[1] as u32),
+                    peer,
+                    src: quad[2] as usize,
+                    idx: quad[3] as usize,
+                });
+            }
         }
-    }
-    // Pilots by source, then replicas by peer: entry row i is staging row i.
-    let n_rows = entries.len();
-    let mut staging = ws.take_f32(n_rows * hidden);
-    for rows in rows_recv.iter().chain(rep_rows_recv.iter()) {
-        staging.extend_from_slice(rows);
-    }
-    let staging = Tensor::from_vec(n_rows, hidden, staging);
-
-    // --- Merge ordered by local expert; run experts padding-free ---------
-    // Counting sort: stable by construction (equal experts keep arrival
-    // order), identical to the old stable sort_by_key without its
-    // temporary allocation. Entry row i is staging row i, so the sorted
-    // entry order doubles as the gather permutation.
-    let mut counts = ws.take_idx(e_local);
-    for e in entries.iter() {
-        counts[e.local_expert] += 1;
-    }
-    let mut cursor = ws.take_idx(e_local);
-    let mut run = 0usize;
-    for e in 0..e_local {
-        cursor[e] = run;
-        run += counts[e];
-    }
-    let mut order = ws.take_idx(n_rows);
-    for (i, e) in entries.iter().enumerate() {
-        order[cursor[e.local_expert]] = i;
-        cursor[e.local_expert] += 1;
-    }
-    let mut expert_input = ws.take_for_overwrite(n_rows, hidden);
-    gather_rows_into(&staging, &order, &mut expert_input);
-    ws.recycle(staging);
-    let (experts, plain, meter) = (&shard.experts, ExpertKernel::Plain, Meter::new(ep, clock));
-    let mlp_out = run_experts(experts, &counts, &expert_input, plain, None, ws, meter);
-    ws.recycle(expert_input);
-
-    // --- Combine: reverse route -------------------------------------------
-    // Scale outputs by their combine weights, then split by provenance. The
-    // buffers the rows arrived in carry them back: a source's pilot partials
-    // accumulate in place in its inbound pilot buffer, and replica outputs
-    // return to their node peer in its inbound replica buffers.
-    rows_recv.iter_mut().for_each(|v| v.fill(0.0));
-    rep_rows_recv.iter_mut().for_each(Vec::clear);
-    rep_meta_recv.iter_mut().for_each(Vec::clear);
-    for (pos, &ei) in order.iter().enumerate() {
-        let e = &entries[ei];
-        let out_row = mlp_out.row(pos);
-        if e.peer == PILOT {
-            let acc = &mut rows_recv[e.src][e.idx * hidden..(e.idx + 1) * hidden];
-            axpy_slice(acc, e.weight, out_row);
-        } else {
-            scaled_extend(&mut rep_rows_recv[e.peer], e.weight, out_row);
-            rep_meta_recv[e.peer].extend_from_slice(&[e.src as u64, e.idx as u64]);
+        // Pilots by source, then replicas by peer: entry row i is staging row i.
+        let n_rows = entries.len();
+        let mut staging = ws.take_f32(n_rows * hidden);
+        for rows in rows_recv.iter().chain(rep_rows_recv.iter()) {
+            staging.extend_from_slice(rows);
         }
-    }
-    ws.recycle(mlp_out);
-    node.all_to_all_v_into(rep_rows_recv, crep_rows_recv, clock)?;
-    clock.commit("combine_a2a_intra");
-    node.all_to_all_v_into(rep_meta_recv, crep_meta_recv, clock)?;
-    clock.commit("combine_a2a_meta");
-    for (peer, meta) in crep_meta_recv.iter().enumerate() {
-        for (j, pair) in meta.chunks_exact(2).enumerate() {
-            let (src, idx) = (pair[0] as usize, pair[1] as usize);
-            let row = &crep_rows_recv[peer][j * hidden..(j + 1) * hidden];
-            add_assign_slice(&mut rows_recv[src][idx * hidden..(idx + 1) * hidden], row);
-        }
-    }
-    // Our replica buffers are back: the next forward's replica queues.
-    std::mem::swap(rep_rows_send, crep_rows_recv);
-    std::mem::swap(rep_meta_send, crep_meta_recv);
+        let staging = Tensor::from_vec(n_rows, hidden, staging);
 
-    // Inter-node return of per-(token, node) partial sums, each in the
-    // buffer its pilots came in.
-    ep.all_to_all_v_into(rows_recv, back_recv, clock)?;
-    clock.commit("combine_a2a_inter");
-
-    // Scatter the partials (weights already applied) by the pilot order we
-    // originally sent to each destination.
-    // The output is leased: the caller recycles it once consumed.
-    let mut out = ws.take(tokens.rows(), hidden);
-    for dst in 0..w {
-        let chunk = &back_recv[dst];
-        let (p0, p1) = (dst_off[dst], dst_off[dst + 1]);
-        debug_assert_eq!(chunk.len(), (p1 - p0) * hidden);
-        for (j, p) in pilots[p0..p1].iter().enumerate() {
-            let t = pft.token_ids[p.idx];
-            add_assign_slice(out.row_mut(t), &chunk[j * hidden..(j + 1) * hidden]);
+        // --- Merge ordered by local expert; the pass's experts --------------
+        // Counting sort: stable by construction (equal experts keep arrival
+        // order) and allocation-free. Entry row i is staging row i, so the
+        // sorted entry order doubles as the gather permutation.
+        let mut counts = ws.take_idx(e_local);
+        for e in entries.iter() {
+            counts[e.local_expert] += 1;
         }
+        let mut cursor = ws.take_idx(e_local);
+        let mut run = 0usize;
+        for e in 0..e_local {
+            cursor[e] = run;
+            run += counts[e];
+        }
+        let mut order = ws.take_idx(n_rows);
+        for (i, e) in entries.iter().enumerate() {
+            order[cursor[e.local_expert]] = i;
+            cursor[e.local_expert] += 1;
+        }
+        let mut expert_input = ws.take_for_overwrite(n_rows, hidden);
+        gather_rows_into(&staging, &order, &mut expert_input);
+        ws.recycle(staging);
+        let whole = ChunkPlan {
+            experts: (0, e_local),
+            rows: (0, n_rows),
+            chunk: (0, 1),
+        };
+        let mlp_out = compute(&whole, &counts, expert_input, Meter::new(ep, clock), ws);
+
+        // --- Combine: reverse route -------------------------------------------
+        // Scale outputs by their combine weights, then split by provenance. The
+        // buffers the rows arrived in carry them back: a source's pilot partials
+        // accumulate in place in its inbound pilot buffer, and replica outputs
+        // return to their node peer in its inbound replica buffers.
+        rows_recv.iter_mut().for_each(|v| v.fill(0.0));
+        rep_rows_recv.iter_mut().for_each(Vec::clear);
+        rep_meta_recv.iter_mut().for_each(Vec::clear);
+        for (pos, &ei) in order.iter().enumerate() {
+            let e = &entries[ei];
+            let out_row = mlp_out.row(pos);
+            if e.peer == PILOT {
+                let acc = &mut rows_recv[e.src][e.idx * hidden..(e.idx + 1) * hidden];
+                axpy_slice(acc, e.weight, out_row);
+            } else {
+                scaled_extend(&mut rep_rows_recv[e.peer], e.weight, out_row);
+                rep_meta_recv[e.peer].extend_from_slice(&[e.src as u64, e.idx as u64]);
+            }
+        }
+        ws.recycle(mlp_out);
+        node.all_to_all_v_into(rep_rows_recv, crep_rows_recv, clock)?;
+        clock.commit("combine_a2a_intra");
+        node.all_to_all_v_into(rep_meta_recv, crep_meta_recv, clock)?;
+        clock.commit("combine_a2a_meta");
+        for (peer, meta) in crep_meta_recv.iter().enumerate() {
+            for (j, pair) in meta.chunks_exact(2).enumerate() {
+                let (src, idx) = (pair[0] as usize, pair[1] as usize);
+                let row = &crep_rows_recv[peer][j * hidden..(j + 1) * hidden];
+                add_assign_slice(&mut rows_recv[src][idx * hidden..(idx + 1) * hidden], row);
+            }
+        }
+        // Our replica buffers are back: the next forward's replica queues.
+        std::mem::swap(rep_rows_send, crep_rows_recv);
+        std::mem::swap(rep_meta_send, crep_meta_recv);
+
+        // Inter-node return of per-(token, node) partial sums, each in the
+        // buffer its pilots came in.
+        ep.all_to_all_v_into(rows_recv, back_recv, clock)?;
+        clock.commit("combine_a2a_inter");
+
+        ws.recycle_idx(order);
+        ws.recycle_idx(cursor);
+        ws.recycle_idx(counts);
+        Ok(())
     }
-    // Our pilot buffers are back: the next forward's pilot rows.
-    std::mem::swap(rows_send, back_recv);
-    let rows = pft.len();
-    Meter::new(ep, clock).charge("buffer_combine", |c| price::gather(c, rows, hidden));
-    ws.recycle_idx(order);
-    ws.recycle_idx(cursor);
-    ws.recycle_idx(counts);
-    Ok(out)
+
+    /// The last stage: add the per-(token, node) partials that came back
+    /// (weights already applied) into `out`, by the pilot order each
+    /// destination was sent. The buffers they came in are the next forward's
+    /// pilot rows.
+    pub(crate) fn combine(&mut self, pft: &Pft, out: &mut Tensor) {
+        let hidden = out.cols();
+        for (dst, chunk) in self.back_recv.iter().enumerate() {
+            let (p0, p1) = (self.dst_off[dst], self.dst_off[dst + 1]);
+            debug_assert_eq!(chunk.len(), (p1 - p0) * hidden);
+            for (j, p) in self.pilots[p0..p1].iter().enumerate() {
+                let t = pft.token_ids[p.idx];
+                add_assign_slice(out.row_mut(t), &chunk[j * hidden..(j + 1) * hidden]);
+            }
+        }
+        std::mem::swap(&mut self.rows_send, &mut self.back_recv);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gating::DropPolicy;
-    use crate::pipeline::{ExecCtx, PaddingFreePipeline, Pipeline, RbdPipeline};
+    use crate::expert::ExpertShard;
+    use crate::gating::{DropPolicy, Router};
+    use crate::pipeline::{
+        ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline, PooledSingleState, RbdPipeline,
+    };
     use xmoe_collectives::{RankCtx, SimCluster};
 
     /// One owned RBD forward on this rank, through the trait.
@@ -739,21 +685,18 @@ mod tests {
     #[test]
     fn empty_pilot_group_is_an_error_not_a_panic() {
         // Both policies used to panic on an empty group (`min().unwrap()` /
-        // `next_below(0)`); now it is a typed PipelineError.
+        // `next_below(0)`); now an empty group has no pilot.
         let mut rng = DetRng::new(7);
         assert_eq!(
             select_pilot(&[], PilotPolicy::SmallestExpertId, &mut rng),
-            Err(PipelineError::EmptyPilotGroup)
+            None
         );
-        assert_eq!(
-            select_pilot(&[], PilotPolicy::Random, &mut rng),
-            Err(PipelineError::EmptyPilotGroup)
-        );
+        assert_eq!(select_pilot(&[], PilotPolicy::Random, &mut rng), None);
         // Non-empty groups still select normally.
         let group = [(0usize, 0usize, 5usize), (0, 0, 2)];
         assert_eq!(
             select_pilot(&group, PilotPolicy::SmallestExpertId, &mut rng),
-            Ok(2)
+            Some(2)
         );
     }
 
@@ -918,6 +861,57 @@ mod tests {
                 warm, end,
                 "rank {r}: pool misses kept growing after warm-up"
             );
+        }
+    }
+
+    #[test]
+    fn rbd_charges_are_pinned_to_the_bit() {
+        // RBD's twin of padding_free's `distributed_charges_all_pipeline_stages`:
+        // a seeded 2-node forward, serial and overlapped, must charge every
+        // RBD stage exactly what the standalone RBD forward this transport
+        // replaced charged (pinned at that commit). Per label, every rank's
+        // bucket bits are folded in rank order (FNV-1a over the u64s).
+        let (world, s, h, f, e, k) = (16usize, 16usize, 8usize, 4usize, 16usize, 6usize);
+        let router = Router::new(h, e, k, 21);
+        let spec = MoeLayerSpec::new(e, 1000);
+        let labels = [
+            "rbd_plan",
+            "dispatch_a2a_inter",
+            "dispatch_a2a_intra",
+            "combine_a2a_intra",
+            "combine_a2a_inter",
+            "rbd_replica_reconstruct",
+            "expert",
+            "buffer_combine",
+        ];
+        let serial: [u64; 8] = [
+            0xa8190b1ad8fd7725,
+            0xe3c9f9cbea5590a5,
+            0xddafeb55d8920635,
+            0xddafeb55d8920635,
+            0xe3c9f9cbea5590a5,
+            0xe7761cc4efeece98,
+            0xdf9ab0ee7a8464f6,
+            0x1c7d485596ed5355,
+        ];
+        let mut overlapped = serial;
+        overlapped[1] = 0xe9ecf62654d8ecd5;
+        overlapped[5] = 0x8f114a438f5208ff;
+        for (overlap, pins) in [(None, serial), (Some(4), overlapped)] {
+            let buckets = SimCluster::frontier(world).run(|ctx| {
+                let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 22);
+                let tokens = Tensor::rand_uniform(s, h, 1.0, 23 + ctx.rank as u64);
+                let (policy, seed) = (PilotPolicy::Random, 24 + ctx.rank as u64);
+                let _ = rbd_forward(&tokens, &router, &shard, &spec, policy, overlap, seed, ctx);
+                ctx.clock.buckets().to_vec()
+            });
+            for (label, pin) in labels.into_iter().zip(pins) {
+                let fold = buckets.iter().fold(0xcbf29ce484222325u64, |acc, b| {
+                    let (_, t) = b.iter().find(|(l, _)| l == label).unwrap();
+                    (acc ^ t.to_bits()).wrapping_mul(0x100000001b3)
+                });
+                assert_eq!(fold, pin, "{label} under overlap {overlap:?}: {fold:#018x}");
+            }
         }
     }
 

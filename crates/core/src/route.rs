@@ -83,6 +83,9 @@ pub struct EpRoute {
     /// one sends.
     counts_send: Vec<Vec<u64>>,
     counts_recv: Vec<Vec<u64>>,
+    /// RBD's pilot plan and wire buffers over the same PFT, used only when
+    /// the layer pass runs over `Transport::Rbd`.
+    pub(crate) rbd: crate::rbd::RbdScratch,
 }
 
 /// One chunk of an [`EpRoute`]: a contiguous range of this rank's local

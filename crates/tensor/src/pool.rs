@@ -29,8 +29,8 @@
 //!   were once leased at the same time, whatever sizes arrive over the wire
 //!   from another rank's arena. A pipeline that takes and recycles in the
 //!   same order every step keeps each logical buffer bound to the same
-//!   backing allocation once capacities have converged. The index and
-//!   metadata lists hold a handful of same-sized buffers and stay LIFO.
+//!   backing allocation once capacities have converged. The index list
+//!   holds a handful of same-sized buffers and stays LIFO.
 //! * An arena under a whole train step — a hundred leases of a dozen sizes,
 //!   many held from the forward to the backward pass, all drifting as the
 //!   router trains — is [`Workspace::trim`]med by its owner between steps,
@@ -70,7 +70,7 @@ fn fit(buf: &mut Vec<f32>, need: usize) {
 ///
 /// `takes` counts every lease; `pool_misses` counts leases that had to
 /// allocate a fresh backing buffer because the free list held none of their
-/// size class (none at all, for the index and metadata lists). At steady
+/// size class (none at all, for the index list). At steady
 /// state `pool_misses` stops advancing. `retained_f32` / `retained_idx` are
 /// the element capacities currently parked in the free lists; together with
 /// outstanding leases they bound the arena's heap footprint.
@@ -85,7 +85,9 @@ pub struct WorkspaceStats {
     pub retained_f32: usize,
     /// `usize` capacity currently held in the index free list.
     pub retained_idx: usize,
-    /// `u64` capacity currently held in the metadata free list.
+    /// `u64` capacity held outside the arena by its owner (the arena keeps
+    /// no `u64` list; `xmoe_core`'s pooled state counts RBD's metadata
+    /// streams here).
     pub retained_u64: usize,
     /// [`Workspace::trim`] calls: the steps run on an arena whose owner trims
     /// it once a step.
@@ -97,7 +99,6 @@ pub struct WorkspaceStats {
 pub struct Workspace {
     free_f32: Vec<Vec<f32>>,
     free_idx: Vec<Vec<usize>>,
-    free_u64: Vec<Vec<u64>>,
     free_shells: Vec<Vec<Vec<f32>>>,
     /// How many buffers at the front of `free_f32` no lease has popped since
     /// the last [`Workspace::trim`].
@@ -226,27 +227,6 @@ impl Workspace {
         self.free_f32.push(buf);
     }
 
-    /// Lease an **empty** `u64` metadata buffer with capacity at least `cap`
-    /// (the pilot/replica metadata streams of the RBD exchanges).
-    pub fn take_u64(&mut self, cap: usize) -> Vec<u64> {
-        self.takes += 1;
-        let mut buf = match self.free_u64.pop() {
-            Some(b) => b,
-            None => {
-                self.pool_misses += 1;
-                Vec::new()
-            }
-        };
-        buf.clear();
-        buf.reserve(cap);
-        buf
-    }
-
-    /// Return a `u64` metadata buffer to the free list.
-    pub fn recycle_u64(&mut self, buf: Vec<u64>) {
-        self.free_u64.push(buf);
-    }
-
     /// Release what the arena no longer uses; call it between steps, when the
     /// step's leases are back. The free buffers that no lease has touched
     /// since the last call are dropped: they sit, in their old order, at the
@@ -310,7 +290,7 @@ impl Workspace {
             pool_misses: self.pool_misses,
             retained_f32: self.free_f32.iter().map(Vec::capacity).sum(),
             retained_idx: self.free_idx.iter().map(Vec::capacity).sum(),
-            retained_u64: self.free_u64.iter().map(Vec::capacity).sum(),
+            retained_u64: 0,
             trims: self.trims,
         }
     }
@@ -321,7 +301,6 @@ impl Workspace {
         self.free_f32.clear();
         self.idle = 0;
         self.free_idx.clear();
-        self.free_u64.clear();
         self.free_shells.clear();
     }
 }
@@ -423,14 +402,6 @@ mod tests {
         assert_eq!(t2.len(), 10);
         assert_eq!(ws.stats().pool_misses, 1, "one backing buffer serves all");
         ws.recycle(t2);
-
-        let m = ws.take_u64(6);
-        assert!(m.is_empty() && m.capacity() >= 6);
-        ws.recycle_u64(m);
-        let m2 = ws.take_u64(4);
-        assert!(m2.capacity() >= 6, "u64 lease reuses the recycled buffer");
-        ws.recycle_u64(m2);
-        assert!(ws.stats().retained_u64 >= 6);
     }
 
     #[test]

@@ -165,7 +165,7 @@ pub(crate) fn backward(
     let saves = &ctx.experts;
     let labels = ("bwd_combine_a2a", "bwd_expert", "bwd_dispatch_a2a");
     let d_dispatch = transport.exchange(
-        &ctx.layer.route,
+        &mut ctx.layer.route,
         d_combine,
         labels,
         ws,

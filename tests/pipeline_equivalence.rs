@@ -466,7 +466,7 @@ fn drop_policies_differ_only_in_retention() {
 /// transport entry, not a panic or silently wrong numbers: single-rank with
 /// one rank's shard (it needs a communicator to reach the other experts),
 /// flat EP and RBD with another rank's shard or the full set. RBD on an
-/// expert count the EP size does not divide is unsupported.
+/// expert count the EP size does not divide computes what flat EP does.
 #[test]
 fn single_rank_forward_with_a_partial_shard_is_a_typed_error() {
     let (hidden, ffn, experts, top_k) = (12usize, 8usize, 8usize, 3usize);
@@ -527,30 +527,86 @@ fn single_rank_forward_with_a_partial_shard_is_a_typed_error() {
         }
     }
 
-    // RBD over a ragged layout (3 experts on 2 ranks): right shards, and
-    // still unsupported — its pilot routing needs equal blocks.
-    let router = Router::new(hidden, 3, 2, 815);
-    let spec = MoeLayerSpec::new(3, 10_000);
+    // RBD over a ragged layout (3 experts on 2 ranks): right shards, and it
+    // routes by the same contiguous layout as flat EP.
+    rbd_matches_flat_ep_ragged(world, 3, 2, 815);
+
+    // One expert on two ranks leaves rank 0 an empty block: unsupported on
+    // either transport, not a panic in the layout.
+    let router = Router::new(hidden, 1, 1, 818);
+    let spec = MoeLayerSpec::new(1, 10_000);
     let errs = SimCluster::frontier(world).run(|ctx| {
-        let (first, len) = [(0, 1), (1, 2)][ctx.rank];
         let shard = ExpertShard {
-            first_expert: first,
-            experts: (first..first + len)
-                .map(|e| Expert::new(hidden, ffn, 816 + e as u64))
+            first_expert: 0,
+            experts: (0..ctx.rank)
+                .map(|_| Expert::new(hidden, ffn, 819))
                 .collect(),
         };
+        let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+        let flat = PaddingFreePipeline.forward(&tokens, &router, &shard, &spec, &mut ex);
         let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
-        let mut rng = DetRng::new(817);
+        let mut rng = DetRng::new(820);
         let mut ex = ExecCtx::hier(&comms, &mut ctx.clock).with_rng(&mut rng);
         let rbd = RbdPipeline {
             policy: PilotPolicy::Random,
         };
-        rbd.forward(&tokens, &router, &shard, &spec, &mut ex).err()
+        [
+            flat.err(),
+            rbd.forward(&tokens, &router, &shard, &spec, &mut ex).err(),
+        ]
     });
-    for (rank, err) in errs.iter().enumerate() {
+    for (rank, errs) in errs.iter().enumerate() {
+        for err in errs {
+            let unsupported = matches!(err, Some(pipeline::PipelineError::Unsupported(_)));
+            assert!(unsupported, "rank {rank}: {err:?}");
+        }
+    }
+}
+
+/// RBD against flat EP on the contiguous layout of `experts` over `world`
+/// ranks when `world` does not divide `experts` (rank `r` holds
+/// `[r·E/W, (r+1)·E/W)`): the same layer, up to RBD's per-(token, node)
+/// summation order.
+fn rbd_matches_flat_ep_ragged(world: usize, experts: usize, top_k: usize, seed: u64) {
+    let (seq, hidden, ffn) = (16usize, 12usize, 8usize);
+    let router = Router::new(hidden, experts, top_k, seed);
+    let spec = MoeLayerSpec::new(experts, 10_000);
+    let outs = SimCluster::frontier(world).run(|ctx| {
+        let block = ctx.rank * experts / world..(ctx.rank + 1) * experts / world;
+        let shard = ExpertShard {
+            first_expert: block.start,
+            experts: block
+                .map(|e| Expert::new(hidden, ffn, seed + 1 + e as u64))
+                .collect(),
+        };
+        let tokens = Tensor::rand_uniform(seq, hidden, 1.0, seed + 2 + ctx.rank as u64);
+        let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
+        let flat = PaddingFreePipeline
+            .forward(&tokens, &router, &shard, &spec, &mut ex)
+            .unwrap();
+        let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
+        let mut rng = DetRng::new(seed + 3 + ctx.rank as u64);
+        let mut ex = ExecCtx::hier(&comms, &mut ctx.clock).with_rng(&mut rng);
+        let rbd = RbdPipeline {
+            policy: PilotPolicy::Random,
+        };
+        (
+            flat,
+            rbd.forward(&tokens, &router, &shard, &spec, &mut ex)
+                .unwrap(),
+        )
+    });
+    for (rank, (flat, rbd)) in outs.iter().enumerate() {
         assert!(
-            matches!(err, Some(pipeline::PipelineError::Unsupported(_))),
-            "rank {rank}: {err:?}"
+            rbd.allclose(flat, 2e-4),
+            "{experts} experts on {world} ranks, rank {rank}: max diff {}",
+            rbd.max_abs_diff(flat)
         );
     }
+}
+
+/// RBD's pilot and replica routing on a ragged layout across two nodes.
+#[test]
+fn rbd_matches_flat_ep_on_a_ragged_two_node_layout() {
+    rbd_matches_flat_ep_ragged(16, 40, 6, 821);
 }

@@ -114,9 +114,9 @@ fn steady_state_pooled_hot_path_allocates_nothing() {
     // real hardware); tensor/staging work a rank performs is tracked and
     // attributed to that rank. The rng seed cycle recurs (period matches
     // the input cycle) so every leased capacity reaches a fixed point
-    // during warm-up — the wire buffers circulate between the ranks'
-    // pools, so recurrence, not per-rank reuse, is what makes the
-    // capacities converge.
+    // during warm-up — each wire buffer round-trips back to the rank that
+    // filled it, and recurrence is what makes the capacities of its refills
+    // converge.
     let world = 4usize;
     let router = Router::new(h, e, k, 0x2E60);
     let spec = MoeLayerSpec::new(e, 10_000);
