@@ -11,11 +11,10 @@
 //! pooled-over-owned ratios of pft, blocksparse and rbd and the grouped
 //! record's grouped-over-sequential ratio are recorded ungated: "owned" is
 //! the pooled code on a throwaway state, so that ratio is allocation cost
-//! plus run-to-run noise, and `gemm --smoke` owns the grouped speed gate.
+//! plus run-to-run noise, and `bench gemm` owns the grouped speed gate.
 //! `--smoke` shortens the timed loops.
 
 use std::cell::RefCell;
-use std::time::Instant;
 
 use xmoe_collectives::SimCluster;
 use xmoe_core::config::{DType, MoeModelConfig};
@@ -31,6 +30,7 @@ use xmoe_tensor::{thread_tracked_allocs, CountingAlloc, DetRng, Tensor, Workspac
 use xmoe_train::{MoeTrainScratch, TrainableMoe};
 
 use crate::spine::{bench, each, int, print_records, tag, Check, Env, Record, Val};
+use crate::time_interleaved;
 
 bench!(hotpath, "zero-allocation steady state + memory telemetry");
 
@@ -134,7 +134,7 @@ fn measure(
     meter: Meter,
     w: &Window,
     step: &mut dyn FnMut(usize),
-    mut baseline: Option<&mut dyn FnMut(usize)>,
+    baseline: Option<&mut dyn FnMut(usize)>,
 ) -> Measured {
     (0..w.warm).for_each(&mut *step);
     if let Meter::Process { alloc, .. } = &meter {
@@ -147,26 +147,16 @@ fn measure(
         Meter::Process { alloc, live0 } => alloc.stats().peak_bytes.saturating_sub(*live0),
         Meter::Rank { .. } => 0,
     };
-    let (mut t, mut t_base) = (f64::INFINITY, None::<f64>);
-    for _ in 0..w.passes {
-        meter.fence();
-        let t0 = Instant::now();
-        (0..w.timed).for_each(&mut *step);
-        meter.fence();
-        t = t.min(t0.elapsed().as_secs_f64());
-        if let Some(baseline) = baseline.as_mut() {
-            let t0 = Instant::now();
-            (0..w.timed).for_each(&mut **baseline);
-            meter.fence();
-            let elapsed = t0.elapsed().as_secs_f64();
-            t_base = Some(t_base.map_or(elapsed, |b| b.min(elapsed)));
-        }
-    }
+    let mut timed_step = || (0..w.timed).for_each(&mut *step);
+    let mut timed_base = baseline.map(|b| move || (0..w.timed).for_each(&mut *b));
+    let mut arms: Vec<&mut dyn FnMut()> = vec![&mut timed_step];
+    arms.extend(timed_base.as_mut().map(|b| b as &mut dyn FnMut()));
+    let best = time_interleaved(w.passes, &|| meter.fence(), &mut arms);
     Measured {
         allocs_per_step,
         peak,
-        t,
-        t_base,
+        t: best[0],
+        t_base: best.get(1).copied(),
     }
 }
 
@@ -551,7 +541,7 @@ mod tests {
     #[test]
     fn a_passing_run_passes_and_each_gate_is_live() {
         let recs = passing();
-        // grouped at 0.96x passes: `gemm --smoke` owns that speed gate; a
+        // grouped at 0.96x passes: `bench gemm` owns that speed gate; a
         // pooled/owned ratio under 1 is telemetry too.
         assert_eq!(failure(&BENCH, &recs), None);
         for i in [0, 3] {

@@ -1,5 +1,5 @@
 //! Experiment harness: the bench [`spine`] (record format, registry, gate
-//! driver), the six system benches, and the paper's evaluation ([`paper`]).
+//! driver), the seven system benches, and the paper's evaluation ([`paper`]).
 //!
 //! Each module under `paper/` regenerates one table or figure of the paper
 //! (see DESIGN.md's per-experiment index) as a [`spine::Bench`]: `xmoe-cli
@@ -14,15 +14,18 @@ pub mod paper;
 pub mod spine;
 
 pub mod elastic;
+pub mod gemm;
 pub mod hotpath;
 pub mod mapping;
 pub mod overlap;
 pub mod serving;
 pub mod stability;
 
-/// Render a text table with a header row. Public for the `gemm` bin only;
-/// benches print through [`spine::print_records`].
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
+use std::time::Instant;
+
+/// Render a text table with a header row; benches print through
+/// [`spine::print_records`].
+pub(crate) fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
@@ -50,7 +53,7 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Format seconds as engineering-readable.
-pub fn fmt_time(s: f64) -> String {
+pub(crate) fn fmt_time(s: f64) -> String {
     if s >= 1.0 {
         format!("{s:.2} s")
     } else if s >= 1e-3 {
@@ -58,6 +61,29 @@ pub fn fmt_time(s: f64) -> String {
     } else {
         format!("{:.1} us", s * 1e6)
     }
+}
+
+/// The one timing loop of every A-vs-B comparison: `passes` passes, each
+/// timing every arm once in turn with `fence` (a barrier for multi-rank
+/// arms, a no-op otherwise) on both sides; the fastest pass of each arm, in
+/// seconds. Interleaving puts a burst of OS noise on one pass of each arm
+/// rather than on every pass of one arm, and the min per arm drops it.
+pub(crate) fn time_interleaved(
+    passes: usize,
+    fence: &dyn Fn(),
+    arms: &mut [&mut dyn FnMut()],
+) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; arms.len()];
+    for _ in 0..passes {
+        for (arm, best) in arms.iter_mut().zip(&mut best) {
+            fence();
+            let t0 = Instant::now();
+            arm();
+            fence();
+            *best = best.min(t0.elapsed().as_secs_f64());
+        }
+    }
+    best
 }
 
 /// Format bytes as GiB with two decimals.

@@ -1,6 +1,6 @@
 //! The bench spine: the one record format behind every `BENCH_*.json` and
 //! every `bench/paper/*.json` pin, the one gate list per bench, the registry
-//! of all 26 ([`ALL`]: six system benches, the paper's evaluation [`PAPER`],
+//! of all 27 ([`ALL`]: seven system benches, the paper's evaluation [`PAPER`],
 //! `recovery`), and the one `--smoke | --out | --validate` driver.
 //!
 //! A bench is a [`Bench`]: a name, a `run` that measures and returns
@@ -17,7 +17,7 @@ use std::process::ExitCode;
 use xmoe_tensor::CountingAlloc;
 
 use crate::flags::{Arity, Cmd, Flag, UsageError};
-use crate::{elastic, hotpath, mapping, overlap, paper, serving, stability};
+use crate::{elastic, gemm, hotpath, mapping, overlap, paper, serving, stability};
 
 /// One value in a record. The variant fixes the number text, so a file
 /// parses back to exactly the records that rendered it.
@@ -444,8 +444,8 @@ macro_rules! registry {
         /// ablations.
         pub const PAPER: [&Bench; 19] = [$(&paper::$paper::BENCH),*];
 
-        /// Every bench: the six system benches, [`PAPER`], `recovery`.
-        pub const ALL: [&Bench; 26] = [
+        /// Every bench: the seven system benches, [`PAPER`], `recovery`.
+        pub const ALL: [&Bench; 27] = [
             $(&$system::BENCH,)*
             $(&paper::$paper::BENCH,)*
             &paper::$last::BENCH,
@@ -462,7 +462,7 @@ macro_rules! registry {
 }
 
 registry!(
-    [hotpath mapping elastic overlap stability serving]
+    [hotpath mapping elastic overlap stability serving gemm]
     [
         fig03_memory fig04_redundancy fig09_main fig10_scaling fig11_breakdown fig12_rbd
         tab04_activation_memory fig13_ssmb_memory fig14_ssmb_vs_ckpt tab05_a100 fig15_loss
@@ -764,12 +764,12 @@ mod tests {
     fn the_usage_line_lists_every_bench() {
         let names: Vec<&str> = ALL.iter().map(|b| b.name).collect();
         assert_eq!(CMD.positionals, format!("<{}|paper>", names.join("|")));
-        assert_eq!(names.len(), 26);
-        // `PAPER` is the slice of `ALL` between the six system benches and
+        assert_eq!(names.len(), 27);
+        // `PAPER` is the slice of `ALL` between the seven system benches and
         // `recovery`, and no bench is called `paper`.
         let paper: Vec<&str> = PAPER.iter().map(|b| b.name).collect();
-        assert_eq!(paper, names[6..25]);
-        assert_eq!(names[25], "recovery");
+        assert_eq!(paper, names[7..26]);
+        assert_eq!(names[26], "recovery");
         assert!(!names.contains(&"paper"));
     }
 

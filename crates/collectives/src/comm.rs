@@ -189,13 +189,9 @@ pub struct Communicator {
 
 impl Communicator {
     /// Build the world communicator over all ranks of the cost model's
-    /// topology, returning one handle per rank (index = global rank).
-    pub fn world_set(cost: Arc<CostModel>) -> Vec<Communicator> {
-        Self::world_set_with_faults(cost, None)
-    }
-
-    /// [`world_set`](Self::world_set) with a fault plan wired into the
-    /// communicator (and inherited by every communicator split off it).
+    /// topology, returning one handle per rank (index = global rank), with
+    /// `fault` wired into the communicator (and inherited by every
+    /// communicator split off it).
     pub fn world_set_with_faults(
         cost: Arc<CostModel>,
         fault: Option<Arc<FaultPlan>>,

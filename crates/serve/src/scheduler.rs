@@ -157,10 +157,6 @@ impl Scheduler {
         &self.running
     }
 
-    pub fn queued_len(&self) -> usize {
-        self.queue.len()
-    }
-
     pub fn all_done(&self) -> bool {
         self.queue.is_empty() && self.running.is_empty()
     }

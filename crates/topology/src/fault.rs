@@ -194,11 +194,6 @@ impl FaultPlan {
         }
     }
 
-    pub fn with_detect_timeout(mut self, t: f64) -> Self {
-        self.detect_timeout = t;
-        self
-    }
-
     pub fn with_retry_backoff(mut self, t: f64) -> Self {
         self.retry_backoff = t;
         self

@@ -125,26 +125,6 @@ impl MachineSpec {
         }
     }
 
-    /// A hypothetical "balanced DGX cluster" (paper §3.3): intra-node only
-    /// 3x faster than inter-node. Used to show why prior systems that treat
-    /// all GPUs equivalently were acceptable on such machines.
-    pub fn balanced_dgx_cluster() -> Self {
-        Self {
-            name: "balanced-dgx",
-            gpus_per_node: 8,
-            nodes_per_rack: 64,
-            intra_node_bw: 300.0 * GB,
-            inter_node_bw: 100.0 * GB,
-            intra_latency: 5e-6,
-            inter_latency: 12e-6,
-            peak_flops: 312.0e12,
-            gemm_efficiency: 0.45,
-            hbm_bytes: 80 * 1_000_000_000,
-            mem_bw: 2.0e12,
-            vendor_moe_kernels: true,
-        }
-    }
-
     /// GPUs per rack (the congestion boundary).
     pub fn gpus_per_rack(&self) -> usize {
         self.gpus_per_node * self.nodes_per_rack

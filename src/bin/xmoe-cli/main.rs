@@ -63,8 +63,8 @@
 //! errors: a one-line diagnostic and exit 1, never a panic or a hang.
 //!
 //! **bench** — the single door to every bench in `xmoe::bench::spine::ALL`:
-//! the six self-gating system benchmarks (hotpath, mapping, elastic,
-//! overlap, stability, serving), the paper's 19 tables and figures
+//! the seven self-gating system benchmarks (hotpath, mapping, elastic,
+//! overlap, stability, serving, gemm), the paper's 19 tables and figures
 //! (`fig03_memory` .. `ablation_blocksparse`; `bench paper` runs them all in
 //! paper order and exits 1 naming any invalid one) and `recovery`. Each
 //! writes `BENCH_<name>.json`, reads it back and gates it; `--validate`
