@@ -52,15 +52,18 @@ const HOT_DIMS: [usize; 5] = [HOT_S, HOT_H, HOT_F, HOT_E, HOT_K];
 /// Measured-over-analytic bound for the pooled PFT *training* record.
 /// `memory::moe_layer_activation` counts the four forward activation buffers
 /// of one X-MoE layer (dispatch, combine, intermediate, mask metadata); the
-/// measured steady-state working set additionally retains the backward
-/// staging mirrors (`d_y`, `d_dispatch`, `d_h`), the router state (logits,
-/// scores, top-k arrays, their gradients), gradient-staging temporaries
-/// (`dW1`/`dW2`/`dGate`, `x^T`) and malloc size-class rounding — roughly a
-/// 3x multiple of the forward-only analytic figure. Anything past this bound
-/// means a buffer joined the steady state that the model knows nothing
-/// about. (Distinct from `memory::ALLOCATOR_SLACK`, which models GPU-side
-/// caching-allocator fragmentation on top of the same analytic accounting.)
-const TRAIN_SLACK: f64 = 4.0;
+/// measured steady-state working set additionally retains the saved expert
+/// input and hidden layers, the backward's `d_h` (the combine backward
+/// overwrites the saved outputs with `d_y`), the router state (logits,
+/// scores, top-k arrays, their gradients), gradient-staging temporaries and
+/// malloc size-class rounding. It reads 2.32x / 2.35x / 2.45x at
+/// `XMOE_THREADS` = 1 / 2 / 8, `--smoke` and full run alike; the bound is
+/// that maximum plus a tenth. Anything past it means a buffer joined the
+/// steady state that the model knows nothing about — one more `[n, H]`
+/// routed-row buffer reads 2.60x–2.72x. (Distinct from
+/// `memory::ALLOCATOR_SLACK`, which models GPU-side caching-allocator
+/// fragmentation on top of the same analytic accounting.)
+const TRAIN_SLACK: f64 = 2.7;
 
 /// The analytic activation bytes of one fp32 (the tensor library's element
 /// type) MoE layer of the given shape under `sys`'s accounting.
@@ -392,9 +395,9 @@ fn grouped(alloc: &CountingAlloc, smoke: bool) -> Record {
             for (e, &cnt) in counts.iter().enumerate() {
                 let x = &input.as_slice()[off * hidden..(off + cnt) * hidden];
                 let (mut h_pre, mut h_act) = (vec![0.0; cnt * ffn], vec![0.0; cnt * ffn]);
-                let mut y = vec![0.0; cnt * hidden];
+                let mut xy = x.to_vec();
                 let one = &shard.experts[e..=e];
-                expert_ffn(one, &[cnt], x, &mut h_pre, &mut h_act, &mut y);
+                expert_ffn(one, &[cnt], &mut xy, &mut h_pre, &mut h_act);
                 off += cnt;
             }
         }),
@@ -509,7 +512,7 @@ mod tests {
             t_base,
         };
         vec![
-            record("pft", HOT_DIMS, 1, &w, &m(0.0, 28783, Some(1.25e-3)), 7488),
+            record("pft", HOT_DIMS, 1, &w, &m(0.0, 18337, Some(1.25e-3)), 7488),
             record("dense", HOT_DIMS, 1, &w, &m(22.0, 10560, None), 28160),
             record(
                 "blocksparse",
@@ -564,7 +567,8 @@ mod tests {
             );
             assert!(why.contains("1.00 allocs/step"), "{why}");
         }
-        let bloated = set(&recs, 0, "peak_bytes", Val::Int(4 * 7488 + 1));
+        let over = (TRAIN_SLACK * 7488.0) as u64 + 1;
+        let bloated = set(&recs, 0, "peak_bytes", Val::Int(over));
         let why = failure(&BENCH, &bloated).expect("working set over the slack");
         assert!(why.contains("within the analytic training slack"), "{why}");
 

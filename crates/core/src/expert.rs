@@ -29,24 +29,25 @@ impl Expert {
     }
 }
 
-/// The expert FFN, written once (paper §B.4's sequential per-expert GEMM):
-/// over the expert-major segments `counts` of `input` (`[Σ counts, H]`),
-/// segment `e` through `experts[e]`, `h_pre = input·W1`,
-/// `h_act = silu(h_pre)` and `y = h_act·W2`. The whole set is two
-/// [`gemm_grouped`] batches on the persistent worker pool, so many small
-/// segments fill the machine instead of running back-to-back, and the bits
-/// are the sequential per-expert loop's at any worker count. All three
-/// outputs are overwritten whole (every row belongs to exactly one segment,
-/// which is also why one SiLU pass equals the per-segment ones), so they may
-/// be for-overwrite leases. The forward-only callers drop `h_pre`/`h_act`;
+/// The expert FFN, written once (paper §B.4's sequential per-expert GEMM),
+/// in place: over the expert-major segments `counts` of `xy`
+/// (`[Σ counts, H]`), segment `e` through `experts[e]`, `h_pre = xy·W1`,
+/// `h_act = silu(h_pre)` and then `y = h_act·W2` back into `xy` — the first
+/// product has read all of `xy` before the second writes it, so the input's
+/// buffer carries the output and no `[Σ counts, H]` buffer is added. The
+/// whole set is two [`gemm_grouped`] batches on the persistent worker pool,
+/// so many small segments fill the machine instead of running back-to-back,
+/// and the bits are the sequential per-expert loop's at any worker count.
+/// `h_pre`/`h_act` are overwritten whole (every row belongs to exactly one
+/// segment, which is also why one SiLU pass equals the per-segment ones), so
+/// they may be for-overwrite leases. The forward-only callers drop them;
 /// training saves them for the backward.
 pub fn expert_ffn(
     experts: &[Expert],
     counts: &[usize],
-    input: &[f32],
+    xy: &mut [f32],
     h_pre: &mut [f32],
     h_act: &mut [f32],
-    y: &mut [f32],
 ) {
     assert_eq!(
         counts.len(),
@@ -54,9 +55,9 @@ pub fn expert_ffn(
         "segment count must equal local expert count"
     );
     let (h, f) = experts.first().map_or((0, 0), |e| e.w1.shape());
-    gemm_grouped(input, counts, h, |e| experts[e].w1.as_slice(), f, h_pre);
+    gemm_grouped(xy, counts, h, |e| experts[e].w1.as_slice(), f, h_pre);
     silu_into(h_pre, h_act);
-    gemm_grouped(h_act, counts, f, |e| experts[e].w2.as_slice(), h, y);
+    gemm_grouped(h_act, counts, f, |e| experts[e].w2.as_slice(), h, xy);
 }
 
 /// The contiguous block of experts owned by one EP rank.
@@ -118,17 +119,21 @@ impl ExpertShard {
     }
 
     /// [`Self::forward_segments`] on workspace leases: the layer pass's
-    /// expert stage ([`run_experts`]) with the plain kernel and no clock. The
-    /// caller recycles the returned tensor.
+    /// expert stage ([`run_experts`]) with the plain kernel and no clock,
+    /// over one lease `input` is copied into (the stage computes in place).
+    /// The caller recycles the returned tensor.
     pub fn forward_segments_pooled(
         &self,
         input: &Tensor,
         tokens_per_local_expert: &[usize],
         ws: &mut Workspace,
     ) -> Tensor {
+        // For-overwrite: the copy fills it.
+        let mut xy = ws.take_for_overwrite(input.rows(), input.cols());
+        xy.as_mut_slice().copy_from_slice(input.as_slice());
         let (counts, plain) = (tokens_per_local_expert, ExpertKernel::Plain);
         let quiet = Meter::default();
-        run_experts(&self.experts, counts, input, plain, None, ws, quiet)
+        run_experts(&self.experts, counts, xy, plain, None, ws, quiet)
     }
 }
 

@@ -44,14 +44,14 @@ pub fn expected_block_waste(tokens: usize, k: usize, num_experts: usize, block: 
 }
 
 /// The block-padded expert kernel: pad each expert segment of `input` to a
-/// multiple of `block` rows, run the segment GEMMs over the padded tiles,
-/// strip the padding again. Functionally equal to the plain kernel (zero
-/// rows contribute nothing), but the pad/strip copies and the padded rows'
-/// FLOPs are charged — the waste the paper measures. Every buffer is leased
-/// from `ws`; the caller recycles the returned `[input.rows(), H]` tensor.
+/// multiple of `block` rows, run the segment GEMMs over the padded tiles in
+/// place, strip the padding again back into `input`, which is returned.
+/// Functionally equal to the plain kernel (zero rows contribute nothing),
+/// but the pad/strip copies and the padded rows' FLOPs are charged — the
+/// waste the paper measures. Every scratch buffer is leased from `ws`.
 pub(crate) fn forward_block_padded(
     experts: &[Expert],
-    input: &Tensor,
+    mut input: Tensor,
     counts: &[usize],
     block: usize,
     ws: &mut Workspace,
@@ -65,29 +65,23 @@ pub(crate) fn forward_block_padded(
     let padded: usize = padded_counts.iter().sum();
     // take() zero-fills, so the pad rows are zero even on a reused buffer.
     let mut padded_buf = ws.take(padded, hidden);
-    copy_segments(input, counts, &mut padded_buf, &padded_counts);
+    copy_segments(&input, counts, &mut padded_buf, &padded_counts);
     meter.charge("buffer_dispatch", |c| price::gather(c, padded, hidden));
 
-    let out_padded = run_experts(
-        experts,
-        &padded_counts,
-        &padded_buf,
-        ExpertKernel::Plain,
-        None,
-        ws,
-        Meter::default(),
-    );
+    let plain = ExpertKernel::Plain;
+    let quiet = Meter::default();
+    let out_padded = run_experts(experts, &padded_counts, padded_buf, plain, None, ws, quiet);
     let (rows, f) = (padded as f64, ffn_width(experts));
     meter.charge("expert", |c| price::expert_padded(c, rows, hidden, f, 1.0));
 
-    let mut out = ws.take(input.rows(), hidden);
-    copy_segments(&out_padded, &padded_counts, &mut out, counts);
+    // Every row of `input` is a real row of one segment: the strip
+    // overwrites it whole.
+    copy_segments(&out_padded, &padded_counts, &mut input, counts);
     let rows = input.rows();
     meter.charge("buffer_combine", |c| price::gather(c, rows, hidden));
     ws.recycle(out_padded);
-    ws.recycle(padded_buf);
     ws.recycle_idx(padded_counts);
-    out
+    input
 }
 
 /// Copy `counts[e]` rows per expert from `src` into segments of

@@ -66,7 +66,8 @@ pub struct LayerState {
     pft_scratch: PftScratch,
     pub route: EpRoute,
     /// PFT-order rows: the dispatch rows going out and, after a bare call,
-    /// the expert outputs that came back, which the next call gathers into.
+    /// the expert outputs computed over them in place, which the next call
+    /// gathers into.
     pub(crate) rows: Tensor,
 }
 
@@ -79,6 +80,9 @@ pub struct ExpertSaves {
     pub input: Tensor,
     pub h_pre: Tensor,
     pub h_act: Tensor,
+    /// The expert outputs in PFT order (under `Local`, in the very buffer
+    /// the dispatch rows were gathered into); the combine backward overwrites
+    /// them with their gradient and sends that buffer through the exchange.
     pub combine_in: Tensor,
 }
 
@@ -270,14 +274,15 @@ pub(crate) fn gate_and_gather(
 }
 
 /// The expert stage, written once: `kernel` over an expert-major `[rows, H]`
-/// buffer split by `counts`, segment `e` through `experts[e]`, into a lease
-/// of `ws`. The FFN's hidden layer goes to `saves` (training keeps it) or to
-/// one leased `[rows, 2·ffn]` strip, so the arena holds as many buffers as
-/// with an in-place SiLU. Charges `expert` (and the block kernel's copies).
+/// buffer split by `counts`, segment `e` through `experts[e]`, in place —
+/// `input` is taken by value and returned holding the expert outputs. The
+/// FFN's hidden layer goes to `saves` (training keeps it) or to one leased
+/// `[rows, 2·ffn]` strip, so the arena holds as many buffers as with an
+/// in-place SiLU. Charges `expert` (and the block kernel's copies).
 pub(crate) fn run_experts(
     experts: &[Expert],
     counts: &[usize],
-    input: &Tensor,
+    mut input: Tensor,
     kernel: ExpertKernel,
     saves: Option<(&mut [f32], &mut [f32])>,
     ws: &mut Workspace,
@@ -287,7 +292,7 @@ pub(crate) fn run_experts(
         return forward_block_padded(experts, input, counts, block, ws, meter);
     }
     let (rows, hidden, ffn) = (input.rows(), input.cols(), ffn_width(experts));
-    // For-overwrite: `expert_ffn` writes all three whole.
+    // For-overwrite: `expert_ffn` writes both whole.
     let mut strip = None;
     let (h_pre, h_act) = match saves {
         Some(saves) => saves,
@@ -296,15 +301,13 @@ pub(crate) fn run_experts(
             .as_mut_slice()
             .split_at_mut(rows * ffn),
     };
-    let mut y = ws.take_for_overwrite(rows, hidden);
-    let (x, out) = (input.as_slice(), y.as_mut_slice());
-    expert_ffn(experts, counts, x, h_pre, h_act, out);
+    expert_ffn(experts, counts, input.as_mut_slice(), h_pre, h_act);
     if let Some(strip) = strip {
         ws.recycle(strip);
     }
     let n = rows as f64;
     meter.charge("expert", |c| price::expert_seq(c, n, hidden, ffn, F32));
-    y
+    input
 }
 
 /// The MoE layer pass (paper §4.1, Listing 1), written once:
@@ -314,10 +317,12 @@ pub(crate) fn run_experts(
 /// exchange, so it can reuse the expert scratch), which it returns.
 ///
 /// Every buffer comes from `state` or `ws`; after warm-up no transport
-/// allocates on the serial schedule. The dispatch rows go out into `ws`, and
-/// the expert outputs come back into `state.rows` — or, with `saves`
-/// (training, plain kernel), into `saves` beside the expert-side
-/// activations, the dispatch rows then being a lease of `ws` too.
+/// allocates on the serial schedule. The experts compute in place
+/// ([`run_experts`]), so no stage adds an output buffer: the expert outputs
+/// come back into `state.rows` — or, with `saves` (training, plain kernel),
+/// into `saves.combine_in` beside the expert-side activations, the dispatch
+/// rows then being a lease of `ws`. Under `Local` that is the buffer the
+/// dispatch rows were gathered into.
 #[allow(clippy::too_many_arguments)]
 pub fn forward(
     tokens: &Tensor,
@@ -355,9 +360,7 @@ pub fn forward(
                 let h_pre = &mut s.h_pre.as_mut_slice()[r0 * ffn..r1 * ffn];
                 (h_pre, &mut s.h_act.as_mut_slice()[r0 * ffn..r1 * ffn])
             });
-            let y = run_experts(&experts[e0..e1], counts, &chunk, kernel, act, ws, meter);
-            ws.recycle(chunk);
-            y
+            run_experts(&experts[e0..e1], counts, chunk, kernel, act, ws, meter)
         },
     )?;
 
@@ -482,9 +485,11 @@ mod tests {
             assert!(out.allclose(&expected, 0.0), "step {step} diverged");
             state.ws.recycle(out);
         }
-        // Warm-up allocates two arena buffers (the recycled MLP scratch is
-        // reused for the combine output); subsequent steps only reuse.
-        assert_eq!(state.ws.stats().pool_misses, 2);
+        // Warm-up allocates one arena buffer: the experts compute in place in
+        // the state's dispatch rows, so the arena holds only the hidden-layer
+        // strip, which the combine output reuses once it is recycled;
+        // subsequent steps only reuse.
+        assert_eq!(state.ws.stats().pool_misses, 1);
     }
 
     #[test]

@@ -10,9 +10,13 @@
 //! combine are adjoint row relocations:
 //!
 //! ```text
-//! forward:  dispatch_in --> expert_input -> y           --> combine_in
-//! backward: d_combine   --> d_y          -> d_expert_in --> d_dispatch
+//! forward:  dispatch_in --> expert_input => y           --> combine_in
+//! backward: combine_in  => d_combine     --> d_y        -> d_expert_in --> d_dispatch
 //! ```
+//!
+//! (`-->` is the route, `=>` a step computed in place: the expert outputs
+//! overwrite their input rows, and the combine backward overwrites the saved
+//! outputs with their gradient.)
 //!
 //! **Wire layout.** A source sends each destination one buffer: the PFT
 //! segments of the experts that destination holds *and* this source routes
@@ -306,9 +310,11 @@ impl EpRoute {
     /// `compute(plan, counts, chunk_in, meter, ws)` runs once per chunk. It is
     /// handed the chunk's expert-major `[r1 - r0, H]` input **by value**,
     /// leased from `ws` — its to recycle there — and returns the same-shaped
-    /// output, which the route sends back and recycles into `ws`. `plan` says
-    /// which local experts and which rows of the full expert-major buffer the
-    /// chunk is, `counts` the chunk's rows per local expert. The closure
+    /// output (the layer pass's expert stage returns the input itself,
+    /// overwritten), which the route sends back and recycles into `ws`.
+    /// `plan` says which local experts and which rows of the full
+    /// expert-major buffer the chunk is, `counts` the chunk's rows per local
+    /// expert. The closure
     /// charges its own compute time to `meter`. The returned rows are a lease
     /// from `ws` too.
     ///

@@ -67,12 +67,13 @@ pub fn gather_rows_into(src: &Tensor, token_ids: &[usize], out: &mut Tensor) {
     pool.for_each(&ctx, tasks, gather_task);
 }
 
-/// Backward of the combine stage in one pass: for every routed entry `i`,
+/// Backward of the combine stage in one pass, in place: for every routed
+/// entry `i`, first `d_w[i] = <d_out[token_ids[i], :], y[i, :]>` (the gradient
+/// of its combine weight), then row `i` of `y` is overwritten with
 /// `d_y[i, :] = weights[i] * d_out[token_ids[i], :]` (the gradient of expert
-/// output row `i`) and `d_w[i] = <d_out[token_ids[i], :], y[i, :]>` (the
-/// gradient of its combine weight). `d_y` is resized to `y`'s shape and `d_w`
-/// to its row count; `d_out[t]` and `y[i]` are each read once, nothing is
-/// staged.
+/// output row `i`) — the expert outputs are dead once their dot is formed, so
+/// their buffer carries the gradient. `d_w` is resized to `y`'s row count;
+/// `d_out[t]` and `y[i]` are each read once, nothing is staged.
 ///
 /// Each dot product is one scalar add chain in ascending column order from
 /// `0.0` — the bitwise-pinned training trajectories forbid reassociating it —
@@ -82,95 +83,91 @@ pub fn gather_rows_into(src: &Tensor, token_ids: &[usize], out: &mut Tensor) {
 pub fn combine_backward_rows(
     d_out: &Tensor,
     token_ids: &[usize],
-    y: &Tensor,
+    y: &mut Tensor,
     weights: &[f32],
-    d_y: &mut Tensor,
     d_w: &mut Vec<f32>,
 ) {
     let (rows, cols) = y.shape();
     assert_eq!(rows, token_ids.len(), "combine backward: y rows != ids");
     assert_eq!(rows, weights.len(), "combine backward: y rows != weights");
     assert_eq!(cols, d_out.cols(), "combine backward: hidden-dim mismatch");
-    // For-overwrite: `combine_backward_chunk` writes every row of its chunk.
-    d_y.resize_for_overwrite(rows, cols);
     d_w.clear();
     d_w.resize(rows, 0.0);
 
     let pool = crate::par::pool();
     if !pool.is_parallel() || rows * cols < ROWS_PAR_CUTOFF {
-        let d_y = d_y.as_mut_slice();
-        return combine_backward_chunk::<4>(d_out, token_ids, y, weights, 0, d_y, d_w);
+        let y = y.as_mut_slice();
+        return combine_backward_chunk::<4>(d_out, token_ids, weights, 0, cols, y, d_w);
     }
     struct Ctx<'a> {
         d_out: &'a Tensor,
         ids: &'a [usize],
-        y: &'a Tensor,
         weights: &'a [f32],
-        d_y: crate::par::DisjointMut<'a>,
+        y: crate::par::DisjointMut<'a>,
         d_w: crate::par::DisjointMut<'a>,
+        cols: usize,
         chunk: usize,
     }
     fn task(g: &Ctx<'_>, c: usize) {
-        let cols = g.y.cols();
+        let cols = g.cols;
         let i0 = c * g.chunk;
         let n = g.chunk.min(g.ids.len() - i0);
-        // SAFETY: chunks tile the rows disjointly, one task each; `d_y` is
+        // SAFETY: chunks tile the rows disjointly, one task each; `y` is
         // carved by row range and `d_w` by the same range of elements.
-        let (d_y, d_w) = unsafe { (g.d_y.slice(i0 * cols, n * cols), g.d_w.slice(i0, n)) };
-        combine_backward_chunk::<4>(g.d_out, g.ids, g.y, g.weights, i0, d_y, d_w);
+        let (y, d_w) = unsafe { (g.y.slice(i0 * cols, n * cols), g.d_w.slice(i0, n)) };
+        combine_backward_chunk::<4>(g.d_out, g.ids, g.weights, i0, cols, y, d_w);
     }
     let chunk = rows.div_ceil(pool.size()).next_multiple_of(4);
     let ctx = Ctx {
         d_out,
         ids: token_ids,
-        y,
         weights,
-        d_y: crate::par::DisjointMut::new(d_y.as_mut_slice()),
+        y: crate::par::DisjointMut::new(y.as_mut_slice()),
         d_w: crate::par::DisjointMut::new(d_w),
+        cols,
         chunk,
     };
     pool.for_each(&ctx, rows.div_ceil(chunk), task);
 }
 
-/// Rows `i0..i0 + d_w.len()` of [`combine_backward_rows`], `R` rows at a time
-/// (their `R` dot-product chains advance in lockstep), then one at a time.
+/// Rows `i0..i0 + d_w.len()` (`y`'s rows, `cols` wide) of
+/// [`combine_backward_rows`], `R` rows at a time (their `R` dot-product chains
+/// advance in lockstep), then one at a time.
 fn combine_backward_chunk<const R: usize>(
     d_out: &Tensor,
     ids: &[usize],
-    y: &Tensor,
     weights: &[f32],
     i0: usize,
-    d_y: &mut [f32],
+    cols: usize,
+    y: &mut [f32],
     d_w: &mut [f32],
 ) {
-    let cols = y.cols();
     let full = d_w.len() - d_w.len() % R;
     if R > 1 && full < d_w.len() {
-        let (head, tail) = d_y.split_at_mut(full * cols);
+        let (head, tail) = y.split_at_mut(full * cols);
         let (w_head, w_tail) = d_w.split_at_mut(full);
-        combine_backward_chunk::<R>(d_out, ids, y, weights, i0, head, w_head);
-        return combine_backward_chunk::<1>(d_out, ids, y, weights, i0 + full, tail, w_tail);
+        combine_backward_chunk::<R>(d_out, ids, weights, i0, cols, head, w_head);
+        return combine_backward_chunk::<1>(d_out, ids, weights, i0 + full, cols, tail, w_tail);
     }
-    for (g, (d_y, d_w)) in d_y
+    for (g, (y, d_w)) in y
         .chunks_exact_mut(R * cols)
         .zip(d_w.chunks_exact_mut(R))
         .enumerate()
     {
         let i = i0 + g * R;
         let grad: [&[f32]; R] = std::array::from_fn(|r| d_out.row(ids[i + r]));
-        let out: [&[f32]; R] = std::array::from_fn(|r| y.row(i + r));
-        for (r, d_y) in d_y.chunks_exact_mut(cols).enumerate() {
-            for (d, &gv) in d_y.iter_mut().zip(grad[r]) {
-                *d = weights[i + r] * gv;
-            }
-        }
         let mut dot = [0.0f32; R];
         for c in 0..cols {
             for r in 0..R {
-                dot[r] += grad[r][c] * out[r][c];
+                dot[r] += grad[r][c] * y[r * cols + c];
             }
         }
         d_w.copy_from_slice(&dot);
+        for (r, y) in y.chunks_exact_mut(cols).enumerate() {
+            for (d, &gv) in y.iter_mut().zip(grad[r]) {
+                *d = weights[i + r] * gv;
+            }
+        }
     }
 }
 
@@ -465,8 +462,9 @@ mod tests {
                     dot
                 })
                 .collect();
-            let (mut d_y, mut d_w) = (Tensor::full(3, 3, 9.0), vec![9.0f32; 5]);
-            combine_backward_rows(&d_out, &ids, &y, &w, &mut d_y, &mut d_w);
+            // The kernel overwrites `y` with `d_y`.
+            let (mut d_y, mut d_w) = (y.clone(), vec![9.0f32; 5]);
+            combine_backward_rows(&d_out, &ids, &mut d_y, &w, &mut d_w);
             let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(d_y.shape(), (rows, cols));
             assert_eq!(

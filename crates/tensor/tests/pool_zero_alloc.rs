@@ -31,17 +31,19 @@ fn pooled_kernels_allocate_nothing_after_warm_up() {
     let mut c = vec![0.0f32; total * n];
     let mut g = vec![0.0f32; e * k * n];
     let mut act = vec![0.0f32; total * n];
-    // Combine backward over the same 408 x 72 rows, gathered from 64 tokens.
+    // Combine backward over the same 408 x 72 rows, gathered from 64 tokens;
+    // it overwrites its expert outputs, so each step refills them by copy.
     let ids: Vec<usize> = (0..total).map(|i| (i * 5) % 64).collect();
     let weights = vec![0.5f32; total];
-    let (mut d_y, mut d_w) = (Tensor::zeros(0, 0), Vec::new());
+    let (mut y, mut d_w) = (d.clone(), Vec::new());
     let mut step = || {
         gemm_grouped(a.as_slice(), &counts, k, |i| w[i].as_slice(), n, &mut c);
         gemm_grouped_transpose_b(a.as_slice(), &counts, k, |i| wt[i].as_slice(), n, &mut c);
         gemm_grouped_transpose_a(a.as_slice(), &counts, k, d.as_slice(), n, &mut g);
         matmul_slices(a.as_slice(), total, k, w[0].as_slice(), n, &mut c);
         matmul_transpose_b_slices(a.as_slice(), total, k, wt[0].as_slice(), n, &mut c);
-        combine_backward_rows(&d, &ids, &d, &weights, &mut d_y, &mut d_w);
+        y.as_mut_slice().copy_from_slice(d.as_slice());
+        combine_backward_rows(&d, &ids, &mut y, &weights, &mut d_w);
         silu_into(d.as_slice(), &mut act);
         silu_slice(&mut act);
         silu_grad_slice(&mut act, d.as_slice());

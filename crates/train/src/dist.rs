@@ -12,9 +12,13 @@
 //! forward saved:
 //!
 //! ```text
-//! forward:  dispatch_in --> expert_input -> y           --> combine_in
-//! backward: d_combine   --> d_y          -> d_expert_in --> d_dispatch
+//! forward:  dispatch_in --> expert_input => y           --> combine_in
+//! backward: combine_in  => d_combine     --> d_y        -> d_expert_in --> d_dispatch
 //! ```
+//!
+//! (`-->` is the route, `=>` a step computed in place: the expert outputs
+//! overwrite their input rows, and the combine backward overwrites the saved
+//! outputs with their gradient.)
 //!
 //! Whether a step runs serially or chunk-pipelined is the route's business
 //! ([`xmoe_core::route::EpRoute::exchange`]); this module remembers the

@@ -156,9 +156,8 @@ pub(crate) fn backward(
     d_x.as_mut_slice().copy_from_slice(d_out.as_slice());
 
     // Source side: d_combine rows (PFT order) and combine-weight grads.
-    let combine_in = std::mem::take(&mut ctx.experts.combine_in);
-    let d_combine = combine_backward(&ctx.layer.route.pft, &combine_in, d_out, &mut ctx.d_w, ws);
-    ws.recycle(combine_in);
+    let mut d_combine = std::mem::take(&mut ctx.experts.combine_in);
+    combine_backward(&ctx.layer.route.pft, &mut d_combine, d_out, &mut ctx.d_w);
     let n = ctx.pft().len();
     let mut meter = transport.meter();
     meter.charge("bwd_buffer_combine", |c| BWD * price::gather(c, n, h));
@@ -240,27 +239,14 @@ fn expert_ffn_backward(
     d_input
 }
 
-/// Source-side combine backward: returns `d_y[i] = w_i · d_out[t_i]` in PFT
-/// order (leased from `ws`) and records the combine-weight gradients
-/// `d_w_i = <d_out[t_i], y_i>` in `d_w` for [`router_backward`].
-fn combine_backward(
-    pft: &Pft,
-    y: &Tensor,
-    d_out: &Tensor,
-    d_w: &mut Vec<f32>,
-    ws: &mut Workspace,
-) -> Tensor {
-    // For-overwrite: `combine_backward_rows` fills it whole.
-    let mut d_y = ws.take_for_overwrite(y.rows(), y.cols());
-    combine_backward_rows(
-        d_out,
-        &pft.token_ids,
-        y,
-        &pft.combine_weights,
-        &mut d_y,
-        d_w,
-    );
-    d_y
+/// Source-side combine backward, in place: records the combine-weight
+/// gradients `d_w_i = <d_out[t_i], y_i>` in `d_w` for [`router_backward`],
+/// then overwrites each expert output row `y_i` with `d_y[i] = w_i ·
+/// d_out[t_i]` (PFT order), turning the forward's saved outputs into the
+/// exchange's gradient rows with no new lease.
+fn combine_backward(pft: &Pft, y: &mut Tensor, d_out: &Tensor, d_w: &mut Vec<f32>) {
+    let (ids, w) = (&pft.token_ids, &pft.combine_weights);
+    combine_backward_rows(d_out, ids, y, w, d_w);
 }
 
 /// Router backward: combine-weight grads scattered to the retained `(t, e)`

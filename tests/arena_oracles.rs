@@ -5,11 +5,22 @@
 //! produces. Debug builds already NaN-poison every for-overwrite lease; the
 //! explicit poison makes a read-before-write fail in release builds too, so
 //! CI runs this suite in both profiles.
+//!
+//! The high-water oracles bound what an arena holds after warm-up at a
+//! fine-grained shape: the layer pass computes in place (the experts write
+//! their outputs over their dispatch rows, the combine backward its gradient
+//! over the saved outputs), so a routed-row `[n, H]` buffer more than the
+//! dataflow needs shows as a bound exceeded.
 
 use xmoe::collectives::{RankCtx, SimCluster};
 use xmoe::core::gating::DropPolicy;
+use xmoe::core::pipeline::{
+    ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline, PooledSingleState,
+};
+use xmoe::core::{ExpertShard, Router};
+use xmoe::tensor::Tensor;
 use xmoe::train::model::build_moe_layers;
-use xmoe::train::{DistMoeLm, MarkovCorpus, TrainConfig};
+use xmoe::train::{DistMoeLm, MarkovCorpus, MoeTrainScratch, TrainConfig, TrainableMoe};
 
 fn cfg() -> TrainConfig {
     let mut c = TrainConfig::transformer(DropPolicy::CapacityOnly);
@@ -124,4 +135,73 @@ fn a_warmed_and_poisoned_arena_changes_no_bit_of_a_single_rank_step() {
             "warmed arena changed the step"
         );
     });
+}
+
+/// The fine-grained shape of the high-water oracles, `(s, h, f, e, k)`:
+/// top-8 of 32 narrow experts, so the `n = k·s` routed rows dwarf the
+/// `s`-sized buffers; capacity never drops, so `n` is the same every step.
+const FINE: (usize, usize, usize, usize, usize) = (48, 32, 16, 32, 8);
+
+/// The arena's re-grow headroom: a buffer re-grown for a longer lease gets
+/// a sixteenth more than asked (`xmoe_tensor::pool`'s `GROW_SLACK`).
+fn with_grow_slack(elems: usize) -> usize {
+    elems + elems / 16
+}
+
+#[test]
+fn a_pooled_forward_arena_holds_no_routed_row_buffer() {
+    let (s, h, f, e, k) = FINE;
+    let n = k * s;
+    let router = Router::new(h, e, k, 61);
+    let experts = ExpertShard::full(e, h, f, 62);
+    let spec = MoeLayerSpec::new(e, n);
+    let mut state = PooledSingleState::default();
+    for step in 0..6 {
+        let tokens = Tensor::rand_uniform(s, h, 1.0, 600 + step);
+        let mut ctx = ExecCtx::pooled(&mut state);
+        let out = PaddingFreePipeline
+            .forward(&tokens, &router, &experts, &spec, &mut ctx)
+            .unwrap();
+        state.ws.recycle(out);
+    }
+    // The one `[n, H]` buffer is the state's dispatch rows, which carry the
+    // expert outputs back and live outside the arena; the arena holds the
+    // `[n, 2F]` hidden-layer strip and the `[s, H]` output.
+    let retained = state.ws.stats().retained_f32;
+    let bound = with_grow_slack(n * 2 * f + s * h);
+    assert!(
+        retained <= bound,
+        "pooled forward arena retains {retained} f32 > strip + out = {bound} \
+         (an [n, H] buffer is {})",
+        n * h
+    );
+}
+
+#[test]
+fn a_trainable_moe_step_arena_holds_two_routed_row_buffers() {
+    let (s, h, f, e, k) = FINE;
+    let n = k * s;
+    let mut layer = TrainableMoe::new(h, f, e, k, n, DropPolicy::CapacityOnly, 71);
+    let mut st = MoeTrainScratch::default();
+    for step in 0..6 {
+        let x = Tensor::rand_uniform(s, h, 1.0, 700 + step);
+        let out = layer.forward_pooled(&x, &mut st);
+        let d_out = Tensor::rand_uniform(s, h, 1.0, 800 + step);
+        let d_x = layer.backward_pooled(&mut st, &d_out);
+        st.ws.recycle(out);
+        st.ws.recycle(d_x);
+        layer.zero_grads();
+    }
+    // At the backward's peak: the saved expert input and the saved outputs
+    // (the latter overwritten by their gradient), `h_pre`, `h_act` and
+    // `d_h`; the `s`-sized leases are the output, `d_x` and the router
+    // backward's `[s, E]` pair and `[s, H]` input gradient.
+    let retained = st.ws.stats().retained_f32;
+    let bound = with_grow_slack(2 * n * h + 3 * n * f + 3 * s * h + 2 * s * e);
+    assert!(
+        retained <= bound,
+        "train step arena retains {retained} f32 > 2·[n, H] + 3·[n, F] + s-sized = {bound} \
+         (an [n, H] buffer is {})",
+        n * h
+    );
 }
