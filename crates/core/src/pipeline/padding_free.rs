@@ -52,6 +52,11 @@ impl PooledSingleState {
         s.retained_u64 += u64s;
         s
     }
+
+    /// The last forward's routing decisions: the gate's scores and top-k.
+    pub fn gating(&self) -> &GatingOutput {
+        &self.layer.gating
+    }
 }
 
 /// What one MoE layer's [`forward`] keeps, rebuilt in place by every call

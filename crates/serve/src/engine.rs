@@ -343,7 +343,7 @@ impl ServeEngine {
         let e = self.cfg.model.num_experts;
         let mut tokens = self.state.ws.take(batch_tokens, h);
         {
-            let w = self.router.weight.as_slice().to_vec();
+            let w = self.router.weight.as_slice();
             let data = tokens.as_mut_slice();
             let mut row = 0usize;
             for entry in plan {
@@ -365,8 +365,21 @@ impl ServeEngine {
                 }
             }
         }
-        // Real routing decisions for the histograms.
-        let gating = self.router.gate(&tokens);
+        // Drive the pipeline engine: the actual forward numerics.
+        let out = PaddingFreePipeline
+            .forward(
+                &tokens,
+                &self.router,
+                &self.experts,
+                &self.layer_spec,
+                &mut ExecCtx::pooled(&mut self.state),
+            )
+            .expect("single-rank serving forward cannot fault");
+        self.report.output_checksum += out.as_slice()[0] as f64;
+        self.state.ws.recycle(out);
+        self.state.ws.recycle(tokens);
+        // The forward's own routing decisions feed the histograms.
+        let gating = self.state.gating();
         self.step_hist.clear();
         let mut row = 0usize;
         for entry in plan {
@@ -381,19 +394,6 @@ impl ServeEngine {
                 row += 1;
             }
         }
-        // Drive the pipeline engine: the actual forward numerics.
-        let out = PaddingFreePipeline
-            .forward(
-                &tokens,
-                &self.router,
-                &self.experts,
-                &self.layer_spec,
-                &mut ExecCtx::pooled(&mut self.state),
-            )
-            .expect("single-rank serving forward cannot fault");
-        self.report.output_checksum += out.as_slice()[0] as f64;
-        self.state.ws.recycle(out);
-        self.state.ws.recycle(tokens);
         // Price the step on the simulated cluster.
         let wire = self.cfg.model.hidden as u64 * self.cfg.model.dtype.bytes();
         let c = placement_cost(&self.placement, &self.step_hist, &self.cost, wire);

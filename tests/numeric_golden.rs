@@ -1,6 +1,6 @@
 //! The absolute numeric anchor: FNV-1a hashes over the f32 bits of two
-//! training trajectories, of the checkpoint one of them ends in, and of the
-//! four forward pipelines, pinned as constants.
+//! training trajectories, of the checkpoint one of them ends in, of the
+//! four forward pipelines and of one serving run, pinned as constants.
 //!
 //! Every other bitwise oracle in the repo is *relative* (pooled ≡ owned,
 //! lanes ≡ serial, overlap ≡ serial): a kernel change that moved every path
@@ -20,6 +20,7 @@
 use std::process::Command;
 
 use xmoe::collectives::SimCluster;
+use xmoe::core::config::MoeModelConfig;
 use xmoe::core::expert::ExpertShard;
 use xmoe::core::gating::{DropPolicy, Router, RouterGuard};
 use xmoe::core::pipeline::{
@@ -27,6 +28,8 @@ use xmoe::core::pipeline::{
     Pipeline, PooledSingleState, RbdPipeline,
 };
 use xmoe::core::rbd::{PilotPolicy, RbdComms};
+use xmoe::serve::engine::serve;
+use xmoe::serve::{PlacementMode, ServeConfig, TrafficConfig};
 use xmoe::tensor::{DetRng, Tensor};
 use xmoe::train::model::build_moe_layers;
 use xmoe::train::{DistMoeLm, MarkovCorpus, MoeTrainScratch, TrainConfig, TrainableMoe};
@@ -47,6 +50,12 @@ const GOLD_DIST_MOE_LM_CKPT: u64 = 0x8eae_957e_6a8d_0b11;
 /// world 4: every rank's output. The dense and block-sparse slabs carry
 /// whole-zero pad rows, the case the NN kernel's row-group skip exists for.
 const GOLD_PIPELINES: u64 = 0xf48e_6b72_955f_26ef;
+/// One seeded `serve()` run under optimized placement with skewed, drifting
+/// topics: the output checksum, off-node bytes, priced dispatch seconds,
+/// re-solves and migrated experts. Pinned while the engine still gated each
+/// batch twice (once for its histograms, once in the forward); one gate must
+/// give the same bits.
+const GOLD_SERVE: u64 = 0x47b8_935b_db37_af93;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -201,6 +210,24 @@ fn pipeline_outputs() -> u64 {
         .fold(FNV_OFFSET, |h, r| fnv1a_bytes(h, &r.to_le_bytes()))
 }
 
+/// 80 requests over 32 ranks at 1/16 dims: about 1,600 pooled forwards, two
+/// placement solves and a topic drift mid-trace.
+fn serve_report() -> u64 {
+    let traffic = TrafficConfig::steady(400.0, 29)
+        .with_skew(8.0, 6)
+        .with_drift(0.25);
+    let model = MoeModelConfig::custom("serve-golden", 2048, 2048, 1408, 64, 6, 28);
+    let cfg = ServeConfig::new(model, 32, traffic)
+        .with_requests(80)
+        .with_placement(PlacementMode::Optimized);
+    let r = serve(cfg).expect("serve config is valid");
+    let h = fnv1a_bytes(FNV_OFFSET, &r.output_checksum.to_bits().to_le_bytes());
+    let h = fnv1a_bytes(h, &r.off_node_bytes.to_le_bytes());
+    let h = fnv1a_bytes(h, &r.dispatch_s.to_bits().to_le_bytes());
+    let h = fnv1a_bytes(h, &(r.resolves as u64).to_le_bytes());
+    fnv1a_bytes(h, &(r.migrated_experts as u64).to_le_bytes())
+}
+
 /// Child mode: print every hash. A no-op under a normal `cargo test` run.
 #[test]
 fn child_golden() {
@@ -212,6 +239,7 @@ fn child_golden() {
     println!("GOLD dist_moe_lm {dist:016x}");
     println!("GOLD dist_moe_lm_ckpt {ckpt:016x}");
     println!("GOLD pipelines {:016x}", pipeline_outputs());
+    println!("GOLD serve {:016x}", serve_report());
 }
 
 #[test]
@@ -225,6 +253,7 @@ fn trajectories_match_the_pinned_hashes_at_every_thread_count() {
         format!("GOLD dist_moe_lm {GOLD_DIST_MOE_LM:016x}"),
         format!("GOLD dist_moe_lm_ckpt {GOLD_DIST_MOE_LM_CKPT:016x}"),
         format!("GOLD pipelines {GOLD_PIPELINES:016x}"),
+        format!("GOLD serve {GOLD_SERVE:016x}"),
     ];
     for threads in ["1", "2", "8"] {
         let out = Command::new(&exe)
