@@ -2,7 +2,7 @@
 //! driver), the seven system benches, and the paper's evaluation ([`paper`]).
 //!
 //! Each module under `paper/` regenerates one table or figure of the paper
-//! (see DESIGN.md's per-experiment index) as a [`spine::Bench`]: `xmoe-cli
+//! (see EXPERIMENTS.md, one section per entry) as a [`spine::Bench`]: `xmoe-cli
 //! bench <name>` runs one, `xmoe-cli bench paper` the full set. An entry
 //! returns the rows/series the paper reports as records and states one
 //! `[shape]` claim per headline result: the reproduction targets *shape*

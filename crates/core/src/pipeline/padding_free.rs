@@ -42,15 +42,22 @@ pub struct PooledSingleState {
 }
 
 impl PooledSingleState {
-    /// The arena's counters, with the RBD wire buffers this state holds
-    /// between forwards counted as retained: they return to the rank that
-    /// filled them, never to the arena, but they are this rank's memory.
+    /// The arena's counters, with the buffers this state holds between
+    /// forwards outside the arena counted as retained: the PFT-order rows
+    /// `Local` and `Ep` forwards keep, and the RBD wire buffers, which return
+    /// to the rank that filled them. They are this rank's memory too.
     pub fn stats(&self) -> WorkspaceStats {
         let mut s = self.ws.stats();
         let (f32s, u64s) = self.layer.route.rbd.wire_capacity();
-        s.retained_f32 += f32s;
+        s.retained_f32 += self.layer.rows.capacity() + f32s;
         s.retained_u64 += u64s;
         s
+    }
+
+    /// The PFT-order `[n, H]` rows this state keeps between forwards:
+    /// grown by `Local` and `Ep` forwards, never by RBD's.
+    pub fn routed_rows(&self) -> &Tensor {
+        &self.layer.rows
     }
 
     /// The last forward's routing decisions: the gate's scores and top-k.
@@ -70,9 +77,10 @@ pub struct LayerState {
     pub logits_clamped: usize,
     pft_scratch: PftScratch,
     pub route: EpRoute,
-    /// PFT-order rows: the dispatch rows going out and, after a bare call,
-    /// the expert outputs computed over them in place, which the next call
-    /// gathers into.
+    /// PFT-order rows, for the transports that send them (`Local`, `Ep`):
+    /// the dispatch rows going out and, after a bare call, the expert outputs
+    /// computed over them in place, which the next call gathers into. RBD
+    /// never grows them: its S0 packs the pilots straight from the tokens.
     pub(crate) rows: Tensor,
 }
 
@@ -139,8 +147,9 @@ impl Transport<'_> {
     /// experts receive: under `Ep` one metadata all-to-all, charged apart
     /// from the token payload (so payload comparisons across pipelines stay
     /// apples to apples); under `Local` every PFT row. `Rbd` picks its pilots
-    /// (S0) and returns 0: its rows are known only once they arrive.
-    fn plan(&mut self, route: &mut EpRoute) -> Result<usize, CommError> {
+    /// and packs them straight from `tokens` (S0), and returns 0: its rows
+    /// are known only once they arrive.
+    fn plan(&mut self, route: &mut EpRoute, tokens: &Tensor) -> Result<usize, CommError> {
         match self {
             Transport::Local => Ok(route.pft.len()),
             Transport::Ep {
@@ -163,7 +172,7 @@ impl Transport<'_> {
             } => {
                 let (pft, rbd) = (&route.pft, &mut route.rbd);
                 let meter = Meter::new(&comms.ep, clock);
-                rbd.plan(pft, (comms, assignment), *policy, rng, meter);
+                rbd.plan((pft, tokens), (comms, assignment), *policy, rng, meter);
                 Ok(0)
             }
         }
@@ -174,9 +183,10 @@ impl Transport<'_> {
     /// in PFT order (see [`EpRoute::exchange`] for the closure's contract).
     /// `Local` is `compute` over the whole PFT; `Ep` is the route's exchange,
     /// serial or chunked, under `labels = (dispatch, compute, combine)`.
-    /// `Rbd` runs `compute` once, under its own labels; the per-(token, node)
-    /// partials that come back stay in the route for the combine, and `rows`
-    /// return unchanged.
+    /// `Rbd` sends the pilots its `plan` packed and runs `compute` once, under
+    /// its own labels; the per-(token, node) partials that come back stay in
+    /// the route for the combine, and `rows` (no PFT-order rows: empty unless
+    /// the state last served another transport) return unchanged.
     pub fn exchange<F>(
         &mut self,
         route: &mut EpRoute,
@@ -211,9 +221,8 @@ impl Transport<'_> {
                 assignment,
                 ..
             } => {
-                let (pft, rbd) = (&route.pft, &mut route.rbd);
                 let (layout, chunks) = ((*comms, *assignment), *overlap_chunks);
-                rbd.exchange((pft, &rows), layout, chunks, clock, ws, compute)?;
+                route.rbd.exchange(layout, chunks, clock, ws, compute)?;
                 Ok(rows)
             }
         }
@@ -244,16 +253,18 @@ pub enum ExpertKernel {
 
 /// The pass's prefix: the gate ([`gate_rows`] with `gate = (weight, top_k,
 /// logit_clamp)`; clamp 0 is none) → PFT construction into `state.route` →
-/// gather into `state.rows` (leased from `lease` first, if given), all in
-/// `state`'s grow-once buffers, charging `gating` (router GEMM plus PFT
-/// construction) and `buffer_dispatch` once.
+/// for a `transport` that sends PFT-order rows (`Local`, `Ep`), the gather
+/// into `state.rows` (leased from `lease` first, if given), all in `state`'s
+/// grow-once buffers. Charges `gating` (router GEMM plus PFT construction)
+/// and `buffer_dispatch` once, the latter under RBD too: its S0 copies the
+/// pilot rows from the tokens instead.
 pub(crate) fn gate_and_gather(
     tokens: &Tensor,
     (gate, top_k, clamp): (&Tensor, usize, f32),
     spec: &MoeLayerSpec,
     state: &mut LayerState,
     lease: Option<&mut Workspace>,
-    mut meter: Meter,
+    transport: &mut Transport,
 ) {
     let hidden = tokens.cols();
     let LayerState {
@@ -267,14 +278,18 @@ pub(crate) fn gate_and_gather(
     *logits_clamped = gate_rows(gate, top_k, clamp, tokens, gate_scratch, gating);
     let (e, cap, policy) = (spec.num_experts, spec.capacity, spec.policy);
     Pft::construct_into(gating, e, cap, policy, pft_scratch, &mut route.pft);
-    let s = tokens.rows() as f64;
+    // RBD's S0 packs its pilots from the tokens instead.
+    let gather = !matches!(transport, Transport::Rbd { .. });
+    let (s, mut meter) = (tokens.rows() as f64, transport.meter());
     meter.charge("gating", |c| price::gating(c, s, hidden, e, top_k));
     let n = route.pft.len();
-    if let Some(ws) = lease {
-        // For-overwrite: the gather fills it.
-        *rows = ws.take_for_overwrite(n, hidden);
+    if gather {
+        if let Some(ws) = lease {
+            // For-overwrite: the gather fills it.
+            *rows = ws.take_for_overwrite(n, hidden);
+        }
+        gather_rows_into(tokens, &route.pft.token_ids, rows);
     }
-    gather_rows_into(tokens, &route.pft.token_ids, rows);
     meter.charge("buffer_dispatch", |c| price::gather(c, n, hidden));
 }
 
@@ -327,7 +342,9 @@ pub(crate) fn run_experts(
 /// come back into `state.rows` — or, with `saves` (training, plain kernel),
 /// into `saves.combine_in` beside the expert-side activations, the dispatch
 /// rows then being a lease of `ws`. Under `Local` that is the buffer the
-/// dispatch rows were gathered into.
+/// dispatch rows were gathered into. `Rbd` gathers no PFT-order rows: its
+/// pilots go out straight from `tokens`, the weighted partials come back
+/// into its wire buffers, and `state.rows` stays as it was.
 #[allow(clippy::too_many_arguments)]
 pub fn forward(
     tokens: &Tensor,
@@ -342,9 +359,9 @@ pub fn forward(
     mut saves: Option<&mut ExpertSaves>,
 ) -> Result<Tensor, CommError> {
     let (hidden, lease) = (tokens.cols(), saves.is_some().then_some(&mut *ws));
-    gate_and_gather(tokens, gate, spec, state, lease, transport.meter());
+    gate_and_gather(tokens, gate, spec, state, lease, &mut transport);
     let LayerState { route, rows, .. } = state;
-    let (total, ffn) = (transport.plan(route)?, ffn_width(experts));
+    let (total, ffn) = (transport.plan(route, tokens)?, ffn_width(experts));
     if let Some(saves) = saves.as_deref_mut() {
         // For-overwrite: the chunks tile all three.
         saves.input = ws.take_for_overwrite(total, hidden);

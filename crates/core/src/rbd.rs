@@ -32,18 +32,20 @@
 //! Only the dispatch and combine live here, as three steps on
 //! [`RbdScratch`]: S0 ([`RbdScratch::plan`]); S1/S2, the pass's experts and
 //! the return legs ([`RbdScratch::exchange`]); the add of the partials
-//! ([`RbdScratch::combine`]). The plan arrays and every wire buffer stay in
-//! that grow-once scratch and make a round trip (see there); the staging
-//! rows and merged expert input are exact-size leases from the pass's
-//! [`Workspace`], so at steady state a serial step allocates nothing. The
-//! replica-merge and combine accumulations use the 8-lane elementwise
-//! kernels ([`xmoe_tensor::axpy_slice`] and friends), bitwise identical to
-//! the scalar loops they replace.
+//! ([`RbdScratch::combine`]). No row is copied that does not travel or feed
+//! an expert: S0 packs each destination's pilot rows straight from the
+//! tokens (the pass gathers no PFT-order rows for RBD), and the merge copies
+//! each inbound row straight from the wire buffer it arrived in into the
+//! expert-major input. The plan arrays and every wire buffer stay in that
+//! grow-once scratch and make a round trip (see there); the merged expert
+//! input is the one exact-size lease from the pass's [`Workspace`], so at
+//! steady state a serial step allocates nothing. The replica-merge and
+//! combine accumulations use the 8-lane elementwise kernels
+//! ([`xmoe_tensor::axpy_slice`] and friends), bitwise identical to the
+//! scalar loops they replace.
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
-use xmoe_tensor::{
-    add_assign_slice, axpy_slice, gather_rows_into, scaled_extend, DetRng, Tensor, Workspace,
-};
+use xmoe_tensor::{add_assign_slice, axpy_slice, scaled_extend, DetRng, Tensor, Workspace};
 use xmoe_topology::ExpertAssignment;
 
 use crate::pft::Pft;
@@ -163,6 +165,9 @@ struct EntryRec {
     src: usize,
     /// Pilot index within that source's chunk.
     idx: usize,
+    /// The row's index in the buffer it arrived in: `rows_recv[src]` for a
+    /// pilot (its `idx`), `rep_rows_recv[peer]` for a replica.
+    row: usize,
 }
 
 /// Grow-once plan and wire scratch of the RBD transport. Lives in the
@@ -186,6 +191,8 @@ pub(crate) struct RbdScratch {
     replicas: Vec<(usize, u32)>,
     /// Pilot ranges per destination: dst `d` owns `pilots[dst_off[d]..dst_off[d+1]]`.
     dst_off: Vec<usize>,
+    /// Row width of the pilots [`RbdScratch::plan`] packed.
+    hidden: usize,
     entries: Vec<EntryRec>,
     // Persistent wire shells and the buffers in them.
     rows_send: Vec<Vec<f32>>,
@@ -258,10 +265,12 @@ impl RbdScratch {
     /// S0 — pilot selection, charged as `rbd_plan`: group `pft`'s routed
     /// entries by (token, destination node), pick a pilot per group by
     /// `policy` and attach the rest as its replicas (a flat range in
-    /// `replicas`, not a per-pilot Vec).
+    /// `replicas`, not a per-pilot Vec). Then pack S1's payload: each
+    /// destination's pilot rows, copied straight from `tokens` (the rows
+    /// `pft` routes), and their metadata.
     pub(crate) fn plan(
         &mut self,
-        pft: &Pft,
+        (pft, tokens): (&Pft, &Tensor),
         (comms, assignment): (&RbdComms, &ExpertAssignment),
         policy: PilotPolicy,
         rng: &mut DetRng,
@@ -298,21 +307,42 @@ impl RbdScratch {
         // sorts would produce it, without per-dst index/reorder scratch.
         pilots.sort_unstable_by_key(|p| (p.dst, pft.expert_ids[p.idx], pft.token_ids[p.idx]));
         self.dst_off.clear();
-        let dst_start = |d| pilots.partition_point(|p| p.dst < d);
-        self.dst_off.extend((0..=comms.ep.size()).map(dst_start));
+        let (w, dst_off) = (comms.ep.size(), &mut self.dst_off);
+        dst_off.extend((0..=w).map(|d| pilots.partition_point(|p| p.dst < d)));
+
+        // Wire format per pilot: expert, weight bits, n_rep, then (expert,
+        // weight bits) per replica — all inline in one u64 stream per dst.
+        self.hidden = tokens.cols();
+        let (rows_send, meta_send) = (&mut self.rows_send, &mut self.meta_send);
+        rows_send.resize_with(w, Vec::new);
+        meta_send.resize_with(w, Vec::new);
+        for d in 0..w {
+            let (out, meta) = (&mut rows_send[d], &mut meta_send[d]);
+            out.clear();
+            meta.clear();
+            for p in &pilots[dst_off[d]..dst_off[d + 1]] {
+                out.extend_from_slice(tokens.row(pft.token_ids[p.idx]));
+                meta.push(pft.expert_ids[p.idx] as u64);
+                meta.push(pft.combine_weights[p.idx].to_bits() as u64);
+                meta.push((p.rep1 - p.rep0) as u64);
+                for &(e, wbits) in &replicas[p.rep0..p.rep1] {
+                    meta.push(e as u64);
+                    meta.push(wbits as u64);
+                }
+            }
+        }
         let routed = pft.len() as f64;
         meter.charge("rbd_plan", |c| price::rbd_plan(c, routed));
     }
 
-    /// S1 and S2 out, `compute` once over the merged expert-major buffer (one
-    /// whole [`ChunkPlan`]), then the weighted intra-node and inter-node
-    /// return legs. `dispatch_in` holds `pft`'s rows; `overlap_chunks`
-    /// pipelines S1 (see its arm). What comes back are per-(token, node)
-    /// partial sums in pilot order, which stay here for
+    /// S1 and S2 out (the payload [`RbdScratch::plan`] packed), `compute`
+    /// once over the merged expert-major buffer (one whole [`ChunkPlan`]),
+    /// then the weighted intra-node and inter-node return legs.
+    /// `overlap_chunks` pipelines S1 (see its arm). What comes back are
+    /// per-(token, node) partial sums in pilot order, which stay here for
     /// [`RbdScratch::combine`].
     pub(crate) fn exchange<F>(
         &mut self,
-        (pft, dispatch_in): (&Pft, &Tensor),
         (comms, assignment): (&RbdComms, &ExpertAssignment),
         overlap_chunks: Option<usize>,
         clock: &mut SimClock,
@@ -323,11 +353,10 @@ impl RbdScratch {
         F: FnMut(&ChunkPlan, &[usize], Tensor, Meter, &mut Workspace) -> Tensor,
     {
         let (ep, node) = (&comms.ep, &comms.node);
-        let (w, hidden) = (ep.size(), dispatch_in.cols());
+        let (w, hidden) = (ep.size(), self.hidden);
         let owner_of = |e: usize| assignment.primary(e);
         let locals = assignment.experts_on(ep.rank());
         let (first_expert, e_local) = (locals.first().copied().unwrap_or_default(), locals.len());
-        let (pilots, replicas, dst_off) = (&self.pilots, &self.replicas, &self.dst_off);
         let (entries, back_recv) = (&mut self.entries, &mut self.back_recv);
         let (rows_send, rows_recv) = (&mut self.rows_send, &mut self.rows_recv);
         let (meta_send, meta_recv) = (&mut self.meta_send, &mut self.meta_recv);
@@ -336,28 +365,9 @@ impl RbdScratch {
         let (crep_rows_recv, crep_meta_recv) = (&mut self.crep_rows_recv, &mut self.crep_meta_recv);
 
         // --- S1: inter-node exchange of pilots + metadata -------------------
-        // Wire format per pilot: expert, weight bits, n_rep, then (expert,
-        // weight bits) per replica — all inline in one u64 stream per dst.
-        rows_send.resize_with(w, Vec::new);
-        meta_send.resize_with(w, Vec::new);
         rows_recv.resize_with(w, Vec::new);
         meta_recv.resize_with(w, Vec::new);
         back_recv.resize_with(w, Vec::new);
-        for d in 0..w {
-            let (out, meta) = (&mut rows_send[d], &mut meta_send[d]);
-            out.clear();
-            meta.clear();
-            for p in &pilots[dst_off[d]..dst_off[d + 1]] {
-                out.extend_from_slice(dispatch_in.row(p.idx));
-                meta.push(pft.expert_ids[p.idx] as u64);
-                meta.push(pft.combine_weights[p.idx].to_bits() as u64);
-                meta.push((p.rep1 - p.rep0) as u64);
-                for &(e, wbits) in &replicas[p.rep0..p.rep1] {
-                    meta.push(e as u64);
-                    meta.push(wbits as u64);
-                }
-            }
-        }
 
         // --- S1.5 state: entry list + replica queues -------------------------
         let node_n = node.size();
@@ -391,6 +401,7 @@ impl RbdScratch {
                     peer: PILOT,
                     src,
                     idx,
+                    row: idx,
                 });
                 for _ in 0..n_rep {
                     let rep_expert = meta[i] as usize;
@@ -484,28 +495,24 @@ impl RbdScratch {
         node.all_to_all_v_into(rep_meta_send, rep_meta_recv, clock)?;
         clock.commit("dispatch_a2a_meta_intra");
         for (peer, meta) in rep_meta_recv.iter().enumerate() {
-            for quad in meta.chunks_exact(4) {
+            for (row, quad) in meta.chunks_exact(4).enumerate() {
                 entries.push(EntryRec {
                     local_expert: quad[0] as usize - first_expert,
                     weight: f32::from_bits(quad[1] as u32),
                     peer,
                     src: quad[2] as usize,
                     idx: quad[3] as usize,
+                    row,
                 });
             }
         }
-        // Pilots by source, then replicas by peer: entry row i is staging row i.
-        let n_rows = entries.len();
-        let mut staging = ws.take_f32(n_rows * hidden);
-        for rows in rows_recv.iter().chain(rep_rows_recv.iter()) {
-            staging.extend_from_slice(rows);
-        }
-        let staging = Tensor::from_vec(n_rows, hidden, staging);
 
         // --- Merge ordered by local expert; the pass's experts --------------
-        // Counting sort: stable by construction (equal experts keep arrival
-        // order) and allocation-free. Entry row i is staging row i, so the
-        // sorted entry order doubles as the gather permutation.
+        // Counting sort over the entries (pilots by source, then replicas by
+        // peer): stable by construction (equal experts keep arrival order)
+        // and allocation-free. Each row is copied straight from the wire
+        // buffer it arrived in to its expert-major position.
+        let n_rows = entries.len();
         let mut counts = ws.take_idx(e_local);
         for e in entries.iter() {
             counts[e.local_expert] += 1;
@@ -521,9 +528,18 @@ impl RbdScratch {
             order[cursor[e.local_expert]] = i;
             cursor[e.local_expert] += 1;
         }
+        // For-overwrite: `order` is a permutation of every entry.
         let mut expert_input = ws.take_for_overwrite(n_rows, hidden);
-        gather_rows_into(&staging, &order, &mut expert_input);
-        ws.recycle(staging);
+        for (pos, &ei) in order.iter().enumerate() {
+            let e = &entries[ei];
+            let wire = if e.peer == PILOT {
+                &rows_recv[e.src]
+            } else {
+                &rep_rows_recv[e.peer]
+            };
+            let row = &wire[e.row * hidden..(e.row + 1) * hidden];
+            expert_input.row_mut(pos).copy_from_slice(row);
+        }
         let whole = ChunkPlan {
             experts: (0, e_local),
             rows: (0, n_rows),

@@ -205,6 +205,12 @@ impl Tensor {
         self.data.len()
     }
 
+    /// Elements the backing buffer holds room for (grow-only, see
+    /// [`Tensor::resize`]): the memory the tensor keeps.
+    pub fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }

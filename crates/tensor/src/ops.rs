@@ -501,8 +501,8 @@ fn gemm_rows(a: &[f32], b: &[f32], c: &mut [f32], r0: usize, rows: usize, k: usi
 /// thread-local grow-once scratch and streams it at the tier's full width
 /// (from 16 rows up; shorter calls take dot products straight off `B`). It
 /// replaced an implementation that materialised a fresh `B^T` allocation on
-/// every backward GEMM of every step (see the `bench gemm` table in
-/// DESIGN.md).
+/// every backward GEMM of every step (see PR 19 in CHANGES.md for the
+/// `bench gemm` numbers).
 pub fn matmul_transpose_b(a: &Tensor, b: &Tensor) -> Tensor {
     let mut c = Tensor::zeros(a.rows(), b.rows());
     matmul_transpose_b_into(a, b, &mut c);

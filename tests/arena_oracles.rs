@@ -10,15 +10,18 @@
 //! fine-grained shape: the layer pass computes in place (the experts write
 //! their outputs over their dispatch rows, the combine backward its gradient
 //! over the saved outputs), so a routed-row `[n, H]` buffer more than the
-//! dataflow needs shows as a bound exceeded.
+//! dataflow needs shows as a bound exceeded. Under RBD the pilots go out
+//! straight from the tokens and the experts read straight from the wire, so
+//! the state keeps no PFT-order rows at all.
 
 use xmoe::collectives::{RankCtx, SimCluster};
 use xmoe::core::gating::DropPolicy;
 use xmoe::core::pipeline::{
-    ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline, PooledSingleState,
+    ExecCtx, MoeLayerSpec, PaddingFreePipeline, Pipeline, PooledSingleState, RbdPipeline,
 };
+use xmoe::core::rbd::{PilotPolicy, RbdComms};
 use xmoe::core::{ExpertShard, Router};
-use xmoe::tensor::Tensor;
+use xmoe::tensor::{DetRng, Tensor};
 use xmoe::train::model::build_moe_layers;
 use xmoe::train::{DistMoeLm, MarkovCorpus, MoeTrainScratch, TrainConfig, TrainableMoe};
 
@@ -175,6 +178,66 @@ fn a_pooled_forward_arena_holds_no_routed_row_buffer() {
          (an [n, H] buffer is {})",
         n * h
     );
+}
+
+#[test]
+fn a_pooled_rbd_forward_holds_no_pft_order_rows() {
+    // Sixteen ranks on two simulated nodes, two experts each, top-8: about
+    // three quarters of the routed rows are replicas that never cross nodes.
+    let (world, s, h, f, e, k) = (16usize, 64usize, 32usize, 8usize, 32usize, 8usize);
+    let router = Router::new(h, e, k, 91);
+    let spec = MoeLayerSpec::new(e, k * s * world);
+    let rbd = RbdPipeline {
+        policy: PilotPolicy::Random,
+    };
+    let tokens_of = |rank: usize| Tensor::rand_uniform(s, h, 1.0, 900 + rank as u64);
+    let per_rank = {
+        let (router, spec, rbd, tokens_of) = (&router, &spec, &rbd, &tokens_of);
+        SimCluster::frontier(world).run(move |ctx| {
+            let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 92);
+            let comms = RbdComms::create(&ctx.world, &mut ctx.clock).unwrap();
+            let tokens = tokens_of(ctx.rank);
+            let mut state = PooledSingleState::default();
+            for step in 0..6 {
+                // A fresh pilot draw every forward: the wire sizes change,
+                // the rows each rank's experts receive do not.
+                let mut rng = DetRng::new(93 ^ (step * world + ctx.rank) as u64);
+                let mut ex = ExecCtx::hier(&comms, &mut ctx.clock)
+                    .with_state(&mut state)
+                    .with_rng(&mut rng);
+                let out = rbd.forward(&tokens, router, &shard, spec, &mut ex).unwrap();
+                state.ws.recycle(out);
+            }
+            let retained = state.ws.stats().retained_f32;
+            (state.routed_rows().capacity(), retained)
+        })
+    };
+    // The rows a rank's experts receive, pilots and replicas alike: every
+    // routed entry, of every rank, to an expert it holds (contiguous layout,
+    // no drops).
+    let mut rows_in = vec![0usize; world];
+    for rank in 0..world {
+        for &x in &router.gate(&tokens_of(rank)).top_experts {
+            rows_in[x / (e / world)] += 1;
+        }
+    }
+    for (rank, (&(rows, retained), r)) in per_rank.iter().zip(&rows_in).enumerate() {
+        assert_eq!(
+            rows,
+            0,
+            "rank {rank} keeps {rows} f32 of PFT-order rows (its [n, H] is {})",
+            k * s * h
+        );
+        // The merged expert input, the `[rows_in, 2F]` hidden-layer strip
+        // and the `[s, H]` output; no staging copy of the wire rows.
+        let bound = with_grow_slack(r * h + r * 2 * f + s * h);
+        assert!(
+            retained <= bound,
+            "rank {rank}: RBD arena retains {retained} f32 > merged input + strip + out \
+             = {bound} (a [rows_in, H] buffer is {})",
+            r * h
+        );
+    }
 }
 
 #[test]

@@ -618,6 +618,21 @@ static LINTS: &[Lint] = &[
         yes: "pub(crate) struct RbdScratch {",
         no: "pub struct RbdScratch {",
     },
+    // RBD copies a row only to send it or to feed an expert: S0 packs the
+    // pilots straight from the tokens and the merge reads straight from the
+    // wire buffers. A gather or a flat lease is a PFT-order or staging copy
+    // of the routed rows coming back.
+    Lint {
+        name: "RBD ships its pilots straight from the tokens: gather_rows_into( / take_f32( in rbd.rs",
+        files: &["crates/core/src/rbd.rs"],
+        skip: NOTHING,
+        scope: Scope::NonTest,
+        unit: Unit::Hits,
+        hits: |l| find(l, "gather_rows_into(", true, false) + find(l, "take_f32(", true, false),
+        cap: Cap::Exactly(0),
+        yes: "        let mut staging = ws.take_f32(n_rows * hidden);",
+        no: "        let mut expert_input = ws.take_for_overwrite(n_rows, hidden);",
+    },
     // The expert stage writes its outputs over the dispatch rows it reads,
     // the block kernel strips its padding back into its input, and the
     // combine backward writes `d_y` over the saved expert outputs. A
