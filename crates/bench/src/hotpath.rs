@@ -52,18 +52,21 @@ const HOT_DIMS: [usize; 5] = [HOT_S, HOT_H, HOT_F, HOT_E, HOT_K];
 /// Measured-over-analytic bound for the pooled PFT *training* record.
 /// `memory::moe_layer_activation` counts the four forward activation buffers
 /// of one X-MoE layer (dispatch, combine, intermediate, mask metadata); the
-/// measured steady-state working set additionally retains the saved expert
-/// input and hidden layers, the backward's `d_h` (the combine backward
-/// overwrites the saved outputs with `d_y`), the router state (logits,
-/// scores, top-k arrays, their gradients), gradient-staging temporaries and
-/// malloc size-class rounding. It reads 2.32x / 2.35x / 2.45x at
-/// `XMOE_THREADS` = 1 / 2 / 8, `--smoke` and full run alike; the bound is
-/// that maximum plus a tenth. Anything past it means a buffer joined the
-/// steady state that the model knows nothing about — one more `[n, H]`
-/// routed-row buffer reads 2.60x–2.72x. (Distinct from
-/// `memory::ALLOCATOR_SLACK`, which models GPU-side caching-allocator
-/// fragmentation on top of the same analytic accounting.)
-const TRAIN_SLACK: f64 = 2.7;
+/// measured steady-state working set additionally retains the saved hidden
+/// layers, the backward's `d_h` (the combine backward overwrites the saved
+/// outputs with `d_y`; the expert input is read again from the layer input
+/// by token id, not saved), the router state (logits, scores, top-k arrays,
+/// their gradients), gradient-staging temporaries, the TN kernel's
+/// per-lane segment pack and malloc size-class rounding. It reads 2.14x /
+/// 2.17x / 2.27x at `XMOE_THREADS` = 1 / 2 / 8, `--smoke` and full run
+/// alike; the bound is that maximum plus a tenth. Anything past it means a
+/// buffer joined the steady state that the model knows nothing about. At
+/// these toy dims one `[n, H]` buffer is only 2 KB: the saved input copy
+/// read 2.32x–2.45x, under the bound, so `tests/arena_oracles.rs` is what
+/// holds the routed-row count. (Distinct from `memory::ALLOCATOR_SLACK`,
+/// which models GPU-side caching-allocator fragmentation on top of the same
+/// analytic accounting.)
+const TRAIN_SLACK: f64 = 2.5;
 
 /// The analytic activation bytes of one fp32 (the tensor library's element
 /// type) MoE layer of the given shape under `sys`'s accounting.
@@ -512,7 +515,7 @@ mod tests {
             t_base,
         };
         vec![
-            record("pft", HOT_DIMS, 1, &w, &m(0.0, 18337, Some(1.25e-3)), 7488),
+            record("pft", HOT_DIMS, 1, &w, &m(0.0, 16993, Some(1.25e-3)), 7488),
             record("dense", HOT_DIMS, 1, &w, &m(22.0, 10560, None), 28160),
             record(
                 "blocksparse",

@@ -90,6 +90,9 @@ pub struct LayerState {
 /// the expert outputs the combine read.
 #[derive(Clone, Default)]
 pub struct ExpertSaves {
+    /// The rows the experts received, as they arrived over the wire; empty
+    /// under `Local`, whose rows are the tokens' own: the backward reads
+    /// them again by the PFT's token ids.
     pub input: Tensor,
     pub h_pre: Tensor,
     pub h_act: Tensor,
@@ -180,9 +183,13 @@ impl Transport<'_> {
 
     /// The one expert exchange, forward activations and backward gradients
     /// alike: PFT-order `rows` out to the experts, `compute` per chunk, back
-    /// in PFT order (see [`EpRoute::exchange`] for the closure's contract).
-    /// `Local` is `compute` over the whole PFT; `Ep` is the route's exchange,
-    /// serial or chunked, under `labels = (dispatch, compute, combine)`.
+    /// in PFT order (see [`EpRoute::exchange`] for the closure's contract;
+    /// here it also gets `ids`, below). `Local` is `compute` over the whole
+    /// PFT, with `ids` the PFT's `token_ids`: the token each of the chunk's
+    /// rows was gathered from, so a caller that keeps the tokens can read a
+    /// row again instead of saving a copy. The other transports pass `None`:
+    /// their rows arrive over a wire. `Ep` is the route's exchange, serial or
+    /// chunked, under `labels = (dispatch, compute, combine)`.
     /// `Rbd` sends the pilots its `plan` packed and runs `compute` once, under
     /// its own labels; the per-(token, node) partials that come back stay in
     /// the route for the combine, and `rows` (no PFT-order rows: empty unless
@@ -196,24 +203,30 @@ impl Transport<'_> {
         mut compute: F,
     ) -> Result<Tensor, CommError>
     where
-        F: FnMut(&ChunkPlan, &[usize], Tensor, Meter, &mut Workspace) -> Tensor,
+        F: FnMut(&ChunkPlan, &[usize], Option<&[usize]>, Tensor, Meter, &mut Workspace) -> Tensor,
     {
+        // What a transport whose rows arrive over a wire runs.
+        let mut wired = |plan: &ChunkPlan, counts: &[usize], rows, meter: Meter<'_>, ws: &mut _| {
+            compute(plan, counts, None, rows, meter, ws)
+        };
         match self {
             Transport::Local => {
-                let counts = &route.pft.tokens_per_expert;
+                let pft = &route.pft;
+                let counts = &pft.tokens_per_expert;
                 let whole = ChunkPlan {
                     experts: (0, counts.len()),
                     rows: (0, rows.rows()),
                     chunk: (0, 1),
                 };
-                Ok(compute(&whole, counts, rows, Meter::default(), ws))
+                let ids = Some(pft.token_ids.as_slice());
+                Ok(compute(&whole, counts, ids, rows, Meter::default(), ws))
             }
             Transport::Ep {
                 comm,
                 clock,
                 overlap_chunks,
                 ..
-            } => route.exchange(rows, *overlap_chunks, labels, comm, clock, ws, compute),
+            } => route.exchange(rows, *overlap_chunks, labels, comm, clock, ws, wired),
             Transport::Rbd {
                 comms,
                 clock,
@@ -222,7 +235,7 @@ impl Transport<'_> {
                 ..
             } => {
                 let (layout, chunks) = ((*comms, *assignment), *overlap_chunks);
-                route.rbd.exchange(layout, chunks, clock, ws, compute)?;
+                route.rbd.exchange(layout, chunks, clock, ws, &mut wired)?;
                 Ok(rows)
             }
         }
@@ -342,7 +355,9 @@ pub(crate) fn run_experts(
 /// come back into `state.rows` — or, with `saves` (training, plain kernel),
 /// into `saves.combine_in` beside the expert-side activations, the dispatch
 /// rows then being a lease of `ws`. Under `Local` that is the buffer the
-/// dispatch rows were gathered into. `Rbd` gathers no PFT-order rows: its
+/// dispatch rows were gathered into, and the saves keep no copy of them
+/// (`saves.input` stays empty): a training caller keeps `tokens`, and the
+/// PFT's token ids give every row again. `Rbd` gathers no PFT-order rows: its
 /// pilots go out straight from `tokens`, the weighted partials come back
 /// into its wire buffers, and `state.rows` stays as it was.
 #[allow(clippy::too_many_arguments)]
@@ -363,8 +378,11 @@ pub fn forward(
     let LayerState { route, rows, .. } = state;
     let (total, ffn) = (transport.plan(route, tokens)?, ffn_width(experts));
     if let Some(saves) = saves.as_deref_mut() {
-        // For-overwrite: the chunks tile all three.
-        saves.input = ws.take_for_overwrite(total, hidden);
+        // For-overwrite: the chunks tile all three. Under `Local` the
+        // backward reads each row's input again from the tokens.
+        if !matches!(transport, Transport::Local) {
+            saves.input = ws.take_for_overwrite(total, hidden);
+        }
         saves.h_pre = ws.take_for_overwrite(total, ffn);
         saves.h_act = ws.take_for_overwrite(total, ffn);
     }
@@ -374,11 +392,14 @@ pub fn forward(
         std::mem::take(rows),
         labels,
         ws,
-        |plan, counts, chunk, meter, ws| {
+        |plan, counts, ids, chunk, meter, ws| {
             // Local experts [e0, e1): rows [r0, r1) of the saved buffers.
             let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
             let act = saves.as_deref_mut().map(|s| {
-                s.input.as_mut_slice()[r0 * hidden..r1 * hidden].copy_from_slice(chunk.as_slice());
+                if ids.is_none() {
+                    let input = &mut s.input.as_mut_slice()[r0 * hidden..r1 * hidden];
+                    input.copy_from_slice(chunk.as_slice());
+                }
                 let h_pre = &mut s.h_pre.as_mut_slice()[r0 * ffn..r1 * ffn];
                 (h_pre, &mut s.h_act.as_mut_slice()[r0 * ffn..r1 * ffn])
             });

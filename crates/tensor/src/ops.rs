@@ -695,7 +695,7 @@ fn nt_blocks(n: usize, nr: usize) -> impl Iterator<Item = (usize, usize)> {
 }
 
 /// The first `len` elements of a grow-only scratch, contents unspecified.
-fn grown(scratch: &mut Vec<f32>, len: usize) -> &mut [f32] {
+pub(crate) fn grown(scratch: &mut Vec<f32>, len: usize) -> &mut [f32] {
     if scratch.len() < len {
         scratch.resize(len, 0.0);
     }

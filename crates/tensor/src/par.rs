@@ -53,7 +53,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
 
 use crate::alloc::mark_thread_untracked;
-use crate::ops::{gemm_rows_offset, gemm_ta_rows, gemm_tb_rows, nt_pack_reserve, MAX_TILE_ROWS};
+use crate::ops::{
+    gemm_rows_offset, gemm_ta_rows, gemm_tb_rows, grown, nt_pack_reserve, MAX_TILE_ROWS,
+};
 use crate::worker_threads;
 
 /// Below this `m*n*k` volume a GEMM (grouped: by *total* volume) runs
@@ -568,21 +570,74 @@ std::thread_local! {
     /// Grow-once panel arena: cleared and refilled per grouped call, so at
     /// steady state scheduling a grouped GEMM allocates nothing.
     static PANELS: RefCell<Vec<Panel>> = const { RefCell::new(Vec::new()) };
+    /// This thread's packed TN segment: a gathered expert's `A` rows, made
+    /// contiguous for the tile. Grow-once (the largest segment seen); per
+    /// thread because every pool task packs the segment of its own expert.
+    static TA_PACKED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Where a grouped TN call reads its `A` rows (see
+/// [`gemm_grouped_transpose_a_blocks`]).
+#[derive(Clone, Copy)]
+pub enum RowSource<'a> {
+    /// The rows themselves, `[sum(counts), ac]` in segment order.
+    Contiguous(&'a [f32]),
+    /// Row `i` is row `ids[i]` of the row-major `src` (`ac` columns): the
+    /// tokens a dispatch gathered, read again instead of kept as a copy.
+    Gathered { src: &'a [f32], ids: &'a [usize] },
+}
+
+impl RowSource<'_> {
+    /// `C += A[row0..row0 + cnt]^T @ d_seg` into the `[ac, n]` `c` (the
+    /// AddFresh store): a gathered segment is first packed, in order, into
+    /// this thread's [`TA_PACKED`], so the tile reads the same values in the
+    /// same k-order as from contiguous rows.
+    fn ta_segment(
+        self,
+        (row0, cnt): (usize, usize),
+        (ac, n): (usize, usize),
+        d_seg: &[f32],
+        c: &mut [f32],
+    ) {
+        match self {
+            RowSource::Contiguous(a) => gemm_ta_rows(
+                &a[row0 * ac..(row0 + cnt) * ac],
+                d_seg,
+                c,
+                0,
+                ac,
+                cnt,
+                ac,
+                n,
+            ),
+            RowSource::Gathered { src, ids } => TA_PACKED.with(|cell| {
+                let packed = &mut cell.borrow_mut();
+                let a_seg = grown(packed, cnt * ac);
+                for (row, &t) in a_seg.chunks_exact_mut(ac).zip(&ids[row0..row0 + cnt]) {
+                    row.copy_from_slice(&src[t * ac..(t + 1) * ac]);
+                }
+                gemm_ta_rows(a_seg, d_seg, c, 0, ac, cnt, ac, n);
+            }),
+        }
+    }
 }
 
 #[derive(Clone, Copy)]
-enum GroupKind {
+enum GroupKind<'a> {
     /// `C[seg] = A[seg] @ B_e` (k = inner dim, n = out cols, overwrite).
     Nn,
     /// `C[seg] = A[seg] @ B_e^T` (B_e is `n x k`, overwrite).
     Nt,
-    /// `C_e = C_e + A[seg]^T @ D[seg]` (A cols = k = C rows, D cols = n).
-    Ta,
+    /// `C_e = C_e + A[seg]^T @ D[seg]` (A cols = k = C rows, D cols = n),
+    /// `A` read from the source it carries.
+    Ta(RowSource<'a>),
 }
 
 struct GroupedCtx<'a> {
+    /// The row-major `A` of the NN/NT kinds (empty for TN, whose `A` is its
+    /// kind's [`RowSource`]).
     a: &'a [f32],
-    /// Second operand of the TN kind (`d` rows align with `a` rows).
+    /// Second operand of the TN kind (`d` rows align with `A` rows).
     d: &'a [f32],
     /// The row-major output of the NN/NT kinds (empty for TN, whose outputs
     /// are the panels' own `block`s).
@@ -591,34 +646,34 @@ struct GroupedCtx<'a> {
     /// Row stride of `a` (NN/NT: inner dim; TN: A's column count = C rows).
     k: usize,
     n: usize,
-    kind: GroupKind,
+    kind: GroupKind<'a>,
 }
 
 fn grouped_task(g: &GroupedCtx<'_>, i: usize) {
     let p = g.panels[i];
-    let a_seg = &g.a[p.row0 * g.k..(p.row0 + p.rows) * g.k];
+    let a_seg = || &g.a[p.row0 * g.k..(p.row0 + p.rows) * g.k];
     match g.kind {
         GroupKind::Nn => {
             // SAFETY: panels carve disjoint output row ranges.
             let c_seg = unsafe { g.c.slice(p.c_off, p.rows * g.n) };
             // SAFETY: weight pointer from a live slice of length k*n.
             let b = unsafe { std::slice::from_raw_parts(p.b, g.k * g.n) };
-            gemm_rows_offset(a_seg, b, c_seg, 0, p.rows, g.k, g.n);
+            gemm_rows_offset(a_seg(), b, c_seg, 0, p.rows, g.k, g.n);
         }
         GroupKind::Nt => {
             // SAFETY: as above.
             let c_seg = unsafe { g.c.slice(p.c_off, p.rows * g.n) };
             // SAFETY: weight is `n x k` row-major.
             let b = unsafe { std::slice::from_raw_parts(p.b, g.n * g.k) };
-            gemm_tb_rows(a_seg, b, c_seg, 0, p.rows, g.k, g.n);
+            gemm_tb_rows(a_seg(), b, c_seg, 0, p.rows, g.k, g.n);
         }
-        GroupKind::Ta => {
+        GroupKind::Ta(a) => {
             let d_seg = &g.d[p.row0 * g.n..(p.row0 + p.rows) * g.n];
             // SAFETY: `block` was taken from a distinct `&mut [f32]` of
             // length `k * n` per expert (checked by the entry point), alive
             // for the batch, and this is the expert's only task.
             let c_seg = unsafe { std::slice::from_raw_parts_mut(p.block, g.k * g.n) };
-            gemm_ta_rows(a_seg, d_seg, c_seg, 0, g.k, p.rows, g.k, g.n);
+            a.ta_segment((p.row0, p.rows), (g.k, g.n), d_seg, c_seg);
         }
     }
 }
@@ -809,9 +864,10 @@ pub fn gemm_grouped_transpose_b<'b>(
 
 /// Grouped `C_e = C_e + A[seg_e]^T @ D[seg_e]` — the weight-gradient kernel
 /// (`dW = X^T @ dY` per expert) computed *without materialising any
-/// transpose* — over one contiguous `c` of `[counts.len() * ac, n]`: expert
-/// `e`'s gradient block occupies rows `[e*ac, (e+1)*ac)`. A wrapper over
-/// [`gemm_grouped_transpose_a_blocks`], which see.
+/// transpose* — over contiguous `a` rows and one contiguous `c` of
+/// `[counts.len() * ac, n]`: expert `e`'s gradient block occupies rows
+/// `[e*ac, (e+1)*ac)`. A wrapper over [`gemm_grouped_transpose_a_blocks`],
+/// which see.
 pub fn gemm_grouped_transpose_a(
     a: &[f32],
     counts: &[usize],
@@ -827,7 +883,8 @@ pub fn gemm_grouped_transpose_a(
     );
     // A zero-sized block has nothing to receive (and no chunk size).
     if ac * n > 0 {
-        gemm_grouped_transpose_a_blocks(a, counts, ac, d, n, c.chunks_exact_mut(ac * n));
+        let blocks = c.chunks_exact_mut(ac * n);
+        gemm_grouped_transpose_a_blocks(RowSource::Contiguous(a), counts, ac, d, n, blocks);
     }
 }
 
@@ -835,19 +892,23 @@ pub fn gemm_grouped_transpose_a(
 /// block is its own `&mut [f32]`: `blocks` yields one `[ac, n]` block per
 /// entry of `counts`, in expert order — e.g. the experts' own gradient
 /// tensors, which is what lets the training backward add straight into them
-/// with no staging buffer. `a` is `[sum(counts), ac]`, `d` is
-/// `[sum(counts), n]` with the same segment layout. Distinct `&mut` borrows
-/// cannot overlap, so the blocks' disjointness is the caller's borrow check,
-/// not a promise.
+/// with no staging buffer. `d` is `[sum(counts), n]` in segment order; `a`
+/// gives `A`'s `sum(counts)` rows of `ac` columns in the same order, either
+/// contiguous or gathered from a source by row id — the tokens a dispatch
+/// gathered, which the local backward reads again instead of keeping a
+/// `[sum(counts), ac]` copy. Each task packs its gathered segment into a
+/// thread-local grow-once buffer first. Distinct `&mut` borrows cannot
+/// overlap, so the blocks' disjointness is the caller's borrow check, not a
+/// promise.
 ///
 /// The product is summed from `0.0` over segment rows in ascending order —
 /// exactly the k-order of `matmul(A_seg.transpose(), D_seg)` — and then added
 /// to the block (the kernel's *AddFresh* store): the bits of staging every
 /// expert's product into a zeroed block and `add_assign_slice`-ing it on, at
-/// any worker count. An expert with no rows leaves its block untouched. One
-/// task per expert.
+/// any worker count, for either source. An expert with no rows leaves its
+/// block untouched. One task per expert.
 pub fn gemm_grouped_transpose_a_blocks<'c>(
-    a: &[f32],
+    a: RowSource<'_>,
     counts: &[usize],
     ac: usize,
     d: &[f32],
@@ -855,16 +916,24 @@ pub fn gemm_grouped_transpose_a_blocks<'c>(
     blocks: impl Iterator<Item = &'c mut [f32]>,
 ) {
     let total: usize = counts.iter().sum();
-    assert_eq!(
-        a.len(),
-        total * ac,
-        "gemm_grouped_transpose_a: A length mismatch"
-    );
+    let a_fits = match a {
+        RowSource::Contiguous(a) => a.len() == total * ac,
+        RowSource::Gathered { ids, .. } => ids.len() == total,
+    };
+    assert!(a_fits, "gemm_grouped_transpose_a: A length mismatch");
     assert_eq!(
         d.len(),
         total * n,
         "gemm_grouped_transpose_a: D length mismatch"
     );
+    if let RowSource::Gathered { .. } = a {
+        // The submitting thread is the only allocation-tracked lane: grow
+        // its pack to the largest segment now, as `nt_pack_reserve` does.
+        let widest = counts.iter().max().copied().unwrap_or(0);
+        TA_PACKED.with(|cell| {
+            grown(&mut cell.borrow_mut(), widest * ac);
+        });
+    }
     let p = pool();
     let serial = !p.is_parallel() || total * n * ac < PAR_CUTOFF;
     PANELS.with(|cell| {
@@ -879,16 +948,7 @@ pub fn gemm_grouped_transpose_a_blocks<'c>(
             );
             experts += 1;
             if cnt > 0 && serial {
-                gemm_ta_rows(
-                    &a[row * ac..(row + cnt) * ac],
-                    &d[row * n..(row + cnt) * n],
-                    block,
-                    0,
-                    ac,
-                    cnt,
-                    ac,
-                    n,
-                );
+                a.ta_segment((row, cnt), (ac, n), &d[row * n..(row + cnt) * n], block);
             } else if cnt > 0 {
                 panels.push(Panel {
                     row0: row,
@@ -906,13 +966,13 @@ pub fn gemm_grouped_transpose_a_blocks<'c>(
             "gemm_grouped_transpose_a: one gradient block per expert"
         );
         let ctx = GroupedCtx {
-            a,
+            a: &[],
             d,
             c: DisjointMut::new(&mut []),
             panels: &panels,
             k: ac,
             n,
-            kind: GroupKind::Ta,
+            kind: GroupKind::Ta(a),
         };
         p.for_each(&ctx, ctx.panels.len(), grouped_task);
     });
@@ -1090,9 +1150,10 @@ mod tests {
         for (counts, ac, n) in [
             (vec![3usize, 0, 4, 0, 0, 2], 5usize, 6usize),
             (vec![0, 0, 61, 58, 0, 0, 0, 0], 100, 72),
-            (vec![50, 0, 53, 51, 0, 49], 100, 72),
+            (vec![75, 0, 78, 76, 0, 74], 100, 72),
         ] {
             let total: usize = counts.iter().sum();
+            assert_eq!(total * ac * n >= PAR_CUTOFF, counts[0] == 75);
             let a = Tensor::rand_uniform(total, ac, 1.0, 7474);
             let d = Tensor::rand_uniform(total, n, 1.0, 7575);
             let grads: Vec<Tensor> = (0..counts.len())
@@ -1112,7 +1173,7 @@ mod tests {
             }
             let mut got = grads.clone();
             gemm_grouped_transpose_a_blocks(
-                a.as_slice(),
+                RowSource::Contiguous(a.as_slice()),
                 &counts,
                 ac,
                 d.as_slice(),
@@ -1138,13 +1199,66 @@ mod tests {
     }
 
     #[test]
+    fn gathered_transpose_a_matches_gather_then_contiguous_bitwise() {
+        // The schedule the gathered source replaces: gather the rows into a
+        // `[total, ac]` buffer, then the contiguous TN. Empty segments, token
+        // ids shared by several segments, random (non-zero) gradient blocks
+        // for the AddFresh store, below and above the parallel cutoff.
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (counts, tokens, ac, n) in [
+            (vec![3usize, 0, 4, 2, 0], 4usize, 5usize, 6usize),
+            (vec![0, 90, 0, 97, 88, 95], 40, 96, 72),
+        ] {
+            let total: usize = counts.iter().sum();
+            assert_eq!(total * ac * n >= PAR_CUTOFF, tokens == 40);
+            let src = Tensor::rand_uniform(tokens, ac, 1.0, 7676);
+            // Every token lands in several segments (as a top-k route does).
+            let ids: Vec<usize> = (0..total).map(|i| (7 * i + 3) % tokens).collect();
+            let d = Tensor::rand_uniform(total, n, 1.0, 7777);
+            let grads: Vec<Tensor> = (0..counts.len())
+                .map(|e| Tensor::rand_uniform(ac, n, 1.0, 400 + e as u64))
+                .collect();
+            let mut gathered = Tensor::zeros(0, 0);
+            crate::gather_rows_into(&src, &ids, &mut gathered);
+            let mut want = grads.clone();
+            gemm_grouped_transpose_a_blocks(
+                RowSource::Contiguous(gathered.as_slice()),
+                &counts,
+                ac,
+                d.as_slice(),
+                n,
+                want.iter_mut().map(Tensor::as_mut_slice),
+            );
+            let mut got = grads.clone();
+            let a = RowSource::Gathered {
+                src: src.as_slice(),
+                ids: &ids,
+            };
+            let blocks = got.iter_mut().map(Tensor::as_mut_slice);
+            gemm_grouped_transpose_a_blocks(a, &counts, ac, d.as_slice(), n, blocks);
+            for e in 0..counts.len() {
+                assert_eq!(
+                    bits(got[e].as_slice()),
+                    bits(want[e].as_slice()),
+                    "expert {e} (total {total})"
+                );
+            }
+            for (e, &cnt) in counts.iter().enumerate() {
+                if cnt == 0 {
+                    assert_eq!(bits(got[e].as_slice()), bits(grads[e].as_slice()));
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "one gradient block per expert")]
     fn grouped_transpose_a_blocks_rejects_a_missing_block() {
         let a = Tensor::rand_uniform(4, 3, 1.0, 1);
         let d = Tensor::rand_uniform(4, 2, 1.0, 2);
         let mut only = vec![0.0f32; 6];
         gemm_grouped_transpose_a_blocks(
-            a.as_slice(),
+            RowSource::Contiguous(a.as_slice()),
             &[2, 2],
             3,
             d.as_slice(),

@@ -181,9 +181,15 @@ impl Workspace {
         t
     }
 
-    /// Return a leased tensor's backing buffer to the free list.
+    /// Return a leased tensor's backing buffer to the free list. A tensor
+    /// with no buffer (capacity 0, e.g. an empty default) has nothing to
+    /// give back and is dropped: listing it would grow the free list by one
+    /// entry per call.
     pub fn recycle(&mut self, t: Tensor) {
-        self.free_f32.push(t.into_vec());
+        let buf = t.into_vec();
+        if buf.capacity() > 0 {
+            self.free_f32.push(buf);
+        }
     }
 
     /// Lease a zero-filled index buffer of length `len`.
@@ -478,6 +484,20 @@ mod tests {
         let end = ws.stats();
         assert_eq!((end.takes, end.trims), (s.takes + 4, s.trims + 4));
         assert_eq!((end.retained_f32, end.pool_misses), (64, 2));
+    }
+
+    #[test]
+    fn recycling_an_empty_tensor_keeps_nothing() {
+        let mut ws = Workspace::new();
+        let t = ws.take(4, 4);
+        ws.recycle(t);
+        let (before, list) = (ws.stats(), ws.free_f32.capacity());
+        for _ in 0..1000 {
+            ws.recycle(Tensor::zeros(0, 0));
+        }
+        assert_eq!(ws.stats(), before);
+        // Listing the empties is what allocated: the free list grew.
+        assert_eq!((ws.free_f32.len(), ws.free_f32.capacity()), (1, list));
     }
 
     #[test]

@@ -14,8 +14,8 @@ use xmoe_core::price::{self, BWD_COMPUTE_FACTOR as BWD, F32};
 use xmoe_core::Expert;
 use xmoe_tensor::{
     add_assign, combine_backward_rows, gemm_grouped_transpose_a_blocks, gemm_grouped_transpose_b,
-    matmul_transpose_a_add, matmul_transpose_b_slices, scatter_rows_unit, silu_grad_slice, Tensor,
-    Workspace,
+    matmul_transpose_a_add, matmul_transpose_b_slices, scatter_rows_unit, silu_grad_slice,
+    RowSource, Tensor, Workspace,
 };
 
 /// Router hyper-parameters of one layer.
@@ -136,7 +136,9 @@ pub(crate) fn forward(
 /// the forward ran: combine backward → the exchange of the expert-FFN
 /// backward → dispatch transpose → router backward. Accumulates `g_gate`
 /// and `g_experts`, returns `d_x` (leased from `ws`) and hands the expert
-/// saves back. `d_out` carries `loss_scale`, which the aux and z-loss terms
+/// saves back. The expert FFN's input rows are the saved ones where they
+/// came over a wire; under `Local` they are the layer input's own rows,
+/// read again by the PFT's token ids. `d_out` carries `loss_scale`, which the aux and z-loss terms
 /// take on too. Each stage charges `BWD_COMPUTE_FACTOR`× its forward price
 /// under `bwd_*`, as [`xmoe_core::perf::PerfModel::step`] prices a backward.
 #[allow(clippy::too_many_arguments)]
@@ -161,23 +163,27 @@ pub(crate) fn backward(
     let n = ctx.pft().len();
     let mut meter = transport.meter();
     meter.charge("bwd_buffer_combine", |c| BWD * price::gather(c, n, h));
-    let saves = &ctx.experts;
+    let (saves, x) = (&ctx.experts, ctx.x.as_slice());
     let labels = ("bwd_combine_a2a", "bwd_expert", "bwd_dispatch_a2a");
     let d_dispatch = transport.exchange(
         &mut ctx.layer.route,
         d_combine,
         labels,
         ws,
-        |plan, counts, chunk_dy, mut meter, ws| {
+        |plan, counts, ids, chunk_dy, mut meter, ws| {
             let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
             let n = (r1 - r0) as f64;
             meter.charge("bwd_expert", |c| BWD * price::expert_seq(c, n, h, f, F32));
+            let input = match ids {
+                Some(ids) => RowSource::Gathered { src: x, ids },
+                None => RowSource::Contiguous(&saves.input.as_slice()[r0 * h..r1 * h]),
+            };
             expert_ffn_backward(
                 &experts[e0..e1],
                 &mut g_experts[e0..e1],
                 counts,
                 (h, f),
-                &saves.input.as_slice()[r0 * h..r1 * h],
+                input,
                 &saves.h_pre.as_slice()[r0 * f..r1 * f],
                 &saves.h_act.as_slice()[r0 * f..r1 * f],
                 chunk_dy,
@@ -201,8 +207,11 @@ pub(crate) fn backward(
 
 /// Backward of [`expert_ffn`](xmoe_core::expert::expert_ffn) over the same segments: adds
 /// `dW2_e = act_e^T·dy_e` and `dW1_e = x_e^T·d_h_e` onto `grads` and returns
-/// `d_input` (leased from `ws`). `d_y` is a lease of `ws` too, taken by value
-/// and recycled after its last read, so `d_input` can have its buffer. Each expert's product is summed on its own
+/// `d_input` (leased from `ws`). `input` gives the rows `x_e`: saved, or
+/// gathered from the layer input by token id, which the TN kernel packs one
+/// expert at a time, so no `[rows, h]` copy exists. `d_y` is a lease of `ws`
+/// too, taken by value and recycled after its last read, so `d_input` can
+/// have its buffer. Each expert's product is summed on its own
 /// and then added to its gradient tensor in one step (the TN kernel's
 /// AddFresh store) — accumulating the terms straight into `grads` would
 /// reassociate the float sums — with no staging block and no transpose
@@ -214,7 +223,7 @@ fn expert_ffn_backward(
     grads: &mut [Expert],
     counts: &[usize],
     (h, f): (usize, usize),
-    input: &[f32],
+    input: RowSource<'_>,
     h_pre: &[f32],
     h_act: &[f32],
     d_y: Tensor,
@@ -222,7 +231,8 @@ fn expert_ffn_backward(
 ) -> Tensor {
     let rows = counts.iter().sum::<usize>();
     let dw2 = grads.iter_mut().map(|g| g.w2.as_mut_slice());
-    gemm_grouped_transpose_a_blocks(h_act, counts, f, d_y.as_slice(), h, dw2);
+    let act = RowSource::Contiguous(h_act);
+    gemm_grouped_transpose_a_blocks(act, counts, f, d_y.as_slice(), h, dw2);
     // d_act = dy·W2^T, then through SiLU. For-overwrite: the grouped NT
     // writes every row of `d_h` (and of `d_input` below).
     let mut d_h = ws.take_for_overwrite(rows, f);

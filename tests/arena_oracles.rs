@@ -9,8 +9,9 @@
 //! The high-water oracles bound what an arena holds after warm-up at a
 //! fine-grained shape: the layer pass computes in place (the experts write
 //! their outputs over their dispatch rows, the combine backward its gradient
-//! over the saved outputs), so a routed-row `[n, H]` buffer more than the
-//! dataflow needs shows as a bound exceeded. Under RBD the pilots go out
+//! over the saved outputs, and the local backward reads the expert input
+//! from the layer input by token id), so a routed-row `[n, H]` buffer more
+//! than the dataflow needs shows as a bound exceeded. Under RBD the pilots go out
 //! straight from the tokens and the experts read straight from the wire, so
 //! the state keeps no PFT-order rows at all.
 
@@ -241,7 +242,7 @@ fn a_pooled_rbd_forward_holds_no_pft_order_rows() {
 }
 
 #[test]
-fn a_trainable_moe_step_arena_holds_two_routed_row_buffers() {
+fn a_trainable_moe_step_arena_holds_one_routed_row_buffer() {
     let (s, h, f, e, k) = FINE;
     let n = k * s;
     let mut layer = TrainableMoe::new(h, f, e, k, n, DropPolicy::CapacityOnly, 71);
@@ -255,15 +256,16 @@ fn a_trainable_moe_step_arena_holds_two_routed_row_buffers() {
         st.ws.recycle(d_x);
         layer.zero_grads();
     }
-    // At the backward's peak: the saved expert input and the saved outputs
-    // (the latter overwritten by their gradient), `h_pre`, `h_act` and
-    // `d_h`; the `s`-sized leases are the output, `d_x` and the router
+    // At the backward's peak: the saved outputs (overwritten by their
+    // gradient, then `d_input`'s buffer), `h_pre`, `h_act` and `d_h`. The
+    // expert input is no buffer: the backward reads the layer input by token
+    // id. The `s`-sized leases are the output, `d_x` and the router
     // backward's `[s, E]` pair and `[s, H]` input gradient.
     let retained = st.ws.stats().retained_f32;
-    let bound = with_grow_slack(2 * n * h + 3 * n * f + 3 * s * h + 2 * s * e);
+    let bound = with_grow_slack(n * h + 3 * n * f + 3 * s * h + 2 * s * e);
     assert!(
         retained <= bound,
-        "train step arena retains {retained} f32 > 2·[n, H] + 3·[n, F] + s-sized = {bound} \
+        "train step arena retains {retained} f32 > 1·[n, H] + 3·[n, F] + s-sized = {bound} \
          (an [n, H] buffer is {})",
         n * h
     );

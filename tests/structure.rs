@@ -671,6 +671,20 @@ static LINTS: &[Lint] = &[
         yes: "    let d_y = ws.take(n, h);",
         no: "    let d_y = ws.retake(n, h);",
     },
+    // Under `Local` the expert input is the layer input read by token id
+    // (`RowSource::Gathered`, which the TN kernel packs one expert at a
+    // time); a gather in the backward is the `[n, H]` copy coming back.
+    Lint {
+        name: "The local backward re-reads the tokens: gather_rows_into( in moe_math.rs",
+        files: &["crates/train/src/moe_math.rs"],
+        skip: NOTHING,
+        scope: Scope::NonTest,
+        unit: Unit::Hits,
+        hits: |l| find(l, "gather_rows_into(", true, false),
+        cap: Cap::Exactly(0),
+        yes: "    gather_rows_into(&ctx.x, &pft.token_ids, &mut input);",
+        no: "    let input = RowSource::Gathered { src: x, ids };",
+    },
     // Every MoE stage's simulated time is a function in price.rs; a
     // compute_time( / mem_bound_time( call elsewhere in core or train is a
     // second price. schedule.rs's `pp_fwd` prices a whole stage chunk and
