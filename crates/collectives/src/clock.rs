@@ -187,20 +187,8 @@ impl SimClock {
     }
 
     /// Advance by `dt` seconds of work (`dt >= 0`), attribution deferred to
-    /// the next [`commit`](Self::commit) (or fallback-labeled on flush).
-    pub fn advance(&mut self, dt: f64) {
-        self.advance_op("unattributed", dt);
-    }
-
-    /// Jump to an absolute time not before the current one; the gap is
-    /// recorded as pending sync-wait. Used by collectives to synchronize to
-    /// the group max before charging transfer time.
-    pub fn advance_to(&mut self, t: f64) {
-        self.advance_to_op("unattributed", t);
-    }
-
-    /// [`advance`](Self::advance) with an explicit fallback label (the
-    /// collective op name, e.g. `"all_to_all"`).
+    /// the next [`commit`](Self::commit); `op` is the fallback label (the
+    /// collective op name, e.g. `"all_to_all"`) a flush records it under.
     pub fn advance_op(&mut self, op: &str, dt: f64) {
         self.push_pending(op, dt, Kind::Work);
     }
@@ -232,7 +220,10 @@ impl SimClock {
         self.set_cursor(start + dt);
     }
 
-    /// [`advance_to`](Self::advance_to) with an explicit fallback label.
+    /// Jump to an absolute time not before the current one; the gap is
+    /// recorded as pending sync-wait under the fallback label `op`. Used by
+    /// collectives to synchronize to the group max before charging transfer
+    /// time.
     pub fn advance_to_op(&mut self, op: &str, t: f64) {
         let (cur, track) = self.cursor();
         if t > cur {
@@ -377,18 +368,18 @@ mod tests {
     #[test]
     fn advance_accumulates() {
         let mut c = SimClock::new();
-        c.advance(1.5);
-        c.advance(0.5);
+        c.advance_op("unattributed", 1.5);
+        c.advance_op("unattributed", 0.5);
         assert_eq!(c.now(), 2.0);
     }
 
     #[test]
     fn advance_to_never_goes_backwards() {
         let mut c = SimClock::new();
-        c.advance(5.0);
-        c.advance_to(3.0);
+        c.advance_op("unattributed", 5.0);
+        c.advance_to_op("unattributed", 3.0);
         assert_eq!(c.now(), 5.0);
-        c.advance_to(7.0);
+        c.advance_to_op("unattributed", 7.0);
         assert_eq!(c.now(), 7.0);
     }
 

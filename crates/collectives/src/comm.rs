@@ -635,47 +635,6 @@ impl Communicator {
         Ok(())
     }
 
-    /// Reduce-scatter (sum): each rank passes `n * chunk` elements and
-    /// receives the summed chunk at its own position.
-    pub fn reduce_scatter_sum_f32(
-        &self,
-        buf: &[f32],
-        clock: &mut SimClock,
-    ) -> Result<Vec<f32>, CommError> {
-        let n = self.size();
-        assert_eq!(
-            buf.len() % n,
-            0,
-            "reduce_scatter buffer not divisible by group size"
-        );
-        let chunk = buf.len() / n;
-        let send: Vec<Vec<f32>> = (0..n)
-            .map(|j| buf[j * chunk..(j + 1) * chunk].to_vec())
-            .collect();
-        let mark = clock.mark();
-        let parts = self.all_to_all_v(send, clock)?;
-        // Top up the inner all-to-all's work time to the reduce-scatter cost
-        // (the old code read `last_delta`, wrongly assuming the preceding
-        // advance was an internal all-gather) and claim it as one op.
-        let inner_work = clock.pending_work_since(mark);
-        let t = self
-            .state
-            .cost
-            .reduce_scatter_time(&self.state.ranks, buf.len() as u64 * 4)
-            * self.fault_link_mult();
-        if t > inner_work {
-            clock.advance_op("reduce_scatter", t - inner_work);
-        }
-        clock.relabel_pending_since(mark, "reduce_scatter");
-        let mut out = vec![0.0f32; chunk];
-        for part in &parts {
-            for (o, p) in out.iter_mut().zip(part) {
-                *o += p;
-            }
-        }
-        Ok(out)
-    }
-
     /// Broadcast from `root` (local rank). Non-roots pass `None`.
     pub fn broadcast<T: Clone + Send + 'static>(
         &self,
@@ -801,12 +760,6 @@ impl Communicator {
             me: members.partition_point(|&m| m < self.me),
             step: Cell::new(self.step.get()),
         })
-    }
-
-    /// Split into node-local communicators (color = node index).
-    pub fn split_by_node(&self, clock: &mut SimClock) -> Result<Communicator, CommError> {
-        let node = self.cost().topology().node_of(self.global_rank());
-        self.split(node, clock)
     }
 
     /// Collectively re-form a communicator over an explicit member list —

@@ -205,7 +205,8 @@ mod tests {
         let cluster = SimCluster::frontier(8);
         let clocks = cluster.run(|ctx| {
             // Ranks start with different local compute times.
-            ctx.clock.advance(ctx.rank as f64 * 0.010);
+            ctx.clock
+                .advance_op("unattributed", ctx.rank as f64 * 0.010);
             let send: Vec<Vec<f32>> = (0..8).map(|_| vec![1.0; 1024]).collect();
             let _ = ctx.world.all_to_all_v(send, &mut ctx.clock).unwrap();
             ctx.clock.now()
@@ -251,20 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_scatter_returns_owned_chunk() {
-        let cluster = SimCluster::frontier(2);
-        let out = cluster.run(|ctx| {
-            // Both ranks contribute [1, 2, 3, 4]; chunk size 2.
-            let buf = vec![1.0f32, 2.0, 3.0, 4.0];
-            ctx.world
-                .reduce_scatter_sum_f32(&buf, &mut ctx.clock)
-                .unwrap()
-        });
-        assert_eq!(out[0], vec![2.0, 4.0]);
-        assert_eq!(out[1], vec![6.0, 8.0]);
-    }
-
-    #[test]
     fn broadcast_distributes_root_value() {
         let cluster = SimCluster::frontier(4);
         let out = cluster.run(|ctx| {
@@ -285,7 +272,8 @@ mod tests {
         // 16 Frontier ranks = 2 nodes of 8.
         let cluster = SimCluster::frontier(16);
         let out = cluster.run(|ctx| {
-            let node_comm = ctx.world.split_by_node(&mut ctx.clock).unwrap();
+            let node = ctx.world.cost().topology().node_of(ctx.rank);
+            let node_comm = ctx.world.split(node, &mut ctx.clock).unwrap();
             let ids = node_comm
                 .all_gather(vec![ctx.rank as u64], &mut ctx.clock)
                 .unwrap();
@@ -309,7 +297,8 @@ mod tests {
         // the whole world, with unchanged ranks.
         let cluster = SimCluster::frontier(4);
         let out = cluster.run(|ctx| {
-            let node_comm = ctx.world.split_by_node(&mut ctx.clock).unwrap();
+            let node = ctx.world.cost().topology().node_of(ctx.rank);
+            let node_comm = ctx.world.split(node, &mut ctx.clock).unwrap();
             (
                 node_comm.size(),
                 node_comm.rank(),
@@ -328,7 +317,8 @@ mod tests {
         // 12 Frontier ranks = one full node of 8 plus a partial node of 4.
         let cluster = SimCluster::frontier(12);
         let out = cluster.run(|ctx| {
-            let node_comm = ctx.world.split_by_node(&mut ctx.clock).unwrap();
+            let node = ctx.world.cost().topology().node_of(ctx.rank);
+            let node_comm = ctx.world.split(node, &mut ctx.clock).unwrap();
             (node_comm.size(), node_comm.rank())
         });
         for (rank, (size, local)) in out.iter().enumerate() {
@@ -359,7 +349,7 @@ mod tests {
     fn barrier_aligns_clocks() {
         let cluster = SimCluster::frontier(4);
         let clocks = cluster.run(|ctx| {
-            ctx.clock.advance((4 - ctx.rank) as f64);
+            ctx.clock.advance_op("unattributed", (4 - ctx.rank) as f64);
             ctx.world.barrier(&mut ctx.clock).unwrap();
             ctx.clock.now()
         });
@@ -639,7 +629,7 @@ mod tests {
     fn grow_aligns_member_clocks() {
         let cluster = SimCluster::frontier(4);
         let clocks = cluster.run(|ctx| {
-            ctx.clock.advance((ctx.rank + 1) as f64);
+            ctx.clock.advance_op("unattributed", (ctx.rank + 1) as f64);
             let g = ctx.world.grow(&[0, 1, 2, 3], &mut ctx.clock).unwrap();
             assert_eq!(g.group_ranks(), &[0, 1, 2, 3]);
             ctx.clock.now()

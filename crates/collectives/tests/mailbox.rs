@@ -178,7 +178,8 @@ fn a_panic_inside_a_split_child_reaches_the_child_and_the_world() {
     static SEEN: std::sync::Mutex<Vec<Seen>> = std::sync::Mutex::new(Vec::new());
     let ended = within(|| {
         SimCluster::frontier(16).run(|ctx| {
-            let node = ctx.world.split_by_node(&mut ctx.clock).unwrap();
+            let node = ctx.world.cost().topology().node_of(ctx.rank);
+            let node = ctx.world.split(node, &mut ctx.clock).unwrap();
             // Rank 3 leaves this barrier only once every peer has sent into
             // it, and a receive hands out what is queued before it looks at
             // the abort flag: all 15 peers get past this line.

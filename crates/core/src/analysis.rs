@@ -63,30 +63,6 @@ pub fn routing_report(pft: &Pft) -> RoutingReport {
     }
 }
 
-/// Expert co-activation counts: `co[a][b]` = number of tokens routed to
-/// both experts `a` and `b` (a < b). High co-activation between two
-/// experts suggests they have not specialized apart — the diagnostic
-/// behind DeepSeek-MoE's fine-grained-expert argument (§2).
-pub fn coactivation_counts(pft: &Pft) -> Vec<Vec<usize>> {
-    let e = pft.tokens_per_expert.len();
-    let mut co = vec![vec![0usize; e]; e];
-    // Group entries by token (token_ids are not sorted; build a map).
-    let mut per_token: std::collections::HashMap<usize, Vec<usize>> =
-        std::collections::HashMap::new();
-    for (&t, &ex) in pft.token_ids.iter().zip(&pft.expert_ids) {
-        per_token.entry(t).or_default().push(ex);
-    }
-    for experts in per_token.values() {
-        for (i, &a) in experts.iter().enumerate() {
-            for &b in &experts[i + 1..] {
-                let (lo, hi) = (a.min(b), a.max(b));
-                co[lo][hi] += 1;
-            }
-        }
-    }
-    co
-}
-
 /// Number of distinct expert combinations observed (per-token expert sets).
 /// The paper's §2 argument: fine-grained experts expand the reachable
 /// combination space combinatorially.
@@ -148,21 +124,6 @@ mod tests {
         assert!((r.load_imbalance - 1.0).abs() < 1e-12);
         assert!((r.load_entropy - (4f64).ln()).abs() < 1e-12);
         assert_eq!(r.idle_fraction, 0.0);
-    }
-
-    #[test]
-    fn coactivation_is_symmetric_upper_triangle() {
-        let pft = pft_for(32, 6, 3, 3);
-        let co = coactivation_counts(&pft);
-        // Each token with k=3 contributes C(3,2)=3 pairs.
-        let total: usize = co.iter().flatten().sum();
-        assert_eq!(total, 32 * 3);
-        // Lower triangle and diagonal stay zero by construction.
-        for (a, row) in co.iter().enumerate() {
-            for &v in row.iter().take(a + 1) {
-                assert_eq!(v, 0);
-            }
-        }
     }
 
     #[test]

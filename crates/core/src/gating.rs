@@ -56,11 +56,6 @@ impl GatingOutput {
     pub fn experts_of(&self, t: usize) -> &[usize] {
         &self.top_experts[t * self.k..(t + 1) * self.k]
     }
-
-    /// Token `t`'s combine weights, aligned with [`Self::experts_of`].
-    pub fn weights_of(&self, t: usize) -> &[f32] {
-        &self.combine_weights[t * self.k..(t + 1) * self.k]
-    }
 }
 
 impl Default for GatingOutput {
@@ -291,7 +286,7 @@ mod tests {
         let tokens = Tensor::rand_uniform(5, 8, 1.0, 2);
         let g = router.gate(&tokens);
         for t in 0..g.tokens() {
-            let w = g.weights_of(t);
+            let w = &g.combine_weights[t * g.k()..(t + 1) * g.k()];
             for i in 1..w.len() {
                 assert!(w[i - 1] >= w[i], "weights not descending");
             }

@@ -432,12 +432,6 @@ pub fn ssmb_min_model_cost(cfg: &MoeModelConfig, g: usize) -> f64 {
     8.0 * cfg.ffn_hidden as f64 * cfg.hidden as f64 * (gf - 1.0) / gf
 }
 
-/// Does SSMB save more memory than TED for this model at sequence length
-/// `tokens`? Equivalent to the paper's criterion `r = k/H_FFN > 2/(c S)`.
-pub fn ssmb_beats_ted(cfg: &MoeModelConfig, tokens: usize) -> bool {
-    cfg.ssmb_ratio() > 2.0 / (cfg.capacity_factor * tokens as f64)
-}
-
 // ---------------------------------------------------------------------
 // Inference-serving accounting: KV cache and per-rank admission budget.
 // ---------------------------------------------------------------------
@@ -680,31 +674,36 @@ mod tests {
         }
     }
 
+    /// SSMB's activation saving beats its extra model state (at TP 2).
+    fn saving_beats_cost(cfg: &MoeModelConfig, tokens: usize) -> bool {
+        ssmb_activation_saving(cfg, tokens, 2) > ssmb_min_model_cost(cfg, 2)
+    }
+
     #[test]
     fn fig17_ssmb_vs_ted_regions() {
         // Appendix C.2 Fig 17: DeepSeek models prefer SSMB at all sequence
         // lengths; Mixtral prefers TED; Arctic flips with sequence length.
         for s in [2048usize, 4096, 8192] {
             assert!(
-                ssmb_beats_ted(&MoeModelConfig::deepseek_moe(), s),
+                saving_beats_cost(&MoeModelConfig::deepseek_moe(), s),
                 "DeepSeek-MoE S={s}"
             );
             assert!(
-                ssmb_beats_ted(&MoeModelConfig::deepseek_v3(), s),
+                saving_beats_cost(&MoeModelConfig::deepseek_v3(), s),
                 "DeepSeek-v3 S={s}"
             );
             assert!(
-                !ssmb_beats_ted(&MoeModelConfig::mixtral_8x7b(), s),
+                !saving_beats_cost(&MoeModelConfig::mixtral_8x7b(), s),
                 "Mixtral-8x7b S={s}"
             );
             assert!(
-                !ssmb_beats_ted(&MoeModelConfig::mixtral_8x22b(), s),
+                !saving_beats_cost(&MoeModelConfig::mixtral_8x22b(), s),
                 "Mixtral-8x22b S={s}"
             );
         }
         let arctic = MoeModelConfig::arctic();
-        let short = ssmb_beats_ted(&arctic, 2048);
-        let long = ssmb_beats_ted(&arctic, 8192);
+        let short = saving_beats_cost(&arctic, 2048);
+        let long = saving_beats_cost(&arctic, 8192);
         assert!(
             !short && long,
             "Arctic must flip with sequence length: {short} {long}"
@@ -718,7 +717,8 @@ mod tests {
         for g in [2usize, 4, 8] {
             let saving = ssmb_activation_saving(&cfg, tokens, g);
             let cost = ssmb_min_model_cost(&cfg, g);
-            assert_eq!(saving > cost, ssmb_beats_ted(&cfg, tokens), "g={g}");
+            let criterion = cfg.ssmb_ratio() > 2.0 / (cfg.capacity_factor * tokens as f64);
+            assert_eq!(saving > cost, criterion, "g={g}");
         }
     }
 

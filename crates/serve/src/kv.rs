@@ -75,21 +75,8 @@ impl KvLedger {
         self.live_tokens[rank] -= live;
     }
 
-    pub fn reserved_bytes(&self, rank: usize) -> u64 {
-        self.reserved_tokens[rank] * self.bytes_per_token
-    }
-
     pub fn live_bytes(&self, rank: usize) -> u64 {
         self.live_tokens[rank] * self.bytes_per_token
-    }
-
-    /// Headroom (in tokens) left on the fullest rank, for telemetry.
-    pub fn min_free_tokens(&self) -> u64 {
-        self.reserved_tokens
-            .iter()
-            .map(|&r| self.capacity_tokens - r)
-            .min()
-            .unwrap_or(0)
     }
 
     /// Exact analytic-vs-ledger cross-check: `expected_live` /
@@ -115,10 +102,10 @@ mod tests {
         assert!(l.try_reserve(1, 100));
         l.grow(0, 25);
         assert_eq!(l.live_bytes(0), 250);
-        assert_eq!(l.reserved_bytes(0), 1000);
+        assert_eq!(l.reserved_tokens[0], 100);
         l.release(0, 40, 0); // queued-then-cancelled: no live tokens yet
         l.release(0, 60, 25);
-        assert_eq!(l.reserved_bytes(0), 0);
+        assert_eq!(l.reserved_tokens[0], 0);
         assert_eq!(l.live_bytes(0), 0);
         assert!(l.try_reserve(0, 100));
     }
@@ -131,12 +118,5 @@ mod tests {
         assert!(l.cross_check(&[30, 0], &[12, 0]));
         assert!(!l.cross_check(&[30, 0], &[11, 0]));
         assert!(!l.cross_check(&[29, 0], &[12, 0]));
-    }
-
-    #[test]
-    fn min_free_reports_fullest_rank() {
-        let mut l = KvLedger::new(3, 1000, 10);
-        assert!(l.try_reserve(1, 70));
-        assert_eq!(l.min_free_tokens(), 30);
     }
 }

@@ -153,10 +153,6 @@ impl Scheduler {
         self.queue.push(idx);
     }
 
-    pub fn resident(&self) -> &[usize] {
-        &self.running
-    }
-
     pub fn all_done(&self) -> bool {
         self.queue.is_empty() && self.running.is_empty()
     }
@@ -348,7 +344,7 @@ mod tests {
         assert_eq!(s.requests[0].state, ReqState::Finished);
         assert!(s.all_done());
         assert_eq!(l.live_bytes(0), 0);
-        assert_eq!(l.reserved_bytes(0), 0);
+        assert!(l.cross_check(&[0, 0], &[0, 0]), "nothing reserved or live");
         let (res, live) = s.recount_kv(2);
         assert!(l.cross_check(&res, &live));
     }

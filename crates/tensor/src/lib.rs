@@ -331,26 +331,6 @@ impl Tensor {
         }
     }
 
-    /// Transpose rows `[start, end)` into a caller-owned tensor, resized to
-    /// `cols x (end-start)`. Equivalent to `self.slice_rows(start, end)
-    /// .transpose()` without materialising the slice.
-    pub fn transpose_rows_into(&self, start: usize, end: usize, out: &mut Tensor) {
-        assert!(start <= end && end <= self.rows, "row range out of bounds");
-        let seg = end - start;
-        // For-overwrite: the blocked loops below write every element.
-        out.resize_for_overwrite(self.cols, seg);
-        const B: usize = 32;
-        for rb in (0..seg).step_by(B) {
-            for cb in (0..self.cols).step_by(B) {
-                for r in rb..(rb + B).min(seg) {
-                    for c in cb..(cb + B).min(self.cols) {
-                        out.data[c * seg + r] = self.data[(start + r) * self.cols + c];
-                    }
-                }
-            }
-        }
-    }
-
     /// Frobenius norm.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
@@ -468,17 +448,6 @@ mod tests {
         let mut out = Tensor::zeros(0, 0);
         t.transpose_into(&mut out);
         assert!(out.allclose(&t.transpose(), 0.0));
-    }
-
-    #[test]
-    fn transpose_rows_into_matches_slice_then_transpose() {
-        let t = Tensor::rand_uniform(40, 9, 1.0, 8);
-        let mut out = Tensor::zeros(0, 0);
-        t.transpose_rows_into(7, 29, &mut out);
-        assert!(out.allclose(&t.slice_rows(7, 29).transpose(), 0.0));
-        // Empty segment is legal and yields a cols x 0 tensor.
-        t.transpose_rows_into(5, 5, &mut out);
-        assert_eq!(out.shape(), (9, 0));
     }
 
     #[test]

@@ -300,15 +300,6 @@ impl Workspace {
             trims: self.trims,
         }
     }
-
-    /// Drop every retained buffer, returning the arena to its initial
-    /// (empty) state. Counters are preserved.
-    pub fn reset(&mut self) {
-        self.free_f32.clear();
-        self.idle = 0;
-        self.free_idx.clear();
-        self.free_shells.clear();
-    }
 }
 
 #[cfg(test)]
@@ -379,19 +370,6 @@ mod tests {
         assert_eq!(big2.len(), 64 * 64);
         assert_eq!(small2.len(), 4);
         assert_eq!(ws.stats().pool_misses, 2, "no new allocations");
-    }
-
-    #[test]
-    fn stats_track_retained_across_reset() {
-        let mut ws = Workspace::new();
-        let a = ws.take(10, 10);
-        assert_eq!(ws.stats().retained_f32, 0);
-        ws.recycle(a);
-        assert!(ws.stats().retained_f32 >= 100);
-        ws.reset();
-        let s = ws.stats();
-        assert_eq!(s.retained_f32, 0);
-        assert_eq!(s.takes, 1, "reset preserves counters");
     }
 
     #[test]

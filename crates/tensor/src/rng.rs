@@ -37,12 +37,6 @@ impl DetRng {
         Self { state }
     }
 
-    /// Derive an independent child generator, e.g. one per rank.
-    pub fn fork(&mut self, tag: u64) -> DetRng {
-        let s = self.next_u64();
-        DetRng::new(s ^ tag.wrapping_mul(0xA24B_AED4_963E_E407))
-    }
-
     /// Next 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -149,14 +143,6 @@ mod tests {
             let i = r.sample_weighted(&[0.0, 1.0, 0.0]);
             assert_eq!(i, 1);
         }
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut root = DetRng::new(5);
-        let mut c1 = root.fork(0);
-        let mut c2 = root.fork(1);
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

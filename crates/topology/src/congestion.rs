@@ -75,16 +75,6 @@ impl CongestionModel {
         self.base * (1.0 + self.outlier_prob * (self.outlier_mean - 1.0))
     }
 
-    /// This model with its baseline multiplier stretched by `factor` — how
-    /// a [`FaultPlan`](crate::fault::FaultPlan) link degradation composes
-    /// with ambient congestion (a degraded global link is slow *and* still
-    /// contended).
-    pub fn scaled_by(&self, factor: f64) -> Self {
-        let mut c = self.clone();
-        c.base *= factor;
-        c
-    }
-
     /// Draw a per-collective multiplier.
     pub fn sample_multiplier(&self, rng: &mut DetRng) -> f64 {
         if self.outlier_prob > 0.0 && rng.next_f64() < self.outlier_prob {
@@ -152,14 +142,6 @@ mod tests {
             (emp - analytic).abs() / analytic < 0.08,
             "empirical {emp} vs analytic {analytic}"
         );
-    }
-
-    #[test]
-    fn scaled_by_stretches_the_base() {
-        let c = CongestionModel::for_scale(512, 256);
-        let s = c.scaled_by(2.0);
-        assert!((s.mean_multiplier() - 2.0 * c.mean_multiplier()).abs() < 1e-12);
-        assert_eq!(s.spillover, c.spillover);
     }
 
     #[test]

@@ -48,12 +48,6 @@ pub struct TrafficSplit {
     pub cross_rack_recv: u64,
 }
 
-impl TrafficSplit {
-    pub fn total_send(&self) -> u64 {
-        self.intra_send + self.inter_send + self.cross_rack_send
-    }
-}
-
 impl CostModel {
     /// Build a cost model with the default congestion behaviour for the
     /// topology's scale.
@@ -318,18 +312,6 @@ impl CostModel {
         class
     }
 
-    /// Fault-induced time multiplier for a collective over `group` at
-    /// training step `step`: the [`FaultPlan`]'s degradation factor for the
-    /// group's bottleneck link class (1.0 when nothing is degraded).
-    pub fn fault_link_multiplier(
-        &self,
-        group: &[usize],
-        plan: &crate::fault::FaultPlan,
-        step: u64,
-    ) -> f64 {
-        plan.link_multiplier(self.group_class(group), step)
-    }
-
     /// Slowest link bandwidth present among any pair in the group, with mean
     /// congestion applied if the group spans racks.
     fn bottleneck_bw(&self, group: &[usize]) -> f64 {
@@ -535,9 +517,10 @@ mod tests {
         let plan = FaultPlan::new(0).degrade(LinkTier::Inter, 3.0, 0, 10);
         let intra: Vec<usize> = (0..8).collect();
         let spanning: Vec<usize> = (0..16).collect();
-        assert_eq!(m.fault_link_multiplier(&intra, &plan, 5), 1.0);
-        assert_eq!(m.fault_link_multiplier(&spanning, &plan, 5), 3.0);
-        assert_eq!(m.fault_link_multiplier(&spanning, &plan, 10), 1.0);
+        let mult = |group: &[usize], step| plan.link_multiplier(m.group_class(group), step);
+        assert_eq!(mult(&intra, 5), 1.0);
+        assert_eq!(mult(&spanning, 5), 3.0);
+        assert_eq!(mult(&spanning, 10), 1.0);
     }
 
     #[test]

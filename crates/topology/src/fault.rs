@@ -11,7 +11,7 @@
 //!   by [`FaultPlan::slowdown`], so a slow rank shows up as a straggler in
 //!   the existing stage breakdowns;
 //! * the communicator prices collectives with
-//!   [`CostModel::fault_link_multiplier`](crate::CostModel::fault_link_multiplier)
+//!   [`FaultPlan::link_multiplier`] of the group's bottleneck link class
 //!   and retries transient flaps with [`FaultPlan::backoff`];
 //! * dead ranks are detected *by plan*, not by a link going down: in the
 //!   threads-as-ranks runtime a simulated death is a live thread that stops
@@ -179,10 +179,11 @@ pub struct FaultPlan {
     /// Simulated seconds a survivor spends noticing a dead peer (the
     /// heartbeat/timeout budget), charged once per failed collective.
     pub detect_timeout: f64,
-    /// Base backoff before the first retry of a flapped collective;
-    /// attempt `k` waits `retry_backoff * 2^k`.
-    pub retry_backoff: f64,
 }
+
+/// Base backoff before the first retry of a flapped collective; attempt `k`
+/// waits `RETRY_BACKOFF_S * 2^k`.
+const RETRY_BACKOFF_S: f64 = 1e-4;
 
 impl FaultPlan {
     pub fn new(seed: u64) -> Self {
@@ -190,13 +191,7 @@ impl FaultPlan {
             seed,
             events: Vec::new(),
             detect_timeout: 5e-3,
-            retry_backoff: 1e-4,
         }
-    }
-
-    pub fn with_retry_backoff(mut self, t: f64) -> Self {
-        self.retry_backoff = t;
-        self
     }
 
     /// Schedule a rank slowdown for `from <= step < until`.
@@ -417,54 +412,12 @@ impl FaultPlan {
         out
     }
 
-    /// All join steps scheduled by the plan, ascending and deduplicated.
-    pub fn join_steps(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self
-            .events
-            .iter()
-            .filter_map(|e| match *e {
-                FaultEvent::RankJoin { at, .. } => Some(at),
-                _ => None,
-            })
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// The step at which `rank` dies, if scheduled.
     pub fn dies_at(&self, rank: usize) -> Option<u64> {
         self.events
             .iter()
             .filter_map(|e| match *e {
                 FaultEvent::RankFail { rank: r, at } if r == rank => Some(at),
-                _ => None,
-            })
-            .min()
-    }
-
-    /// All ranks dead at `step` (net of any reviving joins), ascending.
-    pub fn dead_ranks(&self, step: u64) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .events
-            .iter()
-            .filter_map(|e| match *e {
-                FaultEvent::RankFail { rank, at } if step >= at => Some(rank),
-                _ => None,
-            })
-            .filter(|&r| self.is_dead(r, step))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Earliest scheduled rank failure, if any.
-    pub fn first_failure(&self) -> Option<u64> {
-        self.events
-            .iter()
-            .filter_map(|e| match *e {
-                FaultEvent::RankFail { at, .. } => Some(at),
                 _ => None,
             })
             .min()
@@ -521,20 +474,6 @@ impl FaultPlan {
             .sum()
     }
 
-    /// Earliest step at which any SDC event (bit flip or noise) fires on
-    /// `rank`, if one is scheduled. Used to classify guard trips as true or
-    /// false positives.
-    pub fn first_sdc_at(&self, rank: usize) -> Option<u64> {
-        self.events
-            .iter()
-            .filter_map(|e| match *e {
-                FaultEvent::BitFlip { rank: r, at, .. } if r == rank => Some(at),
-                FaultEvent::Noise { rank: r, from, .. } if r == rank => Some(from),
-                _ => None,
-            })
-            .min()
-    }
-
     /// Latest SDC event step at or before `step` across all ranks —
     /// detectors report latency relative to this.
     pub fn last_sdc_at_or_before(&self, step: u64) -> Option<u64> {
@@ -571,7 +510,7 @@ impl FaultPlan {
     /// Backoff delay before retry attempt `k` (exponential, deterministic —
     /// every surviving rank computes the same value, keeping clocks aligned).
     pub fn backoff(&self, attempt: u32) -> f64 {
-        self.retry_backoff * f64::from(1u32 << attempt.min(16))
+        RETRY_BACKOFF_S * f64::from(1u32 << attempt.min(16))
     }
 
     /// True when the plan schedules nothing.
@@ -774,9 +713,6 @@ mod tests {
         assert!(!p.is_dead(4, 100));
         assert_eq!(p.dies_at(5), Some(4));
         assert_eq!(p.dies_at(0), None);
-        assert_eq!(p.dead_ranks(4), vec![5]);
-        assert!(p.dead_ranks(3).is_empty());
-        assert_eq!(p.first_failure(), Some(4));
     }
 
     #[test]
@@ -790,12 +726,9 @@ mod tests {
         assert!(p.is_present(2, 2));
         assert!(!p.is_present(2, 4));
         assert!(p.is_present(2, 6));
-        assert_eq!(p.dead_ranks(4), vec![2]);
-        assert!(p.dead_ranks(6).is_empty());
         assert_eq!(p.joins_of(2), vec![6]);
         assert_eq!(p.joining_at(6), vec![2]);
         assert!(p.joining_at(5).is_empty());
-        assert_eq!(p.join_steps(), vec![6]);
         // A second kill after the revival takes effect again.
         let q = p.clone().kill(2, 9);
         assert!(!q.is_dead(2, 8));
@@ -813,15 +746,14 @@ mod tests {
         assert!(!p.is_present(4, 4));
         assert!(p.is_present(4, 5));
         assert!(p.is_present(3, 0));
-        assert!(p.dead_ranks(0).is_empty());
     }
 
     #[test]
     fn backoff_is_exponential() {
-        let p = FaultPlan::new(1).with_retry_backoff(1e-3);
-        assert!((p.backoff(0) - 1e-3).abs() < 1e-15);
-        assert!((p.backoff(1) - 2e-3).abs() < 1e-15);
-        assert!((p.backoff(3) - 8e-3).abs() < 1e-15);
+        let p = FaultPlan::new(1);
+        assert!((p.backoff(0) - 1e-4).abs() < 1e-15);
+        assert!((p.backoff(1) - 2e-4).abs() < 1e-15);
+        assert!((p.backoff(3) - 8e-4).abs() < 1e-15);
     }
 
     #[test]
@@ -858,8 +790,6 @@ mod tests {
         assert_eq!(hits[0].element(0), 0);
         assert!(p.has_sdc());
         assert!(!FaultPlan::new(42).kill(0, 3).has_sdc());
-        assert_eq!(p.first_sdc_at(2), Some(5));
-        assert_eq!(p.first_sdc_at(0), None);
         assert_eq!(p.last_sdc_at_or_before(4), None);
         assert_eq!(p.last_sdc_at_or_before(9), Some(5));
     }

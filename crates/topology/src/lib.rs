@@ -168,35 +168,12 @@ impl ClusterTopology {
         self.node_of(rank) / self.spec.nodes_per_rack
     }
 
-    /// Slot of the rank within its node.
-    pub fn local_index(&self, rank: usize) -> usize {
-        rank % self.spec.gpus_per_node
-    }
-
     pub fn same_node(&self, a: usize, b: usize) -> bool {
         self.node_of(a) == self.node_of(b)
     }
 
     pub fn same_rack(&self, a: usize, b: usize) -> bool {
         self.rack_of(a) == self.rack_of(b)
-    }
-
-    /// Number of nodes the ranks occupy (ceiling division).
-    pub fn node_count(&self) -> usize {
-        self.n_ranks.div_ceil(self.spec.gpus_per_node)
-    }
-
-    /// Number of racks the ranks occupy.
-    pub fn rack_count(&self) -> usize {
-        self.node_count().div_ceil(self.spec.nodes_per_rack)
-    }
-
-    /// All ranks co-resident on `rank`'s node (including itself), ascending.
-    pub fn node_peers(&self, rank: usize) -> Vec<usize> {
-        let node = self.node_of(rank);
-        let start = node * self.spec.gpus_per_node;
-        let end = (start + self.spec.gpus_per_node).min(self.n_ranks);
-        (start..end).collect()
     }
 
     /// Link class between two ranks.
@@ -247,10 +224,8 @@ mod tests {
         assert_eq!(t.node_of(0), 0);
         assert_eq!(t.node_of(7), 0);
         assert_eq!(t.node_of(8), 1);
-        assert_eq!(t.local_index(13), 5);
         assert!(t.same_node(0, 7));
         assert!(!t.same_node(7, 8));
-        assert_eq!(t.node_count(), 8);
     }
 
     #[test]
@@ -258,7 +233,6 @@ mod tests {
         let t = ClusterTopology::new(MachineSpec::frontier(), 1024);
         assert_eq!(t.rack_of(255), 0);
         assert_eq!(t.rack_of(256), 1);
-        assert_eq!(t.rack_count(), 4);
         assert!(t.same_rack(0, 255));
         assert!(!t.same_rack(0, 256));
     }
@@ -275,18 +249,10 @@ mod tests {
     }
 
     #[test]
-    fn node_peers_truncated_at_cluster_edge() {
-        let t = ClusterTopology::new(MachineSpec::frontier(), 12);
-        assert_eq!(t.node_peers(0), (0..8).collect::<Vec<_>>());
-        assert_eq!(t.node_peers(9), vec![8, 9, 10, 11]);
-    }
-
-    #[test]
     fn dgx_is_single_node_per_rack() {
         let s = MachineSpec::dgx_a100();
         assert_eq!(s.gpus_per_rack(), 8);
         let t = ClusterTopology::new(s, 8);
-        assert_eq!(t.node_count(), 1);
         assert!(t.same_node(0, 7));
     }
 }

@@ -169,13 +169,6 @@ impl ParallelMapping {
         (p - 1.0) / (self.virtual_chunks as f64 * self.microbatches as f64 + p - 1.0)
     }
 
-    /// Global ranks of pipeline stage `s` (contiguous block layout — keeps
-    /// each stage's TP/EP groups as dense and node-local as possible).
-    pub fn stage_group(&self, world: usize, s: usize) -> Vec<usize> {
-        let r = world / self.pp;
-        (s * r..(s + 1) * r).collect()
-    }
-
     /// Global ranks of the MoE EP group containing stage-local rank `j` of
     /// stage `s`. EP is laid out TP-innermost: EP peer `e` of local rank
     /// `j` is `base + e·tp_moe + (j % tp_moe)` within the stage's slice of
@@ -377,8 +370,7 @@ mod tests {
         };
         m.validate(16).unwrap();
         for s in 0..2 {
-            let stage = m.stage_group(16, s);
-            assert_eq!(stage.len(), 8);
+            let stage: Vec<usize> = (s * 8..(s + 1) * 8).collect();
             for &j in &[0usize, 3, 5, 7] {
                 let g = m.ep_group(16, s, j);
                 assert_eq!(g.len(), 2);

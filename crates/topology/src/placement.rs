@@ -122,9 +122,9 @@ pub fn build_grid_tp(
 /// of `excluded` (a failed node, typically) are dropped and the remaining
 /// *original* global ranks are packed into a fresh grid in ascending order.
 ///
-/// Group members are original global rank ids, so a survivor can look up its
-/// post-recovery EP/DP peers with [`ProcessGrid::ep_group_of`] before the
-/// shrunken communicator even exists; its new dense rank is its position in
+/// Group members are original global rank ids, so a survivor can find its
+/// post-recovery EP/DP peers in the grid's groups before the shrunken
+/// communicator even exists; its new dense rank is its position in
 /// the survivor list. The survivor count must still be divisible by
 /// `ep_size` — elastic recovery drops whole nodes so the expert shards stay
 /// rebalanceable.
@@ -187,28 +187,6 @@ pub fn build_grid_including(
     grid
 }
 
-impl ProcessGrid {
-    /// EP group (by index) that contains `rank`'s TP leader.
-    pub fn ep_group_of(&self, rank: usize) -> &[usize] {
-        let leader = rank / self.tp_size * self.tp_size;
-        self.ep_groups
-            .iter()
-            .find(|g| g.contains(&leader))
-            .map(|g| g.as_slice())
-            .expect("rank not in any EP group")
-    }
-
-    /// DP group that contains `rank`'s TP leader.
-    pub fn dp_group_of(&self, rank: usize) -> &[usize] {
-        let leader = rank / self.tp_size * self.tp_size;
-        self.dp_groups
-            .iter()
-            .find(|g| g.contains(&leader))
-            .map(|g| g.as_slice())
-            .expect("rank not in any DP group")
-    }
-}
-
 // ---------------------------------------------------------------------
 // Expert → rank placement from observed routing histograms (MoETuner-style:
 // balance expert load across ranks and pack co-activated experts onto the
@@ -247,13 +225,6 @@ impl ExpertPlacement {
 
     pub fn n_experts(&self) -> usize {
         self.expert_to_rank.len()
-    }
-
-    /// Per-rank slot budget: the most experts any rank may host
-    /// (`ceil(n_experts / n_ranks)`; equals the exact per-rank count when
-    /// the shape divides evenly).
-    pub fn experts_per_rank(&self) -> usize {
-        self.expert_to_rank.len().div_ceil(self.n_ranks)
     }
 
     pub fn rank_of(&self, expert: usize) -> usize {
@@ -337,15 +308,6 @@ impl ExpertAssignment {
         let holders: Vec<Vec<usize>> = p.expert_to_rank.iter().map(|&r| vec![r]).collect();
         let locals = local_lists(&holders, p.n_ranks);
         Self { holders, locals }
-    }
-
-    /// Primary-holder view of this assignment (drops replicas), for
-    /// interop with the single-holder placement APIs.
-    pub fn to_placement(&self) -> ExpertPlacement {
-        ExpertPlacement {
-            expert_to_rank: self.holders.iter().map(|h| h[0]).collect(),
-            n_ranks: self.n_ranks(),
-        }
     }
 
     pub fn n_experts(&self) -> usize {
@@ -471,23 +433,6 @@ impl RoutingHistogram {
                 src_rank: src_rank as u32,
                 experts: experts.iter().map(|&e| e as u16).collect(),
             });
-        }
-    }
-
-    /// Fold another window's statistics into this one (used when a
-    /// re-solve wants more history than one window).
-    pub fn merge(&mut self, other: &RoutingHistogram) {
-        assert_eq!(self.n_experts, other.n_experts);
-        for (a, b) in self.expert_load.iter_mut().zip(&other.expert_load) {
-            *a += b;
-        }
-        self.total_routed += other.total_routed;
-        for r in &other.routes {
-            if self.routes.len() >= self.max_samples {
-                break;
-            }
-            self.sampled_routed += r.experts.len() as u64;
-            self.routes.push(r.clone());
         }
     }
 
@@ -902,8 +847,9 @@ mod tests {
     #[test]
     fn group_lookup_by_rank() {
         let g = build_grid(16, 4, PlacementPolicy::EpFirst);
-        assert_eq!(g.ep_group_of(5), &[4, 5, 6, 7]);
-        assert_eq!(g.dp_group_of(5), &[1, 5, 9, 13]);
+        let of = |groups: &[Vec<usize>]| groups.iter().find(|grp| grp.contains(&5)).cloned();
+        assert_eq!(of(&g.ep_groups), Some(vec![4, 5, 6, 7]));
+        assert_eq!(of(&g.dp_groups), Some(vec![1, 5, 9, 13]));
     }
 
     #[test]
@@ -923,9 +869,7 @@ mod tests {
         let g = build_grid_tp(8, 1, 8, PlacementPolicy::DpFirst);
         assert_eq!((g.tp_size, g.dp_size), (1, 1));
         assert_eq!(g.ep_groups, vec![(0..8).collect::<Vec<usize>>()]);
-        for r in 0..8 {
-            assert_eq!(g.dp_group_of(r), &[r]);
-        }
+        assert_eq!(g.dp_groups, (0..8).map(|r| vec![r]).collect::<Vec<_>>());
     }
 
     #[test]
@@ -937,9 +881,6 @@ mod tests {
         assert_eq!(g.dp_size, 2);
         assert_eq!(g.ep_groups[0], vec![0, 1, 2, 3]);
         assert_eq!(g.ep_groups[1], vec![4, 5, 6, 7]);
-        for r in 0..8 {
-            assert!(g.ep_group_of(r).contains(&r));
-        }
     }
 
     #[test]
@@ -949,7 +890,6 @@ mod tests {
         let g = build_grid_excluding(16, &excluded, 4, PlacementPolicy::DpFirst);
         assert_eq!(g.ep_groups[0], vec![8, 10, 12, 14]);
         assert_eq!(g.dp_groups[0], vec![8, 9]);
-        assert_eq!(g.ep_group_of(12), &[8, 10, 12, 14]);
         let all: Vec<usize> = g.ep_groups.iter().flatten().copied().collect();
         assert!(all.iter().all(|r| (8..16).contains(r)));
     }
@@ -1030,7 +970,6 @@ mod tests {
         assert_eq!(p.rank_of(0), 0);
         assert_eq!(p.rank_of(5), 1);
         assert_eq!(p.experts_on(2), vec![2, 6, 10, 14]);
-        assert_eq!(p.experts_per_rank(), 4);
     }
 
     #[test]
@@ -1140,9 +1079,8 @@ mod tests {
         let p = ExpertPlacement::naive(10, 4);
         assert_eq!(p.experts_on(0), vec![0, 4, 8]);
         assert_eq!(p.experts_on(3), vec![3, 7]);
-        assert_eq!(p.experts_per_rank(), 3, "ceil budget, not floor");
         let few = ExpertPlacement::naive(3, 8);
-        assert_eq!(few.experts_per_rank(), 1);
+        assert_eq!(few.experts_on(2), vec![2]);
         assert!(few.experts_on(5).is_empty(), "tail ranks host nothing");
     }
 

@@ -23,8 +23,8 @@
 //! Version 2 adds the per-section CRC32s: a flipped bit anywhere in a
 //! section is rejected at decode time with an error naming the section,
 //! which is what lets the chaos runner fall back to the previous
-//! checkpoint instead of silently restoring corrupt weights. Version 1
-//! streams (no CRCs) still decode for read-compat.
+//! checkpoint instead of silently restoring corrupt weights. A version 1
+//! stream (`XMOECKP1`, no CRCs) is rejected as a bad magic.
 //!
 //! `f32` values round-trip bitwise (`to_le_bytes`/`from_le_bytes`), which is
 //! what makes resume-from-checkpoint produce losses *identical* to an
@@ -37,7 +37,7 @@ use xmoe_tensor::Tensor;
 /// Why a checkpoint byte stream could not be decoded.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CkptError {
-    /// The stream does not start with a known `XMOECKP*` magic.
+    /// The stream does not start with the `XMOECKP2` magic.
     BadMagic,
     /// The stream ended before the advertised content.
     Truncated { need: usize, have: usize },
@@ -69,7 +69,6 @@ impl fmt::Display for CkptError {
 
 impl std::error::Error for CkptError {}
 
-const MAGIC_V1: &[u8; 8] = b"XMOECKP1";
 const MAGIC_V2: &[u8; 8] = b"XMOECKP2";
 /// Guard against nonsense name lengths in corrupt streams.
 const MAX_NAME: usize = 4096;
@@ -176,60 +175,26 @@ impl Checkpoint {
         out
     }
 
-    /// Serialize to the legacy v1 format (no CRCs). Test-only: it feeds the
-    /// v1-decoder tests, so read-compat with pre-CRC streams stays an
-    /// executable contract, not a promise.
-    #[cfg(test)]
-    pub fn encode_v1(&self) -> Vec<u8> {
-        let payload: usize = self
-            .entries
-            .iter()
-            .map(|(n, t)| 4 + n.len() + 16 + t.len() * 4)
-            .sum();
-        let mut out = Vec::with_capacity(8 + 32 + payload);
-        out.extend_from_slice(MAGIC_V1);
-        out.extend_from_slice(&self.step.to_le_bytes());
-        out.extend_from_slice(&self.rng_state.to_le_bytes());
-        out.extend_from_slice(&self.adam_step.to_le_bytes());
-        out.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
-        for (name, t) in &self.entries {
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name.as_bytes());
-            out.extend_from_slice(&(t.rows() as u64).to_le_bytes());
-            out.extend_from_slice(&(t.cols() as u64).to_le_bytes());
-            for &v in t.as_slice() {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Parse the wire format back into a checkpoint. Accepts v2 (with
-    /// CRC verification per section) and legacy v1 (no CRCs).
+    /// Parse the wire format back into a checkpoint, verifying each
+    /// section's CRC.
     pub fn decode(bytes: &[u8]) -> Result<Self, CkptError> {
         let mut r = Reader { bytes, pos: 0 };
         let magic = r.take(8)?;
-        let v2 = if magic == MAGIC_V2 {
-            true
-        } else if magic == MAGIC_V1 {
-            false
-        } else {
+        if magic != MAGIC_V2 {
             return Err(CkptError::BadMagic);
-        };
+        }
         let step = r.u64()?;
         let rng_state = r.u64()?;
         let adam_step = r.u64()?;
         let count = r.u64()? as usize;
-        if v2 {
-            let want = crc32(&bytes[8..40]);
-            let got = r.u32()?;
-            if got != want {
-                return Err(CkptError::Corrupt {
-                    section: "header".into(),
-                    want,
-                    got,
-                });
-            }
+        let want = crc32(&bytes[8..40]);
+        let got = r.u32()?;
+        if got != want {
+            return Err(CkptError::Corrupt {
+                section: "header".into(),
+                want,
+                got,
+            });
         }
         let mut ckpt = Checkpoint::new(step, rng_state, adam_step);
         for i in 0..count {
@@ -251,16 +216,14 @@ impl Checkpoint {
                 .chunks_exact(4)
                 .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
                 .collect();
-            if v2 {
-                let want = crc32(&bytes[entry_start..r.pos]);
-                let got = r.u32()?;
-                if got != want {
-                    return Err(CkptError::Corrupt {
-                        section: format!("entry {i} '{name}'"),
-                        want,
-                        got,
-                    });
-                }
+            let want = crc32(&bytes[entry_start..r.pos]);
+            let got = r.u32()?;
+            if got != want {
+                return Err(CkptError::Corrupt {
+                    section: format!("entry {i} '{name}'"),
+                    want,
+                    got,
+                });
             }
             ckpt.entries
                 .push((name, Tensor::from_vec(rows, cols, data)));
@@ -426,24 +389,11 @@ mod tests {
     }
 
     #[test]
-    fn v1_streams_still_decode() {
-        let c = sample();
-        let v1 = c.encode_v1();
-        assert_eq!(&v1[..8], b"XMOECKP1");
-        let d = Checkpoint::decode(&v1).unwrap();
-        assert_eq!(d.step, c.step);
-        assert_eq!(d.entries().len(), 2);
-        for ((na, ta), (nb, tb)) in c.entries().iter().zip(d.entries()) {
-            assert_eq!(na, nb);
-            for (a, b) in ta.as_slice().iter().zip(tb.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        // v1 has no CRCs: a flipped payload byte decodes silently — the
-        // exact gap v2 closes.
-        let mut bad = c.encode_v1();
-        let n = bad.len();
-        bad[n - 1] ^= 0x10;
-        assert!(Checkpoint::decode(&bad).is_ok());
+    fn a_v1_stream_is_rejected() {
+        // A v1 stream carried no CRCs, so a flipped byte restored silently;
+        // the decoder takes v2 only.
+        let mut bytes = sample().encode();
+        bytes[..8].copy_from_slice(b"XMOECKP1");
+        assert_eq!(Checkpoint::decode(&bytes).unwrap_err(), CkptError::BadMagic);
     }
 }

@@ -328,6 +328,5 @@ mod tests {
         assert_eq!(a.holders(3), &[0]);
         assert_eq!(a.experts_on(0), vec![0, 1, 3]);
         assert_eq!(a.experts_on(1), vec![2]);
-        assert_eq!(a.to_placement().rank_of(3), 0);
     }
 }

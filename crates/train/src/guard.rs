@@ -23,8 +23,6 @@
 //! randomness — so every decision is bitwise-deterministic given the same
 //! inputs, and chaos runs remain replayable.
 
-use std::fmt;
-
 /// Round an f32 to the nearest bf16-representable value (round to nearest,
 /// ties to even), returned as f32. NaN and ±inf pass through; values whose
 /// magnitude exceeds bf16's max finite value round to ±inf, exactly like a
@@ -70,49 +68,6 @@ pub fn clip_factor(norm: f64, max_norm: f64) -> f32 {
         1.0
     } else {
         (max_norm / norm) as f32
-    }
-}
-
-/// A recoverable divergence report — the error path that replaces the old
-/// `assert!(loss.is_finite())` aborts. Guard policies consume these; they
-/// trip a recovery action instead of killing the process.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Divergence {
-    /// The scalar training loss went NaN/inf at `step`.
-    NonFiniteLoss { step: u64 },
-    /// `count` non-finite values appeared in the named buffer.
-    NonFiniteValues { site: &'static str, count: usize },
-}
-
-impl fmt::Display for Divergence {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Divergence::NonFiniteLoss { step } => {
-                write!(f, "loss diverged (non-finite) at step {step}")
-            }
-            Divergence::NonFiniteValues { site, count } => {
-                write!(f, "{count} non-finite values in {site}")
-            }
-        }
-    }
-}
-
-/// Check a buffer for non-finite values, reporting the site on failure.
-pub fn check_finite(site: &'static str, xs: &[f32]) -> Result<(), Divergence> {
-    let count = count_non_finite(xs);
-    if count == 0 {
-        Ok(())
-    } else {
-        Err(Divergence::NonFiniteValues { site, count })
-    }
-}
-
-/// Check a scalar loss for divergence at `step`.
-pub fn check_loss(step: u64, loss: f64) -> Result<(), Divergence> {
-    if loss.is_finite() {
-        Ok(())
-    } else {
-        Err(Divergence::NonFiniteLoss { step })
     }
 }
 
@@ -617,21 +572,6 @@ mod tests {
         assert_eq!(clip_factor(f64::NAN, 1.0), 0.0);
         assert_eq!(clip_factor(f64::INFINITY, 1.0), 0.0);
         assert_eq!(count_non_finite(&[1.0, f32::NAN, f32::INFINITY, 2.0]), 2);
-        assert!(check_finite("grad", &[1.0, 2.0]).is_ok());
-        let err = check_finite("grad", &[f32::NAN]).unwrap_err();
-        assert_eq!(
-            err,
-            Divergence::NonFiniteValues {
-                site: "grad",
-                count: 1
-            }
-        );
-        assert!(format!("{err}").contains("grad"));
-        assert!(check_loss(3, 1.5).is_ok());
-        assert_eq!(
-            check_loss(3, f64::NAN).unwrap_err(),
-            Divergence::NonFiniteLoss { step: 3 }
-        );
     }
 
     #[test]

@@ -269,23 +269,14 @@ impl Head {
         }
     }
 
-    /// Mean cross-entropy of `targets` under `softmax(x W)`, plus `d_x`.
-    /// Weight gradient accumulates into `self.grad`.
-    pub fn loss_and_backward(
-        &mut self,
-        x: &Tensor,
-        targets: &[usize],
-        ws: &mut Workspace,
-    ) -> (f64, Tensor) {
-        self.loss_and_backward_scaled(x, targets, 1.0, ws)
-    }
-
-    /// [`Self::loss_and_backward`] with the loss multiplied by
-    /// `loss_scale` — mixed-precision loss scaling. The scale enters at
-    /// `d_logits`, *before* the weight gradient is formed, so `self.grad`
-    /// and the returned `d_x` carry it consistently. A power-of-two scale
-    /// is folded in as an exact multiply on the `1/n` factor, so every
-    /// gradient is the bitwise-scaled image of the unscaled run's.
+    /// Mean cross-entropy of `targets` under `softmax(x W)`, plus `d_x`, with
+    /// the loss multiplied by `loss_scale` — mixed-precision loss scaling, 1.0
+    /// for none. The weight gradient accumulates into `self.grad`. The scale
+    /// enters at `d_logits`, *before* the weight gradient is formed, so
+    /// `self.grad` and the returned `d_x` carry it consistently. A
+    /// power-of-two scale is folded in as an exact multiply on the `1/n`
+    /// factor, so every gradient is the bitwise-scaled image of the unscaled
+    /// run's.
     pub fn loss_and_backward_scaled(
         &mut self,
         x: &Tensor,
@@ -346,7 +337,7 @@ mod tests {
     fn head_loss_matches_manual_ce() {
         let mut h = Head::new(2, 3, 2);
         let x = Tensor::from_vec(1, 2, vec![0.5, -0.25]);
-        let (loss, _) = h.loss_and_backward(&x, &[1], &mut Workspace::new());
+        let (loss, _) = h.loss_and_backward_scaled(&x, &[1], 1.0, &mut Workspace::new());
         // Manual computation.
         let logits = matmul(&x, &h.weight);
         let mut p = logits.clone();
@@ -363,7 +354,7 @@ mod tests {
         let targets = [1usize, 3];
         let base = Head::new(hidden, vocab, 4);
         let mut h = base.clone();
-        let (_, d_x) = h.loss_and_backward(&x, &targets, &mut Workspace::new());
+        let (_, d_x) = h.loss_and_backward_scaled(&x, &targets, 1.0, &mut Workspace::new());
         let eps = 1e-3;
         // Check a few weight entries.
         for &(r, c) in &[(0usize, 0usize), (1, 2), (2, 3)] {
@@ -372,7 +363,8 @@ mod tests {
                 |v| {
                     let mut hh = base.clone();
                     hh.weight.set(r, c, v);
-                    hh.loss_and_backward(&x, &targets, &mut Workspace::new()).0
+                    hh.loss_and_backward_scaled(&x, &targets, 1.0, &mut Workspace::new())
+                        .0
                 },
                 w0,
                 eps,
@@ -386,7 +378,7 @@ mod tests {
                 let mut xx = x.clone();
                 xx.set(0, 1, v);
                 base.clone()
-                    .loss_and_backward(&xx, &targets, &mut Workspace::new())
+                    .loss_and_backward_scaled(&xx, &targets, 1.0, &mut Workspace::new())
                     .0
             },
             x.get(0, 1),

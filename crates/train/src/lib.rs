@@ -57,8 +57,8 @@ pub use elastic::{
     assignment_cost, ExpertAssignment, RebalanceConfig, RebalanceDecision, RebalancePolicy,
 };
 pub use guard::{
-    Divergence, GuardConfig, GuardEvent, LossScale, LossScaleCfg, PolicyAction, PolicyCfg,
-    PolicyEngine, SpikeDetector, Verdict,
+    GuardConfig, GuardEvent, LossScale, LossScaleCfg, PolicyAction, PolicyCfg, PolicyEngine,
+    SpikeDetector, Verdict,
 };
 pub use model::{build_moe_layers, TrainConfig};
 pub use moe_layer::{MoeCtx, MoeTrainScratch, TrainableMoe};

@@ -168,10 +168,7 @@ mod tests {
                 .collect::<Vec<f64>>()
         });
         for (step, &loss) in losses.iter().enumerate() {
-            // Divergence flows through the guard's recoverable check (a
-            // policy trip in production, a test failure here) instead of
-            // an unconditional abort.
-            assert_eq!(crate::guard::check_loss(step as u64, loss), Ok(()));
+            assert!(loss.is_finite(), "loss diverged at step {step}");
         }
         let (first, last) = (losses[0], losses[119]);
         assert!(

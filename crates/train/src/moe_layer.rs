@@ -140,16 +140,6 @@ impl TrainableMoe {
         self.experts.len()
     }
 
-    /// Fraction of routed assignments dropped in the most recent forward —
-    /// the quantity §5.6 attributes the loss gap to.
-    pub fn last_drop_fraction(ctx: &MoeCtx, top_k: usize) -> f64 {
-        let total = ctx.x.rows() * top_k;
-        if total == 0 {
-            return 0.0;
-        }
-        ctx.dropped() as f64 / total as f64
-    }
-
     fn router_params(&self) -> RouterParams {
         RouterParams {
             spec: MoeLayerSpec::new(self.num_experts(), self.capacity).with_policy(self.policy),
@@ -480,21 +470,18 @@ mod tests {
 
     #[test]
     fn dropped_tokens_receive_no_expert_gradient() {
-        // Capacity 1: most assignments drop; gradients must remain finite
-        // and the drop fraction visible.
+        // Capacity 1: most, not all, assignments drop; gradients must
+        // remain finite.
         let layer = tiny(DropPolicy::CapacityOnly, 1, 21);
         let x = Tensor::rand_uniform(8, 6, 1.0, 22);
         let (out, ctx) = layer.forward(&x);
         assert!(ctx.dropped() > 0);
-        let frac = TrainableMoe::last_drop_fraction(&ctx, 2);
-        assert!(frac > 0.0 && frac < 1.0);
+        assert!(ctx.dropped() < x.rows() * 2, "not every assignment drops");
         let mut l2 = layer.clone();
         let d = Tensor::full(out.rows(), out.cols(), 1.0);
         let d_x = l2.backward(&ctx, &d);
-        // The guard's non-finite scan is the recoverable path production
-        // runs use (a Divergence trips a policy instead of aborting); a
-        // clean backward must report no anomaly through it.
-        assert_eq!(crate::guard::check_finite("d_x", d_x.as_slice()), Ok(()));
+        // The guard's non-finite scan must find nothing in a clean backward.
+        assert_eq!(crate::guard::count_non_finite(d_x.as_slice()), 0);
     }
 
     #[test]

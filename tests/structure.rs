@@ -1,6 +1,7 @@
 //! The workspace's structural invariants, checked as text: one table of
-//! lints over the sources, plus the checks that keep DESIGN.md, README.md
-//! and the verify skill true to the tree.
+//! lints over the sources, a check that every library `pub fn` has a caller
+//! in shipped code, and the checks that keep DESIGN.md, README.md and the
+//! verify skill true to the tree.
 //!
 //! A lint counts what a `grep` would over a set of files and holds the count
 //! to a cap. It reads each file whole or only its *non-test prefix*: the
@@ -424,7 +425,7 @@ static LINTS: &[Lint] = &[
         scope: Scope::NonTest,
         unit: Unit::Lines,
         hits: panics,
-        cap: Cap::AtMost(6),
+        cap: Cap::AtMost(4),
         yes: "let n: usize = v.parse().expect(\"a count\");",
         no: "let n: usize = v.parse().map_err(|_| bad(key))?;",
     },
@@ -928,11 +929,23 @@ fn walk(dir: &str, all: bool, out: &mut Vec<String>) {
     }
 }
 
-/// The files a lint reads. A root with a `*` segment stands for each entry
-/// of the directory before it.
+/// The files a lint reads.
 fn files(lint: &Lint) -> Vec<String> {
+    let mut out = files_under(lint.files);
+    out.retain(|p| {
+        !lint
+            .skip
+            .iter()
+            .any(|s| p == s || p.starts_with(&format!("{s}/")) || p.ends_with(&format!("/{s}")))
+    });
+    out
+}
+
+/// The files under `patterns`: files, directories, or paths with one `*`
+/// segment, which stands for each entry of the directory before it.
+fn files_under(patterns: &[&str]) -> Vec<String> {
     let mut roots = Vec::new();
-    for r in lint.files {
+    for r in patterns {
         match r.split_once("/*/") {
             Some((dir, rest)) => {
                 let mut subdirs = Vec::new();
@@ -959,12 +972,6 @@ fn files(lint: &Lint) -> Vec<String> {
             walk(&r, false, &mut out);
         }
     }
-    out.retain(|p| {
-        !lint
-            .skip
-            .iter()
-            .any(|s| p == s || p.starts_with(&format!("{s}/")) || p.ends_with(&format!("/{s}")))
-    });
     out
 }
 
@@ -1156,6 +1163,152 @@ fn bench_has_no_binaries() {
     assert!(
         bins.is_empty(),
         "files under crates/bench/src/bin: {bins:?}"
+    );
+}
+
+/// Where a mention of a public function counts as a caller: the code that
+/// ships, read in its non-test prefix.
+const SHIPPED: &[&str] = &["crates/*/src", "src", "examples", "benchmark/src"];
+
+/// The `pub fn`s under `crates/*/src` that no shipped code calls, each kept
+/// for one reason: a hook an integration oracle needs, or the executable
+/// evidence for a documented claim.
+const TEST_ONLY_PUB: &[(&str, &str)] = &[
+    (
+        "routed_rows",
+        "arena_oracles checks the capacity of the routed rows a pooled state keeps",
+    ),
+    (
+        "poison_arena",
+        "arena_oracles poisons the arena to catch a lease read before it is written",
+    ),
+    (
+        "with_hot_bias",
+        "tests/elastic.rs skews the chaos run's routing to force a migration",
+    ),
+    (
+        "with_aux",
+        "numeric_golden, pooled_trajectories, pool_determinism and aux_loss.rs pin it; goes with TrainableMoe (ROADMAP item 8)",
+    ),
+    (
+        "with_router_guard",
+        "numeric_golden, pooled_trajectories and pool_determinism pin it; goes with TrainableMoe (ROADMAP item 8)",
+    ),
+    (
+        "aux_loss",
+        "aux_loss.rs checks the balance loss against its gradient; goes with TrainableMoe (ROADMAP item 8)",
+    ),
+    (
+        "z_loss",
+        "moe_layer's tests check the router z-loss against its gradient; goes with TrainableMoe (ROADMAP item 8)",
+    ),
+    (
+        "from_trainable",
+        "the distributed oracles shard a TrainableMoe with it; goes with TrainableMoe (ROADMAP item 8)",
+    ),
+    (
+        "forward_ssmb",
+        "pipeline_equivalence holds the SSMB forward until ROADMAP item 5 replaces it",
+    ),
+    (
+        "forward_ckpt",
+        "with backward_ckpt, the live twin of fig 14: checkpointing costs 6 all-to-alls (DESIGN.md, EXPERIMENTS.md)",
+    ),
+    (
+        "backward_ckpt",
+        "with forward_ckpt, the live twin of fig 14: checkpointing costs 6 all-to-alls (DESIGN.md, EXPERIMENTS.md)",
+    ),
+];
+
+/// The name a line defines with `pub fn` or `pub const fn`.
+fn pub_fn(line: &str) -> Option<&str> {
+    let t = line.trim_start();
+    let rest = t
+        .strip_prefix("pub fn ")
+        .or_else(|| t.strip_prefix("pub const fn "))?;
+    Some(ident(rest))
+}
+
+/// The words of a line's code, before its `//` comment, except the name a
+/// `fn` on the line defines.
+fn mentions(line: &str) -> impl Iterator<Item = &str> {
+    let code = line.split("//").next().unwrap_or(line);
+    let mut prev = "";
+    code.split(|c: char| !is_word(c))
+        .filter(|w| !w.is_empty())
+        .filter(move |&w| std::mem::replace(&mut prev, w) != "fn")
+}
+
+/// The `pub fn`s defined under `crates/*/src` among `files` (`(path, text)`
+/// pairs) that no file mentions, each with its `path:line`. Every file is
+/// read in its non-test prefix.
+fn uncalled(files: &[(String, String)]) -> Vec<(&str, String)> {
+    let mut called = std::collections::HashSet::new();
+    let mut defs = Vec::new();
+    for (path, text) in files {
+        let crate_src = path.starts_with("crates/") && path.split('/').nth(2) == Some("src");
+        for (i, line) in non_test(text).lines().enumerate() {
+            called.extend(mentions(line));
+            if let Some(name) = pub_fn(line).filter(|_| crate_src) {
+                defs.push((name, format!("{path}:{}", i + 1)));
+            }
+        }
+    }
+    defs.retain(|(name, _)| !called.contains(name));
+    defs
+}
+
+/// Every non-test `pub fn` under `crates/*/src` has a non-test caller or a
+/// `TEST_ONLY_PUB` entry, and every entry names such a function.
+#[test]
+fn every_pub_fn_has_a_caller_or_a_reason() {
+    let files: Vec<(String, String)> = files_under(SHIPPED)
+        .into_iter()
+        .filter(|p| p.ends_with(".rs"))
+        .map(|p| {
+            let text = read(&p);
+            (p, text)
+        })
+        .collect();
+    let found = uncalled(&files);
+    let listed = |name: &str| TEST_ONLY_PUB.iter().any(|&(n, _)| n == name);
+    let mut bad: Vec<String> = found
+        .iter()
+        .filter(|(name, _)| !listed(name))
+        .map(|(name, site)| format!("{site}: pub fn {name} has no non-test caller"))
+        .collect();
+    for &(name, _) in TEST_ONLY_PUB {
+        if !found.iter().any(|&(n, _)| n == name) {
+            bad.push(format!(
+                "TEST_ONLY_PUB: {name} is gone or has a non-test caller"
+            ));
+        }
+    }
+    println!(
+        "test-only public surface: {} (whitelist {})",
+        found.len(),
+        TEST_ONLY_PUB.len()
+    );
+    assert!(bad.is_empty(), "{}", bad.join("\n"));
+}
+
+#[test]
+fn uncalled_fixtures_match() {
+    let lib = "/// [`lonely`] is called by tests only.\n\
+               pub fn lonely() {}\n\
+               pub fn used() {}\n\
+               #[cfg(test)]\n\
+               mod tests {\n    fn t() {\n        super::lonely();\n    }\n}\n";
+    let files = [
+        ("crates/a/src/lib.rs".to_string(), lib.to_string()),
+        (
+            "benchmark/src/main.rs".to_string(),
+            "fn main() {\n    a::used();\n}\n".to_string(),
+        ),
+    ];
+    assert_eq!(
+        uncalled(&files),
+        [("lonely", "crates/a/src/lib.rs:2".to_string())]
     );
 }
 
