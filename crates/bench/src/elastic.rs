@@ -20,7 +20,7 @@ use xmoe_train::{
     RebalancePolicy, TrainConfig,
 };
 
-use crate::spine::{bench, int, tag, Check, Env, Record, Val};
+use crate::spine::{bench, int, tag, Check, Record, Val};
 
 bench!(elastic, "join MTTR + skewed-vs-rebalanced live migration");
 
@@ -147,7 +147,6 @@ fn rebalance() -> Record {
             let mut pol = RebalancePolicy::new(RebalanceConfig {
                 threshold: 1.05,
                 every: phase,
-                ..RebalanceConfig::default()
             });
             let (decision, _) = pol
                 .close_window(&mut model, cfg, phase, rng.state(), &comm, &mut ctx.clock)
@@ -191,7 +190,7 @@ fn rebalance() -> Record {
         .metric("dispatch_after_s", Val::Fixed(after, 9))
 }
 
-fn run(smoke: bool, _env: &Env) -> (Vec<Record>, Vec<Check>) {
+fn run(smoke: bool) -> (Vec<Record>, Vec<Check>) {
     println!(
         "== bench elastic — rank join + live expert migration (world={WORLD} \
          experts={EXPERTS}{}) ==",
@@ -243,11 +242,11 @@ fn gates(recs: &[Record]) -> Result<Vec<Check>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spine::testing::{env, failure, set};
+    use crate::spine::testing::{failure, set};
 
     #[test]
     fn smoke_records_pass_and_each_gate_is_live() {
-        let (recs, live) = run(true, &env());
+        let (recs, live) = run(true);
         assert!(live.is_empty());
         assert_eq!(failure(&BENCH, &recs), None);
 

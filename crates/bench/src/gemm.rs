@@ -18,7 +18,7 @@
 //!   `matmul_transpose_b`) and `zero_skip` (dense `A` against `A` with every
 //!   other 8-row group zeroed).
 //!
-//! Both arms of every comparison are timed by `crate::time_interleaved`.
+//! Both arms of every comparison are timed by [`per_call`], interleaved.
 //! The gates, each skipped where its hazard cannot show: NT >= 0.75x NN at
 //! the two fine-grained backward shapes (avx2 / avx512 tiers); grouped >=
 //! 1.3x sequential at e=256 x 16 rows (>= 2 lanes on >= 2 cores); pool >=
@@ -29,14 +29,15 @@
 //! against each other. The pool size is fixed per process, so CI runs it
 //! twice: at the default lane count and under `XMOE_THREADS=1`.
 
+use std::time::Instant;
+
 use xmoe_tensor::{
     gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_b, gemm_tier, gemm_view, matmul,
     matmul_slices, matmul_transpose_a_add, matmul_transpose_b, matmul_transpose_b_slices,
     nt_pack_probe, pool_size, Causal, Tensor, NT_PACK_MIN_ROWS,
 };
 
-use crate::spine::{bench, int, print_records, row, tag, Check, Env, Outcome, Record, Val};
-use crate::time_interleaved;
+use crate::spine::{bench, int, print_records, row, tag, Check, Outcome, Record, Val};
 
 bench!(
     gemm,
@@ -103,22 +104,25 @@ impl Machine {
 }
 
 /// Seconds per call of each arm: every arm repeats its call until a sample
-/// spans [`SAMPLE_S`], then the fastest of [`PASSES`] interleaved samples.
+/// spans [`SAMPLE_S`], then the fastest of [`PASSES`] passes, each timing
+/// every arm's sample once in turn. Interleaving puts a burst of OS noise on
+/// one pass of each arm rather than on every pass of one arm, and the min per
+/// arm drops it.
 fn per_call<const N: usize>(mut arms: [&mut dyn FnMut(); N]) -> [f64; N] {
     let calls = arms.each_mut().map(|f| {
         f();
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         f();
         (SAMPLE_S / t0.elapsed().as_secs_f64().max(1e-9)).ceil() as usize
     });
-    let mut samples: Vec<_> = arms
-        .iter_mut()
-        .zip(calls)
-        .map(|(f, n)| move || (0..n).for_each(|_| f()))
-        .collect();
-    let mut samples: Vec<&mut dyn FnMut()> =
-        samples.iter_mut().map(|f| f as &mut dyn FnMut()).collect();
-    let best = time_interleaved(PASSES, &|| {}, &mut samples);
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..PASSES {
+        for ((f, &n), best) in arms.iter_mut().zip(&calls).zip(&mut best) {
+            let t0 = Instant::now();
+            (0..n).for_each(|_| f());
+            *best = best.min(t0.elapsed().as_secs_f64());
+        }
+    }
     std::array::from_fn(|i| best[i] / calls[i] as f64)
 }
 
@@ -491,7 +495,7 @@ fn zero_skip_rows(at: &Machine) -> (Vec<Record>, Check) {
     (recs, check)
 }
 
-fn run(smoke: bool, _env: &Env) -> Outcome {
+fn run(smoke: bool) -> Outcome {
     let at = Machine::here();
     println!(
         "== bench gemm — tier {}, {} lane(s) on {} core(s){} ==",

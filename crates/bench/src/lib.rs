@@ -1,5 +1,5 @@
 //! Experiment harness: the bench [`spine`] (record format, registry, gate
-//! driver), the seven system benches, and the paper's evaluation ([`paper`]).
+//! driver), the six system benches, and the paper's evaluation ([`paper`]).
 //!
 //! Each module under `paper/` regenerates one table or figure of the paper
 //! (see EXPERIMENTS.md, one section per entry) as a [`spine::Bench`]: `xmoe-cli
@@ -15,13 +15,10 @@ pub mod spine;
 
 pub mod elastic;
 pub mod gemm;
-pub mod hotpath;
 pub mod mapping;
 pub mod overlap;
 pub mod serving;
 pub mod stability;
-
-use std::time::Instant;
 
 /// Render a text table with a header row; benches print through
 /// [`spine::print_records`].
@@ -61,29 +58,6 @@ pub(crate) fn fmt_time(s: f64) -> String {
     } else {
         format!("{:.1} us", s * 1e6)
     }
-}
-
-/// The one timing loop of every A-vs-B comparison: `passes` passes, each
-/// timing every arm once in turn with `fence` (a barrier for multi-rank
-/// arms, a no-op otherwise) on both sides; the fastest pass of each arm, in
-/// seconds. Interleaving puts a burst of OS noise on one pass of each arm
-/// rather than on every pass of one arm, and the min per arm drops it.
-pub(crate) fn time_interleaved(
-    passes: usize,
-    fence: &dyn Fn(),
-    arms: &mut [&mut dyn FnMut()],
-) -> Vec<f64> {
-    let mut best = vec![f64::INFINITY; arms.len()];
-    for _ in 0..passes {
-        for (arm, best) in arms.iter_mut().zip(&mut best) {
-            fence();
-            let t0 = Instant::now();
-            arm();
-            fence();
-            *best = best.min(t0.elapsed().as_secs_f64());
-        }
-    }
-    best
 }
 
 /// Format bytes as GiB with two decimals.

@@ -16,7 +16,7 @@ use xmoe_core::memory::GIB;
 use xmoe_core::perf::PerfModel;
 use xmoe_core::plan::plan_mappings;
 
-use crate::spine::{bench, each, int, tag, Check, Env, Record, Val};
+use crate::spine::{bench, each, int, tag, Check, Record, Val};
 
 bench!(
     mapping,
@@ -30,7 +30,7 @@ const WORLD: usize = 16;
 const MICRO_BATCH: usize = 1;
 const MICROBATCHES: usize = 8;
 
-fn run(_smoke: bool, _env: &Env) -> (Vec<Record>, Vec<Check>) {
+fn run(_smoke: bool) -> (Vec<Record>, Vec<Check>) {
     let cfg = MoeModelConfig::custom("plan-demo", 2048, 1024, 704, 32, 4, 8);
     let perf = PerfModel::frontier_clean(WORLD);
     let plans = plan_mappings(&perf, &cfg, MICRO_BATCH, MICROBATCHES);
@@ -160,11 +160,11 @@ fn gates(recs: &[Record]) -> Result<Vec<Check>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spine::testing::{env, failure, set};
+    use crate::spine::testing::{failure, set};
 
     #[test]
     fn smoke_records_pass_and_each_gate_is_live() {
-        let (recs, live) = run(true, &env());
+        let (recs, live) = run(true);
         assert!(live.is_empty());
         assert_eq!(failure(&BENCH, &recs), None);
 

@@ -35,7 +35,7 @@ use xmoe_tensor::Tensor;
 use xmoe_topology::{ClusterTopology, CongestionModel, CostModel, MachineSpec};
 
 use crate::fmt_time;
-use crate::spine::{bench, each, int, print_records, tag, Check, Env, Record, Val};
+use crate::spine::{bench, each, int, print_records, tag, Check, Record, Val};
 
 bench!(overlap, "serial vs chunked dispatch-compute overlap");
 
@@ -111,7 +111,7 @@ fn run_config(top_k: usize, skew: usize) -> (f64, f64, bool) {
     (step(&serial), step(&overlapped), bitwise)
 }
 
-fn run(smoke: bool, _env: &Env) -> (Vec<Record>, Vec<Check>) {
+fn run(smoke: bool) -> (Vec<Record>, Vec<Check>) {
     let top_ks: &[usize] = if smoke { &[8] } else { &[2, 4, 8] };
     println!(
         "== bench overlap — serial vs {CHUNKS}-chunk dispatch-compute overlap \
@@ -189,11 +189,11 @@ fn gates(recs: &[Record]) -> Result<Vec<Check>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spine::testing::{env, failure, set};
+    use crate::spine::testing::{failure, set};
 
     #[test]
     fn smoke_records_pass_and_each_gate_is_live() {
-        let (recs, live) = run(true, &env());
+        let (recs, live) = run(true);
         assert!(live.iter().all(|c| c.ok));
         assert_eq!(failure(&BENCH, &recs), None);
 

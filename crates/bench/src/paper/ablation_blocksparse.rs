@@ -15,7 +15,7 @@ use xmoe_core::pipeline::block_sparse::{block_padding_waste, expected_block_wast
 use xmoe_tensor::Tensor;
 
 use crate::spine::{
-    bench, column, int, print_records, row, table, tag, Check, Env, Outcome, Record, Val,
+    bench, column, int, print_records, row, table, tag, Check, Outcome, Record, Val,
 };
 
 bench!(
@@ -23,7 +23,7 @@ bench!(
     "Ablation: block-sparse (Megablocks-style) padding"
 );
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     // One GPU's micro-batch (the buffers Megablocks pads are per rank).
     let tokens = 2048usize;
     let block = 128usize;

@@ -17,16 +17,14 @@ use xmoe_core::pft::Pft;
 use xmoe_tensor::Tensor;
 use xmoe_train::{build_moe_layers, DistMoeLm, MarkovCorpus, TrainConfig};
 
-use crate::spine::{
-    bench, column, int, print_records, row, table, Check, Env, Outcome, Record, Val,
-};
+use crate::spine::{bench, column, int, print_records, row, table, Check, Outcome, Record, Val};
 
 bench!(
     ablation_capacity,
     "Ablation: capacity factor vs drops/padding"
 );
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     // --- Routing-level effects ------------------------------------------
     let (s, h, e, k) = (4096usize, 64usize, 64usize, 6usize);
     let router = Router::new(h, e, k, 7001);

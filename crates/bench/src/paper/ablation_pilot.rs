@@ -19,13 +19,11 @@ use xmoe_core::rbd::{PilotPolicy, RbdComms};
 use xmoe_tensor::{DetRng, Tensor};
 
 use crate::fmt_time;
-use crate::spine::{
-    bench, micros, print_records, row, table, tag, Check, Env, Outcome, Record, Val,
-};
+use crate::spine::{bench, micros, print_records, row, table, tag, Check, Outcome, Record, Val};
 
 bench!(ablation_pilot, "Ablation: RBD pilot-selection policy");
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     let world = 16usize; // 2 simulated Frontier nodes
     let (s, h, f, e, k) = (2048usize, 128usize, 32usize, 16usize, 6usize);
     let router = Router::new(h, e, k, 3001);

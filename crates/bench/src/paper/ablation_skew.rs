@@ -13,9 +13,7 @@ use xmoe_core::pft::Pft;
 use xmoe_core::rbd::redundancy_rate;
 use xmoe_tensor::Tensor;
 
-use crate::spine::{
-    bench, column, int, print_records, row, table, Check, Env, Outcome, Record, Val,
-};
+use crate::spine::{bench, column, int, print_records, row, table, Check, Outcome, Record, Val};
 
 bench!(
     ablation_skew,
@@ -42,7 +40,7 @@ fn skewed_gating(s: usize, h: usize, e: usize, k: usize, skew: f32, seed: u64) -
     Router::from_weight(w, k).gate(&tokens)
 }
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     let (s, h, e, k) = (4096usize, 64usize, 64usize, 6usize);
     let cap = ((1.25 * (s * k) as f64) / e as f64).ceil() as usize;
     let experts_per_node = e / 8; // 8-node view for redundancy

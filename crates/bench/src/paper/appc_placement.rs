@@ -16,14 +16,14 @@ use xmoe_core::memory::MoeSystem;
 use xmoe_core::perf::{PerfModel, PerfOpts};
 use xmoe_topology::PlacementPolicy;
 
-use crate::spine::{bench, int, print_records, row, table, tag, Check, Env, Outcome, Record, Val};
+use crate::spine::{bench, int, print_records, row, table, tag, Check, Outcome, Record, Val};
 
 bench!(
     appc_placement,
     "Appendix C.1: EP-first vs DP-first placement"
 );
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     // (model, world, EP size, global batch). The third case is exactly the
     // appendix's concrete example regime: 64 GPUs (8 nodes x 8), EP=8,
     // DP=8 — DP-first co-locates each expert's 8 replicas on one node

@@ -11,11 +11,11 @@ use xmoe_core::config::{MoeModelConfig, ParallelConfig};
 use xmoe_core::memory::{self, MoeSystem};
 
 use crate::fmt_gib;
-use crate::spine::{bench, int, print_records, row, table, tag, Check, Env, Outcome, Record, Val};
+use crate::spine::{bench, int, print_records, row, table, tag, Check, Outcome, Record, Val};
 
 bench!(fig03_memory, "Tables 1-2 + Fig 3: memory-bottleneck shift");
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     let pair = [
         MoeModelConfig::conv_pair(4096, 16384, 16, 28),
         MoeModelConfig::spec_pair(4096, 16384, 16, 8, 28),

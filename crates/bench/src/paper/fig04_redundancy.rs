@@ -12,13 +12,11 @@ use xmoe_core::rbd::{expected_redundancy_uniform, redundancy_rate};
 use xmoe_tensor::Tensor;
 
 use crate::sparkline;
-use crate::spine::{
-    bench, column, int, print_records, row, table, Check, Env, Outcome, Record, Val,
-};
+use crate::spine::{bench, column, int, print_records, row, table, Check, Outcome, Record, Val};
 
 bench!(fig04_redundancy, "Fig 4: dispatch redundancy vs EP size");
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     let (e, k) = (256usize, 8usize);
     let gpus_per_node = 8usize;
     // Live measurement at reduced hidden dim (routing statistics do not
@@ -78,11 +76,11 @@ fn gates(recs: &[Record]) -> Result<Vec<Check>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spine::testing::{env, failure, set};
+    use crate::spine::testing::{failure, set};
 
     #[test]
     fn the_ordering_gate_is_live() {
-        let (recs, live) = run(false, &env());
+        let (recs, live) = run(false);
         assert!(live.is_empty());
         assert_eq!(failure(&BENCH, &recs), None);
 

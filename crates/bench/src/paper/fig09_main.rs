@@ -9,12 +9,12 @@ use xmoe_core::memory::MoeSystem;
 use xmoe_core::perf::PerfModel;
 
 use crate::spine::{
-    bench, int, or_oom, print_records, row, table, tag, Check, Env, Outcome, Record, Val,
+    bench, int, or_oom, print_records, row, table, tag, Check, Outcome, Record, Val,
 };
 
 bench!(fig09_main, "Fig 9: trainability & throughput");
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     let cases = [
         (MoeModelConfig::small(), 256usize, 1024usize),
         (MoeModelConfig::medium(), 256, 1024),
@@ -105,11 +105,11 @@ fn gates(recs: &[Record]) -> Result<Vec<Check>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spine::testing::{env, failure, set};
+    use crate::spine::testing::{failure, set};
 
     #[test]
     fn oom_pattern_and_ratio_gates_are_live() {
-        let (recs, live) = run(false, &env());
+        let (recs, live) = run(false);
         assert!(live.is_empty());
         assert_eq!(failure(&BENCH, &recs), None);
 

@@ -14,12 +14,12 @@ use xmoe_core::perf::{PerfModel, PerfOpts};
 
 use crate::sparkline;
 use crate::spine::{
-    bench, column, int, or_oom, print_records, row, table, Check, Env, Outcome, Record, Val,
+    bench, column, int, or_oom, print_records, row, table, Check, Outcome, Record, Val,
 };
 
 bench!(fig10_scaling, "Fig 10: weak & strong scaling");
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     // ---- (a) Weak scaling --------------------------------------------
     let small = MoeModelConfig::small();
     let points = [

@@ -22,9 +22,7 @@ use xmoe_core::price::StageTimes;
 use xmoe_tensor::Tensor;
 
 use crate::fmt_time;
-use crate::spine::{
-    bench, int, micros, print_records, row, table, tag, Check, Env, Outcome, Record,
-};
+use crate::spine::{bench, int, micros, print_records, row, table, tag, Check, Outcome, Record};
 
 bench!(fig11_breakdown, "Fig 11: MoE layer time breakdown");
 
@@ -48,7 +46,7 @@ fn breakdown(name: &str, title: &str, ds: &StageTimes, x: &StageTimes) -> Vec<Re
     recs
 }
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     let pm = PerfModel::frontier_clean(256);
     let no_rbd = PerfOpts::default();
 

@@ -16,15 +16,13 @@ use xmoe_core::rbd::{expected_redundancy_uniform, PilotPolicy, RbdComms};
 use xmoe_tensor::{DetRng, Tensor};
 
 use crate::fmt_time;
-use crate::spine::{
-    bench, micros, print_records, row, table, tag, Check, Env, Outcome, Record, Val,
-};
+use crate::spine::{bench, micros, print_records, row, table, tag, Check, Outcome, Record, Val};
 
 bench!(fig12_rbd, "Fig 12: RBD dispatch breakdown");
 
 const VARIANTS: [&str; 2] = ["PFT (no RBD)", "PFT + RBD"];
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     // ---- Analytic at paper dims ---------------------------------------
     let pm = PerfModel::frontier_clean(32);
     let large = MoeModelConfig::large();

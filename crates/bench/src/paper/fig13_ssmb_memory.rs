@@ -5,11 +5,11 @@ use xmoe_core::config::{MoeModelConfig, ParallelConfig};
 use xmoe_core::memory::{total_per_gpu, MoeSystem};
 
 use crate::fmt_gib;
-use crate::spine::{bench, int, print_records, row, table, Check, Env, Outcome, Record, Val};
+use crate::spine::{bench, int, print_records, row, table, Check, Outcome, Record, Val};
 
 bench!(fig13_ssmb_memory, "Fig 13: SSMB memory savings");
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     let cfg = MoeModelConfig::large();
     let hbm = 64_000_000_000u64;
     let recs = [1usize, 2, 4].map(|tp| {

@@ -10,14 +10,14 @@ use xmoe_core::memory::{total_per_gpu, MoeSystem};
 use xmoe_core::perf::{PerfModel, PerfOpts};
 
 use crate::fmt_gib;
-use crate::spine::{bench, int, print_records, row, table, tag, Check, Env, Outcome, Record, Val};
+use crate::spine::{bench, int, print_records, row, table, tag, Check, Outcome, Record, Val};
 
 bench!(
     fig14_ssmb_vs_ckpt,
     "Fig 14: SSMB vs activation checkpointing"
 );
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     let pm = PerfModel::frontier_clean(256);
     let cfg = MoeModelConfig::large();
     let par = |ssmb: bool| {

@@ -12,9 +12,7 @@ use xmoe_train::model::loss_validation_curves;
 use xmoe_train::{build_moe_layers, DistMoeLm, MarkovCorpus, TrainConfig};
 
 use crate::sparkline;
-use crate::spine::{
-    bench, column, int, print_records, row, table, Check, Env, Outcome, Record, Val,
-};
+use crate::spine::{bench, column, int, print_records, row, table, Check, Outcome, Record, Val};
 
 bench!(fig15_loss, "Fig 15: loss validation");
 
@@ -23,7 +21,7 @@ const SMOOTH: usize = 10;
 /// Points on each smoothed curve: one per full window.
 const POINTS: usize = STEPS - SMOOTH + 1;
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     println!("training both drop policies for {STEPS} steps (smoothing window {SMOOTH})...");
     let (xmoe, ds) = loss_validation_curves(STEPS, SMOOTH);
     let mut recs: Vec<Record> = (0..POINTS)

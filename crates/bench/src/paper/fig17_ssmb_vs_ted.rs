@@ -9,7 +9,7 @@
 use xmoe_core::config::MoeModelConfig;
 use xmoe_core::memory::{ssmb_activation_saving, ssmb_min_model_cost};
 
-use crate::spine::{bench, print_records, row, table, tag, Check, Env, Outcome, Record, Val};
+use crate::spine::{bench, print_records, row, table, tag, Check, Outcome, Record, Val};
 
 bench!(fig17_ssmb_vs_ted, "Fig 17: SSMB vs TED advantage regions");
 
@@ -23,7 +23,7 @@ fn favours(ssmb: bool) -> &'static str {
     }
 }
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     let mut models = [
         MoeModelConfig::mixtral_8x7b(),
         MoeModelConfig::mixtral_8x22b(),

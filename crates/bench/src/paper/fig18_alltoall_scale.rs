@@ -12,16 +12,14 @@ use xmoe_tensor::DetRng;
 use xmoe_topology::{ClusterTopology, CostModel, MachineSpec};
 
 use crate::sparkline;
-use crate::spine::{
-    bench, column, int, print_records, row, table, Check, Env, Outcome, Record, Val,
-};
+use crate::spine::{bench, column, int, print_records, row, table, Check, Outcome, Record, Val};
 
 bench!(
     fig18_alltoall_scale,
     "Fig 18/19: all-to-all latency vs scale"
 );
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     // Message sizing from the MoE training workload: Large-model dispatch
     // volume per rank, split evenly across the group.
     let cfg = MoeModelConfig::large();

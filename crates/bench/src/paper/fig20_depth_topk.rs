@@ -11,12 +11,12 @@ use xmoe_core::memory::MoeSystem;
 use xmoe_core::perf::{PerfModel, PerfOpts};
 
 use crate::spine::{
-    bench, column, int, or_oom, print_records, row, table, Check, Env, Outcome, Record, Val,
+    bench, column, int, or_oom, print_records, row, table, Check, Outcome, Record, Val,
 };
 
 bench!(fig20_depth_topk, "Fig 20: depth and top-k scaling");
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     let pm = PerfModel::frontier(256);
     let systems = [MoeSystem::DsMoe, MoeSystem::Tutel, MoeSystem::XMoe];
 

@@ -12,9 +12,7 @@ use xmoe_core::gating::DropPolicy;
 use xmoe_topology::FaultPlan;
 use xmoe_train::{run_chaos_rank, ChaosConfig, ChaosReport, TrainConfig};
 
-use crate::spine::{
-    bench, column, micros, print_records, row, table, Check, Env, Outcome, Record, Val,
-};
+use crate::spine::{bench, column, micros, print_records, row, table, Check, Outcome, Record, Val};
 
 bench!(recovery, "checkpoint interval vs recovery overhead");
 
@@ -64,7 +62,7 @@ fn sweep_point(ckpt_every: u64) -> (ChaosReport, f64, f64) {
     (report.clone(), ckpt_time, trace.end)
 }
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     println!(
         "elastic recovery sweep: {WORLD} Frontier ranks, {STEPS} steps, \
          ranks {}..{WORLD} killed at step {KILL_AT}",

@@ -9,13 +9,11 @@ use xmoe_core::memory::{
     allocator_slack, moe_layer_activation, theoretical_activation, MoeSystem, GIB,
 };
 
-use crate::spine::{
-    bench, column, print_records, row, table, tag, Check, Env, Outcome, Record, Val,
-};
+use crate::spine::{bench, column, print_records, row, table, tag, Check, Outcome, Record, Val};
 
 bench!(tab04_activation_memory, "Table 4: activation memory");
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     let cfg = MoeModelConfig::large();
     let tokens = cfg.seq_len; // micro-batch 1, matching the paper's run
     let systems = [

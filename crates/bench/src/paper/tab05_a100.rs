@@ -10,13 +10,13 @@ use xmoe_core::config::MoeModelConfig;
 use xmoe_core::memory::MoeSystem;
 use xmoe_core::perf::PerfModel;
 
-use crate::spine::{bench, or_oom, print_records, row, table, tag, Check, Env, Outcome, Record};
+use crate::spine::{bench, or_oom, print_records, row, table, tag, Check, Outcome, Record};
 
 bench!(tab05_a100, "Table 5: cross-platform A100");
 
 const SYSTEMS: [MoeSystem; 3] = [MoeSystem::DsMoe, MoeSystem::Tutel, MoeSystem::XMoe];
 
-fn run(_smoke: bool, _env: &Env) -> Outcome {
+fn run(_smoke: bool) -> Outcome {
     let pm = PerfModel::dgx_a100(8);
     let configs = [
         (MoeModelConfig::small(), "Small (s=2048, l=28)"),
@@ -93,11 +93,11 @@ fn gates(recs: &[Record]) -> Result<Vec<Check>, String> {
 mod tests {
     use super::*;
     use crate::spine::tag;
-    use crate::spine::testing::{env, failure, set};
+    use crate::spine::testing::{failure, set};
 
     #[test]
     fn the_documented_deviation_is_tolerated_only_while_it_deviates() {
-        let (recs, live) = run(false, &env());
+        let (recs, live) = run(false);
         assert!(live.is_empty());
         assert_eq!(failure(&BENCH, &recs), None);
 

@@ -22,7 +22,7 @@
 use xmoe_core::config::MoeModelConfig;
 use xmoe_serve::{serve, ArrivalProcess, PlacementMode, ServeConfig, ServeReport, TrafficConfig};
 
-use crate::spine::{bench, each, int, print_records, tag, Check, Env, Record, Val};
+use crate::spine::{bench, each, int, print_records, tag, Check, Record, Val};
 
 bench!(
     serving,
@@ -80,7 +80,7 @@ fn run_config(
     serve(cfg).expect("the bench's serving config is valid")
 }
 
-fn run(smoke: bool, _env: &Env) -> (Vec<Record>, Vec<Check>) {
+fn run(smoke: bool) -> (Vec<Record>, Vec<Check>) {
     let requests = if smoke { 80 } else { 160 };
     println!(
         "== bench serving — continuous batching, naive vs optimized placement \
@@ -228,11 +228,11 @@ fn gates(recs: &[Record]) -> Result<Vec<Check>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spine::testing::{env, failure, set};
+    use crate::spine::testing::{failure, set};
 
     #[test]
     fn smoke_records_pass_and_each_gate_is_live() {
-        let (recs, live) = run(true, &env());
+        let (recs, live) = run(true);
         assert!(live.iter().all(|c| c.ok));
         assert_eq!(failure(&BENCH, &recs), None);
 

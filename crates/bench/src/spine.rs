@@ -1,6 +1,6 @@
 //! The bench spine: the one record format behind every `BENCH_*.json` and
 //! every `bench/paper/*.json` pin, the one gate list per bench, the registry
-//! of all 27 ([`ALL`]: seven system benches, the paper's evaluation [`PAPER`],
+//! of all 26 ([`ALL`]: six system benches, the paper's evaluation [`PAPER`],
 //! `recovery`), and the one `--smoke | --out | --validate` driver.
 //!
 //! A bench is a [`Bench`]: a name, a `run` that measures and returns
@@ -14,10 +14,8 @@
 use std::fmt;
 use std::process::ExitCode;
 
-use xmoe_tensor::CountingAlloc;
-
 use crate::flags::{Arity, Cmd, Flag, UsageError};
-use crate::{elastic, gemm, hotpath, mapping, overlap, paper, serving, stability};
+use crate::{elastic, gemm, mapping, overlap, paper, serving, stability};
 
 /// One value in a record. The variant fixes the number text, so a file
 /// parses back to exactly the records that rendered it.
@@ -397,12 +395,6 @@ pub fn each(
     indexed.try_for_each(|(i, r)| f(r).map_err(|e| format!("record {i}: {e}")))
 }
 
-/// What a bench needs from the binary hosting it.
-pub struct Env {
-    /// The binary's counting global allocator (hotpath's telemetry source).
-    pub alloc: &'static CountingAlloc,
-}
-
 /// What a run hands the driver: its records and its live checks.
 pub type Outcome = (Vec<Record>, Vec<Check>);
 
@@ -413,7 +405,7 @@ pub struct Bench {
     pub title: &'static str,
     /// Measure. Returns the records and the live checks. Paper experiments
     /// have one size and ignore `smoke`.
-    pub run: fn(smoke: bool, env: &Env) -> Outcome,
+    pub run: fn(smoke: bool) -> Outcome,
     /// Judge records, freshly measured or read back from a file alike.
     /// `Err` is a malformed or self-inconsistent record; the checks are
     /// the bench's claims.
@@ -444,8 +436,8 @@ macro_rules! registry {
         /// ablations.
         pub const PAPER: [&Bench; 19] = [$(&paper::$paper::BENCH),*];
 
-        /// Every bench: the seven system benches, [`PAPER`], `recovery`.
-        pub const ALL: [&Bench; 27] = [
+        /// Every bench: the six system benches, [`PAPER`], `recovery`.
+        pub const ALL: [&Bench; 26] = [
             $(&$system::BENCH,)*
             $(&paper::$paper::BENCH,)*
             &paper::$last::BENCH,
@@ -462,7 +454,7 @@ macro_rules! registry {
 }
 
 registry!(
-    [hotpath mapping elastic overlap stability serving gemm]
+    [mapping elastic overlap stability serving gemm]
     [
         fig03_memory fig04_redundancy fig09_main fig10_scaling fig11_breakdown fig12_rbd
         tab04_activation_memory fig13_ssmb_memory fig14_ssmb_vs_ckpt tab05_a100 fig15_loss
@@ -542,17 +534,17 @@ fn gate_file(bench: &Bench, path: &str, mut checks: Vec<Check>) -> Result<String
 
 /// Run `bench` and render its stamped records — the text [`drive`] writes
 /// and [`judge`] reads back — plus the run's live checks.
-pub fn measure(bench: &Bench, smoke: bool, env: &Env) -> (String, Vec<Check>) {
-    let (mut recs, live) = (bench.run)(smoke, env);
+pub fn measure(bench: &Bench, smoke: bool) -> (String, Vec<Check>) {
+    let (mut recs, live) = (bench.run)(smoke);
     recs.iter_mut().for_each(Record::stamp_workers);
     (render(&recs), live)
 }
 
 /// Measure (unless validating), then gate what is on disk at `path`;
 /// whether the file is valid.
-fn drive_one(bench: &Bench, smoke: bool, path: &str, measuring: bool, env: &Env) -> bool {
+fn drive_one(bench: &Bench, smoke: bool, path: &str, measuring: bool) -> bool {
     let live = if measuring {
-        let (text, live) = measure(bench, smoke, env);
+        let (text, live) = measure(bench, smoke);
         let written = std::fs::write(path, text);
         written
             .map(|()| live)
@@ -575,7 +567,7 @@ fn drive_one(bench: &Bench, smoke: bool, path: &str, measuring: bool, env: &Env)
 /// not (or the file is missing or malformed), 2 on a malformed command line.
 /// `bench paper` is that same path over every entry of [`PAPER`] in turn,
 /// each to its own `BENCH_<name>.json`; it exits 1 naming the invalid ones.
-pub fn drive(args: &[String], env: &Env) -> ExitCode {
+pub fn drive(args: &[String]) -> ExitCode {
     let parsed = CMD.parse(args).and_then(|p| {
         let name: String = p.req(0)?;
         let validate: Option<String> = p.flag("--validate")?;
@@ -610,7 +602,7 @@ pub fn drive(args: &[String], env: &Env) -> ExitCode {
         }
         let default = format!("BENCH_{}.json", bench.name);
         let path = path.as_ref().unwrap_or(&default);
-        if !drive_one(bench, smoke, path, measuring, env) {
+        if !drive_one(bench, smoke, path, measuring) {
             invalid.push(bench.name);
         }
     }
@@ -627,13 +619,6 @@ pub fn drive(args: &[String], env: &Env) -> ExitCode {
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
-
-    /// An `Env` whose allocator is not installed: fine for every bench that
-    /// ignores it (all but hotpath).
-    pub(crate) fn env() -> Env {
-        static IDLE: CountingAlloc = CountingAlloc::new();
-        Env { alloc: &IDLE }
-    }
 
     /// `recs` with `key` of record `i` replaced by `v`.
     pub(crate) fn set(recs: &[Record], i: usize, key: &str, v: Val) -> Vec<Record> {
@@ -764,12 +749,12 @@ mod tests {
     fn the_usage_line_lists_every_bench() {
         let names: Vec<&str> = ALL.iter().map(|b| b.name).collect();
         assert_eq!(CMD.positionals, format!("<{}|paper>", names.join("|")));
-        assert_eq!(names.len(), 27);
-        // `PAPER` is the slice of `ALL` between the seven system benches and
+        assert_eq!(names.len(), 26);
+        // `PAPER` is the slice of `ALL` between the six system benches and
         // `recovery`, and no bench is called `paper`.
         let paper: Vec<&str> = PAPER.iter().map(|b| b.name).collect();
-        assert_eq!(paper, names[7..26]);
-        assert_eq!(names[26], "recovery");
+        assert_eq!(paper, names[6..25]);
+        assert_eq!(names[25], "recovery");
         assert!(!names.contains(&"paper"));
     }
 

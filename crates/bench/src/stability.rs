@@ -26,7 +26,7 @@ use xmoe_core::gating::DropPolicy;
 use xmoe_topology::FaultPlan;
 use xmoe_train::{run_chaos_rank, ChaosConfig, ChaosReport, GuardConfig, TrainConfig};
 
-use crate::spine::{bench, each, int, print_records, tag, Check, Env, Record, Val};
+use crate::spine::{bench, each, int, print_records, tag, Check, Record, Val};
 
 bench!(stability, "SDC detection rate x guard overhead");
 
@@ -69,7 +69,7 @@ fn guarded_run(plan: Option<FaultPlan>) -> Vec<(ChaosReport, Vec<(String, f64)>,
     })
 }
 
-fn run(smoke: bool, _env: &Env) -> (Vec<Record>, Vec<Check>) {
+fn run(smoke: bool) -> (Vec<Record>, Vec<Check>) {
     let trials = if smoke { 4 } else { 12 };
     // A fault family: the spec template swept over trial seeds.
     let mut families = vec![
@@ -223,11 +223,11 @@ fn gates(recs: &[Record]) -> Result<Vec<Check>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spine::testing::{env, failure, set};
+    use crate::spine::testing::{failure, set};
 
     #[test]
     fn smoke_records_pass_and_each_gate_is_live() {
-        let (recs, live) = run(true, &env());
+        let (recs, live) = run(true);
         assert!(live.iter().all(|c| c.ok));
         assert_eq!(failure(&BENCH, &recs), None);
 

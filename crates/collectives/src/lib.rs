@@ -20,10 +20,6 @@
 
 pub mod clock;
 pub mod comm;
-/// The hang guard the integration suites use, for unit tests that spawn ranks.
-#[cfg(test)]
-#[path = "../tests/common/mod.rs"]
-mod common;
 mod mailbox;
 pub mod runtime;
 pub mod trace;
@@ -36,3 +32,8 @@ pub use trace::{RankTrace, RecoveryStats, Span, StageStat, StepReport};
 // costs) but are re-exported here because the communicator is their main
 // consumer.
 pub use xmoe_topology::{FaultEvent, FaultPlan, LinkTier};
+
+/// The hang guard the integration suites use, for unit tests that spawn ranks.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;

@@ -399,21 +399,6 @@ pub fn best_trainable_config(
 }
 
 // ---------------------------------------------------------------------
-// Elastic rebalancing: what one extra expert replica pins on its host.
-// ---------------------------------------------------------------------
-
-/// Training-state bytes one extra replica of a single expert pins on its
-/// host rank, across all layers: the two FFN matrices in f32 (4 B param +
-/// 4 B grad) plus their Adam moments (8 B), i.e. 16 B per parameter. The
-/// rebalance policy holds candidate replications against a per-rank budget
-/// of this quantity — replication trades exactly this much memory for the
-/// split of the hot expert's traffic.
-pub fn expert_replica_bytes(hidden: usize, ffn: usize, layers: usize) -> u64 {
-    let params = 2 * hidden as u64 * ffn as u64 * layers as u64;
-    params * 16
-}
-
-// ---------------------------------------------------------------------
 // SSMB vs TED trade-off (paper §4.3 and Appendix C.2, Fig 17)
 // ---------------------------------------------------------------------
 

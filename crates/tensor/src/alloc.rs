@@ -3,8 +3,8 @@
 //! The zero-allocation claim of the pooled hot path ([`crate::pool`]) is only
 //! worth anything if it is *measured*. [`CountingAlloc`] wraps
 //! `std::alloc::System` and keeps three relaxed atomic counters: cumulative
-//! allocation count, live bytes, and peak live bytes. Benches and the
-//! allocation-gate integration test declare their own static:
+//! allocation count, live bytes, and peak live bytes. The allocation-gate test
+//! binaries and the `benchmark/` harness declare their own static:
 //!
 //! ```ignore
 //! use xmoe_tensor::CountingAlloc;

@@ -17,7 +17,8 @@
 //! Steady-state allocation freedom is provided by [`pool::Workspace`], a
 //! per-rank arena that leases grow-only scratch tensors and index buffers to
 //! the pipeline stages, and verified by [`alloc::CountingAlloc`], an optional
-//! counting `#[global_allocator]` wrapper used by benches and tests.
+//! counting `#[global_allocator]` wrapper used by test binaries and the
+//! `benchmark/` harness.
 //!
 //! All parallelism runs on the persistent worker pool in [`par`]: kernels
 //! submit batches of tasks over disjoint row chunks (or whole expert

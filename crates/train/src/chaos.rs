@@ -206,6 +206,13 @@ struct StepVerdict {
     clipped: bool,
 }
 
+/// The guard's spike detectors over the global grad norm and the loss: a
+/// sample above `SPIKE_FACTOR` × the median of the last `SPIKE_WINDOW`
+/// clean samples, once `SPIKE_MIN_HISTORY` are in, is a spike.
+const SPIKE_FACTOR: f64 = 25.0;
+const SPIKE_WINDOW: usize = 8;
+const SPIKE_MIN_HISTORY: usize = 3;
+
 /// Detector state carried across steps of a guarded run.
 struct GuardState {
     loss_scale: LossScale,
@@ -221,8 +228,8 @@ impl GuardState {
     fn new(g: &GuardConfig) -> Self {
         Self {
             loss_scale: LossScale::new(g.loss_scale),
-            norm_det: SpikeDetector::new(g.spike_factor, g.spike_window, g.spike_min_history),
-            loss_det: SpikeDetector::new(g.spike_factor, g.spike_window, g.spike_min_history),
+            norm_det: SpikeDetector::new(SPIKE_FACTOR, SPIKE_WINDOW, SPIKE_MIN_HISTORY),
+            loss_det: SpikeDetector::new(SPIKE_FACTOR, SPIKE_WINDOW, SPIKE_MIN_HISTORY),
             policy: PolicyEngine::new(g.policy),
             applied: BTreeSet::new(),
         }
@@ -342,22 +349,14 @@ fn guarded_step(
     // One bandwidth-bound pass over every gradient, charged plainly rather
     // than through a `Meter`: a `slow:` clause stretches compute, not this.
     let pass = price::membound(comm.cost(), 4.0 * total_elems as f64, 1.0);
-    if g.bf16_grads {
-        // Simulated-bf16 device gradients over f32 master weights: the
-        // synced (still loss-scaled) gradient is what low-precision
-        // hardware would hand the optimizer.
-        model.visit_params(&mut |_, _, g| guard::bf16_round_slice(g.as_mut_slice()));
-        clock.charge("guard:bf16", pass);
-    }
     // Unscale: the whole backward ran multiplied by the loss scale, so the
-    // synced (and bf16-rounded) gradients still carry it. Divide it back
-    // out *before* the optimizer ever sees them — Adam must always consume
-    // gradients at their true magnitude, or its m/v buffers would mix
-    // scales across growth/backoff transitions. Exact: scales are powers
+    // synced gradients still carry it. Divide it back out *before* the
+    // optimizer ever sees them — Adam must always consume gradients at their
+    // true magnitude, or its m/v buffers would mix scales across
+    // growth/backoff transitions. Exact: scales are powers
     // of two, so the clip norm `sync_grads` derived rescales exactly too.
     // (The scan statistics above were taken pre-unscale; the detector's
-    // norm applies `inv_scale` to them below, so both views agree. The
-    // bf16 rounding does not move the clip norm: it is the synced one.)
+    // norm applies `inv_scale` to them below, so both views agree.)
     let unscale = gs.loss_scale.inv_scale();
     if unscale != 1.0 {
         model.scale_grads(unscale);

@@ -31,7 +31,6 @@
 //! new layout would hold.
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
-use xmoe_core::memory::expert_replica_bytes;
 pub use xmoe_topology::{assignment_cost, ExpertAssignment};
 use xmoe_topology::{optimize_placement, CostModel, PlacementCost, RoutingHistogram};
 
@@ -44,6 +43,18 @@ use crate::model::TrainConfig;
 /// pricing rescales — see [`RoutingHistogram`]).
 const MAX_ROUTE_SAMPLES: usize = 4096;
 
+/// Cap on committed rebalances per run: keeps a long run from thrashing, and
+/// makes the post-migration trajectory final.
+const MAX_ACTIONS: usize = 1;
+
+/// The drift detector ([`SpikeDetector`]) over the per-window skew series:
+/// a skew above `SPIKE_FACTOR` × the median of the last `SPIKE_WINDOW`
+/// windows, once `SPIKE_MIN_HISTORY` are in, triggers evaluation even below
+/// the threshold.
+const SPIKE_FACTOR: f64 = 2.0;
+const SPIKE_WINDOW: usize = 8;
+const SPIKE_MIN_HISTORY: usize = 4;
+
 /// Knobs of the live-rebalance policy.
 #[derive(Clone, Copy, Debug)]
 pub struct RebalanceConfig {
@@ -53,36 +64,6 @@ pub struct RebalanceConfig {
     /// Profiling window in steps; the histogram merges and the policy
     /// evaluates every `every` steps.
     pub every: u64,
-    /// Dispatch payload bytes per routed token (hidden · 4 for f32).
-    pub bytes_per_token: u64,
-    /// Cap on committed rebalances per run (keeps long runs from
-    /// thrashing; tests pin 1 so the post-migration trajectory is final).
-    pub max_actions: usize,
-    /// Per-rank budget for *extra* replica state
-    /// ([`xmoe_core::memory::expert_replica_bytes`]); replication
-    /// candidates that would exceed it are discarded.
-    pub replica_budget_bytes: u64,
-    /// Drift detector ([`SpikeDetector`]) parameters over the per-window
-    /// skew series: a sudden skew spike triggers evaluation even below
-    /// `threshold`.
-    pub spike_factor: f64,
-    pub spike_window: usize,
-    pub spike_min_history: usize,
-}
-
-impl Default for RebalanceConfig {
-    fn default() -> Self {
-        Self {
-            threshold: 1.5,
-            every: 8,
-            bytes_per_token: 64,
-            max_actions: 1,
-            replica_budget_bytes: u64::MAX,
-            spike_factor: 2.0,
-            spike_window: 8,
-            spike_min_history: 4,
-        }
-    }
 }
 
 /// What one committed rebalance did, for the report/trace.
@@ -112,8 +93,7 @@ pub struct RebalancePolicy {
 
 impl RebalancePolicy {
     pub fn new(cfg: RebalanceConfig) -> Self {
-        let detector =
-            SpikeDetector::new(cfg.spike_factor, cfg.spike_window, cfg.spike_min_history);
+        let detector = SpikeDetector::new(SPIKE_FACTOR, SPIKE_WINDOW, SPIKE_MIN_HISTORY);
         Self {
             cfg,
             detector,
@@ -151,8 +131,9 @@ impl RebalancePolicy {
             hist.observe(*src as usize, &experts);
         }
         let old = model.assignment().clone();
-        let replica = expert_replica_bytes(cfg.hidden, cfg.ffn, cfg.layers);
-        let Some((new_asg, kind)) = self.observe_window(&hist, &old, comm.cost(), replica) else {
+        // Dispatch payload per routed token: one f32 hidden row.
+        let bpt = 4 * cfg.hidden as u64;
+        let Some((new_asg, kind)) = self.observe_window(&hist, &old, comm.cost(), bpt) else {
             return Ok(None);
         };
         let ckpt = model.capture_checkpoint(step, rng_state, comm, clock)?;
@@ -172,7 +153,6 @@ impl RebalancePolicy {
             }
         }
         clock.charge("elastic_migrate", t_mig);
-        let bpt = self.cfg.bytes_per_token;
         let before = assignment_cost(&old, &hist, comm.cost(), bpt);
         let after = assignment_cost(&new_asg, &hist, comm.cost(), bpt);
         *model = DistMoeLm::from_checkpoint_with_assignment(cfg, &ckpt, comm.rank(), new_asg);
@@ -189,8 +169,9 @@ impl RebalancePolicy {
     }
 
     /// Observe one window's skew, and if the detector trips (or the
-    /// threshold is crossed) price the candidates and return the new
-    /// assignment when one strictly beats the current one.
+    /// threshold is crossed) price the candidates at `bpt` dispatch bytes
+    /// per routed token and return the new assignment when one strictly
+    /// beats the current one.
     ///
     /// Deterministic: given identical inputs every rank returns the
     /// identical decision.
@@ -199,17 +180,16 @@ impl RebalancePolicy {
         hist: &RoutingHistogram,
         current: &ExpertAssignment,
         cost: &CostModel,
-        extra_replica_bytes: u64,
+        bpt: u64,
     ) -> Option<(ExpertAssignment, &'static str)> {
         let skew = hist.skew();
         let spiked = matches!(self.detector.observe(skew), Verdict::Spike { .. });
-        if self.actions >= self.cfg.max_actions {
+        if self.actions >= MAX_ACTIONS {
             return None;
         }
         if !spiked && skew < self.cfg.threshold {
             return None;
         }
-        let bpt = self.cfg.bytes_per_token;
         let before = assignment_cost(current, hist, cost, bpt);
 
         // Candidate A: full migrate via the PR 7 solver (primary holders
@@ -219,7 +199,7 @@ impl RebalancePolicy {
 
         // Candidate B: replicate the hottest expert onto the least-loaded
         // rank not yet holding it (ties to the lowest index on both sides).
-        let replicate = self.replicate_candidate(hist, current, extra_replica_bytes);
+        let replicate = Self::replicate_candidate(hist, current);
 
         let mut best: Option<(ExpertAssignment, &'static str, PlacementCost)> = None;
         for (cand, kind) in [(Some(migrate), "migrate"), (replicate, "replicate")] {
@@ -249,17 +229,12 @@ impl RebalancePolicy {
         Some((cand, kind))
     }
 
-    /// Build the replicate-hottest candidate, or `None` when every rank
-    /// already holds the hot expert or the replica budget is exhausted.
+    /// Build the replicate-hottest candidate, or `None` when every rank already
+    /// holds the hot expert.
     fn replicate_candidate(
-        &self,
         hist: &RoutingHistogram,
         current: &ExpertAssignment,
-        extra_replica_bytes: u64,
     ) -> Option<ExpertAssignment> {
-        if extra_replica_bytes > self.cfg.replica_budget_bytes {
-            return None;
-        }
         let hot = (0..hist.n_experts).max_by_key(|&e| (hist.expert_load[e], usize::MAX - e))?;
         // Least-loaded rank by hosted (token, expert) pairs under the
         // serving stripe, among ranks not yet holding the hot expert.

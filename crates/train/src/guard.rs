@@ -4,10 +4,6 @@
 //! and low-precision blow-ups do not. This module is the *detect* and
 //! *decide* half of the silent-fault defense:
 //!
-//! * [`bf16_round`] — simulated-bf16 device arithmetic over f32 master
-//!   weights (round-to-nearest-even to an 8-bit mantissa), so precision
-//!   cliffs like the paper's §5.4.1 fp32-combine workaround are
-//!   reproducible in the simulator;
 //! * [`LossScale`] — the classic dynamic loss-scale state machine:
 //!   overflow halves the scale, `growth_interval` clean steps double it.
 //!   Scales are powers of two, so scaling and unscaling gradients is
@@ -22,27 +18,6 @@
 //! Everything here is pure integer/float state machines — no clocks, no
 //! randomness — so every decision is bitwise-deterministic given the same
 //! inputs, and chaos runs remain replayable.
-
-/// Round an f32 to the nearest bf16-representable value (round to nearest,
-/// ties to even), returned as f32. NaN and ±inf pass through; values whose
-/// magnitude exceeds bf16's max finite value round to ±inf, exactly like a
-/// bf16 cast on device.
-pub fn bf16_round(x: f32) -> f32 {
-    if x.is_nan() {
-        return x;
-    }
-    let bits = x.to_bits();
-    let rounded = bits.wrapping_add(0x7FFF + ((bits >> 16) & 1));
-    f32::from_bits(rounded & 0xFFFF_0000)
-}
-
-/// In-place bf16 rounding of a whole buffer (the simulated device-memory
-/// gradient path).
-pub fn bf16_round_slice(xs: &mut [f32]) {
-    for v in xs {
-        *v = bf16_round(*v);
-    }
-}
 
 /// Number of non-finite (NaN or ±inf) values in a buffer.
 pub fn count_non_finite(xs: &[f32]) -> usize {
@@ -363,15 +338,6 @@ impl GuardEvent {
 #[derive(Clone, Copy, Debug)]
 pub struct GuardConfig {
     pub loss_scale: LossScaleCfg,
-    /// Round synced gradients to bf16 before unscaling — the simulated
-    /// low-precision device path.
-    pub bf16_grads: bool,
-    /// Relative-spike threshold on the global grad norm.
-    pub spike_factor: f64,
-    /// Spike-detector window length.
-    pub spike_window: usize,
-    /// Samples required before spike judgments begin.
-    pub spike_min_history: usize,
     /// Global grad-norm clip threshold, applied to the *unscaled*
     /// gradients of every clean step via [`clip_factor`] (charged as
     /// `guard:clip` when it actually rescales). `0.0` disables clipping,
@@ -384,10 +350,6 @@ impl Default for GuardConfig {
     fn default() -> Self {
         Self {
             loss_scale: LossScaleCfg::default(),
-            bf16_grads: false,
-            spike_factor: 25.0,
-            spike_window: 8,
-            spike_min_history: 3,
             max_grad_norm: 0.0,
             policy: PolicyCfg::default(),
         }
@@ -435,34 +397,6 @@ pub fn apply_noise(xs: &mut [f32], seed: u64, amp: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bf16_round_properties() {
-        // Idempotent; exact on powers of two; relative error <= 2^-8.
-        for &x in &[1.0f32, -3.5, 0.12345, 1e20, -7e-12, 65504.0] {
-            let r = bf16_round(x);
-            assert_eq!(bf16_round(r), r, "not idempotent at {x}");
-            assert!(((x - r) / x).abs() <= 1.0 / 256.0, "error too big at {x}");
-        }
-        for p in -20..20 {
-            let x = (2.0f32).powi(p);
-            assert_eq!(bf16_round(x), x);
-            assert_eq!(bf16_round(-x), -x);
-        }
-        assert_eq!(bf16_round(0.0), 0.0);
-        assert_eq!(bf16_round(-0.0).to_bits(), (-0.0f32).to_bits());
-        assert_eq!(bf16_round(f32::INFINITY), f32::INFINITY);
-        assert_eq!(bf16_round(f32::NEG_INFINITY), f32::NEG_INFINITY);
-        assert!(bf16_round(f32::NAN).is_nan());
-        // f32::MAX overflows bf16's range, exactly like a device cast.
-        assert_eq!(bf16_round(f32::MAX), f32::INFINITY);
-        // Round-to-nearest-even: 1 + 2^-8 is exactly halfway between
-        // bf16(1.0) (mantissa 0x00, even) and 1 + 2^-7 (mantissa 0x01,
-        // odd) — the even side wins. 1 + 3*2^-8 is halfway between odd
-        // 0x01 and even 0x02 — again the even side wins, this time up.
-        assert_eq!(bf16_round(f32::from_bits(0x3F80_8000)), 1.0);
-        assert_eq!(bf16_round(f32::from_bits(0x3F81_8000)), 1.0 + 2.0 / 128.0);
-    }
 
     #[test]
     fn loss_scale_state_machine() {

@@ -88,7 +88,6 @@ pub fn run(args: &[String]) -> Result<(), UsageError> {
         chaos = chaos.with_rebalance(RebalanceConfig {
             threshold,
             every: 4,
-            ..RebalanceConfig::default()
         });
     }
 

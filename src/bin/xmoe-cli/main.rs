@@ -63,8 +63,8 @@
 //! errors: a one-line diagnostic and exit 1, never a panic or a hang.
 //!
 //! **bench** — the single door to every bench in `xmoe::bench::spine::ALL`:
-//! the seven self-gating system benchmarks (hotpath, mapping, elastic,
-//! overlap, stability, serving, gemm), the paper's 19 tables and figures
+//! the six self-gating system benchmarks (mapping, elastic, overlap,
+//! stability, serving, gemm), the paper's 19 tables and figures
 //! (`fig03_memory` .. `ablation_blocksparse`; `bench paper` runs them all in
 //! paper order and exits 1 naming any invalid one) and `recovery`. Each
 //! writes `BENCH_<name>.json`, reads it back and gates it; `--validate`
@@ -72,9 +72,7 @@
 //! `--smoke` for the system benches and over the committed
 //! `bench/paper/*.json` pins for the paper. What each measures and gates is
 //! documented on its module in `xmoe::bench`; the shared driver is
-//! `xmoe::bench::spine` (DESIGN.md, "Bench spine"). The hotpath pft record
-//! is gated at zero allocs/step after warm-up and >= 1.2x over the
-//! owned-allocation baseline measured in the same run.
+//! `xmoe::bench::spine` (DESIGN.md, "Bench spine").
 
 mod chaos;
 mod plan;
@@ -85,14 +83,6 @@ use std::process::ExitCode;
 
 use xmoe::bench::flags::{Cmd, UsageError};
 use xmoe::bench::spine;
-use xmoe::tensor::CountingAlloc;
-
-/// Counting allocator: the `bench hotpath` telemetry source. Forwards to the
-/// system allocator with three relaxed atomics per call — negligible for the
-/// other subcommands, and the library itself never pays it (only binaries
-/// that opt in declare the `#[global_allocator]`).
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc::new();
 
 type Run = fn(&[String]) -> Result<(), UsageError>;
 
@@ -130,7 +120,7 @@ fn main() -> ExitCode {
         None => ("", &args[..]),
     };
     if name == "bench" {
-        return spine::drive(rest, &spine::Env { alloc: &ALLOC });
+        return spine::drive(rest);
     }
     let result = match COMMANDS.iter().find(|(cmd, _)| cmd.name == name) {
         Some((_, run)) => run(rest),

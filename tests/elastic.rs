@@ -164,7 +164,6 @@ fn skew_triggered_migration_matches_fresh_run_in_migrated_layout() {
         .with_rebalance(RebalanceConfig {
             threshold: 1.2,
             every: 4,
-            ..RebalanceConfig::default()
         });
     let reports = {
         let cfg = &cfg;
@@ -260,7 +259,6 @@ fn rebalance_then_kill_then_join_matches_fresh_runs_at_every_world() {
             .with_rebalance(RebalanceConfig {
                 threshold: 1.2,
                 every: 4,
-                ..RebalanceConfig::default()
             });
         let cluster = match plan {
             Some(p) => two_node_cluster(world).with_faults(p),

@@ -9,8 +9,7 @@
 //! flag — `xmoe-cli bench <name> --out bench/paper/<name>.json` — and the
 //! diff reviewed; there is no bless switch.
 
-use xmoe::bench::spine::{self, Bench, Env, Record};
-use xmoe::tensor::CountingAlloc;
+use xmoe::bench::spine::{self, Bench, Record};
 
 /// The claims allowed not to hold: (entry, claim prefix), documented in
 /// EXPERIMENTS.md. A documented deviation that starts to hold fails too.
@@ -26,9 +25,8 @@ fn unstamped(text: &str) -> Vec<Record> {
 }
 
 fn entry(name: &str, claims: usize) {
-    static IDLE: CountingAlloc = CountingAlloc::new();
     let bench: &Bench = spine::ALL.iter().find(|b| b.name == name).expect(name);
-    let (text, live) = spine::measure(bench, false, &Env { alloc: &IDLE });
+    let (text, live) = spine::measure(bench, false);
     let mut checks = live;
     checks.extend(spine::judge(bench, &text).expect("records judge"));
     assert_eq!(checks.len(), claims, "{name}: claim count");

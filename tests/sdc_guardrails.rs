@@ -5,33 +5,30 @@
 //!
 //! 1. The dynamic loss-scale state machine grows and backs off exactly as
 //!    configured, and scales stay powers of two (bitwise-invertible).
-//! 2. Simulated-bf16 rounding has the contract the master-weight path
-//!    relies on: idempotent, low-16-bits-zero, round-to-nearest-even,
-//!    bounded relative error, specials preserved.
-//! 3. Gradient clipping never increases the norm and lands exactly on
+//! 2. Gradient clipping never increases the norm and lands exactly on
 //!    `max_norm` when active — and, wired into the guarded step via
 //!    `max_grad_norm`, actually rescales the optimizer's gradients.
-//! 4. An injected `bitflip:site=grad` run detects the corruption, rolls
+//! 3. An injected `bitflip:site=grad` run detects the corruption, rolls
 //!    back to the last checkpoint, finishes with finite loss — and its
 //!    post-rollback trajectory is bitwise identical to a clean run's,
 //!    because injections are one-shot and checkpoints are exact.
-//! 5. The same seed with no injection trips zero guard events (no false
+//! 4. The same seed with no injection trips zero guard events (no false
 //!    positives) and is bitwise reproducible run-over-run.
-//! 6. Guard overhead on a clean run stays under 5% of simulated step time,
+//! 5. Guard overhead on a clean run stays under 5% of simulated step time,
 //!    measured from the `guard:*` spans of a clock that still satisfies
 //!    span-exactness (buckets sum to `now()`).
-//! 7. A grown loss scale is unscaled bitwise-exactly before the optimizer
+//! 6. A grown loss scale is unscaled bitwise-exactly before the optimizer
 //!    consumes the gradients, so the loss trajectory is independent of
 //!    the scale schedule; `max_grad_norm` clipping actually rescales the
 //!    optimizer's inputs and is inert by default.
-//! 8. A corrupt checkpoint image makes restore fall back to the previous
+//! 7. A corrupt checkpoint image makes restore fall back to the previous
 //!    intact one, recording a schema-clean `site=ckpt` event that carries
 //!    the decode error in `detail`.
 
 use xmoe::collectives::SimCluster;
 use xmoe::core::gating::DropPolicy;
 use xmoe::topology::FaultPlan;
-use xmoe::train::guard::{bf16_round, clip_factor, sq_norm};
+use xmoe::train::guard::{clip_factor, sq_norm};
 use xmoe::train::{
     run_chaos_rank, ChaosConfig, ChaosReport, GuardConfig, LossScale, LossScaleCfg, PolicyCfg,
     TrainConfig,
@@ -145,50 +142,7 @@ fn loss_scale_stays_a_power_of_two_and_inverts_exactly() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. simulated-bf16 round-trip properties
-// ---------------------------------------------------------------------------
-
-#[test]
-fn bf16_round_contract() {
-    let vals = [
-        0.0f32,
-        -0.0,
-        1.0,
-        -1.0,
-        0.1,
-        std::f32::consts::PI,
-        1e-30,
-        -1e30,
-        65504.0,
-        f32::MIN_POSITIVE,
-    ];
-    for &v in &vals {
-        let r = bf16_round(v);
-        assert_eq!(r.to_bits() & 0xFFFF, 0, "{v}: low mantissa bits survive");
-        assert_eq!(bf16_round(r).to_bits(), r.to_bits(), "{v}: not idempotent");
-        if v != 0.0 {
-            let rel = ((r - v) / v).abs();
-            assert!(rel <= 1.0 / 256.0, "{v}: relative error {rel} too large");
-        }
-    }
-    // Round-to-nearest-even on the exact tie: 1.0 + 2^-8 has the tie bit
-    // set and an even truncated mantissa, so it rounds *down* to 1.0.
-    assert_eq!(bf16_round(f32::from_bits(0x3F80_8000)), 1.0);
-    // The odd-side tie rounds up.
-    assert_eq!(
-        bf16_round(f32::from_bits(0x3F81_8000)),
-        f32::from_bits(0x3F82_0000)
-    );
-    // Specials pass through.
-    assert_eq!(bf16_round(f32::INFINITY), f32::INFINITY);
-    assert_eq!(bf16_round(f32::NEG_INFINITY), f32::NEG_INFINITY);
-    assert!(bf16_round(f32::NAN).is_nan());
-    // Overflow saturates to infinity rather than wrapping.
-    assert_eq!(bf16_round(f32::MAX), f32::INFINITY);
-}
-
-// ---------------------------------------------------------------------------
-// 3. gradient-clip invariants
+// 2. gradient-clip invariants
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -214,7 +168,7 @@ fn clip_factor_never_grows_the_norm_and_hits_max_exactly() {
 }
 
 // ---------------------------------------------------------------------------
-// 4. injected bitflip: detect, roll back, match the clean trajectory
+// 3. injected bitflip: detect, roll back, match the clean trajectory
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -294,7 +248,7 @@ fn corrupt_checkpoint_capture_is_discarded_and_rollback_uses_previous() {
 }
 
 // ---------------------------------------------------------------------------
-// 5. clean runs: zero trips, bitwise reproducible
+// 4. clean runs: zero trips, bitwise reproducible
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -330,7 +284,7 @@ fn injected_run_is_bitwise_reproducible_too() {
 }
 
 // ---------------------------------------------------------------------------
-// 6. guard overhead < 5%, with span-exactness intact
+// 5. guard overhead < 5%, with span-exactness intact
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -360,7 +314,7 @@ fn guard_overhead_is_under_five_percent_and_spans_stay_exact() {
 }
 
 // ---------------------------------------------------------------------------
-// 7. loss-scale exactness and clipping in the guarded step
+// 6. loss-scale exactness and clipping in the guarded step
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -437,7 +391,7 @@ fn max_grad_norm_clips_clean_steps_and_is_inert_by_default() {
 }
 
 // ---------------------------------------------------------------------------
-// 8. corrupt checkpoint image: restore falls back, event schema intact
+// 7. corrupt checkpoint image: restore falls back, event schema intact
 // ---------------------------------------------------------------------------
 
 #[test]

@@ -7,7 +7,8 @@
 //! to a cap. It reads each file whole or only its *non-test prefix*: the
 //! text above the file's first line that starts with `#[cfg(test)]`, because
 //! the unit tests below it keep old loops verbatim as oracles. It counts
-//! matching lines (`grep -c`) or matches (`grep -o … | wc -l`). A word edge
+//! matching lines (`grep -c`), matches (`grep -o … | wc -l`) or, for an
+//! invariant no single line shows, hits over a whole file. A word edge
 //! is `(^|[^_[:alnum:]])` before a pattern and `\b` after it. The files are
 //! the `*.rs` and `Cargo.toml` files under the listed roots. No `target/`
 //! directory is read, and neither is this file, whose patterns and fixtures
@@ -38,6 +39,9 @@ enum Unit {
     Lines,
     /// Matches.
     Hits,
+    /// Matches over each file's whole text, for an invariant that no single
+    /// line shows; the site is the file.
+    Text,
 }
 
 #[derive(Clone, Copy)]
@@ -370,7 +374,7 @@ static LINTS: &[Lint] = &[
         scope: Scope::NonTest,
         unit: Unit::Lines,
         hits: panics,
-        cap: Cap::AtMost(41),
+        cap: Cap::AtMost(36),
         yes: "let v = it.next().unwrap();",
         no: "let v = it.next().unwrap_or(0);",
     },
@@ -785,7 +789,7 @@ static LINTS: &[Lint] = &[
                 .count()
         },
         cap: Cap::Exactly(0),
-        yes: "pub fn render_hotpath_json(records: &[Rec]) -> String {",
+        yes: "pub fn render_mapping_json(records: &[Rec]) -> String {",
         no: "pub fn render(records: &[Record]) -> String {",
     },
     // The paper's tables and figures and the GEMM timings are entries of the
@@ -812,6 +816,32 @@ static LINTS: &[Lint] = &[
         cap: Cap::Exactly(0),
         yes: "[[bench]]",
         no: "[[bin]]",
+    },
+    // `Scope::NonTest` and the caller scan read a file above its first
+    // `#[cfg(test)]`: shipped code below that line is code no lint sees.
+    Lint {
+        name: "Shipped code sits above the tests: top-level items below a file's first #[cfg(test)] without their own",
+        files: CODE_AND_BENCHMARK,
+        skip: NOTHING,
+        scope: Scope::File,
+        unit: Unit::Text,
+        hits: untested_items_below_first_cfg_test,
+        cap: Cap::Exactly(0),
+        yes: "pub mod clock;\n#[cfg(test)]\n#[path = \"../tests/common/mod.rs\"]\nmod common;\nmod mailbox;\n",
+        no: "mod mailbox;\n\n#[cfg(test)]\n#[path = \"../tests/common/mod.rs\"]\nmod common;\n/// Doc.\n#[cfg(test)]\nfn oracle() {\n}\n",
+    },
+    // A counting allocator is an opt-in of a test binary or of the benchmark
+    // harness; the library and the CLI run on the system allocator.
+    Lint {
+        name: "No counting allocator in shipped code: #[global_allocator] outside tests/, crates/*/tests and benchmark/src",
+        files: &["crates/*/src", "src", "examples", "benchmark"],
+        skip: &["benchmark/src"],
+        scope: Scope::File,
+        unit: Unit::Lines,
+        hits: |l| head(l, true, "#[global_allocator]", false),
+        cap: Cap::Exactly(0),
+        yes: "#[global_allocator]",
+        no: "//! #[global_allocator]",
     },
 ];
 
@@ -987,6 +1017,24 @@ fn non_test(text: &str) -> &str {
     text
 }
 
+/// Top-level items below the first line that starts `#[cfg(test)]` without
+/// a `#[cfg(test)]` of their own. An item starts at column 0 with a letter;
+/// attributes, comments and blank lines between it and its `#[cfg(test)]`
+/// keep that attribute pending.
+fn untested_items_below_first_cfg_test(text: &str) -> usize {
+    let lines = text.lines().skip_while(|l| !l.starts_with("#[cfg(test)]"));
+    let (mut n, mut tested) = (0, false);
+    for l in lines {
+        if l.starts_with("#[cfg(test)]") {
+            tested = true;
+        } else if l.starts_with(|c: char| c.is_ascii_alphabetic()) {
+            n += !tested as usize;
+            tested = false;
+        }
+    }
+    n
+}
+
 /// A lint's count and the `path:line` of every line that adds to it.
 fn count(lint: &Lint) -> (usize, Vec<String>) {
     let paths = files(lint);
@@ -1003,14 +1051,22 @@ fn count(lint: &Lint) -> (usize, Vec<String>) {
             Scope::File => &text[..],
             Scope::NonTest => non_test(&text),
         };
-        for (i, line) in text.lines().enumerate() {
-            let h = (lint.hits)(line);
+        let chunks: Vec<(String, &str)> = match lint.unit {
+            Unit::Text => vec![(path.clone(), text)],
+            Unit::Lines | Unit::Hits => text
+                .lines()
+                .enumerate()
+                .map(|(i, l)| (format!("{path}:{}", i + 1), l))
+                .collect(),
+        };
+        for (site, chunk) in chunks {
+            let h = (lint.hits)(chunk);
             if h > 0 {
                 n += match lint.unit {
                     Unit::Lines => 1,
-                    Unit::Hits => h,
+                    Unit::Hits | Unit::Text => h,
                 };
-                sites.push(format!("{path}:{}", i + 1));
+                sites.push(site);
             }
         }
     }
