@@ -402,18 +402,18 @@ impl Communicator {
     /// advance by the same collective time.
     pub fn all_to_all_v<T: Clone + Send + 'static>(
         &self,
-        send: Vec<Vec<T>>,
+        mut send: Vec<Vec<T>>,
         clock: &mut SimClock,
     ) -> Result<Vec<Vec<T>>, CommError> {
-        self.issue_all_to_all_v(send, clock)?.wait(clock)
+        self.issue_all_to_all_v_into(&mut send, clock)?.wait(clock)
     }
 
     /// Shell-reusing [`all_to_all_v`](Self::all_to_all_v): the send buffers
     /// are drained out of `send` (its outer `Vec` and the emptied inner
     /// `Vec`s stay with the caller for reuse) and the receives land in the
-    /// caller's `recv` shell. A pooled pipeline that leases the inner
-    /// buffers from a [`xmoe_tensor::Workspace`] performs zero tracked
-    /// allocations per exchange at steady state.
+    /// caller's `recv` shell. A pipeline that sends the buffers it received
+    /// back the other way, so that each comes home to the rank that filled
+    /// it, performs zero tracked allocations per exchange at steady state.
     pub fn all_to_all_v_into<T: Clone + Send + 'static>(
         &self,
         send: &mut [Vec<T>],
@@ -424,29 +424,19 @@ impl Communicator {
             .wait_into(recv, clock)
     }
 
-    /// Nonblocking uneven all-to-all (`MPI_Ialltoallv`): fire all sends,
-    /// stamped with the caller's clock at issue time, and return a
-    /// [`PendingOp`] to be [`wait`](PendingOp::wait)-ed later. Between issue
-    /// and wait the caller may advance its clock with other work (e.g. an
-    /// expert GEMM on another overlap track) — the wait then synchronizes to
-    /// `max(own clock, peer issue stamps)` and charges the priced transfer.
+    /// Nonblocking uneven all-to-all (`MPI_Ialltoallv`): move every buffer
+    /// of the caller's send shell onto the wire (each slot is left as an
+    /// empty `Vec`; the shell stays with the caller), stamped with the
+    /// caller's clock at issue time, and return a [`PendingOp`] to be
+    /// [`wait`](PendingOp::wait)-ed later. Between issue and wait the caller
+    /// may advance its clock with other work (e.g. an expert GEMM on another
+    /// overlap track) — the wait then synchronizes to `max(own clock, peer
+    /// issue stamps)` and charges the priced transfer.
     ///
     /// SPMD discipline still applies: every rank must issue and wait its
     /// collectives in the same program order (mailboxes are FIFO per
     /// (src, dst) pair, so interleaved chunked exchanges match up as long as
     /// the issue order is uniform across ranks).
-    pub fn issue_all_to_all_v<T: Clone + Send + 'static>(
-        &self,
-        mut send: Vec<Vec<T>>,
-        clock: &mut SimClock,
-    ) -> Result<PendingOp<T>, CommError> {
-        self.issue_all_to_all_v_into(&mut send, clock)
-    }
-
-    /// [`issue_all_to_all_v`](Self::issue_all_to_all_v) that drains the
-    /// caller's send shell instead of consuming it: inner buffers are moved
-    /// onto the wire (each slot is left as an empty `Vec`), the outer `Vec`
-    /// stays with the caller for the next step.
     ///
     /// The wire mechanics here — the size-row `Arc`, the boxed payloads, a
     /// mailbox queue growing under a sender that runs ahead — are simulation
@@ -932,7 +922,7 @@ impl P2pStash {
 }
 
 /// An in-flight nonblocking all-to-all issued by
-/// [`Communicator::issue_all_to_all_v`]. The sends are already in the
+/// [`Communicator::issue_all_to_all_v_into`]. The sends are already in the
 /// mailboxes; [`wait`](PendingOp::wait) completes the receives and charges
 /// the priced collective time. Dropping a `PendingOp` without waiting
 /// leaves unmatched messages in the peers' mailboxes and desynchronizes the

@@ -42,7 +42,7 @@ fn fifo_under_run_ahead(world: usize, k: u64) {
                 let ops: Vec<_> = (0..k)
                     .map(|seq| {
                         ctx.world
-                            .issue_all_to_all_v(send(seq), &mut ctx.clock)
+                            .issue_all_to_all_v_into(&mut send(seq), &mut ctx.clock)
                             .unwrap()
                     })
                     .collect();
@@ -53,7 +53,7 @@ fn fifo_under_run_ahead(world: usize, k: u64) {
                 for seq in 0..k {
                     let op = ctx
                         .world
-                        .issue_all_to_all_v(send(seq), &mut ctx.clock)
+                        .issue_all_to_all_v_into(&mut send(seq), &mut ctx.clock)
                         .unwrap();
                     check(seq, op.wait(&mut ctx.clock).unwrap());
                 }

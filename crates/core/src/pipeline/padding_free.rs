@@ -44,11 +44,12 @@ pub struct PooledSingleState {
 impl PooledSingleState {
     /// The arena's counters, with the buffers this state holds between
     /// forwards outside the arena counted as retained: the PFT-order rows
-    /// `Local` and `Ep` forwards keep, and the RBD wire buffers, which return
-    /// to the rank that filled them. They are this rank's memory too.
+    /// `Local` and `Ep` forwards keep, and the route's wire buffers (flat
+    /// EP's and RBD's), which return to the rank that filled them. They are
+    /// this rank's memory too.
     pub fn stats(&self) -> WorkspaceStats {
         let mut s = self.ws.stats();
-        let (f32s, u64s) = self.layer.route.rbd.wire_capacity();
+        let (f32s, u64s) = self.layer.route.wire_capacity();
         s.retained_f32 += self.layer.rows.capacity() + f32s;
         s.retained_u64 += u64s;
         s
@@ -645,17 +646,17 @@ mod tests {
                     2 => i as f32,
                     _ => (c * 1000 + i) as f32,
                 });
-                let route = EpRoute::build(pft, asg, &ctx.world, &mut ctx.clock).unwrap();
+                let mut route = EpRoute::build(pft, asg, &ctx.world, &mut ctx.clock).unwrap();
                 let locals = asg.experts_on(ctx.rank);
-                // One arena for every schedule, twice over: each rank sends
-                // and receives one buffer per peer per direction, so after
-                // the first pass nothing is allocated.
+                // One arena and one route for every schedule, twice over:
+                // every wire buffer comes home on the return leg, so after
+                // the first pass neither grows.
                 let mut ws = Workspace::new();
-                let mut first_pass = 0;
+                let mut first_pass = (0, (0, 0));
                 let schedules = [None, Some(1usize), Some(2), Some(3)];
                 for (i, chunks) in schedules.into_iter().chain(schedules).enumerate() {
                     if i == schedules.len() {
-                        first_pass = ws.stats().pool_misses;
+                        first_pass = (ws.stats().pool_misses, route.wire_capacity());
                     }
                     let back = route
                         .exchange(
@@ -686,7 +687,8 @@ mod tests {
                     assert!(back.allclose(&payload, 0.0), "{name} {chunks:?}");
                     ws.recycle(back);
                 }
-                assert_eq!(ws.stats().pool_misses, first_pass, "{name}: arena");
+                let second_pass = (ws.stats().pool_misses, route.wire_capacity());
+                assert_eq!(second_pass, first_pass, "{name}: arena and wire");
             });
         });
     }

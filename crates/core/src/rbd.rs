@@ -206,6 +206,11 @@ pub(crate) struct RbdScratch {
     crep_rows_recv: Vec<Vec<f32>>,
     crep_meta_recv: Vec<Vec<u64>>,
     back_recv: Vec<Vec<f32>>,
+    /// The overlapped S1's chunk shells: what a rank outside a chunk's
+    /// source group sends (nothing), and where each chunk lands. Empty
+    /// between uses.
+    s1_rows: Vec<Vec<f32>>,
+    s1_meta: Vec<Vec<u64>>,
 }
 
 impl RbdScratch {
@@ -363,6 +368,7 @@ impl RbdScratch {
         let (rep_rows_send, rep_meta_send) = (&mut self.rep_rows_send, &mut self.rep_meta_send);
         let (rep_rows_recv, rep_meta_recv) = (&mut self.rep_rows_recv, &mut self.rep_meta_recv);
         let (crep_rows_recv, crep_meta_recv) = (&mut self.crep_rows_recv, &mut self.crep_meta_recv);
+        let (s1_rows, s1_meta) = (&mut self.s1_rows, &mut self.s1_meta);
 
         // --- S1: inter-node exchange of pilots + metadata -------------------
         rows_recv.resize_with(w, Vec::new);
@@ -439,45 +445,44 @@ impl RbdScratch {
             }
             Some(chunks) => {
                 // Chunk the S1 exchange by contiguous source-rank groups: chunk
-                // `c` carries only group `c`'s payload (other ranks send empty
-                // buffers), so group `c`'s replica reconstruction overlaps with
-                // group `c+1`'s transfer. All chunks are issued before any wait
-                // (a NIC send queue), which also rules out deadlock. The owned
-                // per-chunk wire shells keep this arm outside the zero-alloc
-                // steady state.
+                // `c` carries only group `c`'s payload (other ranks send the
+                // empty chunk shells), so group `c`'s replica reconstruction
+                // overlaps with group `c+1`'s transfer. All chunks are issued
+                // before any wait (a NIC send queue), which also rules out
+                // deadlock. Each chunk lands in the chunk shells, and its
+                // group's buffers move on into `rows_recv` / `meta_recv`.
                 let k = chunks.clamp(1, w);
                 let me = ep.rank();
+                s1_rows.resize_with(w, Vec::new);
+                s1_meta.resize_with(w, Vec::new);
                 clock.begin_overlap("rbd_dispatch_compute");
                 clock.set_track("comm");
                 let mut pend = Vec::with_capacity(k);
                 for c in 0..k {
                     let (s0, s1) = (c * w / k, (c + 1) * w / k);
-                    let (r, m) = if (s0..s1).contains(&me) {
-                        (
-                            rows_send.iter_mut().map(std::mem::take).collect(),
-                            meta_send.iter_mut().map(std::mem::take).collect(),
-                        )
+                    let (rows_out, meta_out) = if (s0..s1).contains(&me) {
+                        (&mut rows_send[..], &mut meta_send[..])
                     } else {
-                        (vec![Vec::new(); w], vec![Vec::new(); w])
+                        (&mut s1_rows[..], &mut s1_meta[..])
                     };
-                    let rows_p = ep.issue_all_to_all_v(r, clock)?;
-                    let meta_p = ep.issue_all_to_all_v(m, clock)?;
+                    let rows_p = ep.issue_all_to_all_v_into(rows_out, clock)?;
+                    let meta_p = ep.issue_all_to_all_v_into(meta_out, clock)?;
                     pend.push(((s0, s1), rows_p, meta_p));
                 }
                 for ((s0, s1), rows_p, meta_p) in pend {
                     clock.set_track("comm");
-                    let mut chunk_rows = rows_p.wait(clock)?;
+                    rows_p.wait_into(s1_rows, clock)?;
                     clock.commit("dispatch_a2a_inter");
-                    let mut chunk_meta = meta_p.wait(clock)?;
+                    meta_p.wait_into(s1_meta, clock)?;
                     clock.commit("dispatch_a2a_meta");
                     let arrived = clock.track_time("comm").expect("comm track exists");
                     clock.set_track("compute");
                     clock.advance_to_op("rbd_replica_reconstruct", arrived);
                     let mut replica_rows = 0;
                     for src in s0..s1 {
-                        replica_rows += process_src(src, &chunk_rows[src], &chunk_meta[src]);
-                        rows_recv[src] = std::mem::take(&mut chunk_rows[src]);
-                        meta_recv[src] = std::mem::take(&mut chunk_meta[src]);
+                        replica_rows += process_src(src, &s1_rows[src], &s1_meta[src]);
+                        rows_recv[src] = std::mem::take(&mut s1_rows[src]);
+                        meta_recv[src] = std::mem::take(&mut s1_meta[src]);
                     }
                     Meter::new(ep, clock).charge("rbd_replica_reconstruct", |c| {
                         price::gather(c, replica_rows, hidden)

@@ -37,13 +37,12 @@
 //! either way; only the simulated timeline differs.
 //!
 //! **Buffers.** A route is rebuilt in place every step
-//! ([`EpRoute::rebuild`]): its index arrays and the shells of its count
-//! exchange keep their capacity. [`EpRoute::exchange`] leases every buffer it
-//! touches — the per-peer wire buffers, both wire shells, the expert-major
-//! chunk and the returned rows — from the caller's [`Workspace`], and
-//! recycles what arrives over the wire into it: every rank sends and receives
-//! one buffer per peer per direction, so the buffers circulate between the
-//! ranks' arenas and none is allocated or freed at steady state.
+//! ([`EpRoute::rebuild`]): its index arrays, the shells of its count exchange
+//! and its payload's wire buffers keep their capacity. The expert side packs
+//! the outputs into the very buffers that arrived (same peer, same rows), so
+//! every wire buffer, the self slot included, comes home on the return leg:
+//! none is allocated or freed at steady state. The expert-major chunk and the
+//! returned rows are leases of the caller's [`Workspace`].
 //!
 //! **Chunking rule.** Every rank cuts *its own* local-expert list into the
 //! same number of chunks `k = chunks.clamp(1, max local experts of any
@@ -87,6 +86,10 @@ pub struct EpRoute {
     /// one sends.
     counts_send: Vec<Vec<u64>>,
     counts_recv: Vec<Vec<u64>>,
+    /// The payload's wire: this rank's buffers, one shell per chunk in
+    /// flight, and the shell the peers' pass through (empty between calls).
+    wire_out: Vec<Vec<Vec<f32>>>,
+    wire_in: Vec<Vec<f32>>,
     /// RBD's pilot plan and wire buffers over the same PFT, used only when
     /// the layer pass runs over `Transport::Rbd`.
     pub(crate) rbd: crate::rbd::RbdScratch,
@@ -111,47 +114,42 @@ fn cut(len: usize, (c, k): (usize, usize)) -> (usize, usize) {
     (c * len / k, (c + 1) * len / k)
 }
 
-/// Gather one wire buffer per peer out of `local` into the (emptied) shell
-/// `wire`, each leased from `ws`: `blocks(peer)` lists the `(first row, rows)`
-/// runs bound for that peer, in wire order.
+/// Gather one wire buffer per peer out of `local` into `wire`, refilling
+/// each slot's buffer in place (grown to exactly its rows when they are a
+/// record): `blocks(peer)` lists the `(first row, rows)` runs bound for that
+/// peer, in wire order.
 fn pack<I: Iterator<Item = (usize, usize)>>(
     local: &Tensor,
     wire: &mut [Vec<f32>],
-    ws: &mut Workspace,
     blocks: impl Fn(usize) -> I,
 ) {
     let (h, data) = (local.cols(), local.as_slice());
-    for (peer, slot) in wire.iter_mut().enumerate() {
+    for (peer, buf) in wire.iter_mut().enumerate() {
         let rows: usize = blocks(peer).map(|(_, n)| n).sum();
-        // A peer that gets no rows still gets a buffer: each rank recycles as
-        // many as it leases, whatever the routing.
-        let mut buf = ws.take_f32(rows * h);
+        buf.clear();
+        buf.reserve_exact(rows * h);
         for (r, n) in blocks(peer) {
             buf.extend_from_slice(&data[r * h..(r + n) * h]);
         }
-        *slot = buf;
     }
 }
 
 /// Inverse of [`pack`]: scatter each peer's wire buffer to its runs of
-/// `local` and recycle it into `ws`, leaving the shell empty.
+/// `local`. The buffers stay in `wire`.
 fn unpack<I: Iterator<Item = (usize, usize)>>(
-    wire: &mut [Vec<f32>],
+    wire: &[Vec<f32>],
     local: &mut Tensor,
-    ws: &mut Workspace,
     blocks: impl Fn(usize) -> I,
 ) {
     let h = local.cols();
     let data = local.as_mut_slice();
-    for (peer, slot) in wire.iter_mut().enumerate() {
-        let buf = std::mem::take(slot);
+    for (peer, buf) in wire.iter().enumerate() {
         let mut at = 0;
         for (r, n) in blocks(peer) {
             data[r * h..(r + n) * h].copy_from_slice(&buf[at..at + n * h]);
             at += n * h;
         }
         assert_eq!(at, buf.len(), "peer {peer} sent a payload off the route");
-        ws.recycle_f32(buf);
     }
 }
 
@@ -253,6 +251,14 @@ impl EpRoute {
         self.block_start[self.block_start.len() - 1]
     }
 
+    /// `(f32, u64)` element capacities of the wire buffers this route keeps
+    /// between calls, flat EP's and RBD's.
+    pub fn wire_capacity(&self) -> (usize, usize) {
+        let (f32s, u64s) = self.rbd.wire_capacity();
+        let ep: usize = self.wire_out.iter().flatten().map(Vec::capacity).sum();
+        (f32s + ep, u64s)
+    }
+
     /// Split the route into chunks over contiguous local-expert ranges (the
     /// module docs' chunking rule): the same count on every rank, so the
     /// chunked collectives stay in SPMD order.
@@ -335,7 +341,7 @@ impl EpRoute {
     ///   still in flight the other way.
     #[allow(clippy::too_many_arguments)]
     pub fn exchange<F>(
-        &self,
+        &mut self,
         rows: Tensor,
         chunks: Option<usize>,
         labels: (&str, &str, &str),
@@ -348,18 +354,25 @@ impl EpRoute {
         F: FnMut(&ChunkPlan, &[usize], Tensor, Meter, &mut Workspace) -> Tensor,
     {
         let (dispatch_label, compute_label, combine_label) = labels;
-        let counts = |p: ChunkPlan| &self.tokens_per_local_expert[p.experts.0..p.experts.1];
         let (hidden, w) = (rows.cols(), self.world());
         assert_eq!(rows.rows(), self.pft.len(), "payload must be in PFT order");
-        // One send and one receive shell serve every collective of the call:
-        // issuing drains the first, unpacking drains the second.
-        let (mut send, mut recv) = (ws.take_shell(w), ws.take_shell(w));
-        let at_experts = |plan: ChunkPlan, wire: &mut [Vec<f32>], ws: &mut Workspace| {
+        let plans = chunks.map(|k| self.chunk_plans(k));
+        let in_flight = plans.as_ref().map_or(1, Vec::len);
+        // Out of `self` for the call, so the plan lookups below can borrow it.
+        let mut homes = std::mem::take(&mut self.wire_out);
+        let mut inbound = std::mem::take(&mut self.wire_in);
+        homes.resize_with(in_flight, Vec::new);
+        for shell in homes.iter_mut().chain([&mut inbound]) {
+            shell.resize_with(w, Vec::new);
+        }
+        let counts = |p: ChunkPlan| &self.tokens_per_local_expert[p.experts.0..p.experts.1];
+        let at_experts = |plan: ChunkPlan, wire: &[Vec<f32>], ws: &mut Workspace| {
             // For-overwrite: the arriving blocks tile the chunk.
             let mut chunk_in = ws.take_for_overwrite(plan.rows.1 - plan.rows.0, hidden);
-            unpack(wire, &mut chunk_in, ws, |src| self.expert_blocks(plan, src));
+            unpack(wire, &mut chunk_in, |src| self.expert_blocks(plan, src));
             chunk_in
         };
+        // The outputs go back in the buffers their inputs came in.
         let to_source =
             |plan: ChunkPlan, chunk_out: Tensor, wire: &mut [Vec<f32>], ws: &mut Workspace| {
                 assert_eq!(
@@ -367,31 +380,29 @@ impl EpRoute {
                     (plan.rows.1 - plan.rows.0, hidden),
                     "compute must map chunk rows 1:1"
                 );
-                pack(&chunk_out, wire, ws, |src| self.expert_blocks(plan, src));
+                pack(&chunk_out, wire, |src| self.expert_blocks(plan, src));
                 ws.recycle(chunk_out);
             };
 
-        let Some(chunks) = chunks else {
-            let plan = self.chunk_plan(0, 1);
-            pack(&rows, &mut send, ws, |dst| self.source_blocks(plan, dst));
+        let Some(plans) = plans else {
+            let (plan, home) = (self.chunk_plan(0, 1), &mut homes[0]);
+            pack(&rows, home, |dst| self.source_blocks(plan, dst));
             ws.recycle(rows);
-            ep.all_to_all_v_into(&mut send, &mut recv, clock)?;
+            ep.all_to_all_v_into(home, &mut inbound, clock)?;
             clock.commit(dispatch_label);
-            let chunk_in = at_experts(plan, &mut recv, ws);
+            let chunk_in = at_experts(plan, &inbound, ws);
             let chunk_out = compute(&plan, counts(plan), chunk_in, Meter::new(ep, clock), ws);
-            to_source(plan, chunk_out, &mut send, ws);
-            ep.all_to_all_v_into(&mut send, &mut recv, clock)?;
+            to_source(plan, chunk_out, &mut inbound, ws);
+            ep.all_to_all_v_into(&mut inbound, home, clock)?;
             clock.commit(combine_label);
             // For-overwrite: every PFT row belongs to exactly one sent
             // segment, so the returning rows write each row of `out` once.
             let mut out = ws.take_for_overwrite(self.pft.len(), hidden);
-            unpack(&mut recv, &mut out, ws, |dst| self.source_blocks(plan, dst));
-            ws.recycle_shell(send);
-            ws.recycle_shell(recv);
+            unpack(home, &mut out, |dst| self.source_blocks(plan, dst));
+            (self.wire_out, self.wire_in) = (homes, inbound);
             return Ok(out);
         };
 
-        let plans = self.chunk_plans(chunks);
         clock.begin_overlap("dispatch_compute");
         clock.set_track("comm");
         // Issue every dispatch chunk before waiting on any: the sends sit in
@@ -399,16 +410,16 @@ impl EpRoute {
         // track serializes their priced transfer times as the waits drain.
         // Issuing never blocks, so the interleaved schedule cannot deadlock.
         let mut dispatch_pending = Vec::with_capacity(plans.len());
-        for &plan in &plans {
-            pack(&rows, &mut send, ws, |dst| self.source_blocks(plan, dst));
-            dispatch_pending.push(ep.issue_all_to_all_v_into(&mut send, clock)?);
+        for (&plan, home) in plans.iter().zip(&mut homes) {
+            pack(&rows, home, |dst| self.source_blocks(plan, dst));
+            dispatch_pending.push(ep.issue_all_to_all_v_into(home, clock)?);
         }
         ws.recycle(rows);
 
         let mut combine_pending = Vec::with_capacity(plans.len());
         for (&plan, pending) in plans.iter().zip(dispatch_pending) {
             clock.set_track("comm");
-            pending.wait_into(&mut recv, clock)?;
+            pending.wait_into(&mut inbound, clock)?;
             clock.commit(dispatch_label);
             let arrived = clock.track_time("comm").expect("comm track exists");
 
@@ -416,7 +427,7 @@ impl EpRoute {
             // Honest cross-track dependency: the GEMM cannot start before
             // its chunk has arrived.
             clock.advance_to_op(compute_label, arrived);
-            let chunk_in = at_experts(plan, &mut recv, ws);
+            let chunk_in = at_experts(plan, &inbound, ws);
             let chunk_out = compute(&plan, counts(plan), chunk_in, Meter::new(ep, clock), ws);
             clock.commit(compute_label);
             let gemm_done = clock.track_time("compute").expect("compute track exists");
@@ -426,29 +437,30 @@ impl EpRoute {
             // cannot see this chunk's rows earlier than its GEMM finished.
             // Transfer time is priced on the outbound track in the drain
             // loop below.
-            to_source(plan, chunk_out, &mut send, ws);
-            let pending = ep.issue_all_to_all_v_into(&mut send, clock)?;
+            to_source(plan, chunk_out, &mut inbound, ws);
+            let pending = ep.issue_all_to_all_v_into(&mut inbound, clock)?;
             combine_pending.push((pending, gemm_done));
         }
 
-        // Drain the combine exchanges in issue order on the outbound track;
-        // each chunk's rows return to the PFT positions they were dispatched
-        // from (every PFT row belongs to exactly one sent segment, so the
-        // chunks write each row of the for-overwrite `out` exactly once). The
-        // per-chunk `advance_to_op` pins the transfer start at the chunk's
-        // own GEMM completion; `wait_into` then maxes in the peers' injection
-        // stamps.
+        // Drain the combine exchanges in issue order on the outbound track:
+        // mailboxes are FIFO per pair, so each chunk's buffers come home to
+        // the shell they left from, and its rows return to the PFT positions
+        // they were dispatched from (every PFT row belongs to exactly one
+        // sent segment, so the chunks write each row of the for-overwrite
+        // `out` exactly once). The per-chunk `advance_to_op` pins the
+        // transfer start at the chunk's own GEMM completion; `wait_into`
+        // then maxes in the peers' injection stamps.
         let mut out = ws.take_for_overwrite(self.pft.len(), hidden);
         clock.set_track("comm_out");
-        for (&plan, (pending, gemm_done)) in plans.iter().zip(combine_pending) {
+        let returns = plans.iter().zip(combine_pending).zip(&mut homes);
+        for ((&plan, (pending, gemm_done)), home) in returns {
             clock.advance_to_op(combine_label, gemm_done);
-            pending.wait_into(&mut recv, clock)?;
+            pending.wait_into(home, clock)?;
             clock.commit(combine_label);
-            unpack(&mut recv, &mut out, ws, |dst| self.source_blocks(plan, dst));
+            unpack(home, &mut out, |dst| self.source_blocks(plan, dst));
         }
         clock.end_overlap();
-        ws.recycle_shell(send);
-        ws.recycle_shell(recv);
+        (self.wire_out, self.wire_in) = (homes, inbound);
         Ok(out)
     }
 }

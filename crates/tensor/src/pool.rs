@@ -21,20 +21,19 @@
 //!   operation writes every element (a GEMM output, a gather, a copy) uses
 //!   [`Workspace::take_for_overwrite`] instead and skips the zero-fill pass.
 //!   Index buffers use [`Workspace::take_idx`] / [`Workspace::recycle_idx`].
-//! * The `f32` free list is searched **best-fit**: a lease gets the smallest
-//!   recycled buffer that holds it (the most recently recycled among equals);
-//!   when none does, the largest one is re-allocated at the requested size
-//!   plus a [`GROW_SLACK`]th; only an empty list allocates a new buffer — a
-//!   pool miss. So the arena is *closed*: it never holds more buffers than
-//!   were once leased at the same time, whatever sizes arrive over the wire
-//!   from another rank's arena. A pipeline that takes and recycles in the
-//!   same order every step keeps each logical buffer bound to the same
-//!   backing allocation once capacities have converged. The index list
-//!   holds a handful of same-sized buffers and stays LIFO.
-//! * An arena under a whole train step — a hundred leases of a dozen sizes,
-//!   many held from the forward to the backward pass, all drifting as the
-//!   router trains — is [`Workspace::trim`]med by its owner between steps,
-//!   and from then on leases by **size class**: see there.
+//! * The `f32` free list is searched **best-fit**, the one lease rule: a
+//!   lease gets the smallest recycled buffer that holds it (the most recently
+//!   recycled among equals); when none does, the largest one is re-allocated
+//!   at the requested size plus a [`GROW_SLACK`]th; only an empty list
+//!   allocates a new buffer — a pool miss. So the arena is *closed*: it never
+//!   holds more buffers than were once leased at the same time. A pipeline
+//!   that takes and recycles in the same order every step keeps each logical
+//!   buffer bound to the same backing allocation once capacities have
+//!   converged. The index list holds a handful of same-sized buffers and
+//!   stays LIFO.
+//! * The arena holds only this rank's tensors. Wire buffers are not leased
+//!   from it: every exchange keeps its own, which make a round trip and come
+//!   home to the rank that filled them (`xmoe_core`'s expert route and RBD).
 //! * Leaked leases are not an error — the tensor is simply dropped — but the
 //!   arena loses the reuse benefit, and [`WorkspaceStats::pool_misses`] will
 //!   keep climbing. Tests gate on that counter.
@@ -69,17 +68,15 @@ fn fit(buf: &mut Vec<f32>, need: usize) {
 /// Counters describing arena behaviour since construction.
 ///
 /// `takes` counts every lease; `pool_misses` counts leases that had to
-/// allocate a fresh backing buffer because the free list held none of their
-/// size class (none at all, for the index list). At steady
-/// state `pool_misses` stops advancing. `retained_f32` / `retained_idx` are
+/// allocate a fresh backing buffer because their free list was empty. At
+/// steady state `pool_misses` stops advancing. `retained_f32` / `retained_idx` are
 /// the element capacities currently parked in the free lists; together with
 /// outstanding leases they bound the arena's heap footprint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkspaceStats {
     /// Total number of tensor + index leases served.
     pub takes: u64,
-    /// Leases that allocated because no recycled buffer of their size class
-    /// was available.
+    /// Leases that allocated because no recycled buffer was available.
     pub pool_misses: u64,
     /// `f32` capacity currently held in the tensor free list.
     pub retained_f32: usize,
@@ -89,9 +86,6 @@ pub struct WorkspaceStats {
     /// no `u64` list; `xmoe_core`'s pooled state counts RBD's metadata
     /// streams here).
     pub retained_u64: usize,
-    /// [`Workspace::trim`] calls: the steps run on an arena whose owner trims
-    /// it once a step.
-    pub trims: u64,
 }
 
 /// Per-rank arena of reusable scratch buffers. See the module docs.
@@ -99,13 +93,6 @@ pub struct WorkspaceStats {
 pub struct Workspace {
     free_f32: Vec<Vec<f32>>,
     free_idx: Vec<Vec<usize>>,
-    free_shells: Vec<Vec<Vec<f32>>>,
-    /// How many buffers at the front of `free_f32` no lease has popped since
-    /// the last [`Workspace::trim`].
-    idle: usize,
-    /// [`Workspace::trim`] calls so far; an arena with any is leased by size
-    /// class.
-    trims: u64,
     takes: u64,
     pool_misses: u64,
 }
@@ -133,10 +120,9 @@ impl Workspace {
         self.lease(rows, cols, false)
     }
 
-    /// The free `f32` buffer a lease of `need` elements gets, with capacity
-    /// for them (see the module docs for the choice).
-    fn pop_f32(&mut self, need: usize) -> Vec<f32> {
+    fn lease(&mut self, rows: usize, cols: usize, zeroed: bool) -> Tensor {
         self.takes += 1;
+        let need = rows * cols;
         // (index, capacity) of the smallest free buffer that holds `need` and
         // of the largest that does not.
         let mut fits: Option<(usize, usize)> = None;
@@ -151,27 +137,14 @@ impl Workspace {
                 below = Some((i, cap));
             }
         }
-        if self.trims > 0 && need > 0 {
-            // Only a buffer of the lease's size class will do.
-            fits = fits.filter(|&(_, cap)| 2 * cap <= 3 * need);
-            below = below.filter(|&(_, cap)| 3 * cap >= 2 * need);
-        }
         let mut buf = match fits.or(below) {
-            Some((i, _)) => {
-                self.idle -= usize::from(i < self.idle);
-                self.free_f32.remove(i)
-            }
+            Some((i, _)) => self.free_f32.remove(i),
             None => {
                 self.pool_misses += 1;
                 Vec::new()
             }
         };
         fit(&mut buf, need);
-        buf
-    }
-
-    fn lease(&mut self, rows: usize, cols: usize, zeroed: bool) -> Tensor {
-        let buf = self.pop_f32(rows * cols);
         let mut t = Tensor::from_vec(buf.len(), 1, buf);
         if zeroed {
             t.resize(rows, cols);
@@ -212,71 +185,6 @@ impl Workspace {
         self.free_idx.push(buf);
     }
 
-    /// Lease an **empty** flat `f32` buffer with capacity at least `cap`.
-    ///
-    /// This is the wire-staging lease: callers `extend` into it rather than
-    /// indexing, so it comes back empty instead of zero-filled. The backing
-    /// store is the same free list as [`Workspace::take`] — buffers received
-    /// over the simulated wire and recycled here feed later tensor leases
-    /// and vice versa, which is what keeps a distributed exchange's buffer
-    /// population closed (every rank recycles as many inner buffers as it
-    /// leases per step).
-    pub fn take_f32(&mut self, cap: usize) -> Vec<f32> {
-        let mut buf = self.pop_f32(cap);
-        buf.clear();
-        buf
-    }
-
-    /// Return a flat `f32` buffer to the free list (same list as recycled
-    /// tensors).
-    pub fn recycle_f32(&mut self, buf: Vec<f32>) {
-        self.free_f32.push(buf);
-    }
-
-    /// Release what the arena no longer uses; call it between steps, when the
-    /// step's leases are back. The free buffers that no lease has touched
-    /// since the last call are dropped: they sit, in their old order, at the
-    /// front of the free list, because a recycled buffer goes to its end.
-    ///
-    /// An arena that is trimmed leases by size class: a lease only takes a
-    /// buffer that is at most half again as large as it, or re-grows one that
-    /// is too small by less than a third, and otherwise allocates its own.
-    /// Best-fit alone lets an `[n, hidden]` activation saved for the backward
-    /// pass sit in the only free `[routed, hidden]` buffer; the dispatch
-    /// matrix that needs it next grows another, and the arena ends up a third
-    /// larger than what the step has live at its peak. Allocating instead is
-    /// only sound because the buffers this leaves unused — and the ones a
-    /// drifting routed token count has outgrown — are released here; an arena
-    /// that is never trimmed stays closed.
-    pub fn trim(&mut self) {
-        self.trims += 1;
-        self.free_f32.drain(..self.idle);
-        self.idle = self.free_f32.len();
-    }
-
-    /// Lease a wire shell: `peers` empty `f32` buffers, the outer spine of one
-    /// all-to-all's send or receive side (the inner buffers are
-    /// [`Workspace::take_f32`] leases, or arrive over the wire).
-    pub fn take_shell(&mut self, peers: usize) -> Vec<Vec<f32>> {
-        self.takes += 1;
-        let mut shell = self.free_shells.pop().unwrap_or_else(|| {
-            self.pool_misses += 1;
-            Vec::new()
-        });
-        shell.resize_with(peers, Vec::new);
-        shell
-    }
-
-    /// Return a wire shell whose inner buffers have been moved out (sent, or
-    /// recycled with [`Workspace::recycle_f32`]).
-    pub fn recycle_shell(&mut self, shell: Vec<Vec<f32>>) {
-        debug_assert!(
-            shell.iter().all(|b| b.capacity() == 0),
-            "a shell is recycled without its inner buffers"
-        );
-        self.free_shells.push(shell);
-    }
-
     /// Test support: fill every free `f32` buffer with NaN to its full
     /// capacity, so whatever a later for-overwrite lease reads before writing
     /// it shows up in the results — in release builds too, where such a lease
@@ -297,7 +205,6 @@ impl Workspace {
             retained_f32: self.free_f32.iter().map(Vec::capacity).sum(),
             retained_idx: self.free_idx.iter().map(Vec::capacity).sum(),
             retained_u64: 0,
-            trims: self.trims,
         }
     }
 }
@@ -373,22 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_leases_share_the_f32_free_list_with_tensors() {
-        let mut ws = Workspace::new();
-        let t = ws.take(4, 4);
-        ws.recycle(t);
-        // The flat lease reuses the recycled tensor's backing buffer.
-        let b = ws.take_f32(10);
-        assert!(b.is_empty());
-        assert!(b.capacity() >= 10);
-        ws.recycle_f32(b);
-        let t2 = ws.take(2, 5);
-        assert_eq!(t2.len(), 10);
-        assert_eq!(ws.stats().pool_misses, 1, "one backing buffer serves all");
-        ws.recycle(t2);
-    }
-
-    #[test]
     fn a_closed_arena_never_allocates_while_a_buffer_is_free() {
         let mut ws = Workspace::new();
         let (small, big) = (ws.take(8, 8), ws.take(64, 8));
@@ -405,63 +296,6 @@ mod tests {
         // 600 elements: nothing holds them, the largest is re-grown.
         let c = ws.take_for_overwrite(60, 10);
         assert_eq!((c.len(), ws.stats().pool_misses), (600, 2));
-    }
-
-    #[test]
-    fn a_trimmed_arena_leases_by_size_class() {
-        let mut ws = Workspace::new();
-        ws.trim();
-        let (small, mid, big) = (ws.take(8, 8), ws.take(10, 8), ws.take(64, 8));
-        let (p_mid, p_big) = (mid.as_slice().as_ptr(), big.as_slice().as_ptr());
-        for t in [big, small, mid] {
-            ws.recycle(t);
-        }
-        // 72 elements: the 80-element buffer, not the 64 (too small) nor the
-        // 512 that was recycled before it.
-        let t = ws.take_for_overwrite(9, 8);
-        assert_eq!(t.as_slice().as_ptr(), p_mid);
-        // 400 elements: only the 512 is within half again.
-        let u = ws.take_for_overwrite(50, 8);
-        assert_eq!(u.as_slice().as_ptr(), p_big);
-        assert_eq!(ws.stats().pool_misses, 3);
-        // 16 elements fit the free 64-element buffer four times over: the
-        // lease allocates its own instead of squatting in it.
-        let v = ws.take_for_overwrite(2, 8);
-        assert_eq!((v.len(), ws.stats().pool_misses), (16, 4));
-        // 90 elements: nothing fits, the 80-element buffer is close below and
-        // is re-grown with headroom — not a miss.
-        ws.recycle(t);
-        let w = ws.take_for_overwrite(9, 10);
-        assert_eq!((w.len(), ws.stats().pool_misses), (90, 4));
-        ws.recycle(w);
-        assert!(ws.stats().retained_f32 >= 64 + 90 + 90 / GROW_SLACK);
-    }
-
-    #[test]
-    fn trim_releases_what_no_lease_touched() {
-        let mut ws = Workspace::new();
-        let (a, b) = (ws.take(8, 8), ws.take(100, 8));
-        ws.recycle(a);
-        ws.recycle(b);
-        // Both were leased since the arena was made: the first call keeps
-        // them.
-        ws.trim();
-        assert_eq!(ws.stats().retained_f32, 864);
-        // A step that only leases the small buffer: the large one goes.
-        let a = ws.take(8, 8);
-        ws.recycle(a);
-        ws.trim();
-        let s = ws.stats();
-        assert_eq!((s.retained_f32, s.pool_misses), (64, 2));
-        // The survivor keeps being used: nothing else is ever released.
-        for _ in 0..4 {
-            let a = ws.take(8, 8);
-            ws.recycle(a);
-            ws.trim();
-        }
-        let end = ws.stats();
-        assert_eq!((end.takes, end.trims), (s.takes + 4, s.trims + 4));
-        assert_eq!((end.retained_f32, end.pool_misses), (64, 2));
     }
 
     #[test]

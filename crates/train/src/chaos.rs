@@ -185,6 +185,8 @@ pub struct ChaosReport {
     /// Counters of the final model's step arena (every restore, join and
     /// rebalance starts a fresh one).
     pub arena: WorkspaceStats,
+    /// The steps the final model ran: what `arena` counts over.
+    pub arena_steps: u64,
 }
 
 /// The batch rank `dense_rank` trains on at the step identified by
@@ -521,6 +523,7 @@ impl<'a> Run<'a> {
             final_assignment: model.assignment().clone(),
             rebalance_ckpt: None,
             arena: WorkspaceStats::default(),
+            arena_steps: 0,
         };
         Self {
             cfg,
@@ -644,6 +647,7 @@ impl<'a> Run<'a> {
         self.report.final_loss_scale = self.gs.loss_scale.scale();
         self.report.final_assignment = self.model.assignment().clone();
         self.report.arena = self.model.arena_stats();
+        self.report.arena_steps = self.model.steps_run();
         self.report
     }
 }

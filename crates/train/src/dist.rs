@@ -387,6 +387,8 @@ pub struct DistMoeLm {
     /// The step arena: every buffer of a step is leased from it and recycled
     /// into it (see the module docs).
     ws: Workspace,
+    /// Forward + backward passes completed: the steps the arena served.
+    steps: u64,
     /// One per block.
     moe_st: Vec<DistMoeScratch>,
     /// The dense blocks' saves of the step in flight: pushed by the forward,
@@ -451,6 +453,7 @@ impl DistMoeLm {
             track_routes: false,
             route_samples: Vec::new(),
             ws: Workspace::new(),
+            steps: 0,
             ctxs: Vec::new(),
             inputs: Vec::new(),
             targets: Vec::new(),
@@ -466,9 +469,22 @@ impl DistMoeLm {
     }
 
     /// Counters of the step arena: leases served, leases that had to
-    /// allocate, and the capacity it retains between steps.
+    /// allocate, and the capacity it retains between steps, with the wire
+    /// buffers each MoE layer's route keeps outside it counted as retained.
     pub fn arena_stats(&self) -> WorkspaceStats {
-        self.ws.stats()
+        let mut s = self.ws.stats();
+        for st in &self.moe_st {
+            let (f32s, u64s) = st.layer.route.wire_capacity();
+            s.retained_f32 += f32s;
+            s.retained_u64 += u64s;
+        }
+        s
+    }
+
+    /// Forward + backward passes this model has completed: the steps its
+    /// arena's counters cover.
+    pub fn steps_run(&self) -> u64 {
+        self.steps
     }
 
     /// The expert assignment every block routes by.
@@ -579,6 +595,7 @@ impl DistMoeLm {
             blocks,
             head,
             ws,
+            steps,
             moe_st,
             ctxs,
             inputs,
@@ -651,7 +668,7 @@ impl DistMoeLm {
         }
         embed.backward(inputs, &d_x);
         ws.recycle(d_x);
-        ws.trim();
+        *steps += 1;
         Ok(local_loss)
     }
 

@@ -88,13 +88,14 @@ fn gather_shards(
     tp: &Communicator,
     clock: &mut SimClock,
 ) -> Result<Tensor, CommError> {
-    let hidden = local.cols();
+    let (own_rows, hidden) = local.shape();
     let mut gathered = tp.all_gather(local.into_vec(), clock)?;
     let mut data = Vec::with_capacity(rows * hidden);
     for chunk in &gathered {
         data.extend_from_slice(chunk);
     }
-    ws.recycle_f32(std::mem::take(&mut gathered[tp.rank()]));
+    let own = std::mem::take(&mut gathered[tp.rank()]);
+    ws.recycle(Tensor::from_vec(own_rows, hidden, own));
     Ok(Tensor::from_vec(rows, hidden, data))
 }
 

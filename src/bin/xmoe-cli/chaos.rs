@@ -184,7 +184,10 @@ pub fn run(args: &[String]) -> Result<(), UsageError> {
             d.migration_bytes
         );
     }
-    println!("{}", crate::arena_line(&survivor.arena));
+    println!(
+        "{}",
+        crate::arena_line(&survivor.arena, survivor.arena_steps)
+    );
     println!(
         "final world {} of {ranks} | last checkpoint {} bytes | simulated time {:.4}ms",
         survivor.final_world,

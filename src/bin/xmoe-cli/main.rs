@@ -87,11 +87,12 @@ use xmoe::bench::spine;
 type Run = fn(&[String]) -> Result<(), UsageError>;
 
 /// Where a run's memory is: the `arena:` line of the `step` and `chaos`
-/// summaries (a step = one forward, or one trimmed train step).
-fn arena_line(s: &xmoe::tensor::WorkspaceStats) -> String {
+/// summaries, over `steps` steps (one forward, or the final model's train
+/// steps).
+fn arena_line(s: &xmoe::tensor::WorkspaceStats, steps: u64) -> String {
     format!(
         "arena: {} takes/step, {} misses, {:.2} MB retained",
-        s.takes / s.trims.max(1),
+        s.takes / steps.max(1),
         s.pool_misses,
         (s.retained_f32 * 4 + s.retained_idx * 8 + s.retained_u64 * 8) as f64 / 1e6
     )

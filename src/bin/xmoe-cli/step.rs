@@ -167,7 +167,7 @@ pub fn run(args: &[String]) -> Result<(), UsageError> {
         tr.inter_node,
         tr.cross_rack
     );
-    println!("{} (rank 0)", crate::arena_line(&arena));
+    println!("{} (rank 0)", crate::arena_line(&arena, 1));
     if let Some(p) = trace_path {
         trace::write_chrome_trace(Path::new(&p), &traces).expect("write trace file");
         println!("wrote Chrome trace to {p} (open at https://ui.perfetto.dev)");

@@ -13,7 +13,9 @@
 //! from the layer input by token id), so a routed-row `[n, H]` buffer more
 //! than the dataflow needs shows as a bound exceeded. Under RBD the pilots go out
 //! straight from the tokens and the experts read straight from the wire, so
-//! the state keeps no PFT-order rows at all.
+//! the state keeps no PFT-order rows at all. Under flat EP every wire buffer
+//! comes home to the rank that filled it, so no peer's buffer lands in an
+//! arena.
 
 use xmoe::collectives::{RankCtx, SimCluster};
 use xmoe::core::gating::DropPolicy;
@@ -179,6 +181,59 @@ fn a_pooled_forward_arena_holds_no_routed_row_buffer() {
          (an [n, H] buffer is {})",
         n * h
     );
+}
+
+#[test]
+fn a_pooled_ep_forward_arena_holds_no_wire_buffer() {
+    let (s, h, f, e, k) = FINE;
+    let router = Router::new(h, e, k, 81);
+    let spec = MoeLayerSpec::new(e, k * s);
+    let tokens_of = |rank: usize| Tensor::rand_uniform(s, h, 1.0, 810 + rank as u64);
+    for world in [2usize, 4] {
+        for overlap in [None, Some(2)] {
+            let per_rank = {
+                let (router, spec, tokens_of) = (&router, &spec, &tokens_of);
+                SimCluster::frontier(world).run(move |ctx| {
+                    let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 82);
+                    let tokens = tokens_of(ctx.rank);
+                    let mut state = PooledSingleState::default();
+                    for _ in 0..4 {
+                        let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock).with_state(&mut state);
+                        ex.overlap_chunks = overlap;
+                        let out = PaddingFreePipeline
+                            .forward(&tokens, router, &shard, spec, &mut ex)
+                            .unwrap();
+                        state.ws.recycle(out);
+                    }
+                    // What the state holds outside the arena, less its
+                    // PFT-order rows: the route's wire buffers.
+                    let (held, arena) = (state.stats().retained_f32, state.ws.stats().retained_f32);
+                    (held - arena - state.routed_rows().capacity(), arena)
+                })
+            };
+            // The rows a rank's experts receive: every routed entry, of
+            // every rank, to an expert it holds (contiguous, no drops).
+            let mut rows_in = vec![0usize; world];
+            for rank in 0..world {
+                for &x in &router.gate(&tokens_of(rank)).top_experts {
+                    rows_in[x / (e / world)] += 1;
+                }
+            }
+            for (rank, (&(wire, retained), r)) in per_rank.iter().zip(&rows_in).enumerate() {
+                let at = format!("{world} ranks, overlap {overlap:?}, rank {rank}");
+                // The chunk input, the `[recv, 2F]` hidden-layer strip and
+                // the `[s, H]` output; a peer's wire buffer is `[rows, H]`.
+                let bound = with_grow_slack(r * h + r * 2 * f + s * h);
+                assert!(
+                    retained <= bound,
+                    "{at}: EP arena retains {retained} f32 > chunk input + strip + out = {bound}"
+                );
+                // Its own buffers, home from the return leg: exactly the
+                // `k·s` rows it sent.
+                assert_eq!(wire, k * s * h, "{at}: wire kept outside the arena");
+            }
+        }
+    }
 }
 
 #[test]
