@@ -369,7 +369,7 @@ fn grouped_rows(at: &Machine, smoke: bool) -> (Vec<Record>, Vec<Check>) {
             let [c_seq, c_grp, c_scp] = &mut c;
             let [t_seq, t_grp, t_scp] = per_call([
                 &mut || sequential_experts(a, &counts, k, &w, c_seq),
-                &mut || gemm_grouped(a, &counts, k, |e| w[e].as_slice(), n, c_grp),
+                &mut || gemm_grouped(a, &counts, k, |e| w[e].as_slice(), n, &mut **c_grp),
                 &mut || scoped_spawn_experts(a, &counts, k, &w, c_scp),
             ]);
             if !(bits_equal(&c[0], &c[1]) && bits_equal(&c[0], &c[2])) {

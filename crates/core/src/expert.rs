@@ -5,7 +5,7 @@
 //! fine-grained expert. Under expert parallelism each rank owns a contiguous
 //! block of `E / W` experts ([`ExpertShard`]).
 
-use xmoe_tensor::{gemm_grouped, silu_into, Tensor, Workspace};
+use xmoe_tensor::{gemm_grouped, silu_into, silu_slice, RowSink, RowSource, Tensor, Workspace};
 
 use crate::pipeline::padding_free::{run_experts, ExpertKernel};
 use crate::price::Meter;
@@ -29,35 +29,84 @@ impl Expert {
     }
 }
 
-/// The expert FFN, written once (paper §B.4's sequential per-expert GEMM),
-/// in place: over the expert-major segments `counts` of `xy`
-/// (`[Σ counts, H]`), segment `e` through `experts[e]`, `h_pre = xy·W1`,
-/// `h_act = silu(h_pre)` and then `y = h_act·W2` back into `xy` — the first
-/// product has read all of `xy` before the second writes it, so the input's
-/// buffer carries the output and no `[Σ counts, H]` buffer is added. The
-/// whole set is two [`gemm_grouped`] batches on the persistent worker pool,
-/// so many small segments fill the machine instead of running back-to-back,
-/// and the bits are the sequential per-expert loop's at any worker count.
-/// `h_pre`/`h_act` are overwritten whole (every row belongs to exactly one
-/// segment, which is also why one SiLU pass equals the per-segment ones), so
-/// they may be for-overwrite leases. The forward-only callers drop them;
-/// training saves them for the backward.
+/// Where [`expert_ffn`] reads its `[Σ counts, H]` input rows and puts its
+/// output rows: one argument, so the FFN never adds a routed-row buffer of
+/// its own.
+pub enum FfnRows<'a> {
+    /// Rows read by the first product and then overwritten with the outputs
+    /// by the second — the rows that arrived over a wire, or a padded copy.
+    InPlace(&'a mut [f32]),
+    /// Input rows from a [`RowSource`] (under `Local`, the tokens read by
+    /// id), outputs through a [`RowSink`]: a buffer of their own, or the
+    /// combine straight into the layer output.
+    Apart(RowSource<'a>, RowSink<'a>),
+}
+
+impl<'a> FfnRows<'a> {
+    /// Where the input rows are read.
+    pub(crate) fn source(&self) -> RowSource<'_> {
+        match self {
+            FfnRows::InPlace(xy) => RowSource::Contiguous(xy),
+            FfnRows::Apart(x, _) => *x,
+        }
+    }
+
+    /// Where the output rows go, once the input has been read.
+    pub(crate) fn sink(self) -> RowSink<'a> {
+        match self {
+            FfnRows::InPlace(xy) => RowSink::Rows(xy),
+            FfnRows::Apart(_, y) => y,
+        }
+    }
+}
+
+/// The expert FFN, written once (paper §B.4's sequential per-expert GEMM):
+/// over the expert-major segments `counts` of `rows`, segment `e` through
+/// `experts[e]`, `h_pre = x·W1`, `h_act = silu(h_pre)` and then
+/// `y = h_act·W2`, where [`FfnRows`] says — the first product has read all
+/// of its input before the second writes. The whole set is two
+/// [`gemm_grouped`] batches on the persistent worker pool, so many small
+/// segments fill the machine instead of running back-to-back, and the bits
+/// are the sequential per-expert loop's at any worker count. `h_pre` is
+/// overwritten whole (every row belongs to exactly one segment, which is
+/// also why one SiLU pass equals the per-segment ones), so it may be a
+/// for-overwrite lease; so may `h_act`. Training passes `h_act` and saves
+/// both; the forward-only callers pass `None`, and the SiLU runs in place
+/// over `h_pre` (the same expression, so the same bits), which the second
+/// product then reads.
 pub fn expert_ffn(
     experts: &[Expert],
     counts: &[usize],
-    xy: &mut [f32],
+    rows: FfnRows,
     h_pre: &mut [f32],
-    h_act: &mut [f32],
+    h_act: Option<&mut [f32]>,
 ) {
     assert_eq!(
         counts.len(),
         experts.len(),
         "segment count must equal local expert count"
     );
-    let (h, f) = experts.first().map_or((0, 0), |e| e.w1.shape());
-    gemm_grouped(xy, counts, h, |e| experts[e].w1.as_slice(), f, h_pre);
-    silu_into(h_pre, h_act);
-    gemm_grouped(h_act, counts, f, |e| experts[e].w2.as_slice(), h, xy);
+    let (h, f) = widths(experts);
+    let x = rows.source();
+    gemm_grouped(x, counts, h, |e| experts[e].w1.as_slice(), f, &mut *h_pre);
+    let h_act: &[f32] = match h_act {
+        Some(h_act) => {
+            silu_into(h_pre, h_act);
+            h_act
+        }
+        None => {
+            silu_slice(h_pre);
+            h_pre
+        }
+    };
+    gemm_grouped(
+        h_act,
+        counts,
+        f,
+        |e| experts[e].w2.as_slice(),
+        h,
+        rows.sink(),
+    );
 }
 
 /// The contiguous block of experts owned by one EP rank.
@@ -120,26 +169,26 @@ impl ExpertShard {
 
     /// [`Self::forward_segments`] on workspace leases: the layer pass's
     /// expert stage ([`run_experts`]) with the plain kernel and no clock,
-    /// over one lease `input` is copied into (the stage computes in place).
-    /// The caller recycles the returned tensor.
+    /// reading `input` and writing one lease, which the caller recycles.
     pub fn forward_segments_pooled(
         &self,
         input: &Tensor,
         tokens_per_local_expert: &[usize],
         ws: &mut Workspace,
     ) -> Tensor {
-        // For-overwrite: the copy fills it.
-        let mut xy = ws.take_for_overwrite(input.rows(), input.cols());
-        xy.as_mut_slice().copy_from_slice(input.as_slice());
+        // For-overwrite: the second product writes every row.
+        let mut y = ws.take_for_overwrite(input.rows(), input.cols());
+        let rows = FfnRows::Apart(input.as_slice().into(), y.as_mut_slice().into());
         let (counts, plain) = (tokens_per_local_expert, ExpertKernel::Plain);
         let quiet = Meter::default();
-        run_experts(&self.experts, counts, xy, plain, None, ws, quiet)
+        run_experts(&self.experts, counts, rows, plain, None, ws, quiet);
+        y
     }
 }
 
-/// Expert FFN width of a shard's experts (0 for an empty shard).
-pub(crate) fn ffn_width(experts: &[Expert]) -> usize {
-    experts.first().map_or(0, |e| e.w1.cols())
+/// `(hidden, ffn)` widths of a shard's experts (0s for an empty shard).
+pub(crate) fn widths(experts: &[Expert]) -> (usize, usize) {
+    experts.first().map_or((0, 0), |e| e.w1.shape())
 }
 
 #[cfg(test)]

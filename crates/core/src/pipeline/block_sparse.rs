@@ -12,9 +12,9 @@
 //! equivalent — zero rows contribute nothing) plus the padding-waste
 //! accounting the `ablation_blocksparse` bench sweeps.
 
-use xmoe_tensor::{Tensor, Workspace};
+use xmoe_tensor::Workspace;
 
-use crate::expert::{ffn_width, Expert};
+use crate::expert::{widths, Expert, FfnRows};
 use crate::pipeline::padding_free::{run_experts, ExpertKernel};
 use crate::price::{self, Meter};
 
@@ -43,21 +43,22 @@ pub fn expected_block_waste(tokens: usize, k: usize, num_experts: usize, block: 
     1.0 - per_expert / padded
 }
 
-/// The block-padded expert kernel: pad each expert segment of `input` to a
-/// multiple of `block` rows, run the segment GEMMs over the padded tiles in
-/// place, strip the padding again back into `input`, which is returned.
-/// Functionally equal to the plain kernel (zero rows contribute nothing),
-/// but the pad/strip copies and the padded rows' FLOPs are charged — the
-/// waste the paper measures. Every scratch buffer is leased from `ws`.
+/// The block-padded expert kernel: pad each expert segment of `rows`'
+/// input to a multiple of `block` rows, run the segment GEMMs over the
+/// padded tiles in place, strip the padding again into `rows`' outputs (in
+/// place, a buffer, or the combine into the layer output). Functionally
+/// equal to the plain kernel (zero rows contribute nothing), but the
+/// pad/strip copies and the padded rows' FLOPs are charged — the waste the
+/// paper measures. Every scratch buffer is leased from `ws`.
 pub(crate) fn forward_block_padded(
     experts: &[Expert],
-    mut input: Tensor,
+    rows: FfnRows,
     counts: &[usize],
     block: usize,
     ws: &mut Workspace,
     mut meter: Meter,
-) -> Tensor {
-    let hidden = input.cols();
+) {
+    let (hidden, f) = widths(experts);
     let mut padded_counts = ws.take_idx(counts.len());
     for (p, &c) in padded_counts.iter_mut().zip(counts) {
         *p = round_up(c, block);
@@ -65,40 +66,41 @@ pub(crate) fn forward_block_padded(
     let padded: usize = padded_counts.iter().sum();
     // take() zero-fills, so the pad rows are zero even on a reused buffer.
     let mut padded_buf = ws.take(padded, hidden);
-    copy_segments(&input, counts, &mut padded_buf, &padded_counts);
+    let src = rows.source();
+    for_real_rows(counts, &padded_counts, |i, p| {
+        padded_buf.row_mut(p).copy_from_slice(src.row(i, hidden));
+    });
     meter.charge("buffer_dispatch", |c| price::gather(c, padded, hidden));
 
-    let plain = ExpertKernel::Plain;
-    let quiet = Meter::default();
-    let out_padded = run_experts(experts, &padded_counts, padded_buf, plain, None, ws, quiet);
-    let (rows, f) = (padded as f64, ffn_width(experts));
-    meter.charge("expert", |c| price::expert_padded(c, rows, hidden, f, 1.0));
+    let (plain, quiet) = (ExpertKernel::Plain, Meter::default());
+    let padded_rows = FfnRows::InPlace(padded_buf.as_mut_slice());
+    run_experts(experts, &padded_counts, padded_rows, plain, None, ws, quiet);
+    let n = padded as f64;
+    meter.charge("expert", |c| price::expert_padded(c, n, hidden, f, 1.0));
 
-    // Every row of `input` is a real row of one segment: the strip
-    // overwrites it whole.
-    copy_segments(&out_padded, &padded_counts, &mut input, counts);
-    let rows = input.rows();
-    meter.charge("buffer_combine", |c| price::gather(c, rows, hidden));
-    ws.recycle(out_padded);
+    // Every output row is a real row of one segment: the strip writes each
+    // once, in order.
+    let mut sink = rows.sink();
+    for_real_rows(counts, &padded_counts, |i, p| {
+        sink.put(i, padded_buf.row(p))
+    });
+    let real = counts.iter().sum();
+    meter.charge("buffer_combine", |c| price::gather(c, real, hidden));
+    ws.recycle(padded_buf);
     ws.recycle_idx(padded_counts);
-    input
 }
 
-/// Copy `counts[e]` rows per expert from `src` into segments of
-/// `dst_counts[e]` rows in a zeroed buffer (block padding), or back out
-/// (stripping) when `dst_counts` is the unpadded side.
-fn copy_segments(src: &Tensor, src_counts: &[usize], dst: &mut Tensor, dst_counts: &[usize]) {
-    let hidden = src.cols();
-    let d = dst.as_mut_slice();
-    let (mut src_row, mut dst_row) = (0usize, 0usize);
-    for e in 0..src_counts.len() {
-        let real = src_counts[e].min(dst_counts[e]);
-        if real > 0 {
-            d[dst_row * hidden..(dst_row + real) * hidden]
-                .copy_from_slice(&src.as_slice()[src_row * hidden..(src_row + real) * hidden]);
+/// `f(i, p)` for every real row, in order: row `i` of the `counts` segments
+/// sits at row `p` of the `padded_counts` ones (each segment's real rows
+/// first, then its zero padding).
+fn for_real_rows(counts: &[usize], padded_counts: &[usize], mut f: impl FnMut(usize, usize)) {
+    let (mut row, mut padded_row) = (0usize, 0usize);
+    for (&real, &padded) in counts.iter().zip(padded_counts) {
+        for j in 0..real {
+            f(row + j, padded_row + j);
         }
-        src_row += src_counts[e];
-        dst_row += dst_counts[e];
+        row += real;
+        padded_row += padded;
     }
 }
 
@@ -112,6 +114,7 @@ mod tests {
         PooledSingleState,
     };
     use xmoe_collectives::SimCluster;
+    use xmoe_tensor::Tensor;
 
     #[test]
     fn round_up_basics() {

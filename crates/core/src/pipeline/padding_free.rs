@@ -13,11 +13,12 @@
 
 use xmoe_collectives::{CommError, Communicator, SimClock};
 use xmoe_tensor::{
-    gather_rows_into, scatter_rows_scaled, DetRng, Tensor, Workspace, WorkspaceStats,
+    gather_rows_into, scatter_rows_scaled, DetRng, RowSink, RowSource, Tensor, Workspace,
+    WorkspaceStats,
 };
 use xmoe_topology::ExpertAssignment;
 
-use crate::expert::{expert_ffn, ffn_width, Expert};
+use crate::expert::{expert_ffn, widths, Expert, FfnRows};
 use crate::gating::{gate_rows, GateScratch, GatingOutput};
 use crate::pft::{Pft, PftScratch};
 use crate::pipeline::block_sparse::forward_block_padded;
@@ -44,9 +45,9 @@ pub struct PooledSingleState {
 impl PooledSingleState {
     /// The arena's counters, with the buffers this state holds between
     /// forwards outside the arena counted as retained: the PFT-order rows
-    /// `Local` and `Ep` forwards keep, and the route's wire buffers (flat
-    /// EP's and RBD's), which return to the rank that filled them. They are
-    /// this rank's memory too.
+    /// `Ep` forwards keep, and the route's wire buffers (flat EP's and
+    /// RBD's), which return to the rank that filled them. They are this
+    /// rank's memory too.
     pub fn stats(&self) -> WorkspaceStats {
         let mut s = self.ws.stats();
         let (f32s, u64s) = self.layer.route.wire_capacity();
@@ -56,7 +57,9 @@ impl PooledSingleState {
     }
 
     /// The PFT-order `[n, H]` rows this state keeps between forwards:
-    /// grown by `Local` and `Ep` forwards, never by RBD's.
+    /// grown by `Ep` forwards only. A `Local` forward reads the tokens by id
+    /// and combines inside its second expert GEMM; RBD packs its pilots
+    /// straight from the tokens.
     pub fn routed_rows(&self) -> &Tensor {
         &self.layer.rows
     }
@@ -78,10 +81,11 @@ pub struct LayerState {
     pub logits_clamped: usize,
     pft_scratch: PftScratch,
     pub route: EpRoute,
-    /// PFT-order rows, for the transports that send them (`Local`, `Ep`):
-    /// the dispatch rows going out and, after a bare call, the expert outputs
-    /// computed over them in place, which the next call gathers into. RBD
-    /// never grows them: its S0 packs the pilots straight from the tokens.
+    /// PFT-order rows, for the one transport that sends them (`Ep`): the
+    /// dispatch rows going out and, after a bare call, the expert outputs
+    /// computed over them in place, which the next call gathers into.
+    /// `Local` never grows them (its experts read the tokens by id), nor
+    /// does RBD (its S0 packs the pilots straight from the tokens).
     pub(crate) rows: Tensor,
 }
 
@@ -97,9 +101,10 @@ pub struct ExpertSaves {
     pub input: Tensor,
     pub h_pre: Tensor,
     pub h_act: Tensor,
-    /// The expert outputs in PFT order (under `Local`, in the very buffer
-    /// the dispatch rows were gathered into); the combine backward overwrites
-    /// them with their gradient and sends that buffer through the exchange.
+    /// The expert outputs in PFT order (under `Ep`, in the very buffer the
+    /// dispatch rows were gathered into; under `Local`, a lease the second
+    /// expert GEMM writes); the combine backward overwrites them with their
+    /// gradient and sends that buffer through the exchange.
     pub combine_in: Tensor,
 }
 
@@ -107,7 +112,8 @@ pub struct ExpertSaves {
 /// that varies between MoE layer passes.
 pub enum Transport<'a> {
     /// All experts local: `call` in Listing 1 minus the all-to-alls. The
-    /// whole PFT is one chunk; no communication, no clock, no copy.
+    /// whole PFT is one chunk, its rows the tokens read by id; no
+    /// communication, no clock, no copy.
     Local,
     /// Uneven all-to-alls over a flat EP group ([`EpRoute::exchange`]) under
     /// `assignment`; with `overlap_chunks` the exchanges are pipelined against
@@ -185,10 +191,12 @@ impl Transport<'_> {
     /// The one expert exchange, forward activations and backward gradients
     /// alike: PFT-order `rows` out to the experts, `compute` per chunk, back
     /// in PFT order (see [`EpRoute::exchange`] for the closure's contract;
-    /// here it also gets `ids`, below). `Local` is `compute` over the whole
-    /// PFT, with `ids` the PFT's `token_ids`: the token each of the chunk's
-    /// rows was gathered from, so a caller that keeps the tokens can read a
-    /// row again instead of saving a copy. The other transports pass `None`:
+    /// here it also gets a PFT, below). `Local` is `compute` over the whole
+    /// PFT, which it passes: its `token_ids` name the token behind each row,
+    /// so a caller that keeps the tokens reads a row by id instead of
+    /// gathering or saving a copy, and its `combine_weights` let a forward
+    /// combine where its outputs are made; `rows` pass through as the chunk
+    /// (empty, or a lease for the outputs). The other transports pass `None`:
     /// their rows arrive over a wire. `Ep` is the route's exchange, serial or
     /// chunked, under `labels = (dispatch, compute, combine)`.
     /// `Rbd` sends the pilots its `plan` packed and runs `compute` once, under
@@ -204,7 +212,7 @@ impl Transport<'_> {
         mut compute: F,
     ) -> Result<Tensor, CommError>
     where
-        F: FnMut(&ChunkPlan, &[usize], Option<&[usize]>, Tensor, Meter, &mut Workspace) -> Tensor,
+        F: FnMut(&ChunkPlan, &[usize], Option<&Pft>, Tensor, Meter, &mut Workspace) -> Tensor,
     {
         // What a transport whose rows arrive over a wire runs.
         let mut wired = |plan: &ChunkPlan, counts: &[usize], rows, meter: Meter<'_>, ws: &mut _| {
@@ -216,11 +224,17 @@ impl Transport<'_> {
                 let counts = &pft.tokens_per_expert;
                 let whole = ChunkPlan {
                     experts: (0, counts.len()),
-                    rows: (0, rows.rows()),
+                    rows: (0, pft.len()),
                     chunk: (0, 1),
                 };
-                let ids = Some(pft.token_ids.as_slice());
-                Ok(compute(&whole, counts, ids, rows, Meter::default(), ws))
+                Ok(compute(
+                    &whole,
+                    counts,
+                    Some(pft),
+                    rows,
+                    Meter::default(),
+                    ws,
+                ))
             }
             Transport::Ep {
                 comm,
@@ -242,10 +256,10 @@ impl Transport<'_> {
         }
     }
 
-    /// The pass's last stage, into `out`: `Local` and `Ep` scatter the
-    /// PFT-order expert outputs `rows`, weighted, to their tokens; `Rbd` adds
-    /// the per-(token, node) partials that came back (weighted at the
-    /// experts).
+    /// The pass's last stage, into `out`, where the experts did not combine
+    /// already: `Local` (training) and `Ep` scatter the PFT-order expert
+    /// outputs `rows`, weighted, to their tokens; `Rbd` adds the
+    /// per-(token, node) partials that came back (weighted at the experts).
     fn combine(&self, route: &mut EpRoute, rows: &Tensor, out: &mut Tensor) {
         let pft = &route.pft;
         match self {
@@ -267,11 +281,12 @@ pub enum ExpertKernel {
 
 /// The pass's prefix: the gate ([`gate_rows`] with `gate = (weight, top_k,
 /// logit_clamp)`; clamp 0 is none) → PFT construction into `state.route` →
-/// for a `transport` that sends PFT-order rows (`Local`, `Ep`), the gather
-/// into `state.rows` (leased from `lease` first, if given), all in `state`'s
-/// grow-once buffers. Charges `gating` (router GEMM plus PFT construction)
-/// and `buffer_dispatch` once, the latter under RBD too: its S0 copies the
-/// pilot rows from the tokens instead.
+/// `state.rows` leased from `lease`, if given, as `[n, H]` → for the
+/// transport that sends PFT-order rows (`Ep`), the gather into them, all in
+/// `state`'s grow-once buffers. Charges `gating` (router GEMM plus PFT
+/// construction) and `buffer_dispatch` once, under every transport: `Local`'s
+/// first expert GEMM reads the tokens by id instead, RBD's S0 copies the
+/// pilot rows from the tokens.
 pub(crate) fn gate_and_gather(
     tokens: &Tensor,
     (gate, top_k, clamp): (&Tensor, usize, f32),
@@ -292,75 +307,80 @@ pub(crate) fn gate_and_gather(
     *logits_clamped = gate_rows(gate, top_k, clamp, tokens, gate_scratch, gating);
     let (e, cap, policy) = (spec.num_experts, spec.capacity, spec.policy);
     Pft::construct_into(gating, e, cap, policy, pft_scratch, &mut route.pft);
-    // RBD's S0 packs its pilots from the tokens instead.
-    let gather = !matches!(transport, Transport::Rbd { .. });
+    // `Local` reads the tokens by id; RBD's S0 packs its pilots from them.
+    let gather = matches!(transport, Transport::Ep { .. });
     let (s, mut meter) = (tokens.rows() as f64, transport.meter());
     meter.charge("gating", |c| price::gating(c, s, hidden, e, top_k));
     let n = route.pft.len();
+    if let Some(ws) = lease {
+        // For-overwrite: the gather fills it, or the second expert GEMM.
+        *rows = ws.take_for_overwrite(n, hidden);
+    }
     if gather {
-        if let Some(ws) = lease {
-            // For-overwrite: the gather fills it.
-            *rows = ws.take_for_overwrite(n, hidden);
-        }
         gather_rows_into(tokens, &route.pft.token_ids, rows);
     }
     meter.charge("buffer_dispatch", |c| price::gather(c, n, hidden));
 }
 
-/// The expert stage, written once: `kernel` over an expert-major `[rows, H]`
-/// buffer split by `counts`, segment `e` through `experts[e]`, in place —
-/// `input` is taken by value and returned holding the expert outputs. The
-/// FFN's hidden layer goes to `saves` (training keeps it) or to one leased
-/// `[rows, 2·ffn]` strip, so the arena holds as many buffers as with an
-/// in-place SiLU. Charges `expert` (and the block kernel's copies).
+/// The expert stage, written once: `kernel` over expert-major rows split by
+/// `counts`, segment `e` through `experts[e]`, reading and writing where
+/// `rows` says ([`FfnRows`]: in place, or read by id and written to a
+/// buffer or combined into the layer output). The FFN's hidden layer goes to
+/// `saves` (training keeps it) or to one leased `[rows, ffn]` strip with the
+/// SiLU in place. Charges `expert` (and the block kernel's copies).
 pub(crate) fn run_experts(
     experts: &[Expert],
     counts: &[usize],
-    mut input: Tensor,
+    rows: FfnRows,
     kernel: ExpertKernel,
     saves: Option<(&mut [f32], &mut [f32])>,
     ws: &mut Workspace,
     mut meter: Meter,
-) -> Tensor {
+) {
     if let ExpertKernel::BlockPadded(block) = kernel {
-        return forward_block_padded(experts, input, counts, block, ws, meter);
+        return forward_block_padded(experts, rows, counts, block, ws, meter);
     }
-    let (rows, hidden, ffn) = (input.rows(), input.cols(), ffn_width(experts));
-    // For-overwrite: `expert_ffn` writes both whole.
+    let (n, (hidden, ffn)) = (counts.iter().sum(), widths(experts));
+    // For-overwrite: `expert_ffn`'s first product writes it whole.
     let mut strip = None;
     let (h_pre, h_act) = match saves {
-        Some(saves) => saves,
-        None => strip
-            .insert(ws.take_for_overwrite(rows, 2 * ffn))
-            .as_mut_slice()
-            .split_at_mut(rows * ffn),
+        Some((h_pre, h_act)) => (h_pre, Some(h_act)),
+        None => (
+            strip.insert(ws.take_for_overwrite(n, ffn)).as_mut_slice(),
+            None,
+        ),
     };
-    expert_ffn(experts, counts, input.as_mut_slice(), h_pre, h_act);
+    expert_ffn(experts, counts, rows, h_pre, h_act);
     if let Some(strip) = strip {
         ws.recycle(strip);
     }
-    let n = rows as f64;
-    meter.charge("expert", |c| price::expert_seq(c, n, hidden, ffn, F32));
-    input
+    meter.charge("expert", |c| {
+        price::expert_seq(c, n as f64, hidden, ffn, F32)
+    });
 }
 
 /// The MoE layer pass (paper §4.1, Listing 1), written once:
 /// [`gate_and_gather`] → `transport` out → `kernel` → `transport` back →
-/// the transport's weighted combine into the `[S, H]` tensor `out` leases
-/// (zeroed, or a copy of the input for a residual layer; leased after the
-/// exchange, so it can reuse the expert scratch), which it returns.
+/// the weighted combine into the `[S, H]` tensor `out` leases (zeroed, or a
+/// copy of the input for a residual layer), which it returns.
 ///
 /// Every buffer comes from `state` or `ws`; after warm-up no transport
-/// allocates on the serial schedule. The experts compute in place
-/// ([`run_experts`]), so no stage adds an output buffer: the expert outputs
-/// come back into `state.rows` — or, with `saves` (training, plain kernel),
-/// into `saves.combine_in` beside the expert-side activations, the dispatch
-/// rows then being a lease of `ws`. Under `Local` that is the buffer the
-/// dispatch rows were gathered into, and the saves keep no copy of them
-/// (`saves.input` stays empty): a training caller keeps `tokens`, and the
-/// PFT's token ids give every row again. `Rbd` gathers no PFT-order rows: its
-/// pilots go out straight from `tokens`, the weighted partials come back
-/// into its wire buffers, and `state.rows` stays as it was.
+/// allocates on the serial schedule. No stage adds an `[n, H]` buffer:
+/// - Under `Ep` the experts compute in place over the rows that arrived
+///   ([`run_experts`]) and the outputs come back into `state.rows` — or,
+///   with `saves` (training, plain kernel), into `saves.combine_in` beside
+///   the expert-side activations, the dispatch rows then being a lease of
+///   `ws`. `out` is leased after the exchange, so it can reuse the expert
+///   scratch.
+/// - `Local` gathers nothing: the first expert GEMM reads the tokens by the
+///   PFT's ids, and `out` is leased first. With no saves the second GEMM
+///   combines straight into `out`; a training pass has it write
+///   `saves.combine_in` (a lease of `ws`), which the backward needs, and
+///   scatters that. The saves keep no copy of the input (`saves.input`
+///   stays empty): a training caller keeps `tokens`.
+/// - `Rbd` gathers no PFT-order rows: its pilots go out straight from
+///   `tokens`, the weighted partials come back into its wire buffers, and
+///   `state.rows` stays as it was.
 #[allow(clippy::too_many_arguments)]
 pub fn forward(
     tokens: &Tensor,
@@ -377,7 +397,7 @@ pub fn forward(
     let (hidden, lease) = (tokens.cols(), saves.is_some().then_some(&mut *ws));
     gate_and_gather(tokens, gate, spec, state, lease, &mut transport);
     let LayerState { route, rows, .. } = state;
-    let (total, ffn) = (transport.plan(route, tokens)?, ffn_width(experts));
+    let (total, (_, ffn)) = (transport.plan(route, tokens)?, widths(experts));
     if let Some(saves) = saves.as_deref_mut() {
         // For-overwrite: the chunks tile all three. Under `Local` the
         // backward reads each row's input again from the tokens.
@@ -387,30 +407,55 @@ pub fn forward(
         saves.h_pre = ws.take_for_overwrite(total, ffn);
         saves.h_act = ws.take_for_overwrite(total, ffn);
     }
+    // `Local` leases `out` first: its second expert GEMM may combine into it.
+    let local = matches!(transport, Transport::Local);
+    let mut out = if local { Ok(out(ws)) } else { Err(out) };
+    let fused = local && saves.is_none();
     let labels = ("dispatch_a2a", "expert", "combine_a2a");
     let combine_in = transport.exchange(
         route,
         std::mem::take(rows),
         labels,
         ws,
-        |plan, counts, ids, chunk, meter, ws| {
+        |plan, counts, pft, mut chunk, meter, ws| {
             // Local experts [e0, e1): rows [r0, r1) of the saved buffers.
             let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
             let act = saves.as_deref_mut().map(|s| {
-                if ids.is_none() {
+                if pft.is_none() {
                     let input = &mut s.input.as_mut_slice()[r0 * hidden..r1 * hidden];
                     input.copy_from_slice(chunk.as_slice());
                 }
                 let h_pre = &mut s.h_pre.as_mut_slice()[r0 * ffn..r1 * ffn];
                 (h_pre, &mut s.h_act.as_mut_slice()[r0 * ffn..r1 * ffn])
             });
-            run_experts(&experts[e0..e1], counts, chunk, kernel, act, ws, meter)
+            let io = match (pft, &mut out) {
+                (Some(pft), Ok(out)) => {
+                    let ids = &pft.token_ids;
+                    let x = RowSource::Gathered {
+                        src: tokens.as_slice(),
+                        ids,
+                    };
+                    let y = if fused {
+                        let weights = &pft.combine_weights;
+                        let out = out.as_mut_slice();
+                        RowSink::Combine { out, ids, weights }
+                    } else {
+                        RowSink::Rows(chunk.as_mut_slice())
+                    };
+                    FfnRows::Apart(x, y)
+                }
+                _ => FfnRows::InPlace(chunk.as_mut_slice()),
+            };
+            run_experts(&experts[e0..e1], counts, io, kernel, act, ws, meter);
+            chunk
         },
     )?;
 
     // Buffer combine: weighted, back to sequence order.
-    let mut out = out(ws);
-    transport.combine(route, &combine_in, &mut out);
+    let mut out = out.unwrap_or_else(|out| out(ws));
+    if !fused {
+        transport.combine(route, &combine_in, &mut out);
+    }
     let (n, mut meter) = (route.pft.len(), transport.meter());
     meter.charge("buffer_combine", |c| price::gather(c, n, hidden));
     match saves {
@@ -529,11 +574,12 @@ mod tests {
             assert!(out.allclose(&expected, 0.0), "step {step} diverged");
             state.ws.recycle(out);
         }
-        // Warm-up allocates one arena buffer: the experts compute in place in
-        // the state's dispatch rows, so the arena holds only the hidden-layer
-        // strip, which the combine output reuses once it is recycled;
-        // subsequent steps only reuse.
-        assert_eq!(state.ws.stats().pool_misses, 1);
+        // Warm-up allocates two arena buffers: the output, leased first
+        // because the second expert GEMM combines into it, and the
+        // hidden-layer strip beside it. No PFT-order rows exist: the first
+        // GEMM reads the tokens by id. Subsequent steps only reuse.
+        assert_eq!(state.ws.stats().pool_misses, 2);
+        assert_eq!(state.routed_rows().capacity(), 0);
     }
 
     #[test]

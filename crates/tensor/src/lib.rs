@@ -51,7 +51,7 @@ pub use ops::{
 pub use ops::{nt_pack_probe, NT_PACK_MIN_ROWS};
 pub use par::{
     gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_a_blocks,
-    gemm_grouped_transpose_b, pool_size, run_tasks, RowSource, Task,
+    gemm_grouped_transpose_b, pool_size, run_tasks, RowSink, RowSource, Task,
 };
 pub use pool::{Workspace, WorkspaceStats};
 pub use rng::DetRng;

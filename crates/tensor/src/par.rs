@@ -19,7 +19,10 @@
 //!   [`gemm_grouped_transpose_a`] — grouped expert GEMMs over the per-expert
 //!   segment table (`tokens_per_local_expert`). Whole experts, and row-panels
 //!   of large experts, become tasks, so E small GEMMs fill the machine even
-//!   when each one is below the per-call cutoff.
+//!   when each one is below the per-call cutoff. The NN reads its `A` rows
+//!   by token id if asked ([`RowSource`]) and can add its product rows,
+//!   weighted, onto their tokens ([`RowSink::Combine`], one token range per
+//!   task), so the MoE layer needs no routed-row copy of its tokens.
 //!
 //! # Determinism
 //!
@@ -54,7 +57,7 @@ use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
 
 use crate::alloc::mark_thread_untracked;
 use crate::ops::{
-    gemm_rows_offset, gemm_ta_rows, gemm_tb_rows, grown, nt_pack_reserve, MAX_TILE_ROWS,
+    axpy_slice, gemm_rows_offset, gemm_ta_rows, gemm_tb_rows, grown, nt_pack_reserve, MAX_TILE_ROWS,
 };
 use crate::worker_threads;
 
@@ -570,28 +573,111 @@ std::thread_local! {
     /// Grow-once panel arena: cleared and refilled per grouped call, so at
     /// steady state scheduling a grouped GEMM allocates nothing.
     static PANELS: RefCell<Vec<Panel>> = const { RefCell::new(Vec::new()) };
-    /// This thread's packed TN segment: a gathered expert's `A` rows, made
-    /// contiguous for the tile. Grow-once (the largest segment seen); per
-    /// thread because every pool task packs the segment of its own expert.
-    static TA_PACKED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// This thread's packed gathered `A` rows, made contiguous for the tile:
+    /// a TN expert's whole segment, or up to [`GATHER_ROWS`] NN rows.
+    /// Grow-once; per thread because every pool task packs its own rows.
+    static ROWS_PACKED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// This thread's combined product rows (up to [`GATHER_ROWS`] of them),
+    /// held only until they are added onto their tokens. Grow-once.
+    static COMBINE_PACKED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Where a grouped TN call reads its `A` rows (see
+/// Rows per NN kernel call over a gathered `A` or into a combine: what one
+/// task packs at a time (64 rows of 256 columns are 64 KiB, cache-resident).
+const GATHER_ROWS: usize = 64;
+
+/// Grow the calling thread's `cell` to `len` elements now. The grouped entry
+/// points call this before submitting: the submitting thread is the only
+/// allocation-tracked lane, and which lane runs which task varies from call
+/// to call (as for `nt_pack_reserve`).
+fn pack_reserve(cell: &'static std::thread::LocalKey<RefCell<Vec<f32>>>, len: usize) {
+    cell.with(|cell| {
+        grown(&mut cell.borrow_mut(), len);
+    });
+}
+
+/// Where a grouped call reads its `A` rows ([`gemm_grouped`],
 /// [`gemm_grouped_transpose_a_blocks`]).
 #[derive(Clone, Copy)]
 pub enum RowSource<'a> {
-    /// The rows themselves, `[sum(counts), ac]` in segment order.
+    /// The rows themselves, `[sum(counts), cols]` in segment order.
     Contiguous(&'a [f32]),
-    /// Row `i` is row `ids[i]` of the row-major `src` (`ac` columns): the
-    /// tokens a dispatch gathered, read again instead of kept as a copy.
+    /// Row `i` is row `ids[i]` of the row-major `src` (`cols` columns): the
+    /// tokens a dispatch would gather, read by id instead of kept as a copy.
     Gathered { src: &'a [f32], ids: &'a [usize] },
 }
 
-impl RowSource<'_> {
+impl<'a> From<&'a [f32]> for RowSource<'a> {
+    fn from(a: &'a [f32]) -> Self {
+        RowSource::Contiguous(a)
+    }
+}
+
+impl<'a> From<&'a Vec<f32>> for RowSource<'a> {
+    fn from(a: &'a Vec<f32>) -> Self {
+        RowSource::Contiguous(a)
+    }
+}
+
+impl<'a> RowSource<'a> {
+    /// Row `i`, `cols` wide.
+    pub fn row(self, i: usize, cols: usize) -> &'a [f32] {
+        let at = match self {
+            RowSource::Contiguous(_) => i,
+            RowSource::Gathered { ids, .. } => ids[i],
+        };
+        let (RowSource::Contiguous(src) | RowSource::Gathered { src, .. }) = self;
+        &src[at * cols..(at + 1) * cols]
+    }
+
+    /// Whether the source gives `total` rows of `cols` columns.
+    fn fits(self, total: usize, cols: usize) -> bool {
+        match self {
+            RowSource::Contiguous(a) => a.len() == total * cols,
+            RowSource::Gathered { ids, .. } => ids.len() == total,
+        }
+    }
+
+    /// Copy rows `ids` of `src` (`cols` wide), in order, into this thread's
+    /// [`ROWS_PACKED`] and run `f` on them.
+    fn packed<R>(src: &[f32], ids: &[usize], cols: usize, f: impl FnOnce(&[f32]) -> R) -> R {
+        ROWS_PACKED.with(|cell| {
+            let packed = &mut cell.borrow_mut();
+            let rows = grown(packed, ids.len() * cols);
+            for (j, &t) in ids.iter().enumerate() {
+                rows[j * cols..(j + 1) * cols].copy_from_slice(&src[t * cols..(t + 1) * cols]);
+            }
+            f(rows)
+        })
+    }
+
+    /// `c = A[row0..row0 + cnt] @ b` into the `[cnt, n]` `c` (overwritten):
+    /// gathered rows are packed [`GATHER_ROWS`] at a time, so the tile reads
+    /// the same values in the same k-order as from contiguous rows.
+    fn nn_rows(
+        self,
+        (row0, cnt): (usize, usize),
+        (k, n): (usize, usize),
+        b: &[f32],
+        c: &mut [f32],
+    ) {
+        match self {
+            RowSource::Contiguous(a) => gemm_rows_offset(a, b, c, row0, cnt, k, n),
+            RowSource::Gathered { src, ids } => {
+                let rows = ids[row0..row0 + cnt].chunks(GATHER_ROWS);
+                for (ids, c) in rows.zip(c.chunks_mut(GATHER_ROWS * n)) {
+                    Self::packed(src, ids, k, |a| {
+                        gemm_rows_offset(a, b, c, 0, ids.len(), k, n)
+                    });
+                }
+            }
+        }
+    }
+
     /// `C += A[row0..row0 + cnt]^T @ d_seg` into the `[ac, n]` `c` (the
     /// AddFresh store): a gathered segment is first packed, in order, into
-    /// this thread's [`TA_PACKED`], so the tile reads the same values in the
-    /// same k-order as from contiguous rows.
+    /// this thread's [`ROWS_PACKED`], so the tile reads the same values in
+    /// the same k-order as from contiguous rows.
     fn ta_segment(
         self,
         (row0, cnt): (usize, usize),
@@ -599,33 +685,67 @@ impl RowSource<'_> {
         d_seg: &[f32],
         c: &mut [f32],
     ) {
+        let mut ta = |a: &[f32]| gemm_ta_rows(a, d_seg, c, 0, ac, cnt, ac, n);
         match self {
-            RowSource::Contiguous(a) => gemm_ta_rows(
-                &a[row0 * ac..(row0 + cnt) * ac],
-                d_seg,
-                c,
-                0,
-                ac,
-                cnt,
-                ac,
-                n,
-            ),
-            RowSource::Gathered { src, ids } => TA_PACKED.with(|cell| {
-                let packed = &mut cell.borrow_mut();
-                let a_seg = grown(packed, cnt * ac);
-                for (row, &t) in a_seg.chunks_exact_mut(ac).zip(&ids[row0..row0 + cnt]) {
-                    row.copy_from_slice(&src[t * ac..(t + 1) * ac]);
-                }
-                gemm_ta_rows(a_seg, d_seg, c, 0, ac, cnt, ac, n);
-            }),
+            RowSource::Contiguous(a) => ta(&a[row0 * ac..(row0 + cnt) * ac]),
+            RowSource::Gathered { src, ids } => Self::packed(src, &ids[row0..row0 + cnt], ac, ta),
         }
+    }
+}
+
+/// Where a grouped NN call ([`gemm_grouped`]) writes its product rows.
+pub enum RowSink<'a> {
+    /// `[sum(counts), n]` in segment order, overwritten — every row belongs
+    /// to exactly one segment and its previous contents are never read.
+    Rows(&'a mut [f32]),
+    /// The MoE combine inside the GEMM: product row `i`, scaled by
+    /// `weights[i]`, is added onto row `ids[i]` of the row-major `out`
+    /// (`[S, n]`), `out[ids[i]] += weights[i]·(A_i·B_e)` with `axpy_slice`'s
+    /// expression, so no `[sum(counts), n]` product exists. `ids` must be
+    /// non-decreasing within each segment (a PFT's token order): tasks own
+    /// disjoint token ranges and walk the segments in order, so every `out`
+    /// row takes its adds in ascending `i` — the order, and so the bits, of
+    /// `scatter_rows_scaled` — at any worker count.
+    Combine {
+        out: &'a mut [f32],
+        ids: &'a [usize],
+        weights: &'a [f32],
+    },
+}
+
+impl RowSink<'_> {
+    /// Put product row `i` (`row.len()` columns) by itself, as a grouped
+    /// call puts it: rows put in ascending `i` leave the bits the grouped
+    /// call leaves, combined rows included.
+    pub fn put(&mut self, i: usize, row: &[f32]) {
+        let n = row.len();
+        match self {
+            RowSink::Rows(c) => c[i * n..(i + 1) * n].copy_from_slice(row),
+            RowSink::Combine { out, ids, weights } => {
+                let t = ids[i];
+                axpy_slice(&mut out[t * n..(t + 1) * n], weights[i], row);
+            }
+        }
+    }
+}
+
+impl<'a> From<&'a mut [f32]> for RowSink<'a> {
+    fn from(c: &'a mut [f32]) -> Self {
+        RowSink::Rows(c)
+    }
+}
+
+impl<'a> From<&'a mut Vec<f32>> for RowSink<'a> {
+    fn from(c: &'a mut Vec<f32>) -> Self {
+        RowSink::Rows(c)
     }
 }
 
 #[derive(Clone, Copy)]
 enum GroupKind<'a> {
-    /// `C[seg] = A[seg] @ B_e` (k = inner dim, n = out cols, overwrite).
-    Nn,
+    /// `C[seg] = A[seg] @ B_e` (k = inner dim, n = out cols, overwrite),
+    /// `A` read from the source it carries.
+    Nn(RowSource<'a>),
     /// `C[seg] = A[seg] @ B_e^T` (B_e is `n x k`, overwrite).
     Nt,
     /// `C_e = C_e + A[seg]^T @ D[seg]` (A cols = k = C rows, D cols = n),
@@ -634,8 +754,8 @@ enum GroupKind<'a> {
 }
 
 struct GroupedCtx<'a> {
-    /// The row-major `A` of the NN/NT kinds (empty for TN, whose `A` is its
-    /// kind's [`RowSource`]).
+    /// The row-major `A` of the NT kind (empty for NN and TN, whose `A` is
+    /// their kind's [`RowSource`]).
     a: &'a [f32],
     /// Second operand of the TN kind (`d` rows align with `A` rows).
     d: &'a [f32],
@@ -651,21 +771,21 @@ struct GroupedCtx<'a> {
 
 fn grouped_task(g: &GroupedCtx<'_>, i: usize) {
     let p = g.panels[i];
-    let a_seg = || &g.a[p.row0 * g.k..(p.row0 + p.rows) * g.k];
     match g.kind {
-        GroupKind::Nn => {
+        GroupKind::Nn(a) => {
             // SAFETY: panels carve disjoint output row ranges.
             let c_seg = unsafe { g.c.slice(p.c_off, p.rows * g.n) };
             // SAFETY: weight pointer from a live slice of length k*n.
             let b = unsafe { std::slice::from_raw_parts(p.b, g.k * g.n) };
-            gemm_rows_offset(a_seg(), b, c_seg, 0, p.rows, g.k, g.n);
+            a.nn_rows((p.row0, p.rows), (g.k, g.n), b, c_seg);
         }
         GroupKind::Nt => {
             // SAFETY: as above.
             let c_seg = unsafe { g.c.slice(p.c_off, p.rows * g.n) };
             // SAFETY: weight is `n x k` row-major.
             let b = unsafe { std::slice::from_raw_parts(p.b, g.n * g.k) };
-            gemm_tb_rows(a_seg(), b, c_seg, 0, p.rows, g.k, g.n);
+            let a_seg = &g.a[p.row0 * g.k..(p.row0 + p.rows) * g.k];
+            gemm_tb_rows(a_seg, b, c_seg, 0, p.rows, g.k, g.n);
         }
         GroupKind::Ta(a) => {
             let d_seg = &g.d[p.row0 * g.n..(p.row0 + p.rows) * g.n];
@@ -676,6 +796,56 @@ fn grouped_task(g: &GroupedCtx<'_>, i: usize) {
             a.ta_segment((p.row0, p.rows), (g.k, g.n), d_seg, c_seg);
         }
     }
+}
+
+/// One [`RowSink::Combine`] batch: the product's `A`, one panel per
+/// non-empty expert (its whole segment), and `ranges` token ranges of the
+/// `tokens`-row `out`, one per task.
+struct CombineCtx<'a> {
+    a: RowSource<'a>,
+    segments: &'a [Panel],
+    out: DisjointMut<'a>,
+    ids: &'a [usize],
+    weights: &'a [f32],
+    k: usize,
+    n: usize,
+    tokens: usize,
+    ranges: usize,
+}
+
+/// Token range `j` of a combine: every segment's run of rows whose token is
+/// in the range — one contiguous run, since ids ascend within a segment —
+/// multiplied [`GATHER_ROWS`] rows at a time into this thread's
+/// [`COMBINE_PACKED`] and added, weighted, onto its tokens' `out` rows.
+fn combine_task(g: &CombineCtx<'_>, j: usize) {
+    let (t0, t1) = (j * g.tokens / g.ranges, (j + 1) * g.tokens / g.ranges);
+    let n = g.n;
+    COMBINE_PACKED.with(|cell| {
+        let y = &mut cell.borrow_mut();
+        for p in g.segments {
+            let seg = &g.ids[p.row0..p.row0 + p.rows];
+            let lo = seg.partition_point(|&t| t < t0);
+            let hi = lo + seg[lo..].partition_point(|&t| t < t1);
+            // SAFETY: weight pointer from a live slice of length k*n.
+            let b = unsafe { std::slice::from_raw_parts(p.b, g.k * n) };
+            for r0 in (p.row0 + lo..p.row0 + hi).step_by(GATHER_ROWS) {
+                let rows = GATHER_ROWS.min(p.row0 + hi - r0);
+                let y = grown(y, rows * n);
+                g.a.nn_rows((r0, rows), (g.k, n), b, y);
+                for (i, y) in (r0..r0 + rows).zip(y.chunks_exact(n)) {
+                    let t = g.ids[i];
+                    // Out of range only if the ids do not ascend.
+                    assert!(
+                        (t0..t1).contains(&t),
+                        "gemm_grouped: combine ids must ascend within a segment"
+                    );
+                    // SAFETY: this task owns tokens [t0, t1); one row at a
+                    // time is borrowed.
+                    axpy_slice(unsafe { g.out.slice(t * n, n) }, g.weights[i], y);
+                }
+            }
+        }
+    });
 }
 
 /// Build panels for NN/NT: whole experts, split into row-panels when a
@@ -720,71 +890,132 @@ fn fill_panels_rowwise(
 
 /// Grouped expert GEMM: for each expert `e`, `C[seg_e] = A[seg_e] @ B_e`.
 ///
-/// `a` is `[sum(counts), k]` row-major with rows grouped by local expert in
-/// segment order (the padding-free dispatch layout); `weight(e)` is expert
-/// `e`'s `k x n` matrix; `c` is `[sum(counts), n]`, overwritten — every row
-/// belongs to exactly one segment, and its previous contents are never read
-/// (a for-overwrite lease needs no zero-fill). Equivalent to calling
-/// [`crate::matmul_slices`] once per segment, and bitwise identical to that
-/// serial schedule at any worker count: each output row is one task's
-/// ascending-k accumulation regardless of how segments are panelled.
+/// `a` gives `[sum(counts), k]` rows grouped by local expert in segment order
+/// (the padding-free dispatch layout), contiguous or gathered by token id
+/// ([`RowSource`]; a plain slice converts); `weight(e)` is expert `e`'s
+/// `k x n` matrix; `c` is where the product rows go ([`RowSink`]; a plain
+/// `[sum(counts), n]` slice converts and is overwritten — its previous
+/// contents are never read, so a for-overwrite lease needs no zero-fill).
+/// Equivalent to calling [`crate::matmul_slices`] once per segment, and
+/// bitwise identical to that serial schedule at any worker count: each
+/// output row is one task's ascending-k accumulation regardless of how
+/// segments are panelled or its `A` rows packed; a combine then adds each
+/// row onto its token in the order `scatter_rows_scaled` does.
 ///
 /// This is the Megatron-style grouped GEMM of the MoE hot path: E segment
 /// GEMMs that are individually below the parallel cutoff become one task
-/// batch that fills the machine.
-pub fn gemm_grouped<'b>(
-    a: &[f32],
+/// batch that fills the machine — row panels for [`RowSink::Rows`], token
+/// ranges (one per lane) for [`RowSink::Combine`].
+pub fn gemm_grouped<'a, 'b, 'c>(
+    a: impl Into<RowSource<'a>>,
     counts: &[usize],
     k: usize,
     weight: impl Fn(usize) -> &'b [f32],
     n: usize,
-    c: &mut [f32],
+    c: impl Into<RowSink<'c>>,
 ) {
+    let (a, c) = (a.into(), c.into());
     let total: usize = counts.iter().sum();
-    assert_eq!(a.len(), total * k, "gemm_grouped: A length mismatch");
-    assert_eq!(c.len(), total * n, "gemm_grouped: C length mismatch");
+    assert!(a.fits(total, k), "gemm_grouped: A length mismatch");
+    let tokens = match &c {
+        RowSink::Rows(c) => {
+            assert_eq!(c.len(), total * n, "gemm_grouped: C length mismatch");
+            0
+        }
+        RowSink::Combine { out, ids, weights } => {
+            assert!(
+                ids.len() == total && weights.len() == total,
+                "gemm_grouped: combine ids and weights must give every row"
+            );
+            let tokens = out.len().checked_div(n).unwrap_or(0);
+            assert!(
+                out.len() == tokens * n && ids.iter().all(|&t| t < tokens),
+                "gemm_grouped: combine out must be [S, n] and hold every id"
+            );
+            tokens
+        }
+    };
     if total == 0 || n == 0 {
         return;
     }
-    let p = pool();
-    if !p.is_parallel() || total * n * k < PAR_CUTOFF {
-        let mut row = 0usize;
-        for (e, &cnt) in counts.iter().enumerate() {
-            if cnt == 0 {
-                continue;
-            }
-            let b = weight(e);
-            assert_eq!(b.len(), k * n, "gemm_grouped: weight {e} shape");
-            gemm_rows_offset(
-                &a[row * k..(row + cnt) * k],
-                b,
-                &mut c[row * n..(row + cnt) * n],
-                0,
-                cnt,
-                k,
-                n,
-            );
-            row += cnt;
-        }
-        return;
+    let widest = counts.iter().max().copied().unwrap_or(0).min(GATHER_ROWS);
+    if let RowSource::Gathered { .. } = a {
+        pack_reserve(&ROWS_PACKED, widest * k);
     }
+    let p = pool();
+    let serial = !p.is_parallel() || total * n * k < PAR_CUTOFF;
+    let weight = |e: usize| {
+        let b = weight(e);
+        assert_eq!(b.len(), k * n, "gemm_grouped: weight {e} shape");
+        b
+    };
+    let (out, ids, weights) = match c {
+        RowSink::Rows(c) if serial => {
+            let mut row = 0usize;
+            for (e, &cnt) in counts.iter().enumerate() {
+                if cnt > 0 {
+                    a.nn_rows(
+                        (row, cnt),
+                        (k, n),
+                        weight(e),
+                        &mut c[row * n..(row + cnt) * n],
+                    );
+                }
+                row += cnt;
+            }
+            return;
+        }
+        RowSink::Rows(c) => {
+            return PANELS.with(|cell| {
+                let mut panels = cell.borrow_mut();
+                fill_panels_rowwise(&mut panels, counts, n, p.size(), |e| weight(e).as_ptr());
+                let ctx = GroupedCtx {
+                    a: &[],
+                    d: &[],
+                    c: DisjointMut::new(c),
+                    panels: &panels,
+                    k,
+                    n,
+                    kind: GroupKind::Nn(a),
+                };
+                p.for_each(&ctx, ctx.panels.len(), grouped_task);
+            });
+        }
+        RowSink::Combine { out, ids, weights } => (out, ids, weights),
+    };
+    pack_reserve(&COMBINE_PACKED, widest * n);
     PANELS.with(|cell| {
         let mut panels = cell.borrow_mut();
-        fill_panels_rowwise(&mut panels, counts, n, p.size(), |e| {
-            let b = weight(e);
-            assert_eq!(b.len(), k * n, "gemm_grouped: weight {e} shape");
-            b.as_ptr()
-        });
-        let ctx = GroupedCtx {
+        panels.clear();
+        let mut row = 0usize;
+        for (e, &cnt) in counts.iter().enumerate() {
+            if cnt > 0 {
+                panels.push(Panel {
+                    row0: row,
+                    rows: cnt,
+                    c_off: 0,
+                    b: weight(e).as_ptr(),
+                    block: std::ptr::null_mut(),
+                });
+            }
+            row += cnt;
+        }
+        let ctx = CombineCtx {
             a,
-            d: &[],
-            c: DisjointMut::new(c),
-            panels: &panels,
+            segments: &panels,
+            out: DisjointMut::new(out),
+            ids,
+            weights,
             k,
             n,
-            kind: GroupKind::Nn,
+            tokens,
+            ranges: if serial { 1 } else { p.size() },
         };
-        p.for_each(&ctx, ctx.panels.len(), grouped_task);
+        if serial {
+            combine_task(&ctx, 0);
+        } else {
+            p.for_each(&ctx, ctx.ranges, combine_task);
+        }
     });
 }
 
@@ -916,23 +1147,18 @@ pub fn gemm_grouped_transpose_a_blocks<'c>(
     blocks: impl Iterator<Item = &'c mut [f32]>,
 ) {
     let total: usize = counts.iter().sum();
-    let a_fits = match a {
-        RowSource::Contiguous(a) => a.len() == total * ac,
-        RowSource::Gathered { ids, .. } => ids.len() == total,
-    };
-    assert!(a_fits, "gemm_grouped_transpose_a: A length mismatch");
+    assert!(
+        a.fits(total, ac),
+        "gemm_grouped_transpose_a: A length mismatch"
+    );
     assert_eq!(
         d.len(),
         total * n,
         "gemm_grouped_transpose_a: D length mismatch"
     );
     if let RowSource::Gathered { .. } = a {
-        // The submitting thread is the only allocation-tracked lane: grow
-        // its pack to the largest segment now, as `nt_pack_reserve` does.
         let widest = counts.iter().max().copied().unwrap_or(0);
-        TA_PACKED.with(|cell| {
-            grown(&mut cell.borrow_mut(), widest * ac);
-        });
+        pack_reserve(&ROWS_PACKED, widest * ac);
     }
     let p = pool();
     let serial = !p.is_parallel() || total * n * ac < PAR_CUTOFF;
@@ -1251,6 +1477,114 @@ mod tests {
         }
     }
 
+    /// Segment counts for the gathered-NN and combine oracles, `(counts,
+    /// tokens, k, n)`: idle experts, 1-row segments, `MAX_TILE_ROWS + 3`
+    /// rows and, in the second case, segments of more than [`GATHER_ROWS`]
+    /// rows; the first below the parallel cutoff, the second above.
+    fn routed_cases() -> [(Vec<usize>, usize, usize, usize); 2] {
+        let mr3 = MAX_TILE_ROWS + 3;
+        [
+            (vec![0, 1, mr3, 0, 3, 1], 16, 5, 6),
+            (vec![0, 130, 1, mr3, 0, 97, 75, 1], 200, 96, 72),
+        ]
+    }
+
+    /// Per segment, distinct token ids in ascending order (a PFT's layout),
+    /// never a multiple of 7: those tokens were dropped by capacity and get
+    /// no row at all.
+    fn routed_ids(counts: &[usize], tokens: usize, seed: u64) -> Vec<usize> {
+        let mut rng = crate::DetRng::new(seed);
+        let mut ids = Vec::new();
+        for &cnt in counts {
+            let mut kept: Vec<usize> = (0..tokens).filter(|t| t % 7 != 0).collect();
+            rng.shuffle(&mut kept);
+            let seg = &mut kept[..cnt];
+            seg.sort_unstable();
+            ids.extend_from_slice(seg);
+        }
+        ids
+    }
+
+    #[test]
+    fn gathered_nn_matches_gather_then_contiguous_bitwise() {
+        // The schedule the gathered source replaces: gather the rows into a
+        // `[total, k]` buffer, then the contiguous NN.
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (case, (counts, tokens, k, n)) in routed_cases().into_iter().enumerate() {
+            let total: usize = counts.iter().sum();
+            assert_eq!(total * k * n >= PAR_CUTOFF, case == 1);
+            let src = Tensor::rand_uniform(tokens, k, 1.0, 7878);
+            let ids = routed_ids(&counts, tokens, 79);
+            let ws: Vec<Tensor> = (0..counts.len())
+                .map(|e| Tensor::rand_uniform(k, n, 1.0, 500 + e as u64))
+                .collect();
+            let mut gathered = Tensor::zeros(0, 0);
+            crate::gather_rows_into(&src, &ids, &mut gathered);
+            let mut want = vec![f32::NAN; total * n];
+            gemm_grouped(
+                gathered.as_slice(),
+                &counts,
+                k,
+                |e| ws[e].as_slice(),
+                n,
+                &mut want,
+            );
+            let mut got = vec![f32::NAN; total * n];
+            let a = RowSource::Gathered {
+                src: src.as_slice(),
+                ids: &ids,
+            };
+            gemm_grouped(a, &counts, k, |e| ws[e].as_slice(), n, &mut got);
+            assert_eq!(bits(&got), bits(&want), "case {case}");
+        }
+    }
+
+    #[test]
+    fn combine_matches_nn_then_scatter_bitwise() {
+        // The schedule the combine sink replaces: the NN into a `[total, n]`
+        // buffer, then `scatter_rows_scaled` onto a residual that holds
+        // `-0.0`s (kept on every row no entry reaches), from contiguous and
+        // from gathered `A` rows.
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (case, (counts, tokens, k, n)) in routed_cases().into_iter().enumerate() {
+            let total: usize = counts.iter().sum();
+            let src = Tensor::rand_uniform(tokens, k, 1.0, 8080);
+            let ids = routed_ids(&counts, tokens, 81);
+            let weights: Vec<f32> = (0..total).map(|i| 0.25 + (i % 5) as f32 * 0.125).collect();
+            let ws: Vec<Tensor> = (0..counts.len())
+                .map(|e| Tensor::rand_uniform(k, n, 1.0, 600 + e as u64))
+                .collect();
+            let mut residual = Tensor::rand_uniform(tokens, n, 1.0, 8282);
+            for (i, v) in residual.as_mut_slice().iter_mut().enumerate() {
+                if i % 3 == 0 {
+                    *v = -0.0;
+                }
+            }
+            let mut gathered = Tensor::zeros(0, 0);
+            crate::gather_rows_into(&src, &ids, &mut gathered);
+            let mut y = Tensor::zeros(total, n);
+            let w = |e: usize| ws[e].as_slice();
+            gemm_grouped(gathered.as_slice(), &counts, k, w, n, y.as_mut_slice());
+            let mut want = residual.clone();
+            crate::scatter_rows_scaled(&y, &ids, &weights, &mut want);
+            let gathered_a = RowSource::Gathered {
+                src: src.as_slice(),
+                ids: &ids,
+            };
+            for a in [RowSource::Contiguous(gathered.as_slice()), gathered_a] {
+                let mut got = residual.clone();
+                let out = got.as_mut_slice();
+                let sink = RowSink::Combine {
+                    out,
+                    ids: &ids,
+                    weights: &weights,
+                };
+                gemm_grouped(a, &counts, k, w, n, sink);
+                assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "case {case}");
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "one gradient block per expert")]
     fn grouped_transpose_a_blocks_rejects_a_missing_block() {
@@ -1271,7 +1605,14 @@ mod tests {
     fn grouped_handles_empty_segments_and_zero_totals() {
         let w = Tensor::rand_uniform(4, 3, 1.0, 1);
         let mut c: Vec<f32> = vec![];
-        gemm_grouped(&[], &[0, 0], 4, |_| w.as_slice(), 3, &mut c);
+        gemm_grouped(
+            RowSource::Contiguous(&[]),
+            &[0, 0],
+            4,
+            |_| w.as_slice(),
+            3,
+            &mut c,
+        );
         let a = Tensor::rand_uniform(5, 4, 1.0, 2);
         let mut c = vec![0.0f32; 5 * 3];
         gemm_grouped(a.as_slice(), &[0, 5, 0], 4, |_| w.as_slice(), 3, &mut c);

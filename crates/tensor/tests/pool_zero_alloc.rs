@@ -1,5 +1,6 @@
 //! The worker pool's allocation gate at this crate's own level: after
-//! warm-up, every pooled entry point — the three grouped GEMMs, row-chunked
+//! warm-up, every pooled entry point — the three grouped GEMMs (the NN also
+//! from gathered rows and into a combine, both of which pack per thread), row-chunked
 //! dense NN and NT GEMMs (both NTs pack `Bᵀ` into the per-thread scratch:
 //! segments of 33+ rows are above `NT_PACK_MIN_ROWS`), the chunked SiLU
 //! passes and the fused combine backward — runs *above* its parallel cutoff
@@ -10,7 +11,7 @@
 use xmoe_tensor::{
     combine_backward_rows, gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_b,
     matmul_slices, matmul_transpose_b_slices, silu_grad_slice, silu_into, silu_slice,
-    CountingAlloc, Tensor,
+    CountingAlloc, RowSink, RowSource, Tensor,
 };
 
 #[global_allocator]
@@ -36,8 +37,29 @@ fn pooled_kernels_allocate_nothing_after_warm_up() {
     let ids: Vec<usize> = (0..total).map(|i| (i * 5) % 64).collect();
     let weights = vec![0.5f32; total];
     let (mut y, mut d_w) = (d.clone(), Vec::new());
+    // The NN's gathered and combining forms over the same ids, sorted within
+    // each segment as a PFT's are.
+    let tokens = Tensor::rand_uniform(64, k, 1.0, 3);
+    let mut routed = ids.clone();
+    let mut row = 0;
+    for &cnt in &counts {
+        routed[row..row + cnt].sort_unstable();
+        row += cnt;
+    }
+    let mut out = Tensor::zeros(64, n);
     let mut step = || {
         gemm_grouped(a.as_slice(), &counts, k, |i| w[i].as_slice(), n, &mut c);
+        let gathered = RowSource::Gathered {
+            src: tokens.as_slice(),
+            ids: &routed,
+        };
+        gemm_grouped(gathered, &counts, k, |i| w[i].as_slice(), n, &mut c);
+        let combine = RowSink::Combine {
+            out: out.as_mut_slice(),
+            ids: &routed,
+            weights: &weights,
+        };
+        gemm_grouped(a.as_slice(), &counts, k, |i| w[i].as_slice(), n, combine);
         gemm_grouped_transpose_b(a.as_slice(), &counts, k, |i| wt[i].as_slice(), n, &mut c);
         gemm_grouped_transpose_a(a.as_slice(), &counts, k, d.as_slice(), n, &mut g);
         matmul_slices(a.as_slice(), total, k, w[0].as_slice(), n, &mut c);

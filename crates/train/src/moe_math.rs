@@ -170,12 +170,15 @@ pub(crate) fn backward(
         d_combine,
         labels,
         ws,
-        |plan, counts, ids, chunk_dy, mut meter, ws| {
+        |plan, counts, pft, chunk_dy, mut meter, ws| {
             let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
             let n = (r1 - r0) as f64;
             meter.charge("bwd_expert", |c| BWD * price::expert_seq(c, n, h, f, F32));
-            let input = match ids {
-                Some(ids) => RowSource::Gathered { src: x, ids },
+            let input = match pft {
+                Some(pft) => RowSource::Gathered {
+                    src: x,
+                    ids: &pft.token_ids,
+                },
                 None => RowSource::Contiguous(&saves.input.as_slice()[r0 * h..r1 * h]),
             };
             expert_ffn_backward(

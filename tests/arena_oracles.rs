@@ -7,11 +7,13 @@
 //! CI runs this suite in both profiles.
 //!
 //! The high-water oracles bound what an arena holds after warm-up at a
-//! fine-grained shape: the layer pass computes in place (the experts write
-//! their outputs over their dispatch rows, the combine backward its gradient
-//! over the saved outputs, and the local backward reads the expert input
-//! from the layer input by token id), so a routed-row `[n, H]` buffer more
-//! than the dataflow needs shows as a bound exceeded. Under RBD the pilots go out
+//! fine-grained shape: the layer pass keeps no copy it does not need (a
+//! local pass reads the tokens by id and, saving nothing, combines inside
+//! its second expert GEMM; the experts write their outputs over the rows
+//! that arrived over a wire; the combine backward writes its gradient over
+//! the saved outputs; the local backward reads the expert input from the
+//! layer input by token id), so a routed-row `[n, H]` buffer more than the
+//! dataflow needs shows as a bound exceeded. Under RBD the pilots go out
 //! straight from the tokens and the experts read straight from the wire, so
 //! the state keeps no PFT-order rows at all. Under flat EP every wire buffer
 //! comes home to the rank that filled it, so no peer's buffer lands in an
@@ -170,14 +172,50 @@ fn a_pooled_forward_arena_holds_no_routed_row_buffer() {
             .unwrap();
         state.ws.recycle(out);
     }
-    // The one `[n, H]` buffer is the state's dispatch rows, which carry the
-    // expert outputs back and live outside the arena; the arena holds the
-    // `[n, 2F]` hidden-layer strip and the `[s, H]` output.
+    // No `[n, H]` buffer exists: the first expert GEMM reads the tokens by
+    // id and the second combines into the output. The arena holds the
+    // `[n, F]` hidden-layer strip (SiLU in place) and the `[s, H]` output;
+    // this bound, from when the strip was `[n, 2F]`, still admits an
+    // `[n, F]` more — the next oracle holds the exact ledger.
     let retained = state.ws.stats().retained_f32;
     let bound = with_grow_slack(n * 2 * f + s * h);
     assert!(
         retained <= bound,
         "pooled forward arena retains {retained} f32 > strip + out = {bound} \
+         (an [n, H] buffer is {})",
+        n * h
+    );
+}
+
+#[test]
+fn a_pooled_local_forward_keeps_no_pft_order_rows() {
+    let (s, h, f, e, k) = FINE;
+    let n = k * s;
+    let router = Router::new(h, e, k, 63);
+    let experts = ExpertShard::full(e, h, f, 64);
+    let spec = MoeLayerSpec::new(e, n);
+    let mut state = PooledSingleState::default();
+    for step in 0..6 {
+        let tokens = Tensor::rand_uniform(s, h, 1.0, 640 + step);
+        let mut ctx = ExecCtx::pooled(&mut state);
+        let out = PaddingFreePipeline
+            .forward(&tokens, &router, &experts, &spec, &mut ctx)
+            .unwrap();
+        state.ws.recycle(out);
+    }
+    // The state keeps no dispatch rows between forwards, and the arena the
+    // strip and the output, which are live together while the second expert
+    // GEMM combines into the output.
+    let rows = state.routed_rows().capacity();
+    assert_eq!(
+        rows, 0,
+        "a local forward keeps {rows} f32 of PFT-order rows"
+    );
+    let retained = state.ws.stats().retained_f32;
+    let bound = with_grow_slack(n * f + s * h);
+    assert!(
+        retained <= bound,
+        "pooled local forward arena retains {retained} f32 > [n, F] strip + [s, H] out = {bound} \
          (an [n, H] buffer is {})",
         n * h
     );
@@ -221,12 +259,16 @@ fn a_pooled_ep_forward_arena_holds_no_wire_buffer() {
             }
             for (rank, (&(wire, retained), r)) in per_rank.iter().zip(&rows_in).enumerate() {
                 let at = format!("{world} ranks, overlap {overlap:?}, rank {rank}");
-                // The chunk input, the `[recv, 2F]` hidden-layer strip and
-                // the `[s, H]` output; a peer's wire buffer is `[rows, H]`.
-                let bound = with_grow_slack(r * h + r * 2 * f + s * h);
+                // The `[recv, F]` hidden-layer strip (SiLU in place), which
+                // the `[s, H]` output reuses once it is recycled: the experts
+                // compute in the rows that arrived, which the route keeps
+                // outside the arena. A peer's wire buffer is `[rows, H]`.
+                let bound = with_grow_slack(r * f);
                 assert!(
                     retained <= bound,
-                    "{at}: EP arena retains {retained} f32 > chunk input + strip + out = {bound}"
+                    "{at}: EP arena retains {retained} f32 > strip = {bound} \
+                     (a [recv, H] buffer is {})",
+                    r * h
                 );
                 // Its own buffers, home from the return leg: exactly the
                 // `k·s` rows it sent.
@@ -284,13 +326,14 @@ fn a_pooled_rbd_forward_holds_no_pft_order_rows() {
             "rank {rank} keeps {rows} f32 of PFT-order rows (its [n, H] is {})",
             k * s * h
         );
-        // The merged expert input, the `[rows_in, 2F]` hidden-layer strip
-        // and the `[s, H]` output; no staging copy of the wire rows.
-        let bound = with_grow_slack(r * h + r * 2 * f + s * h);
+        // The merged expert input and the `[rows_in, F]` hidden-layer strip
+        // (SiLU in place), which the `[s, H]` output reuses once it is
+        // recycled; no staging copy of the wire rows.
+        let bound = with_grow_slack(r * h + r * f);
         assert!(
             retained <= bound,
-            "rank {rank}: RBD arena retains {retained} f32 > merged input + strip + out \
-             = {bound} (a [rows_in, H] buffer is {})",
+            "rank {rank}: RBD arena retains {retained} f32 > merged input + strip = {bound} \
+             (a [rows_in, H] buffer is {})",
             r * h
         );
     }

@@ -1164,14 +1164,15 @@ fn ranges(text: &str, start: fn(&str) -> bool, end: fn(&str) -> bool) -> Vec<&st
     out
 }
 
-/// `expert_ffn(experts, counts, xy, h_pre, h_act)` reads all of `xy` before
-/// it writes `y` back into it: three `&mut [f32]` parameters, one of them
-/// `xy`, and no separate `y`.
-#[test]
-fn expert_ffn_computes_in_place() {
-    let text = read("crates/core/src/expert.rs");
+/// `expert_ffn(experts, counts, rows, h_pre, h_act)` adds no `[Σ counts, H]`
+/// buffer: its input and output rows are one `rows: FfnRows` parameter (in
+/// place, or read by id and written to a buffer or the combine), and its
+/// one `&mut [f32]` parameter is the hidden layer `h_pre` (`h_act` is an
+/// `Option`). Returns the counts of `rows: FfnRows` and of `&mut [f32]`
+/// parameters in the signature.
+fn ffn_signature(text: &str) -> (usize, usize) {
     let sig = ranges(
-        &text,
+        text,
         |l| l.contains("fn expert_ffn("),
         |l| l.contains(") {"),
     );
@@ -1182,15 +1183,26 @@ fn expert_ffn_computes_in_place() {
             .unwrap_or(t.len())];
         !name.is_empty() && t[name.len()..].starts_with(": &mut [f32],")
     };
-    let xy = sig
+    let rows = sig
         .iter()
-        .filter(|l| l.trim_start().starts_with("xy: &mut [f32],"))
+        .filter(|l| l.trim_start().starts_with("rows: FfnRows"))
         .count();
-    let muts = sig.iter().filter(|l| mut_param(l)).count();
+    (rows, sig.iter().filter(|l| mut_param(l)).count())
+}
+
+#[test]
+fn expert_ffn_computes_in_place() {
+    let yes = "pub fn expert_ffn(\n    experts: &[Expert],\n    counts: &[usize],\n    \
+               rows: FfnRows,\n    h_pre: &mut [f32],\n    h_act: Option<&mut [f32]>,\n) {\n";
+    let no = "pub fn expert_ffn(\n    experts: &[Expert],\n    counts: &[usize],\n    \
+              x: &[f32],\n    h_pre: &mut [f32],\n    h_act: &mut [f32],\n    \
+              y: &mut [f32],\n) {\n";
+    assert_eq!(ffn_signature(yes), (1, 1), "positive fixture");
+    assert_ne!(ffn_signature(no), (1, 1), "negative fixture");
     assert_eq!(
-        (xy, muts),
-        (1, 3),
-        "fn expert_ffn: xy parameters, &mut [f32] parameters"
+        ffn_signature(&read("crates/core/src/expert.rs")),
+        (1, 1),
+        "fn expert_ffn: rows: FfnRows parameters, &mut [f32] parameters"
     );
 }
 

@@ -165,13 +165,13 @@ fn steady_state_pooled_hot_path_allocates_nothing() {
     // per MoE layer, 30 gradient all-reduces, Adam, the loss all-reduce. The
     // learning rate is zero and the batch is the same every step, so the
     // routed row counts the buffers are sized by recur and every capacity
-    // reaches its fixed point during warm-up. (Under training a buffer
-    // re-grows when its row count sets a new record, and the arena releases
-    // what a step left unused; at these dims routed rows move by half from
-    // batch to batch, across size classes. The benchmark's `allocs_per_step`
-    // counts both on a training run: 0-3 a step.) Residue: none — the window
-    // is exactly zero tracked allocations per rank, and no lease misses the
-    // arena.
+    // reaches its fixed point during warm-up. (On varying batches a lease
+    // that no free buffer holds re-grows the largest one, with a sixteenth
+    // of headroom, each time its row count sets a new record; at these dims
+    // routed rows move by half from batch to batch. The benchmark's
+    // `allocs_per_step` counts those re-grows on a training run.) Residue:
+    // none — the window is exactly zero tracked allocations per rank, and no
+    // lease misses the arena.
     let mut cfg = TrainConfig::transformer(DropPolicy::CapacityOnly);
     (cfg.vocab, cfg.hidden, cfg.ffn) = (32, 16, 8);
     (cfg.num_experts, cfg.top_k, cfg.layers) = (8, 2, 2);
