@@ -30,21 +30,23 @@ impl Expert {
 }
 
 /// Where [`expert_ffn`] reads its `[Σ counts, H]` input rows and puts its
-/// output rows: one argument, so the FFN never adds a routed-row buffer of
+/// output rows — and where the training backward reads their gradients and
+/// puts the input's: one argument, so neither adds a routed-row buffer of
 /// its own.
 pub enum FfnRows<'a> {
     /// Rows read by the first product and then overwritten with the outputs
-    /// by the second — the rows that arrived over a wire, or a padded copy.
+    /// by the last — the rows that arrived over a wire, or a padded copy.
     InPlace(&'a mut [f32]),
-    /// Input rows from a [`RowSource`] (under `Local`, the tokens read by
-    /// id), outputs through a [`RowSink`]: a buffer of their own, or the
-    /// combine straight into the layer output.
+    /// Input rows from a [`RowSource`] (under `Local`, the tokens — or the
+    /// scaled output gradients — read by id), outputs through a [`RowSink`]:
+    /// a buffer of their own, or the combine straight into the layer output
+    /// (or its input gradient).
     Apart(RowSource<'a>, RowSink<'a>),
 }
 
 impl<'a> FfnRows<'a> {
     /// Where the input rows are read.
-    pub(crate) fn source(&self) -> RowSource<'_> {
+    pub fn source(&self) -> RowSource<'_> {
         match self {
             FfnRows::InPlace(xy) => RowSource::Contiguous(xy),
             FfnRows::Apart(x, _) => *x,
@@ -52,7 +54,7 @@ impl<'a> FfnRows<'a> {
     }
 
     /// Where the output rows go, once the input has been read.
-    pub(crate) fn sink(self) -> RowSink<'a> {
+    pub fn sink(self) -> RowSink<'a> {
         match self {
             FfnRows::InPlace(xy) => RowSink::Rows(xy),
             FfnRows::Apart(_, y) => y,
@@ -99,14 +101,16 @@ pub fn expert_ffn(
             h_pre
         }
     };
-    gemm_grouped(
-        h_act,
-        counts,
-        f,
-        |e| experts[e].w2.as_slice(),
-        h,
-        rows.sink(),
-    );
+    expert_ffn_out(experts, counts, h_act, rows.sink());
+}
+
+/// [`expert_ffn`]'s second product, `y = h_act·W2` over the segments
+/// `counts`, into `sink`. The local training backward runs it again into a
+/// [`RowSink::Dot`] for the combine-weight gradient instead of keeping `y`:
+/// the same call over the same `h_act`, so the same bits.
+pub fn expert_ffn_out(experts: &[Expert], counts: &[usize], h_act: &[f32], sink: RowSink) {
+    let (h, f) = widths(experts);
+    gemm_grouped(h_act, counts, f, |e| experts[e].w2.as_slice(), h, sink);
 }
 
 /// The contiguous block of experts owned by one EP rank.

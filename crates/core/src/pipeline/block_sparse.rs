@@ -68,7 +68,7 @@ pub(crate) fn forward_block_padded(
     let mut padded_buf = ws.take(padded, hidden);
     let src = rows.source();
     for_real_rows(counts, &padded_counts, |i, p| {
-        padded_buf.row_mut(p).copy_from_slice(src.row(i, hidden));
+        src.copy_row(i, padded_buf.row_mut(p));
     });
     meter.charge("buffer_dispatch", |c| price::gather(c, padded, hidden));
 

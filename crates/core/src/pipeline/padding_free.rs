@@ -92,7 +92,8 @@ pub struct LayerState {
 /// What a training [`forward`] keeps for its backward, leased from the
 /// call's arena (the backward hands each back): expert-major, each row's
 /// input and the FFN's hidden layer before and after the SiLU; in PFT order,
-/// the expert outputs the combine read.
+/// the expert outputs the combine read. Under `Local` only the hidden layer
+/// is kept — two `[n, F]` buffers, no `[n, H]` one.
 #[derive(Clone, Default)]
 pub struct ExpertSaves {
     /// The rows the experts received, as they arrived over the wire; empty
@@ -100,11 +101,13 @@ pub struct ExpertSaves {
     /// them again by the PFT's token ids.
     pub input: Tensor,
     pub h_pre: Tensor,
+    /// The activations, whose buffer the backward then writes `d_h` over.
     pub h_act: Tensor,
-    /// The expert outputs in PFT order (under `Ep`, in the very buffer the
-    /// dispatch rows were gathered into; under `Local`, a lease the second
-    /// expert GEMM writes); the combine backward overwrites them with their
-    /// gradient and sends that buffer through the exchange.
+    /// The expert outputs in PFT order, under `Ep` in the very buffer the
+    /// dispatch rows were gathered into; the combine backward overwrites
+    /// them with their gradient and sends that buffer through the exchange.
+    /// Empty under `Local`: its second expert GEMM combines as it goes, and
+    /// the backward makes each row again only to dot it.
     pub combine_in: Tensor,
 }
 
@@ -256,15 +259,18 @@ impl Transport<'_> {
         }
     }
 
-    /// The pass's last stage, into `out`, where the experts did not combine
-    /// already: `Local` (training) and `Ep` scatter the PFT-order expert
+    /// The pass's last stage, into `out`: `Ep` scatters the PFT-order expert
     /// outputs `rows`, weighted, to their tokens; `Rbd` adds the
-    /// per-(token, node) partials that came back (weighted at the experts).
+    /// per-(token, node) partials that came back (weighted at the experts);
+    /// `Local` has nothing left to do — its second expert GEMM combined.
     fn combine(&self, route: &mut EpRoute, rows: &Tensor, out: &mut Tensor) {
         let pft = &route.pft;
         match self {
+            Transport::Local => {}
+            Transport::Ep { .. } => {
+                scatter_rows_scaled(rows, &pft.token_ids, &pft.combine_weights, out)
+            }
             Transport::Rbd { .. } => route.rbd.combine(pft, out),
-            _ => scatter_rows_scaled(rows, &pft.token_ids, &pft.combine_weights, out),
         }
     }
 }
@@ -281,8 +287,8 @@ pub enum ExpertKernel {
 
 /// The pass's prefix: the gate ([`gate_rows`] with `gate = (weight, top_k,
 /// logit_clamp)`; clamp 0 is none) → PFT construction into `state.route` →
-/// `state.rows` leased from `lease`, if given, as `[n, H]` → for the
-/// transport that sends PFT-order rows (`Ep`), the gather into them, all in
+/// for the transport that sends PFT-order rows (`Ep`), `state.rows` leased
+/// from `lease`, if given, as `[n, H]` and the gather into them, all in
 /// `state`'s grow-once buffers. Charges `gating` (router GEMM plus PFT
 /// construction) and `buffer_dispatch` once, under every transport: `Local`'s
 /// first expert GEMM reads the tokens by id instead, RBD's S0 copies the
@@ -312,11 +318,11 @@ pub(crate) fn gate_and_gather(
     let (s, mut meter) = (tokens.rows() as f64, transport.meter());
     meter.charge("gating", |c| price::gating(c, s, hidden, e, top_k));
     let n = route.pft.len();
-    if let Some(ws) = lease {
-        // For-overwrite: the gather fills it, or the second expert GEMM.
-        *rows = ws.take_for_overwrite(n, hidden);
-    }
     if gather {
+        if let Some(ws) = lease {
+            // For-overwrite: the gather fills it.
+            *rows = ws.take_for_overwrite(n, hidden);
+        }
         gather_rows_into(tokens, &route.pft.token_ids, rows);
     }
     meter.charge("buffer_dispatch", |c| price::gather(c, n, hidden));
@@ -372,12 +378,12 @@ pub(crate) fn run_experts(
 ///   the expert-side activations, the dispatch rows then being a lease of
 ///   `ws`. `out` is leased after the exchange, so it can reuse the expert
 ///   scratch.
-/// - `Local` gathers nothing: the first expert GEMM reads the tokens by the
-///   PFT's ids, and `out` is leased first. With no saves the second GEMM
-///   combines straight into `out`; a training pass has it write
-///   `saves.combine_in` (a lease of `ws`), which the backward needs, and
-///   scatters that. The saves keep no copy of the input (`saves.input`
-///   stays empty): a training caller keeps `tokens`.
+/// - `Local` gathers nothing and keeps no routed row: the first expert GEMM
+///   reads the tokens by the PFT's ids, `out` is leased first and the
+///   second GEMM combines straight into it, saves or not. The saves are the
+///   hidden layer alone (`saves.input` and `saves.combine_in` stay empty):
+///   a training caller keeps `tokens`, and its backward makes the outputs
+///   again to dot them.
 /// - `Rbd` gathers no PFT-order rows: its pilots go out straight from
 ///   `tokens`, the weighted partials come back into its wire buffers, and
 ///   `state.rows` stays as it was.
@@ -407,10 +413,9 @@ pub fn forward(
         saves.h_pre = ws.take_for_overwrite(total, ffn);
         saves.h_act = ws.take_for_overwrite(total, ffn);
     }
-    // `Local` leases `out` first: its second expert GEMM may combine into it.
+    // `Local` leases `out` first: its second expert GEMM combines into it.
     let local = matches!(transport, Transport::Local);
     let mut out = if local { Ok(out(ws)) } else { Err(out) };
-    let fused = local && saves.is_none();
     let labels = ("dispatch_a2a", "expert", "combine_a2a");
     let combine_in = transport.exchange(
         route,
@@ -434,15 +439,11 @@ pub fn forward(
                     let x = RowSource::Gathered {
                         src: tokens.as_slice(),
                         ids,
+                        scale: None,
                     };
-                    let y = if fused {
-                        let weights = &pft.combine_weights;
-                        let out = out.as_mut_slice();
-                        RowSink::Combine { out, ids, weights }
-                    } else {
-                        RowSink::Rows(chunk.as_mut_slice())
-                    };
-                    FfnRows::Apart(x, y)
+                    let weights = Some(pft.combine_weights.as_slice());
+                    let out = out.as_mut_slice();
+                    FfnRows::Apart(x, RowSink::Combine { out, ids, weights })
                 }
                 _ => FfnRows::InPlace(chunk.as_mut_slice()),
             };
@@ -453,9 +454,7 @@ pub fn forward(
 
     // Buffer combine: weighted, back to sequence order.
     let mut out = out.unwrap_or_else(|out| out(ws));
-    if !fused {
-        transport.combine(route, &combine_in, &mut out);
-    }
+    transport.combine(route, &combine_in, &mut out);
     let (n, mut meter) = (route.pft.len(), transport.meter());
     meter.charge("buffer_combine", |c| price::gather(c, n, hidden));
     match saves {

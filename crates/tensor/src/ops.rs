@@ -947,26 +947,65 @@ pub(crate) fn gemm_tb_rows(
     n: usize,
 ) {
     let a = &a[r0 * k..(r0 + rows_here) * k];
-    NT_PACKED.with(|cell| {
-        let packed = &mut cell.borrow_mut();
-        nt_gemm_on(Tier::dispatched(), a, b, packed, c_chunk, rows_here, k, n);
-    });
+    with_nt_b(b, k, n, rows_here, |b| b.gemm(a, c_chunk, rows_here));
 }
 
-/// [`nt_gemm`] on an explicit tier (tests call every supported one): packs
-/// `b` into `packed` first unless the call is below [`NT_PACK_MIN_ROWS`].
+/// An NT operand `B` (`[n, k]` row-major) made ready on this thread by
+/// [`with_nt_b`]: packed once, then multiplied by any number of `A` row
+/// blocks.
+pub(crate) struct NtB<'p> {
+    tier: Tier,
+    b: &'p [f32],
+    panels: Option<&'p [f32]>,
+    k: usize,
+    n: usize,
+}
+
+impl NtB<'_> {
+    /// `c = a·Bᵀ` over the `m` rows of `a` (`c` is `[m, n]`, overwritten):
+    /// the bits of [`gemm_tb_rows`] over the same rows, packed or not.
+    pub(crate) fn gemm(&self, a: &[f32], c: &mut [f32], m: usize) {
+        nt_gemm_tier(self.tier, a, self.b, self.panels, c, m, self.k, self.n);
+    }
+}
+
+/// Run `f` with `b` packed into this thread's scratch once for NT calls
+/// over `rows` rows in all — packed by the rule of one call over that many
+/// rows ([`NT_PACK_MIN_ROWS`]) — so a caller that multiplies a segment in
+/// row blocks packs its `Bᵀ` once per segment, not once per block.
+pub(crate) fn with_nt_b<R>(
+    b: &[f32],
+    k: usize,
+    n: usize,
+    rows: usize,
+    f: impl FnOnce(&NtB<'_>) -> R,
+) -> R {
+    NT_PACKED.with(|cell| {
+        let packed = &mut cell.borrow_mut();
+        let tier = Tier::dispatched();
+        let panels = (rows >= NT_PACK_MIN_ROWS).then(|| nt_pack(b, k, n, tier.nt_width(), packed));
+        f(&NtB {
+            tier,
+            b,
+            panels,
+            k,
+            n,
+        })
+    })
+}
+
+/// [`nt_gemm`] over `panels` (or, without them, `b` itself) on `tier`.
 #[allow(clippy::too_many_arguments)]
-fn nt_gemm_on(
+fn nt_gemm_tier(
     tier: Tier,
     a: &[f32],
     b: &[f32],
-    packed: &mut Vec<f32>,
+    panels: Option<&[f32]>,
     c: &mut [f32],
     m: usize,
     k: usize,
     n: usize,
 ) {
-    let panels = (m >= NT_PACK_MIN_ROWS).then(|| nt_pack(b, k, n, tier.nt_width(), packed));
     match tier {
         Tier::Base => nt_gemm::<1, { Tier::Base.nt_width() }, 2>(a, b, panels, c, m, k, n),
         #[cfg(target_arch = "x86_64")]
@@ -1489,6 +1528,23 @@ mod tests {
         (m, k, n): (usize, usize, usize),
     ) {
         acc_gemm_on::<false, ST>(t, (a, k), (b, n), (c, n), (m, k, n), Causal::Full);
+    }
+
+    /// [`nt_gemm`] on an explicit tier: packs `b` into `packed` first unless
+    /// the call is below [`NT_PACK_MIN_ROWS`].
+    #[allow(clippy::too_many_arguments)]
+    fn nt_gemm_on(
+        tier: Tier,
+        a: &[f32],
+        b: &[f32],
+        packed: &mut Vec<f32>,
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let panels = (m >= NT_PACK_MIN_ROWS).then(|| nt_pack(b, k, n, tier.nt_width(), packed));
+        nt_gemm_tier(tier, a, b, panels, c, m, k, n);
     }
 
     #[test]

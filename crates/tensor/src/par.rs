@@ -19,10 +19,13 @@
 //!   [`gemm_grouped_transpose_a`] — grouped expert GEMMs over the per-expert
 //!   segment table (`tokens_per_local_expert`). Whole experts, and row-panels
 //!   of large experts, become tasks, so E small GEMMs fill the machine even
-//!   when each one is below the per-call cutoff. The NN reads its `A` rows
-//!   by token id if asked ([`RowSource`]) and can add its product rows,
-//!   weighted, onto their tokens ([`RowSink::Combine`], one token range per
-//!   task), so the MoE layer needs no routed-row copy of its tokens.
+//!   when each one is below the per-call cutoff. The NN and NT read their
+//!   `A` rows (the TN its `A` and `D` rows) by token id if asked, scaled
+//!   per row if asked ([`RowSource`]), and can add their product rows,
+//!   weighted or not, onto their tokens ([`RowSink::Combine`], one token
+//!   range per task) or dot them against their tokens' gradient and drop
+//!   them ([`RowSink::Dot`]), so the MoE layer's training step needs no
+//!   routed-row copy of its tokens, outputs or their gradients.
 //!
 //! # Determinism
 //!
@@ -57,8 +60,10 @@ use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
 
 use crate::alloc::mark_thread_untracked;
 use crate::ops::{
-    axpy_slice, gemm_rows_offset, gemm_ta_rows, gemm_tb_rows, grown, nt_pack_reserve, MAX_TILE_ROWS,
+    add_assign_slice, axpy_slice, gemm_rows_offset, gemm_ta_rows, gemm_tb_rows, grown,
+    nt_pack_reserve, with_nt_b, NtB, MAX_TILE_ROWS,
 };
+use crate::routing::combine_dots;
 use crate::worker_threads;
 
 /// Below this `m*n*k` volume a GEMM (grouped: by *total* volume) runs
@@ -547,15 +552,14 @@ pub(crate) fn par_elementwise(dst: &mut [f32], src: &[f32], op: fn(&mut [f32], &
 // Grouped expert GEMMs
 // ---------------------------------------------------------------------------
 
-/// One grouped-GEMM task: a row-panel of one expert's segment.
+/// One grouped-GEMM task's rows: a row-panel (or whole segment) of one
+/// expert's segment.
 #[derive(Clone, Copy)]
 struct Panel {
     /// First input row of the panel (global, segment-major).
     row0: usize,
     /// Rows in the panel.
     rows: usize,
-    /// Output offset in elements of the row-major C (NN/NT; unused for TN).
-    c_off: usize,
     /// Per-expert weight pointer (NN/NT); null for TN.
     b: *const f32,
     /// The expert's own gradient block (TN); null for NN/NT.
@@ -574,16 +578,18 @@ std::thread_local! {
     /// steady state scheduling a grouped GEMM allocates nothing.
     static PANELS: RefCell<Vec<Panel>> = const { RefCell::new(Vec::new()) };
     /// This thread's packed gathered `A` rows, made contiguous for the tile:
-    /// a TN expert's whole segment, or up to [`GATHER_ROWS`] NN rows.
+    /// a TN expert's whole segment, or up to [`GATHER_ROWS`] NN/NT rows.
     /// Grow-once; per thread because every pool task packs its own rows.
     static ROWS_PACKED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// This thread's combined product rows (up to [`GATHER_ROWS`] of them),
-    /// held only until they are added onto their tokens. Grow-once.
+    /// This thread's product rows (up to [`GATHER_ROWS`] of them), held only
+    /// until they are added onto their tokens or dotted; or a TN expert's
+    /// gathered `D` segment. Grow-once.
     static COMBINE_PACKED: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Rows per NN kernel call over a gathered `A` or into a combine: what one
-/// task packs at a time (64 rows of 256 columns are 64 KiB, cache-resident).
+/// Rows per kernel call over a gathered `A`, into a combine or a dot: what
+/// one task packs at a time (64 rows of 256 columns are 64 KiB,
+/// cache-resident).
 const GATHER_ROWS: usize = 64;
 
 /// Grow the calling thread's `cell` to `len` elements now. The grouped entry
@@ -597,14 +603,22 @@ fn pack_reserve(cell: &'static std::thread::LocalKey<RefCell<Vec<f32>>>, len: us
 }
 
 /// Where a grouped call reads its `A` rows ([`gemm_grouped`],
-/// [`gemm_grouped_transpose_a_blocks`]).
+/// [`gemm_grouped_transpose_b`], [`gemm_grouped_transpose_a_blocks`]) or
+/// the TN its `D` rows.
 #[derive(Clone, Copy)]
 pub enum RowSource<'a> {
     /// The rows themselves, `[sum(counts), cols]` in segment order.
     Contiguous(&'a [f32]),
-    /// Row `i` is row `ids[i]` of the row-major `src` (`cols` columns): the
-    /// tokens a dispatch would gather, read by id instead of kept as a copy.
-    Gathered { src: &'a [f32], ids: &'a [usize] },
+    /// Row `i` is row `ids[i]` of the row-major `src` (`cols` columns),
+    /// times `scale[i]` if given (`scale[i] * src[ids[i]][c]`, the combine
+    /// backward's `d_y` expression): the tokens a dispatch would gather, or
+    /// the gradient rows a combine backward would write, read by id instead
+    /// of kept as a copy.
+    Gathered {
+        src: &'a [f32],
+        ids: &'a [usize],
+        scale: Option<&'a [f32]>,
+    },
 }
 
 impl<'a> From<&'a [f32]> for RowSource<'a> {
@@ -619,97 +633,126 @@ impl<'a> From<&'a Vec<f32>> for RowSource<'a> {
     }
 }
 
-impl<'a> RowSource<'a> {
-    /// Row `i`, `cols` wide.
-    pub fn row(self, i: usize, cols: usize) -> &'a [f32] {
-        let at = match self {
-            RowSource::Contiguous(_) => i,
-            RowSource::Gathered { ids, .. } => ids[i],
-        };
-        let (RowSource::Contiguous(src) | RowSource::Gathered { src, .. }) = self;
-        &src[at * cols..(at + 1) * cols]
+impl RowSource<'_> {
+    /// Write row `i` (`dst.len()` columns) into `dst`.
+    pub fn copy_row(self, i: usize, dst: &mut [f32]) {
+        let cols = dst.len();
+        match self {
+            RowSource::Contiguous(a) => dst.copy_from_slice(&a[i * cols..(i + 1) * cols]),
+            RowSource::Gathered { src, ids, scale } => {
+                let row = &src[ids[i] * cols..(ids[i] + 1) * cols];
+                match scale {
+                    None => dst.copy_from_slice(row),
+                    Some(w) => {
+                        for (d, &g) in dst.iter_mut().zip(row) {
+                            *d = w[i] * g;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Whether the source gives `total` rows of `cols` columns.
     fn fits(self, total: usize, cols: usize) -> bool {
         match self {
             RowSource::Contiguous(a) => a.len() == total * cols,
-            RowSource::Gathered { ids, .. } => ids.len() == total,
+            RowSource::Gathered { ids, scale, .. } => {
+                ids.len() == total && scale.is_none_or(|w| w.len() == total)
+            }
         }
     }
 
-    /// Copy rows `ids` of `src` (`cols` wide), in order, into this thread's
-    /// [`ROWS_PACKED`] and run `f` on them.
-    fn packed<R>(src: &[f32], ids: &[usize], cols: usize, f: impl FnOnce(&[f32]) -> R) -> R {
-        ROWS_PACKED.with(|cell| {
-            let packed = &mut cell.borrow_mut();
-            let rows = grown(packed, ids.len() * cols);
-            for (j, &t) in ids.iter().enumerate() {
-                rows[j * cols..(j + 1) * cols].copy_from_slice(&src[t * cols..(t + 1) * cols]);
-            }
-            f(rows)
-        })
+    /// Run `f` on rows `row0..row0 + cnt` (`cols` wide) as one contiguous
+    /// block: a contiguous source's own rows, a gathered one's copied, in
+    /// order, into this thread's `cell`.
+    fn rows<R>(
+        self,
+        (row0, cnt): (usize, usize),
+        cols: usize,
+        cell: &'static std::thread::LocalKey<RefCell<Vec<f32>>>,
+        f: impl FnOnce(&[f32]) -> R,
+    ) -> R {
+        match self {
+            RowSource::Contiguous(a) => f(&a[row0 * cols..(row0 + cnt) * cols]),
+            RowSource::Gathered { .. } => cell.with(|cell| {
+                let packed = &mut cell.borrow_mut();
+                let rows = grown(packed, cnt * cols);
+                for j in 0..cnt {
+                    self.copy_row(row0 + j, &mut rows[j * cols..(j + 1) * cols]);
+                }
+                f(rows)
+            }),
+        }
     }
 
-    /// `c = A[row0..row0 + cnt] @ b` into the `[cnt, n]` `c` (overwritten):
-    /// gathered rows are packed [`GATHER_ROWS`] at a time, so the tile reads
-    /// the same values in the same k-order as from contiguous rows.
-    fn nn_rows(
+    /// `c = A[row0..row0 + cnt] · w` into the `[cnt, n]` `c` (overwritten):
+    /// gathered rows are packed [`GATHER_ROWS`] at a time into this thread's
+    /// [`ROWS_PACKED`], so the tile reads the same values in the same k-order
+    /// as from contiguous rows.
+    fn mul_rows(
         self,
         (row0, cnt): (usize, usize),
         (k, n): (usize, usize),
-        b: &[f32],
+        w: &Weight,
         c: &mut [f32],
     ) {
+        let mul = |a: &[f32], c: &mut [f32], rows: usize| match w {
+            Weight::Nn(b) => gemm_rows_offset(a, b, c, 0, rows, k, n),
+            Weight::Nt(b) => b.gemm(a, c, rows),
+        };
         match self {
-            RowSource::Contiguous(a) => gemm_rows_offset(a, b, c, row0, cnt, k, n),
-            RowSource::Gathered { src, ids } => {
-                let rows = ids[row0..row0 + cnt].chunks(GATHER_ROWS);
-                for (ids, c) in rows.zip(c.chunks_mut(GATHER_ROWS * n)) {
-                    Self::packed(src, ids, k, |a| {
-                        gemm_rows_offset(a, b, c, 0, ids.len(), k, n)
-                    });
+            RowSource::Contiguous(a) => mul(&a[row0 * k..(row0 + cnt) * k], c, cnt),
+            RowSource::Gathered { .. } => {
+                for (j, c) in (0..cnt)
+                    .step_by(GATHER_ROWS)
+                    .zip(c.chunks_mut(GATHER_ROWS * n))
+                {
+                    let rows = GATHER_ROWS.min(cnt - j);
+                    self.rows((row0 + j, rows), k, &ROWS_PACKED, |a| mul(a, c, rows));
                 }
             }
         }
     }
-
-    /// `C += A[row0..row0 + cnt]^T @ d_seg` into the `[ac, n]` `c` (the
-    /// AddFresh store): a gathered segment is first packed, in order, into
-    /// this thread's [`ROWS_PACKED`], so the tile reads the same values in
-    /// the same k-order as from contiguous rows.
-    fn ta_segment(
-        self,
-        (row0, cnt): (usize, usize),
-        (ac, n): (usize, usize),
-        d_seg: &[f32],
-        c: &mut [f32],
-    ) {
-        let mut ta = |a: &[f32]| gemm_ta_rows(a, d_seg, c, 0, ac, cnt, ac, n);
-        match self {
-            RowSource::Contiguous(a) => ta(&a[row0 * ac..(row0 + cnt) * ac]),
-            RowSource::Gathered { src, ids } => Self::packed(src, &ids[row0..row0 + cnt], ac, ta),
-        }
-    }
 }
 
-/// Where a grouped NN call ([`gemm_grouped`]) writes its product rows.
+/// One expert's weight as a grouped NN or NT reads it.
+enum Weight<'w> {
+    /// `B_e`, `[k, n]`.
+    Nn(&'w [f32]),
+    /// `B_e`, `[n, k]`, packed once for the rows a task multiplies by it.
+    Nt(&'w NtB<'w>),
+}
+
+/// Where a grouped NN or NT ([`gemm_grouped`], [`gemm_grouped_transpose_b`])
+/// puts its product rows.
 pub enum RowSink<'a> {
     /// `[sum(counts), n]` in segment order, overwritten — every row belongs
     /// to exactly one segment and its previous contents are never read.
     Rows(&'a mut [f32]),
     /// The MoE combine inside the GEMM: product row `i`, scaled by
-    /// `weights[i]`, is added onto row `ids[i]` of the row-major `out`
-    /// (`[S, n]`), `out[ids[i]] += weights[i]·(A_i·B_e)` with `axpy_slice`'s
-    /// expression, so no `[sum(counts), n]` product exists. `ids` must be
-    /// non-decreasing within each segment (a PFT's token order): tasks own
-    /// disjoint token ranges and walk the segments in order, so every `out`
-    /// row takes its adds in ascending `i` — the order, and so the bits, of
-    /// `scatter_rows_scaled` — at any worker count.
+    /// `weights[i]` (or not at all without weights), is added onto row
+    /// `ids[i]` of the row-major `out` (`[S, n]`), `out[ids[i]] +=
+    /// weights[i]·(A_i·B_e)` with `axpy_slice`'s expression (`+=` with
+    /// `add_assign_slice`'s), so no `[sum(counts), n]` product exists. `ids`
+    /// must be non-decreasing within each segment (a PFT's token order):
+    /// tasks own disjoint token ranges and walk the segments in order, so
+    /// every `out` row takes its adds in ascending `i` — the order, and so
+    /// the bits, of `scatter_rows_scaled` (`scatter_rows_unit`) — at any
+    /// worker count.
     Combine {
         out: &'a mut [f32],
         ids: &'a [usize],
-        weights: &'a [f32],
+        weights: Option<&'a [f32]>,
+    },
+    /// The combine backward's weight gradient inside the GEMM: `d_w[i] =
+    /// ⟨grad[ids[i]], A_i·B_e⟩`, summed over columns in order from `0.0` as
+    /// `combine_backward_rows` sums it, and the product row dropped. `grad`
+    /// is the row-major `[S, n]` output gradient.
+    Dot {
+        grad: &'a [f32],
+        ids: &'a [usize],
+        d_w: &'a mut [f32],
     },
 }
 
@@ -722,8 +765,14 @@ impl RowSink<'_> {
         match self {
             RowSink::Rows(c) => c[i * n..(i + 1) * n].copy_from_slice(row),
             RowSink::Combine { out, ids, weights } => {
-                let t = ids[i];
-                axpy_slice(&mut out[t * n..(t + 1) * n], weights[i], row);
+                let out = &mut out[ids[i] * n..(ids[i] + 1) * n];
+                match weights {
+                    Some(w) => axpy_slice(out, w[i], row),
+                    None => add_assign_slice(out, row),
+                }
+            }
+            RowSink::Dot { grad, ids, d_w } => {
+                combine_dots(grad, &ids[i..=i], row, n, &mut d_w[i..=i]);
             }
         }
     }
@@ -741,129 +790,140 @@ impl<'a> From<&'a mut Vec<f32>> for RowSink<'a> {
     }
 }
 
-#[derive(Clone, Copy)]
-enum GroupKind<'a> {
-    /// `C[seg] = A[seg] @ B_e` (k = inner dim, n = out cols, overwrite),
-    /// `A` read from the source it carries.
-    Nn(RowSource<'a>),
-    /// `C[seg] = A[seg] @ B_e^T` (B_e is `n x k`, overwrite).
-    Nt,
-    /// `C_e = C_e + A[seg]^T @ D[seg]` (A cols = k = C rows, D cols = n),
-    /// `A` read from the source it carries.
-    Ta(RowSource<'a>),
+/// A [`RowSink`] shared by one batch's tasks, each writing only the rows
+/// (or, for a combine, the tokens) it owns.
+enum SharedSink<'a> {
+    Rows(DisjointMut<'a>),
+    /// `out` split into `ranges` token ranges of its `tokens` rows, one per
+    /// task.
+    Combine {
+        out: DisjointMut<'a>,
+        ids: &'a [usize],
+        weights: Option<&'a [f32]>,
+        tokens: usize,
+        ranges: usize,
+    },
+    Dot {
+        grad: &'a [f32],
+        ids: &'a [usize],
+        d_w: DisjointMut<'a>,
+    },
 }
 
+/// One grouped NN or NT batch.
 struct GroupedCtx<'a> {
-    /// The row-major `A` of the NT kind (empty for NN and TN, whose `A` is
-    /// their kind's [`RowSource`]).
-    a: &'a [f32],
-    /// Second operand of the TN kind (`d` rows align with `A` rows).
-    d: &'a [f32],
-    /// The row-major output of the NN/NT kinds (empty for TN, whose outputs
-    /// are the panels' own `block`s).
-    c: DisjointMut<'a>,
+    /// `A·B_eᵀ` (`B_e` is `[n, k]`) rather than `A·B_e` (`[k, n]`).
+    nt: bool,
+    a: RowSource<'a>,
+    sink: SharedSink<'a>,
+    /// Row panels for `Rows` and `Dot`; one whole segment per non-empty
+    /// expert for `Combine`.
     panels: &'a [Panel],
-    /// Row stride of `a` (NN/NT: inner dim; TN: A's column count = C rows).
+    /// The inner dimension and the product's column count.
     k: usize,
     n: usize,
-    kind: GroupKind<'a>,
 }
 
+impl GroupedCtx<'_> {
+    /// Run `f` with panel `p`'s weight, made ready for `rows` of its rows.
+    fn with_weight<R>(&self, p: &Panel, rows: usize, f: impl FnOnce(&Weight) -> R) -> R {
+        // SAFETY: weight pointer from a live slice of length k*n.
+        let b = unsafe { std::slice::from_raw_parts(p.b, self.k * self.n) };
+        if self.nt {
+            with_nt_b(b, self.k, self.n, rows, |b| f(&Weight::Nt(b)))
+        } else {
+            f(&Weight::Nn(b))
+        }
+    }
+
+    /// Multiply rows `row0..row0 + cnt` by `w` [`GATHER_ROWS`] at a time
+    /// into this thread's [`COMBINE_PACKED`], and hand each block, with the
+    /// index of its first row, to `f`.
+    fn blocks(&self, (row0, cnt): (usize, usize), w: &Weight, mut f: impl FnMut(usize, &[f32])) {
+        COMBINE_PACKED.with(|cell| {
+            let y = &mut cell.borrow_mut();
+            for r0 in (row0..row0 + cnt).step_by(GATHER_ROWS) {
+                let rows = GATHER_ROWS.min(row0 + cnt - r0);
+                let y = grown(y, rows * self.n);
+                self.a.mul_rows((r0, rows), (self.k, self.n), w, y);
+                f(r0, y);
+            }
+        });
+    }
+}
+
+/// Task `i` of a grouped NN or NT: panel `i` into its rows, or its `d_w`
+/// entries; for a combine, token range `i` — every segment's run of rows
+/// whose token is in the range (one contiguous run, since ids ascend within
+/// a segment), its weight made ready once for the run, added onto its
+/// tokens' `out` rows.
 fn grouped_task(g: &GroupedCtx<'_>, i: usize) {
-    let p = g.panels[i];
-    match g.kind {
-        GroupKind::Nn(a) => {
+    let (k, n) = (g.k, g.n);
+    match &g.sink {
+        SharedSink::Rows(c) => {
+            let p = &g.panels[i];
             // SAFETY: panels carve disjoint output row ranges.
-            let c_seg = unsafe { g.c.slice(p.c_off, p.rows * g.n) };
-            // SAFETY: weight pointer from a live slice of length k*n.
-            let b = unsafe { std::slice::from_raw_parts(p.b, g.k * g.n) };
-            a.nn_rows((p.row0, p.rows), (g.k, g.n), b, c_seg);
+            let c = unsafe { c.slice(p.row0 * n, p.rows * n) };
+            g.with_weight(p, p.rows, |w| g.a.mul_rows((p.row0, p.rows), (k, n), w, c));
         }
-        GroupKind::Nt => {
-            // SAFETY: as above.
-            let c_seg = unsafe { g.c.slice(p.c_off, p.rows * g.n) };
-            // SAFETY: weight is `n x k` row-major.
-            let b = unsafe { std::slice::from_raw_parts(p.b, g.n * g.k) };
-            let a_seg = &g.a[p.row0 * g.k..(p.row0 + p.rows) * g.k];
-            gemm_tb_rows(a_seg, b, c_seg, 0, p.rows, g.k, g.n);
+        SharedSink::Dot { grad, ids, d_w } => {
+            let p = &g.panels[i];
+            // SAFETY: panels carve disjoint ranges of the rows' `d_w`.
+            let d_w = unsafe { d_w.slice(p.row0, p.rows) };
+            g.with_weight(p, p.rows, |w| {
+                g.blocks((p.row0, p.rows), w, |r0, y| {
+                    let (rows, at) = (y.len() / n, r0 - p.row0);
+                    combine_dots(grad, &ids[r0..r0 + rows], y, n, &mut d_w[at..at + rows]);
+                });
+            });
         }
-        GroupKind::Ta(a) => {
-            let d_seg = &g.d[p.row0 * g.n..(p.row0 + p.rows) * g.n];
-            // SAFETY: `block` was taken from a distinct `&mut [f32]` of
-            // length `k * n` per expert (checked by the entry point), alive
-            // for the batch, and this is the expert's only task.
-            let c_seg = unsafe { std::slice::from_raw_parts_mut(p.block, g.k * g.n) };
-            a.ta_segment((p.row0, p.rows), (g.k, g.n), d_seg, c_seg);
+        SharedSink::Combine {
+            out,
+            ids,
+            weights,
+            tokens,
+            ranges,
+        } => {
+            let (t0, t1) = (i * tokens / ranges, (i + 1) * tokens / ranges);
+            for p in g.panels {
+                let seg = &ids[p.row0..p.row0 + p.rows];
+                let lo = seg.partition_point(|&t| t < t0);
+                let hi = lo + seg[lo..].partition_point(|&t| t < t1);
+                if hi == lo {
+                    continue;
+                }
+                g.with_weight(p, hi - lo, |w| {
+                    g.blocks((p.row0 + lo, hi - lo), w, |r0, y| {
+                        for (i, y) in (r0..).zip(y.chunks_exact(n)) {
+                            let t = ids[i];
+                            // Out of range only if the ids do not ascend.
+                            assert!(
+                                (t0..t1).contains(&t),
+                                "grouped combine: ids must ascend within a segment"
+                            );
+                            // SAFETY: this task owns tokens [t0, t1); one row
+                            // at a time is borrowed.
+                            let row = unsafe { out.slice(t * n, n) };
+                            match weights {
+                                Some(w) => axpy_slice(row, w[i], y),
+                                None => add_assign_slice(row, y),
+                            }
+                        }
+                    });
+                });
+            }
         }
     }
 }
 
-/// One [`RowSink::Combine`] batch: the product's `A`, one panel per
-/// non-empty expert (its whole segment), and `ranges` token ranges of the
-/// `tokens`-row `out`, one per task.
-struct CombineCtx<'a> {
-    a: RowSource<'a>,
-    segments: &'a [Panel],
-    out: DisjointMut<'a>,
-    ids: &'a [usize],
-    weights: &'a [f32],
-    k: usize,
-    n: usize,
-    tokens: usize,
-    ranges: usize,
-}
-
-/// Token range `j` of a combine: every segment's run of rows whose token is
-/// in the range — one contiguous run, since ids ascend within a segment —
-/// multiplied [`GATHER_ROWS`] rows at a time into this thread's
-/// [`COMBINE_PACKED`] and added, weighted, onto its tokens' `out` rows.
-fn combine_task(g: &CombineCtx<'_>, j: usize) {
-    let (t0, t1) = (j * g.tokens / g.ranges, (j + 1) * g.tokens / g.ranges);
-    let n = g.n;
-    COMBINE_PACKED.with(|cell| {
-        let y = &mut cell.borrow_mut();
-        for p in g.segments {
-            let seg = &g.ids[p.row0..p.row0 + p.rows];
-            let lo = seg.partition_point(|&t| t < t0);
-            let hi = lo + seg[lo..].partition_point(|&t| t < t1);
-            // SAFETY: weight pointer from a live slice of length k*n.
-            let b = unsafe { std::slice::from_raw_parts(p.b, g.k * n) };
-            for r0 in (p.row0 + lo..p.row0 + hi).step_by(GATHER_ROWS) {
-                let rows = GATHER_ROWS.min(p.row0 + hi - r0);
-                let y = grown(y, rows * n);
-                g.a.nn_rows((r0, rows), (g.k, n), b, y);
-                for (i, y) in (r0..r0 + rows).zip(y.chunks_exact(n)) {
-                    let t = g.ids[i];
-                    // Out of range only if the ids do not ascend.
-                    assert!(
-                        (t0..t1).contains(&t),
-                        "gemm_grouped: combine ids must ascend within a segment"
-                    );
-                    // SAFETY: this task owns tokens [t0, t1); one row at a
-                    // time is borrowed.
-                    axpy_slice(unsafe { g.out.slice(t * n, n) }, g.weights[i], y);
-                }
-            }
-        }
-    });
-}
-
-/// Build panels for NN/NT: whole experts, split into row-panels when a
-/// segment is large. Returns the total row count.
-fn fill_panels_rowwise(
+/// Fill `panels` with the non-empty segments of `counts`, split into panels
+/// of at most `panel_rows` rows, expert `e`'s weight at `weight_ptr(e)`.
+fn fill_panels(
     panels: &mut Vec<Panel>,
     counts: &[usize],
-    n: usize,
-    lanes: usize,
+    panel_rows: usize,
     mut weight_ptr: impl FnMut(usize) -> *const f32,
-) -> usize {
-    let total: usize = counts.iter().sum();
-    // Aim for ~4 panels per lane so uneven segments still balance, but never
-    // split below MIN_PANEL_ROWS, and in whole row groups so that only a
-    // segment's last panel ends in a ragged tile.
-    let panel_rows = MIN_PANEL_ROWS
-        .max(total.div_ceil(lanes.max(1) * 4))
-        .next_multiple_of(MAX_TILE_ROWS);
+) {
     panels.clear();
     let mut row = 0usize;
     for (e, &cnt) in counts.iter().enumerate() {
@@ -877,7 +937,6 @@ fn fill_panels_rowwise(
             panels.push(Panel {
                 row0: row + off,
                 rows,
-                c_off: (row + off) * n,
                 b,
                 block: std::ptr::null_mut(),
             });
@@ -885,7 +944,111 @@ fn fill_panels_rowwise(
         }
         row += cnt;
     }
-    total
+}
+
+/// The one grouped NN/NT engine behind [`gemm_grouped`] (`nt = false`) and
+/// [`gemm_grouped_transpose_b`] (`nt = true`); `name` heads its panics.
+#[allow(clippy::too_many_arguments)]
+fn grouped<'b>(
+    (name, nt): (&str, bool),
+    a: RowSource<'_>,
+    counts: &[usize],
+    k: usize,
+    weight: impl Fn(usize) -> &'b [f32],
+    n: usize,
+    c: RowSink<'_>,
+) {
+    let total: usize = counts.iter().sum();
+    assert!(a.fits(total, k), "{name}: A length mismatch");
+    let p = pool();
+    let serial = !p.is_parallel() || total * n * k < PAR_CUTOFF;
+    let rows_of = |len: usize| len.checked_div(n).unwrap_or(0);
+    let sink = match c {
+        RowSink::Rows(c) => {
+            assert_eq!(c.len(), total * n, "{name}: C length mismatch");
+            SharedSink::Rows(DisjointMut::new(c))
+        }
+        RowSink::Combine { out, ids, weights } => {
+            assert!(
+                ids.len() == total && weights.is_none_or(|w| w.len() == total),
+                "{name}: combine ids and weights must give every row"
+            );
+            let tokens = rows_of(out.len());
+            assert!(
+                out.len() == tokens * n && ids.iter().all(|&t| t < tokens),
+                "{name}: combine out must be [S, n] and hold every id"
+            );
+            SharedSink::Combine {
+                out: DisjointMut::new(out),
+                ids,
+                weights,
+                tokens,
+                ranges: if serial { 1 } else { p.size() },
+            }
+        }
+        RowSink::Dot { grad, ids, d_w } => {
+            let tokens = rows_of(grad.len());
+            assert!(
+                ids.len() == total && d_w.len() == total,
+                "{name}: dot ids and d_w must give every row"
+            );
+            assert!(
+                grad.len() == tokens * n && ids.iter().all(|&t| t < tokens),
+                "{name}: dot grad must be [S, n] and hold every id"
+            );
+            let d_w = DisjointMut::new(d_w);
+            SharedSink::Dot { grad, ids, d_w }
+        }
+    };
+    if total == 0 || n == 0 {
+        return;
+    }
+    let widest = counts.iter().max().copied().unwrap_or(0).min(GATHER_ROWS);
+    if let RowSource::Gathered { .. } = a {
+        pack_reserve(&ROWS_PACKED, widest * k);
+    }
+    if nt {
+        nt_pack_reserve(n * k);
+    }
+    if !matches!(sink, SharedSink::Rows(_)) {
+        pack_reserve(&COMBINE_PACKED, widest * n);
+    }
+    // Row panels of ~4 per lane so uneven segments still balance, but never
+    // below MIN_PANEL_ROWS, and in whole row groups so that only a
+    // segment's last panel ends in a ragged tile; whole segments for a
+    // combine (its tasks are token ranges) and on the serial schedule.
+    let panel_rows = match sink {
+        SharedSink::Combine { .. } => usize::MAX,
+        _ if serial => usize::MAX,
+        _ => MIN_PANEL_ROWS
+            .max(total.div_ceil(p.size() * 4))
+            .next_multiple_of(MAX_TILE_ROWS),
+    };
+    PANELS.with(|cell| {
+        let mut panels = cell.borrow_mut();
+        fill_panels(&mut panels, counts, panel_rows, |e| {
+            let b = weight(e);
+            assert_eq!(b.len(), k * n, "{name}: weight {e} shape");
+            b.as_ptr()
+        });
+        let tasks = match sink {
+            SharedSink::Combine { ranges, .. } => ranges,
+            _ => panels.len(),
+        };
+        let ctx = GroupedCtx {
+            nt,
+            a,
+            sink,
+            panels: &panels,
+            k,
+            n,
+        };
+        if serial {
+            (0..tasks).for_each(|i| grouped_task(&ctx, i));
+        } else {
+            p.for_each(&ctx, tasks, grouped_task);
+        }
+    });
 }
 
 /// Grouped expert GEMM: for each expert `e`, `C[seg_e] = A[seg_e] @ B_e`.
@@ -900,12 +1063,14 @@ fn fill_panels_rowwise(
 /// bitwise identical to that serial schedule at any worker count: each
 /// output row is one task's ascending-k accumulation regardless of how
 /// segments are panelled or its `A` rows packed; a combine then adds each
-/// row onto its token in the order `scatter_rows_scaled` does.
+/// row onto its token in the order `scatter_rows_scaled` does, and a dot
+/// sums each row against its token's gradient as `combine_backward_rows`
+/// does.
 ///
 /// This is the Megatron-style grouped GEMM of the MoE hot path: E segment
 /// GEMMs that are individually below the parallel cutoff become one task
-/// batch that fills the machine — row panels for [`RowSink::Rows`], token
-/// ranges (one per lane) for [`RowSink::Combine`].
+/// batch that fills the machine — row panels for [`RowSink::Rows`] and
+/// [`RowSink::Dot`], token ranges (one per lane) for [`RowSink::Combine`].
 pub fn gemm_grouped<'a, 'b, 'c>(
     a: impl Into<RowSource<'a>>,
     counts: &[usize],
@@ -914,188 +1079,68 @@ pub fn gemm_grouped<'a, 'b, 'c>(
     n: usize,
     c: impl Into<RowSink<'c>>,
 ) {
-    let (a, c) = (a.into(), c.into());
-    let total: usize = counts.iter().sum();
-    assert!(a.fits(total, k), "gemm_grouped: A length mismatch");
-    let tokens = match &c {
-        RowSink::Rows(c) => {
-            assert_eq!(c.len(), total * n, "gemm_grouped: C length mismatch");
-            0
-        }
-        RowSink::Combine { out, ids, weights } => {
-            assert!(
-                ids.len() == total && weights.len() == total,
-                "gemm_grouped: combine ids and weights must give every row"
-            );
-            let tokens = out.len().checked_div(n).unwrap_or(0);
-            assert!(
-                out.len() == tokens * n && ids.iter().all(|&t| t < tokens),
-                "gemm_grouped: combine out must be [S, n] and hold every id"
-            );
-            tokens
-        }
-    };
-    if total == 0 || n == 0 {
-        return;
-    }
-    let widest = counts.iter().max().copied().unwrap_or(0).min(GATHER_ROWS);
-    if let RowSource::Gathered { .. } = a {
-        pack_reserve(&ROWS_PACKED, widest * k);
-    }
-    let p = pool();
-    let serial = !p.is_parallel() || total * n * k < PAR_CUTOFF;
-    let weight = |e: usize| {
-        let b = weight(e);
-        assert_eq!(b.len(), k * n, "gemm_grouped: weight {e} shape");
-        b
-    };
-    let (out, ids, weights) = match c {
-        RowSink::Rows(c) if serial => {
-            let mut row = 0usize;
-            for (e, &cnt) in counts.iter().enumerate() {
-                if cnt > 0 {
-                    a.nn_rows(
-                        (row, cnt),
-                        (k, n),
-                        weight(e),
-                        &mut c[row * n..(row + cnt) * n],
-                    );
-                }
-                row += cnt;
-            }
-            return;
-        }
-        RowSink::Rows(c) => {
-            return PANELS.with(|cell| {
-                let mut panels = cell.borrow_mut();
-                fill_panels_rowwise(&mut panels, counts, n, p.size(), |e| weight(e).as_ptr());
-                let ctx = GroupedCtx {
-                    a: &[],
-                    d: &[],
-                    c: DisjointMut::new(c),
-                    panels: &panels,
-                    k,
-                    n,
-                    kind: GroupKind::Nn(a),
-                };
-                p.for_each(&ctx, ctx.panels.len(), grouped_task);
-            });
-        }
-        RowSink::Combine { out, ids, weights } => (out, ids, weights),
-    };
-    pack_reserve(&COMBINE_PACKED, widest * n);
-    PANELS.with(|cell| {
-        let mut panels = cell.borrow_mut();
-        panels.clear();
-        let mut row = 0usize;
-        for (e, &cnt) in counts.iter().enumerate() {
-            if cnt > 0 {
-                panels.push(Panel {
-                    row0: row,
-                    rows: cnt,
-                    c_off: 0,
-                    b: weight(e).as_ptr(),
-                    block: std::ptr::null_mut(),
-                });
-            }
-            row += cnt;
-        }
-        let ctx = CombineCtx {
-            a,
-            segments: &panels,
-            out: DisjointMut::new(out),
-            ids,
-            weights,
-            k,
-            n,
-            tokens,
-            ranges: if serial { 1 } else { p.size() },
-        };
-        if serial {
-            combine_task(&ctx, 0);
-        } else {
-            p.for_each(&ctx, ctx.ranges, combine_task);
-        }
-    });
+    grouped(
+        ("gemm_grouped", false),
+        a.into(),
+        counts,
+        k,
+        weight,
+        n,
+        c.into(),
+    );
 }
 
-/// Grouped `C[seg_e] = A[seg_e] @ B_e^T` (overwrite, like
+/// Grouped `C[seg_e] = A[seg_e] @ B_e^T` (like
 /// [`crate::matmul_transpose_b_slices`]): `weight(e)` is `n x k` row-major,
 /// so each output element is a dot product of two contiguous rows. The
 /// backward grouped kernel for `d_h = dY @ W2^T` and `d_x = d_h @ W1^T`.
-/// Bitwise identical to the per-segment serial calls at any worker count.
-pub fn gemm_grouped_transpose_b<'b>(
-    a: &[f32],
+/// `a` and `c` are read and written as [`gemm_grouped`] reads and writes
+/// them; a task packs each expert's `B_eᵀ` once for all the rows it
+/// multiplies by it. Bitwise identical to the per-segment serial calls at
+/// any worker count.
+pub fn gemm_grouped_transpose_b<'a, 'b, 'c>(
+    a: impl Into<RowSource<'a>>,
     counts: &[usize],
     k: usize,
     weight: impl Fn(usize) -> &'b [f32],
     n: usize,
-    c: &mut [f32],
+    c: impl Into<RowSink<'c>>,
 ) {
-    let total: usize = counts.iter().sum();
-    assert_eq!(
-        a.len(),
-        total * k,
-        "gemm_grouped_transpose_b: A length mismatch"
-    );
-    assert_eq!(
-        c.len(),
-        total * n,
-        "gemm_grouped_transpose_b: C length mismatch"
-    );
-    if total == 0 || n == 0 {
-        return;
-    }
-    if k == 0 {
-        c.fill(0.0);
-        return;
-    }
-    let p = pool();
-    if !p.is_parallel() || total * n * k < PAR_CUTOFF {
-        let mut row = 0usize;
-        for (e, &cnt) in counts.iter().enumerate() {
-            if cnt == 0 {
-                continue;
-            }
-            let b = weight(e);
-            assert_eq!(b.len(), n * k, "gemm_grouped_transpose_b: weight {e}");
-            gemm_tb_rows(
-                &a[row * k..(row + cnt) * k],
-                b,
-                &mut c[row * n..(row + cnt) * n],
-                0,
-                cnt,
-                k,
-                n,
-            );
-            row += cnt;
-        }
-        return;
-    }
-    nt_pack_reserve(n * k);
-    PANELS.with(|cell| {
-        let mut panels = cell.borrow_mut();
-        fill_panels_rowwise(&mut panels, counts, n, p.size(), |e| {
-            let b = weight(e);
-            assert_eq!(b.len(), n * k, "gemm_grouped_transpose_b: weight {e}");
-            b.as_ptr()
-        });
-        let ctx = GroupedCtx {
-            a,
-            d: &[],
-            c: DisjointMut::new(c),
-            panels: &panels,
-            k,
-            n,
-            kind: GroupKind::Nt,
-        };
-        p.for_each(&ctx, ctx.panels.len(), grouped_task);
+    let name = "gemm_grouped_transpose_b";
+    grouped((name, true), a.into(), counts, k, weight, n, c.into());
+}
+
+/// One grouped TN batch: one panel (a whole segment) per non-empty expert.
+struct TaCtx<'a> {
+    a: RowSource<'a>,
+    d: RowSource<'a>,
+    panels: &'a [Panel],
+    ac: usize,
+    n: usize,
+}
+
+/// `C_e += A[seg_e]^T @ D[seg_e]` for panel `i`'s expert (the AddFresh
+/// store): a gathered `A` segment is first packed, in order, into this
+/// thread's [`ROWS_PACKED`] and a gathered `D` segment into its
+/// [`COMBINE_PACKED`], so the tile reads the same values in the same k-order
+/// as from contiguous rows.
+fn ta_task(g: &TaCtx<'_>, i: usize) {
+    let (p, (ac, n)) = (g.panels[i], (g.ac, g.n));
+    // SAFETY: `block` was taken from a distinct `&mut [f32]` of length
+    // `ac * n` per expert (checked by the entry point), alive for the
+    // batch, and this is the expert's only task.
+    let c = unsafe { std::slice::from_raw_parts_mut(p.block, ac * n) };
+    let seg = (p.row0, p.rows);
+    g.a.rows(seg, ac, &ROWS_PACKED, |a| {
+        g.d.rows(seg, n, &COMBINE_PACKED, |d| {
+            gemm_ta_rows(a, d, c, 0, ac, p.rows, ac, n)
+        })
     });
 }
 
 /// Grouped `C_e = C_e + A[seg_e]^T @ D[seg_e]` — the weight-gradient kernel
 /// (`dW = X^T @ dY` per expert) computed *without materialising any
-/// transpose* — over contiguous `a` rows and one contiguous `c` of
+/// transpose* — over contiguous `a` and `d` rows and one contiguous `c` of
 /// `[counts.len() * ac, n]`: expert `e`'s gradient block occupies rows
 /// `[e*ac, (e+1)*ac)`. A wrapper over [`gemm_grouped_transpose_a_blocks`],
 /// which see.
@@ -1123,14 +1168,15 @@ pub fn gemm_grouped_transpose_a(
 /// block is its own `&mut [f32]`: `blocks` yields one `[ac, n]` block per
 /// entry of `counts`, in expert order — e.g. the experts' own gradient
 /// tensors, which is what lets the training backward add straight into them
-/// with no staging buffer. `d` is `[sum(counts), n]` in segment order; `a`
-/// gives `A`'s `sum(counts)` rows of `ac` columns in the same order, either
-/// contiguous or gathered from a source by row id — the tokens a dispatch
-/// gathered, which the local backward reads again instead of keeping a
-/// `[sum(counts), ac]` copy. Each task packs its gathered segment into a
-/// thread-local grow-once buffer first. Distinct `&mut` borrows cannot
-/// overlap, so the blocks' disjointness is the caller's borrow check, not a
-/// promise.
+/// with no staging buffer. `a` gives `A`'s `sum(counts)` rows of `ac`
+/// columns and `d` gives `D`'s rows of `n` columns, both in segment order,
+/// each contiguous or gathered from a source by row id ([`RowSource`]) —
+/// the tokens a dispatch gathered, or the scaled output-gradient rows a
+/// combine backward would write, which the local backward reads again
+/// instead of keeping a `[sum(counts), ac]` or `[sum(counts), n]` copy.
+/// Each task packs a gathered segment into a thread-local grow-once buffer
+/// first. Distinct `&mut` borrows cannot overlap, so the blocks'
+/// disjointness is the caller's borrow check, not a promise.
 ///
 /// The product is summed from `0.0` over segment rows in ascending order —
 /// exactly the k-order of `matmul(A_seg.transpose(), D_seg)` — and then added
@@ -1138,27 +1184,30 @@ pub fn gemm_grouped_transpose_a(
 /// expert's product into a zeroed block and `add_assign_slice`-ing it on, at
 /// any worker count, for either source. An expert with no rows leaves its
 /// block untouched. One task per expert.
-pub fn gemm_grouped_transpose_a_blocks<'c>(
+pub fn gemm_grouped_transpose_a_blocks<'c, 'd>(
     a: RowSource<'_>,
     counts: &[usize],
     ac: usize,
-    d: &[f32],
+    d: impl Into<RowSource<'d>>,
     n: usize,
     blocks: impl Iterator<Item = &'c mut [f32]>,
 ) {
+    let d = d.into();
     let total: usize = counts.iter().sum();
     assert!(
         a.fits(total, ac),
         "gemm_grouped_transpose_a: A length mismatch"
     );
-    assert_eq!(
-        d.len(),
-        total * n,
+    assert!(
+        d.fits(total, n),
         "gemm_grouped_transpose_a: D length mismatch"
     );
+    let widest = counts.iter().max().copied().unwrap_or(0);
     if let RowSource::Gathered { .. } = a {
-        let widest = counts.iter().max().copied().unwrap_or(0);
         pack_reserve(&ROWS_PACKED, widest * ac);
+    }
+    if let RowSource::Gathered { .. } = d {
+        pack_reserve(&COMBINE_PACKED, widest * n);
     }
     let p = pool();
     let serial = !p.is_parallel() || total * n * ac < PAR_CUTOFF;
@@ -1173,13 +1222,10 @@ pub fn gemm_grouped_transpose_a_blocks<'c>(
                 "gemm_grouped_transpose_a: gradient block {experts} shape"
             );
             experts += 1;
-            if cnt > 0 && serial {
-                a.ta_segment((row, cnt), (ac, n), &d[row * n..(row + cnt) * n], block);
-            } else if cnt > 0 {
+            if cnt > 0 {
                 panels.push(Panel {
                     row0: row,
                     rows: cnt,
-                    c_off: 0,
                     b: std::ptr::null(),
                     block: block.as_mut_ptr(),
                 });
@@ -1191,16 +1237,18 @@ pub fn gemm_grouped_transpose_a_blocks<'c>(
             counts.len(),
             "gemm_grouped_transpose_a: one gradient block per expert"
         );
-        let ctx = GroupedCtx {
-            a: &[],
+        let ctx = TaCtx {
+            a,
             d,
-            c: DisjointMut::new(&mut []),
             panels: &panels,
-            k: ac,
+            ac,
             n,
-            kind: GroupKind::Ta(a),
         };
-        p.for_each(&ctx, ctx.panels.len(), grouped_task);
+        if serial {
+            (0..panels.len()).for_each(|i| ta_task(&ctx, i));
+        } else {
+            p.for_each(&ctx, panels.len(), ta_task);
+        }
     });
 }
 
@@ -1459,6 +1507,7 @@ mod tests {
             let a = RowSource::Gathered {
                 src: src.as_slice(),
                 ids: &ids,
+                scale: None,
             };
             let blocks = got.iter_mut().map(Tensor::as_mut_slice);
             gemm_grouped_transpose_a_blocks(a, &counts, ac, d.as_slice(), n, blocks);
@@ -1533,6 +1582,7 @@ mod tests {
             let a = RowSource::Gathered {
                 src: src.as_slice(),
                 ids: &ids,
+                scale: None,
             };
             gemm_grouped(a, &counts, k, |e| ws[e].as_slice(), n, &mut got);
             assert_eq!(bits(&got), bits(&want), "case {case}");
@@ -1570,6 +1620,7 @@ mod tests {
             let gathered_a = RowSource::Gathered {
                 src: src.as_slice(),
                 ids: &ids,
+                scale: None,
             };
             for a in [RowSource::Contiguous(gathered.as_slice()), gathered_a] {
                 let mut got = residual.clone();
@@ -1577,9 +1628,156 @@ mod tests {
                 let sink = RowSink::Combine {
                     out,
                     ids: &ids,
-                    weights: &weights,
+                    weights: Some(&weights),
                 };
                 gemm_grouped(a, &counts, k, w, n, sink);
+                assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "case {case}");
+            }
+        }
+    }
+
+    /// An `[tokens, n]` output gradient with `-0.0`s on every third element.
+    fn grad_with_negative_zeros(tokens: usize, n: usize, seed: u64) -> Tensor {
+        let mut g = Tensor::rand_uniform(tokens, n, 1.0, seed);
+        for (i, v) in g.as_mut_slice().iter_mut().enumerate() {
+            if i % 3 == 0 {
+                *v = -0.0;
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn dot_sink_matches_nn_then_combine_backward_rows_bitwise() {
+        // The schedule the dot sink replaces: the NN into a `[total, n]`
+        // buffer, then `combine_backward_rows` over it, whose `d_w` the sink
+        // must give from contiguous and from gathered `A` rows.
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (case, (counts, tokens, k, n)) in routed_cases().into_iter().enumerate() {
+            let total: usize = counts.iter().sum();
+            let src = Tensor::rand_uniform(tokens, k, 1.0, 8484);
+            let ids = routed_ids(&counts, tokens, 85);
+            let weights: Vec<f32> = (0..total).map(|i| 0.25 + (i % 5) as f32 * 0.125).collect();
+            let ws: Vec<Tensor> = (0..counts.len())
+                .map(|e| Tensor::rand_uniform(k, n, 1.0, 700 + e as u64))
+                .collect();
+            let d_out = grad_with_negative_zeros(tokens, n, 8686);
+            let mut gathered = Tensor::zeros(0, 0);
+            crate::gather_rows_into(&src, &ids, &mut gathered);
+            let w = |e: usize| ws[e].as_slice();
+            let mut y = Tensor::zeros(total, n);
+            gemm_grouped(gathered.as_slice(), &counts, k, w, n, y.as_mut_slice());
+            let mut want = Vec::new();
+            crate::combine_backward_rows(&d_out, &ids, &mut y, &weights, &mut want);
+            let gathered_a = RowSource::Gathered {
+                src: src.as_slice(),
+                ids: &ids,
+                scale: None,
+            };
+            for a in [RowSource::Contiguous(gathered.as_slice()), gathered_a] {
+                let mut got = vec![f32::NAN; total];
+                let sink = RowSink::Dot {
+                    grad: d_out.as_slice(),
+                    ids: &ids,
+                    d_w: &mut got,
+                };
+                gemm_grouped(a, &counts, k, w, n, sink);
+                assert_eq!(bits(&got), bits(&want), "case {case}");
+            }
+        }
+    }
+
+    #[test]
+    fn scaled_gathered_source_matches_materialised_d_y_bitwise() {
+        // The schedule the scaled source replaces: `combine_backward_rows`
+        // writes `d_y = w_i · d_out[t_i]` over a `[total, n]` buffer, which
+        // the NT reads as its `A` (`d_h = d_y·W2ᵀ`) and the TN as its `D`
+        // (`dW2 += act^T·d_y`, AddFresh onto random gradient blocks).
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (case, (counts, tokens, f, h)) in routed_cases().into_iter().enumerate() {
+            let total: usize = counts.iter().sum();
+            assert_eq!(total * f * h >= PAR_CUTOFF, case == 1);
+            let ids = routed_ids(&counts, tokens, 87);
+            let weights: Vec<f32> = (0..total).map(|i| 0.5 - (i % 7) as f32 * 0.0625).collect();
+            let d_out = grad_with_negative_zeros(tokens, h, 8888);
+            let mut d_y = Tensor::rand_uniform(total, h, 1.0, 8989);
+            crate::combine_backward_rows(&d_out, &ids, &mut d_y, &weights, &mut Vec::new());
+            let scaled = RowSource::Gathered {
+                src: d_out.as_slice(),
+                ids: &ids,
+                scale: Some(&weights),
+            };
+            // NT: `W2_e` is `[f, h]`; the product is `[total, f]`.
+            let w2: Vec<Tensor> = (0..counts.len())
+                .map(|e| Tensor::rand_uniform(f, h, 1.0, 900 + e as u64))
+                .collect();
+            let w = |e: usize| w2[e].as_slice();
+            let mut want = vec![f32::NAN; total * f];
+            gemm_grouped_transpose_b(d_y.as_slice(), &counts, h, w, f, &mut want);
+            let mut got = vec![f32::NAN; total * f];
+            gemm_grouped_transpose_b(scaled, &counts, h, w, f, &mut got);
+            assert_eq!(bits(&got), bits(&want), "NT A, case {case}");
+            // TN: `act` is `[total, f]`, the blocks `[f, h]`.
+            let act = Tensor::rand_uniform(total, f, 1.0, 9090);
+            let grads: Vec<Tensor> = (0..counts.len())
+                .map(|e| Tensor::rand_uniform(f, h, 1.0, 950 + e as u64))
+                .collect();
+            let (mut want, mut got) = (grads.clone(), grads.clone());
+            let act = RowSource::Contiguous(act.as_slice());
+            let blocks = want.iter_mut().map(Tensor::as_mut_slice);
+            gemm_grouped_transpose_a_blocks(act, &counts, f, d_y.as_slice(), h, blocks);
+            let blocks = got.iter_mut().map(Tensor::as_mut_slice);
+            gemm_grouped_transpose_a_blocks(act, &counts, f, scaled, h, blocks);
+            for e in 0..counts.len() {
+                let (got, want) = (got[e].as_slice(), want[e].as_slice());
+                assert_eq!(bits(got), bits(want), "TN D, case {case}, expert {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn nt_combine_matches_nt_then_scatter_rows_unit_bitwise() {
+        // The schedule the unit-weight NT combine replaces: the NT into a
+        // `[total, n]` buffer (`d_input = d_h·W1ᵀ`), then `scatter_rows_unit`
+        // onto a residual (`d_x`) holding `-0.0`s, from contiguous and from
+        // gathered `A` rows.
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (case, (counts, tokens, k, n)) in routed_cases().into_iter().enumerate() {
+            let total: usize = counts.iter().sum();
+            assert_eq!(total * k * n >= PAR_CUTOFF, case == 1);
+            let src = Tensor::rand_uniform(tokens, k, 1.0, 9292);
+            let ids = routed_ids(&counts, tokens, 93);
+            let ws: Vec<Tensor> = (0..counts.len())
+                .map(|e| Tensor::rand_uniform(n, k, 1.0, 1000 + e as u64))
+                .collect();
+            let residual = grad_with_negative_zeros(tokens, n, 9494);
+            let mut gathered = Tensor::zeros(0, 0);
+            crate::gather_rows_into(&src, &ids, &mut gathered);
+            let w = |e: usize| ws[e].as_slice();
+            let mut d_input = Tensor::zeros(total, n);
+            gemm_grouped_transpose_b(
+                gathered.as_slice(),
+                &counts,
+                k,
+                w,
+                n,
+                d_input.as_mut_slice(),
+            );
+            let mut want = residual.clone();
+            crate::scatter_rows_unit(&d_input, &ids, &mut want);
+            let gathered_a = RowSource::Gathered {
+                src: src.as_slice(),
+                ids: &ids,
+                scale: None,
+            };
+            for a in [RowSource::Contiguous(gathered.as_slice()), gathered_a] {
+                let mut got = residual.clone();
+                let sink = RowSink::Combine {
+                    out: got.as_mut_slice(),
+                    ids: &ids,
+                    weights: None,
+                };
+                gemm_grouped_transpose_b(a, &counts, k, w, n, sink);
                 assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "case {case}");
             }
         }

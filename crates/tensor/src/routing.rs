@@ -156,18 +156,51 @@ fn combine_backward_chunk<const R: usize>(
     {
         let i = i0 + g * R;
         let grad: [&[f32]; R] = std::array::from_fn(|r| d_out.row(ids[i + r]));
-        let mut dot = [0.0f32; R];
-        for c in 0..cols {
-            for r in 0..R {
-                dot[r] += grad[r][c] * y[r * cols + c];
-            }
-        }
-        d_w.copy_from_slice(&dot);
+        d_w.copy_from_slice(&dot_rows(
+            grad,
+            std::array::from_fn(|r| &y[r * cols..][..cols]),
+        ));
         for (r, y) in y.chunks_exact_mut(cols).enumerate() {
             for (d, &gv) in y.iter_mut().zip(grad[r]) {
                 *d = weights[i + r] * gv;
             }
         }
+    }
+}
+
+/// `⟨grad[r], y[r]⟩` for `R` row pairs at once: each a sequential sum over
+/// the columns in order from `0.0` — the combine backward's expression, the
+/// `R` sums interleaved only to hide the add latency.
+#[inline(always)]
+fn dot_rows<const R: usize>(grad: [&[f32]; R], y: [&[f32]; R]) -> [f32; R] {
+    // Every row cut to one length up front, so the loop runs unchecked.
+    let cols = y[0].len();
+    let (grad, y) = (grad.map(|g| &g[..cols]), y.map(|y| &y[..cols]));
+    let mut dot = [0.0f32; R];
+    for c in 0..cols {
+        for r in 0..R {
+            dot[r] += grad[r][c] * y[r][c];
+        }
+    }
+    dot
+}
+
+/// `d_w[i] = ⟨d_out[ids[i]], y_i⟩` for the `cols`-wide rows `y_i` of `y`
+/// (`d_out` row-major, `cols` wide): the combine-weight gradients of
+/// [`combine_backward_rows`], bit for bit, without its `d_y` — what the
+/// grouped GEMM's dot sink computes over rows it has just made.
+pub(crate) fn combine_dots(d_out: &[f32], ids: &[usize], y: &[f32], cols: usize, d_w: &mut [f32]) {
+    const R: usize = 8;
+    let row = |t: usize| &d_out[t * cols..][..cols];
+    let y_row = |i: usize| &y[i * cols..][..cols];
+    let full = d_w.len() - d_w.len() % R;
+    let (head, tail) = d_w.split_at_mut(full);
+    for (g, d_w) in head.chunks_exact_mut(R).enumerate() {
+        let grad: [&[f32]; R] = std::array::from_fn(|r| row(ids[g * R + r]));
+        d_w.copy_from_slice(&dot_rows(grad, std::array::from_fn(|r| y_row(g * R + r))));
+    }
+    for (i, d_w) in (full..).zip(tail) {
+        *d_w = dot_rows([row(ids[i])], [y_row(i)])[0];
     }
 }
 

@@ -1,6 +1,8 @@
 //! The worker pool's allocation gate at this crate's own level: after
 //! warm-up, every pooled entry point — the three grouped GEMMs (the NN also
-//! from gathered rows and into a combine, both of which pack per thread), row-chunked
+//! from gathered rows, into a combine and into a dot; the NT from scaled
+//! gathered rows and into a unit-weight combine; the TN from a scaled
+//! gathered `D` — all of which pack per thread), row-chunked
 //! dense NN and NT GEMMs (both NTs pack `Bᵀ` into the per-thread scratch:
 //! segments of 33+ rows are above `NT_PACK_MIN_ROWS`), the chunked SiLU
 //! passes and the fused combine backward — runs *above* its parallel cutoff
@@ -9,9 +11,9 @@
 //! sees no sibling test's traffic inside the counted window.
 
 use xmoe_tensor::{
-    combine_backward_rows, gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_b,
-    matmul_slices, matmul_transpose_b_slices, silu_grad_slice, silu_into, silu_slice,
-    CountingAlloc, RowSink, RowSource, Tensor,
+    combine_backward_rows, gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_a_blocks,
+    gemm_grouped_transpose_b, matmul_slices, matmul_transpose_b_slices, silu_grad_slice, silu_into,
+    silu_slice, CountingAlloc, RowSink, RowSource, Tensor,
 };
 
 #[global_allocator]
@@ -47,21 +49,57 @@ fn pooled_kernels_allocate_nothing_after_warm_up() {
         row += cnt;
     }
     let mut out = Tensor::zeros(64, n);
+    let mut dots = vec![0.0f32; total];
     let mut step = || {
         gemm_grouped(a.as_slice(), &counts, k, |i| w[i].as_slice(), n, &mut c);
         let gathered = RowSource::Gathered {
             src: tokens.as_slice(),
             ids: &routed,
+            scale: None,
         };
         gemm_grouped(gathered, &counts, k, |i| w[i].as_slice(), n, &mut c);
         let combine = RowSink::Combine {
             out: out.as_mut_slice(),
             ids: &routed,
-            weights: &weights,
+            weights: Some(&weights),
         };
         gemm_grouped(a.as_slice(), &counts, k, |i| w[i].as_slice(), n, combine);
+        let dot = RowSink::Dot {
+            grad: out.as_slice(),
+            ids: &routed,
+            d_w: &mut dots,
+        };
+        gemm_grouped(a.as_slice(), &counts, k, |i| w[i].as_slice(), n, dot);
         gemm_grouped_transpose_b(a.as_slice(), &counts, k, |i| wt[i].as_slice(), n, &mut c);
+        // The local backward's forms: `d_y` read by id and scaled, as the
+        // NT's `A` and the TN's `D`, and the NT adding into its tokens.
+        let scaled = RowSource::Gathered {
+            src: tokens.as_slice(),
+            ids: &routed,
+            scale: Some(&weights),
+        };
+        gemm_grouped_transpose_b(scaled, &counts, k, |i| wt[i].as_slice(), n, &mut c);
+        let unit = RowSink::Combine {
+            out: out.as_mut_slice(),
+            ids: &routed,
+            weights: None,
+        };
+        gemm_grouped_transpose_b(a.as_slice(), &counts, k, |i| wt[i].as_slice(), n, unit);
         gemm_grouped_transpose_a(a.as_slice(), &counts, k, d.as_slice(), n, &mut g);
+        let blocks = g.chunks_exact_mut(k * n);
+        let scaled_d = RowSource::Gathered {
+            src: out.as_slice(),
+            ids: &routed,
+            scale: Some(&weights),
+        };
+        gemm_grouped_transpose_a_blocks(
+            RowSource::Contiguous(a.as_slice()),
+            &counts,
+            k,
+            scaled_d,
+            n,
+            blocks,
+        );
         matmul_slices(a.as_slice(), total, k, w[0].as_slice(), n, &mut c);
         matmul_transpose_b_slices(a.as_slice(), total, k, wt[0].as_slice(), n, &mut c);
         y.as_mut_slice().copy_from_slice(d.as_slice());

@@ -6,6 +6,7 @@
 //! nothing else differs, so they agree bit for bit by construction.
 
 use xmoe_collectives::CommError;
+use xmoe_core::expert::{expert_ffn_out, FfnRows};
 use xmoe_core::gating::{row_logsumexp_into, RouterGuard};
 use xmoe_core::pft::Pft;
 use xmoe_core::pipeline::padding_free::{self, ExpertKernel, ExpertSaves, LayerState, Transport};
@@ -14,7 +15,7 @@ use xmoe_core::price::{self, BWD_COMPUTE_FACTOR as BWD, F32};
 use xmoe_core::Expert;
 use xmoe_tensor::{
     add_assign, combine_backward_rows, gemm_grouped_transpose_a_blocks, gemm_grouped_transpose_b,
-    matmul_transpose_a_add, matmul_transpose_b_slices, scatter_rows_unit, silu_grad_slice,
+    matmul_transpose_a_add, matmul_transpose_b_slices, scatter_rows_unit, silu_grad_slice, RowSink,
     RowSource, Tensor, Workspace,
 };
 
@@ -136,11 +137,17 @@ pub(crate) fn forward(
 /// the forward ran: combine backward → the exchange of the expert-FFN
 /// backward → dispatch transpose → router backward. Accumulates `g_gate`
 /// and `g_experts`, returns `d_x` (leased from `ws`) and hands the expert
-/// saves back. The expert FFN's input rows are the saved ones where they
-/// came over a wire; under `Local` they are the layer input's own rows,
-/// read again by the PFT's token ids. `d_out` carries `loss_scale`, which the aux and z-loss terms
-/// take on too. Each stage charges `BWD_COMPUTE_FACTOR`× its forward price
-/// under `bwd_*`, as [`xmoe_core::perf::PerfModel::step`] prices a backward.
+/// saves back. Over a wire (`Ep`) the combine backward turns the saved
+/// outputs into `d_y` rows, which travel to the experts, come back as
+/// `d_input` in the same buffer and are scattered onto `d_x`. `Local` keeps
+/// no such rows: at the expert stage the combine-weight gradients dot a
+/// recomputed `y = h_act·W2` against `d_out` (each row dropped once dotted),
+/// `d_y = w·d_out[t]` is read by the PFT's token ids, the expert input is
+/// the layer input read again by id, and the last GEMM adds `d_input`
+/// straight onto `d_x` — every value the bits of the `Ep` schedule. `d_out`
+/// carries `loss_scale`, which the aux and z-loss terms take on too. Each
+/// stage charges `BWD_COMPUTE_FACTOR`× its forward price under `bwd_*`, as
+/// [`xmoe_core::perf::PerfModel::step`] prices a backward.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn backward(
     p: &RouterParams,
@@ -157,46 +164,72 @@ pub(crate) fn backward(
     let mut d_x = ws.take_for_overwrite(d_out.rows(), h);
     d_x.as_mut_slice().copy_from_slice(d_out.as_slice());
 
-    // Source side: d_combine rows (PFT order) and combine-weight grads.
-    let mut d_combine = std::mem::take(&mut ctx.experts.combine_in);
-    combine_backward(&ctx.layer.route.pft, &mut d_combine, d_out, &mut ctx.d_w);
-    let n = ctx.pft().len();
+    // Source side, over a wire: d_combine rows (PFT order) and
+    // combine-weight grads. `Local` has no rows to send.
+    let MoeCtx {
+        layer,
+        experts: saves,
+        x,
+        d_w,
+        ..
+    } = &mut *ctx;
+    let local = matches!(transport, Transport::Local);
+    let mut d_combine = std::mem::take(&mut saves.combine_in);
+    if !local {
+        combine_backward(&layer.route.pft, &mut d_combine, d_out, d_w);
+    }
+    let n = layer.route.pft.len();
     let mut meter = transport.meter();
     meter.charge("bwd_buffer_combine", |c| BWD * price::gather(c, n, h));
-    let (saves, x) = (&ctx.experts, ctx.x.as_slice());
     let labels = ("bwd_combine_a2a", "bwd_expert", "bwd_dispatch_a2a");
     let d_dispatch = transport.exchange(
-        &mut ctx.layer.route,
+        &mut layer.route,
         d_combine,
         labels,
         ws,
-        |plan, counts, pft, chunk_dy, mut meter, ws| {
+        |plan, counts, pft, mut chunk, mut meter, _| {
             let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
             let n = (r1 - r0) as f64;
             meter.charge("bwd_expert", |c| BWD * price::expert_seq(c, n, h, f, F32));
-            let input = match pft {
-                Some(pft) => RowSource::Gathered {
-                    src: x,
-                    ids: &pft.token_ids,
-                },
-                None => RowSource::Contiguous(&saves.input.as_slice()[r0 * h..r1 * h]),
+            let (experts, grads) = (&experts[e0..e1], &mut g_experts[e0..e1]);
+            let h_pre = &saves.h_pre.as_slice()[r0 * f..r1 * f];
+            let h_act = &mut saves.h_act.as_mut_slice()[r0 * f..r1 * f];
+            let (input, rows) = match pft {
+                None => {
+                    let input = &saves.input.as_slice()[r0 * h..r1 * h];
+                    (input.into(), FfnRows::InPlace(chunk.as_mut_slice()))
+                }
+                Some(pft) => {
+                    let ids = &pft.token_ids;
+                    // d_w_i = <d_out[t_i], y_i>, with y_i = h_act_i·W2 made
+                    // again and dropped once dotted.
+                    d_w.clear();
+                    d_w.resize(ids.len(), 0.0);
+                    let grad = d_out.as_slice();
+                    expert_ffn_out(experts, counts, h_act, RowSink::Dot { grad, ids, d_w });
+                    let scale = Some(pft.combine_weights.as_slice());
+                    let d_y = RowSource::Gathered {
+                        src: grad,
+                        ids,
+                        scale,
+                    };
+                    let (src, scale) = (x.as_slice(), None);
+                    let (out, weights) = (d_x.as_mut_slice(), None);
+                    let d_input = RowSink::Combine { out, ids, weights };
+                    let input = RowSource::Gathered { src, ids, scale };
+                    (input, FfnRows::Apart(d_y, d_input))
+                }
             };
-            expert_ffn_backward(
-                &experts[e0..e1],
-                &mut g_experts[e0..e1],
-                counts,
-                (h, f),
-                input,
-                &saves.h_pre.as_slice()[r0 * f..r1 * f],
-                &saves.h_act.as_slice()[r0 * f..r1 * f],
-                chunk_dy,
-                ws,
-            )
+            expert_ffn_backward(experts, grads, counts, (h, f), input, h_pre, h_act, rows);
+            chunk
         },
     )?;
     ctx.release_expert_saves(ws);
-    // Scatter dispatch grads back to token positions (gather transpose).
-    scatter_rows_unit(&d_dispatch, &ctx.pft().token_ids, &mut d_x);
+    // Scatter dispatch grads back to token positions (gather transpose);
+    // `Local`'s last expert GEMM added them onto `d_x` already.
+    if !local {
+        scatter_rows_unit(&d_dispatch, &ctx.pft().token_ids, &mut d_x);
+    }
     ws.recycle(d_dispatch);
     let mut meter = transport.meter();
     meter.charge("bwd_buffer_dispatch", |c| BWD * price::gather(c, n, h));
@@ -208,18 +241,19 @@ pub(crate) fn backward(
     Ok(d_x)
 }
 
-/// Backward of [`expert_ffn`](xmoe_core::expert::expert_ffn) over the same segments: adds
-/// `dW2_e = act_e^T·dy_e` and `dW1_e = x_e^T·d_h_e` onto `grads` and returns
-/// `d_input` (leased from `ws`). `input` gives the rows `x_e`: saved, or
-/// gathered from the layer input by token id, which the TN kernel packs one
-/// expert at a time, so no `[rows, h]` copy exists. `d_y` is a lease of `ws`
-/// too, taken by value and recycled after its last read, so `d_input` can
-/// have its buffer. Each expert's product is summed on its own
-/// and then added to its gradient tensor in one step (the TN kernel's
-/// AddFresh store) — accumulating the terms straight into `grads` would
-/// reassociate the float sums — with no staging block and no transpose
-/// materialised (the transpose-A kernel keeps the accumulation order of
-/// transpose-then-matmul).
+/// Backward of [`expert_ffn`](xmoe_core::expert::expert_ffn) over the same
+/// segments: adds `dW2_e = act_e^T·dy_e` and `dW1_e = x_e^T·d_h_e` onto
+/// `grads`, reading `dy` and putting `d_input` where `rows` says
+/// ([`FfnRows`]: `d_input` over the `dy` rows that came over a wire, or `dy`
+/// read by id and `d_input` added onto the layer's `d_x`). `input` gives the
+/// rows `x_e`: saved, or gathered from the layer input by token id, which
+/// the TN kernel packs one expert at a time, so no `[rows, h]` copy exists.
+/// `d_h` is written over `h_act` once the `dW2` product has read it. Each
+/// expert's product is summed on its own and then added to its gradient
+/// tensor in one step (the TN kernel's AddFresh store) — accumulating the
+/// terms straight into `grads` would reassociate the float sums — with no
+/// staging block and no transpose materialised (the transpose-A kernel
+/// keeps the accumulation order of transpose-then-matmul).
 #[allow(clippy::too_many_arguments)]
 fn expert_ffn_backward(
     experts: &[Expert],
@@ -228,35 +262,28 @@ fn expert_ffn_backward(
     (h, f): (usize, usize),
     input: RowSource<'_>,
     h_pre: &[f32],
-    h_act: &[f32],
-    d_y: Tensor,
-    ws: &mut Workspace,
-) -> Tensor {
-    let rows = counts.iter().sum::<usize>();
+    h_act: &mut [f32],
+    rows: FfnRows,
+) {
+    let d_y = rows.source();
     let dw2 = grads.iter_mut().map(|g| g.w2.as_mut_slice());
-    let act = RowSource::Contiguous(h_act);
-    gemm_grouped_transpose_a_blocks(act, counts, f, d_y.as_slice(), h, dw2);
-    // d_act = dy·W2^T, then through SiLU. For-overwrite: the grouped NT
-    // writes every row of `d_h` (and of `d_input` below).
-    let mut d_h = ws.take_for_overwrite(rows, f);
+    gemm_grouped_transpose_a_blocks(RowSource::Contiguous(h_act), counts, f, d_y, h, dw2);
+    // d_act = dy·W2^T over the activations' buffer, then through SiLU.
     let w2 = |e: usize| experts[e].w2.as_slice();
-    gemm_grouped_transpose_b(d_y.as_slice(), counts, h, w2, f, d_h.as_mut_slice());
-    ws.recycle(d_y);
-    silu_grad_slice(d_h.as_mut_slice(), h_pre);
+    gemm_grouped_transpose_b(d_y, counts, h, w2, f, &mut *h_act);
+    let d_h = h_act;
+    silu_grad_slice(d_h, h_pre);
     let dw1 = grads.iter_mut().map(|g| g.w1.as_mut_slice());
-    gemm_grouped_transpose_a_blocks(input, counts, h, d_h.as_slice(), f, dw1);
-    let mut d_input = ws.take_for_overwrite(rows, h);
+    gemm_grouped_transpose_a_blocks(input, counts, h, &*d_h, f, dw1);
     let w1 = |e: usize| experts[e].w1.as_slice();
-    gemm_grouped_transpose_b(d_h.as_slice(), counts, f, w1, h, d_input.as_mut_slice());
-    ws.recycle(d_h);
-    d_input
+    gemm_grouped_transpose_b(&*d_h, counts, f, w1, h, rows.sink());
 }
 
-/// Source-side combine backward, in place: records the combine-weight
-/// gradients `d_w_i = <d_out[t_i], y_i>` in `d_w` for [`router_backward`],
-/// then overwrites each expert output row `y_i` with `d_y[i] = w_i ·
-/// d_out[t_i]` (PFT order), turning the forward's saved outputs into the
-/// exchange's gradient rows with no new lease.
+/// Source-side combine backward over a wire, in place: records the
+/// combine-weight gradients `d_w_i = <d_out[t_i], y_i>` in `d_w` for
+/// [`router_backward`], then overwrites each expert output row `y_i` with
+/// `d_y[i] = w_i · d_out[t_i]` (PFT order), turning the forward's saved
+/// outputs into the exchange's gradient rows with no new lease.
 fn combine_backward(pft: &Pft, y: &mut Tensor, d_out: &Tensor, d_w: &mut Vec<f32>) {
     let (ids, w) = (&pft.token_ids, &pft.combine_weights);
     combine_backward_rows(d_out, ids, y, w, d_w);

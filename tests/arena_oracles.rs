@@ -8,12 +8,13 @@
 //!
 //! The high-water oracles bound what an arena holds after warm-up at a
 //! fine-grained shape: the layer pass keeps no copy it does not need (a
-//! local pass reads the tokens by id and, saving nothing, combines inside
-//! its second expert GEMM; the experts write their outputs over the rows
-//! that arrived over a wire; the combine backward writes its gradient over
-//! the saved outputs; the local backward reads the expert input from the
-//! layer input by token id), so a routed-row `[n, H]` buffer more than the
-//! dataflow needs shows as a bound exceeded. Under RBD the pilots go out
+//! local pass reads the tokens by id and combines inside its second expert
+//! GEMM, and its backward reads the expert input and `d_y` by token id,
+//! makes `y` again only to dot it and adds `d_input` onto `d_x` inside the
+//! GEMM that makes it; over a wire the experts write their outputs over the
+//! rows that arrived, and the combine backward its gradient over the saved
+//! outputs), so a routed-row `[n, H]` buffer more than the dataflow needs
+//! shows as a bound exceeded. Under RBD the pilots go out
 //! straight from the tokens and the experts read straight from the wire, so
 //! the state keeps no PFT-order rows at all. Under flat EP every wire buffer
 //! comes home to the rank that filled it, so no peer's buffer lands in an
@@ -174,11 +175,9 @@ fn a_pooled_forward_arena_holds_no_routed_row_buffer() {
     }
     // No `[n, H]` buffer exists: the first expert GEMM reads the tokens by
     // id and the second combines into the output. The arena holds the
-    // `[n, F]` hidden-layer strip (SiLU in place) and the `[s, H]` output;
-    // this bound, from when the strip was `[n, 2F]`, still admits an
-    // `[n, F]` more — the next oracle holds the exact ledger.
+    // `[n, F]` hidden-layer strip (SiLU in place) and the `[s, H]` output.
     let retained = state.ws.stats().retained_f32;
-    let bound = with_grow_slack(n * 2 * f + s * h);
+    let bound = with_grow_slack(n * f + s * h);
     assert!(
         retained <= bound,
         "pooled forward arena retains {retained} f32 > strip + out = {bound} \
@@ -340,7 +339,7 @@ fn a_pooled_rbd_forward_holds_no_pft_order_rows() {
 }
 
 #[test]
-fn a_trainable_moe_step_arena_holds_one_routed_row_buffer() {
+fn a_trainable_moe_step_arena_holds_no_routed_row_buffer() {
     let (s, h, f, e, k) = FINE;
     let n = k * s;
     let mut layer = TrainableMoe::new(h, f, e, k, n, DropPolicy::CapacityOnly, 71);
@@ -354,16 +353,18 @@ fn a_trainable_moe_step_arena_holds_one_routed_row_buffer() {
         st.ws.recycle(d_x);
         layer.zero_grads();
     }
-    // At the backward's peak: the saved outputs (overwritten by their
-    // gradient, then `d_input`'s buffer), `h_pre`, `h_act` and `d_h`. The
-    // expert input is no buffer: the backward reads the layer input by token
-    // id. The `s`-sized leases are the output, `d_x` and the router
-    // backward's `[s, E]` pair and `[s, H]` input gradient.
+    // No routed row has an `[n, H]` buffer: the forward combines inside its
+    // second expert GEMM; the backward reads the expert input and `d_y` by
+    // token id, makes `y` again only to dot it, and adds `d_input` onto
+    // `d_x` inside the GEMM that makes it. What is left at the backward's
+    // peak is `h_pre` and `h_act` (`d_h` is written over it), the output
+    // and `d_x`; the router backward's `[s, E]` pair and `[s, H]` input
+    // gradient reuse the hidden layer's buffers, handed back by then.
     let retained = st.ws.stats().retained_f32;
-    let bound = with_grow_slack(n * h + 3 * n * f + 3 * s * h + 2 * s * e);
+    let bound = with_grow_slack(2 * n * f + 2 * s * h);
     assert!(
         retained <= bound,
-        "train step arena retains {retained} f32 > 1·[n, H] + 3·[n, F] + s-sized = {bound} \
+        "train step arena retains {retained} f32 > 2·[n, F] + 2·[s, H] = {bound} \
          (an [n, H] buffer is {})",
         n * h
     );

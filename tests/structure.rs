@@ -672,7 +672,7 @@ static LINTS: &[Lint] = &[
         scope: Scope::NonTest,
         unit: Unit::Hits,
         hits: leases,
-        cap: Cap::AtMost(9),
+        cap: Cap::AtMost(7),
         yes: "    let d_y = ws.take(n, h);",
         no: "    let d_y = ws.retake(n, h);",
     },
