@@ -12,8 +12,7 @@
 //!   attention;
 //! - `grouped`: one `gemm_grouped` batch over E uneven expert segments
 //!   against the back-to-back per-expert loop and against per-call scoped
-//!   spawning (the schedule the persistent pool replaced); `dense`: one
-//!   expert owning every row against `matmul_slices`;
+//!   spawning (the schedule the persistent pool replaced);
 //! - full run only: `transpose` (materialise `Bᵀ` + NN against
 //!   `matmul_transpose_b`) and `zero_skip` (dense `A` against `A` with every
 //!   other 8-row group zeroed).
@@ -22,12 +21,12 @@
 //! The gates, each skipped where its hazard cannot show: NT >= 0.75x NN at
 //! the two fine-grained backward shapes (avx2 / avx512 tiers); grouped >=
 //! 1.3x sequential at e=256 x 16 rows (>= 2 lanes on >= 2 cores); pool >=
-//! 0.8x scoped spawn (>= 2 lanes); grouped >= dense / 1.25; in the full run,
-//! transpose-free <= 1.25x materialising and half-zero `A` >= 1.5x faster
-//! than dense. The live checks are bitwise identities: every grouped kernel
-//! against its per-segment public kernel, and the three expert schedules
-//! against each other. The pool size is fixed per process, so CI runs it
-//! twice: at the default lane count and under `XMOE_THREADS=1`.
+//! 0.8x scoped spawn (>= 2 lanes); in the full run, transpose-free <= 1.25x
+//! materialising and half-zero `A` >= 1.5x faster than dense. The live
+//! checks are bitwise identities: every grouped kernel against its
+//! per-segment public kernel, and the three expert schedules against each
+//! other. The pool size is fixed per process, so CI runs it twice: at the
+//! default lane count and under `XMOE_THREADS=1`.
 
 use std::time::Instant;
 
@@ -335,9 +334,9 @@ fn scoped_spawn_experts(input: &[f32], counts: &[usize], k: usize, w: &[&Tensor]
     }
 }
 
-/// The `grouped` rows and the `dense` row, plus the live checks that every
-/// schedule gave the same bits.
-fn grouped_rows(at: &Machine, smoke: bool) -> (Vec<Record>, Vec<Check>) {
+/// The `grouped` rows, plus the live check that every schedule gave the
+/// same bits.
+fn grouped_rows(at: &Machine, smoke: bool) -> (Vec<Record>, Check) {
     // x[rows,256] @ w[256,256] per expert: wide enough that the gate shape
     // is >= 2 ms per call on the avx512 tier, narrow enough that a 16-row
     // segment (1 M MACs) stays below the single-GEMM parallel cutoff, so the
@@ -385,36 +384,12 @@ fn grouped_rows(at: &Machine, smoke: bool) -> (Vec<Record>, Vec<Check>) {
             );
         }
     }
-
-    // One expert holding every row: the grouped entry point degenerates to a
-    // single panel-split GEMM.
-    let dm = 4096usize;
-    let input = Tensor::rand_uniform(dm, k, 1.0, 0x6E52);
-    let (a, w0) = (input.as_slice(), weights[0].as_slice());
-    let (mut c_dense, mut c_grp) = (vec![f32::NAN; dm * n], vec![f32::NAN; dm * n]);
-    let [t_dense, t_grp] = per_call([
-        &mut || matmul_slices(a, dm, k, w0, n, &mut c_dense),
-        &mut || gemm_grouped(a, &[dm], k, |_| w0, n, &mut c_grp),
-    ]);
-    recs.push(
-        at.row("dense")
-            .cfg("rows", int(dm))
-            .metric("matmul_us", us(t_dense))
-            .metric("grouped_us", us(t_grp)),
+    let check = identity(
+        "grouped GEMM == sequential per-expert loop == scoped spawn, bitwise",
+        &diverged,
+        format!("{} shapes", recs.len()),
     );
-    let checks = vec![
-        identity(
-            "grouped GEMM == sequential per-expert loop == scoped spawn, bitwise",
-            &diverged,
-            format!("{} shapes", recs.len() - 1),
-        ),
-        Check::new(
-            "single-expert grouped GEMM == matmul_slices, bitwise",
-            bits_equal(&c_dense, &c_grp),
-            format!("{dm} rows, [{dm},{k}] @ [{k},{n}]"),
-        ),
-    ];
-    (recs, checks)
+    (recs, check)
 }
 
 /// The full run's `transpose` rows: `C = A @ B^T` from row-major operands
@@ -525,15 +500,13 @@ fn run(smoke: bool) -> Outcome {
     let title = "strided causal NN views, 1 lane (GFLOP/s of the causal half)";
     print_records(title, std::slice::from_ref(&causal));
     recs.push(causal);
-    let (grouped, checks) = grouped_rows(&at, smoke);
-    let (many, dense) = grouped.split_at(grouped.len() - 1);
+    let (grouped, check) = grouped_rows(&at, smoke);
     print_records(
         "grouped vs sequential vs scoped-spawn expert GEMM (us)",
-        many,
+        &grouped,
     );
-    print_records("one expert owning every row (us)", dense);
     recs.extend(grouped);
-    live.extend(checks);
+    live.push(check);
     if !smoke {
         for (table, (rows, check)) in [
             (
@@ -625,13 +598,6 @@ fn gates(recs: &[Record]) -> Result<Vec<Check>, String> {
             format!("measured {vs_scoped:.2}x on the many-small shape"),
         ));
     }
-    let dense = Record::tagged(recs, "table", "dense")?;
-    let vs_dense = ratio(dense, "matmul_us", "grouped_us")?;
-    checks.push(Check::new(
-        "grouped GEMM never worse than dense matmul (within 25% noise)",
-        vs_dense >= 1.0 / 1.25,
-        format!("measured {vs_dense:.2}x; a single whole-buffer expert is the same panel schedule"),
-    ));
 
     // The full run (all six kernel shapes) adds the transpose and zero-skip tables.
     if kernels.len() == KERNEL_SHAPES.len() {
@@ -704,12 +670,6 @@ mod tests {
                     .metric("scoped_spawn_us", us(8.2e-3)),
             );
         }
-        let dense = at.row("dense").cfg("rows", int(4096));
-        recs.push(
-            dense
-                .metric("matmul_us", us(7e-3))
-                .metric("grouped_us", us(7.2e-3)),
-        );
         for (table, slow, fast) in [
             ("transpose", "materialize_us", "transpose_free_us"),
             ("zero_skip", "dense_us", "half_zero_us"),
@@ -728,9 +688,8 @@ mod tests {
 
     /// Where the records of `passing()` sit.
     const MANY: usize = 8;
-    const DENSE: usize = 9;
-    const TRANSPOSE: usize = 10;
-    const ZERO_SKIP: usize = 14;
+    const TRANSPOSE: usize = 9;
+    const ZERO_SKIP: usize = 13;
 
     /// The claims `recs` fail.
     fn failed(recs: &[Record]) -> Vec<String> {
@@ -759,7 +718,7 @@ mod tests {
     fn a_passing_run_passes_and_each_gate_is_live() {
         let recs = passing();
         assert_eq!(failure(&BENCH, &recs), None);
-        assert_eq!(gates(&recs).unwrap().len(), 6);
+        assert_eq!(gates(&recs).unwrap().len(), 5);
 
         let nt = "packed NT >= 0.75x NN";
         fails_only(&set(&recs, 1, "nt_gflops", Val::Fixed(59.0, 1)), nt);
@@ -767,8 +726,6 @@ mod tests {
         fails_only(&slow_seq, "grouped GEMM >= 1.3x");
         let slow_pool = set(&recs, MANY, "scoped_spawn_us", us(6e-3));
         fails_only(&slow_pool, "persistent pool not slower");
-        let slow_dense = set(&recs, DENSE, "grouped_us", us(9e-3));
-        fails_only(&slow_dense, "grouped GEMM never worse than dense");
         let slow_tf = set(&recs, TRANSPOSE + 1, "transpose_free_us", us(2.6e-3));
         fails_only(&slow_tf, "transpose-free kernel is not slower");
         let slow_skip = set(&recs, ZERO_SKIP + 3, "half_zero_us", us(1.5e-3));
@@ -783,7 +740,7 @@ mod tests {
             .cloned()
             .collect();
         assert_eq!(failure(&BENCH, &smoke), None);
-        assert_eq!(gates(&smoke).unwrap().len(), 4);
+        assert_eq!(gates(&smoke).unwrap().len(), 3);
         let many: Vec<Record> = recs
             .iter()
             .filter(|r| r.num("experts") != Ok(256.0))
@@ -799,15 +756,11 @@ mod tests {
         // The base tier: the NT gate is not held.
         let base = everywhere(&recs, "tier", tag("base"));
         assert!(failed(&set(&base, 1, "nt_gflops", Val::Fixed(9.0, 1))).is_empty());
-        assert_eq!(gates(&base).unwrap().len(), 5);
-        // One lane: neither grouped-speed gate binds; the dense one does.
+        assert_eq!(gates(&base).unwrap().len(), 4);
+        // One lane: neither grouped-speed gate binds.
         let one_lane = everywhere(&recs, "lanes", int(1));
         let slow = set(&one_lane, MANY, "sequential_us", us(6e-3));
         assert!(failed(&set(&slow, MANY, "scoped_spawn_us", us(6e-3))).is_empty());
-        fails_only(
-            &set(&one_lane, DENSE, "grouped_us", us(9e-3)),
-            "grouped GEMM never worse than dense",
-        );
         // One core: the 1.3x gate skips, the pool-vs-spawn bound still binds.
         let one_core = everywhere(&recs, "cores", int(1));
         assert!(failed(&set(&one_core, MANY, "sequential_us", us(10e-3))).is_empty());

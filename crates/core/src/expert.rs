@@ -198,14 +198,14 @@ pub(crate) fn widths(experts: &[Expert]) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmoe_tensor::{matmul, silu};
+    use xmoe_tensor::{matmul, silu_slice};
 
     impl Expert {
         /// The reference the grouped body is checked against: one expert's
         /// `silu(x @ w1) @ w2` on owned tensors.
         pub(crate) fn forward(&self, x: &Tensor) -> Tensor {
             let mut h = matmul(x, &self.w1);
-            silu(&mut h);
+            silu_slice(h.as_mut_slice());
             matmul(&h, &self.w2)
         }
     }

@@ -262,7 +262,7 @@ pub fn z_loss_value(lse: &[f32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmoe_tensor::{matmul, topk_rows};
+    use xmoe_tensor::{matmul, topk_rows_into};
 
     #[test]
     fn gate_selects_k_distinct_experts_per_token() {
@@ -344,7 +344,9 @@ mod tests {
             let want_clamped = clamp_logits(&mut logits, clamp);
             let mut scores = logits.clone();
             softmax_rows(&mut scores);
-            let (top_experts, combine_weights) = topk_rows(&scores, 3);
+            let (mut top_experts, mut combine_weights) = (Vec::new(), Vec::new());
+            let order = &mut Vec::new();
+            topk_rows_into(&scores, 3, &mut top_experts, &mut combine_weights, order);
             let clamped = gate_rows(&router.weight, 3, clamp, &tokens, &mut scratch, &mut pooled);
             assert_eq!(clamped, want_clamped);
             assert_eq!(pooled.top_experts, top_experts);

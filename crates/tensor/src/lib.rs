@@ -6,13 +6,12 @@
 //! * [`Tensor`] — a row-major 2-D `f32` matrix with shape checking.
 //! * [`matmul`] / [`matmul_into`] — register-tiled, multi-threaded GEMM on the
 //!   widest ISA tier the CPU has ([`gemm_tier`]).
-//! * Row-wise ops used by MoE gating: [`softmax_rows`], [`topk_rows`].
+//! * Row-wise ops used by MoE gating: [`softmax_rows`], [`topk_rows_into`].
 //! * Routing kernels mirroring the paper's Triton gather/scatter (§4.1.2):
-//!   [`gather_rows`], [`scatter_rows_scaled`].
+//!   [`gather_rows_into`], [`scatter_rows_scaled`].
 //! * The sequential GEMM over uneven expert segments (§B.4):
 //!   [`sequential_gemm`].
-//! * Array utilities mirroring Listing 1: [`argsort_desc_by`], [`cumsum`],
-//!   [`histogram`].
+//! * Array utilities mirroring Listing 1: [`argsort_desc_by`], [`histogram`].
 //!
 //! Steady-state allocation freedom is provided by [`pool::Workspace`], a
 //! per-rank arena that leases grow-only scratch tensors and index buffers to
@@ -43,22 +42,20 @@ pub use alloc::{
 pub use ops::{
     add_assign, add_assign_slice, axpy_slice, gelu_val_grad, gemm_tier, gemm_view, matmul,
     matmul_into, matmul_slices, matmul_transpose_a_add, matmul_transpose_b,
-    matmul_transpose_b_into, matmul_transpose_b_slices, relu, scale_assign, scaled_extend, silu,
-    silu_grad_slice, silu_into, silu_slice, softmax_rows, topk_rows, topk_rows_into, Causal, View,
-    ViewMut,
+    matmul_transpose_b_into, matmul_transpose_b_slices, scale_assign, scaled_extend,
+    silu_grad_slice, silu_into, silu_slice, softmax_rows, topk_rows_into, Causal, View, ViewMut,
 };
 #[doc(hidden)]
 pub use ops::{nt_pack_probe, NT_PACK_MIN_ROWS};
 pub use par::{
     gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_a_blocks,
-    gemm_grouped_transpose_b, pool_size, run_tasks, RowSink, RowSource, Task,
+    gemm_grouped_transpose_b, pool_size, RowSink, RowSource,
 };
 pub use pool::{Workspace, WorkspaceStats};
 pub use rng::DetRng;
 pub use routing::{
-    argsort_desc_by, argsort_desc_into, combine_backward_rows, cumsum, gather_rows,
-    gather_rows_into, histogram, scatter_rows_scaled, scatter_rows_unit, select_top_desc,
-    sequential_gemm,
+    argsort_desc_by, argsort_desc_into, combine_backward_rows, gather_rows_into, histogram,
+    scatter_rows_scaled, scatter_rows_unit, select_top_desc, sequential_gemm,
 };
 
 /// Number of worker threads used by parallel kernels (the size of the

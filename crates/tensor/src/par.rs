@@ -12,14 +12,17 @@
 //!   atomic counter, and the submitter blocks until every claimed index has
 //!   been executed. No timestamps, no randomness, no per-call allocation:
 //!   steady-state submission is one mutex hand-off and one condvar round.
-//! * [`run_tasks`] / [`Pool::for_each`] — the barrier APIs. `for_each` is the
-//!   safe monomorphic entry used by the kernels; `run_tasks` runs an explicit
-//!   descriptor slice.
+//! * [`Pool::for_each`] — the barrier API: the safe monomorphic entry every
+//!   kernel submits through.
 //! * [`gemm_grouped`] / [`gemm_grouped_transpose_b`] /
 //!   [`gemm_grouped_transpose_a`] — grouped expert GEMMs over the per-expert
-//!   segment table (`tokens_per_local_expert`). Whole experts, and row-panels
-//!   of large experts, become tasks, so E small GEMMs fill the machine even
-//!   when each one is below the per-call cutoff. The NN and NT read their
+//!   segment table (`tokens_per_local_expert`), and the workspace's only GEMM
+//!   scheduler: a dense product ([`crate::matmul_slices`],
+//!   [`crate::matmul_transpose_b_slices`], [`crate::matmul_transpose_a_add`])
+//!   is a grouped call over one segment. Whole experts, and row panels of
+//!   large experts (of their gradient blocks for the TN), become tasks, so E
+//!   small GEMMs fill the machine even when each one is below the per-call
+//!   cutoff. The NN and NT read their
 //!   `A` rows (the TN its `A` and `D` rows) by token id if asked, scaled
 //!   per row if asked ([`RowSource`]), and can add their product rows,
 //!   weighted or not, onto their tokens ([`RowSink::Combine`], one token
@@ -32,7 +35,7 @@
 //! Tasks own disjoint output slices (enforced through [`DisjointMut`]) and
 //! every output row is computed by exactly one task with the same fixed
 //! intra-row accumulation order as the serial kernels (the register tiles'
-//! single ascending k-walk; `gemm_tb_rows`' position-determined lanes).
+//! single ascending k-walk; the NT's position-determined lanes).
 //! Which thread runs a task, and in which order tasks retire, affects neither
 //! the values nor their rounding — results are bitwise identical to the
 //! serial schedule for any worker count, including 1.
@@ -41,7 +44,7 @@
 //!
 //! Workers mark themselves permanently untracked
 //! ([`crate::alloc::mark_thread_untracked`]), so the pool never charges a
-//! simulated rank's `thread_tracked_allocs` fence. Task descriptors for the
+//! simulated rank's `thread_tracked_allocs` fence. Panel descriptors for the
 //! grouped GEMMs live in a thread-local grow-once arena; after warm-up a
 //! grouped call performs zero tracked allocations. Pool startup itself
 //! (thread spawn) allocates on the first submitting thread — callers that
@@ -60,16 +63,15 @@ use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
 
 use crate::alloc::mark_thread_untracked;
 use crate::ops::{
-    add_assign_slice, axpy_slice, gemm_rows_offset, gemm_ta_rows, gemm_tb_rows, grown,
-    nt_pack_reserve, with_nt_b, NtB, MAX_TILE_ROWS,
+    add_assign_slice, axpy_slice, gemm_nn_rows, gemm_ta_rows, grown, nt_pack_reserve, with_nt_b,
+    NtB, MAX_TILE_ROWS,
 };
 use crate::routing::combine_dots;
 use crate::worker_threads;
 
-/// Below this `m*n*k` volume a GEMM (grouped: by *total* volume) runs
-/// serially on the caller: the work is too small to amortize even a
-/// persistent-pool barrier. Shared by `matmul_slices`,
-/// `matmul_transpose_b_slices` and the grouped entry points.
+/// Below this `m*n*k` volume a grouped GEMM (by *total* volume; a dense one
+/// is one segment) runs serially on the caller: the work is too small to
+/// amortize even a persistent-pool barrier.
 ///
 /// Measured with the register-tiled kernels (2-core Xeon @ 2.10 GHz, avx512
 /// tier, 2 lanes, `[rows, 64] @ [64, 128]` segments): a batch costs 10-15 us
@@ -348,46 +350,6 @@ impl Pool {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Task descriptors
-// ---------------------------------------------------------------------------
-
-/// One unit of work for [`run_tasks`]: an erased function applied to a
-/// context pointer with a caller-chosen index.
-pub struct Task {
-    /// The erased call; receives `ctx` and `index`.
-    pub call: unsafe fn(*const (), usize),
-    /// Opaque context passed through verbatim.
-    pub ctx: *const (),
-    /// Index passed through verbatim (tasks in one batch need not be 0..n).
-    pub index: usize,
-}
-
-// SAFETY: a Task is inert data; the safety burden of actually *running* it
-// concurrently is carried by the unsafe `run_tasks` contract.
-unsafe impl Send for Task {}
-unsafe impl Sync for Task {}
-
-/// Run every descriptor in `tasks` across the pool and block until all have
-/// executed (the barrier API of the issue). Prefer [`Pool::for_each`] where a
-/// homogeneous index range suffices — it needs no descriptor array at all.
-///
-/// # Safety
-///
-/// Every `task.call` must be safe to invoke concurrently with the others
-/// (disjoint output ranges), and every `task.ctx` must stay alive until this
-/// function returns.
-pub unsafe fn run_tasks(tasks: &[Task]) {
-    unsafe fn shim(p: *const (), i: usize) {
-        // SAFETY: p is the live slice base of `tasks`, i < tasks.len().
-        let t = unsafe { &*(p as *const Task).add(i) };
-        // SAFETY: forwarded `run_tasks` contract.
-        unsafe { (t.call)(t.ctx, t.index) }
-    }
-    // SAFETY: shim indexes within the slice; concurrency contract forwarded.
-    unsafe { pool().run_raw(shim, tasks.as_ptr() as *const (), tasks.len()) }
-}
-
 /// A `Sync` view of a mutable `f32` buffer for tasks that write disjoint
 /// ranges. The pool's `fn`-pointer task shape forbids capturing `&mut`
 /// borrows; this wrapper carries the one mutable output of a batch and makes
@@ -427,80 +389,6 @@ impl<'a> DisjointMut<'a> {
         // from the same lengths they validated); non-overlap per contract.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Row-chunked single GEMMs (the matmul_slices parallel path)
-// ---------------------------------------------------------------------------
-
-/// Which single GEMM [`par_gemm_rows`] chunks by rows of `C`.
-#[derive(Clone, Copy)]
-pub(crate) enum Slab {
-    /// `C = A @ B`: `a` is `[m, k]`, `b` is `[k, n]`.
-    Nn,
-    /// `C = A @ B^T`: `a` is `[m, k]`, `b` is `[n, k]`.
-    Nt,
-    /// `C += A^T @ D`: `a` is `[k, m]`, `b` (`D`) is `[k, n]`.
-    Ta,
-}
-
-struct SlabCtx<'a> {
-    kind: Slab,
-    a: &'a [f32],
-    b: &'a [f32],
-    c: DisjointMut<'a>,
-    m: usize,
-    k: usize,
-    n: usize,
-    chunk: usize,
-}
-
-fn slab_task(s: &SlabCtx<'_>, i: usize) {
-    let row0 = i * s.chunk;
-    let rows = s.chunk.min(s.m - row0);
-    // SAFETY: chunks tile 0..m disjointly; one task per chunk.
-    let c_seg = unsafe { s.c.slice(row0 * s.n, rows * s.n) };
-    match s.kind {
-        Slab::Nn => gemm_rows_offset(s.a, s.b, c_seg, row0, rows, s.k, s.n),
-        Slab::Nt => gemm_tb_rows(s.a, s.b, c_seg, row0, rows, s.k, s.n),
-        Slab::Ta => gemm_ta_rows(s.a, s.b, c_seg, row0, rows, s.k, s.m, s.n),
-    }
-}
-
-/// Row-chunked parallel GEMM over the pool (`C` is `[m, n]`, `k` the
-/// reduction length; operand shapes per [`Slab`]); the replacement for the
-/// per-call `std::thread::scope` spawns `matmul_slices` and
-/// `matmul_transpose_b_slices` used to pay. Each row is computed by one task
-/// with the serial kernel, so results are bitwise identical to the serial
-/// call however the rows are chunked.
-pub(crate) fn par_gemm_rows(
-    kind: Slab,
-    a: &[f32],
-    m: usize,
-    k: usize,
-    b: &[f32],
-    n: usize,
-    c: &mut [f32],
-) {
-    let p = pool();
-    if let Slab::Nt = kind {
-        nt_pack_reserve(n * k);
-    }
-    let threads = p.size().min(m.max(1));
-    // Whole row groups per chunk, so only the last chunk ends in a ragged tile.
-    let chunk = m.div_ceil(threads).next_multiple_of(MAX_TILE_ROWS);
-    let tasks = m.div_ceil(chunk);
-    let ctx = SlabCtx {
-        kind,
-        a,
-        b,
-        c: DisjointMut::new(c),
-        m,
-        k,
-        n,
-        chunk,
-    };
-    p.for_each(&ctx, tasks, slab_task);
 }
 
 // ---------------------------------------------------------------------------
@@ -552,24 +440,28 @@ pub(crate) fn par_elementwise(dst: &mut [f32], src: &[f32], op: fn(&mut [f32], &
 // Grouped expert GEMMs
 // ---------------------------------------------------------------------------
 
-/// One grouped-GEMM task's rows: a row-panel (or whole segment) of one
-/// expert's segment.
+/// One grouped-GEMM task's rows: a row panel (or whole segment) of one
+/// expert's segment for the NN/NT; for the TN, the expert's whole segment
+/// and a row panel (or all rows) of its gradient block.
 #[derive(Clone, Copy)]
 struct Panel {
     /// First input row of the panel (global, segment-major).
     row0: usize,
-    /// Rows in the panel.
+    /// Input rows in the panel.
     rows: usize,
     /// Per-expert weight pointer (NN/NT); null for TN.
     b: *const f32,
     /// The expert's own gradient block (TN); null for NN/NT.
     block: *mut f32,
+    /// The block rows `(first, count)` the panel owns (TN); `(0, 0)` for
+    /// NN/NT.
+    block_rows: (usize, usize),
 }
 
 // SAFETY: `b` is read-only shared data kept alive by the grouped entry
 // point's borrow for the whole batch; `block` comes from a `&mut [f32]` the
-// entry point holds for the whole batch, and exactly one task (one panel per
-// expert) dereferences it.
+// entry point holds for the whole batch, and each of its row ranges is
+// dereferenced by exactly one task (the panels carve them disjointly).
 unsafe impl Send for Panel {}
 unsafe impl Sync for Panel {}
 
@@ -698,7 +590,7 @@ impl RowSource<'_> {
         c: &mut [f32],
     ) {
         let mul = |a: &[f32], c: &mut [f32], rows: usize| match w {
-            Weight::Nn(b) => gemm_rows_offset(a, b, c, 0, rows, k, n),
+            Weight::Nn(b) => gemm_nn_rows(a, b, c, rows, k, n),
             Weight::Nt(b) => b.gemm(a, c, rows),
         };
         match self {
@@ -916,6 +808,20 @@ fn grouped_task(g: &GroupedCtx<'_>, i: usize) {
     }
 }
 
+/// Rows per panel when a batch's panels split `rows` output rows in all:
+/// ~`per_lane` panels per lane (more balance uneven segments), but never
+/// below [`MIN_PANEL_ROWS`], and in whole row groups so that only a
+/// segment's (a block's) last panel ends in a ragged tile; no split on the
+/// serial schedule.
+fn panel_rows(p: &Pool, serial: bool, rows: usize, per_lane: usize) -> usize {
+    if serial {
+        return usize::MAX;
+    }
+    MIN_PANEL_ROWS
+        .max(rows.div_ceil(p.size() * per_lane))
+        .next_multiple_of(MAX_TILE_ROWS)
+}
+
 /// Fill `panels` with the non-empty segments of `counts`, split into panels
 /// of at most `panel_rows` rows, expert `e`'s weight at `weight_ptr(e)`.
 fn fill_panels(
@@ -939,6 +845,7 @@ fn fill_panels(
                 rows,
                 b,
                 block: std::ptr::null_mut(),
+                block_rows: (0, 0),
             });
             off += rows;
         }
@@ -1013,16 +920,13 @@ fn grouped<'b>(
     if !matches!(sink, SharedSink::Rows(_)) {
         pack_reserve(&COMBINE_PACKED, widest * n);
     }
-    // Row panels of ~4 per lane so uneven segments still balance, but never
-    // below MIN_PANEL_ROWS, and in whole row groups so that only a
-    // segment's last panel ends in a ragged tile; whole segments for a
-    // combine (its tasks are token ranges) and on the serial schedule.
+    // Whole segments for a combine (its tasks are token ranges). Every NT
+    // panel packs its expert's `B_eᵀ` (`n·k` moves) before multiplying, so
+    // NT panels are one per lane: at a dense `[256, 192] x [64, 192]ᵀ`, ~4 per
+    // lane made the call ~20 % slower (2 lanes, 2-core Xeon @ 2.10 GHz).
     let panel_rows = match sink {
         SharedSink::Combine { .. } => usize::MAX,
-        _ if serial => usize::MAX,
-        _ => MIN_PANEL_ROWS
-            .max(total.div_ceil(p.size() * 4))
-            .next_multiple_of(MAX_TILE_ROWS),
+        _ => panel_rows(p, serial, total, if nt { 1 } else { 4 }),
     };
     PANELS.with(|cell| {
         let mut panels = cell.borrow_mut();
@@ -1110,7 +1014,7 @@ pub fn gemm_grouped_transpose_b<'a, 'b, 'c>(
     grouped((name, true), a.into(), counts, k, weight, n, c.into());
 }
 
-/// One grouped TN batch: one panel (a whole segment) per non-empty expert.
+/// One grouped TN batch: the row panels of every non-empty expert's block.
 struct TaCtx<'a> {
     a: RowSource<'a>,
     d: RowSource<'a>,
@@ -1119,21 +1023,23 @@ struct TaCtx<'a> {
     n: usize,
 }
 
-/// `C_e += A[seg_e]^T @ D[seg_e]` for panel `i`'s expert (the AddFresh
-/// store): a gathered `A` segment is first packed, in order, into this
-/// thread's [`ROWS_PACKED`] and a gathered `D` segment into its
-/// [`COMBINE_PACKED`], so the tile reads the same values in the same k-order
-/// as from contiguous rows.
+/// Rows `c0..c0 + c_rows` of `C_e += A[seg_e]^T @ D[seg_e]` for panel `i`
+/// (the AddFresh store), i.e. columns `c0..` of `A`: a gathered `A` segment
+/// is first packed, in order, into this thread's [`ROWS_PACKED`] and a
+/// gathered `D` segment into its [`COMBINE_PACKED`] — by every panel task
+/// of the expert — so the tile reads the same values in the same k-order as
+/// from contiguous rows.
 fn ta_task(g: &TaCtx<'_>, i: usize) {
     let (p, (ac, n)) = (g.panels[i], (g.ac, g.n));
+    let (c0, c_rows) = p.block_rows;
     // SAFETY: `block` was taken from a distinct `&mut [f32]` of length
     // `ac * n` per expert (checked by the entry point), alive for the
-    // batch, and this is the expert's only task.
-    let c = unsafe { std::slice::from_raw_parts_mut(p.block, ac * n) };
+    // batch; `c0 + c_rows <= ac`, and no other task owns these rows.
+    let c = unsafe { std::slice::from_raw_parts_mut(p.block.add(c0 * n), c_rows * n) };
     let seg = (p.row0, p.rows);
     g.a.rows(seg, ac, &ROWS_PACKED, |a| {
         g.d.rows(seg, n, &COMBINE_PACKED, |d| {
-            gemm_ta_rows(a, d, c, 0, ac, p.rows, ac, n)
+            gemm_ta_rows(a, d, c, c0, c_rows, p.rows, ac, n)
         })
     });
 }
@@ -1183,7 +1089,9 @@ pub fn gemm_grouped_transpose_a(
 /// to the block (the kernel's *AddFresh* store): the bits of staging every
 /// expert's product into a zeroed block and `add_assign_slice`-ing it on, at
 /// any worker count, for either source. An expert with no rows leaves its
-/// block untouched. One task per expert.
+/// block untouched. One task per row panel of a block — by the NN's panel
+/// rule over all the busy experts' block rows, so at MoE shapes a block is
+/// one panel and only a dense TN (one large segment) splits.
 pub fn gemm_grouped_transpose_a_blocks<'c, 'd>(
     a: RowSource<'_>,
     counts: &[usize],
@@ -1211,6 +1119,8 @@ pub fn gemm_grouped_transpose_a_blocks<'c, 'd>(
     }
     let p = pool();
     let serial = !p.is_parallel() || total * n * ac < PAR_CUTOFF;
+    let busy = counts.iter().filter(|&&cnt| cnt > 0).count();
+    let panel_rows = panel_rows(p, serial, busy * ac, 4);
     PANELS.with(|cell| {
         let mut panels = cell.borrow_mut();
         panels.clear();
@@ -1223,12 +1133,15 @@ pub fn gemm_grouped_transpose_a_blocks<'c, 'd>(
             );
             experts += 1;
             if cnt > 0 {
-                panels.push(Panel {
-                    row0: row,
-                    rows: cnt,
-                    b: std::ptr::null(),
-                    block: block.as_mut_ptr(),
-                });
+                for c0 in (0..ac).step_by(panel_rows) {
+                    panels.push(Panel {
+                        row0: row,
+                        rows: cnt,
+                        b: std::ptr::null(),
+                        block: block.as_mut_ptr(),
+                        block_rows: (c0, panel_rows.min(ac - c0)),
+                    });
+                }
             }
             row += cnt;
         }
@@ -1297,40 +1210,6 @@ mod tests {
             pool().for_each(&ctx, 64, task);
         }
         assert!(out.iter().all(|&v| v == 500.0), "{out:?}");
-    }
-
-    #[test]
-    fn run_tasks_executes_descriptor_slice() {
-        let mut a = vec![0.0f32; 8];
-        let mut b = vec![0.0f32; 8];
-        unsafe fn fill(p: *const (), idx: usize) {
-            // SAFETY: ctx is the DisjointMut below, alive across run_tasks.
-            let d = unsafe { &*(p as *const DisjointMut<'_>) };
-            // SAFETY: distinct indices → disjoint elements.
-            let s = unsafe { d.slice(idx, 1) };
-            s[0] = idx as f32 + 1.0;
-        }
-        let da = DisjointMut::new(&mut a);
-        let db = DisjointMut::new(&mut b);
-        let mut tasks = Vec::new();
-        for i in 0..8 {
-            tasks.push(Task {
-                call: fill,
-                ctx: &da as *const DisjointMut<'_> as *const (),
-                index: i,
-            });
-            tasks.push(Task {
-                call: fill,
-                ctx: &db as *const DisjointMut<'_> as *const (),
-                index: i,
-            });
-        }
-        // SAFETY: disjoint writes, contexts outlive the call.
-        unsafe { run_tasks(&tasks) };
-        for i in 0..8 {
-            assert_eq!(a[i], i as f32 + 1.0);
-            assert_eq!(b[i], i as f32 + 1.0);
-        }
     }
 
     fn grouped_fixture(
@@ -1419,17 +1298,38 @@ mod tests {
         // expert's product staged into a zeroed block, then added onto its
         // gradient expert by expert, idle experts skipped. Count vectors with
         // idle experts and with all but one chunk of experts zeroed (what a
-        // chunked caller sees), below and above the parallel cutoff.
+        // chunked caller sees), below and above the parallel cutoff; one and
+        // two experts above it, whose blocks split into row panels on the
+        // pool (a dense TN is the one-expert case). `A` and `D` are contiguous
+        // and gathered by token id, `D` scaled per row, so every panel task
+        // of an expert packs the segment itself.
         let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for (counts, ac, n) in [
-            (vec![3usize, 0, 4, 0, 0, 2], 5usize, 6usize),
-            (vec![0, 0, 61, 58, 0, 0, 0, 0], 100, 72),
-            (vec![75, 0, 78, 76, 0, 74], 100, 72),
+        let tokens = 64usize;
+        for (counts, ac, n, pooled) in [
+            (vec![3usize, 0, 4, 0, 0, 2], 5usize, 6usize, false),
+            (vec![0, 0, 61, 58, 0, 0, 0, 0], 100, 72, false),
+            (vec![75, 0, 78, 76, 0, 74], 100, 72, true),
+            (vec![300], 100, 72, true),
+            (vec![170, 140], 100, 72, true),
         ] {
             let total: usize = counts.iter().sum();
-            assert_eq!(total * ac * n >= PAR_CUTOFF, counts[0] == 75);
-            let a = Tensor::rand_uniform(total, ac, 1.0, 7474);
-            let d = Tensor::rand_uniform(total, n, 1.0, 7575);
+            assert_eq!(total * ac * n >= PAR_CUTOFF, pooled);
+            if counts.len() <= 2 {
+                // The panel rule splits these blocks (on any pool of 2+ lanes).
+                assert!(panel_rows(pool(), false, counts.len() * ac, 4) < ac);
+            }
+            let ids: Vec<usize> = (0..total).map(|i| (7 * i + 3) % tokens).collect();
+            let scale: Vec<f32> = (0..total).map(|i| 0.5 - (i % 7) as f32 * 0.0625).collect();
+            let a_src = Tensor::rand_uniform(tokens, ac, 1.0, 7474);
+            let d_src = Tensor::rand_uniform(tokens, n, 1.0, 7575);
+            let mut a = Tensor::zeros(0, 0);
+            crate::gather_rows_into(&a_src, &ids, &mut a);
+            let mut d = Tensor::zeros(total, n);
+            for (i, &t) in ids.iter().enumerate() {
+                for (v, &g) in d.row_mut(i).iter_mut().zip(d_src.row(t)) {
+                    *v = scale[i] * g;
+                }
+            }
             let grads: Vec<Tensor> = (0..counts.len())
                 .map(|e| Tensor::rand_uniform(ac, n, 1.0, 300 + e as u64))
                 .collect();
@@ -1454,20 +1354,33 @@ mod tests {
                 n,
                 got.iter_mut().map(Tensor::as_mut_slice),
             );
+            let mut gathered = grads.clone();
+            gemm_grouped_transpose_a_blocks(
+                RowSource::Gathered {
+                    src: a_src.as_slice(),
+                    ids: &ids,
+                    scale: None,
+                },
+                &counts,
+                ac,
+                RowSource::Gathered {
+                    src: d_src.as_slice(),
+                    ids: &ids,
+                    scale: Some(&scale),
+                },
+                n,
+                gathered.iter_mut().map(Tensor::as_mut_slice),
+            );
             // The contiguous-C wrapper is the same call over `chunks_exact_mut`.
             let mut flat: Vec<f32> = grads.iter().flat_map(|g| g.as_slice().to_vec()).collect();
             gemm_grouped_transpose_a(a.as_slice(), &counts, ac, d.as_slice(), n, &mut flat);
             for e in 0..counts.len() {
-                assert_eq!(
-                    bits(got[e].as_slice()),
-                    bits(want[e].as_slice()),
-                    "expert {e}"
-                );
-                assert_eq!(
-                    bits(&flat[e * ac * n..(e + 1) * ac * n]),
-                    bits(want[e].as_slice()),
-                    "expert {e} (contiguous)"
-                );
+                let want = bits(want[e].as_slice());
+                assert_eq!(bits(got[e].as_slice()), want, "expert {e} of {counts:?}");
+                let gathered = gathered[e].as_slice();
+                assert_eq!(bits(gathered), want, "expert {e} of {counts:?} (gathered)");
+                let flat = &flat[e * ac * n..(e + 1) * ac * n];
+                assert_eq!(bits(flat), want, "expert {e} of {counts:?} (contiguous)");
             }
         }
     }

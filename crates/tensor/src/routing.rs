@@ -4,28 +4,19 @@
 
 use crate::Tensor;
 
-/// Gather kernel (paper §4.1.2):
-/// `out[i, :] = src[token_ids[i], :]`.
-///
-/// This is how the dispatch buffer `dispatch_in` is assembled from the gating
-/// output. Rows are copied in parallel chunks; each copy is a contiguous
-/// row-major memcpy — the CPU equivalent of the paper's coalesced per-block
-/// vector copy.
-pub fn gather_rows(src: &Tensor, token_ids: &[usize]) -> Tensor {
-    let mut out = Tensor::zeros(token_ids.len(), src.cols());
-    gather_rows_into(src, token_ids, &mut out);
-    out
-}
-
 /// Below this many output elements the row kernels here ([`gather_rows_into`],
 /// [`combine_backward_rows`]) run inline instead of chunking over the pool.
 const ROWS_PAR_CUTOFF: usize = 1 << 14;
 
-/// [`gather_rows`] into a caller-owned destination, resized (grow-only
-/// capacity) to `[token_ids.len(), src.cols()]`. With a warm workspace tensor
-/// the call is allocation-free; large gathers run on the persistent worker
-/// pool ([`crate::par`]) as disjoint row-chunk memcpy tasks, which is
-/// trivially bitwise identical to the serial copy.
+/// Gather kernel (paper §4.1.2): `out[i, :] = src[token_ids[i], :]`, the
+/// way a dispatch buffer is assembled from the gating output, into a
+/// caller-owned destination resized (grow-only capacity) to
+/// `[token_ids.len(), src.cols()]`. Each row copy is a contiguous row-major
+/// memcpy — the CPU equivalent of the paper's coalesced per-block vector
+/// copy. With a warm workspace tensor the call is allocation-free; large
+/// gathers run on the persistent worker pool ([`crate::par`]) as disjoint
+/// row-chunk memcpy tasks, which is trivially bitwise identical to the
+/// serial copy.
 pub fn gather_rows_into(src: &Tensor, token_ids: &[usize], out: &mut Tensor) {
     let cols = src.cols();
     // For-overwrite: every output row is copied below.
@@ -335,17 +326,6 @@ pub fn select_top_desc(keys: &[f32], idx: &mut [usize], keep: usize) {
     }
 }
 
-/// Inclusive prefix sum.
-pub fn cumsum(xs: &[usize]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(xs.len());
-    let mut acc = 0usize;
-    for &x in xs {
-        acc += x;
-        out.push(acc);
-    }
-    out
-}
-
 /// Histogram of `values` into `bins` buckets; values must be `< bins`.
 pub fn histogram(values: &[usize], bins: usize) -> Vec<usize> {
     let mut h = vec![0usize; bins];
@@ -360,10 +340,17 @@ pub fn histogram(values: &[usize], bins: usize) -> Vec<usize> {
 mod tests {
     use super::*;
 
+    /// [`gather_rows_into`] into a fresh tensor.
+    fn gathered(src: &Tensor, ids: &[usize]) -> Tensor {
+        let mut out = Tensor::zeros(0, 0);
+        gather_rows_into(src, ids, &mut out);
+        out
+    }
+
     #[test]
     fn gather_reorders_rows() {
         let src = Tensor::from_fn(4, 2, |r, c| (r * 2 + c) as f32);
-        let out = gather_rows(&src, &[3, 0, 0]);
+        let out = gathered(&src, &[3, 0, 0]);
         assert_eq!(out.row(0), &[6.0, 7.0]);
         assert_eq!(out.row(1), &[0.0, 1.0]);
         assert_eq!(out.row(2), &[0.0, 1.0]);
@@ -373,7 +360,7 @@ mod tests {
     fn gather_large_parallel_path() {
         let src = Tensor::rand_uniform(500, 64, 1.0, 1);
         let ids: Vec<usize> = (0..500).rev().collect();
-        let out = gather_rows(&src, &ids);
+        let out = gathered(&src, &ids);
         for i in 0..500 {
             assert_eq!(out.row(i), src.row(499 - i));
         }
@@ -382,7 +369,7 @@ mod tests {
     #[test]
     fn gather_empty_ids() {
         let src = Tensor::rand_uniform(3, 4, 1.0, 2);
-        let out = gather_rows(&src, &[]);
+        let out = gathered(&src, &[]);
         assert_eq!(out.shape(), (0, 4));
     }
 
@@ -399,7 +386,7 @@ mod tests {
     fn scatter_then_gather_roundtrip_with_unit_weights() {
         let src = Tensor::from_fn(3, 2, |r, c| (r * 2 + c) as f32);
         let ids = vec![2usize, 0, 1];
-        let gathered = gather_rows(&src, &ids);
+        let gathered = gathered(&src, &ids);
         let mut restored = Tensor::zeros(3, 2);
         scatter_rows_scaled(&gathered, &ids, &[1.0; 3], &mut restored);
         assert!(restored.allclose(&src, 0.0));
@@ -484,7 +471,7 @@ mod tests {
             let y = Tensor::rand_uniform(rows, cols, 1.0, 42);
             let ids: Vec<usize> = (0..rows).map(|i| (i * 7 + 3) % tokens).collect();
             let w = Tensor::rand_uniform(1, rows, 1.0, 43).into_vec();
-            let mut want_dy = gather_rows(&d_out, &ids);
+            let mut want_dy = gathered(&d_out, &ids);
             let want_dw: Vec<f32> = (0..rows)
                 .map(|i| {
                     let mut dot = 0.0f32;
@@ -545,12 +532,6 @@ mod tests {
         gather_rows_into(&src, &[0, 1, 2], &mut out);
         assert_eq!(out.shape(), (3, 2));
         assert_eq!(out.row(2), &[4.0, 5.0]);
-    }
-
-    #[test]
-    fn cumsum_basic() {
-        assert_eq!(cumsum(&[1, 2, 3]), vec![1, 3, 6]);
-        assert!(cumsum(&[]).is_empty());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! warm-up, every pooled entry point — the three grouped GEMMs (the NN also
 //! from gathered rows, into a combine and into a dot; the NT from scaled
 //! gathered rows and into a unit-weight combine; the TN from a scaled
-//! gathered `D` — all of which pack per thread), row-chunked
-//! dense NN and NT GEMMs (both NTs pack `Bᵀ` into the per-thread scratch:
-//! segments of 33+ rows are above `NT_PACK_MIN_ROWS`), the chunked SiLU
+//! gathered `D` — all of which pack per thread), the dense NN, NT and TN
+//! (one-segment grouped calls; every NT packs `Bᵀ` into the per-thread
+//! scratch: segments of 33+ rows are above `NT_PACK_MIN_ROWS`), the chunked SiLU
 //! passes and the fused combine backward — runs *above* its parallel cutoff
 //! (`128^3` MACs, 16 Ki elements) without touching the heap. Its own test
 //! binary with exactly one `#[test]`, so the counting `#[global_allocator]`
@@ -12,8 +12,8 @@
 
 use xmoe_tensor::{
     combine_backward_rows, gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_a_blocks,
-    gemm_grouped_transpose_b, matmul_slices, matmul_transpose_b_slices, silu_grad_slice, silu_into,
-    silu_slice, CountingAlloc, RowSink, RowSource, Tensor,
+    gemm_grouped_transpose_b, matmul_slices, matmul_transpose_a_add, matmul_transpose_b_slices,
+    silu_grad_slice, silu_into, silu_slice, CountingAlloc, RowSink, RowSource, Tensor,
 };
 
 #[global_allocator]
@@ -33,6 +33,7 @@ fn pooled_kernels_allocate_nothing_after_warm_up() {
     let wt: Vec<Tensor> = w.iter().map(Tensor::transpose).collect();
     let mut c = vec![0.0f32; total * n];
     let mut g = vec![0.0f32; e * k * n];
+    let mut g_dense = Tensor::zeros(k, n);
     let mut act = vec![0.0f32; total * n];
     // Combine backward over the same 408 x 72 rows, gathered from 64 tokens;
     // it overwrites its expert outputs, so each step refills them by copy.
@@ -102,6 +103,7 @@ fn pooled_kernels_allocate_nothing_after_warm_up() {
         );
         matmul_slices(a.as_slice(), total, k, w[0].as_slice(), n, &mut c);
         matmul_transpose_b_slices(a.as_slice(), total, k, wt[0].as_slice(), n, &mut c);
+        matmul_transpose_a_add(&a, &d, &mut g_dense);
         y.as_mut_slice().copy_from_slice(d.as_slice());
         combine_backward_rows(&d, &ids, &mut y, &weights, &mut d_w);
         silu_into(d.as_slice(), &mut act);

@@ -154,39 +154,6 @@ pub fn build_grid_excluding(
     grid
 }
 
-/// Build an EP × DP grid over an explicit member list — the dual of
-/// [`build_grid_excluding`], used when ranks *join* mid-run: the present
-/// ranks (survivors plus joiners, original global ids, any order) are
-/// packed into a fresh grid in ascending order. As with the excluding
-/// variant, group members are original global ids and a member's dense
-/// rank is its position in the sorted member list.
-pub fn build_grid_including(
-    present: &[usize],
-    ep_size: usize,
-    policy: PlacementPolicy,
-) -> ProcessGrid {
-    let mut members: Vec<usize> = present.to_vec();
-    members.sort_unstable();
-    members.dedup();
-    assert!(
-        !members.is_empty(),
-        "cannot build a grid with no member ranks"
-    );
-    let mut grid = build_grid(members.len(), ep_size, policy);
-    for groups in [
-        &mut grid.ep_groups,
-        &mut grid.dp_groups,
-        &mut grid.tp_groups,
-    ] {
-        for grp in groups.iter_mut() {
-            for r in grp.iter_mut() {
-                *r = members[*r];
-            }
-        }
-    }
-    grid
-}
-
 // ---------------------------------------------------------------------
 // Expert → rank placement from observed routing histograms (MoETuner-style:
 // balance expert load across ranks and pack co-activated experts onto the
@@ -898,32 +865,6 @@ mod tests {
     #[should_panic(expected = "not divisible")]
     fn excluding_rejects_unbalanced_survivors() {
         let _ = build_grid_excluding(16, &[3], 4, PlacementPolicy::EpFirst);
-    }
-
-    #[test]
-    fn including_is_the_dual_of_excluding() {
-        // The survivors of a node-1 failure plus the returning ranks must
-        // rebuild the same grid as the original full world.
-        let excluded: Vec<usize> = (8..16).collect();
-        let shrunk = build_grid_excluding(16, &excluded, 4, PlacementPolicy::EpFirst);
-        let present: Vec<usize> = (0..16).collect();
-        let regrown = build_grid_including(&present, 4, PlacementPolicy::EpFirst);
-        let full = build_grid(16, 4, PlacementPolicy::EpFirst);
-        assert_eq!(regrown.ep_groups, full.ep_groups);
-        assert_eq!(regrown.dp_groups, full.dp_groups);
-        assert_eq!(shrunk.n_ranks, 8);
-
-        // Partial regrowth keeps original global ids, like the excluding
-        // variant: ranks {0..4} ∪ {8..12} form a 2-group EP grid.
-        let present: Vec<usize> = (0..4).chain(8..12).collect();
-        let g = build_grid_including(&present, 4, PlacementPolicy::EpFirst);
-        assert_eq!(g.n_ranks, 8);
-        assert_eq!(g.ep_groups[0], vec![0, 1, 2, 3]);
-        assert_eq!(g.ep_groups[1], vec![8, 9, 10, 11]);
-        // Member order and duplicates don't matter.
-        let shuffled: Vec<usize> = vec![11, 0, 8, 3, 2, 9, 1, 10, 0];
-        let g2 = build_grid_including(&shuffled, 4, PlacementPolicy::EpFirst);
-        assert_eq!(g2.ep_groups, g.ep_groups);
     }
 
     // --- expert placement from routing histograms ---

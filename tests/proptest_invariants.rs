@@ -9,7 +9,7 @@ use xmoe::core::gating::{DropPolicy, GatingOutput, Router};
 use xmoe::core::memory::{moe_layer_activation, MoeSystem};
 use xmoe::core::pft::Pft;
 use xmoe::core::rbd::{expected_redundancy_uniform, redundancy_rate};
-use xmoe::tensor::{gather_rows, scatter_rows_scaled, sequential_gemm, DetRng, Tensor};
+use xmoe::tensor::{gather_rows_into, scatter_rows_scaled, sequential_gemm, DetRng, Tensor};
 use xmoe::topology::{ClusterTopology, CongestionModel, CostModel, MachineSpec};
 
 const CASES: u64 = 64;
@@ -78,7 +78,8 @@ fn gather_scatter_roundtrip() {
         // Random permutation of rows.
         let mut ids: Vec<usize> = (0..rows).collect();
         rng.shuffle(&mut ids);
-        let gathered = gather_rows(&src, &ids);
+        let mut gathered = Tensor::zeros(0, 0);
+        gather_rows_into(&src, &ids, &mut gathered);
         let mut restored = Tensor::zeros(rows, cols);
         scatter_rows_scaled(&gathered, &ids, &vec![1.0; rows], &mut restored);
         assert!(restored.allclose(&src, 0.0), "case {case}");
