@@ -38,7 +38,7 @@ pub enum FfnRows<'a> {
     /// by the last — the rows that arrived over a wire, or a padded copy.
     InPlace(&'a mut [f32]),
     /// Input rows from a [`RowSource`] (under `Local`, the tokens — or the
-    /// scaled output gradients — read by id), outputs through a [`RowSink`]:
+    /// output gradients — read by id), outputs through a [`RowSink`]:
     /// a buffer of their own, or the combine straight into the layer output
     /// (or its input gradient).
     Apart(RowSource<'a>, RowSink<'a>),
@@ -73,9 +73,10 @@ impl<'a> FfnRows<'a> {
 /// overwritten whole (every row belongs to exactly one segment, which is
 /// also why one SiLU pass equals the per-segment ones), so it may be a
 /// for-overwrite lease; so may `h_act`. Training passes `h_act` and saves
-/// both; the forward-only callers pass `None`, and the SiLU runs in place
-/// over `h_pre` (the same expression, so the same bits), which the second
-/// product then reads.
+/// both (its backward's combine-weight gradient is `⟨d_out·W2ᵀ, h_act⟩`, so
+/// no pass keeps `y`); the forward-only callers pass `None`, and the SiLU
+/// runs in place over `h_pre` (the same expression, so the same bits),
+/// which the second product then reads.
 pub fn expert_ffn(
     experts: &[Expert],
     counts: &[usize],
@@ -101,16 +102,8 @@ pub fn expert_ffn(
             h_pre
         }
     };
-    expert_ffn_out(experts, counts, h_act, rows.sink());
-}
-
-/// [`expert_ffn`]'s second product, `y = h_act·W2` over the segments
-/// `counts`, into `sink`. The local training backward runs it again into a
-/// [`RowSink::Dot`] for the combine-weight gradient instead of keeping `y`:
-/// the same call over the same `h_act`, so the same bits.
-pub fn expert_ffn_out(experts: &[Expert], counts: &[usize], h_act: &[f32], sink: RowSink) {
-    let (h, f) = widths(experts);
-    gemm_grouped(h_act, counts, f, |e| experts[e].w2.as_slice(), h, sink);
+    let w2 = |e: usize| experts[e].w2.as_slice();
+    gemm_grouped(h_act, counts, f, w2, h, rows.sink());
 }
 
 /// The contiguous block of experts owned by one EP rank.

@@ -25,7 +25,7 @@ use crate::pipeline::block_sparse::forward_block_padded;
 use crate::pipeline::MoeLayerSpec;
 use crate::price::{self, Meter, F32};
 use crate::rbd::{PilotPolicy, RbdComms};
-use crate::route::{ChunkPlan, EpRoute};
+use crate::route::{Chunk, ChunkPlan, EpRoute, Payload};
 
 /// Persistent state for every pooled pipeline: the workspace arena plus
 /// every buffer the pipelines reuse across steps. One instance per rank,
@@ -90,10 +90,12 @@ pub struct LayerState {
 }
 
 /// What a training [`forward`] keeps for its backward, leased from the
-/// call's arena (the backward hands each back): expert-major, each row's
-/// input and the FFN's hidden layer before and after the SiLU; in PFT order,
-/// the expert outputs the combine read. Under `Local` only the hidden layer
-/// is kept — two `[n, F]` buffers, no `[n, H]` one.
+/// call's arena (the backward hands each back), all expert-major: each row's
+/// input and the FFN's hidden layer before and after the SiLU. No transport
+/// keeps the expert outputs: the backward forms each combine-weight gradient
+/// as `⟨d_out[t]·W2ᵀ, h_act⟩` at the experts, so the source sends out
+/// `d_out[t]` and needs no `y`. Under `Local` only the hidden layer is kept —
+/// two `[n, F]` buffers, no `[n, H]` one.
 #[derive(Clone, Default)]
 pub struct ExpertSaves {
     /// The rows the experts received, as they arrived over the wire; empty
@@ -101,14 +103,9 @@ pub struct ExpertSaves {
     /// them again by the PFT's token ids.
     pub input: Tensor,
     pub h_pre: Tensor,
-    /// The activations, whose buffer the backward then writes `d_h` over.
+    /// The activations, whose buffer the backward then writes `d_act` (and
+    /// `d_h`) over.
     pub h_act: Tensor,
-    /// The expert outputs in PFT order, under `Ep` in the very buffer the
-    /// dispatch rows were gathered into; the combine backward overwrites
-    /// them with their gradient and sends that buffer through the exchange.
-    /// Empty under `Local`: its second expert GEMM combines as it goes, and
-    /// the backward makes each row again only to dot it.
-    pub combine_in: Tensor,
 }
 
 /// How dispatched rows reach their experts and come back: the one thing
@@ -192,34 +189,42 @@ impl Transport<'_> {
     }
 
     /// The one expert exchange, forward activations and backward gradients
-    /// alike: PFT-order `rows` out to the experts, `compute` per chunk, back
+    /// alike: `outbound`'s PFT-order payload (and its side scalars, one per row,
+    /// which `compute` may overwrite) to the experts, `compute` per chunk, back
     /// in PFT order (see [`EpRoute::exchange`] for the closure's contract;
     /// here it also gets a PFT, below). `Local` is `compute` over the whole
     /// PFT, which it passes: its `token_ids` name the token behind each row,
     /// so a caller that keeps the tokens reads a row by id instead of
     /// gathering or saving a copy, and its `combine_weights` let a forward
-    /// combine where its outputs are made; `rows` pass through as the chunk
-    /// (empty, or a lease for the outputs). The other transports pass `None`:
-    /// their rows arrive over a wire. `Ep` is the route's exchange, serial or
-    /// chunked, under `labels = (dispatch, compute, combine)`.
-    /// `Rbd` sends the pilots its `plan` packed and runs `compute` once, under
-    /// its own labels; the per-(token, node) partials that come back stay in
-    /// the route for the combine, and `rows` (no PFT-order rows: empty unless
-    /// the state last served another transport) return unchanged.
+    /// combine where its outputs are made; the payload's rows pass through
+    /// as the chunk (empty, or a lease for the outputs; none for
+    /// [`Payload::Tokens`]), and so do the side scalars. The other transports
+    /// pass `None`: their rows arrive over a wire. `Ep` is the route's
+    /// exchange, serial or chunked, under `labels = (dispatch, compute,
+    /// combine)`. `Rbd` (forward only: no side scalars) sends the pilots
+    /// its `plan` packed and runs `compute` once, under its own labels; the
+    /// per-(token, node) partials that come back stay in the route for the
+    /// combine, and the rows (no PFT-order rows: empty unless the state last
+    /// served another transport) return unchanged.
     pub fn exchange<F>(
         &mut self,
         route: &mut EpRoute,
-        rows: Tensor,
+        outbound: (Payload, Option<&mut [f32]>),
         labels: (&str, &str, &str),
         ws: &mut Workspace,
         mut compute: F,
     ) -> Result<Tensor, CommError>
     where
-        F: FnMut(&ChunkPlan, &[usize], Option<&Pft>, Tensor, Meter, &mut Workspace) -> Tensor,
+        F: FnMut(&ChunkPlan, &[usize], Option<&Pft>, Chunk<'_>, Meter, &mut Workspace) -> Tensor,
     {
         // What a transport whose rows arrive over a wire runs.
-        let mut wired = |plan: &ChunkPlan, counts: &[usize], rows, meter: Meter<'_>, ws: &mut _| {
-            compute(plan, counts, None, rows, meter, ws)
+        let mut wired =
+            |plan: &ChunkPlan, counts: &[usize], chunk: Chunk<'_>, meter: Meter<'_>, ws: &mut _| {
+                compute(plan, counts, None, chunk, meter, ws)
+            };
+        let rows = |payload| match payload {
+            Payload::Rows(rows) => rows,
+            Payload::Tokens(_) => Tensor::default(),
         };
         match self {
             Transport::Local => {
@@ -230,21 +235,16 @@ impl Transport<'_> {
                     rows: (0, pft.len()),
                     chunk: (0, 1),
                 };
-                Ok(compute(
-                    &whole,
-                    counts,
-                    Some(pft),
-                    rows,
-                    Meter::default(),
-                    ws,
-                ))
+                let (payload, side) = outbound;
+                let (chunk, meter) = ((rows(payload), side.unwrap_or_default()), Meter::default());
+                Ok(compute(&whole, counts, Some(pft), chunk, meter, ws))
             }
             Transport::Ep {
                 comm,
                 clock,
                 overlap_chunks,
                 ..
-            } => route.exchange(rows, *overlap_chunks, labels, comm, clock, ws, wired),
+            } => route.exchange(outbound, *overlap_chunks, labels, comm, clock, ws, wired),
             Transport::Rbd {
                 comms,
                 clock,
@@ -252,9 +252,11 @@ impl Transport<'_> {
                 assignment,
                 ..
             } => {
+                let (payload, side) = outbound;
+                assert!(side.is_none(), "RBD carries no side scalars");
                 let (layout, chunks) = ((*comms, *assignment), *overlap_chunks);
                 route.rbd.exchange(layout, chunks, clock, ws, &mut wired)?;
-                Ok(rows)
+                Ok(rows(payload))
             }
         }
     }
@@ -374,16 +376,14 @@ pub(crate) fn run_experts(
 /// allocates on the serial schedule. No stage adds an `[n, H]` buffer:
 /// - Under `Ep` the experts compute in place over the rows that arrived
 ///   ([`run_experts`]) and the outputs come back into `state.rows` — or,
-///   with `saves` (training, plain kernel), into `saves.combine_in` beside
-///   the expert-side activations, the dispatch rows then being a lease of
-///   `ws`. `out` is leased after the exchange, so it can reuse the expert
-///   scratch.
+///   with `saves` (training, plain kernel), into a lease of `ws` (as were
+///   the dispatch rows), recycled right after the combine. `out` is leased
+///   after the exchange, so it can reuse the expert scratch.
 /// - `Local` gathers nothing and keeps no routed row: the first expert GEMM
 ///   reads the tokens by the PFT's ids, `out` is leased first and the
 ///   second GEMM combines straight into it, saves or not. The saves are the
-///   hidden layer alone (`saves.input` and `saves.combine_in` stay empty):
-///   a training caller keeps `tokens`, and its backward makes the outputs
-///   again to dot them.
+///   hidden layer alone (`saves.input` stays empty): a training caller
+///   keeps `tokens`.
 /// - `Rbd` gathers no PFT-order rows: its pilots go out straight from
 ///   `tokens`, the weighted partials come back into its wire buffers, and
 ///   `state.rows` stays as it was.
@@ -419,10 +419,10 @@ pub fn forward(
     let labels = ("dispatch_a2a", "expert", "combine_a2a");
     let combine_in = transport.exchange(
         route,
-        std::mem::take(rows),
+        (Payload::Rows(std::mem::take(rows)), None),
         labels,
         ws,
-        |plan, counts, pft, mut chunk, meter, ws| {
+        |plan, counts, pft, (mut chunk, _), meter, ws| {
             // Local experts [e0, e1): rows [r0, r1) of the saved buffers.
             let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
             let act = saves.as_deref_mut().map(|s| {
@@ -457,8 +457,9 @@ pub fn forward(
     transport.combine(route, &combine_in, &mut out);
     let (n, mut meter) = (route.pft.len(), transport.meter());
     meter.charge("buffer_combine", |c| price::gather(c, n, hidden));
+    // A training pass keeps no expert outputs: its backward needs none.
     match saves {
-        Some(saves) => saves.combine_in = combine_in,
+        Some(_) => ws.recycle(combine_in),
         None => *rows = combine_in,
     }
     Ok(out)
@@ -679,7 +680,9 @@ mod tests {
         // Out and back must return every row to its original position (the
         // property backward relies on), on every layout and schedule, and in
         // between the rows must sit expert-major: local expert ascending,
-        // then source rank, then source PFT order.
+        // then source rank, then source PFT order. Each row's side scalar
+        // rides with it, and what the experts write in its place comes back
+        // to the row's PFT position.
         let h = 6usize;
         for_each_layout(41, (20, h, 3), |name, asg, pfts| {
             SimCluster::frontier(4).run(|ctx| {
@@ -691,6 +694,7 @@ mod tests {
                     2 => i as f32,
                     _ => (c * 1000 + i) as f32,
                 });
+                let rows = pft.len();
                 let mut route = EpRoute::build(pft, asg, &ctx.world, &mut ctx.clock).unwrap();
                 let locals = asg.experts_on(ctx.rank);
                 // One arena and one route for every schedule, twice over:
@@ -703,15 +707,16 @@ mod tests {
                     if i == schedules.len() {
                         first_pass = (ws.stats().pool_misses, route.wire_capacity());
                     }
+                    let mut side: Vec<f32> = (0..rows).map(|i| i as f32).collect();
                     let back = route
                         .exchange(
-                            payload.clone(),
+                            (Payload::Rows(payload.clone()), Some(&mut side)),
                             chunks,
                             ("out", "check", "back"),
                             &ctx.world,
                             &mut ctx.clock,
                             &mut ws,
-                            |plan, counts, chunk, _, _| {
+                            |plan, counts, (chunk, side), _, _| {
                                 let (e0, e1) = plan.experts;
                                 let mut row = 0;
                                 for (&g, &n) in locals[e0..e1].iter().zip(counts) {
@@ -720,16 +725,22 @@ mod tests {
                                         let r = chunk.row(row);
                                         assert_eq!(r[0], g as f32, "{name}: expert");
                                         assert!((r[1], r[2]) > last, "{name}: source order");
+                                        assert_eq!(side[row], r[2], "{name}: side scalar");
+                                        side[row] = -r[2] - 1.0;
                                         last = (r[1], r[2]);
                                         row += 1;
                                     }
                                 }
                                 assert_eq!(row, chunk.rows(), "{name}: chunk rows");
+                                assert_eq!(side.len(), row, "{name}: side scalars");
                                 chunk
                             },
                         )
                         .unwrap();
                     assert!(back.allclose(&payload, 0.0), "{name} {chunks:?}");
+                    for (i, &v) in side.iter().enumerate() {
+                        assert_eq!(v, -(i as f32) - 1.0, "{name} {chunks:?}: side back");
+                    }
                     ws.recycle(back);
                 }
                 let second_pass = (ws.stats().pool_misses, route.wire_capacity());

@@ -50,7 +50,7 @@ use xmoe_topology::ExpertAssignment;
 
 use crate::pft::Pft;
 use crate::price::{self, Meter};
-use crate::route::ChunkPlan;
+use crate::route::{Chunk, ChunkPlan};
 
 /// The two communicators RBD needs: the EP group and its node-local
 /// subgroup, plus the precomputed position maps the hot path would
@@ -355,7 +355,7 @@ impl RbdScratch {
         mut compute: F,
     ) -> Result<(), CommError>
     where
-        F: FnMut(&ChunkPlan, &[usize], Tensor, Meter, &mut Workspace) -> Tensor,
+        F: FnMut(&ChunkPlan, &[usize], Chunk<'_>, Meter, &mut Workspace) -> Tensor,
     {
         let (ep, node) = (&comms.ep, &comms.node);
         let (w, hidden) = (ep.size(), self.hidden);
@@ -550,7 +550,8 @@ impl RbdScratch {
             rows: (0, n_rows),
             chunk: (0, 1),
         };
-        let mlp_out = compute(&whole, &counts, expert_input, Meter::new(ep, clock), ws);
+        let chunk = (expert_input, &mut [][..]);
+        let mlp_out = compute(&whole, &counts, chunk, Meter::new(ep, clock), ws);
 
         // --- Combine: reverse route -------------------------------------------
         // Scale outputs by their combine weights, then split by provenance. The

@@ -10,13 +10,14 @@
 //! combine are adjoint row relocations:
 //!
 //! ```text
-//! forward:  dispatch_in --> expert_input => y           --> combine_in
-//! backward: combine_in  => d_combine     --> d_y        -> d_expert_in --> d_dispatch
+//! forward:  dispatch_in --> expert_input => y       --> combine_in
+//! backward: d_out[t], w --> d_out rows   => d_input --> d_dispatch, d_w
 //! ```
 //!
 //! (`-->` is the route, `=>` a step computed in place: the expert outputs
-//! overwrite their input rows, and the combine backward overwrites the saved
-//! outputs with their gradient.)
+//! overwrite their input rows, the expert backward writes `d_input` over the
+//! `d_out` rows, and each row's *side* scalar `w` rides after the rows in
+//! the same wire buffers and comes back as `d_w`: 4 bytes per row per leg.)
 //!
 //! **Wire layout.** A source sends each destination one buffer: the PFT
 //! segments of the experts that destination holds *and* this source routes
@@ -60,6 +61,19 @@ use xmoe_topology::ExpertAssignment;
 use crate::pft::Pft;
 use crate::price::Meter;
 
+/// The rows an [`EpRoute::exchange`] sends, in PFT order: `[B, H]` rows
+/// leased from the caller's arena (recycled once on the wire), or row
+/// `pft.token_ids[i]` of an `[S, H]` tensor read straight into the wire
+/// (a backward's `d_out[t]`, with no `[B, H]` copy).
+pub enum Payload<'a> {
+    Rows(Tensor),
+    Tokens(&'a Tensor),
+}
+
+/// A chunk as the experts get it: its expert-major rows, and their side
+/// scalars (empty without any).
+pub type Chunk<'s> = (Tensor, &'s mut [f32]);
+
 /// The routing plan of one uneven expert exchange, reusable for forward
 /// activations and backward gradients. See the module docs.
 #[derive(Clone, Default)]
@@ -90,6 +104,8 @@ pub struct EpRoute {
     /// flight, and the shell the peers' pass through (empty between calls).
     wire_out: Vec<Vec<Vec<f32>>>,
     wire_in: Vec<Vec<f32>>,
+    /// The side scalars of the chunk at the experts.
+    side_in: Vec<f32>,
     /// RBD's pilot plan and wire buffers over the same PFT, used only when
     /// the layer pass runs over `Transport::Rbd`.
     pub(crate) rbd: crate::rbd::RbdScratch,
@@ -117,9 +133,10 @@ fn cut(len: usize, (c, k): (usize, usize)) -> (usize, usize) {
 /// Gather one wire buffer per peer out of `local` into `wire`, refilling
 /// each slot's buffer in place (grown to exactly its rows when they are a
 /// record): `blocks(peer)` lists the `(first row, rows)` runs bound for that
-/// peer, in wire order.
+/// peer, in wire order (row `r` is row `ids[r]` of `local`, with `ids`);
+/// `side`'s scalars, one per row, follow the rows in the same buffer.
 fn pack<I: Iterator<Item = (usize, usize)>>(
-    local: &Tensor,
+    (local, ids, side): (&Tensor, Option<&[usize]>, Option<&[f32]>),
     wire: &mut [Vec<f32>],
     blocks: impl Fn(usize) -> I,
 ) {
@@ -127,18 +144,30 @@ fn pack<I: Iterator<Item = (usize, usize)>>(
     for (peer, buf) in wire.iter_mut().enumerate() {
         let rows: usize = blocks(peer).map(|(_, n)| n).sum();
         buf.clear();
-        buf.reserve_exact(rows * h);
+        buf.reserve_exact(rows * (h + usize::from(side.is_some())));
         for (r, n) in blocks(peer) {
-            buf.extend_from_slice(&data[r * h..(r + n) * h]);
+            match ids {
+                None => buf.extend_from_slice(&data[r * h..(r + n) * h]),
+                Some(ids) => {
+                    for &t in &ids[r..r + n] {
+                        buf.extend_from_slice(&data[t * h..(t + 1) * h]);
+                    }
+                }
+            }
+        }
+        if let Some(side) = side {
+            for (r, n) in blocks(peer) {
+                buf.extend_from_slice(&side[r..r + n]);
+            }
         }
     }
 }
 
 /// Inverse of [`pack`]: scatter each peer's wire buffer to its runs of
-/// `local`. The buffers stay in `wire`.
+/// `local` (and of `side`). The buffers stay in `wire`.
 fn unpack<I: Iterator<Item = (usize, usize)>>(
     wire: &[Vec<f32>],
-    local: &mut Tensor,
+    (local, mut side): (&mut Tensor, Option<&mut [f32]>),
     blocks: impl Fn(usize) -> I,
 ) {
     let h = local.cols();
@@ -148,6 +177,12 @@ fn unpack<I: Iterator<Item = (usize, usize)>>(
         for (r, n) in blocks(peer) {
             data[r * h..(r + n) * h].copy_from_slice(&buf[at..at + n * h]);
             at += n * h;
+        }
+        if let Some(side) = side.as_deref_mut() {
+            for (r, n) in blocks(peer) {
+                side[r..r + n].copy_from_slice(&buf[at..at + n]);
+                at += n;
+            }
         }
         assert_eq!(at, buf.len(), "peer {peer} sent a payload off the route");
     }
@@ -252,11 +287,11 @@ impl EpRoute {
     }
 
     /// `(f32, u64)` element capacities of the wire buffers this route keeps
-    /// between calls, flat EP's and RBD's.
+    /// between calls, flat EP's (with its side scalars) and RBD's.
     pub fn wire_capacity(&self) -> (usize, usize) {
         let (f32s, u64s) = self.rbd.wire_capacity();
         let ep: usize = self.wire_out.iter().flatten().map(Vec::capacity).sum();
-        (f32s + ep, u64s)
+        (f32s + ep + self.side_in.capacity(), u64s)
     }
 
     /// Split the route into chunks over contiguous local-expert ranges (the
@@ -309,20 +344,20 @@ impl EpRoute {
         })
     }
 
-    /// `rows` (PFT order, `[B, H]`) → experts → `compute` → back: returns the
-    /// `[B, H]` result in the sender's PFT order. `rows` is a lease of `ws`,
-    /// taken by value and recycled as soon as it is on the wire.
+    /// `payload` (PFT order, `[B, H]`) → experts → `compute` → back: returns
+    /// the `[B, H]` result in the sender's PFT order; `side`'s scalars, one
+    /// per row, go and come back with their rows.
     ///
-    /// `compute(plan, counts, chunk_in, meter, ws)` runs once per chunk. It is
-    /// handed the chunk's expert-major `[r1 - r0, H]` input **by value**,
-    /// leased from `ws` — its to recycle there — and returns the same-shaped
-    /// output (the layer pass's expert stage returns the input itself,
-    /// overwritten), which the route sends back and recycles into `ws`.
-    /// `plan` says which local experts and which rows of the full
-    /// expert-major buffer the chunk is, `counts` the chunk's rows per local
-    /// expert. The closure
-    /// charges its own compute time to `meter`. The returned rows are a lease
-    /// from `ws` too.
+    /// `compute(plan, counts, (chunk_in, side), meter, ws)` runs once per
+    /// chunk. It is handed the chunk's expert-major `[r1 - r0, H]` input
+    /// **by value**, leased from `ws` — its to recycle there — and returns
+    /// the same-shaped output (the layer pass's expert stage returns the
+    /// input itself, overwritten), which the route sends back and recycles
+    /// into `ws`; the chunk's side scalars it may overwrite. `plan` says
+    /// which local experts and which rows of the full expert-major buffer
+    /// the chunk is, `counts` the chunk's rows per local expert. The closure
+    /// charges its own compute time to `meter`. The returned rows are a
+    /// lease from `ws` too.
     ///
     /// `labels = (dispatch, compute, combine)` name the stage buckets.
     ///
@@ -342,7 +377,7 @@ impl EpRoute {
     #[allow(clippy::too_many_arguments)]
     pub fn exchange<F>(
         &mut self,
-        rows: Tensor,
+        (payload, mut side): (Payload, Option<&mut [f32]>),
         chunks: Option<usize>,
         labels: (&str, &str, &str),
         ep: &Communicator,
@@ -351,55 +386,77 @@ impl EpRoute {
         mut compute: F,
     ) -> Result<Tensor, CommError>
     where
-        F: FnMut(&ChunkPlan, &[usize], Tensor, Meter, &mut Workspace) -> Tensor,
+        F: FnMut(&ChunkPlan, &[usize], Chunk<'_>, Meter, &mut Workspace) -> Tensor,
     {
         let (dispatch_label, compute_label, combine_label) = labels;
+        let (rows, ids) = match &payload {
+            Payload::Rows(rows) => (rows, None),
+            Payload::Tokens(src) => (*src, Some(&self.pft.token_ids[..])),
+        };
+        let in_order = ids.is_some() || rows.rows() == self.pft.len();
+        let sided = side.is_some();
+        assert!(in_order, "payload must be in PFT order");
         let (hidden, w) = (rows.cols(), self.world());
-        assert_eq!(rows.rows(), self.pft.len(), "payload must be in PFT order");
         let plans = chunks.map(|k| self.chunk_plans(k));
         let in_flight = plans.as_ref().map_or(1, Vec::len);
         // Out of `self` for the call, so the plan lookups below can borrow it.
         let mut homes = std::mem::take(&mut self.wire_out);
         let mut inbound = std::mem::take(&mut self.wire_in);
+        let mut side_in = std::mem::take(&mut self.side_in);
         homes.resize_with(in_flight, Vec::new);
         for shell in homes.iter_mut().chain([&mut inbound]) {
             shell.resize_with(w, Vec::new);
         }
         let counts = |p: ChunkPlan| &self.tokens_per_local_expert[p.experts.0..p.experts.1];
-        let at_experts = |plan: ChunkPlan, wire: &[Vec<f32>], ws: &mut Workspace| {
-            // For-overwrite: the arriving blocks tile the chunk.
-            let mut chunk_in = ws.take_for_overwrite(plan.rows.1 - plan.rows.0, hidden);
-            unpack(wire, &mut chunk_in, |src| self.expert_blocks(plan, src));
-            chunk_in
-        };
-        // The outputs go back in the buffers their inputs came in.
-        let to_source =
-            |plan: ChunkPlan, chunk_out: Tensor, wire: &mut [Vec<f32>], ws: &mut Workspace| {
-                assert_eq!(
-                    chunk_out.shape(),
-                    (plan.rows.1 - plan.rows.0, hidden),
-                    "compute must map chunk rows 1:1"
-                );
-                pack(&chunk_out, wire, |src| self.expert_blocks(plan, src));
-                ws.recycle(chunk_out);
+        let at_experts =
+            |plan: ChunkPlan, wire: &[Vec<f32>], side_in: &mut Vec<f32>, ws: &mut Workspace| {
+                let rows = plan.rows.1 - plan.rows.0;
+                // For-overwrite: the arriving blocks tile the chunk (and
+                // its side scalars, if any).
+                let mut chunk_in = ws.take_for_overwrite(rows, hidden);
+                side_in.resize(rows * usize::from(sided), 0.0);
+                let dst = (&mut chunk_in, sided.then_some(&mut side_in[..]));
+                unpack(wire, dst, |src| self.expert_blocks(plan, src));
+                chunk_in
             };
+        // The outputs go back in the buffers their inputs came in.
+        let to_source = |plan: ChunkPlan,
+                         (chunk_out, side_out): (Tensor, &[f32]),
+                         wire: &mut [Vec<f32>],
+                         ws: &mut Workspace| {
+            assert_eq!(
+                chunk_out.shape(),
+                (plan.rows.1 - plan.rows.0, hidden),
+                "compute must map chunk rows 1:1"
+            );
+            let side = sided.then_some(side_out);
+            pack((&chunk_out, None, side), wire, |src| {
+                self.expert_blocks(plan, src)
+            });
+            ws.recycle(chunk_out);
+        };
 
         let Some(plans) = plans else {
             let (plan, home) = (self.chunk_plan(0, 1), &mut homes[0]);
-            pack(&rows, home, |dst| self.source_blocks(plan, dst));
-            ws.recycle(rows);
+            pack((rows, ids, side.as_deref()), home, |dst| {
+                self.source_blocks(plan, dst)
+            });
+            if let Payload::Rows(rows) = payload {
+                ws.recycle(rows);
+            }
             ep.all_to_all_v_into(home, &mut inbound, clock)?;
             clock.commit(dispatch_label);
-            let chunk_in = at_experts(plan, &inbound, ws);
-            let chunk_out = compute(&plan, counts(plan), chunk_in, Meter::new(ep, clock), ws);
-            to_source(plan, chunk_out, &mut inbound, ws);
+            let chunk_in = at_experts(plan, &inbound, &mut side_in, ws);
+            let meter = Meter::new(ep, clock);
+            let chunk_out = compute(&plan, counts(plan), (chunk_in, &mut side_in), meter, ws);
+            to_source(plan, (chunk_out, &side_in), &mut inbound, ws);
             ep.all_to_all_v_into(&mut inbound, home, clock)?;
             clock.commit(combine_label);
             // For-overwrite: every PFT row belongs to exactly one sent
             // segment, so the returning rows write each row of `out` once.
             let mut out = ws.take_for_overwrite(self.pft.len(), hidden);
-            unpack(home, &mut out, |dst| self.source_blocks(plan, dst));
-            (self.wire_out, self.wire_in) = (homes, inbound);
+            unpack(home, (&mut out, side), |dst| self.source_blocks(plan, dst));
+            (self.wire_out, self.wire_in, self.side_in) = (homes, inbound, side_in);
             return Ok(out);
         };
 
@@ -411,10 +468,14 @@ impl EpRoute {
         // Issuing never blocks, so the interleaved schedule cannot deadlock.
         let mut dispatch_pending = Vec::with_capacity(plans.len());
         for (&plan, home) in plans.iter().zip(&mut homes) {
-            pack(&rows, home, |dst| self.source_blocks(plan, dst));
+            pack((rows, ids, side.as_deref()), home, |dst| {
+                self.source_blocks(plan, dst)
+            });
             dispatch_pending.push(ep.issue_all_to_all_v_into(home, clock)?);
         }
-        ws.recycle(rows);
+        if let Payload::Rows(rows) = payload {
+            ws.recycle(rows);
+        }
 
         let mut combine_pending = Vec::with_capacity(plans.len());
         for (&plan, pending) in plans.iter().zip(dispatch_pending) {
@@ -427,8 +488,9 @@ impl EpRoute {
             // Honest cross-track dependency: the GEMM cannot start before
             // its chunk has arrived.
             clock.advance_to_op(compute_label, arrived);
-            let chunk_in = at_experts(plan, &inbound, ws);
-            let chunk_out = compute(&plan, counts(plan), chunk_in, Meter::new(ep, clock), ws);
+            let chunk_in = at_experts(plan, &inbound, &mut side_in, ws);
+            let meter = Meter::new(ep, clock);
+            let chunk_out = compute(&plan, counts(plan), (chunk_in, &mut side_in), meter, ws);
             clock.commit(compute_label);
             let gemm_done = clock.track_time("compute").expect("compute track exists");
 
@@ -437,7 +499,7 @@ impl EpRoute {
             // cannot see this chunk's rows earlier than its GEMM finished.
             // Transfer time is priced on the outbound track in the drain
             // loop below.
-            to_source(plan, chunk_out, &mut inbound, ws);
+            to_source(plan, (chunk_out, &side_in), &mut inbound, ws);
             let pending = ep.issue_all_to_all_v_into(&mut inbound, clock)?;
             combine_pending.push((pending, gemm_done));
         }
@@ -457,10 +519,11 @@ impl EpRoute {
             clock.advance_to_op(combine_label, gemm_done);
             pending.wait_into(home, clock)?;
             clock.commit(combine_label);
-            unpack(home, &mut out, |dst| self.source_blocks(plan, dst));
+            let side = side.as_deref_mut();
+            unpack(home, (&mut out, side), |dst| self.source_blocks(plan, dst));
         }
         clock.end_overlap();
-        (self.wire_out, self.wire_in) = (homes, inbound);
+        (self.wire_out, self.wire_in, self.side_in) = (homes, inbound, side_in);
         Ok(out)
     }
 }

@@ -54,8 +54,8 @@ pub use par::{
 pub use pool::{Workspace, WorkspaceStats};
 pub use rng::DetRng;
 pub use routing::{
-    argsort_desc_by, argsort_desc_into, combine_backward_rows, gather_rows_into, histogram,
-    scatter_rows_scaled, scatter_rows_unit, select_top_desc, sequential_gemm,
+    argsort_desc_by, argsort_desc_into, gather_rows_into, histogram, scatter_rows_scaled,
+    scatter_rows_unit, select_top_desc, sequential_gemm,
 };
 
 /// Number of worker threads used by parallel kernels (the size of the

@@ -881,15 +881,18 @@ std::thread_local! {
     static NT_PACKED: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Grow the calling thread's pack scratch to `len` elements now. The pooled
-/// NT entry points call this before submitting: which lane runs which task
-/// varies from call to call, so without it the submitting thread — the only
-/// allocation-tracked one — could meet its largest `B` for the first time
-/// long after warm-up.
-pub(crate) fn nt_pack_reserve(len: usize) {
+/// Grow the calling thread's pack scratch to `len` elements now; `true` if
+/// it grew. The pooled NT entry points call this before submitting: which
+/// lane runs which task varies from call to call, so without it the
+/// submitting thread — the only allocation-tracked one — could meet its
+/// largest `B` for the first time long after warm-up.
+pub(crate) fn nt_pack_reserve(len: usize) -> bool {
     NT_PACKED.with(|cell| {
-        grown(&mut cell.borrow_mut(), len);
-    });
+        let buf = &mut cell.borrow_mut();
+        let grew = buf.len() < len;
+        grown(buf, len);
+        grew
+    })
 }
 
 /// Pack `b` (`[n, k]`) exactly as an NT call on this thread does and stop —

@@ -26,9 +26,9 @@
 //!   `A` rows (the TN its `A` and `D` rows) by token id if asked, scaled
 //!   per row if asked ([`RowSource`]), and can add their product rows,
 //!   weighted or not, onto their tokens ([`RowSink::Combine`], one token
-//!   range per task) or dot them against their tokens' gradient and drop
-//!   them ([`RowSink::Dot`]), so the MoE layer's training step needs no
-//!   routed-row copy of its tokens, outputs or their gradients.
+//!   range per task) or dot them against the activations and scale them
+//!   over them ([`RowSink::DotScale`]), so the MoE layer's training step
+//!   needs no routed-row copy of its tokens, outputs or their gradients.
 //!
 //! # Determinism
 //!
@@ -46,10 +46,12 @@
 //! ([`crate::alloc::mark_thread_untracked`]), so the pool never charges a
 //! simulated rank's `thread_tracked_allocs` fence. Panel descriptors for the
 //! grouped GEMMs live in a thread-local grow-once arena; after warm-up a
-//! grouped call performs zero tracked allocations. Pool startup itself
-//! (thread spawn) allocates on the first submitting thread — callers that
-//! fence allocations warm the pool first, exactly like they warm their
-//! workspace arenas.
+//! grouped call performs zero tracked allocations. A call that grows the
+//! caller's pack buffers grows every lane's with them
+//! (`Pool::catch_up_lanes`), so after warm-up no worker grows one either.
+//! Pool startup itself (thread spawn) allocates on the first submitting
+//! thread — callers that fence allocations warm the pool first, exactly like
+//! they warm their workspace arenas.
 //!
 //! # Simulated time
 //!
@@ -60,13 +62,13 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
+use std::thread::LocalKey;
 
 use crate::alloc::mark_thread_untracked;
 use crate::ops::{
     add_assign_slice, axpy_slice, gemm_nn_rows, gemm_ta_rows, grown, nt_pack_reserve, with_nt_b,
     NtB, MAX_TILE_ROWS,
 };
-use crate::routing::combine_dots;
 use crate::worker_threads;
 
 /// Below this `m*n*k` volume a grouped GEMM (by *total* volume; a dense one
@@ -256,7 +258,8 @@ impl Pool {
     }
 
     /// Run `call(ctx, i)` for every `i in 0..len` across the pool and block
-    /// until all are done. The caller participates as a lane.
+    /// until all are done. The caller participates as a lane and holds
+    /// `submit`.
     ///
     /// # Safety
     ///
@@ -268,22 +271,13 @@ impl Pool {
         if len == 0 {
             return;
         }
-        let run_inline = || {
+        if self.workers == 0 {
             for i in 0..len {
                 // SAFETY: forwarded caller contract; serial on this thread.
                 unsafe { call(ctx, i) };
             }
-        };
-        if self.workers == 0 {
-            run_inline();
             return;
         }
-        // Another thread (a concurrent simulated rank) is mid-batch: run
-        // inline rather than queue. Results are identical by construction.
-        let Ok(_gate) = self.submit.try_lock() else {
-            run_inline();
-            return;
-        };
         {
             let mut st = self.shared.state.lock().unwrap();
             st.epoch += 1;
@@ -333,20 +327,49 @@ impl Pool {
     /// anywhere is through `ctx`'s own `Sync` interior, e.g. disjoint ranges
     /// of a [`DisjointMut`].
     pub fn for_each<C: Sync>(&self, ctx: &C, len: usize, call: fn(&C, usize)) {
+        // Another thread (a concurrent simulated rank) is mid-batch: run
+        // inline rather than queue. Results are identical by construction.
+        let Ok(_gate) = self.submit.try_lock() else {
+            return (0..len).for_each(|i| call(ctx, i));
+        };
+        self.batch(ctx, len, call);
+    }
+
+    /// [`Pool::for_each`], the caller holding `submit`.
+    fn batch<C: Sync>(&self, ctx: &C, len: usize, call: fn(&C, usize)) {
         struct ForEach<'a, C> {
             ctx: &'a C,
             call: fn(&C, usize),
         }
         unsafe fn shim<C: Sync>(p: *const (), i: usize) {
-            // SAFETY: `p` points at the live `ForEach<C>` below; `for_each`
+            // SAFETY: `p` points at the live `ForEach<C>` below; `batch`
             // blocks until every task retires, and `C: Sync` makes the shared
             // borrow sound across threads.
             let fe = unsafe { &*(p as *const ForEach<'_, C>) };
             (fe.call)(fe.ctx, i)
         }
         let fe = ForEach { ctx, call };
+        let fe_ptr = &fe as *const ForEach<'_, C> as *const ();
         // SAFETY: see shim; fe outlives run_raw, which blocks.
-        unsafe { self.run_raw(shim::<C>, &fe as *const ForEach<'_, C> as *const (), len) }
+        unsafe { self.run_raw(shim::<C>, fe_ptr, len) }
+    }
+
+    /// Grow every lane's pack buffers as [`reserve_packs`] just grew the
+    /// caller's: one task per lane, each waiting at a barrier of every lane
+    /// once it has grown, so every worker runs one. Which lane runs which
+    /// task varies from call to call, so a worker would otherwise grow its
+    /// buffers whenever it first claims a longer segment, long after
+    /// warm-up. Skipped while another thread holds the pool.
+    fn catch_up_lanes(&self, lens: [usize; 3]) {
+        let Ok(_gate) = self.submit.try_lock() else {
+            return;
+        };
+        let lanes = (lens, Barrier::new(self.size()));
+        let grow = |(lens, lanes): &([usize; 3], Barrier), _| {
+            reserve_packs(*lens);
+            lanes.wait();
+        };
+        self.batch(&lanes, self.size(), grow);
     }
 }
 
@@ -484,14 +507,20 @@ std::thread_local! {
 /// cache-resident).
 const GATHER_ROWS: usize = 64;
 
-/// Grow the calling thread's `cell` to `len` elements now. The grouped entry
-/// points call this before submitting: the submitting thread is the only
-/// allocation-tracked lane, and which lane runs which task varies from call
-/// to call (as for `nt_pack_reserve`).
-fn pack_reserve(cell: &'static std::thread::LocalKey<RefCell<Vec<f32>>>, len: usize) {
-    cell.with(|cell| {
-        grown(&mut cell.borrow_mut(), len);
-    });
+/// Grow the calling thread's pack buffers to `[rows, nt, combine]`
+/// elements now ([`ROWS_PACKED`], the NT's `B` pack, [`COMBINE_PACKED`]);
+/// `true` if any grew. The grouped entry points call this before
+/// submitting: the submitting thread is the only allocation-tracked lane.
+fn reserve_packs([rows, nt, combine]: [usize; 3]) -> bool {
+    let grow = |cell: &'static LocalKey<RefCell<Vec<f32>>>, len| {
+        cell.with(|cell| {
+            let buf = &mut cell.borrow_mut();
+            let grew = buf.len() < len;
+            grown(buf, len);
+            grew
+        })
+    };
+    grow(&ROWS_PACKED, rows) | nt_pack_reserve(nt) | grow(&COMBINE_PACKED, combine)
 }
 
 /// Where a grouped call reads its `A` rows ([`gemm_grouped`],
@@ -511,6 +540,10 @@ pub enum RowSource<'a> {
         ids: &'a [usize],
         scale: Option<&'a [f32]>,
     },
+    /// Row `i` of the contiguous rows `src`, times `scale[i]` (the same
+    /// expression): the output-gradient rows that arrived over a wire,
+    /// scaled by their combine weights as they are read.
+    Scaled { src: &'a [f32], scale: &'a [f32] },
 }
 
 impl<'a> From<&'a [f32]> for RowSource<'a> {
@@ -525,21 +558,37 @@ impl<'a> From<&'a Vec<f32>> for RowSource<'a> {
     }
 }
 
-impl RowSource<'_> {
+impl<'a> RowSource<'a> {
+    /// The same rows, row `i` times `w[i]` (in place of any scale they had):
+    /// the combine backward's `d_y` from its `d_out` rows.
+    pub fn scaled(self, w: &'a [f32]) -> Self {
+        match self {
+            RowSource::Contiguous(src) | RowSource::Scaled { src, .. } => {
+                RowSource::Scaled { src, scale: w }
+            }
+            RowSource::Gathered { src, ids, .. } => RowSource::Gathered {
+                src,
+                ids,
+                scale: Some(w),
+            },
+        }
+    }
+
     /// Write row `i` (`dst.len()` columns) into `dst`.
     pub fn copy_row(self, i: usize, dst: &mut [f32]) {
         let cols = dst.len();
-        match self {
-            RowSource::Contiguous(a) => dst.copy_from_slice(&a[i * cols..(i + 1) * cols]),
+        let (row, scale) = match self {
+            RowSource::Contiguous(a) => (&a[i * cols..(i + 1) * cols], None),
             RowSource::Gathered { src, ids, scale } => {
-                let row = &src[ids[i] * cols..(ids[i] + 1) * cols];
-                match scale {
-                    None => dst.copy_from_slice(row),
-                    Some(w) => {
-                        for (d, &g) in dst.iter_mut().zip(row) {
-                            *d = w[i] * g;
-                        }
-                    }
+                (&src[ids[i] * cols..(ids[i] + 1) * cols], scale)
+            }
+            RowSource::Scaled { src, scale } => (&src[i * cols..(i + 1) * cols], Some(scale)),
+        };
+        match scale {
+            None => dst.copy_from_slice(row),
+            Some(w) => {
+                for (d, &g) in dst.iter_mut().zip(row) {
+                    *d = w[i] * g;
                 }
             }
         }
@@ -552,22 +601,28 @@ impl RowSource<'_> {
             RowSource::Gathered { ids, scale, .. } => {
                 ids.len() == total && scale.is_none_or(|w| w.len() == total)
             }
+            RowSource::Scaled { src, scale } => src.len() == total * cols && scale.len() == total,
         }
     }
 
+    /// Whether a kernel must pack the rows before reading them.
+    fn packs(self) -> bool {
+        !matches!(self, RowSource::Contiguous(_))
+    }
+
     /// Run `f` on rows `row0..row0 + cnt` (`cols` wide) as one contiguous
-    /// block: a contiguous source's own rows, a gathered one's copied, in
-    /// order, into this thread's `cell`.
+    /// block: a contiguous source's own rows, any other's copied, in order,
+    /// into this thread's `cell`.
     fn rows<R>(
         self,
         (row0, cnt): (usize, usize),
         cols: usize,
-        cell: &'static std::thread::LocalKey<RefCell<Vec<f32>>>,
+        cell: &'static LocalKey<RefCell<Vec<f32>>>,
         f: impl FnOnce(&[f32]) -> R,
     ) -> R {
         match self {
             RowSource::Contiguous(a) => f(&a[row0 * cols..(row0 + cnt) * cols]),
-            RowSource::Gathered { .. } => cell.with(|cell| {
+            _ => cell.with(|cell| {
                 let packed = &mut cell.borrow_mut();
                 let rows = grown(packed, cnt * cols);
                 for j in 0..cnt {
@@ -579,9 +634,9 @@ impl RowSource<'_> {
     }
 
     /// `c = A[row0..row0 + cnt] · w` into the `[cnt, n]` `c` (overwritten):
-    /// gathered rows are packed [`GATHER_ROWS`] at a time into this thread's
-    /// [`ROWS_PACKED`], so the tile reads the same values in the same k-order
-    /// as from contiguous rows.
+    /// gathered or scaled rows are packed [`GATHER_ROWS`] at a time into
+    /// this thread's [`ROWS_PACKED`], so the tile reads the same values in
+    /// the same k-order as from contiguous rows.
     fn mul_rows(
         self,
         (row0, cnt): (usize, usize),
@@ -595,7 +650,7 @@ impl RowSource<'_> {
         };
         match self {
             RowSource::Contiguous(a) => mul(&a[row0 * k..(row0 + cnt) * k], c, cnt),
-            RowSource::Gathered { .. } => {
+            _ => {
                 for (j, c) in (0..cnt)
                     .step_by(GATHER_ROWS)
                     .zip(c.chunks_mut(GATHER_ROWS * n))
@@ -637,15 +692,38 @@ pub enum RowSink<'a> {
         ids: &'a [usize],
         weights: Option<&'a [f32]>,
     },
-    /// The combine backward's weight gradient inside the GEMM: `d_w[i] =
-    /// ⟨grad[ids[i]], A_i·B_e⟩`, summed over columns in order from `0.0` as
-    /// `combine_backward_rows` sums it, and the product row dropped. `grad`
-    /// is the row-major `[S, n]` output gradient.
-    Dot {
-        grad: &'a [f32],
-        ids: &'a [usize],
-        d_w: &'a mut [f32],
+    /// The combine backward inside the expert backward's `d_h` GEMM: product
+    /// row `i` is `g_i = d_out[t_i]·W2ᵀ`, and with `⟨d_out[t_i], act_i·W2⟩
+    /// = ⟨g_i, act_i⟩` the row first gives its combine-weight gradient
+    /// `d_w[i] = ⟨g_i, act_i⟩`, summed over columns in order from `0.0`,
+    /// then is written over its activations scaled, `act_i = w[i]·g_i`.
+    /// `act` is `[sum(counts), n]` (the activations in, `d_act` out); `w`
+    /// holds the rows' combine weights in and their gradients `d_w` out.
+    DotScale {
+        act: &'a mut [f32],
+        w: &'a mut [f32],
     },
+}
+
+/// [`RowSink::DotScale`] over the product rows `g` (`n` wide) and the same
+/// rows of `act` and `w`: eight rows' dot chains advance in lockstep (only
+/// to hide the add latency; each is one sequential sum), then each row is
+/// scaled over its activations and its weight replaced.
+fn dot_scale(g: &[f32], act: &mut [f32], w: &mut [f32], n: usize) {
+    let rows = (g.chunks(8 * n), act.chunks_mut(8 * n));
+    for ((g, act), w) in rows.0.zip(rows.1).zip(w.chunks_mut(8)) {
+        let mut d = [0.0f32; 8];
+        for c in 0..n {
+            for (r, d) in d.iter_mut().enumerate().take(w.len()) {
+                *d += g[r * n + c] * act[r * n + c];
+            }
+        }
+        let rows = act.chunks_exact_mut(n).zip(g.chunks_exact(n));
+        for ((act, g), (w, d)) in rows.zip(w.iter_mut().zip(d)) {
+            act.iter_mut().zip(g).for_each(|(a, &v)| *a = *w * v);
+            *w = d;
+        }
+    }
 }
 
 impl RowSink<'_> {
@@ -663,8 +741,8 @@ impl RowSink<'_> {
                     None => add_assign_slice(out, row),
                 }
             }
-            RowSink::Dot { grad, ids, d_w } => {
-                combine_dots(grad, &ids[i..=i], row, n, &mut d_w[i..=i]);
+            RowSink::DotScale { act, w } => {
+                dot_scale(row, &mut act[i * n..(i + 1) * n], &mut w[i..=i], n);
             }
         }
     }
@@ -695,10 +773,9 @@ enum SharedSink<'a> {
         tokens: usize,
         ranges: usize,
     },
-    Dot {
-        grad: &'a [f32],
-        ids: &'a [usize],
-        d_w: DisjointMut<'a>,
+    DotScale {
+        act: DisjointMut<'a>,
+        w: DisjointMut<'a>,
     },
 }
 
@@ -708,8 +785,8 @@ struct GroupedCtx<'a> {
     nt: bool,
     a: RowSource<'a>,
     sink: SharedSink<'a>,
-    /// Row panels for `Rows` and `Dot`; one whole segment per non-empty
-    /// expert for `Combine`.
+    /// Row panels for `Rows` and `DotScale`; one whole segment per
+    /// non-empty expert for `Combine`.
     panels: &'a [Panel],
     /// The inner dimension and the product's column count.
     k: usize,
@@ -744,11 +821,11 @@ impl GroupedCtx<'_> {
     }
 }
 
-/// Task `i` of a grouped NN or NT: panel `i` into its rows, or its `d_w`
-/// entries; for a combine, token range `i` — every segment's run of rows
-/// whose token is in the range (one contiguous run, since ids ascend within
-/// a segment), its weight made ready once for the run, added onto its
-/// tokens' `out` rows.
+/// Task `i` of a grouped NN or NT: panel `i` into its rows, or dotted and
+/// scaled over its activations; for a combine, token range `i` — every
+/// segment's run of rows whose token is in the range (one contiguous run,
+/// since ids ascend within a segment), its weight made ready once for the
+/// run, added onto its tokens' `out` rows.
 fn grouped_task(g: &GroupedCtx<'_>, i: usize) {
     let (k, n) = (g.k, g.n);
     match &g.sink {
@@ -758,14 +835,15 @@ fn grouped_task(g: &GroupedCtx<'_>, i: usize) {
             let c = unsafe { c.slice(p.row0 * n, p.rows * n) };
             g.with_weight(p, p.rows, |w| g.a.mul_rows((p.row0, p.rows), (k, n), w, c));
         }
-        SharedSink::Dot { grad, ids, d_w } => {
+        SharedSink::DotScale { act, w } => {
             let p = &g.panels[i];
-            // SAFETY: panels carve disjoint ranges of the rows' `d_w`.
-            let d_w = unsafe { d_w.slice(p.row0, p.rows) };
-            g.with_weight(p, p.rows, |w| {
-                g.blocks((p.row0, p.rows), w, |r0, y| {
+            // SAFETY: panels carve disjoint row ranges of `act` and `w`.
+            let (act, w) = unsafe { (act.slice(p.row0 * n, p.rows * n), w.slice(p.row0, p.rows)) };
+            g.with_weight(p, p.rows, |b| {
+                g.blocks((p.row0, p.rows), b, |r0, y| {
                     let (rows, at) = (y.len() / n, r0 - p.row0);
-                    combine_dots(grad, &ids[r0..r0 + rows], y, n, &mut d_w[at..at + rows]);
+                    let act = &mut act[at * n..(at + rows) * n];
+                    dot_scale(y, act, &mut w[at..at + rows], n);
                 });
             });
         }
@@ -893,32 +971,28 @@ fn grouped<'b>(
                 ranges: if serial { 1 } else { p.size() },
             }
         }
-        RowSink::Dot { grad, ids, d_w } => {
-            let tokens = rows_of(grad.len());
+        RowSink::DotScale { act, w } => {
             assert!(
-                ids.len() == total && d_w.len() == total,
-                "{name}: dot ids and d_w must give every row"
+                act.len() == total * n && w.len() == total,
+                "{name}: dot-scale act and w must give every row"
             );
-            assert!(
-                grad.len() == tokens * n && ids.iter().all(|&t| t < tokens),
-                "{name}: dot grad must be [S, n] and hold every id"
-            );
-            let d_w = DisjointMut::new(d_w);
-            SharedSink::Dot { grad, ids, d_w }
+            let (act, w) = (DisjointMut::new(act), DisjointMut::new(w));
+            SharedSink::DotScale { act, w }
         }
     };
     if total == 0 || n == 0 {
         return;
     }
     let widest = counts.iter().max().copied().unwrap_or(0).min(GATHER_ROWS);
-    if let RowSource::Gathered { .. } = a {
-        pack_reserve(&ROWS_PACKED, widest * k);
-    }
-    if nt {
-        nt_pack_reserve(n * k);
-    }
-    if !matches!(sink, SharedSink::Rows(_)) {
-        pack_reserve(&COMBINE_PACKED, widest * n);
+    let combines = !matches!(sink, SharedSink::Rows(_));
+    let packs = [a.packs(), nt, combines].map(usize::from);
+    let lens = [
+        packs[0] * widest * k,
+        packs[1] * n * k,
+        packs[2] * widest * n,
+    ];
+    if reserve_packs(lens) && !serial {
+        p.catch_up_lanes(lens);
     }
     // Whole segments for a combine (its tasks are token ranges). Every NT
     // panel packs its expert's `B_eᵀ` (`n·k` moves) before multiplying, so
@@ -967,14 +1041,15 @@ fn grouped<'b>(
 /// bitwise identical to that serial schedule at any worker count: each
 /// output row is one task's ascending-k accumulation regardless of how
 /// segments are panelled or its `A` rows packed; a combine then adds each
-/// row onto its token in the order `scatter_rows_scaled` does, and a dot
-/// sums each row against its token's gradient as `combine_backward_rows`
-/// does.
+/// row onto its token in the order `scatter_rows_scaled` does, and a
+/// dot-scale dots each row against its activations in ascending column
+/// order before scaling it over them.
 ///
 /// This is the Megatron-style grouped GEMM of the MoE hot path: E segment
 /// GEMMs that are individually below the parallel cutoff become one task
 /// batch that fills the machine — row panels for [`RowSink::Rows`] and
-/// [`RowSink::Dot`], token ranges (one per lane) for [`RowSink::Combine`].
+/// [`RowSink::DotScale`], token ranges (one per lane) for
+/// [`RowSink::Combine`].
 pub fn gemm_grouped<'a, 'b, 'c>(
     a: impl Into<RowSource<'a>>,
     counts: &[usize],
@@ -1111,14 +1186,13 @@ pub fn gemm_grouped_transpose_a_blocks<'c, 'd>(
         "gemm_grouped_transpose_a: D length mismatch"
     );
     let widest = counts.iter().max().copied().unwrap_or(0);
-    if let RowSource::Gathered { .. } = a {
-        pack_reserve(&ROWS_PACKED, widest * ac);
-    }
-    if let RowSource::Gathered { .. } = d {
-        pack_reserve(&COMBINE_PACKED, widest * n);
-    }
+    let packs = [a.packs(), d.packs()].map(usize::from);
+    let lens = [packs[0] * widest * ac, 0, packs[1] * widest * n];
     let p = pool();
     let serial = !p.is_parallel() || total * n * ac < PAR_CUTOFF;
+    if reserve_packs(lens) && !serial {
+        p.catch_up_lanes(lens);
+    }
     let busy = counts.iter().filter(|&&cnt| cnt > 0).count();
     let panel_rows = panel_rows(p, serial, busy * ac, 4);
     PANELS.with(|cell| {
@@ -1561,51 +1635,67 @@ mod tests {
     }
 
     #[test]
-    fn dot_sink_matches_nn_then_combine_backward_rows_bitwise() {
-        // The schedule the dot sink replaces: the NN into a `[total, n]`
-        // buffer, then `combine_backward_rows` over it, whose `d_w` the sink
-        // must give from contiguous and from gathered `A` rows.
+    fn dot_scale_sink_matches_nt_then_dot_then_scale_bitwise() {
+        // The schedule the dot-scale sink replaces: the NT `g = d_out·W2ᵀ`
+        // into a `[total, f]` buffer, then per row a serial dot against the
+        // activations from `0.0` in column order, then `act_i = w_i·g_i`,
+        // from contiguous and from gathered `A` rows. Activations and
+        // gradients hold `-0.0`s; segments are ragged, above the cutoff in
+        // the second case.
         let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for (case, (counts, tokens, k, n)) in routed_cases().into_iter().enumerate() {
+        for (case, (counts, tokens, f, h)) in routed_cases().into_iter().enumerate() {
             let total: usize = counts.iter().sum();
-            let src = Tensor::rand_uniform(tokens, k, 1.0, 8484);
+            assert_eq!(total * f * h >= PAR_CUTOFF, case == 1);
             let ids = routed_ids(&counts, tokens, 85);
             let weights: Vec<f32> = (0..total).map(|i| 0.25 + (i % 5) as f32 * 0.125).collect();
-            let ws: Vec<Tensor> = (0..counts.len())
-                .map(|e| Tensor::rand_uniform(k, n, 1.0, 700 + e as u64))
+            let d_out = grad_with_negative_zeros(tokens, h, 8686);
+            let act = grad_with_negative_zeros(total, f, 8787);
+            // `W2_e` is `[f, h]`; the product is `[total, f]`.
+            let w2: Vec<Tensor> = (0..counts.len())
+                .map(|e| Tensor::rand_uniform(f, h, 1.0, 700 + e as u64))
                 .collect();
-            let d_out = grad_with_negative_zeros(tokens, n, 8686);
-            let mut gathered = Tensor::zeros(0, 0);
-            crate::gather_rows_into(&src, &ids, &mut gathered);
-            let w = |e: usize| ws[e].as_slice();
-            let mut y = Tensor::zeros(total, n);
-            gemm_grouped(gathered.as_slice(), &counts, k, w, n, y.as_mut_slice());
-            let mut want = Vec::new();
-            crate::combine_backward_rows(&d_out, &ids, &mut y, &weights, &mut want);
-            let gathered_a = RowSource::Gathered {
-                src: src.as_slice(),
+            let w = |e: usize| w2[e].as_slice();
+            let mut rows = Tensor::zeros(0, 0);
+            crate::gather_rows_into(&d_out, &ids, &mut rows);
+            let mut g = vec![f32::NAN; total * f];
+            gemm_grouped_transpose_b(rows.as_slice(), &counts, h, w, f, &mut g);
+            let (mut want_act, mut want_dw) = (act.clone(), vec![0.0f32; total]);
+            for i in 0..total {
+                let (g, a) = (&g[i * f..(i + 1) * f], want_act.row_mut(i));
+                for j in 0..f {
+                    want_dw[i] += g[j] * a[j];
+                }
+                for j in 0..f {
+                    a[j] = weights[i] * g[j];
+                }
+            }
+            let gathered = RowSource::Gathered {
+                src: d_out.as_slice(),
                 ids: &ids,
                 scale: None,
             };
-            for a in [RowSource::Contiguous(gathered.as_slice()), gathered_a] {
-                let mut got = vec![f32::NAN; total];
-                let sink = RowSink::Dot {
-                    grad: d_out.as_slice(),
-                    ids: &ids,
-                    d_w: &mut got,
+            for a in [RowSource::Contiguous(rows.as_slice()), gathered] {
+                let (mut got_act, mut got_w) = (act.clone(), weights.clone());
+                let sink = RowSink::DotScale {
+                    act: got_act.as_mut_slice(),
+                    w: &mut got_w,
                 };
-                gemm_grouped(a, &counts, k, w, n, sink);
-                assert_eq!(bits(&got), bits(&want), "case {case}");
+                gemm_grouped_transpose_b(a, &counts, h, w, f, sink);
+                assert_eq!(bits(&got_w), bits(&want_dw), "d_w, case {case}");
+                let (got, want) = (got_act.as_slice(), want_act.as_slice());
+                assert_eq!(bits(got), bits(want), "d_act, case {case}");
             }
         }
     }
 
     #[test]
     fn scaled_gathered_source_matches_materialised_d_y_bitwise() {
-        // The schedule the scaled source replaces: `combine_backward_rows`
-        // writes `d_y = w_i · d_out[t_i]` over a `[total, n]` buffer, which
-        // the NT reads as its `A` (`d_h = d_y·W2ᵀ`) and the TN as its `D`
-        // (`dW2 += act^T·d_y`, AddFresh onto random gradient blocks).
+        // The schedule the scaled sources replace: `d_y = w_i · d_out[t_i]`
+        // written into a `[total, n]` buffer, which the NT reads as its `A`
+        // (`d_h = d_y·W2ᵀ`) and the TN as its `D` (`dW2 += act^T·d_y`,
+        // AddFresh onto random gradient blocks). `d_out` is read by id
+        // (a local backward) and from the rows that arrived over a wire, in
+        // PFT order (an expert-side backward).
         let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (case, (counts, tokens, f, h)) in routed_cases().into_iter().enumerate() {
             let total: usize = counts.iter().sum();
@@ -1613,13 +1703,19 @@ mod tests {
             let ids = routed_ids(&counts, tokens, 87);
             let weights: Vec<f32> = (0..total).map(|i| 0.5 - (i % 7) as f32 * 0.0625).collect();
             let d_out = grad_with_negative_zeros(tokens, h, 8888);
-            let mut d_y = Tensor::rand_uniform(total, h, 1.0, 8989);
-            crate::combine_backward_rows(&d_out, &ids, &mut d_y, &weights, &mut Vec::new());
-            let scaled = RowSource::Gathered {
+            let mut arrived = Tensor::zeros(0, 0);
+            crate::gather_rows_into(&d_out, &ids, &mut arrived);
+            let mut d_y = arrived.clone();
+            for (i, &w) in weights.iter().enumerate() {
+                d_y.row_mut(i).iter_mut().for_each(|v| *v *= w);
+            }
+            let by_id = RowSource::Gathered {
                 src: d_out.as_slice(),
                 ids: &ids,
-                scale: Some(&weights),
+                scale: None,
             };
+            let scaled =
+                [by_id, RowSource::Contiguous(arrived.as_slice())].map(|s| s.scaled(&weights));
             // NT: `W2_e` is `[f, h]`; the product is `[total, f]`.
             let w2: Vec<Tensor> = (0..counts.len())
                 .map(|e| Tensor::rand_uniform(f, h, 1.0, 900 + e as u64))
@@ -1627,23 +1723,32 @@ mod tests {
             let w = |e: usize| w2[e].as_slice();
             let mut want = vec![f32::NAN; total * f];
             gemm_grouped_transpose_b(d_y.as_slice(), &counts, h, w, f, &mut want);
-            let mut got = vec![f32::NAN; total * f];
-            gemm_grouped_transpose_b(scaled, &counts, h, w, f, &mut got);
-            assert_eq!(bits(&got), bits(&want), "NT A, case {case}");
+            for (from, scaled) in scaled.into_iter().enumerate() {
+                let mut got = vec![f32::NAN; total * f];
+                gemm_grouped_transpose_b(scaled, &counts, h, w, f, &mut got);
+                assert_eq!(bits(&got), bits(&want), "NT A, case {case}, source {from}");
+            }
             // TN: `act` is `[total, f]`, the blocks `[f, h]`.
             let act = Tensor::rand_uniform(total, f, 1.0, 9090);
             let grads: Vec<Tensor> = (0..counts.len())
                 .map(|e| Tensor::rand_uniform(f, h, 1.0, 950 + e as u64))
                 .collect();
-            let (mut want, mut got) = (grads.clone(), grads.clone());
             let act = RowSource::Contiguous(act.as_slice());
+            let mut want = grads.clone();
             let blocks = want.iter_mut().map(Tensor::as_mut_slice);
             gemm_grouped_transpose_a_blocks(act, &counts, f, d_y.as_slice(), h, blocks);
-            let blocks = got.iter_mut().map(Tensor::as_mut_slice);
-            gemm_grouped_transpose_a_blocks(act, &counts, f, scaled, h, blocks);
-            for e in 0..counts.len() {
-                let (got, want) = (got[e].as_slice(), want[e].as_slice());
-                assert_eq!(bits(got), bits(want), "TN D, case {case}, expert {e}");
+            for (from, scaled) in scaled.into_iter().enumerate() {
+                let mut got = grads.clone();
+                let blocks = got.iter_mut().map(Tensor::as_mut_slice);
+                gemm_grouped_transpose_a_blocks(act, &counts, f, scaled, h, blocks);
+                for e in 0..counts.len() {
+                    let (got, want) = (got[e].as_slice(), want[e].as_slice());
+                    assert_eq!(
+                        bits(got),
+                        bits(want),
+                        "TN D, case {case}, source {from}, expert {e}"
+                    );
+                }
             }
         }
     }

@@ -4,8 +4,8 @@
 
 use crate::Tensor;
 
-/// Below this many output elements the row kernels here ([`gather_rows_into`],
-/// [`combine_backward_rows`]) run inline instead of chunking over the pool.
+/// Below this many output elements [`gather_rows_into`] runs inline instead
+/// of chunking over the pool.
 const ROWS_PAR_CUTOFF: usize = 1 << 14;
 
 /// Gather kernel (paper §4.1.2): `out[i, :] = src[token_ids[i], :]`, the
@@ -56,143 +56,6 @@ pub fn gather_rows_into(src: &Tensor, token_ids: &[usize], out: &mut Tensor) {
         chunk,
     };
     pool.for_each(&ctx, tasks, gather_task);
-}
-
-/// Backward of the combine stage in one pass, in place: for every routed
-/// entry `i`, first `d_w[i] = <d_out[token_ids[i], :], y[i, :]>` (the gradient
-/// of its combine weight), then row `i` of `y` is overwritten with
-/// `d_y[i, :] = weights[i] * d_out[token_ids[i], :]` (the gradient of expert
-/// output row `i`) — the expert outputs are dead once their dot is formed, so
-/// their buffer carries the gradient. `d_w` is resized to `y`'s row count;
-/// `d_out[t]` and `y[i]` are each read once, nothing is staged.
-///
-/// Each dot product is one scalar add chain in ascending column order from
-/// `0.0` — the bitwise-pinned training trajectories forbid reassociating it —
-/// but rows are independent: four rows' chains are interleaved to hide the
-/// add latency, and row chunks run on the worker pool above the gather's
-/// cutoff. Any chunking gives the same bits.
-pub fn combine_backward_rows(
-    d_out: &Tensor,
-    token_ids: &[usize],
-    y: &mut Tensor,
-    weights: &[f32],
-    d_w: &mut Vec<f32>,
-) {
-    let (rows, cols) = y.shape();
-    assert_eq!(rows, token_ids.len(), "combine backward: y rows != ids");
-    assert_eq!(rows, weights.len(), "combine backward: y rows != weights");
-    assert_eq!(cols, d_out.cols(), "combine backward: hidden-dim mismatch");
-    d_w.clear();
-    d_w.resize(rows, 0.0);
-
-    let pool = crate::par::pool();
-    if !pool.is_parallel() || rows * cols < ROWS_PAR_CUTOFF {
-        let y = y.as_mut_slice();
-        return combine_backward_chunk::<4>(d_out, token_ids, weights, 0, cols, y, d_w);
-    }
-    struct Ctx<'a> {
-        d_out: &'a Tensor,
-        ids: &'a [usize],
-        weights: &'a [f32],
-        y: crate::par::DisjointMut<'a>,
-        d_w: crate::par::DisjointMut<'a>,
-        cols: usize,
-        chunk: usize,
-    }
-    fn task(g: &Ctx<'_>, c: usize) {
-        let cols = g.cols;
-        let i0 = c * g.chunk;
-        let n = g.chunk.min(g.ids.len() - i0);
-        // SAFETY: chunks tile the rows disjointly, one task each; `y` is
-        // carved by row range and `d_w` by the same range of elements.
-        let (y, d_w) = unsafe { (g.y.slice(i0 * cols, n * cols), g.d_w.slice(i0, n)) };
-        combine_backward_chunk::<4>(g.d_out, g.ids, g.weights, i0, cols, y, d_w);
-    }
-    let chunk = rows.div_ceil(pool.size()).next_multiple_of(4);
-    let ctx = Ctx {
-        d_out,
-        ids: token_ids,
-        weights,
-        y: crate::par::DisjointMut::new(y.as_mut_slice()),
-        d_w: crate::par::DisjointMut::new(d_w),
-        cols,
-        chunk,
-    };
-    pool.for_each(&ctx, rows.div_ceil(chunk), task);
-}
-
-/// Rows `i0..i0 + d_w.len()` (`y`'s rows, `cols` wide) of
-/// [`combine_backward_rows`], `R` rows at a time (their `R` dot-product chains
-/// advance in lockstep), then one at a time.
-fn combine_backward_chunk<const R: usize>(
-    d_out: &Tensor,
-    ids: &[usize],
-    weights: &[f32],
-    i0: usize,
-    cols: usize,
-    y: &mut [f32],
-    d_w: &mut [f32],
-) {
-    let full = d_w.len() - d_w.len() % R;
-    if R > 1 && full < d_w.len() {
-        let (head, tail) = y.split_at_mut(full * cols);
-        let (w_head, w_tail) = d_w.split_at_mut(full);
-        combine_backward_chunk::<R>(d_out, ids, weights, i0, cols, head, w_head);
-        return combine_backward_chunk::<1>(d_out, ids, weights, i0 + full, cols, tail, w_tail);
-    }
-    for (g, (y, d_w)) in y
-        .chunks_exact_mut(R * cols)
-        .zip(d_w.chunks_exact_mut(R))
-        .enumerate()
-    {
-        let i = i0 + g * R;
-        let grad: [&[f32]; R] = std::array::from_fn(|r| d_out.row(ids[i + r]));
-        d_w.copy_from_slice(&dot_rows(
-            grad,
-            std::array::from_fn(|r| &y[r * cols..][..cols]),
-        ));
-        for (r, y) in y.chunks_exact_mut(cols).enumerate() {
-            for (d, &gv) in y.iter_mut().zip(grad[r]) {
-                *d = weights[i + r] * gv;
-            }
-        }
-    }
-}
-
-/// `⟨grad[r], y[r]⟩` for `R` row pairs at once: each a sequential sum over
-/// the columns in order from `0.0` — the combine backward's expression, the
-/// `R` sums interleaved only to hide the add latency.
-#[inline(always)]
-fn dot_rows<const R: usize>(grad: [&[f32]; R], y: [&[f32]; R]) -> [f32; R] {
-    // Every row cut to one length up front, so the loop runs unchecked.
-    let cols = y[0].len();
-    let (grad, y) = (grad.map(|g| &g[..cols]), y.map(|y| &y[..cols]));
-    let mut dot = [0.0f32; R];
-    for c in 0..cols {
-        for r in 0..R {
-            dot[r] += grad[r][c] * y[r][c];
-        }
-    }
-    dot
-}
-
-/// `d_w[i] = ⟨d_out[ids[i]], y_i⟩` for the `cols`-wide rows `y_i` of `y`
-/// (`d_out` row-major, `cols` wide): the combine-weight gradients of
-/// [`combine_backward_rows`], bit for bit, without its `d_y` — what the
-/// grouped GEMM's dot sink computes over rows it has just made.
-pub(crate) fn combine_dots(d_out: &[f32], ids: &[usize], y: &[f32], cols: usize, d_w: &mut [f32]) {
-    const R: usize = 8;
-    let row = |t: usize| &d_out[t * cols..][..cols];
-    let y_row = |i: usize| &y[i * cols..][..cols];
-    let full = d_w.len() - d_w.len() % R;
-    let (head, tail) = d_w.split_at_mut(full);
-    for (g, d_w) in head.chunks_exact_mut(R).enumerate() {
-        let grad: [&[f32]; R] = std::array::from_fn(|r| row(ids[g * R + r]));
-        d_w.copy_from_slice(&dot_rows(grad, std::array::from_fn(|r| y_row(g * R + r))));
-    }
-    for (i, d_w) in (full..).zip(tail) {
-        *d_w = dot_rows([row(ids[i])], [y_row(i)])[0];
-    }
 }
 
 /// Scatter-accumulate kernel (paper §4.1.2):
@@ -453,46 +316,6 @@ mod tests {
             let mut head = idx[..keep].to_vec();
             head.sort_unstable_by(rank_desc(&keys));
             assert_eq!(head, ranked[..keep], "keep {keep}");
-        }
-    }
-
-    #[test]
-    fn combine_backward_rows_matches_gather_then_serial_dot_bitwise() {
-        // The two-pass schedule this kernel replaced: gather `d_out` rows,
-        // then per row one ascending scalar dot and an in-place scale. Row
-        // counts on both sides of the pool cutoff and off the 4-row grid.
-        for (rows, cols, tokens) in [
-            (0usize, 8usize, 3usize),
-            (7, 5, 3),
-            (64, 33, 10),
-            (1027, 64, 200),
-        ] {
-            let d_out = Tensor::rand_uniform(tokens, cols, 1.0, 41);
-            let y = Tensor::rand_uniform(rows, cols, 1.0, 42);
-            let ids: Vec<usize> = (0..rows).map(|i| (i * 7 + 3) % tokens).collect();
-            let w = Tensor::rand_uniform(1, rows, 1.0, 43).into_vec();
-            let mut want_dy = gathered(&d_out, &ids);
-            let want_dw: Vec<f32> = (0..rows)
-                .map(|i| {
-                    let mut dot = 0.0f32;
-                    for (dv, yv) in want_dy.row_mut(i).iter_mut().zip(y.row(i)) {
-                        dot += *dv * yv;
-                        *dv *= w[i];
-                    }
-                    dot
-                })
-                .collect();
-            // The kernel overwrites `y` with `d_y`.
-            let (mut d_y, mut d_w) = (y.clone(), vec![9.0f32; 5]);
-            combine_backward_rows(&d_out, &ids, &mut d_y, &w, &mut d_w);
-            let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(d_y.shape(), (rows, cols));
-            assert_eq!(
-                bits(d_y.as_slice()),
-                bits(want_dy.as_slice()),
-                "d_y {rows}x{cols}"
-            );
-            assert_eq!(bits(&d_w), bits(&want_dw), "d_w {rows}x{cols}");
         }
     }
 

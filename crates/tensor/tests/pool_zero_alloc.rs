@@ -1,23 +1,37 @@
 //! The worker pool's allocation gate at this crate's own level: after
 //! warm-up, every pooled entry point — the three grouped GEMMs (the NN also
-//! from gathered rows, into a combine and into a dot; the NT from scaled
-//! gathered rows and into a unit-weight combine; the TN from a scaled
-//! gathered `D` — all of which pack per thread), the dense NN, NT and TN
-//! (one-segment grouped calls; every NT packs `Bᵀ` into the per-thread
-//! scratch: segments of 33+ rows are above `NT_PACK_MIN_ROWS`), the chunked SiLU
-//! passes and the fused combine backward — runs *above* its parallel cutoff
-//! (`128^3` MACs, 16 Ki elements) without touching the heap. Its own test
-//! binary with exactly one `#[test]`, so the counting `#[global_allocator]`
-//! sees no sibling test's traffic inside the counted window.
+//! from gathered rows and into a combine; the NT from scaled gathered rows,
+//! into a unit-weight combine and into the combine backward's dot-scale;
+//! the TN from a scaled gathered `D` — all of which pack per thread), the
+//! dense NN, NT and TN (one-segment grouped calls; every NT packs `Bᵀ` into
+//! the per-thread scratch: segments of 33+ rows are above
+//! `NT_PACK_MIN_ROWS`) and the chunked SiLU passes — runs *above* its
+//! parallel cutoff (`128^3` MACs, 16 Ki elements) without touching the
+//! heap. Its own test binary with exactly one `#[test]`, so the counting
+//! `#[global_allocator]` sees no sibling test's traffic inside the counted
+//! window.
+//!
+//! Which lane claims which task varies from call to call, so a worker that
+//! grew its pack buffers only for the segments it happened to claim could
+//! grow them again at any later step (with many lanes on few cores, a
+//! worker can go many steps without claiming a kind of task). The pool
+//! grows every lane's buffers to the longest any call has reserved instead,
+//! once per new record. The warm-up then runs until three steps in a row
+//! leave the heap as it was, and fails if that takes more than
+//! [`MAX_WARM_UP`] steps — a step that grows the heap every time never
+//! settles.
 
 use xmoe_tensor::{
-    combine_backward_rows, gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_a_blocks,
+    gemm_grouped, gemm_grouped_transpose_a, gemm_grouped_transpose_a_blocks,
     gemm_grouped_transpose_b, matmul_slices, matmul_transpose_a_add, matmul_transpose_b_slices,
     silu_grad_slice, silu_into, silu_slice, CountingAlloc, RowSink, RowSource, Tensor,
 };
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
+
+/// Warm-up steps after which a heap that still grows is a finding.
+const MAX_WARM_UP: usize = 64;
 
 #[test]
 fn pooled_kernels_allocate_nothing_after_warm_up() {
@@ -35,11 +49,12 @@ fn pooled_kernels_allocate_nothing_after_warm_up() {
     let mut g = vec![0.0f32; e * k * n];
     let mut g_dense = Tensor::zeros(k, n);
     let mut act = vec![0.0f32; total * n];
-    // Combine backward over the same 408 x 72 rows, gathered from 64 tokens;
-    // it overwrites its expert outputs, so each step refills them by copy.
+    // The combine backward's dot-scale over the same 408 x 72 rows: it
+    // overwrites the weights with their gradients, so each step refills them
+    // by copy.
     let ids: Vec<usize> = (0..total).map(|i| (i * 5) % 64).collect();
     let weights = vec![0.5f32; total];
-    let (mut y, mut d_w) = (d.clone(), Vec::new());
+    let (mut h_act, mut w_dw) = (vec![0.0f32; total * n], weights.clone());
     // The NN's gathered and combining forms over the same ids, sorted within
     // each segment as a PFT's are.
     let tokens = Tensor::rand_uniform(64, k, 1.0, 3);
@@ -50,7 +65,6 @@ fn pooled_kernels_allocate_nothing_after_warm_up() {
         row += cnt;
     }
     let mut out = Tensor::zeros(64, n);
-    let mut dots = vec![0.0f32; total];
     let mut step = || {
         gemm_grouped(a.as_slice(), &counts, k, |i| w[i].as_slice(), n, &mut c);
         let gathered = RowSource::Gathered {
@@ -65,13 +79,19 @@ fn pooled_kernels_allocate_nothing_after_warm_up() {
             weights: Some(&weights),
         };
         gemm_grouped(a.as_slice(), &counts, k, |i| w[i].as_slice(), n, combine);
-        let dot = RowSink::Dot {
-            grad: out.as_slice(),
-            ids: &routed,
-            d_w: &mut dots,
-        };
-        gemm_grouped(a.as_slice(), &counts, k, |i| w[i].as_slice(), n, dot);
         gemm_grouped_transpose_b(a.as_slice(), &counts, k, |i| wt[i].as_slice(), n, &mut c);
+        // The combine backward inside the `d_h` NT, from `d_out` read by id.
+        w_dw.copy_from_slice(&weights);
+        let d_out = RowSource::Gathered {
+            src: tokens.as_slice(),
+            ids: &routed,
+            scale: None,
+        };
+        let dot_scale = RowSink::DotScale {
+            act: &mut h_act,
+            w: &mut w_dw,
+        };
+        gemm_grouped_transpose_b(d_out, &counts, k, |i| wt[i].as_slice(), n, dot_scale);
         // The local backward's forms: `d_y` read by id and scaled, as the
         // NT's `A` and the TN's `D`, and the NT adding into its tokens.
         let scaled = RowSource::Gathered {
@@ -104,16 +124,26 @@ fn pooled_kernels_allocate_nothing_after_warm_up() {
         matmul_slices(a.as_slice(), total, k, w[0].as_slice(), n, &mut c);
         matmul_transpose_b_slices(a.as_slice(), total, k, wt[0].as_slice(), n, &mut c);
         matmul_transpose_a_add(&a, &d, &mut g_dense);
-        y.as_mut_slice().copy_from_slice(d.as_slice());
-        combine_backward_rows(&d, &ids, &mut y, &weights, &mut d_w);
         silu_into(d.as_slice(), &mut act);
         silu_slice(&mut act);
         silu_grad_slice(&mut act, d.as_slice());
     };
     // Warm-up starts the pool (thread spawn allocates, once) and grows the
-    // panel arena and this thread's pack scratch.
-    for _ in 0..3 {
+    // panel arena and every lane's pack scratch; see the module docs.
+    let mut settled = 0;
+    for warm in 0.. {
+        assert!(
+            warm < MAX_WARM_UP,
+            "the heap still grows after {MAX_WARM_UP} warm-up steps"
+        );
+        let before = ALLOC.stats();
         step();
+        let after = ALLOC.stats();
+        let still = after.allocs == before.allocs && after.live_bytes == before.live_bytes;
+        settled = if still { settled + 1 } else { 0 };
+        if settled == 3 {
+            break;
+        }
     }
     let before = ALLOC.stats();
     for _ in 0..8 {

@@ -12,13 +12,14 @@
 //! forward saved:
 //!
 //! ```text
-//! forward:  dispatch_in --> expert_input => y           --> combine_in
-//! backward: combine_in  => d_combine     --> d_y        -> d_expert_in --> d_dispatch
+//! forward:  dispatch_in --> expert_input => y       --> combine_in
+//! backward: d_out[t], w --> d_out rows   => d_input --> d_dispatch, d_w
 //! ```
 //!
 //! (`-->` is the route, `=>` a step computed in place: the expert outputs
-//! overwrite their input rows, and the combine backward overwrites the saved
-//! outputs with their gradient.)
+//! overwrite their input rows, the expert backward writes `d_input` over the
+//! `d_out` rows and each combine-weight gradient over its weight.) No layer
+//! keeps `y`: the combine backward runs in the experts' `d_h` GEMM.
 //!
 //! Whether a step runs serially or chunk-pipelined is the route's business
 //! ([`xmoe_core::route::EpRoute::exchange`]); this module remembers the
@@ -262,7 +263,6 @@ impl DistMoe {
         clock: &mut SimClock,
     ) -> Result<Tensor, CommError> {
         let out = self.forward(x, st, ws, ep, clock)?;
-        ws.recycle(std::mem::take(&mut st.experts.combine_in));
         st.release_expert_saves(ws);
         Ok(out)
     }

@@ -6,17 +6,18 @@
 //! nothing else differs, so they agree bit for bit by construction.
 
 use xmoe_collectives::CommError;
-use xmoe_core::expert::{expert_ffn_out, FfnRows};
+use xmoe_core::expert::FfnRows;
 use xmoe_core::gating::{row_logsumexp_into, RouterGuard};
 use xmoe_core::pft::Pft;
 use xmoe_core::pipeline::padding_free::{self, ExpertKernel, ExpertSaves, LayerState, Transport};
 use xmoe_core::pipeline::MoeLayerSpec;
 use xmoe_core::price::{self, BWD_COMPUTE_FACTOR as BWD, F32};
+use xmoe_core::route::Payload;
 use xmoe_core::Expert;
 use xmoe_tensor::{
-    add_assign, combine_backward_rows, gemm_grouped_transpose_a_blocks, gemm_grouped_transpose_b,
-    matmul_transpose_a_add, matmul_transpose_b_slices, scatter_rows_unit, silu_grad_slice, RowSink,
-    RowSource, Tensor, Workspace,
+    add_assign, gemm_grouped_transpose_a_blocks, gemm_grouped_transpose_b, matmul_transpose_a_add,
+    matmul_transpose_b_slices, scatter_rows_unit, silu_grad_slice, RowSink, RowSource, Tensor,
+    Workspace,
 };
 
 /// Router hyper-parameters of one layer.
@@ -134,20 +135,20 @@ pub(crate) fn forward(
 }
 
 /// The MoE layer backward, written once, over the transport (and chunking)
-/// the forward ran: combine backward → the exchange of the expert-FFN
-/// backward → dispatch transpose → router backward. Accumulates `g_gate`
-/// and `g_experts`, returns `d_x` (leased from `ws`) and hands the expert
-/// saves back. Over a wire (`Ep`) the combine backward turns the saved
-/// outputs into `d_y` rows, which travel to the experts, come back as
-/// `d_input` in the same buffer and are scattered onto `d_x`. `Local` keeps
-/// no such rows: at the expert stage the combine-weight gradients dot a
-/// recomputed `y = h_act·W2` against `d_out` (each row dropped once dotted),
-/// `d_y = w·d_out[t]` is read by the PFT's token ids, the expert input is
-/// the layer input read again by id, and the last GEMM adds `d_input`
-/// straight onto `d_x` — every value the bits of the `Ep` schedule. `d_out`
-/// carries `loss_scale`, which the aux and z-loss terms take on too. Each
-/// stage charges `BWD_COMPUTE_FACTOR`× its forward price under `bwd_*`, as
-/// [`xmoe_core::perf::PerfModel::step`] prices a backward.
+/// the forward ran: the exchange of the expert-FFN backward → dispatch
+/// transpose → router backward. Accumulates `g_gate` and `g_experts`,
+/// returns `d_x` (leased from `ws`) and hands the expert saves back. Each
+/// routed entry's `d_out[t]` goes to its expert unscaled with its combine
+/// weight `w`; the combine backward runs there, inside the `d_h` GEMM
+/// (`⟨d_out[t], act·W2⟩ = ⟨d_out[t]·W2ᵀ, act⟩`), so no transport keeps `y`.
+/// Over a wire (`Ep`) the route reads the `d_out[t]` rows by token id into
+/// its buffers with `w` after them, and `d_input` comes back in their place
+/// with `d_w` in `w`'s, to be scattered onto `d_x`. `Local` reads `d_out[t]`
+/// and the expert input by the PFT's token ids, and the last GEMM adds
+/// `d_input` straight onto `d_x` — every value the bits of the `Ep`
+/// schedule. `d_out` carries `loss_scale`, which the aux and z-loss terms
+/// take on too. Each stage charges `BWD_COMPUTE_FACTOR`× its forward price
+/// under `bwd_*`, as [`xmoe_core::perf::PerfModel::step`] prices a backward.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn backward(
     p: &RouterParams,
@@ -164,8 +165,6 @@ pub(crate) fn backward(
     let mut d_x = ws.take_for_overwrite(d_out.rows(), h);
     d_x.as_mut_slice().copy_from_slice(d_out.as_slice());
 
-    // Source side, over a wire: d_combine rows (PFT order) and
-    // combine-weight grads. `Local` has no rows to send.
     let MoeCtx {
         layer,
         experts: saves,
@@ -174,20 +173,19 @@ pub(crate) fn backward(
         ..
     } = &mut *ctx;
     let local = matches!(transport, Transport::Local);
-    let mut d_combine = std::mem::take(&mut saves.combine_in);
-    if !local {
-        combine_backward(&layer.route.pft, &mut d_combine, d_out, d_w);
-    }
     let n = layer.route.pft.len();
+    // Each entry's combine weight goes out; its gradient comes back.
+    d_w.clear();
+    d_w.extend_from_slice(&layer.route.pft.combine_weights);
     let mut meter = transport.meter();
     meter.charge("bwd_buffer_combine", |c| BWD * price::gather(c, n, h));
     let labels = ("bwd_combine_a2a", "bwd_expert", "bwd_dispatch_a2a");
     let d_dispatch = transport.exchange(
         &mut layer.route,
-        d_combine,
+        (Payload::Tokens(d_out), Some(d_w)),
         labels,
         ws,
-        |plan, counts, pft, mut chunk, mut meter, _| {
+        |plan, counts, pft, (mut chunk, w), mut meter, _| {
             let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
             let n = (r1 - r0) as f64;
             meter.charge("bwd_expert", |c| BWD * price::expert_seq(c, n, h, f, F32));
@@ -200,27 +198,17 @@ pub(crate) fn backward(
                     (input.into(), FfnRows::InPlace(chunk.as_mut_slice()))
                 }
                 Some(pft) => {
-                    let ids = &pft.token_ids;
-                    // d_w_i = <d_out[t_i], y_i>, with y_i = h_act_i·W2 made
-                    // again and dropped once dotted.
-                    d_w.clear();
-                    d_w.resize(ids.len(), 0.0);
-                    let grad = d_out.as_slice();
-                    expert_ffn_out(experts, counts, h_act, RowSink::Dot { grad, ids, d_w });
-                    let scale = Some(pft.combine_weights.as_slice());
-                    let d_y = RowSource::Gathered {
-                        src: grad,
-                        ids,
-                        scale,
-                    };
-                    let (src, scale) = (x.as_slice(), None);
+                    let (ids, src, scale) = (&pft.token_ids, d_out.as_slice(), None);
+                    let d_out = RowSource::Gathered { src, ids, scale };
                     let (out, weights) = (d_x.as_mut_slice(), None);
                     let d_input = RowSink::Combine { out, ids, weights };
+                    let src = x.as_slice();
                     let input = RowSource::Gathered { src, ids, scale };
-                    (input, FfnRows::Apart(d_y, d_input))
+                    (input, FfnRows::Apart(d_out, d_input))
                 }
             };
-            expert_ffn_backward(experts, grads, counts, (h, f), input, h_pre, h_act, rows);
+            let acts = (h_pre, h_act, w);
+            expert_ffn_backward(experts, grads, counts, (h, f), input, acts, rows);
             chunk
         },
     )?;
@@ -242,51 +230,45 @@ pub(crate) fn backward(
 }
 
 /// Backward of [`expert_ffn`](xmoe_core::expert::expert_ffn) over the same
-/// segments: adds `dW2_e = act_e^T·dy_e` and `dW1_e = x_e^T·d_h_e` onto
-/// `grads`, reading `dy` and putting `d_input` where `rows` says
-/// ([`FfnRows`]: `d_input` over the `dy` rows that came over a wire, or `dy`
-/// read by id and `d_input` added onto the layer's `d_x`). `input` gives the
-/// rows `x_e`: saved, or gathered from the layer input by token id, which
-/// the TN kernel packs one expert at a time, so no `[rows, h]` copy exists.
-/// `d_h` is written over `h_act` once the `dW2` product has read it. Each
-/// expert's product is summed on its own and then added to its gradient
-/// tensor in one step (the TN kernel's AddFresh store) — accumulating the
-/// terms straight into `grads` would reassociate the float sums — with no
-/// staging block and no transpose materialised (the transpose-A kernel
-/// keeps the accumulation order of transpose-then-matmul).
-#[allow(clippy::too_many_arguments)]
+/// segments, from each row's output gradient `d_out` (read where `rows`
+/// says, [`FfnRows`]: the rows that came over a wire, or by token id) and
+/// its combine weight in `w`: adds `dW2_e = act_e^T·(w·d_out)_e` (the TN
+/// scales each row as it packs it), then the `d_h` NT's rows
+/// `g = d_out·W2^T` give `d_w = ⟨g, act⟩` into `w` and `d_act = w·g` over
+/// `h_act` ([`RowSink::DotScale`]); then SiLU', `dW1_e = x_e^T·d_h_e` and
+/// `d_input = d_h·W1^T`, put where `rows` says (over the rows that came over
+/// a wire, or added onto the layer's `d_x`). `input` gives the rows `x_e`:
+/// saved, or gathered from the layer input by token id, which the TN kernel
+/// packs one expert at a time, so no `[rows, h]` copy exists. Each expert's
+/// product is summed on its own and then added to its gradient tensor in one
+/// step (the TN kernel's AddFresh store) — accumulating the terms straight
+/// into `grads` would reassociate the float sums — with no staging block and
+/// no transpose materialised (the transpose-A kernel keeps the accumulation
+/// order of transpose-then-matmul).
 fn expert_ffn_backward(
     experts: &[Expert],
     grads: &mut [Expert],
     counts: &[usize],
     (h, f): (usize, usize),
     input: RowSource<'_>,
-    h_pre: &[f32],
-    h_act: &mut [f32],
+    (h_pre, h_act, w): (&[f32], &mut [f32], &mut [f32]),
     rows: FfnRows,
 ) {
-    let d_y = rows.source();
+    let d_out = rows.source();
     let dw2 = grads.iter_mut().map(|g| g.w2.as_mut_slice());
+    let d_y = d_out.scaled(w);
     gemm_grouped_transpose_a_blocks(RowSource::Contiguous(h_act), counts, f, d_y, h, dw2);
-    // d_act = dy·W2^T over the activations' buffer, then through SiLU.
+    // d_w = <d_out·W2^T, act>, then d_act = w·(d_out·W2^T), over the
+    // activations' buffer; then through SiLU.
     let w2 = |e: usize| experts[e].w2.as_slice();
-    gemm_grouped_transpose_b(d_y, counts, h, w2, f, &mut *h_act);
+    let d_act = RowSink::DotScale { act: h_act, w };
+    gemm_grouped_transpose_b(d_out, counts, h, w2, f, d_act);
     let d_h = h_act;
     silu_grad_slice(d_h, h_pre);
     let dw1 = grads.iter_mut().map(|g| g.w1.as_mut_slice());
     gemm_grouped_transpose_a_blocks(input, counts, h, &*d_h, f, dw1);
     let w1 = |e: usize| experts[e].w1.as_slice();
     gemm_grouped_transpose_b(&*d_h, counts, f, w1, h, rows.sink());
-}
-
-/// Source-side combine backward over a wire, in place: records the
-/// combine-weight gradients `d_w_i = <d_out[t_i], y_i>` in `d_w` for
-/// [`router_backward`], then overwrites each expert output row `y_i` with
-/// `d_y[i] = w_i · d_out[t_i]` (PFT order), turning the forward's saved
-/// outputs into the exchange's gradient rows with no new lease.
-fn combine_backward(pft: &Pft, y: &mut Tensor, d_out: &Tensor, d_w: &mut Vec<f32>) {
-    let (ids, w) = (&pft.token_ids, &pft.combine_weights);
-    combine_backward_rows(d_out, ids, y, w, d_w);
 }
 
 /// Router backward: combine-weight grads scattered to the retained `(t, e)`
@@ -381,4 +363,225 @@ pub(crate) fn load_fractions(pft: &Pft, out: &mut Vec<f32>) {
     let denom = total.max(1) as f32;
     out.clear();
     out.extend(pft.tokens_per_expert.iter().map(|&c| c as f32 / denom));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dist::{DistMoe, DistMoeScratch};
+    use crate::moe_layer::{MoeTrainScratch, TrainableMoe};
+    use xmoe_collectives::SimCluster;
+    use xmoe_core::gating::DropPolicy;
+    use xmoe_tensor::{matmul, matmul_transpose_b};
+
+    /// How far (relative to the largest magnitude of each gradient) the
+    /// backward may sit from the formulas it reassociated.
+    const REL: f32 = 1e-5;
+
+    /// A step's gradients: the combine weights', the input's, the router's
+    /// and the experts'.
+    struct Grads {
+        d_w: Vec<f32>,
+        d_x: Tensor,
+        g_gate: Tensor,
+        g_experts: Vec<Expert>,
+    }
+
+    fn router_params(l: &TrainableMoe) -> RouterParams {
+        RouterParams {
+            spec: MoeLayerSpec::new(l.num_experts(), l.capacity).with_policy(l.policy),
+            top_k: l.top_k,
+            aux_alpha: l.aux_alpha,
+            guard: l.router_guard,
+        }
+    }
+
+    /// The backward as it was before the combine backward moved into the
+    /// experts, written out from a `Local` forward's saves in `ctx` with
+    /// plain per-expert ops: `y = h_act·W2`, `d_w = ⟨d_out[t], y⟩` (an H-long
+    /// dot) and `d_h = (w·d_out[t])·W2ᵀ`; the router backward is the one
+    /// both share.
+    fn parent_backward(
+        layer: &TrainableMoe,
+        ctx: &mut MoeCtx,
+        d_out: &Tensor,
+        loss_scale: f32,
+    ) -> Grads {
+        let (pft, x) = (ctx.pft().clone(), ctx.x.clone());
+        let (h, f) = (d_out.cols(), ctx.experts.h_pre.cols());
+        let mut g_experts: Vec<Expert> = layer.experts.iter().map(zero_grad).collect();
+        let (mut d_x, mut d_w) = (d_out.clone(), vec![0.0f32; pft.len()]);
+        let mut row = 0;
+        for (e, &cnt) in pft.tokens_per_expert.iter().enumerate() {
+            let (w1, w2) = (&layer.experts[e].w1, &layer.experts[e].w2);
+            let act = ctx.experts.h_act.slice_rows(row, row + cnt);
+            let y = matmul(&act, w2);
+            let (mut d_y, mut x_e) = (Tensor::zeros(cnt, h), Tensor::zeros(cnt, h));
+            for j in 0..cnt {
+                let (i, t) = (row + j, pft.token_ids[row + j]);
+                let dot = d_out.row(t).iter().zip(y.row(j));
+                d_w[i] = dot.fold(0.0, |s, (g, v)| s + g * v);
+                for (d, &g) in d_y.row_mut(j).iter_mut().zip(d_out.row(t)) {
+                    *d = pft.combine_weights[i] * g;
+                }
+                x_e.row_mut(j).copy_from_slice(x.row(t));
+            }
+            add_assign(&mut g_experts[e].w2, &matmul(&act.transpose(), &d_y));
+            let mut d_h = matmul_transpose_b(&d_y, w2);
+            let h_pre = &ctx.experts.h_pre.as_slice()[row * f..(row + cnt) * f];
+            silu_grad_slice(d_h.as_mut_slice(), h_pre);
+            add_assign(&mut g_experts[e].w1, &matmul(&x_e.transpose(), &d_h));
+            let d_input = matmul_transpose_b(&d_h, w1);
+            for j in 0..cnt {
+                let t = pft.token_ids[row + j];
+                for (d, &v) in d_x.row_mut(t).iter_mut().zip(d_input.row(j)) {
+                    *d += v;
+                }
+            }
+            row += cnt;
+        }
+        ctx.d_w.clone_from(&d_w);
+        let mut g_gate = Tensor::zeros(layer.gate.rows(), layer.gate.cols());
+        let (p, ws) = (router_params(layer), &mut Workspace::new());
+        router_backward(&p, &layer.gate, &mut g_gate, ctx, loss_scale, ws, &mut d_x);
+        Grads {
+            d_w,
+            d_x,
+            g_gate,
+            g_experts,
+        }
+    }
+
+    /// One `Local` step of `layer`: the parent's formulas, and the backward.
+    fn local_step(layer: &TrainableMoe, x: &Tensor, d_out: &Tensor, scale: f32) -> [Grads; 2] {
+        let mut new = layer.clone();
+        let mut st = MoeTrainScratch::default();
+        let _ = new.forward_pooled(x, &mut st);
+        let want = parent_backward(layer, &mut st.ctx.clone(), d_out, scale);
+        let d_x = new.backward_scaled_pooled(&mut st, d_out, scale);
+        let got = Grads {
+            d_w: st.ctx.d_w.clone(),
+            d_x,
+            g_gate: new.g_gate,
+            g_experts: new.g_experts,
+        };
+        [got, want]
+    }
+
+    /// `max |got - want| / max |want|`.
+    fn rel(got: &[f32], want: &[f32]) -> f32 {
+        let scale = want.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        let diff = got
+            .iter()
+            .zip(want)
+            .fold(0.0f32, |m, (a, b)| m.max((a - b).abs()));
+        diff / scale
+    }
+
+    fn assert_close(at: &str, name: &str, got: &[f32], want: &[f32]) {
+        assert_eq!(got.len(), want.len(), "{at}: {name} length");
+        let r = rel(got, want);
+        assert!(r <= REL, "{at}: {name} is {r:e} off the parent's formulas");
+    }
+
+    #[test]
+    fn the_combine_backward_reassociates_within_1e_5_of_the_parent_formulas_locally() {
+        // `numeric_golden`'s `TrainableMoe` shape, aux loss and router guards.
+        let (s, h, f, e, k) = (256usize, 90usize, 52usize, 8usize, 2usize);
+        let layer = TrainableMoe::new(h, f, e, k, 10_000, DropPolicy::CapacityOnly, 7331)
+            .with_aux(0.05)
+            .with_router_guard(RouterGuard {
+                logit_clamp: 5.0,
+                z_loss_coef: 0.01,
+            });
+        let x = Tensor::rand_uniform(s, h, 1.0, 9900);
+        let d_out = Tensor::rand_uniform(s, h, 1.0, 9950);
+        let [got, want] = local_step(&layer, &x, &d_out, 2.0);
+        assert_close("Local", "d_w", &got.d_w, &want.d_w);
+        assert_close("Local", "d_x", got.d_x.as_slice(), want.d_x.as_slice());
+        assert_close(
+            "Local",
+            "g_gate",
+            got.g_gate.as_slice(),
+            want.g_gate.as_slice(),
+        );
+        for (e, (g, w)) in got.g_experts.iter().zip(&want.g_experts).enumerate() {
+            assert_close(
+                "Local",
+                &format!("dW1 {e}"),
+                g.w1.as_slice(),
+                w.w1.as_slice(),
+            );
+            assert_close(
+                "Local",
+                &format!("dW2 {e}"),
+                g.w2.as_slice(),
+                w.w2.as_slice(),
+            );
+        }
+    }
+
+    #[test]
+    fn the_combine_backward_reassociates_within_1e_5_of_the_parent_formulas_over_ep() {
+        // `numeric_golden`'s `DistMoeLm` layer shape on two ranks; a sharded
+        // layer trains with no aux loss and inert guards. Each rank's `d_w`,
+        // `d_x` and router gradient come from its own batch; its experts'
+        // gradients from every rank's.
+        let (s, h, f, e, k, world) = (384usize, 72usize, 68usize, 8usize, 2usize, 2usize);
+        let full = TrainableMoe::new(h, f, e, k, 10_000, DropPolicy::CapacityOnly, 2026);
+        let batch = |rank: usize| {
+            let x = Tensor::rand_uniform(s, h, 1.0, 5100 + rank as u64);
+            (x, Tensor::rand_uniform(s, h, 1.0, 5200 + rank as u64))
+        };
+        let got = SimCluster::frontier(world).run(|ctx| {
+            let mut layer = DistMoe::from_trainable(&full, ctx.rank, world);
+            let (x, d_out) = batch(ctx.rank);
+            let (mut st, mut ws) = (DistMoeScratch::default(), Workspace::new());
+            let (ep, clock) = (&ctx.world, &mut ctx.clock);
+            let _ = layer.forward(&x, &mut st, &mut ws, ep, clock).unwrap();
+            let d_x = layer.backward(&mut st, &d_out, &mut ws, ep, clock).unwrap();
+            let (g_gate, g_experts) = (layer.g_gate, layer.g_shard);
+            let d_w = st.d_w.clone();
+            Grads {
+                d_w,
+                d_x,
+                g_gate,
+                g_experts,
+            }
+        });
+        let want: Vec<Grads> = (0..world)
+            .map(|rank| {
+                let (x, d_out) = batch(rank);
+                let [_, want] = local_step(&full, &x, &d_out, 1.0);
+                want
+            })
+            .collect();
+        for (rank, (got, mine)) in got.iter().zip(&want).enumerate() {
+            let at = format!("Ep rank {rank}");
+            assert_close(&at, "d_w", &got.d_w, &mine.d_w);
+            assert_close(&at, "d_x", got.d_x.as_slice(), mine.d_x.as_slice());
+            assert_close(&at, "g_gate", got.g_gate.as_slice(), mine.g_gate.as_slice());
+            let per = e / world;
+            for (j, g) in got.g_experts.iter().enumerate() {
+                let global = rank * per + j;
+                let mut w = zero_grad(g);
+                for batch in &want {
+                    add_assign(&mut w.w1, &batch.g_experts[global].w1);
+                    add_assign(&mut w.w2, &batch.g_experts[global].w2);
+                }
+                assert_close(
+                    &at,
+                    &format!("dW1 {global}"),
+                    g.w1.as_slice(),
+                    w.w1.as_slice(),
+                );
+                assert_close(
+                    &at,
+                    &format!("dW2 {global}"),
+                    g.w2.as_slice(),
+                    w.w2.as_slice(),
+                );
+            }
+        }
+    }
 }

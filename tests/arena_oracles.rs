@@ -9,12 +9,12 @@
 //! The high-water oracles bound what an arena holds after warm-up at a
 //! fine-grained shape: the layer pass keeps no copy it does not need (a
 //! local pass reads the tokens by id and combines inside its second expert
-//! GEMM, and its backward reads the expert input and `d_y` by token id,
-//! makes `y` again only to dot it and adds `d_input` onto `d_x` inside the
-//! GEMM that makes it; over a wire the experts write their outputs over the
-//! rows that arrived, and the combine backward its gradient over the saved
-//! outputs), so a routed-row `[n, H]` buffer more than the dataflow needs
-//! shows as a bound exceeded. Under RBD the pilots go out
+//! GEMM, and its backward reads the expert input and `d_out[t]` by token id,
+//! forms `d_w` inside the `d_h` GEMM and adds `d_input` onto `d_x` inside
+//! the GEMM that makes it; over a wire the experts write their outputs over
+//! the rows that arrived, no layer keeps them for its backward, and the
+//! backward sends `d_out[t]` straight from `d_out`), so a routed-row
+//! `[n, H]` buffer more than the dataflow needs shows as a bound exceeded. Under RBD the pilots go out
 //! straight from the tokens and the experts read straight from the wire, so
 //! the state keeps no PFT-order rows at all. Under flat EP every wire buffer
 //! comes home to the rank that filled it, so no peer's buffer lands in an
@@ -27,9 +27,12 @@ use xmoe::core::pipeline::{
 };
 use xmoe::core::rbd::{PilotPolicy, RbdComms};
 use xmoe::core::{ExpertShard, Router};
+use xmoe::tensor::Workspace;
 use xmoe::tensor::{DetRng, Tensor};
 use xmoe::train::model::build_moe_layers;
-use xmoe::train::{DistMoeLm, MarkovCorpus, MoeTrainScratch, TrainConfig, TrainableMoe};
+use xmoe::train::{
+    DistMoe, DistMoeLm, DistMoeScratch, MarkovCorpus, MoeTrainScratch, TrainConfig, TrainableMoe,
+};
 
 fn cfg() -> TrainConfig {
     let mut c = TrainConfig::transformer(DropPolicy::CapacityOnly);
@@ -354,8 +357,8 @@ fn a_trainable_moe_step_arena_holds_no_routed_row_buffer() {
         layer.zero_grads();
     }
     // No routed row has an `[n, H]` buffer: the forward combines inside its
-    // second expert GEMM; the backward reads the expert input and `d_y` by
-    // token id, makes `y` again only to dot it, and adds `d_input` onto
+    // second expert GEMM; the backward reads the expert input and `d_out[t]`
+    // by token id, forms `d_w` inside the `d_h` GEMM, and adds `d_input` onto
     // `d_x` inside the GEMM that makes it. What is left at the backward's
     // peak is `h_pre` and `h_act` (`d_h` is written over it), the output
     // and `d_x`; the router backward's `[s, E]` pair and `[s, H]` input
@@ -368,4 +371,77 @@ fn a_trainable_moe_step_arena_holds_no_routed_row_buffer() {
          (an [n, H] buffer is {})",
         n * h
     );
+}
+
+#[test]
+fn a_dist_moe_step_keeps_no_expert_outputs() {
+    // Two MoE layers on two ranks, one arena, as a model stacks them:
+    // forward, forward, backward, backward. The backward sends `d_out[t]`
+    // straight from `d_out` and forms `d_w` at the experts, so no layer
+    // keeps its `[n, H]` expert outputs from its forward to its backward,
+    // and the second layer's forward reuses the first one's routed-row
+    // buffers. A layer that kept them would hold one more `[n, H]` buffer
+    // across the second forward, which the bound does not leave room for.
+    let (s, h, f, e, k) = FINE;
+    let (world, n) = (2usize, k * s);
+    let full =
+        [83u64, 84].map(|seed| TrainableMoe::new(h, f, e, k, n, DropPolicy::CapacityOnly, seed));
+    let per_rank = {
+        let full = &full;
+        SimCluster::frontier(world).run(move |ctx| {
+            let mut layers = full
+                .each_ref()
+                .map(|l| DistMoe::from_trainable(l, ctx.rank, world));
+            let x = Tensor::rand_uniform(s, h, 1.0, 830 + ctx.rank as u64);
+            let d_out = Tensor::rand_uniform(s, h, 1.0, 840 + ctx.rank as u64);
+            let mut st = [DistMoeScratch::default(), DistMoeScratch::default()];
+            let mut ws = Workspace::new();
+            for _ in 0..4 {
+                let (ep, clock) = (&ctx.world, &mut ctx.clock);
+                let out0 = layers[0]
+                    .forward(&x, &mut st[0], &mut ws, ep, clock)
+                    .unwrap();
+                let out1 = layers[1]
+                    .forward(&out0, &mut st[1], &mut ws, ep, clock)
+                    .unwrap();
+                let d1 = layers[1]
+                    .backward(&mut st[1], &d_out, &mut ws, ep, clock)
+                    .unwrap();
+                let d0 = layers[0]
+                    .backward(&mut st[0], &d1, &mut ws, ep, clock)
+                    .unwrap();
+                for t in [out0, out1, d1, d0] {
+                    ws.recycle(t);
+                }
+            }
+            let per_expert = st.each_ref().map(|st| st.tokens_per_expert().to_vec());
+            (ws.stats().retained_f32, per_expert)
+        })
+    };
+    // The rows each rank's experts receive per layer: every routed entry, of
+    // every rank, to an expert it holds (contiguous, no drops).
+    let mut rows_in = [vec![0usize; world], vec![0usize; world]];
+    for (_, per_expert) in &per_rank {
+        for (rows_in, per_expert) in rows_in.iter_mut().zip(per_expert) {
+            for (x, &c) in per_expert.iter().enumerate() {
+                rows_in[x / (e / world)] += c;
+            }
+        }
+    }
+    for (rank, (retained, _)) in per_rank.iter().enumerate() {
+        let r = [rows_in[0][rank], rows_in[1][rank]];
+        // Each layer's expert saves (`[r, H]` input, `[r, F]` twice) and
+        // `[s, H]` output; two routed-row buffers the layers share (the
+        // dispatch and return rows, and the backward's chunk and return
+        // rows), each as long as the longer of `n` and `r` rows.
+        let rows = n.max(r[0]).max(r[1]);
+        let saves: usize = r.iter().map(|&r| r * (h + 2 * f)).sum();
+        let bound = with_grow_slack(2 * rows * h + 2 * s * h + saves);
+        assert!(
+            *retained <= bound,
+            "rank {rank}: EP train step arena retains {retained} f32 > saves + outputs + \
+             2 routed-row buffers = {bound} (an [n, H] buffer is {})",
+            n * h
+        );
+    }
 }

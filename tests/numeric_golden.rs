@@ -35,17 +35,25 @@ use xmoe::train::model::build_moe_layers;
 use xmoe::train::{DistMoeLm, MarkovCorpus, MoeTrainScratch, TrainConfig, TrainableMoe};
 
 /// 5-step `TrainableMoe` trajectory (aux + z-loss + clamp on): outputs,
-/// input gradients, final gradients and final weights.
-const GOLD_TRAINABLE_MOE: u64 = 0xad3d_5ad8_9468_6a92;
+/// input gradients, final gradients and final weights. Re-pinned with the
+/// next two for one reason: the combine backward moved into the expert
+/// backward's `d_h` GEMM, which reassociates two sums — the combine-weight
+/// gradient is `⟨d_out[t]·W2ᵀ, h_act⟩` (an F-long dot) instead of
+/// `⟨d_out[t], h_act·W2⟩` (H-long), and `d_h = w·(d_out[t]·W2ᵀ)` instead of
+/// `(w·d_out[t])·W2ᵀ`. The `reassociates_within_1e_5` tests in
+/// `crates/train/src/moe_math.rs` hold the new gradients to the old formulas
+/// (6e-7 at most was seen).
+const GOLD_TRAINABLE_MOE: u64 = 0x18cc_257e_4ac0_4576;
 /// 3-step 2-rank `DistMoeLm::train_step` trajectory: per-step losses and
 /// every rank's final head, gate and expert-shard weights. Re-pinned with
-/// the next one for one reason: GELU's tanh formula changed from libm's
-/// `tanhf` to `xmoe_tensor::ops::tanh`.
-const GOLD_DIST_MOE_LM: u64 = 0x15e1_697c_6c8f_2fc4;
+/// the next one for two reasons, in turn: GELU's tanh formula changed from
+/// libm's `tanhf` to `xmoe_tensor::ops::tanh`; then the combine backward's
+/// reassociation (see [`GOLD_TRAINABLE_MOE`]).
+const GOLD_DIST_MOE_LM: u64 = 0x2804_ce1d_52e0_b648;
 /// The encoded `Checkpoint` every rank captures after that run: pins the
 /// parameter walk's entry order and Adam's slot order (first pinned at the
 /// parent of the one-walk change, before the walk landed).
-const GOLD_DIST_MOE_LM_CKPT: u64 = 0x8eae_957e_6a8d_0b11;
+const GOLD_DIST_MOE_LM_CKPT: u64 = 0x90af_a256_a565_6a89;
 /// Dense, padding-free (owned and pooled), block-sparse and RBD forwards at
 /// world 4: every rank's output. The dense and block-sparse slabs carry
 /// whole-zero pad rows, the case the NN kernel's row-group skip exists for.

@@ -558,16 +558,31 @@ static LINTS: &[Lint] = &[
         yes: "    Pft::construct_into(&gating, spec, scratch, &mut route.pft);",
         no: "    Pft::construct(&gating, spec);",
     },
+    // The combine backward runs inside the experts' `d_h` GEMM
+    // (`RowSink::DotScale`): `d_w = ⟨d_out[t]·W2ᵀ, h_act⟩`, so no transport
+    // keeps the expert outputs `y` for the backward, and the sink has one
+    // caller, the one layer backward's FFN backward.
     Lint {
-        name: "One MoE layer math: calls of combine_backward(",
-        files: CRATE_SRC,
-        skip: LAYER_MATH_SKIP,
+        name: "No transport saves expert outputs: .combine_in / combine_in: in crates/{core,train}/src",
+        files: &["crates/core/src", "crates/train/src"],
+        skip: NOTHING,
         scope: Scope::NonTest,
         unit: Unit::Lines,
-        hits: |l| call(l, "combine_backward"),
+        hits: |l| sub(l, &[".combine_in", "combine_in:"]),
+        cap: Cap::Exactly(0),
+        yes: "        Some(saves) => saves.combine_in = combine_in,",
+        no: "        ws.recycle(combine_in);",
+    },
+    Lint {
+        name: "One combine backward: RowSink::DotScale { outside crates/tensor/src (in moe_math.rs)",
+        files: CRATE_SRC,
+        skip: &["crates/tensor/src"],
+        scope: Scope::NonTest,
+        unit: Unit::Lines,
+        hits: |l| sub(l, &["RowSink::DotScale {"]),
         cap: Cap::Exactly(1),
-        yes: "    let d_w = combine_backward(d_out, saves, ws);",
-        no: "fn combine_backward(d_out: &Tensor) -> Tensor {",
+        yes: "    let d_act = RowSink::DotScale { act: h_act, w };",
+        no: "/// over `h_act` ([`RowSink::DotScale`]); then SiLU',",
     },
     Lint {
         name: "One MoE layer math: calls of expert_ffn_backward(",
