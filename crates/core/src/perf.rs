@@ -20,26 +20,17 @@ use crate::price::{self, StageTimes, FUSED, TUTEL};
 /// `H * dtype` (norms, residuals, activation functions, dropout masks).
 const DENSE_ELEMWISE_FACTOR: f64 = 20.0;
 
-/// Options modulating the modelled execution.
-#[derive(Clone, Copy, Debug)]
+/// Options modulating the modelled execution; the default is the
+/// baselines' (no RBD, EP-first placement).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct PerfOpts {
     /// Redundancy-bypassing dispatch enabled (X-MoE only).
     pub rbd: bool,
     /// Activation checkpointing of the MoE block (the Fig 14 comparator):
-    /// adds forward recomputation and two extra all-to-alls in backward.
+    /// the backward recomputes the forward, two extra all-to-alls included.
     pub checkpointing: bool,
     /// Process placement for EP/DP groups (Appendix C).
     pub placement: PlacementPolicy,
-}
-
-impl Default for PerfOpts {
-    fn default() -> Self {
-        Self {
-            rbd: false,
-            checkpointing: false,
-            placement: PlacementPolicy::EpFirst,
-        }
-    }
 }
 
 impl PerfOpts {
@@ -63,7 +54,7 @@ pub struct StepReport {
     pub tflops_per_gpu: f64,
     /// Aggregate PFLOP/s across the job.
     pub aggregate_pflops: f64,
-    /// Forward MoE stage breakdown (one layer, one micro-batch).
+    /// MoE stage lists (one layer, one micro-batch).
     pub moe_stages: StageTimes,
     /// Per-step data-parallel gradient synchronization time.
     pub dp_sync: f64,
@@ -112,7 +103,7 @@ impl PerfModel {
         grid.ep_groups[0].iter().map(|&l| l * par.tp).collect()
     }
 
-    /// Forward stage times of one MoE layer (per micro-batch, per rank).
+    /// Stage lists of one MoE layer (per micro-batch, per rank).
     pub fn moe_stage_times(
         &self,
         cfg: &MoeModelConfig,
@@ -300,7 +291,9 @@ impl PerfModel {
         zero(&expert_dp_group, expert_params) + zero(&dense_dp_group, dense_params)
     }
 
-    /// Model one full optimizer step.
+    /// Model one full optimizer step: every micro-batch through every
+    /// layer's stage lists ([`StageTimes::layer`]; a checkpointed layer
+    /// pays 6 all-to-alls, not 4).
     pub fn step(
         &self,
         cfg: &MoeModelConfig,
@@ -311,18 +304,7 @@ impl PerfModel {
         let moe = self.moe_stage_times(cfg, sys, par, opts);
         let dense = self.dense_block_time(cfg, par);
         let l = cfg.num_layers as f64;
-
-        // Forward and backward per micro-batch: 2x compute, equal
-        // communication volume (grad a2a).
-        let (fwd, bwd) = moe.layer(dense);
-        let (fwd, bwd) = (l * fwd, l * bwd);
-        // Activation checkpointing (Fig 14): recompute forward in backward
-        // and pay 2 extra all-to-alls per layer (§4.3).
-        let ckpt_extra = if opts.checkpointing {
-            l * (moe.total() + dense + moe.a2a())
-        } else {
-            0.0
-        };
+        let (fwd, bwd) = moe.layer(dense, opts.checkpointing);
 
         // Sequences per micro-step: every TP group processes micro_batch
         // distinct sequences.
@@ -331,12 +313,9 @@ impl PerfModel {
         let dp_sync = self.dp_sync_time(cfg, par, sys, opts.placement);
         // Optimizer update: read/write fp32 master + m + v, sharded by DP.
         let opt_params = (cfg.total_params() / par.dp().max(1) as u64) as f64;
-        let opt_time = price::optimizer(&self.cost, opt_params);
-
-        let step_time = accum * (fwd + bwd + ckpt_extra) + dp_sync + opt_time;
-        let tokens_per_step = (par.global_batch * cfg.seq_len) as f64;
-        let model_flops = 6.0 * cfg.activated_params() as f64 * tokens_per_step;
-        let tflops_per_gpu = model_flops / (step_time * par.world as f64) / 1e12;
+        let times = (accum * (l * fwd + l * bwd), dp_sync, opt_params);
+        let (step_time, tflops_per_gpu) =
+            self.compose_step(cfg, times, (par.global_batch, par.world));
         StepReport {
             step_time,
             tflops_per_gpu,
@@ -344,6 +323,20 @@ impl PerfModel {
             moe_stages: moe,
             dp_sync,
         }
+    }
+
+    /// The step composition [`PerfModel::step`] and the planner share: the
+    /// step time (micro-batches, gradient sync, Adam over `opt_params`) and
+    /// its model TFLOP/s per GPU over `sequences` on `world` GPUs.
+    pub(crate) fn compose_step(
+        &self,
+        cfg: &MoeModelConfig,
+        (micro_batches, dp_sync, opt_params): (f64, f64, f64),
+        (sequences, world): (usize, usize),
+    ) -> (f64, f64) {
+        let step_time = micro_batches + dp_sync + price::optimizer(&self.cost, opt_params);
+        let model_flops = 6.0 * cfg.activated_params() as f64 * (sequences * cfg.seq_len) as f64;
+        (step_time, model_flops / (step_time * world as f64) / 1e12)
     }
 
     /// Run a step under both EP/DP placements (Appendix C) and keep the

@@ -32,7 +32,7 @@ pub use engine::{
 pub use padding_free::PooledSingleState;
 pub use schedule::{
     bubble_fraction, rank_work, reference_forward, run_1f1b, MoeStageChunk, PipeOp, ScheduleSpec,
-    StageChunk, BWD_COMPUTE_FACTOR,
+    StageChunk,
 };
 
 use crate::gating::DropPolicy;

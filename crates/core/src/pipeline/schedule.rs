@@ -17,9 +17,11 @@
 //! Timing model: stage-internal compute runs single-rank (bit-identical to
 //! the unpipelined reference by construction — the schedule only changes
 //! *when* each chunk runs, never its inputs), and the executor charges the
-//! analytic kernel time for each forward plus [`BWD_COMPUTE_FACTOR`]× that
-//! for the matching backward. With uniform per-op time the measured bubble
-//! fraction converges to the analytic `(p-1)/(v·m + p-1)`.
+//! analytic kernel time for each forward and its backward price
+//! ([`price::backward`], the one the analytic perf model uses, so measured
+//! and modelled schedules agree on the F:B ratio) for the matching
+//! backward. With uniform per-op time the measured bubble fraction
+//! converges to the analytic `(p-1)/(v·m + p-1)`.
 
 use xmoe_collectives::{Communicator, P2pStash, SimClock};
 use xmoe_tensor::Tensor;
@@ -27,11 +29,7 @@ use xmoe_tensor::Tensor;
 use crate::config::MoeModelConfig;
 use crate::layer::MoeLayer;
 use crate::pipeline::PipelineError;
-
-/// Backward costs ~2x forward for the matmul-dominated blocks simulated
-/// here (dgrad + wgrad) — the same constant the analytic perf model uses,
-/// so measured and modelled schedules agree on the F:B ratio.
-pub use crate::price::BWD_COMPUTE_FACTOR;
+use crate::price;
 
 /// Shape of a 1F1B run: `p` pipeline ranks, `v` virtual chunks per rank,
 /// `m` microbatches.
@@ -288,7 +286,7 @@ pub fn run_1f1b(
                     let _grad: Vec<f32> = pp.recv_p2p(src, bwd_tag(g, mb), &mut stash, clock)?;
                     clock.commit("pp_recv");
                 }
-                clock.charge("pp_bwd", BWD_COMPUTE_FACTOR * fwd_time[chunk][mb]);
+                clock.charge("pp_bwd", price::backward(fwd_time[chunk][mb]));
                 if g != 0 {
                     // Analytic gradient payload: only its shape (and the
                     // bytes on the wire) matter to the simulation.

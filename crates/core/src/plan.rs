@@ -6,8 +6,8 @@
 //! enumerates the legal (PP, TP, EP, DP) foldings
 //! ([`xmoe_topology::enumerate_foldings`]), bounds each with the analytic
 //! memory model ([`crate::memory::folded_per_gpu`]), prices the survivors
-//! with the stage prices, layer composition and optimizer price of
-//! [`crate::price`] that [`PerfModel::step`] charges — dense blocks under
+//! with the stage lists and layer composition of [`crate::price`] and the
+//! step composition that [`PerfModel::step`] uses — dense blocks under
 //! the attention fold, MoE blocks under the expert fold with the dispatch
 //! priced by [`CostModel::sparse_exchange_time`], 1F1B stage boundaries by
 //! [`xmoe_topology::stage_boundary_p2p_time`] — and marks the (step time,
@@ -20,7 +20,7 @@ use xmoe_topology::{
 use crate::config::{MoeModelConfig, ParallelConfig};
 use crate::memory::{folded_per_gpu, GpuMemory, MoeSystem};
 use crate::perf::{PerfModel, PerfOpts};
-use crate::price::{self, StageTimes};
+use crate::price::StageTimes;
 
 /// One priced candidate folding.
 #[derive(Clone, Debug)]
@@ -35,8 +35,6 @@ pub struct MappingPlan {
     pub bubble: f64,
     /// Per-microbatch MoE stage breakdown under the expert fold.
     pub moe_stages: StageTimes,
-    /// Dense block time per layer per microbatch under the attention fold.
-    pub dense_time: f64,
     /// One stage-boundary activation hop (paid twice per microbatch per
     /// boundary: forward activation + backward gradient).
     pub p2p_time: f64,
@@ -64,14 +62,12 @@ pub fn price_mapping(
     let layers_per_stage = (cfg.num_layers / mapping.pp).max(1) as f64;
     let d = cfg.dtype.bytes() as f64;
     let tokens = (micro_batch * cfg.seq_len) as f64;
+    let sequences = mapping.microbatches * micro_batch * mapping.attn.dp;
 
     // Dense blocks run under the attention fold of one stage's ranks.
     let par_attn = ParallelConfig::new(stage_ranks, 1)
         .with_tp(mapping.attn.tp)
-        .with_batch(
-            micro_batch,
-            mapping.microbatches * micro_batch * mapping.attn.dp,
-        );
+        .with_batch(micro_batch, sequences);
     let dense_time = perf.dense_block_time(cfg, &par_attn);
 
     // MoE blocks run under the expert fold with SSMB; replace the perf
@@ -102,7 +98,7 @@ pub fn price_mapping(
     // One microbatch through one pipeline rank's layers (all its virtual
     // chunks), forward + backward, including its boundary hops.
     let per_boundary = 2.0 * mapping.virtual_chunks as f64 * p2p;
-    let (fwd, bwd) = moe.layer(dense_time);
+    let (fwd, bwd) = moe.layer(dense_time, false);
     let t_mb = (layers_per_stage * fwd + per_boundary) + (layers_per_stage * bwd + per_boundary);
 
     // 1F1B makespan: m microbatches plus the (p-1)/v fill/drain ramp.
@@ -112,24 +108,15 @@ pub fn price_mapping(
     // Gradient sync over one stage's share of the layer stack.
     let mut stage_cfg = cfg.clone();
     stage_cfg.num_layers = (cfg.num_layers / mapping.pp).max(1);
-    let dp_sync = perf.dp_sync_time(
-        &stage_cfg,
-        &par_moe,
-        MoeSystem::XMoe,
-        PerfOpts::xmoe().placement,
-    );
+    let placement = PerfOpts::xmoe().placement;
+    let dp_sync = perf.dp_sync_time(&stage_cfg, &par_moe, MoeSystem::XMoe, placement);
     // Optimizer update over this rank's ZeRO shard (fp32 master + m + v).
     let opt_params = (cfg.total_params()
         / mapping.pp as u64
         / (mapping.moe.ep * mapping.moe.tp) as u64
         / mapping.moe.dp.max(1) as u64) as f64;
-    let opt_time = price::optimizer(cost, opt_params);
-
-    let step_time = pipeline_time + dp_sync + opt_time;
-    let tokens_per_step =
-        (mapping.microbatches * micro_batch * cfg.seq_len * mapping.attn.dp) as f64;
-    let model_flops = 6.0 * cfg.activated_params() as f64 * tokens_per_step;
-    let tflops_per_gpu = model_flops / (step_time * world as f64) / 1e12;
+    let times = (pipeline_time, dp_sync, opt_params);
+    let (step_time, tflops_per_gpu) = perf.compose_step(cfg, times, (sequences, world));
 
     let mem = folded_per_gpu(cfg, mapping, micro_batch);
     let fits = mem.fits(cost.topology().spec().hbm_bytes);
@@ -139,7 +126,6 @@ pub fn price_mapping(
         tflops_per_gpu,
         bubble: mapping.analytic_bubble(),
         moe_stages: moe,
-        dense_time,
         p2p_time: p2p,
         dp_sync,
         mem,

@@ -5,7 +5,7 @@
 //! ([`crate::perf::PerfModel`], paper dimensions), the mapping planner
 //! ([`crate::plan`]), the four live pipelines and the distributed train step
 //! all charge these, so an analytic figure and a live clock are one model:
-//! on balanced routing a live Fig-11 stage equals its analytic twin.
+//! on balanced routing a live stage, forward or backward, equals its twin.
 //! Collectives are not here — the communicator prices them from their byte
 //! matrices with the same cost model.
 //!
@@ -47,7 +47,7 @@ fn gemm_dim_derate(inner_dim: usize) -> f64 {
 /// block.
 pub const LAYER_OVERHEAD_S: f64 = 350e-6;
 /// Backward compute is ~2x forward for GEMM-dominated work.
-pub const BWD_COMPUTE_FACTOR: f64 = 2.0;
+const BWD_COMPUTE_FACTOR: f64 = 2.0;
 /// Bytes per element of the live runtime's tensors.
 pub const F32: f64 = 4.0;
 
@@ -133,6 +133,13 @@ pub fn rbd_plan(cost: &CostModel, entries: f64) -> f64 {
     membound(cost, entries * 24.0, FUSED)
 }
 
+/// The backward of a compute stage whose forward costs `fwd` (dgrad and
+/// wgrad): the one backward price, which the stage list, the live backward
+/// and the 1F1B schedule's `pp_bwd` charge.
+pub fn backward(fwd: f64) -> f64 {
+    BWD_COMPUTE_FACTOR * fwd
+}
+
 /// Adam over `params` parameters: read and write the fp32 master weights
 /// and both moments.
 pub fn optimizer(cost: &CostModel, params: f64) -> f64 {
@@ -140,7 +147,7 @@ pub fn optimizer(cost: &CostModel, params: f64) -> f64 {
 }
 
 /// Per-stage forward times of one MoE layer on one rank, in seconds
-/// (labels match Fig 11).
+/// (labels match Fig 11), and the backward's derived from them.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimes {
     pub gating: f64,
@@ -160,7 +167,7 @@ impl StageTimes {
         self.dispatch_a2a + self.combine_a2a
     }
 
-    /// (label, seconds) pairs in pipeline order.
+    /// The forward's (label, seconds) pairs in pipeline order.
     pub fn entries(&self) -> [(&'static str, f64); 6] {
         [
             ("gating", self.gating),
@@ -172,16 +179,30 @@ impl StageTimes {
         ]
     }
 
+    /// The backward's (label, seconds) pairs in pipeline order: each compute
+    /// stage at its [`backward`] price, each all-to-all at the forward's (the
+    /// paper's) payload, without the live `Ep` wire's side scalars.
+    pub fn backward_entries(&self) -> [(&'static str, f64); 6] {
+        [
+            ("bwd_buffer_combine", backward(self.buffer_combine)),
+            ("bwd_combine_a2a", self.combine_a2a),
+            ("bwd_expert", backward(self.expert)),
+            ("bwd_dispatch_a2a", self.dispatch_a2a),
+            ("bwd_buffer_dispatch", backward(self.buffer_dispatch)),
+            ("bwd_gating", backward(self.gating)),
+        ]
+    }
+
     /// One layer's (forward, backward) time per micro-batch beside a dense
-    /// block of `dense` seconds: the backward re-runs every compute stage
-    /// [`BWD_COMPUTE_FACTOR`]× and both all-to-alls once (the gradients
-    /// travel the same volume).
-    pub fn layer(&self, dense: f64) -> (f64, f64) {
-        let compute = self.gating + self.buffer_dispatch + self.expert + self.buffer_combine;
-        (
-            self.total() + dense + LAYER_OVERHEAD_S,
-            BWD_COMPUTE_FACTOR * (compute + dense) + self.a2a() + LAYER_OVERHEAD_S,
-        )
+    /// block of `dense` seconds: each list's sum with the dense block, plus
+    /// [`LAYER_OVERHEAD_S`]. A `checkpointed` layer's backward runs the
+    /// forward list and the dense block once more first (§4.3, Fig 14).
+    pub fn layer(&self, dense: f64, checkpointed: bool) -> (f64, f64) {
+        let fwd = self.total() + dense;
+        let bwd: f64 = self.backward_entries().iter().map(|(_, t)| t).sum();
+        let recompute = if checkpointed { fwd } else { 0.0 };
+        let bwd = recompute + bwd + backward(dense);
+        (fwd + LAYER_OVERHEAD_S, bwd + LAYER_OVERHEAD_S)
     }
 }
 

@@ -1374,9 +1374,11 @@ mod tests {
         // idle experts and with all but one chunk of experts zeroed (what a
         // chunked caller sees), below and above the parallel cutoff; one and
         // two experts above it, whose blocks split into row panels on the
-        // pool (a dense TN is the one-expert case). `A` and `D` are contiguous
-        // and gathered by token id, `D` scaled per row, so every panel task
-        // of an expert packs the segment itself.
+        // pool (a dense TN is the one-expert case); one segment of 4,100 rows
+        // and two that sum to it, each reduction longer than L2 holds at any
+        // width (the router's `g_gate` and the dense weight gradients).
+        // `A` and `D` are contiguous and gathered by token id, `D` scaled per
+        // row, so every panel task of an expert packs the segment itself.
         let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let tokens = 64usize;
         for (counts, ac, n, pooled) in [
@@ -1385,6 +1387,8 @@ mod tests {
             (vec![75, 0, 78, 76, 0, 74], 100, 72, true),
             (vec![300], 100, 72, true),
             (vec![170, 140], 100, 72, true),
+            (vec![4100], 32, 16, true),
+            (vec![2100, 2000], 32, 16, true),
         ] {
             let total: usize = counts.iter().sum();
             assert_eq!(total * ac * n >= PAR_CUTOFF, pooled);

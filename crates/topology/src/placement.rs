@@ -18,10 +18,11 @@
 //! supports the SSMB/TED analyses.
 
 /// Which parallel dimension varies fastest across consecutive global ranks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// EP varies fastest: ranks `[g*ep, (g+1)*ep)` form EP group `g`
     /// (DeepSpeed-MoE's default layout).
+    #[default]
     EpFirst,
     /// DP varies fastest: consecutive ranks hold replicas of the same
     /// experts; EP groups stride by the DP size (X-MoE's layout on Frontier).

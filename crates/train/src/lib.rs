@@ -51,7 +51,7 @@ pub use adam::Adam;
 pub use attention::Attention;
 pub use chaos::{run_chaos_rank, step_batch, ChaosConfig, ChaosReport, JoinStats};
 pub use checkpoint::{Checkpoint, CkptError};
-pub use data::{HigherOrderCorpus, MarkovCorpus};
+pub use data::MarkovCorpus;
 pub use dist::{DistMoe, DistMoeLm, DistMoeScratch, ParamId};
 pub use elastic::{
     assignment_cost, ExpertAssignment, RebalanceConfig, RebalanceDecision, RebalancePolicy,

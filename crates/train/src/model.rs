@@ -8,8 +8,8 @@
 //! model, so the lighter skeleton preserves exactly what the figure
 //! measures (two drop policies optimizing the same objective on the same
 //! data from the same initialization). The `transformer` config enables
-//! attention for sequence-structured corpora
-//! ([`crate::data::HigherOrderCorpus`]).
+//! attention for sequence-structured corpora (the order-2 corpus of
+//! `tests/attention_training.rs`).
 
 use xmoe_collectives::{RankCtx, SimCluster};
 use xmoe_core::gating::DropPolicy;

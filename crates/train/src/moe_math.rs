@@ -11,7 +11,7 @@ use xmoe_core::gating::{row_logsumexp_into, RouterGuard};
 use xmoe_core::pft::Pft;
 use xmoe_core::pipeline::padding_free::{self, ExpertKernel, ExpertSaves, LayerState, Transport};
 use xmoe_core::pipeline::MoeLayerSpec;
-use xmoe_core::price::{self, BWD_COMPUTE_FACTOR as BWD, F32};
+use xmoe_core::price::{self, backward as bwd, F32};
 use xmoe_core::route::Payload;
 use xmoe_core::Expert;
 use xmoe_tensor::{
@@ -147,8 +147,8 @@ pub(crate) fn forward(
 /// and the expert input by the PFT's token ids, and the last GEMM adds
 /// `d_input` straight onto `d_x` — every value the bits of the `Ep`
 /// schedule. `d_out` carries `loss_scale`, which the aux and z-loss terms
-/// take on too. Each stage charges `BWD_COMPUTE_FACTOR`× its forward price
-/// under `bwd_*`, as [`xmoe_core::perf::PerfModel::step`] prices a backward.
+/// take on too. Each compute stage charges [`price::backward`] of its forward
+/// price under `bwd_*`, as [`price::StageTimes`] lists the backward.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn backward(
     p: &RouterParams,
@@ -178,7 +178,7 @@ pub(crate) fn backward(
     d_w.clear();
     d_w.extend_from_slice(&layer.route.pft.combine_weights);
     let mut meter = transport.meter();
-    meter.charge("bwd_buffer_combine", |c| BWD * price::gather(c, n, h));
+    meter.charge("bwd_buffer_combine", |c| bwd(price::gather(c, n, h)));
     let labels = ("bwd_combine_a2a", "bwd_expert", "bwd_dispatch_a2a");
     let d_dispatch = transport.exchange(
         &mut layer.route,
@@ -188,7 +188,7 @@ pub(crate) fn backward(
         |plan, counts, pft, (mut chunk, w), mut meter, _| {
             let ((e0, e1), (r0, r1)) = (plan.experts, plan.rows);
             let n = (r1 - r0) as f64;
-            meter.charge("bwd_expert", |c| BWD * price::expert_seq(c, n, h, f, F32));
+            meter.charge("bwd_expert", |c| bwd(price::expert_seq(c, n, h, f, F32)));
             let (experts, grads) = (&experts[e0..e1], &mut g_experts[e0..e1]);
             let h_pre = &saves.h_pre.as_slice()[r0 * f..r1 * f];
             let h_act = &mut saves.h_act.as_mut_slice()[r0 * f..r1 * f];
@@ -220,12 +220,12 @@ pub(crate) fn backward(
     }
     ws.recycle(d_dispatch);
     let mut meter = transport.meter();
-    meter.charge("bwd_buffer_dispatch", |c| BWD * price::gather(c, n, h));
+    meter.charge("bwd_buffer_dispatch", |c| bwd(price::gather(c, n, h)));
 
     router_backward(p, gate, g_gate, ctx, loss_scale, ws, &mut d_x);
     let (s, e, k) = (ctx.x.rows() as f64, p.spec.num_experts, p.top_k);
     let mut meter = transport.meter();
-    meter.charge("bwd_gating", |c| BWD * price::gating(c, s, h, e, k));
+    meter.charge("bwd_gating", |c| bwd(price::gating(c, s, h, e, k)));
     Ok(d_x)
 }
 

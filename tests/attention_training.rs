@@ -6,7 +6,96 @@
 
 use xmoe::collectives::SimCluster;
 use xmoe::core::gating::DropPolicy;
-use xmoe::train::{build_moe_layers, DistMoeLm, HigherOrderCorpus, TrainConfig};
+use xmoe::tensor::DetRng;
+use xmoe::train::{build_moe_layers, DistMoeLm, TrainConfig};
+
+/// A higher-order Markov corpus: the next-token distribution depends on
+/// the last `order` tokens. Transitions are derived lazily and
+/// deterministically by hashing the history with the seed, so the state
+/// space can be large without precomputation.
+///
+/// With `order >= 2`, a per-token (bigram) model cannot reach the entropy
+/// floor — predicting well requires mixing information across positions,
+/// which is what the attention block is for.
+struct HigherOrderCorpus {
+    vocab: usize,
+    branching: usize,
+    seed: u64,
+    rng: DetRng,
+    history: Vec<usize>,
+}
+
+impl HigherOrderCorpus {
+    fn new(vocab: usize, branching: usize, order: usize, seed: u64) -> Self {
+        assert!(vocab >= 2 && branching >= 1 && branching <= vocab && order >= 1);
+        let mut rng = DetRng::new(seed ^ 0x0D0E);
+        let history = (0..order).map(|_| rng.next_below(vocab)).collect();
+        Self {
+            vocab,
+            branching,
+            seed,
+            rng,
+            history,
+        }
+    }
+
+    /// The (deterministic) successor options for a history.
+    fn options(&self, hist: &[usize]) -> (Vec<usize>, Vec<f64>) {
+        let mut h = self.seed ^ 0xC0FFEE;
+        for &t in hist {
+            h = h.wrapping_mul(0x100_0000_01B3).wrapping_add(t as u64 + 1);
+        }
+        let mut state_rng = DetRng::new(h);
+        let mut succ: Vec<usize> = (0..self.vocab).collect();
+        state_rng.shuffle(&mut succ);
+        succ.truncate(self.branching);
+        let mut weights: Vec<f64> = (0..self.branching)
+            .map(|_| state_rng.next_f64() + 0.1)
+            .collect();
+        let total: f64 = weights.iter().sum();
+        for w in &mut weights {
+            *w /= total;
+        }
+        (succ, weights)
+    }
+
+    fn next_token(&mut self) -> usize {
+        let (succ, weights) = self.options(&self.history.clone());
+        let choice = self.rng.sample_weighted(&weights);
+        let t = succ[choice];
+        self.history.remove(0);
+        self.history.push(t);
+        t
+    }
+
+    /// A batch of `batch` sequences of `seq_len + 1` tokens.
+    fn batch(&mut self, batch: usize, seq_len: usize) -> Vec<Vec<usize>> {
+        (0..batch)
+            .map(|_| (0..=seq_len).map(|_| self.next_token()).collect())
+            .collect()
+    }
+}
+
+#[test]
+fn higher_order_tokens_stay_in_vocab_and_deterministic() {
+    let mut a = HigherOrderCorpus::new(16, 2, 2, 5);
+    let mut b = HigherOrderCorpus::new(16, 2, 2, 5);
+    for _ in 0..500 {
+        let t = a.next_token();
+        assert!(t < 16);
+        assert_eq!(t, b.next_token());
+    }
+}
+
+#[test]
+fn higher_order_needs_full_history() {
+    // The same last token with different second-to-last tokens must
+    // lead to different successor sets (almost surely).
+    let c = HigherOrderCorpus::new(32, 2, 2, 7);
+    let (s1, _) = c.options(&[3, 10]);
+    let (s2, _) = c.options(&[4, 10]);
+    assert_ne!(s1, s2, "order-2 structure collapsed to order-1");
+}
 
 /// Per-step `(local loss, drop fraction)` of `steps` steps of the
 /// single-process model (a one-rank `DistMoeLm`).

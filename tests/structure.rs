@@ -735,6 +735,20 @@ static LINTS: &[Lint] = &[
         yes: "    let t = cost.compute_time(flops);",
         no: "    let t = price::membound(cost, bytes, 1.0);",
     },
+    // A backward compute stage costs `price::backward` of its forward price:
+    // the stage list, the live backward's charges and the 1F1B `pp_bwd` call
+    // it, so the factor is named nowhere else.
+    Lint {
+        name: "One backward price: BWD_COMPUTE_FACTOR in crates/{core,train}/src outside price.rs",
+        files: &["crates/core/src", "crates/train/src"],
+        skip: &["price.rs"],
+        scope: Scope::NonTest,
+        unit: Unit::Lines,
+        hits: |l| word(l, &["BWD_COMPUTE_FACTOR"]),
+        cap: Cap::Exactly(0),
+        yes: "use xmoe_core::price::{self, BWD_COMPUTE_FACTOR as BWD, F32};",
+        no: "    meter.charge(\"bwd_gating\", |c| bwd(price::gating(c, s, h, e, k)));",
+    },
     Lint {
         name: "One price list: fn copy_time / expert_flops / charge_compute in crates/{core,collectives}",
         files: &["crates/core", "crates/collectives"],
@@ -1371,34 +1385,50 @@ fn uncalled(files: &[(String, String)]) -> Vec<(&str, String)> {
 /// `TEST_ONLY_PUB` entry, and every entry names such a function.
 #[test]
 fn every_pub_fn_has_a_caller_or_a_reason() {
-    let files: Vec<(String, String)> = files_under(SHIPPED)
+    let files = shipped_sources();
+    let found = uncalled(&files);
+    println!(
+        "test-only public surface: {} (whitelist {})",
+        found.len(),
+        TEST_ONLY_PUB.len()
+    );
+    let bad = unlisted(&found, TEST_ONLY_PUB, ("pub fn", "TEST_ONLY_PUB"));
+    assert!(bad.is_empty(), "{}", bad.join("\n"));
+}
+
+/// The `*.rs` files under `SHIPPED`, each with its text.
+fn shipped_sources() -> Vec<(String, String)> {
+    files_under(SHIPPED)
         .into_iter()
         .filter(|p| p.ends_with(".rs"))
         .map(|p| {
             let text = read(&p);
             (p, text)
         })
-        .collect();
-    let found = uncalled(&files);
-    let listed = |name: &str| TEST_ONLY_PUB.iter().any(|&(n, _)| n == name);
+        .collect()
+}
+
+/// Where a scan's `found` names and its reason `table` disagree: each found
+/// `kind` (`path:line`) without an entry, and each entry that names nothing
+/// found.
+fn unlisted(
+    found: &[(&str, String)],
+    table: &[(&str, &str)],
+    (kind, table_name): (&str, &str),
+) -> Vec<String> {
     let mut bad: Vec<String> = found
         .iter()
-        .filter(|(name, _)| !listed(name))
-        .map(|(name, site)| format!("{site}: pub fn {name} has no non-test caller"))
+        .filter(|(name, _)| !table.iter().any(|&(n, _)| n == *name))
+        .map(|(name, site)| format!("{site}: {kind} {name} is named by no shipped code"))
         .collect();
-    for &(name, _) in TEST_ONLY_PUB {
+    for &(name, _) in table {
         if !found.iter().any(|&(n, _)| n == name) {
             bad.push(format!(
-                "TEST_ONLY_PUB: {name} is gone or has a non-test caller"
+                "{table_name}: {name} is gone or named by shipped code"
             ));
         }
     }
-    println!(
-        "test-only public surface: {} (whitelist {})",
-        found.len(),
-        TEST_ONLY_PUB.len()
-    );
-    assert!(bad.is_empty(), "{}", bad.join("\n"));
+    bad
 }
 
 #[test]
@@ -1429,6 +1459,134 @@ fn uncalled_fixtures_match() {
             ("listed", site(5)),
             ("also_listed", site(6)),
         ]
+    );
+}
+
+/// The `pub` types under `crates/*/src` that no shipped code names, each
+/// kept for one reason.
+const TEST_ONLY_TYPES: &[(&str, &str)] = &[(
+    "SsmbMoe",
+    "ssmb_train.rs's tests run the SSMB train layer until ROADMAP item 5 builds DistMoeLm's MoE block from it",
+)];
+
+/// The type a line defines with `pub struct`, `pub enum` or `pub trait`.
+fn pub_type(line: &str) -> Option<&str> {
+    let t = line.trim_start();
+    let rest = ["pub struct ", "pub enum ", "pub trait "]
+        .iter()
+        .find_map(|p| t.strip_prefix(p))?;
+    Some(ident(rest))
+}
+
+/// The type whose definition or `impl` block a line opens: the type a `pub`
+/// definition names, or the one after `for` in `impl … for T` (else after
+/// `impl<…>`), without its path.
+fn block_owner(line: &str) -> Option<&str> {
+    if let Some(name) = pub_type(line) {
+        return Some(name);
+    }
+    let mut rest = line.trim_start().strip_prefix("impl")?;
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        let end = rest.find(|c| {
+            depth += (c == '<') as i32 - (c == '>') as i32;
+            depth == 0
+        })?;
+        rest = &rest[end + 1..];
+    } else if !rest.starts_with(' ') {
+        return None;
+    }
+    let target = rest
+        .split_once(" for ")
+        .map_or(rest, |(_, t)| t)
+        .trim_start();
+    let path = &target[..target
+        .find(|c: char| !(is_word(c) || c == ':'))
+        .unwrap_or(target.len())];
+    path.rsplit("::").next().filter(|n| !n.is_empty())
+}
+
+/// The `pub` types defined under `crates/*/src` among `files` that no file
+/// names outside the type's own definition and `impl` blocks, each with its
+/// `path:line`. Files are read as [`uncalled`] reads them: in their non-test
+/// prefix, without comments or `pub use` items.
+fn unnamed_types(files: &[(String, String)]) -> Vec<(&str, String)> {
+    let mut named = std::collections::HashSet::new();
+    let mut defs = Vec::new();
+    for (path, text) in files {
+        let crate_src = path.starts_with("crates/") && path.split('/').nth(2) == Some("src");
+        let (mut reexport, mut owner) = (false, None::<(&str, usize)>);
+        for (i, line) in non_test(text).lines().enumerate() {
+            reexport |= line.trim_start().starts_with("pub use ");
+            if reexport {
+                reexport = !line.contains(';');
+                continue;
+            }
+            let indent = line.len() - line.trim_start().len();
+            if owner.is_none() {
+                if let Some(name) = block_owner(line) {
+                    let code = line.split("//").next().unwrap_or(line).trim_end();
+                    if !code.ends_with([';', '}']) {
+                        owner = Some((name, indent));
+                    }
+                    named.extend(mentions(line).filter(|&w| w != name));
+                    if let Some(t) = pub_type(line).filter(|_| crate_src) {
+                        defs.push((t, format!("{path}:{}", i + 1)));
+                    }
+                    continue;
+                }
+            }
+            let own = owner.map(|(name, _)| name);
+            named.extend(mentions(line).filter(|&w| Some(w) != own));
+            if owner
+                .is_some_and(|(_, at)| at == indent && line.trim_start().starts_with(['}', ')']))
+            {
+                owner = None;
+            }
+        }
+    }
+    defs.retain(|(name, _)| !named.contains(name));
+    defs
+}
+
+/// Every non-test `pub struct`/`enum`/`trait` under `crates/*/src` is named
+/// by shipped code outside its own definition and `impl` blocks, or has a
+/// `TEST_ONLY_TYPES` entry, and every entry names such a type.
+#[test]
+fn every_pub_type_is_named_or_has_a_reason() {
+    let files = shipped_sources();
+    let found = unnamed_types(&files);
+    println!(
+        "test-only public types: {} (whitelist {})",
+        found.len(),
+        TEST_ONLY_TYPES.len()
+    );
+    let bad = unlisted(&found, TEST_ONLY_TYPES, ("pub type", "TEST_ONLY_TYPES"));
+    assert!(bad.is_empty(), "{}", bad.join("\n"));
+}
+
+#[test]
+fn unnamed_type_fixtures_match() {
+    let lib = "/// [`Lonely`] is built by tests only.\n\
+               pub struct Lonely {\n    next: Option<Box<Lonely>>,\n}\n\
+               impl Lonely {\n    pub fn new() -> Lonely {\n        Lonely { next: None }\n    }\n}\n\
+               impl<T: Into<u8>> From<T> for crate::Lonely {\n    fn from(_: T) -> Self {\n        Lonely::new()\n    }\n}\n\
+               pub enum Used {\n    A,\n}\n\
+               pub trait Listed {}\n\
+               pub use self::Listed;\n\
+               #[cfg(test)]\n\
+               mod tests {\n    fn t() {\n        let _ = super::Lonely::new();\n    }\n}\n";
+    let files = [
+        ("crates/a/src/lib.rs".to_string(), lib.to_string()),
+        (
+            "benchmark/src/main.rs".to_string(),
+            "fn main() {\n    let _ = a::Used::A;\n}\n".to_string(),
+        ),
+    ];
+    let site = |line: usize| format!("crates/a/src/lib.rs:{line}");
+    assert_eq!(
+        unnamed_types(&files),
+        [("Lonely", site(2)), ("Listed", site(18))]
     );
 }
 

@@ -7,7 +7,8 @@
 //! 2. Golden exporter check: the Chrome trace-event JSON is syntactically
 //!    valid and carries all six Fig-11 stage labels on every rank's track.
 //! 3. One price list: on balanced routing the live Fig-11 stages equal the
-//!    analytic model's, and the train step charges what the pipeline does.
+//!    analytic model's, and the train step's forward and backward charge the
+//!    analytic stage lists.
 
 use xmoe::collectives::{trace, RankTrace, SimClock, SimCluster, StepReport};
 use xmoe::core::config::{DType, MoeModelConfig, ParallelConfig};
@@ -323,7 +324,12 @@ fn chrome_trace_is_valid_json_with_all_stage_labels_per_rank() {
 /// each Fig-11 stage what the analytic model prices for the same shape on
 /// the same cost model: X-MoE through the padding-free pipeline,
 /// DeepSpeed-MoE through the dense one. The train step's `DistMoe` charges
-/// the padding-free pipeline's compute stages to the bit.
+/// the padding-free pipeline's compute stages to the bit, and its forward
+/// and backward charge every stage of `StageTimes`' two lists. The one
+/// difference is by design: the live backward's all-to-alls carry one side
+/// scalar per routed row beside its `H` f32 (the combine weight out, its
+/// gradient back), which the paper's payload, and so `moe_stage_times`, has
+/// not; each leg is checked against its own bytes.
 #[test]
 fn live_stages_equal_the_analytic_prices_on_balanced_routing() {
     let (s, h, f, e, k) = (64usize, 32usize, 16usize, 16usize, 4usize);
@@ -372,7 +378,8 @@ fn live_stages_equal_the_analytic_prices_on_balanced_routing() {
             }
         }
         let stages = ["gating", "buffer_dispatch", "expert", "buffer_combine"];
-        cluster.run(|ctx| {
+        let d_out = Tensor::rand_uniform(s, h, 1.0, 0xD0);
+        let traces = cluster.run(|ctx| {
             let bits = |clock: &SimClock| stages.map(|l| clock.bucket(l).to_bits());
             let shard = ExpertShard::for_rank(ctx.rank, world, e, h, f, 7);
             let mut ex = ExecCtx::ep(&ctx.world, &mut ctx.clock);
@@ -393,6 +400,37 @@ fn live_stages_equal_the_analytic_prices_on_balanced_routing() {
                 "{world} ranks, rank {}: DistMoe {stages:?}",
                 ctx.rank
             );
+            layer
+                .backward(st, &d_out, ws, &ctx.world, &mut ctx.clock)
+                .unwrap();
+            RankTrace::capture(ctx.rank, &mut ctx.clock, ctx.world.traffic())
         });
+        let live = StepReport::from_ranks(&traces);
+        let priced = perf.moe_stage_times(&cfg, MoeSystem::XMoe, &par, &PerfOpts::default());
+        // One all-to-all leg of `row_bytes` per routed row, spread evenly.
+        let group: Vec<usize> = (0..world).collect();
+        let leg = |row_bytes: usize| {
+            let per_pair = (s * k * row_bytes / world) as u64;
+            cluster.cost().alltoallv_time(&group, &|_, _| per_pair)
+        };
+        let (paper, live_row) = (leg(h * 4), leg(h * 4 + 4));
+        for (label, want) in priced
+            .entries()
+            .into_iter()
+            .chain(priced.backward_entries())
+        {
+            let want = match label {
+                "bwd_combine_a2a" | "bwd_dispatch_a2a" => {
+                    assert_eq!(want, paper, "{world} ranks: {label} at the paper's payload");
+                    live_row
+                }
+                _ => want,
+            };
+            let got = live.mean(label);
+            assert!(
+                want > 0.0 && (got - want).abs() <= 1e-9 * want,
+                "{world} ranks, DistMoe {label}: live {got} s, priced {want} s"
+            );
+        }
     }
 }
